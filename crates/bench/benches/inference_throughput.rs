@@ -928,52 +928,6 @@ fn main() {
         pairs
     };
 
-    // Per-shape kernel autotuning: the fixed historical blocking
-    // (`Blocking::Quad4` for dual_matmul) against whatever
-    // `tune_gate_shape` measured as fastest for this (shape, backend)
-    // and installed in the process-wide cache.  The tuned entry can tie
-    // the fixed one (when Quad4 wins the shape) but must never lose
-    // beyond run-to-run noise — that is the autotuner's contract.
-    {
-        use nfm_tensor::autotune;
-        const TUNE_LANES: usize = 8;
-        let shapes = [
-            ("small", 32usize, 16usize, 32usize),
-            ("medium", 128usize, 64usize, 128usize),
-        ];
-        for (size, rows, xc, hc) in shapes {
-            let mut rng = DeterministicRng::seed_from_u64(0x7A11 ^ rows as u64);
-            let wx = Matrix::from_fn(rows, xc, |_, _| rng.uniform(-1.0, 1.0));
-            let wh = Matrix::from_fn(rows, hc, |_, _| rng.uniform(-1.0, 1.0));
-            let xs: Vec<f32> = (0..xc * TUNE_LANES)
-                .map(|_| rng.uniform(-1.0, 1.0))
-                .collect();
-            let hs: Vec<f32> = (0..hc * TUNE_LANES)
-                .map(|_| rng.uniform(-1.0, 1.0))
-                .collect();
-            let mut out_fixed = vec![0.0f32; rows * TUNE_LANES];
-            let mut out_tuned = vec![0.0f32; rows * TUNE_LANES];
-            let plan =
-                autotune::tune_gate_shape(rows, xc, hc, TUNE_LANES, nfm_tensor::backend::active());
-            plan.install();
-            bench.bench_pair(
-                &format!("kernel/autotune/dual_matmul_fixed/{size}"),
-                || {
-                    kernels::dual_matmul_into(&wx, &wh, &xs, &hs, TUNE_LANES, &mut out_fixed)
-                        .expect("kernel");
-                    black_box(out_fixed[0])
-                },
-                &format!("kernel/autotune/dual_matmul_tuned/{size}"),
-                || {
-                    kernels::dual_matmul_into_tuned(&wx, &wh, &xs, &hs, TUNE_LANES, &mut out_tuned)
-                        .expect("kernel");
-                    black_box(out_tuned[0])
-                },
-            );
-            assert_eq!(out_fixed, out_tuned, "blocking must not change results");
-        }
-    }
-
     // Hot-swap cost: a full stage → canary (every request, paired with
     // an incumbent shadow) → promote cycle of an identical-weights
     // artifact, against the same 8-request traffic on a quiet engine.
@@ -1082,14 +1036,6 @@ fn main() {
             "inference/adaptive_vs_static/adaptive",
         ),
         ("runner/sequential", "runner/parallel"),
-        (
-            "kernel/autotune/dual_matmul_fixed/small",
-            "kernel/autotune/dual_matmul_tuned/small",
-        ),
-        (
-            "kernel/autotune/dual_matmul_fixed/medium",
-            "kernel/autotune/dual_matmul_tuned/medium",
-        ),
         (
             "inference/model_swap/baseline",
             "inference/model_swap/stage_promote",

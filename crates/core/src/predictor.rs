@@ -469,14 +469,7 @@ impl NeuronEvaluator for BnnMemoEvaluator {
             // the single-sequence fallback lane for lane, bit-identical
             // because the lane-striped kernel shares the reduction
             // order).
-            nfm_tensor::kernels::dual_matmul_into_tuned(
-                gate.wx(),
-                gate.wh(),
-                xs,
-                h_prevs,
-                lanes,
-                out,
-            )?;
+            nfm_tensor::kernels::dual_matmul_into(gate.wx(), gate.wh(), xs, h_prevs, lanes, out)?;
             self.stats.record_computed_many(out.len() as u64);
             for lane_stats in self.lane_stats.iter_mut().take(lanes) {
                 lane_stats.record_computed_many(nsz as u64);

@@ -17,7 +17,7 @@
 
 use crate::gate::{Gate, GateId};
 use crate::Result;
-use nfm_tensor::kernels::{dual_matmul_into_tuned, dual_matvec_into, matmul_add_into_tuned};
+use nfm_tensor::kernels::{dual_matmul_into, dual_matvec_into, matmul_add_into};
 
 /// Identifies one neuron evaluation: which gate, which neuron of that
 /// gate, and at which timestep of the current sequence.
@@ -291,7 +291,7 @@ impl NeuronEvaluator for ExactEvaluator {
         h_prevs: &[f32],
         out: &mut [f32],
     ) -> Result<()> {
-        dual_matmul_into_tuned(gate.wx(), gate.wh(), xs, h_prevs, lanes, out)?;
+        dual_matmul_into(gate.wx(), gate.wh(), xs, h_prevs, lanes, out)?;
         self.evaluations += out.len() as u64;
         Ok(())
     }
@@ -311,7 +311,7 @@ impl NeuronEvaluator for ExactEvaluator {
         h_prevs: &[f32],
         out: &mut [f32],
     ) -> Result<()> {
-        matmul_add_into_tuned(gate.wh(), h_prevs, lanes, fwd, out)?;
+        matmul_add_into(gate.wh(), h_prevs, lanes, fwd, out)?;
         self.evaluations += out.len() as u64;
         Ok(())
     }

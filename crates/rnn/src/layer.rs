@@ -10,7 +10,7 @@ use crate::gru::{GruCell, GruState};
 use crate::lstm::{LstmCell, LstmState};
 use crate::scratch::CellScratch;
 use crate::Result;
-use nfm_tensor::kernels::matmul_into_tuned;
+use nfm_tensor::kernels::matmul_into;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
 
@@ -273,7 +273,7 @@ impl Cell {
                 }
                 for (g, kind) in kinds.iter().enumerate() {
                     let gate = self.gate(*kind).expect("cell exposes its own gate kinds");
-                    matmul_into_tuned(
+                    matmul_into(
                         gate.wx(),
                         &packed[..total_rows * input_size],
                         total_rows,

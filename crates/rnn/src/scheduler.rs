@@ -85,7 +85,7 @@ use crate::gate::GateKind;
 use crate::layer::Cell;
 use crate::network::DeepRnn;
 use crate::Result;
-use nfm_tensor::kernels::matmul_into_tuned;
+use nfm_tensor::kernels::matmul_into;
 use nfm_tensor::Vector;
 
 /// Timesteps per scheduling block: the number of input projections
@@ -209,10 +209,6 @@ pub struct LaneScheduler {
     /// Buffered admissions awaiting the next wave
     /// ([`RefillPolicy::Wave`]).
     pending: Vec<(u64, Vec<Vector>)>,
-    /// Timesteps hoisted per block step — `HOIST_BLOCK` unless an
-    /// autotuned plan installed a smaller value
-    /// ([`set_hoist_block`](LaneScheduler::set_hoist_block)).
-    hoist_block: usize,
     steps: usize,
 }
 
@@ -276,35 +272,8 @@ impl LaneScheduler {
             fwd_buf: Vec::new(),
             slots: Vec::with_capacity(lanes),
             pending: Vec::new(),
-            hoist_block: HOIST_BLOCK,
             steps: 0,
         })
-    }
-
-    /// Sets the number of timesteps hoisted per block step (the
-    /// autotuner's per-shape choice; see `nfm_tensor::autotune`).  Only
-    /// affects [`RefillPolicy::Block`] scheduling granularity — results
-    /// are bit-identical for any valid value, block sizes only change
-    /// how many input projections share one weight stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RnnError::InvalidConfig`] unless `1 <= block <=
-    /// HOIST_BLOCK` (the stack-allocated per-step arrays are sized
-    /// `HOIST_BLOCK`).
-    pub fn set_hoist_block(&mut self, block: usize) -> Result<()> {
-        if block == 0 || block > HOIST_BLOCK {
-            return Err(RnnError::InvalidConfig {
-                what: format!("hoist block must be in 1..={HOIST_BLOCK}, got {block}"),
-            });
-        }
-        self.hoist_block = block;
-        Ok(())
-    }
-
-    /// The current hoist block size (timesteps per block step).
-    pub fn hoist_block(&self) -> usize {
-        self.hoist_block
     }
 
     /// The refill policy this scheduler was created with.
@@ -446,7 +415,7 @@ impl LaneScheduler {
         // Per-step active lane counts and packed row offsets for the
         // block (active counts only shrink: lanes are sorted by
         // descending remaining length).
-        let block = self.slots[0].remaining().min(self.hoist_block);
+        let block = self.slots[0].remaining().min(HOIST_BLOCK);
         let mut step_active = [0usize; HOIST_BLOCK];
         let mut row_offset = [0usize; HOIST_BLOCK];
         let mut total_rows = 0usize;
@@ -484,7 +453,7 @@ impl LaneScheduler {
                 }
                 for (g, kind) in kinds.iter().enumerate() {
                     let gate = cell.gate(*kind).expect("cell exposes its own gate kinds");
-                    matmul_into_tuned(
+                    matmul_into(
                         gate.wx(),
                         &self.pack_a[..total_rows * in_w],
                         total_rows,
@@ -885,53 +854,24 @@ mod tests {
 
     #[test]
     fn hoist_block_size_is_bit_transparent() {
-        // The autotuner may shrink the hoist block; any valid size must
-        // reproduce the default schedule's outputs bit for bit.
-        let lens = [9usize, 3, 7, 1, 5, 17];
-        let net = &networks()[0];
-        let seqs: Vec<Vec<Vector>> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| seq(n, net.input_size(), 300 + i as u64))
-            .collect();
-        let reference: Vec<Vec<Vector>> = seqs
-            .iter()
-            .map(|s| net.run(s, &mut ExactEvaluator::new()).unwrap())
-            .collect();
-        for block in [1usize, 4, HOIST_BLOCK] {
-            let mut sched = LaneScheduler::new(net, 3, RefillPolicy::Block).unwrap();
-            sched.set_hoist_block(block).unwrap();
-            assert_eq!(sched.hoist_block(), block);
-            let mut eval = ExactEvaluator::new();
-            eval.begin_batch(3);
-            let mut queue: std::collections::VecDeque<(u64, Vec<Vector>)> = seqs
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i as u64, s.clone()))
-                .collect();
-            let mut results: Vec<Option<Vec<Vector>>> = vec![None; seqs.len()];
-            let mut finished = Vec::new();
-            loop {
-                while sched.free_lanes() > 0 {
-                    match queue.pop_front() {
-                        Some((token, s)) => sched.admit(token, s, net, &mut eval).unwrap(),
-                        None => break,
-                    }
-                }
-                if sched.step(net, &mut eval, &mut finished).unwrap() == 0 {
-                    break;
-                }
-                for f in finished.drain(..) {
-                    results[f.token as usize] = Some(f.outputs);
-                }
+        // A block step hoists `min(longest remaining, HOIST_BLOCK)`
+        // timesteps, so uniform lengths of 1, 4, 9 and 17 drive hoisted
+        // blocks of 1, 4, 8+1 and 8+8+1 steps: every block size must
+        // reproduce the per-step `DeepRnn::run` outputs bit for bit.
+        for net in networks() {
+            for len in [1usize, 4, 9, 17] {
+                let seqs: Vec<Vec<Vector>> = (0..3)
+                    .map(|i| seq(len, net.input_size(), 300 + i))
+                    .collect();
+                let reference: Vec<Vec<Vector>> = seqs
+                    .iter()
+                    .map(|s| net.run(s, &mut ExactEvaluator::new()).unwrap())
+                    .collect();
+                let mut eval = ExactEvaluator::new();
+                let outs = drain_scheduler(&net, 3, RefillPolicy::Block, &seqs, &mut eval);
+                assert_bitwise_eq(&outs, &reference, &format!("steps={len}"));
             }
-            let outs: Vec<Vec<Vector>> =
-                results.into_iter().map(|r| r.expect("finished")).collect();
-            assert_bitwise_eq(&outs, &reference, &format!("hoist block={block}"));
         }
-        let mut sched = LaneScheduler::new(net, 3, RefillPolicy::Block).unwrap();
-        assert!(sched.set_hoist_block(0).is_err());
-        assert!(sched.set_hoist_block(HOIST_BLOCK + 1).is_err());
     }
 
     #[test]

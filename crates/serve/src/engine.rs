@@ -221,8 +221,8 @@ pub struct CanaryConfig {
     pub min_requests: u64,
     /// Largest tolerated absolute output difference between the staged
     /// and incumbent versions.  `0.0` demands bit-identical outputs —
-    /// right for weight-preserving swaps (artifact reloads, kernel
-    /// retuning); widen it for genuinely retrained weights.
+    /// right for weight-preserving swaps (artifact reloads); widen it
+    /// for genuinely retrained weights.
     pub tolerance: f32,
 }
 
@@ -491,7 +491,6 @@ pub struct EngineBuilder {
     override_context_cap: usize,
     policy: DeadlinePolicy,
     paused: bool,
-    autotune: bool,
 }
 
 impl EngineBuilder {
@@ -520,7 +519,6 @@ impl EngineBuilder {
             override_context_cap: crate::worker::DEFAULT_OVERRIDE_CONTEXT_CAP,
             policy: DeadlinePolicy::default(),
             paused: false,
-            autotune: false,
         }
     }
 
@@ -577,19 +575,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Autotunes kernel blockings at build time (default off): every
-    /// registered model's distinct gate shapes are benchmarked once on
-    /// the active backend at the configured lane count, and the winning
-    /// traversals are recorded in the process-wide autotune cache (see
-    /// [`ModelRegistry::autotune_model`]).  Hot-swapped versions are
-    /// tuned when staged.  Tuning never changes results — all
-    /// candidates share the canonical reduction order — it only picks
-    /// the measured-fastest traversal per shape.
-    pub fn autotune(mut self, autotune: bool) -> Self {
-        self.autotune = autotune;
-        self
-    }
-
     /// Spawns the workers and returns the engine.
     ///
     /// # Errors
@@ -614,15 +599,9 @@ impl EngineBuilder {
                 });
             }
         }
-        let mut registry = self.registry?;
+        let registry = self.registry?;
         if registry.is_empty() {
             return Err(EngineError::EmptyRegistry);
-        }
-        if self.autotune {
-            let ids: Vec<ModelId> = registry.model_ids().cloned().collect();
-            for id in ids {
-                registry.autotune_model(&id, self.lanes)?;
-            }
         }
         let registry = Arc::new(RwLock::new(registry));
         let shared = Arc::new(Shared {
@@ -662,7 +641,6 @@ impl EngineBuilder {
             workers: self.workers,
             override_context_cap: self.override_context_cap,
             policy: self.policy,
-            autotune: self.autotune,
         })
     }
 }
@@ -954,7 +932,6 @@ pub struct Engine {
     workers: usize,
     override_context_cap: usize,
     policy: DeadlinePolicy,
-    autotune: bool,
 }
 
 impl Engine {
@@ -970,12 +947,6 @@ impl Engine {
     /// the guard across calls into the engine.
     pub fn registry(&self) -> RwLockReadGuard<'_, ModelRegistry> {
         self.registry.read().expect("registry lock")
-    }
-
-    /// Whether build-time/staging-time kernel autotuning is enabled
-    /// (see [`EngineBuilder::autotune`]).
-    pub fn autotune_enabled(&self) -> bool {
-        self.autotune
     }
 
     /// Lanes per worker.
@@ -1245,11 +1216,10 @@ impl Engine {
     /// dropping any in-flight request.
     ///
     /// The staged version gets predictors built from `predictors`
-    /// (deduplicating BNN mirrors), version `live + 1`, and — when
-    /// [`EngineBuilder::autotune`] is on — freshly tuned kernel
-    /// blockings for its gate shapes.  While the swap is undecided,
-    /// requests selected by `canary` run as pairs: the staged version
-    /// answers the caller, the incumbent shadows for comparison.
+    /// (deduplicating BNN mirrors) and version `live + 1`.  While the
+    /// swap is undecided, requests selected by `canary` run as pairs:
+    /// the staged version answers the caller, the incumbent shadows for
+    /// comparison.
     /// After [`CanaryConfig::min_requests`] comparisons within
     /// [`CanaryConfig::tolerance`] the staged version is promoted;
     /// the first comparison outside it rolls the swap back.  Either
@@ -1327,9 +1297,6 @@ impl Engine {
         // A decided-but-not-yet-applied swap still owns the staged
         // slot; `stage` rejects it below via the staged entry.
         let to = registry.stage(&model, network, mirror, predictors)?;
-        if self.autotune {
-            registry.autotune_staged(&model, self.lanes);
-        }
         state.swaps.push(SwapState {
             model,
             from,
@@ -1538,7 +1505,7 @@ impl Engine {
 
     /// The first internal execution error any worker hit, if any (the
     /// affected requests were answered with
-    /// [`CompletionStatus::Rejected`](crate::CompletionStatus::Rejected)).
+    /// [`CompletionStatus::Rejected`]).
     pub fn last_error(&self) -> Option<String> {
         self.shared
             .state

@@ -16,12 +16,6 @@
 //! registry **synchronously**, so unknown ids and unsupported
 //! overrides surface as typed [`EngineError`]s from
 //! [`Engine::submit`](crate::Engine::submit), never mid-flight.
-//!
-//! Registration can also **autotune** a model: benchmark every kernel
-//! blocking for each distinct gate shape once and record the winners in
-//! the process-wide [`nfm_tensor::autotune`] cache, so every worker's
-//! batched kernels run the measured-fastest traversal for that shape on
-//! this machine.
 
 use crate::engine::EngineError;
 use crate::request::RequestOptions;
@@ -29,7 +23,6 @@ use nfm_bnn::BinaryNetwork;
 use nfm_core::{Predictor, PredictorKind};
 use nfm_model::LoadedModel;
 use nfm_rnn::DeepRnn;
-use nfm_tensor::autotune::{tune_gate_shape, GateShapePlan};
 use std::fmt;
 use std::sync::Arc;
 
@@ -91,9 +84,6 @@ pub(crate) struct ModelEntry {
     /// predictor is registered (or carried over from an artifact) and
     /// shared from then on.
     mirror: Option<Arc<BinaryNetwork>>,
-    /// Autotuned kernel plans, one per distinct gate shape, recorded by
-    /// [`ModelRegistry::autotune_model`].  Empty when never tuned.
-    pub(crate) tuning: Vec<GateShapePlan>,
 }
 
 /// A request resolved against the registry: the exact network and
@@ -258,44 +248,6 @@ impl ModelRegistry {
         let model = model.into();
         let entry = self.entry_mut(&model)?;
         Self::push_predictor(entry, name.into(), predictor)
-    }
-
-    /// Benchmarks every kernel blocking for each distinct gate shape of
-    /// `model`'s live version at `lanes` lanes on the active backend,
-    /// records the winners in the process-wide autotune cache, and
-    /// stores the measured plans in the registry entry (see
-    /// [`ModelRegistry::tuned_plans`]).  Returns the number of distinct
-    /// shapes tuned.
-    ///
-    /// Tuning changes only *traversal order candidates that share the
-    /// canonical reduction order*, so outputs stay bit-identical to the
-    /// untuned kernels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::UnknownModel`] when `model` is not
-    /// registered and [`EngineError::InvalidConfig`] when `lanes` is 0.
-    pub fn autotune_model(
-        &mut self,
-        model: impl Into<ModelId>,
-        lanes: usize,
-    ) -> Result<usize, EngineError> {
-        if lanes == 0 {
-            return Err(EngineError::InvalidConfig {
-                what: "autotune lane count must be at least 1".into(),
-            });
-        }
-        let model = model.into();
-        let entry = self.entry_mut(&model)?;
-        Ok(Self::tune_entry(entry, lanes))
-    }
-
-    /// The autotuned kernel plans recorded for `model`'s live version,
-    /// one per distinct gate shape.  Empty when the model was never
-    /// autotuned; `None` for an unknown model.
-    pub fn tuned_plans(&self, model: impl Into<ModelId>) -> Option<&[GateShapePlan]> {
-        let model = model.into();
-        self.live_entry(&model).map(|e| e.tuning.as_slice())
     }
 
     /// Number of registered models (staged swap candidates do not
@@ -480,7 +432,6 @@ impl ModelRegistry {
             network,
             predictors: Vec::new(),
             mirror,
-            tuning: Vec::new(),
         };
         for kind in kinds {
             let mirror = if kind.needs_mirror() {
@@ -498,15 +449,6 @@ impl ModelRegistry {
         }
         self.models.push(entry);
         Ok(version)
-    }
-
-    /// Autotunes the staged entry of `model` (no-op when none exists).
-    /// Returns the number of distinct shapes tuned.
-    pub(crate) fn autotune_staged(&mut self, model: &ModelId, lanes: usize) -> usize {
-        match self.models.iter_mut().find(|e| &e.id == model && !e.live) {
-            Some(entry) => Self::tune_entry(entry, lanes),
-            None => 0,
-        }
     }
 
     /// Promotes `model`'s staged entry to live, retiring the incumbent.
@@ -562,24 +504,6 @@ impl ModelRegistry {
         self.models.iter().find(|e| &e.id == id && !e.live)
     }
 
-    fn tune_entry(entry: &mut ModelEntry, lanes: usize) -> usize {
-        let backend = nfm_tensor::backend::active();
-        let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
-        for (_, gate) in entry.network.gates() {
-            let shape = (gate.neurons(), gate.input_size(), gate.hidden_size());
-            if !shapes.contains(&shape) {
-                shapes.push(shape);
-            }
-        }
-        entry.tuning.clear();
-        for (rows, xc, hc) in shapes {
-            let plan = tune_gate_shape(rows, xc, hc, lanes, backend);
-            plan.install();
-            entry.tuning.push(plan);
-        }
-        entry.tuning.len()
-    }
-
     fn register_entry(
         &mut self,
         id: ModelId,
@@ -596,7 +520,6 @@ impl ModelRegistry {
             network,
             predictors: Vec::new(),
             mirror,
-            tuning: Vec::new(),
         });
         Ok(())
     }

@@ -180,52 +180,6 @@ impl InferenceRequest {
         self.options = options;
         self
     }
-
-    /// Targets a registered model (see [`RequestOptions::model`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "build options with `RequestOptions::for_model(..)` and attach them via \
-                `with_options`"
-    )]
-    pub fn for_model(mut self, model: impl Into<ModelId>) -> Self {
-        self.options.model = Some(model.into());
-        self
-    }
-
-    /// Picks a registered predictor by name (see
-    /// [`RequestOptions::predictor`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "build options with `RequestOptions::..predictor(..)` and attach them via \
-                `with_options`"
-    )]
-    pub fn with_predictor(mut self, predictor: impl Into<String>) -> Self {
-        self.options.predictor = Some(predictor.into());
-        self
-    }
-
-    /// Overrides the reuse threshold for this request (see
-    /// [`RequestOptions::threshold`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "build options with `RequestOptions::..threshold(..)` and attach them via \
-                `with_options`"
-    )]
-    pub fn with_threshold(mut self, threshold: f32) -> Self {
-        self.options.threshold = Some(threshold);
-        self
-    }
-
-    /// Sets the scheduling priority.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build options with `RequestOptions::..priority(..)` and attach them via \
-                `with_options`"
-    )]
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.options.priority = priority;
-        self
-    }
 }
 
 /// How a request left the engine.
@@ -321,18 +275,17 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the shims must keep working until removal
-    fn request_builder_sets_options() {
-        let r = InferenceRequest::new(1, vec![Vector::zeros(2)])
-            .for_model("asr")
-            .with_predictor("bnn")
-            .with_threshold(0.25)
-            .with_priority(Priority::High);
+    fn with_options_replaces_all_options_at_once() {
+        let r = InferenceRequest::new(1, vec![Vector::zeros(2)]).with_options(
+            RequestOptions::for_model("asr")
+                .predictor("bnn")
+                .threshold(0.25)
+                .priority(Priority::High),
+        );
         assert_eq!(r.options.model, Some("asr".into()));
         assert_eq!(r.options.predictor.as_deref(), Some("bnn"));
         assert_eq!(r.options.threshold, Some(0.25));
         assert_eq!(r.options.priority, Priority::High);
-        // with_options replaces everything at once.
         let r = r.with_options(RequestOptions::default().model("kws"));
         assert_eq!(r.options.model, Some("kws".into()));
         assert!(r.options.predictor.is_none());

@@ -413,329 +413,11 @@ pub(crate) unsafe fn dual_matmul_body<O: DotOps>(
     }
 }
 
-/// Lane-striped `out[l*rows + r] = m[r]·xs[l]` in 4 rows × 4 lanes
-/// register tiles driven by [`DotOps::dot_quad`] — the [`Blocking::Quad4`]
-/// traversal of [`matmul_body`]'s problem.  Bit-transparent: every
-/// (row, lane) dot runs the shared reduction order.
-///
-/// # Safety
-///
-/// Same contract as [`matmul_body`].
-#[inline(always)]
-pub(crate) unsafe fn matmul_quad_body<O: DotOps>(
-    o: O,
-    m: &[f32],
-    rows: usize,
-    cols: usize,
-    xs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-) {
-    let lane_quads = lanes - lanes % TILE;
-    // SAFETY (all calls below): forwarded caller contract.
-    unsafe {
-        for r0 in (0..rows).step_by(TILE) {
-            let r_hi = (r0 + TILE).min(rows);
-            for l0 in (0..lane_quads).step_by(TILE) {
-                let x = |i: usize| &xs[(l0 + i) * cols..(l0 + i + 1) * cols];
-                for r in r0..r_hi {
-                    let row = &m[r * cols..(r + 1) * cols];
-                    let d = o.dot_quad(row, x(0), x(1), x(2), x(3));
-                    for i in 0..TILE {
-                        out[(l0 + i) * rows + r] = d[i];
-                    }
-                }
-            }
-            for l in lane_quads..lanes {
-                let xl = &xs[l * cols..(l + 1) * cols];
-                for r in r0..r_hi {
-                    out[l * rows + r] = o.dot(&m[r * cols..(r + 1) * cols], xl);
-                }
-            }
-        }
-    }
-}
-
-/// Plain per-(row, lane) traversal of [`matmul_body`]'s problem — the
-/// [`Blocking::Plain`] candidate (row streamed once per lane, no
-/// multi-output blocking).
-///
-/// # Safety
-///
-/// Same contract as [`matmul_body`].
-#[inline(always)]
-pub(crate) unsafe fn matmul_plain_body<O: DotOps>(
-    o: O,
-    m: &[f32],
-    rows: usize,
-    cols: usize,
-    xs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-) {
-    // SAFETY: forwarded caller contract.
-    unsafe {
-        for r in 0..rows {
-            let row = &m[r * cols..(r + 1) * cols];
-            for l in 0..lanes {
-                out[l * rows + r] = o.dot(row, &xs[l * cols..(l + 1) * cols]);
-            }
-        }
-    }
-}
-
-/// [`Blocking::Quad4`] traversal of [`matmul_add_body`]'s problem.
-///
-/// # Safety
-///
-/// Same contract as [`matmul_add_body`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn matmul_add_quad_body<O: DotOps>(
-    o: O,
-    m: &[f32],
-    rows: usize,
-    cols: usize,
-    xs: &[f32],
-    lanes: usize,
-    base: &[f32],
-    out: &mut [f32],
-) {
-    let lane_quads = lanes - lanes % TILE;
-    // SAFETY (all calls below): forwarded caller contract.
-    unsafe {
-        for r0 in (0..rows).step_by(TILE) {
-            let r_hi = (r0 + TILE).min(rows);
-            for l0 in (0..lane_quads).step_by(TILE) {
-                let x = |i: usize| &xs[(l0 + i) * cols..(l0 + i + 1) * cols];
-                for r in r0..r_hi {
-                    let row = &m[r * cols..(r + 1) * cols];
-                    let d = o.dot_quad(row, x(0), x(1), x(2), x(3));
-                    for (i, di) in d.iter().enumerate() {
-                        let idx = (l0 + i) * rows + r;
-                        out[idx] = base[idx] + di;
-                    }
-                }
-            }
-            for l in lane_quads..lanes {
-                let xl = &xs[l * cols..(l + 1) * cols];
-                for r in r0..r_hi {
-                    let idx = l * rows + r;
-                    out[idx] = base[idx] + o.dot(&m[r * cols..(r + 1) * cols], xl);
-                }
-            }
-        }
-    }
-}
-
-/// [`Blocking::Plain`] traversal of [`matmul_add_body`]'s problem.
-///
-/// # Safety
-///
-/// Same contract as [`matmul_add_body`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn matmul_add_plain_body<O: DotOps>(
-    o: O,
-    m: &[f32],
-    rows: usize,
-    cols: usize,
-    xs: &[f32],
-    lanes: usize,
-    base: &[f32],
-    out: &mut [f32],
-) {
-    // SAFETY: forwarded caller contract.
-    unsafe {
-        for r in 0..rows {
-            let row = &m[r * cols..(r + 1) * cols];
-            for l in 0..lanes {
-                let idx = l * rows + r;
-                out[idx] = base[idx] + o.dot(row, &xs[l * cols..(l + 1) * cols]);
-            }
-        }
-    }
-}
-
-/// [`Blocking::Pair2`] traversal of [`dual_matmul_body`]'s problem —
-/// row loop outer, lanes paired through [`DotOps::dot2`] for the
-/// forward and recurrent halves.
-///
-/// # Safety
-///
-/// Same contract as [`dual_matmul_body`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn dual_matmul_pair_body<O: DotOps>(
-    o: O,
-    wx: &[f32],
-    wh: &[f32],
-    rows: usize,
-    xc: usize,
-    hc: usize,
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-) {
-    // SAFETY (all calls below): forwarded caller contract.
-    unsafe {
-        for r in 0..rows {
-            let rx = &wx[r * xc..(r + 1) * xc];
-            let rh = &wh[r * hc..(r + 1) * hc];
-            let mut l = 0;
-            while l + 2 <= lanes {
-                let fwd = o.dot2(
-                    &xs[l * xc..(l + 1) * xc],
-                    &xs[(l + 1) * xc..(l + 2) * xc],
-                    rx,
-                );
-                let rec = o.dot2(
-                    &hs[l * hc..(l + 1) * hc],
-                    &hs[(l + 1) * hc..(l + 2) * hc],
-                    rh,
-                );
-                // Keep the `fwd + rec` order of Gate::neuron_dot.
-                out[l * rows + r] = fwd[0] + rec[0];
-                out[(l + 1) * rows + r] = fwd[1] + rec[1];
-                l += 2;
-            }
-            if l < lanes {
-                out[l * rows + r] =
-                    o.dot(rx, &xs[l * xc..(l + 1) * xc]) + o.dot(rh, &hs[l * hc..(l + 1) * hc]);
-            }
-        }
-    }
-}
-
-/// [`Blocking::Plain`] traversal of [`dual_matmul_body`]'s problem.
-///
-/// # Safety
-///
-/// Same contract as [`dual_matmul_body`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn dual_matmul_plain_body<O: DotOps>(
-    o: O,
-    wx: &[f32],
-    wh: &[f32],
-    rows: usize,
-    xc: usize,
-    hc: usize,
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-) {
-    // SAFETY: forwarded caller contract.
-    unsafe {
-        for r in 0..rows {
-            let rx = &wx[r * xc..(r + 1) * xc];
-            let rh = &wh[r * hc..(r + 1) * hc];
-            for l in 0..lanes {
-                out[l * rows + r] =
-                    o.dot(rx, &xs[l * xc..(l + 1) * xc]) + o.dot(rh, &hs[l * hc..(l + 1) * hc]);
-            }
-        }
-    }
-}
-
-use crate::autotune::Blocking;
-
-/// Routes one lane-striped matmul to the requested traversal blocking.
-/// All three traversals run the same per-(row, lane) canonical dot, so
-/// the choice is bit-transparent.
-///
-/// # Safety
-///
-/// Same contract as [`matmul_body`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn matmul_body_blocked<O: DotOps>(
-    o: O,
-    m: &[f32],
-    rows: usize,
-    cols: usize,
-    xs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-    blocking: Blocking,
-) {
-    // SAFETY (all arms): forwarded caller contract.
-    unsafe {
-        match blocking {
-            Blocking::Plain => matmul_plain_body(o, m, rows, cols, xs, lanes, out),
-            Blocking::Pair2 => matmul_body(o, m, rows, cols, xs, lanes, out),
-            Blocking::Quad4 => matmul_quad_body(o, m, rows, cols, xs, lanes, out),
-        }
-    }
-}
-
-/// [`matmul_body_blocked`] for the base-adding hoisted kernel.
-///
-/// # Safety
-///
-/// Same contract as [`matmul_add_body`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn matmul_add_body_blocked<O: DotOps>(
-    o: O,
-    m: &[f32],
-    rows: usize,
-    cols: usize,
-    xs: &[f32],
-    lanes: usize,
-    base: &[f32],
-    out: &mut [f32],
-    blocking: Blocking,
-) {
-    // SAFETY (all arms): forwarded caller contract.
-    unsafe {
-        match blocking {
-            Blocking::Plain => matmul_add_plain_body(o, m, rows, cols, xs, lanes, base, out),
-            Blocking::Pair2 => matmul_add_body(o, m, rows, cols, xs, lanes, base, out),
-            Blocking::Quad4 => matmul_add_quad_body(o, m, rows, cols, xs, lanes, base, out),
-        }
-    }
-}
-
-/// [`matmul_body_blocked`] for the fused dual (gate pre-activation)
-/// kernel.
-///
-/// # Safety
-///
-/// Same contract as [`dual_matmul_body`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn dual_matmul_body_blocked<O: DotOps>(
-    o: O,
-    wx: &[f32],
-    wh: &[f32],
-    rows: usize,
-    xc: usize,
-    hc: usize,
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-    blocking: Blocking,
-) {
-    // SAFETY (all arms): forwarded caller contract.
-    unsafe {
-        match blocking {
-            Blocking::Plain => dual_matmul_plain_body(o, wx, wh, rows, xc, hc, xs, hs, lanes, out),
-            Blocking::Pair2 => dual_matmul_pair_body(o, wx, wh, rows, xc, hc, xs, hs, lanes, out),
-            Blocking::Quad4 => dual_matmul_body(o, wx, wh, rows, xc, hc, xs, hs, lanes, out),
-        }
-    }
-}
-
 /// The scalar tier: safe wrappers instantiating the shared bodies with
 /// [`ScalarOps`] (no intrinsics, so no feature requirements).
 pub(crate) mod scalar {
     use super::{
-        dual_matmul_body, dual_matmul_body_blocked, dual_matvec_body, matmul_add_body,
-        matmul_add_body_blocked, matmul_body, matmul_body_blocked, matvec_body, Blocking, DotOps,
+        dual_matmul_body, dual_matvec_body, matmul_add_body, matmul_body, matvec_body, DotOps,
         ScalarOps,
     };
 
@@ -820,58 +502,5 @@ pub(crate) mod scalar {
     ) {
         // SAFETY: ScalarOps uses no intrinsics.
         unsafe { dual_matmul_body(ScalarOps, wx, wh, rows, xc, hc, xs, hs, lanes, out) }
-    }
-
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn matmul_blocked(
-        m: &[f32],
-        rows: usize,
-        cols: usize,
-        xs: &[f32],
-        lanes: usize,
-        out: &mut [f32],
-        blocking: Blocking,
-    ) {
-        // SAFETY: ScalarOps uses no intrinsics.
-        unsafe { matmul_body_blocked(ScalarOps, m, rows, cols, xs, lanes, out, blocking) }
-    }
-
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn matmul_add_blocked(
-        m: &[f32],
-        rows: usize,
-        cols: usize,
-        xs: &[f32],
-        lanes: usize,
-        base: &[f32],
-        out: &mut [f32],
-        blocking: Blocking,
-    ) {
-        // SAFETY: ScalarOps uses no intrinsics.
-        unsafe { matmul_add_body_blocked(ScalarOps, m, rows, cols, xs, lanes, base, out, blocking) }
-    }
-
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn dual_matmul_blocked(
-        wx: &[f32],
-        wh: &[f32],
-        rows: usize,
-        xc: usize,
-        hc: usize,
-        xs: &[f32],
-        hs: &[f32],
-        lanes: usize,
-        out: &mut [f32],
-        blocking: Blocking,
-    ) {
-        // SAFETY: ScalarOps uses no intrinsics.
-        unsafe {
-            dual_matmul_body_blocked(
-                ScalarOps, wx, wh, rows, xc, hc, xs, hs, lanes, out, blocking,
-            )
-        }
     }
 }

@@ -2,25 +2,39 @@
 //!
 //! These are the hot loops of the whole reproduction: every recurrent
 //! gate evaluation reduces to two dense matrix-vector products over the
-//! gate's weight rows.  The kernels here are written so that
+//! gate's weight rows.  There are seven operations, each with exactly
+//! one dispatched entry point (runs on [`crate::backend::active`] — CPU
+//! feature detection with an `NFM_KERNEL_BACKEND` override, see
+//! [`crate::backend`]) and one `_on` test hook that runs an explicit
+//! [`KernelBackend`] so a single process can cross-check every tier the
+//! host supports:
 //!
-//! * the caller owns every output buffer (`*_into` signatures — the
-//!   steady-state inference path performs no allocation),
-//! * each kernel exists in one scalar reference implementation plus
-//!   hand-written intrinsic tiers (AVX2 / AVX-512 / NEON), selected once
-//!   per process by [`crate::backend::active`] — CPU feature detection
-//!   with an `NFM_KERNEL_BACKEND` override (see [`crate::backend`]),
-//! * the *reduction order is fixed* and shared by every entry point and
-//!   every tier ([`dot_unchecked`]'s sixteen lane-major accumulators,
-//!   the pairwise reduce tree, a sequential tail, multiply-then-add
-//!   rounding), so the batched gate path, the per-neuron fallback and
-//!   every dispatch tier produce bit-identical results.
+//! | operation | dispatched | explicit tier |
+//! |---|---|---|
+//! | `a·b` | [`dot_unchecked`] | [`dot_unchecked_on`] |
+//! | `row·x0..x3` | [`dot_quad_unchecked`] | [`dot_quad_unchecked_on`] |
+//! | `out = M x` | [`matvec_into`] | [`matvec_into_on`] |
+//! | `out = Wx x + Wh h` | [`dual_matvec_into`] | [`dual_matvec_into_on`] |
+//! | `out[l] = M xs[l]` | [`matmul_into`] | [`matmul_into_on`] |
+//! | `out[l] = Wx xs[l] + Wh hs[l]` | [`dual_matmul_into`] | [`dual_matmul_into_on`] |
+//! | `out[l] = base[l] + M xs[l]` | [`matmul_add_into`] | [`matmul_add_into_on`] |
 //!
-//! Dimension checks happen once per call, not once per row or element;
-//! the `*_on` variants run a specific [`KernelBackend`] explicitly so a
-//! single process can cross-check every tier the host supports
-//! (`crates/tensor/tests/backend_kernels.rs` pins each tier to the
-//! scalar reference byte for byte).
+//! Both columns of a row share one private body that takes the tier, so
+//! they validate and dispatch identically; the `_on` form only adds the
+//! host-support assertion.  Every operation
+//!
+//! * writes into a caller-owned buffer (the steady-state inference path
+//!   performs no allocation) and checks dimensions once per call, not
+//!   once per row or element,
+//! * exists in one scalar reference implementation plus hand-written
+//!   intrinsic tiers (AVX2 / AVX-512 / NEON),
+//! * runs the *same fixed reduction order* on every tier
+//!   ([`dot_unchecked`]'s sixteen lane-major accumulators, the pairwise
+//!   reduce tree, a sequential tail, multiply-then-add rounding), so the
+//!   batched gate path, the per-neuron fallback and every dispatch tier
+//!   produce bit-identical results
+//!   (`crates/tensor/tests/backend_kernels.rs` pins each tier to the
+//!   scalar reference byte for byte).
 
 pub(crate) mod body;
 #[cfg(target_arch = "aarch64")]
@@ -28,7 +42,6 @@ mod neon;
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86;
 
-use crate::autotune::{self, Blocking, ShapeKey, TunedKernel};
 use crate::backend::{self, KernelBackend};
 use crate::error::TensorError;
 use crate::matrix::Matrix;
@@ -71,60 +84,18 @@ fn assert_supported(backend: KernelBackend) {
     );
 }
 
-/// Unchecked dot product with a fixed unrolled reduction order.
-///
-/// Both slices must have the same length; the caller is responsible for
-/// checking (this is what lets gate-level code validate dimensions once
-/// and then run every neuron row check-free).
-///
-/// # Panics
-///
-/// May panic (on the shorter slice's bounds) if the lengths differ —
-/// never returns a wrong value silently.
-#[inline]
-pub fn dot_unchecked(a: &[f32], b: &[f32]) -> f32 {
-    dispatch!(backend::active(), dot(a, b))
-}
+// One private body per operation.  Each takes the tier, which the
+// caller guarantees is supported on this host: the dispatched entry
+// passes `backend::active()` (validated at init), the `_on` hook
+// asserts first.
 
-/// [`dot_unchecked`] on an explicit dispatch tier (tests / benches).
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host, or (possibly) if
-/// the lengths differ.
 #[inline]
-pub fn dot_unchecked_on(backend: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
-    assert_supported(backend);
+fn dot_tier(backend: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
     dispatch!(backend, dot(a, b))
 }
 
-/// Four dot products of one shared `row` against four lane vectors at
-/// once — the register-blocked inner kernel of [`dual_matmul_into`].
-///
-/// The row is streamed from memory once while four independent
-/// accumulator sets advance in lockstep, so the instruction-level
-/// parallelism per loaded weight is 4x that of [`dot_unchecked`].
-/// Every lane's additions and multiplies happen in exactly
-/// [`dot_unchecked`]'s order (same chunking, same reduce tree, same
-/// tail loop), so `dot_quad_unchecked(r, a, b, c, d)[i]` is
-/// bit-identical to `dot_unchecked(r, [a, b, c, d][i])` on every
-/// dispatch tier.
-///
-/// All five slices must have the same length (same contract as
-/// [`dot_unchecked`]).
 #[inline]
-pub fn dot_quad_unchecked(row: &[f32], x0: &[f32], x1: &[f32], x2: &[f32], x3: &[f32]) -> [f32; 4] {
-    dispatch!(backend::active(), dot_quad(row, x0, x1, x2, x3))
-}
-
-/// [`dot_quad_unchecked`] on an explicit dispatch tier.
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host, or (possibly) if
-/// the lengths differ.
-#[inline]
-pub fn dot_quad_unchecked_on(
+fn dot_quad_tier(
     backend: KernelBackend,
     row: &[f32],
     x0: &[f32],
@@ -132,11 +103,10 @@ pub fn dot_quad_unchecked_on(
     x2: &[f32],
     x3: &[f32],
 ) -> [f32; 4] {
-    assert_supported(backend);
     dispatch!(backend, dot_quad(row, x0, x1, x2, x3))
 }
 
-fn validate_matvec(m: &Matrix, x: &[f32], out: &[f32]) -> Result<()> {
+fn matvec_tier(backend: KernelBackend, m: &Matrix, x: &[f32], out: &mut [f32]) -> Result<()> {
     if x.len() != m.cols() {
         return Err(TensorError::ShapeMismatch {
             rows: m.rows(),
@@ -152,43 +122,18 @@ fn validate_matvec(m: &Matrix, x: &[f32], out: &[f32]) -> Result<()> {
             op: "matvec_into",
         });
     }
-    Ok(())
-}
-
-/// Matrix-vector product into a caller-owned buffer: `out = m * x`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `x.len() != m.cols()` or
-/// [`TensorError::LengthMismatch`] if `out.len() != m.rows()`.
-pub fn matvec_into(m: &Matrix, x: &[f32], out: &mut [f32]) -> Result<()> {
-    validate_matvec(m, x, out)?;
-    dispatch!(backend::active(), matvec(m.as_slice(), m.cols(), x, out));
-    Ok(())
-}
-
-/// [`matvec_into`] on an explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`matvec_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-pub fn matvec_into_on(
-    backend: KernelBackend,
-    m: &Matrix,
-    x: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    assert_supported(backend);
-    validate_matvec(m, x, out)?;
     dispatch!(backend, matvec(m.as_slice(), m.cols(), x, out));
     Ok(())
 }
 
-fn validate_dual_matvec(wx: &Matrix, wh: &Matrix, x: &[f32], h: &[f32], out: &[f32]) -> Result<()> {
+fn dual_matvec_tier(
+    backend: KernelBackend,
+    wx: &Matrix,
+    wh: &Matrix,
+    x: &[f32],
+    h: &[f32],
+    out: &mut [f32],
+) -> Result<()> {
     if x.len() != wx.cols() {
         return Err(TensorError::ShapeMismatch {
             rows: wx.rows(),
@@ -212,64 +157,6 @@ fn validate_dual_matvec(wx: &Matrix, wh: &Matrix, x: &[f32], h: &[f32], out: &[f
             op: "dual_matvec_into(out)",
         });
     }
-    Ok(())
-}
-
-/// Fused dual matrix-vector product into a caller-owned buffer:
-/// `out[n] = wx[n]·x + wh[n]·h` — the pre-activation dot product of every
-/// neuron of a recurrent gate, without bias.
-///
-/// This is the batched form of the quantity the paper's fuzzy
-/// memoization scheme decides to compute or reuse, so it is exactly what
-/// the exact (baseline) evaluator runs per gate per timestep.  The
-/// scalar order is `fwd + rec` (the order of `Gate::neuron_dot`) on
-/// every dispatch tier.
-///
-/// # Errors
-///
-/// Returns a shape/length error if the operand widths are inconsistent.
-pub fn dual_matvec_into(
-    wx: &Matrix,
-    wh: &Matrix,
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    validate_dual_matvec(wx, wh, x, h, out)?;
-    dispatch!(
-        backend::active(),
-        dual_matvec(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.cols(),
-            wh.cols(),
-            x,
-            h,
-            out
-        )
-    );
-    Ok(())
-}
-
-/// [`dual_matvec_into`] on an explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`dual_matvec_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-pub fn dual_matvec_into_on(
-    backend: KernelBackend,
-    wx: &Matrix,
-    wh: &Matrix,
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    assert_supported(backend);
-    validate_dual_matvec(wx, wh, x, h, out)?;
     dispatch!(
         backend,
         dual_matvec(
@@ -285,7 +172,13 @@ pub fn dual_matvec_into_on(
     Ok(())
 }
 
-fn validate_matmul(m: &Matrix, xs: &[f32], lanes: usize, out: &[f32]) -> Result<()> {
+fn matmul_tier(
+    backend: KernelBackend,
+    m: &Matrix,
+    xs: &[f32],
+    lanes: usize,
+    out: &mut [f32],
+) -> Result<()> {
     if xs.len() != lanes * m.cols() {
         return Err(TensorError::ShapeMismatch {
             rows: m.rows(),
@@ -301,53 +194,6 @@ fn validate_matmul(m: &Matrix, xs: &[f32], lanes: usize, out: &[f32]) -> Result<
             op: "matmul_into",
         });
     }
-    Ok(())
-}
-
-/// Lane-striped matrix-matrix product into a caller-owned buffer:
-/// `out[l*rows + r] = m[r]·xs[l]` for `l in 0..lanes`.
-///
-/// `xs` holds `lanes` input vectors back to back (`lanes * m.cols()`
-/// values, lane-striped), `out` holds `lanes` output vectors back to
-/// back (`lanes * m.rows()`).  The row loop is *outer* and the lane loop
-/// *inner*, so every weight row is streamed from memory exactly once and
-/// then reused for all lanes — this is what turns the memory-bound
-/// per-sequence matvec into a compute-dense kernel under batch>1
-/// serving.  Each `(row, lane)` product runs [`dot_unchecked`]'s
-/// reduction order, so lane `l` of a batch is bit-identical to a
-/// single-sequence [`matvec_into`] over the same vector.
-///
-/// # Errors
-///
-/// Returns a shape/length error if `xs.len() != lanes * m.cols()` or
-/// `out.len() != lanes * m.rows()`.
-pub fn matmul_into(m: &Matrix, xs: &[f32], lanes: usize, out: &mut [f32]) -> Result<()> {
-    validate_matmul(m, xs, lanes, out)?;
-    dispatch!(
-        backend::active(),
-        matmul(m.as_slice(), m.rows(), m.cols(), xs, lanes, out)
-    );
-    Ok(())
-}
-
-/// [`matmul_into`] on an explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`matmul_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-pub fn matmul_into_on(
-    backend: KernelBackend,
-    m: &Matrix,
-    xs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-) -> Result<()> {
-    assert_supported(backend);
-    validate_matmul(m, xs, lanes, out)?;
     dispatch!(
         backend,
         matmul(m.as_slice(), m.rows(), m.cols(), xs, lanes, out)
@@ -355,13 +201,14 @@ pub fn matmul_into_on(
     Ok(())
 }
 
-fn validate_dual_matmul(
+fn dual_matmul_tier(
+    backend: KernelBackend,
     wx: &Matrix,
     wh: &Matrix,
     xs: &[f32],
     hs: &[f32],
     lanes: usize,
-    out: &[f32],
+    out: &mut [f32],
 ) -> Result<()> {
     if xs.len() != lanes * wx.cols() {
         return Err(TensorError::ShapeMismatch {
@@ -386,7 +233,230 @@ fn validate_dual_matmul(
             op: "dual_matmul_into(out)",
         });
     }
+    dispatch!(
+        backend,
+        dual_matmul(
+            wx.as_slice(),
+            wh.as_slice(),
+            wx.rows(),
+            wx.cols(),
+            wh.cols(),
+            xs,
+            hs,
+            lanes,
+            out,
+        )
+    );
     Ok(())
+}
+
+fn matmul_add_tier(
+    backend: KernelBackend,
+    m: &Matrix,
+    xs: &[f32],
+    lanes: usize,
+    base: &[f32],
+    out: &mut [f32],
+) -> Result<()> {
+    if xs.len() != lanes * m.cols() {
+        return Err(TensorError::ShapeMismatch {
+            rows: m.rows(),
+            cols: m.cols(),
+            vec_len: xs.len(),
+            op: "matmul_add_into",
+        });
+    }
+    if out.len() != lanes * m.rows() || base.len() != out.len() {
+        return Err(TensorError::LengthMismatch {
+            left: base.len().min(out.len()),
+            right: lanes * m.rows(),
+            op: "matmul_add_into(out)",
+        });
+    }
+    dispatch!(
+        backend,
+        matmul_add(m.as_slice(), m.rows(), m.cols(), xs, lanes, base, out)
+    );
+    Ok(())
+}
+
+/// Unchecked dot product with a fixed unrolled reduction order.
+///
+/// Both slices must have the same length; the caller is responsible for
+/// checking (this is what lets gate-level code validate dimensions once
+/// and then run every neuron row check-free).
+///
+/// # Panics
+///
+/// May panic (on the shorter slice's bounds) if the lengths differ —
+/// never returns a wrong value silently.
+#[inline]
+pub fn dot_unchecked(a: &[f32], b: &[f32]) -> f32 {
+    dot_tier(backend::active(), a, b)
+}
+
+/// [`dot_unchecked`] on an explicit dispatch tier (tests / benches).
+///
+/// # Panics
+///
+/// Panics if `backend` is not supported on this host, or (possibly) if
+/// the lengths differ.
+#[inline]
+pub fn dot_unchecked_on(backend: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
+    assert_supported(backend);
+    dot_tier(backend, a, b)
+}
+
+/// Four dot products of one shared `row` against four lane vectors at
+/// once — the register-blocked inner kernel of [`dual_matmul_into`].
+///
+/// The row is streamed from memory once while four independent
+/// accumulator sets advance in lockstep, so the instruction-level
+/// parallelism per loaded weight is 4x that of [`dot_unchecked`].
+/// Every lane's additions and multiplies happen in exactly
+/// [`dot_unchecked`]'s order (same chunking, same reduce tree, same
+/// tail loop), so `dot_quad_unchecked(r, a, b, c, d)[i]` is
+/// bit-identical to `dot_unchecked(r, [a, b, c, d][i])` on every
+/// dispatch tier.
+///
+/// All five slices must have the same length (same contract as
+/// [`dot_unchecked`]).
+#[inline]
+pub fn dot_quad_unchecked(row: &[f32], x0: &[f32], x1: &[f32], x2: &[f32], x3: &[f32]) -> [f32; 4] {
+    dot_quad_tier(backend::active(), row, x0, x1, x2, x3)
+}
+
+/// [`dot_quad_unchecked`] on an explicit dispatch tier.
+///
+/// # Panics
+///
+/// Panics if `backend` is not supported on this host, or (possibly) if
+/// the lengths differ.
+#[inline]
+pub fn dot_quad_unchecked_on(
+    backend: KernelBackend,
+    row: &[f32],
+    x0: &[f32],
+    x1: &[f32],
+    x2: &[f32],
+    x3: &[f32],
+) -> [f32; 4] {
+    assert_supported(backend);
+    dot_quad_tier(backend, row, x0, x1, x2, x3)
+}
+
+/// Matrix-vector product into a caller-owned buffer: `out = m * x`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `x.len() != m.cols()` or
+/// [`TensorError::LengthMismatch`] if `out.len() != m.rows()`.
+pub fn matvec_into(m: &Matrix, x: &[f32], out: &mut [f32]) -> Result<()> {
+    matvec_tier(backend::active(), m, x, out)
+}
+
+/// [`matvec_into`] on an explicit dispatch tier.
+///
+/// # Errors
+///
+/// Same as [`matvec_into`].
+///
+/// # Panics
+///
+/// Panics if `backend` is not supported on this host.
+pub fn matvec_into_on(
+    backend: KernelBackend,
+    m: &Matrix,
+    x: &[f32],
+    out: &mut [f32],
+) -> Result<()> {
+    assert_supported(backend);
+    matvec_tier(backend, m, x, out)
+}
+
+/// Fused dual matrix-vector product into a caller-owned buffer:
+/// `out[n] = wx[n]·x + wh[n]·h` — the pre-activation dot product of every
+/// neuron of a recurrent gate, without bias.
+///
+/// This is the batched form of the quantity the paper's fuzzy
+/// memoization scheme decides to compute or reuse, so it is exactly what
+/// the exact (baseline) evaluator runs per gate per timestep.  The
+/// scalar order is `fwd + rec` (the order of `Gate::neuron_dot`) on
+/// every dispatch tier.
+///
+/// # Errors
+///
+/// Returns a shape/length error if the operand widths are inconsistent.
+pub fn dual_matvec_into(
+    wx: &Matrix,
+    wh: &Matrix,
+    x: &[f32],
+    h: &[f32],
+    out: &mut [f32],
+) -> Result<()> {
+    dual_matvec_tier(backend::active(), wx, wh, x, h, out)
+}
+
+/// [`dual_matvec_into`] on an explicit dispatch tier.
+///
+/// # Errors
+///
+/// Same as [`dual_matvec_into`].
+///
+/// # Panics
+///
+/// Panics if `backend` is not supported on this host.
+pub fn dual_matvec_into_on(
+    backend: KernelBackend,
+    wx: &Matrix,
+    wh: &Matrix,
+    x: &[f32],
+    h: &[f32],
+    out: &mut [f32],
+) -> Result<()> {
+    assert_supported(backend);
+    dual_matvec_tier(backend, wx, wh, x, h, out)
+}
+
+/// Lane-striped matrix-matrix product into a caller-owned buffer:
+/// `out[l*rows + r] = m[r]·xs[l]` for `l in 0..lanes`.
+///
+/// `xs` holds `lanes` input vectors back to back (`lanes * m.cols()`
+/// values, lane-striped), `out` holds `lanes` output vectors back to
+/// back (`lanes * m.rows()`).  The row loop is *outer* and the lane loop
+/// *inner*, so every weight row is streamed from memory exactly once and
+/// then reused for all lanes — this is what turns the memory-bound
+/// per-sequence matvec into a compute-dense kernel under batch>1
+/// serving.  Each `(row, lane)` product runs [`dot_unchecked`]'s
+/// reduction order, so lane `l` of a batch is bit-identical to a
+/// single-sequence [`matvec_into`] over the same vector.
+///
+/// # Errors
+///
+/// Returns a shape/length error if `xs.len() != lanes * m.cols()` or
+/// `out.len() != lanes * m.rows()`.
+pub fn matmul_into(m: &Matrix, xs: &[f32], lanes: usize, out: &mut [f32]) -> Result<()> {
+    matmul_tier(backend::active(), m, xs, lanes, out)
+}
+
+/// [`matmul_into`] on an explicit dispatch tier.
+///
+/// # Errors
+///
+/// Same as [`matmul_into`].
+///
+/// # Panics
+///
+/// Panics if `backend` is not supported on this host.
+pub fn matmul_into_on(
+    backend: KernelBackend,
+    m: &Matrix,
+    xs: &[f32],
+    lanes: usize,
+    out: &mut [f32],
+) -> Result<()> {
+    assert_supported(backend);
+    matmul_tier(backend, m, xs, lanes, out)
 }
 
 /// Lane-striped dual matrix-matrix product:
@@ -411,22 +481,7 @@ pub fn dual_matmul_into(
     lanes: usize,
     out: &mut [f32],
 ) -> Result<()> {
-    validate_dual_matmul(wx, wh, xs, hs, lanes, out)?;
-    dispatch!(
-        backend::active(),
-        dual_matmul(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.rows(),
-            wx.cols(),
-            wh.cols(),
-            xs,
-            hs,
-            lanes,
-            out,
-        )
-    );
-    Ok(())
+    dual_matmul_tier(backend::active(), wx, wh, xs, hs, lanes, out)
 }
 
 /// [`dual_matmul_into`] on an explicit dispatch tier.
@@ -448,47 +503,7 @@ pub fn dual_matmul_into_on(
     out: &mut [f32],
 ) -> Result<()> {
     assert_supported(backend);
-    validate_dual_matmul(wx, wh, xs, hs, lanes, out)?;
-    dispatch!(
-        backend,
-        dual_matmul(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.rows(),
-            wx.cols(),
-            wh.cols(),
-            xs,
-            hs,
-            lanes,
-            out,
-        )
-    );
-    Ok(())
-}
-
-fn validate_matmul_add(
-    m: &Matrix,
-    xs: &[f32],
-    lanes: usize,
-    base: &[f32],
-    out: &[f32],
-) -> Result<()> {
-    if xs.len() != lanes * m.cols() {
-        return Err(TensorError::ShapeMismatch {
-            rows: m.rows(),
-            cols: m.cols(),
-            vec_len: xs.len(),
-            op: "matmul_add_into",
-        });
-    }
-    if out.len() != lanes * m.rows() || base.len() != out.len() {
-        return Err(TensorError::LengthMismatch {
-            left: base.len().min(out.len()),
-            right: lanes * m.rows(),
-            op: "matmul_add_into(out)",
-        });
-    }
-    Ok(())
+    dual_matmul_tier(backend, wx, wh, xs, hs, lanes, out)
 }
 
 /// Lane-striped matrix-matrix product *added onto* a precomputed base:
@@ -512,12 +527,7 @@ pub fn matmul_add_into(
     base: &[f32],
     out: &mut [f32],
 ) -> Result<()> {
-    validate_matmul_add(m, xs, lanes, base, out)?;
-    dispatch!(
-        backend::active(),
-        matmul_add(m.as_slice(), m.rows(), m.cols(), xs, lanes, base, out)
-    );
-    Ok(())
+    matmul_add_tier(backend::active(), m, xs, lanes, base, out)
 }
 
 /// [`matmul_add_into`] on an explicit dispatch tier.
@@ -538,367 +548,7 @@ pub fn matmul_add_into_on(
     out: &mut [f32],
 ) -> Result<()> {
     assert_supported(backend);
-    validate_matmul_add(m, xs, lanes, base, out)?;
-    dispatch!(
-        backend,
-        matmul_add(m.as_slice(), m.rows(), m.cols(), xs, lanes, base, out)
-    );
-    Ok(())
-}
-
-/// [`matmul_into`] with an explicit traversal [`Blocking`] on an
-/// explicit dispatch tier — the raw entry the autotuner times.  Every
-/// blocking computes bit-identical outputs; only the traversal order of
-/// rows and lanes differs.
-///
-/// # Errors
-///
-/// Same as [`matmul_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_into_blocked_on(
-    backend: KernelBackend,
-    m: &Matrix,
-    xs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-    blocking: Blocking,
-) -> Result<()> {
-    assert_supported(backend);
-    validate_matmul(m, xs, lanes, out)?;
-    dispatch!(
-        backend,
-        matmul_blocked(m.as_slice(), m.rows(), m.cols(), xs, lanes, out, blocking)
-    );
-    Ok(())
-}
-
-/// [`matmul_add_into`] with an explicit traversal [`Blocking`] on an
-/// explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`matmul_add_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_add_into_blocked_on(
-    backend: KernelBackend,
-    m: &Matrix,
-    xs: &[f32],
-    lanes: usize,
-    base: &[f32],
-    out: &mut [f32],
-    blocking: Blocking,
-) -> Result<()> {
-    assert_supported(backend);
-    validate_matmul_add(m, xs, lanes, base, out)?;
-    dispatch!(
-        backend,
-        matmul_add_blocked(
-            m.as_slice(),
-            m.rows(),
-            m.cols(),
-            xs,
-            lanes,
-            base,
-            out,
-            blocking
-        )
-    );
-    Ok(())
-}
-
-/// [`dual_matmul_into`] with an explicit traversal [`Blocking`] on an
-/// explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`dual_matmul_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-#[allow(clippy::too_many_arguments)]
-pub fn dual_matmul_into_blocked_on(
-    backend: KernelBackend,
-    wx: &[f32],
-    wh: &[f32],
-    rows: usize,
-    xc: usize,
-    hc: usize,
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-    blocking: Blocking,
-) -> Result<()> {
-    assert_supported(backend);
-    if wx.len() != rows * xc || wh.len() != rows * hc {
-        return Err(TensorError::LengthMismatch {
-            left: wx.len(),
-            right: rows * xc,
-            op: "dual_matmul_into_blocked(weights)",
-        });
-    }
-    if xs.len() != lanes * xc {
-        return Err(TensorError::ShapeMismatch {
-            rows,
-            cols: xc,
-            vec_len: xs.len(),
-            op: "dual_matmul_into_blocked(xs)",
-        });
-    }
-    if hs.len() != lanes * hc {
-        return Err(TensorError::ShapeMismatch {
-            rows,
-            cols: hc,
-            vec_len: hs.len(),
-            op: "dual_matmul_into_blocked(hs)",
-        });
-    }
-    if out.len() != lanes * rows {
-        return Err(TensorError::LengthMismatch {
-            left: out.len(),
-            right: lanes * rows,
-            op: "dual_matmul_into_blocked(out)",
-        });
-    }
-    dispatch!(
-        backend,
-        dual_matmul_blocked(wx, wh, rows, xc, hc, xs, hs, lanes, out, blocking)
-    );
-    Ok(())
-}
-
-/// [`matmul_into`] steered by the autotune cache: runs the recorded
-/// [`Blocking`] for this shape on the active tier, or the historical
-/// default ([`Blocking::Pair2`]) when untuned.  Bit-identical to
-/// [`matmul_into`] in either case.
-///
-/// # Errors
-///
-/// Same as [`matmul_into`].
-pub fn matmul_into_tuned(m: &Matrix, xs: &[f32], lanes: usize, out: &mut [f32]) -> Result<()> {
-    let backend = backend::active();
-    let blocking = autotune::blocking_for(&ShapeKey {
-        kernel: TunedKernel::Matmul,
-        rows: m.rows(),
-        xc: m.cols(),
-        hc: 0,
-        lanes,
-        backend,
-    });
-    matmul_into_blocked_on(backend, m, xs, lanes, out, blocking)
-}
-
-/// [`matmul_add_into`] steered by the autotune cache (see
-/// [`matmul_into_tuned`]).
-///
-/// # Errors
-///
-/// Same as [`matmul_add_into`].
-pub fn matmul_add_into_tuned(
-    m: &Matrix,
-    xs: &[f32],
-    lanes: usize,
-    base: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    let backend = backend::active();
-    let blocking = autotune::blocking_for(&ShapeKey {
-        kernel: TunedKernel::MatmulAdd,
-        rows: m.rows(),
-        xc: m.cols(),
-        hc: 0,
-        lanes,
-        backend,
-    });
-    matmul_add_into_blocked_on(backend, m, xs, lanes, base, out, blocking)
-}
-
-/// [`dual_matmul_into`] steered by the autotune cache: runs the
-/// recorded [`Blocking`] for this gate shape, or the historical default
-/// ([`Blocking::Quad4`]) when untuned.
-///
-/// # Errors
-///
-/// Same as [`dual_matmul_into`].
-pub fn dual_matmul_into_tuned(
-    wx: &Matrix,
-    wh: &Matrix,
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-) -> Result<()> {
-    let backend = backend::active();
-    let blocking = autotune::blocking_for(&ShapeKey {
-        kernel: TunedKernel::DualMatmul,
-        rows: wx.rows(),
-        xc: wx.cols(),
-        hc: wh.cols(),
-        lanes,
-        backend,
-    });
-    validate_dual_matmul(wx, wh, xs, hs, lanes, out)?;
-    dispatch!(
-        backend,
-        dual_matmul_blocked(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.rows(),
-            wx.cols(),
-            wh.cols(),
-            xs,
-            hs,
-            lanes,
-            out,
-            blocking,
-        )
-    );
-    Ok(())
-}
-
-/// Lane-striped fused gate pre-activation:
-/// `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l] + bias[r]`.
-///
-/// The batched form of [`gate_preact_into`]; the bias is added after the
-/// dual product exactly as in the single-sequence kernel (element-wise,
-/// so the addition is bit-identical on every tier).
-///
-/// # Errors
-///
-/// Returns a shape/length error if the operand widths are inconsistent.
-pub fn gate_preact_batch_into(
-    wx: &Matrix,
-    wh: &Matrix,
-    bias: &[f32],
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-) -> Result<()> {
-    gate_preact_batch_into_on(backend::active(), wx, wh, bias, xs, hs, lanes, out)
-}
-
-/// [`gate_preact_batch_into`] on an explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`gate_preact_batch_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-#[allow(clippy::too_many_arguments)]
-pub fn gate_preact_batch_into_on(
-    backend: KernelBackend,
-    wx: &Matrix,
-    wh: &Matrix,
-    bias: &[f32],
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-) -> Result<()> {
-    validate_dual_matmul(wx, wh, xs, hs, lanes, out)?;
-    if bias.len() != wx.rows() {
-        return Err(TensorError::LengthMismatch {
-            left: bias.len(),
-            right: wx.rows(),
-            op: "gate_preact_batch_into(bias)",
-        });
-    }
-    assert_supported(backend);
-    dispatch!(
-        backend,
-        dual_matmul(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.rows(),
-            wx.cols(),
-            wh.cols(),
-            xs,
-            hs,
-            lanes,
-            out,
-        )
-    );
-    let rows = wx.rows();
-    for l in 0..lanes {
-        for (o, b) in out[l * rows..(l + 1) * rows].iter_mut().zip(bias.iter()) {
-            *o += b;
-        }
-    }
-    Ok(())
-}
-
-/// Fused gate pre-activation into a caller-owned buffer:
-/// `out[n] = wx[n]·x + wh[n]·h + bias[n]`.
-///
-/// # Errors
-///
-/// Returns a shape/length error if the operand widths are inconsistent.
-pub fn gate_preact_into(
-    wx: &Matrix,
-    wh: &Matrix,
-    bias: &[f32],
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    gate_preact_into_on(backend::active(), wx, wh, bias, x, h, out)
-}
-
-/// [`gate_preact_into`] on an explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`gate_preact_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-pub fn gate_preact_into_on(
-    backend: KernelBackend,
-    wx: &Matrix,
-    wh: &Matrix,
-    bias: &[f32],
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    validate_dual_matvec(wx, wh, x, h, out)?;
-    if bias.len() != out.len() {
-        return Err(TensorError::LengthMismatch {
-            left: bias.len(),
-            right: out.len(),
-            op: "gate_preact_into(bias)",
-        });
-    }
-    assert_supported(backend);
-    dispatch!(
-        backend,
-        dual_matvec(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.cols(),
-            wh.cols(),
-            x,
-            h,
-            out
-        )
-    );
-    for (o, b) in out.iter_mut().zip(bias.iter()) {
-        *o += b;
-    }
-    Ok(())
+    matmul_add_tier(backend, m, xs, lanes, base, out)
 }
 
 #[cfg(test)]
@@ -1158,231 +808,5 @@ mod tests {
         let mut short = vec![0.0f32; 3];
         assert!(matmul_add_into(&wh, &hs, lanes, &fwd, &mut short).is_err());
         assert!(matmul_add_into(&wh, &[0.0; 3], lanes, &fwd, &mut hoisted).is_err());
-    }
-
-    #[test]
-    fn gate_preact_batch_matches_single_lane_kernel() {
-        let mut rng = DeterministicRng::seed_from_u64(9);
-        let (neurons, input, hidden, lanes) = (5, 4, 5, 3);
-        let wx = random_matrix(&mut rng, neurons, input);
-        let wh = random_matrix(&mut rng, neurons, hidden);
-        let bias: Vec<f32> = (0..neurons).map(|_| rng.uniform(-0.1, 0.1)).collect();
-        let xs: Vec<f32> = (0..lanes * input).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let hs: Vec<f32> = (0..lanes * hidden)
-            .map(|_| rng.uniform(-1.0, 1.0))
-            .collect();
-        let mut out = vec![0.0f32; lanes * neurons];
-        gate_preact_batch_into(&wx, &wh, &bias, &xs, &hs, lanes, &mut out).unwrap();
-        for l in 0..lanes {
-            let mut single = vec![0.0f32; neurons];
-            gate_preact_into(
-                &wx,
-                &wh,
-                &bias,
-                &xs[l * input..(l + 1) * input],
-                &hs[l * hidden..(l + 1) * hidden],
-                &mut single,
-            )
-            .unwrap();
-            for n in 0..neurons {
-                assert_eq!(out[l * neurons + n].to_bits(), single[n].to_bits());
-            }
-        }
-        assert!(gate_preact_batch_into(&wx, &wh, &bias[..2], &xs, &hs, lanes, &mut out).is_err());
-    }
-
-    #[test]
-    fn every_blocking_is_bit_identical_on_every_backend() {
-        // The autotuner's whole safety argument: traversal blocking is
-        // a pure perf knob.  Exercise tile-edge shapes on every
-        // supported tier and every Blocking, pinning each output to the
-        // default-path result bit for bit.
-        let mut rng = DeterministicRng::seed_from_u64(31);
-        for (rows, xc, hc, lanes) in [
-            (9usize, 13usize, 9usize, 3usize),
-            (8, 16, 8, 4),
-            (4, 5, 4, 8),
-            (5, 33, 5, 1),
-            (16, 16, 16, 16),
-            (3, 7, 3, 2),
-        ] {
-            let wx = random_matrix(&mut rng, rows, xc);
-            let wh = random_matrix(&mut rng, rows, hc);
-            let xs: Vec<f32> = (0..lanes * xc).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let hs: Vec<f32> = (0..lanes * hc).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let base: Vec<f32> = (0..lanes * rows).map(|_| rng.uniform(-1.0, 1.0)).collect();
-
-            let mut mm_ref = vec![0.0f32; lanes * rows];
-            matmul_into_on(KernelBackend::Scalar, &wh, &hs, lanes, &mut mm_ref).unwrap();
-            let mut ma_ref = vec![0.0f32; lanes * rows];
-            matmul_add_into_on(KernelBackend::Scalar, &wh, &hs, lanes, &base, &mut ma_ref).unwrap();
-            let mut dm_ref = vec![0.0f32; lanes * rows];
-            dual_matmul_into_on(
-                KernelBackend::Scalar,
-                &wx,
-                &wh,
-                &xs,
-                &hs,
-                lanes,
-                &mut dm_ref,
-            )
-            .unwrap();
-
-            for backend in KernelBackend::supported() {
-                for blocking in Blocking::ALL {
-                    let tag = format!("{rows}x{xc}x{hc}x{lanes} {backend} {blocking:?}");
-                    let mut out = vec![0.0f32; lanes * rows];
-                    matmul_into_blocked_on(backend, &wh, &hs, lanes, &mut out, blocking).unwrap();
-                    assert!(
-                        out.iter()
-                            .zip(&mm_ref)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "matmul {tag}"
-                    );
-                    matmul_add_into_blocked_on(backend, &wh, &hs, lanes, &base, &mut out, blocking)
-                        .unwrap();
-                    assert!(
-                        out.iter()
-                            .zip(&ma_ref)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "matmul_add {tag}"
-                    );
-                    dual_matmul_into_blocked_on(
-                        backend,
-                        wx.as_slice(),
-                        wh.as_slice(),
-                        rows,
-                        xc,
-                        hc,
-                        &xs,
-                        &hs,
-                        lanes,
-                        &mut out,
-                        blocking,
-                    )
-                    .unwrap();
-                    assert!(
-                        out.iter()
-                            .zip(&dm_ref)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "dual_matmul {tag}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tuned_entry_points_follow_recorded_blocking_and_stay_bit_identical() {
-        let mut rng = DeterministicRng::seed_from_u64(32);
-        let (rows, xc, hc, lanes) = (11, 9, 11, 6);
-        let wx = random_matrix(&mut rng, rows, xc);
-        let wh = random_matrix(&mut rng, rows, hc);
-        let xs: Vec<f32> = (0..lanes * xc).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let hs: Vec<f32> = (0..lanes * hc).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let base: Vec<f32> = (0..lanes * rows).map(|_| rng.uniform(-1.0, 1.0)).collect();
-
-        let mut reference = vec![0.0f32; lanes * rows];
-        dual_matmul_into(&wx, &wh, &xs, &hs, lanes, &mut reference).unwrap();
-
-        // Untuned (no cache entry for this unique shape) and with every
-        // recorded blocking, the tuned path matches the fixed kernel.
-        for recorded in [None, Some(Blocking::Plain), Some(Blocking::Pair2)] {
-            if let Some(b) = recorded {
-                autotune::record(
-                    ShapeKey {
-                        kernel: TunedKernel::DualMatmul,
-                        rows,
-                        xc,
-                        hc,
-                        lanes,
-                        backend: backend::active(),
-                    },
-                    b,
-                );
-            }
-            let mut out = vec![0.0f32; lanes * rows];
-            dual_matmul_into_tuned(&wx, &wh, &xs, &hs, lanes, &mut out).unwrap();
-            assert!(
-                out.iter()
-                    .zip(&reference)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "dual tuned, recorded {recorded:?}"
-            );
-        }
-
-        let mut mm_ref = vec![0.0f32; lanes * rows];
-        matmul_into(&wh, &hs, lanes, &mut mm_ref).unwrap();
-        let mut out = vec![0.0f32; lanes * rows];
-        matmul_into_tuned(&wh, &hs, lanes, &mut out).unwrap();
-        assert!(out
-            .iter()
-            .zip(&mm_ref)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-
-        let mut ma_ref = vec![0.0f32; lanes * rows];
-        matmul_add_into(&wh, &hs, lanes, &base, &mut ma_ref).unwrap();
-        matmul_add_into_tuned(&wh, &hs, lanes, &base, &mut out).unwrap();
-        assert!(out
-            .iter()
-            .zip(&ma_ref)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    fn blocked_entry_points_validate_shapes() {
-        let m = Matrix::zeros(2, 3);
-        let mut out = vec![0.0; 4];
-        let b = Blocking::Plain;
-        let be = KernelBackend::Scalar;
-        assert!(matmul_into_blocked_on(be, &m, &[0.0; 5], 2, &mut out, b).is_err());
-        assert!(matmul_add_into_blocked_on(be, &m, &[0.0; 6], 2, &[0.0; 3], &mut out, b).is_err());
-        let wx = vec![0.0; 6];
-        let wh = vec![0.0; 4];
-        assert!(dual_matmul_into_blocked_on(
-            be, &wx, &wh, 2, 3, 2, &[0.0; 5], &[0.0; 4], 2, &mut out, b
-        )
-        .is_err());
-        assert!(dual_matmul_into_blocked_on(
-            be, &wx, &wh, 2, 3, 2, &[0.0; 6], &[0.0; 3], 2, &mut out, b
-        )
-        .is_err());
-        assert!(dual_matmul_into_blocked_on(
-            be,
-            &wx[..5],
-            &wh,
-            2,
-            3,
-            2,
-            &[0.0; 6],
-            &[0.0; 4],
-            2,
-            &mut out,
-            b
-        )
-        .is_err());
-        assert!(dual_matmul_into_blocked_on(
-            be, &wx, &wh, 2, 3, 2, &[0.0; 6], &[0.0; 4], 2, &mut out, b
-        )
-        .is_ok());
-    }
-
-    #[test]
-    fn gate_preact_adds_bias_last() {
-        let mut rng = DeterministicRng::seed_from_u64(5);
-        let (neurons, input, hidden) = (5, 4, 5);
-        let wx = random_matrix(&mut rng, neurons, input);
-        let wh = random_matrix(&mut rng, neurons, hidden);
-        let bias: Vec<f32> = (0..neurons).map(|_| rng.uniform(-0.1, 0.1)).collect();
-        let x: Vec<f32> = (0..input).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let h: Vec<f32> = (0..hidden).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let mut out = vec![0.0f32; neurons];
-        gate_preact_into(&wx, &wh, &bias, &x, &h, &mut out).unwrap();
-        for n in 0..neurons {
-            let reference = (wx.row_dot(n, &x).unwrap() + wh.row_dot(n, &h).unwrap()) + bias[n];
-            assert_eq!(out[n].to_bits(), reference.to_bits());
-        }
-        let mut short_bias = vec![0.0f32; neurons];
-        assert!(gate_preact_into(&wx, &wh, &bias[..2], &x, &h, &mut short_bias).is_err());
     }
 }

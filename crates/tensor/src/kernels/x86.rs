@@ -342,58 +342,6 @@ macro_rules! kernel_set {
         ) {
             $crate::kernels::body::dual_matmul_body($ops, wx, wh, rows, xc, hc, xs, hs, lanes, out)
         }
-
-        #[target_feature(enable = $feat)]
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) unsafe fn matmul_blocked(
-            m: &[f32],
-            rows: usize,
-            cols: usize,
-            xs: &[f32],
-            lanes: usize,
-            out: &mut [f32],
-            blocking: $crate::autotune::Blocking,
-        ) {
-            $crate::kernels::body::matmul_body_blocked(
-                $ops, m, rows, cols, xs, lanes, out, blocking,
-            )
-        }
-
-        #[target_feature(enable = $feat)]
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) unsafe fn matmul_add_blocked(
-            m: &[f32],
-            rows: usize,
-            cols: usize,
-            xs: &[f32],
-            lanes: usize,
-            base: &[f32],
-            out: &mut [f32],
-            blocking: $crate::autotune::Blocking,
-        ) {
-            $crate::kernels::body::matmul_add_body_blocked(
-                $ops, m, rows, cols, xs, lanes, base, out, blocking,
-            )
-        }
-
-        #[target_feature(enable = $feat)]
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) unsafe fn dual_matmul_blocked(
-            wx: &[f32],
-            wh: &[f32],
-            rows: usize,
-            xc: usize,
-            hc: usize,
-            xs: &[f32],
-            hs: &[f32],
-            lanes: usize,
-            out: &mut [f32],
-            blocking: $crate::autotune::Blocking,
-        ) {
-            $crate::kernels::body::dual_matmul_body_blocked(
-                $ops, wx, wh, rows, xc, hc, xs, hs, lanes, out, blocking,
-            )
-        }
     };
 }
 

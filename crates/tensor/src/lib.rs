@@ -27,7 +27,6 @@
 
 pub mod activation;
 pub mod arena;
-pub mod autotune;
 pub mod backend;
 pub mod error;
 pub mod init;

@@ -13,8 +13,7 @@
 use nfm_tensor::backend::KernelBackend;
 use nfm_tensor::kernels::{
     dot_quad_unchecked_on, dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on,
-    gate_preact_batch_into_on, gate_preact_into_on, matmul_add_into_on, matmul_into_on,
-    matvec_into_on,
+    matmul_add_into_on, matmul_into_on, matvec_into_on,
 };
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Matrix;
@@ -247,52 +246,6 @@ fn dual_matmul_matches_scalar_across_tile_remainders() {
                         &format!("dual_matmul rows {rows} xc {xc} lanes {lanes} {backend}"),
                     );
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn gate_preact_matches_scalar_single_and_batch() {
-    let mut rng = DeterministicRng::seed_from_u64(108);
-    for rows in [3usize, 5, 8, 9] {
-        for lanes in [1usize, 3, 4, 5, 8] {
-            // 16-lane straddle on the forward half, all-tail recurrent.
-            let (xc, hc) = (19, rows);
-            let wx = random_matrix(&mut rng, rows, xc);
-            let wh = random_matrix(&mut rng, rows, hc);
-            let bias = vecf(&mut rng, rows);
-            let xs = vecf(&mut rng, lanes * xc);
-            let hs = vecf(&mut rng, lanes * hc);
-            let mut reference = vec![0.0f32; lanes * rows];
-            gate_preact_batch_into_on(
-                KernelBackend::Scalar,
-                &wx,
-                &wh,
-                &bias,
-                &xs,
-                &hs,
-                lanes,
-                &mut reference,
-            )
-            .unwrap();
-            for backend in simd_backends() {
-                let mut out = vec![f32::NAN; lanes * rows];
-                gate_preact_batch_into_on(backend, &wx, &wh, &bias, &xs, &hs, lanes, &mut out)
-                    .unwrap();
-                assert_bits_eq(
-                    &out,
-                    &reference,
-                    &format!("gate_preact_batch rows {rows} lanes {lanes} {backend}"),
-                );
-                let mut single = vec![f32::NAN; rows];
-                gate_preact_into_on(backend, &wx, &wh, &bias, &xs[..xc], &hs[..hc], &mut single)
-                    .unwrap();
-                assert_bits_eq(
-                    &single,
-                    &reference[..rows],
-                    &format!("gate_preact rows {rows} {backend}"),
-                );
             }
         }
     }

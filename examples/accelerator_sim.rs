@@ -7,7 +7,8 @@
 //! ```
 
 use nfm::accel::{EpurConfig, EpurSimulator, LayerShape, NetworkShape};
-use nfm::memo::{BnnMemoConfig, MemoizedRunner};
+use nfm::memo::BnnMemoConfig;
+use nfm::serve::MemoizedRunner;
 use nfm::workloads::{NetworkId, NetworkSpec, WorkloadBuilder};
 
 fn full_scale_shape(spec: &NetworkSpec) -> NetworkShape {

@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use nfm::memo::{BnnMemoConfig, MemoizedRunner, OracleMemoConfig};
+use nfm::memo::{BnnMemoConfig, OracleMemoConfig};
+use nfm::serve::MemoizedRunner;
 use nfm::workloads::{NetworkId, WorkloadBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

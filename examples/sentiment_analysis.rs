@@ -6,7 +6,8 @@
 //! cargo run --release --example sentiment_analysis
 //! ```
 
-use nfm::memo::{BnnMemoConfig, MemoizedRunner, ThresholdExplorer};
+use nfm::memo::{BnnMemoConfig, ThresholdExplorer};
+use nfm::serve::MemoizedRunner;
 use nfm::workloads::{NetworkId, WorkloadBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

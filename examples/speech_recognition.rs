@@ -6,7 +6,8 @@
 //! cargo run --release --example speech_recognition
 //! ```
 
-use nfm::memo::{BnnMemoConfig, MemoizedRunner, OracleMemoConfig};
+use nfm::memo::{BnnMemoConfig, OracleMemoConfig};
+use nfm::serve::MemoizedRunner;
 use nfm::workloads::{NetworkId, WorkloadBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

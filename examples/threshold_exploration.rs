@@ -7,7 +7,8 @@
 //! cargo run --release --example threshold_exploration
 //! ```
 
-use nfm::memo::{BnnMemoConfig, MemoizedRunner};
+use nfm::memo::BnnMemoConfig;
+use nfm::serve::MemoizedRunner;
 use nfm::workloads::{NetworkId, WorkloadBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -10,12 +10,11 @@
 //! # Public surface
 //!
 //! Every type has exactly **one canonical path**; the table is the
-//! contract (aliases that predate it are deprecated re-exports, kept
-//! for one release):
+//! contract:
 //!
 //! | Path | What lives there |
 //! |---|---|
-//! | [`tensor`] | dense linear algebra, activations, statistics, kernel backends, per-shape autotune cache |
+//! | [`tensor`] | dense linear algebra, activations, statistics, kernel backends |
 //! | [`rnn`] | LSTM/GRU cells, layers, deep networks, lane schedulers |
 //! | [`bnn`] | binarized (bitwise) network substrate |
 //! | [`memo`] | the paper's contribution: neuron-level fuzzy memoization (evaluators, configs, the open [`Predictor`](nfm_core::Predictor) abstraction) |
@@ -33,8 +32,7 @@
 //! * Workload-level running ([`MemoizedRunner`](serve::MemoizedRunner),
 //!   [`InferenceWorkload`](serve::InferenceWorkload),
 //!   [`RunOutcome`](serve::RunOutcome)) is canonical in [`serve`] — the
-//!   runner is a thin wrapper over the request engine.  The `memo::`
-//!   aliases are deprecated.
+//!   runner is a thin wrapper over the request engine.
 //! * The predictor abstraction ([`Predictor`](nfm_core::Predictor) and
 //!   the built-in implementations) is canonical in [`memo`]; [`serve`]
 //!   re-exports it because the engine is where implementations plug in.
@@ -76,17 +74,4 @@ pub use nfm_workloads as workloads;
 /// [`Predictor`](nfm_core::Predictor) factory abstraction.
 pub mod memo {
     pub use nfm_core::*;
-
-    #[deprecated(
-        since = "0.1.0",
-        note = "canonical path is `nfm::serve::InferenceWorkload`"
-    )]
-    pub use nfm_serve::InferenceWorkload;
-    #[deprecated(
-        since = "0.1.0",
-        note = "canonical path is `nfm::serve::MemoizedRunner`"
-    )]
-    pub use nfm_serve::MemoizedRunner;
-    #[deprecated(since = "0.1.0", note = "canonical path is `nfm::serve::RunOutcome`")]
-    pub use nfm_serve::RunOutcome;
 }

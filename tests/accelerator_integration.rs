@@ -3,7 +3,8 @@
 
 use nfm::accel::{EpurConfig, EpurSimulator, NetworkShape};
 use nfm::eval::harness::shape_from_spec;
-use nfm::memo::{BnnMemoConfig, MemoizedRunner};
+use nfm::memo::BnnMemoConfig;
+use nfm::serve::MemoizedRunner;
 use nfm::workloads::{NetworkId, NetworkSpec, WorkloadBuilder};
 
 /// Measures reuse on a scaled-down functional model, but — like the paper

@@ -7,11 +7,9 @@
 //! exactly the sequential runner's outputs and statistics.
 
 use nfm::bnn::BinaryNetwork;
-use nfm::memo::{
-    BnnMemoConfig, BnnMemoEvaluator, InferenceWorkload, MemoizedRunner, OracleEvaluator,
-    OracleMemoConfig, ReuseStats,
-};
+use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig, ReuseStats};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, PerNeuronEvaluator};
+use nfm::serve::{InferenceWorkload, MemoizedRunner};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 

@@ -9,10 +9,9 @@
 //! wave.
 
 use nfm::bnn::BinaryNetwork;
-use nfm::memo::{
-    BnnMemoConfig, BnnMemoEvaluator, InferenceWorkload, MemoizedRunner, OracleMemoConfig,
-};
+use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, PerNeuronEvaluator};
+use nfm::serve::{InferenceWorkload, MemoizedRunner};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 

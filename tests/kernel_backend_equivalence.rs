@@ -19,9 +19,12 @@
 //!   multi_model equivalence suites) once per backend, and diffs a
 //!   deterministic example's output across tiers cross-process.
 
-use nfm::memo::{BnnMemoConfig, MemoizedRunner, OracleMemoConfig};
+use nfm::memo::{BnnMemoConfig, OracleMemoConfig};
+use nfm::serve::MemoizedRunner;
 use nfm::tensor::backend::KernelBackend;
-use nfm::tensor::kernels::{dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on};
+use nfm::tensor::kernels::{
+    dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on, matmul_add_into_on, matmul_into_on,
+};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Matrix;
 use nfm::workloads::{NetworkId, Workload, WorkloadBuilder};
@@ -81,6 +84,51 @@ fn gate_shaped_kernels_are_bit_identical_across_supported_tiers() {
                 dot_ref.to_bits(),
                 "{backend} long dot"
             );
+        }
+    }
+}
+
+#[test]
+fn hoisted_pair_equals_fused_gate_on_every_supported_tier() {
+    // What the exact path actually runs: one `matmul_into` hoists the
+    // forward block `W_x·x`, then `matmul_add_into` adds the recurrent
+    // half per step.  On every tier the pair must equal the fused
+    // `dual_matmul_into` and the scalar tier bit for bit — at the
+    // benchmark's gate widths (400: DeepSpeech2-shape GRU, 128:
+    // IMDB-shape LSTM) plus a width that is not a multiple of the
+    // 16-lane chunk, from one lane up to a full 8-lane × 8-step hoist
+    // block (64 rows).
+    let mut rng = DeterministicRng::seed_from_u64(43);
+    for (rows, xc, hc) in [(400usize, 400usize, 400usize), (128, 64, 128), (37, 23, 37)] {
+        let wx = Matrix::from_fn(rows, xc, |_, _| rng.uniform(-1.0, 1.0));
+        let wh = Matrix::from_fn(rows, hc, |_, _| rng.uniform(-1.0, 1.0));
+        for lanes in [1usize, 2, 3, 5, 8, 64] {
+            let xs: Vec<f32> = (0..lanes * xc).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let hs: Vec<f32> = (0..lanes * hc).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let mut reference = vec![0.0f32; lanes * rows];
+            dual_matmul_into_on(
+                KernelBackend::Scalar,
+                &wx,
+                &wh,
+                &xs,
+                &hs,
+                lanes,
+                &mut reference,
+            )
+            .unwrap();
+            for backend in KernelBackend::supported() {
+                let tag = format!("{rows}x{xc}x{hc} lanes {lanes} {backend}");
+                let mut fused = vec![f32::NAN; lanes * rows];
+                dual_matmul_into_on(backend, &wx, &wh, &xs, &hs, lanes, &mut fused).unwrap();
+                let mut fwd = vec![f32::NAN; lanes * rows];
+                matmul_into_on(backend, &wx, &xs, lanes, &mut fwd).unwrap();
+                let mut hoisted = vec![f32::NAN; lanes * rows];
+                matmul_add_into_on(backend, &wh, &hs, lanes, &fwd, &mut hoisted).unwrap();
+                for (i, e) in reference.iter().enumerate() {
+                    assert_eq!(fused[i].to_bits(), e.to_bits(), "{tag} fused[{i}]");
+                    assert_eq!(hoisted[i].to_bits(), e.to_bits(), "{tag} hoisted[{i}]");
+                }
+            }
         }
     }
 }

@@ -2,7 +2,8 @@
 //! end-to-end behaviour of the fuzzy memoization scheme on the Table 1
 //! workloads (scaled down).
 
-use nfm::memo::{BnnMemoConfig, MemoizedRunner, OracleMemoConfig};
+use nfm::memo::{BnnMemoConfig, OracleMemoConfig};
+use nfm::serve::MemoizedRunner;
 use nfm::workloads::{NetworkId, WorkloadBuilder};
 
 fn workload(id: NetworkId, seed: u64) -> nfm::workloads::Workload {

@@ -7,8 +7,9 @@
 //! dozens of randomly drawn inputs.
 
 use nfm::bnn::{binarize::reference_binary_dot, BitVector};
-use nfm::memo::{BnnMemoConfig, MemoizedRunner, OracleMemoConfig, ReuseStats};
+use nfm::memo::{BnnMemoConfig, OracleMemoConfig, ReuseStats};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator};
+use nfm::serve::MemoizedRunner;
 use nfm::tensor::quant::{f16_bits_to_f32, f32_to_f16_bits, quantize_f16};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::stats::{empirical_cdf, pearson_correlation, percentile};
