@@ -1,7 +1,6 @@
 //! The perf baseline of the repository: inference throughput of the
-//! batched gate-evaluation hot path against the per-neuron paths, for
-//! the exact baseline and the BNN-memoized predictor, plus the parallel
-//! sequence runner.
+//! fused gate-evaluation hot path against the per-neuron paths, for
+//! the exact baseline and the BNN-memoized predictor.
 //!
 //! `scripts/bench_snapshot.sh` runs this target and records the medians
 //! into `BENCH_inference.json`; every future optimisation PR is judged
@@ -9,9 +8,10 @@
 //!
 //! Three exact-inference variants are measured:
 //!
-//! * `inference/exact/*` — the batched path: one `evaluate_gate` call
-//!   per gate, fused dual matvec kernels, reused scratch buffers.
-//! * `inference/exact_per_neuron/*` — the trait's per-neuron fallback
+//! * `inference/exact/*` — the hot path at one lane: one
+//!   `evaluate_gate_batch` call per gate over block-hoisted `W_x·x_t`
+//!   projections, reused scratch buffers.
+//! * `inference/exact_per_neuron/*` — the trait's per-neuron default
 //!   (one virtual call per neuron) over the same vectorized dot kernel.
 //! * `inference/exact_naive/*` — a faithful reproduction of the seed hot
 //!   path: per-neuron virtual dispatch, per-row dimension checks and the
@@ -87,7 +87,7 @@ impl NeuronEvaluator for NaiveExactEvaluator {
         Ok(scalar_dot(gate.wx().row(neuron.neuron), x)
             + scalar_dot(gate.wh().row(neuron.neuron), h_prev))
     }
-    // No evaluate_gate override: the default per-neuron loop is exactly
+    // No gate-entry override: the default per-neuron loop is exactly
     // the seed's gate evaluation strategy.
 }
 
@@ -166,7 +166,7 @@ impl NeuronEvaluator for SeedBnnEvaluator {
         Ok(y_t)
     }
 
-    fn begin_sequence(&mut self) {
+    fn begin_lane_sequence(&mut self, _lane: usize) {
         self.table.clear();
         self.input_cache = None;
     }
@@ -256,16 +256,7 @@ fn main() {
     for (size, w) in &batch_sizes {
         bench.bench_pair(
             &format!("inference/exact_single/{size}"),
-            || {
-                black_box(
-                    MemoizedRunner::exact()
-                        .sequential()
-                        .run(w)
-                        .expect("runs")
-                        .outputs
-                        .len(),
-                )
-            },
+            || black_box(MemoizedRunner::exact().run(w).expect("runs").outputs.len()),
             &format!("inference/exact_batched/{size}"),
             || {
                 black_box(
@@ -280,7 +271,7 @@ fn main() {
         let memo_runner = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.5));
         bench.bench_pair(
             &format!("inference/bnn_memoized_single/{size}"),
-            || black_box(memo_runner.sequential().run(w).expect("runs").outputs.len()),
+            || black_box(memo_runner.run(w).expect("runs").outputs.len()),
             &format!("inference/bnn_memoized_batched/{size}"),
             || {
                 black_box(
@@ -758,35 +749,6 @@ fn main() {
         });
     }
 
-    // The cross-sequence parallel runner on a many-sequence workload.
-    // Measured interleaved: the spawn-amortization heuristic routes this
-    // small workload onto the calling thread, so the two sides run the
-    // same code and only drift could separate them.
-    let fanout = workload(NetworkId::ImdbSentiment, 0.5, 8, 32);
-    bench.bench_pair(
-        "runner/sequential",
-        || {
-            black_box(
-                MemoizedRunner::exact()
-                    .sequential()
-                    .run(&fanout)
-                    .expect("runs")
-                    .outputs
-                    .len(),
-            )
-        },
-        "runner/parallel",
-        || {
-            black_box(
-                MemoizedRunner::exact()
-                    .run(&fanout)
-                    .expect("runs")
-                    .outputs
-                    .len(),
-            )
-        },
-    );
-
     // Per-backend kernel throughput: the same hot kernels measured once
     // per dispatch tier the host supports, at gate scale (medium IMDB:
     // 128 neurons, 64 inputs, 128 hidden, 8 serving lanes).  Every tier
@@ -1035,7 +997,6 @@ fn main() {
             "inference/adaptive_vs_static/static",
             "inference/adaptive_vs_static/adaptive",
         ),
-        ("runner/sequential", "runner/parallel"),
         (
             "inference/model_swap/baseline",
             "inference/model_swap/stage_promote",

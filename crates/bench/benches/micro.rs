@@ -10,7 +10,7 @@ use nfm_accel::{EpurConfig, EpurSimulator, LayerShape, NetworkShape};
 use nfm_bench::Bencher;
 use nfm_bnn::{BinaryNetwork, BitVector};
 use nfm_core::{BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig};
-use nfm_rnn::{ExactEvaluator, NeuronEvaluator};
+use nfm_rnn::ExactEvaluator;
 use nfm_serve::MemoizedRunner;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::vector::dot;
@@ -69,7 +69,6 @@ fn inference_modes(bench: &mut Bencher) {
     bench.bench("inference/oracle_memoized", || {
         black_box(
             MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4))
-                .sequential()
                 .run(&workload)
                 .unwrap(),
         )
@@ -77,7 +76,6 @@ fn inference_modes(bench: &mut Bencher) {
     bench.bench("inference/bnn_memoized", || {
         black_box(
             MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.4))
-                .sequential()
                 .run(&workload)
                 .unwrap(),
         )
@@ -85,7 +83,6 @@ fn inference_modes(bench: &mut Bencher) {
     bench.bench("inference/bnn_memoized_no_throttling", || {
         black_box(
             MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.4).without_throttling())
-                .sequential()
                 .run(&workload)
                 .unwrap(),
         )
@@ -96,7 +93,6 @@ fn inference_modes(bench: &mut Bencher) {
     bench.bench("inference/bnn_evaluator_reused_mirror", || {
         let mut evaluator =
             BnnMemoEvaluator::new(mirror.clone(), BnnMemoConfig::with_threshold(0.4));
-        evaluator.begin_sequence();
         for seq in workload.sequences() {
             black_box(workload.network().run(seq, &mut evaluator).unwrap());
         }

@@ -7,7 +7,7 @@ use nfm_core::{
     ServedEvaluator,
 };
 use nfm_rnn::{
-    DeepRnn, Gate, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult, HOIST_BLOCK,
+    DeepRnn, Gate, GateBatch, NeuronEvaluator, NeuronRef, Result as RnnResult, HOIST_BLOCK,
 };
 use std::sync::Arc;
 
@@ -222,64 +222,14 @@ impl NeuronEvaluator for AdaptiveEvaluator {
         self.inner.evaluate(neuron, gate, x, h_prev)
     }
 
-    fn evaluate_gate(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-        out: &mut [f32],
-    ) -> RnnResult<()> {
-        self.inner
-            .evaluate_gate(gate_id, timestep, gate, x, h_prev, out)?;
-        self.after_gate_call();
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_gate_batch(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        lanes: usize,
-        gate: &Gate,
-        xs: &[f32],
-        h_prevs: &[f32],
-        out: &mut [f32],
-    ) -> RnnResult<()> {
-        self.inner
-            .evaluate_gate_batch(gate_id, timestep, lanes, gate, xs, h_prevs, out)?;
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
+        self.inner.evaluate_gate_batch(call, out)?;
         self.after_gate_call();
         Ok(())
     }
 
     fn supports_input_hoisting(&self) -> bool {
         self.inner.supports_input_hoisting()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_gate_batch_hoisted(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        lanes: usize,
-        gate: &Gate,
-        fwd: &[f32],
-        xs: &[f32],
-        h_prevs: &[f32],
-        out: &mut [f32],
-    ) -> RnnResult<()> {
-        self.inner
-            .evaluate_gate_batch_hoisted(gate_id, timestep, lanes, gate, fwd, xs, h_prevs, out)?;
-        self.after_gate_call();
-        Ok(())
-    }
-
-    fn begin_sequence(&mut self) {
-        self.calls_in_block = 0;
-        self.sync();
-        self.inner.begin_sequence();
     }
 
     fn begin_batch(&mut self, lanes: usize) {
@@ -452,17 +402,13 @@ mod tests {
         let seq = smooth_sequence(30, 8, 40);
         let predictor =
             AdaptivePredictor::for_network(&net, ControllerConfig::frozen_at(0.05, 1.0));
-        // Drive one evaluator batched so lane 0 holds real state.
+        // Drive one evaluator so lane 0 holds real state.
         let mut donor = predictor.evaluator();
-        let outputs = net.run_batch(&[&seq[..]], &mut donor).unwrap();
+        net.run(&seq, &mut donor).unwrap();
         let mut receiver = predictor.evaluator();
         receiver.begin_batch(1);
         let state = ServedEvaluator::export_lane_state(&mut donor, 0).unwrap();
         assert!(ServedEvaluator::import_lane_state(&mut receiver, 0, state));
-        // Sanity: the batched run matched the sequential one.
-        let mut sequential = predictor.evaluator();
-        let expected = net.run(&seq, &mut sequential).unwrap();
-        assert_eq!(outputs[0], expected);
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl NeuronEvaluator for InputSimilarityEvaluator {
         Ok(y_t)
     }
 
-    fn begin_sequence(&mut self) {
+    fn begin_lane_sequence(&mut self, _lane: usize) {
         self.cache.clear();
     }
 }
@@ -222,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn begin_sequence_clears_the_cache() {
+    fn every_sequence_starts_with_a_cold_cache() {
         let net = network(7);
         let seq = smooth_sequence(6, 6, 8);
         let mut memo = InputSimilarityEvaluator::new(InputSimilarityConfig::with_threshold(5.0));

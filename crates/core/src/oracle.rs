@@ -3,7 +3,7 @@
 use crate::config::OracleMemoConfig;
 use crate::stats::ReuseStats;
 use crate::table::MemoTable;
-use nfm_rnn::{DeepRnn, Gate, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult};
+use nfm_rnn::{DeepRnn, Gate, GateBatch, NeuronEvaluator, NeuronRef, Result as RnnResult};
 use nfm_tensor::vector::relative_difference;
 
 /// A [`NeuronEvaluator`] implementing the oracle memoization scheme of
@@ -15,11 +15,12 @@ use nfm_tensor::vector::relative_difference;
 /// limit study of Figures 1 and 16.  When a reuse is possible the oracle
 /// returns the *cached* value, so the accuracy impact of oracle-guided
 /// memoization is faithfully propagated through the network.
-/// Under multi-sequence batched inference every lane owns a separate
-/// [`MemoTable`] (see the batched-path notes on
-/// [`BnnMemoEvaluator`](crate::BnnMemoEvaluator)): the oracle's batched
-/// override computes all lanes' true outputs with one lane-striped dual
-/// matrix product, then walks each lane's own table.
+/// Every lane owns a separate [`MemoTable`] (see the notes on
+/// [`BnnMemoEvaluator`](crate::BnnMemoEvaluator)): the oracle's gate
+/// entry computes all lanes' true outputs with one lane-striped dual
+/// matrix product, then walks each lane's own table; the per-neuron
+/// `evaluate` is the bit-identical reference and uses one shared
+/// [`table`](Self::table).
 #[derive(Debug, Clone)]
 pub struct OracleEvaluator {
     config: OracleMemoConfig,
@@ -67,27 +68,29 @@ impl OracleEvaluator {
         self.config
     }
 
-    /// Resets the accumulated statistics (the memo table is cleared
+    /// Resets the accumulated statistics (memo tables are cleared
     /// automatically at the start of every sequence).
     pub fn reset_stats(&mut self) {
         self.stats.reset();
     }
 
-    /// Borrow the memoization table (diagnostics only).
+    /// Borrow the per-neuron reference path's memoization table
+    /// (diagnostics only; the gate entry uses
+    /// [`lane_tables`](Self::lane_tables)).
     pub fn table(&self) -> &MemoTable {
         &self.table
     }
 
-    /// Borrow the per-lane memoization tables of the batched path
-    /// (diagnostics only; empty until a batched run sized them).
+    /// Borrow the per-lane memoization tables of the gate entry
+    /// (diagnostics only; empty until a run sized them).
     pub fn lane_tables(&self) -> &[MemoTable] {
         &self.lane_tables
     }
 
-    /// Per-lane reuse statistics of the batched path, accumulated since
-    /// each lane's last `begin_lane_sequence` (empty until a batched
-    /// run sized the lanes).  The aggregate [`stats`](Self::stats)
-    /// includes everything recorded here.
+    /// Per-lane reuse statistics, accumulated since each lane's last
+    /// `begin_lane_sequence` (empty until a run sized the lanes).  The
+    /// aggregate [`stats`](Self::stats) includes everything recorded
+    /// here.
     pub fn lane_stats(&self) -> &[ReuseStats] {
         &self.lane_stats
     }
@@ -149,48 +152,19 @@ impl NeuronEvaluator for OracleEvaluator {
         Ok(y_t)
     }
 
-    fn evaluate_gate(
-        &mut self,
-        gate_id: GateId,
-        _timestep: usize,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-        out: &mut [f32],
-    ) -> RnnResult<()> {
-        // The oracle always knows the true outputs: one fused dual
-        // matvec for the whole gate (bit-identical to per-neuron dots).
-        gate.preactivate_into(x, h_prev, out)?;
-        let handle = self.table.gate_handle(gate_id, gate.neurons());
-        for (n, y) in out.iter_mut().enumerate() {
-            let y_t = *y;
-            if let Some(entry) = self.table.entry(handle, n) {
-                let delta = relative_difference(y_t, entry.cached_output, self.config.epsilon);
-                if delta <= self.config.threshold {
-                    self.stats.record_reused();
-                    *y = self.table.reuse_at(handle, n, delta);
-                    continue;
-                }
-            }
-            self.stats.record_computed();
-            self.table.refresh_at(handle, n, y_t, y_t);
-        }
-        Ok(())
-    }
-
-    fn evaluate_gate_batch(
-        &mut self,
-        gate_id: GateId,
-        _timestep: usize,
-        lanes: usize,
-        gate: &Gate,
-        xs: &[f32],
-        h_prevs: &[f32],
-        out: &mut [f32],
-    ) -> RnnResult<()> {
-        // One lane-striped dual matrix product computes every lane's
-        // true outputs (bit-identical per lane to the fused matvec).
-        nfm_tensor::kernels::dual_matmul_into(gate.wx(), gate.wh(), xs, h_prevs, lanes, out)?;
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
+        let (gate, lanes) = (call.gate, call.lanes);
+        // The oracle always knows the true outputs: one lane-striped
+        // dual matrix product computes every lane's (bit-identical per
+        // lane to per-neuron dots).
+        nfm_tensor::kernels::dual_matmul_into(
+            gate.wx(),
+            gate.wh(),
+            call.xs,
+            call.h_prevs,
+            lanes,
+            out,
+        )?;
         assert!(
             self.lane_tables.len() >= lanes,
             "evaluate_gate_batch with {lanes} lanes but begin_batch sized {}",
@@ -199,7 +173,7 @@ impl NeuronEvaluator for OracleEvaluator {
         let neurons = gate.neurons();
         for l in 0..lanes {
             let table = &mut self.lane_tables[l];
-            let handle = table.gate_handle(gate_id, neurons);
+            let handle = table.gate_handle(call.gate_id, neurons);
             let mut reused = 0u64;
             let mut computed = 0u64;
             for (n, y) in out[l * neurons..(l + 1) * neurons].iter_mut().enumerate() {
@@ -223,10 +197,6 @@ impl NeuronEvaluator for OracleEvaluator {
         Ok(())
     }
 
-    fn begin_sequence(&mut self) {
-        self.table.clear();
-    }
-
     fn begin_batch(&mut self, lanes: usize) {
         while self.lane_tables.len() < lanes {
             self.lane_tables.push(MemoTable::new());
@@ -237,17 +207,17 @@ impl NeuronEvaluator for OracleEvaluator {
     }
 
     fn begin_lane_sequence(&mut self, lane: usize) {
-        // Keep the single-sequence table cold too: a wrapper may route
-        // batched evaluation through the per-neuron path, which reads
-        // and writes `self.table` (see the BnnMemoEvaluator note).
+        // Keep the reference table cold too: a wrapper may route
+        // evaluation through the per-neuron path, which reads and
+        // writes `self.table` (see the BnnMemoEvaluator note).
         self.table.clear();
         self.lane_tables[lane].clear();
         self.lane_stats[lane].reset();
     }
 
     fn swap_lane_state(&mut self, a: usize, b: usize) {
-        // The step-pipelined scheduler moves a surviving lane into a
-        // drained slot; its memo table and per-lane counters move along.
+        // The lane scheduler moves a surviving lane into a drained
+        // slot; its memo table and per-lane counters move along.
         self.lane_tables.swap(a, b);
         self.lane_stats.swap(a, b);
     }

@@ -5,7 +5,7 @@ use crate::config::BnnMemoConfig;
 use crate::stats::ReuseStats;
 use crate::table::{GateHandle, MemoTable};
 use nfm_bnn::{BinaryNetwork, BitVector};
-use nfm_rnn::{Gate, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult};
+use nfm_rnn::{Gate, GateBatch, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult};
 use nfm_tensor::vector::relative_difference;
 use std::sync::Arc;
 
@@ -23,20 +23,22 @@ use std::sync::Arc;
 ///    evaluated exactly and the memoization entry is refreshed
 ///    (Equations 14–17).
 ///
-/// The batched [`NeuronEvaluator::evaluate_gate`] path binarizes the
-/// gate inputs exactly once per invocation into reusable buffers (zero
-/// `BitVector` clones or allocations) and walks the flat memo table with
-/// a pre-resolved gate handle; the per-neuron path remains available for
-/// custom drivers and is bit-identical.
-///
-/// Under multi-sequence batched inference
-/// ([`NeuronEvaluator::evaluate_gate_batch`]) every lane owns a
-/// **separate** [`MemoTable`] (the paper's buffer holds no state across
-/// independent inputs, so lanes must not share entries): `begin_batch`
-/// sizes the per-lane tables from the mirror's gate shapes and
-/// `begin_lane_sequence` clears exactly one lane's table, making lane
-/// `l` of a batched run bit-identical — outputs, reuse statistics and
-/// memo-hit sequence — to a dedicated single-sequence run.
+/// The decision exists twice, contractually bit-identical: the
+/// per-neuron [`NeuronEvaluator::evaluate`] (the paper's boundary and
+/// the reference the equivalence suites pin the fused path against,
+/// with one shared [`table`](Self::table)), and the gate entry
+/// [`NeuronEvaluator::evaluate_gate_batch`] every driver runs.  The
+/// gate entry binarizes each lane's inputs exactly once per invocation
+/// into reusable buffers (zero `BitVector` clones or allocations),
+/// evaluates the mirror gate for all lanes in one dispatched
+/// XNOR-popcount call, and walks flat memo tables with pre-resolved
+/// gate handles.  Every lane owns a **separate** [`MemoTable`] (the
+/// paper's buffer holds no state across independent inputs, so lanes
+/// must not share entries): `begin_batch` sizes the per-lane tables
+/// from the mirror's gate shapes and `begin_lane_sequence` clears
+/// exactly one lane's table, so lane `l` of any batch is bit-identical
+/// — outputs, reuse statistics and memo-hit sequence — to running its
+/// sequence alone.
 #[derive(Debug, Clone)]
 pub struct BnnMemoEvaluator {
     // Arc-shared: the mirror depends only on the trained weights, so
@@ -50,14 +52,11 @@ pub struct BnnMemoEvaluator {
     // same timestep; cache them to binarize once per gate invocation,
     // mirroring the FMU's single concatenated input vector.
     input_cache: Option<InputCache>,
-    // Reusable scratch for the batched path (no per-gate allocation).
-    xb: BitVector,
-    hb: BitVector,
-    // Whole-gate mirror outputs, filled by one dispatched
-    // XNOR-popcount call per gate invocation.
+    // Whole-gate mirror outputs for every lane, filled by one
+    // dispatched XNOR-popcount call per gate invocation.
     yb: Vec<i32>,
-    // Per-lane state for multi-sequence batched inference: one memo
-    // table per lane plus reusable binarization scratch per lane.
+    // Per-lane state of the gate entry: one memo table per lane plus
+    // reusable binarization scratch per lane.
     lane_tables: Vec<MemoTable>,
     lane_xb: Vec<BitVector>,
     lane_hb: Vec<BitVector>,
@@ -80,9 +79,9 @@ pub struct BnnMemoEvaluator {
     // Deterministic 1-in-N audit sampling of memo hits (None = off).
     audit: Option<AuditSampler>,
     audit_stats: AuditStats,
-    // Hit counters driving audit selection: one for the
-    // single-sequence paths, one per lane for the batched path (so a
-    // lane's audit sequence matches a dedicated single-sequence run).
+    // Hit counters driving audit selection: one for the per-neuron
+    // reference path, one per lane for the gate entry (so a lane's
+    // audit sequence does not depend on its neighbours).
     audit_counter: u64,
     lane_audit_counters: Vec<u64>,
     // Scratch: audits taken per lane during the current gate call.
@@ -130,8 +129,6 @@ impl BnnMemoEvaluator {
             table,
             stats: ReuseStats::new(),
             input_cache: None,
-            xb: BitVector::zeros(0),
-            hb: BitVector::zeros(0),
             yb: Vec::new(),
             lane_tables: Vec::new(),
             lane_xb: Vec::new(),
@@ -222,22 +219,24 @@ impl BnnMemoEvaluator {
         self.config
     }
 
-    /// Borrow the memoization table (diagnostics only).
+    /// Borrow the per-neuron reference path's memoization table
+    /// (diagnostics only; the gate entry uses
+    /// [`lane_tables`](Self::lane_tables)).
     pub fn table(&self) -> &MemoTable {
         &self.table
     }
 
-    /// Borrow the per-lane memoization tables of the batched path
-    /// (diagnostics only; empty until a batched run sized them via
+    /// Borrow the per-lane memoization tables of the gate entry
+    /// (diagnostics only; empty until a run sized them via
     /// `begin_batch`).
     pub fn lane_tables(&self) -> &[MemoTable] {
         &self.lane_tables
     }
 
-    /// Per-lane reuse statistics of the batched path, accumulated since
-    /// each lane's last `begin_lane_sequence` (empty until a batched
-    /// run sized the lanes).  The aggregate [`stats`](Self::stats)
-    /// includes everything recorded here.
+    /// Per-lane reuse statistics, accumulated since each lane's last
+    /// `begin_lane_sequence` (empty until a run sized the lanes).  The
+    /// aggregate [`stats`](Self::stats) includes everything recorded
+    /// here.
     pub fn lane_stats(&self) -> &[ReuseStats] {
         &self.lane_stats
     }
@@ -380,94 +379,24 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         Ok(y_t)
     }
 
-    fn evaluate_gate(
-        &mut self,
-        gate_id: GateId,
-        _timestep: usize,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-        out: &mut [f32],
-    ) -> RnnResult<()> {
-        let Some(binary_gate) = self.mirror.gate(gate_id) else {
-            // No mirror: exact evaluation for the whole gate.
-            gate.preactivate_into(x, h_prev, out)?;
-            self.stats.record_computed_many(out.len() as u64);
-            return Ok(());
-        };
-        if binary_gate.input_size() != x.len() || binary_gate.hidden_size() != h_prev.len() {
-            // Mirror built for a different shape: evaluate exactly rather
-            // than failing inference (matches the per-neuron fallback).
-            gate.preactivate_into(x, h_prev, out)?;
-            self.stats.record_computed_many(out.len() as u64);
-            return Ok(());
-        }
-
-        // Binarize the gate inputs exactly once, into reused storage,
-        // and evaluate the whole mirror gate in one dispatched
-        // XNOR-popcount call (widths were checked above).
-        self.xb.fill_from_signs(x);
-        self.hb.fill_from_signs(h_prev);
-        self.yb.resize(gate.neurons(), 0);
-        binary_gate.neuron_outputs_unchecked_into(&self.xb, &self.hb, &mut self.yb);
-        let handle = self.table.gate_handle(gate_id, gate.neurons());
-        let theta = self.threshold_for(gate_id.layer);
-        let sampler = self.audit;
-        for (n, slot) in out.iter_mut().enumerate() {
-            let yb_t = self.yb[n] as f32;
-            self.stats.record_bnn_evaluation();
-            if let Some(entry) = self.table.entry(handle, n) {
-                let eps_t = relative_difference(yb_t, entry.cached_bnn_output, self.config.epsilon);
-                let delta_t = if self.config.throttle {
-                    entry.accumulated_delta + eps_t
-                } else {
-                    eps_t
-                };
-                if delta_t <= theta {
-                    self.stats.record_reused();
-                    let cached = self.table.reuse_at(handle, n, delta_t);
-                    *slot = cached;
-                    if let Some(sampler) = sampler {
-                        self.audit_stats.record_hit(gate_id.layer);
-                        let count = self.audit_counter;
-                        self.audit_counter += 1;
-                        if sampler.due(count) {
-                            let y_exact = gate.neuron_dot_unchecked(n, x, h_prev);
-                            self.audit_stats
-                                .record_audit(gate_id.layer, f64::from((y_exact - cached).abs()));
-                            self.stats.record_audited();
-                        }
-                    }
-                    continue;
-                }
-            }
-            let y_t = gate.neuron_dot_unchecked(n, x, h_prev);
-            self.stats.record_computed();
-            self.table.refresh_at(handle, n, y_t, yb_t);
-            *slot = y_t;
-        }
-        Ok(())
-    }
-
-    fn evaluate_gate_batch(
-        &mut self,
-        gate_id: GateId,
-        _timestep: usize,
-        lanes: usize,
-        gate: &Gate,
-        xs: &[f32],
-        h_prevs: &[f32],
-        out: &mut [f32],
-    ) -> RnnResult<()> {
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
+        let GateBatch {
+            gate_id,
+            lanes,
+            gate,
+            xs,
+            h_prevs,
+            ..
+        } = *call;
         let (isz, hsz, nsz) = (gate.input_size(), gate.hidden_size(), gate.neurons());
         let mirror_usable = match self.mirror.gate(gate_id) {
             Some(bg) => bg.input_size() == isz && bg.hidden_size() == hsz,
             None => false,
         };
         if !mirror_usable {
-            // No usable mirror: exact evaluation for every lane (matches
-            // the single-sequence fallback lane for lane, bit-identical
-            // because the lane-striped kernel shares the reduction
+            // No usable mirror: exact evaluation for every lane rather
+            // than failing inference (matches the per-neuron fallback
+            // bit for bit: the lane-striped kernel shares the reduction
             // order).
             nfm_tensor::kernels::dual_matmul_into(gate.wx(), gate.wh(), xs, h_prevs, lanes, out)?;
             self.stats.record_computed_many(out.len() as u64);
@@ -633,16 +562,10 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         Ok(())
     }
 
-    fn begin_sequence(&mut self) {
-        self.table.clear();
-        self.input_cache = None;
-        self.audit_counter = 0;
-    }
-
     fn begin_batch(&mut self, lanes: usize) {
         while self.lane_tables.len() < lanes {
-            // Same dense layout as the single-sequence table: the FMU
-            // buffer shape replicated once per lane.
+            // Same dense layout as the reference table: the FMU buffer
+            // shape replicated once per lane.
             self.lane_tables.push(MemoTable::with_gates(
                 self.mirror.iter().map(|(id, g)| (*id, g.neurons())),
             ));
@@ -656,11 +579,11 @@ impl NeuronEvaluator for BnnMemoEvaluator {
     }
 
     fn begin_lane_sequence(&mut self, lane: usize) {
-        // A wrapper may route batched evaluation through the per-neuron
-        // path (the trait's default lane loop), which uses the
-        // single-sequence state — so a lane's fresh sequence must start
-        // that state cold too.  (Under the default loop, lanes > 1
-        // still share it; per-lane isolation needs the batch overrides,
+        // A wrapper may route evaluation through the per-neuron path
+        // (the trait's default lane loop), which uses the shared
+        // reference state — so a lane's fresh sequence must start that
+        // state cold too.  (Under the default loop, lanes > 1 still
+        // share it; per-lane isolation needs the gate-entry override,
         // as the trait docs spell out.)
         self.table.clear();
         self.input_cache = None;
@@ -671,8 +594,8 @@ impl NeuronEvaluator for BnnMemoEvaluator {
     }
 
     fn swap_lane_state(&mut self, a: usize, b: usize) {
-        // The step-pipelined scheduler moves a surviving lane into a
-        // drained slot; its memo table and per-lane counters move along.
+        // The lane scheduler moves a surviving lane into a drained
+        // slot; its memo table and per-lane counters move along.
         self.lane_tables.swap(a, b);
         self.lane_stats.swap(a, b);
         self.lane_audit_counters.swap(a, b);
@@ -797,7 +720,10 @@ mod tests {
         // Without throttling, per-step differences are never accumulated,
         // so reuse and maximum run length can only be larger or equal.
         assert!(without.stats().reuse_fraction() + 1e-9 >= with.stats().reuse_fraction());
-        assert!(without.table().max_consecutive_reuses() >= with.table().max_consecutive_reuses());
+        assert!(
+            without.lane_tables()[0].max_consecutive_reuses()
+                >= with.lane_tables()[0].max_consecutive_reuses()
+        );
     }
 
     #[test]
@@ -814,13 +740,24 @@ mod tests {
     }
 
     #[test]
-    fn begin_sequence_clears_state() {
+    fn begin_lane_sequence_clears_lane_and_reference_state() {
         let net = network(13);
         let seq = smooth_sequence(10, 8, 14);
         let mut memo = evaluator(&net, BnnMemoConfig::with_threshold(1.0));
         let _ = net.run(&seq, &mut memo).unwrap();
+        assert!(!memo.lane_tables()[0].is_empty());
+        // Populate the per-neuron reference table too.
+        let (id, gate) = net.gates()[0];
+        let neuron = NeuronRef {
+            gate_id: id,
+            neuron: 0,
+            timestep: 0,
+        };
+        memo.evaluate(neuron, gate, seq[0].as_slice(), &[0.0; 12])
+            .unwrap();
         assert!(!memo.table().is_empty());
-        memo.begin_sequence();
+        memo.begin_lane_sequence(0);
+        assert!(memo.lane_tables()[0].is_empty());
         assert!(memo.table().is_empty());
     }
 

@@ -87,7 +87,7 @@ impl NeuronEvaluator for SimilarityProbe {
         Ok(y_t)
     }
 
-    fn begin_sequence(&mut self) {
+    fn begin_lane_sequence(&mut self, _lane: usize) {
         // A new sequence breaks the consecutive-timestep relationship.
         self.previous.clear();
     }
@@ -157,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn begin_sequence_breaks_the_chain() {
+    fn a_new_sequence_breaks_the_chain() {
         let (net, seq) = setup(4);
         let mut probe = SimilarityProbe::with_epsilon(1e-3);
         let _ = net.run(&seq, &mut probe).unwrap();

@@ -4,7 +4,7 @@
 
 use nfm_bnn::BinaryNetwork;
 use nfm_core::{BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig};
-use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator, NeuronEvaluator};
+use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator};
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
 
@@ -144,7 +144,7 @@ fn memoized_outputs_stay_bounded_like_exact_ones() {
 }
 
 #[test]
-fn begin_sequence_makes_runs_independent() {
+fn every_run_starts_its_sequence_cold() {
     let mut rng = DeterministicRng::seed_from_u64(105);
     for _ in 0..16 {
         let seed = rng.index(200) as u64;
@@ -163,7 +163,6 @@ fn begin_sequence_makes_runs_independent() {
         assert_eq!(memo.stats().reuses(), after_first * 2);
         // And a fresh evaluator agrees with the reused one.
         let mut fresh = BnnMemoEvaluator::new(mirror, BnnMemoConfig::with_threshold(theta));
-        fresh.begin_sequence();
         let third = net.run(&seq, &mut fresh).unwrap();
         assert_eq!(third, net.run(&seq, &mut fresh).unwrap());
     }

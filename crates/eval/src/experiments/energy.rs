@@ -37,12 +37,12 @@ const LOSS_BUDGET: f64 = 2.0;
 const TIMING_PASSES: usize = 3;
 
 /// Measures the best-of-N wall-clock seconds of one runner over a
-/// workload (deterministic sequential scheduling, so exact and
-/// memoized runs see identical orchestration).
+/// workload (one engine worker, so exact and memoized runs see
+/// identical orchestration).
 fn best_seconds(make_runner: impl Fn() -> MemoizedRunner, workload: &Workload) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..TIMING_PASSES {
-        let runner = make_runner().sequential();
+        let runner = make_runner();
         let start = Instant::now();
         runner
             .run(workload)

@@ -6,17 +6,15 @@
 //! allocation, so the batched kernels can stream a gate's weight rows
 //! once and reuse them across all lanes.
 //!
-//! Ownership rules mirror the single-sequence [`CellScratch`] contract:
-//! the *caller* owns [`BatchState`] and [`BatchScratch`] and may reuse
-//! them across timesteps, waves and cells of the same width; a cell only
-//! borrows them for the duration of one `step_batch_into` call and never
-//! stores references.  Lanes are advanced in lockstep and must be
+//! Ownership rule: the *caller* owns [`BatchState`] and
+//! [`BatchScratch`] and may reuse them across timesteps, waves and
+//! cells of the same width; a cell only borrows them for the duration
+//! of one `step_batch_into` call and never stores references, so the
+//! steady-state per-timestep allocation count of a cell step is zero.  Lanes are advanced in lockstep and must be
 //! ordered by **descending sequence length**, so that at batch step `s`
 //! the active lanes are always the prefix `0..active` — a shorter lane
 //! simply drops out of the prefix when its sequence ends (the ragged
 //! tail) and its stale state is never read again.
-//!
-//! [`CellScratch`]: crate::CellScratch
 
 /// The recurrent state of `lanes` independent cell instances, stored
 /// lane-striped: `h` (and `c` for LSTM cells) hold `lanes * hidden`
@@ -129,11 +127,12 @@ impl BatchState {
     }
 }
 
-/// Reusable lane-striped working buffers for batched cell stepping: the
-/// batch analogue of [`CellScratch`](crate::CellScratch) — three
-/// gate-width buffers sized `lanes * hidden`.  (The sequence driver
-/// keeps its own block-packing and hoisted-projection buffers; a cell
-/// step only ever needs these three.)
+/// Reusable lane-striped working buffers for batched cell stepping:
+/// three gate-width buffers sized `lanes * hidden` (LSTM: `i_t`, `f_t`,
+/// `g_t` before the cell-state update, with the output gate reusing the
+/// first buffer; GRU: `z_t`, `r_t ⊙ h_{t-1}` and the candidate).  (The
+/// sequence driver keeps its own block-packing and hoisted-projection
+/// buffers; a cell step only ever needs these three.)
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     a: Vec<f32>,

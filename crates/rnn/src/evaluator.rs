@@ -1,23 +1,27 @@
 //! The neuron evaluation hook where fuzzy memoization plugs in.
 //!
-//! Evaluators expose two granularities:
+//! Inference has one path — lane-striped batches, a single sequence
+//! being a batch of one — and evaluators see it at two altitudes:
 //!
 //! * [`NeuronEvaluator::evaluate`] — one neuron at a time, the boundary
-//!   the paper describes (the FMU intercepting one DPU operation);
-//! * [`NeuronEvaluator::evaluate_gate`] — one whole gate per call, the
-//!   granularity the software hot path actually runs at.  The default
-//!   implementation falls back to the per-neuron method, so custom
-//!   evaluators keep working unchanged, while the built-in evaluators
-//!   override it with fused, allocation-free kernels.
+//!   the paper describes (the FMU intercepting one DPU operation).  It
+//!   is the only method an evaluator must implement, and through the
+//!   trait default and [`PerNeuronEvaluator`] it is the independent
+//!   reference every equivalence suite compares against;
+//! * [`NeuronEvaluator::evaluate_gate_batch`] — one whole gate across
+//!   every active lane per call, the granularity the drivers run at.
+//!   The default loops lanes × neurons over `evaluate`; the built-in
+//!   evaluators override it with fused, allocation-free kernels and
+//!   per-lane memoization state.
 //!
-//! The two paths are contractually **bit-identical**: every built-in
-//! override performs the same floating-point operations in the same
-//! order as the per-neuron fallback (see the `batched_equivalence`
-//! integration tests).
+//! The two are contractually **bit-identical**: every built-in override
+//! performs the same floating-point operations in the same order as the
+//! per-neuron default (see the `batched_equivalence` integration
+//! tests).
 
 use crate::gate::{Gate, GateId};
 use crate::Result;
-use nfm_tensor::kernels::{dual_matmul_into, dual_matvec_into, matmul_add_into};
+use nfm_tensor::kernels::{dual_matmul_into, matmul_add_into};
 
 /// Identifies one neuron evaluation: which gate, which neuron of that
 /// gate, and at which timestep of the current sequence.
@@ -29,6 +33,40 @@ pub struct NeuronRef {
     pub neuron: usize,
     /// Index of the current element in the input sequence.
     pub timestep: usize,
+}
+
+/// The borrowed arguments of one
+/// [`NeuronEvaluator::evaluate_gate_batch`] call: one gate, one
+/// timestep, every active lane.
+///
+/// `xs`, `h_prevs`, `fwd` and the call's `out` buffer are
+/// **lane-striped**: lane `l`'s vector occupies
+/// `[l * width .. (l + 1) * width]` of the flat slice (widths:
+/// `gate.input_size()`, `gate.hidden_size()`, and `gate.neurons()` for
+/// both `fwd` and `out`).
+#[derive(Debug, Clone, Copy)]
+pub struct GateBatch<'a> {
+    /// The gate being evaluated.
+    pub gate_id: GateId,
+    /// The driver's step counter.  All lanes share it; under the block
+    /// scheduler lanes sit at different positions of their own
+    /// sequences, so it is not a per-lane sequence index.
+    pub timestep: usize,
+    /// Number of active lanes.
+    pub lanes: usize,
+    /// The gate's weights.
+    pub gate: &'a Gate,
+    /// Forward inputs `x_t`, lane-striped.
+    pub xs: &'a [f32],
+    /// Recurrent inputs `h_{t-1}`, lane-striped.
+    pub h_prevs: &'a [f32],
+    /// The hoisted input projections `W_x[n]·xs[l]`, lane-striped and
+    /// produced with the shared reduction order — `Some` exactly when
+    /// the evaluator's
+    /// [`supports_input_hoisting`](NeuronEvaluator::supports_input_hoisting)
+    /// returned `true`, so an override only adds the recurrent half
+    /// (`out = fwd + W_h·h`, the scalar order of the fused kernel).
+    pub fwd: Option<&'a [f32]>,
 }
 
 /// Strategy for producing a neuron's pre-activation dot product
@@ -43,6 +81,14 @@ pub struct NeuronRef {
 /// Bias, peephole and activation are *not* the evaluator's concern; the
 /// cell applies them afterwards (they are computed by the multi-functional
 /// unit in the accelerator and are never skipped).
+///
+/// A driver calls [`begin_batch`](NeuronEvaluator::begin_batch) once,
+/// [`begin_lane_sequence`](NeuronEvaluator::begin_lane_sequence) when a
+/// lane starts a sequence, then
+/// [`evaluate_gate_batch`](NeuronEvaluator::evaluate_gate_batch) per
+/// gate per step, and
+/// [`swap_lane_state`](NeuronEvaluator::swap_lane_state) whenever it
+/// reorders lanes.
 pub trait NeuronEvaluator {
     /// Produces the pre-activation dot product for `neuron`.
     ///
@@ -58,99 +104,49 @@ pub trait NeuronEvaluator {
         h_prev: &[f32],
     ) -> Result<f32>;
 
-    /// Produces the pre-activation dot products for *every* neuron of
-    /// `gate` at once, writing them into the caller-owned `out` buffer
-    /// (`out.len() == gate.neurons()`, guaranteed by [`Gate::evaluate`]).
-    ///
-    /// The default implementation routes each neuron through
-    /// [`evaluate`](NeuronEvaluator::evaluate), preserving the trait
-    /// contract for custom evaluators; the built-in evaluators override
-    /// it with fused kernels that skip per-neuron virtual dispatch,
-    /// dimension checks and hashing.  Overrides must remain bit-identical
-    /// to the fallback.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input widths are inconsistent with the
-    /// gate.
-    fn evaluate_gate(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
-        debug_assert_eq!(out.len(), gate.neurons());
-        for (n, slot) in out.iter_mut().enumerate() {
-            *slot = self.evaluate(
-                NeuronRef {
-                    gate_id,
-                    neuron: n,
-                    timestep,
-                },
-                gate,
-                x,
-                h_prev,
-            )?;
-        }
-        Ok(())
-    }
-
     /// Produces the pre-activation dot products for every neuron of
-    /// `gate` across `lanes` independent sequences at once.
+    /// `call.gate` across `call.lanes` independent sequences at once,
+    /// writing them lane-striped into the caller-owned `out`
+    /// (`out.len() == call.lanes * call.gate.neurons()`, guaranteed by
+    /// [`Gate::evaluate_batch_into`]).
     ///
-    /// `xs`, `h_prevs` and `out` are **lane-striped**: lane `l`'s vector
-    /// occupies `[l * width .. (l + 1) * width]` of the flat slice
-    /// (widths: `gate.input_size()`, `gate.hidden_size()` and
-    /// `gate.neurons()` respectively).  All lanes share the same
-    /// `timestep` (the batch driver advances lanes in lockstep).
-    ///
-    /// The default implementation routes each lane through
-    /// [`evaluate_gate`](NeuronEvaluator::evaluate_gate), so custom
-    /// evaluators keep working unchanged; note that a *stateful* custom
-    /// evaluator (one that memoizes across timesteps) sees every lane
-    /// through the same shared state under this default and should
-    /// override the batch methods for per-lane isolation when driven
-    /// with `lanes > 1`.  Built-in evaluators override this with
-    /// lane-striped kernels (one weight stream serving all lanes) and
-    /// per-lane memoization tables; overrides must keep every lane
-    /// bit-identical to the single-sequence path.
+    /// The default routes every `(lane, neuron)` through
+    /// [`evaluate`](NeuronEvaluator::evaluate), ignoring `call.fwd`, so
+    /// a custom evaluator only has to implement that one method; note
+    /// that a *stateful* custom evaluator (one that memoizes across
+    /// timesteps) sees every lane through the same shared state under
+    /// this default and should override this method for per-lane
+    /// isolation when driven with more than one lane.  Built-in
+    /// evaluators override it with lane-striped kernels (one weight
+    /// stream serving all lanes) and per-lane memoization tables;
+    /// overrides must keep every lane bit-identical to the default.
     ///
     /// # Errors
     ///
     /// Returns an error if the input widths are inconsistent with the
     /// gate.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_gate_batch(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        lanes: usize,
-        gate: &Gate,
-        xs: &[f32],
-        h_prevs: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> Result<()> {
+        let gate = call.gate;
         let (isz, hsz, nsz) = (gate.input_size(), gate.hidden_size(), gate.neurons());
-        debug_assert_eq!(out.len(), lanes * nsz);
-        for l in 0..lanes {
-            self.evaluate_gate(
-                gate_id,
-                timestep,
-                gate,
-                &xs[l * isz..(l + 1) * isz],
-                &h_prevs[l * hsz..(l + 1) * hsz],
-                &mut out[l * nsz..(l + 1) * nsz],
-            )?;
+        debug_assert_eq!(out.len(), call.lanes * nsz);
+        for l in 0..call.lanes {
+            let x = &call.xs[l * isz..(l + 1) * isz];
+            let h_prev = &call.h_prevs[l * hsz..(l + 1) * hsz];
+            for (n, slot) in out[l * nsz..(l + 1) * nsz].iter_mut().enumerate() {
+                let neuron = NeuronRef {
+                    gate_id: call.gate_id,
+                    neuron: n,
+                    timestep: call.timestep,
+                };
+                *slot = self.evaluate(neuron, gate, x, h_prev)?;
+            }
         }
         Ok(())
     }
 
-    /// Whether the batch driver should pre-compute the input-projection
-    /// half `W_x·x_t` for a block of timesteps and hand it to
-    /// [`evaluate_gate_batch_hoisted`](NeuronEvaluator::evaluate_gate_batch_hoisted).
+    /// Whether the driver should pre-compute the input-projection half
+    /// `W_x·x_t` for a block of timesteps and hand it over as
+    /// [`GateBatch::fwd`].
     ///
     /// Only evaluators that compute *every* neuron in full precision can
     /// benefit (the exact baseline); memoizing evaluators skip most dot
@@ -160,75 +156,31 @@ pub trait NeuronEvaluator {
         false
     }
 
-    /// Like [`evaluate_gate_batch`](NeuronEvaluator::evaluate_gate_batch),
-    /// but with the forward half pre-computed: `fwd` is lane-striped
-    /// (`lanes * gate.neurons()`) and holds `W_x[n]·xs[l]` produced with
-    /// the shared reduction order, so an override only adds the
-    /// recurrent half (`out = fwd + W_h·h`, the exact scalar order of
-    /// the fused kernel).
-    ///
-    /// The default ignores `fwd` and recomputes both halves through
-    /// [`evaluate_gate_batch`](NeuronEvaluator::evaluate_gate_batch) —
-    /// bit-identical, just without the hoisting win — so the method is
-    /// only dispatched to evaluators whose
-    /// [`supports_input_hoisting`](NeuronEvaluator::supports_input_hoisting)
-    /// returns `true`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input widths are inconsistent with the
-    /// gate.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_gate_batch_hoisted(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        lanes: usize,
-        gate: &Gate,
-        fwd: &[f32],
-        xs: &[f32],
-        h_prevs: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
-        let _ = fwd;
-        self.evaluate_gate_batch(gate_id, timestep, lanes, gate, xs, h_prevs, out)
-    }
-
-    /// Called by [`DeepRnn::run`](crate::DeepRnn::run) before each new
-    /// input sequence so implementations can reset per-sequence state
-    /// (e.g. memoization tables are cold at the start of a sequence).
-    fn begin_sequence(&mut self) {}
-
-    /// Called by [`DeepRnn::run_batch`](crate::DeepRnn::run_batch) once
-    /// before a batched run so implementations can size per-lane state
-    /// (e.g. one memoization table per lane).  The default is a no-op.
+    /// Called once before a run so implementations can size per-lane
+    /// state for `lanes` lanes (e.g. one memoization table per lane).
+    /// The default is a no-op.
     fn begin_batch(&mut self, lanes: usize) {
         let _ = lanes;
     }
 
-    /// Called when lane `lane` of a batched run starts a fresh input
-    /// sequence, so per-lane state can be reset.  The default falls back
-    /// to [`begin_sequence`](NeuronEvaluator::begin_sequence) — exactly
-    /// the per-sequence contract when `lanes == 1`, and the best
-    /// available approximation for stateful custom evaluators that did
-    /// not override the batch methods.
+    /// Called when lane `lane` starts a fresh input sequence, so its
+    /// state can be reset (memoization tables are cold at the start of
+    /// a sequence).  The default is a no-op.
     fn begin_lane_sequence(&mut self, lane: usize) {
         let _ = lane;
-        self.begin_sequence();
     }
 
     /// Exchanges all per-lane state between lanes `a` and `b` (memo
     /// tables, per-lane statistics, …).
     ///
-    /// The unified lane scheduler
-    /// ([`LaneScheduler`](crate::LaneScheduler)) calls this when it
-    /// re-sorts or compacts its lanes: lanes are kept a contiguous
-    /// prefix ordered by descending remaining length, and a moved
-    /// lane's memoization state must move with it.
-    /// Evaluators that keep per-lane state and implement the batch
-    /// methods must override this; the default is a no-op, which is
-    /// correct for stateless evaluators and for stateful custom
-    /// evaluators running through the default (shared-state) lane loop.
+    /// The lane scheduler ([`LaneScheduler`](crate::LaneScheduler))
+    /// calls this when it re-sorts or compacts its lanes: lanes are
+    /// kept a contiguous prefix ordered by descending remaining length,
+    /// and a moved lane's memoization state must move with it.
+    /// Evaluators that keep per-lane state must override this; the
+    /// default is a no-op, which is correct for stateless evaluators
+    /// and for stateful custom evaluators running through the default
+    /// (shared-state) lane loop.
     fn swap_lane_state(&mut self, a: usize, b: usize) {
         let _ = (a, b);
     }
@@ -236,8 +188,9 @@ pub trait NeuronEvaluator {
 
 /// The baseline evaluator: always computes the exact dot products.
 ///
-/// Corresponds to the unmodified E-PUR accelerator.  Its batched path is
-/// one fused dual matrix-vector product per gate.
+/// Corresponds to the unmodified E-PUR accelerator.  Its gate entry is
+/// one lane-striped matrix product: the recurrent half added to the
+/// hoisted input projections.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactEvaluator {
     evaluations: u64,
@@ -267,31 +220,12 @@ impl NeuronEvaluator for ExactEvaluator {
         gate.neuron_dot(neuron.neuron, x, h_prev)
     }
 
-    fn evaluate_gate(
-        &mut self,
-        _gate_id: GateId,
-        _timestep: usize,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
-        dual_matvec_into(gate.wx(), gate.wh(), x, h_prev, out)?;
-        self.evaluations += out.len() as u64;
-        Ok(())
-    }
-
-    fn evaluate_gate_batch(
-        &mut self,
-        _gate_id: GateId,
-        _timestep: usize,
-        lanes: usize,
-        gate: &Gate,
-        xs: &[f32],
-        h_prevs: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
-        dual_matmul_into(gate.wx(), gate.wh(), xs, h_prevs, lanes, out)?;
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> Result<()> {
+        let gate = call.gate;
+        match call.fwd {
+            Some(fwd) => matmul_add_into(gate.wh(), call.h_prevs, call.lanes, fwd, out)?,
+            None => dual_matmul_into(gate.wx(), gate.wh(), call.xs, call.h_prevs, call.lanes, out)?,
+        }
         self.evaluations += out.len() as u64;
         Ok(())
     }
@@ -299,27 +233,11 @@ impl NeuronEvaluator for ExactEvaluator {
     fn supports_input_hoisting(&self) -> bool {
         true
     }
-
-    fn evaluate_gate_batch_hoisted(
-        &mut self,
-        _gate_id: GateId,
-        _timestep: usize,
-        lanes: usize,
-        gate: &Gate,
-        fwd: &[f32],
-        _xs: &[f32],
-        h_prevs: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
-        matmul_add_into(gate.wh(), h_prevs, lanes, fwd, out)?;
-        self.evaluations += out.len() as u64;
-        Ok(())
-    }
 }
 
-/// An instrumented evaluator that wraps another one and records every
-/// produced value; used by the evaluation harness to study output
-/// similarity between consecutive timesteps (Figure 5) and by tests.
+/// An instrumented evaluator that wraps another one and counts its
+/// neuron evaluations and sequence starts; used by the evaluation
+/// harness and by tests.
 #[derive(Debug)]
 pub struct CountingEvaluator<E> {
     inner: E,
@@ -337,13 +255,13 @@ impl<E: NeuronEvaluator> CountingEvaluator<E> {
         }
     }
 
-    /// Total neuron evaluations observed (batched gate calls count one
-    /// per neuron they cover).
+    /// Total neuron evaluations observed (gate calls count one per
+    /// neuron per lane they cover).
     pub fn calls(&self) -> u64 {
         self.calls
     }
 
-    /// Total `begin_sequence` calls observed.
+    /// Total `begin_lane_sequence` calls observed.
     pub fn sequences(&self) -> u64 {
         self.sequences
     }
@@ -371,58 +289,13 @@ impl<E: NeuronEvaluator> NeuronEvaluator for CountingEvaluator<E> {
         self.inner.evaluate(neuron, gate, x, h_prev)
     }
 
-    fn evaluate_gate(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> Result<()> {
         self.calls += out.len() as u64;
-        self.inner
-            .evaluate_gate(gate_id, timestep, gate, x, h_prev, out)
-    }
-
-    fn evaluate_gate_batch(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        lanes: usize,
-        gate: &Gate,
-        xs: &[f32],
-        h_prevs: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
-        self.calls += out.len() as u64;
-        self.inner
-            .evaluate_gate_batch(gate_id, timestep, lanes, gate, xs, h_prevs, out)
+        self.inner.evaluate_gate_batch(call, out)
     }
 
     fn supports_input_hoisting(&self) -> bool {
         self.inner.supports_input_hoisting()
-    }
-
-    fn evaluate_gate_batch_hoisted(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        lanes: usize,
-        gate: &Gate,
-        fwd: &[f32],
-        xs: &[f32],
-        h_prevs: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
-        self.calls += out.len() as u64;
-        self.inner
-            .evaluate_gate_batch_hoisted(gate_id, timestep, lanes, gate, fwd, xs, h_prevs, out)
-    }
-
-    fn begin_sequence(&mut self) {
-        self.sequences += 1;
-        self.inner.begin_sequence();
     }
 
     fn begin_batch(&mut self, lanes: usize) {
@@ -439,12 +312,12 @@ impl<E: NeuronEvaluator> NeuronEvaluator for CountingEvaluator<E> {
     }
 }
 
-/// Forces the wrapped evaluator onto the per-neuron fallback path: its
-/// `evaluate_gate` loops over [`NeuronEvaluator::evaluate`] exactly like
-/// the trait's default implementation, ignoring any batched override the
-/// inner evaluator provides.
+/// Forces the wrapped evaluator onto the per-neuron reference path: its
+/// gate entry is the trait's default lanes × neurons loop over
+/// [`NeuronEvaluator::evaluate`], ignoring any fused override the inner
+/// evaluator provides.
 ///
-/// Used by the equivalence tests (batched output must be bit-identical
+/// Used by the equivalence tests (the overrides must be bit-identical
 /// to this path) and by the benchmarks to measure the naive path's cost.
 #[derive(Debug, Clone, Default)]
 pub struct PerNeuronEvaluator<E> {
@@ -479,14 +352,9 @@ impl<E: NeuronEvaluator> NeuronEvaluator for PerNeuronEvaluator<E> {
         self.inner.evaluate(neuron, gate, x, h_prev)
     }
 
-    // No evaluate_gate / evaluate_gate_batch overrides: the trait
-    // defaults ARE the per-neuron and per-lane loops this wrapper exists
-    // to pin down (and `supports_input_hoisting` stays `false`, so the
-    // batch driver never hands this wrapper a hoisted projection).
-
-    fn begin_sequence(&mut self) {
-        self.inner.begin_sequence();
-    }
+    // No evaluate_gate_batch override: the trait default IS the loop
+    // this wrapper exists to pin down (and `supports_input_hoisting`
+    // stays `false`, so the driver never hoists for it).
 
     fn begin_batch(&mut self, lanes: usize) {
         self.inner.begin_batch(lanes);
@@ -527,6 +395,20 @@ mod tests {
         }
     }
 
+    /// A one-lane call over `x = [1, 1]`, `h = [2]` (or a misshaped
+    /// `x`), optionally with the hoisted `W_x·x = 3`.
+    fn call<'a>(gate: &'a Gate, xs: &'a [f32], fwd: Option<&'a [f32]>) -> GateBatch<'a> {
+        GateBatch {
+            gate_id: nref().gate_id,
+            timestep: 0,
+            lanes: 1,
+            gate,
+            xs,
+            h_prevs: &[2.0],
+            fwd,
+        }
+    }
+
     #[test]
     fn exact_evaluator_computes_dot() {
         let g = gate();
@@ -543,33 +425,35 @@ mod tests {
         assert!(e.evaluate(nref(), &g, &[1.0], &[2.0]).is_err());
         let mut out = [0.0f32; 1];
         assert!(e
-            .evaluate_gate(nref().gate_id, 0, &g, &[1.0], &[2.0], &mut out)
+            .evaluate_gate_batch(&call(&g, &[1.0], None), &mut out)
             .is_err());
     }
 
     #[test]
-    fn exact_batched_matches_per_neuron_bitwise() {
+    fn exact_gate_entry_matches_per_neuron_bitwise_fused_and_hoisted() {
         let g = gate();
-        let mut batched = ExactEvaluator::new();
-        let mut out = [0.0f32; 1];
-        batched
-            .evaluate_gate(nref().gate_id, 0, &g, &[1.0, 1.0], &[2.0], &mut out)
-            .unwrap();
         let mut naive = PerNeuronEvaluator::new(ExactEvaluator::new());
-        let mut out2 = [0.0f32; 1];
+        let mut reference = [0.0f32; 1];
         naive
-            .evaluate_gate(nref().gate_id, 0, &g, &[1.0, 1.0], &[2.0], &mut out2)
+            .evaluate_gate_batch(&call(&g, &[1.0, 1.0], None), &mut reference)
             .unwrap();
-        assert_eq!(out[0].to_bits(), out2[0].to_bits());
-        assert_eq!(batched.evaluations(), 1);
         assert_eq!(naive.inner().evaluations(), 1);
+        for fwd in [None, Some(&[3.0f32][..])] {
+            let mut exact = ExactEvaluator::new();
+            let mut out = [0.0f32; 1];
+            exact
+                .evaluate_gate_batch(&call(&g, &[1.0, 1.0], fwd), &mut out)
+                .unwrap();
+            assert_eq!(out[0].to_bits(), reference[0].to_bits(), "fwd={fwd:?}");
+            assert_eq!(exact.evaluations(), 1);
+        }
     }
 
     #[test]
     fn counting_evaluator_tracks_calls_and_sequences() {
         let g = gate();
         let mut e = CountingEvaluator::new(ExactEvaluator::new());
-        e.begin_sequence();
+        e.begin_lane_sequence(0);
         let _ = e.evaluate(nref(), &g, &[1.0, 1.0], &[2.0]).unwrap();
         let _ = e.evaluate(nref(), &g, &[1.0, 1.0], &[2.0]).unwrap();
         assert_eq!(e.calls(), 2);
@@ -579,20 +463,17 @@ mod tests {
     }
 
     #[test]
-    fn counting_evaluator_counts_batched_neurons() {
+    fn counting_evaluator_counts_gate_call_neurons() {
         let g = gate();
         let mut e = CountingEvaluator::new(ExactEvaluator::new());
+        assert!(
+            e.supports_input_hoisting(),
+            "delegates to the inner evaluator"
+        );
         let mut out = [0.0f32; 1];
-        e.evaluate_gate(nref().gate_id, 0, &g, &[1.0, 1.0], &[2.0], &mut out)
+        e.evaluate_gate_batch(&call(&g, &[1.0, 1.0], None), &mut out)
             .unwrap();
         assert_eq!(e.calls(), 1);
         assert_eq!(e.inner().evaluations(), 1);
-    }
-
-    #[test]
-    fn default_begin_sequence_is_noop() {
-        let mut e = ExactEvaluator::new();
-        e.begin_sequence();
-        assert_eq!(e.evaluations(), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Fully-connected gates: the unit of work the paper memoizes.
 
 use crate::error::RnnError;
-use crate::evaluator::NeuronEvaluator;
+use crate::evaluator::{GateBatch, NeuronEvaluator};
 use crate::Result;
 use nfm_tensor::activation::Activation;
 use nfm_tensor::init::Initializer;
@@ -304,26 +304,11 @@ impl Gate {
         self.activation.apply(pre)
     }
 
-    /// Batched exact pre-activation of every neuron:
-    /// `out[n] = W_x[n]·x + W_h[n]·h_prev` (no bias/peephole/activation).
-    ///
-    /// One fused dual matrix-vector product; this is what the exact
-    /// evaluator and the memoization predictors run when a neuron must be
-    /// computed in full precision.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor error if `x`/`h_prev`/`out` widths do not match
-    /// the gate.
-    pub fn preactivate_into(&self, x: &[f32], h_prev: &[f32], out: &mut [f32]) -> Result<()> {
-        kernels::dual_matvec_into(&self.wx, &self.wh, x, h_prev, out)?;
-        Ok(())
-    }
-
     /// Completes a whole gate evaluation in place: adds bias, the
     /// optional peephole contribution and the activation to every dot
     /// product in `pre` (which arrives from
-    /// [`NeuronEvaluator::evaluate_gate`] and leaves as the gate output).
+    /// [`NeuronEvaluator::evaluate_gate_batch`] and leaves as the gate
+    /// output).
     ///
     /// # Panics
     ///
@@ -348,63 +333,18 @@ impl Gate {
         }
     }
 
-    /// Evaluates the whole gate for one timestep into a caller-owned
-    /// buffer, routing the dot products through `evaluator` (one batched
-    /// [`NeuronEvaluator::evaluate_gate`] call) and then applying
-    /// bias/peephole/activation in place.
-    ///
-    /// `gate_id` identifies this gate to the evaluator, `timestep` is the
-    /// index of the current element in the sequence, and `c_prev` supplies
-    /// the previous cell state for peephole connections (LSTM only).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input widths do not match the gate shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.neurons()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_into(
-        &self,
-        gate_id: GateId,
-        timestep: usize,
-        x: &[f32],
-        h_prev: &[f32],
-        c_prev: Option<&[f32]>,
-        evaluator: &mut dyn NeuronEvaluator,
-        out: &mut [f32],
-    ) -> Result<()> {
-        if x.len() != self.input_size() {
-            return Err(RnnError::InputSizeMismatch {
-                expected: self.input_size(),
-                found: x.len(),
-                timestep,
-            });
-        }
-        if h_prev.len() != self.hidden_size() {
-            return Err(RnnError::InputSizeMismatch {
-                expected: self.hidden_size(),
-                found: h_prev.len(),
-                timestep,
-            });
-        }
-        assert_eq!(out.len(), self.neurons(), "gate output width mismatch");
-        evaluator.evaluate_gate(gate_id, timestep, self, x, h_prev, out)?;
-        self.finish_into(out, c_prev);
-        Ok(())
-    }
-
     /// Evaluates the whole gate for one timestep across `lanes`
     /// independent sequences into a caller-owned lane-striped buffer.
     ///
     /// `xs`/`h_prevs`/`c_prevs`/`out` are lane-striped (`lanes *` the
-    /// respective width); lane `l`'s result is bit-identical to a
-    /// single-sequence [`Gate::evaluate_into`] over lane `l`'s vectors.
-    /// When `fwd` is `Some`, it holds the pre-computed input projections
-    /// `W_x[n]·xs[l]` (lane-striped, `lanes * neurons`) and the
-    /// evaluator's hoisted path is used (callers only pass this for
-    /// evaluators whose
+    /// respective width) and lanes never interact: lane `l`'s result is
+    /// bit-identical to a one-lane call over lane `l`'s vectors.  The
+    /// dot products go through one
+    /// [`NeuronEvaluator::evaluate_gate_batch`] call, then
+    /// bias/peephole/activation are applied in place.  When `fwd` is
+    /// `Some`, it holds the pre-computed input projections
+    /// `W_x[n]·xs[l]` (lane-striped, `lanes * neurons`; callers only
+    /// pass this for evaluators whose
     /// [`supports_input_hoisting`](crate::NeuronEvaluator::supports_input_hoisting)
     /// returns `true`).
     ///
@@ -444,49 +384,21 @@ impl Gate {
         }
         let neurons = self.neurons();
         assert_eq!(out.len(), lanes * neurons, "gate output width mismatch");
-        match fwd {
-            Some(fwd) => evaluator.evaluate_gate_batch_hoisted(
-                gate_id, timestep, lanes, self, fwd, xs, h_prevs, out,
-            )?,
-            None => {
-                evaluator.evaluate_gate_batch(gate_id, timestep, lanes, self, xs, h_prevs, out)?
-            }
-        }
+        let call = GateBatch {
+            gate_id,
+            timestep,
+            lanes,
+            gate: self,
+            xs,
+            h_prevs,
+            fwd,
+        };
+        evaluator.evaluate_gate_batch(&call, out)?;
         for l in 0..lanes {
             let c_lane = c_prevs.map(|c| &c[l * neurons..(l + 1) * neurons]);
             self.finish_into(&mut out[l * neurons..(l + 1) * neurons], c_lane);
         }
         Ok(())
-    }
-
-    /// Evaluates the whole gate for one timestep, returning a freshly
-    /// allocated output vector.  Allocation-conscious callers (the cells'
-    /// sequence loops) use [`Gate::evaluate_into`] with reused scratch
-    /// buffers instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input widths do not match the gate shape.
-    pub fn evaluate(
-        &self,
-        gate_id: GateId,
-        timestep: usize,
-        x: &Vector,
-        h_prev: &Vector,
-        c_prev: Option<&Vector>,
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<Vector> {
-        let mut out = vec![0.0f32; self.neurons()];
-        self.evaluate_into(
-            gate_id,
-            timestep,
-            x.as_slice(),
-            h_prev.as_slice(),
-            c_prev.map(Vector::as_slice),
-            evaluator,
-            &mut out,
-        )?;
-        Ok(Vector::from(out))
     }
 }
 
@@ -563,41 +475,59 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_routes_through_evaluator() {
-        let g = small_gate(false);
-        let x = Vector::from(vec![1.0, 2.0]);
-        let h = Vector::from(vec![2.0, 2.0]);
+    fn evaluate_batch_routes_through_evaluator_per_lane() {
+        let g = small_gate(true);
+        let id = GateId::new(0, 0, GateKind::Input);
+        // Two lanes; lane 1 also exercises the peephole term.
+        let xs = [1.0, 2.0, 0.0, 1.0];
+        let hs = [2.0, 2.0, 4.0, 0.0];
+        let cs = [0.0, 0.0, 1.0, 2.0];
         let mut eval = ExactEvaluator::new();
-        let out = g
-            .evaluate(
-                GateId::new(0, 0, GateKind::Input),
-                0,
-                &x,
-                &h,
-                None,
-                &mut eval,
-            )
+        let mut out = [0.0f32; 4];
+        g.evaluate_batch_into(id, 0, 2, &xs, &hs, Some(&cs), None, &mut eval, &mut out)
             .unwrap();
-        // neuron 0: 1.0*1 + 0.5*2 = 2.0 + bias 0 = 2.0
+        // lane 0: 1.0*1 + 0.5*2 = 2.0 (bias 0); 2.0 + 1.0 + bias 0.1
         assert!((out[0] - 2.0).abs() < 1e-6);
-        // neuron 1: 2.0 + 1.0 + bias 0.1
         assert!((out[1] - 3.1).abs() < 1e-6);
+        // lane 1: 0 + 0.5*4 + 0.2*1; 1.0 + 0 + bias 0.1 + 0.2*2
+        assert!((out[2] - 2.2).abs() < 1e-6);
+        assert!((out[3] - 1.5).abs() < 1e-6);
+        assert_eq!(eval.evaluations(), 4);
     }
 
     #[test]
-    fn evaluate_rejects_wrong_widths() {
+    fn evaluate_batch_rejects_wrong_widths() {
         let g = small_gate(false);
         let mut eval = ExactEvaluator::new();
         let id = GateId::new(0, 0, GateKind::Input);
-        let bad_x = Vector::from(vec![1.0]);
-        let h = Vector::from(vec![1.0, 1.0]);
+        let mut out = [0.0f32; 2];
         assert!(matches!(
-            g.evaluate(id, 0, &bad_x, &h, None, &mut eval),
+            g.evaluate_batch_into(
+                id,
+                0,
+                1,
+                &[1.0],
+                &[1.0, 1.0],
+                None,
+                None,
+                &mut eval,
+                &mut out
+            ),
             Err(RnnError::InputSizeMismatch { .. })
         ));
-        let x = Vector::from(vec![1.0, 1.0]);
-        let bad_h = Vector::from(vec![1.0]);
-        assert!(g.evaluate(id, 0, &x, &bad_h, None, &mut eval).is_err());
+        assert!(g
+            .evaluate_batch_into(
+                id,
+                0,
+                1,
+                &[1.0, 1.0],
+                &[1.0],
+                None,
+                None,
+                &mut eval,
+                &mut out
+            )
+            .is_err());
     }
 
     #[test]

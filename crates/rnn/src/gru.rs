@@ -4,7 +4,6 @@ use crate::batch::{BatchScratch, BatchState};
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
 use crate::gate::{Gate, GateId, GateKind};
-use crate::scratch::CellScratch;
 use crate::Result;
 use nfm_tensor::activation::Activation;
 use nfm_tensor::rng::DeterministicRng;
@@ -148,86 +147,15 @@ impl GruCell {
         self.hidden_size() * GateKind::GRU.len()
     }
 
-    /// Advances the cell by one timestep, writing the next state into
-    /// `next` and reusing the caller-owned `scratch` buffers: the
-    /// steady-state path performs zero allocations.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x` or the state widths do not match the cell.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_into(
-        &self,
-        layer: usize,
-        direction: usize,
-        timestep: usize,
-        x: &[f32],
-        state: &GruState,
-        next: &mut GruState,
-        scratch: &mut CellScratch,
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<()> {
-        let hidden = self.hidden_size();
-        if state.h.len() != hidden {
-            return Err(RnnError::InvalidConfig {
-                what: format!(
-                    "GRU state width {} does not match hidden size {}",
-                    state.h.len(),
-                    hidden
-                ),
-            });
-        }
-        next.h.resize(hidden, 0.0);
-        let id = |kind| GateId::new(layer, direction, kind);
-        let h_prev = state.h.as_slice();
-        let (zb, rb, gb) = scratch.bufs(hidden);
-        self.update.evaluate_into(
-            id(GateKind::Update),
-            timestep,
-            x,
-            h_prev,
-            None,
-            evaluator,
-            zb,
-        )?;
-        self.reset.evaluate_into(
-            id(GateKind::Reset),
-            timestep,
-            x,
-            h_prev,
-            None,
-            evaluator,
-            rb,
-        )?;
-        // Reset-modulated hidden state, in place: rb = r_t ⊙ h_{t-1}.
-        for (r, h) in rb.iter_mut().zip(h_prev.iter()) {
-            *r *= h;
-        }
-        self.candidate.evaluate_into(
-            id(GateKind::Candidate),
-            timestep,
-            x,
-            rb,
-            None,
-            evaluator,
-            gb,
-        )?;
-        // h_t = (1 - z_t) ⊙ h_{t-1} + z_t ⊙ g_t
-        for (n, h_next) in next.h.as_mut_slice().iter_mut().enumerate() {
-            *h_next = (1.0 - zb[n]) * h_prev[n] + zb[n] * gb[n];
-        }
-        Ok(())
-    }
-
     /// Advances the first `lanes` lanes of a batch by one timestep,
     /// writing the next lane-striped state into `next` and reusing the
     /// caller-owned `scratch`.  `xs` is lane-striped
     /// (`lanes * input_size`); `hoisted`, when present, supplies the
     /// pre-computed `W_x·x_t` projections, one lane-striped slice per
     /// gate in [`GateKind::GRU`] order (the candidate's *recurrent* half
-    /// still uses the reset-modulated hidden state per timestep).  Lane
-    /// `l`'s next state is bit-identical to a single-sequence
-    /// [`GruCell::step_into`] over lane `l`'s vectors.
+    /// still uses the reset-modulated hidden state per timestep).
+    /// Lanes never interact: lane `l`'s next state is bit-identical to
+    /// a one-lane call over lane `l`'s vectors.
     ///
     /// # Errors
     ///
@@ -322,9 +250,8 @@ impl GruCell {
         Ok(())
     }
 
-    /// Advances the cell by one timestep, returning a freshly allocated
-    /// state.  Sequence loops use [`GruCell::step_into`] with reused
-    /// buffers instead.
+    /// Advances one sequence by one timestep, returning a freshly
+    /// allocated state: a one-lane [`GruCell::step_batch_into`].
     ///
     /// # Errors
     ///
@@ -338,19 +265,34 @@ impl GruCell {
         state: &GruState,
         evaluator: &mut dyn NeuronEvaluator,
     ) -> Result<GruState> {
-        let mut next = GruState::zeros(self.hidden_size());
-        let mut scratch = CellScratch::for_hidden(self.hidden_size());
-        self.step_into(
+        let hidden = self.hidden_size();
+        if state.h.len() != hidden {
+            return Err(RnnError::InvalidConfig {
+                what: format!(
+                    "GRU state width {} does not match hidden size {}",
+                    state.h.len(),
+                    hidden
+                ),
+            });
+        }
+        let mut current = BatchState::zeros(1, hidden);
+        current.h_prefix_mut(1).copy_from_slice(state.h.as_slice());
+        let mut next = BatchState::zeros(1, hidden);
+        self.step_batch_into(
             layer,
             direction,
             timestep,
+            1,
             x.as_slice(),
-            state,
+            &current,
             &mut next,
-            &mut scratch,
+            &mut BatchScratch::new(),
+            None,
             evaluator,
         )?;
-        Ok(next)
+        Ok(GruState {
+            h: Vector::from(next.h_lane(0).to_vec()),
+        })
     }
 }
 

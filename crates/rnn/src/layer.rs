@@ -6,24 +6,82 @@ use crate::config::{CellKind, Direction};
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
 use crate::gate::{Gate, GateId, GateKind};
-use crate::gru::{GruCell, GruState};
-use crate::lstm::{LstmCell, LstmState};
-use crate::scratch::CellScratch;
+use crate::gru::GruCell;
+use crate::lstm::LstmCell;
 use crate::Result;
 use nfm_tensor::kernels::matmul_into;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
 
-/// Number of timesteps whose input projections `W_x·x_t` are hoisted
-/// into one matrix-matrix product when the evaluator supports it: the
-/// forward weight matrix of every gate is streamed once per block
-/// instead of once per timestep.  The recurrent half `W_h·h_{t-1}` can
-/// never be hoisted (it depends on the previous step's output).
-const HOIST_BLOCK: usize = 8;
+/// Timesteps per block: the number of input projections `W_x·x_t`
+/// hoisted into one matrix product per gate per layer, and the
+/// granularity at which the lane scheduler retires and refills lanes.
+pub const HOIST_BLOCK: usize = 8;
 
 /// The largest gate count of any cell kind (LSTM), sizing the
-/// stack-allocated hoisted-slice array in the batch step loop.
+/// stack-allocated hoisted-slice array in the block step loop.
 const MAX_GATES: usize = GateKind::LSTM.len();
+
+/// Grows `buf` to at least `len` values (never shrinks, so block-local
+/// buffers allocate only when a block is larger than any seen before).
+pub(crate) fn grow(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+}
+
+/// The row layout of one hoist block over lanes sorted by descending
+/// remaining length: block step `b` covers the lane prefix
+/// `0..step_active[b]`, packed step-major starting at row
+/// `row_offset[b]`.
+#[derive(Debug)]
+pub(crate) struct BlockPlan {
+    /// Timesteps in the block: the longest lane's remaining length,
+    /// capped at [`HOIST_BLOCK`].
+    pub(crate) block: usize,
+    /// Active lanes per block step (only shrinks within a block).
+    pub(crate) step_active: [usize; HOIST_BLOCK],
+    /// First packed row of each block step.
+    pub(crate) row_offset: [usize; HOIST_BLOCK],
+    /// Lane-timesteps in the block (`Σ step_active`).
+    pub(crate) total_rows: usize,
+}
+
+impl BlockPlan {
+    /// Plans the next block for lanes whose remaining lengths are
+    /// `remaining`, in lane order (descending).
+    pub(crate) fn new(remaining: impl Iterator<Item = usize> + Clone) -> Self {
+        let block = remaining.clone().next().unwrap_or(0).min(HOIST_BLOCK);
+        let mut plan = BlockPlan {
+            block,
+            step_active: [0; HOIST_BLOCK],
+            row_offset: [0; HOIST_BLOCK],
+            total_rows: 0,
+        };
+        for b in 0..block {
+            plan.step_active[b] = remaining.clone().take_while(|&n| n > b).count();
+            plan.row_offset[b] = plan.total_rows;
+            plan.total_rows += plan.step_active[b];
+        }
+        plan
+    }
+
+    /// Every `(block step, lane)` pair of the block, in packed row
+    /// order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.block).flat_map(move |b| (0..self.step_active[b]).map(move |l| (b, l)))
+    }
+}
+
+/// Working memory of [`Cell::run_block`], owned by the driver and
+/// reused across blocks and layers: the cell step's gate buffers plus
+/// the block's hoisted input projections (one step-major block per
+/// gate).
+#[derive(Debug, Default)]
+pub(crate) struct BlockScratch {
+    cell: BatchScratch,
+    fwd: Vec<f32>,
+}
 
 /// Either kind of recurrent cell, so layers and networks can mix LSTM and
 /// GRU uniformly.
@@ -108,88 +166,121 @@ impl Cell {
         }
     }
 
-    /// Runs the cell over a full sequence and returns the hidden output
-    /// at every timestep.  `reverse` processes the sequence backwards
-    /// (used by the backward half of a bidirectional layer) while still
-    /// returning outputs indexed by the original timestep order.
+    /// Runs one hoist block of this cell: `plan.block` timesteps over
+    /// the plan's shrinking active-lane prefix — the one per-layer
+    /// routine under both [`Cell::run_sequences_batch`] (whole-sequence
+    /// waves) and [`LaneScheduler`](crate::LaneScheduler)'s block
+    /// refill.
     ///
-    /// The loop double-buffers two states and one [`CellScratch`], so a
-    /// timestep's only allocation is the cloned per-timestep output.
-    pub fn run_sequence(
+    /// `xs_pack` holds the block's inputs lane-striped and step-major
+    /// (row `plan.row_offset[b] + l` is lane `l`'s input at block step
+    /// `b`).  After each block step `b`, `emit(b, h)` receives that
+    /// step's hidden outputs, lane-striped over its active lanes.  When
+    /// the evaluator's
+    /// [`supports_input_hoisting`](NeuronEvaluator::supports_input_hoisting)
+    /// returns `true`, one matrix product per gate pre-computes every
+    /// row's input projection `W_x·x_t` — the forward weight matrix is
+    /// streamed once per block instead of once per timestep — and each
+    /// step hands its rows to the evaluator as
+    /// [`GateBatch::fwd`](crate::GateBatch::fwd); bit-transparent,
+    /// because the hoisted kernels keep the `fwd + rec` scalar order of
+    /// the fused path.  The recurrent half `W_h·h_{t-1}` can never be
+    /// hoisted (it depends on the previous step's output).
+    ///
+    /// `state` is advanced in place (`next` is its double buffer) and
+    /// the evaluator sees timesteps `first_step..first_step + block`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_block(
         &self,
         layer: usize,
         direction: usize,
-        inputs: &[Vector],
-        reverse: bool,
+        first_step: usize,
+        plan: &BlockPlan,
+        xs_pack: &[f32],
+        state: &mut BatchState,
+        next: &mut BatchState,
+        scratch: &mut BlockScratch,
+        mut emit: impl FnMut(usize, &[f32]),
         evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<Vec<Vector>> {
-        let n = inputs.len();
-        let mut outputs: Vec<Option<Vector>> = vec![None; n];
-        let order: Vec<usize> = if reverse {
-            (0..n).rev().collect()
-        } else {
-            (0..n).collect()
-        };
-        let mut scratch = CellScratch::for_hidden(self.hidden_size());
-        match self {
-            Cell::Lstm(cell) => {
-                let mut state = LstmState::zeros(cell.hidden_size());
-                let mut next = LstmState::zeros(cell.hidden_size());
-                for (step, &t) in order.iter().enumerate() {
-                    cell.step_into(
-                        layer,
-                        direction,
-                        step,
-                        inputs[t].as_slice(),
-                        &state,
-                        &mut next,
-                        &mut scratch,
-                        evaluator,
-                    )?;
-                    outputs[t] = Some(next.h.clone());
-                    std::mem::swap(&mut state, &mut next);
-                }
-            }
-            Cell::Gru(cell) => {
-                let mut state = GruState::zeros(cell.hidden_size());
-                let mut next = GruState::zeros(cell.hidden_size());
-                for (step, &t) in order.iter().enumerate() {
-                    cell.step_into(
-                        layer,
-                        direction,
-                        step,
-                        inputs[t].as_slice(),
-                        &state,
-                        &mut next,
-                        &mut scratch,
-                        evaluator,
-                    )?;
-                    outputs[t] = Some(next.h.clone());
-                    std::mem::swap(&mut state, &mut next);
-                }
+    ) -> Result<()> {
+        let (in_w, out_w) = (self.input_size(), self.hidden_size());
+        let rows = plan.total_rows;
+        let kinds = self.gate_kinds();
+        let gate_count = kinds.len();
+        debug_assert!(gate_count <= MAX_GATES);
+        let hoist = evaluator.supports_input_hoisting();
+        if hoist {
+            grow(&mut scratch.fwd, gate_count * rows * out_w);
+            for (g, kind) in kinds.iter().enumerate() {
+                let gate = self.gate(*kind).expect("cell exposes its own gate kinds");
+                matmul_into(
+                    gate.wx(),
+                    &xs_pack[..rows * in_w],
+                    rows,
+                    &mut scratch.fwd[g * rows * out_w..(g + 1) * rows * out_w],
+                )?;
             }
         }
-        Ok(outputs.into_iter().map(|o| o.expect("filled")).collect())
+        for b in 0..plan.block {
+            let (active, offset) = (plan.step_active[b], plan.row_offset[b]);
+            let xs = &xs_pack[offset * in_w..(offset + active) * in_w];
+            let mut fwd_slices: [&[f32]; MAX_GATES] = [&[]; MAX_GATES];
+            let hoisted: Option<&[&[f32]]> = if hoist {
+                for (g, slot) in fwd_slices.iter_mut().enumerate().take(gate_count) {
+                    let start = (g * rows + offset) * out_w;
+                    *slot = &scratch.fwd[start..start + active * out_w];
+                }
+                Some(&fwd_slices[..gate_count])
+            } else {
+                None
+            };
+            let step = first_step + b;
+            match self {
+                Cell::Lstm(cell) => cell.step_batch_into(
+                    layer,
+                    direction,
+                    step,
+                    active,
+                    xs,
+                    state,
+                    next,
+                    &mut scratch.cell,
+                    hoisted,
+                    evaluator,
+                )?,
+                Cell::Gru(cell) => cell.step_batch_into(
+                    layer,
+                    direction,
+                    step,
+                    active,
+                    xs,
+                    state,
+                    next,
+                    &mut scratch.cell,
+                    hoisted,
+                    evaluator,
+                )?,
+            }
+            emit(b, next.h_prefix(active));
+            std::mem::swap(state, next);
+        }
+        Ok(())
     }
 
     /// Runs one sequence per lane through the cell in lockstep, batching
     /// every gate evaluation across the active lanes, and returns each
-    /// lane's per-timestep hidden outputs (indexed by the original
-    /// timestep order, like [`Cell::run_sequence`]).
+    /// lane's per-timestep hidden outputs.  `reverse` processes every
+    /// sequence backwards (the backward half of a bidirectional layer)
+    /// while still returning outputs indexed by the original timestep
+    /// order.
     ///
     /// `inputs` must be sorted by **descending sequence length** so the
     /// active lanes always form a prefix: at batch step `s`, exactly the
     /// lanes with `len > s` participate (forward processes element `s`,
     /// reverse processes element `len - 1 - s`), and a lane simply drops
-    /// out of the prefix when its sequence ends.
-    ///
-    /// When the evaluator's
-    /// [`supports_input_hoisting`](NeuronEvaluator::supports_input_hoisting)
-    /// returns `true`, the input projections `W_x·x_t` of up to
-    /// `HOIST_BLOCK` (8) timesteps are pre-computed with one lane-striped
-    /// matrix product per gate and handed to the evaluator's hoisted
-    /// path — bit-transparent, because the hoisted kernels keep the
-    /// `fwd + rec` scalar order of the fused path.
+    /// out of the prefix when its sequence ends.  Steps run in blocks of
+    /// up to [`HOIST_BLOCK`] through the shared per-layer block routine
+    /// (input-projection hoisting included).
     ///
     /// # Errors
     ///
@@ -230,107 +321,44 @@ impl Cell {
         let mut outputs: Vec<Vec<Option<Vector>>> = lens.iter().map(|&n| vec![None; n]).collect();
         let mut state = BatchState::zeros(lanes, hidden);
         let mut next = BatchState::zeros(lanes, hidden);
-        let mut scratch = BatchScratch::new();
-        let hoist = evaluator.supports_input_hoisting();
-        let kinds = self.gate_kinds();
-        let gate_count = kinds.len();
-        debug_assert!(gate_count <= MAX_GATES);
+        let mut scratch = BlockScratch::default();
         // Block-local buffers, grown once and reused across blocks.
         let mut packed: Vec<f32> = Vec::new();
-        let mut fwd_buf: Vec<f32> = Vec::new();
 
         let mut s = 0;
         while s < max_len {
-            let block = (max_len - s).min(HOIST_BLOCK);
-            // Per-step active lane counts and packed row offsets for the
-            // block (active counts only shrink: lanes are length-sorted).
-            let mut step_active = [0usize; HOIST_BLOCK];
-            let mut row_offset = [0usize; HOIST_BLOCK];
-            let mut total_rows = 0usize;
-            for b in 0..block {
-                let step = s + b;
-                step_active[b] = lens.iter().take_while(|&&n| n > step).count();
-                row_offset[b] = total_rows;
-                total_rows += step_active[b];
-            }
-            // Gather the block's active inputs lane-striped, step-major.
-            if packed.len() < total_rows * input_size {
-                packed.resize(total_rows * input_size, 0.0);
-            }
-            for b in 0..block {
-                let step = s + b;
-                for l in 0..step_active[b] {
-                    let t = if reverse { lens[l] - 1 - step } else { step };
-                    let dst = (row_offset[b] + l) * input_size;
-                    packed[dst..dst + input_size].copy_from_slice(inputs[l][t].as_slice());
-                }
-            }
-            if hoist {
-                // One matrix product per gate covers the whole block's
-                // input projections.
-                if fwd_buf.len() < gate_count * total_rows * hidden {
-                    fwd_buf.resize(gate_count * total_rows * hidden, 0.0);
-                }
-                for (g, kind) in kinds.iter().enumerate() {
-                    let gate = self.gate(*kind).expect("cell exposes its own gate kinds");
-                    matmul_into(
-                        gate.wx(),
-                        &packed[..total_rows * input_size],
-                        total_rows,
-                        &mut fwd_buf[g * total_rows * hidden..(g + 1) * total_rows * hidden],
-                    )?;
-                }
-            }
-            for b in 0..block {
-                let active = step_active[b];
-                if active == 0 {
-                    break;
-                }
-                let step = s + b;
-                let xs = &packed[row_offset[b] * input_size..(row_offset[b] + active) * input_size];
-                let mut fwd_slices: [&[f32]; MAX_GATES] = [&[]; MAX_GATES];
-                let hoisted: Option<&[&[f32]]> = if hoist {
-                    for (g, slot) in fwd_slices.iter_mut().enumerate().take(gate_count) {
-                        let start = g * total_rows * hidden + row_offset[b] * hidden;
-                        *slot = &fwd_buf[start..start + active * hidden];
-                    }
-                    Some(&fwd_slices[..gate_count])
+            let plan = BlockPlan::new(lens.iter().map(|&n| n.saturating_sub(s)));
+            // The element of lane `l`'s sequence consumed at block step `b`.
+            let element = |l: usize, b: usize| {
+                if reverse {
+                    lens[l] - 1 - (s + b)
                 } else {
-                    None
-                };
-                match self {
-                    Cell::Lstm(cell) => cell.step_batch_into(
-                        layer,
-                        direction,
-                        step,
-                        active,
-                        xs,
-                        &state,
-                        &mut next,
-                        &mut scratch,
-                        hoisted,
-                        evaluator,
-                    )?,
-                    Cell::Gru(cell) => cell.step_batch_into(
-                        layer,
-                        direction,
-                        step,
-                        active,
-                        xs,
-                        &state,
-                        &mut next,
-                        &mut scratch,
-                        hoisted,
-                        evaluator,
-                    )?,
+                    s + b
                 }
-                for (l, lane_out) in outputs.iter_mut().enumerate().take(active) {
-                    let t = if reverse { lens[l] - 1 - step } else { step };
-                    lane_out[t] = Some(Vector::from(next.h_lane(l).to_vec()));
-                }
-                std::mem::swap(&mut state, &mut next);
+            };
+            // Gather the block's active inputs lane-striped, step-major.
+            grow(&mut packed, plan.total_rows * input_size);
+            for (b, l) in plan.rows() {
+                let dst = (plan.row_offset[b] + l) * input_size;
+                packed[dst..dst + input_size].copy_from_slice(inputs[l][element(l, b)].as_slice());
             }
-            s += block;
+            self.run_block(
+                layer,
+                direction,
+                s,
+                &plan,
+                &packed,
+                &mut state,
+                &mut next,
+                &mut scratch,
+                |b, h| {
+                    for (l, h_lane) in h.chunks_exact(hidden).enumerate() {
+                        outputs[l][element(l, b)] = Some(Vector::from(h_lane.to_vec()));
+                    }
+                },
+                evaluator,
+            )?;
+            s += plan.block;
         }
         Ok(outputs
             .into_iter()
@@ -455,39 +483,10 @@ impl Layer {
         out
     }
 
-    /// Processes a full sequence, producing one output vector per input.
-    ///
-    /// For bidirectional layers the forward and backward outputs at each
-    /// timestep are concatenated (forward half first).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any input width does not match the layer.
-    pub fn process(
-        &self,
-        inputs: &[Vector],
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<Vec<Vector>> {
-        let fwd = self
-            .forward
-            .run_sequence(self.index, 0, inputs, false, evaluator)?;
-        match &self.backward {
-            None => Ok(fwd),
-            Some(bwd_cell) => {
-                let bwd = bwd_cell.run_sequence(self.index, 1, inputs, true, evaluator)?;
-                Ok(fwd
-                    .iter()
-                    .zip(bwd.iter())
-                    .map(|(f, b)| f.concat(b))
-                    .collect())
-            }
-        }
-    }
-
     /// Processes one sequence per lane in lockstep (see
     /// [`Cell::run_sequences_batch`]), producing each lane's per-timestep
     /// outputs.  For bidirectional layers the forward and backward
-    /// outputs are concatenated exactly as in [`Layer::process`].
+    /// outputs at each timestep are concatenated (forward half first).
     ///
     /// # Errors
     ///
@@ -566,10 +565,10 @@ mod tests {
         assert!(!layer.is_bidirectional());
         assert_eq!(layer.output_size(), 6);
         let out = layer
-            .process(&inputs(5, 4, 3), &mut ExactEvaluator::new())
+            .process_batch(&[&inputs(5, 4, 3)], &mut ExactEvaluator::new())
             .unwrap();
-        assert_eq!(out.len(), 5);
-        assert!(out.iter().all(|v| v.len() == 6));
+        assert_eq!(out[0].len(), 5);
+        assert!(out[0].iter().all(|v| v.len() == 6));
     }
 
     #[test]
@@ -589,10 +588,10 @@ mod tests {
         assert_eq!(layer.output_size(), 10);
         assert_eq!(layer.gates().len(), 6);
         let out = layer
-            .process(&inputs(4, 3, 5), &mut ExactEvaluator::new())
+            .process_batch(&[&inputs(4, 3, 5)], &mut ExactEvaluator::new())
             .unwrap();
-        assert_eq!(out.len(), 4);
-        assert!(out.iter().all(|v| v.len() == 10));
+        assert_eq!(out[0].len(), 4);
+        assert!(out[0].iter().all(|v| v.len() == 10));
     }
 
     #[test]
@@ -604,17 +603,19 @@ mod tests {
         let cell = Cell::random(CellKind::Lstm, 2, 3, false, &mut rng).unwrap();
         let seq = inputs(3, 2, 7);
         let mut eval = ExactEvaluator::new();
-        let bwd = cell.run_sequence(0, 1, &seq, true, &mut eval).unwrap();
+        let bwd = cell
+            .run_sequences_batch(0, 1, &[&seq], true, &mut eval)
+            .unwrap()
+            .remove(0);
         let mut rev = seq.clone();
         rev.reverse();
-        let fwd_on_rev = cell.run_sequence(0, 1, &rev, false, &mut eval).unwrap();
+        let fwd_on_rev = cell
+            .run_sequences_batch(0, 1, &[&rev], false, &mut eval)
+            .unwrap()
+            .remove(0);
         // bwd[t] corresponds to fwd_on_rev[n-1-t]
         for t in 0..seq.len() {
-            let a = &bwd[t];
-            let b = &fwd_on_rev[seq.len() - 1 - t];
-            for i in 0..a.len() {
-                assert!((a[i] - b[i]).abs() < 1e-6);
-            }
+            assert_eq!(bwd[t], fwd_on_rev[seq.len() - 1 - t]);
         }
     }
 

@@ -9,6 +9,10 @@
 //! matching the topologies of Table 1 (e.g. EESEN is a 10-layer
 //! bidirectional LSTM with 320 neurons per direction).
 //!
+//! Inference has one path: sequences run as lane-striped batches
+//! ([`DeepRnn::run_batch`], or [`LaneScheduler`] for mid-flight refill)
+//! and a single sequence is a batch of one ([`DeepRnn::run`]).
+//!
 //! The central abstraction is the [`NeuronEvaluator`] trait: every
 //! per-neuron dot product (`W_x·x_t + W_h·h_{t-1}`) performed during
 //! inference goes through it.  The default [`ExactEvaluator`] simply
@@ -45,22 +49,20 @@ pub mod layer;
 pub mod lstm;
 pub mod network;
 pub mod scheduler;
-pub mod scratch;
 
 pub use batch::{BatchScratch, BatchState};
 pub use config::{CellKind, DeepRnnConfig, Direction};
 pub use dense::Dense;
 pub use error::RnnError;
 pub use evaluator::{
-    CountingEvaluator, ExactEvaluator, NeuronEvaluator, NeuronRef, PerNeuronEvaluator,
+    CountingEvaluator, ExactEvaluator, GateBatch, NeuronEvaluator, NeuronRef, PerNeuronEvaluator,
 };
 pub use gate::{Gate, GateId, GateKind};
 pub use gru::{GruCell, GruState};
-pub use layer::{Cell, Layer};
+pub use layer::{Cell, Layer, HOIST_BLOCK};
 pub use lstm::{LstmCell, LstmState};
 pub use network::DeepRnn;
-pub use scheduler::{FinishedLane, LaneScheduler, LaneSnapshot, RefillPolicy, HOIST_BLOCK};
-pub use scratch::CellScratch;
+pub use scheduler::{FinishedLane, LaneScheduler, LaneSnapshot, RefillPolicy};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, RnnError>;

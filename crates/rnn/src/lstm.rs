@@ -4,7 +4,6 @@ use crate::batch::{BatchScratch, BatchState};
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
 use crate::gate::{Gate, GateId, GateKind};
-use crate::scratch::CellScratch;
 use crate::Result;
 use nfm_tensor::activation::Activation;
 use nfm_tensor::rng::DeterministicRng;
@@ -173,108 +172,21 @@ impl LstmCell {
         self.hidden_size() * GateKind::LSTM.len()
     }
 
-    /// Advances the cell by one timestep, writing the next state into
-    /// `next` and reusing the caller-owned `scratch` buffers: the
-    /// steady-state path performs zero allocations.
-    ///
-    /// `layer`/`direction` locate this cell inside the deep network so the
-    /// evaluator can key its memoization tables; `timestep` is the element
-    /// index within the current sequence.  `state` and `next` must be
-    /// distinct.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x` or the state widths do not match the cell.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_into(
-        &self,
-        layer: usize,
-        direction: usize,
-        timestep: usize,
-        x: &[f32],
-        state: &LstmState,
-        next: &mut LstmState,
-        scratch: &mut CellScratch,
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<()> {
-        let hidden = self.hidden_size();
-        if state.h.len() != hidden || state.c.len() != hidden {
-            return Err(RnnError::InvalidConfig {
-                what: format!(
-                    "LSTM state width {} does not match hidden size {}",
-                    state.h.len(),
-                    hidden
-                ),
-            });
-        }
-        next.h.resize(hidden, 0.0);
-        next.c.resize(hidden, 0.0);
-        let id = |kind| GateId::new(layer, direction, kind);
-        let h_prev = state.h.as_slice();
-        let c_prev = state.c.as_slice();
-        let (ib, fb, gb) = scratch.bufs(hidden);
-        self.input.evaluate_into(
-            id(GateKind::Input),
-            timestep,
-            x,
-            h_prev,
-            Some(c_prev),
-            evaluator,
-            ib,
-        )?;
-        self.forget.evaluate_into(
-            id(GateKind::Forget),
-            timestep,
-            x,
-            h_prev,
-            Some(c_prev),
-            evaluator,
-            fb,
-        )?;
-        self.candidate.evaluate_into(
-            id(GateKind::Candidate),
-            timestep,
-            x,
-            h_prev,
-            None,
-            evaluator,
-            gb,
-        )?;
-        // c_t = f_t ⊙ c_{t-1} + i_t ⊙ g_t
-        for (n, c_next) in next.c.as_mut_slice().iter_mut().enumerate() {
-            *c_next = fb[n] * c_prev[n] + ib[n] * gb[n];
-        }
-        // The output-gate peephole uses the previous cell state (see the
-        // cell docs); `ib` is free again and holds o_t.
-        self.output.evaluate_into(
-            id(GateKind::Output),
-            timestep,
-            x,
-            h_prev,
-            Some(c_prev),
-            evaluator,
-            ib,
-        )?;
-        // h_t = o_t ⊙ ϕ(c_t)
-        let c_next = next.c.as_slice();
-        for (n, h_next) in next.h.as_mut_slice().iter_mut().enumerate() {
-            *h_next = ib[n] * c_next[n].tanh();
-        }
-        Ok(())
-    }
-
     /// Advances the first `lanes` lanes of a batch by one timestep,
     /// writing the next lane-striped state into `next` and reusing the
     /// caller-owned `scratch`: the steady-state path performs zero
     /// allocations and every gate's weights are streamed once for all
     /// lanes.
     ///
+    /// `layer`/`direction` locate this cell inside the deep network so
+    /// the evaluator can key its memoization tables; `timestep` is the
+    /// driver's step counter.  `state` and `next` must be distinct.
     /// `xs` holds the `lanes` input vectors lane-striped
     /// (`lanes * input_size`).  `hoisted`, when present, supplies the
     /// pre-computed input projections `W_x·x_t` for this timestep, one
     /// lane-striped slice (`lanes * hidden`) per gate in
-    /// [`GateKind::LSTM`] order.  Lane `l`'s next state is bit-identical
-    /// to a single-sequence [`LstmCell::step_into`] over lane `l`'s
+    /// [`GateKind::LSTM`] order.  Lanes never interact: lane `l`'s next
+    /// state is bit-identical to a one-lane call over lane `l`'s
     /// vectors.
     ///
     /// # Errors
@@ -365,8 +277,7 @@ impl LstmCell {
             evaluator,
             gb,
         )?;
-        // c_t = f_t ⊙ c_{t-1} + i_t ⊙ g_t, elementwise over all lanes
-        // (the per-index scalar order of step_into).
+        // c_t = f_t ⊙ c_{t-1} + i_t ⊙ g_t, elementwise over all lanes.
         for (n, c_next) in next.c_prefix_mut(lanes).iter_mut().enumerate() {
             *c_next = fb[n] * c_prev[n] + ib[n] * gb[n];
         }
@@ -391,9 +302,8 @@ impl LstmCell {
         Ok(())
     }
 
-    /// Advances the cell by one timestep, returning a freshly allocated
-    /// state.  Sequence loops use [`LstmCell::step_into`] with reused
-    /// buffers instead.
+    /// Advances one sequence by one timestep, returning a freshly
+    /// allocated state: a one-lane [`LstmCell::step_batch_into`].
     ///
     /// # Errors
     ///
@@ -407,19 +317,35 @@ impl LstmCell {
         state: &LstmState,
         evaluator: &mut dyn NeuronEvaluator,
     ) -> Result<LstmState> {
-        let mut next = LstmState::zeros(self.hidden_size());
-        let mut scratch = CellScratch::for_hidden(self.hidden_size());
-        self.step_into(
+        let hidden = self.hidden_size();
+        if state.h.len() != hidden || state.c.len() != hidden {
+            return Err(RnnError::InvalidConfig {
+                what: format!(
+                    "LSTM state width {} does not match hidden size {}",
+                    state.h.len(),
+                    hidden
+                ),
+            });
+        }
+        let mut current = BatchState::zeros(1, hidden);
+        current.set_lane(0, state.h.as_slice(), state.c.as_slice());
+        let mut next = BatchState::zeros(1, hidden);
+        self.step_batch_into(
             layer,
             direction,
             timestep,
+            1,
             x.as_slice(),
-            state,
+            &current,
             &mut next,
-            &mut scratch,
+            &mut BatchScratch::new(),
+            None,
             evaluator,
         )?;
-        Ok(next)
+        Ok(LstmState {
+            h: Vector::from(next.h_lane(0).to_vec()),
+            c: Vector::from(next.c_lane(0).to_vec()),
+        })
     }
 }
 

@@ -151,11 +151,9 @@ impl DeepRnn {
             .sum()
     }
 
-    /// Runs the network over an input sequence, returning one output per
-    /// timestep (after the dense head when present).
-    ///
-    /// The evaluator's [`begin_sequence`](NeuronEvaluator::begin_sequence)
-    /// hook is invoked once before processing starts.
+    /// Runs the network over one input sequence, returning one output per
+    /// timestep (after the dense head when present): a one-lane
+    /// [`DeepRnn::run_batch`].
     ///
     /// # Errors
     ///
@@ -166,47 +164,28 @@ impl DeepRnn {
         sequence: &[Vector],
         evaluator: &mut dyn NeuronEvaluator,
     ) -> Result<Vec<Vector>> {
-        if sequence.is_empty() {
-            return Err(RnnError::EmptySequence);
-        }
-        for (t, x) in sequence.iter().enumerate() {
-            if x.len() != self.input_size {
-                return Err(RnnError::InputSizeMismatch {
-                    expected: self.input_size,
-                    found: x.len(),
-                    timestep: t,
-                });
-            }
-        }
-        evaluator.begin_sequence();
-        let mut current: Vec<Vector> = sequence.to_vec();
-        for layer in &self.layers {
-            current = layer.process(&current, evaluator)?;
-        }
-        match &self.head {
-            None => Ok(current),
-            Some(head) => current.iter().map(|v| head.apply(v)).collect(),
-        }
+        let mut lanes = self.run_batch(&[sequence], evaluator)?;
+        Ok(lanes.pop().expect("one lane in, one lane out"))
     }
 
-    /// Runs up to a batch of independent input sequences through the
-    /// network in lockstep — **lanes** — batching every gate evaluation
-    /// across the sequences so one weight stream serves all of them.
+    /// Runs a batch of independent input sequences through the network
+    /// in lockstep — **lanes** — batching every gate evaluation across
+    /// the sequences so one weight stream serves all of them.
     ///
     /// Ragged lengths are supported: internally the lanes are packed
     /// longest-first (the returned outputs are in the caller's order)
     /// and a lane drops out of the active prefix when its sequence ends.
-    /// Lane `l`'s outputs, reuse statistics and memoization behavior are
-    /// bit-identical to a dedicated [`DeepRnn::run`] over sequence `l`:
-    /// the evaluator's [`begin_batch`](NeuronEvaluator::begin_batch) hook
-    /// is invoked once, then
+    /// Lanes never interact: lane `l`'s outputs, reuse statistics and
+    /// memoization behavior are bit-identical to running sequence `l`
+    /// alone.  The evaluator's
+    /// [`begin_batch`](NeuronEvaluator::begin_batch) hook is invoked
+    /// once, then
     /// [`begin_lane_sequence`](NeuronEvaluator::begin_lane_sequence) per
-    /// lane, so per-lane memoization state starts cold exactly like the
-    /// per-sequence path.  (For a *stateful custom* evaluator that did
-    /// not override the batch methods, the trait's default lane loop
-    /// shares its single state across lanes — the per-lane guarantee
-    /// then only holds for one lane at a time; see
-    /// [`NeuronEvaluator::evaluate_gate_batch`].)
+    /// lane, so per-lane memoization state starts cold.  (For a
+    /// *stateful custom* evaluator that did not override the gate
+    /// entry, the trait's default lane loop shares its single state
+    /// across lanes — the per-lane guarantee then only holds for one
+    /// lane at a time; see [`NeuronEvaluator::evaluate_gate_batch`].)
     ///
     /// # Errors
     ///
@@ -273,47 +252,6 @@ impl DeepRnn {
             result[slot] = Some(lane_out);
         }
         Ok(result.into_iter().map(|o| o.expect("filled")).collect())
-    }
-
-    /// Runs the network and also returns the outputs of the final
-    /// recurrent layer (before the head).  The evaluation harness uses
-    /// the recurrent outputs for similarity analyses and the head outputs
-    /// for task-level accuracy proxies.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DeepRnn::run`].
-    pub fn run_with_hidden(
-        &self,
-        sequence: &[Vector],
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<(Vec<Vector>, Vec<Vector>)> {
-        if sequence.is_empty() {
-            return Err(RnnError::EmptySequence);
-        }
-        for (t, x) in sequence.iter().enumerate() {
-            if x.len() != self.input_size {
-                return Err(RnnError::InputSizeMismatch {
-                    expected: self.input_size,
-                    found: x.len(),
-                    timestep: t,
-                });
-            }
-        }
-        evaluator.begin_sequence();
-        let mut current: Vec<Vector> = sequence.to_vec();
-        for layer in &self.layers {
-            current = layer.process(&current, evaluator)?;
-        }
-        let hidden = current.clone();
-        let outputs = match &self.head {
-            None => current,
-            Some(head) => current
-                .iter()
-                .map(|v| head.apply(v))
-                .collect::<Result<Vec<_>>>()?,
-        };
-        Ok((outputs, hidden))
     }
 }
 
@@ -435,20 +373,6 @@ mod tests {
         let bad_head = Dense::random(7, 2, Activation::Identity, &mut rng).unwrap();
         assert!(DeepRnn::new(vec![l0], Some(bad_head)).is_err());
         assert!(DeepRnn::new(vec![], None).is_err());
-    }
-
-    #[test]
-    fn run_with_hidden_returns_both_views() {
-        let cfg = DeepRnnConfig::new(CellKind::Lstm, 3, 5).output_size(2);
-        let mut rng = DeterministicRng::seed_from_u64(11);
-        let net = DeepRnn::random(&cfg, &mut rng).unwrap();
-        let (out, hidden) = net
-            .run_with_hidden(&seq(4, 3, 12), &mut ExactEvaluator::new())
-            .unwrap();
-        assert_eq!(out.len(), 4);
-        assert_eq!(hidden.len(), 4);
-        assert_eq!(out[0].len(), 2);
-        assert_eq!(hidden[0].len(), 5);
     }
 
     #[test]

@@ -17,13 +17,11 @@
 //! advances all active lanes one *block*, finished lanes retire at the
 //! block boundary, and [`admit`](LaneScheduler::admit) hands a freed
 //! lane a fresh sequence between blocks — mid-wave refill.  Within a
-//! block the scheduler recovers the wave path's full hoist shape:
-//! every layer's `W_x·x_t` projections for the whole block are
-//! computed with **one matrix product per gate** over all active
-//! lanes and all block steps (the earlier step-pipelined scheduler
-//! hoisted layer 0 only, at admission, and streamed `W_x` per step for
-//! the layers above — the reason mid-wave refill used to tie the wave
-//! scheduler instead of beating it).
+//! block the scheduler runs the same per-layer block routine as the
+//! wave path, so it keeps the full hoist shape: every layer's
+//! `W_x·x_t` projections for the whole block are computed with **one
+//! matrix product per gate** over all active lanes and all block
+//! steps.
 //!
 //! [`RefillPolicy::Wave`] drives the same scheduler API over plain
 //! [`DeepRnn::run_batch`] waves for stacks the block schedule cannot
@@ -33,7 +31,7 @@
 //!
 //! # Equivalence
 //!
-//! Per-lane results are **bit-identical** to a dedicated
+//! Per-lane results are **bit-identical** to a one-lane
 //! [`DeepRnn::run`] over the same sequence under either policy: every
 //! `(neuron, lane)` dot product goes through the shared reduction
 //! order, lanes never interact numerically, per-lane memoization state
@@ -71,33 +69,22 @@
 //! # Timestep semantics
 //!
 //! Lanes sit at *different* positions of their own sequences, so the
-//! `timestep` handed to the evaluator's batch methods under
+//! `timestep` handed to the evaluator's gate entry under
 //! [`RefillPolicy::Block`] is the scheduler's global block-step
-//! counter, not a per-lane sequence index.  The built-in evaluators
-//! ignore the batch-path timestep; a custom evaluator that keys
-//! per-lane state must use the lane index plus
+//! counter, not a per-lane sequence index.  The built-in gate-entry
+//! overrides ignore it; a custom evaluator that keys per-lane state
+//! must use the lane index plus
 //! [`NeuronEvaluator::begin_lane_sequence`] instead.
 
-use crate::batch::{BatchScratch, BatchState};
+use crate::batch::BatchState;
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
-use crate::gate::GateKind;
-use crate::layer::Cell;
+#[cfg(doc)]
+use crate::layer::HOIST_BLOCK;
+use crate::layer::{grow, BlockPlan, BlockScratch};
 use crate::network::DeepRnn;
 use crate::Result;
-use nfm_tensor::kernels::matmul_into;
 use nfm_tensor::Vector;
-
-/// Timesteps per scheduling block: the number of input projections
-/// `W_x·x_t` hoisted into one matrix product per gate per layer.  The
-/// same block size the wave path ([`DeepRnn::run_batch`]) uses, so the
-/// two schedules amortize weight streams identically when lanes stay
-/// full.
-pub const HOIST_BLOCK: usize = 8;
-
-/// The largest gate count of any cell kind (LSTM), sizing the
-/// stack-allocated hoisted-slice array in the block step loop.
-const MAX_GATES: usize = GateKind::LSTM.len();
 
 /// How a [`LaneScheduler`] refills freed lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,9 +166,9 @@ impl LaneSnapshot {
 /// schedule, its equivalence contract, and lane migration).
 ///
 /// The scheduler owns all recurrent state and scratch (`2 × layers`
-/// lane-striped [`BatchState`]s plus one [`BatchScratch`] under
+/// lane-striped [`BatchState`]s plus the block buffers under
 /// [`RefillPolicy::Block`]); the caller owns the evaluator and the
-/// network and passes both into [`admit`](LaneScheduler::admit) /
+/// network and passes them into [`admit`](LaneScheduler::admit) /
 /// [`step`](LaneScheduler::step).  Call
 /// [`NeuronEvaluator::begin_batch`] with [`lanes`](LaneScheduler::lanes)
 /// once before the first admission so per-lane evaluator state is
@@ -195,14 +182,11 @@ pub struct LaneScheduler {
     hidden: Vec<usize>,
     states: Vec<BatchState>,
     nexts: Vec<BatchState>,
-    scratch: BatchScratch,
+    scratch: BlockScratch,
     /// Step-major packed layer inputs for the current block (ping).
     pack_a: Vec<f32>,
     /// Step-major packed layer outputs for the current block (pong).
     pack_b: Vec<f32>,
-    /// Hoisted input projections for one layer of the current block,
-    /// one step-major block per gate.
-    fwd_buf: Vec<f32>,
     /// Occupied lane slots; always exactly `active` entries, slot `l`
     /// holding lane `l`'s sequence ([`RefillPolicy::Block`]).
     slots: Vec<LaneSlot>,
@@ -266,10 +250,9 @@ impl LaneScheduler {
             hidden,
             states,
             nexts,
-            scratch: BatchScratch::new(),
+            scratch: BlockScratch::default(),
             pack_a: Vec::new(),
             pack_b: Vec::new(),
-            fwd_buf: Vec::new(),
             slots: Vec::with_capacity(lanes),
             pending: Vec::new(),
             steps: 0,
@@ -331,10 +314,8 @@ impl LaneScheduler {
         &mut self,
         token: u64,
         sequence: Vec<Vector>,
-        network: &DeepRnn,
         evaluator: &mut dyn NeuronEvaluator,
     ) -> Result<()> {
-        let _ = network;
         if self.free_lanes() == 0 {
             return Err(RnnError::InvalidConfig {
                 what: format!("all {} scheduler lanes are occupied", self.lanes),
@@ -398,127 +379,56 @@ impl LaneScheduler {
     }
 
     /// One block-synchronous step: sort lanes by remaining length,
-    /// then run up to [`HOIST_BLOCK`] timesteps of every layer with
-    /// per-layer cross-lane input hoisting, layer-major within the
-    /// block (layer `k`'s step-major packed outputs feed layer `k+1`).
+    /// then run up to [`HOIST_BLOCK`] timesteps of every layer through
+    /// the shared per-layer block routine, layer-major within the block
+    /// (layer `k`'s step-major packed outputs feed layer `k+1`).
     fn step_block(
         &mut self,
         network: &DeepRnn,
         evaluator: &mut dyn NeuronEvaluator,
         finished: &mut Vec<FinishedLane>,
     ) -> Result<usize> {
-        let n = self.slots.len();
-        if n == 0 {
+        if self.slots.is_empty() {
             return Ok(0);
         }
         self.sort_by_remaining(evaluator);
-        // Per-step active lane counts and packed row offsets for the
-        // block (active counts only shrink: lanes are sorted by
-        // descending remaining length).
-        let block = self.slots[0].remaining().min(HOIST_BLOCK);
-        let mut step_active = [0usize; HOIST_BLOCK];
-        let mut row_offset = [0usize; HOIST_BLOCK];
-        let mut total_rows = 0usize;
-        for (b, active) in step_active.iter_mut().enumerate().take(block) {
-            *active = self.slots.iter().take_while(|s| s.remaining() > b).count();
-            row_offset[b] = total_rows;
-            total_rows += *active;
-        }
+        let plan = BlockPlan::new(self.slots.iter().map(LaneSlot::remaining));
         // Gather the block's layer-0 inputs, lane-striped, step-major.
         let isz = self.input_size;
-        if self.pack_a.len() < total_rows * isz {
-            self.pack_a.resize(total_rows * isz, 0.0);
+        grow(&mut self.pack_a, plan.total_rows * isz);
+        for (b, l) in plan.rows() {
+            let slot = &self.slots[l];
+            let dst = (plan.row_offset[b] + l) * isz;
+            self.pack_a[dst..dst + isz].copy_from_slice(slot.inputs[slot.t + b].as_slice());
         }
-        for b in 0..block {
-            for (l, slot) in self.slots.iter().enumerate().take(step_active[b]) {
-                let dst = (row_offset[b] + l) * isz;
-                self.pack_a[dst..dst + isz].copy_from_slice(slot.inputs[slot.t + b].as_slice());
-            }
-        }
-        let hoisting = evaluator.supports_input_hoisting();
-        let layer_count = self.hidden.len();
-        for k in 0..layer_count {
-            let cell = network.layers()[k].forward_cell();
-            let kinds = cell.gate_kinds();
-            let gate_count = kinds.len();
-            debug_assert!(gate_count <= MAX_GATES);
-            let in_w = if k == 0 { isz } else { self.hidden[k - 1] };
-            let out_w = self.hidden[k];
-            if hoisting {
-                // One matrix product per gate covers the whole block's
-                // input projections for this layer — every lane, every
-                // block step, one weight stream.
-                if self.fwd_buf.len() < gate_count * total_rows * out_w {
-                    self.fwd_buf.resize(gate_count * total_rows * out_w, 0.0);
-                }
-                for (g, kind) in kinds.iter().enumerate() {
-                    let gate = cell.gate(*kind).expect("cell exposes its own gate kinds");
-                    matmul_into(
-                        gate.wx(),
-                        &self.pack_a[..total_rows * in_w],
-                        total_rows,
-                        &mut self.fwd_buf[g * total_rows * out_w..(g + 1) * total_rows * out_w],
-                    )?;
-                }
-            }
-            if self.pack_b.len() < total_rows * out_w {
-                self.pack_b.resize(total_rows * out_w, 0.0);
-            }
-            for b in 0..block {
-                let active = step_active[b];
-                if active == 0 {
-                    break;
-                }
-                let xs = &self.pack_a[row_offset[b] * in_w..(row_offset[b] + active) * in_w];
-                let mut fwd_slices: [&[f32]; MAX_GATES] = [&[]; MAX_GATES];
-                let hoisted: Option<&[&[f32]]> = if hoisting {
-                    for (g, slot) in fwd_slices.iter_mut().enumerate().take(gate_count) {
-                        let start = g * total_rows * out_w + row_offset[b] * out_w;
-                        *slot = &self.fwd_buf[start..start + active * out_w];
-                    }
-                    Some(&fwd_slices[..gate_count])
-                } else {
-                    None
-                };
-                match cell {
-                    Cell::Lstm(c) => c.step_batch_into(
-                        k,
-                        0,
-                        self.steps + b,
-                        active,
-                        xs,
-                        &self.states[k],
-                        &mut self.nexts[k],
-                        &mut self.scratch,
-                        hoisted,
-                        evaluator,
-                    )?,
-                    Cell::Gru(c) => c.step_batch_into(
-                        k,
-                        0,
-                        self.steps + b,
-                        active,
-                        xs,
-                        &self.states[k],
-                        &mut self.nexts[k],
-                        &mut self.scratch,
-                        hoisted,
-                        evaluator,
-                    )?,
-                }
-                let dst = row_offset[b] * out_w;
-                self.pack_b[dst..dst + active * out_w]
-                    .copy_from_slice(self.nexts[k].h_prefix(active));
-                std::mem::swap(&mut self.states[k], &mut self.nexts[k]);
-            }
+        for (k, layer) in network.layers().iter().enumerate() {
+            let cell = layer.forward_cell();
+            let out_w = cell.hidden_size();
+            grow(&mut self.pack_b, plan.total_rows * out_w);
+            let (pack_b, row_offset) = (&mut self.pack_b, &plan.row_offset);
+            cell.run_block(
+                k,
+                0,
+                self.steps,
+                &plan,
+                &self.pack_a,
+                &mut self.states[k],
+                &mut self.nexts[k],
+                &mut self.scratch,
+                |b, h| {
+                    let dst = row_offset[b] * out_w;
+                    pack_b[dst..dst + h.len()].copy_from_slice(h);
+                },
+                evaluator,
+            )?;
             std::mem::swap(&mut self.pack_a, &mut self.pack_b);
         }
         // Emit the block's outputs from the last layer's packed rows
         // (head applied when present).
         let h_last = *self.hidden.last().expect("at least one layer");
         for (l, slot) in self.slots.iter_mut().enumerate() {
-            let steps_l = slot.remaining().min(block);
-            for &offset in &row_offset[..steps_l] {
+            let steps_l = slot.remaining().min(plan.block);
+            for &offset in &plan.row_offset[..steps_l] {
                 let row = offset + l;
                 let h = Vector::from(self.pack_a[row * h_last..(row + 1) * h_last].to_vec());
                 let out = match network.head() {
@@ -529,11 +439,11 @@ impl LaneScheduler {
             }
             slot.t += steps_l;
         }
-        self.steps += block;
+        self.steps += plan.block;
         // Retire finished lanes, highest index first so each swap
         // target is still an unfinished lane (or the lane itself).
         self.retire_finished(evaluator, finished);
-        Ok(total_rows)
+        Ok(plan.total_rows)
     }
 
     /// One wave: sort the buffered admissions longest-first (stable,
@@ -798,7 +708,7 @@ mod tests {
         loop {
             while sched.free_lanes() > 0 {
                 match queue.pop_front() {
-                    Some((token, s)) => sched.admit(token, s, net, evaluator).unwrap(),
+                    Some((token, s)) => sched.admit(token, s, evaluator).unwrap(),
                     None => break,
                 }
             }
@@ -947,19 +857,19 @@ mod tests {
             let mut eval = ExactEvaluator::new();
             eval.begin_batch(1);
             assert!(matches!(
-                sched.admit(0, Vec::new(), &net, &mut eval),
+                sched.admit(0, Vec::new(), &mut eval),
                 Err(RnnError::EmptySequence)
             ));
             assert!(matches!(
-                sched.admit(0, vec![Vector::zeros(2)], &net, &mut eval),
+                sched.admit(0, vec![Vector::zeros(2)], &mut eval),
                 Err(RnnError::InputSizeMismatch { .. })
             ));
             sched
-                .admit(0, seq(4, net.input_size(), 1), &net, &mut eval)
+                .admit(0, seq(4, net.input_size(), 1), &mut eval)
                 .unwrap();
             assert_eq!(sched.free_lanes(), 0);
             assert!(sched
-                .admit(1, seq(4, net.input_size(), 2), &net, &mut eval)
+                .admit(1, seq(4, net.input_size(), 2), &mut eval)
                 .is_err());
         }
     }
@@ -979,7 +889,7 @@ mod tests {
         let mut eval = ExactEvaluator::new();
         eval.begin_batch(3);
         for (i, s) in seqs.iter().enumerate() {
-            sched.admit(i as u64, s.clone(), &net, &mut eval).unwrap();
+            sched.admit(i as u64, s.clone(), &mut eval).unwrap();
         }
         let mut finished = Vec::new();
         // One block in (8 of 12 timesteps), abort token 0 mid-sequence.
@@ -1006,7 +916,7 @@ mod tests {
         let mut sched = LaneScheduler::new(&net, 2, RefillPolicy::Wave).unwrap();
         let mut eval = CountingEvaluator::new(ExactEvaluator::new());
         sched
-            .admit(7, seq(4, net.input_size(), 3), &net, &mut eval)
+            .admit(7, seq(4, net.input_size(), 3), &mut eval)
             .unwrap();
         let dropped = sched.cancel(7, &mut eval).expect("pending admission");
         assert_eq!(dropped.token, 7);
@@ -1031,8 +941,8 @@ mod tests {
         let mut donor = LaneScheduler::new(&net, 2, RefillPolicy::Block).unwrap();
         let mut donor_eval = ExactEvaluator::new();
         donor_eval.begin_batch(2);
-        donor.admit(0, long, &net, &mut donor_eval).unwrap();
-        donor.admit(1, short, &net, &mut donor_eval).unwrap();
+        donor.admit(0, long, &mut donor_eval).unwrap();
+        donor.admit(1, short, &mut donor_eval).unwrap();
         let mut finished = Vec::new();
         donor.step(&net, &mut donor_eval, &mut finished).unwrap();
         assert!(finished.is_empty());
@@ -1073,7 +983,7 @@ mod tests {
         let mut eval = ExactEvaluator::new();
         eval.begin_batch(1);
         donor
-            .admit(0, seq(20, lstm.input_size(), 8), &lstm, &mut eval)
+            .admit(0, seq(20, lstm.input_size(), 8), &mut eval)
             .unwrap();
         let mut finished = Vec::new();
         donor.step(&lstm, &mut eval, &mut finished).unwrap();

@@ -46,53 +46,24 @@ impl RunOutcome {
     }
 }
 
-/// Estimated work (in weight-MAC units: one fetched weight multiplied
-/// and accumulated once) below which [`MemoizedRunner::run`] stays on a
-/// single engine worker: spawning and joining worker threads plus
-/// merging their statistics costs tens of microseconds, so small runs
-/// lose more to spawn overhead than they gain from extra cores (the
-/// `runner/parallel` regression in early `BENCH_inference.json`
-/// snapshots).  At roughly one MAC per nanosecond per core this
-/// threshold corresponds to tens of milliseconds of single-core work —
-/// comfortably past the spawn-amortization point.
-///
-/// [`MemoizedRunner::with_workers`] bypasses the heuristic entirely: an
-/// explicit worker count always fans out.
-const SPAWN_AMORTIZATION_MACS: u64 = 50_000_000;
-
-/// Estimated cost of running `sequences` through `network`, in
-/// weight-MAC units (`total timesteps x recurrent weights per step`).
-/// Memoized predictors skip some of this work, but the estimate only
-/// gates the spawn decision and an upper bound is the safe side.
-fn estimated_work_macs(network: &DeepRnn, sequences: &[Vec<Vector>]) -> u64 {
-    let per_step = network.weight_count() as u64;
-    let timesteps: u64 = sequences.iter().map(|s| s.len() as u64).sum();
-    timesteps.saturating_mul(per_step)
-}
-
 /// Runs a workload end-to-end under a chosen predictor — a thin
 /// wrapper over the request [`Engine`](crate::Engine): every sequence
 /// becomes one [`InferenceRequest`], and the outcome is the responses
 /// reassembled in submission order with their statistics merged.
 ///
-/// [`MemoizedRunner::run`] processes sequences independently (one lane
-/// per worker, the classic per-sequence hot path), fanned out over
-/// engine workers when the estimated work amortizes the threads —
-/// outputs and statistics are *identical* to a sequential run either
-/// way.  [`MemoizedRunner::run_batched`] gives the engine `batch_size`
-/// lanes so gates evaluate many sequences per weight stream (the
-/// unified lane scheduler's block policy with mid-wave refill on
-/// unidirectional stacks, layer-lockstep waves otherwise).
+/// [`MemoizedRunner::run`] processes sequences one at a time (one
+/// lane, requests in submission order) on one engine worker, or on
+/// [`with_workers(n)`](MemoizedRunner::with_workers) of them — outputs
+/// and statistics are *identical* for any worker count.
+/// [`MemoizedRunner::run_batched`] gives the engine `batch_size` lanes
+/// so gates evaluate many sequences per weight stream (the lane
+/// scheduler's block policy with mid-wave refill on unidirectional
+/// stacks, layer-lockstep waves otherwise).
 ///
-/// [`MemoizedRunner::sequential`] remains as the
-/// deterministic-scheduling escape hatch: exactly one engine worker,
-/// requests processed in submission order.  Note that every `run` call
-/// now builds a transient engine — one worker thread spawn/join plus
-/// an owned copy of each input sequence — so callers timing the run
-/// itself (figure experiments, the `runner/*` bench entries) measure
-/// that small constant alongside inference;
-/// [`MemoizedRunner::with_workers`] forces a worker count regardless
-/// of the heuristic.
+/// Every call builds a transient engine — worker thread spawn/join
+/// plus an owned copy of each input sequence — so callers timing the
+/// run itself (figure experiments, the `inference/*_single` bench
+/// entries) measure that small constant alongside inference.
 ///
 /// ```
 /// use nfm_serve::{InferenceWorkload, MemoizedRunner};
@@ -117,60 +88,39 @@ fn estimated_work_macs(network: &DeepRnn, sequences: &[Vec<Vector>]) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoizedRunner {
     predictor: PredictorKind,
-    parallel: bool,
-    /// Explicit worker-count override (`None` = available parallelism).
-    workers: Option<usize>,
+    /// Engine workers [`MemoizedRunner::run`] uses.
+    workers: usize,
 }
 
 impl MemoizedRunner {
+    fn new(predictor: PredictorKind) -> Self {
+        MemoizedRunner {
+            predictor,
+            workers: 1,
+        }
+    }
+
     /// A runner that performs exact inference (the baseline).
     pub fn exact() -> Self {
-        MemoizedRunner {
-            predictor: PredictorKind::Exact,
-            parallel: true,
-            workers: None,
-        }
+        MemoizedRunner::new(PredictorKind::Exact)
     }
 
     /// A runner using the oracle predictor.
     pub fn oracle(config: OracleMemoConfig) -> Self {
-        MemoizedRunner {
-            predictor: PredictorKind::Oracle(config),
-            parallel: true,
-            workers: None,
-        }
+        MemoizedRunner::new(PredictorKind::Oracle(config))
     }
 
     /// A runner using the BNN predictor.
     pub fn bnn(config: BnnMemoConfig) -> Self {
-        MemoizedRunner {
-            predictor: PredictorKind::Bnn(config),
-            parallel: true,
-            workers: None,
-        }
+        MemoizedRunner::new(PredictorKind::Bnn(config))
     }
 
-    /// Disables the cross-sequence parallel fan-out (exactly one
-    /// engine worker).  Results are bitwise identical either way; use
-    /// this when the caller wants one compute thread and fully
-    /// deterministic scheduling.
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
-    }
-
-    /// Overrides the engine worker count used by [`MemoizedRunner::run`]
-    /// (clamped to the number of sequences).  Useful to exercise or
-    /// bound the threaded path regardless of the host's core count;
-    /// results stay identical for any worker count.
+    /// Sets the engine worker count used by [`MemoizedRunner::run`]
+    /// (default 1; clamped to the number of sequences).  Results stay
+    /// identical for any worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
+        self.workers = workers.max(1);
         self
-    }
-
-    /// Whether the runner fans sequences out across cores.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
     }
 
     /// The predictor this runner applies.
@@ -185,23 +135,12 @@ impl MemoizedRunner {
     /// Propagates any inference error (shape mismatches, empty
     /// sequences).
     pub fn run(&self, workload: &impl InferenceWorkload) -> RnnResult<RunOutcome> {
-        let network = workload.network();
-        let sequences = workload.input_sequences();
-        let workers = if self.parallel {
-            match self.workers {
-                // Explicit override: always fan out as requested.
-                Some(n) => n.min(sequences.len().max(1)),
-                // Auto: only spawn when the work amortizes the threads.
-                None if estimated_work_macs(network, sequences) < SPAWN_AMORTIZATION_MACS => 1,
-                None => std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(sequences.len().max(1)),
-            }
-        } else {
-            1
-        };
-        self.run_with_engine(network, sequences, 1, workers)
+        self.run_with_engine(
+            workload.network(),
+            workload.input_sequences(),
+            1,
+            self.workers,
+        )
     }
 
     /// Runs every sequence of `workload` with **multi-sequence batched
@@ -222,13 +161,13 @@ impl MemoizedRunner {
     /// **bit-identical** to [`MemoizedRunner::run`] for every
     /// predictor: memoizing evaluators keep one
     /// [`MemoTable`](nfm_core::MemoTable) per lane, reset when a lane
-    /// admits a new sequence, exactly like the per-sequence path.
+    /// admits a new sequence, so lanes never interact.
     ///
     /// # Errors
     ///
     /// Returns [`RnnError::InvalidConfig`] when `batch_size == 0` (the
-    /// accepted range is `batch_size >= 1`; `1` degenerates to
-    /// sequential per-sequence inference), and propagates any inference
+    /// accepted range is `batch_size >= 1`; `1` runs one sequence at a
+    /// time), and propagates any inference
     /// error (shape mismatches, empty sequences).
     pub fn run_batched(
         &self,
@@ -420,27 +359,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_runs_are_identical() {
-        // More sequences than cores in most CI boxes, with every
-        // predictor kind.
+    fn worker_count_never_changes_results() {
+        // More sequences than workers, fewer, and equal, with every
+        // predictor kind; 16 exceeds the sequence count.
         let w = workload(7, 12);
         for runner in [
             MemoizedRunner::exact(),
             MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4)),
             MemoizedRunner::bnn(BnnMemoConfig::with_threshold(1.0)),
         ] {
-            assert!(runner.is_parallel());
-            let par = runner.run(&w).unwrap();
-            let seq = runner.sequential().run(&w).unwrap();
-            assert!(!runner.sequential().is_parallel());
-            assert_eq!(par.outputs, seq.outputs);
-            assert_eq!(par.stats, seq.stats);
-            // Any explicit worker count must not change the results,
-            // including counts above the sequence count.
-            for workers in [2usize, 3, 16] {
+            let one = runner.run(&w).unwrap();
+            for workers in [2usize, 3, 7, 16] {
                 let forced = runner.with_workers(workers).run(&w).unwrap();
-                assert_eq!(forced.outputs, seq.outputs);
-                assert_eq!(forced.stats, seq.stats);
+                assert_eq!(forced.outputs, one.outputs, "workers={workers}");
+                assert_eq!(forced.stats, one.stats, "workers={workers}");
             }
         }
     }
@@ -450,35 +382,8 @@ mod tests {
         let mut w = workload(3, 6);
         w.seqs[1].clear();
         assert!(MemoizedRunner::exact().run(&w).is_err());
-        assert!(MemoizedRunner::exact().sequential().run(&w).is_err());
+        assert!(MemoizedRunner::exact().with_workers(2).run(&w).is_err());
         assert!(MemoizedRunner::exact().run_batched(&w, 2).is_err());
-    }
-
-    #[test]
-    fn estimated_work_scales_with_timesteps_and_weights() {
-        let w = workload(2, 10);
-        let per_step = w.net.weight_count() as u64;
-        assert_eq!(estimated_work_macs(&w.net, &w.seqs), 2 * 10 * per_step);
-        assert_eq!(estimated_work_macs(&w.net, &[]), 0);
-        // Small test workloads sit far below the spawn-amortization
-        // threshold, so the auto-parallel path must fall back to one
-        // worker (with_workers still forces a fan-out).
-        assert!(estimated_work_macs(&w.net, &w.seqs) < SPAWN_AMORTIZATION_MACS);
-    }
-
-    #[test]
-    fn small_runs_fall_back_to_one_worker_but_stay_identical() {
-        // Below the threshold the auto runner must behave exactly like
-        // the sequential runner (it IS a one-worker engine), and the
-        // explicit override must still match bit for bit.
-        let w = workload(5, 8);
-        let auto = MemoizedRunner::exact().run(&w).unwrap();
-        let seq = MemoizedRunner::exact().sequential().run(&w).unwrap();
-        let forced = MemoizedRunner::exact().with_workers(3).run(&w).unwrap();
-        assert_eq!(auto.outputs, seq.outputs);
-        assert_eq!(auto.stats, seq.stats);
-        assert_eq!(forced.outputs, seq.outputs);
-        assert_eq!(forced.stats, seq.stats);
     }
 
     #[test]
@@ -489,7 +394,7 @@ mod tests {
             MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4)),
             MemoizedRunner::bnn(BnnMemoConfig::with_threshold(1.0)),
         ] {
-            let reference = runner.sequential().run(&w).unwrap();
+            let reference = runner.run(&w).unwrap();
             // 2 leaves lanes draining at different steps over 5
             // sequences; 8 exceeds the sequence count.
             for batch in [1usize, 2, 5, 8] {

@@ -585,7 +585,7 @@ impl LaneWorker {
         match ctx
             .sched
             .scheduler
-            .admit(token, q.req.sequence, &ctx.network, ctx.evaluator.as_mut())
+            .admit(token, q.req.sequence, ctx.evaluator.as_mut())
         {
             Ok(()) => {
                 ctx.sched.inflight.insert(

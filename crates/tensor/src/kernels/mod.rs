@@ -467,8 +467,8 @@ pub fn matmul_into_on(
 /// register-blocked 4 rows × 4 lanes tiles driven by
 /// [`dot_quad_unchecked`]'s accumulator sets.  The per-lane scalar order
 /// is `fwd + rec` with [`dot_unchecked`]'s reduction for each half, so
-/// every lane is bit-identical to the single-sequence path on every
-/// dispatch tier.
+/// every lane is bit-identical to [`dual_matvec_into`] over that lane's
+/// vectors on every dispatch tier.
 ///
 /// # Errors
 ///

@@ -15,7 +15,7 @@
 //! | Path | What lives there |
 //! |---|---|
 //! | [`tensor`] | dense linear algebra, activations, statistics, kernel backends |
-//! | [`rnn`] | LSTM/GRU cells, layers, deep networks, lane schedulers |
+//! | [`rnn`] | LSTM/GRU cells, layers, deep networks; the one lane-striped inference path (`DeepRnn::run` is a batch of one), the lane scheduler, and the 6-method [`NeuronEvaluator`](rnn::NeuronEvaluator) boundary |
 //! | [`bnn`] | binarized (bitwise) network substrate |
 //! | [`memo`] | the paper's contribution: neuron-level fuzzy memoization (evaluators, configs, the open [`Predictor`](nfm_core::Predictor) abstraction) |
 //! | [`model`] | versioned binary model artifacts: zero-copy aligned save/load, prebuilt BNN mirrors |
@@ -32,7 +32,8 @@
 //! * Workload-level running ([`MemoizedRunner`](serve::MemoizedRunner),
 //!   [`InferenceWorkload`](serve::InferenceWorkload),
 //!   [`RunOutcome`](serve::RunOutcome)) is canonical in [`serve`] — the
-//!   runner is a thin wrapper over the request engine.
+//!   runner is a thin wrapper over the request engine (one worker
+//!   unless `with_workers(n)`).
 //! * The predictor abstraction ([`Predictor`](nfm_core::Predictor) and
 //!   the built-in implementations) is canonical in [`memo`]; [`serve`]
 //!   re-exports it because the engine is where implementations plug in.

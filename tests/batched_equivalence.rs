@@ -1,13 +1,17 @@
-//! Equivalence guarantees for the batched gate-evaluation hot path.
+//! Equivalence guarantees for the fused gate-evaluation hot path.
 //!
-//! The contract: `NeuronEvaluator::evaluate_gate` overrides must be
-//! **bit-identical** to the per-neuron fallback (the trait's default
-//! implementation, pinned down by `PerNeuronEvaluator`), for every
-//! built-in evaluator, and the parallel sequence runner must produce
-//! exactly the sequential runner's outputs and statistics.
+//! The contract: every `NeuronEvaluator::evaluate_gate_batch` override
+//! must be **bit-identical** to the per-neuron reference (the trait's
+//! default lanes × neurons loop over `evaluate`, pinned down by
+//! `PerNeuronEvaluator`, which also never receives hoisted
+//! projections) — for {exact (hoisted), oracle, BNN, BNN + audit} ×
+//! {LSTM, GRU} × {uni, bidirectional} — and the runner must produce
+//! the same outputs and statistics for any worker count.
 
 use nfm::bnn::BinaryNetwork;
-use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig, ReuseStats};
+use nfm::memo::{
+    AuditConfig, BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig, ReuseStats,
+};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, PerNeuronEvaluator};
 use nfm::serve::{InferenceWorkload, MemoizedRunner};
 use nfm::tensor::rng::DeterministicRng;
@@ -141,7 +145,7 @@ fn bnn_batched_is_bit_identical_and_stats_match() {
                 "{name} θ={theta}: reuse statistics must match"
             );
             assert_eq!(
-                batched.table().max_consecutive_reuses(),
+                batched.lane_tables()[0].max_consecutive_reuses(),
                 naive.inner().table().max_consecutive_reuses(),
                 "{name} θ={theta}: reuse run lengths must match"
             );
@@ -164,6 +168,30 @@ fn bnn_without_throttling_is_bit_identical_too() {
     }
 }
 
+#[test]
+fn bnn_with_audit_is_bit_identical_and_audits_the_same_hits() {
+    for (name, net) in networks() {
+        let seq = smooth_sequence(14, net.input_size(), 19);
+        let mirror = BinaryNetwork::mirror(&net);
+        let config = BnnMemoConfig::with_threshold(1.0);
+        let audit = AuditConfig::new(4, 2019);
+        let mut batched = BnnMemoEvaluator::new(mirror.clone(), config).with_audit(audit);
+        let out_batched = net.run(&seq, &mut batched).unwrap();
+        let mut naive =
+            PerNeuronEvaluator::new(BnnMemoEvaluator::new(mirror, config).with_audit(audit));
+        let out_naive = net.run(&seq, &mut naive).unwrap();
+        assert_bit_identical(name, &out_batched, &out_naive);
+        assert_eq!(batched.stats(), naive.inner().stats(), "{name}");
+        assert!(batched.stats().audited() > 0, "{name}: some hits audited");
+        // Same hits sampled, same exact recomputations, same errors.
+        assert_eq!(
+            batched.audit_stats(),
+            naive.inner().audit_stats(),
+            "{name}: per-layer audit counters must match"
+        );
+    }
+}
+
 struct Tiny {
     net: DeepRnn,
     seqs: Vec<Vec<Vector>>,
@@ -179,7 +207,7 @@ impl InferenceWorkload for Tiny {
 }
 
 #[test]
-fn parallel_runner_matches_sequential_exactly() {
+fn runner_worker_count_never_changes_results() {
     let mut rng = DeterministicRng::seed_from_u64(99);
     let net = DeepRnn::random(
         &DeepRnnConfig::new(CellKind::Lstm, 5, 8).layers(2),
@@ -195,11 +223,9 @@ fn parallel_runner_matches_sequential_exactly() {
         MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.3)),
         MemoizedRunner::bnn(BnnMemoConfig::with_threshold(1.0)),
     ] {
-        // Force multiple workers so the scoped-thread fan-out runs even
-        // on single-core hosts, and exercise uneven chunking (9 seqs / 4
-        // workers).
+        // Uneven split: 9 sequences over 4 engine workers vs one.
         let par = runner.with_workers(4).run(&w).unwrap();
-        let seq = runner.sequential().run(&w).unwrap();
+        let seq = runner.run(&w).unwrap();
         assert_eq!(par.outputs.len(), seq.outputs.len());
         for (a, b) in par.outputs.iter().zip(seq.outputs.iter()) {
             assert_bit_identical("runner", a, b);

@@ -1,16 +1,20 @@
-//! Equivalence guarantees for multi-sequence batched inference.
+//! Lane-independence guarantees for multi-sequence batched inference.
 //!
-//! The contract: `MemoizedRunner::run_batched` — lane-striped gate
-//! evaluation with one weight stream serving all lanes and one memo
-//! table per lane — must be **bit-identical** to the per-sequence path
-//! in outputs, reuse statistics and memo-hit counts, for every
-//! predictor, for batch sizes that divide the sequence count and ones
-//! that leave a ragged tail, and for ragged sequence *lengths* inside a
-//! wave.
+//! A single sequence is a batch of one, so the contract is about lane
+//! *count* and *neighbours*: a sequence's outputs, reuse statistics and
+//! memo-hit counts must be **bit-identical** whether it runs alone in
+//! one lane or shares lane-striped gate calls (one weight stream, one
+//! memo table per lane) with other sequences — for every predictor,
+//! for batch sizes that divide the sequence count and ones that leave
+//! a ragged tail, for ragged sequence *lengths* inside a wave, and
+//! whatever values a neighbouring lane carries (NaN, ±inf, denormals).
 
 use nfm::bnn::BinaryNetwork;
-use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig};
-use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, PerNeuronEvaluator};
+use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig, ReuseStats};
+use nfm::rnn::{
+    CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, LaneScheduler, NeuronEvaluator,
+    PerNeuronEvaluator, RefillPolicy,
+};
 use nfm::serve::{InferenceWorkload, MemoizedRunner};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
@@ -117,12 +121,15 @@ fn assert_bit_identical(name: &str, batched: &[Vec<Vector>], reference: &[Vec<Ve
     }
 }
 
+// The references below are `runner.run`: a one-lane engine.  Batch
+// size 1 would be that same call, so the loops start at 2.
+
 #[test]
-fn exact_run_batched_is_bit_identical_to_per_sequence() {
+fn exact_run_batched_is_bit_identical_to_one_lane() {
     for (name, net) in networks() {
         let w = workload(net, 100);
-        let reference = MemoizedRunner::exact().sequential().run(&w).unwrap();
-        for batch in [1usize, 2, 3] {
+        let reference = MemoizedRunner::exact().run(&w).unwrap();
+        for batch in [2usize, 3] {
             let batched = MemoizedRunner::exact().run_batched(&w, batch).unwrap();
             assert_bit_identical(
                 &format!("{name} B={batch}"),
@@ -143,8 +150,8 @@ fn bnn_run_batched_is_bit_identical_and_memo_hits_match() {
         for (name, net) in networks() {
             let w = workload(net, 200);
             let runner = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(theta));
-            let reference = runner.sequential().run(&w).unwrap();
-            for batch in [1usize, 2, 3] {
+            let reference = runner.run(&w).unwrap();
+            for batch in [2usize, 3] {
                 let batched = runner.run_batched(&w, batch).unwrap();
                 assert_bit_identical(
                     &format!("{name} θ={theta} B={batch}"),
@@ -168,12 +175,12 @@ fn bnn_run_batched_is_bit_identical_and_memo_hits_match() {
 }
 
 #[test]
-fn oracle_run_batched_matches_per_sequence_too() {
+fn oracle_run_batched_matches_one_lane_too() {
     for (name, net) in networks() {
         let w = workload(net, 300);
         let runner = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4));
-        let reference = runner.sequential().run(&w).unwrap();
-        for batch in [1usize, 3] {
+        let reference = runner.run(&w).unwrap();
+        for batch in [2usize, 3] {
             let batched = runner.run_batched(&w, batch).unwrap();
             assert_bit_identical(
                 &format!("{name} B={batch}"),
@@ -186,11 +193,11 @@ fn oracle_run_batched_matches_per_sequence_too() {
 }
 
 #[test]
-fn per_lane_memo_tables_reproduce_per_sequence_hit_runs() {
-    // Drive the evaluator directly: lane l of one batched wave must
-    // leave its lane table in exactly the state a dedicated
-    // single-sequence run leaves its table in (same longest memo-hit
-    // run), and the merged stats must match.
+fn per_lane_memo_tables_reproduce_solo_hit_runs() {
+    // Drive the evaluator directly: lane l of one 7-lane wave must
+    // leave its lane table in exactly the state a solo one-lane run
+    // leaves lane 0's table in (same longest memo-hit run), and the
+    // merged stats must match.
     let (_, net) = networks().remove(0);
     let seqs: Vec<Vec<Vector>> = RAGGED_LENS
         .iter()
@@ -210,14 +217,14 @@ fn per_lane_memo_tables_reproduce_per_sequence_hit_runs() {
     let mut order: Vec<usize> = (0..seqs.len()).collect();
     order.sort_by(|&a, &b| seqs[b].len().cmp(&seqs[a].len()));
 
-    let mut merged = nfm::memo::ReuseStats::new();
+    let mut merged = ReuseStats::new();
     for (lane, &seq_idx) in order.iter().enumerate() {
         let mut single = BnnMemoEvaluator::new(mirror.clone(), config);
         let _ = net.run(&seqs[seq_idx], &mut single).unwrap();
         merged.merge(single.stats());
         assert_eq!(
             batched_eval.lane_tables()[lane].max_consecutive_reuses(),
-            single.table().max_consecutive_reuses(),
+            single.lane_tables()[0].max_consecutive_reuses(),
             "lane {lane} (sequence {seq_idx}): memo-hit run lengths must match"
         );
     }
@@ -225,40 +232,18 @@ fn per_lane_memo_tables_reproduce_per_sequence_hit_runs() {
 }
 
 #[test]
-fn custom_evaluators_keep_working_through_the_default_lane_loop() {
-    // PerNeuronEvaluator has no batch overrides, so run_batch exercises
-    // the trait's default per-lane fallback; with one lane the result
-    // must be bit-identical to the per-sequence path even for stateful
-    // wrapped evaluators.
-    let (_, net) = networks().remove(1);
-    let seq = smooth_sequence(10, net.input_size(), 500);
-    let mirror = BinaryNetwork::mirror(&net);
-    let config = BnnMemoConfig::with_threshold(0.8);
-    let mut naive = PerNeuronEvaluator::new(BnnMemoEvaluator::new(mirror.clone(), config));
-    let batched = net.run_batch(&[seq.as_slice()], &mut naive).unwrap();
-    let mut reference_eval = BnnMemoEvaluator::new(mirror, config);
-    let reference = net.run(&seq, &mut reference_eval).unwrap();
-    assert_bit_identical("per-neuron default lane loop", &batched, &[reference]);
-
-    let mut exact_naive = PerNeuronEvaluator::new(ExactEvaluator::new());
-    let b2 = net.run_batch(&[seq.as_slice()], &mut exact_naive).unwrap();
-    let r2 = net.run(&seq, &mut ExactEvaluator::new()).unwrap();
-    assert_bit_identical("exact default lane loop", &b2, &[r2]);
-}
-
-#[test]
 fn repeated_run_batch_calls_start_every_sequence_cold() {
-    // Reusing one evaluator across run_batch calls (the runner's wave
-    // loop does exactly this) must behave like fresh per-sequence runs:
+    // Reusing one evaluator across run_batch calls (the scheduler's
+    // wave policy does exactly this) must behave like fresh evaluators:
     // begin_lane_sequence has to reset BOTH the per-lane tables and the
-    // single-sequence state that wrapped/default-loop evaluation uses.
+    // shared reference state that wrapped/default-loop evaluation uses.
     let (_, net) = networks().remove(0);
     let s0 = smooth_sequence(9, net.input_size(), 600);
     let s1 = smooth_sequence(7, net.input_size(), 601);
     let mirror = BinaryNetwork::mirror(&net);
     let config = BnnMemoConfig::with_threshold(1.0);
 
-    // Batch overrides active (bare evaluator), two waves.
+    // Gate-entry override active (bare evaluator), two waves.
     let mut evaluator = BnnMemoEvaluator::new(mirror.clone(), config);
     let w0 = net.run_batch(&[s0.as_slice()], &mut evaluator).unwrap();
     let w1 = net.run_batch(&[s1.as_slice()], &mut evaluator).unwrap();
@@ -269,11 +254,145 @@ fn repeated_run_batch_calls_start_every_sequence_cold() {
     assert_bit_identical("wave 0", &w0, std::slice::from_ref(&r0));
     assert_bit_identical("wave 1 must start cold", &w1, std::slice::from_ref(&r1));
 
-    // Default per-lane loop (wrapped evaluator suppresses the batch
-    // overrides): single-sequence state must also go cold per wave.
+    // Default per-neuron loop (wrapped evaluator suppresses the
+    // override): the shared reference state must also go cold per wave.
     let mut wrapped = PerNeuronEvaluator::new(BnnMemoEvaluator::new(mirror, config));
     let w0 = net.run_batch(&[s0.as_slice()], &mut wrapped).unwrap();
     let w1 = net.run_batch(&[s1.as_slice()], &mut wrapped).unwrap();
     assert_bit_identical("wrapped wave 0", &w0, &[r0]);
     assert_bit_identical("wrapped wave 1 must start cold", &w1, &[r1]);
+}
+
+/// Writes a denormal, `+inf`, `-inf` and NaN into `seq`'s inputs, at
+/// increasing timesteps so the infinities act before NaN saturates the
+/// lane's recurrent state.
+fn poison(seq: &mut [Vector]) {
+    seq[0].as_mut_slice()[0] = f32::from_bits(1);
+    seq[2].as_mut_slice()[1] = f32::INFINITY;
+    seq[3].as_mut_slice()[2] = f32::NEG_INFINITY;
+    seq[5].as_mut_slice()[0] = f32::NAN;
+}
+
+/// One lane of an 8-lane ragged wave carries degenerate inputs; every
+/// *other* lane's outputs and per-lane `ReuseStats` must stay
+/// bit-identical to its solo one-lane run, under `run_batch` and under
+/// the lane scheduler's block refill.  `lane_stats` reads one lane's
+/// statistics (`None` for evaluators that keep none).
+fn assert_poisoned_lane_is_isolated<E: NeuronEvaluator>(
+    what: &str,
+    net: &DeepRnn,
+    make: impl Fn() -> E,
+    lane_stats: impl Fn(&E, usize) -> Option<ReuseStats>,
+) {
+    const POISONED: usize = 0;
+    // The first eight form the wave; the scheduler also refills its
+    // freed lanes with the last two while the poisoned lane still runs.
+    let lens = [12usize, 5, 9, 14, 3, 11, 7, 10, 6, 8];
+    let mut seqs: Vec<Vec<Vector>> = lens
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| smooth_sequence(len, net.input_size(), 700 + i as u64))
+        .collect();
+    poison(&mut seqs[POISONED]);
+
+    let solo: Vec<(Vec<Vector>, Option<ReuseStats>)> = seqs
+        .iter()
+        .map(|s| {
+            let mut evaluator = make();
+            let out = net.run(s, &mut evaluator).unwrap();
+            (out, lane_stats(&evaluator, 0))
+        })
+        .collect();
+    assert!(
+        solo[POISONED]
+            .0
+            .iter()
+            .flat_map(|v| v.iter())
+            .any(|x| !x.is_finite()),
+        "{what}: the poison must reach the lane's own outputs"
+    );
+
+    // One 8-lane wave (run_batch packs lanes longest-first, stable).
+    let wave = &seqs[..8];
+    let refs: Vec<&[Vector]> = wave.iter().map(|s| s.as_slice()).collect();
+    let mut evaluator = make();
+    let outs = net.run_batch(&refs, &mut evaluator).unwrap();
+    let mut order: Vec<usize> = (0..wave.len()).collect();
+    order.sort_by(|&a, &b| wave[b].len().cmp(&wave[a].len()));
+    for (lane, &i) in order.iter().enumerate().filter(|(_, &i)| i != POISONED) {
+        assert_bit_identical(
+            &format!("{what} run_batch seq {i}"),
+            std::slice::from_ref(&outs[i]),
+            std::slice::from_ref(&solo[i].0),
+        );
+        assert_eq!(
+            lane_stats(&evaluator, lane),
+            solo[i].1,
+            "{what} run_batch seq {i}"
+        );
+    }
+
+    // Block refill: eight lanes, ten sequences.
+    if net.layers().iter().any(|l| l.is_bidirectional()) {
+        return;
+    }
+    let mut sched = LaneScheduler::new(net, 8, RefillPolicy::Block).unwrap();
+    let mut evaluator = make();
+    evaluator.begin_batch(8);
+    let mut queue = seqs.iter().cloned().enumerate();
+    let mut finished = Vec::new();
+    let mut done = 0;
+    loop {
+        while sched.free_lanes() > 0 {
+            let Some((i, s)) = queue.next() else { break };
+            sched.admit(i as u64, s, &mut evaluator).unwrap();
+        }
+        if sched.step(net, &mut evaluator, &mut finished).unwrap() == 0 {
+            break;
+        }
+        for f in finished.drain(..) {
+            done += 1;
+            let i = f.token as usize;
+            if i == POISONED {
+                continue;
+            }
+            assert_bit_identical(
+                &format!("{what} block seq {i}"),
+                std::slice::from_ref(&f.outputs),
+                std::slice::from_ref(&solo[i].0),
+            );
+            let lane = f.stats_lane.expect("block lanes enter the evaluator");
+            assert_eq!(
+                lane_stats(&evaluator, lane),
+                solo[i].1,
+                "{what} block seq {i}"
+            );
+        }
+    }
+    assert_eq!(done, seqs.len(), "{what}: every sequence finished");
+}
+
+#[test]
+fn degenerate_values_in_one_lane_never_leak_into_its_neighbours() {
+    for (name, net) in networks() {
+        assert_poisoned_lane_is_isolated(
+            &format!("{name} exact"),
+            &net,
+            ExactEvaluator::new,
+            |_, _| None,
+        );
+        assert_poisoned_lane_is_isolated(
+            &format!("{name} oracle"),
+            &net,
+            || OracleEvaluator::for_network(&net, OracleMemoConfig::with_threshold(0.4)),
+            |e, lane| Some(e.lane_stats()[lane]),
+        );
+        let mirror = std::sync::Arc::new(BinaryNetwork::mirror(&net));
+        assert_poisoned_lane_is_isolated(
+            &format!("{name} bnn"),
+            &net,
+            || BnnMemoEvaluator::new(mirror.clone(), BnnMemoConfig::with_threshold(1.0)),
+            |e, lane| Some(e.lane_stats()[lane]),
+        );
+    }
 }

@@ -152,8 +152,8 @@ fn whole_workload_runs_are_deterministic_under_dispatch() {
             MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.5)),
         ),
     ] {
-        let a = runner.sequential().run(&w).expect("first run");
-        let b = runner.sequential().run(&w).expect("second run");
+        let a = runner.run(&w).expect("first run");
+        let b = runner.run(&w).expect("second run");
         assert_eq!(a.stats, b.stats, "{name}: stats drifted between runs");
         assert_eq!(
             a.outputs.len(),

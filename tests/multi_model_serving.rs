@@ -30,7 +30,8 @@ use nfm::memo::{
     ServedEvaluator,
 };
 use nfm::rnn::{
-    CellKind, DeepRnn, DeepRnnConfig, Gate, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult,
+    CellKind, DeepRnn, DeepRnnConfig, Gate, GateBatch, GateId, NeuronEvaluator, NeuronRef,
+    PerNeuronEvaluator, Result as RnnResult,
 };
 use nfm::serve::{
     CompletionStatus, DeadlinePolicy, EngineBuilder, EngineError, InferenceRequest, ModelRegistry,
@@ -99,8 +100,8 @@ impl StickyState {
     }
 }
 
-/// The custom evaluator: one [`StickyState`] for the single-sequence
-/// path plus one per lane for batched schedules.
+/// The custom evaluator: one [`StickyState`] per lane for the gate
+/// entry, plus one for the per-neuron reference path.
 #[derive(Default)]
 struct StickyEvaluator {
     single: StickyState,
@@ -121,31 +122,19 @@ impl NeuronEvaluator for StickyEvaluator {
             .produce(neuron.gate_id, neuron.neuron, move || exact))
     }
 
-    fn evaluate_gate_batch(
-        &mut self,
-        gate_id: GateId,
-        _timestep: usize,
-        lanes: usize,
-        gate: &Gate,
-        xs: &[f32],
-        h_prevs: &[f32],
-        out: &mut [f32],
-    ) -> RnnResult<()> {
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
+        let gate = call.gate;
         let (isz, hsz, nsz) = (gate.input_size(), gate.hidden_size(), gate.neurons());
-        for l in 0..lanes {
-            let x = &xs[l * isz..(l + 1) * isz];
-            let h = &h_prevs[l * hsz..(l + 1) * hsz];
+        for l in 0..call.lanes {
+            let x = &call.xs[l * isz..(l + 1) * isz];
+            let h = &call.h_prevs[l * hsz..(l + 1) * hsz];
             let state = &mut self.lanes[l];
             for (n, slot) in out[l * nsz..(l + 1) * nsz].iter_mut().enumerate() {
                 let exact = gate.neuron_dot(n, x, h)?;
-                *slot = state.produce(gate_id, n, move || exact);
+                *slot = state.produce(call.gate_id, n, move || exact);
             }
         }
         Ok(())
-    }
-
-    fn begin_sequence(&mut self) {
-        self.single.cache.clear();
     }
 
     fn begin_batch(&mut self, lanes: usize) {
@@ -155,6 +144,7 @@ impl NeuronEvaluator for StickyEvaluator {
     }
 
     fn begin_lane_sequence(&mut self, lane: usize) {
+        self.single.cache.clear();
         self.lanes[lane].cache.clear();
     }
 
@@ -202,17 +192,18 @@ fn ragged_sequences(net: &DeepRnn, seed: u64) -> Vec<Vec<Vector>> {
 }
 
 /// Contract 1: a custom `Predictor` served through the engine ==
-/// driving its evaluator directly, per-sequence and through `run_batch`
-/// waves, for every lane count.
+/// driving its evaluator directly — through the per-neuron reference
+/// path and through `run_batch` waves — for every lane count.
 #[test]
 fn custom_predictor_through_engine_matches_direct_evaluator_runs() {
     let net = unidirectional_network(31);
     let seqs = ragged_sequences(&net, 400);
 
-    // Dedicated per-sequence reference runs.
+    // Solo reference runs through the per-neuron default loop, which
+    // bypasses the evaluator's own gate-entry override.
     let mut reference = Vec::new();
     for seq in &seqs {
-        let mut eval = StickyEvaluator::default();
+        let mut eval = PerNeuronEvaluator::new(StickyEvaluator::default());
         reference.push(net.run(seq, &mut eval).unwrap());
     }
 
@@ -765,19 +756,9 @@ impl NeuronEvaluator for SleepyEvaluator {
         self.inner.evaluate(neuron, gate, x, h_prev)
     }
 
-    fn evaluate_gate_batch(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        lanes: usize,
-        gate: &Gate,
-        xs: &[f32],
-        h_prevs: &[f32],
-        out: &mut [f32],
-    ) -> RnnResult<()> {
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
         std::thread::sleep(self.delay);
-        self.inner
-            .evaluate_gate_batch(gate_id, timestep, lanes, gate, xs, h_prevs, out)
+        self.inner.evaluate_gate_batch(call, out)
     }
 }
 

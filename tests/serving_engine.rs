@@ -119,8 +119,9 @@ fn midwave_refill_is_bit_identical_to_per_sequence_and_wave_refill() {
     for (net_name, net) in unidirectional_networks() {
         let seqs = ragged_sequences(&net, 100);
         for (pred_name, predictor) in predictors() {
-            // Per-sequence reference: one dedicated run per sequence.
-            let runner = runner_for(predictor).sequential();
+            // Per-sequence reference: each sequence alone on a one-lane
+            // engine.
+            let runner = runner_for(predictor);
             let mut reference: Vec<(Vec<Vector>, ReuseStats)> = Vec::new();
             for seq in &seqs {
                 struct One<'a> {
