@@ -24,7 +24,10 @@
 //! time, `inference/exact_batched/*` and
 //! `inference/bnn_memoized_batched/*` run the same sequences through
 //! `MemoizedRunner::run_batched` with 8 lanes per gate invocation (plus
-//! block-hoisted `W_x·x_t` projections on the exact path).
+//! block-hoisted `W_x·x_t` projections on the exact path).  Each exact
+//! entry is measured interleaved with its memoized twin, so
+//! `exact_batched → bnn_memoized_batched` is the committed
+//! exact-vs-memoized comparison.
 
 use nfm_bench::Bencher;
 use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector, PopcountBackend};
@@ -254,9 +257,16 @@ fn main() {
         ("medium", workload(NetworkId::ImdbSentiment, 1.0, 8, 48)),
     ];
     for (size, w) in &batch_sizes {
+        // Exact vs memoized on the same workload, interleaved: the pair
+        // ROADMAP item 2 is judged on.
+        let memo_runner = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.5));
         bench.bench_pair(
             &format!("inference/exact_single/{size}"),
             || black_box(MemoizedRunner::exact().run(w).expect("runs").outputs.len()),
+            &format!("inference/bnn_memoized_single/{size}"),
+            || black_box(memo_runner.run(w).expect("runs").outputs.len()),
+        );
+        bench.bench_pair(
             &format!("inference/exact_batched/{size}"),
             || {
                 black_box(
@@ -267,11 +277,6 @@ fn main() {
                         .len(),
                 )
             },
-        );
-        let memo_runner = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.5));
-        bench.bench_pair(
-            &format!("inference/bnn_memoized_single/{size}"),
-            || black_box(memo_runner.run(w).expect("runs").outputs.len()),
             &format!("inference/bnn_memoized_batched/{size}"),
             || {
                 black_box(
@@ -770,6 +775,19 @@ fn main() {
         let db: Vec<f32> = (0..1024).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let mut single_out = vec![0.0f32; rows];
         let mut batch_out = vec![0.0f32; lanes * rows];
+        let miss_masks: Vec<(u32, Vec<Vec<u8>>)> = [15u32, 40, 85]
+            .into_iter()
+            .map(|percent| {
+                let masks = (0..16)
+                    .map(|_| {
+                        (0..lanes * rows)
+                            .map(|_| u8::from(rng.uniform(0.0, 100.0) < percent as f32))
+                            .collect()
+                    })
+                    .collect();
+                (percent, masks)
+            })
+            .collect();
         let mut pairs: Vec<(String, String)> = Vec::new();
         for backend in KernelBackend::supported() {
             bench.bench(&format!("kernel/dot_1024/{backend}"), || {
@@ -809,6 +827,30 @@ fn main() {
                 .unwrap();
                 black_box(batch_out[0])
             });
+            // The memoized miss path: the same gate with a mask at the
+            // miss densities of ~85%, ~60% and ~15% reuse, against the
+            // unmasked kernel above.  The masks rotate so the per-row
+            // lane counts never repeat from one call to the next.
+            for (percent, masks) in &miss_masks {
+                let id = format!("kernel/dual_matmul_masked_8l_{percent}/{backend}");
+                let mut turn = 0;
+                bench.bench(&id, || {
+                    turn = (turn + 1) % masks.len();
+                    kernels::dual_matmul_masked_into_on(
+                        backend,
+                        black_box(&wx),
+                        black_box(&wh),
+                        black_box(&xs),
+                        black_box(&hs),
+                        lanes,
+                        &masks[turn],
+                        &mut batch_out,
+                    )
+                    .unwrap();
+                    black_box(batch_out[0])
+                });
+                pairs.push((format!("kernel/dual_matmul_8l/{backend}"), id));
+            }
             if backend != KernelBackend::Scalar {
                 for kernel in ["dot_1024", "matvec", "dual_matvec", "dual_matmul_8l"] {
                     pairs.push((
@@ -964,6 +1006,14 @@ fn main() {
         (
             "inference/bnn_memoized_seed/medium",
             "inference/bnn_memoized/medium",
+        ),
+        (
+            "inference/exact_batched/small",
+            "inference/bnn_memoized_batched/small",
+        ),
+        (
+            "inference/exact_batched/medium",
+            "inference/bnn_memoized_batched/medium",
         ),
         (
             "inference/exact_single/small",

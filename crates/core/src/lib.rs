@@ -78,5 +78,5 @@ pub use serving::{
 };
 pub use similarity::SimilarityProbe;
 pub use stats::ReuseStats;
-pub use table::{GateHandle, MemoEntry, MemoTable};
+pub use table::{GateColumns, GateHandle, MemoEntry, MemoTable};
 pub use threshold::{ThresholdExplorer, ThresholdPoint};

@@ -3,7 +3,7 @@
 use crate::audit::{AuditConfig, AuditStats};
 use crate::config::BnnMemoConfig;
 use crate::stats::ReuseStats;
-use crate::table::{GateHandle, MemoTable};
+use crate::table::MemoTable;
 use nfm_bnn::{BinaryNetwork, BitVector};
 use nfm_rnn::{Gate, GateBatch, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult};
 use nfm_tensor::vector::relative_difference;
@@ -28,11 +28,18 @@ use std::sync::Arc;
 /// the reference the equivalence suites pin the fused path against,
 /// with one shared [`table`](Self::table)), and the gate entry
 /// [`NeuronEvaluator::evaluate_gate_batch`] every driver runs.  The
-/// gate entry binarizes each lane's inputs exactly once per invocation
-/// into reusable buffers (zero `BitVector` clones or allocations),
-/// evaluates the mirror gate for all lanes in one dispatched
-/// XNOR-popcount call, and walks flat memo tables with pre-resolved
-/// gate handles.  Every lane owns a **separate** [`MemoTable`] (the
+/// gate entry is four data-parallel passes over one gate call, all on
+/// evaluator-owned buffers (steady state allocates nothing):
+/// **predict** — each lane's inputs are binarized exactly once and the
+/// mirror gate is evaluated for all lanes in one dispatched
+/// XNOR-popcount call; **decide** — per lane, one branch-free loop over
+/// the gate's contiguous [`MemoTable`] columns compares, throttles,
+/// flags the misses and updates the table; **compute** — one dispatched
+/// [`dual_matmul_masked_into`](nfm_tensor::kernels::dual_matmul_masked_into)
+/// call evaluates every flagged miss, lanes sharing a missed neuron's
+/// weight rows; **refresh** — the new outputs are copied into the `y_m`
+/// column.  Audit sampling, when installed, is a separate walk over the
+/// hit flags.  Every lane owns a **separate** [`MemoTable`] (the
 /// paper's buffer holds no state across independent inputs, so lanes
 /// must not share entries): `begin_batch` sizes the per-lane tables
 /// from the mirror's gate shapes and `begin_lane_sequence` clears
@@ -64,14 +71,10 @@ pub struct BnnMemoEvaluator {
     // attribute reuse statistics to the request occupying each lane.
     // `stats` still aggregates everything.
     lane_stats: Vec<ReuseStats>,
-    // Scratch for the neuron-outer batched decision loop: pre-resolved
-    // per-lane gate handles, the lanes whose memo decision missed on
-    // the current neuron, and per-lane reuse/compute counters for the
-    // current gate invocation.
-    lane_handles: Vec<GateHandle>,
-    miss_lanes: Vec<u32>,
-    lane_reused: Vec<u64>,
-    lane_computed: Vec<u64>,
+    // Miss flags of the current gate invocation, lane-striped like the
+    // gate's outputs: written by the decide pass, read by the audit walk
+    // and the miss kernel.
+    miss: Vec<u8>,
     // Per-layer threshold overrides installed by an adaptive
     // controller; empty means the uniform `config.threshold` applies
     // to every layer.
@@ -84,8 +87,6 @@ pub struct BnnMemoEvaluator {
     // audit sequence does not depend on its neighbours).
     audit_counter: u64,
     lane_audit_counters: Vec<u64>,
-    // Scratch: audits taken per lane during the current gate call.
-    lane_audited: Vec<u64>,
 }
 
 /// Precomputed audit selection: hit number `c` is audited iff
@@ -134,16 +135,12 @@ impl BnnMemoEvaluator {
             lane_xb: Vec::new(),
             lane_hb: Vec::new(),
             lane_stats: Vec::new(),
-            lane_handles: Vec::new(),
-            miss_lanes: Vec::new(),
-            lane_reused: Vec::new(),
-            lane_computed: Vec::new(),
+            miss: Vec::new(),
             layer_thresholds: Vec::new(),
             audit: None,
             audit_stats: AuditStats::new(),
             audit_counter: 0,
             lane_audit_counters: Vec::new(),
-            lane_audited: Vec::new(),
         }
     }
 
@@ -275,6 +272,40 @@ impl BnnMemoEvaluator {
         self.stats.reset();
     }
 
+    /// Audit sampling of one gate call's hits (`miss == 0`, `out` holding
+    /// their cached values): every lane counts its hits in neuron order
+    /// and the due ones are also computed exactly.  Neuron-outer,
+    /// lane-inner, so the per-layer error sums accumulate in a fixed
+    /// order whatever the lane count.
+    fn audit_hits(&mut self, sampler: AuditSampler, call: &GateBatch<'_>, out: &[f32]) {
+        let gate = call.gate;
+        let (isz, hsz, nsz) = (gate.input_size(), gate.hidden_size(), gate.neurons());
+        for n in 0..nsz {
+            for l in 0..call.lanes {
+                if self.miss[l * nsz + n] != 0 {
+                    continue;
+                }
+                let count = self.lane_audit_counters[l];
+                self.lane_audit_counters[l] += 1;
+                if sampler.due(count) {
+                    let y_exact = nfm_tensor::kernels::dot_unchecked(
+                        gate.wx().row(n),
+                        &call.xs[l * isz..(l + 1) * isz],
+                    ) + nfm_tensor::kernels::dot_unchecked(
+                        gate.wh().row(n),
+                        &call.h_prevs[l * hsz..(l + 1) * hsz],
+                    );
+                    self.audit_stats.record_audit(
+                        call.gate_id.layer,
+                        f64::from((y_exact - out[l * nsz + n]).abs()),
+                    );
+                    self.stats.record_audited();
+                    self.lane_stats[l].record_audited();
+                }
+            }
+        }
+    }
+
     /// Ensures the input cache holds this `(gate, timestep)`'s binarized
     /// inputs.  Callers then borrow them from `self.input_cache` — no
     /// clones (the cached bitvectors used to be cloned per neuron, which
@@ -306,6 +337,66 @@ impl BnnMemoEvaluator {
             self.input_cache = Some(cache);
         }
     }
+}
+
+/// `if keep { old } else { new }` as mask arithmetic on the bits.  Written
+/// as an `if`, "keep what the slot holds" compiles to a conditional
+/// store, which the vectoriser turns back into a branch per element.
+#[inline(always)]
+fn keep_if(keep: bool, old: f32, new: f32) -> f32 {
+    let mask = u32::from(keep).wrapping_neg();
+    f32::from_bits(new.to_bits() ^ ((new.to_bits() ^ old.to_bits()) & mask))
+}
+
+/// The memo decision of one lane over one gate, as one branch-free loop
+/// over the gate's table columns.  It runs the same IEEE operations in
+/// the same order as the per-neuron path — `εb =
+/// relative_difference(yb_t, yb_m)`, `δb' = δb + εb` (or `εb` without
+/// throttling), hit iff the slot is live and `δb' <= θ`, so a NaN
+/// anywhere compares false and misses — which makes every decision
+/// bit-identical to it.  A hit keeps `δb'` and extends its run; a miss
+/// is refreshed on the spot (`yb_m = yb_t`, `δb = 0`, run 0, slot live)
+/// except for `y_m`, which the caller copies in once the miss kernel has
+/// produced it.  `miss` receives the complement of the decision;
+/// returns the number of hits and the longest run now stored.
+///
+/// Every column is a parameter of its own, and the function is never
+/// inlined, so that the compiler knows the slices are disjoint (inlined
+/// into the gate entry it loses that and emits a scalar, branchy loop)
+/// and vectorises the loop without overlap checks.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn decide_lane(
+    yb: &[i32],
+    yb_m: &mut [f32],
+    delta: &mut [f32],
+    runs: &mut [u32],
+    epochs: &mut [u32],
+    epoch: u32,
+    config: &BnnMemoConfig,
+    theta: f32,
+    miss: &mut [u8],
+) -> (u32, u32) {
+    let (mut hits, mut longest) = (0u32, 0u32);
+    let slots = yb_m.iter_mut().zip(delta).zip(runs).zip(epochs);
+    for ((((yb_m, delta), run), slot_epoch), (&yb_t, miss)) in slots.zip(yb.iter().zip(miss)) {
+        let yb_t = yb_t as f32;
+        let eps_t = relative_difference(yb_t, *yb_m, config.epsilon);
+        let delta_t = if config.throttle {
+            *delta + eps_t
+        } else {
+            eps_t
+        };
+        let hit = (*slot_epoch == epoch) & (delta_t <= theta);
+        *miss = u8::from(!hit);
+        *yb_m = keep_if(hit, *yb_m, yb_t);
+        *delta = if hit { delta_t } else { 0.0 };
+        *run = if hit { *run + 1 } else { 0 };
+        *slot_epoch = epoch;
+        hits += u32::from(hit);
+        longest = longest.max(*run);
+    }
+    (hits, longest)
 }
 
 impl NeuronEvaluator for BnnMemoEvaluator {
@@ -411,153 +502,83 @@ impl NeuronEvaluator for BnnMemoEvaluator {
              (the batch driver always calls begin_batch first)",
             self.lane_tables.len()
         );
-        // Binarize every lane's inputs exactly once, into reused storage.
+        // Pass 1 — predict.  Binarize every lane's inputs exactly once,
+        // into reused storage, then evaluate the whole mirror gate for
+        // *every* lane in one dispatched XNOR-popcount call: each binary
+        // weight row streams once and is reused across lanes (row-outer,
+        // lane-inner).  Popcounts are integer-exact, so the lane-striped
+        // outputs equal the per-lane calls bit for bit.
         BitVector::fill_lanes_from_signs(&mut self.lane_xb, xs, lanes, isz);
         BitVector::fill_lanes_from_signs(&mut self.lane_hb, h_prevs, lanes, hsz);
         let binary_gate = self.mirror.gate(gate_id).expect("checked above");
-        // One dispatched XNOR-popcount call evaluates the whole mirror
-        // gate for *every* lane of the wave: each binary weight row
-        // streams once and is reused across lanes (row-outer,
-        // lane-inner), instead of re-walking the mirror per lane.
-        // Popcounts are integer-exact, so the lane-striped outputs equal
-        // the per-lane calls bit for bit.
         self.yb.resize(lanes * nsz, 0);
+        self.miss.resize(lanes * nsz, 0);
         binary_gate.neuron_outputs_batch_unchecked_into(
             &self.lane_xb[..lanes],
             &self.lane_hb[..lanes],
             &mut self.yb,
         );
-        // Resolve every lane's gate block once so the neuron loop below
-        // is pure array indexing, and zero this invocation's per-lane
-        // counters.
-        self.lane_handles.clear();
-        for table in self.lane_tables.iter_mut().take(lanes) {
-            self.lane_handles.push(table.gate_handle(gate_id, nsz));
-        }
-        if self.lane_reused.len() < lanes {
-            self.lane_reused.resize(lanes, 0);
-            self.lane_computed.resize(lanes, 0);
-            self.lane_audited.resize(lanes, 0);
-        }
-        self.lane_reused[..lanes].fill(0);
-        self.lane_computed[..lanes].fill(0);
-        self.lane_audited[..lanes].fill(0);
-        // θ and the audit sampler are hoisted once per gate call:
-        // adaptive controllers only swap thresholds between whole-gate
-        // invocations, so every lane of this call shares one θ.
+        // θ is hoisted once per gate call: adaptive controllers only
+        // swap thresholds between whole-gate invocations, so every lane
+        // of this call shares one θ.
         let theta = self.threshold_for(gate_id.layer);
-        let sampler = self.audit;
 
-        // Neuron-outer, lane-inner: per (lane, neuron) memo decisions
-        // are independent (each lane owns its table, each neuron its
-        // slot), so this order is bit-identical to the lane-outer loop
-        // — but the lanes that miss on a neuron now share that neuron's
-        // weight rows.  Misses are computed four at a time with the
-        // quad-dot kernel, whose per-lane results are bit-identical to
-        // individual dots by the kernel contract; the bias-free neuron
-        // dot is exactly `dot(wx row, x) + dot(wh row, h_prev)`, so
-        // each miss equals `neuron_dot_unchecked` bit for bit.
-        let (wx, wh) = (gate.wx(), gate.wh());
-        for n in 0..nsz {
-            self.miss_lanes.clear();
-            for l in 0..lanes {
-                let yb_t = self.yb[l * nsz + n] as f32;
-                let handle = self.lane_handles[l];
-                let table = &mut self.lane_tables[l];
-                if let Some(entry) = table.entry(handle, n) {
-                    let eps_t =
-                        relative_difference(yb_t, entry.cached_bnn_output, self.config.epsilon);
-                    let delta_t = if self.config.throttle {
-                        entry.accumulated_delta + eps_t
-                    } else {
-                        eps_t
-                    };
-                    if delta_t <= theta {
-                        self.lane_reused[l] += 1;
-                        let cached = table.reuse_at(handle, n, delta_t);
-                        out[l * nsz + n] = cached;
-                        if let Some(sampler) = sampler {
-                            let count = self.lane_audit_counters[l];
-                            self.lane_audit_counters[l] += 1;
-                            if sampler.due(count) {
-                                let y_exact = nfm_tensor::kernels::dot_unchecked(
-                                    wx.row(n),
-                                    &xs[l * isz..(l + 1) * isz],
-                                ) + nfm_tensor::kernels::dot_unchecked(
-                                    wh.row(n),
-                                    &h_prevs[l * hsz..(l + 1) * hsz],
-                                );
-                                self.audit_stats.record_audit(
-                                    gate_id.layer,
-                                    f64::from((y_exact - cached).abs()),
-                                );
-                                self.lane_audited[l] += 1;
-                            }
-                        }
-                        continue;
-                    }
-                }
-                self.miss_lanes.push(l as u32);
+        // Pass 2 — decide.  Per (lane, neuron) decisions are independent
+        // (each lane owns its table, each neuron its slot), so each lane
+        // runs one branch-free loop over the gate's contiguous columns.
+        // `out` starts as `y_m` everywhere — right for the hits, and the
+        // misses are overwritten by pass 3.  Reuse statistics are added
+        // once per lane.
+        for l in 0..lanes {
+            let at = l * nsz..(l + 1) * nsz;
+            let cols = self.lane_tables[l].gate_columns(gate_id, nsz);
+            out[at.clone()].copy_from_slice(cols.cached_output);
+            let (reused, longest) = decide_lane(
+                &self.yb[at.clone()],
+                cols.cached_bnn_output,
+                cols.accumulated_delta,
+                cols.consecutive_reuses,
+                cols.epochs,
+                cols.epoch,
+                &self.config,
+                theta,
+                &mut self.miss[at],
+            );
+            *cols.max_consecutive_reuses = (*cols.max_consecutive_reuses).max(longest);
+            let reused = u64::from(reused);
+            for stats in [&mut self.stats, &mut self.lane_stats[l]] {
+                stats.record_bnn_evaluations_many(nsz as u64);
+                stats.record_reused_many(reused);
+                stats.record_computed_many(nsz as u64 - reused);
             }
-            if self.miss_lanes.is_empty() {
-                continue;
-            }
-            let (wx_row, wh_row) = (wx.row(n), wh.row(n));
-            let mut finish = |l: usize, y_t: f32, tables: &mut [MemoTable]| {
-                self.lane_computed[l] += 1;
-                tables[l].refresh_at(self.lane_handles[l], n, y_t, self.yb[l * nsz + n] as f32);
-                out[l * nsz + n] = y_t;
-            };
-            let mut quads = self.miss_lanes.chunks_exact(4);
-            for quad in &mut quads {
-                let ls = [
-                    quad[0] as usize,
-                    quad[1] as usize,
-                    quad[2] as usize,
-                    quad[3] as usize,
-                ];
-                let fwd = nfm_tensor::kernels::dot_quad_unchecked(
-                    wx_row,
-                    &xs[ls[0] * isz..(ls[0] + 1) * isz],
-                    &xs[ls[1] * isz..(ls[1] + 1) * isz],
-                    &xs[ls[2] * isz..(ls[2] + 1) * isz],
-                    &xs[ls[3] * isz..(ls[3] + 1) * isz],
-                );
-                let rec = nfm_tensor::kernels::dot_quad_unchecked(
-                    wh_row,
-                    &h_prevs[ls[0] * hsz..(ls[0] + 1) * hsz],
-                    &h_prevs[ls[1] * hsz..(ls[1] + 1) * hsz],
-                    &h_prevs[ls[2] * hsz..(ls[2] + 1) * hsz],
-                    &h_prevs[ls[3] * hsz..(ls[3] + 1) * hsz],
-                );
-                for (j, &l) in ls.iter().enumerate() {
-                    finish(l, fwd[j] + rec[j], &mut self.lane_tables);
-                }
-            }
-            for &l in quads.remainder() {
-                let l = l as usize;
-                let y_t = nfm_tensor::kernels::dot_unchecked(wx_row, &xs[l * isz..(l + 1) * isz])
-                    + nfm_tensor::kernels::dot_unchecked(wh_row, &h_prevs[l * hsz..(l + 1) * hsz]);
-                finish(l, y_t, &mut self.lane_tables);
+            if self.audit.is_some() {
+                self.audit_stats.record_hits(gate_id.layer, reused);
             }
         }
+        if let Some(sampler) = self.audit {
+            self.audit_hits(sampler, call, out);
+        }
 
-        // The BNN mirror ran for every neuron of every lane; fold the
-        // counters into the aggregate and per-lane stats.
+        // Pass 3 — compute.  One dispatched call evaluates every miss of
+        // the gate; lanes that missed on the same neuron share its
+        // streamed weight rows, and each value equals
+        // `neuron_dot_unchecked` bit for bit by the kernel contract.
+        nfm_tensor::kernels::dual_matmul_masked_into(
+            gate.wx(),
+            gate.wh(),
+            xs,
+            h_prevs,
+            lanes,
+            &self.miss,
+            out,
+        )?;
+
+        // Pass 4 — complete the refreshed entries: `y_m = y_t` on the
+        // misses (Equation 15); the hits already hold `out == y_m`.
         for l in 0..lanes {
-            self.stats.record_bnn_evaluations_many(nsz as u64);
-            self.stats.record_reused_many(self.lane_reused[l]);
-            self.stats.record_computed_many(self.lane_computed[l]);
-            self.stats.record_audited_many(self.lane_audited[l]);
-            let lane_stats = &mut self.lane_stats[l];
-            lane_stats.record_bnn_evaluations_many(nsz as u64);
-            lane_stats.record_reused_many(self.lane_reused[l]);
-            lane_stats.record_computed_many(self.lane_computed[l]);
-            lane_stats.record_audited_many(self.lane_audited[l]);
-            if sampler.is_some() {
-                self.audit_stats
-                    .record_hits(gate_id.layer, self.lane_reused[l]);
-            }
+            let cols = self.lane_tables[l].gate_columns(gate_id, nsz);
+            cols.cached_output
+                .copy_from_slice(&out[l * nsz..(l + 1) * nsz]);
         }
         Ok(())
     }
@@ -605,7 +626,7 @@ impl NeuronEvaluator for BnnMemoEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BnnMemoConfig;
+    use crate::config::{BnnMemoConfig, DEFAULT_BNN_EPSILON};
     use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator};
     use nfm_tensor::rng::DeterministicRng;
     use nfm_tensor::Vector;
@@ -784,6 +805,69 @@ mod tests {
         }
         assert!(divergences[0] <= divergences[2] + 1e-6);
         assert!(divergences[2] < 0.5, "mean divergence stays small");
+    }
+
+    #[test]
+    fn degenerate_thresholds_and_clamps_match_the_per_neuron_reference() {
+        // The whole-gate compare against the per-neuron decision where
+        // the arithmetic degenerates: a zero clamp turns every neuron
+        // whose BNN output sits at 0 into `0 / 0 = NaN` (which must miss
+        // and must never reach the stored `δb`), θ at NaN / negative /
+        // zero / infinite / `f32::MAX`, with and without throttling —
+        // over a 2,000-step constant input, the saturated regime in
+        // which a throttled `δb` accumulates longest.
+        use nfm_rnn::PerNeuronEvaluator;
+        let net = network(23);
+        let seq = vec![smooth_sequence(1, 8, 22).remove(0); 2000];
+        let mirror = Arc::new(BinaryNetwork::mirror(&net));
+        let mut nan_compares = 0;
+        for theta in [f32::NAN, -1.0, 0.0, f32::INFINITY, f32::MAX] {
+            for epsilon in [0.0, DEFAULT_BNN_EPSILON] {
+                for throttle in [true, false] {
+                    let config = BnnMemoConfig {
+                        threshold: theta,
+                        throttle,
+                        epsilon,
+                    };
+                    let what = format!("θ={theta} ε₀={epsilon} throttle={throttle}");
+                    let mut fused = BnnMemoEvaluator::new(mirror.clone(), config);
+                    let out = net.run(&seq, &mut fused).unwrap();
+                    let mut naive =
+                        PerNeuronEvaluator::new(BnnMemoEvaluator::new(mirror.clone(), config));
+                    let reference = net.run(&seq, &mut naive).unwrap();
+                    for (a, b) in out.iter().zip(&reference) {
+                        let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(a), bits(b), "{what}: outputs");
+                    }
+                    let (table, naive) = (&fused.lane_tables()[0], naive.inner());
+                    assert_eq!(fused.stats(), naive.stats(), "{what}");
+                    assert_eq!(table.len(), naive.table().len(), "{what}");
+                    assert_eq!(
+                        table.max_consecutive_reuses(),
+                        naive.table().max_consecutive_reuses(),
+                        "{what}"
+                    );
+                    for (id, gate) in net.gates() {
+                        for n in 0..gate.neurons() {
+                            let entry = table.get(id, n).expect("every neuron was evaluated");
+                            assert!(!entry.accumulated_delta.is_nan(), "{what}: NaN stored");
+                            assert_eq!(Some(entry), naive.table().get(id, n), "{what}");
+                        }
+                    }
+                    if theta == f32::INFINITY {
+                        // Every finite or infinite δb' qualifies, so
+                        // whatever missed after the cold first step
+                        // compared a NaN — possible under a zero clamp
+                        // only.
+                        let cold = net.neuron_evaluations_per_step() as u64;
+                        let nan_misses = fused.stats().computed() - cold;
+                        assert!(epsilon == 0.0 || nan_misses == 0, "{what}");
+                        nan_compares += nan_misses;
+                    }
+                }
+            }
+        }
+        assert!(nan_compares > 0, "no neuron exercised the 0 / 0 compare");
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl ReuseStats {
         self.audited += 1;
     }
 
-    /// Records `n` audit steps at once (batched paths).
-    pub fn record_audited_many(&mut self, n: u64) {
-        self.audited += n;
-    }
-
     /// Total neuron evaluation requests.
     pub fn evaluations(&self) -> u64 {
         self.evaluations
@@ -172,7 +167,8 @@ mod tests {
         let mut b = ReuseStats::new();
         b.record_reused();
         b.record_bnn_evaluation();
-        b.record_audited_many(2);
+        b.record_audited();
+        b.record_audited();
         a.merge(&b);
         assert_eq!(a.evaluations(), 3);
         assert_eq!(a.reuses(), 2);

@@ -1,16 +1,23 @@
 //! The memoization buffer (Figure 10 / the FMU's memoization buffer).
 //!
-//! The buffer is a *flat* `Vec` of per-neuron entries indexed by
-//! precomputed per-gate offsets — the software analogue of the paper's
-//! dense per-computation-unit memoization buffer, and the reason the hot
-//! path performs no hashing: a lookup is two array indexes
-//! (`gate_map[GateId::dense_index()]` → block offset → slot).
+//! The buffer is stored as *columns* — one flat `Vec` per quantity
+//! (`y_m`, `yb_m`, `δb`, the reuse-run length and the epoch a slot was
+//! written in; 20 bytes per neuron) — indexed by precomputed per-gate
+//! offsets: the software analogue of the paper's dense
+//! per-computation-unit memoization buffer.  A gate's neurons are
+//! contiguous in every column, so the whole-gate passes of
+//! [`BnnMemoEvaluator`](crate::BnnMemoEvaluator) take the gate's column
+//! slices once ([`MemoTable::gate_columns`]) and run plain slice loops
+//! over them, while the scalar API performs no hashing: a lookup is two
+//! array indexes (`gate_map[GateId::dense_index()]` → block offset →
+//! slot).
 //!
 //! Sequence boundaries are handled with an epoch counter instead of
 //! clearing storage: [`MemoTable::clear`] bumps the epoch, instantly
 //! invalidating every entry.
 
 use nfm_rnn::{DeepRnn, GateId};
+use std::ops::Range;
 
 /// Per-neuron memoization state.
 ///
@@ -47,29 +54,17 @@ impl MemoEntry {
     }
 }
 
-/// One slot of the flat buffer: an entry plus the epoch it was written
-/// in (a slot is live only when its epoch matches the table's).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Slot {
-    entry: MemoEntry,
-    epoch: u32,
-}
-
-const EMPTY_SLOT: Slot = Slot {
-    entry: MemoEntry {
-        cached_output: 0.0,
-        cached_bnn_output: 0.0,
-        accumulated_delta: 0.0,
-        consecutive_reuses: 0,
-    },
-    epoch: 0,
-};
-
-/// Contiguous region of `slots` owned by one gate.
+/// Contiguous region of every column owned by one gate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Block {
     offset: u32,
     len: u32,
+}
+
+impl Block {
+    fn range(self) -> Range<usize> {
+        self.offset as usize..(self.offset + self.len) as usize
+    }
 }
 
 /// Opaque handle to a gate's block, resolved once per gate invocation so
@@ -80,8 +75,33 @@ pub struct GateHandle(u32);
 /// Sentinel in `gate_map` for gates with no block yet.
 const NO_BLOCK: u32 = u32::MAX;
 
+/// One gate's slice of every column, for whole-gate passes: index `n` of
+/// each slice is neuron `n`'s [`MemoEntry`] field of the same name.
+///
+/// Slot `n` is live iff `epochs[n] == epoch`; a pass that revives a slot
+/// writes `epoch` there, and one that extends reuse runs keeps
+/// `max_consecutive_reuses` (the table's watermark) at least as large as
+/// every run it wrote.
+#[derive(Debug)]
+pub struct GateColumns<'a> {
+    /// Cached full-precision outputs `y_m`.
+    pub cached_output: &'a mut [f32],
+    /// Cached binary-network outputs `yb_m`.
+    pub cached_bnn_output: &'a mut [f32],
+    /// Accumulated relative differences `δb`.
+    pub accumulated_delta: &'a mut [f32],
+    /// Lengths of the current reuse runs.
+    pub consecutive_reuses: &'a mut [u32],
+    /// The epoch each slot was last written in.
+    pub epochs: &'a mut [u32],
+    /// The table's current epoch.
+    pub epoch: u32,
+    /// The table's longest-run watermark.
+    pub max_consecutive_reuses: &'a mut u32,
+}
+
 /// The memoization buffer: one [`MemoEntry`] per `(gate, neuron)`,
-/// stored flat and indexed by precomputed per-gate offsets.
+/// stored as flat columns indexed by precomputed per-gate offsets.
 ///
 /// The table is (logically) cleared at the start of every input
 /// sequence — the hardware buffer holds no useful state across
@@ -92,11 +112,16 @@ pub struct MemoTable {
     /// gate has no region yet.  Grown on demand.
     gate_map: Vec<u32>,
     blocks: Vec<Block>,
-    slots: Vec<Slot>,
+    // The columns, all of one length: a `MemoEntry` field each, plus the
+    // epoch the slot was written in.
+    cached_output: Vec<f32>,
+    cached_bnn_output: Vec<f32>,
+    accumulated_delta: Vec<f32>,
+    consecutive_reuses: Vec<u32>,
+    epochs: Vec<u32>,
     /// Entries are live iff their slot epoch equals this (starts at 1 so
     /// zero-initialized slots are dead).
     epoch: u32,
-    live: usize,
     max_consecutive_reuses: u32,
 }
 
@@ -105,12 +130,23 @@ impl Default for MemoTable {
         MemoTable {
             gate_map: Vec::new(),
             blocks: Vec::new(),
-            slots: Vec::new(),
+            cached_output: Vec::new(),
+            cached_bnn_output: Vec::new(),
+            accumulated_delta: Vec::new(),
+            consecutive_reuses: Vec::new(),
+            epochs: Vec::new(),
             epoch: 1,
-            live: 0,
             max_consecutive_reuses: 0,
         }
     }
+}
+
+/// Appends a block of `len` slots to one column: a copy of the `carry`
+/// region first (empty for a new gate), zeros after it.
+fn append_block<T: Copy + Default>(column: &mut Vec<T>, carry: Range<usize>, len: usize) {
+    let end = column.len() + len;
+    column.extend_from_within(carry);
+    column.resize(end, T::default());
 }
 
 impl MemoTable {
@@ -141,14 +177,15 @@ impl MemoTable {
         table
     }
 
-    /// Number of neurons with a live cached entry.
+    /// Number of neurons with a live cached entry (diagnostic: counts
+    /// the epoch column).
     pub fn len(&self) -> usize {
-        self.live
+        self.epochs.iter().filter(|&&e| e == self.epoch).count()
     }
 
     /// Returns `true` if no neuron has a live cached entry.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        !self.epochs.contains(&self.epoch)
     }
 
     /// Resolves (allocating if needed) the block of `gate`, sized for at
@@ -159,44 +196,56 @@ impl MemoTable {
         if dense >= self.gate_map.len() {
             self.gate_map.resize(dense + 1, NO_BLOCK);
         }
-        let block_idx = self.gate_map[dense];
-        if block_idx != NO_BLOCK {
-            let idx = block_idx as usize;
-            if self.blocks[idx].len as usize >= neurons {
+        let mut block_idx = self.gate_map[dense];
+        // A new gate gets a fresh block.  A gate that grew past its
+        // region (only possible through the keyed convenience API) is
+        // relocated to the end, keeping its live entries.
+        let (carry, len) = if block_idx == NO_BLOCK {
+            (0..0, neurons)
+        } else {
+            let old = self.blocks[block_idx as usize];
+            if old.len as usize >= neurons {
                 return GateHandle(block_idx);
             }
-            // A gate grew past its region (only possible through the
-            // keyed convenience API) — relocate it to the end, keeping
-            // live entries.
-            let old = self.blocks[idx];
-            let new_len = neurons.max(old.len as usize * 2);
-            let new_offset = self.slots.len() as u32;
-            self.slots.reserve(new_len);
-            for i in 0..old.len as usize {
-                let slot = self.slots[old.offset as usize + i];
-                self.slots.push(slot);
-            }
-            self.slots
-                .extend(std::iter::repeat_n(EMPTY_SLOT, new_len - old.len as usize));
-            // Kill the abandoned region so stale entries cannot resurface.
-            for slot in &mut self.slots[old.offset as usize..(old.offset + old.len) as usize] {
-                slot.epoch = 0;
-            }
-            self.blocks[idx] = Block {
-                offset: new_offset,
-                len: new_len as u32,
-            };
-            return GateHandle(block_idx);
+            (old.range(), neurons.max(old.len as usize * 2))
+        };
+        let block = Block {
+            offset: self.epochs.len() as u32,
+            len: len as u32,
+        };
+        append_block(&mut self.cached_output, carry.clone(), len);
+        append_block(&mut self.cached_bnn_output, carry.clone(), len);
+        append_block(&mut self.accumulated_delta, carry.clone(), len);
+        append_block(&mut self.consecutive_reuses, carry.clone(), len);
+        append_block(&mut self.epochs, carry.clone(), len);
+        // Kill the abandoned region so stale entries cannot resurface.
+        self.epochs[carry].fill(0);
+        if block_idx == NO_BLOCK {
+            block_idx = self.blocks.len() as u32;
+            self.blocks.push(block);
+            self.gate_map[dense] = block_idx;
+        } else {
+            self.blocks[block_idx as usize] = block;
         }
-        let offset = self.slots.len() as u32;
-        self.slots.extend(std::iter::repeat_n(EMPTY_SLOT, neurons));
-        let block_idx = self.blocks.len() as u32;
-        self.blocks.push(Block {
-            offset,
-            len: neurons as u32,
-        });
-        self.gate_map[dense] = block_idx;
         GateHandle(block_idx)
+    }
+
+    /// Hands out the first `neurons` slots of `gate`'s block as column
+    /// slices (allocating the block if needed), for passes that decide
+    /// and update a whole gate at once.
+    pub fn gate_columns(&mut self, gate: GateId, neurons: usize) -> GateColumns<'_> {
+        let handle = self.gate_handle(gate, neurons);
+        let at = self.blocks[handle.0 as usize].offset as usize;
+        let slots = at..at + neurons;
+        GateColumns {
+            cached_output: &mut self.cached_output[slots.clone()],
+            cached_bnn_output: &mut self.cached_bnn_output[slots.clone()],
+            accumulated_delta: &mut self.accumulated_delta[slots.clone()],
+            consecutive_reuses: &mut self.consecutive_reuses[slots.clone()],
+            epochs: &mut self.epochs[slots],
+            epoch: self.epoch,
+            max_consecutive_reuses: &mut self.max_consecutive_reuses,
+        }
     }
 
     #[inline]
@@ -208,22 +257,25 @@ impl MemoTable {
 
     /// Looks up the live entry for `neuron` of the handled gate.
     #[inline]
-    pub fn entry(&self, handle: GateHandle, neuron: usize) -> Option<&MemoEntry> {
-        let slot = &self.slots[self.slot_index(handle, neuron)];
-        (slot.epoch == self.epoch).then_some(&slot.entry)
+    pub fn entry(&self, handle: GateHandle, neuron: usize) -> Option<MemoEntry> {
+        let idx = self.slot_index(handle, neuron);
+        (self.epochs[idx] == self.epoch).then(|| MemoEntry {
+            cached_output: self.cached_output[idx],
+            cached_bnn_output: self.cached_bnn_output[idx],
+            accumulated_delta: self.accumulated_delta[idx],
+            consecutive_reuses: self.consecutive_reuses[idx],
+        })
     }
 
     /// Replaces a neuron's entry after a full-precision evaluation.
     #[inline]
     pub fn refresh_at(&mut self, handle: GateHandle, neuron: usize, output: f32, bnn_output: f32) {
-        let epoch = self.epoch;
         let idx = self.slot_index(handle, neuron);
-        let slot = &mut self.slots[idx];
-        if slot.epoch != epoch {
-            slot.epoch = epoch;
-            self.live += 1;
-        }
-        slot.entry = MemoEntry::fresh(output, bnn_output);
+        self.cached_output[idx] = output;
+        self.cached_bnn_output[idx] = bnn_output;
+        self.accumulated_delta[idx] = 0.0;
+        self.consecutive_reuses[idx] = 0;
+        self.epochs[idx] = self.epoch;
     }
 
     /// Marks a reuse of a neuron's entry, updating the accumulated delta
@@ -236,19 +288,17 @@ impl MemoTable {
     /// a reuse after [`MemoTable::entry`] returned `Some`.
     #[inline]
     pub fn reuse_at(&mut self, handle: GateHandle, neuron: usize, new_delta: f32) -> f32 {
-        let epoch = self.epoch;
         let idx = self.slot_index(handle, neuron);
-        let slot = &mut self.slots[idx];
         assert_eq!(
-            slot.epoch, epoch,
+            self.epochs[idx], self.epoch,
             "reuse recorded for a neuron with no memo entry"
         );
-        slot.entry.accumulated_delta = new_delta;
-        slot.entry.consecutive_reuses += 1;
-        if slot.entry.consecutive_reuses > self.max_consecutive_reuses {
-            self.max_consecutive_reuses = slot.entry.consecutive_reuses;
-        }
-        slot.entry.cached_output
+        self.accumulated_delta[idx] = new_delta;
+        self.consecutive_reuses[idx] += 1;
+        self.max_consecutive_reuses = self
+            .max_consecutive_reuses
+            .max(self.consecutive_reuses[idx]);
+        self.cached_output[idx]
     }
 
     fn lookup_handle(&self, gate: GateId) -> Option<GateHandle> {
@@ -259,7 +309,7 @@ impl MemoTable {
 
     /// Looks up the entry for a neuron (keyed convenience API; the hot
     /// path resolves a [`GateHandle`] once per gate instead).
-    pub fn get(&self, gate: GateId, neuron: usize) -> Option<&MemoEntry> {
+    pub fn get(&self, gate: GateId, neuron: usize) -> Option<MemoEntry> {
         let handle = self.lookup_handle(gate)?;
         if neuron >= self.blocks[handle.0 as usize].len as usize {
             return None;
@@ -303,14 +353,11 @@ impl MemoTable {
     /// epoch bump invalidates all slots without touching storage.
     pub fn clear(&mut self) {
         if self.epoch == u32::MAX {
-            for slot in &mut self.slots {
-                slot.epoch = 0;
-            }
+            self.epochs.fill(0);
             self.epoch = 1;
         } else {
             self.epoch += 1;
         }
-        self.live = 0;
         self.max_consecutive_reuses = 0;
     }
 
@@ -318,7 +365,7 @@ impl MemoTable {
     /// layout of Table 2: a 16-bit cached output, a 16-bit cached BNN
     /// output and a 16-bit fixed-point accumulated delta per neuron.
     pub fn hardware_bytes(&self) -> usize {
-        self.live * 6
+        self.len() * 6
     }
 }
 
@@ -435,6 +482,36 @@ mod tests {
         assert_eq!(t.entry(h, 3).unwrap().cached_bnn_output, -2.0);
         assert_eq!(t.reuse_at(h, 3, 0.25), 1.5);
         assert_eq!(t.get(gid(), 3).unwrap().consecutive_reuses, 1);
+    }
+
+    #[test]
+    fn gate_columns_are_the_slots_the_scalar_api_reads() {
+        let other = GateId::new(1, 0, GateKind::Forget);
+        let mut t = MemoTable::with_gates([(other, 3), (gid(), 5)]);
+        let h = t.gate_handle(gid(), 5);
+        t.refresh_at(h, 1, 1.5, -2.0);
+        t.reuse_at(h, 1, 0.25);
+        let cols = t.gate_columns(gid(), 5);
+        assert_eq!(cols.cached_output.len(), 5);
+        assert_eq!(cols.cached_output[1], 1.5);
+        assert_eq!(cols.cached_bnn_output[1], -2.0);
+        assert_eq!(cols.accumulated_delta[1], 0.25);
+        assert_eq!(cols.consecutive_reuses[1], 1);
+        assert_eq!(cols.epochs[1], cols.epoch);
+        assert_ne!(cols.epochs[3], cols.epoch, "never written: dead");
+        // A whole-gate pass revives slot 3 and extends a run.
+        cols.cached_output[3] = 7.0;
+        cols.consecutive_reuses[3] = 4;
+        cols.epochs[3] = cols.epoch;
+        *cols.max_consecutive_reuses = 4;
+        assert_eq!(t.entry(h, 3).unwrap().cached_output, 7.0);
+        assert_eq!(t.entry(h, 3).unwrap().consecutive_reuses, 4);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.max_consecutive_reuses(), 4);
+        assert!(
+            t.get(other, 0).is_none(),
+            "the neighbouring gate is untouched"
+        );
     }
 
     #[test]

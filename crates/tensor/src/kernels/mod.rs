@@ -12,16 +12,17 @@
 //! | operation | dispatched | explicit tier |
 //! |---|---|---|
 //! | `a·b` | [`dot_unchecked`] | [`dot_unchecked_on`] |
-//! | `row·x0..x3` | [`dot_quad_unchecked`] | [`dot_quad_unchecked_on`] |
 //! | `out = M x` | [`matvec_into`] | [`matvec_into_on`] |
 //! | `out = Wx x + Wh h` | [`dual_matvec_into`] | [`dual_matvec_into_on`] |
 //! | `out[l] = M xs[l]` | [`matmul_into`] | [`matmul_into_on`] |
 //! | `out[l] = Wx xs[l] + Wh hs[l]` | [`dual_matmul_into`] | [`dual_matmul_into_on`] |
+//! | the same where `mask` is set | [`dual_matmul_masked_into`] | [`dual_matmul_masked_into_on`] |
 //! | `out[l] = base[l] + M xs[l]` | [`matmul_add_into`] | [`matmul_add_into_on`] |
 //!
-//! Both columns of a row share one private body that takes the tier, so
-//! they validate and dispatch identically; the `_on` form only adds the
-//! host-support assertion.  Every operation
+//! Both columns of a row share one private body that takes the tier (the
+//! two `dual_matmul` rows share theirs), so they validate and dispatch
+//! identically; the `_on` form only adds the host-support assertion.
+//! Every operation
 //!
 //! * writes into a caller-owned buffer (the steady-state inference path
 //!   performs no allocation) and checks dimensions once per call, not
@@ -34,7 +35,8 @@
 //!   batched gate path, the per-neuron fallback and every dispatch tier
 //!   produce bit-identical results
 //!   (`crates/tensor/tests/backend_kernels.rs` pins each tier to the
-//!   scalar reference byte for byte).
+//!   scalar reference byte for byte; the masked operation is pinned in
+//!   `tests/kernel_backend_equivalence.rs`).
 
 pub(crate) mod body;
 #[cfg(target_arch = "aarch64")]
@@ -92,18 +94,6 @@ fn assert_supported(backend: KernelBackend) {
 #[inline]
 fn dot_tier(backend: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
     dispatch!(backend, dot(a, b))
-}
-
-#[inline]
-fn dot_quad_tier(
-    backend: KernelBackend,
-    row: &[f32],
-    x0: &[f32],
-    x1: &[f32],
-    x2: &[f32],
-    x3: &[f32],
-) -> [f32; 4] {
-    dispatch!(backend, dot_quad(row, x0, x1, x2, x3))
 }
 
 fn matvec_tier(backend: KernelBackend, m: &Matrix, x: &[f32], out: &mut [f32]) -> Result<()> {
@@ -201,6 +191,9 @@ fn matmul_tier(
     Ok(())
 }
 
+/// `mask: None` is the full kernel, `Some` its restriction to the
+/// flagged positions.
+#[allow(clippy::too_many_arguments)]
 fn dual_matmul_tier(
     backend: KernelBackend,
     wx: &Matrix,
@@ -208,6 +201,7 @@ fn dual_matmul_tier(
     xs: &[f32],
     hs: &[f32],
     lanes: usize,
+    mask: Option<&[u8]>,
     out: &mut [f32],
 ) -> Result<()> {
     if xs.len() != lanes * wx.cols() {
@@ -233,19 +227,30 @@ fn dual_matmul_tier(
             op: "dual_matmul_into(out)",
         });
     }
+    let (wx_s, wh_s, rows, xc, hc) = (
+        wx.as_slice(),
+        wh.as_slice(),
+        wx.rows(),
+        wx.cols(),
+        wh.cols(),
+    );
+    let Some(mask) = mask else {
+        dispatch!(
+            backend,
+            dual_matmul(wx_s, wh_s, rows, xc, hc, xs, hs, lanes, out)
+        );
+        return Ok(());
+    };
+    if mask.len() != out.len() {
+        return Err(TensorError::LengthMismatch {
+            left: mask.len(),
+            right: out.len(),
+            op: "dual_matmul_masked_into(mask)",
+        });
+    }
     dispatch!(
         backend,
-        dual_matmul(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.rows(),
-            wx.cols(),
-            wh.cols(),
-            xs,
-            hs,
-            lanes,
-            out,
-        )
+        dual_matmul_masked(wx_s, wh_s, rows, xc, hc, xs, hs, lanes, mask, out)
     );
     Ok(())
 }
@@ -305,44 +310,6 @@ pub fn dot_unchecked(a: &[f32], b: &[f32]) -> f32 {
 pub fn dot_unchecked_on(backend: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
     assert_supported(backend);
     dot_tier(backend, a, b)
-}
-
-/// Four dot products of one shared `row` against four lane vectors at
-/// once — the register-blocked inner kernel of [`dual_matmul_into`].
-///
-/// The row is streamed from memory once while four independent
-/// accumulator sets advance in lockstep, so the instruction-level
-/// parallelism per loaded weight is 4x that of [`dot_unchecked`].
-/// Every lane's additions and multiplies happen in exactly
-/// [`dot_unchecked`]'s order (same chunking, same reduce tree, same
-/// tail loop), so `dot_quad_unchecked(r, a, b, c, d)[i]` is
-/// bit-identical to `dot_unchecked(r, [a, b, c, d][i])` on every
-/// dispatch tier.
-///
-/// All five slices must have the same length (same contract as
-/// [`dot_unchecked`]).
-#[inline]
-pub fn dot_quad_unchecked(row: &[f32], x0: &[f32], x1: &[f32], x2: &[f32], x3: &[f32]) -> [f32; 4] {
-    dot_quad_tier(backend::active(), row, x0, x1, x2, x3)
-}
-
-/// [`dot_quad_unchecked`] on an explicit dispatch tier.
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host, or (possibly) if
-/// the lengths differ.
-#[inline]
-pub fn dot_quad_unchecked_on(
-    backend: KernelBackend,
-    row: &[f32],
-    x0: &[f32],
-    x1: &[f32],
-    x2: &[f32],
-    x3: &[f32],
-) -> [f32; 4] {
-    assert_supported(backend);
-    dot_quad_tier(backend, row, x0, x1, x2, x3)
 }
 
 /// Matrix-vector product into a caller-owned buffer: `out = m * x`.
@@ -464,8 +431,8 @@ pub fn matmul_into_on(
 ///
 /// The batched form of [`dual_matvec_into`]: both weight rows of a
 /// neuron are streamed once and reused across all `lanes` sequences, in
-/// register-blocked 4 rows × 4 lanes tiles driven by
-/// [`dot_quad_unchecked`]'s accumulator sets.  The per-lane scalar order
+/// register-blocked 4 rows × 4 lanes tiles with four independent
+/// accumulator sets in flight per streamed row.  The per-lane scalar order
 /// is `fwd + rec` with [`dot_unchecked`]'s reduction for each half, so
 /// every lane is bit-identical to [`dual_matvec_into`] over that lane's
 /// vectors on every dispatch tier.
@@ -481,7 +448,7 @@ pub fn dual_matmul_into(
     lanes: usize,
     out: &mut [f32],
 ) -> Result<()> {
-    dual_matmul_tier(backend::active(), wx, wh, xs, hs, lanes, out)
+    dual_matmul_tier(backend::active(), wx, wh, xs, hs, lanes, None, out)
 }
 
 /// [`dual_matmul_into`] on an explicit dispatch tier.
@@ -503,7 +470,59 @@ pub fn dual_matmul_into_on(
     out: &mut [f32],
 ) -> Result<()> {
     assert_supported(backend);
-    dual_matmul_tier(backend, wx, wh, xs, hs, lanes, out)
+    dual_matmul_tier(backend, wx, wh, xs, hs, lanes, None, out)
+}
+
+/// [`dual_matmul_into`] restricted to the flagged positions:
+/// `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l]` wherever
+/// `mask[l*rows + r] != 0`, every other element of `out` left untouched.
+///
+/// This is the miss path of a memoized gate: the memo decision flags the
+/// (neuron, lane) positions it could not reuse and one call computes
+/// them all.  The row loop is outer, so lanes that miss on the same
+/// neuron still share its streamed weight rows (four accumulator sets in
+/// flight when four or more miss), and every flagged output is
+/// bit-identical to the one [`dual_matmul_into`] writes there, on every
+/// dispatch tier and for any lane count.
+///
+/// # Errors
+///
+/// Same as [`dual_matmul_into`], plus a length error if
+/// `mask.len() != out.len()`.
+pub fn dual_matmul_masked_into(
+    wx: &Matrix,
+    wh: &Matrix,
+    xs: &[f32],
+    hs: &[f32],
+    lanes: usize,
+    mask: &[u8],
+    out: &mut [f32],
+) -> Result<()> {
+    dual_matmul_tier(backend::active(), wx, wh, xs, hs, lanes, Some(mask), out)
+}
+
+/// [`dual_matmul_masked_into`] on an explicit dispatch tier.
+///
+/// # Errors
+///
+/// Same as [`dual_matmul_masked_into`].
+///
+/// # Panics
+///
+/// Panics if `backend` is not supported on this host.
+#[allow(clippy::too_many_arguments)]
+pub fn dual_matmul_masked_into_on(
+    backend: KernelBackend,
+    wx: &Matrix,
+    wh: &Matrix,
+    xs: &[f32],
+    hs: &[f32],
+    lanes: usize,
+    mask: &[u8],
+    out: &mut [f32],
+) -> Result<()> {
+    assert_supported(backend);
+    dual_matmul_tier(backend, wx, wh, xs, hs, lanes, Some(mask), out)
 }
 
 /// Lane-striped matrix-matrix product *added onto* a precomputed base:
@@ -751,24 +770,37 @@ mod tests {
     }
 
     #[test]
-    fn dot_quad_matches_dot_unchecked_bitwise() {
-        // Lengths exercising the unrolled body, the scalar tail and the
-        // all-tail case: every quad lane must reproduce dot_unchecked
-        // bit for bit.
+    fn masked_dual_matmul_computes_flagged_positions_only() {
+        // The exhaustive density × tier sweep lives in
+        // tests/kernel_backend_equivalence.rs; this is the in-crate
+        // smoke check, with lane counts on both sides of the quad.
         let mut rng = DeterministicRng::seed_from_u64(11);
-        for len in [0usize, 1, 5, 8, 9, 16, 31, 64, 130] {
-            let row: Vec<f32> = (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect();
-            let x: Vec<Vec<f32>> = (0..4)
-                .map(|_| (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect())
+        for (neurons, lanes) in [(1usize, 1usize), (7, 3), (9, 4), (5, 9), (12, 70)] {
+            let (input, hidden) = (21, neurons);
+            let wx = random_matrix(&mut rng, neurons, input);
+            let wh = random_matrix(&mut rng, neurons, hidden);
+            let xs: Vec<f32> = (0..lanes * input).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let hs: Vec<f32> = (0..lanes * hidden)
+                .map(|_| rng.uniform(-1.0, 1.0))
                 .collect();
-            let quad = dot_quad_unchecked(&row, &x[0], &x[1], &x[2], &x[3]);
-            for (i, xi) in x.iter().enumerate() {
+            let mut full = vec![0.0f32; lanes * neurons];
+            dual_matmul_into(&wx, &wh, &xs, &hs, lanes, &mut full).unwrap();
+            let mask: Vec<u8> = (0..lanes * neurons)
+                .map(|_| u8::from(rng.uniform(0.0, 1.0) < 0.4))
+                .collect();
+            let mut out = vec![f32::NAN; lanes * neurons];
+            dual_matmul_masked_into(&wx, &wh, &xs, &hs, lanes, &mask, &mut out).unwrap();
+            for i in 0..out.len() {
+                let expected = if mask[i] != 0 { full[i] } else { f32::NAN };
                 assert_eq!(
-                    quad[i].to_bits(),
-                    dot_unchecked(&row, xi).to_bits(),
-                    "len {len} lane {i}"
+                    out[i].to_bits(),
+                    expected.to_bits(),
+                    "rows {neurons} lanes {lanes} index {i}"
                 );
             }
+            let mut short = vec![0u8; out.len() - 1];
+            short.fill(1);
+            assert!(dual_matmul_masked_into(&wx, &wh, &xs, &hs, lanes, &short, &mut out).is_err());
         }
     }
 

@@ -186,17 +186,6 @@ pub(crate) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 #[target_feature(enable = "neon")]
-pub(crate) unsafe fn dot_quad(
-    row: &[f32],
-    x0: &[f32],
-    x1: &[f32],
-    x2: &[f32],
-    x3: &[f32],
-) -> [f32; 4] {
-    crate::kernels::body::DotOps::dot_quad(NeonOps, row, x0, x1, x2, x3)
-}
-
-#[target_feature(enable = "neon")]
 pub(crate) unsafe fn matvec(m: &[f32], cols: usize, x: &[f32], out: &mut [f32]) {
     crate::kernels::body::matvec_body(NeonOps, m, cols, x, out)
 }
@@ -254,4 +243,23 @@ pub(crate) unsafe fn dual_matmul(
     out: &mut [f32],
 ) {
     crate::kernels::body::dual_matmul_body(NeonOps, wx, wh, rows, xc, hc, xs, hs, lanes, out)
+}
+
+#[target_feature(enable = "neon")]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn dual_matmul_masked(
+    wx: &[f32],
+    wh: &[f32],
+    rows: usize,
+    xc: usize,
+    hc: usize,
+    xs: &[f32],
+    hs: &[f32],
+    lanes: usize,
+    mask: &[u8],
+    out: &mut [f32],
+) {
+    crate::kernels::body::dual_matmul_masked_body(
+        NeonOps, wx, wh, rows, xc, hc, xs, hs, lanes, mask, out,
+    )
 }

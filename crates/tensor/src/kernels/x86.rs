@@ -273,17 +273,6 @@ macro_rules! kernel_set {
         }
 
         #[target_feature(enable = $feat)]
-        pub(crate) unsafe fn dot_quad(
-            row: &[f32],
-            x0: &[f32],
-            x1: &[f32],
-            x2: &[f32],
-            x3: &[f32],
-        ) -> [f32; 4] {
-            $crate::kernels::body::DotOps::dot_quad($ops, row, x0, x1, x2, x3)
-        }
-
-        #[target_feature(enable = $feat)]
         pub(crate) unsafe fn matvec(m: &[f32], cols: usize, x: &[f32], out: &mut [f32]) {
             $crate::kernels::body::matvec_body($ops, m, cols, x, out)
         }
@@ -341,6 +330,25 @@ macro_rules! kernel_set {
             out: &mut [f32],
         ) {
             $crate::kernels::body::dual_matmul_body($ops, wx, wh, rows, xc, hc, xs, hs, lanes, out)
+        }
+
+        #[target_feature(enable = $feat)]
+        #[allow(clippy::too_many_arguments)]
+        pub(crate) unsafe fn dual_matmul_masked(
+            wx: &[f32],
+            wh: &[f32],
+            rows: usize,
+            xc: usize,
+            hc: usize,
+            xs: &[f32],
+            hs: &[f32],
+            lanes: usize,
+            mask: &[u8],
+            out: &mut [f32],
+        ) {
+            $crate::kernels::body::dual_matmul_masked_body(
+                $ops, wx, wh, rows, xc, hc, xs, hs, lanes, mask, out,
+            )
         }
     };
 }

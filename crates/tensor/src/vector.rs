@@ -366,6 +366,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> Result<f32> {
 /// When the reference value `a` is (near) zero the denominator is clamped
 /// to `epsilon` to avoid division by zero; the paper's hardware uses
 /// fixed-point arithmetic with the same effect.
+#[inline]
 pub fn relative_difference(a: f32, b: f32, epsilon: f32) -> f32 {
     let denom = a.abs().max(epsilon);
     (a - b).abs() / denom

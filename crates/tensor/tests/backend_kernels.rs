@@ -12,8 +12,8 @@
 
 use nfm_tensor::backend::KernelBackend;
 use nfm_tensor::kernels::{
-    dot_quad_unchecked_on, dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on,
-    matmul_add_into_on, matmul_into_on, matvec_into_on,
+    dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on, matmul_add_into_on, matmul_into_on,
+    matvec_into_on,
 };
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Matrix;
@@ -82,27 +82,6 @@ fn dot_matches_scalar_on_every_backend_and_length() {
                 reference.to_bits(),
                 "dot len {len} backend {backend}"
             );
-        }
-    }
-}
-
-#[test]
-fn dot_quad_matches_scalar_on_every_backend_and_length() {
-    let mut rng = DeterministicRng::seed_from_u64(102);
-    for len in dot_lens() {
-        let row = vecf(&mut rng, len);
-        let xs: Vec<Vec<f32>> = (0..4).map(|_| vecf(&mut rng, len)).collect();
-        let reference =
-            dot_quad_unchecked_on(KernelBackend::Scalar, &row, &xs[0], &xs[1], &xs[2], &xs[3]);
-        for backend in simd_backends() {
-            let quad = dot_quad_unchecked_on(backend, &row, &xs[0], &xs[1], &xs[2], &xs[3]);
-            for i in 0..4 {
-                assert_eq!(
-                    quad[i].to_bits(),
-                    reference[i].to_bits(),
-                    "dot_quad len {len} lane {i} backend {backend}"
-                );
-            }
         }
     }
 }

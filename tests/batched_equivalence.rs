@@ -5,14 +5,20 @@
 //! default lanes × neurons loop over `evaluate`, pinned down by
 //! `PerNeuronEvaluator`, which also never receives hoisted
 //! projections) — for {exact (hoisted), oracle, BNN, BNN + audit} ×
-//! {LSTM, GRU} × {uni, bidirectional} — and the runner must produce
-//! the same outputs and statistics for any worker count.
+//! {LSTM, GRU} × {uni, bidirectional}, and for BNN's whole-gate passes
+//! also across gate widths and lane counts on both sides of every
+//! vector width and kernel tile, with lanes refilled mid-flight — and
+//! the runner must produce the same outputs and statistics for any
+//! worker count.
 
 use nfm::bnn::BinaryNetwork;
 use nfm::memo::{
     AuditConfig, BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig, ReuseStats,
 };
-use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, PerNeuronEvaluator};
+use nfm::rnn::{
+    CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, LaneScheduler, NeuronEvaluator,
+    PerNeuronEvaluator, RefillPolicy,
+};
 use nfm::serve::{InferenceWorkload, MemoizedRunner};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
@@ -189,6 +195,81 @@ fn bnn_with_audit_is_bit_identical_and_audits_the_same_hits() {
             naive.inner().audit_stats(),
             "{name}: per-layer audit counters must match"
         );
+    }
+}
+
+/// BNN's gate entry decides, computes and refreshes a whole gate in
+/// vector-shaped passes over lane-striped buffers, so it is pinned to
+/// the per-neuron reference across gate widths that are no multiple of
+/// any vector width and lane counts around the kernel's lane quads and
+/// chunks — under the lane scheduler's block refill, with ragged
+/// lengths, so lanes drain and are refilled while their neighbours are
+/// mid-sequence.  With and without audit sampling.
+#[test]
+fn bnn_passes_match_per_neuron_at_every_gate_width_and_lane_count() {
+    const WIDTHS: [usize; 6] = [1, 7, 17, 37, 128, 400];
+    const LANES: [usize; 7] = [1, 2, 3, 5, 8, 9, 70];
+    let config = BnnMemoConfig::with_threshold(1.0);
+    for (w, &hidden) in WIDTHS.iter().enumerate() {
+        let mut rng = DeterministicRng::seed_from_u64(300 + w as u64);
+        let kind = [CellKind::Lstm, CellKind::Gru][w % 2];
+        let net = DeepRnn::random(&DeepRnnConfig::new(kind, 3, hidden), &mut rng).unwrap();
+        let mirror = std::sync::Arc::new(BinaryNetwork::mirror(&net));
+        // Three more sequences than the widest scheduler has lanes, of
+        // lengths on both sides of the 8-step block.
+        let seqs: Vec<Vec<Vector>> = (0..LANES[LANES.len() - 1] + 3)
+            .map(|i| smooth_sequence(2 + (i * 7) % 11, 3, 400 + i as u64))
+            .collect();
+        for audit in [None, Some(AuditConfig::new(3, 2019))] {
+            let make = || {
+                let evaluator = BnnMemoEvaluator::new(mirror.clone(), config);
+                match audit {
+                    Some(audit) => evaluator.with_audit(audit),
+                    None => evaluator,
+                }
+            };
+            let solo: Vec<(Vec<Vector>, ReuseStats)> = seqs
+                .iter()
+                .map(|s| {
+                    let mut naive = PerNeuronEvaluator::new(make());
+                    let out = net.run(s, &mut naive).unwrap();
+                    (out, *naive.inner().stats())
+                })
+                .collect();
+            for lanes in LANES {
+                let what = format!("hidden {hidden} lanes {lanes} audit {}", audit.is_some());
+                let mut sched = LaneScheduler::new(&net, lanes, RefillPolicy::Block).unwrap();
+                let mut evaluator = make();
+                evaluator.begin_batch(lanes);
+                let mut queue = seqs[..lanes + 3].iter().cloned().enumerate();
+                let mut finished = Vec::new();
+                let (mut done, mut audited) = (0, 0);
+                loop {
+                    while sched.free_lanes() > 0 {
+                        let Some((i, s)) = queue.next() else { break };
+                        sched.admit(i as u64, s, &mut evaluator).unwrap();
+                    }
+                    if sched.step(&net, &mut evaluator, &mut finished).unwrap() == 0 {
+                        break;
+                    }
+                    for f in finished.drain(..) {
+                        let i = f.token as usize;
+                        assert_bit_identical(&format!("{what} seq {i}"), &f.outputs, &solo[i].0);
+                        let lane = f.stats_lane.expect("block lanes enter the evaluator");
+                        assert_eq!(evaluator.lane_stats()[lane], solo[i].1, "{what} seq {i}");
+                        audited += solo[i].1.audited();
+                        done += 1;
+                    }
+                }
+                assert_eq!(done, lanes + 3, "{what}: every sequence finished");
+                assert_eq!(evaluator.audit_stats().audited(), audited, "{what}");
+                assert_eq!(
+                    audit.is_some(),
+                    audited > 0,
+                    "{what}: audits taken iff sampling"
+                );
+            }
+        }
     }
 }
 

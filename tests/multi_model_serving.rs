@@ -40,7 +40,8 @@ use nfm::serve::{
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn smooth_sequence(len: usize, width: usize, seed: u64) -> Vec<Vector> {
@@ -738,11 +739,24 @@ fn priorities_reorder_admission_not_results() {
 #[derive(Debug)]
 struct SleepyPredictor {
     delay: Duration,
+    /// Hold points a test stages worker layouts with (`None`: just slow).
+    stage: Option<Arc<Stage>>,
+}
+
+/// Hold points shared by every evaluator of one [`SleepyPredictor`]:
+/// the first gate call made anywhere reports in and blocks until the
+/// test releases it, and the first gate call carrying two lanes is
+/// reported.
+#[derive(Debug)]
+struct Stage {
+    first_call: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+    two_lanes: Mutex<Option<Sender<()>>>,
 }
 
 struct SleepyEvaluator {
     inner: nfm::rnn::ExactEvaluator,
     delay: Duration,
+    stage: Option<Arc<Stage>>,
 }
 
 impl NeuronEvaluator for SleepyEvaluator {
@@ -757,6 +771,18 @@ impl NeuronEvaluator for SleepyEvaluator {
     }
 
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
+        if let Some(stage) = &self.stage {
+            if call.lanes == 2 {
+                if let Some(seated) = stage.two_lanes.lock().unwrap().take() {
+                    seated.send(()).unwrap();
+                }
+            }
+            let hold = stage.first_call.lock().unwrap().take();
+            if let Some((started, release)) = hold {
+                started.send(()).unwrap();
+                release.recv().unwrap();
+            }
+        }
         std::thread::sleep(self.delay);
         self.inner.evaluate_gate_batch(call, out)
     }
@@ -785,6 +811,7 @@ impl Predictor for SleepyPredictor {
         Box::new(SleepyEvaluator {
             inner: nfm::rnn::ExactEvaluator::new(),
             delay: self.delay,
+            stage: self.stage.clone(),
         })
     }
 }
@@ -798,6 +825,7 @@ fn sleepy_engine(net: &DeepRnn, policy: DeadlinePolicy) -> nfm::serve::Engine {
             "sleepy",
             Arc::new(SleepyPredictor {
                 delay: Duration::from_millis(1),
+                stage: None,
             }),
         )
         .unwrap();
@@ -991,95 +1019,91 @@ fn hot_context_borrows_idle_lanes_from_cold_sibling() {
 /// another worker mid-sequence still aborts at its deadline on the
 /// receiving worker under `DropExpired`, and every request — migrated
 /// or not — is reported exactly once.
+///
+/// The layout is staged, not raced: a short request is held inside its
+/// first gate call while two deadline-bound longs are submitted, so the
+/// *other* worker necessarily seats both; only then is the short
+/// released.  Its worker retires it and parks while the longs' worker
+/// still holds two lanes with most of their steps left — the donation
+/// precondition — long before the deadline.
 #[test]
 fn stolen_lanes_still_abort_on_deadline() {
     let mut rng = DeterministicRng::seed_from_u64(73);
     // One GRU layer => 3 sleepy gate calls ≈ 3ms per timestep.
     let net = DeepRnn::random(&DeepRnnConfig::new(CellKind::Gru, 4, 6), &mut rng).unwrap();
-    // Two shorts (retire fast, leaving their worker idle) + two longs
-    // that cannot possibly meet their 250ms deadline (≈ 360ms each).
-    let shorts = [
-        smooth_sequence(10, net.input_size(), 1),
-        smooth_sequence(6, net.input_size(), 2),
-    ];
+    let short = smooth_sequence(6, net.input_size(), 1);
+    // Two longs that cannot possibly meet their 300ms deadline (≥ 480ms
+    // each); the steal happens some 50ms in.
     let longs = [
-        smooth_sequence(120, net.input_size(), 3),
-        smooth_sequence(120, net.input_size(), 4),
+        smooth_sequence(160, net.input_size(), 3),
+        smooth_sequence(160, net.input_size(), 4),
     ];
+    let wait = Duration::from_secs(30);
 
-    let mut migrated = false;
-    for attempt in 0..10 {
-        let mut registry = ModelRegistry::new();
-        registry
-            .register_custom(
-                "slow",
-                net.clone(),
-                "sleepy",
-                Arc::new(SleepyPredictor {
-                    delay: Duration::from_millis(1),
-                }),
+    let (started_tx, started) = channel();
+    let (release, release_rx) = channel();
+    let (seated_tx, seated) = channel();
+    let mut registry = ModelRegistry::new();
+    registry
+        .register_custom(
+            "slow",
+            net.clone(),
+            "sleepy",
+            Arc::new(SleepyPredictor {
+                delay: Duration::from_millis(1),
+                stage: Some(Arc::new(Stage {
+                    first_call: Mutex::new(Some((started_tx, release_rx))),
+                    two_lanes: Mutex::new(Some(seated_tx)),
+                })),
+            }),
+        )
+        .unwrap();
+    let engine = EngineBuilder::from_registry(registry)
+        .lanes(2)
+        .workers(2)
+        .queue_capacity(8)
+        .deadline_policy(DeadlinePolicy::DropExpired)
+        .build()
+        .unwrap();
+
+    engine
+        .submit(InferenceRequest::new(0, short.clone()))
+        .unwrap();
+    started
+        .recv_timeout(wait)
+        .expect("a worker took the short and is held in its first gate call");
+    for (i, seq) in longs.iter().enumerate() {
+        engine
+            .submit(
+                InferenceRequest::new(10 + i as u64, seq.clone())
+                    .with_deadline(Duration::from_millis(300)),
             )
             .unwrap();
-        let engine = EngineBuilder::from_registry(registry)
-            .lanes(2)
-            .workers(2)
-            .queue_capacity(8)
-            .deadline_policy(DeadlinePolicy::DropExpired)
-            .start_paused()
-            .build()
-            .unwrap();
-        // A paused burst, shorts first: on resume the first worker's
-        // fill loop runs to its fair share without yielding, so it
-        // usually takes both shorts and the second worker takes both
-        // longs — then drains its shorts, goes idle, and receives one
-        // of the longs.  The layout is still a scheduling race, hence
-        // the retry loop; the deadline/exactly-once assertions hold on
-        // every attempt regardless.
-        for (i, seq) in shorts.iter().enumerate() {
-            engine
-                .submit(InferenceRequest::new(i as u64, seq.clone()))
-                .unwrap();
-        }
-        for (i, seq) in longs.iter().enumerate() {
-            engine
-                .submit(
-                    InferenceRequest::new(10 + i as u64, seq.clone())
-                        .with_deadline(Duration::from_millis(250)),
-                )
-                .unwrap();
-        }
-        let responses = engine.drain();
-        assert_eq!(
-            responses.len(),
-            4,
-            "attempt {attempt}: exactly-once across migration"
-        );
-        for (i, seq) in shorts.iter().enumerate() {
-            let r = responses.iter().find(|r| r.id == i as u64).unwrap();
-            assert_eq!(
-                r.status,
-                CompletionStatus::Done,
-                "attempt {attempt} short {i}"
-            );
-            assert_eq!(r.outputs.len(), seq.len());
-        }
-        for i in 0..longs.len() {
-            let r = responses.iter().find(|r| r.id == 10 + i as u64).unwrap();
-            assert_eq!(
-                r.status,
-                CompletionStatus::DeadlineExpired,
-                "attempt {attempt} long {i}"
-            );
-            assert!(r.outputs.is_empty(), "aborted mid-flight, not computed");
-            assert!(
-                r.compute_latency > Duration::ZERO,
-                "attempt {attempt} long {i}: the abort happened on a lane"
-            );
-        }
-        if engine.migrations() > 0 {
-            migrated = true;
-            break;
-        }
     }
-    assert!(migrated, "no lane migrated in 10 attempts");
+    seated
+        .recv_timeout(wait)
+        .expect("the free worker seated both longs");
+    release.send(()).unwrap();
+
+    let responses = engine.drain();
+    assert_eq!(responses.len(), 3, "exactly-once across migration");
+    let done = responses.iter().find(|r| r.id == 0).unwrap();
+    assert_eq!(done.status, CompletionStatus::Done);
+    assert_eq!(done.outputs.len(), short.len());
+    for i in 0..longs.len() {
+        let r = responses.iter().find(|r| r.id == 10 + i as u64).unwrap();
+        assert_eq!(r.status, CompletionStatus::DeadlineExpired, "long {i}");
+        assert!(r.outputs.is_empty(), "aborted mid-flight, not computed");
+        assert!(
+            r.compute_latency > Duration::ZERO,
+            "long {i}: the abort happened on a lane"
+        );
+    }
+    // At least one: the donor's own next pump round may take the lane
+    // back out of the pool before the parked worker wakes, and then
+    // donates again.
+    assert!(
+        engine.migrations() > 0,
+        "a worker parked while the other held two longs, so a lane migrated"
+    );
 }
