@@ -43,6 +43,7 @@ use nfm_serve::{
     CanaryConfig, EngineBuilder, InferenceRequest, InferenceResponse, MemoizedRunner,
     ModelRegistry, PredictorKind, RequestOptions, SwapOutcome,
 };
+use nfm_tensor::activation::Activation;
 use nfm_tensor::backend::KernelBackend;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::{kernels, Matrix, Vector};
@@ -56,6 +57,17 @@ use std::sync::Arc;
 /// sequential adds cannot be vectorized).
 #[derive(Default)]
 struct NaiveExactEvaluator;
+
+/// The two-branch libm sigmoid the rational one replaced: the baseline
+/// of the `kernel/activate_sigmoid_1k` rungs.
+fn libm_sigmoid(x: f32) -> f32 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
 
 fn scalar_dot(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = 0.0f32;
@@ -773,6 +785,7 @@ fn main() {
         let hs: Vec<f32> = (0..lanes * hc).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let da: Vec<f32> = (0..1024).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let db: Vec<f32> = (0..1024).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let act_in: Vec<f32> = (0..1024).map(|_| rng.uniform(-6.0, 6.0)).collect();
         let mut single_out = vec![0.0f32; rows];
         let mut batch_out = vec![0.0f32; lanes * rows];
         let miss_masks: Vec<(u32, Vec<Vec<u8>>)> = [15u32, 40, 85]
@@ -850,6 +863,39 @@ fn main() {
                     black_box(batch_out[0])
                 });
                 pairs.push((format!("kernel/dual_matmul_8l/{backend}"), id));
+            }
+            // The gate's last step: the rational activation over 1024
+            // pre-activations in gate range, interleaved with the libm
+            // forms it replaced (which now live only here).
+            for (name, activation, libm) in [
+                (
+                    "sigmoid",
+                    Activation::Sigmoid,
+                    libm_sigmoid as fn(f32) -> f32,
+                ),
+                ("tanh", Activation::Tanh, f32::tanh as fn(f32) -> f32),
+            ] {
+                let libm_id = format!("kernel/activate_{name}_1k_libm/{backend}");
+                let id = format!("kernel/activate_{name}_1k/{backend}");
+                let mut buf = act_in.clone();
+                let mut libm_buf = act_in.clone();
+                bench.bench_pair(
+                    &libm_id,
+                    || {
+                        libm_buf.copy_from_slice(black_box(&act_in));
+                        for v in libm_buf.iter_mut() {
+                            *v = libm(*v);
+                        }
+                        black_box(libm_buf[0])
+                    },
+                    &id,
+                    || {
+                        buf.copy_from_slice(black_box(&act_in));
+                        kernels::activate_into_on(backend, activation, &mut buf);
+                        black_box(buf[0])
+                    },
+                );
+                pairs.push((libm_id, id));
             }
             if backend != KernelBackend::Scalar {
                 for kernel in ["dot_1024", "matvec", "dual_matvec", "dual_matmul_8l"] {

@@ -22,6 +22,7 @@
 //! | `sensitivity` | FMU-latency / DPU-width design sweep | [`experiments::sensitivity`] |
 //! | `energy`   | E-PUR+BM energy model vs measured wall-clock speedup | [`experiments::energy`] |
 //! | `frontier` | Adaptive θ control vs static sweep under drift (Section 3.2.1 extension) | [`experiments::frontier`] |
+//! | `reference` | Error of the exact f32 path against an independent f64 reference | [`mod@reference`] |
 //!
 //! Run any of them with `cargo run -p nfm-eval -- <experiment> [--full]`.
 //!
@@ -34,6 +35,7 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod reference;
 pub mod report;
 
 pub use harness::{EvalConfig, NetworkRun, ScoredPoint};
@@ -41,7 +43,7 @@ pub use report::{Series, TableReport};
 
 /// Names of every runnable experiment, as accepted by the `nfm-eval`
 /// binary and produced by [`run_experiment`].
-pub const EXPERIMENTS: [&str; 16] = [
+pub const EXPERIMENTS: [&str; 17] = [
     "table1",
     "table2",
     "fig1",
@@ -58,6 +60,7 @@ pub const EXPERIMENTS: [&str; 16] = [
     "sensitivity",
     "energy",
     "frontier",
+    "reference",
 ];
 
 /// Runs an experiment by name and returns its printable report.
@@ -84,6 +87,7 @@ pub fn run_experiment(name: &str, config: &EvalConfig) -> Result<String, String>
         "sensitivity" => Ok(experiments::sensitivity::run(config).to_string()),
         "energy" => Ok(experiments::energy::run(config).to_string()),
         "frontier" => Ok(experiments::frontier::run(config).to_string()),
+        "reference" => Ok(reference::run(config).to_string()),
         other => Err(format!(
             "unknown experiment '{other}'; expected one of {EXPERIMENTS:?}"
         )),

@@ -11,6 +11,7 @@ use crate::error::RnnError;
 use crate::Result;
 use nfm_tensor::activation::Activation;
 use nfm_tensor::init::Initializer;
+use nfm_tensor::kernels::activate_into;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::{Matrix, Vector};
 
@@ -102,9 +103,9 @@ impl Dense {
     ///
     /// Returns a tensor error if `x.len() != self.input_size()`.
     pub fn apply(&self, x: &Vector) -> Result<Vector> {
-        let mut y = self.weights.matvec(x)?;
-        y = y.add(&self.bias)?;
-        Ok(self.activation.apply_vector(&y))
+        let mut y = self.weights.matvec(x)?.add(&self.bias)?;
+        activate_into(self.activation, y.as_mut_slice());
+        Ok(y)
     }
 }
 

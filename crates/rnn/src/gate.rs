@@ -286,51 +286,81 @@ impl Gate {
         kernels::dot_unchecked(self.wx.row(n), x) + kernels::dot_unchecked(self.wh.row(n), h_prev)
     }
 
+    /// A gate with peephole weights finished without a cell state would
+    /// silently drop its peephole term; that is a caller bug.
+    #[track_caller]
+    fn debug_assert_cell_state(&self, kind: GateKind, has_cell_state: bool) {
+        debug_assert!(
+            has_cell_state || self.peephole.is_none(),
+            "{} gate has peephole weights but was finished without c_prev",
+            kind.name()
+        );
+    }
+
     /// Completes a neuron evaluation from its pre-activation dot product:
     /// adds bias, an optional peephole contribution (`p[n] * c_prev[n]`),
-    /// and applies the activation function.
+    /// and applies the activation function.  `kind` names the gate in
+    /// diagnostics only.
     ///
     /// # Panics
     ///
-    /// Panics if `n >= self.neurons()` or if a peephole is present but
-    /// `c_prev` is `None` shorter than `n`.
-    pub fn finish_neuron(&self, n: usize, dot: f32, c_prev: Option<&Vector>) -> f32 {
+    /// Panics if `n >= self.neurons()` or `c_prev` is shorter than `n`;
+    /// in debug builds also if the gate has peephole weights and `c_prev`
+    /// is `None` (release builds then omit the peephole term).
+    pub fn finish_neuron(
+        &self,
+        kind: GateKind,
+        n: usize,
+        dot: f32,
+        c_prev: Option<&Vector>,
+    ) -> f32 {
+        self.debug_assert_cell_state(kind, c_prev.is_some());
         let mut pre = dot + self.bias[n];
-        if let Some(p) = &self.peephole {
-            if let Some(c) = c_prev {
-                pre += p[n] * c[n];
-            }
+        if let (Some(p), Some(c)) = (&self.peephole, c_prev) {
+            pre += p[n] * c[n];
         }
         self.activation.apply(pre)
     }
 
-    /// Completes a whole gate evaluation in place: adds bias, the
-    /// optional peephole contribution and the activation to every dot
-    /// product in `pre` (which arrives from
-    /// [`NeuronEvaluator::evaluate_gate_batch`] and leaves as the gate
-    /// output).
+    /// Completes a gate evaluation in place for any number of lanes:
+    /// `pre` holds the lane-striped dot products (as they arrive from
+    /// [`NeuronEvaluator::evaluate_gate_batch`]) and leaves as the gate
+    /// output.  Bias and the optional peephole contribution are added
+    /// lane by lane, then one [`kernels::activate_into`] call activates
+    /// the whole slice — element for element the operations of
+    /// [`Gate::finish_neuron`].  `kind` names the gate in diagnostics.
     ///
     /// # Panics
     ///
-    /// Panics if `pre.len() != self.neurons()` or if a peephole is
-    /// present and `c_prev` is shorter than the gate.
-    pub fn finish_into(&self, pre: &mut [f32], c_prev: Option<&[f32]>) {
-        assert_eq!(pre.len(), self.neurons(), "gate output width mismatch");
+    /// Panics if `pre.len()` is not a multiple of `self.neurons()` or
+    /// `c_prev` is present with a different length; in debug builds also
+    /// if the gate has peephole weights and `c_prev` is `None`.
+    pub fn finish_into(&self, kind: GateKind, pre: &mut [f32], c_prev: Option<&[f32]>) {
+        self.debug_assert_cell_state(kind, c_prev.is_some());
+        // (`max(1)`: a zero-neuron gate has only the empty output.)
+        let neurons = self.neurons().max(1);
+        assert_eq!(pre.len() % neurons, 0, "gate output width mismatch");
         let bias = self.bias.as_slice();
         match (&self.peephole, c_prev) {
             (Some(p), Some(c)) => {
+                assert_eq!(c.len(), pre.len(), "cell state width mismatch");
                 let p = p.as_slice();
-                for n in 0..pre.len() {
-                    // Keep the scalar order of finish_neuron: (dot + bias) + p*c.
-                    pre[n] = self.activation.apply(pre[n] + bias[n] + p[n] * c[n]);
+                for (pre, c) in pre.chunks_exact_mut(neurons).zip(c.chunks_exact(neurons)) {
+                    for ((v, b), (p, c)) in pre.iter_mut().zip(bias).zip(p.iter().zip(c)) {
+                        // Keep the scalar order of finish_neuron: (dot + bias) + p*c.
+                        *v = *v + b + p * c;
+                    }
                 }
             }
             _ => {
-                for n in 0..pre.len() {
-                    pre[n] = self.activation.apply(pre[n] + bias[n]);
+                for pre in pre.chunks_exact_mut(neurons) {
+                    for (v, b) in pre.iter_mut().zip(bias) {
+                        *v += b;
+                    }
                 }
             }
         }
+        kernels::activate_into(self.activation, pre);
     }
 
     /// Evaluates the whole gate for one timestep across `lanes`
@@ -394,10 +424,7 @@ impl Gate {
             fwd,
         };
         evaluator.evaluate_gate_batch(&call, out)?;
-        for l in 0..lanes {
-            let c_lane = c_prevs.map(|c| &c[l * neurons..(l + 1) * neurons]);
-            self.finish_into(&mut out[l * neurons..(l + 1) * neurons], c_lane);
-        }
+        self.finish_into(gate_id.kind, out, c_prevs);
         Ok(())
     }
 }
@@ -467,11 +494,37 @@ mod tests {
         let g = small_gate(true);
         let c_prev = Vector::from(vec![1.0, 2.0]);
         // neuron 1: dot 3.0 + bias 0.1 + peephole 0.2*2.0 = 3.5, identity activation
-        let y = g.finish_neuron(1, 3.0, Some(&c_prev));
+        let y = g.finish_neuron(GateKind::Input, 1, 3.0, Some(&c_prev));
         assert!((y - 3.5).abs() < 1e-6);
-        // Without cell state the peephole term is skipped.
-        let y = g.finish_neuron(1, 3.0, None);
+        // A gate without peephole weights needs no cell state.
+        let y = small_gate(false).finish_neuron(GateKind::Candidate, 1, 3.0, None);
         assert!((y - 3.1).abs() < 1e-6);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "forget gate has peephole weights")]
+    fn finishing_a_peephole_gate_without_cell_state_is_a_bug() {
+        small_gate(true).finish_into(GateKind::Forget, &mut [0.0, 0.0], None);
+    }
+
+    #[test]
+    fn finish_into_matches_finish_neuron_bitwise_on_every_lane() {
+        let mut rng = DeterministicRng::seed_from_u64(9);
+        for activation in [Activation::Sigmoid, Activation::Tanh] {
+            let g = Gate::random(5, 3, 5, activation, true, &mut rng).unwrap();
+            let dots: Vec<f32> = (0..15).map(|_| rng.uniform(-4.0, 4.0)).collect();
+            let cs: Vec<f32> = (0..15).map(|_| rng.uniform(-2.0, 2.0)).collect();
+            let mut out = dots.clone();
+            g.finish_into(GateKind::Input, &mut out, Some(&cs));
+            for l in 0..3 {
+                let c = Vector::from(cs[l * 5..(l + 1) * 5].to_vec());
+                for n in 0..5 {
+                    let y = g.finish_neuron(GateKind::Input, n, dots[l * 5 + n], Some(&c));
+                    assert_eq!(out[l * 5 + n].to_bits(), y.to_bits(), "lane {l} neuron {n}");
+                }
+            }
+        }
     }
 
     #[test]

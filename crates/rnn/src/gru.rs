@@ -51,7 +51,8 @@ impl GruCell {
     /// # Errors
     ///
     /// Returns [`RnnError::InvalidConfig`] if the gates disagree on
-    /// dimensions or the recurrent width differs from the neuron count.
+    /// dimensions, the recurrent width differs from the neuron count, or
+    /// any gate has peephole weights.
     pub fn new(update: Gate, reset: Gate, candidate: Gate) -> Result<Self> {
         let neurons = update.neurons();
         let in_size = update.input_size();
@@ -66,6 +67,14 @@ impl GruCell {
         if hid != neurons {
             return Err(RnnError::InvalidConfig {
                 what: format!("GRU recurrent width {hid} must equal neuron count {neurons}"),
+            });
+        }
+        if [&update, &reset, &candidate]
+            .iter()
+            .any(|g| g.peephole().is_some())
+        {
+            return Err(RnnError::InvalidConfig {
+                what: "GRU gates have no cell state and take no peephole".into(),
             });
         }
         Ok(GruCell {

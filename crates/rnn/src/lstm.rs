@@ -6,6 +6,7 @@ use crate::evaluator::NeuronEvaluator;
 use crate::gate::{Gate, GateId, GateKind};
 use crate::Result;
 use nfm_tensor::activation::Activation;
+use nfm_tensor::kernels::activate_into;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
 
@@ -57,7 +58,8 @@ impl LstmCell {
     /// # Errors
     ///
     /// Returns [`RnnError::InvalidConfig`] if the gates disagree on
-    /// neuron count, input size or hidden size.
+    /// neuron count, input size or hidden size, or the candidate gate
+    /// has peephole weights (Equation 3 has no peephole term).
     pub fn new(input: Gate, forget: Gate, candidate: Gate, output: Gate) -> Result<Self> {
         let gates = [&input, &forget, &candidate, &output];
         let neurons = input.neurons();
@@ -73,6 +75,11 @@ impl LstmCell {
         if hid != neurons {
             return Err(RnnError::InvalidConfig {
                 what: format!("LSTM recurrent width {hid} must equal neuron count {neurons}"),
+            });
+        }
+        if candidate.peephole().is_some() {
+            return Err(RnnError::InvalidConfig {
+                what: "the LSTM candidate gate reads no cell state and takes no peephole".into(),
             });
         }
         Ok(LstmCell {
@@ -294,10 +301,13 @@ impl LstmCell {
             evaluator,
             ib,
         )?;
-        // h_t = o_t ⊙ ϕ(c_t)
+        // h_t = o_t ⊙ ϕ(c_t): ϕ over all lanes in one call, then scaled
+        // in place.
         let (h_next, c_next) = next.h_mut_c_prefix(lanes);
-        for (n, h) in h_next.iter_mut().enumerate() {
-            *h = ib[n] * c_next[n].tanh();
+        h_next.copy_from_slice(c_next);
+        activate_into(Activation::Tanh, h_next);
+        for (h, o) in h_next.iter_mut().zip(ib.iter()) {
+            *h *= o;
         }
         Ok(())
     }

@@ -7,6 +7,8 @@
 //! surface, the `*_body` functions are the shared loop nests, and every
 //! per-arch module instantiates the bodies inside `#[target_feature]`
 //! wrappers so the ops inline with the right instruction set enabled.
+//! The elementwise [`activate_body`] needs no [`DotOps`]: it is plain
+//! arithmetic the compiler vectorises under each wrapper's features.
 //!
 //! # The canonical reduction order
 //!
@@ -32,6 +34,8 @@
 //! addition are commutative in their operands, so implementations may
 //! swap operand roles within a lane, but never the order in which a
 //! lane's partial sums combine.
+
+use crate::activation::{hard_sigmoid, relu, sigmoid, tanh, Activation};
 
 /// Number of independent accumulators in the unrolled dot product.
 pub(crate) const LANES: usize = 16;
@@ -488,12 +492,35 @@ pub(crate) unsafe fn dual_matmul_masked_body<O: DotOps>(
     }
 }
 
+/// `out[i] = activation(out[i])` in place — [`crate::activation`]'s
+/// per-element functions themselves, inlined so each tier's wrapper
+/// vectorises them with its own instruction set.  Correctly rounded
+/// `*` `+` `/` `clamp` and no fused multiply-add, so every tier agrees
+/// with [`Activation::apply`] bit for bit.
+#[inline(always)]
+pub(crate) fn activate_body(activation: Activation, out: &mut [f32]) {
+    #[inline(always)]
+    fn map(out: &mut [f32], f: impl Fn(f32) -> f32) {
+        for v in out {
+            *v = f(*v);
+        }
+    }
+    // Matched outside the loop so each arm is one straight-line loop.
+    match activation {
+        Activation::Sigmoid => map(out, sigmoid),
+        Activation::Tanh => map(out, tanh),
+        Activation::Relu => map(out, relu),
+        Activation::HardSigmoid => map(out, hard_sigmoid),
+        Activation::Identity => {}
+    }
+}
+
 /// The scalar tier: safe wrappers instantiating the shared bodies with
 /// [`ScalarOps`] (no intrinsics, so no feature requirements).
 pub(crate) mod scalar {
     use super::{
-        dual_matmul_body, dual_matmul_masked_body, dual_matvec_body, matmul_add_body, matmul_body,
-        matvec_body, DotOps, ScalarOps,
+        activate_body, dual_matmul_body, dual_matmul_masked_body, dual_matvec_body,
+        matmul_add_body, matmul_body, matvec_body, Activation, DotOps, ScalarOps,
     };
 
     #[inline]
@@ -585,5 +612,10 @@ pub(crate) mod scalar {
         unsafe {
             dual_matmul_masked_body(ScalarOps, wx, wh, rows, xc, hc, xs, hs, lanes, mask, out)
         }
+    }
+
+    #[inline]
+    pub(crate) fn activate(activation: Activation, out: &mut [f32]) {
+        activate_body(activation, out)
     }
 }

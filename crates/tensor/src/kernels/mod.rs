@@ -2,7 +2,8 @@
 //!
 //! These are the hot loops of the whole reproduction: every recurrent
 //! gate evaluation reduces to two dense matrix-vector products over the
-//! gate's weight rows.  There are seven operations, each with exactly
+//! gate's weight rows, followed by one elementwise activation over the
+//! gate's outputs.  There are eight operations, each with exactly
 //! one dispatched entry point (runs on [`crate::backend::active`] — CPU
 //! feature detection with an `NFM_KERNEL_BACKEND` override, see
 //! [`crate::backend`]) and one `_on` test hook that runs an explicit
@@ -18,6 +19,7 @@
 //! | `out[l] = Wx xs[l] + Wh hs[l]` | [`dual_matmul_into`] | [`dual_matmul_into_on`] |
 //! | the same where `mask` is set | [`dual_matmul_masked_into`] | [`dual_matmul_masked_into_on`] |
 //! | `out[l] = base[l] + M xs[l]` | [`matmul_add_into`] | [`matmul_add_into_on`] |
+//! | `out[i] = act(out[i])` | [`activate_into`] | [`activate_into_on`] |
 //!
 //! Both columns of a row share one private body that takes the tier (the
 //! two `dual_matmul` rows share theirs), so they validate and dispatch
@@ -28,7 +30,8 @@
 //!   performs no allocation) and checks dimensions once per call, not
 //!   once per row or element,
 //! * exists in one scalar reference implementation plus hand-written
-//!   intrinsic tiers (AVX2 / AVX-512 / NEON),
+//!   intrinsic tiers (AVX2 / AVX-512 / NEON) — [`activate_into`] is one
+//!   plain-arithmetic body the compiler vectorises once per tier,
 //! * runs the *same fixed reduction order* on every tier
 //!   ([`dot_unchecked`]'s sixteen lane-major accumulators, the pairwise
 //!   reduce tree, a sequential tail, multiply-then-add rounding), so the
@@ -44,6 +47,7 @@ mod neon;
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86;
 
+use crate::activation::Activation;
 use crate::backend::{self, KernelBackend};
 use crate::error::TensorError;
 use crate::matrix::Matrix;
@@ -283,6 +287,11 @@ fn matmul_add_tier(
         matmul_add(m.as_slice(), m.rows(), m.cols(), xs, lanes, base, out)
     );
     Ok(())
+}
+
+#[inline]
+fn activate_tier(backend: KernelBackend, activation: Activation, out: &mut [f32]) {
+    dispatch!(backend, activate(activation, out))
 }
 
 /// Unchecked dot product with a fixed unrolled reduction order.
@@ -568,6 +577,26 @@ pub fn matmul_add_into_on(
 ) -> Result<()> {
     assert_supported(backend);
     matmul_add_tier(backend, m, xs, lanes, base, out)
+}
+
+/// Applies `activation` to every element of `out` in place:
+/// `out[i] = activation.apply(out[i])`, bit for bit, on every dispatch
+/// tier.  The last step of a gate evaluation (the whole lane-striped
+/// `lanes × neurons` output in one call) and the LSTM's `ϕ(c_t)`.
+#[inline]
+pub fn activate_into(activation: Activation, out: &mut [f32]) {
+    activate_tier(backend::active(), activation, out)
+}
+
+/// [`activate_into`] on an explicit dispatch tier.
+///
+/// # Panics
+///
+/// Panics if `backend` is not supported on this host.
+#[inline]
+pub fn activate_into_on(backend: KernelBackend, activation: Activation, out: &mut [f32]) {
+    assert_supported(backend);
+    activate_tier(backend, activation, out)
 }
 
 #[cfg(test)]

@@ -263,3 +263,8 @@ pub(crate) unsafe fn dual_matmul_masked(
         NeonOps, wx, wh, rows, xc, hc, xs, hs, lanes, mask, out,
     )
 }
+
+#[target_feature(enable = "neon")]
+pub(crate) unsafe fn activate(activation: crate::activation::Activation, out: &mut [f32]) {
+    crate::kernels::body::activate_body(activation, out)
+}

@@ -350,6 +350,11 @@ macro_rules! kernel_set {
                 $ops, wx, wh, rows, xc, hc, xs, hs, lanes, mask, out,
             )
         }
+
+        #[target_feature(enable = $feat)]
+        pub(crate) unsafe fn activate(activation: $crate::activation::Activation, out: &mut [f32]) {
+            $crate::kernels::body::activate_body(activation, out)
+        }
     };
 }
 

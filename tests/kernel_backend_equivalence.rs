@@ -21,10 +21,11 @@
 
 use nfm::memo::{BnnMemoConfig, OracleMemoConfig};
 use nfm::serve::MemoizedRunner;
+use nfm::tensor::activation::Activation;
 use nfm::tensor::backend::KernelBackend;
 use nfm::tensor::kernels::{
-    dot_unchecked_on, dual_matmul_into_on, dual_matmul_masked_into_on, dual_matvec_into_on,
-    matmul_add_into_on, matmul_into_on,
+    activate_into_on, dot_unchecked_on, dual_matmul_into_on, dual_matmul_masked_into_on,
+    dual_matvec_into_on, matmul_add_into_on, matmul_into_on,
 };
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Matrix;
@@ -194,6 +195,57 @@ fn masked_gate_kernel_computes_exactly_the_flagged_positions_on_every_tier() {
                         };
                         assert_eq!(out[i].to_bits(), expected.to_bits(), "{tag} out[{i}]");
                     }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn activation_matches_the_scalar_tier_at_every_remainder_length() {
+    // Lengths around every vector width a tier may pick (4/8/16 lanes,
+    // unrolled), each with NaN / inf / denormal payloads mixed into
+    // gate-range values so a tier that handles them differently in its
+    // vector body than in its scalar tail cannot hide.
+    let lens = (1..=33usize)
+        .chain(47..=49)
+        .chain(63..=65)
+        .chain([129, 257, 1024]);
+    let poison = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(1),
+        -f32::MIN_POSITIVE / 2.0,
+        -0.0,
+        1e30,
+    ];
+    let mut rng = DeterministicRng::seed_from_u64(45);
+    for len in lens {
+        let mut input: Vec<f32> = (0..len).map(|_| rng.uniform(-12.0, 12.0)).collect();
+        for (k, p) in poison.iter().enumerate() {
+            // Coprime strides spread the payloads over body and tail.
+            input[(k * 5 + len / 2) % len] = *p;
+        }
+        for activation in [
+            Activation::Sigmoid,
+            Activation::Tanh,
+            Activation::Relu,
+            Activation::HardSigmoid,
+            Activation::Identity,
+        ] {
+            let mut reference = input.clone();
+            activate_into_on(KernelBackend::Scalar, activation, &mut reference);
+            for backend in KernelBackend::supported() {
+                let mut out = input.clone();
+                activate_into_on(backend, activation, &mut out);
+                for (i, (a, e)) in out.iter().zip(reference.iter()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        e.to_bits(),
+                        "{backend} {activation:?} len {len} [{i}] input {}",
+                        input[i]
+                    );
                 }
             }
         }
