@@ -906,31 +906,32 @@ fn main() {
                 }
             }
         }
-        // Streamed vs per-neuron BNN gate evaluation at the
-        // `bnn_memoized_batched` shape (medium IMDB gate, 8 lanes), per
-        // popcount tier.  The per-neuron side is the old batched-path
-        // loop: two dispatched XNOR-popcount calls per neuron per lane.
-        // The streamed side is one dispatched call per gate per wave,
-        // each binary weight row loaded once and reused across lanes.
-        let bnn_gate = {
-            let fp = nfm_rnn::Gate::random(
-                rows,
-                xc,
-                hc,
-                nfm_tensor::activation::Activation::Sigmoid,
-                true,
-                &mut rng,
-            )
-            .expect("gate builds");
-            BinaryGate::mirror(&fp)
-        };
+        // The packed BNN predictor at the `bnn_memoized_batched` shape
+        // (medium IMDB gate), per popcount tier.  `per_neuron` is the
+        // reference loop — one `neuron_output_on` per neuron per lane,
+        // each gathering its row out of the sign block; `streamed` is
+        // the kernel the evaluators run, one dispatched call per gate
+        // over inputs already packed, at 8 lanes and at the one lane
+        // `serve_open` and `nfm-eval energy` run.  `sign_pack_8l` is
+        // that packing (`BinaryGate::pack_inputs` on an explicit tier),
+        // `mirror_build_medium` the same sign-pack building the gate's
+        // block.
+        let fp_gate = nfm_rnn::Gate::random(
+            rows,
+            xc,
+            hc,
+            nfm_tensor::activation::Activation::Sigmoid,
+            true,
+            &mut rng,
+        )
+        .expect("gate builds");
+        let bnn_gate = BinaryGate::mirror(&fp_gate);
         let (gate_xbs, gate_hbs): (Vec<BitVector>, Vec<BitVector>) = (0..lanes)
-            .map(|_| {
-                let x: Vec<f32> = (0..xc).map(|_| rng.uniform(-1.0, 1.0)).collect();
-                let h: Vec<f32> = (0..hc).map(|_| rng.uniform(-1.0, 1.0)).collect();
-                (BitVector::from_signs(&x), BitVector::from_signs(&h))
-            })
+            .map(|l| bnn_gate.binarize_inputs(&xs[l * xc..][..xc], &hs[l * hc..][..hc]))
             .unzip();
+        let mut packed = Vec::new();
+        bnn_gate.pack_inputs(&xs, &hs, lanes, &mut packed);
+        let (words, xw) = (bnn_gate.row_words(), xc.div_ceil(64));
         let mut yb = vec![0i32; lanes * rows];
         for pop in PopcountBackend::supported() {
             bench.bench(&format!("kernel/bnn_gate_8l_per_neuron/{pop}"), || {
@@ -944,15 +945,41 @@ fn main() {
                 black_box(yb[0])
             });
             bench.bench(&format!("kernel/bnn_gate_8l_streamed/{pop}"), || {
-                bnn_gate
-                    .neuron_outputs_batch_on(pop, &gate_xbs, &gate_hbs, &mut yb)
-                    .expect("widths match");
+                bnn_gate.predict_packed_on(pop, black_box(&packed), &mut yb);
                 black_box(yb[0])
+            });
+            bench.bench(&format!("kernel/bnn_gate_1l_streamed/{pop}"), || {
+                bnn_gate.predict_packed_on(pop, black_box(&packed[..words]), &mut yb[..rows]);
+                black_box(yb[0])
+            });
+            bench.bench(&format!("kernel/sign_pack_8l/{pop}"), || {
+                for (l, lane) in packed.chunks_exact_mut(words).enumerate() {
+                    let (x, h) = (&xs[l * xc..][..xc], &hs[l * hc..][..hc]);
+                    nfm_bnn::popcount::pack_signs_on(pop, black_box(x), &mut lane[..xw]);
+                    nfm_bnn::popcount::pack_signs_on(pop, black_box(h), &mut lane[xw..]);
+                }
+                black_box(packed[0])
+            });
+            bench.bench(&format!("kernel/mirror_build_medium/{pop}"), || {
+                black_box(BinaryGate::mirror_on(pop, black_box(&fp_gate)))
             });
             pairs.push((
                 format!("kernel/bnn_gate_8l_per_neuron/{pop}"),
                 format!("kernel/bnn_gate_8l_streamed/{pop}"),
             ));
+            if pop != PopcountBackend::Scalar {
+                for kernel in [
+                    "bnn_gate_8l_streamed",
+                    "bnn_gate_1l_streamed",
+                    "sign_pack_8l",
+                    "mirror_build_medium",
+                ] {
+                    pairs.push((
+                        format!("kernel/{kernel}/scalar"),
+                        format!("kernel/{kernel}/{pop}"),
+                    ));
+                }
+            }
         }
 
         // XNOR-popcount tiers: a BNN-mirror row pair at BDPU scale

@@ -1,37 +1,6 @@
 //! Packed sign vectors and the XNOR-popcount dot product.
 
 use crate::{BnnError, Result};
-use nfm_tensor::arena::{ArenaU64, TensorArena};
-use std::sync::Arc;
-
-/// Backing storage of a bit vector's packed words: owned, or a borrowed
-/// window of a loaded model arena (the saved BNN mirror).  Mutation of
-/// arena-backed words falls back to copy-on-write.
-#[derive(Debug, Clone)]
-enum Words {
-    Owned(Vec<u64>),
-    Arena(ArenaU64),
-}
-
-impl Words {
-    #[inline]
-    fn as_slice(&self) -> &[u64] {
-        match self {
-            Words::Owned(v) => v,
-            Words::Arena(a) => a.as_slice(),
-        }
-    }
-
-    fn make_mut(&mut self) -> &mut Vec<u64> {
-        if let Words::Arena(a) = self {
-            *self = Words::Owned(a.as_slice().to_vec());
-        }
-        match self {
-            Words::Owned(v) => v,
-            Words::Arena(_) => unreachable!("converted above"),
-        }
-    }
-}
 
 /// A bit-packed vector of signs: bit `i` is `1` when the `i`-th value is
 /// non-negative (`+1`) and `0` when it is negative (`-1`).
@@ -42,58 +11,26 @@ impl Words {
 /// each disagreement `-1`.  This is exactly what the paper's BDPU
 /// (binary dot-product unit) computes with an XNOR array and an adder
 /// tree.
-#[derive(Debug, Clone)]
+///
+/// A gate's weights do not live in `BitVector`s: they are one packed
+/// sign block per [`BinaryGate`](crate::BinaryGate), read by the
+/// dispatched predict kernel.  A `BitVector` is what the readable
+/// per-neuron reference ([`BinaryGate::neuron_output`](crate::BinaryGate::neuron_output)),
+/// the correlation probe, the benches and the tests hold their packed
+/// inputs in.  The bits past `len` in the last word are always zero.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BitVector {
-    words: Words,
+    words: Vec<u64>,
     len: usize,
-}
-
-impl PartialEq for BitVector {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.words.as_slice() == other.words.as_slice()
-    }
-}
-
-impl Eq for BitVector {}
-
-impl std::hash::Hash for BitVector {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.len.hash(state);
-        self.words.as_slice().hash(state);
-    }
 }
 
 impl BitVector {
     /// Creates an all-zero (all-negative-sign) vector of the given length.
     pub fn zeros(len: usize) -> Self {
         BitVector {
-            words: Words::Owned(vec![0; len.div_ceil(64)]),
+            words: vec![0; len.div_ceil(64)],
             len,
         }
-    }
-
-    /// Creates a bit vector whose packed words are a borrowed window of
-    /// a shared model arena — the zero-copy path for a saved BNN mirror.
-    /// The window must hold exactly `len.div_ceil(64)` words.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor error if the window is misaligned or escapes
-    /// the arena.
-    pub fn from_arena(
-        arena: Arc<TensorArena>,
-        byte_offset: usize,
-        len: usize,
-    ) -> std::result::Result<Self, nfm_tensor::TensorError> {
-        Ok(BitVector {
-            words: Words::Arena(ArenaU64::new(arena, byte_offset, len.div_ceil(64))?),
-            len,
-        })
-    }
-
-    /// Returns `true` if the packed words borrow a model arena.
-    pub fn is_arena_backed(&self) -> bool {
-        matches!(self.words, Words::Arena(_))
     }
 
     /// Packs the signs of a slice of values (non-negative → bit set).
@@ -104,51 +41,13 @@ impl BitVector {
     }
 
     /// Repacks the signs of `values` into this vector in place, reusing
-    /// the existing word storage whenever it is large enough.  This is
-    /// the zero-allocation path the batched memoization evaluator uses
-    /// to binarize a gate's inputs exactly once per invocation.
+    /// the existing word storage whenever it is large enough — the
+    /// dispatched [`pack_signs`](crate::popcount::pack_signs), the same
+    /// rule and code that packs the mirror's weights.
     pub fn fill_from_signs(&mut self, values: &[f32]) {
         self.len = values.len();
-        let words = values.len().div_ceil(64);
-        let store = self.words.make_mut();
-        store.clear();
-        store.resize(words, 0);
-        for (word, chunk) in store.iter_mut().zip(values.chunks(64)) {
-            let mut bits = 0u64;
-            for (i, &x) in chunk.iter().enumerate() {
-                bits |= ((x >= 0.0) as u64) << i;
-            }
-            *word = bits;
-        }
-    }
-
-    /// Repacks the signs of `lanes` lane-striped vectors into `dst`,
-    /// reusing both the outer `Vec` and each [`BitVector`]'s word
-    /// storage.  `values` holds `lanes * width` values with lane `l`'s
-    /// vector at `[l * width .. (l + 1) * width]` — the layout of the
-    /// batched gate-evaluation path, which binarizes every lane's inputs
-    /// exactly once per gate invocation with zero steady-state
-    /// allocations.  `dst` is truncated or grown to exactly `lanes`
-    /// entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != lanes * width`.
-    pub fn fill_lanes_from_signs(
-        dst: &mut Vec<BitVector>,
-        values: &[f32],
-        lanes: usize,
-        width: usize,
-    ) {
-        assert_eq!(
-            values.len(),
-            lanes * width,
-            "lane-striped buffer length mismatch"
-        );
-        dst.resize_with(lanes, || BitVector::zeros(0));
-        for (l, bits) in dst.iter_mut().enumerate() {
-            bits.fill_from_signs(&values[l * width..(l + 1) * width]);
-        }
+        self.words.resize(values.len().div_ceil(64), 0);
+        crate::popcount::pack_signs(values, &mut self.words);
     }
 
     /// Creates a vector from explicit booleans (`true` = `+1`).
@@ -167,17 +66,10 @@ impl BitVector {
         self.len
     }
 
-    /// The packed word storage (for the crate's popcount kernels).
-    #[inline]
-    pub(crate) fn word_slice(&self) -> &[u64] {
-        self.words.as_slice()
-    }
-
     /// The packed word storage — one `u64` per 64 signs, tail bits zero.
-    /// Exposed so the model-artifact writer can serialize a prebuilt
-    /// mirror without re-binarizing.
+    #[inline]
     pub fn words(&self) -> &[u64] {
-        self.words.as_slice()
+        &self.words
     }
 
     /// Returns `true` if the vector holds no signs.
@@ -192,7 +84,7 @@ impl BitVector {
     /// Panics if `i >= self.len()`.
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of bounds ({})", self.len);
-        (self.words.as_slice()[i / 64] >> (i % 64)) & 1 == 1
+        (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
     /// Sets bit `i`.
@@ -202,7 +94,7 @@ impl BitVector {
     /// Panics if `i >= self.len()`.
     pub fn set(&mut self, i: usize, value: bool) {
         assert!(i < self.len, "bit index {i} out of bounds ({})", self.len);
-        let word = &mut self.words.make_mut()[i / 64];
+        let word = &mut self.words[i / 64];
         let mask = 1u64 << (i % 64);
         if value {
             *word |= mask;
@@ -213,7 +105,7 @@ impl BitVector {
 
     /// Number of set bits (positive signs).
     pub fn count_ones(&self) -> u32 {
-        self.words.as_slice().iter().map(|w| w.count_ones()).sum()
+        self.words.iter().map(|w| w.count_ones()).sum()
     }
 
     /// The sign at position `i` as `+1.0` / `-1.0`.
@@ -263,10 +155,8 @@ impl BitVector {
             return 0;
         }
         let full_words = self.len / 64;
-        let mut agreements = crate::popcount::xnor_agreements(
-            &self.words.as_slice()[..full_words],
-            &other.words.as_slice()[..full_words],
-        );
+        let mut agreements =
+            crate::popcount::xnor_agreements(&self.words[..full_words], &other.words[..full_words]);
         agreements += self.tail_agreements(other, full_words);
         2 * agreements as i32 - self.len as i32
     }
@@ -304,8 +194,8 @@ impl BitVector {
         let full_words = self.len / 64;
         let mut agreements = crate::popcount::xnor_agreements_on(
             backend,
-            &self.words.as_slice()[..full_words],
-            &other.words.as_slice()[..full_words],
+            &self.words[..full_words],
+            &other.words[..full_words],
         );
         agreements += self.tail_agreements(other, full_words);
         Ok(2 * agreements as i32 - self.len as i32)
@@ -320,7 +210,7 @@ impl BitVector {
             return 0;
         }
         let mask = (1u64 << tail) - 1;
-        let xnor = !(self.words.as_slice()[full_words] ^ other.words.as_slice()[full_words]) & mask;
+        let xnor = !(self.words[full_words] ^ other.words[full_words]) & mask;
         xnor.count_ones()
     }
 
@@ -346,7 +236,7 @@ impl BitVector {
     /// the accelerator area/energy model (the sign buffer stores exactly
     /// these bits).
     pub fn storage_bytes(&self) -> usize {
-        self.words.as_slice().len() * 8
+        self.words.len() * 8
     }
 }
 
@@ -379,36 +269,6 @@ mod tests {
             v.fill_from_signs(&values);
             assert_eq!(v, BitVector::from_signs(&values), "len {len}");
         }
-    }
-
-    #[test]
-    fn fill_lanes_matches_per_lane_from_signs() {
-        let width = 70; // spans a word boundary
-        let lanes = 3;
-        let values: Vec<f32> = (0..lanes * width)
-            .map(|i| if i % 7 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let mut dst = Vec::new();
-        BitVector::fill_lanes_from_signs(&mut dst, &values, lanes, width);
-        assert_eq!(dst.len(), lanes);
-        for (l, bits) in dst.iter().enumerate() {
-            assert_eq!(
-                bits,
-                &BitVector::from_signs(&values[l * width..(l + 1) * width]),
-                "lane {l}"
-            );
-        }
-        // Shrinking reuses storage and truncates to the new lane count.
-        BitVector::fill_lanes_from_signs(&mut dst, &values[..width], 1, width);
-        assert_eq!(dst.len(), 1);
-        assert_eq!(dst[0], BitVector::from_signs(&values[..width]));
-    }
-
-    #[test]
-    #[should_panic(expected = "lane-striped")]
-    fn fill_lanes_rejects_bad_length() {
-        let mut dst = Vec::new();
-        BitVector::fill_lanes_from_signs(&mut dst, &[1.0; 5], 2, 3);
     }
 
     #[test]

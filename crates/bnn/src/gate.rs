@@ -1,108 +1,169 @@
 //! Binary mirror of a full-precision recurrent gate (Figure 9).
 
 use crate::bitvec::BitVector;
-use crate::Result;
+use crate::popcount::{self, PopcountBackend, SignBlock, BLOCK_ROWS};
+use crate::{BnnError, Result};
 use nfm_rnn::Gate;
+use nfm_tensor::arena::ArenaU64;
 
-/// The binarized mirror of one [`Gate`]: per-neuron packed sign vectors
-/// of the forward (`W_x`) and recurrent (`W_h`) weight rows.
+/// Storage of a gate's sign block: built in memory by
+/// [`BinaryGate::mirror`], or a window of a loaded model arena.
+#[derive(Debug, Clone)]
+enum Block {
+    Owned(Vec<u64>),
+    Arena(ArenaU64),
+}
+
+/// The binarized mirror of one [`Gate`]: the signs of the forward
+/// (`W_x`) and recurrent (`W_h`) weight rows, packed into **one**
+/// contiguous block in the layout of [`popcount`] —
+/// `words = xw + hw` words a row, rows interleaved eight to a block,
+/// every padding bit and padding row zero.
 ///
 /// Mirroring is exactly the construction of Figure 9 in the paper: the
 /// trained full-precision weights are binarized with the sign function;
 /// peepholes, bias and the activation function are omitted because the
 /// BNN output is only used as a change detector, never as the neuron's
 /// value.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Prediction is [`predict_packed_into`](Self::predict_packed_into):
+/// one dispatched XNOR-popcount "matmul" per gate call over inputs
+/// packed by [`pack_inputs`](Self::pack_inputs).  The [`BitVector`]
+/// entries ([`neuron_output`](Self::neuron_output) and the batch forms)
+/// are the per-neuron reference and thin adapters onto the same block.
+#[derive(Debug, Clone)]
 pub struct BinaryGate {
-    wx_rows: Vec<BitVector>,
-    wh_rows: Vec<BitVector>,
+    block: Block,
+    neurons: usize,
     input_size: usize,
     hidden_size: usize,
+}
+
+impl PartialEq for BinaryGate {
+    fn eq(&self, other: &Self) -> bool {
+        (self.neurons, self.input_size, self.hidden_size)
+            == (other.neurons, other.input_size, other.hidden_size)
+            && self.sign_block() == other.sign_block()
+    }
+}
+
+/// `(xw, words)` of a row: the forward signs padded to `xw` whole words,
+/// then the recurrent signs padded to whole words, `words` in all.
+fn row_shape(input_size: usize, hidden_size: usize) -> (usize, usize) {
+    let xw = input_size.div_ceil(64);
+    (xw, xw + hidden_size.div_ceil(64))
+}
+
+/// Words of a sign block: `neurons` rows rounded up to whole blocks.
+fn block_len(neurons: usize, words: usize) -> usize {
+    neurons.div_ceil(BLOCK_ROWS) * BLOCK_ROWS * words
+}
+
+/// Index of word 0 of row `n` in a block of `words`-word rows; the
+/// row's word `k` is `k * BLOCK_ROWS` further on.
+fn row_start(n: usize, words: usize) -> usize {
+    n / BLOCK_ROWS * words * BLOCK_ROWS + n % BLOCK_ROWS
 }
 
 impl BinaryGate {
     /// Builds the binary mirror of a full-precision gate.
     pub fn mirror(gate: &Gate) -> Self {
-        let wx_rows = (0..gate.neurons())
-            .map(|n| BitVector::from_signs(gate.wx().row(n)))
-            .collect();
-        let wh_rows = (0..gate.neurons())
-            .map(|n| BitVector::from_signs(gate.wh().row(n)))
-            .collect();
+        Self::mirror_on(popcount::active(), gate)
+    }
+
+    /// [`BinaryGate::mirror`] with the sign-pack on an explicit popcount
+    /// tier — the hook cross-tier tests and benches use; every tier
+    /// builds the same block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is not supported on this host.
+    pub fn mirror_on(backend: PopcountBackend, gate: &Gate) -> Self {
+        let (neurons, input_size, hidden_size) =
+            (gate.neurons(), gate.input_size(), gate.hidden_size());
+        let (xw, words) = row_shape(input_size, hidden_size);
+        let mut block = vec![0; block_len(neurons, words)];
+        let mut row = vec![0u64; words];
+        for n in 0..neurons {
+            popcount::pack_signs_on(backend, gate.wx().row(n), &mut row[..xw]);
+            popcount::pack_signs_on(backend, gate.wh().row(n), &mut row[xw..]);
+            let at = row_start(n, words);
+            for (k, &w) in row.iter().enumerate() {
+                block[at + k * BLOCK_ROWS] = w;
+            }
+        }
         BinaryGate {
-            wx_rows,
-            wh_rows,
-            input_size: gate.input_size(),
-            hidden_size: gate.hidden_size(),
+            block: Block::Owned(block),
+            neurons,
+            input_size,
+            hidden_size,
         }
     }
 
-    /// Reassembles a mirror from explicit per-neuron sign rows — the
-    /// path a loaded model artifact takes, so the prebuilt mirror never
-    /// has to be re-binarized from full-precision weights.
+    /// Wraps a sign block a loaded model artifact maps from its arena,
+    /// so the prebuilt mirror is neither re-binarized nor copied.
     ///
     /// # Errors
     ///
-    /// Returns [`BnnError::LengthMismatch`](crate::BnnError) if the row
-    /// counts differ or any row's width disagrees with the declared
-    /// sizes.
-    pub fn from_rows(
-        wx_rows: Vec<BitVector>,
-        wh_rows: Vec<BitVector>,
+    /// Returns [`BnnError::LengthMismatch`] if the window is not exactly
+    /// the block of this shape, and [`BnnError::NonZeroPadding`] if a
+    /// padding bit or padding row is set — the predict kernel does not
+    /// mask, so such a block would not predict what a rebuilt mirror
+    /// does.
+    pub fn from_arena(
+        view: ArenaU64,
+        neurons: usize,
         input_size: usize,
         hidden_size: usize,
     ) -> Result<Self> {
-        if wx_rows.len() != wh_rows.len() {
-            return Err(crate::BnnError::LengthMismatch {
-                left: wx_rows.len(),
-                right: wh_rows.len(),
+        let (xw, words) = row_shape(input_size, hidden_size);
+        if view.len() != block_len(neurons, words) {
+            return Err(BnnError::LengthMismatch {
+                left: view.len(),
+                right: block_len(neurons, words),
             });
         }
-        for row in &wx_rows {
-            if row.len() != input_size {
-                return Err(crate::BnnError::LengthMismatch {
-                    left: row.len(),
-                    right: input_size,
-                });
-            }
-        }
-        for row in &wh_rows {
-            if row.len() != hidden_size {
-                return Err(crate::BnnError::LengthMismatch {
-                    left: row.len(),
-                    right: hidden_size,
-                });
+        let block = view.as_slice();
+        // (one past a segment's last word, bits that word uses; 0 = all)
+        let tails = [(xw, input_size % 64), (words, hidden_size % 64)];
+        for row in 0..neurons.div_ceil(BLOCK_ROWS) * BLOCK_ROWS {
+            let word = |k: usize| block[row_start(row, words) + k * BLOCK_ROWS];
+            let clean = if row < neurons {
+                tails
+                    .iter()
+                    .all(|&(end, used)| used == 0 || word(end - 1) >> used == 0)
+            } else {
+                (0..words).all(|k| word(k) == 0)
+            };
+            if !clean {
+                return Err(BnnError::NonZeroPadding { row });
             }
         }
         Ok(BinaryGate {
-            wx_rows,
-            wh_rows,
+            block: Block::Arena(view),
+            neurons,
             input_size,
             hidden_size,
         })
     }
 
-    /// Packed signs of neuron `n`'s forward-weight row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n >= self.neurons()`.
-    pub fn wx_row(&self, n: usize) -> &BitVector {
-        &self.wx_rows[n]
+    /// The whole sign block (layout in [`popcount`]), as the
+    /// model-artifact writer serializes it.
+    pub fn sign_block(&self) -> &[u64] {
+        match &self.block {
+            Block::Owned(v) => v,
+            Block::Arena(a) => a.as_slice(),
+        }
     }
 
-    /// Packed signs of neuron `n`'s recurrent-weight row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n >= self.neurons()`.
-    pub fn wh_row(&self, n: usize) -> &BitVector {
-        &self.wh_rows[n]
+    /// Returns `true` if the sign block borrows a model arena.
+    pub fn is_arena_backed(&self) -> bool {
+        matches!(self.block, Block::Arena(_))
     }
 
     /// Number of neurons in the mirrored gate.
     pub fn neurons(&self) -> usize {
-        self.wx_rows.len()
+        self.neurons
     }
 
     /// Width of the forward input.
@@ -115,16 +176,108 @@ impl BinaryGate {
         self.hidden_size
     }
 
-    /// Packs the signs of the current inputs, producing the operand pair
-    /// the binary dot products consume.  Call once per gate per timestep
-    /// and share across the gate's neurons (exactly what the hardware's
-    /// FMU does with its concatenated input vector).
+    /// Words of one packed row — and of one lane's packed inputs: the
+    /// forward signs padded to whole words, then the recurrent signs.
+    pub fn row_words(&self) -> usize {
+        row_shape(self.input_size, self.hidden_size).1
+    }
+
+    /// Returns `true` if this mirror has exactly `gate`'s shape — the
+    /// only gate it may stand in for.
+    pub fn has_shape_of(&self, gate: &Gate) -> bool {
+        (self.neurons, self.input_size, self.hidden_size)
+            == (gate.neurons(), gate.input_size(), gate.hidden_size())
+    }
+
+    /// What the unmasked XNOR owes a row: every padding position reads
+    /// as an agreement (module docs of `popcount`), so
+    /// `2 * pad + bits = 128 * words - bits`.
+    fn bias(&self) -> i32 {
+        (128 * self.row_words() - self.input_size - self.hidden_size) as i32
+    }
+
+    fn kernel_view(&self) -> SignBlock<'_> {
+        SignBlock {
+            data: self.sign_block(),
+            words: self.row_words(),
+            rows: self.neurons,
+            bias: self.bias(),
+        }
+    }
+
+    /// Packs the signs of `lanes` lane-striped input pairs into `dst`
+    /// (resized to `lanes * row_words()`, storage reused): lane `l`'s
+    /// forward input is `xs[l * input_size ..]`, its recurrent input
+    /// `h_prevs[l * hidden_size ..]`.  Call once per gate call and hand
+    /// the result to [`predict_packed_into`](Self::predict_packed_into)
+    /// (exactly what the hardware's FMU does with its concatenated
+    /// input vector).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` or `h_prevs` is not `lanes` inputs long.
+    pub fn pack_inputs(&self, xs: &[f32], h_prevs: &[f32], lanes: usize, dst: &mut Vec<u64>) {
+        assert_eq!(xs.len(), lanes * self.input_size, "forward inputs");
+        assert_eq!(h_prevs.len(), lanes * self.hidden_size, "recurrent inputs");
+        let (isz, hsz) = (self.input_size, self.hidden_size);
+        let (xw, words) = row_shape(isz, hsz);
+        dst.resize(lanes * words, 0);
+        for l in 0..lanes {
+            let packed = &mut dst[l * words..(l + 1) * words];
+            popcount::pack_signs(&xs[l * isz..(l + 1) * isz], &mut packed[..xw]);
+            popcount::pack_signs(&h_prevs[l * hsz..(l + 1) * hsz], &mut packed[xw..]);
+        }
+    }
+
+    /// Every neuron's binary output (Equation 8) for every packed lane
+    /// in one dispatched call on the active tier, lane-striped:
+    /// `out[l * neurons + n]` is neuron `n` on lane `l` — equal to
+    /// [`neuron_output`](Self::neuron_output) by construction, the
+    /// popcounts being integer-exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packed` is not a whole number of
+    /// [`row_words`](Self::row_words)-word lanes or `out` is not
+    /// `lanes * neurons` long.
+    #[inline]
+    pub fn predict_packed_into(&self, packed: &[u64], out: &mut [i32]) {
+        popcount::predict_on(popcount::active(), self.kernel_view(), packed, out);
+    }
+
+    /// [`predict_packed_into`](Self::predict_packed_into) on an explicit
+    /// popcount tier — the hook cross-tier tests and benches use.
+    ///
+    /// # Panics
+    ///
+    /// As above, and if `backend` is not supported on this host.
+    pub fn predict_packed_on(&self, backend: PopcountBackend, packed: &[u64], out: &mut [i32]) {
+        popcount::predict_on(backend, self.kernel_view(), packed, out);
+    }
+
+    /// Packs the signs of one input pair into the [`BitVector`] operands
+    /// the per-neuron and batch entries below consume.
     pub fn binarize_inputs(&self, x: &[f32], h_prev: &[f32]) -> (BitVector, BitVector) {
         (BitVector::from_signs(x), BitVector::from_signs(h_prev))
     }
 
+    fn check_inputs(&self, xb: &BitVector, hb: &BitVector) -> Result<()> {
+        for (got, want) in [(xb.len(), self.input_size), (hb.len(), self.hidden_size)] {
+            if got != want {
+                return Err(BnnError::LengthMismatch {
+                    left: got,
+                    right: want,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Binary output of neuron `n` (Equation 8): the XNOR-popcount dot
-    /// product over forward plus recurrent connections.
+    /// product over forward plus recurrent connections.  This is the
+    /// readable per-neuron reference — one row of the block read word by
+    /// word — that the equivalence suites compare the packed kernel
+    /// against, and what the per-neuron evaluators run.
     ///
     /// # Errors
     ///
@@ -135,9 +288,7 @@ impl BinaryGate {
     ///
     /// Panics if `n >= self.neurons()`.
     pub fn neuron_output(&self, n: usize, xb: &BitVector, hb: &BitVector) -> Result<i32> {
-        let fwd = self.wx_rows[n].xnor_dot(xb)?;
-        let rec = self.wh_rows[n].xnor_dot(hb)?;
-        Ok(fwd + rec)
+        self.neuron_output_on(popcount::active(), n, xb, hb)
     }
 
     /// [`BinaryGate::neuron_output`] on an explicit popcount tier — the
@@ -155,94 +306,36 @@ impl BinaryGate {
     /// this host.
     pub fn neuron_output_on(
         &self,
-        backend: crate::PopcountBackend,
+        backend: PopcountBackend,
         n: usize,
         xb: &BitVector,
         hb: &BitVector,
     ) -> Result<i32> {
-        let fwd = self.wx_rows[n].xnor_dot_on(xb, backend)?;
-        let rec = self.wh_rows[n].xnor_dot_on(hb, backend)?;
-        Ok(fwd + rec)
-    }
-
-    /// Check-free variant of [`BinaryGate::neuron_output`] for batched
-    /// callers that validated the packed input widths once per gate
-    /// invocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the widths do not match.
-    #[inline]
-    pub fn neuron_output_unchecked(&self, n: usize, xb: &BitVector, hb: &BitVector) -> i32 {
-        debug_assert_eq!(xb.len(), self.input_size);
-        debug_assert_eq!(hb.len(), self.hidden_size);
-        self.wx_rows[n].xnor_dot_unchecked(xb) + self.wh_rows[n].xnor_dot_unchecked(hb)
-    }
-
-    /// Every neuron's binary output in one call:
-    /// `out[n] = neuron_output(n, xb, hb)` — the whole-gate form the
-    /// memoizing evaluators run every timestep.  One call dispatches
-    /// the popcount tier once and keeps the per-row XNOR-popcounts
-    /// inlined, instead of paying the dispatch boundary twice per
-    /// neuron (mirror rows are only a few words wide, so that overhead
-    /// rivals the popcounts themselves).
-    ///
-    /// # Errors
-    ///
-    /// Returns a length-mismatch error if the packed inputs or `out` do
-    /// not match the gate's dimensions.
-    pub fn neuron_outputs_into(
-        &self,
-        xb: &BitVector,
-        hb: &BitVector,
-        out: &mut [i32],
-    ) -> Result<()> {
-        if xb.len() != self.input_size {
-            return Err(crate::BnnError::LengthMismatch {
-                left: xb.len(),
-                right: self.input_size,
-            });
+        self.check_inputs(xb, hb)?;
+        assert!(n < self.neurons, "neuron {n} of {}", self.neurons);
+        // The row's words sit eight apart in the block; gather them a
+        // few at a time for the tier's word kernel.
+        let block = self.sign_block();
+        let mut at = row_start(n, self.row_words());
+        let mut row = [0u64; BLOCK_ROWS];
+        let mut agree = 0;
+        for input in [xb.words(), hb.words()] {
+            for chunk in input.chunks(BLOCK_ROWS) {
+                for w in &mut row[..chunk.len()] {
+                    *w = block[at];
+                    at += BLOCK_ROWS;
+                }
+                agree += popcount::xnor_agreements_on(backend, &row[..chunk.len()], chunk);
+            }
         }
-        if hb.len() != self.hidden_size {
-            return Err(crate::BnnError::LengthMismatch {
-                left: hb.len(),
-                right: self.hidden_size,
-            });
-        }
-        if out.len() != self.neurons() {
-            return Err(crate::BnnError::LengthMismatch {
-                left: out.len(),
-                right: self.neurons(),
-            });
-        }
-        self.neuron_outputs_unchecked_into(xb, hb, out);
-        Ok(())
-    }
-
-    /// Check-free variant of [`BinaryGate::neuron_outputs_into`] for
-    /// callers that validated the widths once per gate invocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if any dimension does not match.
-    #[inline]
-    pub fn neuron_outputs_unchecked_into(&self, xb: &BitVector, hb: &BitVector, out: &mut [i32]) {
-        debug_assert_eq!(xb.len(), self.input_size);
-        debug_assert_eq!(hb.len(), self.hidden_size);
-        debug_assert_eq!(out.len(), self.neurons());
-        crate::popcount::gate_outputs(&self.wx_rows, &self.wh_rows, xb, hb, out);
+        Ok(2 * agree as i32 - self.bias())
     }
 
     /// Every neuron's binary output for **all** lanes of a batch in one
     /// call, lane-striped:
     /// `out[l * neurons + n] = neuron_output(n, &xbs[l], &hbs[l])`.
-    ///
-    /// This is the multi-sequence form of
-    /// [`BinaryGate::neuron_outputs_into`]: one dispatched XNOR-popcount
-    /// call per gate per wave, with each binary weight row streamed once
-    /// and reused across every lane (row-outer, lane-inner — the binary
-    /// analogue of the f32 `matmul` kernels).  Popcounts are
-    /// integer-exact, so every lane equals the single-lane call.
+    /// A thin adapter: the operands' words are copied into one packed
+    /// buffer and go through [`predict_packed_into`](Self::predict_packed_into).
     ///
     /// # Errors
     ///
@@ -255,14 +348,11 @@ impl BinaryGate {
         hbs: &[BitVector],
         out: &mut [i32],
     ) -> Result<()> {
-        self.validate_batch(xbs, hbs, out)?;
-        self.neuron_outputs_batch_unchecked_into(xbs, hbs, out);
-        Ok(())
+        self.neuron_outputs_batch_on(popcount::active(), xbs, hbs, out)
     }
 
     /// [`BinaryGate::neuron_outputs_batch_into`] on an explicit popcount
-    /// tier — the hook cross-tier tests and benches use for the
-    /// streamed whole-wave evaluation shape.
+    /// tier.
     ///
     /// # Errors
     ///
@@ -273,78 +363,32 @@ impl BinaryGate {
     /// Panics if `backend` is not supported on this host.
     pub fn neuron_outputs_batch_on(
         &self,
-        backend: crate::PopcountBackend,
+        backend: PopcountBackend,
         xbs: &[BitVector],
         hbs: &[BitVector],
         out: &mut [i32],
     ) -> Result<()> {
-        self.validate_batch(xbs, hbs, out)?;
-        crate::popcount::gate_outputs_lanes_on(
-            backend,
-            &self.wx_rows,
-            &self.wh_rows,
-            xbs,
-            hbs,
-            out,
-        );
-        Ok(())
-    }
-
-    fn validate_batch(&self, xbs: &[BitVector], hbs: &[BitVector], out: &[i32]) -> Result<()> {
-        if xbs.len() != hbs.len() {
-            return Err(crate::BnnError::LengthMismatch {
-                left: xbs.len(),
-                right: hbs.len(),
-            });
-        }
-        for xb in xbs {
-            if xb.len() != self.input_size {
-                return Err(crate::BnnError::LengthMismatch {
-                    left: xb.len(),
-                    right: self.input_size,
-                });
+        for (left, right) in [
+            (xbs.len(), hbs.len()),
+            (out.len(), xbs.len() * self.neurons),
+        ] {
+            if left != right {
+                return Err(BnnError::LengthMismatch { left, right });
             }
         }
-        for hb in hbs {
-            if hb.len() != self.hidden_size {
-                return Err(crate::BnnError::LengthMismatch {
-                    left: hb.len(),
-                    right: self.hidden_size,
-                });
-            }
+        let mut packed = Vec::with_capacity(xbs.len() * self.row_words());
+        for (xb, hb) in xbs.iter().zip(hbs) {
+            self.check_inputs(xb, hb)?;
+            packed.extend_from_slice(xb.words());
+            packed.extend_from_slice(hb.words());
         }
-        if out.len() != xbs.len() * self.neurons() {
-            return Err(crate::BnnError::LengthMismatch {
-                left: out.len(),
-                right: xbs.len() * self.neurons(),
-            });
-        }
+        self.predict_packed_on(backend, &packed, out);
         Ok(())
-    }
-
-    /// Check-free variant of [`BinaryGate::neuron_outputs_batch_into`]
-    /// for callers that validated the widths once per gate invocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if any dimension does not match.
-    #[inline]
-    pub fn neuron_outputs_batch_unchecked_into(
-        &self,
-        xbs: &[BitVector],
-        hbs: &[BitVector],
-        out: &mut [i32],
-    ) {
-        debug_assert_eq!(xbs.len(), hbs.len());
-        debug_assert!(xbs.iter().all(|b| b.len() == self.input_size));
-        debug_assert!(hbs.iter().all(|b| b.len() == self.hidden_size));
-        debug_assert_eq!(out.len(), xbs.len() * self.neurons());
-        crate::popcount::gate_outputs_lanes(&self.wx_rows, &self.wh_rows, xbs, hbs, out);
     }
 
     /// Convenience wrapper that binarizes the raw inputs and evaluates
-    /// neuron `n` in one call (used by tests and by the software-only
-    /// memoization path; the runner-level code binarizes once per gate).
+    /// neuron `n` in one call (used by tests and the correlation probe;
+    /// the runner-level code packs once per gate call).
     ///
     /// # Errors
     ///
@@ -419,68 +463,37 @@ mod tests {
     }
 
     #[test]
-    fn whole_gate_outputs_match_per_neuron_outputs() {
-        let g = fp_gate(13, 21, 13, 7); // odd sizes: tails + word splits
+    fn packed_predict_matches_per_neuron_outputs_on_every_tier() {
+        let g = fp_gate(13, 21, 13, 9); // odd sizes: a short block, tails
         let b = BinaryGate::mirror(&g);
-        let mut rng = DeterministicRng::seed_from_u64(8);
-        let x: Vec<f32> = (0..21).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let h: Vec<f32> = (0..13).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let (xb, hb) = b.binarize_inputs(&x, &h);
-        let mut out = vec![0i32; 13];
-        b.neuron_outputs_into(&xb, &hb, &mut out).unwrap();
-        for (n, &o) in out.iter().enumerate() {
-            assert_eq!(o, b.neuron_output(n, &xb, &hb).unwrap(), "neuron {n}");
-        }
-        // Dimension checks.
-        assert!(b
-            .neuron_outputs_into(&BitVector::zeros(20), &hb, &mut out)
-            .is_err());
-        assert!(b
-            .neuron_outputs_into(&xb, &BitVector::zeros(12), &mut out)
-            .is_err());
-        assert!(b.neuron_outputs_into(&xb, &hb, &mut out[..12]).is_err());
-    }
-
-    #[test]
-    fn batched_lane_outputs_match_single_lane_calls() {
-        let g = fp_gate(13, 21, 13, 9); // odd sizes: tails + word splits
-        let b = BinaryGate::mirror(&g);
+        assert_eq!(b.row_words(), 2);
+        assert_eq!(b.sign_block().len(), 2 * 8 * 2);
         let mut rng = DeterministicRng::seed_from_u64(10);
         for lanes in [1usize, 2, 3, 5, 8] {
-            let mut xbs = Vec::new();
-            let mut hbs = Vec::new();
-            for _ in 0..lanes {
-                let x: Vec<f32> = (0..21).map(|_| rng.uniform(-1.0, 1.0)).collect();
-                let h: Vec<f32> = (0..13).map(|_| rng.uniform(-1.0, 1.0)).collect();
-                let (xb, hb) = b.binarize_inputs(&x, &h);
-                xbs.push(xb);
-                hbs.push(hb);
-            }
+            let xs: Vec<f32> = (0..lanes * 21).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let hs: Vec<f32> = (0..lanes * 13).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let (xbs, hbs): (Vec<_>, Vec<_>) = (0..lanes)
+                .map(|l| b.binarize_inputs(&xs[l * 21..][..21], &hs[l * 13..][..13]))
+                .unzip();
+            let mut packed = Vec::new();
+            b.pack_inputs(&xs, &hs, lanes, &mut packed);
+            let mut predicted = vec![0i32; lanes * 13];
+            b.predict_packed_into(&packed, &mut predicted);
             let mut batched = vec![0i32; lanes * 13];
             b.neuron_outputs_batch_into(&xbs, &hbs, &mut batched)
                 .unwrap();
-            for l in 0..lanes {
-                let mut single = vec![0i32; 13];
-                b.neuron_outputs_into(&xbs[l], &hbs[l], &mut single)
-                    .unwrap();
-                assert_eq!(
-                    &batched[l * 13..(l + 1) * 13],
-                    single.as_slice(),
-                    "lane {l}"
-                );
-            }
-            // Explicit-tier hooks: every supported tier, streamed and
-            // per-neuron, agrees with the active-tier batched call
-            // (popcounts are integer-exact on every tier).
+            assert_eq!(batched, predicted, "lanes {lanes}");
             for pop in crate::PopcountBackend::supported() {
                 let mut on = vec![0i32; lanes * 13];
+                b.predict_packed_on(pop, &packed, &mut on);
+                assert_eq!(on, predicted, "{pop} lanes {lanes}");
                 b.neuron_outputs_batch_on(pop, &xbs, &hbs, &mut on).unwrap();
-                assert_eq!(on, batched, "{pop} lanes {lanes}");
+                assert_eq!(on, predicted, "{pop} lanes {lanes}");
                 for l in 0..lanes {
                     for n in 0..13 {
                         assert_eq!(
                             b.neuron_output_on(pop, n, &xbs[l], &hbs[l]).unwrap(),
-                            batched[l * 13 + n],
+                            predicted[l * 13 + n],
                             "{pop} lane {l} neuron {n}"
                         );
                     }
@@ -502,6 +515,48 @@ mod tests {
         assert!(b
             .neuron_outputs_batch_into(&[xb], &[hb], &mut out[..12])
             .is_err());
+    }
+
+    #[test]
+    #[should_panic]
+    fn packed_predict_rejects_a_short_output() {
+        let b = BinaryGate::mirror(&fp_gate(13, 21, 13, 9));
+        b.predict_packed_into(&[0; 4], &mut [0; 25]);
+    }
+
+    #[test]
+    fn arena_blocks_must_have_the_gate_shape_and_zero_padding() {
+        use nfm_tensor::arena::{ArenaU64, TensorArena};
+        use std::sync::Arc;
+        let b = BinaryGate::mirror(&fp_gate(13, 21, 13, 9));
+        let load = |words: &[u64], neurons| {
+            let arena = Arc::new(TensorArena::from_words(words.to_vec(), words.len() * 8).unwrap());
+            let view = ArenaU64::new(arena, 0, words.len()).unwrap();
+            BinaryGate::from_arena(view, neurons, 21, 13)
+        };
+        let loaded = load(b.sign_block(), 13).unwrap();
+        assert!(loaded.is_arena_backed() && !b.is_arena_backed());
+        assert_eq!(loaded, b);
+        assert!(matches!(
+            load(&b.sign_block()[8..], 13),
+            Err(BnnError::LengthMismatch { .. })
+        ));
+        // Bit 21 of row 2's forward word, bit 13 of row 12's recurrent
+        // word, and anything in the padding rows 13..16.
+        for (word, bit, row) in [(2, 21, 2), (16 + 8 + 4, 13, 12), (16 + 5, 0, 13)] {
+            let mut dirty = b.sign_block().to_vec();
+            dirty[word] |= 1 << bit;
+            assert_eq!(
+                load(&dirty, 13).unwrap_err(),
+                BnnError::NonZeroPadding { row },
+                "word {word} bit {bit}"
+            );
+        }
+        // The same words under a smaller neuron count: row 12 is padding.
+        assert!(matches!(
+            load(b.sign_block(), 12),
+            Err(BnnError::NonZeroPadding { row: 12 })
+        ));
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //! close to a previously cached one (Section 3.1.2).
 //!
 //! This crate provides:
-//! * [`BitVector`] — packed sign vectors with XNOR-popcount dot products,
 //! * [`BinaryGate`] / [`BinaryNetwork`] — the binarized mirrors of an
-//!   `nfm-rnn` gate / deep network (Figure 9),
+//!   `nfm-rnn` gate / deep network (Figure 9): one packed sign block per
+//!   gate, predicted for every lane of a gate call by one dispatched
+//!   XNOR-popcount kernel ([`popcount`]),
+//! * [`BitVector`] — packed sign vectors with XNOR-popcount dot
+//!   products, the operand type of the per-neuron reference path,
 //! * [`CorrelationProbe`] — an instrumented evaluator that records paired
 //!   (full-precision, binarized) outputs to reproduce the correlation
 //!   analyses of Figures 7 and 8.
@@ -47,7 +50,8 @@ pub use probe::{CorrelationProbe, NeuronSeries};
 /// Errors produced by binarized-network operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BnnError {
-    /// Two bit vectors had different lengths.
+    /// Two packed operands (bit vectors, lane counts, a sign block and
+    /// its shape) had different lengths.
     LengthMismatch {
         /// Length of the left operand.
         left: usize,
@@ -56,15 +60,24 @@ pub enum BnnError {
     },
     /// A gate lookup failed (no binary mirror for the requested gate).
     UnknownGate,
+    /// A sign block handed to [`BinaryGate::from_arena`] has a padding
+    /// bit or a padding row set.
+    NonZeroPadding {
+        /// The first offending row of the block.
+        row: usize,
+    },
 }
 
 impl std::fmt::Display for BnnError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BnnError::LengthMismatch { left, right } => {
-                write!(f, "bit-vector length mismatch: {left} vs {right}")
+                write!(f, "length mismatch: {left} vs {right}")
             }
             BnnError::UnknownGate => write!(f, "no binary mirror exists for the requested gate"),
+            BnnError::NonZeroPadding { row } => {
+                write!(f, "sign block has non-zero padding in row {row}")
+            }
         }
     }
 }

@@ -7,6 +7,7 @@ use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector};
 use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, Gate};
 use nfm_tensor::activation::Activation;
 use nfm_tensor::rng::DeterministicRng;
+use nfm_tensor::{Matrix, Vector};
 
 fn vec_f32(rng: &mut DeterministicRng, len: usize, low: f32, high: f32) -> Vec<f32> {
     (0..len).map(|_| rng.uniform(low, high)).collect()
@@ -148,4 +149,143 @@ fn xnor_dot_on_validates_lengths_and_empty_operands() {
         empty.xnor_dot_on(&empty, PopcountBackend::Scalar).unwrap(),
         0
     );
+}
+
+/// Values whose sign bit, ordering against zero or exponent could
+/// tempt a vector compare into a different answer than `x >= 0.0`.
+const PAYLOADS: [f32; 10] = [
+    f32::NAN,
+    -0.0,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::MIN_POSITIVE / 2.0,  // positive denormal
+    -f32::MIN_POSITIVE / 2.0, // negative denormal
+    0.0,
+    f32::MAX,
+    f32::MIN,
+    -1.0e-30,
+];
+
+/// Random values with the payloads (and a negated, sign-bit-set NaN)
+/// planted on both sides of every 64-value word boundary, at the ends,
+/// and across the 16-value groups of the avx512 compare.
+fn planted(rng: &mut DeterministicRng, len: usize) -> Vec<f32> {
+    let mut v = vec_f32(rng, len, -1.0, 1.0);
+    let mut next = rng.index(PAYLOADS.len());
+    let mut spots: Vec<usize> = vec![0, 1, 15, 16, 17, len.saturating_sub(1)];
+    for boundary in (64..len + 64).step_by(64) {
+        spots.extend([boundary - 2, boundary - 1, boundary, boundary + 1]);
+    }
+    for at in spots.into_iter().filter(|&at| at < len) {
+        v[at] = PAYLOADS[next % PAYLOADS.len()];
+        next += 1;
+    }
+    if len > 40 {
+        v[40] = -f32::NAN;
+    }
+    v
+}
+
+#[test]
+fn sign_pack_is_the_scalar_bit_rule_on_every_tier_with_zero_tails() {
+    use nfm_bnn::popcount::{pack_signs, pack_signs_on};
+    use nfm_bnn::PopcountBackend;
+    let mut rng = DeterministicRng::seed_from_u64(7);
+    for len in (0..=130).chain([1024]) {
+        for round in 0..3 {
+            let values = if round == 0 {
+                // Every payload at every position of the first words.
+                (0..len)
+                    .map(|i| PAYLOADS[(i + len) % PAYLOADS.len()])
+                    .collect()
+            } else {
+                planted(&mut rng, len)
+            };
+            // The rule, bit by bit (NaN -> 0, -0.0 -> 1), tail bits zero.
+            let mut expected = vec![0u64; len.div_ceil(64)];
+            for (i, &x) in values.iter().enumerate() {
+                expected[i / 64] |= u64::from(binarize_sign(x) == 1.0) << (i % 64);
+            }
+            for backend in PopcountBackend::supported() {
+                // Stale ones everywhere: the pack must write whole words.
+                let mut packed = vec![u64::MAX; len.div_ceil(64)];
+                pack_signs_on(backend, &values, &mut packed);
+                assert_eq!(packed, expected, "len {len} round {round} {backend}");
+            }
+            let mut active = vec![u64::MAX; len.div_ceil(64)];
+            pack_signs(&values, &mut active);
+            assert_eq!(active, expected, "len {len} round {round} active tier");
+            assert_eq!(BitVector::from_signs(&values).words(), expected);
+        }
+    }
+}
+
+/// The packed predict on every supported tier against (a) the
+/// per-neuron `neuron_output` and (b) `reference_binary_dot` on the raw
+/// f32 rows, for one gate shape and lane count.
+fn check_packed_predict(rows: usize, isz: usize, hsz: usize, lanes: usize, seed: u64) {
+    use nfm_bnn::PopcountBackend;
+    let what = format!("rows {rows} widths {isz}+{hsz} lanes {lanes}");
+    let mut rng = DeterministicRng::seed_from_u64(seed);
+    // Degenerate weights too: the mirror is packed by the same rule.
+    let mut wx = Matrix::from_fn(rows, isz, |_, _| rng.uniform(-1.0, 1.0));
+    let mut wh = Matrix::from_fn(rows, hsz, |_, _| rng.uniform(-1.0, 1.0));
+    wx.row_mut(rows - 1)
+        .copy_from_slice(&planted(&mut rng, isz));
+    wh.row_mut(0).copy_from_slice(&planted(&mut rng, hsz));
+    let gate = Gate::new(wx, wh, Vector::zeros(rows), None, Activation::Sigmoid).unwrap();
+    let bg = BinaryGate::mirror(&gate);
+    for backend in PopcountBackend::supported() {
+        assert_eq!(
+            BinaryGate::mirror_on(backend, &gate),
+            bg,
+            "{what}: mirror on {backend}"
+        );
+    }
+    let xs: Vec<f32> = (0..lanes).flat_map(|_| planted(&mut rng, isz)).collect();
+    let hs: Vec<f32> = (0..lanes).flat_map(|_| planted(&mut rng, hsz)).collect();
+
+    let mut expected = vec![0i32; lanes * rows];
+    for l in 0..lanes {
+        let (x, h) = (&xs[l * isz..(l + 1) * isz], &hs[l * hsz..(l + 1) * hsz]);
+        let (xb, hb) = bg.binarize_inputs(x, h);
+        for n in 0..rows {
+            let reference = reference_binary_dot(gate.wx().row(n), x)
+                + reference_binary_dot(gate.wh().row(n), h);
+            assert_eq!(
+                bg.neuron_output(n, &xb, &hb).unwrap(),
+                reference,
+                "{what}: per-neuron vs f32 reference, lane {l} neuron {n}"
+            );
+            expected[l * rows + n] = reference;
+        }
+    }
+    let mut packed = Vec::new();
+    bg.pack_inputs(&xs, &hs, lanes, &mut packed);
+    for backend in PopcountBackend::supported() {
+        let mut out = vec![i32::MIN; lanes * rows];
+        bg.predict_packed_on(backend, &packed, &mut out);
+        assert_eq!(out, expected, "{what}: packed predict on {backend}");
+    }
+    let mut out = vec![i32::MIN; lanes * rows];
+    bg.predict_packed_into(&packed, &mut out);
+    assert_eq!(out, expected, "{what}: packed predict on the active tier");
+}
+
+#[test]
+fn packed_predict_equals_per_neuron_and_f32_reference_on_every_tier() {
+    const ROWS: [usize; 7] = [1, 7, 8, 9, 33, 128, 400];
+    const WIDTHS: [usize; 7] = [1, 63, 64, 65, 80, 161, 400];
+    const LANES: [usize; 4] = [1, 3, 8, 9];
+    let mut seed = 100;
+    for rows in ROWS {
+        for isz in WIDTHS {
+            for hsz in WIDTHS {
+                for lanes in LANES {
+                    check_packed_predict(rows, isz, hsz, lanes, seed);
+                    seed += 1;
+                }
+            }
+        }
+    }
 }

@@ -4,7 +4,7 @@ use crate::audit::{AuditConfig, AuditStats};
 use crate::config::BnnMemoConfig;
 use crate::stats::ReuseStats;
 use crate::table::MemoTable;
-use nfm_bnn::{BinaryNetwork, BitVector};
+use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector};
 use nfm_rnn::{Gate, GateBatch, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult};
 use nfm_tensor::vector::relative_difference;
 use std::sync::Arc;
@@ -30,11 +30,12 @@ use std::sync::Arc;
 /// [`NeuronEvaluator::evaluate_gate_batch`] every driver runs.  The
 /// gate entry is four data-parallel passes over one gate call, all on
 /// evaluator-owned buffers (steady state allocates nothing):
-/// **predict** — each lane's inputs are binarized exactly once and the
-/// mirror gate is evaluated for all lanes in one dispatched
-/// XNOR-popcount call; **decide** — per lane, one branch-free loop over
-/// the gate's contiguous [`MemoTable`] columns compares, throttles,
-/// flags the misses and updates the table; **compute** — one dispatched
+/// **predict** — every lane's inputs are sign-packed exactly once into
+/// one buffer and the mirror gate's sign block is evaluated against all
+/// of them in one dispatched XNOR-popcount call; **decide** — per lane,
+/// one branch-free loop over the gate's contiguous [`MemoTable`] columns
+/// compares, throttles, flags the misses and updates the table;
+/// **compute** — one dispatched
 /// [`dual_matmul_masked_into`](nfm_tensor::kernels::dual_matmul_masked_into)
 /// call evaluates every flagged miss, lanes sharing a missed neuron's
 /// weight rows; **refresh** — the new outputs are copied into the `y_m`
@@ -62,11 +63,11 @@ pub struct BnnMemoEvaluator {
     // Whole-gate mirror outputs for every lane, filled by one
     // dispatched XNOR-popcount call per gate invocation.
     yb: Vec<i32>,
-    // Per-lane state of the gate entry: one memo table per lane plus
-    // reusable binarization scratch per lane.
+    // Every lane's sign-packed `[x_t; h_{t-1}]` of the current gate
+    // call, `row_words()` words a lane.
+    packed: Vec<u64>,
+    // Per-lane state of the gate entry: one memo table per lane.
     lane_tables: Vec<MemoTable>,
-    lane_xb: Vec<BitVector>,
-    lane_hb: Vec<BitVector>,
     // Per-lane accounting for the batched path, so a serving engine can
     // attribute reuse statistics to the request occupying each lane.
     // `stats` still aggregates everything.
@@ -131,9 +132,8 @@ impl BnnMemoEvaluator {
             stats: ReuseStats::new(),
             input_cache: None,
             yb: Vec::new(),
+            packed: Vec::new(),
             lane_tables: Vec::new(),
-            lane_xb: Vec::new(),
-            lane_hb: Vec::new(),
             lane_stats: Vec::new(),
             miss: Vec::new(),
             layer_thresholds: Vec::new(),
@@ -339,6 +339,18 @@ impl BnnMemoEvaluator {
     }
 }
 
+/// The mirror of `gate`, if `mirror` holds one of exactly its shape.  A
+/// mirror built for a different network has none, and the caller
+/// evaluates exactly rather than failing inference — or, with a wrong
+/// neuron count, reading rows the sign block does not have.
+fn usable_mirror<'m>(
+    mirror: &'m BinaryNetwork,
+    gate_id: GateId,
+    gate: &Gate,
+) -> Option<&'m BinaryGate> {
+    mirror.gate(gate_id).filter(|bg| bg.has_shape_of(gate))
+}
+
 /// `if keep { old } else { new }` as mask arithmetic on the bits.  Written
 /// as an `if`, "keep what the slot holds" compiles to a conditional
 /// store, which the vectoriser turns back into a branch per element.
@@ -407,9 +419,7 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         x: &[f32],
         h_prev: &[f32],
     ) -> RnnResult<f32> {
-        if self.mirror.gate(neuron.gate_id).is_none() {
-            // No mirror: fall back to exact evaluation (this only happens
-            // if the mirror was built for a different network).
+        if usable_mirror(&self.mirror, neuron.gate_id, gate).is_none() {
             self.stats.record_computed();
             return gate.neuron_dot(neuron.neuron, x, h_prev);
         }
@@ -419,15 +429,10 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         self.ensure_binarized_inputs(neuron.gate_id, neuron.timestep, x, h_prev);
         let cache = self.input_cache.as_ref().expect("just populated");
         let binary_gate = self.mirror.gate(neuron.gate_id).expect("checked above");
-        let yb_t = match binary_gate.neuron_output(neuron.neuron, &cache.xb, &cache.hb) {
-            Ok(v) => v as f32,
-            Err(_) => {
-                // Dimension mismatch between mirror and network: evaluate
-                // exactly rather than failing inference.
-                self.stats.record_computed();
-                return gate.neuron_dot(neuron.neuron, x, h_prev);
-            }
-        };
+        let yb_t = binary_gate
+            .neuron_output(neuron.neuron, &cache.xb, &cache.hb)
+            .expect("the mirror has the gate's shape, the cache its inputs")
+            as f32;
         self.stats.record_bnn_evaluation();
 
         // Step 2/3: compare with the cached BNN output, accumulating over
@@ -479,45 +484,34 @@ impl NeuronEvaluator for BnnMemoEvaluator {
             h_prevs,
             ..
         } = *call;
-        let (isz, hsz, nsz) = (gate.input_size(), gate.hidden_size(), gate.neurons());
-        let mirror_usable = match self.mirror.gate(gate_id) {
-            Some(bg) => bg.input_size() == isz && bg.hidden_size() == hsz,
-            None => false,
-        };
-        if !mirror_usable {
-            // No usable mirror: exact evaluation for every lane rather
-            // than failing inference (matches the per-neuron fallback
-            // bit for bit: the lane-striped kernel shares the reduction
-            // order).
+        let nsz = gate.neurons();
+        let Some(binary_gate) = usable_mirror(&self.mirror, gate_id, gate) else {
+            // Exact evaluation for every lane (matches the per-neuron
+            // fallback bit for bit: the lane-striped kernel shares the
+            // reduction order).
             nfm_tensor::kernels::dual_matmul_into(gate.wx(), gate.wh(), xs, h_prevs, lanes, out)?;
             self.stats.record_computed_many(out.len() as u64);
             for lane_stats in self.lane_stats.iter_mut().take(lanes) {
                 lane_stats.record_computed_many(nsz as u64);
             }
             return Ok(());
-        }
+        };
         assert!(
             self.lane_tables.len() >= lanes,
             "evaluate_gate_batch with {lanes} lanes but begin_batch sized {} \
              (the batch driver always calls begin_batch first)",
             self.lane_tables.len()
         );
-        // Pass 1 — predict.  Binarize every lane's inputs exactly once,
-        // into reused storage, then evaluate the whole mirror gate for
-        // *every* lane in one dispatched XNOR-popcount call: each binary
-        // weight row streams once and is reused across lanes (row-outer,
-        // lane-inner).  Popcounts are integer-exact, so the lane-striped
-        // outputs equal the per-lane calls bit for bit.
-        BitVector::fill_lanes_from_signs(&mut self.lane_xb, xs, lanes, isz);
-        BitVector::fill_lanes_from_signs(&mut self.lane_hb, h_prevs, lanes, hsz);
-        let binary_gate = self.mirror.gate(gate_id).expect("checked above");
+        // Pass 1 — predict.  Sign-pack every lane's inputs exactly once,
+        // into reused storage, then evaluate the mirror gate's whole sign
+        // block for *every* lane in one dispatched XNOR-popcount call:
+        // eight rows' words are loaded once and reused across lanes
+        // (block-outer, lane-inner).  Popcounts are integer-exact, so the
+        // lane-striped outputs equal the per-neuron calls bit for bit.
+        binary_gate.pack_inputs(xs, h_prevs, lanes, &mut self.packed);
         self.yb.resize(lanes * nsz, 0);
         self.miss.resize(lanes * nsz, 0);
-        binary_gate.neuron_outputs_batch_unchecked_into(
-            &self.lane_xb[..lanes],
-            &self.lane_hb[..lanes],
-            &mut self.yb,
-        );
+        binary_gate.predict_packed_into(&self.packed, &mut self.yb);
         // θ is hoisted once per gate call: adaptive controllers only
         // swap thresholds between whole-gate invocations, so every lane
         // of this call shares one θ.

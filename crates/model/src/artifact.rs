@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! [ 0..8)   magic          b"NFMMODL\0"
-//! [ 8..12)  format version u32 (currently 1)
+//! [ 8..12)  format version u32 (currently 2; any other is refused)
 //! [12..16)  flags          u32 (bit 0: head present, bit 1: mirror present)
 //! [16..20)  meta length    u32 (descriptor + tensor table, bytes)
 //! [20..24)  reserved       u32 (zero)
@@ -21,8 +21,25 @@
 //! offset of its data in the payload.  Records are written (and
 //! required on load) in one canonical order: per layer → per direction
 //! → per gate kind: `wx`, `wh`, `bias`, optional `peephole`; then the
-//! head's weights and bias; then the mirror's per-gate sign rows in the
-//! same gate order.
+//! head's weights and bias; then the mirror's sign blocks, one tensor
+//! per gate in the same gate order.
+//!
+//! # The mirror tensor (format version 2)
+//!
+//! A mirror gate is **one** `KIND_BITS` tensor: the gate's packed sign
+//! block exactly as [`BinaryGate::sign_block`] holds it and the predict
+//! kernel reads it (layout in [`nfm_bnn::popcount`]) — `xw + hw` words a
+//! row, rows interleaved eight to a block, padding zero.  Its record
+//! carries `rows` = neurons and `cols` = `input_size + hidden_size`
+//! sign bits a row; the split between the two is the f32 gate's, whose
+//! shape the mirror must have.  A block is a whole number of 64-byte
+//! groups, so it ends exactly where the next tensor (or the payload)
+//! does, and the loader requires that extent to be
+//! `ceil(rows / 8) * 8 * (xw + hw)` words and every padding bit and
+//! padding row in it to be zero: the kernel does not mask, so a loaded
+//! mirror must predict exactly what a rebuilt one would.  Version 1
+//! stored per-row sign words in two tensors per gate; there is no
+//! second reader, a v1 artifact is refused as an unsupported version.
 //!
 //! # Zero-copy load
 //!
@@ -41,9 +58,10 @@
 //! reconstruction happens.
 
 use crate::error::{ModelArtifactError, Result};
-use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector};
-use nfm_rnn::{Cell, DeepRnn, Dense, Gate, GateId, GateKind, GruCell, Layer, LstmCell};
+use nfm_bnn::{BinaryGate, BinaryNetwork};
+use nfm_rnn::{Cell, DeepRnn, Dense, Gate, GateKind, GruCell, Layer, LstmCell};
 use nfm_tensor::activation::Activation;
+use nfm_tensor::arena::ArenaU64;
 use nfm_tensor::{Matrix, TensorArena, Vector};
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -51,8 +69,8 @@ use std::sync::Arc;
 /// First eight bytes of every artifact.
 pub const MAGIC: [u8; 8] = *b"NFMMODL\0";
 
-/// Highest format version this build reads and the version it writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// The format version this build writes, and the only one it reads.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Every tensor's payload offset is a multiple of this.
 pub const TENSOR_ALIGN: usize = 64;
@@ -79,8 +97,7 @@ const OWNER_BIAS: u8 = 2;
 const OWNER_PEEPHOLE: u8 = 3;
 const OWNER_HEAD_W: u8 = 4;
 const OWNER_HEAD_B: u8 = 5;
-const OWNER_MIRROR_WX: u8 = 6;
-const OWNER_MIRROR_WH: u8 = 7;
+const OWNER_MIRROR: u8 = 6;
 
 const KIND_F32: u8 = 0;
 const KIND_BITS: u8 = 1;
@@ -220,12 +237,10 @@ impl Payload {
         offset
     }
 
-    fn push_bit_rows(&mut self, rows: impl Iterator<Item = impl AsRef<[u64]>>) -> u64 {
+    fn push_u64s(&mut self, words: &[u64]) -> u64 {
         let offset = self.align();
-        for row in rows {
-            for w in row.as_ref() {
-                self.bytes.extend_from_slice(&w.to_le_bytes());
-            }
+        for w in words {
+            self.bytes.extend_from_slice(&w.to_le_bytes());
         }
         offset
     }
@@ -247,7 +262,8 @@ fn ensure_little_endian() -> Result<()> {
 /// [`ModelArtifactError::UnsupportedEndianness`] on big-endian targets,
 /// and [`ModelArtifactError::Malformed`] if the network's structure
 /// cannot be represented (mixed cell kinds across layers, a mirror
-/// missing a network gate, dimensions beyond the format's caps).
+/// missing a network gate or holding one of another shape, dimensions
+/// beyond the format's caps).
 pub fn save(
     network: &DeepRnn,
     mirror: Option<&BinaryNetwork>,
@@ -359,45 +375,29 @@ pub fn save(
 
     if let Some(mirror) = mirror {
         flags |= FLAG_MIRROR;
-        for (k, layer) in layers.iter().enumerate() {
-            for d in 0..dirs {
-                let cell = if d == 0 {
-                    layer.forward_cell()
-                } else {
-                    layer.backward_cell().expect("validated above")
-                };
-                for kind in cell.gate_kinds() {
-                    let id = GateId::new(k, d, *kind);
-                    let bg = mirror
-                        .gate(id)
-                        .ok_or_else(|| ModelArtifactError::Malformed {
-                            what: format!(
-                                "mirror missing gate layer={k} dir={d} kind={}",
-                                kind.name()
-                            ),
-                        })?;
-                    let rows = dim(bg.neurons(), "mirror neurons")?;
-                    let xc = dim(bg.input_size(), "mirror input")?;
-                    let hc = dim(bg.hidden_size(), "mirror hidden")?;
-                    let mrec = |owner: u8, cols: u32, offset: u64| Record {
-                        owner,
-                        dir: d as u8,
-                        gate_kind: kind.index() as u8,
-                        activation: 0,
-                        kind: KIND_BITS,
-                        layer: k as u16,
-                        rows,
-                        cols,
-                        offset,
-                    };
-                    let off = payload
-                        .push_bit_rows((0..bg.neurons()).map(|n| bg.wx_row(n).words().to_vec()));
-                    records.push(mrec(OWNER_MIRROR_WX, xc, off));
-                    let off = payload
-                        .push_bit_rows((0..bg.neurons()).map(|n| bg.wh_row(n).words().to_vec()));
-                    records.push(mrec(OWNER_MIRROR_WH, hc, off));
-                }
-            }
+        for (id, gate) in network.gates() {
+            let bg = mirror
+                .gate(id)
+                .filter(|bg| bg.has_shape_of(gate))
+                .ok_or_else(|| ModelArtifactError::Malformed {
+                    what: format!(
+                        "mirror has no gate of its shape for layer={} dir={} kind={}",
+                        id.layer,
+                        id.direction,
+                        id.kind.name()
+                    ),
+                })?;
+            records.push(Record {
+                owner: OWNER_MIRROR,
+                dir: id.direction as u8,
+                gate_kind: id.kind.index() as u8,
+                activation: 0,
+                kind: KIND_BITS,
+                layer: id.layer as u16,
+                rows: dim(bg.neurons(), "mirror neurons")?,
+                cols: dim(bg.input_size() + bg.hidden_size(), "mirror signs")?,
+                offset: payload.push_u64s(bg.sign_block()),
+            });
         }
     }
 
@@ -566,35 +566,41 @@ fn arena_vector(arena: &Arc<TensorArena>, r: &Record, what: &'static str) -> Res
     Ok(Vector::from_arena(arena.clone(), offset, rows)?)
 }
 
-fn arena_bit_rows(
+/// Maps one mirror gate's sign block (module docs) as a zero-copy view.
+/// `end` is where the block must end: the next tensor's offset, or the
+/// payload's length.
+fn arena_sign_block(
     arena: &Arc<TensorArena>,
     r: &Record,
-    what: &'static str,
-) -> Result<Vec<BitVector>> {
+    gate: &Gate,
+    end: u64,
+) -> Result<BinaryGate> {
+    let malformed = |what: String| ModelArtifactError::Malformed {
+        what: format!("mirror gate layer={} dir={}: {what}", r.layer, r.dir),
+    };
     if r.kind != KIND_BITS {
-        return Err(ModelArtifactError::Malformed {
-            what: format!("{what}: expected sign-bit tensor, found kind {}", r.kind),
-        });
+        return Err(malformed(format!(
+            "expected sign-bit tensor, found kind {}",
+            r.kind
+        )));
     }
-    let (rows, cols) = checked_dims(r, what)?;
-    let row_bytes = cols.div_ceil(64) * 8;
-    let base = usize::try_from(r.offset).map_err(|_| ModelArtifactError::Malformed {
-        what: format!("{what}: offset {} exceeds addressable range", r.offset),
-    })?;
-    (0..rows)
-        .map(|n| {
-            let offset = base
-                .checked_add(n.checked_mul(row_bytes).ok_or_else(|| {
-                    ModelArtifactError::Malformed {
-                        what: format!("{what}: sign row extent overflows"),
-                    }
-                })?)
-                .ok_or_else(|| ModelArtifactError::Malformed {
-                    what: format!("{what}: sign row offset overflows"),
-                })?;
-            Ok(BitVector::from_arena(arena.clone(), offset, cols)?)
-        })
-        .collect()
+    let (neurons, isz, hsz) = (gate.neurons(), gate.input_size(), gate.hidden_size());
+    if (r.rows as usize, r.cols as usize) != (neurons, isz + hsz) {
+        return Err(malformed(format!(
+            "shape {}x{} differs from its gate's {neurons}x({isz}+{hsz})",
+            r.rows, r.cols
+        )));
+    }
+    let extent = end
+        .checked_sub(r.offset)
+        .filter(|bytes| bytes % 8 == 0)
+        .and_then(|bytes| usize::try_from(bytes / 8).ok())
+        .ok_or_else(|| malformed(format!("block at {} does not end at {end}", r.offset)))?;
+    let offset = usize::try_from(r.offset)
+        .map_err(|_| malformed(format!("offset {} exceeds addressable range", r.offset)))?;
+    let view = ArenaU64::new(arena.clone(), offset, extent)?;
+    BinaryGate::from_arena(view, neurons, isz, hsz)
+        .map_err(|e| malformed(format!("sign block: {e}")))
 }
 
 /// Reads one artifact, verifying magic, version, declared lengths and
@@ -810,30 +816,16 @@ pub fn load(reader: &mut impl Read) -> Result<LoadedModel> {
 
     let mirror = if has_mirror == 1 {
         let mut gates = std::collections::HashMap::new();
-        for k in 0..layer_count {
-            for d in 0..dirs {
-                for kind in gate_kinds {
-                    let wx = table.expect(OWNER_MIRROR_WX, k, d, Some(*kind), "mirror wx")?;
-                    let wh = table.expect(OWNER_MIRROR_WH, k, d, Some(*kind), "mirror wh")?;
-                    if wx.rows != wh.rows {
-                        return Err(ModelArtifactError::Malformed {
-                            what: format!(
-                                "mirror gate row counts disagree ({} vs {})",
-                                wx.rows, wh.rows
-                            ),
-                        });
-                    }
-                    let wx_rows = arena_bit_rows(&arena, &wx, "mirror wx")?;
-                    let wh_rows = arena_bit_rows(&arena, &wh, "mirror wh")?;
-                    let gate = BinaryGate::from_rows(
-                        wx_rows,
-                        wh_rows,
-                        wx.cols as usize,
-                        wh.cols as usize,
-                    )?;
-                    gates.insert(GateId::new(k, d, *kind), gate);
-                }
-            }
+        for (id, gate) in network.gates() {
+            let r = table.expect(
+                OWNER_MIRROR,
+                id.layer,
+                id.direction,
+                Some(id.kind),
+                "mirror sign block",
+            )?;
+            let end = table.peek().map_or(payload_len, |next| next.offset);
+            gates.insert(id, arena_sign_block(&arena, &r, gate, end)?);
         }
         Some(BinaryNetwork::from_gates(gates))
     } else {

@@ -12,11 +12,12 @@ pub enum ModelArtifactError {
     /// The input does not start with the artifact magic — not a model
     /// artifact at all.
     BadMagic,
-    /// The artifact declares a format version this build cannot read.
+    /// The artifact declares a format version this build cannot read
+    /// (it reads exactly one: older layouts have no second reader).
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
-        /// Highest version this build reads.
+        /// The version this build reads.
         supported: u32,
     },
     /// The artifact format is little-endian; this target is not.
@@ -45,8 +46,6 @@ pub enum ModelArtifactError {
     Tensor(nfm_tensor::TensorError),
     /// Network reconstruction rejected the decoded tensors.
     Rnn(nfm_rnn::RnnError),
-    /// Binary-mirror reconstruction rejected the decoded sign rows.
-    Bnn(nfm_bnn::BnnError),
 }
 
 impl fmt::Display for ModelArtifactError {
@@ -56,7 +55,7 @@ impl fmt::Display for ModelArtifactError {
             ModelArtifactError::BadMagic => write!(f, "not a model artifact (bad magic)"),
             ModelArtifactError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "artifact format version {found} is newer than supported version {supported}"
+                "artifact format version {found} is not the supported version {supported}"
             ),
             ModelArtifactError::UnsupportedEndianness => {
                 write!(f, "model artifacts are little-endian; this target is not")
@@ -71,7 +70,6 @@ impl fmt::Display for ModelArtifactError {
             ModelArtifactError::Malformed { what } => write!(f, "malformed artifact: {what}"),
             ModelArtifactError::Tensor(e) => write!(f, "artifact tensor view: {e}"),
             ModelArtifactError::Rnn(e) => write!(f, "artifact network rebuild: {e}"),
-            ModelArtifactError::Bnn(e) => write!(f, "artifact mirror rebuild: {e}"),
         }
     }
 }
@@ -82,7 +80,6 @@ impl std::error::Error for ModelArtifactError {
             ModelArtifactError::Io(e) => Some(e),
             ModelArtifactError::Tensor(e) => Some(e),
             ModelArtifactError::Rnn(e) => Some(e),
-            ModelArtifactError::Bnn(e) => Some(e),
             _ => None,
         }
     }
@@ -103,12 +100,6 @@ impl From<nfm_tensor::TensorError> for ModelArtifactError {
 impl From<nfm_rnn::RnnError> for ModelArtifactError {
     fn from(e: nfm_rnn::RnnError) -> Self {
         ModelArtifactError::Rnn(e)
-    }
-}
-
-impl From<nfm_bnn::BnnError> for ModelArtifactError {
-    fn from(e: nfm_bnn::BnnError) -> Self {
-        ModelArtifactError::Bnn(e)
     }
 }
 

@@ -12,8 +12,8 @@
 //!
 //! Loading performs **one** bulk read into a single
 //! [`nfm_tensor::TensorArena`] and reconstructs every weight matrix,
-//! bias vector and sign row as a copy-on-write *view* into that arena —
-//! no per-tensor allocation or copy, so registering a model version in
+//! bias vector and mirror sign block as a *view* into that arena — no
+//! per-tensor allocation or copy, so registering a model version in
 //! a serving process costs one read plus view bookkeeping regardless of
 //! tensor count.  Corrupt or hostile bytes surface as typed
 //! [`ModelArtifactError`]s; loading never panics.

@@ -8,7 +8,7 @@
 //! truncation, single-byte corruption and pure garbage.
 
 use nfm_bnn::BinaryNetwork;
-use nfm_model::{load_from_slice, save_to_vec, ModelArtifactError, TENSOR_ALIGN};
+use nfm_model::{load_from_slice, save_to_vec, ModelArtifactError, FORMAT_VERSION, TENSOR_ALIGN};
 use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator};
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
@@ -115,11 +115,121 @@ fn loaded_tensors_are_zero_copy_arena_views() {
     assert!(head.bias().is_arena_backed());
     let mirror = loaded.mirror.expect("saved with mirror");
     for (id, bg) in mirror.iter() {
-        for n in 0..bg.neurons() {
-            assert!(bg.wx_row(n).is_arena_backed(), "{id:?} sign row owned");
-            assert!(bg.wh_row(n).is_arena_backed(), "{id:?} sign row owned");
+        assert!(bg.is_arena_backed(), "{id:?} sign block owned, not a view");
+    }
+}
+
+#[test]
+fn save_load_save_is_byte_identical_and_the_loaded_mirror_is_a_rebuilt_one() {
+    for (name, net) in networks() {
+        let bytes = save_to_vec(&net, Some(&BinaryNetwork::mirror(&net))).unwrap();
+        let loaded = load_from_slice(&bytes).unwrap();
+        let mirror = loaded.mirror.as_ref().expect("saved with mirror");
+        assert_eq!(
+            save_to_vec(&loaded.network, Some(mirror)).unwrap(),
+            bytes,
+            "{name}: second save differs"
+        );
+        let rebuilt = BinaryNetwork::mirror(&loaded.network);
+        assert_eq!(mirror, &rebuilt, "{name}: loaded vs rebuilt mirror");
+        // Eight lanes through the kernel, loaded block against rebuilt.
+        let mut rng = DeterministicRng::seed_from_u64(78);
+        for (id, lg) in mirror.iter() {
+            let rg = rebuilt.gate(*id).unwrap();
+            let xs: Vec<f32> = (0..8 * lg.input_size())
+                .map(|_| rng.uniform(-1.0, 1.0))
+                .collect();
+            let hs: Vec<f32> = (0..8 * lg.hidden_size())
+                .map(|_| rng.uniform(-1.0, 1.0))
+                .collect();
+            let mut packed = Vec::new();
+            lg.pack_inputs(&xs, &hs, 8, &mut packed);
+            let (mut a, mut b) = (vec![0; 8 * lg.neurons()], vec![0; 8 * lg.neurons()]);
+            lg.predict_packed_into(&packed, &mut a);
+            rg.predict_packed_into(&packed, &mut b);
+            assert_eq!(a, b, "{name} {id:?}");
         }
     }
+}
+
+/// The pieces of an artifact a test needs to tamper with it and keep
+/// the checksum valid: where the tensor table and the payload start,
+/// and the last mirror record (the last record of the table).
+struct Tampered {
+    bytes: Vec<u8>,
+    last_record: usize,
+    payload: usize,
+}
+
+impl Tampered {
+    /// "lstm-head-peepholes": 9 neurons a gate (two blocks, seven
+    /// padding rows), 9 recurrent signs (55 padding bits a row).
+    fn new() -> Self {
+        let (_, net) = networks().remove(0);
+        let bytes = save_to_vec(&net, Some(&BinaryNetwork::mirror(&net))).unwrap();
+        let meta_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+        Tampered {
+            last_record: 32 + meta_len - 24,
+            payload: 32 + meta_len,
+            bytes,
+        }
+    }
+
+    fn block_offset(&self) -> usize {
+        let at = self.last_record + 16;
+        self.payload + u64::from_le_bytes(self.bytes[at..at + 8].try_into().unwrap()) as usize
+    }
+
+    /// Re-seals the artifact (FNV-1a 64 over meta ++ payload) and loads.
+    fn load(mut self) -> String {
+        let end = self.bytes.len() - 8;
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &b in &self.bytes[32..end] {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.bytes[end..].copy_from_slice(&hash.to_le_bytes());
+        match load_from_slice(&self.bytes) {
+            Err(ModelArtifactError::Malformed { what }) => what,
+            other => panic!("expected a malformed-artifact error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn mirror_gate_of_another_shape_than_its_gate_is_malformed() {
+    // 9 -> 10 neurons: the same two blocks, so only the shape check
+    // stands between this record and a kernel reading a tenth row.
+    let mut t = Tampered::new();
+    let rows = t.last_record + 8;
+    assert_eq!(t.bytes[rows..rows + 4], 9u32.to_le_bytes());
+    t.bytes[rows..rows + 4].copy_from_slice(&10u32.to_le_bytes());
+    assert!(t.load().contains("differs from its gate"));
+}
+
+#[test]
+fn mirror_block_of_the_wrong_length_is_malformed() {
+    // Eight more words after the last block: it no longer ends where
+    // the payload does.
+    let mut t = Tampered::new();
+    let end = t.bytes.len() - 8;
+    t.bytes.splice(end..end, [0u8; 64]);
+    let payload_len = (end + 64 - t.payload) as u64;
+    t.bytes[24..32].copy_from_slice(&payload_len.to_le_bytes());
+    assert!(t.load().contains("length mismatch"));
+}
+
+#[test]
+fn mirror_block_with_non_zero_padding_is_malformed() {
+    // A padding bit: bit 9 of row 0's recurrent word (word 1 of 2).
+    let mut t = Tampered::new();
+    let at = t.block_offset() + 8 * 8 + 1;
+    t.bytes[at] |= 0b10;
+    assert!(t.load().contains("padding in row 0"));
+    // A padding row: row 9, the second row of the second block.
+    let mut t = Tampered::new();
+    let at = t.block_offset() + 2 * 8 * 8 + 8;
+    t.bytes[at] |= 1;
+    assert!(t.load().contains("padding in row 9"));
 }
 
 #[test]
@@ -207,7 +317,7 @@ fn garbage_and_near_miss_inputs_error_cleanly() {
     // Correct magic, hostile everything else.
     let mut hostile = Vec::new();
     hostile.extend_from_slice(b"NFMMODL\0");
-    hostile.extend_from_slice(&1u32.to_le_bytes());
+    hostile.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     hostile.extend_from_slice(&0u32.to_le_bytes());
     hostile.extend_from_slice(&u32::MAX.to_le_bytes()); // meta_len
     hostile.extend_from_slice(&0u32.to_le_bytes());
@@ -228,12 +338,17 @@ fn wrong_magic_and_version_are_typed() {
         load_from_slice(&wrong_magic),
         Err(ModelArtifactError::BadMagic)
     ));
-    let mut future = bytes.clone();
-    future[8..12].copy_from_slice(&99u32.to_le_bytes());
-    assert!(matches!(
-        load_from_slice(&future),
-        Err(ModelArtifactError::UnsupportedVersion { found: 99, .. })
-    ));
+    // A newer version, and the per-row-mirror version 1 this build no
+    // longer reads: one typed refusal, no second reader.
+    for other in [99u32, 1] {
+        let mut versioned = bytes.clone();
+        versioned[8..12].copy_from_slice(&other.to_le_bytes());
+        assert!(matches!(
+            load_from_slice(&versioned),
+            Err(ModelArtifactError::UnsupportedVersion { found, supported: FORMAT_VERSION })
+                if found == other
+        ));
+    }
 }
 
 #[test]

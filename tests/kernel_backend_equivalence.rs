@@ -295,6 +295,48 @@ fn whole_workload_runs_are_deterministic_under_dispatch() {
 }
 
 #[test]
+fn packed_bnn_predict_matches_its_references_on_every_popcount_tier() {
+    // The memoized workload's own mirror gates at a serving lane count:
+    // on every popcount tier the packed predict equals the per-neuron
+    // `neuron_output` and the unpacked sign product of the f32 rows
+    // (`crates/bnn/tests/properties.rs`, mounted as
+    // `tests/bnn_packed_predict.rs`, sweeps the boundary shapes).
+    use nfm::bnn::binarize::reference_binary_dot;
+    use nfm::bnn::{BinaryNetwork, PopcountBackend};
+    let w = workload();
+    let mirror = BinaryNetwork::mirror(w.network());
+    let mut rng = DeterministicRng::seed_from_u64(43);
+    let lanes = 8;
+    for (id, gate) in w.network().gates() {
+        let bg = mirror.gate(id).expect("every gate is mirrored");
+        let (rows, isz, hsz) = (gate.neurons(), gate.input_size(), gate.hidden_size());
+        let xs: Vec<f32> = (0..lanes * isz).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let hs: Vec<f32> = (0..lanes * hsz).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let mut expected = vec![0i32; lanes * rows];
+        for l in 0..lanes {
+            let (x, h) = (&xs[l * isz..(l + 1) * isz], &hs[l * hsz..(l + 1) * hsz]);
+            let (xb, hb) = bg.binarize_inputs(x, h);
+            for n in 0..rows {
+                expected[l * rows + n] = bg.neuron_output(n, &xb, &hb).unwrap();
+                assert_eq!(
+                    expected[l * rows + n],
+                    reference_binary_dot(gate.wx().row(n), x)
+                        + reference_binary_dot(gate.wh().row(n), h),
+                    "{id:?} lane {l} neuron {n}: per-neuron vs f32 rows"
+                );
+            }
+        }
+        let mut packed = Vec::new();
+        bg.pack_inputs(&xs, &hs, lanes, &mut packed);
+        for pop in PopcountBackend::supported() {
+            let mut out = vec![i32::MIN; lanes * rows];
+            bg.predict_packed_on(pop, &packed, &mut out);
+            assert_eq!(out, expected, "{id:?} on {pop}");
+        }
+    }
+}
+
+#[test]
 fn active_backend_is_reported_and_supported() {
     let active = nfm::tensor::backend::active();
     assert!(active.is_supported());
