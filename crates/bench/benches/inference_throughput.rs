@@ -187,6 +187,17 @@ impl NeuronEvaluator for SeedBnnEvaluator {
     }
 }
 
+/// `values` copied into a fresh buffer so that they start `past_line`
+/// bytes (a multiple of 4) after a 64-byte boundary: the buffer and the
+/// index of the first value in it.
+fn place(values: &[f32], past_line: usize) -> (Vec<f32>, usize) {
+    let mut buf = vec![0.0f32; values.len() + 32];
+    let skew = buf.as_ptr() as usize % 64 / 4;
+    let at = (16 - skew) % 16 + past_line / 4;
+    buf[at..at + values.len()].copy_from_slice(values);
+    (buf, at)
+}
+
 fn workload(id: NetworkId, scale: f32, sequences: usize, len: usize) -> Workload {
     WorkloadBuilder::new(id)
         .scale(scale)
@@ -999,6 +1010,74 @@ fn main() {
                         format!("kernel/xnor_popcount_{bits}/scalar"),
                         format!("kernel/xnor_popcount_{bits}/{pop}"),
                     ));
+                }
+            }
+        }
+        // The two kernels the exact path runs (`batch_exact` spends ~90%
+        // of its time in them): the block hoist `W_x` × 8 steps × 8
+        // lanes and the per-step recurrent half, at the medium gate
+        // above and at the DeepSpeech2-0.5 gate (`_ds2`: 400 × 400,
+        // fifteen matrices — five layers of z / r / candidate — walked
+        // round-robin, 9.6 MB, so the 2 MB L2 cannot hide the weight
+        // stream).  The activation operand starts on a 64-byte line;
+        // `_off16` starts it 16 bytes past one, which is what a
+        // `Vec<f32>` from `malloc` gives the scheduler's block buffers
+        // three times in four (ROADMAP 3(b)).
+        const HOIST: usize = 64;
+        let ds2: Vec<Matrix> = (0..15)
+            .map(|_| Matrix::from_fn(400, 400, |_, _| rng.uniform(-1.0, 1.0)))
+            .collect();
+        let gates: [(&str, &[Matrix], &[Matrix]); 2] = [
+            ("", std::slice::from_ref(&wx), std::slice::from_ref(&wh)),
+            ("_ds2", &ds2, &ds2),
+        ];
+        for backend in KernelBackend::supported() {
+            for (gate, hoisted, recurrent) in gates {
+                let (rows, xc, hc) = (hoisted[0].rows(), hoisted[0].cols(), recurrent[0].cols());
+                let block: Vec<f32> = (0..HOIST * xc).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let state: Vec<f32> = (0..lanes * hc).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let base: Vec<f32> = (0..lanes * rows).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let mut hoist_out = vec![0.0f32; HOIST * rows];
+                let mut step_out = vec![0.0f32; lanes * rows];
+                for kernel in ["hoist_matmul_64l", "matmul_add_8l"] {
+                    let id = format!("kernel/{kernel}{gate}/{backend}");
+                    if backend != KernelBackend::Scalar {
+                        pairs.push((format!("kernel/{kernel}{gate}/scalar"), id.clone()));
+                    }
+                    pairs.push((id, format!("kernel/{kernel}{gate}_off16/{backend}")));
+                }
+                for (placement, past_line) in [("", 0), ("_off16", 16)] {
+                    let hoist_id = format!("kernel/hoist_matmul_64l{gate}{placement}/{backend}");
+                    let step_id = format!("kernel/matmul_add_8l{gate}{placement}/{backend}");
+                    let (buf, at) = place(&block, past_line);
+                    let mut turn = 0;
+                    bench.bench(&hoist_id, || {
+                        turn = (turn + 1) % hoisted.len();
+                        kernels::matmul_into_on(
+                            backend,
+                            black_box(&hoisted[turn]),
+                            black_box(&buf[at..at + block.len()]),
+                            HOIST,
+                            &mut hoist_out,
+                        )
+                        .unwrap();
+                        black_box(hoist_out[0])
+                    });
+                    let (buf, at) = place(&state, past_line);
+                    let mut turn = 0;
+                    bench.bench(&step_id, || {
+                        turn = (turn + 1) % recurrent.len();
+                        kernels::matmul_add_into_on(
+                            backend,
+                            black_box(&recurrent[turn]),
+                            black_box(&buf[at..at + state.len()]),
+                            lanes,
+                            black_box(&base),
+                            &mut step_out,
+                        )
+                        .unwrap();
+                        black_box(step_out[0])
+                    });
                 }
             }
         }

@@ -29,11 +29,36 @@
 //! 128-bit registers.
 //!
 //! Every [`DotOps`] implementation must reproduce this bit-for-bit; the
-//! multi-output ops (`dot2`, `dot_quad`) must make each output equal to
-//! the corresponding single [`DotOps::dot`].  `f32` multiplication and
-//! addition are commutative in their operands, so implementations may
-//! swap operand roles within a lane, but never the order in which a
-//! lane's partial sums combine.
+//! multi-output ops (`dot2`, `dot_quad`, `dot_tile`) must make each
+//! output equal to the corresponding single [`DotOps::dot`].  `f32`
+//! multiplication and addition are commutative in their operands, so
+//! implementations may swap operand roles within a lane, but never the
+//! order in which a lane's partial sums combine.
+//!
+//! # Why there is a tile
+//!
+//! The multi-output ops exist to share operand loads and to keep more
+//! independent chains in flight; per 16-element chunk of one dot, on the
+//! AVX-512 tier:
+//!
+//! | op | chains | 64-byte loads per chunk-dot |
+//! |---|---|---|
+//! | `dot` | 1 | 2 |
+//! | `dot2` | 2 | 1.5 |
+//! | `dot_quad` | 4 | 1.25 |
+//! | `dot_tile` | 16 | 0.5 |
+//!
+//! The reference host (Xeon @ 2.1 GHz, 2 vCPUs) sustains 5.0–5.7 such
+//! loads/ns from L1 when they sit on a cache line but 1.9–2.7 when they
+//! start 16 or 32 bytes past one (what `malloc` and the artifact arena
+//! give every weight row), against 5.2–5.5 register-only `vmulps` /
+//! `vaddps` per ns with sixteen chains in flight — and a chain's add has
+//! a 4-cycle latency, so two chains finish a chunk-dot every other
+//! cycle at best.  `dot2` (what `matmul` and `matmul_add` paired lanes
+//! through) therefore ran at 0.65 ns a chunk-dot in its best rounds,
+//! bound by latency and by loads; the tile runs at 0.37 ns, the
+//! multiply-then-add ceiling itself (2 FP ops / 5.4 per ns), which is
+//! why FMA is judged on top of the tile and not instead of it.
 
 use crate::activation::{hard_sigmoid, relu, sigmoid, tanh, Activation};
 
@@ -41,9 +66,9 @@ use crate::activation::{hard_sigmoid, relu, sigmoid, tanh, Activation};
 pub(crate) const LANES: usize = 16;
 
 /// Tile edge of the register-blocked batched kernels: weight rows and
-/// batch lanes are processed in 4 × 4 tiles, with the lane quad running
-/// through [`DotOps::dot_quad`] so four independent dot products are in
-/// flight per streamed weight row.
+/// batch lanes are processed in 4 × 4 tiles through
+/// [`DotOps::dot_tile`], sixteen independent dot products in flight per
+/// streamed row block.
 pub(crate) const TILE: usize = 4;
 
 /// The canonical pairwise reduction of the unrolled accumulators.  This
@@ -105,6 +130,34 @@ pub(crate) trait DotOps: Copy {
         x2: &[f32],
         x3: &[f32],
     ) -> [f32; 4];
+
+    /// Sixteen dot products of four weight `rows` against four lane
+    /// vectors `xs`, lane-major like the kernels' `out`:
+    /// `dot_tile(rows, xs)[j][i]` is bit-identical to
+    /// `dot(rows[i], xs[j])`.  The default runs one
+    /// [`DotOps::dot_quad`] per row, so a tier whose registers cannot
+    /// hold sixteen chains streams one weight row at a time as before;
+    /// a tier that can overrides it with the real tile.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`DotOps::dot`] for every operand.
+    #[inline(always)]
+    unsafe fn dot_tile(self, rows: [&[f32]; TILE], xs: [&[f32]; TILE]) -> [[f32; TILE]; TILE] {
+        // A loop, not `rows.map(..)`: a closure body is compiled without
+        // the wrapper's `#[target_feature]`, so the intrinsics under it
+        // would stay calls.
+        let [x0, x1, x2, x3] = xs;
+        let mut tile = [[0.0f32; TILE]; TILE];
+        for (i, row) in rows.into_iter().enumerate() {
+            // SAFETY: forwarded caller contract.
+            let quad = unsafe { self.dot_quad(row, x0, x1, x2, x3) };
+            for (lane, d) in tile.iter_mut().zip(quad) {
+                lane[i] = d;
+            }
+        }
+        tile
+    }
 }
 
 /// The portable reference implementation (and the autovectorizer's
@@ -276,8 +329,73 @@ pub(crate) unsafe fn dual_matvec_body<O: DotOps>(
     }
 }
 
-/// Lane-striped `out[l*rows + r] = m[r]·xs[l]` — row loop outer so each
-/// weight row streams once, lanes paired through [`DotOps::dot2`].
+/// Every dot of the lane-striped product `m[r]·xs[l]`, handed to `put`
+/// as `(l * rows + r, dots)`: the dots of up to [`TILE`] consecutive
+/// rows of lane `l`, which are consecutive in a lane-striped output.
+/// Row blocks of four × lane quads run through [`DotOps::dot_tile`], so
+/// a block's weight rows stream once and stay in L1 across the lanes.
+/// Lanes left over share their vector across the block's four rows and
+/// rows left over share theirs across a lane quad (both
+/// [`DotOps::dot_quad`]); the corner pairs lanes through
+/// [`DotOps::dot2`] down to a single [`DotOps::dot`].  Every form
+/// equals the single dot bit for bit, so the walk is bit-transparent.
+///
+/// # Safety
+///
+/// CPU must support `O`'s features; `m.len() == rows * cols` and
+/// `xs.len() == lanes * cols`.
+#[inline(always)]
+unsafe fn product_body<O: DotOps>(
+    o: O,
+    m: &[f32],
+    rows: usize,
+    cols: usize,
+    xs: &[f32],
+    lanes: usize,
+    mut put: impl FnMut(usize, &[f32]),
+) {
+    let row = |r: usize| &m[r * cols..(r + 1) * cols];
+    let x = |l: usize| &xs[l * cols..(l + 1) * cols];
+    let row_blocks = rows - rows % TILE;
+    let lane_quads = lanes - lanes % TILE;
+    // SAFETY (all calls below): forwarded caller contract.
+    unsafe {
+        for r0 in (0..row_blocks).step_by(TILE) {
+            let rs = [row(r0), row(r0 + 1), row(r0 + 2), row(r0 + 3)];
+            for l0 in (0..lane_quads).step_by(TILE) {
+                let tile = o.dot_tile(rs, [x(l0), x(l0 + 1), x(l0 + 2), x(l0 + 3)]);
+                for (j, dots) in tile.iter().enumerate() {
+                    put((l0 + j) * rows + r0, dots);
+                }
+            }
+            for l in lane_quads..lanes {
+                put(l * rows + r0, &o.dot_quad(x(l), rs[0], rs[1], rs[2], rs[3]));
+            }
+        }
+        for r in row_blocks..rows {
+            let row = row(r);
+            for l0 in (0..lane_quads).step_by(TILE) {
+                let quad = o.dot_quad(row, x(l0), x(l0 + 1), x(l0 + 2), x(l0 + 3));
+                for (j, d) in quad.into_iter().enumerate() {
+                    put((l0 + j) * rows + r, &[d]);
+                }
+            }
+            let mut l = lane_quads;
+            if l + 2 <= lanes {
+                let [d0, d1] = o.dot2(x(l), x(l + 1), row);
+                put(l * rows + r, &[d0]);
+                put((l + 1) * rows + r, &[d1]);
+                l += 2;
+            }
+            if l < lanes {
+                put(l * rows + r, &[o.dot(row, x(l))]);
+            }
+        }
+    }
+}
+
+/// Lane-striped `out[l*rows + r] = m[r]·xs[l]`, walked by
+/// [`product_body`].
 ///
 /// # Safety
 ///
@@ -293,25 +411,11 @@ pub(crate) unsafe fn matmul_body<O: DotOps>(
     lanes: usize,
     out: &mut [f32],
 ) {
-    // SAFETY (all calls below): forwarded caller contract.
+    // SAFETY: forwarded caller contract.
     unsafe {
-        for r in 0..rows {
-            let row = &m[r * cols..(r + 1) * cols];
-            let mut l = 0;
-            while l + 2 <= lanes {
-                let [d0, d1] = o.dot2(
-                    &xs[l * cols..(l + 1) * cols],
-                    &xs[(l + 1) * cols..(l + 2) * cols],
-                    row,
-                );
-                out[l * rows + r] = d0;
-                out[(l + 1) * rows + r] = d1;
-                l += 2;
-            }
-            if l < lanes {
-                out[l * rows + r] = o.dot(row, &xs[l * cols..(l + 1) * cols]);
-            }
-        }
+        product_body(o, m, rows, cols, xs, lanes, |at, dots| {
+            out[at..at + dots.len()].copy_from_slice(dots)
+        })
     }
 }
 
@@ -333,38 +437,22 @@ pub(crate) unsafe fn matmul_add_body<O: DotOps>(
     base: &[f32],
     out: &mut [f32],
 ) {
-    // SAFETY (all calls below): forwarded caller contract.
+    // SAFETY: forwarded caller contract.
     unsafe {
-        for r in 0..rows {
-            let row = &m[r * cols..(r + 1) * cols];
-            let mut l = 0;
-            while l + 2 <= lanes {
-                let [d0, d1] = o.dot2(
-                    &xs[l * cols..(l + 1) * cols],
-                    &xs[(l + 1) * cols..(l + 2) * cols],
-                    row,
-                );
-                let i0 = l * rows + r;
-                let i1 = (l + 1) * rows + r;
-                out[i0] = base[i0] + d0;
-                out[i1] = base[i1] + d1;
-                l += 2;
+        product_body(o, m, rows, cols, xs, lanes, |at, dots| {
+            let end = at + dots.len();
+            for ((o, b), d) in out[at..end].iter_mut().zip(&base[at..end]).zip(dots) {
+                *o = b + d;
             }
-            if l < lanes {
-                let idx = l * rows + r;
-                out[idx] = base[idx] + o.dot(row, &xs[l * cols..(l + 1) * cols]);
-            }
-        }
+        })
     }
 }
 
-/// Lane-striped `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l]` with
-/// register-blocked 4 rows × 4 lanes tiles: within a tile each
-/// weight-row pair is streamed once through [`DotOps::dot_quad`] (four
-/// independent accumulator sets in flight), and the four lanes' input
-/// slices stay hot in L1 across the tile's rows.  Every (row, lane) dot
-/// is independent and runs the shared reduction order, so tiling is
-/// bit-transparent.
+/// Lane-striped `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l]`: the
+/// forward product written by one [`product_body`] walk, the recurrent
+/// one added onto it by a second, which keeps the `fwd + rec` order of
+/// `Gate::neuron_dot` and makes the fused gate the hoisted pair
+/// ([`matmul_body`] then [`matmul_add_body`]) by construction.
 ///
 /// # Safety
 ///
@@ -385,35 +473,14 @@ pub(crate) unsafe fn dual_matmul_body<O: DotOps>(
     lanes: usize,
     out: &mut [f32],
 ) {
-    let lane_quads = lanes - lanes % TILE;
-    // SAFETY (all calls below): forwarded caller contract.
+    // SAFETY: forwarded caller contract.
     unsafe {
-        for r0 in (0..rows).step_by(TILE) {
-            let r_hi = (r0 + TILE).min(rows);
-            for l0 in (0..lane_quads).step_by(TILE) {
-                let x = |i: usize| &xs[(l0 + i) * xc..(l0 + i + 1) * xc];
-                let h = |i: usize| &hs[(l0 + i) * hc..(l0 + i + 1) * hc];
-                for r in r0..r_hi {
-                    let rx = &wx[r * xc..(r + 1) * xc];
-                    let rh = &wh[r * hc..(r + 1) * hc];
-                    let fwd = o.dot_quad(rx, x(0), x(1), x(2), x(3));
-                    let rec = o.dot_quad(rh, h(0), h(1), h(2), h(3));
-                    for i in 0..TILE {
-                        // Keep the `fwd + rec` order of Gate::neuron_dot.
-                        out[(l0 + i) * rows + r] = fwd[i] + rec[i];
-                    }
-                }
+        matmul_body(o, wx, rows, xc, xs, lanes, out);
+        product_body(o, wh, rows, hc, hs, lanes, |at, dots| {
+            for (o, d) in out[at..at + dots.len()].iter_mut().zip(dots) {
+                *o += d;
             }
-            // Remainder lanes (< TILE of them) fall back to single dots.
-            for l in lane_quads..lanes {
-                let xl = &xs[l * xc..(l + 1) * xc];
-                let hl = &hs[l * hc..(l + 1) * hc];
-                for r in r0..r_hi {
-                    out[l * rows + r] =
-                        o.dot(&wx[r * xc..(r + 1) * xc], xl) + o.dot(&wh[r * hc..(r + 1) * hc], hl);
-                }
-            }
-        }
+        })
     }
 }
 

@@ -97,6 +97,10 @@ fn assert_supported(backend: KernelBackend) {
 
 #[inline]
 fn dot_tier(backend: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
+    // The SIMD bodies walk `b` through raw pointers for `a.len()`
+    // elements: this check is what keeps the safe entry points in
+    // bounds.
+    assert_eq!(a.len(), b.len(), "dot_unchecked: operand lengths differ");
     dispatch!(backend, dot(a, b))
 }
 
@@ -294,16 +298,16 @@ fn activate_tier(backend: KernelBackend, activation: Activation, out: &mut [f32]
     dispatch!(backend, activate(activation, out))
 }
 
-/// Unchecked dot product with a fixed unrolled reduction order.
+/// Dot product with a fixed unrolled reduction order and no `Result`.
 ///
-/// Both slices must have the same length; the caller is responsible for
-/// checking (this is what lets gate-level code validate dimensions once
-/// and then run every neuron row check-free).
+/// Both slices must have the same length, which is checked once per
+/// call, not per element: "unchecked" is the error path a caller that
+/// has validated its gate's dimensions does not have to thread, not a
+/// licence to read out of bounds.
 ///
 /// # Panics
 ///
-/// May panic (on the shorter slice's bounds) if the lengths differ —
-/// never returns a wrong value silently.
+/// Panics if the lengths differ.
 #[inline]
 pub fn dot_unchecked(a: &[f32], b: &[f32]) -> f32 {
     dot_tier(backend::active(), a, b)
@@ -313,8 +317,8 @@ pub fn dot_unchecked(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// # Panics
 ///
-/// Panics if `backend` is not supported on this host, or (possibly) if
-/// the lengths differ.
+/// Panics if `backend` is not supported on this host, or if the lengths
+/// differ.
 #[inline]
 pub fn dot_unchecked_on(backend: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
     assert_supported(backend);
@@ -399,11 +403,13 @@ pub fn dual_matvec_into_on(
 ///
 /// `xs` holds `lanes` input vectors back to back (`lanes * m.cols()`
 /// values, lane-striped), `out` holds `lanes` output vectors back to
-/// back (`lanes * m.rows()`).  The row loop is *outer* and the lane loop
-/// *inner*, so every weight row is streamed from memory exactly once and
-/// then reused for all lanes — this is what turns the memory-bound
-/// per-sequence matvec into a compute-dense kernel under batch>1
-/// serving.  Each `(row, lane)` product runs [`dot_unchecked`]'s
+/// back (`lanes * m.rows()`).  Blocks of four weight rows are *outer*
+/// and lane quads *inner*, so every weight row is streamed from memory
+/// exactly once and then reused for all lanes, a 4 rows × 4 lanes
+/// register tile at a time (sixteen accumulator chains over eight
+/// operand loads on the AVX-512 tier) — this is what turns the
+/// memory-bound per-sequence matvec into a compute-dense kernel under
+/// batch>1 serving.  Each `(row, lane)` product runs [`dot_unchecked`]'s
 /// reduction order, so lane `l` of a batch is bit-identical to a
 /// single-sequence [`matvec_into`] over the same vector.
 ///
@@ -438,13 +444,14 @@ pub fn matmul_into_on(
 /// Lane-striped dual matrix-matrix product:
 /// `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l]`.
 ///
-/// The batched form of [`dual_matvec_into`]: both weight rows of a
-/// neuron are streamed once and reused across all `lanes` sequences, in
-/// register-blocked 4 rows × 4 lanes tiles with four independent
-/// accumulator sets in flight per streamed row.  The per-lane scalar order
-/// is `fwd + rec` with [`dot_unchecked`]'s reduction for each half, so
-/// every lane is bit-identical to [`dual_matvec_into`] over that lane's
-/// vectors on every dispatch tier.
+/// The batched form of [`dual_matvec_into`]: each weight matrix is
+/// streamed once and reused across all `lanes` sequences, in the
+/// register tiles of [`matmul_into`] — the forward product first, the
+/// recurrent one added onto it, which is the hoisted pair
+/// ([`matmul_into`] then [`matmul_add_into`]) in one call.  The per-lane
+/// scalar order is `fwd + rec` with [`dot_unchecked`]'s reduction for
+/// each half, so every lane is bit-identical to [`dual_matvec_into`]
+/// over that lane's vectors on every dispatch tier.
 ///
 /// # Errors
 ///

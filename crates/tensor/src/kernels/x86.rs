@@ -22,7 +22,7 @@ use std::arch::x86::*;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-use super::body::DotOps;
+use super::body::{DotOps, TILE};
 
 /// The canonical 8-wide pairwise reduce tree over a 256-bit register of
 /// half-folded sums: bit-identical to the tree `body::reduce` runs
@@ -67,6 +67,65 @@ unsafe fn reduce16(v: __m512) -> f32 {
     let lo = _mm512_castps512_ps256(v);
     let hi = _mm512_extractf32x8_ps::<1>(v);
     reduce8(_mm256_add_ps(lo, hi))
+}
+
+/// Half fold of two chains side by side: `[s_a | s_b]` with
+/// `s[i] = acc[i] + acc[i + 8]`.
+///
+/// # Safety
+///
+/// Requires `avx512f`.
+#[inline(always)]
+unsafe fn fold_pair(a: __m512, b: __m512) -> __m512 {
+    _mm512_add_ps(
+        _mm512_shuffle_f32x4::<0b01_00_01_00>(a, b),
+        _mm512_shuffle_f32x4::<0b11_10_11_10>(a, b),
+    )
+}
+
+/// One weight row's four chains folded to `u[k] = s[k] + s[k + 4]`, one
+/// 128-bit group per lane.
+///
+/// # Safety
+///
+/// Requires `avx512f`.
+#[inline(always)]
+unsafe fn fold_row(acc: [__m512; TILE]) -> __m512 {
+    let ab = fold_pair(acc[0], acc[1]);
+    let cd = fold_pair(acc[2], acc[3]);
+    _mm512_add_ps(
+        _mm512_shuffle_f32x4::<0b10_00_10_00>(ab, cd),
+        _mm512_shuffle_f32x4::<0b11_01_11_01>(ab, cd),
+    )
+}
+
+/// [`reduce16`] over a whole tile at once: sixteen chains `acc[i][j]`
+/// in, their sixteen sums out as `[j][i]` (element `4j + i`).  Each sum
+/// is combined in exactly the canonical order — the half fold, then the
+/// 8-wide tree — but as a shuffle network over whole registers: 32
+/// shuffles and 15 adds where sixteen [`reduce16`] take 64 and 64.
+///
+/// # Safety
+///
+/// Requires `avx512f`.
+#[inline(always)]
+unsafe fn reduce16_tile(acc: [[__m512; TILE]; TILE]) -> __m512 {
+    let w0 = fold_row(acc[0]);
+    let w1 = fold_row(acc[1]);
+    let w2 = fold_row(acc[2]);
+    let w3 = fold_row(acc[3]);
+    // Transpose 4 × 4 inside every group: `u_k` holds element `k` of all
+    // four rows, so the tree's `(u0 + u2) + (u1 + u3)` finishes a lane's
+    // four rows in one group.
+    let t0 = _mm512_castps_pd(_mm512_unpacklo_ps(w0, w1));
+    let t1 = _mm512_castps_pd(_mm512_unpackhi_ps(w0, w1));
+    let t2 = _mm512_castps_pd(_mm512_unpacklo_ps(w2, w3));
+    let t3 = _mm512_castps_pd(_mm512_unpackhi_ps(w2, w3));
+    let u0 = _mm512_castpd_ps(_mm512_unpacklo_pd(t0, t2));
+    let u1 = _mm512_castpd_ps(_mm512_unpackhi_pd(t0, t2));
+    let u2 = _mm512_castpd_ps(_mm512_unpacklo_pd(t1, t3));
+    let u3 = _mm512_castpd_ps(_mm512_unpackhi_pd(t1, t3));
+    _mm512_add_ps(_mm512_add_ps(u0, u2), _mm512_add_ps(u1, u3))
 }
 
 /// Sequential scalar tail over `[from..len)`, shared by every tier.
@@ -181,7 +240,8 @@ impl DotOps for Avx2Ops {
 /// accumulator chain — a single `loadu → mul → add` per chunk per
 /// output, half the instruction count of the `ymm`-pair tier on the
 /// same canonical order.  `dot2` keeps two chains (two `zmm`) over one
-/// shared-operand load, `dot_quad` four.
+/// shared-operand load, `dot_quad` four, `dot_tile` sixteen over four
+/// lane loads and four row loads.
 #[derive(Clone, Copy)]
 struct Avx512Ops;
 
@@ -259,6 +319,47 @@ impl DotOps for Avx512Ops {
             reduce16(acc[2]) + tail_dot(pr, px[2], chunks * 16, n),
             reduce16(acc[3]) + tail_dot(pr, px[3], chunks * 16, n),
         ]
+    }
+
+    #[inline(always)]
+    unsafe fn dot_tile(self, rows: [&[f32]; TILE], xs: [&[f32]; TILE]) -> [[f32; TILE]; TILE] {
+        let n = rows[0].len();
+        debug_assert!(rows.iter().chain(xs.iter()).all(|s| s.len() == n));
+        let chunks = n / 16;
+        let pr = rows.map(<[f32]>::as_ptr);
+        let px = xs.map(<[f32]>::as_ptr);
+        // acc[i][j] is the chain of `rows[i]·xs[j]`: sixteen `zmm`, plus
+        // four lane vectors and one weight row in flight per chunk —
+        // eight loads for sixteen chunk-dots.  (Loops, not closures, for
+        // the reason given at the trait's default.)
+        let mut acc = [[_mm512_setzero_ps(); TILE]; TILE];
+        for c in 0..chunks {
+            let at = c * 16;
+            let vx = [
+                _mm512_loadu_ps(px[0].add(at)),
+                _mm512_loadu_ps(px[1].add(at)),
+                _mm512_loadu_ps(px[2].add(at)),
+                _mm512_loadu_ps(px[3].add(at)),
+            ];
+            for (a, p) in acc.iter_mut().zip(pr.iter()) {
+                let vr = _mm512_loadu_ps(p.add(at));
+                for (a, x) in a.iter_mut().zip(vx.iter()) {
+                    *a = _mm512_add_ps(*a, _mm512_mul_ps(vr, *x));
+                }
+            }
+        }
+        let mut tile = [[0.0f32; TILE]; TILE];
+        _mm512_storeu_ps(tile.as_mut_ptr().cast(), reduce16_tile(acc));
+        // With no tail, `dot` adds a `+0.0` that changes no sum (a chain
+        // starts at `+0.0`, so none is `-0.0`): skipping it is exact.
+        if chunks * 16 < n {
+            for (j, lane) in tile.iter_mut().enumerate() {
+                for (i, t) in lane.iter_mut().enumerate() {
+                    *t += tail_dot(pr[i], px[j], chunks * 16, n);
+                }
+            }
+        }
+        tile
     }
 }
 

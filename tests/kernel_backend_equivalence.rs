@@ -19,6 +19,13 @@
 //!   multi_model equivalence suites) once per backend, and diffs a
 //!   deterministic example's output across tiers cross-process.
 
+/// The per-kernel tier suite of `crates/tensor` (every kernel of every
+/// supported tier against the scalar reference, the register tiles at
+/// every edge), mounted here so the umbrella package's tier-1
+/// `cargo test -q` runs it too.
+#[path = "../crates/tensor/tests/backend_kernels.rs"]
+mod backend_kernels;
+
 use nfm::memo::{BnnMemoConfig, OracleMemoConfig};
 use nfm::serve::MemoizedRunner;
 use nfm::tensor::activation::Activation;
