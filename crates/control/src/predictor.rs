@@ -3,22 +3,13 @@
 use crate::controller::{ControllerConfig, ThresholdController};
 use nfm_bnn::BinaryNetwork;
 use nfm_core::{
-    BnnMemoConfig, BnnMemoEvaluator, ControlSnapshot, LaneState, MemoTable, Predictor, ReuseStats,
+    BnnMemoConfig, BnnMemoEvaluator, ControlSnapshot, LaneState, Predictor, ReuseStats,
     ServedEvaluator,
 };
 use nfm_rnn::{
     DeepRnn, Gate, GateBatch, NeuronEvaluator, NeuronRef, Result as RnnResult, HOIST_BLOCK,
 };
 use std::sync::Arc;
-
-/// Migratable lane state of the adaptive evaluator: the memoizing
-/// lane state plus the lane's audit hit counter, so the deterministic
-/// audit phase survives worker migration.
-struct AdaptiveLaneState {
-    table: MemoTable,
-    stats: ReuseStats,
-    audit_counter: u64,
-}
 
 /// An online-adaptive memoization policy as a [`Predictor`] factory.
 ///
@@ -28,9 +19,10 @@ struct AdaptiveLaneState {
 /// boundaries. Registering it next to static predictors needs no
 /// engine changes.
 ///
-/// Per-request θ overrides are rejected ([`Predictor::with_threshold`]
-/// returns `None`): the controller owns θ — pinning it per request
-/// would undo the control loop. Use a static
+/// Per-request θ overrides are rejected
+/// ([`Predictor::accepts_threshold_override`] stays `false`): the
+/// controller owns θ — pinning it per request would undo the control
+/// loop. Use a static
 /// [`BnnPredictor`](nfm_core::BnnPredictor) for explicit thresholds.
 #[derive(Debug, Clone)]
 pub struct AdaptivePredictor {
@@ -129,8 +121,10 @@ impl Predictor for AdaptivePredictor {
 /// installed) and, every [`HOIST_BLOCK`] timesteps' worth of whole-gate
 /// calls, performs a *sync*: drain the accumulated audit counters into
 /// the shared controller, and — only if the controller's epoch moved —
-/// re-read the per-layer thresholds. θ therefore never changes inside
-/// a gate invocation, so all lanes of one call always share a single θ.
+/// re-read the per-layer thresholds. The layer θ therefore never
+/// changes inside a gate invocation and is shared by every lane of the
+/// call; a lane override, which this predictor refuses, would take
+/// precedence.
 #[derive(Debug)]
 pub struct AdaptiveEvaluator {
     inner: BnnMemoEvaluator,
@@ -249,38 +243,23 @@ impl NeuronEvaluator for AdaptiveEvaluator {
     }
 }
 
+// Everything per-lane (statistics, audit phase, migrating state) is the
+// inner evaluator's; `set_lane_threshold` keeps its ignoring default.
 impl ServedEvaluator for AdaptiveEvaluator {
     fn take_lane_stats(&mut self, lane: usize) -> Option<ReuseStats> {
-        Some(self.inner.take_lane_stats(lane))
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
+        self.inner.take_lane_stats(lane)
     }
 
     fn stats_snapshot(&self) -> Option<ReuseStats> {
-        Some(*self.inner.stats())
+        self.inner.stats_snapshot()
     }
 
     fn export_lane_state(&mut self, lane: usize) -> Option<LaneState> {
-        let audit_counter = self.inner.lane_audit_counter(lane);
-        let (table, stats) = self.inner.export_lane(lane);
-        Some(Box::new(AdaptiveLaneState {
-            table,
-            stats,
-            audit_counter,
-        }))
+        self.inner.export_lane_state(lane)
     }
 
     fn import_lane_state(&mut self, lane: usize, state: LaneState) -> bool {
-        match state.downcast::<AdaptiveLaneState>() {
-            Ok(s) => {
-                self.inner.import_lane(lane, s.table, s.stats);
-                self.inner.set_lane_audit_counter(lane, s.audit_counter);
-                true
-            }
-            Err(_) => false,
-        }
+        self.inner.import_lane_state(lane, state)
     }
 }
 
@@ -389,8 +368,7 @@ mod tests {
         let net = network(7);
         let predictor = AdaptivePredictor::for_network(&net, ControllerConfig::new(0.1));
         assert_eq!(predictor.name(), "adaptive");
-        assert!(predictor.threshold().is_none());
-        assert!(predictor.with_threshold(0.5).is_none());
+        assert!(!predictor.accepts_threshold_override());
         let snap = predictor.control_snapshot().expect("adaptive has control");
         assert_eq!(snap.slo, 0.1);
         assert!(!snap.layers.is_empty());

@@ -1,0 +1,116 @@
+//! Per-lane state of the memoizing evaluators' gate entry.
+//!
+//! A lane is one in-flight sequence.  Everything a memoizing evaluator
+//! keeps about it — its memo table, its reuse counters, its audit phase
+//! and the reuse threshold `θ` its request asked for — is one
+//! `MemoLaneState`, and the operations a driver needs on that state
+//! (size, begin, swap, export, import) are written once on
+//! [`MemoLanes`] for [`BnnMemoEvaluator`](crate::BnnMemoEvaluator) and
+//! [`OracleEvaluator`](crate::OracleEvaluator) alike.
+//!
+//! `θ` lives here because it is an operand of the per-neuron compare,
+//! not a property of the memo buffer: the decide loop of lane `l` reads
+//! the lane's override or else the layer's configured `θ`, so requests
+//! that differ only in `θ` share one evaluator, one gate call and one
+//! weight stream.
+
+use crate::stats::ReuseStats;
+use crate::table::MemoTable;
+
+/// Everything a memoizing evaluator keeps about one lane; also the
+/// state that travels when the lane migrates between workers.
+#[derive(Debug, Clone)]
+pub(crate) struct MemoLaneState {
+    pub(crate) table: MemoTable,
+    pub(crate) stats: ReuseStats,
+    /// Hits counted so far, the phase of the deterministic 1-in-N audit
+    /// sampling (BNN evaluators with auditing on; otherwise unused).
+    pub(crate) audit_counter: u64,
+    /// The request's `θ` override; `None` runs at the layer's `θ`.
+    pub(crate) threshold: Option<f32>,
+}
+
+/// The lanes of one evaluator, indexed by lane.
+#[derive(Debug, Clone, Default)]
+pub struct MemoLanes(pub(crate) Vec<MemoLaneState>);
+
+impl MemoLanes {
+    /// Number of lanes sized so far (`0` until a run's `begin_batch`).
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no lane has been sized yet.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Lane `lane`'s memo table (diagnostics only).
+    pub fn table(&self, lane: usize) -> &MemoTable {
+        &self.0[lane].table
+    }
+
+    /// Lane `lane`'s reuse statistics, accumulated since its last
+    /// `begin_lane_sequence`.
+    pub fn stats(&self, lane: usize) -> &ReuseStats {
+        &self.0[lane].stats
+    }
+
+    /// `begin_batch`: sizes the state for `lanes` lanes, laying new
+    /// tables out with `table`.
+    pub(crate) fn grow(&mut self, lanes: usize, table: impl Fn() -> MemoTable) {
+        while self.0.len() < lanes {
+            self.0.push(MemoLaneState {
+                table: table(),
+                stats: ReuseStats::new(),
+                audit_counter: 0,
+                threshold: None,
+            });
+        }
+    }
+
+    /// `begin_lane_sequence`: the lane starts cold and at the layer's
+    /// `θ` — a recycled lane never inherits its predecessor's override.
+    pub(crate) fn begin(&mut self, lane: usize) {
+        let state = &mut self.0[lane];
+        state.table.clear();
+        state.stats.reset();
+        state.audit_counter = 0;
+        state.threshold = None;
+    }
+
+    /// `swap_lane_state`: the scheduler moved a lane; all of its state
+    /// moves along.
+    pub(crate) fn swap(&mut self, a: usize, b: usize) {
+        self.0.swap(a, b);
+    }
+
+    /// Takes lane `lane`'s statistics, leaving its counters at zero.
+    pub(crate) fn take_stats(&mut self, lane: usize) -> ReuseStats {
+        std::mem::take(&mut self.0[lane].stats)
+    }
+
+    /// Installs the `θ` lane `lane` runs at until its next `begin`.
+    pub(crate) fn set_threshold(&mut self, lane: usize, threshold: f32) {
+        self.0[lane].threshold = Some(threshold);
+    }
+
+    /// Copies lane `lane` out for migration, taking its statistics with
+    /// it.  The table is left behind and cleared by the lane's next
+    /// `begin`.
+    pub(crate) fn export(&mut self, lane: usize) -> MemoLaneState {
+        let state = &mut self.0[lane];
+        MemoLaneState {
+            table: state.table.clone(),
+            stats: std::mem::take(&mut state.stats),
+            audit_counter: state.audit_counter,
+            threshold: state.threshold,
+        }
+    }
+
+    /// Overwrites lane `lane` with an exported state, without resetting
+    /// anything: the sequence is mid-flight.
+    pub(crate) fn import(&mut self, lane: usize, state: MemoLaneState) {
+        self.0[lane] = state;
+    }
+}

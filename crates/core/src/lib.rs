@@ -59,6 +59,7 @@
 pub mod audit;
 pub mod config;
 pub mod input_similarity;
+pub mod lanes;
 pub mod oracle;
 pub mod predictor;
 pub mod serving;
@@ -70,6 +71,7 @@ pub mod threshold;
 pub use audit::{AuditConfig, AuditStats, ControlSnapshot, LayerAudit, LayerControl};
 pub use config::{BnnMemoConfig, OracleMemoConfig};
 pub use input_similarity::{InputSimilarityConfig, InputSimilarityEvaluator};
+pub use lanes::MemoLanes;
 pub use oracle::OracleEvaluator;
 pub use predictor::BnnMemoEvaluator;
 pub use serving::{

@@ -1,6 +1,7 @@
 //! The Oracle predictor (Figure 6): an upper bound on achievable reuse.
 
 use crate::config::OracleMemoConfig;
+use crate::lanes::MemoLanes;
 use crate::stats::ReuseStats;
 use crate::table::MemoTable;
 use nfm_rnn::{DeepRnn, Gate, GateBatch, NeuronEvaluator, NeuronRef, Result as RnnResult};
@@ -15,22 +16,21 @@ use nfm_tensor::vector::relative_difference;
 /// limit study of Figures 1 and 16.  When a reuse is possible the oracle
 /// returns the *cached* value, so the accuracy impact of oracle-guided
 /// memoization is faithfully propagated through the network.
-/// Every lane owns a separate [`MemoTable`] (see the notes on
-/// [`BnnMemoEvaluator`](crate::BnnMemoEvaluator)): the oracle's gate
-/// entry computes all lanes' true outputs with one lane-striped dual
-/// matrix product, then walks each lane's own table; the per-neuron
-/// `evaluate` is the bit-identical reference and uses one shared
-/// [`table`](Self::table).
+/// Every lane owns a separate [`MemoTable`] and may carry its own `θ`
+/// (see [`MemoLanes`]): the oracle's gate entry computes all lanes'
+/// true outputs with one lane-striped dual matrix product, then walks
+/// each lane's own table at the lane's `θ`; the per-neuron `evaluate`
+/// is the bit-identical reference and uses one shared
+/// [`table`](Self::table) at the configured `θ`.
 #[derive(Debug, Clone)]
 pub struct OracleEvaluator {
     config: OracleMemoConfig,
     table: MemoTable,
     stats: ReuseStats,
-    lane_tables: Vec<MemoTable>,
-    // Per-lane accounting for the batched path, so a serving engine can
-    // attribute reuse statistics to the request occupying each lane.
-    // `stats` still aggregates everything.
-    lane_stats: Vec<ReuseStats>,
+    // Per-lane state of the gate entry: table, statistics (so a serving
+    // engine can attribute reuse to the request occupying each lane;
+    // `stats` still aggregates everything) and θ override.
+    pub(crate) lanes: MemoLanes,
 }
 
 impl OracleEvaluator {
@@ -41,8 +41,7 @@ impl OracleEvaluator {
             config,
             table: MemoTable::new(),
             stats: ReuseStats::new(),
-            lane_tables: Vec::new(),
-            lane_stats: Vec::new(),
+            lanes: MemoLanes::default(),
         }
     }
 
@@ -53,8 +52,7 @@ impl OracleEvaluator {
             config,
             table: MemoTable::for_network(network),
             stats: ReuseStats::new(),
-            lane_tables: Vec::new(),
-            lane_stats: Vec::new(),
+            lanes: MemoLanes::default(),
         }
     }
 
@@ -68,60 +66,18 @@ impl OracleEvaluator {
         self.config
     }
 
-    /// Resets the accumulated statistics (memo tables are cleared
-    /// automatically at the start of every sequence).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
     /// Borrow the per-neuron reference path's memoization table
-    /// (diagnostics only; the gate entry uses
-    /// [`lane_tables`](Self::lane_tables)).
+    /// (diagnostics only; the gate entry uses [`lanes`](Self::lanes)).
     pub fn table(&self) -> &MemoTable {
         &self.table
     }
 
-    /// Borrow the per-lane memoization tables of the gate entry
-    /// (diagnostics only; empty until a run sized them).
-    pub fn lane_tables(&self) -> &[MemoTable] {
-        &self.lane_tables
-    }
-
-    /// Per-lane reuse statistics, accumulated since each lane's last
-    /// `begin_lane_sequence` (empty until a run sized the lanes).  The
-    /// aggregate [`stats`](Self::stats) includes everything recorded
-    /// here.
-    pub fn lane_stats(&self) -> &[ReuseStats] {
-        &self.lane_stats
-    }
-
-    /// Takes lane `lane`'s statistics, leaving the lane's counters at
-    /// zero.  Serving engines call this when the request occupying the
-    /// lane completes, *before* the lane is refilled.
-    pub fn take_lane_stats(&mut self, lane: usize) -> ReuseStats {
-        std::mem::take(&mut self.lane_stats[lane])
-    }
-
-    /// Moves lane `lane`'s migratable state — its memo table and
-    /// accumulated statistics — out for transfer to another evaluator
-    /// of the same configuration (the serving engine's lane-migration
-    /// hook).  The source lane's statistics are left at zero; its
-    /// table is left behind and reset by the next
-    /// `begin_lane_sequence`.
-    pub fn export_lane(&mut self, lane: usize) -> (MemoTable, ReuseStats) {
-        (
-            self.lane_tables[lane].clone(),
-            std::mem::take(&mut self.lane_stats[lane]),
-        )
-    }
-
-    /// Installs a lane exported by [`export_lane`](Self::export_lane)
-    /// into lane `lane`, overwriting whatever state the lane held.
-    /// Grows the per-lane state to cover `lane` if needed.
-    pub fn import_lane(&mut self, lane: usize, table: MemoTable, stats: ReuseStats) {
-        self.begin_batch(lane + 1);
-        self.lane_tables[lane] = table;
-        self.lane_stats[lane] = stats;
+    /// The gate entry's per-lane state: tables and the statistics each
+    /// lane accumulated since its last `begin_lane_sequence` (empty
+    /// until a run sized it).  The aggregate [`stats`](Self::stats)
+    /// includes everything recorded there.
+    pub fn lanes(&self) -> &MemoLanes {
+        &self.lanes
     }
 }
 
@@ -166,13 +122,15 @@ impl NeuronEvaluator for OracleEvaluator {
             out,
         )?;
         assert!(
-            self.lane_tables.len() >= lanes,
+            self.lanes.len() >= lanes,
             "evaluate_gate_batch with {lanes} lanes but begin_batch sized {}",
-            self.lane_tables.len()
+            self.lanes.len()
         );
         let neurons = gate.neurons();
         for l in 0..lanes {
-            let table = &mut self.lane_tables[l];
+            let lane = &mut self.lanes.0[l];
+            let theta = lane.threshold.unwrap_or(self.config.threshold);
+            let table = &mut lane.table;
             let handle = table.gate_handle(call.gate_id, neurons);
             let mut reused = 0u64;
             let mut computed = 0u64;
@@ -180,7 +138,7 @@ impl NeuronEvaluator for OracleEvaluator {
                 let y_t = *y;
                 if let Some(entry) = table.entry(handle, n) {
                     let delta = relative_difference(y_t, entry.cached_output, self.config.epsilon);
-                    if delta <= self.config.threshold {
+                    if delta <= theta {
                         reused += 1;
                         *y = table.reuse_at(handle, n, delta);
                         continue;
@@ -191,19 +149,14 @@ impl NeuronEvaluator for OracleEvaluator {
             }
             self.stats.record_reused_many(reused);
             self.stats.record_computed_many(computed);
-            self.lane_stats[l].record_reused_many(reused);
-            self.lane_stats[l].record_computed_many(computed);
+            lane.stats.record_reused_many(reused);
+            lane.stats.record_computed_many(computed);
         }
         Ok(())
     }
 
     fn begin_batch(&mut self, lanes: usize) {
-        while self.lane_tables.len() < lanes {
-            self.lane_tables.push(MemoTable::new());
-        }
-        if self.lane_stats.len() < lanes {
-            self.lane_stats.resize(lanes, ReuseStats::new());
-        }
+        self.lanes.grow(lanes, MemoTable::new);
     }
 
     fn begin_lane_sequence(&mut self, lane: usize) {
@@ -211,15 +164,11 @@ impl NeuronEvaluator for OracleEvaluator {
         // evaluation through the per-neuron path, which reads and
         // writes `self.table` (see the BnnMemoEvaluator note).
         self.table.clear();
-        self.lane_tables[lane].clear();
-        self.lane_stats[lane].reset();
+        self.lanes.begin(lane);
     }
 
     fn swap_lane_state(&mut self, a: usize, b: usize) {
-        // The lane scheduler moves a surviving lane into a drained
-        // slot; its memo table and per-lane counters move along.
-        self.lane_tables.swap(a, b);
-        self.lane_stats.swap(a, b);
+        self.lanes.swap(a, b);
     }
 }
 
@@ -325,15 +274,5 @@ mod tests {
             }
         }
         assert!(max_abs_err < 1.0, "bounded divergence, got {max_abs_err}");
-    }
-
-    #[test]
-    fn reset_stats_only_clears_counters() {
-        let mut oracle = OracleEvaluator::new(OracleMemoConfig::with_threshold(0.2));
-        assert_eq!(oracle.config().threshold, 0.2);
-        oracle.stats.record_computed();
-        oracle.reset_stats();
-        assert_eq!(oracle.stats().evaluations(), 0);
-        assert!(oracle.table().is_empty());
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::audit::{AuditConfig, AuditStats};
 use crate::config::BnnMemoConfig;
+use crate::lanes::MemoLanes;
 use crate::stats::ReuseStats;
 use crate::table::MemoTable;
 use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector};
@@ -42,11 +43,12 @@ use std::sync::Arc;
 /// column.  Audit sampling, when installed, is a separate walk over the
 /// hit flags.  Every lane owns a **separate** [`MemoTable`] (the
 /// paper's buffer holds no state across independent inputs, so lanes
-/// must not share entries): `begin_batch` sizes the per-lane tables
-/// from the mirror's gate shapes and `begin_lane_sequence` clears
-/// exactly one lane's table, so lane `l` of any batch is bit-identical
-/// — outputs, reuse statistics and memo-hit sequence — to running its
-/// sequence alone.
+/// must not share entries) and may carry its own `θ` (see
+/// [`MemoLanes`]): `begin_batch` sizes the per-lane state from the
+/// mirror's gate shapes and `begin_lane_sequence` resets exactly one
+/// lane, so lane `l` of any batch is bit-identical — outputs, reuse
+/// statistics and memo-hit sequence — to running its sequence alone at
+/// its `θ`.
 #[derive(Debug, Clone)]
 pub struct BnnMemoEvaluator {
     // Arc-shared: the mirror depends only on the trained weights, so
@@ -66,12 +68,10 @@ pub struct BnnMemoEvaluator {
     // Every lane's sign-packed `[x_t; h_{t-1}]` of the current gate
     // call, `row_words()` words a lane.
     packed: Vec<u64>,
-    // Per-lane state of the gate entry: one memo table per lane.
-    lane_tables: Vec<MemoTable>,
-    // Per-lane accounting for the batched path, so a serving engine can
-    // attribute reuse statistics to the request occupying each lane.
-    // `stats` still aggregates everything.
-    lane_stats: Vec<ReuseStats>,
+    // Per-lane state of the gate entry: table, statistics (so a serving
+    // engine can attribute reuse to the request occupying each lane;
+    // `stats` still aggregates everything), audit phase and θ override.
+    pub(crate) lanes: MemoLanes,
     // Miss flags of the current gate invocation, lane-striped like the
     // gate's outputs: written by the decide pass, read by the audit walk
     // and the miss kernel.
@@ -83,11 +83,10 @@ pub struct BnnMemoEvaluator {
     // Deterministic 1-in-N audit sampling of memo hits (None = off).
     audit: Option<AuditSampler>,
     audit_stats: AuditStats,
-    // Hit counters driving audit selection: one for the per-neuron
-    // reference path, one per lane for the gate entry (so a lane's
-    // audit sequence does not depend on its neighbours).
+    // Hit counter driving audit selection on the per-neuron reference
+    // path; the gate entry counts per lane (so a lane's audit sequence
+    // does not depend on its neighbours).
     audit_counter: u64,
-    lane_audit_counters: Vec<u64>,
 }
 
 /// Precomputed audit selection: hit number `c` is audited iff
@@ -133,14 +132,12 @@ impl BnnMemoEvaluator {
             input_cache: None,
             yb: Vec::new(),
             packed: Vec::new(),
-            lane_tables: Vec::new(),
-            lane_stats: Vec::new(),
+            lanes: MemoLanes::default(),
             miss: Vec::new(),
             layer_thresholds: Vec::new(),
             audit: None,
             audit_stats: AuditStats::new(),
             audit_counter: 0,
-            lane_audit_counters: Vec::new(),
         }
     }
 
@@ -162,8 +159,8 @@ impl BnnMemoEvaluator {
     /// `config.threshold`: a gate on layer `i` (`GateId::layer`) uses
     /// `thresholds[i]`, layers past the end fall back to the uniform
     /// value.  The adaptive controller calls this between whole-gate
-    /// invocations only, so every lane of one gate call sees the same
-    /// θ.
+    /// invocations only, so the layer θ never changes inside a gate
+    /// call; a lane's own override takes precedence over it.
     pub fn set_layer_thresholds(&mut self, thresholds: &[f32]) {
         self.layer_thresholds.clear();
         self.layer_thresholds.extend_from_slice(thresholds);
@@ -184,20 +181,7 @@ impl BnnMemoEvaluator {
         self.audit_stats.take()
     }
 
-    /// Lane `lane`'s audit hit counter (lane-migration hook).
-    pub fn lane_audit_counter(&self, lane: usize) -> u64 {
-        self.lane_audit_counters.get(lane).copied().unwrap_or(0)
-    }
-
-    /// Restores lane `lane`'s audit hit counter (lane-migration hook).
-    pub fn set_lane_audit_counter(&mut self, lane: usize, counter: u64) {
-        if lane >= self.lane_audit_counters.len() {
-            self.lane_audit_counters.resize(lane + 1, 0);
-        }
-        self.lane_audit_counters[lane] = counter;
-    }
-
-    /// The threshold in effect for `layer`.
+    /// The threshold in effect for `layer` on lanes without an override.
     #[inline]
     fn threshold_for(&self, layer: usize) -> f32 {
         self.layer_thresholds
@@ -217,59 +201,17 @@ impl BnnMemoEvaluator {
     }
 
     /// Borrow the per-neuron reference path's memoization table
-    /// (diagnostics only; the gate entry uses
-    /// [`lane_tables`](Self::lane_tables)).
+    /// (diagnostics only; the gate entry uses [`lanes`](Self::lanes)).
     pub fn table(&self) -> &MemoTable {
         &self.table
     }
 
-    /// Borrow the per-lane memoization tables of the gate entry
-    /// (diagnostics only; empty until a run sized them via
-    /// `begin_batch`).
-    pub fn lane_tables(&self) -> &[MemoTable] {
-        &self.lane_tables
-    }
-
-    /// Per-lane reuse statistics, accumulated since each lane's last
-    /// `begin_lane_sequence` (empty until a run sized the lanes).  The
-    /// aggregate [`stats`](Self::stats) includes everything recorded
-    /// here.
-    pub fn lane_stats(&self) -> &[ReuseStats] {
-        &self.lane_stats
-    }
-
-    /// Takes lane `lane`'s statistics, leaving the lane's counters at
-    /// zero.  Serving engines call this when the request occupying the
-    /// lane completes, *before* the lane is refilled.
-    pub fn take_lane_stats(&mut self, lane: usize) -> ReuseStats {
-        std::mem::take(&mut self.lane_stats[lane])
-    }
-
-    /// Moves lane `lane`'s migratable state — its memo table and
-    /// accumulated statistics — out for transfer to another evaluator
-    /// of the same mirror and configuration (the serving engine's
-    /// lane-migration hook).  The source lane's statistics are left at
-    /// zero; its table is left behind and reset by the next
-    /// `begin_lane_sequence`.
-    pub fn export_lane(&mut self, lane: usize) -> (MemoTable, ReuseStats) {
-        (
-            self.lane_tables[lane].clone(),
-            std::mem::take(&mut self.lane_stats[lane]),
-        )
-    }
-
-    /// Installs a lane exported by [`export_lane`](Self::export_lane)
-    /// into lane `lane`, overwriting whatever state the lane held.
-    /// Grows the per-lane state to cover `lane` if needed.
-    pub fn import_lane(&mut self, lane: usize, table: MemoTable, stats: ReuseStats) {
-        self.begin_batch(lane + 1);
-        self.lane_tables[lane] = table;
-        self.lane_stats[lane] = stats;
-    }
-
-    /// Resets the accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
+    /// The gate entry's per-lane state: tables and the statistics each
+    /// lane accumulated since its last `begin_lane_sequence` (empty
+    /// until a run sized it via `begin_batch`).  The aggregate
+    /// [`stats`](Self::stats) includes everything recorded there.
+    pub fn lanes(&self) -> &MemoLanes {
+        &self.lanes
     }
 
     /// Audit sampling of one gate call's hits (`miss == 0`, `out` holding
@@ -285,8 +227,9 @@ impl BnnMemoEvaluator {
                 if self.miss[l * nsz + n] != 0 {
                     continue;
                 }
-                let count = self.lane_audit_counters[l];
-                self.lane_audit_counters[l] += 1;
+                let lane = &mut self.lanes.0[l];
+                let count = lane.audit_counter;
+                lane.audit_counter += 1;
                 if sampler.due(count) {
                     let y_exact = nfm_tensor::kernels::dot_unchecked(
                         gate.wx().row(n),
@@ -300,7 +243,7 @@ impl BnnMemoEvaluator {
                         f64::from((y_exact - out[l * nsz + n]).abs()),
                     );
                     self.stats.record_audited();
-                    self.lane_stats[l].record_audited();
+                    lane.stats.record_audited();
                 }
             }
         }
@@ -491,16 +434,16 @@ impl NeuronEvaluator for BnnMemoEvaluator {
             // reduction order).
             nfm_tensor::kernels::dual_matmul_into(gate.wx(), gate.wh(), xs, h_prevs, lanes, out)?;
             self.stats.record_computed_many(out.len() as u64);
-            for lane_stats in self.lane_stats.iter_mut().take(lanes) {
-                lane_stats.record_computed_many(nsz as u64);
+            for lane in self.lanes.0.iter_mut().take(lanes) {
+                lane.stats.record_computed_many(nsz as u64);
             }
             return Ok(());
         };
         assert!(
-            self.lane_tables.len() >= lanes,
+            self.lanes.len() >= lanes,
             "evaluate_gate_batch with {lanes} lanes but begin_batch sized {} \
              (the batch driver always calls begin_batch first)",
-            self.lane_tables.len()
+            self.lanes.len()
         );
         // Pass 1 — predict.  Sign-pack every lane's inputs exactly once,
         // into reused storage, then evaluate the mirror gate's whole sign
@@ -512,10 +455,10 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         self.yb.resize(lanes * nsz, 0);
         self.miss.resize(lanes * nsz, 0);
         binary_gate.predict_packed_into(&self.packed, &mut self.yb);
-        // θ is hoisted once per gate call: adaptive controllers only
-        // swap thresholds between whole-gate invocations, so every lane
-        // of this call shares one θ.
-        let theta = self.threshold_for(gate_id.layer);
+        // The layer's θ is hoisted once per gate call (adaptive
+        // controllers only swap it between whole-gate invocations); a
+        // lane whose request overrode θ compares against its own.
+        let layer_theta = self.threshold_for(gate_id.layer);
 
         // Pass 2 — decide.  Per (lane, neuron) decisions are independent
         // (each lane owns its table, each neuron its slot), so each lane
@@ -525,7 +468,9 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         // once per lane.
         for l in 0..lanes {
             let at = l * nsz..(l + 1) * nsz;
-            let cols = self.lane_tables[l].gate_columns(gate_id, nsz);
+            let lane = &mut self.lanes.0[l];
+            let theta = lane.threshold.unwrap_or(layer_theta);
+            let cols = lane.table.gate_columns(gate_id, nsz);
             out[at.clone()].copy_from_slice(cols.cached_output);
             let (reused, longest) = decide_lane(
                 &self.yb[at.clone()],
@@ -540,7 +485,7 @@ impl NeuronEvaluator for BnnMemoEvaluator {
             );
             *cols.max_consecutive_reuses = (*cols.max_consecutive_reuses).max(longest);
             let reused = u64::from(reused);
-            for stats in [&mut self.stats, &mut self.lane_stats[l]] {
+            for stats in [&mut self.stats, &mut lane.stats] {
                 stats.record_bnn_evaluations_many(nsz as u64);
                 stats.record_reused_many(reused);
                 stats.record_computed_many(nsz as u64 - reused);
@@ -570,7 +515,7 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         // Pass 4 — complete the refreshed entries: `y_m = y_t` on the
         // misses (Equation 15); the hits already hold `out == y_m`.
         for l in 0..lanes {
-            let cols = self.lane_tables[l].gate_columns(gate_id, nsz);
+            let cols = self.lanes.0[l].table.gate_columns(gate_id, nsz);
             cols.cached_output
                 .copy_from_slice(&out[l * nsz..(l + 1) * nsz]);
         }
@@ -578,19 +523,12 @@ impl NeuronEvaluator for BnnMemoEvaluator {
     }
 
     fn begin_batch(&mut self, lanes: usize) {
-        while self.lane_tables.len() < lanes {
-            // Same dense layout as the reference table: the FMU buffer
-            // shape replicated once per lane.
-            self.lane_tables.push(MemoTable::with_gates(
-                self.mirror.iter().map(|(id, g)| (*id, g.neurons())),
-            ));
-        }
-        if self.lane_stats.len() < lanes {
-            self.lane_stats.resize(lanes, ReuseStats::new());
-        }
-        if self.lane_audit_counters.len() < lanes {
-            self.lane_audit_counters.resize(lanes, 0);
-        }
+        // Same dense layout as the reference table: the FMU buffer
+        // shape replicated once per lane.
+        let mirror = &self.mirror;
+        self.lanes.grow(lanes, || {
+            MemoTable::with_gates(mirror.iter().map(|(id, g)| (*id, g.neurons())))
+        });
     }
 
     fn begin_lane_sequence(&mut self, lane: usize) {
@@ -603,17 +541,11 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         self.table.clear();
         self.input_cache = None;
         self.audit_counter = 0;
-        self.lane_tables[lane].clear();
-        self.lane_stats[lane].reset();
-        self.lane_audit_counters[lane] = 0;
+        self.lanes.begin(lane);
     }
 
     fn swap_lane_state(&mut self, a: usize, b: usize) {
-        // The lane scheduler moves a surviving lane into a drained
-        // slot; its memo table and per-lane counters move along.
-        self.lane_tables.swap(a, b);
-        self.lane_stats.swap(a, b);
-        self.lane_audit_counters.swap(a, b);
+        self.lanes.swap(a, b);
     }
 }
 
@@ -736,8 +668,8 @@ mod tests {
         // so reuse and maximum run length can only be larger or equal.
         assert!(without.stats().reuse_fraction() + 1e-9 >= with.stats().reuse_fraction());
         assert!(
-            without.lane_tables()[0].max_consecutive_reuses()
-                >= with.lane_tables()[0].max_consecutive_reuses()
+            without.lanes().table(0).max_consecutive_reuses()
+                >= with.lanes().table(0).max_consecutive_reuses()
         );
     }
 
@@ -760,7 +692,7 @@ mod tests {
         let seq = smooth_sequence(10, 8, 14);
         let mut memo = evaluator(&net, BnnMemoConfig::with_threshold(1.0));
         let _ = net.run(&seq, &mut memo).unwrap();
-        assert!(!memo.lane_tables()[0].is_empty());
+        assert!(!memo.lanes().table(0).is_empty());
         // Populate the per-neuron reference table too.
         let (id, gate) = net.gates()[0];
         let neuron = NeuronRef {
@@ -772,7 +704,7 @@ mod tests {
             .unwrap();
         assert!(!memo.table().is_empty());
         memo.begin_lane_sequence(0);
-        assert!(memo.lane_tables()[0].is_empty());
+        assert!(memo.lanes().table(0).is_empty());
         assert!(memo.table().is_empty());
     }
 
@@ -833,7 +765,7 @@ mod tests {
                         let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         assert_eq!(bits(a), bits(b), "{what}: outputs");
                     }
-                    let (table, naive) = (&fused.lane_tables()[0], naive.inner());
+                    let (table, naive) = (fused.lanes().table(0), naive.inner());
                     assert_eq!(fused.stats(), naive.stats(), "{what}");
                     assert_eq!(table.len(), naive.table().len(), "{what}");
                     assert_eq!(

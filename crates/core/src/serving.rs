@@ -13,11 +13,12 @@
 //!   be registered with the serving engine's model registry and served
 //!   next to the built-ins.
 //! * [`ServedEvaluator`] — [`NeuronEvaluator`] plus the optional
-//!   statistics-harvest hooks the engine uses to attribute
-//!   [`ReuseStats`] to individual requests.  Evaluators that keep no
-//!   counters (the exact baseline, most custom evaluators) implement
-//!   nothing: the engine synthesizes all-computed statistics from the
-//!   request's length.
+//!   per-lane hooks the engine drives a request through: harvest the
+//!   lane's [`ReuseStats`], install the request's `θ` override on its
+//!   lane, move the lane's state to another worker.  Evaluators that
+//!   keep no counters (the exact baseline, most custom evaluators)
+//!   implement nothing: the engine synthesizes all-computed statistics
+//!   from the request's length.
 //! * [`ExactPredictor`] / [`OraclePredictor`] / [`BnnPredictor`] — the
 //!   built-in policies as factories.
 //! * [`PredictorKind`] — the closed enum naming the built-in family;
@@ -26,10 +27,10 @@
 
 use crate::audit::ControlSnapshot;
 use crate::config::{BnnMemoConfig, OracleMemoConfig};
+use crate::lanes::MemoLaneState;
 use crate::oracle::OracleEvaluator;
 use crate::predictor::BnnMemoEvaluator;
 use crate::stats::ReuseStats;
-use crate::table::MemoTable;
 use nfm_bnn::BinaryNetwork;
 use nfm_rnn::{DeepRnn, ExactEvaluator, NeuronEvaluator};
 use std::any::Any;
@@ -41,30 +42,24 @@ use std::sync::Arc;
 /// [`ServedEvaluator::export_lane_state`]).
 pub type LaneState = Box<dyn Any + Send>;
 
-/// Migratable lane state of the built-in memoizing evaluators: one
-/// memo table plus the lane's accumulated statistics and — for
-/// audit-enabled BNN evaluators — the lane's audit hit counter, so the
-/// deterministic 1-in-N audit phase survives migration.
-struct MemoLaneState {
-    table: MemoTable,
-    stats: ReuseStats,
-    audit_counter: u64,
-}
-
 /// Migratable lane state of the exact evaluator: nothing — the lane's
 /// entire state is the recurrent `(h, c)` the scheduler itself moves.
 struct ExactLaneState;
 
 /// A [`NeuronEvaluator`] as the serving engine drives it: the inference
-/// hook plus optional per-request statistics harvesting.
+/// hook plus optional per-lane hooks.
 ///
-/// The engine attributes reuse statistics to the request occupying each
-/// lane.  Evaluators that track counters (the oracle and BNN
-/// evaluators) override the three hooks; evaluators that do not (the
-/// exact baseline, simple custom evaluators) inherit the defaults,
-/// which return `None` — the engine then synthesizes the exact-path
-/// statistics (every neuron of every timestep computed, nothing
-/// reused), which is correct for any evaluator that never skips work.
+/// A request occupies one lane from admission to its response, and
+/// everything request-specific is lane state: the engine harvests the
+/// lane's reuse statistics when the request finishes, installs the
+/// request's `θ` override on the lane right after admission, and moves
+/// the lane's state along when it migrates the request to another
+/// worker.  Evaluators that track counters (the oracle and BNN
+/// evaluators) override the hooks; evaluators that do not (the exact
+/// baseline, simple custom evaluators) inherit the defaults — the
+/// engine then synthesizes the exact-path statistics (every neuron of
+/// every timestep computed, nothing reused), which is correct for any
+/// evaluator that never skips work.
 pub trait ServedEvaluator: NeuronEvaluator + Send {
     /// Takes the statistics attributable to the request that just
     /// finished (or was aborted) on `lane` of a batched schedule,
@@ -75,15 +70,22 @@ pub trait ServedEvaluator: NeuronEvaluator + Send {
         None
     }
 
-    /// Clears the aggregate counters before a single-lane request so
-    /// [`stats_snapshot`](ServedEvaluator::stats_snapshot) reports that
-    /// request's own statistics.  No-op by default.
-    fn reset_stats(&mut self) {}
-
-    /// Snapshot of the aggregate counters after a single-lane request.
-    /// `None` means the evaluator keeps no counters.
+    /// Snapshot of the aggregate counters over every request served so
+    /// far.  `None` means the evaluator keeps no counters.
     fn stats_snapshot(&self) -> Option<ReuseStats> {
         None
+    }
+
+    /// Makes lane `lane` compare against `threshold` instead of the
+    /// configured `θ` until the lane's next
+    /// [`begin_lane_sequence`](NeuronEvaluator::begin_lane_sequence),
+    /// which must clear it.  The engine calls this right after
+    /// admitting a request that carries an override, and only for
+    /// evaluators whose predictor
+    /// [accepts overrides](Predictor::accepts_threshold_override); the
+    /// default ignores it.
+    fn set_lane_threshold(&mut self, lane: usize, threshold: f32) {
+        let _ = (lane, threshold);
     }
 
     /// Moves lane `lane`'s migratable evaluator state (memo tables,
@@ -123,73 +125,43 @@ impl ServedEvaluator for ExactEvaluator {
     }
 }
 
-impl ServedEvaluator for OracleEvaluator {
-    fn take_lane_stats(&mut self, lane: usize) -> Option<ReuseStats> {
-        Some(OracleEvaluator::take_lane_stats(self, lane))
-    }
+/// The hooks of an evaluator that keeps its per-lane state in
+/// [`MemoLanes`](crate::lanes::MemoLanes): everything request-specific
+/// — statistics, `θ`, and the state that migrates — is the lane's
+/// [`MemoLaneState`].
+macro_rules! serve_from_memo_lanes {
+    ($evaluator:ty) => {
+        impl ServedEvaluator for $evaluator {
+            fn take_lane_stats(&mut self, lane: usize) -> Option<ReuseStats> {
+                Some(self.lanes.take_stats(lane))
+            }
 
-    fn reset_stats(&mut self) {
-        OracleEvaluator::reset_stats(self);
-    }
+            fn stats_snapshot(&self) -> Option<ReuseStats> {
+                Some(*self.stats())
+            }
 
-    fn stats_snapshot(&self) -> Option<ReuseStats> {
-        Some(*self.stats())
-    }
+            fn set_lane_threshold(&mut self, lane: usize, threshold: f32) {
+                self.lanes.set_threshold(lane, threshold);
+            }
 
-    fn export_lane_state(&mut self, lane: usize) -> Option<LaneState> {
-        let (table, stats) = OracleEvaluator::export_lane(self, lane);
-        Some(Box::new(MemoLaneState {
-            table,
-            stats,
-            audit_counter: 0,
-        }))
-    }
+            fn export_lane_state(&mut self, lane: usize) -> Option<LaneState> {
+                Some(Box::new(self.lanes.export(lane)))
+            }
 
-    fn import_lane_state(&mut self, lane: usize, state: LaneState) -> bool {
-        match state.downcast::<MemoLaneState>() {
-            Ok(s) => {
-                OracleEvaluator::import_lane(self, lane, s.table, s.stats);
+            fn import_lane_state(&mut self, lane: usize, state: LaneState) -> bool {
+                let Ok(state) = state.downcast::<MemoLaneState>() else {
+                    return false;
+                };
+                self.begin_batch(lane + 1);
+                self.lanes.import(lane, *state);
                 true
             }
-            Err(_) => false,
         }
-    }
+    };
 }
 
-impl ServedEvaluator for BnnMemoEvaluator {
-    fn take_lane_stats(&mut self, lane: usize) -> Option<ReuseStats> {
-        Some(BnnMemoEvaluator::take_lane_stats(self, lane))
-    }
-
-    fn reset_stats(&mut self) {
-        BnnMemoEvaluator::reset_stats(self);
-    }
-
-    fn stats_snapshot(&self) -> Option<ReuseStats> {
-        Some(*self.stats())
-    }
-
-    fn export_lane_state(&mut self, lane: usize) -> Option<LaneState> {
-        let audit_counter = self.lane_audit_counter(lane);
-        let (table, stats) = BnnMemoEvaluator::export_lane(self, lane);
-        Some(Box::new(MemoLaneState {
-            table,
-            stats,
-            audit_counter,
-        }))
-    }
-
-    fn import_lane_state(&mut self, lane: usize, state: LaneState) -> bool {
-        match state.downcast::<MemoLaneState>() {
-            Ok(s) => {
-                BnnMemoEvaluator::import_lane(self, lane, s.table, s.stats);
-                self.set_lane_audit_counter(lane, s.audit_counter);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-}
+serve_from_memo_lanes!(OracleEvaluator);
+serve_from_memo_lanes!(BnnMemoEvaluator);
 
 /// An evaluator factory: one memoization policy bound to one model.
 ///
@@ -214,25 +186,16 @@ pub trait Predictor: Send + Sync + fmt::Debug {
     /// ignore it and use their shared artifacts instead.
     fn build_evaluator(&self, network: &DeepRnn) -> Box<dyn ServedEvaluator>;
 
-    /// The reuse threshold `θ` this predictor is configured with, if
-    /// the policy has one.  A registry uses it to recognize a
-    /// per-request override that matches the configured value and
-    /// serve it from the existing state instead of materializing a
-    /// duplicate.  Policies overriding
-    /// [`with_threshold`](Predictor::with_threshold) should override
-    /// this too.
-    fn threshold(&self) -> Option<f32> {
-        None
-    }
-
-    /// A copy of this predictor with the reuse threshold `θ` replaced —
-    /// the hook behind per-request threshold overrides.  `None` (the
-    /// default) means the policy has no threshold; the engine then
-    /// rejects override requests with a typed error instead of silently
+    /// Whether a request may override the reuse threshold `θ`.  A
+    /// policy that returns `true` builds evaluators that honour
+    /// [`ServedEvaluator::set_lane_threshold`]: the override is state
+    /// of the request's lane, so overridden and plain requests share
+    /// one evaluator.  `false` (the default) means the policy has no
+    /// threshold a caller may pin; the engine then rejects override
+    /// requests at submission with a typed error instead of silently
     /// ignoring the option.
-    fn with_threshold(&self, threshold: f32) -> Option<Arc<dyn Predictor>> {
-        let _ = threshold;
-        None
+    fn accepts_threshold_override(&self) -> bool {
+        false
     }
 
     /// Snapshot of this predictor's live controller state — current
@@ -287,20 +250,14 @@ impl Predictor for OraclePredictor {
         Box::new(OracleEvaluator::for_network(network, self.config))
     }
 
-    fn threshold(&self) -> Option<f32> {
-        Some(self.config.threshold)
-    }
-
-    fn with_threshold(&self, threshold: f32) -> Option<Arc<dyn Predictor>> {
-        let mut config = self.config;
-        config.threshold = threshold;
-        Some(Arc::new(OraclePredictor { config }))
+    fn accepts_threshold_override(&self) -> bool {
+        true
     }
 }
 
 /// The BNN predictor of Figure 10 as a factory: holds the binary mirror
 /// of its model behind an `Arc`, so every worker's evaluator consults
-/// the **same** prebuilt sign buffers — worker memory no longer scales
+/// the **same** prebuilt sign buffers — worker memory does not scale
 /// with mirror size.
 #[derive(Debug, Clone)]
 pub struct BnnPredictor {
@@ -310,8 +267,7 @@ pub struct BnnPredictor {
 
 impl BnnPredictor {
     /// A factory producing BNN-memoized evaluators over a prebuilt
-    /// `mirror` (built once per model, shared by every worker and every
-    /// threshold variant).
+    /// `mirror` (built once per model, shared by every worker).
     pub fn new(mirror: impl Into<Arc<BinaryNetwork>>, config: BnnMemoConfig) -> Self {
         BnnPredictor {
             mirror: mirror.into(),
@@ -346,17 +302,8 @@ impl Predictor for BnnPredictor {
         Box::new(BnnMemoEvaluator::new(Arc::clone(&self.mirror), self.config))
     }
 
-    fn threshold(&self) -> Option<f32> {
-        Some(self.config.threshold)
-    }
-
-    fn with_threshold(&self, threshold: f32) -> Option<Arc<dyn Predictor>> {
-        let mut config = self.config;
-        config.threshold = threshold;
-        Some(Arc::new(BnnPredictor {
-            mirror: Arc::clone(&self.mirror),
-            config,
-        }))
+    fn accepts_threshold_override(&self) -> bool {
+        true
     }
 }
 
@@ -470,19 +417,15 @@ mod tests {
     }
 
     #[test]
-    fn threshold_override_shares_the_mirror() {
+    fn only_thresholded_policies_accept_overrides() {
         let net = network();
-        let mirror = Arc::new(BinaryNetwork::mirror(&net));
-        let base = BnnPredictor::new(Arc::clone(&mirror), BnnMemoConfig::with_threshold(0.5));
-        let tightened = base.with_threshold(0.0).expect("bnn supports thresholds");
-        assert_eq!(tightened.name(), "bnn");
-        // Two predictors, one override: still a single mirror allocation
-        // (the base Arc plus the local handle plus the override's).
-        assert_eq!(Arc::strong_count(&mirror), 3);
-        assert!(ExactPredictor.with_threshold(0.1).is_none());
-        let oracle = OraclePredictor::new(OracleMemoConfig::with_threshold(0.4));
-        let oracle2 = oracle.with_threshold(0.7).expect("oracle has a threshold");
-        assert_eq!(oracle2.name(), "oracle");
+        assert!(!ExactPredictor.accepts_threshold_override());
+        assert!(OraclePredictor::new(OracleMemoConfig::with_threshold(0.4))
+            .accepts_threshold_override());
+        assert!(
+            BnnPredictor::mirror_of(&net, BnnMemoConfig::with_threshold(0.5))
+                .accepts_threshold_override()
+        );
     }
 
     #[test]
@@ -490,6 +433,6 @@ mod tests {
         let mut exact = ExactEvaluator::new();
         assert!(ServedEvaluator::take_lane_stats(&mut exact, 0).is_none());
         assert!(ServedEvaluator::stats_snapshot(&exact).is_none());
-        ServedEvaluator::reset_stats(&mut exact); // no-op must not panic
+        ServedEvaluator::set_lane_threshold(&mut exact, 0, 0.5); // ignored, must not panic
     }
 }

@@ -443,11 +443,12 @@ impl ScenarioReport {
             self.achieved_rate(),
         );
         for ctx in &self.context_stats {
-            out.push_str(&format!("\n  {}/{}", ctx.model, ctx.predictor));
-            if let Some(theta) = ctx.threshold_override {
-                out.push_str(&format!(" @θ={theta}"));
-            }
-            out.push_str(&format!(" · hit rate {:.1}%", ctx.hit_rate() * 100.0));
+            out.push_str(&format!(
+                "\n  {}/{} · hit rate {:.1}%",
+                ctx.model,
+                ctx.predictor,
+                ctx.hit_rate() * 100.0
+            ));
             if let Some(control) = &ctx.control {
                 out.push_str(&format!(" · slo {:.4}", control.slo));
                 if let Some(ewma) = control.max_ewma_error() {
@@ -819,7 +820,6 @@ mod tests {
             model: "default".into(),
             version: 1,
             predictor: "adaptive".to_string(),
-            threshold_override: None,
             stats,
             control: Some(ControlSnapshot {
                 slo: 0.05,

@@ -222,36 +222,42 @@ impl DeepRnn {
         for l in 0..lanes {
             evaluator.begin_lane_sequence(l);
         }
-        // Layer 0 reads the caller's sequences directly (no clone); each
-        // layer's owned outputs feed the next layer by reference.
-        let current: Vec<Vec<Vector>> = {
-            let borrowed: Vec<&[Vector]> = order.iter().map(|&i| sequences[i]).collect();
-            let mut layers = self.layers.iter();
-            let first = layers.next().expect("non-empty");
-            let mut out = first.process_batch(&borrowed, evaluator)?;
-            for layer in layers {
-                let refs: Vec<&[Vector]> = out.iter().map(|lane| lane.as_slice()).collect();
-                out = layer.process_batch(&refs, evaluator)?;
-            }
-            out
-        };
-        let current = match &self.head {
-            None => current,
-            Some(head) => current
-                .iter()
-                .map(|lane| {
-                    lane.iter()
-                        .map(|v| head.apply(v))
-                        .collect::<Result<Vec<_>>>()
-                })
-                .collect::<Result<Vec<_>>>()?,
-        };
+        let borrowed: Vec<&[Vector]> = order.iter().map(|&i| sequences[i]).collect();
+        let current = self.run_begun_lanes(&borrowed, evaluator)?;
         // Un-permute back to the caller's sequence order.
         let mut result: Vec<Option<Vec<Vector>>> = (0..lanes).map(|_| None).collect();
         for (&slot, lane_out) in order.iter().zip(current) {
             result[slot] = Some(lane_out);
         }
         Ok(result.into_iter().map(|o| o.expect("filled")).collect())
+    }
+
+    /// The layer-lockstep pass under [`run_batch`](DeepRnn::run_batch)
+    /// and the lane scheduler's lockstep schedule: lane `l` runs
+    /// `sequences[l]` on evaluator lane `l`, whose state the caller has
+    /// already begun.  The sequences are validated and sorted
+    /// longest-first; outputs come back in the same order.
+    pub(crate) fn run_begun_lanes(
+        &self,
+        sequences: &[&[Vector]],
+        evaluator: &mut dyn NeuronEvaluator,
+    ) -> Result<Vec<Vec<Vector>>> {
+        // Layer 0 reads the caller's sequences directly (no clone); each
+        // layer's owned outputs feed the next layer by reference.
+        let mut layers = self.layers.iter();
+        let first = layers.next().expect("non-empty");
+        let mut current = first.process_batch(sequences, evaluator)?;
+        for layer in layers {
+            let refs: Vec<&[Vector]> = current.iter().map(|lane| lane.as_slice()).collect();
+            current = layer.process_batch(&refs, evaluator)?;
+        }
+        match &self.head {
+            None => Ok(current),
+            Some(head) => current
+                .iter()
+                .map(|lane| lane.iter().map(|v| head.apply(v)).collect())
+                .collect(),
+        }
     }
 }
 

@@ -1,44 +1,43 @@
-//! The unified lane scheduler: one scheduler, pluggable refill policy.
+//! The unified lane scheduler: one admission path, two schedules.
 //!
-//! [`DeepRnn::run_batch`] executes a batch **layer-lockstep**: layer 0
-//! processes every lane's whole sequence, then layer 1, and so on.
-//! That shape amortizes one weight stream across all lanes and an
-//! 8-step hoist block, but it cannot admit a new sequence mid-wave — a
-//! freed lane stays idle until the next wave boundary, so ragged
-//! traffic drains the active prefix and the amortization decays with
-//! it.
+//! A [`LaneScheduler`] holds up to `lanes` in-flight sequences.
+//! [`admit`](LaneScheduler::admit) seats a sequence in a lane, resets
+//! that lane's recurrent and evaluator state
+//! ([`NeuronEvaluator::begin_lane_sequence`]) and returns the lane
+//! index, so a request has a lane — somewhere to keep per-request
+//! evaluator state such as a threshold override — from the moment it is
+//! admitted.  [`step`](LaneScheduler::step) then advances the seated
+//! lanes by the schedule the network permits:
 //!
-//! For **unidirectional** stacks the data dependencies permit a second
-//! schedule: layer `k` at timestep `t` needs only layer `k-1` at `t`
-//! and layer `k`'s own state at `t-1`, so every lane can advance
-//! through the whole stack in blocks of up to [`HOIST_BLOCK`]
-//! timesteps.  [`LaneScheduler`] with [`RefillPolicy::Block`]
-//! implements that schedule: each [`step`](LaneScheduler::step) call
-//! advances all active lanes one *block*, finished lanes retire at the
-//! block boundary, and [`admit`](LaneScheduler::admit) hands a freed
-//! lane a fresh sequence between blocks — mid-wave refill.  Within a
-//! block the scheduler runs the same per-layer block routine as the
-//! wave path, so it keeps the full hoist shape: every layer's
-//! `W_x·x_t` projections for the whole block are computed with **one
-//! matrix product per gate** over all active lanes and all block
-//! steps.
+//! * **Block-synchronous, with mid-wave refill** — unidirectional
+//!   stacks.  Layer `k` at timestep `t` needs only layer `k-1` at `t`
+//!   and its own state at `t-1`, so every lane advances through the
+//!   whole stack in blocks of up to [`HOIST_BLOCK`] timesteps: each
+//!   `step` call advances all active lanes one *block*, finished lanes
+//!   retire at the block boundary, and `admit` hands a freed lane a
+//!   fresh sequence between blocks.  Within a block the scheduler runs
+//!   the same per-layer block routine as [`DeepRnn::run_batch`], so it
+//!   keeps the full hoist shape: every layer's `W_x·x_t` projections
+//!   for the whole block are **one matrix product per gate** over all
+//!   active lanes and all block steps.
+//! * **Layer-lockstep** — stacks with a bidirectional layer, whose
+//!   backward half consumes a sequence end-first and so needs it whole.
+//!   One `step` runs every seated lane to completion, layer by layer,
+//!   through the pass [`DeepRnn::run_batch`] itself runs; freed lanes
+//!   refill at that boundary only.
 //!
-//! [`RefillPolicy::Wave`] drives the same scheduler API over plain
-//! [`DeepRnn::run_batch`] waves for stacks the block schedule cannot
-//! express (bidirectional layers consume the sequence end-first):
-//! admissions buffer until [`step`](LaneScheduler::step), which runs
-//! the whole wave at once.
+//! Which one applies is not a choice: it follows from the network
+//! ([`LaneScheduler::refills_mid_wave`]).
 //!
 //! # Equivalence
 //!
 //! Per-lane results are **bit-identical** to a one-lane
-//! [`DeepRnn::run`] over the same sequence under either policy: every
+//! [`DeepRnn::run`] over the same sequence under either schedule: every
 //! `(neuron, lane)` dot product goes through the shared reduction
 //! order, lanes never interact numerically, per-lane memoization state
-//! is reset by [`NeuronEvaluator::begin_lane_sequence`] when a lane is
-//! admitted, and the hoisted kernels keep the `fwd + rec` scalar order
-//! of the fused path.  Scheduling therefore changes throughput, never
-//! results.
+//! is reset when a lane is admitted, and the hoisted kernels keep the
+//! `fwd + rec` scalar order of the fused path.  Scheduling therefore
+//! changes throughput, never results.
 //!
 //! # Lane order and compaction
 //!
@@ -48,12 +47,13 @@
 //! that order first (admissions land at the tail): a stable insertion
 //! sort applied as adjacent lane swaps, each swap moving the recurrent
 //! state ([`BatchState::swap_lanes`]) and the evaluator's per-lane
-//! memo tables and statistics ([`NeuronEvaluator::swap_lane_state`])
-//! together, which keeps every lane's results bit-identical.  Retiring
-//! a finished or cancelled lane compacts the prefix the same way.
+//! state ([`NeuronEvaluator::swap_lane_state`]) together, which keeps
+//! every lane's results bit-identical.  Retiring a finished or
+//! cancelled lane compacts the prefix the same way.
 //!
 //! # Lane migration
 //!
+//! On a mid-wave-refill scheduler,
 //! [`extract`](LaneScheduler::extract) removes a lane mid-sequence as
 //! a self-contained [`LaneSnapshot`] — remaining inputs, outputs so
 //! far, and the per-layer recurrent state — and
@@ -68,13 +68,12 @@
 //!
 //! # Timestep semantics
 //!
-//! Lanes sit at *different* positions of their own sequences, so the
-//! `timestep` handed to the evaluator's gate entry under
-//! [`RefillPolicy::Block`] is the scheduler's global block-step
-//! counter, not a per-lane sequence index.  The built-in gate-entry
-//! overrides ignore it; a custom evaluator that keys per-lane state
-//! must use the lane index plus
-//! [`NeuronEvaluator::begin_lane_sequence`] instead.
+//! Under mid-wave refill lanes sit at *different* positions of their
+//! own sequences, so the `timestep` handed to the evaluator's gate
+//! entry is the scheduler's global block-step counter, not a per-lane
+//! sequence index.  The built-in gate-entry overrides ignore it; a
+//! custom evaluator that keys per-lane state must use the lane index
+//! plus [`NeuronEvaluator::begin_lane_sequence`] instead.
 
 use crate::batch::BatchState;
 use crate::error::RnnError;
@@ -85,21 +84,6 @@ use crate::layer::{grow, BlockPlan, BlockScratch};
 use crate::network::DeepRnn;
 use crate::Result;
 use nfm_tensor::Vector;
-
-/// How a [`LaneScheduler`] refills freed lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefillPolicy {
-    /// Block-synchronous mid-wave refill (unidirectional stacks only):
-    /// lanes advance in [`HOIST_BLOCK`]-step blocks, finished lanes
-    /// retire and refill at block boundaries, and every layer's input
-    /// projections are hoisted across all active lanes per block.
-    Block,
-    /// Wave refill: admissions buffer and [`step`](LaneScheduler::step)
-    /// runs them as one [`DeepRnn::run_batch`] wave.  Freed lanes
-    /// refill only at wave boundaries; required for bidirectional
-    /// stacks.
-    Wave,
-}
 
 /// One lane that finished its sequence during a
 /// [`LaneScheduler::step`] call (or was cancelled).
@@ -112,13 +96,11 @@ pub struct FinishedLane {
     /// lanes.
     pub outputs: Vec<Vector>,
     /// The evaluator lane index where this sequence's per-lane state
-    /// (memo table, per-lane statistics) resides *right now*, or
-    /// `None` when the sequence never entered the evaluator (a
-    /// wave-pending admission that was cancelled before its wave ran).
-    /// Read any per-lane statistics at this index **before** the next
+    /// (memo table, per-lane statistics) resides *right now*.  Read any
+    /// per-lane statistics at this index **before** the next
     /// [`LaneScheduler::admit`] call: admission reuses retired lane
     /// slots and `begin_lane_sequence` resets their state.
-    pub stats_lane: Option<usize>,
+    pub stats_lane: usize,
 }
 
 /// Per-lane bookkeeping: the sequence being processed, the next
@@ -163,23 +145,27 @@ impl LaneSnapshot {
 }
 
 /// The unified lane scheduler (see the [module docs](self) for the
-/// schedule, its equivalence contract, and lane migration).
+/// schedules, their equivalence contract, and lane migration).
 ///
 /// The scheduler owns all recurrent state and scratch (`2 × layers`
-/// lane-striped [`BatchState`]s plus the block buffers under
-/// [`RefillPolicy::Block`]); the caller owns the evaluator and the
-/// network and passes them into [`admit`](LaneScheduler::admit) /
+/// lane-striped [`BatchState`]s plus the block buffers under mid-wave
+/// refill); the caller owns the evaluator and the network and passes
+/// them into [`admit`](LaneScheduler::admit) /
 /// [`step`](LaneScheduler::step).  Call
 /// [`NeuronEvaluator::begin_batch`] with [`lanes`](LaneScheduler::lanes)
 /// once before the first admission so per-lane evaluator state is
 /// sized.
 #[derive(Debug)]
 pub struct LaneScheduler {
-    policy: RefillPolicy,
+    /// Block-synchronous stepping with refill between blocks; `false`
+    /// runs seated lanes to completion in layer lockstep.
+    mid_wave: bool,
     lanes: usize,
     input_size: usize,
     /// Hidden size per layer (layer `k`'s output width feeds `k+1`).
     hidden: Vec<usize>,
+    /// Per-layer recurrent state (mid-wave refill only; the lockstep
+    /// pass keeps its own).
     states: Vec<BatchState>,
     nexts: Vec<BatchState>,
     scratch: BlockScratch,
@@ -188,80 +174,60 @@ pub struct LaneScheduler {
     /// Step-major packed layer outputs for the current block (pong).
     pack_b: Vec<f32>,
     /// Occupied lane slots; always exactly `active` entries, slot `l`
-    /// holding lane `l`'s sequence ([`RefillPolicy::Block`]).
+    /// holding lane `l`'s sequence.
     slots: Vec<LaneSlot>,
-    /// Buffered admissions awaiting the next wave
-    /// ([`RefillPolicy::Wave`]).
-    pending: Vec<(u64, Vec<Vector>)>,
     steps: usize,
 }
 
 impl LaneScheduler {
-    /// Creates a scheduler with `lanes` lane slots for `network`.
+    /// Whether a scheduler for `network` refills freed lanes mid-wave
+    /// (and can therefore lend lanes and migrate them): true exactly
+    /// for stacks without a bidirectional layer, whose backward half
+    /// would need every sequence whole before its first step.
+    pub fn refills_mid_wave(network: &DeepRnn) -> bool {
+        !network.layers().iter().any(|l| l.is_bidirectional())
+    }
+
+    /// Creates a scheduler with `lanes` lane slots for `network`, on
+    /// the schedule the network permits.
     ///
     /// # Errors
     ///
     /// Returns [`RnnError::InvalidConfig`] if `lanes == 0` (a scheduler
-    /// needs at least one lane; the accepted range is `lanes >= 1`) or
-    /// if [`RefillPolicy::Block`] is requested for a stack with a
-    /// bidirectional layer (the backward half consumes the sequence
-    /// end-first, which is incompatible with block-synchronous
-    /// stepping; use [`RefillPolicy::Wave`] for those).
-    pub fn new(network: &DeepRnn, lanes: usize, policy: RefillPolicy) -> Result<Self> {
+    /// needs at least one lane; the accepted range is `lanes >= 1`).
+    pub fn new(network: &DeepRnn, lanes: usize) -> Result<Self> {
         if lanes == 0 {
             return Err(RnnError::InvalidConfig {
                 what: "a lane scheduler needs at least one lane (lanes >= 1), got 0".into(),
             });
         }
-        if policy == RefillPolicy::Block {
-            if let Some(layer) = network.layers().iter().find(|l| l.is_bidirectional()) {
-                return Err(RnnError::InvalidConfig {
-                    what: format!(
-                        "block refill requires a unidirectional stack, but layer {} is \
-                         bidirectional (use RefillPolicy::Wave)",
-                        layer.index()
-                    ),
-                });
-            }
-        }
+        let mid_wave = Self::refills_mid_wave(network);
         let hidden: Vec<usize> = network
             .layers()
             .iter()
             .map(|l| l.forward_cell().hidden_size())
             .collect();
-        let (states, nexts) = if policy == RefillPolicy::Block {
-            (
-                hidden
-                    .iter()
-                    .map(|&h| BatchState::zeros(lanes, h))
-                    .collect(),
-                hidden
-                    .iter()
-                    .map(|&h| BatchState::zeros(lanes, h))
-                    .collect(),
-            )
-        } else {
-            (Vec::new(), Vec::new())
+        // Only the block schedule keeps recurrent state between steps.
+        let stateful: &[usize] = if mid_wave { &hidden } else { &[] };
+        let states = || -> Vec<BatchState> {
+            stateful
+                .iter()
+                .map(|&h| BatchState::zeros(lanes, h))
+                .collect()
         };
         Ok(LaneScheduler {
-            policy,
+            mid_wave,
             lanes,
             input_size: network.input_size(),
+            states: states(),
+            nexts: states(),
             hidden,
-            states,
-            nexts,
             scratch: BlockScratch::default(),
             pack_a: Vec::new(),
             pack_b: Vec::new(),
             slots: Vec::with_capacity(lanes),
-            pending: Vec::new(),
             steps: 0,
         })
-    }
-
-    /// The refill policy this scheduler was created with.
-    pub fn policy(&self) -> RefillPolicy {
-        self.policy
     }
 
     /// Total lane slots.
@@ -269,42 +235,37 @@ impl LaneScheduler {
         self.lanes
     }
 
-    /// Currently occupied lanes (buffered admissions under
-    /// [`RefillPolicy::Wave`]).
+    /// Currently occupied lanes.
     pub fn active_lanes(&self) -> usize {
-        match self.policy {
-            RefillPolicy::Block => self.slots.len(),
-            RefillPolicy::Wave => self.pending.len(),
-        }
+        self.slots.len()
     }
 
     /// Lane slots available for [`admit`](LaneScheduler::admit).
     pub fn free_lanes(&self) -> usize {
-        self.lanes - self.active_lanes()
+        self.lanes - self.slots.len()
     }
 
-    /// Whether no lane holds or awaits a sequence.
+    /// Whether no lane holds a sequence.
     pub fn is_idle(&self) -> bool {
-        self.slots.is_empty() && self.pending.is_empty()
+        self.slots.is_empty()
     }
 
-    /// The lane index currently holding `token`, when the token is an
-    /// active block lane (not a buffered wave admission).  This is
-    /// where the evaluator's per-lane state for the token lives until
-    /// the next [`step`](LaneScheduler::step) /
-    /// [`admit`](LaneScheduler::admit) call.
+    /// The lane index currently holding `token`.  This is where the
+    /// evaluator's per-lane state for the token lives until the next
+    /// [`step`](LaneScheduler::step) / [`admit`](LaneScheduler::admit)
+    /// / [`cancel`](LaneScheduler::cancel) call.
     pub fn lane_of(&self, token: u64) -> Option<usize> {
         self.slots.iter().position(|s| s.token == token)
     }
 
-    /// Places `sequence` into a free lane.  Under
-    /// [`RefillPolicy::Block`] the lane's recurrent state is reset and
+    /// Seats `sequence` in a free lane and returns the lane's index:
+    /// the lane's recurrent state is reset and
     /// [`begin_lane_sequence`](NeuronEvaluator::begin_lane_sequence)
-    /// starts memoization cold — mid-wave, with the other lanes
-    /// untouched; under [`RefillPolicy::Wave`] the admission buffers
-    /// until the next [`step`](LaneScheduler::step).  `token` is
-    /// returned with the lane's [`FinishedLane`]; the scheduler
-    /// attaches no meaning to it.
+    /// starts its evaluator state cold, with the other lanes untouched.
+    /// Per-request evaluator state belongs at the returned index until
+    /// the next [`step`](LaneScheduler::step).  `token` is returned
+    /// with the lane's [`FinishedLane`]; the scheduler attaches no
+    /// meaning to it.
     ///
     /// # Errors
     ///
@@ -315,7 +276,7 @@ impl LaneScheduler {
         token: u64,
         sequence: Vec<Vector>,
         evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<()> {
+    ) -> Result<usize> {
         if self.free_lanes() == 0 {
             return Err(RnnError::InvalidConfig {
                 what: format!("all {} scheduler lanes are occupied", self.lanes),
@@ -333,33 +294,26 @@ impl LaneScheduler {
                 });
             }
         }
-        match self.policy {
-            RefillPolicy::Wave => {
-                self.pending.push((token, sequence));
-            }
-            RefillPolicy::Block => {
-                let lane = self.slots.len();
-                for state in &mut self.states {
-                    state.reset_lane(lane);
-                }
-                evaluator.begin_lane_sequence(lane);
-                self.slots.push(LaneSlot {
-                    token,
-                    inputs: sequence,
-                    t: 0,
-                    outputs: Vec::new(),
-                });
-            }
+        let lane = self.slots.len();
+        for state in &mut self.states {
+            state.reset_lane(lane);
         }
-        Ok(())
+        evaluator.begin_lane_sequence(lane);
+        self.slots.push(LaneSlot {
+            token,
+            inputs: sequence,
+            t: 0,
+            outputs: Vec::new(),
+        });
+        Ok(lane)
     }
 
     /// Advances the schedule — one [`HOIST_BLOCK`]-step block of every
-    /// active lane under [`RefillPolicy::Block`], one whole wave under
-    /// [`RefillPolicy::Wave`] — appending finished lanes to `finished`
-    /// (see [`FinishedLane::stats_lane`] for the read-before-admit
-    /// contract).  Returns the number of lane-timesteps advanced — `0`
-    /// means the scheduler is idle.
+    /// active lane under mid-wave refill, every seated lane to its end
+    /// in layer lockstep otherwise — appending finished lanes to
+    /// `finished` (see [`FinishedLane::stats_lane`] for the
+    /// read-before-admit contract).  Returns the number of
+    /// lane-timesteps advanced — `0` means the scheduler is idle.
     ///
     /// # Errors
     ///
@@ -372,26 +326,27 @@ impl LaneScheduler {
         evaluator: &mut dyn NeuronEvaluator,
         finished: &mut Vec<FinishedLane>,
     ) -> Result<usize> {
-        match self.policy {
-            RefillPolicy::Block => self.step_block(network, evaluator, finished),
-            RefillPolicy::Wave => self.step_wave(network, evaluator, finished),
+        if self.slots.is_empty() {
+            return Ok(0);
+        }
+        self.sort_by_remaining(evaluator);
+        if self.mid_wave {
+            self.step_block(network, evaluator, finished)
+        } else {
+            self.step_lockstep(network, evaluator, finished)
         }
     }
 
-    /// One block-synchronous step: sort lanes by remaining length,
-    /// then run up to [`HOIST_BLOCK`] timesteps of every layer through
-    /// the shared per-layer block routine, layer-major within the block
-    /// (layer `k`'s step-major packed outputs feed layer `k+1`).
+    /// One block-synchronous step over the sorted lanes: up to
+    /// [`HOIST_BLOCK`] timesteps of every layer through the shared
+    /// per-layer block routine, layer-major within the block (layer
+    /// `k`'s step-major packed outputs feed layer `k+1`).
     fn step_block(
         &mut self,
         network: &DeepRnn,
         evaluator: &mut dyn NeuronEvaluator,
         finished: &mut Vec<FinishedLane>,
     ) -> Result<usize> {
-        if self.slots.is_empty() {
-            return Ok(0);
-        }
-        self.sort_by_remaining(evaluator);
         let plan = BlockPlan::new(self.slots.iter().map(LaneSlot::remaining));
         // Gather the block's layer-0 inputs, lane-striped, step-major.
         let isz = self.input_size;
@@ -446,62 +401,48 @@ impl LaneScheduler {
         Ok(plan.total_rows)
     }
 
-    /// One wave: sort the buffered admissions longest-first (stable,
-    /// so [`DeepRnn::run_batch`]'s internal sort is the identity and
-    /// lane `i` serves admission `i`) and run them all to completion.
-    fn step_wave(
+    /// The layer-lockstep step: the sorted lanes are whole, just-seated
+    /// sequences (none has run yet), so lane `l` runs slot `l` through
+    /// every layer in turn and all of them finish here.
+    fn step_lockstep(
         &mut self,
         network: &DeepRnn,
         evaluator: &mut dyn NeuronEvaluator,
         finished: &mut Vec<FinishedLane>,
     ) -> Result<usize> {
-        if self.pending.is_empty() {
-            return Ok(0);
-        }
-        let mut wave = std::mem::take(&mut self.pending);
-        wave.sort_by_key(|(_, s)| std::cmp::Reverse(s.len()));
-        let borrowed: Vec<&[Vector]> = wave.iter().map(|(_, s)| s.as_slice()).collect();
-        let outputs = network.run_batch(&borrowed, evaluator)?;
+        let sequences: Vec<&[Vector]> = self.slots.iter().map(|s| s.inputs.as_slice()).collect();
+        let outputs = network.run_begun_lanes(&sequences, evaluator)?;
         let mut advanced = 0;
-        for (i, ((token, sequence), outs)) in wave.into_iter().zip(outputs).enumerate() {
-            advanced += sequence.len();
+        for (lane, (slot, outputs)) in self.slots.drain(..).zip(outputs).enumerate() {
+            advanced += slot.inputs.len();
             finished.push(FinishedLane {
-                token,
-                outputs: outs,
-                stats_lane: Some(i),
+                token: slot.token,
+                outputs,
+                stats_lane: lane,
             });
         }
         Ok(advanced)
     }
 
-    /// Evicts the lane holding `token` mid-sequence — the
-    /// deadline-abort hook: a serving engine that notices an in-flight
-    /// request's deadline expired frees its lane at the next block
-    /// boundary instead of computing the remaining timesteps.
+    /// Evicts the lane holding `token` — the deadline-abort hook: a
+    /// serving engine that notices an in-flight request's deadline
+    /// expired frees its lane at the next step boundary instead of
+    /// computing the remaining timesteps.
     ///
     /// Compaction is identical to retiring a finished lane (state swap
     /// with the tail plus [`NeuronEvaluator::swap_lane_state`]), so
     /// the surviving lanes keep bit-identical results.  Returns the
     /// evicted lane with the outputs of the timesteps computed **so
-    /// far** (a partial sequence) and the [`FinishedLane::stats_lane`]
-    /// index its per-lane statistics live at — read them before the
-    /// next [`admit`](LaneScheduler::admit), exactly like a finished
-    /// lane.  A buffered wave admission is simply dropped
-    /// (`stats_lane: None`: it never entered the evaluator).  Returns
-    /// `None` when no lane holds `token`.
+    /// far** (none for a lane that was seated but has not stepped) and
+    /// the [`FinishedLane::stats_lane`] index its per-lane statistics
+    /// live at — read them before the next
+    /// [`admit`](LaneScheduler::admit), exactly like a finished lane.
+    /// Returns `None` when no lane holds `token`.
     pub fn cancel(
         &mut self,
         token: u64,
         evaluator: &mut dyn NeuronEvaluator,
     ) -> Option<FinishedLane> {
-        if let Some(i) = self.pending.iter().position(|(t, _)| *t == token) {
-            self.pending.remove(i);
-            return Some(FinishedLane {
-                token,
-                outputs: Vec::new(),
-                stats_lane: None,
-            });
-        }
         let lane = self.lane_of(token)?;
         let tail = self.slots.len() - 1;
         self.swap_lanes(lane, tail, evaluator);
@@ -509,7 +450,7 @@ impl LaneScheduler {
         Some(FinishedLane {
             token: slot.token,
             outputs: slot.outputs,
-            stats_lane: Some(tail),
+            stats_lane: tail,
         })
     }
 
@@ -519,14 +460,14 @@ impl LaneScheduler {
     /// the evaluator's per-lane state at
     /// [`lane_of(token)`](LaneScheduler::lane_of) **before** calling
     /// this: extraction compacts the active prefix, which moves lane
-    /// state around.  Returns `None` when no active block lane holds
-    /// `token` (buffered wave admissions do not migrate).
+    /// state around.  Returns `None` when no lane holds `token` or the
+    /// schedule is layer-lockstep (its lanes hold no resumable state).
     pub fn extract(
         &mut self,
         token: u64,
         evaluator: &mut dyn NeuronEvaluator,
     ) -> Option<LaneSnapshot> {
-        if self.policy != RefillPolicy::Block {
+        if !self.mid_wave {
             return None;
         }
         let lane = self.lane_of(token)?;
@@ -556,13 +497,13 @@ impl LaneScheduler {
     ///
     /// # Errors
     ///
-    /// Returns [`RnnError::InvalidConfig`] if this scheduler uses
-    /// [`RefillPolicy::Wave`], has no free lane, or the snapshot's
-    /// shape does not match this scheduler's network.
+    /// Returns [`RnnError::InvalidConfig`] if this scheduler runs in
+    /// layer lockstep, has no free lane, or the snapshot's shape does
+    /// not match this scheduler's network.
     pub fn implant(&mut self, token: u64, snapshot: LaneSnapshot) -> Result<usize> {
-        if self.policy != RefillPolicy::Block {
+        if !self.mid_wave {
             return Err(RnnError::InvalidConfig {
-                what: "wave-refill schedulers cannot implant migrated lanes".into(),
+                what: "layer-lockstep schedulers cannot implant migrated lanes".into(),
             });
         }
         if self.free_lanes() == 0 {
@@ -594,12 +535,12 @@ impl LaneScheduler {
         Ok(lane)
     }
 
-    /// The token of the active block lane with the most remaining
-    /// timesteps, provided at least `min_remaining` remain — the lane
-    /// a saturated worker offers an idle one.  `None` under
-    /// [`RefillPolicy::Wave`] or when no lane qualifies.
+    /// The token of the active lane with the most remaining timesteps,
+    /// provided at least `min_remaining` remain — the lane a saturated
+    /// worker offers an idle one.  `None` when no lane qualifies or the
+    /// schedule is layer-lockstep.
     pub fn steal_candidate(&self, min_remaining: usize) -> Option<u64> {
-        if self.policy != RefillPolicy::Block {
+        if !self.mid_wave {
             return None;
         }
         self.slots
@@ -636,8 +577,8 @@ impl LaneScheduler {
         evaluator.swap_lane_state(a, b);
     }
 
-    /// Shared retire loop of [`step`](LaneScheduler::step): pops every
-    /// lane whose sequence is exhausted, compacting the active prefix.
+    /// Retire loop of a block step: pops every lane whose sequence is
+    /// exhausted, compacting the active prefix.
     fn retire_finished(
         &mut self,
         evaluator: &mut dyn NeuronEvaluator,
@@ -651,7 +592,7 @@ impl LaneScheduler {
                 finished.push(FinishedLane {
                     token: slot.token,
                     outputs: slot.outputs,
-                    stats_lane: Some(tail),
+                    stats_lane: tail,
                 });
             }
         }
@@ -672,6 +613,15 @@ mod tests {
             .collect()
     }
 
+    fn bidirectional() -> DeepRnn {
+        let mut rng = DeterministicRng::seed_from_u64(5);
+        DeepRnn::random(
+            &DeepRnnConfig::new(CellKind::Lstm, 3, 4).direction(Direction::Bidirectional),
+            &mut rng,
+        )
+        .unwrap()
+    }
+
     fn networks() -> Vec<DeepRnn> {
         let mut rng = DeterministicRng::seed_from_u64(77);
         vec![
@@ -687,16 +637,15 @@ mod tests {
     }
 
     /// Drains a set of sequences through a scheduler with `lanes`
-    /// lanes, refilling freed lanes as soon as the policy allows, and
+    /// lanes, refilling freed lanes as soon as the schedule allows, and
     /// returns outputs by token.
     fn drain_scheduler(
         net: &DeepRnn,
         lanes: usize,
-        policy: RefillPolicy,
         seqs: &[Vec<Vector>],
         evaluator: &mut dyn NeuronEvaluator,
     ) -> Vec<Vec<Vector>> {
-        let mut sched = LaneScheduler::new(net, lanes, policy).unwrap();
+        let mut sched = LaneScheduler::new(net, lanes).unwrap();
         evaluator.begin_batch(lanes);
         let mut queue: std::collections::VecDeque<(u64, Vec<Vector>)> = seqs
             .iter()
@@ -708,7 +657,10 @@ mod tests {
         loop {
             while sched.free_lanes() > 0 {
                 match queue.pop_front() {
-                    Some((token, s)) => sched.admit(token, s, evaluator).unwrap(),
+                    Some((token, s)) => {
+                        let lane = sched.admit(token, s, evaluator).unwrap();
+                        assert_eq!(sched.lane_of(token), Some(lane), "admit returns the lane");
+                    }
                     None => break,
                 }
             }
@@ -755,7 +707,7 @@ mod tests {
             }
             for lanes in [1usize, 2, 3, 8] {
                 let mut eval = ExactEvaluator::new();
-                let outs = drain_scheduler(&net, lanes, RefillPolicy::Block, &seqs, &mut eval);
+                let outs = drain_scheduler(&net, lanes, &seqs, &mut eval);
                 assert_bitwise_eq(&outs, &reference, &format!("lanes={lanes}"));
                 assert_eq!(eval.evaluations(), single_evals, "lanes={lanes}");
             }
@@ -778,25 +730,28 @@ mod tests {
                     .map(|s| net.run(s, &mut ExactEvaluator::new()).unwrap())
                     .collect();
                 let mut eval = ExactEvaluator::new();
-                let outs = drain_scheduler(&net, 3, RefillPolicy::Block, &seqs, &mut eval);
+                let outs = drain_scheduler(&net, 3, &seqs, &mut eval);
                 assert_bitwise_eq(&outs, &reference, &format!("steps={len}"));
             }
         }
     }
 
     #[test]
-    fn wave_policy_matches_dedicated_runs_bitwise() {
-        let lens = [9usize, 3, 7, 7, 1, 5];
-        let mut rng = DeterministicRng::seed_from_u64(5);
-        let mut nets = networks();
-        nets.push(
-            DeepRnn::random(
-                &DeepRnnConfig::new(CellKind::Lstm, 3, 4).direction(Direction::Bidirectional),
-                &mut rng,
-            )
-            .unwrap(),
-        );
-        for net in nets {
+    fn lockstep_schedule_matches_dedicated_runs_bitwise() {
+        // Ragged admissions in arrival order: the lockstep step has to
+        // sort them longest-first itself.
+        let lens = [3usize, 9, 7, 1, 7, 5];
+        let mut rng = DeterministicRng::seed_from_u64(6);
+        let deep = DeepRnn::random(
+            &DeepRnnConfig::new(CellKind::Gru, 4, 5)
+                .layers(2)
+                .direction(Direction::Bidirectional)
+                .output_size(3),
+            &mut rng,
+        )
+        .unwrap();
+        for net in [bidirectional(), deep] {
+            assert!(!LaneScheduler::refills_mid_wave(&net));
             let seqs: Vec<Vec<Vector>> = lens
                 .iter()
                 .enumerate()
@@ -808,8 +763,8 @@ mod tests {
                 .collect();
             for lanes in [2usize, 3] {
                 let mut eval = ExactEvaluator::new();
-                let outs = drain_scheduler(&net, lanes, RefillPolicy::Wave, &seqs, &mut eval);
-                assert_bitwise_eq(&outs, &reference, &format!("wave lanes={lanes}"));
+                let outs = drain_scheduler(&net, lanes, &seqs, &mut eval);
+                assert_bitwise_eq(&outs, &reference, &format!("lockstep lanes={lanes}"));
             }
         }
     }
@@ -818,32 +773,26 @@ mod tests {
     fn refill_starts_each_sequence_cold() {
         // CountingEvaluator counts begin_lane_sequence calls: every
         // admission (including mid-wave refills) must start a sequence.
-        let net = networks().remove(0);
-        let seqs: Vec<Vec<Vector>> = (0..5)
-            .map(|i| seq(3 + i % 3, net.input_size(), 950 + i as u64))
-            .collect();
-        let mut eval = CountingEvaluator::new(ExactEvaluator::new());
-        let _ = drain_scheduler(&net, 2, RefillPolicy::Block, &seqs, &mut eval);
-        assert_eq!(eval.sequences(), 5);
+        for net in [networks().remove(0), bidirectional()] {
+            let seqs: Vec<Vec<Vector>> = (0..5)
+                .map(|i| seq(3 + i % 3, net.input_size(), 950 + i as u64))
+                .collect();
+            let mut eval = CountingEvaluator::new(ExactEvaluator::new());
+            let _ = drain_scheduler(&net, 2, &seqs, &mut eval);
+            assert_eq!(eval.sequences(), 5);
+        }
     }
 
     #[test]
-    fn rejects_bidirectional_block_stacks_and_zero_lanes() {
-        let mut rng = DeterministicRng::seed_from_u64(5);
-        let bidi = DeepRnn::random(
-            &DeepRnnConfig::new(CellKind::Lstm, 3, 4).direction(Direction::Bidirectional),
-            &mut rng,
-        )
-        .unwrap();
-        assert!(matches!(
-            LaneScheduler::new(&bidi, 2, RefillPolicy::Block),
-            Err(RnnError::InvalidConfig { .. })
-        ));
-        assert!(LaneScheduler::new(&bidi, 2, RefillPolicy::Wave).is_ok());
+    fn the_schedule_follows_the_network_and_zero_lanes_are_rejected() {
         let uni = networks().remove(0);
-        for policy in [RefillPolicy::Block, RefillPolicy::Wave] {
+        let bidi = bidirectional();
+        assert!(LaneScheduler::refills_mid_wave(&uni));
+        assert!(!LaneScheduler::refills_mid_wave(&bidi));
+        for net in [&uni, &bidi] {
+            assert!(LaneScheduler::new(net, 2).is_ok());
             assert!(matches!(
-                LaneScheduler::new(&uni, 0, policy),
+                LaneScheduler::new(net, 0),
                 Err(RnnError::InvalidConfig { .. })
             ));
         }
@@ -851,9 +800,8 @@ mod tests {
 
     #[test]
     fn admit_validates_sequences_and_capacity() {
-        let net = networks().remove(0);
-        for policy in [RefillPolicy::Block, RefillPolicy::Wave] {
-            let mut sched = LaneScheduler::new(&net, 1, policy).unwrap();
+        for net in [networks().remove(0), bidirectional()] {
+            let mut sched = LaneScheduler::new(&net, 1).unwrap();
             let mut eval = ExactEvaluator::new();
             eval.begin_batch(1);
             assert!(matches!(
@@ -864,9 +812,8 @@ mod tests {
                 sched.admit(0, vec![Vector::zeros(2)], &mut eval),
                 Err(RnnError::InputSizeMismatch { .. })
             ));
-            sched
-                .admit(0, seq(4, net.input_size(), 1), &mut eval)
-                .unwrap();
+            let lane = sched.admit(0, seq(4, net.input_size(), 1), &mut eval);
+            assert_eq!(lane.unwrap(), 0, "admit returns the seated lane");
             assert_eq!(sched.free_lanes(), 0);
             assert!(sched
                 .admit(1, seq(4, net.input_size(), 2), &mut eval)
@@ -885,7 +832,7 @@ mod tests {
         for s in &seqs[1..] {
             reference.push(net.run(s, &mut ExactEvaluator::new()).unwrap());
         }
-        let mut sched = LaneScheduler::new(&net, 3, RefillPolicy::Block).unwrap();
+        let mut sched = LaneScheduler::new(&net, 3).unwrap();
         let mut eval = ExactEvaluator::new();
         eval.begin_batch(3);
         for (i, s) in seqs.iter().enumerate() {
@@ -898,7 +845,7 @@ mod tests {
         let cancelled = sched.cancel(0, &mut eval).expect("token 0 in flight");
         assert_eq!(cancelled.token, 0);
         assert_eq!(cancelled.outputs.len(), 8, "one block of partial outputs");
-        assert!(cancelled.stats_lane.is_some());
+        assert_eq!(cancelled.stats_lane, 2, "compacted to the tail");
         assert_eq!(sched.free_lanes(), 1, "the lane is free immediately");
         assert!(sched.cancel(0, &mut eval).is_none(), "already evicted");
         // Drain the survivors; their outputs must be unaffected.
@@ -911,19 +858,44 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_wave_admissions_never_enter_the_evaluator() {
-        let net = networks().remove(0);
-        let mut sched = LaneScheduler::new(&net, 2, RefillPolicy::Wave).unwrap();
+    fn a_seated_lockstep_lane_cancels_like_any_other_lane() {
+        // Three sequences seated on a bidirectional stack, none run
+        // yet: cancelling the middle one (a deadline abort) reports
+        // through the ordinary cancelled-lane path — a lane index, no
+        // outputs — and the survivors still match dedicated runs.
+        let net = bidirectional();
+        let seqs: Vec<Vec<Vector>> = [4usize, 9, 6]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| seq(n, net.input_size(), 980 + i as u64))
+            .collect();
+        let mut sched = LaneScheduler::new(&net, 3).unwrap();
         let mut eval = CountingEvaluator::new(ExactEvaluator::new());
-        sched
-            .admit(7, seq(4, net.input_size(), 3), &mut eval)
-            .unwrap();
-        let dropped = sched.cancel(7, &mut eval).expect("pending admission");
-        assert_eq!(dropped.token, 7);
-        assert!(dropped.outputs.is_empty());
-        assert_eq!(dropped.stats_lane, None);
+        eval.begin_batch(3);
+        for (i, s) in seqs.iter().enumerate() {
+            assert_eq!(sched.admit(i as u64, s.clone(), &mut eval).unwrap(), i);
+        }
+        assert_eq!(eval.sequences(), 3, "every admission begins its lane");
+        let cancelled = sched.cancel(1, &mut eval).expect("token 1 is seated");
+        assert_eq!(cancelled.token, 1);
+        assert!(cancelled.outputs.is_empty(), "it never stepped");
+        assert_eq!(cancelled.stats_lane, 2, "compacted to the tail");
+        assert_eq!(sched.active_lanes(), 2);
+        assert!(sched.extract(0, &mut eval).is_none(), "lockstep lanes stay");
+        assert_eq!(sched.steal_candidate(1), None);
+        let mut finished = Vec::new();
+        assert_eq!(sched.step(&net, &mut eval, &mut finished).unwrap(), 4 + 6);
         assert!(sched.is_idle());
-        assert_eq!(eval.sequences(), 0);
+        assert_eq!(finished.len(), 2);
+        for f in &finished {
+            let reference = net
+                .run(&seqs[f.token as usize], &mut ExactEvaluator::new())
+                .unwrap();
+            assert_eq!(f.outputs, reference, "survivor token {}", f.token);
+        }
+        // Longest first: token 2 (6 steps) ran on lane 0.
+        assert_eq!((finished[0].token, finished[0].stats_lane), (2, 0));
+        assert_eq!((finished[1].token, finished[1].stats_lane), (0, 1));
     }
 
     #[test]
@@ -938,7 +910,7 @@ mod tests {
         let ref_long = net.run(&long, &mut ExactEvaluator::new()).unwrap();
         let ref_short = net.run(&short, &mut ExactEvaluator::new()).unwrap();
 
-        let mut donor = LaneScheduler::new(&net, 2, RefillPolicy::Block).unwrap();
+        let mut donor = LaneScheduler::new(&net, 2).unwrap();
         let mut donor_eval = ExactEvaluator::new();
         donor_eval.begin_batch(2);
         donor.admit(0, long, &mut donor_eval).unwrap();
@@ -955,7 +927,7 @@ mod tests {
         assert_eq!(snap.timesteps(), 20);
         assert_eq!(donor.active_lanes(), 1);
 
-        let mut receiver = LaneScheduler::new(&net, 1, RefillPolicy::Block).unwrap();
+        let mut receiver = LaneScheduler::new(&net, 1).unwrap();
         let mut receiver_eval = ExactEvaluator::new();
         receiver_eval.begin_batch(1);
         let lane = receiver.implant(9, snap).unwrap();
@@ -975,11 +947,11 @@ mod tests {
     }
 
     #[test]
-    fn implant_rejects_mismatched_shapes_and_wave_policy() {
+    fn implant_rejects_mismatched_shapes_and_lockstep_schedulers() {
         let mut nets = networks();
         let gru = nets.pop().unwrap();
         let lstm = nets.pop().unwrap();
-        let mut donor = LaneScheduler::new(&lstm, 1, RefillPolicy::Block).unwrap();
+        let mut donor = LaneScheduler::new(&lstm, 1).unwrap();
         let mut eval = ExactEvaluator::new();
         eval.begin_batch(1);
         donor
@@ -988,21 +960,19 @@ mod tests {
         let mut finished = Vec::new();
         donor.step(&lstm, &mut eval, &mut finished).unwrap();
         let snap = donor.extract(0, &mut eval).unwrap();
-        let mut wrong_shape = LaneScheduler::new(&gru, 1, RefillPolicy::Block).unwrap();
+        let mut wrong_shape = LaneScheduler::new(&gru, 1).unwrap();
         assert!(wrong_shape.implant(1, snap.clone()).is_err());
-        let mut wave = LaneScheduler::new(&lstm, 1, RefillPolicy::Wave).unwrap();
-        assert!(wave.implant(1, snap).is_err());
+        let mut lockstep = LaneScheduler::new(&bidirectional(), 1).unwrap();
+        assert!(lockstep.implant(1, snap).is_err());
     }
 
     #[test]
     fn idle_scheduler_steps_zero_lanes() {
-        let net = networks().remove(0);
-        for policy in [RefillPolicy::Block, RefillPolicy::Wave] {
-            let mut sched = LaneScheduler::new(&net, 3, policy).unwrap();
+        for net in [networks().remove(0), bidirectional()] {
+            let mut sched = LaneScheduler::new(&net, 3).unwrap();
             assert!(sched.is_idle());
             assert_eq!(sched.lanes(), 3);
             assert_eq!(sched.active_lanes(), 0);
-            assert_eq!(sched.policy(), policy);
             let mut eval = ExactEvaluator::new();
             let mut finished = Vec::new();
             assert_eq!(sched.step(&net, &mut eval, &mut finished).unwrap(), 0);

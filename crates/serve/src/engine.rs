@@ -69,9 +69,11 @@ pub enum EngineError {
         /// The predictor name that failed to resolve.
         predictor: String,
     },
-    /// The request overrides the threshold of a predictor that has
-    /// none (the exact baseline, custom predictors without
-    /// [`Predictor::with_threshold`](nfm_core::Predictor::with_threshold)).
+    /// The request overrides the threshold of a predictor that accepts
+    /// no override (the exact baseline, the adaptive predictor, custom
+    /// predictors that leave
+    /// [`Predictor::accepts_threshold_override`](nfm_core::Predictor::accepts_threshold_override)
+    /// at its default).
     ThresholdUnsupported {
         /// The model the request targeted.
         model: ModelId,
@@ -488,7 +490,6 @@ pub struct EngineBuilder {
     lanes: usize,
     workers: usize,
     queue_capacity: usize,
-    override_context_cap: usize,
     policy: DeadlinePolicy,
     paused: bool,
 }
@@ -516,7 +517,6 @@ impl EngineBuilder {
             lanes: 4,
             workers: 1,
             queue_capacity: 256,
-            override_context_cap: crate::worker::DEFAULT_OVERRIDE_CONTEXT_CAP,
             policy: DeadlinePolicy::default(),
             paused: false,
         }
@@ -540,23 +540,6 @@ impl EngineBuilder {
     /// [`Engine::submit`] return [`EngineError::QueueFull`].
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Per-worker bound on *idle* execution contexts born from
-    /// per-request threshold overrides (`>= 1`, default 8).  Every
-    /// distinct override θ materializes one context (evaluator + lane
-    /// scheduler) per worker that serves it; idle override contexts
-    /// beyond this cap are evicted least-recently-used first, which
-    /// bounds worker memory under clients sweeping thresholds.
-    /// Registered (model, predictor) combinations are never evicted,
-    /// and eviction never changes results — a re-created context
-    /// resets all per-request state at admission anyway
-    /// (`tests/multi_model_serving.rs` sweeps θ under a tiny cap to
-    /// prove it).  Raise the cap when latency-sensitive traffic reuses
-    /// many override values and the evaluator rebuild matters.
-    pub fn override_context_cap(mut self, cap: usize) -> Self {
-        self.override_context_cap = cap;
         self
     }
 
@@ -588,7 +571,6 @@ impl EngineBuilder {
             ("lanes", self.lanes),
             ("workers", self.workers),
             ("queue_capacity", self.queue_capacity),
-            ("override_context_cap", self.override_context_cap),
         ] {
             if value == 0 {
                 return Err(EngineError::InvalidConfig {
@@ -627,7 +609,7 @@ impl EngineBuilder {
         });
         let mut handles = Vec::with_capacity(self.workers);
         for index in 0..self.workers {
-            let worker = LaneWorker::new(self.lanes, self.policy, self.override_context_cap);
+            let worker = LaneWorker::new(self.lanes, self.policy);
             let shared = Arc::clone(&shared);
             handles.push(std::thread::spawn(move || {
                 worker_loop(shared, worker, index)
@@ -639,7 +621,6 @@ impl EngineBuilder {
             handles,
             lanes: self.lanes,
             workers: self.workers,
-            override_context_cap: self.override_context_cap,
             policy: self.policy,
         })
     }
@@ -700,8 +681,9 @@ struct State {
     /// Submitted but not yet responded (queued or on a lane).
     outstanding: usize,
     /// In-flight lanes a saturated worker extracted for an idle one
-    /// (worker work stealing); drained before any worker exits.
-    migrated: VecDeque<MigratedLane>,
+    /// (worker work stealing), each with its donor's index; drained
+    /// before any worker exits.
+    migrated: VecDeque<(usize, MigratedLane)>,
     /// Workers currently parked on `work_cv` — the donor-side signal
     /// that migrating a lane would buy real parallelism.
     idle_workers: usize,
@@ -729,6 +711,17 @@ struct State {
     error: Option<String>,
 }
 
+impl State {
+    /// Whether worker `index` may take a pooled lane `donor` donated.
+    /// A donation is meant for a parked worker: while one is parked the
+    /// donor leaves its own lane in the pool rather than taking it back
+    /// before the parked worker has woken.  (During shutdown nobody
+    /// parks, so anyone may drain the pool.)
+    fn may_receive(&self, index: usize, donor: usize) -> bool {
+        donor != index || self.idle_workers == 0 || self.shutdown
+    }
+}
+
 #[derive(Debug)]
 struct Shared {
     state: Mutex<State>,
@@ -743,6 +736,8 @@ struct Shared {
 /// [`State`]'s migration pool and idle-worker count.
 struct EngineBridge {
     shared: Arc<Shared>,
+    /// The worker this bridge serves.
+    index: usize,
 }
 
 impl StealBridge for EngineBridge {
@@ -751,8 +746,11 @@ impl StealBridge for EngineBridge {
         if state.paused && !state.shutdown {
             return None;
         }
-        let i = state.migrated.iter().position(admittable)?;
-        state.migrated.remove(i)
+        let i = state
+            .migrated
+            .iter()
+            .position(|(donor, lane)| state.may_receive(self.index, *donor) && admittable(lane))?;
+        state.migrated.remove(i).map(|(_, lane)| lane)
     }
 
     fn donation_wanted(&self) -> bool {
@@ -770,7 +768,7 @@ impl StealBridge for EngineBridge {
 
     fn donate(&self, lane: MigratedLane) {
         let mut state = self.shared.state.lock().expect("engine state lock");
-        state.migrated.push_back(lane);
+        state.migrated.push_back((self.index, lane));
         state.migrations += 1;
         self.shared.work_cv.notify_one();
     }
@@ -789,9 +787,13 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
                 if state.shutdown && state.queue.is_empty() && state.migrated.is_empty() {
                     return;
                 }
+                let receivable = state
+                    .migrated
+                    .iter()
+                    .any(|(donor, _)| state.may_receive(index, *donor));
                 // Shutdown overrides pause so the queue always drains.
-                let runnable = (!state.queue.is_empty() || !state.migrated.is_empty())
-                    && (!state.paused || state.shutdown);
+                let runnable =
+                    (!state.queue.is_empty() || receivable) && (!state.paused || state.shutdown);
                 if runnable {
                     break;
                 }
@@ -818,6 +820,7 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
         };
         let bridge = EngineBridge {
             shared: Arc::clone(&shared),
+            index,
         };
         let emit_shared = Arc::clone(&shared);
         let mut emit = move |response: InferenceResponse, tag: ResponseTag| {
@@ -850,10 +853,9 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
     }
 }
 
-/// Aggregate statistics of one served (model, predictor, threshold)
-/// execution context, merged across workers — the engine's
-/// observability surface for memoization behavior
-/// ([`Engine::context_stats`]).
+/// Aggregate statistics of one served (model, predictor) execution
+/// context, merged across workers — the engine's observability surface
+/// for memoization behavior ([`Engine::context_stats`]).
 #[derive(Debug, Clone)]
 pub struct ContextStats {
     /// The model this context serves.
@@ -863,15 +865,13 @@ pub struct ContextStats {
     pub version: ModelVersion,
     /// The predictor name the context was resolved under.
     pub predictor: String,
-    /// The per-request threshold override that keyed this context,
-    /// `None` for the registered (model, predictor) combination.
-    pub threshold_override: Option<f32>,
     /// Reuse counters accumulated by the context's evaluators across
-    /// every request they served (workers merged).
+    /// every request they served (workers merged), whatever `θ` each
+    /// request ran at.
     pub stats: ReuseStats,
     /// Live controller state for adaptive predictors (current per-layer
     /// θ, audit-error EWMA, hit/audit counters) — `None` for static
-    /// predictors and for threshold-override contexts.
+    /// predictors.
     pub control: Option<ControlSnapshot>,
 }
 
@@ -896,19 +896,22 @@ impl ContextStats {
 /// [`drain`](Engine::drain) or [`shutdown`](Engine::shutdown)).
 ///
 /// Internally each worker thread owns one **execution context** per
-/// served (model, predictor, threshold) combination — a private
-/// evaluator built by the registered
-/// [`Predictor`](nfm_core::Predictor) factory plus a lane scheduler —
-/// and interleaves the contexts block by block, so several models make
-/// progress concurrently on one thread.  Every context runs the unified
-/// [`LaneScheduler`](nfm_rnn::LaneScheduler): unidirectional stacks use
-/// [`RefillPolicy::Block`](nfm_rnn::RefillPolicy), which refills a
+/// served (model, predictor) combination — a private evaluator built
+/// by the registered [`Predictor`](nfm_core::Predictor) factory plus a
+/// lane scheduler — and interleaves the contexts step by step, so
+/// several models make progress concurrently on one thread; a worker's
+/// context count is bounded by the registry.  A request is admitted
+/// into a lane of its context's
+/// [`LaneScheduler`](nfm_rnn::LaneScheduler) and its threshold
+/// override, if any, is state of that lane, so requests that differ
+/// only in `θ` share one gate call.  Unidirectional stacks refill a
 /// drained lane from the queue *immediately* (mid-wave lane refill)
-/// instead of waiting for a wave boundary, hoists all lanes' inputs
+/// instead of waiting for every lane to finish, hoist all lanes' inputs
 /// across a whole [`HOIST_BLOCK`](nfm_rnn::HOIST_BLOCK)-step block, and
-/// aborts in-flight requests whose deadline expires between blocks
-/// (under [`DeadlinePolicy::DropExpired`]).  A hot context may also
-/// *borrow* idle lanes from cold contexts on the same worker
+/// abort in-flight requests whose deadline expires between blocks
+/// (under [`DeadlinePolicy::DropExpired`]); stacks with a bidirectional
+/// layer run their seated lanes in layer lockstep.  A hot context may
+/// also *borrow* idle lanes from cold contexts on the same worker
 /// ([`lane_borrows`](Engine::lane_borrows)), and a saturated worker may
 /// *donate* an in-flight lane to an idle worker
 /// ([`migrations`](Engine::migrations)).  Scheduling never changes
@@ -930,7 +933,6 @@ pub struct Engine {
     handles: Vec<JoinHandle<()>>,
     lanes: usize,
     workers: usize,
-    override_context_cap: usize,
     policy: DeadlinePolicy,
 }
 
@@ -964,12 +966,6 @@ impl Engine {
         self.shared.capacity
     }
 
-    /// Per-worker bound on idle threshold-override execution contexts
-    /// (see [`EngineBuilder::override_context_cap`]).
-    pub fn override_context_cap(&self) -> usize {
-        self.override_context_cap
-    }
-
     /// In-flight lanes migrated from a saturated worker to an idle one
     /// since the engine started (worker work stealing).  Purely
     /// observability: migration never changes results, only latency.
@@ -993,9 +989,10 @@ impl Engine {
     }
 
     /// Aggregate per-context memoization statistics: one entry per
-    /// served (model, predictor, threshold) combination, merged across
-    /// workers and sorted by (model, predictor, override θ bits) so the
-    /// listing is deterministic.  Adaptive predictors additionally
+    /// served (model, version, predictor) combination — never more than
+    /// the registry holds, whatever thresholds clients ask for — merged
+    /// across workers and sorted by that triple so the listing is
+    /// deterministic.  Adaptive predictors additionally
     /// carry a live [`ControlSnapshot`] (current per-layer θ,
     /// audit-error EWMA, hit/audit counters) fetched from the
     /// registered factory at call time.
@@ -1005,10 +1002,7 @@ impl Engine {
     /// trail the responses already taken; after [`drain`](Engine::drain)
     /// (which waits for full quiescence) or
     /// [`shutdown`](Engine::shutdown) they cover every answered
-    /// request.  Contexts born from threshold overrides may be
-    /// LRU-evicted while idle (see
-    /// [`EngineBuilder::override_context_cap`]); an evicted context's
-    /// counters leave the listing with it.
+    /// request.
     pub fn context_stats(&self) -> Vec<ContextStats> {
         let per_worker = {
             let state = self.shared.state.lock().expect("engine state lock");
@@ -1022,35 +1016,23 @@ impl Engine {
             }
         }
         merged.sort_by(|(a, _), (b, _)| {
-            (
-                a.model.as_str(),
-                a.version,
-                a.predictor.as_ref(),
-                a.threshold_bits,
-            )
-                .cmp(&(
-                    b.model.as_str(),
-                    b.version,
-                    b.predictor.as_ref(),
-                    b.threshold_bits,
-                ))
+            (a.model.as_str(), a.version, a.predictor.as_ref()).cmp(&(
+                b.model.as_str(),
+                b.version,
+                b.predictor.as_ref(),
+            ))
         });
         let registry = self.registry.read().expect("registry lock");
         merged
             .into_iter()
             .map(|(key, stats)| {
-                let control = if key.threshold_bits.is_none() {
-                    registry
-                        .find_predictor(&key.model, key.version, &key.predictor)
-                        .and_then(|p| p.control_snapshot())
-                } else {
-                    None
-                };
+                let control = registry
+                    .find_predictor(&key.model, key.version, &key.predictor)
+                    .and_then(|p| p.control_snapshot());
                 ContextStats {
                     model: key.model.clone(),
                     version: key.version,
                     predictor: key.predictor.as_ref().to_string(),
-                    threshold_override: key.threshold_bits.map(f32::from_bits),
                     stats,
                     control,
                 }

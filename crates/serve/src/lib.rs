@@ -16,15 +16,17 @@
 //! * [`Engine`] / [`EngineBuilder`] — a bounded, priority-aware
 //!   submission queue (backpressure via [`EngineError::QueueFull`]) in
 //!   front of worker threads; each worker builds one private evaluator
-//!   per served (model, predictor, threshold) combination and
-//!   interleaves their lane schedulers.  Every context runs the unified
-//!   [`LaneScheduler`](nfm_rnn::LaneScheduler); unidirectional stacks
-//!   use [`RefillPolicy::Block`](nfm_rnn::RefillPolicy), which refills
-//!   a drained lane from the queue *immediately* (mid-wave lane
-//!   refill), hoists inputs across whole 8-step blocks, and aborts
-//!   expired in-flight requests between blocks.  Hot contexts borrow
-//!   idle lanes from cold ones, and saturated workers donate in-flight
-//!   lanes to idle workers — all without changing results.
+//!   and one [`LaneScheduler`](nfm_rnn::LaneScheduler) per served
+//!   (model, predictor) combination and interleaves them.  A request
+//!   is admitted into a lane, and what is specific to it — a threshold
+//!   override included — is state of that lane, so requests that differ
+//!   only in `θ` share one gate call.  Unidirectional stacks refill a
+//!   drained lane from the queue *immediately* (mid-wave lane refill),
+//!   hoist inputs across whole 8-step blocks, and abort expired
+//!   in-flight requests between blocks; stacks with a bidirectional
+//!   layer run their seated lanes in layer lockstep.  Hot contexts
+//!   borrow idle lanes from cold ones, and saturated workers donate
+//!   in-flight lanes to idle workers — all without changing results.
 //! * [`InferenceResponse`] — per-request outputs, per-request
 //!   [`ReuseStats`](nfm_core::ReuseStats), queue/compute latency, and a
 //!   [`CompletionStatus`] (`Done` / `DeadlineExpired` / `Rejected`);

@@ -87,18 +87,23 @@ pub(crate) struct ModelEntry {
 }
 
 /// A request resolved against the registry: the exact network and
-/// predictor factory the worker must use, plus the context key workers
-/// group lane schedulers by.
+/// predictor factory the worker must use, the context key workers
+/// group lane schedulers by, and the `θ` override the request's lane
+/// runs at (accepted by the predictor, or resolution would have
+/// failed).
 #[derive(Debug, Clone)]
 pub(crate) struct Resolved {
     pub(crate) key: ContextKey,
     pub(crate) network: Arc<DeepRnn>,
     pub(crate) predictor: Arc<dyn Predictor>,
+    pub(crate) threshold: Option<f32>,
 }
 
 /// Identity of one execution context on a worker: requests with equal
 /// keys share a lane scheduler and an evaluator (same model version,
-/// same predictor, same effective threshold).
+/// same predictor).  A threshold override is state of the request's
+/// lane, not of the context, so the keys a worker can ever see are
+/// bounded by the registry, never by client-chosen values.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct ContextKey {
     pub(crate) model: ModelId,
@@ -106,9 +111,6 @@ pub(crate) struct ContextKey {
     /// key separate contexts from incumbent traffic.
     pub(crate) version: ModelVersion,
     pub(crate) predictor: Arc<str>,
-    /// Bit pattern of the per-request threshold override, `None` when
-    /// the predictor's configured threshold applies.
-    pub(crate) threshold_bits: Option<u32>,
 }
 
 /// Maps [`ModelId`]s to versioned networks and named [`Predictor`]
@@ -366,34 +368,21 @@ impl ModelRegistry {
                 .first()
                 .expect("registration always installs a predictor"),
         };
-        let (predictor, threshold_bits) = match options.threshold {
-            None => (Arc::clone(factory), None),
-            // A no-op override (θ equal to the configured threshold)
-            // resolves to the registered combination itself: same
-            // results either way, and workers must not materialize a
-            // duplicate evaluator for it.
-            Some(theta) if factory.threshold().map(f32::to_bits) == Some(theta.to_bits()) => {
-                (Arc::clone(factory), None)
-            }
-            Some(theta) => (
-                factory
-                    .with_threshold(theta)
-                    .ok_or_else(|| EngineError::ThresholdUnsupported {
-                        model: entry.id.clone(),
-                        predictor: name.as_ref().to_string(),
-                    })?,
-                Some(theta.to_bits()),
-            ),
-        };
+        if options.threshold.is_some() && !factory.accepts_threshold_override() {
+            return Err(EngineError::ThresholdUnsupported {
+                model: entry.id.clone(),
+                predictor: name.as_ref().to_string(),
+            });
+        }
         Ok(Resolved {
             key: ContextKey {
                 model: entry.id.clone(),
                 version: entry.version,
                 predictor: Arc::clone(name),
-                threshold_bits,
             },
             network: Arc::clone(&entry.network),
-            predictor,
+            predictor: Arc::clone(factory),
+            threshold: options.threshold,
         })
     }
 
@@ -595,7 +584,7 @@ mod tests {
         assert_eq!(resolved.key.model.as_str(), "a");
         assert_eq!(resolved.key.predictor.as_ref(), "exact");
         assert_eq!(resolved.key.version, 1);
-        assert!(resolved.key.threshold_bits.is_none());
+        assert!(resolved.threshold.is_none());
         let resolved = registry
             .resolve(&RequestOptions::default().model("b"))
             .unwrap();
@@ -674,14 +663,10 @@ mod tests {
             registry.predictor_names("m").unwrap(),
             vec!["bnn", "bnn-loose", "oracle"]
         );
-        let resolved = registry
-            .resolve(&RequestOptions::default().threshold(0.25))
-            .unwrap();
-        assert_eq!(resolved.key.threshold_bits, Some(0.25f32.to_bits()));
     }
 
     #[test]
-    fn noop_threshold_override_resolves_to_the_registered_combination() {
+    fn an_overridden_threshold_rides_on_the_registered_combination() {
         let mut registry = ModelRegistry::new();
         registry
             .register(
@@ -691,20 +676,17 @@ mod tests {
             )
             .unwrap();
         let base = registry.resolve(&RequestOptions::default()).unwrap();
-        // θ equal to the configured threshold is not an override:
-        // same context key, same factory — workers never build a
-        // duplicate evaluator for it.
-        let noop = registry
-            .resolve(&RequestOptions::default().threshold(0.5))
-            .unwrap();
-        assert_eq!(noop.key, base.key);
-        assert!(noop.key.threshold_bits.is_none());
-        assert!(Arc::ptr_eq(&noop.predictor, &base.predictor));
-        // A genuinely different θ still keys its own context.
-        let real = registry
-            .resolve(&RequestOptions::default().threshold(0.75))
-            .unwrap();
-        assert_eq!(real.key.threshold_bits, Some(0.75f32.to_bits()));
+        // Whatever θ a request asks for, it resolves to the same
+        // context key and the same factory: workers never build an
+        // evaluator per value.
+        for theta in [0.5, 0.75] {
+            let overridden = registry
+                .resolve(&RequestOptions::default().threshold(theta))
+                .unwrap();
+            assert_eq!(overridden.key, base.key);
+            assert!(Arc::ptr_eq(&overridden.predictor, &base.predictor));
+            assert_eq!(overridden.threshold, Some(theta));
+        }
     }
 
     #[test]

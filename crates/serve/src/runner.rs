@@ -148,14 +148,13 @@ impl MemoizedRunner {
     /// many sequences are evaluated through each gate invocation at
     /// once and one weight stream serves all of them.
     ///
-    /// On unidirectional stacks the lanes are driven by the unified
-    /// [`LaneScheduler`](nfm_rnn::LaneScheduler) under
-    /// [`RefillPolicy::Block`](nfm_rnn::RefillPolicy): a lane that
-    /// finishes its sequence is refilled from the queue *immediately* —
-    /// mid-wave — so ragged-length traffic keeps every lane busy, and
-    /// all lanes' inputs are hoisted per 8-step block.  Bidirectional
-    /// stacks fall back to layer-lockstep waves
-    /// ([`DeepRnn::run_batch`]) with refill at wave boundaries.
+    /// The lanes are driven by the unified
+    /// [`LaneScheduler`](nfm_rnn::LaneScheduler).  On unidirectional
+    /// stacks a lane that finishes its sequence is refilled from the
+    /// queue *immediately* — mid-wave — so ragged-length traffic keeps
+    /// every lane busy, and all lanes' inputs are hoisted per 8-step
+    /// block.  Stacks with a bidirectional layer run their seated
+    /// lanes in layer lockstep and refill once all have finished.
     ///
     /// Outputs, reuse statistics and memo-hit behavior are
     /// **bit-identical** to [`MemoizedRunner::run`] for every

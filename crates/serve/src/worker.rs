@@ -1,47 +1,50 @@
 //! Per-worker execution: one unified lane scheduler + evaluator per
-//! served (model, predictor, threshold) combination.
+//! served (model, predictor) combination.
 //!
 //! Every engine worker owns a [`LaneWorker`].  Requests arrive already
 //! resolved against the registry (network +
 //! [`Predictor`](nfm_core::Predictor) factory + [`ContextKey`]); the
 //! worker groups them into **execution contexts** — one per distinct
-//! key, created lazily on first use — and interleaves the non-idle
-//! contexts one scheduling block at a time, so an engine serving
-//! several models makes progress on all of them concurrently even with
-//! a single worker thread.  The exception is bidirectional models:
-//! their waves run to completion in one piece (`run_batch` needs whole
-//! sequences), pausing the worker's other contexts for the wave's
+//! key, created lazily on first use, their number bounded by what the
+//! registry holds — and interleaves the non-idle contexts one
+//! scheduling step at a time, so an engine serving several models makes
+//! progress on all of them concurrently even with a single worker
+//! thread.  The exception is bidirectional models: their lanes run to
+//! completion in one layer-lockstep step (the backward halves need
+//! whole sequences), pausing the worker's other contexts for its
 //! duration — give latency-sensitive mixes of uni- and bidirectional
 //! models separate workers.
 //!
 //! Each context owns a private evaluator (built once from the shared
-//! factory — no weight or mirror clones) and one [`LaneScheduler`],
-//! its refill policy picked from the model's direction:
+//! factory — no weight or mirror clones) and one [`LaneScheduler`].
+//! A request is admitted into a lane — the one path for every model —
+//! and whatever is specific to it lives on that lane: a `θ` override is
+//! installed through [`ServedEvaluator::set_lane_threshold`] right
+//! after admission and ends with the lane's sequence, so requests that
+//! differ only in `θ` share one context, one gate call and one weight
+//! stream.  The scheduler then advances its lanes on the schedule the
+//! network permits: unidirectional stacks in [`HOIST_BLOCK`]-step
+//! blocks with every layer's input projections hoisted across all
+//! active lanes and drained lanes refilled from the queue at the next
+//! block boundary (mid-wave refill); stacks with a bidirectional layer
+//! in layer lockstep, refilling once all seated lanes have finished.
+//! An in-flight request whose deadline expires is aborted **between
+//! steps** (under [`DeadlinePolicy::DropExpired`]), freeing its lane
+//! without computing the remaining timesteps.
 //!
-//! * [`RefillPolicy::Block`] (unidirectional stacks, any lane count) —
-//!   lanes advance through the whole stack in [`HOIST_BLOCK`]-step
-//!   blocks with every layer's input projections hoisted across all
-//!   active lanes, a drained lane is refilled from the queue at the
-//!   next block boundary (mid-wave refill), and an in-flight request
-//!   whose deadline expires is aborted **between blocks** (under
-//!   [`DeadlinePolicy::DropExpired`]), freeing its lane without
-//!   computing the remaining steps.
-//! * [`RefillPolicy::Wave`] (bidirectional stacks) — layer-lockstep
-//!   waves via `DeepRnn::run_batch`; freed lanes refill at wave
-//!   boundaries (the backward halves need whole sequences up front).
-//!
-//! Both policies produce bit-identical per-request outputs and reuse
+//! Both schedules produce bit-identical per-request outputs and reuse
 //! statistics: scheduling never changes results, only latency.
 //!
 //! # Cross-context lane stealing
 //!
-//! A block scheduler is built with **twice** the engine's configured
-//! lane count; the extra lanes are *borrowed* capacity.  The worker's
-//! queue-pull predicate admits a request beyond a context's fair share
-//! (the configured lane count) only while the worker's *total* active
-//! lanes stay under `lanes × contexts` — i.e. a hot model may borrow
-//! exactly the lanes its sibling contexts are leaving idle, and a
-//! worker serving a single context never exceeds the configured count.
+//! A scheduler that refills mid-wave is built with **twice** the
+//! engine's configured lane count; the extra lanes are *borrowed*
+//! capacity.  The worker's queue-pull predicate admits a request beyond
+//! a context's fair share (the configured lane count) only while the
+//! worker's *total* active lanes stay under `lanes × contexts` — i.e. a
+//! hot model may borrow exactly the lanes its sibling contexts are
+//! leaving idle, and a worker serving a single context never exceeds
+//! the configured count.
 //! Borrowing widens the hoisted matrix products of the hot context
 //! (more rows per weight stream) without starving anyone: the moment a
 //! cold context gets traffic, its fair share is free by construction.
@@ -59,14 +62,15 @@
 //! inputs and recurrent state in the same scalar order — and
 //! exactly-once: the donor forgets the request without emitting, the
 //! receiver emits its single response.  Evaluators that do not
-//! implement the export/import hooks never migrate.
+//! implement the export/import hooks never migrate, and neither do
+//! lockstep lanes (they hold no resumable state).
 
 use crate::registry::{ContextKey, Resolved};
 use crate::request::{
     CompletionStatus, DeadlinePolicy, InferenceRequest, InferenceResponse, RequestId,
 };
 use nfm_core::{LaneState, ReuseStats, ServedEvaluator};
-use nfm_rnn::{DeepRnn, FinishedLane, LaneScheduler, LaneSnapshot, RefillPolicy, HOIST_BLOCK};
+use nfm_rnn::{DeepRnn, FinishedLane, LaneScheduler, LaneSnapshot, HOIST_BLOCK};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -111,7 +115,7 @@ impl QueuedRequest {
     }
 }
 
-/// A request occupying a scheduler lane (or staged for the next wave).
+/// A request occupying a scheduler lane.
 pub(crate) struct Inflight {
     id: RequestId,
     deadline: Option<Duration>,
@@ -182,7 +186,7 @@ pub(crate) trait StealBridge {
 /// Unified scheduler bookkeeping of one execution context.
 struct LaneSched {
     scheduler: LaneScheduler,
-    /// Requests on lanes (or staged for the next wave), by token.
+    /// Requests on lanes, by token.
     inflight: HashMap<u64, Inflight>,
     /// Scratch for [`LaneScheduler::step`] results.
     finished: Vec<FinishedLane>,
@@ -190,60 +194,42 @@ struct LaneSched {
     next_token: u64,
 }
 
-/// One (model, predictor, threshold) combination being served: private
-/// evaluator + lane scheduler.
+/// One (model, predictor) combination being served: private evaluator +
+/// lane scheduler.
 struct ExecContext {
-    key: ContextKey,
-    /// The registry resolution that created this context, kept so a
-    /// migrating lane carries everything its receiver needs.
+    /// The registry resolution that created this context (less its
+    /// request's `θ`, which is lane state): its identity, and
+    /// everything the receiver of a migrating lane needs.
     resolved: Resolved,
     network: Arc<DeepRnn>,
     evaluator: Box<dyn ServedEvaluator>,
     evals_per_step: u64,
     sched: LaneSched,
-    /// Worker-clock value of the last request routed here (LRU
-    /// eviction of idle threshold-override contexts).
-    last_used: u64,
 }
 
 impl ExecContext {
-    /// Builds a context, reviving a parked evaluator when the worker
-    /// held on to one for this key (LRU-evicted override contexts park
-    /// their evaluators so recreation reuses the allocations — memo
-    /// tables, sign buffers, lane state — instead of rebuilding them).
-    fn new(
-        key: ContextKey,
-        resolved: &Resolved,
-        lanes: usize,
-        revived: Option<Box<dyn ServedEvaluator>>,
-    ) -> ExecContext {
+    fn new(resolved: &Resolved, lanes: usize) -> ExecContext {
         let network = Arc::clone(&resolved.network);
-        let mut evaluator = revived.unwrap_or_else(|| resolved.predictor.build_evaluator(&network));
-        // A revived evaluator carries stale aggregate counters; all
-        // per-request state is reset at admission, but the counters
-        // must start from zero like a fresh build's.
-        evaluator.reset_stats();
-        let unidirectional = network.layers().iter().all(|l| !l.is_bidirectional());
-        let (policy, capacity) = if unidirectional {
-            // Twice the fair share: the extra lanes are borrowable
-            // capacity for cross-context lane stealing.  The queue-pull
-            // predicate keeps a context at its fair share unless
-            // sibling contexts leave lanes idle.
-            (RefillPolicy::Block, lanes * 2)
+        let mut evaluator = resolved.predictor.build_evaluator(&network);
+        // Twice the fair share where lanes refill mid-wave: the extra
+        // lanes are borrowable capacity for cross-context lane
+        // stealing.  The queue-pull predicate keeps a context at its
+        // fair share unless sibling contexts leave lanes idle.  A
+        // lockstep context could not use a borrowed lane before its
+        // seated lanes have all finished, so it gets none.
+        let capacity = if LaneScheduler::refills_mid_wave(&network) {
+            lanes * 2
         } else {
-            (RefillPolicy::Wave, lanes)
+            lanes
         };
-        let scheduler = LaneScheduler::new(&network, capacity, policy)
-            .expect("lanes >= 1, and Wave accepts any stack");
-        if policy == RefillPolicy::Block {
-            // Size the evaluator's per-lane state once up front (wave
-            // schedulers size it per wave inside run_batch).
-            evaluator.begin_batch(capacity);
-        }
+        let scheduler = LaneScheduler::new(&network, capacity).expect("lanes >= 1");
+        evaluator.begin_batch(capacity);
         let evals_per_step = network.neuron_evaluations_per_step() as u64;
         ExecContext {
-            key,
-            resolved: resolved.clone(),
+            resolved: Resolved {
+                threshold: None,
+                ..resolved.clone()
+            },
             network,
             evaluator,
             evals_per_step,
@@ -253,11 +239,10 @@ impl ExecContext {
                 finished: Vec::new(),
                 next_token: 0,
             },
-            last_used: 0,
         }
     }
 
-    /// Whether this context holds no admitted or staged work.
+    /// Whether this context holds no admitted work.
     fn is_idle(&self) -> bool {
         self.sched.scheduler.is_idle()
     }
@@ -265,17 +250,13 @@ impl ExecContext {
     /// Whether this context can take one more request right now (the
     /// worker's queue-pull admissibility predicate): room within its
     /// fair share, or a borrowable lane some sibling context is leaving
-    /// idle (cross-context lane stealing — block schedulers only, and
-    /// never past the worker-wide fair-share total, so a single-context
-    /// worker never exceeds the configured lane count).
+    /// idle (cross-context lane stealing — only schedulers built with
+    /// spare lanes have one, and never past the worker-wide fair-share
+    /// total, so a single-context worker never exceeds the configured
+    /// lane count).
     fn can_accept(&self, fair_share: usize, total_active: usize, contexts: usize) -> bool {
-        let active = self.sched.scheduler.active_lanes();
-        if active < fair_share {
-            return true;
-        }
-        self.sched.scheduler.policy() == RefillPolicy::Block
-            && total_active < fair_share * contexts
-            && self.sched.scheduler.free_lanes() > 0
+        self.sched.scheduler.active_lanes() < fair_share
+            || (total_active < fair_share * contexts && self.sched.scheduler.free_lanes() > 0)
     }
 }
 
@@ -296,20 +277,6 @@ fn harvest_lane_stats(
     })
 }
 
-/// Default for how many execution contexts born from per-request
-/// threshold overrides one worker keeps alive at once.  Registered
-/// (model, predictor) combinations are never evicted — their count is
-/// bounded by the registry — but every distinct override θ materializes
-/// its own context, and clients sweeping thresholds would otherwise
-/// grow worker memory without bound.  Idle override contexts beyond the
-/// cap are dropped least-recently-used first, their evaluators parked
-/// (also LRU-bounded by the cap) so recreating one revives the parked
-/// allocations instead of rebuilding; a miss is just an evaluator build
-/// (all per-request state is reset at admission anyway, so neither
-/// eviction nor revival ever changes results).  Tune per engine with
-/// [`EngineBuilder::override_context_cap`](crate::EngineBuilder::override_context_cap).
-pub(crate) const DEFAULT_OVERRIDE_CONTEXT_CAP: usize = 8;
-
 /// The queue-pull callback handed to [`LaneWorker::pump`]: pops the
 /// highest-priority queued request satisfying the worker's
 /// admissibility predicate, leaving everything else queued.
@@ -320,43 +287,20 @@ pub(crate) type PullFn<'a> =
 pub(crate) struct LaneWorker {
     lanes: usize,
     policy: DeadlinePolicy,
-    /// Per-worker bound on idle threshold-override contexts (the
-    /// [`EngineBuilder::override_context_cap`](crate::EngineBuilder::override_context_cap)
-    /// knob).
-    override_context_cap: usize,
     /// Live contexts in creation order (deterministic stepping; one
-    /// entry per served combination, override contexts capped by
-    /// `override_context_cap`).
+    /// entry per served (model, version, predictor) combination).
     contexts: Vec<ExecContext>,
-    /// Evaluators of LRU-evicted override contexts, parked for reuse:
-    /// a client sweeping back to a recently-evicted θ gets its old
-    /// evaluator's allocations back (memo tables, sign buffers, lane
-    /// state) instead of a rebuild.  Bounded by `override_context_cap`,
-    /// least-recently-used entries dropped first; per-request state is
-    /// reset at admission anyway, so revival never changes results.
-    parked: Vec<(ContextKey, Box<dyn ServedEvaluator>, u64)>,
-    /// Monotonic routing counter backing context LRU eviction.
-    clock: u64,
 }
 
 impl LaneWorker {
     /// Builds a worker; contexts appear lazily as resolved requests
-    /// arrive.  The caller guarantees `lanes >= 1` and
-    /// `override_context_cap >= 1`.
-    pub(crate) fn new(
-        lanes: usize,
-        policy: DeadlinePolicy,
-        override_context_cap: usize,
-    ) -> LaneWorker {
+    /// arrive.  The caller guarantees `lanes >= 1`.
+    pub(crate) fn new(lanes: usize, policy: DeadlinePolicy) -> LaneWorker {
         debug_assert!(lanes >= 1);
-        debug_assert!(override_context_cap >= 1);
         LaneWorker {
             lanes,
             policy,
-            override_context_cap,
             contexts: Vec::new(),
-            parked: Vec::new(),
-            clock: 0,
         }
     }
 
@@ -370,7 +314,7 @@ impl LaneWorker {
             .iter()
             .map(|c| {
                 let stats = c.evaluator.stats_snapshot().unwrap_or_default();
-                (c.key.clone(), stats)
+                (c.resolved.key.clone(), stats)
             })
             .collect()
     }
@@ -397,14 +341,11 @@ impl LaneWorker {
             loop {
                 let contexts = &self.contexts;
                 let receivable = |m: &MigratedLane| -> bool {
-                    match contexts.iter().find(|c| c.key == m.resolved.key) {
-                        // A fresh context always has room.
-                        None => true,
-                        Some(ctx) => {
-                            ctx.sched.scheduler.policy() == RefillPolicy::Block
-                                && ctx.sched.scheduler.free_lanes() > 0
-                        }
-                    }
+                    // A fresh context always has room.
+                    contexts
+                        .iter()
+                        .find(|c| c.resolved.key == m.resolved.key)
+                        .is_none_or(|ctx| ctx.sched.scheduler.free_lanes() > 0)
                 };
                 let Some(lane) = bridge.try_receive(&receivable) else {
                     break;
@@ -428,7 +369,7 @@ impl LaneWorker {
                     .sum();
                 let count = contexts.len();
                 let admittable = |q: &QueuedRequest| -> bool {
-                    match contexts.iter().find(|c| c.key == q.resolved.key) {
+                    match contexts.iter().find(|c| c.resolved.key == q.resolved.key) {
                         // New combination: a fresh context always has room.
                         None => true,
                         Some(ctx) => ctx.can_accept(lanes, total_active, count),
@@ -437,10 +378,10 @@ impl LaneWorker {
                 let Some(q) = pull(&admittable) else { break };
                 self.route(q, bridge, emit, report);
             }
-            // Step phase: one scheduling block for every active
-            // context.  Non-empty waves are due now — the fill phase
-            // just proved the queue holds nothing more this worker
-            // could add.
+            // Step phase: one scheduling step for every active
+            // context.  Seated lockstep lanes are due now — the fill
+            // phase just proved the queue holds nothing more this
+            // worker could add.
             let progressed = self.step_contexts(emit, report);
             // Donate phase: if another worker went idle while this one
             // still holds several active lanes, hand one over.
@@ -451,99 +392,27 @@ impl LaneWorker {
         }
     }
 
-    /// Index of the context for `resolved`, creating it on first use
-    /// (and evicting a stale idle threshold-override context when the
-    /// override population outgrows the configured cap).
+    /// Index of the context for `resolved`, creating it on first use.
     fn context_index(&mut self, resolved: &Resolved) -> usize {
-        self.clock += 1;
-        let clock = self.clock;
-        match self.contexts.iter().position(|c| c.key == resolved.key) {
-            Some(i) => {
-                self.contexts[i].last_used = clock;
-                i
-            }
+        match self
+            .contexts
+            .iter()
+            .position(|c| c.resolved.key == resolved.key)
+        {
+            Some(i) => i,
             None => {
-                let mut revived = None;
-                if resolved.key.threshold_bits.is_some() {
-                    self.evict_stale_override_contexts();
-                    // Evict first, then check the parked pool: a θ the
-                    // client swept away from and is now sweeping back
-                    // to gets its old evaluator's allocations back.
-                    if let Some(pos) = self
-                        .parked
-                        .iter()
-                        .position(|(key, _, _)| *key == resolved.key)
-                    {
-                        revived = Some(self.parked.remove(pos).1);
-                    }
-                }
-                let mut ctx = ExecContext::new(resolved.key.clone(), resolved, self.lanes, revived);
-                ctx.last_used = clock;
-                self.contexts.push(ctx);
+                self.contexts.push(ExecContext::new(resolved, self.lanes));
                 self.contexts.len() - 1
             }
         }
     }
 
-    /// Drops least-recently-used *idle* threshold-override contexts
-    /// until their population is back under the cap (a burst of
-    /// distinct overrides can overshoot it while every context still
-    /// holds work — this shrinks the population as they drain, instead
-    /// of ratcheting).  Contexts with admitted or staged work are
-    /// never touched, and neither are the registered (no-override)
-    /// combinations.
-    fn evict_stale_override_contexts(&mut self) {
-        loop {
-            let overrides = self
-                .contexts
-                .iter()
-                .filter(|c| c.key.threshold_bits.is_some())
-                .count();
-            if overrides < self.override_context_cap {
-                return;
-            }
-            let victim = self
-                .contexts
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.key.threshold_bits.is_some() && c.is_idle())
-                .min_by_key(|(_, c)| c.last_used)
-                .map(|(i, _)| i);
-            match victim {
-                Some(i) => {
-                    let ctx = self.contexts.remove(i);
-                    self.park_evaluator(ctx);
-                }
-                // Everything over the cap is busy; try again when the
-                // next override context is created.
-                None => return,
-            }
-        }
-    }
-
-    /// Parks an evicted override context's evaluator for later revival,
-    /// keeping the pool itself under the override cap (oldest parked
-    /// entry dropped first).
-    fn park_evaluator(&mut self, ctx: ExecContext) {
-        self.parked.push((ctx.key, ctx.evaluator, ctx.last_used));
-        while self.parked.len() > self.override_context_cap {
-            let oldest = self
-                .parked
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, last_used))| *last_used)
-                .map(|(i, _)| i)
-                .expect("pool is non-empty past the cap");
-            self.parked.remove(oldest);
-        }
-    }
-
-    /// Routes one pulled request: admits it into its context's
-    /// scheduler (block lanes start at the next step phase, wave
-    /// admissions stage until their wave is due).  The pull predicate
-    /// guarantees the context has room; the full-context branch below
-    /// is defensive (it fails the request loudly instead of hanging
-    /// the engine if that invariant is ever broken).
+    /// Routes one pulled request: admits it into a lane of its
+    /// context's scheduler (it starts at the next step phase) and
+    /// installs its `θ` override, if any, on that lane.  The pull
+    /// predicate guarantees the context has room; the full-context
+    /// branch below is defensive (it fails the request loudly instead
+    /// of hanging the engine if that invariant is ever broken).
     fn route(
         &mut self,
         q: QueuedRequest,
@@ -573,21 +442,22 @@ impl LaneWorker {
             return;
         }
         // An admission past the fair share is a borrowed sibling lane.
-        let borrows = ctx.sched.scheduler.policy() == RefillPolicy::Block
-            && ctx.sched.scheduler.active_lanes() >= fair_share;
+        let borrows = ctx.sched.scheduler.active_lanes() >= fair_share;
         let token = ctx.sched.next_token;
         ctx.sched.next_token += 1;
         let timesteps = q.req.sequence.len();
         // Timestamp before admit(): lane setup is the request's own
-        // compute, not queue wait.  (Wave admissions re-stamp when
-        // their wave actually starts.)
+        // compute, not queue wait.
         let admitted_at = Instant::now();
         match ctx
             .sched
             .scheduler
             .admit(token, q.req.sequence, ctx.evaluator.as_mut())
         {
-            Ok(()) => {
+            Ok(lane) => {
+                if let Some(theta) = q.resolved.threshold {
+                    ctx.evaluator.set_lane_threshold(lane, theta);
+                }
                 ctx.sched.inflight.insert(
                     token,
                     Inflight {
@@ -614,10 +484,9 @@ impl LaneWorker {
         }
     }
 
-    /// Advances every non-idle context by one scheduling block (block
-    /// policy) or one whole staged wave (wave policy), after aborting
-    /// expired in-flight requests.  Returns whether any compute
-    /// happened.
+    /// Advances every non-idle context by one scheduling step, after
+    /// aborting expired in-flight requests.  Returns whether any
+    /// compute happened.
     fn step_contexts(
         &mut self,
         emit: &mut dyn FnMut(InferenceResponse, ResponseTag),
@@ -733,8 +602,7 @@ impl LaneWorker {
 }
 
 /// Aborts expired in-flight requests, then advances one context by a
-/// scheduling block (or a whole staged wave).  Returns whether any
-/// compute happened.
+/// scheduling step.  Returns whether any compute happened.
 fn step_context(
     ctx: &mut ExecContext,
     policy: DeadlinePolicy,
@@ -754,12 +622,10 @@ fn step_context(
     if sched.scheduler.is_idle() {
         return false;
     }
-    // Block-boundary deadline aborts: a request whose budget ran out
-    // mid-sequence frees its lane *now* (mid-wave, like refill) instead
-    // of computing its remaining timesteps; a staged wave admission
-    // whose budget ran out is unstaged before it costs anything.  Only
-    // DropExpired aborts; RunToCompletion keeps computing and reports
-    // the late result.
+    // Step-boundary deadline aborts: a request whose budget ran out
+    // frees its lane *now* (mid-wave, like refill) instead of computing
+    // its remaining timesteps.  Only DropExpired aborts;
+    // RunToCompletion keeps computing and reports the late result.
     if policy == DeadlinePolicy::DropExpired {
         let expired: Vec<u64> = sched
             .inflight
@@ -773,51 +639,27 @@ fn step_context(
                 .cancel(token, evaluator.as_mut())
                 .expect("inflight tokens are scheduled");
             let info = sched.inflight.remove(&token).expect("lane tracked");
-            match cancelled.stats_lane {
-                // The lane ran: zero its counters (the partial work is
-                // discarded with the outputs) and report the abort with
-                // partial latency accounting — the queue wait it really
-                // had, the compute time it really consumed.
-                Some(lane) => {
-                    let _ = harvest_lane_stats(
-                        evaluator.as_mut(),
-                        evals_per_step,
-                        lane,
-                        cancelled.outputs.len(),
-                    );
-                    emit(
-                        InferenceResponse {
-                            id: info.id,
-                            status: CompletionStatus::DeadlineExpired,
-                            outputs: Vec::new(),
-                            stats: ReuseStats::new(),
-                            queue_latency: info.admitted_at.duration_since(info.submitted_at),
-                            compute_latency: info.admitted_at.elapsed(),
-                        },
-                        info.tag(),
-                    );
-                }
-                // A staged wave admission that never entered the
-                // evaluator: pure queue wait, zero compute.
-                None => {
-                    emit(
-                        expired_response(info.id, info.submitted_at.elapsed(), Duration::ZERO),
-                        info.tag(),
-                    );
-                }
-            }
+            // Zero the lane's counters (the partial work is discarded
+            // with the outputs) and report the abort with partial
+            // latency accounting — the queue wait it really had, the
+            // time it really held a lane.
+            let _ = harvest_lane_stats(
+                evaluator.as_mut(),
+                evals_per_step,
+                cancelled.stats_lane,
+                cancelled.outputs.len(),
+            );
+            emit(
+                expired_response(
+                    info.id,
+                    info.admitted_at.duration_since(info.submitted_at),
+                    info.admitted_at.elapsed(),
+                ),
+                info.tag(),
+            );
         }
         if sched.scheduler.is_idle() {
             return false;
-        }
-    }
-    // A staged wave starts computing *now*: re-stamp its admissions so
-    // queue latency covers the whole staging wait and compute latency
-    // the wave itself.
-    if sched.scheduler.policy() == RefillPolicy::Wave {
-        let wave_start = Instant::now();
-        for info in sched.inflight.values_mut() {
-            info.admitted_at = wave_start;
         }
     }
     match sched
@@ -830,14 +672,12 @@ fn step_context(
             let finished = std::mem::take(&mut sched.finished);
             for f in finished {
                 let info = sched.inflight.remove(&f.token).expect("lane tracked");
-                let stats = match f.stats_lane {
-                    Some(lane) => {
-                        harvest_lane_stats(evaluator.as_mut(), evals_per_step, lane, info.timesteps)
-                    }
-                    // Unreachable for finished lanes (only cancelled
-                    // wave-pending admissions lack a lane).
-                    None => ReuseStats::new(),
-                };
+                let stats = harvest_lane_stats(
+                    evaluator.as_mut(),
+                    evals_per_step,
+                    f.stats_lane,
+                    info.timesteps,
+                );
                 emit(
                     InferenceResponse {
                         id: info.id,
@@ -868,12 +708,9 @@ fn step_context(
                 );
             }
             let capacity = sched.scheduler.lanes();
-            let refill = sched.scheduler.policy();
-            sched.scheduler = LaneScheduler::new(network, capacity, refill)
+            sched.scheduler = LaneScheduler::new(network, capacity)
                 .expect("same network accepted this configuration before");
-            if refill == RefillPolicy::Block {
-                evaluator.begin_batch(capacity);
-            }
+            evaluator.begin_batch(capacity);
             sched.finished.clear();
             true
         }

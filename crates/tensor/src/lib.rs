@@ -32,7 +32,6 @@ pub mod error;
 pub mod init;
 pub mod kernels;
 pub mod matrix;
-pub mod quant;
 pub mod rng;
 pub mod stats;
 pub mod vector;

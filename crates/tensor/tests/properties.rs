@@ -3,7 +3,6 @@
 
 use nfm_tensor::activation::{sigmoid, softmax, tanh, Activation};
 use nfm_tensor::matrix::Matrix;
-use nfm_tensor::quant::{fake_linear_quantize, quantize_f16};
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::stats::{mean, std_dev, Histogram, Summary};
 use nfm_tensor::vector::{dot, Vector};
@@ -103,36 +102,6 @@ fn softmax_is_a_distribution() {
         assert!(p.iter().all(|&v| v >= 0.0));
         let sum: f32 = p.iter().sum();
         assert!((sum - 1.0).abs() < 1e-4);
-    }
-}
-
-#[test]
-fn f16_quantization_never_increases_precision_error_twice() {
-    let mut rng = DeterministicRng::seed_from_u64(26);
-    for _ in 0..256 {
-        let x = rng.uniform(-1000.0, 1000.0);
-        let q = quantize_f16(x);
-        assert_eq!(quantize_f16(q), q);
-    }
-}
-
-#[test]
-fn linear_quantization_is_bounded_and_monotone() {
-    let mut rng = DeterministicRng::seed_from_u64(27);
-    for _ in 0..256 {
-        let a = rng.uniform(-2.0, 2.0);
-        let b = rng.uniform(-2.0, 2.0);
-        let bits = 2 + rng.index(10) as u32;
-        let max_abs = 2.0;
-        let qa = fake_linear_quantize(a, max_abs, bits);
-        let qb = fake_linear_quantize(b, max_abs, bits);
-        assert!(qa.abs() <= max_abs + 1e-5);
-        if a <= b {
-            assert!(qa <= qb + 1e-6);
-        }
-        // Quantization error is bounded by half a step.
-        let step = max_abs / ((1i64 << (bits - 1)) - 1) as f32;
-        assert!((qa - a).abs() <= step * 0.5 + 1e-6);
     }
 }
 

@@ -5,7 +5,11 @@
 # the measure ROADMAP item 3's "fewer non-test lines" budget and the
 # per-PR CHANGES.md deltas are stated in.
 #
-# Usage: scripts/nontest_loc.sh
+# Usage: scripts/nontest_loc.sh [--check]
+#
+# `--check` also compares the total with the ceiling committed in
+# `scripts/nontest_loc.max` and fails when it is above: the count may
+# rise only in a PR that raises that file and says why.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -25,3 +29,12 @@ for dir in crates/*/src src; do
   total=$((total + n))
 done
 printf '%-24s %7d\n' total "$total"
+
+if [ "${1:-}" = --check ]; then
+  max=$(cat scripts/nontest_loc.max)
+  if [ "$total" -gt "$max" ]; then
+    echo "non-test lines $total exceed scripts/nontest_loc.max ($max)" >&2
+    exit 1
+  fi
+  echo "within scripts/nontest_loc.max ($max)"
+fi

@@ -244,13 +244,10 @@ fn context_stats_reports_every_served_context() {
     assert_eq!(responses.len(), sequences.len());
 
     let stats = engine.context_stats();
-    let names: Vec<(String, Option<f32>)> = stats
-        .iter()
-        .map(|c| (c.predictor.clone(), c.threshold_override))
-        .collect();
-    assert!(names.contains(&("bnn".to_string(), None)));
-    assert!(names.contains(&("adaptive".to_string(), None)));
-    assert!(names.contains(&("bnn".to_string(), Some(0.25))));
+    // The override rode on the "bnn" context's lanes: one entry per
+    // registered predictor, sorted by name.
+    let names: Vec<&str> = stats.iter().map(|c| c.predictor.as_str()).collect();
+    assert_eq!(names, ["adaptive", "bnn"]);
 
     for ctx in &stats {
         assert_eq!(ctx.model.as_str(), "m");

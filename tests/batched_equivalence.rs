@@ -17,7 +17,7 @@ use nfm::memo::{
 };
 use nfm::rnn::{
     CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, LaneScheduler, NeuronEvaluator,
-    PerNeuronEvaluator, RefillPolicy,
+    PerNeuronEvaluator,
 };
 use nfm::serve::{InferenceWorkload, MemoizedRunner};
 use nfm::tensor::rng::DeterministicRng;
@@ -151,7 +151,7 @@ fn bnn_batched_is_bit_identical_and_stats_match() {
                 "{name} θ={theta}: reuse statistics must match"
             );
             assert_eq!(
-                batched.lane_tables()[0].max_consecutive_reuses(),
+                batched.lanes().table(0).max_consecutive_reuses(),
                 naive.inner().table().max_consecutive_reuses(),
                 "{name} θ={theta}: reuse run lengths must match"
             );
@@ -238,7 +238,7 @@ fn bnn_passes_match_per_neuron_at_every_gate_width_and_lane_count() {
                 .collect();
             for lanes in LANES {
                 let what = format!("hidden {hidden} lanes {lanes} audit {}", audit.is_some());
-                let mut sched = LaneScheduler::new(&net, lanes, RefillPolicy::Block).unwrap();
+                let mut sched = LaneScheduler::new(&net, lanes).unwrap();
                 let mut evaluator = make();
                 evaluator.begin_batch(lanes);
                 let mut queue = seqs[..lanes + 3].iter().cloned().enumerate();
@@ -255,8 +255,8 @@ fn bnn_passes_match_per_neuron_at_every_gate_width_and_lane_count() {
                     for f in finished.drain(..) {
                         let i = f.token as usize;
                         assert_bit_identical(&format!("{what} seq {i}"), &f.outputs, &solo[i].0);
-                        let lane = f.stats_lane.expect("block lanes enter the evaluator");
-                        assert_eq!(evaluator.lane_stats()[lane], solo[i].1, "{what} seq {i}");
+                        let lane = f.stats_lane;
+                        assert_eq!(*evaluator.lanes().stats(lane), solo[i].1, "{what} seq {i}");
                         audited += solo[i].1.audited();
                         done += 1;
                     }

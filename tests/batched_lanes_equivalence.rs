@@ -13,7 +13,7 @@ use nfm::bnn::BinaryNetwork;
 use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig, ReuseStats};
 use nfm::rnn::{
     CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, LaneScheduler, NeuronEvaluator,
-    PerNeuronEvaluator, RefillPolicy,
+    PerNeuronEvaluator,
 };
 use nfm::serve::{InferenceWorkload, MemoizedRunner};
 use nfm::tensor::rng::DeterministicRng;
@@ -210,7 +210,7 @@ fn per_lane_memo_tables_reproduce_solo_hit_runs() {
     let mut batched_eval = BnnMemoEvaluator::new(mirror.clone(), config);
     let refs: Vec<&[Vector]> = seqs.iter().map(|s| s.as_slice()).collect();
     let _ = net.run_batch(&refs, &mut batched_eval).unwrap();
-    assert_eq!(batched_eval.lane_tables().len(), seqs.len());
+    assert_eq!(batched_eval.lanes().len(), seqs.len());
 
     // The batch driver packs lanes longest-first (stable): recompute the
     // packing to map lanes back to sequences.
@@ -223,8 +223,8 @@ fn per_lane_memo_tables_reproduce_solo_hit_runs() {
         let _ = net.run(&seqs[seq_idx], &mut single).unwrap();
         merged.merge(single.stats());
         assert_eq!(
-            batched_eval.lane_tables()[lane].max_consecutive_reuses(),
-            single.lane_tables()[0].max_consecutive_reuses(),
+            batched_eval.lanes().table(lane).max_consecutive_reuses(),
+            single.lanes().table(0).max_consecutive_reuses(),
             "lane {lane} (sequence {seq_idx}): memo-hit run lengths must match"
         );
     }
@@ -336,7 +336,7 @@ fn assert_poisoned_lane_is_isolated<E: NeuronEvaluator>(
     if net.layers().iter().any(|l| l.is_bidirectional()) {
         return;
     }
-    let mut sched = LaneScheduler::new(net, 8, RefillPolicy::Block).unwrap();
+    let mut sched = LaneScheduler::new(net, 8).unwrap();
     let mut evaluator = make();
     evaluator.begin_batch(8);
     let mut queue = seqs.iter().cloned().enumerate();
@@ -361,7 +361,7 @@ fn assert_poisoned_lane_is_isolated<E: NeuronEvaluator>(
                 std::slice::from_ref(&f.outputs),
                 std::slice::from_ref(&solo[i].0),
             );
-            let lane = f.stats_lane.expect("block lanes enter the evaluator");
+            let lane = f.stats_lane;
             assert_eq!(
                 lane_stats(&evaluator, lane),
                 solo[i].1,
@@ -385,14 +385,14 @@ fn degenerate_values_in_one_lane_never_leak_into_its_neighbours() {
             &format!("{name} oracle"),
             &net,
             || OracleEvaluator::for_network(&net, OracleMemoConfig::with_threshold(0.4)),
-            |e, lane| Some(e.lane_stats()[lane]),
+            |e, lane| Some(*e.lanes().stats(lane)),
         );
         let mirror = std::sync::Arc::new(BinaryNetwork::mirror(&net));
         assert_poisoned_lane_is_isolated(
             &format!("{name} bnn"),
             &net,
             || BnnMemoEvaluator::new(mirror.clone(), BnnMemoConfig::with_threshold(1.0)),
-            |e, lane| Some(e.lane_stats()[lane]),
+            |e, lane| Some(*e.lanes().stats(lane)),
         );
     }
 }

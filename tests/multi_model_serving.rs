@@ -27,11 +27,11 @@
 use nfm::bnn::BinaryNetwork;
 use nfm::memo::{
     BnnMemoConfig, BnnMemoEvaluator, LaneState, OracleEvaluator, OracleMemoConfig, Predictor,
-    ServedEvaluator,
+    ReuseStats, ServedEvaluator,
 };
 use nfm::rnn::{
-    CellKind, DeepRnn, DeepRnnConfig, Gate, GateBatch, GateId, NeuronEvaluator, NeuronRef,
-    PerNeuronEvaluator, Result as RnnResult,
+    CellKind, DeepRnn, DeepRnnConfig, Direction, Gate, GateBatch, GateId, LaneScheduler,
+    NeuronEvaluator, NeuronRef, PerNeuronEvaluator, Result as RnnResult,
 };
 use nfm::serve::{
     CompletionStatus, DeadlinePolicy, EngineBuilder, EngineError, InferenceRequest, ModelRegistry,
@@ -402,11 +402,11 @@ fn one_engine_serves_two_models_with_per_request_options() {
     }
 }
 
-/// A client sweeping many distinct per-request thresholds: each θ
-/// materializes (and, past the worker's idle-context cap, LRU-evicts)
-/// an execution context, and every response must still be
-/// bit-identical to a dedicated run at that θ — eviction/recreation
-/// never touches results.
+/// A client sweeping a thousand distinct per-request thresholds against
+/// one registered model: θ is state of each request's lane, so no
+/// context is created per value — `context_stats` stays at the one
+/// registered combination however many values were asked for — and
+/// every response is bit-identical to a dedicated run at its θ.
 #[test]
 fn threshold_sweeps_survive_context_eviction() {
     let net = unidirectional_network(81);
@@ -416,16 +416,15 @@ fn threshold_sweeps_survive_context_eviction() {
         PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5)),
     )
     .lanes(2)
-    .workers(1)
-    .queue_capacity(64)
+    .workers(2)
+    .queue_capacity(1000)
+    .start_paused()
     .build()
     .unwrap();
-    // 20 distinct overrides, far past the per-worker idle cap of 8,
-    // interleaved with re-visits of earlier values.
-    let thetas: Vec<f32> = (0..20).map(|i| 0.05 * (i % 13) as f32 + 0.01).collect();
     let mut submitted = Vec::new();
-    for (i, &theta) in thetas.iter().enumerate() {
-        let seq = smooth_sequence(5 + i % 4, net.input_size(), 900 + i as u64);
+    for i in 0..1000usize {
+        let theta = 0.001 * i as f32 + 0.0005;
+        let seq = smooth_sequence(4 + i % 4, net.input_size(), 900 + (i % 16) as u64);
         engine
             .submit(
                 InferenceRequest::new(i as u64, seq.clone())
@@ -434,185 +433,204 @@ fn threshold_sweeps_survive_context_eviction() {
             .unwrap();
         submitted.push((i as u64, theta, seq));
     }
-    let responses = engine.drain();
+    let mut responses = engine.drain();
     assert_eq!(responses.len(), submitted.len());
-    for (id, theta, seq) in submitted {
-        let r = responses.iter().find(|r| r.id == id).unwrap();
+    responses.sort_by_key(|r| r.id);
+    for ((id, theta, seq), r) in submitted.into_iter().zip(&responses) {
+        assert_eq!(r.id, id);
         assert_eq!(r.status, CompletionStatus::Done, "id={id}");
         let mut eval = BnnMemoEvaluator::new(mirror.clone(), BnnMemoConfig::with_threshold(theta));
         let reference = net.run(&seq, &mut eval).unwrap();
         assert_bit_identical(&format!("sweep id={id} θ={theta}"), &r.outputs, &reference);
         assert_eq!(r.stats, *eval.stats(), "sweep id={id} θ={theta}: stats");
     }
+    let contexts = engine.context_stats();
+    assert_eq!(contexts.len(), 1, "1,000 θ values, one context");
+    assert_eq!(contexts[0].predictor, "bnn");
 }
 
-/// The override-context cap is a builder knob: a deliberately tiny cap
-/// forces constant LRU eviction/recreation under a θ sweep, and the
-/// results must stay bit-identical to dedicated runs; zero is rejected
-/// like every other sizing knob.
-#[test]
-fn override_context_cap_is_configurable_and_never_changes_results() {
-    let net = unidirectional_network(83);
-    let mirror = BinaryNetwork::mirror(&net);
-    let engine = EngineBuilder::new(
-        net.clone(),
-        PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5)),
-    )
-    .lanes(2)
-    .workers(1)
-    .queue_capacity(64)
-    .override_context_cap(2)
-    .build()
-    .unwrap();
-    assert_eq!(engine.override_context_cap(), 2);
-    // 12 distinct overrides against a cap of 2, with re-visits so
-    // evicted contexts are rebuilt mid-stream.
-    let thetas: Vec<f32> = (0..12).map(|i| 0.07 * (i % 5) as f32 + 0.02).collect();
-    let mut submitted = Vec::new();
-    for (i, &theta) in thetas.iter().enumerate() {
-        let seq = smooth_sequence(4 + i % 3, net.input_size(), 1300 + i as u64);
-        engine
-            .submit(
-                InferenceRequest::new(i as u64, seq.clone())
-                    .with_options(RequestOptions::new().threshold(theta)),
-            )
-            .unwrap();
-        submitted.push((i as u64, theta, seq));
-    }
-    let responses = engine.drain();
-    assert_eq!(responses.len(), submitted.len());
-    for (id, theta, seq) in submitted {
-        let r = responses.iter().find(|r| r.id == id).unwrap();
-        assert_eq!(r.status, CompletionStatus::Done, "id={id}");
-        let mut eval = BnnMemoEvaluator::new(mirror.clone(), BnnMemoConfig::with_threshold(theta));
-        let reference = net.run(&seq, &mut eval).unwrap();
-        assert_bit_identical(&format!("cap=2 id={id} θ={theta}"), &r.outputs, &reference);
-        assert_eq!(r.stats, *eval.stats(), "cap=2 id={id} θ={theta}: stats");
-    }
-
-    // Zero is a rejected degenerate configuration, never a clamp.
-    let err = EngineBuilder::new(net, PredictorKind::Exact)
-        .override_context_cap(0)
-        .build()
-        .unwrap_err();
-    match err {
-        EngineError::InvalidConfig { what } => {
-            assert!(what.contains("override_context_cap"), "{what}")
+/// A dedicated one-lane run of `seq` under `kind` with its threshold
+/// replaced by `theta`.
+fn dedicated_run(
+    net: &DeepRnn,
+    mirror: &Arc<BinaryNetwork>,
+    kind: PredictorKind,
+    theta: f32,
+    seq: &[Vector],
+) -> (Vec<Vector>, ReuseStats) {
+    match kind {
+        PredictorKind::Bnn(mut config) => {
+            config.threshold = theta;
+            let mut eval = BnnMemoEvaluator::new(Arc::clone(mirror), config);
+            (net.run(seq, &mut eval).unwrap(), *eval.stats())
         }
-        other => panic!("expected InvalidConfig, got {other:?}"),
+        PredictorKind::Oracle(mut config) => {
+            config.threshold = theta;
+            let mut eval = OracleEvaluator::for_network(net, config);
+            (net.run(seq, &mut eval).unwrap(), *eval.stats())
+        }
+        PredictorKind::Exact => unreachable!("the exact baseline has no threshold"),
     }
 }
 
-// ---------------------------------------------------------------------
-// A predictor that counts evaluator builds: the observable for the
-// evicted-context evaluator-reuse contract below.
-// ---------------------------------------------------------------------
-
-#[derive(Debug)]
-struct CountingPredictor {
-    inner: nfm::memo::OraclePredictor,
-    builds: Arc<std::sync::atomic::AtomicUsize>,
-}
-
-impl Predictor for CountingPredictor {
-    fn name(&self) -> &str {
-        "counting"
-    }
-
-    fn build_evaluator(&self, network: &DeepRnn) -> Box<dyn ServedEvaluator> {
-        self.builds
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        self.inner.build_evaluator(network)
-    }
-
-    fn threshold(&self) -> Option<f32> {
-        self.inner.threshold()
-    }
-
-    fn with_threshold(&self, threshold: f32) -> Option<Arc<dyn Predictor>> {
-        let mut config = self.inner.config();
-        config.threshold = threshold;
-        Some(Arc::new(CountingPredictor {
-            inner: nfm::memo::OraclePredictor::new(config),
-            builds: Arc::clone(&self.builds),
-        }))
-    }
-}
-
-/// Evicting an idle override context parks its evaluator: sweeping back
-/// to a recently-evicted θ revives the parked allocations instead of
-/// calling `build_evaluator` again, and the revived context's results
-/// stay bit-identical to a dedicated fresh-evaluator run.
+/// One 4-lane context serving its configured θ next to three different
+/// overrides, over ragged lengths that make the scheduler swap lanes
+/// when it sorts and compact the tail when one retires: every response
+/// — outputs and per-request statistics — is bit-identical to a
+/// dedicated run at the θ its request asked for.  The shortest request
+/// carries the override that reuses nothing, and the first request
+/// admitted into the lane it vacates carries none: it must run at the
+/// configured θ, not inherit its predecessor's.  Unidirectional stacks
+/// exercise the block schedule (refill between blocks), bidirectional
+/// ones the layer-lockstep schedule (refill once all four finished).
 #[test]
-fn evicted_override_contexts_revive_parked_evaluators() {
-    let net = unidirectional_network(87);
-    let builds = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let base = OracleMemoConfig::with_threshold(0.5);
-    let mut registry = ModelRegistry::new();
-    registry
-        .register_custom(
-            "m",
-            net.clone(),
-            "counting",
-            Arc::new(CountingPredictor {
-                inner: nfm::memo::OraclePredictor::new(base),
-                builds: Arc::clone(&builds),
-            }),
-        )
-        .unwrap();
-    let engine = EngineBuilder::from_registry(registry)
-        .lanes(1)
-        .workers(1)
-        .queue_capacity(8)
-        .override_context_cap(2)
-        .build()
-        .unwrap();
+fn one_context_serves_mixed_thresholds_on_its_lanes() {
+    let mut rng = DeterministicRng::seed_from_u64(97);
+    let bidirectional = DeepRnn::random(
+        &DeepRnnConfig::new(CellKind::Gru, 5, 7)
+            .layers(2)
+            .direction(Direction::Bidirectional),
+        &mut rng,
+    )
+    .unwrap();
+    // (length, θ override).  Admission order is submission order (one
+    // worker, paused engine); 4 is the first to retire.
+    const NOTHING_REUSED: f32 = -1.0;
+    let requests: [(usize, Option<f32>); 10] = [
+        (9, None),
+        (21, Some(0.25)),
+        (4, Some(NOTHING_REUSED)),
+        (14, Some(4.0)),
+        (17, None),
+        (6, Some(0.25)),
+        (11, None),
+        (3, Some(4.0)),
+        (19, Some(NOTHING_REUSED)),
+        (8, None),
+    ];
+    for net in [unidirectional_network(95), bidirectional] {
+        let mirror = Arc::new(BinaryNetwork::mirror(&net));
+        for (kind, configured) in [
+            (PredictorKind::Bnn(BnnMemoConfig::with_threshold(1.0)), 1.0),
+            (
+                PredictorKind::Oracle(OracleMemoConfig::with_threshold(0.4)),
+                0.4,
+            ),
+        ] {
+            let engine = EngineBuilder::new(net.clone(), kind)
+                .lanes(4)
+                .workers(1)
+                .queue_capacity(requests.len())
+                .start_paused()
+                .build()
+                .unwrap();
+            let seqs: Vec<Vec<Vector>> = requests
+                .iter()
+                .enumerate()
+                .map(|(i, &(len, _))| smooth_sequence(len, net.input_size(), 3100 + i as u64))
+                .collect();
+            for (i, (seq, &(_, theta))) in seqs.iter().zip(&requests).enumerate() {
+                let mut options = RequestOptions::new();
+                if let Some(theta) = theta {
+                    options = options.threshold(theta);
+                }
+                engine
+                    .submit(InferenceRequest::new(i as u64, seq.clone()).with_options(options))
+                    .unwrap();
+            }
+            let mut responses = engine.drain();
+            assert_eq!(responses.len(), requests.len());
+            responses.sort_by_key(|r| r.id);
+            for (i, r) in responses.iter().enumerate() {
+                let theta = requests[i].1.unwrap_or(configured);
+                let name = format!("{} seq {i} θ={theta}", kind.name());
+                assert_eq!(r.status, CompletionStatus::Done, "{name}");
+                let (reference, stats) = dedicated_run(&net, &mirror, kind, theta, &seqs[i]);
+                assert_bit_identical(&name, &r.outputs, &reference);
+                assert_eq!(r.stats, stats, "{name}: per-request stats");
+                if requests[i].1 == Some(NOTHING_REUSED) {
+                    assert_eq!(r.stats.reuses(), 0, "{name}");
+                }
+            }
+            // The vacated lane's successor really ran at another θ.
+            assert!(responses[4].stats.reuses() > 0, "{}", kind.name());
+            assert_eq!(engine.context_stats().len(), 1, "one context, four θ");
+        }
+    }
+}
 
-    // One request per distinct θ, drained one at a time so the single
-    // worker creates the contexts in submission order: θ1 and θ2 fill
-    // the cap, θ3 evicts θ1 (LRU) and parks its evaluator.
-    let run_theta = |id: u64, theta: f32| {
-        let seq = smooth_sequence(6, net.input_size(), 1700 + id);
-        engine
-            .submit(
-                InferenceRequest::new(id, seq.clone())
-                    .with_options(RequestOptions::new().threshold(theta)),
-            )
-            .unwrap();
-        let responses = engine.drain();
-        assert_eq!(responses.len(), 1);
-        assert_eq!(responses[0].status, CompletionStatus::Done, "id={id}");
-        let mut eval = OracleEvaluator::for_network(&net, OracleMemoConfig::with_threshold(theta));
-        let reference = net.run(&seq, &mut eval).unwrap();
-        assert_bit_identical(
-            &format!("θ={theta} id={id}"),
-            &responses[0].outputs,
-            &reference,
-        );
+/// A lane's θ override is part of the state that migrates: a request
+/// admitted with an override, extracted mid-sequence and implanted on
+/// another scheduler with its evaluator state exported and imported
+/// (what a work-stealing engine does) finishes bit-identical to a
+/// dedicated run at its θ, its un-overridden neighbour at the
+/// configured one — and the next request on the receiving lane is back
+/// at the configured θ.
+#[test]
+fn a_lane_override_migrates_with_its_lane() {
+    let net = unidirectional_network(99);
+    let mirror = Arc::new(BinaryNetwork::mirror(&net));
+    let kind = PredictorKind::Bnn(BnnMemoConfig::with_threshold(1.0));
+    let predictor = kind.instantiate(&net, Some(Arc::clone(&mirror)));
+    let stolen = smooth_sequence(30, net.input_size(), 3300);
+    let neighbour = smooth_sequence(13, net.input_size(), 3301);
+    let successor = smooth_sequence(10, net.input_size(), 3302);
+
+    let mut donor_eval = predictor.build_evaluator(&net);
+    donor_eval.begin_batch(2);
+    let mut donor = LaneScheduler::new(&net, 2).unwrap();
+    donor
+        .admit(1, neighbour.clone(), donor_eval.as_mut())
+        .unwrap();
+    let lane = donor.admit(0, stolen.clone(), donor_eval.as_mut()).unwrap();
+    donor_eval.set_lane_threshold(lane, 0.25);
+    let mut finished = Vec::new();
+    // One block in: sorting moved the longer, overridden lane to the
+    // front, its θ with it.
+    donor
+        .step(&net, donor_eval.as_mut(), &mut finished)
+        .unwrap();
+    assert_eq!(donor.lane_of(0), Some(0));
+    let state = donor_eval.export_lane_state(0).expect("memo lanes migrate");
+    let snapshot = donor.extract(0, donor_eval.as_mut()).unwrap();
+
+    let mut receiver_eval = predictor.build_evaluator(&net);
+    receiver_eval.begin_batch(1);
+    let mut receiver = LaneScheduler::new(&net, 1).unwrap();
+    let lane = receiver.implant(0, snapshot).unwrap();
+    assert!(receiver_eval.import_lane_state(lane, state));
+
+    let mut drain = |sched: &mut LaneScheduler, eval: &mut Box<dyn ServedEvaluator>| {
+        finished.clear();
+        while sched.step(&net, eval.as_mut(), &mut finished).unwrap() > 0 {}
+        assert_eq!(finished.len(), 1);
+        let stats = eval.take_lane_stats(finished[0].stats_lane).unwrap();
+        (std::mem::take(&mut finished[0].outputs), stats)
     };
-    run_theta(0, 0.1);
-    run_theta(1, 0.2);
-    run_theta(2, 0.3);
-    assert_eq!(
-        builds.load(std::sync::atomic::Ordering::SeqCst),
-        3,
-        "three distinct overrides build three evaluators"
-    );
-
-    // Sweeping back to the evicted θ1 recreates its context from the
-    // parked evaluator — no fourth build, results still bit-identical
-    // to a dedicated fresh evaluator.
-    run_theta(3, 0.1);
-    assert_eq!(
-        builds.load(std::sync::atomic::Ordering::SeqCst),
-        3,
-        "revisiting a recently-evicted override revives its parked evaluator"
-    );
-
-    // A θ that was never parked still builds.
-    run_theta(4, 0.4);
-    assert_eq!(builds.load(std::sync::atomic::Ordering::SeqCst), 4);
-    drop(engine);
+    for (what, theta, seq, (outputs, stats)) in [
+        (
+            "stolen lane",
+            0.25,
+            &stolen,
+            drain(&mut receiver, &mut receiver_eval),
+        ),
+        (
+            "neighbour",
+            1.0,
+            &neighbour,
+            drain(&mut donor, &mut donor_eval),
+        ),
+        ("successor", 1.0, &successor, {
+            receiver
+                .admit(5, successor.clone(), receiver_eval.as_mut())
+                .unwrap();
+            drain(&mut receiver, &mut receiver_eval)
+        }),
+    ] {
+        let (reference, reference_stats) = dedicated_run(&net, &mirror, kind, theta, seq);
+        assert_bit_identical(what, &outputs, &reference);
+        assert_eq!(stats, reference_stats, "{what}: per-request stats");
+    }
 }
 
 /// Contract 3: registry and submit-time errors are typed.
@@ -1099,11 +1117,8 @@ fn stolen_lanes_still_abort_on_deadline() {
             "long {i}: the abort happened on a lane"
         );
     }
-    // At least one: the donor's own next pump round may take the lane
-    // back out of the pool before the parked worker wakes, and then
-    // donates again.
-    assert!(
-        engine.migrations() > 0,
-        "a worker parked while the other held two longs, so a lane migrated"
-    );
+    // Exactly one steal: a worker parked while the other held two
+    // longs, so one lane migrated — and its donor left it in the pool
+    // for the parked worker instead of taking it back.
+    assert_eq!(engine.migrations(), 1);
 }

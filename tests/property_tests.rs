@@ -10,7 +10,6 @@ use nfm::bnn::{binarize::reference_binary_dot, BitVector};
 use nfm::memo::{BnnMemoConfig, OracleMemoConfig, ReuseStats};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator};
 use nfm::serve::MemoizedRunner;
-use nfm::tensor::quant::{f16_bits_to_f32, f32_to_f16_bits, quantize_f16};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::stats::{empirical_cdf, pearson_correlation, percentile};
 use nfm::tensor::vector::relative_difference;
@@ -72,35 +71,6 @@ fn xnor_dot_is_symmetric_and_bounded() {
         assert_eq!(ab, ba);
         assert!(ab.unsigned_abs() as usize <= a.len());
         assert_eq!(pa.xnor_dot(&pa).unwrap() as usize, a.len());
-    }
-}
-
-// ---- FP16 quantization ---------------------------------------------------
-
-#[test]
-fn f16_roundtrip_is_idempotent_and_close() {
-    let mut rng = DeterministicRng::seed_from_u64(4);
-    for _ in 0..256 {
-        let x = rng.uniform(-60000.0, 60000.0);
-        let once = quantize_f16(x);
-        let twice = quantize_f16(once);
-        assert_eq!(once, twice, "quantization must be idempotent for {x}");
-        // binary16 has ~3 decimal digits of precision.
-        assert!((once - x).abs() <= x.abs() * 1e-3 + 1e-4, "{x} -> {once}");
-    }
-}
-
-#[test]
-fn f16_bits_roundtrip_preserves_ordering() {
-    let mut rng = DeterministicRng::seed_from_u64(5);
-    for _ in 0..256 {
-        let a = rng.uniform(-1000.0, 1000.0);
-        let b = rng.uniform(-1000.0, 1000.0);
-        let qa = f16_bits_to_f32(f32_to_f16_bits(a));
-        let qb = f16_bits_to_f32(f32_to_f16_bits(b));
-        if a <= b {
-            assert!(qa <= qb + 1e-6, "{a} <= {b} but {qa} > {qb}");
-        }
     }
 }
 

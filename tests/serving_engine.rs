@@ -3,7 +3,7 @@
 //! Four contracts:
 //!
 //! 1. **Equivalence** — mid-wave lane refill (the unified lane
-//!    scheduler's block policy) produces outputs, per-request reuse
+//!    scheduler's block schedule) produces outputs, per-request reuse
 //!    statistics and memo-hit counts bit-identical to draining the same
 //!    sequences per-sequence and to the layer-lockstep wave schedule,
 //!    for every predictor and for ragged lengths.
@@ -21,7 +21,7 @@ use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig, ReuseStats};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, NeuronEvaluator};
 use nfm::serve::{
     CompletionStatus, DeadlinePolicy, Engine, EngineBuilder, EngineError, InferenceRequest,
-    MemoizedRunner, PredictorKind,
+    MemoizedRunner, PredictorKind, RequestOptions,
 };
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
@@ -421,9 +421,11 @@ fn shutdown_refuses_further_submissions() {
 /// The receiving worker has already retired its own short requests when
 /// the donation arrives, so the implant lands in a context mid-stream
 /// (the steal-during-mid-wave-refill configuration), not a fresh one.
-/// Which worker grabs the two long requests is a scheduling race, so
-/// the engine is re-run until a migration happens; bit-identity is
-/// asserted on every attempt regardless.
+/// The long requests each override θ, so the lane that migrates
+/// carries an override with it.  Which worker grabs the two long
+/// requests is a scheduling race, so the engine is re-run until a
+/// migration happens; bit-identity is asserted on every attempt
+/// regardless.
 #[test]
 fn work_stealing_migrates_lanes_bit_identically_across_workers() {
     let (_, net) = unidirectional_networks().into_iter().next().unwrap();
@@ -431,6 +433,7 @@ fn work_stealing_migrates_lanes_bit_identically_across_workers() {
     // Two long sequences (worth stealing) + two ragged shorts (retire
     // early, leaving their worker idle and its context mid-stream).
     let lens: [usize; 4] = [300, 280, 10, 6];
+    let overrides: [Option<f32>; 4] = [Some(0.5), Some(2.0), None, None];
     let seqs: Vec<Vec<Vector>> = lens
         .iter()
         .enumerate()
@@ -439,7 +442,9 @@ fn work_stealing_migrates_lanes_bit_identically_across_workers() {
     let mirror = BinaryNetwork::mirror(&net);
     let reference: Vec<(Vec<Vector>, ReuseStats)> = seqs
         .iter()
-        .map(|seq| {
+        .zip(overrides)
+        .map(|(seq, theta_override)| {
+            let theta = theta_override.unwrap_or(theta);
             let mut eval =
                 BnnMemoEvaluator::new(mirror.clone(), BnnMemoConfig::with_threshold(theta));
             let outputs = net.run(seq, &mut eval).unwrap();
@@ -460,8 +465,12 @@ fn work_stealing_migrates_lanes_bit_identically_across_workers() {
         .build()
         .unwrap();
         for (i, seq) in seqs.iter().enumerate() {
+            let mut options = RequestOptions::new();
+            if let Some(theta) = overrides[i] {
+                options = options.threshold(theta);
+            }
             engine
-                .submit(InferenceRequest::new(i as u64, seq.clone()))
+                .submit(InferenceRequest::new(i as u64, seq.clone()).with_options(options))
                 .unwrap();
         }
         let mut responses = engine.drain();
