@@ -32,7 +32,7 @@
 use nfm_bench::Bencher;
 use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector, PopcountBackend};
 use nfm_control::{AdaptivePredictor, ControllerConfig};
-use nfm_core::{BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator};
+use nfm_core::{BnnMemoConfig, BnnMemoEvaluator, Model, OracleEvaluator};
 use nfm_loadgen::{run_scenario, ArrivalProcess, BlendEntry, Scenario};
 use nfm_net::{NetClient, NetServer, ServerFrame, WireRequest};
 use nfm_rnn::{
@@ -325,19 +325,21 @@ fn main() {
     // converge θ, the median measures the steady-state regime.
     {
         let base = workload(NetworkId::ImdbSentiment, 0.5, 1, 8);
-        let net = base.network();
-        let mirror = Arc::new(BinaryNetwork::mirror(net));
+        let model = Model::from(base.network().clone());
+        let net = model.network();
         let drift =
             SequenceGenerator::new(InputDomain::drifting(), net.input_size(), 11).sequences(8, 48);
         let theta = 0.5;
-        let mut static_eval =
-            BnnMemoEvaluator::new(Arc::clone(&mirror), BnnMemoConfig::with_threshold(theta));
+        let mut static_eval = BnnMemoEvaluator::new(
+            Arc::clone(model.mirror()),
+            BnnMemoConfig::with_threshold(theta),
+        );
         let control = ControllerConfig::new(0.05)
             .audit_period(8)
             .initial_theta(theta)
             .seed(11);
-        let predictor = AdaptivePredictor::new(Arc::clone(&mirror), control);
-        let mut adaptive_eval = predictor.evaluator();
+        let predictor = AdaptivePredictor::new(control);
+        let mut adaptive_eval = predictor.evaluator(&model);
         fn run_drift(
             net: &DeepRnn,
             seqs: &[Vec<Vector>],
@@ -1115,11 +1117,12 @@ fn main() {
             || black_box(submit_pool(&engine)),
             "inference/model_swap/stage_promote",
             || {
+                let next = nfm_model::load_from_slice(&artifact).expect("artifact loads");
                 engine
-                    .swap_model_artifact(
+                    .swap_model(
                         "kws",
-                        &artifact,
-                        &[PredictorKind::Exact],
+                        next,
+                        [PredictorKind::Exact],
                         CanaryConfig::fraction(1.0).min_requests(4),
                     )
                     .expect("stage");

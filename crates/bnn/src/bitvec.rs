@@ -50,17 +50,6 @@ impl BitVector {
         crate::popcount::pack_signs(values, &mut self.words);
     }
 
-    /// Creates a vector from explicit booleans (`true` = `+1`).
-    pub fn from_bools(bits: &[bool]) -> Self {
-        let mut v = BitVector::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                v.set(i, true);
-            }
-        }
-        v
-    }
-
     /// Number of packed signs.
     pub fn len(&self) -> usize {
         self.len
@@ -231,13 +220,6 @@ impl BitVector {
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
     }
-
-    /// Memory footprint of the packed representation in bytes, used by
-    /// the accelerator area/energy model (the sign buffer stores exactly
-    /// these bits).
-    pub fn storage_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
 }
 
 #[cfg(test)]
@@ -269,14 +251,6 @@ mod tests {
             v.fill_from_signs(&values);
             assert_eq!(v, BitVector::from_signs(&values), "len {len}");
         }
-    }
-
-    #[test]
-    fn from_bools_matches_from_signs() {
-        let bools = [true, false, true];
-        let a = BitVector::from_bools(&bools);
-        let b = BitVector::from_signs(&[0.5, -1.0, 2.0]);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -354,12 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn iterator_and_storage() {
+    fn iterator_yields_the_signs() {
         let v = BitVector::from_signs(&[1.0, -1.0, 1.0]);
         let bits: Vec<bool> = v.iter().collect();
         assert_eq!(bits, vec![true, false, true]);
-        assert_eq!(v.storage_bytes(), 8);
-        assert_eq!(BitVector::zeros(65).storage_bytes(), 16);
     }
 
     #[test]

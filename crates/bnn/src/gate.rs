@@ -404,12 +404,6 @@ impl BinaryGate {
     pub fn sign_bit_count(&self) -> usize {
         self.neurons() * (self.input_size + self.hidden_size)
     }
-
-    /// The maximum possible magnitude of a neuron output
-    /// (`input_size + hidden_size`), used to normalise relative errors.
-    pub fn max_output_magnitude(&self) -> i32 {
-        (self.input_size + self.hidden_size) as i32
-    }
 }
 
 #[cfg(test)]
@@ -433,7 +427,6 @@ mod tests {
         assert_eq!(b.input_size(), 10);
         assert_eq!(b.hidden_size(), 6);
         assert_eq!(b.sign_bit_count(), 6 * 16);
-        assert_eq!(b.max_output_magnitude(), 16);
     }
 
     #[test]
@@ -458,7 +451,7 @@ mod tests {
         let h = vec![-1.0; 3];
         for n in 0..3 {
             let out = b.neuron_output_from_raw(n, &x, &h).unwrap();
-            assert!(out.abs() <= b.max_output_magnitude());
+            assert!(out.abs() <= 5 + 3);
         }
     }
 

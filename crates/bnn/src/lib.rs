@@ -16,6 +16,9 @@
 //!   `nfm-rnn` gate / deep network (Figure 9): one packed sign block per
 //!   gate, predicted for every lane of a gate call by one dispatched
 //!   XNOR-popcount kernel ([`popcount`]),
+//! * [`Model`] — one model version's shared artifacts: the network plus
+//!   its mirror, derived at most once and read by every policy and every
+//!   serving worker through clones of one handle,
 //! * [`BitVector`] — packed sign vectors with XNOR-popcount dot
 //!   products, the operand type of the per-neuron reference path,
 //! * [`CorrelationProbe`] — an instrumented evaluator that records paired
@@ -37,6 +40,7 @@ pub mod binarize;
 pub mod bitvec;
 pub mod gate;
 pub mod mirror;
+pub mod model;
 pub mod popcount;
 pub mod probe;
 
@@ -44,6 +48,7 @@ pub use binarize::{binarize_sign, binarize_slice};
 pub use bitvec::BitVector;
 pub use gate::BinaryGate;
 pub use mirror::BinaryNetwork;
+pub use model::Model;
 pub use popcount::PopcountBackend;
 pub use probe::{CorrelationProbe, NeuronSeries};
 

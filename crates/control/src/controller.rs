@@ -133,6 +133,22 @@ struct LayerState {
     pending_error: f64,
 }
 
+impl LayerState {
+    fn initial(config: &ControllerConfig) -> LayerState {
+        LayerState {
+            theta: config
+                .initial_theta
+                .clamp(config.theta_min, config.theta_max),
+            ewma: None,
+            hits: 0,
+            audited: 0,
+            error_sum: 0.0,
+            pending_audits: 0,
+            pending_error: 0.0,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct ControlState {
     layers: Vec<LayerState>,
@@ -177,25 +193,24 @@ impl ThresholdController {
             "theta_min must not exceed theta_max"
         );
         assert!(config.min_audits_per_update >= 1, "quorum must be >= 1");
-        let theta = config
-            .initial_theta
-            .clamp(config.theta_min, config.theta_max);
-        let layer = LayerState {
-            theta,
-            ewma: None,
-            hits: 0,
-            audited: 0,
-            error_sum: 0.0,
-            pending_audits: 0,
-            pending_error: 0.0,
-        };
         ThresholdController {
             config,
             epoch: AtomicU64::new(0),
             inner: Mutex::new(ControlState {
-                layers: vec![layer; layers.max(1)],
+                layers: vec![LayerState::initial(&config); layers.max(1)],
                 updates: 0,
             }),
+        }
+    }
+
+    /// Grows the per-layer state to cover `layers` layers (never
+    /// shrinks); new layers start at the configured initial θ.
+    pub fn track_layers(&self, layers: usize) {
+        let mut inner = self.inner.lock().expect("controller poisoned");
+        if layers > inner.layers.len() {
+            inner
+                .layers
+                .resize(layers, LayerState::initial(&self.config));
         }
     }
 
@@ -220,22 +235,8 @@ impl ThresholdController {
     /// Feeds drained audit telemetry into the controller and applies
     /// any due θ updates.
     pub fn observe(&self, stats: &AuditStats) {
+        self.track_layers(stats.layers().len());
         let mut inner = self.inner.lock().expect("controller poisoned");
-        if stats.layers().len() > inner.layers.len() {
-            let template = LayerState {
-                theta: self
-                    .config
-                    .initial_theta
-                    .clamp(self.config.theta_min, self.config.theta_max),
-                ewma: None,
-                hits: 0,
-                audited: 0,
-                error_sum: 0.0,
-                pending_audits: 0,
-                pending_error: 0.0,
-            };
-            inner.layers.resize(stats.layers().len(), template);
-        }
         let mut changed = false;
         for (state, layer) in inner.layers.iter_mut().zip(stats.layers()) {
             state.hits += layer.hits;

@@ -19,8 +19,10 @@
 //!   deterministic.
 //! * **Serving integration** — [`AdaptivePredictor`] implements
 //!   [`nfm_core::Predictor`], so it registers with the serving engine's
-//!   `ModelRegistry` like any static policy. One controller is
-//!   `Arc`-shared by every worker's [`AdaptiveEvaluator`]; evaluators
+//!   `ModelRegistry` through the same call as any static policy and
+//!   reads the binary mirror of the [`Model`](nfm_core::Model) it is
+//!   served on — it owns no copy. One controller is `Arc`-shared by
+//!   every worker's [`AdaptiveEvaluator`]; evaluators
 //!   drain their audit counters into it and re-read θ **between
 //!   whole-gate calls only** (block boundaries), so all lanes of one
 //!   gate invocation always share a single θ and lane bit-identity
@@ -28,7 +30,7 @@
 //!
 //! With a frozen controller ([`ControllerConfig::frozen_at`]) the
 //! adaptive evaluator is bit-identical to a static
-//! [`BnnPredictor`](nfm_core::BnnPredictor) at the same θ.
+//! [`PredictorKind::Bnn`](nfm_core::PredictorKind::Bnn) at the same θ.
 //!
 //! Determinism note: a single evaluator (or a single-worker engine)
 //! adapts deterministically for a given seed and request order. With

@@ -3,31 +3,27 @@
 use crate::controller::{ControllerConfig, ThresholdController};
 use nfm_bnn::BinaryNetwork;
 use nfm_core::{
-    BnnMemoConfig, BnnMemoEvaluator, ControlSnapshot, LaneState, Predictor, ReuseStats,
+    BnnMemoConfig, BnnMemoEvaluator, ControlSnapshot, LaneState, Model, Predictor, ReuseStats,
     ServedEvaluator,
 };
-use nfm_rnn::{
-    DeepRnn, Gate, GateBatch, NeuronEvaluator, NeuronRef, Result as RnnResult, HOIST_BLOCK,
-};
+use nfm_rnn::{Gate, GateBatch, NeuronEvaluator, NeuronRef, Result as RnnResult, HOIST_BLOCK};
 use std::sync::Arc;
 
-/// An online-adaptive memoization policy as a [`Predictor`] factory.
+/// An online-adaptive memoization policy as a [`Predictor`].
 ///
-/// Holds the model's binary mirror and one shared
-/// [`ThresholdController`]; every worker's evaluator drains audit
-/// telemetry into the controller and re-reads per-layer θ at block
-/// boundaries. Registering it next to static predictors needs no
-/// engine changes.
+/// Holds one shared [`ThresholdController`] and nothing of the model:
+/// every worker's evaluator reads the binary mirror of the [`Model`] it
+/// serves, drains audit telemetry into the controller and re-reads
+/// per-layer θ at block boundaries.  It registers like any static
+/// policy; pass a clone of the `Arc` you keep to read the controller.
 ///
 /// Per-request θ overrides are rejected
 /// ([`Predictor::accepts_threshold_override`] stays `false`): the
 /// controller owns θ — pinning it per request would undo the control
-/// loop. Use a static
-/// [`BnnPredictor`](nfm_core::BnnPredictor) for explicit thresholds.
+/// loop.  Use [`PredictorKind::Bnn`](nfm_core::PredictorKind::Bnn) for
+/// explicit thresholds.
 #[derive(Debug, Clone)]
 pub struct AdaptivePredictor {
-    mirror: Arc<BinaryNetwork>,
-    base: BnnMemoConfig,
     controller: Arc<ThresholdController>,
 }
 
@@ -41,36 +37,13 @@ fn mirror_layers(mirror: &BinaryNetwork) -> usize {
 }
 
 impl AdaptivePredictor {
-    /// An adaptive predictor over a prebuilt `mirror` with default
-    /// memoization settings (throttling on, default ε) and the given
-    /// controller configuration.
-    pub fn new(mirror: impl Into<Arc<BinaryNetwork>>, config: ControllerConfig) -> Self {
-        let base = BnnMemoConfig::with_threshold(config.initial_theta);
-        AdaptivePredictor::with_base(mirror, base, config)
-    }
-
-    /// Like [`new`](AdaptivePredictor::new) but with an explicit base
-    /// [`BnnMemoConfig`] (throttle / ε); its `threshold` is overridden
-    /// by `config.initial_theta` so the uniform fallback always agrees
-    /// with the controller's starting point.
-    pub fn with_base(
-        mirror: impl Into<Arc<BinaryNetwork>>,
-        mut base: BnnMemoConfig,
-        config: ControllerConfig,
-    ) -> Self {
-        let mirror = mirror.into();
-        base.threshold = config.initial_theta;
-        let controller = Arc::new(ThresholdController::new(mirror_layers(&mirror), config));
+    /// An adaptive policy with default memoization settings (throttling
+    /// on, default ε) and the given controller configuration.
+    pub fn new(config: ControllerConfig) -> Self {
         AdaptivePredictor {
-            mirror,
-            base,
-            controller,
+            // Sized by the first model an evaluator is built over.
+            controller: Arc::new(ThresholdController::new(0, config)),
         }
-    }
-
-    /// Builds the mirror of `network` and wraps it.
-    pub fn for_network(network: &DeepRnn, config: ControllerConfig) -> Self {
-        AdaptivePredictor::new(BinaryNetwork::mirror(network), config)
     }
 
     /// The shared controller (live state; snapshots via
@@ -79,24 +52,13 @@ impl AdaptivePredictor {
         &self.controller
     }
 
-    /// The shared binary mirror.
-    pub fn mirror(&self) -> &Arc<BinaryNetwork> {
-        &self.mirror
-    }
-
-    /// The memoization settings evaluators start from.
-    pub fn base_config(&self) -> BnnMemoConfig {
-        self.base
-    }
-
-    /// Builds the concrete evaluator type (the trait object path goes
-    /// through [`Predictor::build_evaluator`]).
-    pub fn evaluator(&self) -> AdaptiveEvaluator {
-        AdaptiveEvaluator::new(
-            Arc::clone(&self.mirror),
-            self.base,
-            Arc::clone(&self.controller),
-        )
+    /// Builds the concrete evaluator type over `model`'s mirror (the
+    /// trait object path goes through [`Predictor::build_evaluator`]).
+    pub fn evaluator(&self, model: &Model) -> AdaptiveEvaluator {
+        self.prepare(model);
+        let base = BnnMemoConfig::with_threshold(self.controller.config().initial_theta);
+        let mirror = Arc::clone(model.mirror());
+        AdaptiveEvaluator::new(mirror, base, Arc::clone(&self.controller))
     }
 }
 
@@ -105,8 +67,13 @@ impl Predictor for AdaptivePredictor {
         "adaptive"
     }
 
-    fn build_evaluator(&self, _network: &DeepRnn) -> Box<dyn ServedEvaluator> {
-        Box::new(self.evaluator())
+    fn build_evaluator(&self, model: &Model) -> Box<dyn ServedEvaluator> {
+        Box::new(self.evaluator(model))
+    }
+
+    /// Builds the mirror and sizes the controller to the model's layers.
+    fn prepare(&self, model: &Model) {
+        self.controller.track_layers(mirror_layers(model.mirror()));
     }
 
     fn control_snapshot(&self) -> Option<ControlSnapshot> {
@@ -266,14 +233,14 @@ impl ServedEvaluator for AdaptiveEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfm_rnn::{CellKind, DeepRnnConfig, ExactEvaluator};
+    use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator};
     use nfm_tensor::rng::DeterministicRng;
     use nfm_tensor::Vector;
 
-    fn network(seed: u64) -> DeepRnn {
+    fn network(seed: u64) -> Model {
         let cfg = DeepRnnConfig::new(CellKind::Lstm, 8, 12);
         let mut rng = DeterministicRng::seed_from_u64(seed);
-        DeepRnn::random(&cfg, &mut rng).unwrap()
+        Model::from(DeepRnn::random(&cfg, &mut rng).unwrap())
     }
 
     fn smooth_sequence(len: usize, width: usize, seed: u64) -> Vec<Vector> {
@@ -291,14 +258,14 @@ mod tests {
 
     #[test]
     fn frozen_controller_is_bit_identical_to_static() {
-        let net = network(1);
+        let model = network(1);
+        let net = model.network();
         let seqs: Vec<_> = (0..4).map(|i| smooth_sequence(40, 8, 10 + i)).collect();
         let theta = 1.0;
-        let predictor =
-            AdaptivePredictor::for_network(&net, ControllerConfig::frozen_at(0.05, theta));
-        let mut adaptive = predictor.evaluator();
+        let predictor = AdaptivePredictor::new(ControllerConfig::frozen_at(0.05, theta));
+        let mut adaptive = predictor.evaluator(&model);
         let mut fixed = BnnMemoEvaluator::new(
-            Arc::clone(predictor.mirror()),
+            Arc::clone(model.mirror()),
             BnnMemoConfig::with_threshold(theta),
         );
         for seq in &seqs {
@@ -317,14 +284,13 @@ mod tests {
 
     #[test]
     fn adaptation_is_deterministic() {
-        let net = network(3);
+        let model = network(3);
+        let net = model.network();
         let seqs: Vec<_> = (0..6).map(|i| smooth_sequence(50, 8, 20 + i)).collect();
         let run = || {
-            let predictor = AdaptivePredictor::for_network(
-                &net,
-                ControllerConfig::new(0.02).min_audits_per_update(2),
-            );
-            let mut evaluator = predictor.evaluator();
+            let predictor =
+                AdaptivePredictor::new(ControllerConfig::new(0.02).min_audits_per_update(2));
+            let mut evaluator = predictor.evaluator(&model);
             let outputs: Vec<_> = seqs
                 .iter()
                 .map(|s| net.run(s, &mut evaluator).unwrap())
@@ -340,17 +306,17 @@ mod tests {
 
     #[test]
     fn tight_slo_shrinks_theta_and_loose_slo_grows_it() {
-        let net = network(5);
+        let model = network(5);
+        let net = model.network();
         let seqs: Vec<_> = (0..8).map(|i| smooth_sequence(60, 8, 30 + i)).collect();
         let drive = |slo: f64| {
-            let predictor = AdaptivePredictor::for_network(
-                &net,
+            let predictor = AdaptivePredictor::new(
                 ControllerConfig::new(slo)
                     .initial_theta(1.0)
                     .audit_period(4)
                     .min_audits_per_update(2),
             );
-            let mut evaluator = predictor.evaluator();
+            let mut evaluator = predictor.evaluator(&model);
             for seq in &seqs {
                 let _ = net.run(seq, &mut evaluator).unwrap();
             }
@@ -365,25 +331,26 @@ mod tests {
 
     #[test]
     fn predictor_reports_control_snapshot_and_rejects_overrides() {
-        let net = network(7);
-        let predictor = AdaptivePredictor::for_network(&net, ControllerConfig::new(0.1));
+        let predictor = AdaptivePredictor::new(ControllerConfig::new(0.1));
         assert_eq!(predictor.name(), "adaptive");
         assert!(!predictor.accepts_threshold_override());
+        // The controller tracks the layers of whatever model it serves.
+        let _ = predictor.build_evaluator(&network(7));
         let snap = predictor.control_snapshot().expect("adaptive has control");
         assert_eq!(snap.slo, 0.1);
-        assert!(!snap.layers.is_empty());
+        assert_eq!(snap.layers.len(), 1);
     }
 
     #[test]
     fn lane_state_roundtrips_between_evaluators() {
-        let net = network(9);
+        let model = network(9);
+        let net = model.network();
         let seq = smooth_sequence(30, 8, 40);
-        let predictor =
-            AdaptivePredictor::for_network(&net, ControllerConfig::frozen_at(0.05, 1.0));
+        let predictor = AdaptivePredictor::new(ControllerConfig::frozen_at(0.05, 1.0));
         // Drive one evaluator so lane 0 holds real state.
-        let mut donor = predictor.evaluator();
+        let mut donor = predictor.evaluator(&model);
         net.run(&seq, &mut donor).unwrap();
-        let mut receiver = predictor.evaluator();
+        let mut receiver = predictor.evaluator(&model);
         receiver.begin_batch(1);
         let state = ServedEvaluator::export_lane_state(&mut donor, 0).unwrap();
         assert!(ServedEvaluator::import_lane_state(&mut receiver, 0, state));
@@ -394,14 +361,13 @@ mod tests {
         // The adaptive θ floor can be pushed so low the evaluator
         // degenerates to (nearly) exact inference; outputs must stay
         // finite and bounded like the plain evaluator's.
-        let net = network(11);
+        let model = network(11);
+        let net = model.network();
         let seq = smooth_sequence(20, 8, 50);
         let exact = net.run(&seq, &mut ExactEvaluator::new()).unwrap();
-        let predictor = AdaptivePredictor::for_network(
-            &net,
-            ControllerConfig::frozen_at(0.0, -1.0).theta_range(-1.0, 1.0),
-        );
-        let mut evaluator = predictor.evaluator();
+        let predictor =
+            AdaptivePredictor::new(ControllerConfig::frozen_at(0.0, -1.0).theta_range(-1.0, 1.0));
+        let mut evaluator = predictor.evaluator(&model);
         let out = net.run(&seq, &mut evaluator).unwrap();
         assert_eq!(exact, out, "θ<0 degenerates to exact inference");
     }

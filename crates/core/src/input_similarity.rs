@@ -85,11 +85,6 @@ impl InputSimilarityEvaluator {
         self.config
     }
 
-    /// Resets the accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
     fn relative_l1_change(cached: &[f32], current: &[f32], epsilon: f32) -> f32 {
         debug_assert_eq!(cached.len(), current.len());
         let mut diff = 0.0f32;

@@ -25,11 +25,11 @@
 //! * [`ThresholdExplorer`] — the per-model threshold search of
 //!   Section 3.2.1 (pick the largest reuse whose accuracy loss stays
 //!   within a target).
-//! * [`Predictor`] / [`ServedEvaluator`] — the open evaluator-factory
-//!   abstraction: one memoization policy bound to one model, stamping
-//!   out per-worker evaluators from `Arc`-shared artifacts.
-//!   [`PredictorKind`] names the built-in family
-//!   (exact/oracle/BNN) and instantiates it for a network.
+//! * [`Model`] / [`Predictor`] / [`ServedEvaluator`] — the serving
+//!   abstraction: a `Model` is one version's shared artifacts (network
+//!   plus the mirror derived from it once), a `Predictor` is a policy
+//!   that stamps out per-worker evaluators over a `Model`, and
+//!   [`PredictorKind`] is the built-in family (exact/oracle/BNN).
 //!
 //! The request-oriented serving surface — `MemoizedRunner`,
 //! `InferenceWorkload` and the `Engine` they wrap — lives in the
@@ -39,17 +39,17 @@
 //! # Example
 //!
 //! ```
-//! use nfm_core::{BnnMemoConfig, BnnMemoEvaluator, ReuseStats};
-//! use nfm_bnn::BinaryNetwork;
+//! use nfm_core::{BnnMemoConfig, BnnMemoEvaluator, Model, ReuseStats};
 //! use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig};
 //! use nfm_tensor::rng::DeterministicRng;
 //! use nfm_tensor::Vector;
 //!
 //! let cfg = DeepRnnConfig::new(CellKind::Lstm, 4, 8);
 //! let mut rng = DeterministicRng::seed_from_u64(1);
-//! let net = DeepRnn::random(&cfg, &mut rng).unwrap();
-//! let mirror = BinaryNetwork::mirror(&net);
-//! let mut evaluator = BnnMemoEvaluator::new(mirror, BnnMemoConfig::with_threshold(0.1));
+//! let model = Model::from(DeepRnn::random(&cfg, &mut rng).unwrap());
+//! let net = model.network();
+//! let mut evaluator =
+//!     BnnMemoEvaluator::new(model.mirror().clone(), BnnMemoConfig::with_threshold(0.1));
 //! let seq: Vec<Vector> = (0..10).map(|_| Vector::from_fn(4, |i| (i as f32) * 0.1)).collect();
 //! let _ = net.run(&seq, &mut evaluator).unwrap();
 //! let stats: &ReuseStats = evaluator.stats();
@@ -72,12 +72,10 @@ pub use audit::{AuditConfig, AuditStats, ControlSnapshot, LayerAudit, LayerContr
 pub use config::{BnnMemoConfig, OracleMemoConfig};
 pub use input_similarity::{InputSimilarityConfig, InputSimilarityEvaluator};
 pub use lanes::MemoLanes;
+pub use nfm_bnn::Model;
 pub use oracle::OracleEvaluator;
 pub use predictor::BnnMemoEvaluator;
-pub use serving::{
-    BnnPredictor, ExactPredictor, LaneState, OraclePredictor, Predictor, PredictorKind,
-    ServedEvaluator,
-};
+pub use serving::{LaneState, Predictor, PredictorKind, ServedEvaluator};
 pub use similarity::SimilarityProbe;
 pub use stats::ReuseStats;
 pub use table::{GateColumns, GateHandle, MemoEntry, MemoTable};

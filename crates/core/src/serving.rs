@@ -2,16 +2,20 @@
 //!
 //! The paper's FMU is one instance of a *family* of memoization
 //! policies (the micro 2019 evaluation compares oracle, BNN and
-//! threshold variants side by side).  This module makes that family an
-//! open set: a [`Predictor`] is an **evaluator factory** — it owns the
-//! `Arc`-shared immutable artifacts of one policy applied to one model
-//! (configuration, the prebuilt [`BinaryNetwork`] mirror) and stamps
-//! out one private [`ServedEvaluator`] per engine worker, so workers
-//! never clone weights or mirrors and never share mutable state.
+//! threshold variants side by side) over the same trained networks.
+//! This module says that once: a model version's shared artifacts are a
+//! [`Model`] — the network plus the binary mirror derived from its
+//! weights at most once — and a [`Predictor`] is a **policy**: it holds
+//! configuration only and stamps out one private [`ServedEvaluator`]
+//! per engine worker from the `Model` it is handed, so any number of
+//! policies and workers read one set of weights and one mirror and
+//! never share mutable state.
 //!
-//! * [`Predictor`] — the factory trait.  Anything implementing it can
-//!   be registered with the serving engine's model registry and served
-//!   next to the built-ins.
+//! * [`Predictor`] — the policy trait.  Anything implementing it
+//!   registers with the serving engine's model registry, next to the
+//!   built-ins and through the same call.
+//! * [`PredictorKind`] — the built-in family (exact / oracle / BNN),
+//!   itself a [`Predictor`].
 //! * [`ServedEvaluator`] — [`NeuronEvaluator`] plus the optional
 //!   per-lane hooks the engine drives a request through: harvest the
 //!   lane's [`ReuseStats`], install the request's `θ` override on its
@@ -19,11 +23,6 @@
 //!   keep no counters (the exact baseline, most custom evaluators)
 //!   implement nothing: the engine synthesizes all-computed statistics
 //!   from the request's length.
-//! * [`ExactPredictor`] / [`OraclePredictor`] / [`BnnPredictor`] — the
-//!   built-in policies as factories.
-//! * [`PredictorKind`] — the closed enum naming the built-in family;
-//!   [`PredictorKind::instantiate`] turns a kind into its factory for a
-//!   concrete network (prebuilding the binary mirror once for the BNN).
 
 use crate::audit::ControlSnapshot;
 use crate::config::{BnnMemoConfig, OracleMemoConfig};
@@ -31,8 +30,8 @@ use crate::lanes::MemoLaneState;
 use crate::oracle::OracleEvaluator;
 use crate::predictor::BnnMemoEvaluator;
 use crate::stats::ReuseStats;
-use nfm_bnn::BinaryNetwork;
-use nfm_rnn::{DeepRnn, ExactEvaluator, NeuronEvaluator};
+use nfm_bnn::Model;
+use nfm_rnn::{ExactEvaluator, NeuronEvaluator};
 use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
@@ -163,28 +162,40 @@ macro_rules! serve_from_memo_lanes {
 serve_from_memo_lanes!(OracleEvaluator);
 serve_from_memo_lanes!(BnnMemoEvaluator);
 
-/// An evaluator factory: one memoization policy bound to one model.
+/// A memoization policy: how to evaluate the neurons of whatever
+/// [`Model`] it is applied to.
 ///
-/// Implementations hold only `Arc`-shared immutable artifacts (policy
-/// configuration, the prebuilt binary mirror); every engine worker
-/// calls [`build_evaluator`](Predictor::build_evaluator) once to get a
-/// private mutable evaluator, so the hot path never synchronizes and
-/// worker memory never scales with the shared artifacts.
+/// Implementations hold policy only (configuration, a shared
+/// controller) — the weights and the binary mirror belong to the
+/// `Model`.  The registry calls [`prepare`](Predictor::prepare) once on
+/// the registering thread when the policy is filed for a model version,
+/// so what the policy reads from the `Model` exists before the first
+/// request; every engine worker then calls
+/// [`build_evaluator`](Predictor::build_evaluator) once to get a private
+/// mutable evaluator, so the hot path never synchronizes and worker
+/// memory never scales with the shared artifacts.
 ///
-/// Custom policies implement this trait and register through the
-/// serving engine's model registry; the built-ins are
-/// [`ExactPredictor`], [`OraclePredictor`] and [`BnnPredictor`]
-/// (usually reached through [`PredictorKind::instantiate`]).
+/// The built-in family is [`PredictorKind`]; custom policies implement
+/// this trait and register through the same calls.
 pub trait Predictor: Send + Sync + fmt::Debug {
-    /// The name under which a registry files this predictor when the
-    /// caller does not pick one ("exact", "oracle", "bnn", …).
+    /// The name a registry files this predictor under and requests pick
+    /// it by ("exact", "oracle", "bnn", …).  One model serves each name
+    /// once; a second configuration of the same policy is a `Predictor`
+    /// with its own name.
     fn name(&self) -> &str;
 
-    /// Builds one private evaluator for a worker.  `network` is the
-    /// model this predictor was registered for — factories that
-    /// prebuild per-network state (tables sized up front, mirrors) may
-    /// ignore it and use their shared artifacts instead.
-    fn build_evaluator(&self, network: &DeepRnn) -> Box<dyn ServedEvaluator>;
+    /// Builds one private evaluator over `model`'s shared artifacts.
+    fn build_evaluator(&self, model: &Model) -> Box<dyn ServedEvaluator>;
+
+    /// Called once when the policy is filed for `model`, before any
+    /// evaluator is built over it.  A policy whose evaluators read
+    /// [`Model::mirror`] touches it here, so the mirror is built where
+    /// the version is registered and never by a worker; the default
+    /// does nothing (a mirror nobody prepared is still built, once, by
+    /// the first evaluator that asks).
+    fn prepare(&self, model: &Model) {
+        let _ = model;
+    }
 
     /// Whether a request may override the reuse threshold `θ`.  A
     /// policy that returns `true` builds evaluators that honour
@@ -208,123 +219,44 @@ pub trait Predictor: Send + Sync + fmt::Debug {
     }
 }
 
-/// The exact baseline as a factory: every neuron computed, nothing
-/// memoized, no threshold.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ExactPredictor;
-
-impl Predictor for ExactPredictor {
+/// A shared policy is the policy: callers that keep a handle on what
+/// they register (an adaptive predictor's controller) pass a clone of
+/// their `Arc`.
+impl<P: Predictor + ?Sized> Predictor for Arc<P> {
     fn name(&self) -> &str {
-        "exact"
+        (**self).name()
     }
 
-    fn build_evaluator(&self, _network: &DeepRnn) -> Box<dyn ServedEvaluator> {
-        Box::new(ExactEvaluator::new())
-    }
-}
-
-/// The oracle predictor of Figure 6 as a factory.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OraclePredictor {
-    config: OracleMemoConfig,
-}
-
-impl OraclePredictor {
-    /// A factory producing oracle evaluators with `config`.
-    pub fn new(config: OracleMemoConfig) -> Self {
-        OraclePredictor { config }
+    fn build_evaluator(&self, model: &Model) -> Box<dyn ServedEvaluator> {
+        (**self).build_evaluator(model)
     }
 
-    /// The configuration evaluators are built with.
-    pub fn config(&self) -> OracleMemoConfig {
-        self.config
-    }
-}
-
-impl Predictor for OraclePredictor {
-    fn name(&self) -> &str {
-        "oracle"
-    }
-
-    fn build_evaluator(&self, network: &DeepRnn) -> Box<dyn ServedEvaluator> {
-        Box::new(OracleEvaluator::for_network(network, self.config))
+    fn prepare(&self, model: &Model) {
+        (**self).prepare(model)
     }
 
     fn accepts_threshold_override(&self) -> bool {
-        true
+        (**self).accepts_threshold_override()
+    }
+
+    fn control_snapshot(&self) -> Option<ControlSnapshot> {
+        (**self).control_snapshot()
     }
 }
 
-/// The BNN predictor of Figure 10 as a factory: holds the binary mirror
-/// of its model behind an `Arc`, so every worker's evaluator consults
-/// the **same** prebuilt sign buffers — worker memory does not scale
-/// with mirror size.
-#[derive(Debug, Clone)]
-pub struct BnnPredictor {
-    mirror: Arc<BinaryNetwork>,
-    config: BnnMemoConfig,
-}
-
-impl BnnPredictor {
-    /// A factory producing BNN-memoized evaluators over a prebuilt
-    /// `mirror` (built once per model, shared by every worker).
-    pub fn new(mirror: impl Into<Arc<BinaryNetwork>>, config: BnnMemoConfig) -> Self {
-        BnnPredictor {
-            mirror: mirror.into(),
-            config,
-        }
-    }
-
-    /// Builds the mirror of `network` and wraps it.  Prefer
-    /// [`BnnPredictor::new`] with a shared mirror when several
-    /// predictors serve the same model.
-    pub fn mirror_of(network: &DeepRnn, config: BnnMemoConfig) -> Self {
-        BnnPredictor::new(BinaryNetwork::mirror(network), config)
-    }
-
-    /// The shared binary mirror.
-    pub fn mirror(&self) -> &Arc<BinaryNetwork> {
-        &self.mirror
-    }
-
-    /// The configuration evaluators are built with.
-    pub fn config(&self) -> BnnMemoConfig {
-        self.config
-    }
-}
-
-impl Predictor for BnnPredictor {
-    fn name(&self) -> &str {
-        "bnn"
-    }
-
-    fn build_evaluator(&self, _network: &DeepRnn) -> Box<dyn ServedEvaluator> {
-        Box::new(BnnMemoEvaluator::new(Arc::clone(&self.mirror), self.config))
-    }
-
-    fn accepts_threshold_override(&self) -> bool {
-        true
-    }
-}
-
-/// The built-in predictor family by name — the closed enum the serving
-/// API grew up around, kept as the convenient way to pick a built-in
-/// policy.  [`PredictorKind::instantiate`] turns a kind into its open
-/// [`Predictor`] factory for a concrete network.
+/// The built-in predictor family.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PredictorKind {
     /// No memoization: the exact baseline.
     Exact,
     /// The oracle predictor of Figure 6.
     Oracle(OracleMemoConfig),
-    /// The BNN predictor of Figure 10.
+    /// The BNN predictor of Figure 10, over the model's shared mirror.
     Bnn(BnnMemoConfig),
 }
 
-impl PredictorKind {
-    /// The registry name of this kind: `"exact"`, `"oracle"` or
-    /// `"bnn"`.
-    pub fn name(&self) -> &'static str {
+impl Predictor for PredictorKind {
+    fn name(&self) -> &str {
         match self {
             PredictorKind::Exact => "exact",
             PredictorKind::Oracle(_) => "oracle",
@@ -332,35 +264,33 @@ impl PredictorKind {
         }
     }
 
-    /// Whether instantiating this kind needs the model's binary mirror.
-    pub fn needs_mirror(&self) -> bool {
-        matches!(self, PredictorKind::Bnn(_))
-    }
-
-    /// Builds the factory for this kind applied to `network`.  `mirror`
-    /// lets the caller share one prebuilt [`BinaryNetwork`] across
-    /// several BNN predictors of the same model; `None` builds it here
-    /// (only when [`needs_mirror`](PredictorKind::needs_mirror)).
-    pub fn instantiate(
-        &self,
-        network: &DeepRnn,
-        mirror: Option<Arc<BinaryNetwork>>,
-    ) -> Arc<dyn Predictor> {
+    fn build_evaluator(&self, model: &Model) -> Box<dyn ServedEvaluator> {
         match self {
-            PredictorKind::Exact => Arc::new(ExactPredictor),
-            PredictorKind::Oracle(config) => Arc::new(OraclePredictor::new(*config)),
+            PredictorKind::Exact => Box::new(ExactEvaluator::new()),
+            PredictorKind::Oracle(config) => {
+                Box::new(OracleEvaluator::for_network(model.network(), *config))
+            }
             PredictorKind::Bnn(config) => {
-                let mirror = mirror.unwrap_or_else(|| Arc::new(BinaryNetwork::mirror(network)));
-                Arc::new(BnnPredictor::new(mirror, *config))
+                Box::new(BnnMemoEvaluator::new(Arc::clone(model.mirror()), *config))
             }
         }
+    }
+
+    fn prepare(&self, model: &Model) {
+        if matches!(self, PredictorKind::Bnn(_)) {
+            model.mirror();
+        }
+    }
+
+    fn accepts_threshold_override(&self) -> bool {
+        !matches!(self, PredictorKind::Exact)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfm_rnn::{CellKind, DeepRnnConfig};
+    use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig};
     use nfm_tensor::rng::DeterministicRng;
     use nfm_tensor::Vector;
 
@@ -385,31 +315,17 @@ mod tests {
     }
 
     #[test]
-    fn kinds_name_their_factories() {
-        let net = network();
-        for kind in [
-            PredictorKind::Exact,
-            PredictorKind::Oracle(OracleMemoConfig::with_threshold(0.2)),
-            PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5)),
-        ] {
-            let factory = kind.instantiate(&net, None);
-            assert_eq!(factory.name(), kind.name());
-            assert_eq!(kind.needs_mirror(), kind.name() == "bnn");
-        }
-    }
-
-    #[test]
     fn built_evaluators_match_direct_construction_bitwise() {
-        let net = network();
-        let seq = sequence(&net, 12);
-        let mirror = Arc::new(BinaryNetwork::mirror(&net));
+        let model = Model::from(network());
+        let net = model.network();
+        let seq = sequence(net, 12);
         let config = BnnMemoConfig::with_threshold(1.0);
-        let factory = PredictorKind::Bnn(config).instantiate(&net, Some(Arc::clone(&mirror)));
-        let mut built = factory.build_evaluator(&net);
-        let from_factory = net.run(&seq, built.as_mut()).unwrap();
-        let mut direct = BnnMemoEvaluator::new(Arc::clone(&mirror), config);
+        // A shared handle on a policy builds what the policy builds.
+        let mut built = Arc::new(PredictorKind::Bnn(config)).build_evaluator(&model);
+        let from_policy = net.run(&seq, built.as_mut()).unwrap();
+        let mut direct = BnnMemoEvaluator::new(Arc::clone(model.mirror()), config);
         let reference = net.run(&seq, &mut direct).unwrap();
-        assert_eq!(from_factory, reference);
+        assert_eq!(from_policy, reference);
         assert_eq!(
             built.stats_snapshot().map(|s| s.reuses()),
             Some(direct.stats().reuses())
@@ -418,14 +334,22 @@ mod tests {
 
     #[test]
     fn only_thresholded_policies_accept_overrides() {
-        let net = network();
-        assert!(!ExactPredictor.accepts_threshold_override());
-        assert!(OraclePredictor::new(OracleMemoConfig::with_threshold(0.4))
-            .accepts_threshold_override());
-        assert!(
-            BnnPredictor::mirror_of(&net, BnnMemoConfig::with_threshold(0.5))
-                .accepts_threshold_override()
-        );
+        for (kind, name, accepts) in [
+            (PredictorKind::Exact, "exact", false),
+            (
+                PredictorKind::Oracle(OracleMemoConfig::with_threshold(0.4)),
+                "oracle",
+                true,
+            ),
+            (
+                PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5)),
+                "bnn",
+                true,
+            ),
+        ] {
+            assert_eq!(kind.name(), name);
+            assert_eq!(kind.accepts_threshold_override(), accepts);
+        }
     }
 
     #[test]

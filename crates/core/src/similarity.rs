@@ -29,16 +29,6 @@ impl SimilarityProbe {
         }
     }
 
-    /// Creates a probe with an explicit near-zero clamp for the relative
-    /// difference denominator.
-    pub fn with_epsilon(epsilon: f32) -> Self {
-        SimilarityProbe {
-            previous: HashMap::new(),
-            relative_changes: Vec::new(),
-            epsilon,
-        }
-    }
-
     /// All recorded relative changes (one per neuron per consecutive
     /// timestep pair), as fractions (0.1 = 10%).
     pub fn relative_changes(&self) -> &[f32] {
@@ -159,7 +149,7 @@ mod tests {
     #[test]
     fn a_new_sequence_breaks_the_chain() {
         let (net, seq) = setup(4);
-        let mut probe = SimilarityProbe::with_epsilon(1e-3);
+        let mut probe = SimilarityProbe::new();
         let _ = net.run(&seq, &mut probe).unwrap();
         let first = probe.relative_changes().len();
         let _ = net.run(&seq, &mut probe).unwrap();

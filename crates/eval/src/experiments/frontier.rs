@@ -13,9 +13,8 @@
 
 use crate::harness::EvalConfig;
 use crate::report::{ExperimentReport, Series, TableReport};
-use nfm_bnn::BinaryNetwork;
 use nfm_control::{AdaptivePredictor, ControllerConfig};
-use nfm_core::{AuditConfig, BnnMemoConfig, BnnMemoEvaluator};
+use nfm_core::{AuditConfig, BnnMemoConfig, BnnMemoEvaluator, Model};
 use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig};
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
@@ -111,17 +110,17 @@ fn sweep(steps: usize) -> Vec<f32> {
 }
 
 fn run_static(
-    net: &DeepRnn,
-    mirror: &Arc<BinaryNetwork>,
+    model: &Model,
     theta: f32,
     audit: AuditConfig,
     sequences: &[Vec<Vector>],
 ) -> FrontierPoint {
-    let mut evaluator =
-        BnnMemoEvaluator::new(Arc::clone(mirror), BnnMemoConfig::with_threshold(theta))
-            .with_audit(audit);
+    let config = BnnMemoConfig::with_threshold(theta);
+    let mut evaluator = BnnMemoEvaluator::new(Arc::clone(model.mirror()), config).with_audit(audit);
     for sequence in sequences {
-        net.run(sequence, &mut evaluator)
+        model
+            .network()
+            .run(sequence, &mut evaluator)
             .expect("frontier static run");
     }
     FrontierPoint {
@@ -132,8 +131,7 @@ fn run_static(
 }
 
 fn run_adaptive(
-    net: &DeepRnn,
-    mirror: &Arc<BinaryNetwork>,
+    model: &Model,
     slo: f64,
     seed: u64,
     sequences: &[Vec<Vector>],
@@ -148,10 +146,12 @@ fn run_adaptive(
         .alpha(0.3)
         .gains(1.25, 0.6)
         .seed(seed);
-    let predictor = AdaptivePredictor::new(Arc::clone(mirror), config);
-    let mut evaluator = predictor.evaluator();
+    let predictor = AdaptivePredictor::new(config);
+    let mut evaluator = predictor.evaluator(model);
     for sequence in sequences {
-        net.run(sequence, &mut evaluator)
+        model
+            .network()
+            .run(sequence, &mut evaluator)
             .expect("frontier adaptive run");
     }
     evaluator.flush();
@@ -193,18 +193,20 @@ pub fn frontier_for_regime(
     domain: InputDomain,
     salt: u64,
 ) -> RegimeFrontier {
-    let net = network(config, config.seed ^ (salt.wrapping_mul(0x9E37_79B9)));
-    let mirror = Arc::new(BinaryNetwork::mirror(&net));
+    let model = Model::from(network(
+        config,
+        config.seed ^ (salt.wrapping_mul(0x9E37_79B9)),
+    ));
     let length = config.sequence_length.unwrap_or(60);
     let sequences = SequenceGenerator::new(domain, FEATURES, config.seed.wrapping_add(salt))
         .sequences(config.sequences, length);
     let audit = AuditConfig::new(AUDIT_PERIOD, config.seed);
     let statics: Vec<FrontierPoint> = sweep(config.threshold_steps)
         .into_iter()
-        .map(|theta| run_static(&net, &mirror, theta, audit, &sequences))
+        .map(|theta| run_static(&model, theta, audit, &sequences))
         .collect();
     let slo = pick_slo(&statics);
-    let (adaptive, adaptive_thetas) = run_adaptive(&net, &mirror, slo, config.seed, &sequences);
+    let (adaptive, adaptive_thetas) = run_adaptive(&model, slo, config.seed, &sequences);
     RegimeFrontier {
         regime,
         slo,

@@ -58,7 +58,7 @@
 //! reconstruction happens.
 
 use crate::error::{ModelArtifactError, Result};
-use nfm_bnn::{BinaryGate, BinaryNetwork};
+use nfm_bnn::{BinaryGate, BinaryNetwork, Model};
 use nfm_rnn::{Cell, DeepRnn, Dense, Gate, GateKind, GruCell, Layer, LstmCell};
 use nfm_tensor::activation::Activation;
 use nfm_tensor::arena::ArenaU64;
@@ -455,6 +455,14 @@ impl LoadedModel {
     /// Total tensor bytes held by the shared arena.
     pub fn arena_bytes(&self) -> usize {
         self.arena.len_bytes()
+    }
+}
+
+/// A loaded artifact as a servable model version: the mirror the
+/// artifact carried is the version's mirror, never rebuilt.
+impl From<LoadedModel> for Model {
+    fn from(loaded: LoadedModel) -> Model {
+        Model::with_mirror(loaded.network, loaded.mirror)
     }
 }
 

@@ -22,7 +22,7 @@
 //! ```
 //! use nfm_core::PredictorKind;
 //! use nfm_net::{NetClient, NetServer, ServerFrame, WireRequest};
-//! use nfm_serve::Engine;
+//! use nfm_serve::EngineBuilder;
 //! use nfm_workloads::{NetworkId, WorkloadBuilder};
 //!
 //! let workload = WorkloadBuilder::new(NetworkId::ImdbSentiment)
@@ -32,7 +32,7 @@
 //!     .seed(7)
 //!     .build()
 //!     .unwrap();
-//! let engine = Engine::builder(workload.network().clone(), PredictorKind::Exact)
+//! let engine = EngineBuilder::new(workload.network().clone(), PredictorKind::Exact)
 //!     .workers(1)
 //!     .build()
 //!     .unwrap();

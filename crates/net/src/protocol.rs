@@ -734,8 +734,8 @@ impl WirePredictorKind {
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdminOp {
     /// Stage `artifact` as the next version of `model` and canary a
-    /// fraction of its live traffic onto it (the engine's
-    /// `swap_model_artifact`).
+    /// fraction of its live traffic onto it (the server decodes the
+    /// artifact and calls the engine's `swap_model`).
     Swap {
         /// The model to swap.
         model: String,

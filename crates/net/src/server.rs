@@ -502,8 +502,9 @@ impl NetServer {
                 let canary = CanaryConfig::fraction(*fraction)
                     .min_requests(*min_requests)
                     .tolerance(*tolerance);
-                self.engine
-                    .swap_model_artifact(model.as_str(), artifact, &kinds, canary)
+                nfm_serve::model::load_from_slice(artifact)
+                    .map_err(EngineError::from)
+                    .and_then(|next| self.engine.swap_model(model.as_str(), next, kinds, canary))
             }
             AdminOp::Evict { model } => self.engine.evict_model(model.as_str()).map(|()| 0),
         };

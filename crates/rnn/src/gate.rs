@@ -246,12 +246,6 @@ impl Gate {
         self.activation
     }
 
-    /// Number of weights fetched when a single neuron is evaluated
-    /// exactly (forward + recurrent row).
-    pub fn weights_per_neuron(&self) -> usize {
-        self.input_size() + self.hidden_size()
-    }
-
     /// Total number of weights in the gate.
     pub fn weight_count(&self) -> usize {
         self.wx.element_count() + self.wh.element_count()
@@ -473,7 +467,6 @@ mod tests {
         assert_eq!(g.neurons(), 4);
         assert_eq!(g.input_size(), 6);
         assert_eq!(g.hidden_size(), 4);
-        assert_eq!(g.weights_per_neuron(), 10);
         assert_eq!(g.weight_count(), 40);
         assert!(g.peephole().is_some());
         assert!(Gate::random(0, 1, 1, Activation::Sigmoid, false, &mut rng).is_err());

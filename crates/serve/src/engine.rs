@@ -6,9 +6,9 @@ use crate::request::{
     CompletionStatus, DeadlinePolicy, InferenceRequest, InferenceResponse, Priority, RequestId,
 };
 use crate::worker::{LaneWorker, MigratedLane, QueuedRequest, ResponseTag, StealBridge};
-use nfm_bnn::BinaryNetwork;
-use nfm_core::{ControlSnapshot, PredictorKind, ReuseStats};
-use nfm_rnn::{DeepRnn, RnnError};
+use nfm_core::{ControlSnapshot, Model, Predictor, ReuseStats};
+use nfm_model::ModelArtifactError;
+use nfm_rnn::RnnError;
 use nfm_tensor::Vector;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
@@ -72,7 +72,7 @@ pub enum EngineError {
     /// The request overrides the threshold of a predictor that accepts
     /// no override (the exact baseline, the adaptive predictor, custom
     /// predictors that leave
-    /// [`Predictor::accepts_threshold_override`](nfm_core::Predictor::accepts_threshold_override)
+    /// [`Predictor::accepts_threshold_override`]
     /// at its default).
     ThresholdUnsupported {
         /// The model the request targeted.
@@ -107,8 +107,8 @@ pub enum EngineError {
         /// The model that was not evicted.
         model: ModelId,
     },
-    /// The supplied model artifact could not be loaded (see
-    /// [`nfm_model::ModelArtifactError`] for the failure taxonomy).
+    /// A model artifact could not be loaded (converted from
+    /// [`ModelArtifactError`], which has the failure taxonomy).
     BadArtifact {
         /// The underlying artifact error, rendered.
         what: String,
@@ -172,6 +172,14 @@ impl fmt::Display for EngineError {
 }
 
 impl Error for EngineError {}
+
+impl From<ModelArtifactError> for EngineError {
+    fn from(e: ModelArtifactError) -> EngineError {
+        EngineError::BadArtifact {
+            what: e.to_string(),
+        }
+    }
+}
 
 impl From<EngineError> for RnnError {
     fn from(e: EngineError) -> RnnError {
@@ -460,16 +468,11 @@ fn swap_observe(state: &mut State, response: &InferenceResponse, tag: ResponseTa
 
 /// Builds an [`Engine`].
 ///
-/// Two entry points:
-///
-/// * [`EngineBuilder::new`] — the single-model path: one network, one
-///   built-in predictor.  Sugar for a one-entry registry under
-///   [`DEFAULT_MODEL`]; behavior (and results) are unchanged from the
-///   pre-registry engine.
-/// * [`EngineBuilder::from_registry`] — the multi-model path: serve
-///   every model/predictor pair in a [`ModelRegistry`], with requests
-///   choosing per submission via
-///   [`RequestOptions`](crate::RequestOptions).
+/// [`EngineBuilder::from_registry`] serves every model/predictor pair
+/// of a [`ModelRegistry`], with requests choosing per submission via
+/// [`RequestOptions`](crate::RequestOptions);
+/// [`EngineBuilder::new`] is the same thing for a one-entry registry
+/// under [`DEFAULT_MODEL`].
 ///
 /// # Accepted ranges
 ///
@@ -486,7 +489,7 @@ fn swap_observe(state: &mut State, response: &InferenceResponse, tag: ResponseTa
 ///   (default 256).
 #[derive(Debug)]
 pub struct EngineBuilder {
-    registry: Result<ModelRegistry, EngineError>,
+    registry: ModelRegistry,
     lanes: usize,
     workers: usize,
     queue_capacity: usize,
@@ -495,23 +498,18 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Starts a builder for the single-model path: `network` under
-    /// `predictor`, registered as the model [`DEFAULT_MODEL`] of a
-    /// fresh registry.
-    pub fn new(network: impl Into<Arc<DeepRnn>>, predictor: PredictorKind) -> Self {
+    /// Starts a builder serving `model` under `predictor`, registered
+    /// as the model [`DEFAULT_MODEL`] of a fresh registry.
+    pub fn new(model: impl Into<Model>, predictor: impl Predictor + 'static) -> Self {
         let mut registry = ModelRegistry::new();
-        let registered = registry
-            .register(DEFAULT_MODEL, network, predictor)
-            .map(|()| registry);
-        EngineBuilder::with_registry_result(registered)
+        registry
+            .register(DEFAULT_MODEL, model, predictor)
+            .expect("a fresh registry holds no duplicate");
+        EngineBuilder::from_registry(registry)
     }
 
     /// Starts a builder serving every model of `registry`.
     pub fn from_registry(registry: ModelRegistry) -> Self {
-        EngineBuilder::with_registry_result(Ok(registry))
-    }
-
-    fn with_registry_result(registry: Result<ModelRegistry, EngineError>) -> Self {
         EngineBuilder {
             registry,
             lanes: 4,
@@ -563,9 +561,8 @@ impl EngineBuilder {
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidConfig`] when `lanes`, `workers`
-    /// or `queue_capacity` is `0`, [`EngineError::EmptyRegistry`] when
-    /// no model is registered, and any registration error deferred by
-    /// [`EngineBuilder::new`].
+    /// or `queue_capacity` is `0` and [`EngineError::EmptyRegistry`]
+    /// when no model is registered.
     pub fn build(self) -> Result<Engine, EngineError> {
         for (what, value) in [
             ("lanes", self.lanes),
@@ -581,11 +578,10 @@ impl EngineBuilder {
                 });
             }
         }
-        let registry = self.registry?;
-        if registry.is_empty() {
+        if self.registry.is_empty() {
             return Err(EngineError::EmptyRegistry);
         }
-        let registry = Arc::new(RwLock::new(registry));
+        let registry = Arc::new(RwLock::new(self.registry));
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: PriorityQueue::new(),
@@ -897,7 +893,7 @@ impl ContextStats {
 ///
 /// Internally each worker thread owns one **execution context** per
 /// served (model, predictor) combination — a private evaluator built
-/// by the registered [`Predictor`](nfm_core::Predictor) factory plus a
+/// by the registered [`Predictor`] plus a
 /// lane scheduler — and interleaves the contexts step by step, so
 /// several models make progress concurrently on one thread; a worker's
 /// context count is bounded by the registry.  A request is admitted
@@ -937,12 +933,6 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Starts building a single-model engine for `network` under
-    /// `predictor`.
-    pub fn builder(network: impl Into<Arc<DeepRnn>>, predictor: PredictorKind) -> EngineBuilder {
-        EngineBuilder::new(network, predictor)
-    }
-
     /// The model registry this engine serves (a read guard: the
     /// registry is shared with the hot-swap path, which takes the write
     /// side briefly to stage, promote or evict versions).  Don't hold
@@ -995,7 +985,7 @@ impl Engine {
     /// deterministic.  Adaptive predictors additionally
     /// carry a live [`ControlSnapshot`] (current per-layer θ,
     /// audit-error EWMA, hit/audit counters) fetched from the
-    /// registered factory at call time.
+    /// registered predictor at call time.
     ///
     /// Each worker republishes its counters every time it drains the
     /// queue and goes idle, so under in-flight traffic the numbers can
@@ -1082,7 +1072,7 @@ impl Engine {
         if request.sequence.is_empty() {
             return Err(EngineError::EmptySequence { id: request.id });
         }
-        let expected = resolved.network.input_size();
+        let expected = resolved.model.network().input_size();
         for (t, x) in request.sequence.iter().enumerate() {
             if x.len() != expected {
                 return Err(EngineError::InputSizeMismatch {
@@ -1193,15 +1183,19 @@ impl Engine {
         Ok(accepted)
     }
 
-    /// Stages `network` as the next version of `model` and starts
+    /// Stages `next` as the next version of `model` and starts
     /// canarying live traffic onto it, without pausing the engine or
     /// dropping any in-flight request.
     ///
-    /// The staged version gets predictors built from `predictors`
-    /// (deduplicating BNN mirrors) and version `live + 1`.  While the
-    /// swap is undecided, requests selected by `canary` run as pairs:
-    /// the staged version answers the caller, the incumbent shadows for
-    /// comparison.
+    /// `next` and `predictors` are what
+    /// [`ModelRegistry::register`] takes: anything that converts into a
+    /// [`Model`] (a loaded artifact keeps the mirror it carried) and
+    /// any [`Predictor`]s — built-in, adaptive or custom — each filed
+    /// under its own name on the staged version's own mirror, so a
+    /// request naming one of them follows the swap.  The staged version
+    /// gets version `live + 1`.  While the swap is undecided, requests
+    /// selected by `canary` run as pairs: the staged version answers
+    /// the caller, the incumbent shadows for comparison.
     /// After [`CanaryConfig::min_requests`] comparisons within
     /// [`CanaryConfig::tolerance`] the staged version is promoted;
     /// the first comparison outside it rolls the swap back.  Either
@@ -1214,56 +1208,19 @@ impl Engine {
     ///
     /// * [`EngineError::UnknownModel`] — `model` is not registered;
     /// * [`EngineError::SwapInProgress`] — a swap is already staged;
+    /// * [`EngineError::DuplicatePredictor`] — two of `predictors`
+    ///   share a name;
     /// * [`EngineError::InvalidConfig`] — `canary` is degenerate or
     ///   `predictors` is empty;
     /// * [`EngineError::ShutDown`] — the engine no longer accepts work.
-    pub fn swap_model(
+    pub fn swap_model<P: Predictor + 'static>(
         &self,
         model: impl Into<ModelId>,
-        network: impl Into<Arc<DeepRnn>>,
-        predictors: &[PredictorKind],
+        next: impl Into<Model>,
+        predictors: impl IntoIterator<Item = P>,
         canary: CanaryConfig,
     ) -> Result<ModelVersion, EngineError> {
-        self.stage_swap(model.into(), network.into(), None, predictors, canary)
-    }
-
-    /// Like [`Engine::swap_model`], but the new version arrives as a
-    /// serialized model artifact (see [`nfm_model`]).  The artifact's
-    /// prebuilt binary mirror, when present, is reused for BNN
-    /// predictors.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::BadArtifact`] when the bytes do not decode, plus
-    /// everything [`Engine::swap_model`] returns.
-    pub fn swap_model_artifact(
-        &self,
-        model: impl Into<ModelId>,
-        artifact: &[u8],
-        predictors: &[PredictorKind],
-        canary: CanaryConfig,
-    ) -> Result<ModelVersion, EngineError> {
-        let loaded =
-            nfm_model::load_from_slice(artifact).map_err(|e| EngineError::BadArtifact {
-                what: e.to_string(),
-            })?;
-        self.stage_swap(
-            model.into(),
-            Arc::new(loaded.network),
-            loaded.mirror.map(Arc::new),
-            predictors,
-            canary,
-        )
-    }
-
-    fn stage_swap(
-        &self,
-        model: ModelId,
-        network: Arc<DeepRnn>,
-        mirror: Option<Arc<BinaryNetwork>>,
-        predictors: &[PredictorKind],
-        canary: CanaryConfig,
-    ) -> Result<ModelVersion, EngineError> {
+        let model = model.into();
         canary.validate()?;
         self.apply_ready_swaps();
         let mut registry = self.registry.write().expect("registry lock");
@@ -1278,7 +1235,7 @@ impl Engine {
             })?;
         // A decided-but-not-yet-applied swap still owns the staged
         // slot; `stage` rejects it below via the staged entry.
-        let to = registry.stage(&model, network, mirror, predictors)?;
+        let to = registry.stage(&model, next.into(), predictors)?;
         state.swaps.push(SwapState {
             model,
             from,

@@ -9,15 +9,19 @@
 //!   per-request [`RequestOptions`] (model, predictor, threshold
 //!   override, priority), and a caller-chosen id.
 //! * [`ModelRegistry`] — the open serving surface: [`ModelId`] →
-//!   network + named [`Predictor`] set.  Built-in predictors register
-//!   by [`PredictorKind`]; custom [`Predictor`] implementations
-//!   register next to them and are served identically.  One engine
-//!   serves every registered model concurrently.
+//!   one [`Model`] (a version's network plus the binary mirror derived
+//!   from it once) served under a set of [`Predictor`] policies.  One
+//!   call registers any of them — a [`PredictorKind`], an adaptive or a
+//!   custom [`Predictor`] — over a network or a loaded artifact, and
+//!   the same arguments hot-swap a version
+//!   ([`Engine::swap_model`]).  One engine serves every registered
+//!   model concurrently.
 //! * [`Engine`] / [`EngineBuilder`] — a bounded, priority-aware
 //!   submission queue (backpressure via [`EngineError::QueueFull`]) in
 //!   front of worker threads; each worker builds one private evaluator
 //!   and one [`LaneScheduler`](nfm_rnn::LaneScheduler) per served
-//!   (model, predictor) combination and interleaves them.  A request
+//!   (model, predictor) combination, interleaves them, and drops those
+//!   of a version the registry retired once idle.  A request
 //!   is admitted into a lane, and what is specific to it — a threshold
 //!   override included — is state of that lane, so requests that differ
 //!   only in `θ` share one gate call.  Unidirectional stacks refill a
@@ -80,6 +84,8 @@ pub use request::{
 };
 pub use runner::{InferenceWorkload, MemoizedRunner, PredictorKind, RunOutcome};
 
-// The open predictor abstraction lives in `nfm-core`; re-exported here
-// because the serving engine is where implementations plug in.
-pub use nfm_core::{BnnPredictor, ExactPredictor, OraclePredictor, Predictor, ServedEvaluator};
+// What a registry is given lives below this crate — a `Model` and the
+// `Predictor`s it is served under in `nfm-core`, artifact loading in
+// `nfm-model` — and is re-exported here, where it plugs in.
+pub use nfm_core::{Model, Predictor, ServedEvaluator};
+pub use nfm_model as model;

@@ -2,14 +2,20 @@
 //! serves, which predictors each model can be served under, and which
 //! **version** of each model is live.
 //!
-//! A registry maps a [`ModelId`] to one network plus a named set of
-//! [`Predictor`] factories.  Entries are keyed `(ModelId, version)`:
-//! exactly one entry per id is *live* (the one `resolve` routes to) and
-//! at most one higher-versioned entry is *staged* during a hot swap.
-//! Weights and mirrors are immutable and `Arc`-shared once registered:
-//! workers clone `Arc` handles, never weights or mirrors (one
-//! [`BinaryNetwork`] mirror is prebuilt per model version and shared by
-//! every BNN predictor and every worker).
+//! A registry maps a [`ModelId`] to one [`Model`] — a version's network
+//! and its binary mirror, immutable and shared — plus a set of
+//! [`Predictor`] policies filed under their own
+//! [`name`](Predictor::name).  There is one way in:
+//! [`register`](ModelRegistry::register) takes anything that converts
+//! into a `Model` (a network, a loaded artifact) and any `Predictor`
+//! (a [`PredictorKind`](nfm_core::PredictorKind), an adaptive or custom
+//! policy); [`add_predictor`](ModelRegistry::add_predictor) files one
+//! more policy on the same `Model`.  Entries are keyed
+//! `(ModelId, version)`: exactly one entry per id is *live* (the one
+//! `resolve` routes to) and at most one higher-versioned entry is
+//! *staged* during a hot swap.  Workers clone `Model` handles, never
+//! weights or mirrors, and a version's mirror exists by the time the
+//! call that filed a predictor reading it returns.
 //!
 //! Requests pick a model and predictor through
 //! [`RequestOptions`]; submission resolves the options against the
@@ -19,9 +25,7 @@
 
 use crate::engine::EngineError;
 use crate::request::RequestOptions;
-use nfm_bnn::BinaryNetwork;
-use nfm_core::{Predictor, PredictorKind};
-use nfm_model::LoadedModel;
+use nfm_core::{Model, Predictor};
 use nfm_rnn::DeepRnn;
 use std::fmt;
 use std::sync::Arc;
@@ -67,7 +71,8 @@ impl From<&ModelId> for ModelId {
     }
 }
 
-/// One registered model version: the network plus its named predictors.
+/// One registered model version: its shared artifacts plus the
+/// predictors it is served under.
 #[derive(Debug)]
 pub(crate) struct ModelEntry {
     pub(crate) id: ModelId,
@@ -76,25 +81,38 @@ pub(crate) struct ModelEntry {
     /// Whether `resolve` routes to this entry.  Exactly one entry per
     /// id is live; a non-live entry is a staged hot-swap candidate.
     pub(crate) live: bool,
-    pub(crate) network: Arc<DeepRnn>,
-    /// `(name, factory)` in registration order; the first is the
+    pub(crate) model: Model,
+    /// `(name, policy)` in registration order; the first is the
     /// model's default.
     pub(crate) predictors: Vec<(Arc<str>, Arc<dyn Predictor>)>,
-    /// The model's binary mirror, built once when the first BNN
-    /// predictor is registered (or carried over from an artifact) and
-    /// shared from then on.
-    mirror: Option<Arc<BinaryNetwork>>,
 }
 
-/// A request resolved against the registry: the exact network and
-/// predictor factory the worker must use, the context key workers
-/// group lane schedulers by, and the `θ` override the request's lane
-/// runs at (accepted by the predictor, or resolution would have
-/// failed).
+impl ModelEntry {
+    /// Files `predictor` under its own name, after letting it prepare
+    /// what it reads from the `Model` — the mirror — on this thread, so
+    /// a worker never builds one.
+    fn file(&mut self, predictor: Arc<dyn Predictor>) -> Result<(), EngineError> {
+        let name = predictor.name();
+        if self.predictors.iter().any(|(n, _)| n.as_ref() == name) {
+            return Err(EngineError::DuplicatePredictor {
+                model: self.id.clone(),
+                predictor: name.to_string(),
+            });
+        }
+        predictor.prepare(&self.model);
+        self.predictors.push((Arc::from(name), predictor));
+        Ok(())
+    }
+}
+
+/// A request resolved against the registry: the exact model version and
+/// predictor the worker must use, the context key workers group lane
+/// schedulers by, and the `θ` override the request's lane runs at
+/// (accepted by the predictor, or resolution would have failed).
 #[derive(Debug, Clone)]
 pub(crate) struct Resolved {
     pub(crate) key: ContextKey,
-    pub(crate) network: Arc<DeepRnn>,
+    pub(crate) model: Model,
     pub(crate) predictor: Arc<dyn Predictor>,
     pub(crate) threshold: Option<f32>,
 }
@@ -113,7 +131,7 @@ pub(crate) struct ContextKey {
     pub(crate) predictor: Arc<str>,
 }
 
-/// Maps [`ModelId`]s to versioned networks and named [`Predictor`]
+/// Maps [`ModelId`]s to versioned [`Model`]s and their [`Predictor`]
 /// sets.
 ///
 /// The first registered model is the engine's **default model** (used
@@ -148,9 +166,13 @@ impl ModelRegistry {
         ModelRegistry { models: Vec::new() }
     }
 
-    /// Registers `network` under `id` (as version 1) with a built-in
-    /// default predictor.  The first registration becomes the engine's
-    /// default model.
+    /// Registers `model` under `id` (as version 1) with `predictor` as
+    /// its default.  `model` is anything that converts into a
+    /// [`Model`]: a `DeepRnn`, an `Arc<DeepRnn>`, a
+    /// [`LoadedModel`](nfm_model::LoadedModel) (whose mirror, when the
+    /// artifact carried one, is reused) or a `Model` the caller keeps a
+    /// clone of.  The first registration becomes the engine's default
+    /// model.
     ///
     /// # Errors
     ///
@@ -158,56 +180,28 @@ impl ModelRegistry {
     pub fn register(
         &mut self,
         id: impl Into<ModelId>,
-        network: impl Into<Arc<DeepRnn>>,
-        predictor: PredictorKind,
+        model: impl Into<Model>,
+        predictor: impl Predictor + 'static,
     ) -> Result<(), EngineError> {
         let id = id.into();
-        self.register_entry(id.clone(), network.into(), None)?;
-        self.add_predictor(&id, predictor)
+        if self.models.iter().any(|e| e.id == id) {
+            return Err(EngineError::DuplicateModel { model: id });
+        }
+        let mut entry = ModelEntry {
+            id,
+            version: 1,
+            live: true,
+            model: model.into(),
+            predictors: Vec::new(),
+        };
+        entry.file(Arc::new(predictor))?;
+        self.models.push(entry);
+        Ok(())
     }
 
-    /// Registers a model loaded from a versioned artifact (see
-    /// [`nfm_model`]).  The artifact's prebuilt [`BinaryNetwork`]
-    /// mirror, when present, is reused — a BNN predictor never
-    /// rebuilds sign rows the artifact already carries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::DuplicateModel`] when `id` is taken.
-    pub fn register_loaded(
-        &mut self,
-        id: impl Into<ModelId>,
-        loaded: LoadedModel,
-        predictor: PredictorKind,
-    ) -> Result<(), EngineError> {
-        let id = id.into();
-        let mirror = loaded.mirror.map(Arc::new);
-        self.register_entry(id.clone(), Arc::new(loaded.network), mirror)?;
-        self.add_predictor(&id, predictor)
-    }
-
-    /// Registers `network` under `id` with a custom [`Predictor`]
-    /// factory as its default, filed under `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::DuplicateModel`] when `id` is taken.
-    pub fn register_custom(
-        &mut self,
-        id: impl Into<ModelId>,
-        network: impl Into<Arc<DeepRnn>>,
-        name: impl Into<Arc<str>>,
-        predictor: Arc<dyn Predictor>,
-    ) -> Result<(), EngineError> {
-        let id = id.into();
-        self.register_entry(id.clone(), network.into(), None)?;
-        self.add_custom_predictor(&id, name, predictor)
-    }
-
-    /// Adds a built-in predictor to an already-registered model's
-    /// **live** version, filed under [`PredictorKind::name`].  A BNN
-    /// kind reuses the model's prebuilt mirror (building it on first
-    /// need).
+    /// Adds a predictor to an already-registered model's **live**
+    /// version, filed under [`Predictor::name`] and reading the same
+    /// [`Model`] as the predictors before it.
     ///
     /// # Errors
     ///
@@ -217,39 +211,14 @@ impl ModelRegistry {
     pub fn add_predictor(
         &mut self,
         model: impl Into<ModelId>,
-        predictor: PredictorKind,
+        predictor: impl Predictor + 'static,
     ) -> Result<(), EngineError> {
         let model = model.into();
-        let entry = self.entry_mut(&model)?;
-        let mirror = if predictor.needs_mirror() {
-            Some(
-                entry
-                    .mirror
-                    .get_or_insert_with(|| Arc::new(BinaryNetwork::mirror(&entry.network)))
-                    .clone(),
-            )
-        } else {
-            None
-        };
-        let factory = predictor.instantiate(&entry.network, mirror);
-        Self::push_predictor(entry, Arc::from(predictor.name()), factory)
-    }
-
-    /// Adds a custom predictor to an already-registered model's live
-    /// version under `name`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ModelRegistry::add_predictor`].
-    pub fn add_custom_predictor(
-        &mut self,
-        model: impl Into<ModelId>,
-        name: impl Into<Arc<str>>,
-        predictor: Arc<dyn Predictor>,
-    ) -> Result<(), EngineError> {
-        let model = model.into();
-        let entry = self.entry_mut(&model)?;
-        Self::push_predictor(entry, name.into(), predictor)
+        self.models
+            .iter_mut()
+            .find(|e| e.id == model && e.live)
+            .ok_or(EngineError::UnknownModel { model })?
+            .file(Arc::new(predictor))
     }
 
     /// Number of registered models (staged swap candidates do not
@@ -267,11 +236,6 @@ impl ModelRegistry {
     /// The default model: the first registered, `None` while empty.
     pub fn default_model(&self) -> Option<&ModelId> {
         self.models.iter().find(|e| e.live).map(|e| &e.id)
-    }
-
-    /// Registered model ids, in registration order.
-    pub fn model_ids(&self) -> impl Iterator<Item = &ModelId> {
-        self.models.iter().filter(|e| e.live).map(|e| &e.id)
     }
 
     /// The live version of `model`, `None` for an unknown model.
@@ -299,10 +263,10 @@ impl ModelRegistry {
     /// The network registered under `model`'s live version.
     pub fn network(&self, model: impl Into<ModelId>) -> Option<&Arc<DeepRnn>> {
         let model = model.into();
-        self.live_entry(&model).map(|e| &e.network)
+        self.live_entry(&model).map(|e| e.model.network())
     }
 
-    /// The registered factory for `(model, version, name)`, if any.
+    /// The registered predictor for `(model, version, name)`, if any.
     /// The engine's observability path resolves live
     /// [`control_snapshot`](nfm_core::Predictor::control_snapshot)s
     /// through it.
@@ -319,7 +283,7 @@ impl ModelRegistry {
             .map(|(_, predictor)| predictor)
     }
 
-    /// Resolves a request's options to the concrete network + predictor
+    /// Resolves a request's options to the concrete model + predictor
     /// pair a worker must serve it with.  Routes to live versions only;
     /// staged swap candidates are reached through
     /// [`ModelRegistry::resolve_staged`].
@@ -354,7 +318,7 @@ impl ModelRegistry {
     }
 
     fn resolve_in(entry: &ModelEntry, options: &RequestOptions) -> Result<Resolved, EngineError> {
-        let (name, factory) = match &options.predictor {
+        let (name, predictor) = match &options.predictor {
             Some(wanted) => entry
                 .predictors
                 .iter()
@@ -368,7 +332,7 @@ impl ModelRegistry {
                 .first()
                 .expect("registration always installs a predictor"),
         };
-        if options.threshold.is_some() && !factory.accepts_threshold_override() {
+        if options.threshold.is_some() && !predictor.accepts_threshold_override() {
             return Err(EngineError::ThresholdUnsupported {
                 model: entry.id.clone(),
                 predictor: name.as_ref().to_string(),
@@ -380,35 +344,26 @@ impl ModelRegistry {
                 version: entry.version,
                 predictor: Arc::clone(name),
             },
-            network: Arc::clone(&entry.network),
-            predictor: Arc::clone(factory),
+            model: entry.model.clone(),
+            predictor: Arc::clone(predictor),
             threshold: options.threshold,
         })
     }
 
-    /// Stages `network` as the next version of `model` for hot swap.
-    /// The staged entry gets predictors built from `kinds` (reusing
-    /// `mirror` when supplied, e.g. from an artifact) and version
-    /// `live + 1`.  It is invisible to [`ModelRegistry::resolve`] until
-    /// promoted.
-    pub(crate) fn stage(
+    /// Stages `next` as the next version (`live + 1`) of `model` for hot
+    /// swap, served under `predictors` on its own mirror.  It is
+    /// invisible to [`ModelRegistry::resolve`] until promoted.
+    pub(crate) fn stage<P: Predictor + 'static>(
         &mut self,
         model: &ModelId,
-        network: Arc<DeepRnn>,
-        mirror: Option<Arc<BinaryNetwork>>,
-        kinds: &[PredictorKind],
+        next: Model,
+        predictors: impl IntoIterator<Item = P>,
     ) -> Result<ModelVersion, EngineError> {
-        if kinds.is_empty() {
-            return Err(EngineError::InvalidConfig {
-                what: "a staged model needs at least one predictor".into(),
-            });
-        }
         let live = self
             .live_entry(model)
             .ok_or_else(|| EngineError::UnknownModel {
                 model: model.clone(),
             })?;
-        let version = live.version + 1;
         if self.staged_entry(model).is_some() {
             return Err(EngineError::SwapInProgress {
                 model: model.clone(),
@@ -416,26 +371,20 @@ impl ModelRegistry {
         }
         let mut entry = ModelEntry {
             id: model.clone(),
-            version,
+            version: live.version + 1,
             live: false,
-            network,
+            model: next,
             predictors: Vec::new(),
-            mirror,
         };
-        for kind in kinds {
-            let mirror = if kind.needs_mirror() {
-                Some(
-                    entry
-                        .mirror
-                        .get_or_insert_with(|| Arc::new(BinaryNetwork::mirror(&entry.network)))
-                        .clone(),
-                )
-            } else {
-                None
-            };
-            let factory = kind.instantiate(&entry.network, mirror);
-            Self::push_predictor(&mut entry, Arc::from(kind.name()), factory)?;
+        for predictor in predictors {
+            entry.file(Arc::new(predictor))?;
         }
+        if entry.predictors.is_empty() {
+            return Err(EngineError::InvalidConfig {
+                what: "a staged model needs at least one predictor".into(),
+            });
+        }
+        let version = entry.version;
         self.models.push(entry);
         Ok(version)
     }
@@ -443,8 +392,8 @@ impl ModelRegistry {
     /// Promotes `model`'s staged entry to live, retiring the incumbent.
     /// The new version takes the incumbent's registration slot so
     /// default-model ordering never changes.  In-flight requests keep
-    /// their `Arc` handles to the retired weights; nothing is freed
-    /// until they finish.  No-op when no swap is staged.
+    /// their handles on the retired [`Model`]; workers drop what they
+    /// hold for it once those finish.  No-op when no swap is staged.
     pub(crate) fn promote(&mut self, model: &ModelId) {
         let Some(live_idx) = self.models.iter().position(|e| &e.id == model && e.live) else {
             return;
@@ -454,13 +403,13 @@ impl ModelRegistry {
         };
         self.models[staged_idx].live = true;
         self.models.swap(live_idx, staged_idx);
-        self.models.remove(staged_idx);
+        self.models.remove(staged_idx).model.retire();
     }
 
     /// Drops `model`'s staged entry (hot-swap rollback).  No-op when no
     /// swap is staged.
     pub(crate) fn discard_staged(&mut self, model: &ModelId) {
-        self.models.retain(|e| &e.id != model || e.live);
+        self.remove_where(|e| &e.id == model && !e.live);
     }
 
     /// Removes `model` entirely — live entry and any staged candidate.
@@ -481,8 +430,19 @@ impl ModelRegistry {
                 model: model.clone(),
             });
         }
-        self.models.retain(|e| &e.id != model);
+        self.remove_where(|e| &e.id == model);
         Ok(())
+    }
+
+    /// Removes the matching entries and retires their models.
+    fn remove_where(&mut self, gone: impl Fn(&ModelEntry) -> bool) {
+        self.models.retain(|e| {
+            let gone = gone(e);
+            if gone {
+                e.model.retire();
+            }
+            !gone
+        });
     }
 
     fn live_entry(&self, id: &ModelId) -> Option<&ModelEntry> {
@@ -492,54 +452,12 @@ impl ModelRegistry {
     fn staged_entry(&self, id: &ModelId) -> Option<&ModelEntry> {
         self.models.iter().find(|e| &e.id == id && !e.live)
     }
-
-    fn register_entry(
-        &mut self,
-        id: ModelId,
-        network: Arc<DeepRnn>,
-        mirror: Option<Arc<BinaryNetwork>>,
-    ) -> Result<(), EngineError> {
-        if self.models.iter().any(|e| e.id == id) {
-            return Err(EngineError::DuplicateModel { model: id });
-        }
-        self.models.push(ModelEntry {
-            id,
-            version: 1,
-            live: true,
-            network,
-            predictors: Vec::new(),
-            mirror,
-        });
-        Ok(())
-    }
-
-    fn entry_mut(&mut self, id: &ModelId) -> Result<&mut ModelEntry, EngineError> {
-        self.models
-            .iter_mut()
-            .find(|e| &e.id == id && e.live)
-            .ok_or_else(|| EngineError::UnknownModel { model: id.clone() })
-    }
-
-    fn push_predictor(
-        entry: &mut ModelEntry,
-        name: Arc<str>,
-        predictor: Arc<dyn Predictor>,
-    ) -> Result<(), EngineError> {
-        if entry.predictors.iter().any(|(n, _)| *n == name) {
-            return Err(EngineError::DuplicatePredictor {
-                model: entry.id.clone(),
-                predictor: name.as_ref().to_string(),
-            });
-        }
-        entry.predictors.push((name, predictor));
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfm_core::BnnMemoConfig;
+    use nfm_core::{BnnMemoConfig, PredictorKind, ServedEvaluator};
     use nfm_rnn::{CellKind, DeepRnnConfig};
     use nfm_tensor::rng::DeterministicRng;
 
@@ -632,27 +550,45 @@ mod tests {
         );
     }
 
+    /// A second configuration of a built-in policy under its own name.
+    #[derive(Debug)]
+    struct Named(&'static str, PredictorKind);
+
+    impl Predictor for Named {
+        fn name(&self) -> &str {
+            self.0
+        }
+
+        fn build_evaluator(&self, model: &Model) -> Box<dyn ServedEvaluator> {
+            self.1.build_evaluator(model)
+        }
+    }
+
     #[test]
-    fn bnn_predictors_share_one_mirror_per_model() {
+    fn every_predictor_of_a_model_is_filed_on_one_model_under_its_own_name() {
+        let model = Model::from(network(1));
         let mut registry = ModelRegistry::new();
+        // A policy that reads no mirror builds none...
+        registry
+            .register("exact-only", model.clone(), PredictorKind::Exact)
+            .unwrap();
+        assert!(!model.has_mirror());
+        // ...and the one the BNN policy reads exists once `register`
+        // returns.
         registry
             .register(
                 "m",
-                network(1),
+                model.clone(),
                 PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5)),
             )
             .unwrap();
-        registry
-            .add_custom_predictor(
-                "m",
-                "bnn-loose",
-                PredictorKind::Bnn(BnnMemoConfig::with_threshold(2.0)).instantiate(
-                    registry.network("m").unwrap(),
-                    None, // deliberately separate: custom registration path
-                ),
-            )
-            .unwrap();
-        // The built-in path shares the entry's mirror.
+        assert!(model.has_mirror());
+        let mirror = Arc::clone(model.mirror());
+        let loose = Named(
+            "bnn-loose",
+            PredictorKind::Bnn(BnnMemoConfig::with_threshold(2.0)),
+        );
+        registry.add_predictor("m", Arc::new(loose)).unwrap();
         registry
             .add_predictor(
                 "m",
@@ -662,6 +598,18 @@ mod tests {
         assert_eq!(
             registry.predictor_names("m").unwrap(),
             vec!["bnn", "bnn-loose", "oracle"]
+        );
+        for name in ["bnn", "bnn-loose", "oracle"] {
+            let resolved = registry
+                .resolve(&RequestOptions::for_model("m").predictor(name))
+                .unwrap();
+            assert!(Arc::ptr_eq(resolved.model.mirror(), &mirror), "{name}");
+        }
+        assert_eq!(
+            registry.add_predictor("ghost", PredictorKind::Exact),
+            Err(EngineError::UnknownModel {
+                model: "ghost".into()
+            })
         );
     }
 
@@ -677,7 +625,7 @@ mod tests {
             .unwrap();
         let base = registry.resolve(&RequestOptions::default()).unwrap();
         // Whatever θ a request asks for, it resolves to the same
-        // context key and the same factory: workers never build an
+        // context key and the same predictor: workers never build an
         // evaluator per value.
         for theta in [0.5, 0.75] {
             let overridden = registry
@@ -704,12 +652,7 @@ mod tests {
         // Stage v2 of "a": invisible to resolve, visible to
         // resolve_staged.
         let v = registry
-            .stage(
-                &"a".into(),
-                Arc::new(network(3)),
-                None,
-                &[PredictorKind::Exact],
-            )
+            .stage(&"a".into(), network(3).into(), [PredictorKind::Exact])
             .unwrap();
         assert_eq!(v, 2);
         assert_eq!(registry.staged_version("a"), Some(2));
@@ -724,29 +667,22 @@ mod tests {
 
         // A second stage while one is pending is a typed error.
         assert!(matches!(
-            registry.stage(
-                &"a".into(),
-                Arc::new(network(4)),
-                None,
-                &[PredictorKind::Exact]
-            ),
+            registry.stage(&"a".into(), network(4).into(), [PredictorKind::Exact]),
             Err(EngineError::SwapInProgress { .. })
         ));
 
-        // Rollback: staged entry vanishes, live untouched.
+        // Rollback: staged entry vanishes and its model is retired,
+        // live untouched.
         registry.discard_staged(&"a".into());
         assert_eq!(registry.staged_version("a"), None);
         assert_eq!(registry.version("a"), Some(1));
+        assert!(staged.model.is_retired());
+        assert!(!live.model.is_retired());
 
         // Promote: staged becomes live, version advances, default-model
         // ordering is preserved.
         registry
-            .stage(
-                &"a".into(),
-                Arc::new(network(3)),
-                None,
-                &[PredictorKind::Exact],
-            )
+            .stage(&"a".into(), network(3).into(), [PredictorKind::Exact])
             .unwrap();
         registry.promote(&"a".into());
         assert_eq!(registry.version("a"), Some(2));
@@ -754,6 +690,8 @@ mod tests {
         assert_eq!(registry.default_model().unwrap().as_str(), "a");
         let resolved = registry.resolve(&RequestOptions::default()).unwrap();
         assert_eq!(resolved.key.version, 2);
+        assert!(live.model.is_retired(), "promoted over");
+        assert!(!resolved.model.is_retired());
     }
 
     #[test]
@@ -773,7 +711,9 @@ mod tests {
         registry
             .register("b", network(2), PredictorKind::Exact)
             .unwrap();
+        let evicted = registry.resolve(&RequestOptions::default()).unwrap();
         registry.evict(&"a".into()).unwrap();
+        assert!(evicted.model.is_retired());
         assert_eq!(registry.len(), 1);
         assert_eq!(registry.default_model().unwrap().as_str(), "b");
         assert!(registry.version("a").is_none());
@@ -786,16 +726,11 @@ mod tests {
             .register("a", network(1), PredictorKind::Exact)
             .unwrap();
         assert!(matches!(
-            registry.stage(
-                &"ghost".into(),
-                Arc::new(network(2)),
-                None,
-                &[PredictorKind::Exact]
-            ),
+            registry.stage(&"ghost".into(), network(2).into(), [PredictorKind::Exact]),
             Err(EngineError::UnknownModel { .. })
         ));
         assert!(matches!(
-            registry.stage(&"a".into(), Arc::new(network(2)), None, &[]),
+            registry.stage(&"a".into(), network(2).into(), [PredictorKind::Exact; 0]),
             Err(EngineError::InvalidConfig { .. })
         ));
     }

@@ -2,11 +2,12 @@
 //! served (model, predictor) combination.
 //!
 //! Every engine worker owns a [`LaneWorker`].  Requests arrive already
-//! resolved against the registry (network +
-//! [`Predictor`](nfm_core::Predictor) factory + [`ContextKey`]); the
+//! resolved against the registry ([`Model`](nfm_core::Model) +
+//! [`Predictor`](nfm_core::Predictor) + [`ContextKey`]); the
 //! worker groups them into **execution contexts** — one per distinct
-//! key, created lazily on first use, their number bounded by what the
-//! registry holds — and interleaves the non-idle contexts one
+//! key, created lazily on first use, dropped once idle after the
+//! registry retires their model version, so their number is bounded by
+//! what the registry holds — and interleaves the non-idle contexts one
 //! scheduling step at a time, so an engine serving several models makes
 //! progress on all of them concurrently even with a single worker
 //! thread.  The exception is bidirectional models: their lanes run to
@@ -15,8 +16,9 @@
 //! duration — give latency-sensitive mixes of uni- and bidirectional
 //! models separate workers.
 //!
-//! Each context owns a private evaluator (built once from the shared
-//! factory — no weight or mirror clones) and one [`LaneScheduler`].
+//! Each context owns a private evaluator (built once by the predictor
+//! over the shared `Model` — no weight or mirror clones) and one
+//! [`LaneScheduler`].
 //! A request is admitted into a lane — the one path for every model —
 //! and whatever is specific to it lives on that lane: a `θ` override is
 //! installed through [`ServedEvaluator::set_lane_threshold`] right
@@ -70,10 +72,9 @@ use crate::request::{
     CompletionStatus, DeadlinePolicy, InferenceRequest, InferenceResponse, RequestId,
 };
 use nfm_core::{LaneState, ReuseStats, ServedEvaluator};
-use nfm_rnn::{DeepRnn, FinishedLane, LaneScheduler, LaneSnapshot, HOIST_BLOCK};
+use nfm_rnn::{FinishedLane, LaneScheduler, LaneSnapshot, HOIST_BLOCK};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Routes a response back to the engine's swap observer: the
@@ -201,7 +202,6 @@ struct ExecContext {
     /// request's `θ`, which is lane state): its identity, and
     /// everything the receiver of a migrating lane needs.
     resolved: Resolved,
-    network: Arc<DeepRnn>,
     evaluator: Box<dyn ServedEvaluator>,
     evals_per_step: u64,
     sched: LaneSched,
@@ -209,20 +209,20 @@ struct ExecContext {
 
 impl ExecContext {
     fn new(resolved: &Resolved, lanes: usize) -> ExecContext {
-        let network = Arc::clone(&resolved.network);
-        let mut evaluator = resolved.predictor.build_evaluator(&network);
+        let network = resolved.model.network();
+        let mut evaluator = resolved.predictor.build_evaluator(&resolved.model);
         // Twice the fair share where lanes refill mid-wave: the extra
         // lanes are borrowable capacity for cross-context lane
         // stealing.  The queue-pull predicate keeps a context at its
         // fair share unless sibling contexts leave lanes idle.  A
         // lockstep context could not use a borrowed lane before its
         // seated lanes have all finished, so it gets none.
-        let capacity = if LaneScheduler::refills_mid_wave(&network) {
+        let capacity = if LaneScheduler::refills_mid_wave(network) {
             lanes * 2
         } else {
             lanes
         };
-        let scheduler = LaneScheduler::new(&network, capacity).expect("lanes >= 1");
+        let scheduler = LaneScheduler::new(network, capacity).expect("lanes >= 1");
         evaluator.begin_batch(capacity);
         let evals_per_step = network.neuron_evaluations_per_step() as u64;
         ExecContext {
@@ -230,7 +230,6 @@ impl ExecContext {
                 threshold: None,
                 ..resolved.clone()
             },
-            network,
             evaluator,
             evals_per_step,
             sched: LaneSched {
@@ -245,6 +244,13 @@ impl ExecContext {
     /// Whether this context holds no admitted work.
     fn is_idle(&self) -> bool {
         self.sched.scheduler.is_idle()
+    }
+
+    /// Whether the registry no longer routes to this context's model
+    /// version and nothing is running on it: its weights, evaluator
+    /// tables and scheduler can go.
+    fn is_spent(&self) -> bool {
+        self.is_idle() && self.resolved.model.is_retired()
     }
 
     /// Whether this context can take one more request right now (the
@@ -335,6 +341,12 @@ impl LaneWorker {
         report: &mut dyn FnMut(String),
     ) {
         loop {
+            // Contexts of versions the registry has promoted over,
+            // rolled back or evicted go as soon as their last lane has
+            // finished, and with them their share of the borrow budget.
+            // A late request for one (resolved before the retirement)
+            // simply gets a fresh context.
+            self.contexts.retain(|c| !c.is_spent());
             // Migrated lanes first: they carry in-flight work another
             // worker already started, so they outrank fresh queue
             // pulls.
@@ -610,14 +622,14 @@ fn step_context(
     report: &mut dyn FnMut(String),
 ) -> bool {
     // Split the context's fields so the scheduler, evaluator and
-    // network can be borrowed side by side.
+    // model can be borrowed side by side.
     let ExecContext {
-        network,
+        resolved,
         evaluator,
         evals_per_step,
         sched,
-        ..
     } = ctx;
+    let network = resolved.model.network();
     let evals_per_step = *evals_per_step;
     if sched.scheduler.is_idle() {
         return false;

@@ -247,88 +247,6 @@ impl DotOps for ScalarOps {
     }
 }
 
-/// `out[r] = m[r]·x` — rows paired through [`DotOps::dot2`] so wide
-/// tiers keep two accumulator sets in flight per streamed `x`.
-///
-/// # Safety
-///
-/// CPU must support `O`'s features; `m.len() == out.len() * cols` and
-/// `x.len() == cols`.
-#[inline(always)]
-pub(crate) unsafe fn matvec_body<O: DotOps>(
-    o: O,
-    m: &[f32],
-    cols: usize,
-    x: &[f32],
-    out: &mut [f32],
-) {
-    let rows = out.len();
-    let mut r = 0;
-    // SAFETY (all calls below): forwarded caller contract.
-    unsafe {
-        while r + 2 <= rows {
-            let [d0, d1] = o.dot2(
-                &m[r * cols..(r + 1) * cols],
-                &m[(r + 1) * cols..(r + 2) * cols],
-                x,
-            );
-            out[r] = d0;
-            out[r + 1] = d1;
-            r += 2;
-        }
-        if r < rows {
-            out[r] = o.dot(&m[r * cols..(r + 1) * cols], x);
-        }
-    }
-}
-
-/// `out[r] = wx[r]·x + wh[r]·h` in the canonical `fwd + rec` order,
-/// rows paired like [`matvec_body`].
-///
-/// # Safety
-///
-/// CPU must support `O`'s features; operand lengths must be consistent
-/// (`wx.len() == out.len() * xc`, `wh.len() == out.len() * hc`,
-/// `x.len() == xc`, `h.len() == hc`).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn dual_matvec_body<O: DotOps>(
-    o: O,
-    wx: &[f32],
-    wh: &[f32],
-    xc: usize,
-    hc: usize,
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) {
-    let rows = out.len();
-    let mut r = 0;
-    // SAFETY (all calls below): forwarded caller contract.
-    unsafe {
-        while r + 2 <= rows {
-            let fwd = o.dot2(
-                &wx[r * xc..(r + 1) * xc],
-                &wx[(r + 1) * xc..(r + 2) * xc],
-                x,
-            );
-            let rec = o.dot2(
-                &wh[r * hc..(r + 1) * hc],
-                &wh[(r + 1) * hc..(r + 2) * hc],
-                h,
-            );
-            // Keep the `fwd + rec` order of Gate::neuron_dot so both
-            // paths are bit-identical.
-            out[r] = fwd[0] + rec[0];
-            out[r + 1] = fwd[1] + rec[1];
-            r += 2;
-        }
-        if r < rows {
-            out[r] = o.dot(&wx[r * xc..(r + 1) * xc], x) + o.dot(&wh[r * hc..(r + 1) * hc], h);
-        }
-    }
-}
-
 /// Every dot of the lane-striped product `m[r]·xs[l]`, handed to `put`
 /// as `(l * rows + r, dots)`: the dots of up to [`TILE`] consecutive
 /// rows of lane `l`, which are consecutive in a lane-striped output.
@@ -586,34 +504,14 @@ pub(crate) fn activate_body(activation: Activation, out: &mut [f32]) {
 /// [`ScalarOps`] (no intrinsics, so no feature requirements).
 pub(crate) mod scalar {
     use super::{
-        activate_body, dual_matmul_body, dual_matmul_masked_body, dual_matvec_body,
-        matmul_add_body, matmul_body, matvec_body, Activation, DotOps, ScalarOps,
+        activate_body, dual_matmul_body, dual_matmul_masked_body, matmul_add_body, matmul_body,
+        Activation, DotOps, ScalarOps,
     };
 
     #[inline]
     pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
         // SAFETY: ScalarOps uses no intrinsics.
         unsafe { ScalarOps.dot(a, b) }
-    }
-
-    #[inline]
-    pub(crate) fn matvec(m: &[f32], cols: usize, x: &[f32], out: &mut [f32]) {
-        // SAFETY: ScalarOps uses no intrinsics.
-        unsafe { matvec_body(ScalarOps, m, cols, x, out) }
-    }
-
-    #[inline]
-    pub(crate) fn dual_matvec(
-        wx: &[f32],
-        wh: &[f32],
-        xc: usize,
-        hc: usize,
-        x: &[f32],
-        h: &[f32],
-        out: &mut [f32],
-    ) {
-        // SAFETY: ScalarOps uses no intrinsics.
-        unsafe { dual_matvec_body(ScalarOps, wx, wh, xc, hc, x, h, out) }
     }
 
     #[inline]

@@ -1,9 +1,9 @@
 //! Fused, allocation-free inference kernels with runtime SIMD dispatch.
 //!
 //! These are the hot loops of the whole reproduction: every recurrent
-//! gate evaluation reduces to two dense matrix-vector products over the
+//! gate evaluation reduces to two dense lane-striped products over the
 //! gate's weight rows, followed by one elementwise activation over the
-//! gate's outputs.  There are eight operations, each with exactly
+//! gate's outputs.  There are six operations, each with exactly
 //! one dispatched entry point (runs on [`crate::backend::active`] — CPU
 //! feature detection with an `NFM_KERNEL_BACKEND` override, see
 //! [`crate::backend`]) and one `_on` test hook that runs an explicit
@@ -13,13 +13,16 @@
 //! | operation | dispatched | explicit tier |
 //! |---|---|---|
 //! | `a·b` | [`dot_unchecked`] | [`dot_unchecked_on`] |
-//! | `out = M x` | [`matvec_into`] | [`matvec_into_on`] |
-//! | `out = Wx x + Wh h` | [`dual_matvec_into`] | [`dual_matvec_into_on`] |
 //! | `out[l] = M xs[l]` | [`matmul_into`] | [`matmul_into_on`] |
 //! | `out[l] = Wx xs[l] + Wh hs[l]` | [`dual_matmul_into`] | [`dual_matmul_into_on`] |
 //! | the same where `mask` is set | [`dual_matmul_masked_into`] | [`dual_matmul_masked_into_on`] |
 //! | `out[l] = base[l] + M xs[l]` | [`matmul_add_into`] | [`matmul_add_into_on`] |
 //! | `out[i] = act(out[i])` | [`activate_into`] | [`activate_into_on`] |
+//!
+//! The single-vector forms `out = M x` ([`matvec_into`] /
+//! [`matvec_into_on`]) and `out = Wx x + Wh h` ([`dual_matvec_into`] /
+//! [`dual_matvec_into_on`]) are the two products at one lane, not
+//! kernels of their own.
 //!
 //! Both columns of a row share one private body that takes the tier (the
 //! two `dual_matmul` rows share theirs), so they validate and dispatch
@@ -102,72 +105,6 @@ fn dot_tier(backend: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
     // bounds.
     assert_eq!(a.len(), b.len(), "dot_unchecked: operand lengths differ");
     dispatch!(backend, dot(a, b))
-}
-
-fn matvec_tier(backend: KernelBackend, m: &Matrix, x: &[f32], out: &mut [f32]) -> Result<()> {
-    if x.len() != m.cols() {
-        return Err(TensorError::ShapeMismatch {
-            rows: m.rows(),
-            cols: m.cols(),
-            vec_len: x.len(),
-            op: "matvec_into",
-        });
-    }
-    if out.len() != m.rows() {
-        return Err(TensorError::LengthMismatch {
-            left: out.len(),
-            right: m.rows(),
-            op: "matvec_into",
-        });
-    }
-    dispatch!(backend, matvec(m.as_slice(), m.cols(), x, out));
-    Ok(())
-}
-
-fn dual_matvec_tier(
-    backend: KernelBackend,
-    wx: &Matrix,
-    wh: &Matrix,
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    if x.len() != wx.cols() {
-        return Err(TensorError::ShapeMismatch {
-            rows: wx.rows(),
-            cols: wx.cols(),
-            vec_len: x.len(),
-            op: "dual_matvec_into(x)",
-        });
-    }
-    if h.len() != wh.cols() {
-        return Err(TensorError::ShapeMismatch {
-            rows: wh.rows(),
-            cols: wh.cols(),
-            vec_len: h.len(),
-            op: "dual_matvec_into(h)",
-        });
-    }
-    if wx.rows() != wh.rows() || out.len() != wx.rows() {
-        return Err(TensorError::LengthMismatch {
-            left: out.len(),
-            right: wx.rows(),
-            op: "dual_matvec_into(out)",
-        });
-    }
-    dispatch!(
-        backend,
-        dual_matvec(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.cols(),
-            wh.cols(),
-            x,
-            h,
-            out
-        )
-    );
-    Ok(())
 }
 
 fn matmul_tier(
@@ -325,14 +262,15 @@ pub fn dot_unchecked_on(backend: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
     dot_tier(backend, a, b)
 }
 
-/// Matrix-vector product into a caller-owned buffer: `out = m * x`.
+/// Matrix-vector product into a caller-owned buffer: `out = m * x` —
+/// [`matmul_into`] at one lane.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `x.len() != m.cols()` or
 /// [`TensorError::LengthMismatch`] if `out.len() != m.rows()`.
 pub fn matvec_into(m: &Matrix, x: &[f32], out: &mut [f32]) -> Result<()> {
-    matvec_tier(backend::active(), m, x, out)
+    matmul_tier(backend::active(), m, x, 1, out)
 }
 
 /// [`matvec_into`] on an explicit dispatch tier.
@@ -351,7 +289,7 @@ pub fn matvec_into_on(
     out: &mut [f32],
 ) -> Result<()> {
     assert_supported(backend);
-    matvec_tier(backend, m, x, out)
+    matmul_tier(backend, m, x, 1, out)
 }
 
 /// Fused dual matrix-vector product into a caller-owned buffer:
@@ -360,9 +298,9 @@ pub fn matvec_into_on(
 ///
 /// This is the batched form of the quantity the paper's fuzzy
 /// memoization scheme decides to compute or reuse, so it is exactly what
-/// the exact (baseline) evaluator runs per gate per timestep.  The
-/// scalar order is `fwd + rec` (the order of `Gate::neuron_dot`) on
-/// every dispatch tier.
+/// the exact (baseline) evaluator runs per gate per timestep.  It is
+/// [`dual_matmul_into`] at one lane: the scalar order is `fwd + rec`
+/// (the order of `Gate::neuron_dot`) on every dispatch tier.
 ///
 /// # Errors
 ///
@@ -374,7 +312,7 @@ pub fn dual_matvec_into(
     h: &[f32],
     out: &mut [f32],
 ) -> Result<()> {
-    dual_matvec_tier(backend::active(), wx, wh, x, h, out)
+    dual_matmul_tier(backend::active(), wx, wh, x, h, 1, None, out)
 }
 
 /// [`dual_matvec_into`] on an explicit dispatch tier.
@@ -395,7 +333,7 @@ pub fn dual_matvec_into_on(
     out: &mut [f32],
 ) -> Result<()> {
     assert_supported(backend);
-    dual_matvec_tier(backend, wx, wh, x, h, out)
+    dual_matmul_tier(backend, wx, wh, x, h, 1, None, out)
 }
 
 /// Lane-striped matrix-matrix product into a caller-owned buffer:
@@ -410,8 +348,8 @@ pub fn dual_matvec_into_on(
 /// operand loads on the AVX-512 tier) — this is what turns the
 /// memory-bound per-sequence matvec into a compute-dense kernel under
 /// batch>1 serving.  Each `(row, lane)` product runs [`dot_unchecked`]'s
-/// reduction order, so lane `l` of a batch is bit-identical to a
-/// single-sequence [`matvec_into`] over the same vector.
+/// reduction order, so lane `l` of a batch is bit-identical to the same
+/// vector run alone ([`matvec_into`]), whatever the lane count.
 ///
 /// # Errors
 ///
@@ -444,14 +382,13 @@ pub fn matmul_into_on(
 /// Lane-striped dual matrix-matrix product:
 /// `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l]`.
 ///
-/// The batched form of [`dual_matvec_into`]: each weight matrix is
-/// streamed once and reused across all `lanes` sequences, in the
-/// register tiles of [`matmul_into`] — the forward product first, the
-/// recurrent one added onto it, which is the hoisted pair
-/// ([`matmul_into`] then [`matmul_add_into`]) in one call.  The per-lane
+/// Each weight matrix is streamed once and reused across all `lanes`
+/// sequences, in the register tiles of [`matmul_into`] — the forward
+/// product first, the recurrent one added onto it, which is the hoisted
+/// pair ([`matmul_into`] then [`matmul_add_into`]) in one call.  The per-lane
 /// scalar order is `fwd + rec` with [`dot_unchecked`]'s reduction for
-/// each half, so every lane is bit-identical to [`dual_matvec_into`]
-/// over that lane's vectors on every dispatch tier.
+/// each half, so every lane is bit-identical to that lane's vectors run
+/// alone ([`dual_matvec_into`]) on every dispatch tier.
 ///
 /// # Errors
 ///

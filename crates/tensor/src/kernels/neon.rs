@@ -186,24 +186,6 @@ pub(crate) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 #[target_feature(enable = "neon")]
-pub(crate) unsafe fn matvec(m: &[f32], cols: usize, x: &[f32], out: &mut [f32]) {
-    crate::kernels::body::matvec_body(NeonOps, m, cols, x, out)
-}
-
-#[target_feature(enable = "neon")]
-pub(crate) unsafe fn dual_matvec(
-    wx: &[f32],
-    wh: &[f32],
-    xc: usize,
-    hc: usize,
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) {
-    crate::kernels::body::dual_matvec_body(NeonOps, wx, wh, xc, hc, x, h, out)
-}
-
-#[target_feature(enable = "neon")]
 pub(crate) unsafe fn matmul(
     m: &[f32],
     rows: usize,

@@ -374,24 +374,6 @@ macro_rules! kernel_set {
         }
 
         #[target_feature(enable = $feat)]
-        pub(crate) unsafe fn matvec(m: &[f32], cols: usize, x: &[f32], out: &mut [f32]) {
-            $crate::kernels::body::matvec_body($ops, m, cols, x, out)
-        }
-
-        #[target_feature(enable = $feat)]
-        pub(crate) unsafe fn dual_matvec(
-            wx: &[f32],
-            wh: &[f32],
-            xc: usize,
-            hc: usize,
-            x: &[f32],
-            h: &[f32],
-            out: &mut [f32],
-        ) {
-            $crate::kernels::body::dual_matvec_body($ops, wx, wh, xc, hc, x, h, out)
-        }
-
-        #[target_feature(enable = $feat)]
         pub(crate) unsafe fn matmul(
             m: &[f32],
             rows: usize,

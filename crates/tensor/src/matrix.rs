@@ -235,11 +235,6 @@ impl Matrix {
         self.data.as_slice()
     }
 
-    /// Iterates over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.as_slice().chunks_exact(self.cols.max(1))
-    }
-
     /// Matrix-vector product `self * x`.
     ///
     /// # Errors
@@ -286,23 +281,6 @@ impl Matrix {
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in self.data.make_mut() {
-            *v = f(*v);
-        }
-    }
-
-    /// Frobenius norm (square root of the sum of squared elements).
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data
-            .as_slice()
-            .iter()
-            .map(|v| v * v)
-            .sum::<f32>()
-            .sqrt()
     }
 }
 
@@ -389,20 +367,5 @@ mod tests {
         assert_eq!(t.cols(), 2);
         assert_eq!(t.get(2, 1), 6.0);
         assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn iter_rows_yields_each_row() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let rows: Vec<&[f32]> = m.iter_rows().collect();
-        assert_eq!(rows, vec![&[1.0, 2.0][..], &[3.0, 4.0][..]]);
-    }
-
-    #[test]
-    fn map_inplace_and_frobenius() {
-        let mut m = Matrix::from_rows(vec![vec![3.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
-        m.map_inplace(|v| v * 2.0);
-        assert_eq!(m.get(1, 1), 8.0);
     }
 }

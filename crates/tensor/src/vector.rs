@@ -207,21 +207,9 @@ impl Vector {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in self.data.make_mut() {
-            *v = f(*v);
-        }
-    }
-
     /// Euclidean (L2) norm.
     pub fn norm2(&self) -> f32 {
         self.as_slice().iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
-    /// L1 norm (sum of absolute values).
-    pub fn norm1(&self) -> f32 {
-        self.as_slice().iter().map(|v| v.abs()).sum()
     }
 
     /// Maximum absolute value, or 0.0 for an empty vector.
@@ -428,7 +416,6 @@ mod tests {
     fn norms() {
         let v = Vector::from(vec![3.0, -4.0]);
         assert!((v.norm2() - 5.0).abs() < 1e-6);
-        assert_eq!(v.norm1(), 7.0);
         assert_eq!(v.norm_inf(), 4.0);
     }
 
@@ -459,9 +446,6 @@ mod tests {
         let v = Vector::from(vec![1.0, -2.0]);
         assert_eq!(v.map(f32::abs).as_slice(), &[1.0, 2.0]);
         assert_eq!(v.scale(2.0).as_slice(), &[2.0, -4.0]);
-        let mut w = v.clone();
-        w.map_inplace(|x| x + 1.0);
-        assert_eq!(w.as_slice(), &[2.0, -1.0]);
     }
 
     #[test]

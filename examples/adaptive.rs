@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .gains(1.25, 0.6)
         .min_audits_per_update(8)
         .seed(2019);
-    let adaptive = Arc::new(AdaptivePredictor::for_network(&net, control));
+    let adaptive = Arc::new(AdaptivePredictor::new(control));
 
     let mut registry = ModelRegistry::new();
     registry.register(
@@ -49,7 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         net,
         PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.1)),
     )?;
-    registry.add_custom_predictor("rnn", "adaptive", Arc::clone(&adaptive) as _)?;
+    // Same call, same model: the adaptive policy reads the mirror the
+    // static one does.
+    registry.add_predictor("rnn", Arc::clone(&adaptive))?;
     let engine = EngineBuilder::from_registry(registry)
         .lanes(4)
         .workers(2)

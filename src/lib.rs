@@ -71,8 +71,9 @@ pub use nfm_serve as serve;
 pub use nfm_tensor as tensor;
 pub use nfm_workloads as workloads;
 
-/// The memoization surface: the `nfm-core` evaluators and the open
-/// [`Predictor`](nfm_core::Predictor) factory abstraction.
+/// The memoization surface: the `nfm-core` evaluators, the
+/// [`Model`](nfm_core::Model) a version's shared artifacts live in and
+/// the open [`Predictor`](nfm_core::Predictor) policy abstraction.
 pub mod memo {
     pub use nfm_core::*;
 }

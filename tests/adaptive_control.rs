@@ -7,7 +7,7 @@
 //! every served context with live controller state.
 
 use nfm::control::{AdaptivePredictor, ControllerConfig};
-use nfm::memo::{AuditConfig, BnnMemoConfig, BnnMemoEvaluator};
+use nfm::memo::{AuditConfig, BnnMemoConfig, BnnMemoEvaluator, Model};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig};
 use nfm::serve::{EngineBuilder, InferenceRequest, ModelRegistry, PredictorKind, RequestOptions};
 use nfm::tensor::rng::DeterministicRng;
@@ -104,22 +104,21 @@ fn frozen_controller_matches_static_bnn_bit_for_bit() {
     let static_outputs = serve_all(static_registry, "bnn", &sequences);
 
     let net = network(77);
-    let frozen = Arc::new(AdaptivePredictor::for_network(
-        &net,
-        ControllerConfig::frozen_at(0.05, theta),
-    ));
+    let frozen = Arc::new(AdaptivePredictor::new(ControllerConfig::frozen_at(
+        0.05, theta,
+    )));
     let mut frozen_registry = ModelRegistry::new();
     frozen_registry
         .register("m", net, PredictorKind::Exact)
         .unwrap();
     frozen_registry
-        .add_custom_predictor("m", "adaptive", Arc::clone(&frozen) as _)
+        .add_predictor("m", Arc::clone(&frozen))
         .unwrap();
     let frozen_outputs = serve_all(frozen_registry, "adaptive", &sequences);
 
     assert_eq!(
         static_outputs, frozen_outputs,
-        "a frozen controller must reproduce the static BnnPredictor bit for bit"
+        "a frozen controller must reproduce the static BNN predictor bit for bit"
     );
     assert_eq!(frozen.controller().updates(), 0);
     assert!(frozen.controller().snapshot().hits() > 0);
@@ -130,8 +129,7 @@ fn single_worker_adaptive_serving_is_seed_deterministic() {
     let sequences = drifting_sequences(5, 24, 31);
     let run = || {
         let net = network(99);
-        let predictor = Arc::new(AdaptivePredictor::for_network(
-            &net,
+        let predictor = Arc::new(AdaptivePredictor::new(
             ControllerConfig::new(0.04)
                 .audit_period(4)
                 .initial_theta(0.3)
@@ -142,9 +140,7 @@ fn single_worker_adaptive_serving_is_seed_deterministic() {
         ));
         let mut registry = ModelRegistry::new();
         registry.register("m", net, PredictorKind::Exact).unwrap();
-        registry
-            .add_custom_predictor("m", "adaptive", Arc::clone(&predictor) as _)
-            .unwrap();
+        registry.add_predictor("m", Arc::clone(&predictor)).unwrap();
         let outputs = serve_all(registry, "adaptive", &sequences);
         (outputs, predictor.controller().snapshot())
     };
@@ -160,10 +156,10 @@ fn single_worker_adaptive_serving_is_seed_deterministic() {
 
 #[test]
 fn controller_converges_onto_slo_under_drift() {
-    let net = network(5);
+    let model = Model::from(network(5));
+    let net = model.network();
     let slo = 0.05;
-    let predictor = AdaptivePredictor::for_network(
-        &net,
+    let predictor = AdaptivePredictor::new(
         ControllerConfig::new(slo)
             .audit_period(4)
             .initial_theta(0.05)
@@ -172,7 +168,7 @@ fn controller_converges_onto_slo_under_drift() {
             .min_audits_per_update(8)
             .seed(2019),
     );
-    let mut evaluator = predictor.evaluator();
+    let mut evaluator = predictor.evaluator(&model);
     for seq in &drifting_sequences(12, 60, 13) {
         net.run(seq, &mut evaluator).expect("adaptive run");
     }
@@ -208,8 +204,7 @@ fn controller_converges_onto_slo_under_drift() {
 fn context_stats_reports_every_served_context() {
     let net = network(61);
     let slo = 0.05;
-    let adaptive = Arc::new(AdaptivePredictor::for_network(
-        &net,
+    let adaptive = Arc::new(AdaptivePredictor::new(
         ControllerConfig::new(slo).audit_period(4).seed(3),
     ));
     let mut registry = ModelRegistry::new();
@@ -220,9 +215,7 @@ fn context_stats_reports_every_served_context() {
             PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5)),
         )
         .unwrap();
-    registry
-        .add_custom_predictor("m", "adaptive", Arc::clone(&adaptive) as _)
-        .unwrap();
+    registry.add_predictor("m", Arc::clone(&adaptive)).unwrap();
     let engine = EngineBuilder::from_registry(registry)
         .lanes(2)
         .workers(1)

@@ -14,12 +14,18 @@
 //! 4. **Priority-class canarying** — `CanaryRule::Priority` routes
 //!    exactly the chosen class; other traffic never pairs.
 //! 5. **Artifact swaps** — a version arriving as serialized bytes
-//!    (`swap_model_artifact`) promotes cleanly at zero tolerance when
-//!    the weights round-trip, and garbage bytes surface as the typed
-//!    `BadArtifact` error without disturbing the live version.
+//!    (decoded, then `swap_model` like any other) promotes cleanly at
+//!    zero tolerance when the weights round-trip, and garbage bytes
+//!    surface as the typed `BadArtifact` error without disturbing the
+//!    live version.
+//! 6. **Retired versions leave nothing behind** — after any number of
+//!    promoted swaps a worker holds one context per live (model,
+//!    predictor), a single-model engine never borrows a lane, and
+//!    requests in flight on a retired version still finish on it.
 
-use nfm::memo::BnnMemoConfig;
-use nfm::model::save_to_vec;
+use nfm::bnn::BinaryNetwork;
+use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator};
+use nfm::model::{load_from_slice, save_to_vec};
 use nfm::net::NetServer;
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig};
 use nfm::serve::{
@@ -104,7 +110,7 @@ fn promotion_routes_all_traffic_to_the_new_version() {
         .swap_model(
             "kws",
             network(2),
-            &[PredictorKind::Exact],
+            [PredictorKind::Exact],
             CanaryConfig::fraction(1.0).min_requests(4).tolerance(1e6),
         )
         .expect("stage swap");
@@ -145,7 +151,7 @@ fn rollback_discards_the_staged_version_and_keeps_the_incumbent() {
         .swap_model(
             "kws",
             network(9),
-            &[PredictorKind::Exact],
+            [PredictorKind::Exact],
             CanaryConfig::fraction(1.0).min_requests(4), // zero tolerance
         )
         .expect("stage swap");
@@ -202,10 +208,10 @@ fn loadgen_traffic_during_swap_drops_nothing() {
     let artifact = save_to_vec(&network(1), None).expect("serialize");
     handle
         .engine()
-        .swap_model_artifact(
+        .swap_model(
             "kws",
-            &artifact,
-            &[PredictorKind::Exact],
+            load_from_slice(&artifact).expect("artifact loads"),
+            [PredictorKind::Exact],
             CanaryConfig::fraction(0.5).min_requests(8),
         )
         .expect("stage swap mid-traffic");
@@ -248,7 +254,7 @@ fn priority_rule_canaries_exactly_the_chosen_class() {
         .swap_model(
             "kws",
             network(1),
-            &[PredictorKind::Exact],
+            [PredictorKind::Exact],
             CanaryConfig::priority(Priority::High).min_requests(3),
         )
         .expect("stage swap");
@@ -293,20 +299,25 @@ fn swap_errors_are_typed_and_leave_the_live_version_alone() {
         engine.swap_model(
             "ghost",
             network(2),
-            &[PredictorKind::Exact],
+            [PredictorKind::Exact],
             CanaryConfig::fraction(0.5),
         ),
         Err(EngineError::UnknownModel { .. })
     ));
     assert!(matches!(
-        engine.swap_model("kws", network(2), &[], CanaryConfig::fraction(0.5)),
+        engine.swap_model(
+            "kws",
+            network(2),
+            [PredictorKind::Exact; 0],
+            CanaryConfig::fraction(0.5)
+        ),
         Err(EngineError::InvalidConfig { .. })
     ));
     assert!(matches!(
         engine.swap_model(
             "kws",
             network(2),
-            &[PredictorKind::Exact],
+            [PredictorKind::Exact],
             CanaryConfig::fraction(0.0),
         ),
         Err(EngineError::InvalidConfig { .. })
@@ -315,18 +326,13 @@ fn swap_errors_are_typed_and_leave_the_live_version_alone() {
         engine.swap_model(
             "kws",
             network(2),
-            &[PredictorKind::Exact],
+            [PredictorKind::Exact],
             CanaryConfig::fraction(0.5).min_requests(0),
         ),
         Err(EngineError::InvalidConfig { .. })
     ));
     assert!(matches!(
-        engine.swap_model_artifact(
-            "kws",
-            b"not an artifact",
-            &[PredictorKind::Exact],
-            CanaryConfig::fraction(0.5),
-        ),
+        load_from_slice(b"not an artifact").map_err(EngineError::from),
         Err(EngineError::BadArtifact { .. })
     ));
 
@@ -335,7 +341,7 @@ fn swap_errors_are_typed_and_leave_the_live_version_alone() {
         .swap_model(
             "kws",
             network(2),
-            &[PredictorKind::Exact],
+            [PredictorKind::Exact],
             CanaryConfig::fraction(0.5),
         )
         .expect("first stage");
@@ -343,7 +349,7 @@ fn swap_errors_are_typed_and_leave_the_live_version_alone() {
         engine.swap_model(
             "kws",
             network(3),
-            &[PredictorKind::Exact],
+            [PredictorKind::Exact],
             CanaryConfig::fraction(0.5),
         ),
         Err(EngineError::SwapInProgress { .. })
@@ -381,7 +387,7 @@ fn evicting_a_model_discards_its_staged_swap() {
         .swap_model(
             "asr",
             network(5),
-            &[PredictorKind::Exact],
+            [PredictorKind::Exact],
             CanaryConfig::fraction(1.0),
         )
         .expect("stage");
@@ -459,4 +465,86 @@ fn admin_frames_swap_and_evict_over_the_wire() {
         other => panic!("expected reject, got {other:?}"),
     }
     handle.shutdown();
+}
+
+/// Submits `seq` under the next id and notes the version that must
+/// answer it.
+fn submit_expecting(
+    engine: &Engine,
+    expected: &mut Vec<(u32, Vec<Vector>)>,
+    version: u32,
+    seq: &[Vector],
+) {
+    engine
+        .submit(InferenceRequest::new(expected.len() as u64, seq.to_vec()))
+        .expect("submit");
+    expected.push((version, seq.to_vec()));
+}
+
+#[test]
+fn workers_drop_the_contexts_of_retired_versions() {
+    const LANES: usize = 2;
+    let config = BnnMemoConfig::with_threshold(0.3);
+    let engine = EngineBuilder::new(network(1), PredictorKind::Bnn(config))
+        .lanes(LANES)
+        .workers(1)
+        .queue_capacity(64)
+        .build()
+        .expect("engine builds");
+    let shorts = sequences(1 + 3 * LANES, 91);
+    // Long enough to still be on a lane when its version is retired.
+    let long: Vec<Vector> = (0..400).flat_map(|_| shorts[0].clone()).collect();
+
+    // Per request id: the version that must answer it, and its input.
+    let mut expected = Vec::new();
+    let mut responses = Vec::new();
+    for live in 1..=5u32 {
+        // In flight on the incumbent, within its fair share.
+        for _ in 1..LANES {
+            submit_expecting(&engine, &mut expected, live, &long);
+        }
+        engine
+            .swap_model(
+                "default",
+                network(u64::from(live) + 1),
+                [PredictorKind::Bnn(config)],
+                CanaryConfig::fraction(1.0).min_requests(1).tolerance(1e6),
+            )
+            .expect("stage");
+        // One canary pair decides; the staged version answers it.
+        submit_expecting(&engine, &mut expected, live + 1, &shorts[0]);
+        while engine.swap_status("default").is_some() {
+            std::thread::yield_now();
+        }
+        assert_eq!(engine.registry().version("default"), Some(live + 1));
+        // The long requests finish on the version just retired...
+        responses.extend(engine.drain());
+        // ...and a backlog three times the lane count runs on the new
+        // one, alone on the worker: no sibling to borrow a lane from.
+        for seq in &shorts[1..] {
+            submit_expecting(&engine, &mut expected, live + 1, seq);
+        }
+        responses.extend(engine.drain());
+    }
+
+    let contexts = engine.context_stats();
+    assert_eq!(contexts.len(), 1, "{contexts:?}");
+    assert_eq!(contexts[0].version, 6);
+    assert_eq!(engine.lane_borrows(), 0);
+
+    assert_eq!(responses.len(), expected.len());
+    responses.sort_by_key(|r| r.id);
+    for (response, (version, seq)) in responses.iter().zip(&expected) {
+        let what = format!("request {} on v{version}", response.id);
+        assert!(response.is_done(), "{what}");
+        let net = network(u64::from(*version));
+        let mut dedicated = BnnMemoEvaluator::new(BinaryNetwork::mirror(&net), config);
+        let outputs = net.run(seq, &mut dedicated).expect("dedicated run");
+        assert_eq!(response.outputs.len(), outputs.len(), "{what}");
+        for (u, v) in response.outputs.iter().zip(&outputs) {
+            assert_eq!(u.as_slice(), v.as_slice(), "{what}");
+        }
+        assert_eq!(response.stats, *dedicated.stats(), "{what}");
+    }
+    engine.shutdown();
 }

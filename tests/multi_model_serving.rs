@@ -26,8 +26,8 @@
 
 use nfm::bnn::BinaryNetwork;
 use nfm::memo::{
-    BnnMemoConfig, BnnMemoEvaluator, LaneState, OracleEvaluator, OracleMemoConfig, Predictor,
-    ReuseStats, ServedEvaluator,
+    BnnMemoConfig, BnnMemoEvaluator, LaneState, Model, OracleEvaluator, OracleMemoConfig,
+    Predictor, ReuseStats, ServedEvaluator,
 };
 use nfm::rnn::{
     CellKind, DeepRnn, DeepRnnConfig, Direction, Gate, GateBatch, GateId, LaneScheduler,
@@ -166,7 +166,7 @@ impl Predictor for StickyPredictor {
         "sticky"
     }
 
-    fn build_evaluator(&self, _network: &DeepRnn) -> Box<dyn ServedEvaluator> {
+    fn build_evaluator(&self, _model: &Model) -> Box<dyn ServedEvaluator> {
         Box::<StickyEvaluator>::default()
     }
 }
@@ -224,7 +224,7 @@ fn custom_predictor_through_engine_matches_direct_evaluator_runs() {
     for lanes in [1usize, 2, 3] {
         let mut registry = ModelRegistry::new();
         registry
-            .register_custom("tiny", net.clone(), "sticky", Arc::new(StickyPredictor))
+            .register("tiny", net.clone(), StickyPredictor)
             .unwrap();
         let engine = EngineBuilder::from_registry(registry)
             .lanes(lanes)
@@ -568,17 +568,16 @@ fn one_context_serves_mixed_thresholds_on_its_lanes() {
 /// at the configured θ.
 #[test]
 fn a_lane_override_migrates_with_its_lane() {
-    let net = unidirectional_network(99);
-    let mirror = Arc::new(BinaryNetwork::mirror(&net));
+    let model = Model::from(unidirectional_network(99));
+    let (net, mirror) = (model.network().as_ref(), model.mirror());
     let kind = PredictorKind::Bnn(BnnMemoConfig::with_threshold(1.0));
-    let predictor = kind.instantiate(&net, Some(Arc::clone(&mirror)));
     let stolen = smooth_sequence(30, net.input_size(), 3300);
     let neighbour = smooth_sequence(13, net.input_size(), 3301);
     let successor = smooth_sequence(10, net.input_size(), 3302);
 
-    let mut donor_eval = predictor.build_evaluator(&net);
+    let mut donor_eval = kind.build_evaluator(&model);
     donor_eval.begin_batch(2);
-    let mut donor = LaneScheduler::new(&net, 2).unwrap();
+    let mut donor = LaneScheduler::new(net, 2).unwrap();
     donor
         .admit(1, neighbour.clone(), donor_eval.as_mut())
         .unwrap();
@@ -587,22 +586,20 @@ fn a_lane_override_migrates_with_its_lane() {
     let mut finished = Vec::new();
     // One block in: sorting moved the longer, overridden lane to the
     // front, its θ with it.
-    donor
-        .step(&net, donor_eval.as_mut(), &mut finished)
-        .unwrap();
+    donor.step(net, donor_eval.as_mut(), &mut finished).unwrap();
     assert_eq!(donor.lane_of(0), Some(0));
     let state = donor_eval.export_lane_state(0).expect("memo lanes migrate");
     let snapshot = donor.extract(0, donor_eval.as_mut()).unwrap();
 
-    let mut receiver_eval = predictor.build_evaluator(&net);
+    let mut receiver_eval = kind.build_evaluator(&model);
     receiver_eval.begin_batch(1);
-    let mut receiver = LaneScheduler::new(&net, 1).unwrap();
+    let mut receiver = LaneScheduler::new(net, 1).unwrap();
     let lane = receiver.implant(0, snapshot).unwrap();
     assert!(receiver_eval.import_lane_state(lane, state));
 
     let mut drain = |sched: &mut LaneScheduler, eval: &mut Box<dyn ServedEvaluator>| {
         finished.clear();
-        while sched.step(&net, eval.as_mut(), &mut finished).unwrap() > 0 {}
+        while sched.step(net, eval.as_mut(), &mut finished).unwrap() > 0 {}
         assert_eq!(finished.len(), 1);
         let stats = eval.take_lane_stats(finished[0].stats_lane).unwrap();
         (std::mem::take(&mut finished[0].outputs), stats)
@@ -627,7 +624,7 @@ fn a_lane_override_migrates_with_its_lane() {
             drain(&mut receiver, &mut receiver_eval)
         }),
     ] {
-        let (reference, reference_stats) = dedicated_run(&net, &mirror, kind, theta, seq);
+        let (reference, reference_stats) = dedicated_run(net, mirror, kind, theta, seq);
         assert_bit_identical(what, &outputs, &reference);
         assert_eq!(stats, reference_stats, "{what}: per-request stats");
     }
@@ -825,7 +822,7 @@ impl Predictor for SleepyPredictor {
         "sleepy"
     }
 
-    fn build_evaluator(&self, _network: &DeepRnn) -> Box<dyn ServedEvaluator> {
+    fn build_evaluator(&self, _model: &Model) -> Box<dyn ServedEvaluator> {
         Box::new(SleepyEvaluator {
             inner: nfm::rnn::ExactEvaluator::new(),
             delay: self.delay,
@@ -837,14 +834,13 @@ impl Predictor for SleepyPredictor {
 fn sleepy_engine(net: &DeepRnn, policy: DeadlinePolicy) -> nfm::serve::Engine {
     let mut registry = ModelRegistry::new();
     registry
-        .register_custom(
+        .register(
             "slow",
             net.clone(),
-            "sleepy",
-            Arc::new(SleepyPredictor {
+            SleepyPredictor {
                 delay: Duration::from_millis(1),
                 stage: None,
-            }),
+            },
         )
         .unwrap();
     EngineBuilder::from_registry(registry)
@@ -1063,17 +1059,16 @@ fn stolen_lanes_still_abort_on_deadline() {
     let (seated_tx, seated) = channel();
     let mut registry = ModelRegistry::new();
     registry
-        .register_custom(
+        .register(
             "slow",
             net.clone(),
-            "sleepy",
-            Arc::new(SleepyPredictor {
+            SleepyPredictor {
                 delay: Duration::from_millis(1),
                 stage: Some(Arc::new(Stage {
                     first_call: Mutex::new(Some((started_tx, release_rx))),
                     two_lanes: Mutex::new(Some(seated_tx)),
                 })),
-            }),
+            },
         )
         .unwrap();
     let engine = EngineBuilder::from_registry(registry)
