@@ -33,8 +33,6 @@ use nfm_bench::Bencher;
 use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector, PopcountBackend};
 use nfm_control::{AdaptivePredictor, ControllerConfig};
 use nfm_core::{BnnMemoConfig, BnnMemoEvaluator, Model, OracleEvaluator};
-use nfm_loadgen::{run_scenario, ArrivalProcess, BlendEntry, Scenario};
-use nfm_net::{NetClient, NetServer, ServerFrame, WireRequest};
 use nfm_rnn::{
     DeepRnn, ExactEvaluator, Gate, NeuronEvaluator, NeuronRef, PerNeuronEvaluator,
     Result as RnnResult, RnnError,
@@ -208,9 +206,9 @@ fn workload(id: NetworkId, scale: f32, sequences: usize, len: usize) -> Workload
         .expect("workload builds")
 }
 
-/// Wave-boundary refill over ragged traffic: the pre-engine
-/// `run_batched` schedule — waves of `lanes` sequences through
-/// `run_batch`, freed lanes idle until the wave ends.  The evaluator is
+/// Wave-boundary refill over ragged traffic: waves of `lanes`
+/// sequences through `run_batch` (a scheduler that is never refilled),
+/// freed lanes idle until the wave ends.  The evaluator is
 /// caller-owned and reused across iterations (each wave starts its
 /// lanes cold via `begin_lane_sequence`, so iterations are identical).
 fn wave_refill(
@@ -313,6 +311,34 @@ fn main() {
         );
     }
 
+    // The bidirectional path, which the repo benchmark has no workload
+    // for: EESEN's shape (10 x 320 bidirectional LSTM) at 8 ragged lanes
+    // through `run_batch` — every step spans the seated sequences
+    // whole, forward and backward pass per layer — exact against BNN
+    // memoization, interleaved.  Evaluators are caller-owned and reused
+    // (each call starts its lanes cold).
+    {
+        let eesen = workload(NetworkId::Eesen, 1.0, BATCH, 24);
+        let seqs: Vec<&[Vector]> = eesen
+            .sequences()
+            .iter()
+            .zip([24usize, 8, 17, 9, 24, 1, 12, 20])
+            .map(|(s, len)| &s[..len])
+            .collect();
+        let net = eesen.network();
+        let mut exact = ExactEvaluator::new();
+        let mut memo = BnnMemoEvaluator::new(
+            BinaryNetwork::mirror(net),
+            BnnMemoConfig::with_threshold(0.5),
+        );
+        bench.bench_pair(
+            "inference/bidirectional_batched/exact",
+            || black_box(net.run_batch(&seqs, &mut exact).expect("runs").len()),
+            "inference/bidirectional_batched/bnn",
+            || black_box(net.run_batch(&seqs, &mut memo).expect("runs").len()),
+        );
+    }
+
     // Adaptive thresholds vs the static θ they start from, on a
     // drifting-regime workload (the input distribution wanders — the
     // traffic the controller exists for).  Both sides run the same
@@ -360,10 +386,9 @@ fn main() {
     }
 
     // The serving engine under ragged traffic: the same sequences
-    // drained with wave-boundary refill (the pre-engine `run_batched`
-    // schedule) vs the unified lane scheduler's mid-wave (block
-    // policy) refill.  Long
-    // and short requests interleave, so every wave thins out to a
+    // drained in whole waves through `run_batch` vs refilled mid-wave
+    // through the engine — the same stack driver under both, so the
+    // pair isolates refill + engine from driver order.  Long and short requests interleave, so every wave thins out to a
     // sliver of active lanes near its end — exactly the utilization gap
     // mid-wave refill closes.  Construction is symmetric and hoisted
     // out of the timed closures: the wave side reuses one evaluator,
@@ -412,28 +437,6 @@ fn main() {
             },
             &format!("inference/engine_midwave_refill/{pred_name}"),
             || black_box(midwave_refill(&engine, &ragged).len()),
-        );
-        // Per-request latency percentiles pooled over several engine
-        // passes (24 requests each), so the recorded p99 is a real
-        // tail percentile over ~120 samples rather than the maximum of
-        // a single pass.
-        let mut latencies: Vec<f64> = Vec::new();
-        for _ in 0..5 {
-            latencies.extend(
-                midwave_refill(&engine, &ragged)
-                    .iter()
-                    .map(|r| r.total_latency().as_nanos() as f64),
-            );
-        }
-        latencies.sort_by(|a, b| a.total_cmp(b));
-        let percentile = |q: f64| latencies[((latencies.len() - 1) as f64 * q).round() as usize];
-        bench.record_value(
-            &format!("inference/engine_request_p50/{pred_name}"),
-            percentile(0.50),
-        );
-        bench.record_value(
-            &format!("inference/engine_request_p99/{pred_name}"),
-            percentile(0.99),
         );
     }
 
@@ -502,8 +505,8 @@ fn main() {
     // long stragglers (48-63 steps), the canonical heavy-tailed
     // service-time mix — so nearly every wave ends with a straggler
     // holding a sliver of lanes.  The wave reference gives each model
-    // its own fixed ENGINE_LANES-lane waves (the pre-unified-scheduler
-    // regime: no borrowing across models); the engine serves both
+    // its own fixed ENGINE_LANES-lane waves (no refill, no borrowing
+    // across models); the engine serves both
     // models from one worker whose block schedulers let the hot
     // context borrow the cold context's idle lanes while mid-wave
     // refill backfills around the stragglers.  This pair is the PR
@@ -590,162 +593,6 @@ fn main() {
         "inference/engine_midwave_refill_skewed/mixed",
         || black_box(submit_skewed(&skewed_engine).len()),
     );
-    // Tail latency under the skew, pooled over several passes so the
-    // p99 is a real percentile over ~160 samples.
-    let mut skew_latencies: Vec<f64> = Vec::new();
-    for _ in 0..5 {
-        skew_latencies.extend(
-            submit_skewed(&skewed_engine)
-                .iter()
-                .map(|r| r.total_latency().as_nanos() as f64),
-        );
-    }
-    skew_latencies.sort_by(|a, b| a.total_cmp(b));
-    let skew_percentile =
-        |q: f64| skew_latencies[((skew_latencies.len() - 1) as f64 * q).round() as usize];
-    bench.record_value(
-        "inference/engine_request_p50_skewed/mixed",
-        skew_percentile(0.50),
-    );
-    bench.record_value(
-        "inference/engine_request_p99_skewed/mixed",
-        skew_percentile(0.99),
-    );
-
-    // ------------------------------------------------------------------
-    // Network serving (`net/*`): what the TCP front door costs.
-    //
-    // 1. Loopback protocol overhead — the same single BNN request
-    //    served by `Engine::submit`+`drain` in-process vs a full
-    //    encode → loopback TCP → decode → submit → respond round trip,
-    //    as an interleaved pair so machine drift cancels.  The
-    //    `engine_submit vs loopback_roundtrip` speedup in the snapshot
-    //    is the honest overhead factor.
-    // 2. Open-loop Poisson latencies — seeded arrivals against a live
-    //    server, p50/p99/p999 measured from each request's *scheduled*
-    //    arrival (no coordinated omission).
-    // 3. Mixed two-model blend — closed-loop traffic spreading over
-    //    two registered models with θ overrides and ragged lengths.
-    // ------------------------------------------------------------------
-    {
-        let net_pool = workload(NetworkId::ImdbSentiment, 0.25, 8, 24);
-        let sibling = WorkloadBuilder::new(NetworkId::ImdbSentiment)
-            .scale(0.25)
-            .sequences(2)
-            .sequence_length(24)
-            .seed(29)
-            .build()
-            .expect("workload builds");
-        let net_engine = || {
-            let mut registry = ModelRegistry::new();
-            registry
-                .register(
-                    "imdb",
-                    net_pool.network().clone(),
-                    PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5)),
-                )
-                .expect("register model");
-            registry
-                .register(
-                    "imdb-b",
-                    sibling.network().clone(),
-                    PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5)),
-                )
-                .expect("register sibling");
-            EngineBuilder::from_registry(registry)
-                .workers(2)
-                .queue_capacity(256)
-                .build()
-                .expect("engine builds")
-        };
-
-        // 1. Loopback overhead, one request at a time on both paths.
-        let direct = net_engine();
-        let server = NetServer::bind("127.0.0.1:0", net_engine()).expect("bind");
-        let handle = server.spawn().expect("spawn");
-        let mut client = NetClient::connect(handle.addr()).expect("connect");
-        let seq = net_pool.sequences()[0].clone();
-        bench.bench_pair(
-            "net/engine_submit/bnn",
-            || {
-                direct
-                    .submit(InferenceRequest::new(1, seq.clone()))
-                    .expect("submit");
-                black_box(direct.drain().len())
-            },
-            "net/loopback_roundtrip/bnn",
-            || {
-                client
-                    .send(&WireRequest::new(1, seq.clone()))
-                    .expect("send");
-                match client.recv().expect("recv") {
-                    ServerFrame::Response(r) => black_box(r.outputs.len()),
-                    other => panic!("unexpected frame: {other:?}"),
-                }
-            },
-        );
-        drop(client);
-        direct.shutdown();
-
-        // 2. Open-loop Poisson against the same live server.
-        let open = Scenario {
-            seed: 0xA11CE,
-            warmup: 16,
-            measure: 96,
-            arrival: ArrivalProcess::OpenLoopPoisson {
-                rate_per_sec: 250.0,
-                max_in_flight: 64,
-            },
-            blend: vec![BlendEntry::new(1.0)],
-            pool: net_pool.sequences().to_vec(),
-            ragged_lengths: Some(vec![8, 16, 24]),
-        };
-        let report = run_scenario(handle.addr(), &open).expect("open-loop scenario");
-        assert_eq!(report.done, 96, "open loop must answer every request");
-        bench.record_value(
-            "net/openloop_poisson_p50/bnn",
-            report.latency.quantile_ns(0.50) as f64,
-        );
-        bench.record_value(
-            "net/openloop_poisson_p99/bnn",
-            report.latency.quantile_ns(0.99) as f64,
-        );
-        bench.record_value(
-            "net/openloop_poisson_p999/bnn",
-            report.latency.quantile_ns(0.999) as f64,
-        );
-
-        // 3. Mixed two-model blend, closed loop (capacity regime).
-        let blend = Scenario {
-            seed: 0xB1E4D,
-            warmup: 16,
-            measure: 96,
-            arrival: ArrivalProcess::ClosedLoop { concurrency: 8 },
-            blend: vec![
-                BlendEntry::new(2.0).model("imdb"),
-                BlendEntry::new(1.0).model("imdb").threshold(0.2),
-                BlendEntry::new(1.0).model("imdb-b"),
-            ],
-            pool: net_pool.sequences().to_vec(),
-            ragged_lengths: Some(vec![8, 16, 24]),
-        };
-        let report = run_scenario(handle.addr(), &blend).expect("blend scenario");
-        assert_eq!(report.done, 96, "blend must answer every request");
-        bench.record_value(
-            "net/two_model_blend_p50/mixed",
-            report.latency.quantile_ns(0.50) as f64,
-        );
-        bench.record_value(
-            "net/two_model_blend_p99/mixed",
-            report.latency.quantile_ns(0.99) as f64,
-        );
-        bench.record_value(
-            "net/two_model_blend_p999/mixed",
-            report.latency.quantile_ns(0.999) as f64,
-        );
-        let stats = handle.shutdown();
-        assert_eq!(stats.rejects_total(), 0, "net benches must not shed");
-    }
 
     for (size, w) in &sizes {
         bench.bench(&format!("inference/exact/{size}"), || {
@@ -1142,7 +989,6 @@ fn main() {
     bench.set_meta("popcount_backend", nfm_bnn::popcount::active().name());
 
     let static_speedups: Vec<(&str, &str)> = vec![
-        ("net/loopback_roundtrip/bnn", "net/engine_submit/bnn"),
         ("inference/exact_naive/small", "inference/exact/small"),
         ("inference/exact_naive/medium", "inference/exact/medium"),
         ("inference/exact_per_neuron/small", "inference/exact/small"),
@@ -1185,6 +1031,10 @@ fn main() {
         (
             "inference/bnn_memoized_single/medium",
             "inference/bnn_memoized_batched/medium",
+        ),
+        (
+            "inference/bidirectional_batched/exact",
+            "inference/bidirectional_batched/bnn",
         ),
         (
             "inference/engine_wave_refill/exact",

@@ -85,22 +85,23 @@ impl Predictor for AdaptivePredictor {
 ///
 /// Delegates every evaluation bit-identically to the inner evaluator
 /// (which runs with audit sampling and the controller's per-layer θ
-/// installed) and, every [`HOIST_BLOCK`] timesteps' worth of whole-gate
-/// calls, performs a *sync*: drain the accumulated audit counters into
-/// the shared controller, and — only if the controller's epoch moved —
-/// re-read the per-layer thresholds. The layer θ therefore never
-/// changes inside a gate invocation and is shared by every lane of the
-/// call; a lane override, which this predictor refuses, would take
-/// precedence.
+/// installed) and, whenever the driver moves on to another cell or into
+/// another [`HOIST_BLOCK`]-aligned block of timesteps, performs a
+/// *sync*: drain the accumulated audit counters into the shared
+/// controller, and — only if the controller's epoch moved — re-read the
+/// per-layer thresholds. A layer's θ over a block of its timesteps is
+/// thus a function of that layer's audits in its earlier blocks, not of
+/// how the driver interleaves the layers. The layer θ never changes
+/// inside a gate invocation and is shared by every lane of the call; a
+/// lane override, which this predictor refuses, would take precedence.
 #[derive(Debug)]
 pub struct AdaptiveEvaluator {
     inner: BnnMemoEvaluator,
     controller: Arc<ThresholdController>,
     seen_epoch: u64,
-    // Whole-gate calls per timestep; a sync runs every
-    // `block_span = gates_per_step * HOIST_BLOCK` calls.
-    block_span: u64,
-    calls_in_block: u64,
+    // `(layer, direction, timestep / HOIST_BLOCK)` of the last
+    // whole-gate call; a sync runs before a call that differs in it.
+    block: (usize, usize, usize),
     thetas: Vec<f32>,
 }
 
@@ -112,7 +113,6 @@ impl AdaptiveEvaluator {
         base: BnnMemoConfig,
         controller: Arc<ThresholdController>,
     ) -> Self {
-        let gates_per_step = mirror.iter().count().max(1) as u64;
         let mut inner =
             BnnMemoEvaluator::new(mirror, base).with_audit(controller.config().audit_config());
         let mut thetas = Vec::new();
@@ -123,8 +123,7 @@ impl AdaptiveEvaluator {
             inner,
             controller,
             seen_epoch,
-            block_span: gates_per_step * HOIST_BLOCK as u64,
-            calls_in_block: 0,
+            block: (0, 0, 0),
             thetas,
         }
     }
@@ -139,15 +138,10 @@ impl AdaptiveEvaluator {
         &self.inner
     }
 
-    /// Forces a sync now: drains pending audit telemetry into the
-    /// controller and re-reads θ. Drivers call this after a run so the
-    /// tail of the last block is observed too.
+    /// A sync: drains pending audit telemetry into the controller and
+    /// re-reads θ. Drivers call this after a run so the tail of the last
+    /// block is observed too.
     pub fn flush(&mut self) {
-        self.calls_in_block = 0;
-        self.sync();
-    }
-
-    fn sync(&mut self) {
         let audit = self.inner.take_audit_stats();
         if !audit.is_empty() {
             self.controller.observe(&audit);
@@ -157,15 +151,6 @@ impl AdaptiveEvaluator {
             self.seen_epoch = epoch;
             self.controller.write_thetas_into(&mut self.thetas);
             self.inner.set_layer_thresholds(&self.thetas);
-        }
-    }
-
-    #[inline]
-    fn after_gate_call(&mut self) {
-        self.calls_in_block += 1;
-        if self.calls_in_block >= self.block_span {
-            self.calls_in_block = 0;
-            self.sync();
         }
     }
 }
@@ -184,9 +169,13 @@ impl NeuronEvaluator for AdaptiveEvaluator {
     }
 
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
-        self.inner.evaluate_gate_batch(call, out)?;
-        self.after_gate_call();
-        Ok(())
+        let id = call.gate_id;
+        let block = (id.layer, id.direction, call.timestep / HOIST_BLOCK);
+        if block != self.block {
+            self.block = block;
+            self.flush();
+        }
+        self.inner.evaluate_gate_batch(call, out)
     }
 
     fn supports_input_hoisting(&self) -> bool {
@@ -195,13 +184,13 @@ impl NeuronEvaluator for AdaptiveEvaluator {
 
     fn begin_batch(&mut self, lanes: usize) {
         self.inner.begin_batch(lanes);
-        self.sync();
+        self.flush();
     }
 
     fn begin_lane_sequence(&mut self, lane: usize) {
         // A lane admission is a block boundary for that lane: drain
         // telemetry and pick up the freshest θ before the new request.
-        self.sync();
+        self.flush();
         self.inner.begin_lane_sequence(lane);
     }
 
@@ -302,6 +291,69 @@ mod tests {
         let (out_b, snap_b) = run();
         assert_eq!(out_a, out_b, "bit-identical outputs across runs");
         assert_eq!(snap_a, snap_b, "identical controller trajectories");
+    }
+
+    #[test]
+    fn the_trajectory_does_not_depend_on_how_a_driver_interleaves_layers() {
+        // A two-layer stack visited layer-major over a whole sequence and
+        // block-major, `HOIST_BLOCK` timesteps of every layer at a time.
+        // Each gate sees the same inputs in the same timestep order, so
+        // every output, the audit sample and the controller's trajectory
+        // must agree.
+        const STEPS: usize = 44;
+        let cfg = DeepRnnConfig::new(CellKind::Lstm, 8, 12).layers(2);
+        let mut rng = DeterministicRng::seed_from_u64(13);
+        let model = Model::from(DeepRnn::random(&cfg, &mut rng).unwrap());
+        let input = |width: usize, layer: usize, t: usize| -> Vec<f32> {
+            (0..width)
+                .map(|i| ((i + 3 * layer) as f32 * 0.7).sin() * 0.5 + 0.004 * (t * (i % 5)) as f32)
+                .collect()
+        };
+        let visit = |order: Vec<(usize, usize)>| {
+            let predictor = AdaptivePredictor::new(
+                ControllerConfig::new(0.02)
+                    .audit_period(5)
+                    .min_audits_per_update(2),
+            );
+            let mut evaluator = predictor.evaluator(&model);
+            evaluator.begin_batch(1);
+            evaluator.begin_lane_sequence(0);
+            let mut outputs = std::collections::BTreeMap::new();
+            for (layer, t) in order {
+                for (id, gate) in model.network().gates() {
+                    if id.layer != layer {
+                        continue;
+                    }
+                    let xs = input(gate.input_size(), layer, t);
+                    let h_prevs = input(gate.hidden_size(), layer + 1, t);
+                    let call = GateBatch {
+                        gate_id: id,
+                        timestep: t,
+                        lanes: 1,
+                        gate,
+                        xs: &xs,
+                        h_prevs: &h_prevs,
+                        fwd: None,
+                    };
+                    let mut out = vec![0.0; gate.neurons()];
+                    evaluator.evaluate_gate_batch(&call, &mut out).unwrap();
+                    let bits: Vec<u32> = out.iter().map(|y| y.to_bits()).collect();
+                    outputs.insert((id.dense_index(), t), bits);
+                }
+            }
+            evaluator.flush();
+            let stats = *evaluator.inner().stats();
+            (outputs, stats, predictor.controller().snapshot())
+        };
+        let layer_major = (0..2).flat_map(|l| (0..STEPS).map(move |t| (l, t)));
+        let block_major = (0..STEPS).step_by(HOIST_BLOCK).flat_map(|start| {
+            (0..2).flat_map(move |l| (start..STEPS.min(start + HOIST_BLOCK)).map(move |t| (l, t)))
+        });
+        let (a, b) = (visit(layer_major.collect()), visit(block_major.collect()));
+        assert!(a.1.audited() > 0 && a.1.reuses() > 0, "{:?}", a.1);
+        let thetas = a.2.thresholds();
+        assert!(thetas.iter().all(|&t| t != 0.5), "θ moved: {thetas:?}");
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 /// Configuration of deterministic audit sampling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditConfig {
-    /// Audit every `period`-th memoization hit (per lane). Must be
-    /// at least 1; `1` audits every hit.
+    /// Audit every `period`-th memoization hit of each gate (per lane,
+    /// counted from the start of the sequence — so the sample does not
+    /// depend on the order a driver visits gates in). Must be at least
+    /// 1; `1` audits every hit.
     pub period: u64,
     /// Seed selecting *which* residue of the hit counter is audited,
     /// so different seeds sample different hit phases.

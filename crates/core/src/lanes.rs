@@ -16,6 +16,33 @@
 
 use crate::stats::ReuseStats;
 use crate::table::MemoTable;
+use nfm_rnn::GateId;
+
+/// Memo hits counted so far on each gate of one sequence: the phase of
+/// the deterministic 1-in-N audit sampling.  Counted per gate, and every
+/// driver visits a gate's timesteps in sequence order, so which hits are
+/// sampled does not depend on how the visits to different gates
+/// interleave.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AuditPhase(Vec<u64>);
+
+impl AuditPhase {
+    /// Counts one more hit on `gate` and returns how many preceded it.
+    #[inline]
+    pub(crate) fn count_hit(&mut self, gate: GateId) -> u64 {
+        let at = gate.dense_index();
+        if at >= self.0.len() {
+            self.0.resize(at + 1, 0);
+        }
+        self.0[at] += 1;
+        self.0[at] - 1
+    }
+
+    /// A new sequence starts: every gate counts from zero again.
+    pub(crate) fn reset(&mut self) {
+        self.0.clear();
+    }
+}
 
 /// Everything a memoizing evaluator keeps about one lane; also the
 /// state that travels when the lane migrates between workers.
@@ -23,9 +50,9 @@ use crate::table::MemoTable;
 pub(crate) struct MemoLaneState {
     pub(crate) table: MemoTable,
     pub(crate) stats: ReuseStats,
-    /// Hits counted so far, the phase of the deterministic 1-in-N audit
-    /// sampling (BNN evaluators with auditing on; otherwise unused).
-    pub(crate) audit_counter: u64,
+    /// The lane's audit sampling phase (BNN evaluators with auditing on;
+    /// otherwise unused).
+    pub(crate) audit: AuditPhase,
     /// The request's `θ` override; `None` runs at the layer's `θ`.
     pub(crate) threshold: Option<f32>,
 }
@@ -63,7 +90,7 @@ impl MemoLanes {
             self.0.push(MemoLaneState {
                 table: table(),
                 stats: ReuseStats::new(),
-                audit_counter: 0,
+                audit: AuditPhase::default(),
                 threshold: None,
             });
         }
@@ -75,7 +102,7 @@ impl MemoLanes {
         let state = &mut self.0[lane];
         state.table.clear();
         state.stats.reset();
-        state.audit_counter = 0;
+        state.audit.reset();
         state.threshold = None;
     }
 
@@ -103,7 +130,7 @@ impl MemoLanes {
         MemoLaneState {
             table: state.table.clone(),
             stats: std::mem::take(&mut state.stats),
-            audit_counter: state.audit_counter,
+            audit: state.audit.clone(),
             threshold: state.threshold,
         }
     }

@@ -58,7 +58,6 @@
 
 pub mod audit;
 pub mod config;
-pub mod input_similarity;
 pub mod lanes;
 pub mod oracle;
 pub mod predictor;
@@ -70,7 +69,6 @@ pub mod threshold;
 
 pub use audit::{AuditConfig, AuditStats, ControlSnapshot, LayerAudit, LayerControl};
 pub use config::{BnnMemoConfig, OracleMemoConfig};
-pub use input_similarity::{InputSimilarityConfig, InputSimilarityEvaluator};
 pub use lanes::MemoLanes;
 pub use nfm_bnn::Model;
 pub use oracle::OracleEvaluator;

@@ -2,7 +2,7 @@
 
 use crate::audit::{AuditConfig, AuditStats};
 use crate::config::BnnMemoConfig;
-use crate::lanes::MemoLanes;
+use crate::lanes::{AuditPhase, MemoLanes};
 use crate::stats::ReuseStats;
 use crate::table::MemoTable;
 use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector};
@@ -83,14 +83,14 @@ pub struct BnnMemoEvaluator {
     // Deterministic 1-in-N audit sampling of memo hits (None = off).
     audit: Option<AuditSampler>,
     audit_stats: AuditStats,
-    // Hit counter driving audit selection on the per-neuron reference
-    // path; the gate entry counts per lane (so a lane's audit sequence
-    // does not depend on its neighbours).
-    audit_counter: u64,
+    // Audit sampling phase of the per-neuron reference path; the gate
+    // entry keeps one per lane (so a lane's audit sequence does not
+    // depend on its neighbours).
+    audit_phase: AuditPhase,
 }
 
-/// Precomputed audit selection: hit number `c` is audited iff
-/// `c % period == offset`.
+/// Precomputed audit selection: a gate's hit number `c` of the sequence
+/// is audited iff `c % period == offset`.
 #[derive(Debug, Clone, Copy)]
 struct AuditSampler {
     period: u64,
@@ -137,7 +137,7 @@ impl BnnMemoEvaluator {
             layer_thresholds: Vec::new(),
             audit: None,
             audit_stats: AuditStats::new(),
-            audit_counter: 0,
+            audit_phase: AuditPhase::default(),
         }
     }
 
@@ -215,8 +215,8 @@ impl BnnMemoEvaluator {
     }
 
     /// Audit sampling of one gate call's hits (`miss == 0`, `out` holding
-    /// their cached values): every lane counts its hits in neuron order
-    /// and the due ones are also computed exactly.  Neuron-outer,
+    /// their cached values): every lane counts its hits on this gate in
+    /// neuron order and the due ones are also computed exactly.  Neuron-outer,
     /// lane-inner, so the per-layer error sums accumulate in a fixed
     /// order whatever the lane count.
     fn audit_hits(&mut self, sampler: AuditSampler, call: &GateBatch<'_>, out: &[f32]) {
@@ -228,9 +228,7 @@ impl BnnMemoEvaluator {
                     continue;
                 }
                 let lane = &mut self.lanes.0[l];
-                let count = lane.audit_counter;
-                lane.audit_counter += 1;
-                if sampler.due(count) {
+                if sampler.due(lane.audit.count_hit(call.gate_id)) {
                     let y_exact = nfm_tensor::kernels::dot_unchecked(
                         gate.wx().row(n),
                         &call.xs[l * isz..(l + 1) * isz],
@@ -395,9 +393,7 @@ impl NeuronEvaluator for BnnMemoEvaluator {
                 if let Some(sampler) = self.audit {
                     let layer = neuron.gate_id.layer;
                     self.audit_stats.record_hit(layer);
-                    let count = self.audit_counter;
-                    self.audit_counter += 1;
-                    if sampler.due(count) {
+                    if sampler.due(self.audit_phase.count_hit(neuron.gate_id)) {
                         // Audit step: compute the skipped dot product
                         // anyway to observe the error — but still emit
                         // the cached value, so outputs are unchanged.
@@ -540,7 +536,7 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         // as the trait docs spell out.)
         self.table.clear();
         self.input_cache = None;
-        self.audit_counter = 0;
+        self.audit_phase.reset();
         self.lanes.begin(lane);
     }
 

@@ -10,14 +10,80 @@
 
 use crate::harness::{EvalConfig, NetworkRun};
 use crate::report::{ExperimentReport, Series, TableReport};
-use nfm_core::{InputSimilarityConfig, InputSimilarityEvaluator, ReuseStats};
+use nfm_core::config::DEFAULT_EPSILON;
+use nfm_core::ReuseStats;
+use nfm_rnn::{Gate, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult};
 use nfm_tensor::Vector;
+use std::collections::HashMap;
+
+/// The strawman of the paper's Section 1: a gate's cached outputs are
+/// reused while its concatenated input `[x_t ; h_{t-1}]` stays within a
+/// relative L1 distance `threshold` of the input they were computed
+/// from.  The decision is per gate per timestep (every neuron of a gate
+/// reads the same input) and never looks at the weights — which is why,
+/// at equal reuse, it loses more accuracy than the BNN predictor.
+struct InputSimilarityEvaluator {
+    threshold: f32,
+    /// Per gate: the reference input and the outputs computed under it.
+    cache: HashMap<GateId, (Vec<f32>, Vec<Option<f32>>)>,
+    stats: ReuseStats,
+}
+
+impl InputSimilarityEvaluator {
+    fn new(threshold: f32) -> Self {
+        InputSimilarityEvaluator {
+            threshold,
+            cache: HashMap::new(),
+            stats: ReuseStats::new(),
+        }
+    }
+}
+
+impl NeuronEvaluator for InputSimilarityEvaluator {
+    fn evaluate(
+        &mut self,
+        neuron: NeuronRef,
+        gate: &Gate,
+        x: &[f32],
+        h_prev: &[f32],
+    ) -> RnnResult<f32> {
+        let current = [x, h_prev].concat();
+        let (inputs, outputs) = self
+            .cache
+            .entry(neuron.gate_id)
+            .or_insert_with(|| (current.clone(), vec![None; gate.neurons()]));
+        let (mut diff, mut norm) = (0.0f32, 0.0f32);
+        for (c, n) in inputs.iter().zip(&current) {
+            diff += (c - n).abs();
+            norm += c.abs();
+        }
+        if diff / norm.max(DEFAULT_EPSILON) <= self.threshold {
+            if let Some(cached) = outputs[neuron.neuron] {
+                self.stats.record_reused();
+                return Ok(cached);
+            }
+        }
+        let y_t = gate.neuron_dot(neuron.neuron, x, h_prev)?;
+        self.stats.record_computed();
+        // Refreshing the reference input makes every output cached
+        // under the old one stale.
+        if *inputs != current {
+            *inputs = current;
+            outputs.fill(None);
+        }
+        outputs[neuron.neuron] = Some(y_t);
+        Ok(y_t)
+    }
+
+    fn begin_lane_sequence(&mut self, _lane: usize) {
+        self.cache.clear();
+    }
+}
 
 /// Runs the input-similarity predictor over a workload at one threshold,
 /// returning `(reuse, loss)`.
 fn score_input_similarity(run: &NetworkRun, threshold: f32) -> (f64, f64) {
-    let mut evaluator =
-        InputSimilarityEvaluator::new(InputSimilarityConfig::with_threshold(threshold));
+    let mut evaluator = InputSimilarityEvaluator::new(threshold);
     let mut outputs: Vec<Vec<Vector>> = Vec::new();
     for seq in run.workload().sequences() {
         outputs.push(
@@ -27,12 +93,11 @@ fn score_input_similarity(run: &NetworkRun, threshold: f32) -> (f64, f64) {
                 .expect("input-similarity run"),
         );
     }
-    let stats: &ReuseStats = evaluator.stats();
     let loss = run
         .workload()
         .metric()
         .batch_loss(run.baseline_outputs(), &outputs);
-    (stats.reuse_fraction(), loss)
+    (evaluator.stats.reuse_fraction(), loss)
 }
 
 /// Regenerates the predictor ablation.
@@ -126,6 +191,23 @@ pub fn run(config: &EvalConfig) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nfm_rnn::ExactEvaluator;
+
+    #[test]
+    fn zero_threshold_reuses_nothing_and_equals_exact() {
+        let run = &NetworkRun::all(&EvalConfig::smoke()).unwrap()[0];
+        let (net, seq) = (run.workload().network(), &run.workload().sequences()[0]);
+        let mut strawman = InputSimilarityEvaluator::new(0.0);
+        let got = net.run(seq, &mut strawman).unwrap();
+        assert_eq!(got, net.run(seq, &mut ExactEvaluator::new()).unwrap());
+        assert_eq!(strawman.stats.reuses(), 0);
+        let steps = (seq.len() * net.neuron_evaluations_per_step()) as u64;
+        assert_eq!(strawman.stats.evaluations(), steps);
+        // And it does reuse once the threshold allows it.
+        let mut loose = InputSimilarityEvaluator::new(5.0);
+        net.run(seq, &mut loose).unwrap();
+        assert!(loose.stats.reuses() > 0);
+    }
 
     #[test]
     fn ablation_compares_both_predictors_on_every_network() {

@@ -150,8 +150,8 @@ pub fn layer_errors(net: &DeepRnn, sequence: &[Vector]) -> Result<Vec<LayerError
     let mut xs = sequence.to_vec();
     let mut errors = Vec::new();
     for (layer, reference) in net.layers().iter().zip(run_layers(net, sequence)) {
-        let mut lanes = layer.process_batch(&[&xs], &mut ExactEvaluator::new())?;
-        xs = lanes.pop().expect("one lane in, one lane out");
+        // Each layer on its own, as a one-layer stack.
+        xs = DeepRnn::new(vec![layer.clone()], None)?.run(&xs, &mut ExactEvaluator::new())?;
         let diffs: Vec<f64> = xs
             .iter()
             .zip(&reference)

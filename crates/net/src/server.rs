@@ -31,7 +31,7 @@
 //!   [`RejectReason::ThresholdUnsupported`];
 //! * invalid sequences → [`RejectReason::InvalidSequence`];
 //! * the shed watermark: once [`Engine::queue_depth`] crosses
-//!   `shed_low_watermark × queue_capacity`, [`Priority::Low`] requests
+//!   [`SHED_LOW_WATERMARK`]` × queue_capacity`, [`Priority::Low`] requests
 //!   are turned away with [`RejectReason::ShedLowPriority`] *before*
 //!   they reach the queue, keeping the remaining headroom for the
 //!   higher classes (the engine's priority queue already drains High
@@ -44,7 +44,7 @@
 //! # Backpressure and connection lifecycle
 //!
 //! Outboxes are bounded: once a connection holds
-//! [`ServerConfig::max_outbox_bytes`] of undelivered responses, the
+//! [`MAX_OUTBOX_BYTES`] of undelivered responses, the
 //! server stops reading (and therefore admitting) from it until the
 //! client drains — TCP pushes back on the sender instead of server
 //! memory growing without bound.  A read EOF only *half*-closes: the
@@ -77,40 +77,31 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of a [`NetServer`].
+/// Fraction of the engine's queue capacity above which
+/// [`Priority::Low`] requests are shed (the depth threshold is floored
+/// at 1, so an idle server never sheds).
+pub const SHED_LOW_WATERMARK: f64 = 0.75;
+
+/// Undelivered bytes in a connection's outbox at which the server stops
+/// reading from it (slow-reader backpressure, see the [module docs](self)).
+pub const MAX_OUTBOX_BYTES: usize = 2 * DEFAULT_MAX_FRAME_BYTES;
+
+/// How long a sweep that moved no bytes and no frames parks.
+const IDLE_PARK: Duration = Duration::from_micros(200);
+
+/// The limit a [`NetServer`] puts on outside input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Cap on a single frame's payload; frames declaring more are
     /// rejected with [`RejectReason::Oversized`] and the connection is
     /// closed.  Default [`DEFAULT_MAX_FRAME_BYTES`].
     pub max_frame_bytes: usize,
-    /// Fraction of the engine's queue capacity above which
-    /// [`Priority::Low`] requests are shed (`0.0..=1.0`; default
-    /// `0.75`).  At `1.0` nothing is shed early and every class rides
-    /// the queue until [`RejectReason::Overloaded`].  The resulting
-    /// depth threshold is floored at 1, so `0.0` sheds Low whenever
-    /// *any* request is queued — never on an idle server.
-    pub shed_low_watermark: f64,
-    /// Slow-reader backpressure: once a connection's outbox holds at
-    /// least this many undelivered bytes, the server stops reading
-    /// (and therefore admitting) from that connection until the outbox
-    /// drains below the cap — the socket's receive buffer fills and
-    /// TCP pushes back on the client instead of the outbox growing
-    /// without bound.  Default 2 × [`DEFAULT_MAX_FRAME_BYTES`].
-    pub max_outbox_bytes: usize,
-    /// How long one sweep parks when it moved no bytes and no frames
-    /// (keeps an idle server off the CPU without adding meaningful
-    /// latency).  Default 200 µs.
-    pub idle_park: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            shed_low_watermark: 0.75,
-            max_outbox_bytes: 2 * DEFAULT_MAX_FRAME_BYTES,
-            idle_park: Duration::from_micros(200),
         }
     }
 }
@@ -185,7 +176,7 @@ impl Conn {
 /// Whether the read phase should pull bytes from this connection:
 /// not once it is closing/dead, and not while its outbox holds
 /// `max_outbox` or more undelivered bytes (slow-reader backpressure —
-/// see [`ServerConfig::max_outbox_bytes`]).
+/// see [`MAX_OUTBOX_BYTES`]).
 fn wants_read(conn: &Conn, max_outbox: usize) -> bool {
     !conn.closing && conn.outbox.len() < max_outbox
 }
@@ -232,7 +223,7 @@ impl NetServer {
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let shed_threshold = shed_threshold_for(engine.queue_capacity(), config.shed_low_watermark);
+        let shed_threshold = shed_threshold_for(engine.queue_capacity(), SHED_LOW_WATERMARK);
         Ok(NetServer {
             listener,
             engine: Arc::new(engine),
@@ -272,7 +263,7 @@ impl NetServer {
         while !stop.load(Ordering::Acquire) {
             let moved = self.sweep(false);
             if !moved {
-                std::thread::sleep(self.config.idle_park);
+                std::thread::sleep(IDLE_PARK);
             }
         }
         self.drain()
@@ -352,7 +343,7 @@ impl NetServer {
         let mut chunk = [0u8; 64 * 1024];
         for conn_id in ids {
             let conn = self.conns.get_mut(&conn_id).expect("listed");
-            if !wants_read(conn, self.config.max_outbox_bytes) {
+            if !wants_read(conn, MAX_OUTBOX_BYTES) {
                 continue;
             }
             loop {
@@ -645,7 +636,7 @@ impl NetServer {
         // rejects instead of going unanswered) and keeps flushing.
         while self.engine.pending() > 0 {
             if !self.sweep(true) {
-                std::thread::sleep(self.config.idle_park);
+                std::thread::sleep(IDLE_PARK);
             }
         }
         // Route any tail the last sweep's take_completed() missed.
@@ -655,7 +646,6 @@ impl NetServer {
         let NetServer {
             listener: _listener,
             engine,
-            config,
             mut conns,
             routes,
             mut stats,
@@ -704,7 +694,7 @@ impl NetServer {
             if !pending {
                 break;
             }
-            std::thread::sleep(config.idle_park);
+            std::thread::sleep(IDLE_PARK);
         }
         stats
     }

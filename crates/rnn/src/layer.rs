@@ -1,5 +1,8 @@
 //! A recurrent layer: one cell (unidirectional) or a forward/backward
-//! pair of cells (bidirectional).
+//! pair of cells (bidirectional), and the one routine that runs a cell,
+//! `Cell::run_block` — a block of timesteps under
+//! [`LaneScheduler::step`](crate::LaneScheduler::step), which decides
+//! which rows a block holds and in what order cells are visited.
 
 use crate::batch::{BatchScratch, BatchState};
 use crate::config::{CellKind, Direction};
@@ -11,7 +14,6 @@ use crate::lstm::LstmCell;
 use crate::Result;
 use nfm_tensor::kernels::matmul_into;
 use nfm_tensor::rng::DeterministicRng;
-use nfm_tensor::Vector;
 
 /// Timesteps per block: the number of input projections `W_x·x_t`
 /// hoisted into one matrix product per gate per layer, and the
@@ -167,10 +169,8 @@ impl Cell {
     }
 
     /// Runs one hoist block of this cell: `plan.block` timesteps over
-    /// the plan's shrinking active-lane prefix — the one per-layer
-    /// routine under both [`Cell::run_sequences_batch`] (whole-sequence
-    /// waves) and [`LaneScheduler`](crate::LaneScheduler)'s block
-    /// refill.
+    /// the plan's shrinking active-lane prefix — the per-layer routine
+    /// under [`LaneScheduler::step`](crate::LaneScheduler::step).
     ///
     /// `xs_pack` holds the block's inputs lane-striped and step-major
     /// (row `plan.row_offset[b] + l` is lane `l`'s input at block step
@@ -265,105 +265,6 @@ impl Cell {
             std::mem::swap(state, next);
         }
         Ok(())
-    }
-
-    /// Runs one sequence per lane through the cell in lockstep, batching
-    /// every gate evaluation across the active lanes, and returns each
-    /// lane's per-timestep hidden outputs.  `reverse` processes every
-    /// sequence backwards (the backward half of a bidirectional layer)
-    /// while still returning outputs indexed by the original timestep
-    /// order.
-    ///
-    /// `inputs` must be sorted by **descending sequence length** so the
-    /// active lanes always form a prefix: at batch step `s`, exactly the
-    /// lanes with `len > s` participate (forward processes element `s`,
-    /// reverse processes element `len - 1 - s`), and a lane simply drops
-    /// out of the prefix when its sequence ends.  Steps run in blocks of
-    /// up to [`HOIST_BLOCK`] through the shared per-layer block routine
-    /// (input-projection hoisting included).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any input width does not match the cell or
-    /// the lanes are not sorted by descending length.
-    pub fn run_sequences_batch(
-        &self,
-        layer: usize,
-        direction: usize,
-        inputs: &[&[Vector]],
-        reverse: bool,
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<Vec<Vec<Vector>>> {
-        let lanes = inputs.len();
-        if lanes == 0 {
-            return Ok(Vec::new());
-        }
-        let input_size = self.input_size();
-        let hidden = self.hidden_size();
-        let lens: Vec<usize> = inputs.iter().map(|s| s.len()).collect();
-        if lens.windows(2).any(|w| w[0] < w[1]) {
-            return Err(RnnError::InvalidConfig {
-                what: "batch lanes must be sorted by descending sequence length".into(),
-            });
-        }
-        for seq in inputs {
-            for (t, x) in seq.iter().enumerate() {
-                if x.len() != input_size {
-                    return Err(RnnError::InputSizeMismatch {
-                        expected: input_size,
-                        found: x.len(),
-                        timestep: t,
-                    });
-                }
-            }
-        }
-        let max_len = lens[0];
-        let mut outputs: Vec<Vec<Option<Vector>>> = lens.iter().map(|&n| vec![None; n]).collect();
-        let mut state = BatchState::zeros(lanes, hidden);
-        let mut next = BatchState::zeros(lanes, hidden);
-        let mut scratch = BlockScratch::default();
-        // Block-local buffers, grown once and reused across blocks.
-        let mut packed: Vec<f32> = Vec::new();
-
-        let mut s = 0;
-        while s < max_len {
-            let plan = BlockPlan::new(lens.iter().map(|&n| n.saturating_sub(s)));
-            // The element of lane `l`'s sequence consumed at block step `b`.
-            let element = |l: usize, b: usize| {
-                if reverse {
-                    lens[l] - 1 - (s + b)
-                } else {
-                    s + b
-                }
-            };
-            // Gather the block's active inputs lane-striped, step-major.
-            grow(&mut packed, plan.total_rows * input_size);
-            for (b, l) in plan.rows() {
-                let dst = (plan.row_offset[b] + l) * input_size;
-                packed[dst..dst + input_size].copy_from_slice(inputs[l][element(l, b)].as_slice());
-            }
-            self.run_block(
-                layer,
-                direction,
-                s,
-                &plan,
-                &packed,
-                &mut state,
-                &mut next,
-                &mut scratch,
-                |b, h| {
-                    for (l, h_lane) in h.chunks_exact(hidden).enumerate() {
-                        outputs[l][element(l, b)] = Some(Vector::from(h_lane.to_vec()));
-                    }
-                },
-                evaluator,
-            )?;
-            s += plan.block;
-        }
-        Ok(outputs
-            .into_iter()
-            .map(|lane| lane.into_iter().map(|o| o.expect("filled")).collect())
-            .collect())
     }
 }
 
@@ -482,55 +383,11 @@ impl Layer {
         }
         out
     }
-
-    /// Processes one sequence per lane in lockstep (see
-    /// [`Cell::run_sequences_batch`]), producing each lane's per-timestep
-    /// outputs.  For bidirectional layers the forward and backward
-    /// outputs at each timestep are concatenated (forward half first).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any input width does not match the layer or
-    /// the lanes are not sorted by descending sequence length.
-    pub fn process_batch(
-        &self,
-        inputs: &[&[Vector]],
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<Vec<Vec<Vector>>> {
-        let fwd = self
-            .forward
-            .run_sequences_batch(self.index, 0, inputs, false, evaluator)?;
-        match &self.backward {
-            None => Ok(fwd),
-            Some(bwd_cell) => {
-                let bwd = bwd_cell.run_sequences_batch(self.index, 1, inputs, true, evaluator)?;
-                Ok(fwd
-                    .iter()
-                    .zip(bwd.iter())
-                    .map(|(f_lane, b_lane)| {
-                        f_lane
-                            .iter()
-                            .zip(b_lane.iter())
-                            .map(|(f, b)| f.concat(b))
-                            .collect()
-                    })
-                    .collect())
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::ExactEvaluator;
-
-    fn inputs(n: usize, width: usize, seed: u64) -> Vec<Vector> {
-        let mut rng = DeterministicRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| Vector::from_fn(width, |_| rng.uniform(-1.0, 1.0)))
-            .collect()
-    }
 
     #[test]
     fn cell_enum_exposes_common_interface() {
@@ -564,15 +421,11 @@ mod tests {
         .unwrap();
         assert!(!layer.is_bidirectional());
         assert_eq!(layer.output_size(), 6);
-        let out = layer
-            .process_batch(&[&inputs(5, 4, 3)], &mut ExactEvaluator::new())
-            .unwrap();
-        assert_eq!(out[0].len(), 5);
-        assert!(out[0].iter().all(|v| v.len() == 6));
+        assert_eq!(layer.gates().len(), 4);
     }
 
     #[test]
-    fn bidirectional_layer_concatenates() {
+    fn bidirectional_layer_output_width() {
         let mut rng = DeterministicRng::seed_from_u64(4);
         let layer = Layer::random(
             1,
@@ -587,36 +440,6 @@ mod tests {
         assert!(layer.is_bidirectional());
         assert_eq!(layer.output_size(), 10);
         assert_eq!(layer.gates().len(), 6);
-        let out = layer
-            .process_batch(&[&inputs(4, 3, 5)], &mut ExactEvaluator::new())
-            .unwrap();
-        assert_eq!(out[0].len(), 4);
-        assert!(out[0].iter().all(|v| v.len() == 10));
-    }
-
-    #[test]
-    fn backward_pass_sees_reversed_sequence() {
-        // With a single timestep, forward and backward passes coincide; with
-        // more, the backward output at the *last* timestep must equal what a
-        // forward pass over the reversed sequence would produce first.
-        let mut rng = DeterministicRng::seed_from_u64(6);
-        let cell = Cell::random(CellKind::Lstm, 2, 3, false, &mut rng).unwrap();
-        let seq = inputs(3, 2, 7);
-        let mut eval = ExactEvaluator::new();
-        let bwd = cell
-            .run_sequences_batch(0, 1, &[&seq], true, &mut eval)
-            .unwrap()
-            .remove(0);
-        let mut rev = seq.clone();
-        rev.reverse();
-        let fwd_on_rev = cell
-            .run_sequences_batch(0, 1, &[&rev], false, &mut eval)
-            .unwrap()
-            .remove(0);
-        // bwd[t] corresponds to fwd_on_rev[n-1-t]
-        for t in 0..seq.len() {
-            assert_eq!(bwd[t], fwd_on_rev[seq.len() - 1 - t]);
-        }
     }
 
     #[test]

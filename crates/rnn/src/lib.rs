@@ -9,9 +9,10 @@
 //! matching the topologies of Table 1 (e.g. EESEN is a 10-layer
 //! bidirectional LSTM with 320 neurons per direction).
 //!
-//! Inference has one path: sequences run as lane-striped batches
-//! ([`DeepRnn::run_batch`], or [`LaneScheduler`] for mid-flight refill)
-//! and a single sequence is a batch of one ([`DeepRnn::run`]).
+//! Inference has one driver, [`LaneScheduler::step`]: sequences run as
+//! the lanes of a scheduler ([`DeepRnn::run_batch`] admits them and
+//! steps until idle; hold a [`LaneScheduler`] yourself for mid-flight
+//! refill) and a single sequence is a batch of one ([`DeepRnn::run`]).
 //!
 //! The central abstraction is the [`NeuronEvaluator`] trait: every
 //! per-neuron dot product (`W_x·x_t + W_h·h_{t-1}`) performed during

@@ -1,4 +1,7 @@
-//! Deep (stacked) RNNs with an optional dense head.
+//! Deep (stacked) RNNs with an optional dense head.  A network is
+//! weights and shape; [`DeepRnn::run`] / [`DeepRnn::run_batch`] hand
+//! the walking of it to the one stack driver,
+//! [`LaneScheduler::step`].
 
 use crate::config::DeepRnnConfig;
 use crate::dense::Dense;
@@ -6,6 +9,7 @@ use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
 use crate::gate::{Gate, GateId};
 use crate::layer::Layer;
+use crate::scheduler::LaneScheduler;
 use crate::Result;
 use nfm_tensor::activation::Activation;
 use nfm_tensor::rng::DeterministicRng;
@@ -169,10 +173,11 @@ impl DeepRnn {
     }
 
     /// Runs a batch of independent input sequences through the network
-    /// in lockstep — **lanes** — batching every gate evaluation across
-    /// the sequences so one weight stream serves all of them.
+    /// as the **lanes** of one [`LaneScheduler`] — every gate evaluation
+    /// is batched across the sequences, so one weight stream serves all
+    /// of them — admitted in the caller's order and stepped until idle.
     ///
-    /// Ragged lengths are supported: internally the lanes are packed
+    /// Ragged lengths are supported: the scheduler keeps its lanes
     /// longest-first (the returned outputs are in the caller's order)
     /// and a lane drops out of the active prefix when its sequence ends.
     /// Lanes never interact: lane `l`'s outputs, reuse statistics and
@@ -190,7 +195,8 @@ impl DeepRnn {
     /// # Errors
     ///
     /// Returns [`RnnError::EmptySequence`] if any sequence is empty, or
-    /// an error if any element has the wrong width.
+    /// an error if any element has the wrong width; the evaluator's
+    /// lanes before the offending sequence have been begun by then.
     pub fn run_batch(
         &self,
         sequences: &[&[Vector]],
@@ -200,64 +206,18 @@ impl DeepRnn {
         if lanes == 0 {
             return Ok(Vec::new());
         }
-        for seq in sequences {
-            if seq.is_empty() {
-                return Err(RnnError::EmptySequence);
-            }
-            for (t, x) in seq.iter().enumerate() {
-                if x.len() != self.input_size {
-                    return Err(RnnError::InputSizeMismatch {
-                        expected: self.input_size,
-                        found: x.len(),
-                        timestep: t,
-                    });
-                }
-            }
-        }
-        // Pack lanes longest-first (stable among equal lengths) so the
-        // active lanes always form a prefix as sequences drain.
-        let mut order: Vec<usize> = (0..lanes).collect();
-        order.sort_by(|&a, &b| sequences[b].len().cmp(&sequences[a].len()));
+        let mut scheduler = LaneScheduler::new(self, lanes)?;
         evaluator.begin_batch(lanes);
-        for l in 0..lanes {
-            evaluator.begin_lane_sequence(l);
+        for (token, sequence) in sequences.iter().enumerate() {
+            scheduler.admit(token as u64, sequence.to_vec(), evaluator)?;
         }
-        let borrowed: Vec<&[Vector]> = order.iter().map(|&i| sequences[i]).collect();
-        let current = self.run_begun_lanes(&borrowed, evaluator)?;
-        // Un-permute back to the caller's sequence order.
-        let mut result: Vec<Option<Vec<Vector>>> = (0..lanes).map(|_| None).collect();
-        for (&slot, lane_out) in order.iter().zip(current) {
-            result[slot] = Some(lane_out);
+        let mut finished = Vec::with_capacity(lanes);
+        while scheduler.step(self, evaluator, &mut finished)? > 0 {}
+        let mut outputs = vec![Vec::new(); lanes];
+        for lane in finished {
+            outputs[lane.token as usize] = lane.outputs;
         }
-        Ok(result.into_iter().map(|o| o.expect("filled")).collect())
-    }
-
-    /// The layer-lockstep pass under [`run_batch`](DeepRnn::run_batch)
-    /// and the lane scheduler's lockstep schedule: lane `l` runs
-    /// `sequences[l]` on evaluator lane `l`, whose state the caller has
-    /// already begun.  The sequences are validated and sorted
-    /// longest-first; outputs come back in the same order.
-    pub(crate) fn run_begun_lanes(
-        &self,
-        sequences: &[&[Vector]],
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<Vec<Vec<Vector>>> {
-        // Layer 0 reads the caller's sequences directly (no clone); each
-        // layer's owned outputs feed the next layer by reference.
-        let mut layers = self.layers.iter();
-        let first = layers.next().expect("non-empty");
-        let mut current = first.process_batch(sequences, evaluator)?;
-        for layer in layers {
-            let refs: Vec<&[Vector]> = current.iter().map(|lane| lane.as_slice()).collect();
-            current = layer.process_batch(&refs, evaluator)?;
-        }
-        match &self.head {
-            None => Ok(current),
-            Some(head) => current
-                .iter()
-                .map(|lane| lane.iter().map(|v| head.apply(v)).collect())
-                .collect(),
-        }
+        Ok(outputs)
     }
 }
 

@@ -1,4 +1,4 @@
-//! The unified lane scheduler: one admission path, two schedules.
+//! The lane scheduler: the one driver of a recurrent stack.
 //!
 //! A [`LaneScheduler`] holds up to `lanes` in-flight sequences.
 //! [`admit`](LaneScheduler::admit) seats a sequence in a lane, resets
@@ -6,44 +6,50 @@
 //! ([`NeuronEvaluator::begin_lane_sequence`]) and returns the lane
 //! index, so a request has a lane — somewhere to keep per-request
 //! evaluator state such as a threshold override — from the moment it is
-//! admitted.  [`step`](LaneScheduler::step) then advances the seated
-//! lanes by the schedule the network permits:
+//! admitted.  [`step`](LaneScheduler::step) then advances every seated
+//! lane by a **span** of its remaining timesteps, and it is the only
+//! routine that decides in what order (layer, direction, timestep) are
+//! visited and where a step's rows live ([`DeepRnn::run`] and
+//! [`DeepRnn::run_batch`] admit their sequences and step until idle):
 //!
-//! * **Block-synchronous, with mid-wave refill** — unidirectional
-//!   stacks.  Layer `k` at timestep `t` needs only layer `k-1` at `t`
-//!   and its own state at `t-1`, so every lane advances through the
-//!   whole stack in blocks of up to [`HOIST_BLOCK`] timesteps: each
-//!   `step` call advances all active lanes one *block*, finished lanes
-//!   retire at the block boundary, and `admit` hands a freed lane a
-//!   fresh sequence between blocks.  Within a block the scheduler runs
-//!   the same per-layer block routine as [`DeepRnn::run_batch`], so it
-//!   keeps the full hoist shape: every layer's `W_x·x_t` projections
-//!   for the whole block are **one matrix product per gate** over all
-//!   active lanes and all block steps.
-//! * **Layer-lockstep** — stacks with a bidirectional layer, whose
-//!   backward half consumes a sequence end-first and so needs it whole.
-//!   One `step` runs every seated lane to completion, layer by layer,
-//!   through the pass [`DeepRnn::run_batch`] itself runs; freed lanes
-//!   refill at that boundary only.
+//! * The span's rows are packed step-major — lanes sorted
+//!   longest-first, so each timestep covers a lane prefix — in blocks of
+//!   up to [`HOIST_BLOCK`] steps.  Layer by layer, the forward cell runs
+//!   the blocks in order on the layer's persistent state; within a
+//!   block every `W_x·x_t` projection is **one matrix product per
+//!   gate** over all its rows, and layer `k`'s packed outputs are layer
+//!   `k+1`'s packed inputs.
+//! * A bidirectional layer is a second pass over the same blocks: its
+//!   backward cell starts from a zeroed state and reads each lane's
+//!   rows end-first, and its outputs go into the upper half of the rows
+//!   they were read from.
+//! * The span is [`HOIST_BLOCK`] timesteps for a unidirectional stack —
+//!   layer `k` at `t` needs only layer `k-1` at `t` and its own state at
+//!   `t-1` — so finished lanes retire and `admit` refills them between
+//!   blocks (**mid-wave refill**).  A backward cell needs its sequences
+//!   whole, so a stack with a bidirectional layer spans every seated
+//!   sequence to its end and lanes refill when that step returns.
 //!
-//! Which one applies is not a choice: it follows from the network
+//! The span's length is the only thing that differs, and it is not a
+//! choice: it follows from the network
 //! ([`LaneScheduler::refills_mid_wave`]).
 //!
 //! # Equivalence
 //!
-//! Per-lane results are **bit-identical** to a one-lane
-//! [`DeepRnn::run`] over the same sequence under either schedule: every
+//! Per-lane results are **bit-identical** whatever the lane count and
+//! whatever shares the scheduler with the lane: every
 //! `(neuron, lane)` dot product goes through the shared reduction
 //! order, lanes never interact numerically, per-lane memoization state
 //! is reset when a lane is admitted, and the hoisted kernels keep the
 //! `fwd + rec` scalar order of the fused path.  Scheduling therefore
-//! changes throughput, never results.
+//! changes throughput, never results; what the results *are* is pinned
+//! against an independent f64 implementation (`tests/reference_f64.rs`).
 //!
 //! # Lane order and compaction
 //!
 //! Batched cell stepping requires the active lanes to form a prefix
 //! `0..active` sorted by descending *remaining* length, so the prefix
-//! only shrinks within a block.  [`step`](LaneScheduler::step) restores
+//! only shrinks within a step.  [`step`](LaneScheduler::step) restores
 //! that order first (admissions land at the tail): a stable insertion
 //! sort applied as adjacent lane swaps, each swap moving the recurrent
 //! state ([`BatchState::swap_lanes`]) and the evaluator's per-lane
@@ -70,7 +76,7 @@
 //!
 //! Under mid-wave refill lanes sit at *different* positions of their
 //! own sequences, so the `timestep` handed to the evaluator's gate
-//! entry is the scheduler's global block-step counter, not a per-lane
+//! entry is the scheduler's global step counter, not a per-lane
 //! sequence index.  The built-in gate-entry overrides ignore it; a
 //! custom evaluator that keys per-lane state must use the lane index
 //! plus [`NeuronEvaluator::begin_lane_sequence`] instead.
@@ -78,9 +84,7 @@
 use crate::batch::BatchState;
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
-#[cfg(doc)]
-use crate::layer::HOIST_BLOCK;
-use crate::layer::{grow, BlockPlan, BlockScratch};
+use crate::layer::{grow, BlockPlan, BlockScratch, HOIST_BLOCK};
 use crate::network::DeepRnn;
 use crate::Result;
 use nfm_tensor::Vector;
@@ -144,12 +148,58 @@ impl LaneSnapshot {
     }
 }
 
-/// The unified lane scheduler (see the [module docs](self) for the
-/// schedules, their equivalence contract, and lane migration).
+/// The row layout of one step over lanes sorted by descending remaining
+/// length: lane `l` advances `lens[l]` timesteps, packed step-major in
+/// blocks of up to [`HOIST_BLOCK`] steps (block `i` is `blocks[i].1`, its
+/// rows starting at `blocks[i].0`).
+#[derive(Debug, Default)]
+struct Span {
+    lens: Vec<usize>,
+    blocks: Vec<(usize, BlockPlan)>,
+    total_rows: usize,
+}
+
+impl Span {
+    /// Re-plans for lanes advancing `lens` timesteps each.
+    fn plan(&mut self, lens: impl Iterator<Item = usize>) {
+        self.lens.clear();
+        self.lens.extend(lens);
+        self.blocks.clear();
+        self.total_rows = 0;
+        for start in (0..self.lens[0]).step_by(HOIST_BLOCK) {
+            let plan = BlockPlan::new(self.lens.iter().map(|n| n.saturating_sub(start)));
+            self.total_rows += plan.total_rows;
+            self.blocks.push((self.total_rows - plan.total_rows, plan));
+        }
+    }
+
+    /// The packed row of lane `l` at span step `s` — of a backward
+    /// cell when `backward`, which walks the lane's own span end first.
+    /// Every block but the last is full, so a step sits in block
+    /// `s / HOIST_BLOCK`.
+    fn row(&self, s: usize, l: usize, backward: bool) -> usize {
+        let s = if backward { self.lens[l] - 1 - s } else { s };
+        let (first, plan) = &self.blocks[s / HOIST_BLOCK];
+        first + plan.row_offset[s % HOIST_BLOCK] + l
+    }
+
+    /// Every `(span step, lane, packed row)`, in row order.
+    fn rows(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let blocks = self.blocks.iter().enumerate();
+        blocks.flat_map(|(i, (first, plan))| {
+            plan.rows()
+                .map(move |(b, l)| (i * HOIST_BLOCK + b, l, first + plan.row_offset[b] + l))
+        })
+    }
+}
+
+/// The lane scheduler (see the [module docs](self) for the step, its
+/// equivalence contract, and lane migration).
 ///
-/// The scheduler owns all recurrent state and scratch (`2 × layers`
-/// lane-striped [`BatchState`]s plus the block buffers under mid-wave
-/// refill); the caller owns the evaluator and the network and passes
+/// The scheduler owns all recurrent state and scratch (two lane-striped
+/// [`BatchState`]s a layer, a third where it has a backward cell, plus
+/// the step's packed row buffers), so a warm step allocates only its
+/// outputs; the caller owns the evaluator and the network and passes
 /// them into [`admit`](LaneScheduler::admit) /
 /// [`step`](LaneScheduler::step).  Call
 /// [`NeuronEvaluator::begin_batch`] with [`lanes`](LaneScheduler::lanes)
@@ -157,22 +207,28 @@ impl LaneSnapshot {
 /// sized.
 #[derive(Debug)]
 pub struct LaneScheduler {
-    /// Block-synchronous stepping with refill between blocks; `false`
-    /// runs seated lanes to completion in layer lockstep.
+    /// A step spans [`HOIST_BLOCK`] timesteps of every lane and freed
+    /// lanes refill between steps; `false` spans whole sequences.
     mid_wave: bool,
     lanes: usize,
     input_size: usize,
-    /// Hidden size per layer (layer `k`'s output width feeds `k+1`).
+    /// Hidden size per layer and direction.
     hidden: Vec<usize>,
-    /// Per-layer recurrent state (mid-wave refill only; the lockstep
-    /// pass keeps its own).
+    /// Per-layer recurrent state of the forward cells.
     states: Vec<BatchState>,
     nexts: Vec<BatchState>,
+    /// Per-layer state of the backward cells, zeroed at every step
+    /// (`None` for a unidirectional layer).
+    backward: Vec<Option<BatchState>>,
     scratch: BlockScratch,
-    /// Step-major packed layer inputs for the current block (ping).
+    /// Row layout of the current step.
+    span: Span,
+    /// Step-major packed layer inputs of the current step (ping).
     pack_a: Vec<f32>,
-    /// Step-major packed layer outputs for the current block (pong).
+    /// Step-major packed layer outputs of the current step (pong).
     pack_b: Vec<f32>,
+    /// `pack_a` in the order a backward cell consumes it.
+    pack_rev: Vec<f32>,
     /// Occupied lane slots; always exactly `active` entries, slot `l`
     /// holding lane `l`'s sequence.
     slots: Vec<LaneSlot>,
@@ -188,8 +244,7 @@ impl LaneScheduler {
         !network.layers().iter().any(|l| l.is_bidirectional())
     }
 
-    /// Creates a scheduler with `lanes` lane slots for `network`, on
-    /// the schedule the network permits.
+    /// Creates a scheduler with `lanes` lane slots for `network`.
     ///
     /// # Errors
     ///
@@ -207,24 +262,28 @@ impl LaneScheduler {
             .iter()
             .map(|l| l.forward_cell().hidden_size())
             .collect();
-        // Only the block schedule keeps recurrent state between steps.
-        let stateful: &[usize] = if mid_wave { &hidden } else { &[] };
         let states = || -> Vec<BatchState> {
-            stateful
+            hidden
                 .iter()
                 .map(|&h| BatchState::zeros(lanes, h))
                 .collect()
         };
+        let backward = network.layers().iter().zip(&hidden);
         Ok(LaneScheduler {
             mid_wave,
             lanes,
             input_size: network.input_size(),
             states: states(),
             nexts: states(),
+            backward: backward
+                .map(|(l, &h)| l.is_bidirectional().then(|| BatchState::zeros(lanes, h)))
+                .collect(),
             hidden,
             scratch: BlockScratch::default(),
+            span: Span::default(),
             pack_a: Vec::new(),
             pack_b: Vec::new(),
+            pack_rev: Vec::new(),
             slots: Vec::with_capacity(lanes),
             steps: 0,
         })
@@ -308,10 +367,10 @@ impl LaneScheduler {
         Ok(lane)
     }
 
-    /// Advances the schedule — one [`HOIST_BLOCK`]-step block of every
-    /// active lane under mid-wave refill, every seated lane to its end
-    /// in layer lockstep otherwise — appending finished lanes to
-    /// `finished` (see [`FinishedLane::stats_lane`] for the
+    /// Advances every seated lane by its span of the step — its next
+    /// [`HOIST_BLOCK`] timesteps under mid-wave refill, all of them
+    /// otherwise (see the [module docs](self)) — appending finished
+    /// lanes to `finished` (see [`FinishedLane::stats_lane`] for the
     /// read-before-admit contract).  Returns the number of
     /// lane-timesteps advanced — `0` means the scheduler is idle.
     ///
@@ -330,97 +389,88 @@ impl LaneScheduler {
             return Ok(0);
         }
         self.sort_by_remaining(evaluator);
-        if self.mid_wave {
-            self.step_block(network, evaluator, finished)
+        let limit = if self.mid_wave {
+            HOIST_BLOCK
         } else {
-            self.step_lockstep(network, evaluator, finished)
-        }
-    }
-
-    /// One block-synchronous step over the sorted lanes: up to
-    /// [`HOIST_BLOCK`] timesteps of every layer through the shared
-    /// per-layer block routine, layer-major within the block (layer
-    /// `k`'s step-major packed outputs feed layer `k+1`).
-    fn step_block(
-        &mut self,
-        network: &DeepRnn,
-        evaluator: &mut dyn NeuronEvaluator,
-        finished: &mut Vec<FinishedLane>,
-    ) -> Result<usize> {
-        let plan = BlockPlan::new(self.slots.iter().map(LaneSlot::remaining));
-        // Gather the block's layer-0 inputs, lane-striped, step-major.
-        let isz = self.input_size;
-        grow(&mut self.pack_a, plan.total_rows * isz);
-        for (b, l) in plan.rows() {
+            usize::MAX
+        };
+        self.span
+            .plan(self.slots.iter().map(|s| s.remaining().min(limit)));
+        let span = &self.span;
+        // Gather the span's layer-0 inputs, lane-striped, step-major.
+        let mut in_w = self.input_size;
+        grow(&mut self.pack_a, span.total_rows * in_w);
+        for (s, l, row) in span.rows() {
             let slot = &self.slots[l];
-            let dst = (plan.row_offset[b] + l) * isz;
-            self.pack_a[dst..dst + isz].copy_from_slice(slot.inputs[slot.t + b].as_slice());
+            self.pack_a[row * in_w..(row + 1) * in_w]
+                .copy_from_slice(slot.inputs[slot.t + s].as_slice());
         }
         for (k, layer) in network.layers().iter().enumerate() {
-            let cell = layer.forward_cell();
-            let out_w = cell.hidden_size();
-            grow(&mut self.pack_b, plan.total_rows * out_w);
-            let (pack_b, row_offset) = (&mut self.pack_b, &plan.row_offset);
-            cell.run_block(
-                k,
-                0,
-                self.steps,
-                &plan,
-                &self.pack_a,
-                &mut self.states[k],
-                &mut self.nexts[k],
-                &mut self.scratch,
-                |b, h| {
-                    let dst = row_offset[b] * out_w;
-                    pack_b[dst..dst + h.len()].copy_from_slice(h);
-                },
-                evaluator,
-            )?;
-            std::mem::swap(&mut self.pack_a, &mut self.pack_b);
-        }
-        // Emit the block's outputs from the last layer's packed rows
-        // (head applied when present).
-        let h_last = *self.hidden.last().expect("at least one layer");
-        for (l, slot) in self.slots.iter_mut().enumerate() {
-            let steps_l = slot.remaining().min(plan.block);
-            for &offset in &plan.row_offset[..steps_l] {
-                let row = offset + l;
-                let h = Vector::from(self.pack_a[row * h_last..(row + 1) * h_last].to_vec());
-                let out = match network.head() {
-                    None => h,
-                    Some(head) => head.apply(&h)?,
+            let (h_w, out_w) = (self.hidden[k], layer.output_size());
+            grow(&mut self.pack_b, span.total_rows * out_w);
+            // The forward cell runs the span's blocks in order on the
+            // layer's persistent state, into the lower half of each
+            // output row; a backward cell runs the same blocks from a
+            // zeroed state over the end-first rows, each output into
+            // the upper half of the row its input was read from.
+            let cells = [Some(layer.forward_cell()), layer.backward_cell()];
+            for (direction, cell) in cells.into_iter().flatten().enumerate() {
+                let backward = direction == 1;
+                let (xs, state) = if backward {
+                    grow(&mut self.pack_rev, span.total_rows * in_w);
+                    for (s, l, dst) in span.rows() {
+                        let src = span.row(s, l, true) * in_w;
+                        self.pack_rev[dst * in_w..(dst + 1) * in_w]
+                            .copy_from_slice(&self.pack_a[src..src + in_w]);
+                    }
+                    let zeroed = self.backward[k].as_mut().expect("a backward cell");
+                    (0..span.lens.len()).for_each(|l| zeroed.reset_lane(l));
+                    (&self.pack_rev, zeroed)
+                } else {
+                    (&self.pack_a, &mut self.states[k])
                 };
-                slot.outputs.push(out);
+                for (i, (first, plan)) in span.blocks.iter().enumerate() {
+                    cell.run_block(
+                        k,
+                        direction,
+                        self.steps + i * HOIST_BLOCK,
+                        plan,
+                        &xs[first * in_w..],
+                        state,
+                        &mut self.nexts[k],
+                        &mut self.scratch,
+                        |b, h| {
+                            for (l, lane) in h.chunks_exact(h_w).enumerate() {
+                                let row = span.row(i * HOIST_BLOCK + b, l, backward);
+                                let dst = row * out_w + direction * h_w;
+                                self.pack_b[dst..dst + h_w].copy_from_slice(lane);
+                            }
+                        },
+                        evaluator,
+                    )?;
+                }
             }
-            slot.t += steps_l;
+            std::mem::swap(&mut self.pack_a, &mut self.pack_b);
+            in_w = out_w;
         }
-        self.steps += plan.block;
+        // Emit the span's outputs from the last layer's packed rows
+        // (head applied when present).
+        for (_, l, row) in span.rows() {
+            let h = Vector::from(self.pack_a[row * in_w..(row + 1) * in_w].to_vec());
+            let out = match network.head() {
+                None => h,
+                Some(head) => head.apply(&h)?,
+            };
+            self.slots[l].outputs.push(out);
+        }
+        for (slot, n) in self.slots.iter_mut().zip(&span.lens) {
+            slot.t += n;
+        }
+        self.steps += span.lens[0];
+        let advanced = span.total_rows;
         // Retire finished lanes, highest index first so each swap
         // target is still an unfinished lane (or the lane itself).
         self.retire_finished(evaluator, finished);
-        Ok(plan.total_rows)
-    }
-
-    /// The layer-lockstep step: the sorted lanes are whole, just-seated
-    /// sequences (none has run yet), so lane `l` runs slot `l` through
-    /// every layer in turn and all of them finish here.
-    fn step_lockstep(
-        &mut self,
-        network: &DeepRnn,
-        evaluator: &mut dyn NeuronEvaluator,
-        finished: &mut Vec<FinishedLane>,
-    ) -> Result<usize> {
-        let sequences: Vec<&[Vector]> = self.slots.iter().map(|s| s.inputs.as_slice()).collect();
-        let outputs = network.run_begun_lanes(&sequences, evaluator)?;
-        let mut advanced = 0;
-        for (lane, (slot, outputs)) in self.slots.drain(..).zip(outputs).enumerate() {
-            advanced += slot.inputs.len();
-            finished.push(FinishedLane {
-                token: slot.token,
-                outputs,
-                stats_lane: lane,
-            });
-        }
         Ok(advanced)
     }
 
@@ -461,7 +511,8 @@ impl LaneScheduler {
     /// [`lane_of(token)`](LaneScheduler::lane_of) **before** calling
     /// this: extraction compacts the active prefix, which moves lane
     /// state around.  Returns `None` when no lane holds `token` or the
-    /// schedule is layer-lockstep (its lanes hold no resumable state).
+    /// scheduler steps whole sequences (a lane is never mid-sequence
+    /// between its steps).
     pub fn extract(
         &mut self,
         token: u64,
@@ -497,13 +548,13 @@ impl LaneScheduler {
     ///
     /// # Errors
     ///
-    /// Returns [`RnnError::InvalidConfig`] if this scheduler runs in
-    /// layer lockstep, has no free lane, or the snapshot's shape does
+    /// Returns [`RnnError::InvalidConfig`] if this scheduler steps
+    /// whole sequences, has no free lane, or the snapshot's shape does
     /// not match this scheduler's network.
     pub fn implant(&mut self, token: u64, snapshot: LaneSnapshot) -> Result<usize> {
         if !self.mid_wave {
             return Err(RnnError::InvalidConfig {
-                what: "layer-lockstep schedulers cannot implant migrated lanes".into(),
+                what: "a scheduler that steps whole sequences cannot resume a migrated lane".into(),
             });
         }
         if self.free_lanes() == 0 {
@@ -538,7 +589,7 @@ impl LaneScheduler {
     /// The token of the active lane with the most remaining timesteps,
     /// provided at least `min_remaining` remain — the lane a saturated
     /// worker offers an idle one.  `None` when no lane qualifies or the
-    /// schedule is layer-lockstep.
+    /// scheduler steps whole sequences.
     pub fn steal_candidate(&self, min_remaining: usize) -> Option<u64> {
         if !self.mid_wave {
             return None;
@@ -603,7 +654,8 @@ impl LaneScheduler {
 mod tests {
     use super::*;
     use crate::config::{CellKind, DeepRnnConfig, Direction};
-    use crate::evaluator::{CountingEvaluator, ExactEvaluator};
+    use crate::evaluator::{CountingEvaluator, ExactEvaluator, PerNeuronEvaluator};
+    use crate::layer::{Cell, Layer};
     use nfm_tensor::rng::DeterministicRng;
 
     fn seq(n: usize, width: usize, seed: u64) -> Vec<Vector> {
@@ -738,9 +790,10 @@ mod tests {
 
     #[test]
     fn lockstep_schedule_matches_dedicated_runs_bitwise() {
-        // Ragged admissions in arrival order: the lockstep step has to
-        // sort them longest-first itself.
-        let lens = [3usize, 9, 7, 1, 7, 5];
+        // Ragged admissions in arrival order: the step has to sort them
+        // longest-first itself, and spans whole sequences (one to three
+        // blocks of them here).
+        let lens = [3usize, 9, 7, 1, 17, 5];
         let mut rng = DeterministicRng::seed_from_u64(6);
         let deep = DeepRnn::random(
             &DeepRnnConfig::new(CellKind::Gru, 4, 5)
@@ -894,8 +947,14 @@ mod tests {
             assert_eq!(f.outputs, reference, "survivor token {}", f.token);
         }
         // Longest first: token 2 (6 steps) ran on lane 0.
-        assert_eq!((finished[0].token, finished[0].stats_lane), (2, 0));
-        assert_eq!((finished[1].token, finished[1].stats_lane), (0, 1));
+        let lane_of = |token| {
+            finished
+                .iter()
+                .find(|f| f.token == token)
+                .unwrap()
+                .stats_lane
+        };
+        assert_eq!((lane_of(2), lane_of(0)), (0, 1));
     }
 
     #[test]
@@ -977,6 +1036,158 @@ mod tests {
             let mut finished = Vec::new();
             assert_eq!(sched.step(&net, &mut eval, &mut finished).unwrap(), 0);
             assert!(finished.is_empty());
+        }
+    }
+
+    /// The stacks the one driver is pinned on: bidirectional two-layer
+    /// LSTM and GRU with a head, and a unidirectional three-layer GRU.
+    fn driver_networks() -> Vec<DeepRnn> {
+        let mut rng = DeterministicRng::seed_from_u64(41);
+        let bidi = |kind| {
+            DeepRnnConfig::new(kind, 4, 5)
+                .layers(2)
+                .direction(Direction::Bidirectional)
+                .output_size(3)
+        };
+        vec![
+            DeepRnn::random(&bidi(CellKind::Lstm), &mut rng).unwrap(),
+            DeepRnn::random(&bidi(CellKind::Gru), &mut rng).unwrap(),
+            DeepRnn::random(&DeepRnnConfig::new(CellKind::Gru, 4, 6).layers(3), &mut rng).unwrap(),
+        ]
+    }
+
+    /// `run` per sequence, `run_batch` and a drained scheduler at 1, 2,
+    /// 3 and 8 lanes: the same outputs bit for bit and the same
+    /// evaluation and sequence counts, whatever `wrap` puts around the
+    /// exact evaluator.
+    fn assert_every_entry_point_agrees<E: NeuronEvaluator>(wrap: impl Fn(ExactEvaluator) -> E) {
+        // Below, at, and across one and two block boundaries.
+        let lens = [9usize, 1, 8, 17, 3, 16];
+        for net in driver_networks() {
+            let seqs: Vec<Vec<Vector>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| seq(n, net.input_size(), 700 + i as u64))
+                .collect();
+            let mut single = CountingEvaluator::new(wrap(ExactEvaluator::new()));
+            let reference: Vec<Vec<Vector>> = seqs
+                .iter()
+                .map(|s| net.run(s, &mut single).unwrap())
+                .collect();
+            let steps: usize = lens.iter().sum();
+            assert_eq!(
+                single.calls() as usize,
+                steps * net.neuron_evaluations_per_step()
+            );
+
+            let refs: Vec<&[Vector]> = seqs.iter().map(Vec::as_slice).collect();
+            let mut batch = CountingEvaluator::new(wrap(ExactEvaluator::new()));
+            let batched = net.run_batch(&refs, &mut batch).unwrap();
+            assert_bitwise_eq(&batched, &reference, "run_batch");
+            assert_eq!(
+                (batch.calls(), batch.sequences()),
+                (single.calls(), single.sequences())
+            );
+
+            for lanes in [1usize, 2, 3, 8] {
+                let mut eval = CountingEvaluator::new(wrap(ExactEvaluator::new()));
+                let outs = drain_scheduler(&net, lanes, &seqs, &mut eval);
+                assert_bitwise_eq(&outs, &reference, &format!("scheduler lanes={lanes}"));
+                assert_eq!(
+                    (eval.calls(), eval.sequences()),
+                    (single.calls(), single.sequences()),
+                    "lanes={lanes}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_run_batch_and_the_scheduler_agree_under_the_batched_evaluator() {
+        assert_every_entry_point_agrees(|exact| exact);
+    }
+
+    #[test]
+    fn run_run_batch_and_the_scheduler_agree_under_the_per_neuron_evaluator() {
+        assert_every_entry_point_agrees(PerNeuronEvaluator::new);
+    }
+
+    #[test]
+    fn backward_half_is_the_forward_half_over_the_reversed_sequence() {
+        // One bidirectional layer whose two cells are the same cell: the
+        // backward half at `t` must be what the forward half produces at
+        // `n - 1 - t` of the reversed sequence, across block boundaries
+        // and in a ragged batch.
+        let mut rng = DeterministicRng::seed_from_u64(6);
+        for kind in [CellKind::Lstm, CellKind::Gru] {
+            let cell = Cell::random(kind, 2, 3, false, &mut rng).unwrap();
+            let layer = Layer::new(0, cell.clone(), Some(cell)).unwrap();
+            let net = DeepRnn::new(vec![layer], None).unwrap();
+            let seqs: Vec<Vec<Vector>> = [3usize, 19, 8, 1]
+                .iter()
+                .map(|&n| seq(n, 2, 7 + n as u64))
+                .collect();
+            let reversed: Vec<Vec<Vector>> = seqs
+                .iter()
+                .map(|s| s.iter().rev().cloned().collect())
+                .collect();
+            let run = |batch: &[Vec<Vector>]| {
+                let refs: Vec<&[Vector]> = batch.iter().map(Vec::as_slice).collect();
+                net.run_batch(&refs, &mut ExactEvaluator::new()).unwrap()
+            };
+            let (out, out_rev) = (run(&seqs), run(&reversed));
+            for (lane, rev_lane) in out.iter().zip(&out_rev) {
+                let n = lane.len();
+                for t in 0..n {
+                    assert_eq!(
+                        lane[t].as_slice()[3..],
+                        rev_lane[n - 1 - t].as_slice()[..3],
+                        "n={n} t={t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_sequences_are_typed_errors_and_single_steps_are_results() {
+        // ROADMAP 7(d) at this layer: `run`, `run_batch` and `admit`,
+        // uni- and bidirectional.
+        for net in driver_networks() {
+            let mut eval = ExactEvaluator::new();
+            let one = seq(1, net.input_size(), 3);
+            let none: Vec<Vector> = Vec::new();
+            assert!(matches!(
+                net.run(&none, &mut eval),
+                Err(RnnError::EmptySequence)
+            ));
+            assert!(matches!(
+                net.run_batch(&[one.as_slice(), none.as_slice()], &mut eval),
+                Err(RnnError::EmptySequence)
+            ));
+            let mut sched = LaneScheduler::new(&net, 2).unwrap();
+            eval.begin_batch(2);
+            assert!(matches!(
+                sched.admit(0, Vec::new(), &mut eval),
+                Err(RnnError::EmptySequence)
+            ));
+            assert!(sched.is_idle(), "a refused sequence takes no lane");
+
+            let single = net.run(&one, &mut ExactEvaluator::new()).unwrap();
+            assert_eq!(single.len(), 1);
+            assert_eq!(single[0].len(), net.output_size());
+            // The same step as the first of a longer run over the same
+            // input would differ only in the backward half, so compare
+            // against the other entry points instead.
+            let longer = seq(4, net.input_size(), 4);
+            let batched = net
+                .run_batch(&[longer.as_slice(), one.as_slice()], &mut eval)
+                .unwrap();
+            assert_eq!(batched[1], single);
+            sched.admit(7, one.clone(), &mut eval).unwrap();
+            let mut finished = Vec::new();
+            assert_eq!(sched.step(&net, &mut eval, &mut finished).unwrap(), 1);
+            assert_eq!((finished[0].token, &finished[0].outputs), (7, &single));
         }
     }
 }

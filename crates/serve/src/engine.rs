@@ -2,9 +2,7 @@
 //! front of worker threads that each drive per-model lane schedulers.
 
 use crate::registry::{ContextKey, ModelId, ModelRegistry, ModelVersion};
-use crate::request::{
-    CompletionStatus, DeadlinePolicy, InferenceRequest, InferenceResponse, Priority, RequestId,
-};
+use crate::request::{CompletionStatus, InferenceRequest, InferenceResponse, Priority, RequestId};
 use crate::worker::{LaneWorker, MigratedLane, QueuedRequest, ResponseTag, StealBridge};
 use nfm_core::{ControlSnapshot, Model, Predictor, ReuseStats};
 use nfm_model::ModelArtifactError;
@@ -493,7 +491,6 @@ pub struct EngineBuilder {
     lanes: usize,
     workers: usize,
     queue_capacity: usize,
-    policy: DeadlinePolicy,
     paused: bool,
 }
 
@@ -515,7 +512,6 @@ impl EngineBuilder {
             lanes: 4,
             workers: 1,
             queue_capacity: 256,
-            policy: DeadlinePolicy::default(),
             paused: false,
         }
     }
@@ -538,12 +534,6 @@ impl EngineBuilder {
     /// [`Engine::submit`] return [`EngineError::QueueFull`].
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// What to do with requests whose deadline expired while queued.
-    pub fn deadline_policy(mut self, policy: DeadlinePolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -605,7 +595,7 @@ impl EngineBuilder {
         });
         let mut handles = Vec::with_capacity(self.workers);
         for index in 0..self.workers {
-            let worker = LaneWorker::new(self.lanes, self.policy);
+            let worker = LaneWorker::new(self.lanes);
             let shared = Arc::clone(&shared);
             handles.push(std::thread::spawn(move || {
                 worker_loop(shared, worker, index)
@@ -617,7 +607,6 @@ impl EngineBuilder {
             handles,
             lanes: self.lanes,
             workers: self.workers,
-            policy: self.policy,
         })
     }
 }
@@ -793,6 +782,17 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
                 if runnable {
                     break;
                 }
+                // Nothing to run: before parking (again — retiring a
+                // version wakes every worker), let go of the contexts
+                // of retired versions and republish, freeing them
+                // outside the lock.
+                if worker.has_spent_contexts() {
+                    drop(state);
+                    worker.drop_spent_contexts();
+                    state = shared.state.lock().expect("engine state lock");
+                    state.context_stats[index] = worker.stats_snapshots();
+                    continue;
+                }
                 // Parked workers are the donation signal: a saturated
                 // worker migrates an in-flight lane here only while
                 // someone is actually waiting to run it.  Parking also
@@ -900,13 +900,15 @@ impl ContextStats {
 /// into a lane of its context's
 /// [`LaneScheduler`](nfm_rnn::LaneScheduler) and its threshold
 /// override, if any, is state of that lane, so requests that differ
-/// only in `θ` share one gate call.  Unidirectional stacks refill a
-/// drained lane from the queue *immediately* (mid-wave lane refill)
-/// instead of waiting for every lane to finish, hoist all lanes' inputs
-/// across a whole [`HOIST_BLOCK`](nfm_rnn::HOIST_BLOCK)-step block, and
-/// abort in-flight requests whose deadline expires between blocks
-/// (under [`DeadlinePolicy::DropExpired`]); stacks with a bidirectional
-/// layer run their seated lanes in layer lockstep.  A hot context may
+/// only in `θ` share one gate call.  Every context advances by
+/// [`LaneScheduler::step`](nfm_rnn::LaneScheduler::step): on a
+/// unidirectional stack a step is one
+/// [`HOIST_BLOCK`](nfm_rnn::HOIST_BLOCK)-timestep block of every lane
+/// (inputs hoisted across it), so a drained lane refills from the queue
+/// *immediately* (mid-wave lane refill) and an in-flight request whose
+/// deadline expires is aborted at the next block boundary; on a stack
+/// with a bidirectional layer a step is the seated sequences whole, and
+/// lanes refill when it returns.  A hot context may
 /// also *borrow* idle lanes from cold contexts on the same worker
 /// ([`lane_borrows`](Engine::lane_borrows)), and a saturated worker may
 /// *donate* an in-flight lane to an idle worker
@@ -929,7 +931,6 @@ pub struct Engine {
     handles: Vec<JoinHandle<()>>,
     lanes: usize,
     workers: usize,
-    policy: DeadlinePolicy,
 }
 
 impl Engine {
@@ -1036,11 +1037,6 @@ impl Engine {
     /// changes results, only throughput.
     pub fn kernel_backend(&self) -> nfm_tensor::backend::KernelBackend {
         nfm_tensor::backend::active()
-    }
-
-    /// The configured deadline policy.
-    pub fn deadline_policy(&self) -> DeadlinePolicy {
-        self.policy
     }
 
     /// Submits one request.  On success the request is guaranteed to
@@ -1272,6 +1268,8 @@ impl Engine {
         // still emit (and balance `outstanding`), they just no longer
         // find a pending slot to compare into.
         state.swaps.retain(|s| s.model != model);
+        // Parked workers drop their contexts for the retired version.
+        self.shared.work_cv.notify_all();
         Ok(())
     }
 
@@ -1333,6 +1331,9 @@ impl Engine {
                 SwapOutcome::Promoted => registry.promote(&swap.model),
                 SwapOutcome::RolledBack => registry.discard_staged(&swap.model),
             }
+            // Either way a version was retired: parked workers drop
+            // their contexts for it.
+            self.shared.work_cv.notify_all();
             state.swap_reports.push(SwapReport {
                 model: swap.model,
                 from: swap.from,

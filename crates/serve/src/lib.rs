@@ -24,13 +24,15 @@
 //!   of a version the registry retired once idle.  A request
 //!   is admitted into a lane, and what is specific to it — a threshold
 //!   override included — is state of that lane, so requests that differ
-//!   only in `θ` share one gate call.  Unidirectional stacks refill a
-//!   drained lane from the queue *immediately* (mid-wave lane refill),
-//!   hoist inputs across whole 8-step blocks, and abort expired
-//!   in-flight requests between blocks; stacks with a bidirectional
-//!   layer run their seated lanes in layer lockstep.  Hot contexts
-//!   borrow idle lanes from cold ones, and saturated workers donate
-//!   in-flight lanes to idle workers — all without changing results.
+//!   only in `θ` share one gate call.  Every context advances by the
+//!   scheduler's one step routine: 8 timesteps of every lane at a time
+//!   on a unidirectional stack — inputs hoisted across the block, a
+//!   drained lane refilled from the queue *immediately* (mid-wave lane
+//!   refill), expired in-flight requests aborted between blocks — and
+//!   the seated sequences whole on a stack with a bidirectional layer.
+//!   Hot contexts borrow idle lanes from cold ones, and saturated
+//!   workers donate in-flight lanes to idle workers — all without
+//!   changing results.
 //! * [`InferenceResponse`] — per-request outputs, per-request
 //!   [`ReuseStats`](nfm_core::ReuseStats), queue/compute latency, and a
 //!   [`CompletionStatus`] (`Done` / `DeadlineExpired` / `Rejected`);
@@ -79,8 +81,7 @@ pub use engine::{
 pub use nfm_tensor::backend::KernelBackend;
 pub use registry::{ModelId, ModelRegistry, ModelVersion};
 pub use request::{
-    CompletionStatus, DeadlinePolicy, InferenceRequest, InferenceResponse, Priority, RequestId,
-    RequestOptions,
+    CompletionStatus, InferenceRequest, InferenceResponse, Priority, RequestId, RequestOptions,
 };
 pub use runner::{InferenceWorkload, MemoizedRunner, PredictorKind, RunOutcome};
 

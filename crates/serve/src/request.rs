@@ -187,12 +187,12 @@ impl InferenceRequest {
 pub enum CompletionStatus {
     /// Computed within its deadline (or with no deadline).
     Done,
-    /// The deadline elapsed.  Under
-    /// [`DeadlinePolicy::DropExpired`] the request was never computed
-    /// and `outputs` is empty; under
-    /// [`DeadlinePolicy::RunToCompletion`] (or when the deadline
-    /// expired only *during* compute) `outputs` holds the full result.
-    /// Expired requests are always reported — never silently dropped.
+    /// The deadline elapsed.  A request that expired in the queue was
+    /// never computed, one that expired on a lane was aborted at the
+    /// next step boundary, and either way `outputs` is empty; when the
+    /// deadline ran out only during the request's last step `outputs`
+    /// holds the full result.  Expired requests are always reported —
+    /// never silently dropped.
     DeadlineExpired,
     /// The engine aborted the request after admission (an internal
     /// execution error; see
@@ -200,21 +200,6 @@ pub enum CompletionStatus {
     /// failures are *not* reported this way — they surface as
     /// [`EngineError`](crate::EngineError)s from `submit` itself.
     Rejected,
-}
-
-/// What to do with a request whose deadline has already expired while
-/// it waited in the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeadlinePolicy {
-    /// Skip the computation and report
-    /// [`CompletionStatus::DeadlineExpired`] with empty outputs — the
-    /// lane goes to a request that can still meet its deadline.  This
-    /// is the default.
-    #[default]
-    DropExpired,
-    /// Compute anyway and report the (late) outputs, still marked
-    /// [`CompletionStatus::DeadlineExpired`].
-    RunToCompletion,
 }
 
 /// The per-request result: outputs, this request's own reuse
@@ -329,10 +314,5 @@ mod tests {
         };
         assert!(r.is_done());
         assert_eq!(r.total_latency(), Duration::from_millis(5));
-    }
-
-    #[test]
-    fn default_policy_drops_expired() {
-        assert_eq!(DeadlinePolicy::default(), DeadlinePolicy::DropExpired);
     }
 }

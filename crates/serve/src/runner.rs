@@ -52,13 +52,10 @@ impl RunOutcome {
 /// reassembled in submission order with their statistics merged.
 ///
 /// [`MemoizedRunner::run`] processes sequences one at a time (one
-/// lane, requests in submission order) on one engine worker, or on
-/// [`with_workers(n)`](MemoizedRunner::with_workers) of them — outputs
-/// and statistics are *identical* for any worker count.
+/// lane, requests in submission order);
 /// [`MemoizedRunner::run_batched`] gives the engine `batch_size` lanes
-/// so gates evaluate many sequences per weight stream (the lane
-/// scheduler's block policy with mid-wave refill on unidirectional
-/// stacks, layer-lockstep waves otherwise).
+/// so gates evaluate many sequences per weight stream, with outputs
+/// and statistics *identical* to `run`.
 ///
 /// Every call builds a transient engine — worker thread spawn/join
 /// plus an owned copy of each input sequence — so callers timing the
@@ -88,39 +85,28 @@ impl RunOutcome {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoizedRunner {
     predictor: PredictorKind,
-    /// Engine workers [`MemoizedRunner::run`] uses.
-    workers: usize,
 }
 
 impl MemoizedRunner {
-    fn new(predictor: PredictorKind) -> Self {
-        MemoizedRunner {
-            predictor,
-            workers: 1,
-        }
-    }
-
     /// A runner that performs exact inference (the baseline).
     pub fn exact() -> Self {
-        MemoizedRunner::new(PredictorKind::Exact)
+        MemoizedRunner {
+            predictor: PredictorKind::Exact,
+        }
     }
 
     /// A runner using the oracle predictor.
     pub fn oracle(config: OracleMemoConfig) -> Self {
-        MemoizedRunner::new(PredictorKind::Oracle(config))
+        MemoizedRunner {
+            predictor: PredictorKind::Oracle(config),
+        }
     }
 
     /// A runner using the BNN predictor.
     pub fn bnn(config: BnnMemoConfig) -> Self {
-        MemoizedRunner::new(PredictorKind::Bnn(config))
-    }
-
-    /// Sets the engine worker count used by [`MemoizedRunner::run`]
-    /// (default 1; clamped to the number of sequences).  Results stay
-    /// identical for any worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
+        MemoizedRunner {
+            predictor: PredictorKind::Bnn(config),
+        }
     }
 
     /// The predictor this runner applies.
@@ -128,19 +114,15 @@ impl MemoizedRunner {
         self.predictor
     }
 
-    /// Runs every sequence of `workload` through its network.
+    /// Runs every sequence of `workload` through its network, one at a
+    /// time: [`run_batched`](MemoizedRunner::run_batched) at one lane.
     ///
     /// # Errors
     ///
     /// Propagates any inference error (shape mismatches, empty
     /// sequences).
     pub fn run(&self, workload: &impl InferenceWorkload) -> RnnResult<RunOutcome> {
-        self.run_with_engine(
-            workload.network(),
-            workload.input_sequences(),
-            1,
-            self.workers,
-        )
+        self.run_batched(workload, 1)
     }
 
     /// Runs every sequence of `workload` with **multi-sequence batched
@@ -148,19 +130,26 @@ impl MemoizedRunner {
     /// many sequences are evaluated through each gate invocation at
     /// once and one weight stream serves all of them.
     ///
-    /// The lanes are driven by the unified
-    /// [`LaneScheduler`](nfm_rnn::LaneScheduler).  On unidirectional
-    /// stacks a lane that finishes its sequence is refilled from the
-    /// queue *immediately* — mid-wave — so ragged-length traffic keeps
-    /// every lane busy, and all lanes' inputs are hoisted per 8-step
-    /// block.  Stacks with a bidirectional layer run their seated
-    /// lanes in layer lockstep and refill once all have finished.
+    /// The lanes are driven by the one
+    /// [`LaneScheduler`](nfm_rnn::LaneScheduler) step.  On
+    /// unidirectional stacks a lane that finishes its sequence is
+    /// refilled from the queue *immediately* — mid-wave — so
+    /// ragged-length traffic keeps every lane busy, and all lanes'
+    /// inputs are hoisted per 8-step block.  Stacks with a
+    /// bidirectional layer step their seated sequences whole and refill
+    /// once all have finished.
     ///
     /// Outputs, reuse statistics and memo-hit behavior are
     /// **bit-identical** to [`MemoizedRunner::run`] for every
     /// predictor: memoizing evaluators keep one
     /// [`MemoTable`](nfm_core::MemoTable) per lane, reset when a lane
     /// admits a new sequence, so lanes never interact.
+    ///
+    /// The transient engine owns its inputs, so each call copies the
+    /// network's weights once (an `Arc` hands them to the worker) and
+    /// each sequence once — a constant that one weight-pass of
+    /// inference already dwarfs; long-lived callers that care should
+    /// hold an [`Engine`](crate::Engine) directly.
     ///
     /// # Errors
     ///
@@ -180,29 +169,7 @@ impl MemoizedRunner {
                     .into(),
             });
         }
-        self.run_with_engine(
-            workload.network(),
-            workload.input_sequences(),
-            batch_size,
-            1,
-        )
-    }
-
-    /// Shared wrapper core: submit every sequence to a fresh engine,
-    /// drain it, and reassemble the responses in submission order.
-    ///
-    /// The transient engine owns its inputs, so each call copies the
-    /// network's weights once (an `Arc` hands them to the workers) and
-    /// each sequence once — a constant that one weight-pass of
-    /// inference already dwarfs; long-lived callers that care should
-    /// hold an [`Engine`](crate::Engine) directly.
-    fn run_with_engine(
-        &self,
-        network: &DeepRnn,
-        sequences: &[Vec<Vector>],
-        lanes: usize,
-        workers: usize,
-    ) -> RnnResult<RunOutcome> {
+        let sequences = workload.input_sequences();
         if sequences.is_empty() {
             return Ok(RunOutcome {
                 outputs: Vec::new(),
@@ -210,11 +177,10 @@ impl MemoizedRunner {
             });
         }
         // Paused start: every request is queued before compute begins,
-        // so wave grouping (bidirectional stacks) matches the chunk
-        // boundaries of a pre-collected workload.
-        let engine = EngineBuilder::new(network.clone(), self.predictor)
-            .lanes(lanes)
-            .workers(workers.min(sequences.len()).max(1))
+        // so the groups a bidirectional stack steps together match the
+        // chunk boundaries of a pre-collected workload.
+        let engine = EngineBuilder::new(workload.network().clone(), self.predictor)
+            .lanes(batch_size)
             .queue_capacity(sequences.len())
             .start_paused()
             .build()
@@ -224,9 +190,9 @@ impl MemoizedRunner {
                 .submit(InferenceRequest::new(i as u64, sequence.clone()))
                 .map_err(RnnError::from)?;
         }
-        // Drain (which resumes the paused workers) before reading the
+        // Drain (which resumes the paused worker) before reading the
         // error slot, so any failure recorded mid-run is visible; the
-        // drop then joins the worker threads.
+        // drop then joins the worker thread.
         let mut responses = engine.drain();
         let worker_error = engine.last_error();
         drop(engine);
@@ -358,30 +324,10 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_never_changes_results() {
-        // More sequences than workers, fewer, and equal, with every
-        // predictor kind; 16 exceeds the sequence count.
-        let w = workload(7, 12);
-        for runner in [
-            MemoizedRunner::exact(),
-            MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4)),
-            MemoizedRunner::bnn(BnnMemoConfig::with_threshold(1.0)),
-        ] {
-            let one = runner.run(&w).unwrap();
-            for workers in [2usize, 3, 7, 16] {
-                let forced = runner.with_workers(workers).run(&w).unwrap();
-                assert_eq!(forced.outputs, one.outputs, "workers={workers}");
-                assert_eq!(forced.stats, one.stats, "workers={workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_sequence_errors_propagate_from_workers() {
+    fn empty_sequence_errors_propagate_from_the_worker() {
         let mut w = workload(3, 6);
         w.seqs[1].clear();
         assert!(MemoizedRunner::exact().run(&w).is_err());
-        assert!(MemoizedRunner::exact().with_workers(2).run(&w).is_err());
         assert!(MemoizedRunner::exact().run_batched(&w, 2).is_err());
     }
 

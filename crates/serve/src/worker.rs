@@ -1,5 +1,5 @@
-//! Per-worker execution: one unified lane scheduler + evaluator per
-//! served (model, predictor) combination.
+//! Per-worker execution: one lane scheduler + evaluator per served
+//! (model, predictor) combination.
 //!
 //! Every engine worker owns a [`LaneWorker`].  Requests arrive already
 //! resolved against the registry ([`Model`](nfm_core::Model) +
@@ -10,11 +10,11 @@
 //! what the registry holds — and interleaves the non-idle contexts one
 //! scheduling step at a time, so an engine serving several models makes
 //! progress on all of them concurrently even with a single worker
-//! thread.  The exception is bidirectional models: their lanes run to
-//! completion in one layer-lockstep step (the backward halves need
-//! whole sequences), pausing the worker's other contexts for its
-//! duration — give latency-sensitive mixes of uni- and bidirectional
-//! models separate workers.
+//! thread.  The exception is bidirectional models: one step of theirs
+//! spans their seated sequences whole (the backward halves need them),
+//! pausing the worker's other contexts for its duration — give
+//! latency-sensitive mixes of uni- and bidirectional models separate
+//! workers.
 //!
 //! Each context owns a private evaluator (built once by the predictor
 //! over the shared `Model` — no weight or mirror clones) and one
@@ -24,18 +24,20 @@
 //! installed through [`ServedEvaluator::set_lane_threshold`] right
 //! after admission and ends with the lane's sequence, so requests that
 //! differ only in `θ` share one context, one gate call and one weight
-//! stream.  The scheduler then advances its lanes on the schedule the
-//! network permits: unidirectional stacks in [`HOIST_BLOCK`]-step
-//! blocks with every layer's input projections hoisted across all
-//! active lanes and drained lanes refilled from the queue at the next
-//! block boundary (mid-wave refill); stacks with a bidirectional layer
-//! in layer lockstep, refilling once all seated lanes have finished.
-//! An in-flight request whose deadline expires is aborted **between
-//! steps** (under [`DeadlinePolicy::DropExpired`]), freeing its lane
-//! without computing the remaining timesteps.
+//! stream.  Every context advances by [`LaneScheduler::step`], the one
+//! stack driver: a step covers [`HOIST_BLOCK`] timesteps of every lane
+//! of a unidirectional stack — every layer's input projections hoisted
+//! across all active lanes, drained lanes refilled from the queue at
+//! the next block boundary (mid-wave refill) — and the whole seated
+//! sequences of a stack with a bidirectional layer, which refills when
+//! the step returns.  A request whose deadline expired in the queue is
+//! answered without compute, and an in-flight one is aborted **between
+//! steps**, freeing its lane without computing the remaining
+//! timesteps — always.
 //!
-//! Both schedules produce bit-identical per-request outputs and reuse
-//! statistics: scheduling never changes results, only latency.
+//! Per-request outputs and reuse statistics are bit-identical whatever
+//! shares the scheduler: scheduling never changes results, only
+//! latency.
 //!
 //! # Cross-context lane stealing
 //!
@@ -65,12 +67,11 @@
 //! exactly-once: the donor forgets the request without emitting, the
 //! receiver emits its single response.  Evaluators that do not
 //! implement the export/import hooks never migrate, and neither do
-//! lockstep lanes (they hold no resumable state).
+//! the lanes of a bidirectional stack (they are never mid-sequence
+//! between steps).
 
 use crate::registry::{ContextKey, Resolved};
-use crate::request::{
-    CompletionStatus, DeadlinePolicy, InferenceRequest, InferenceResponse, RequestId,
-};
+use crate::request::{CompletionStatus, InferenceRequest, InferenceResponse, RequestId};
 use nfm_core::{LaneState, ReuseStats, ServedEvaluator};
 use nfm_rnn::{FinishedLane, LaneScheduler, LaneSnapshot, HOIST_BLOCK};
 use std::collections::HashMap;
@@ -184,7 +185,7 @@ pub(crate) trait StealBridge {
     fn note_lane_borrow(&self);
 }
 
-/// Unified scheduler bookkeeping of one execution context.
+/// Scheduler bookkeeping of one execution context.
 struct LaneSched {
     scheduler: LaneScheduler,
     /// Requests on lanes, by token.
@@ -215,8 +216,9 @@ impl ExecContext {
         // lanes are borrowable capacity for cross-context lane
         // stealing.  The queue-pull predicate keeps a context at its
         // fair share unless sibling contexts leave lanes idle.  A
-        // lockstep context could not use a borrowed lane before its
-        // seated lanes have all finished, so it gets none.
+        // context that steps whole sequences could not use a borrowed
+        // lane before its seated lanes have all finished, so it gets
+        // none.
         let capacity = if LaneScheduler::refills_mid_wave(network) {
             lanes * 2
         } else {
@@ -292,7 +294,6 @@ pub(crate) type PullFn<'a> =
 /// One worker: a set of execution contexts fed from the shared queue.
 pub(crate) struct LaneWorker {
     lanes: usize,
-    policy: DeadlinePolicy,
     /// Live contexts in creation order (deterministic stepping; one
     /// entry per served (model, version, predictor) combination).
     contexts: Vec<ExecContext>,
@@ -301,11 +302,10 @@ pub(crate) struct LaneWorker {
 impl LaneWorker {
     /// Builds a worker; contexts appear lazily as resolved requests
     /// arrive.  The caller guarantees `lanes >= 1`.
-    pub(crate) fn new(lanes: usize, policy: DeadlinePolicy) -> LaneWorker {
+    pub(crate) fn new(lanes: usize) -> LaneWorker {
         debug_assert!(lanes >= 1);
         LaneWorker {
             lanes,
-            policy,
             contexts: Vec::new(),
         }
     }
@@ -325,6 +325,20 @@ impl LaneWorker {
             .collect()
     }
 
+    /// Whether some context is idle on a version the registry has
+    /// promoted over, rolled back or evicted.
+    pub(crate) fn has_spent_contexts(&self) -> bool {
+        self.contexts.iter().any(ExecContext::is_spent)
+    }
+
+    /// Drops every such context — weights handle, evaluator tables and
+    /// scheduler — and with it its share of the borrow budget.  Runs at
+    /// the top of every pump round, and when the engine wakes a parked
+    /// worker because a version was retired.
+    pub(crate) fn drop_spent_contexts(&mut self) {
+        self.contexts.retain(|c| !c.is_spent());
+    }
+
     /// Drains work from `pull` (and migrated lanes from `bridge`) until
     /// both run dry and every context is idle, emitting one response
     /// per request.  Internal execution errors (which submit-time
@@ -341,12 +355,9 @@ impl LaneWorker {
         report: &mut dyn FnMut(String),
     ) {
         loop {
-            // Contexts of versions the registry has promoted over,
-            // rolled back or evicted go as soon as their last lane has
-            // finished, and with them their share of the borrow budget.
-            // A late request for one (resolved before the retirement)
-            // simply gets a fresh context.
-            self.contexts.retain(|c| !c.is_spent());
+            // A late request for a dropped context (resolved before
+            // the retirement) simply gets a fresh one.
+            self.drop_spent_contexts();
             // Migrated lanes first: they carry in-flight work another
             // worker already started, so they outrank fresh queue
             // pulls.
@@ -391,10 +402,13 @@ impl LaneWorker {
                 self.route(q, bridge, emit, report);
             }
             // Step phase: one scheduling step for every active
-            // context.  Seated lockstep lanes are due now — the fill
-            // phase just proved the queue holds nothing more this
-            // worker could add.
-            let progressed = self.step_contexts(emit, report);
+            // context.  Lanes seated for a whole-sequence step are due
+            // now — the fill phase just proved the queue holds nothing
+            // more this worker could add.
+            let mut progressed = false;
+            for ctx in &mut self.contexts {
+                progressed |= step_context(ctx, emit, report);
+            }
             // Donate phase: if another worker went idle while this one
             // still holds several active lanes, hand one over.
             let donated = self.try_donate(bridge);
@@ -434,7 +448,7 @@ impl LaneWorker {
     ) {
         let queue_latency = q.submitted_at.elapsed();
         let tag = q.tag();
-        if q.expired() && self.policy == DeadlinePolicy::DropExpired {
+        if q.expired() {
             emit(
                 expired_response(q.req.id, queue_latency, Duration::ZERO),
                 tag,
@@ -494,24 +508,6 @@ impl LaneWorker {
                 );
             }
         }
-    }
-
-    /// Advances every non-idle context by one scheduling step, after
-    /// aborting expired in-flight requests.  Returns whether any
-    /// compute happened.
-    fn step_contexts(
-        &mut self,
-        emit: &mut dyn FnMut(InferenceResponse, ResponseTag),
-        report: &mut dyn FnMut(String),
-    ) -> bool {
-        let mut progressed = false;
-        let policy = self.policy;
-        for ctx in &mut self.contexts {
-            if step_context(ctx, policy, emit, report) {
-                progressed = true;
-            }
-        }
-        progressed
     }
 
     /// Donor half of worker work stealing: when another worker is idle
@@ -617,7 +613,6 @@ impl LaneWorker {
 /// scheduling step.  Returns whether any compute happened.
 fn step_context(
     ctx: &mut ExecContext,
-    policy: DeadlinePolicy,
     emit: &mut dyn FnMut(InferenceResponse, ResponseTag),
     report: &mut dyn FnMut(String),
 ) -> bool {
@@ -635,44 +630,41 @@ fn step_context(
         return false;
     }
     // Step-boundary deadline aborts: a request whose budget ran out
-    // frees its lane *now* (mid-wave, like refill) instead of computing
-    // its remaining timesteps.  Only DropExpired aborts;
-    // RunToCompletion keeps computing and reports the late result.
-    if policy == DeadlinePolicy::DropExpired {
-        let expired: Vec<u64> = sched
-            .inflight
-            .iter()
-            .filter(|(_, info)| info.expired())
-            .map(|(&token, _)| token)
-            .collect();
-        for token in expired {
-            let cancelled = sched
-                .scheduler
-                .cancel(token, evaluator.as_mut())
-                .expect("inflight tokens are scheduled");
-            let info = sched.inflight.remove(&token).expect("lane tracked");
-            // Zero the lane's counters (the partial work is discarded
-            // with the outputs) and report the abort with partial
-            // latency accounting — the queue wait it really had, the
-            // time it really held a lane.
-            let _ = harvest_lane_stats(
-                evaluator.as_mut(),
-                evals_per_step,
-                cancelled.stats_lane,
-                cancelled.outputs.len(),
-            );
-            emit(
-                expired_response(
-                    info.id,
-                    info.admitted_at.duration_since(info.submitted_at),
-                    info.admitted_at.elapsed(),
-                ),
-                info.tag(),
-            );
-        }
-        if sched.scheduler.is_idle() {
-            return false;
-        }
+    // frees its lane *now* (like refill) instead of computing its
+    // remaining timesteps.
+    let expired: Vec<u64> = sched
+        .inflight
+        .iter()
+        .filter(|(_, info)| info.expired())
+        .map(|(&token, _)| token)
+        .collect();
+    for token in expired {
+        let cancelled = sched
+            .scheduler
+            .cancel(token, evaluator.as_mut())
+            .expect("inflight tokens are scheduled");
+        let info = sched.inflight.remove(&token).expect("lane tracked");
+        // Zero the lane's counters (the partial work is discarded
+        // with the outputs) and report the abort with partial
+        // latency accounting — the queue wait it really had, the
+        // time it really held a lane.
+        let _ = harvest_lane_stats(
+            evaluator.as_mut(),
+            evals_per_step,
+            cancelled.stats_lane,
+            cancelled.outputs.len(),
+        );
+        emit(
+            expired_response(
+                info.id,
+                info.admitted_at.duration_since(info.submitted_at),
+                info.admitted_at.elapsed(),
+            ),
+            info.tag(),
+        );
+    }
+    if sched.scheduler.is_idle() {
+        return false;
     }
     match sched
         .scheduler

@@ -27,8 +27,8 @@
 
 use nfm::memo::BnnMemoConfig;
 use nfm::serve::{
-    CompletionStatus, DeadlinePolicy, EngineBuilder, InferenceRequest, MemoizedRunner,
-    ModelRegistry, PredictorKind, RequestOptions,
+    CompletionStatus, EngineBuilder, InferenceRequest, MemoizedRunner, ModelRegistry,
+    PredictorKind, RequestOptions,
 };
 use nfm::workloads::{NetworkId, WorkloadBuilder};
 use std::time::Duration;
@@ -56,7 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .lanes(4) // 4 sequences share each gate's weight stream
         .workers(1) // one compute thread; results never depend on this
         .queue_capacity(64) // submissions beyond this get backpressure
-        .deadline_policy(DeadlinePolicy::DropExpired)
         .build()?;
 
     // Submit the burst.  Two requests carry a deadline that already

@@ -32,8 +32,7 @@
 //! * Workload-level running ([`MemoizedRunner`](serve::MemoizedRunner),
 //!   [`InferenceWorkload`](serve::InferenceWorkload),
 //!   [`RunOutcome`](serve::RunOutcome)) is canonical in [`serve`] — the
-//!   runner is a thin wrapper over the request engine (one worker
-//!   unless `with_workers(n)`).
+//!   runner is a thin wrapper over a one-worker request engine.
 //! * The predictor abstraction ([`Predictor`](nfm_core::Predictor) and
 //!   the built-in implementations) is canonical in [`memo`]; [`serve`]
 //!   re-exports it because the engine is where implementations plug in.

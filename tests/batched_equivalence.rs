@@ -19,7 +19,7 @@ use nfm::rnn::{
     CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, LaneScheduler, NeuronEvaluator,
     PerNeuronEvaluator,
 };
-use nfm::serve::{InferenceWorkload, MemoizedRunner};
+use nfm::serve::{EngineBuilder, InferenceRequest, InferenceWorkload, MemoizedRunner};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 
@@ -304,14 +304,27 @@ fn runner_worker_count_never_changes_results() {
         MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.3)),
         MemoizedRunner::bnn(BnnMemoConfig::with_threshold(1.0)),
     ] {
-        // Uneven split: 9 sequences over 4 engine workers vs one.
-        let par = runner.with_workers(4).run(&w).unwrap();
-        let seq = runner.run(&w).unwrap();
-        assert_eq!(par.outputs.len(), seq.outputs.len());
-        for (a, b) in par.outputs.iter().zip(seq.outputs.iter()) {
-            assert_bit_identical("runner", a, b);
+        // Uneven split: 9 sequences over 4 engine workers against
+        // the runner's one.
+        let engine = EngineBuilder::new(w.net.clone(), runner.predictor())
+            .lanes(1)
+            .workers(4)
+            .build()
+            .unwrap();
+        for (i, s) in w.seqs.iter().enumerate() {
+            engine
+                .submit(InferenceRequest::new(i as u64, s.clone()))
+                .unwrap();
         }
-        let par_stats: ReuseStats = par.stats;
+        let mut responses = engine.shutdown();
+        responses.sort_by_key(|r| r.id);
+        let seq = runner.run(&w).unwrap();
+        assert_eq!(responses.len(), seq.outputs.len());
+        let mut par_stats = ReuseStats::new();
+        for (a, b) in responses.iter().zip(seq.outputs.iter()) {
+            assert_bit_identical("runner", &a.outputs, b);
+            par_stats.merge(&a.stats);
+        }
         assert_eq!(par_stats, seq.stats);
     }
 }

@@ -34,7 +34,8 @@ use nfm::serve::{
 };
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const FEATURES: usize = 4;
 
@@ -546,5 +547,55 @@ fn workers_drop_the_contexts_of_retired_versions() {
         }
         assert_eq!(response.stats, *dedicated.stats(), "{what}");
     }
+    engine.shutdown();
+}
+
+/// ROADMAP 7(c), the last step: retiring a version wakes the parked
+/// workers, so a quiet engine lets go of the retired weights at once
+/// instead of when the next request happens to arrive.
+#[test]
+fn a_quiet_engine_drops_an_evicted_models_contexts() {
+    let (a, b) = (Arc::new(network(1)), Arc::new(network(2)));
+    let mut registry = ModelRegistry::new();
+    let bnn = PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.3));
+    registry.register("a", Arc::clone(&a), bnn).expect("a");
+    registry.register("b", Arc::clone(&b), bnn).expect("b");
+    let engine = EngineBuilder::from_registry(registry)
+        .lanes(2)
+        .workers(2)
+        .queue_capacity(64)
+        .build()
+        .expect("engine builds");
+    for (i, seq) in sequences(24, 17).into_iter().enumerate() {
+        let model = if i % 2 == 0 { "a" } else { "b" };
+        let options = RequestOptions::new().model(model);
+        engine
+            .submit(InferenceRequest::new(i as u64, seq).with_options(options))
+            .expect("submit");
+    }
+    assert_eq!(engine.drain().len(), 24);
+    let served = |model: &str| {
+        engine
+            .context_stats()
+            .iter()
+            .any(|c| c.model.as_str() == model)
+    };
+    assert!(served("a") && served("b"));
+    assert!(Arc::strong_count(&b) > 1, "registry and workers share it");
+
+    // No further submissions: only the eviction itself can wake the
+    // parked workers.
+    engine.evict_model("b").expect("evict");
+    let patience = Instant::now() + Duration::from_secs(20);
+    while served("b") || Arc::strong_count(&b) > 1 {
+        assert!(
+            Instant::now() < patience,
+            "parked workers still hold the evicted model: {} handles, {:?}",
+            Arc::strong_count(&b),
+            engine.context_stats()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(served("a"), "the surviving model keeps its contexts");
     engine.shutdown();
 }

@@ -34,8 +34,8 @@ use nfm::rnn::{
     NeuronEvaluator, NeuronRef, PerNeuronEvaluator, Result as RnnResult,
 };
 use nfm::serve::{
-    CompletionStatus, DeadlinePolicy, EngineBuilder, EngineError, InferenceRequest, ModelRegistry,
-    PredictorKind, Priority, RequestOptions,
+    CompletionStatus, EngineBuilder, EngineError, InferenceRequest, ModelRegistry, PredictorKind,
+    Priority, RequestOptions,
 };
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
@@ -831,7 +831,7 @@ impl Predictor for SleepyPredictor {
     }
 }
 
-fn sleepy_engine(net: &DeepRnn, policy: DeadlinePolicy) -> nfm::serve::Engine {
+fn sleepy_engine(net: &DeepRnn) -> nfm::serve::Engine {
     let mut registry = ModelRegistry::new();
     registry
         .register(
@@ -847,16 +847,13 @@ fn sleepy_engine(net: &DeepRnn, policy: DeadlinePolicy) -> nfm::serve::Engine {
         .lanes(2)
         .workers(1)
         .queue_capacity(8)
-        .deadline_policy(policy)
         .build()
         .unwrap()
 }
 
 /// Contract 4b: an in-flight request whose deadline expires is aborted
-/// *between timesteps* under `DropExpired` — its lane frees without
-/// computing the rest of the sequence, with the consumed compute time
-/// reported — while `RunToCompletion` computes the same request to the
-/// (late) end.
+/// *between timesteps* — its lane frees without computing the rest of
+/// the sequence, with the consumed compute time reported.
 #[test]
 fn per_step_deadline_abort_frees_the_lane_mid_sequence() {
     let mut rng = DeterministicRng::seed_from_u64(71);
@@ -865,7 +862,7 @@ fn per_step_deadline_abort_frees_the_lane_mid_sequence() {
     let long = smooth_sequence(60, net.input_size(), 1); // ≈ 180ms of compute
     let short = smooth_sequence(3, net.input_size(), 2);
 
-    let engine = sleepy_engine(&net, DeadlinePolicy::DropExpired);
+    let engine = sleepy_engine(&net);
     engine
         .submit(InferenceRequest::new(1, long.clone()).with_deadline(Duration::from_millis(40)))
         .unwrap();
@@ -896,16 +893,6 @@ fn per_step_deadline_abort_frees_the_lane_mid_sequence() {
         "the freed lane kept serving"
     );
     assert_eq!(done.outputs.len(), short.len());
-
-    // Policy-gated: RunToCompletion computes the same request fully.
-    let engine = sleepy_engine(&net, DeadlinePolicy::RunToCompletion);
-    engine
-        .submit(InferenceRequest::new(1, long.clone()).with_deadline(Duration::from_millis(40)))
-        .unwrap();
-    let responses = engine.drain();
-    assert_eq!(responses.len(), 1);
-    assert_eq!(responses[0].status, CompletionStatus::DeadlineExpired);
-    assert_eq!(responses[0].outputs.len(), long.len(), "late but complete");
 }
 
 /// Contract 5a: cross-context lane stealing.  A hot model may borrow
@@ -1075,7 +1062,6 @@ fn stolen_lanes_still_abort_on_deadline() {
         .lanes(2)
         .workers(2)
         .queue_capacity(8)
-        .deadline_policy(DeadlinePolicy::DropExpired)
         .build()
         .unwrap();
 

@@ -15,7 +15,10 @@
 //! 4. **Malformed traffic** — garbage frames get typed rejects and the
 //!    connection keeps working; an oversized frame gets a typed reject
 //!    and a close.
-//! 5. **Loadgen loops** — closed- and open-loop scenarios drive a live
+//! 5. **Degenerate lengths** — a zero-length sequence is a typed error
+//!    and a single-step one a correct result, in process and over the
+//!    wire, on uni- and bidirectional stacks (ROADMAP 7(d)).
+//! 6. **Loadgen loops** — closed- and open-loop scenarios drive a live
 //!    server and account for every request they send.
 
 use nfm::loadgen::{run_scenario, ArrivalProcess, BlendEntry, Scenario};
@@ -23,10 +26,12 @@ use nfm::memo::{BnnMemoConfig, PredictorKind};
 use nfm::net::{
     NetClient, NetError, NetServer, RejectReason, ServerConfig, ServerFrame, WireRequest,
 };
+use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator};
 use nfm::serve::{
-    CompletionStatus, Engine, EngineBuilder, InferenceRequest, ModelRegistry, Priority,
-    RequestOptions,
+    CompletionStatus, Engine, EngineBuilder, EngineError, InferenceRequest, ModelRegistry,
+    Priority, RequestOptions,
 };
+use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 use nfm::workloads::{NetworkId, Workload, WorkloadBuilder};
 use std::time::Duration;
@@ -246,7 +251,6 @@ fn malformed_frames_get_typed_rejects_without_desync() {
     let w = workload(41);
     let config = ServerConfig {
         max_frame_bytes: 4096,
-        ..ServerConfig::default()
     };
     let server = NetServer::bind_with("127.0.0.1:0", make_engine(&w), config).expect("bind");
     let handle = server.spawn().expect("spawn");
@@ -333,6 +337,69 @@ fn malformed_frames_get_typed_rejects_without_desync() {
         other => panic!("unexpected frame: {other:?}"),
     }
     handle.shutdown();
+}
+
+#[test]
+fn zero_length_is_a_typed_error_and_a_single_step_a_result_on_every_serving_path() {
+    for direction in [Direction::Unidirectional, Direction::Bidirectional] {
+        let mut rng = DeterministicRng::seed_from_u64(12);
+        let config = DeepRnnConfig::new(CellKind::Lstm, 3, 4)
+            .layers(2)
+            .direction(direction)
+            .output_size(2);
+        let net = DeepRnn::random(&config, &mut rng).unwrap();
+        let step = vec![Vector::from_fn(3, |_| rng.uniform(-1.0, 1.0))];
+        let want = net.run(&step, &mut ExactEvaluator::new()).unwrap();
+        let engine = || {
+            EngineBuilder::new(net.clone(), PredictorKind::Exact)
+                .build()
+                .expect("engine builds")
+        };
+
+        // In process.
+        let direct = engine();
+        assert_eq!(
+            direct.submit(InferenceRequest::new(1, Vec::new())),
+            Err(EngineError::EmptySequence { id: 1 }),
+            "{direction:?}"
+        );
+        direct
+            .submit(InferenceRequest::new(2, step.clone()))
+            .unwrap();
+        let responses = direct.shutdown();
+        assert_eq!(
+            responses.len(),
+            1,
+            "{direction:?}: the refusal left nothing behind"
+        );
+        assert_eq!(responses[0].status, CompletionStatus::Done);
+        assert_eq!(responses[0].outputs, want, "{direction:?}");
+
+        // Over the wire.
+        let handle = NetServer::bind("127.0.0.1:0", engine())
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        let mut client = NetClient::connect(handle.addr()).expect("connect");
+        client.send(&WireRequest::new(3, Vec::new())).expect("send");
+        match client.recv().expect("recv") {
+            ServerFrame::Reject(r) => {
+                assert_eq!((r.id, r.reason), (3, RejectReason::InvalidSequence));
+            }
+            other => panic!("{direction:?}: unexpected frame: {other:?}"),
+        }
+        client.send(&WireRequest::new(4, step)).expect("send");
+        match client.recv().expect("recv") {
+            ServerFrame::Response(r) => {
+                assert_eq!((r.id, r.status), (4, CompletionStatus::Done));
+                assert_eq!(r.outputs, want, "{direction:?}");
+            }
+            other => panic!("{direction:?}: unexpected frame: {other:?}"),
+        }
+        let stats = handle.shutdown();
+        assert_eq!((stats.requests_admitted, stats.responses_sent), (1, 1));
+        assert_eq!(stats.rejects(RejectReason::InvalidSequence), 1);
+    }
 }
 
 /// A client that half-closes its write side after its last request

@@ -7,7 +7,7 @@
 //! equivalence suites); this file is the other half of the numeric
 //! contract.  CI's `kernel-matrix` job runs it once per tier.
 
-use nfm::eval::reference::{gru_step, layer_errors, lstm_step, BUDGET_MAX_ABS};
+use nfm::eval::reference::{gru_step, layer_errors, lstm_step, run_layers, BUDGET_MAX_ABS};
 use nfm::rnn::{
     CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, Gate, GruCell, GruState, LstmCell,
     LstmState,
@@ -241,6 +241,63 @@ fn whole_stacks_stay_inside_the_printed_error_budget() {
                 "{cell:?} {direction:?} {layers}x{hidden} layer {k}: max-abs error {:e} \
                  exceeds the budget {BUDGET_MAX_ABS:e}",
                 e.max_abs
+            );
+        }
+    }
+}
+
+#[test]
+fn ragged_lanes_of_a_bidirectional_stack_stay_inside_the_budget() {
+    // The stack has one driver, which is therefore its own batched
+    // reference; the independent one has to reach it.  Four lanes of
+    // 1 / 8 / 9 / 17 steps (below, at, and across one and two block
+    // boundaries) through `run_batch`, backward halves and head
+    // included.  Measured max-abs error per lane (every tier): LSTM
+    // 2.0e-8 / 7.8e-8 / 7.6e-8 / 6.8e-8, GRU 7.9e-8 / 1.5e-7 / 1.7e-7 /
+    // 2.0e-7.
+    for (seed, cell) in [CellKind::Lstm, CellKind::Gru].into_iter().enumerate() {
+        let mut rng = DeterministicRng::seed_from_u64(190 + seed as u64);
+        let config = DeepRnnConfig::new(cell, 24, 32)
+            .layers(2)
+            .direction(Direction::Bidirectional)
+            .peepholes(true)
+            .output_size(10);
+        let net = DeepRnn::random(&config, &mut rng).unwrap();
+        let head = net.head().expect("configured with a head");
+        let lanes: Vec<Vec<Vector>> = [1usize, 8, 9, 17]
+            .iter()
+            .map(|&steps| {
+                (0..steps)
+                    .map(|_| Vector::from_fn(24, |_| rng.uniform(-2.0, 2.0)))
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[Vector]> = lanes.iter().map(Vec::as_slice).collect();
+        let got = net.run_batch(&refs, &mut ExactEvaluator::new()).unwrap();
+        for (lane, out) in lanes.iter().zip(&got) {
+            let hidden = run_layers(&net, lane).pop().expect("two layers");
+            assert_eq!(out.len(), hidden.len());
+            let mut max_abs = 0.0f64;
+            for (y, h) in out.iter().zip(&hidden) {
+                for n in 0..head.output_size() {
+                    let want = h
+                        .iter()
+                        .enumerate()
+                        .fold(f64::from(head.bias()[n]), |sum, (k, h)| {
+                            sum + f64::from(head.weights().get(n, k)) * h
+                        });
+                    let d = (f64::from(y[n]) - want).abs();
+                    // Not `f64::max`, which would swallow a NaN output.
+                    if d > max_abs || d.is_nan() {
+                        max_abs = d;
+                    }
+                }
+            }
+            println!("{cell:?} lane of {} steps: max {max_abs:.3e}", lane.len());
+            assert!(
+                max_abs <= BUDGET_MAX_ABS,
+                "{cell:?} lane of {} steps: max-abs error {max_abs:e} exceeds {BUDGET_MAX_ABS:e}",
+                lane.len()
             );
         }
     }

@@ -20,8 +20,8 @@ use nfm::bnn::BinaryNetwork;
 use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig, ReuseStats};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, NeuronEvaluator};
 use nfm::serve::{
-    CompletionStatus, DeadlinePolicy, Engine, EngineBuilder, EngineError, InferenceRequest,
-    MemoizedRunner, PredictorKind, RequestOptions,
+    CompletionStatus, Engine, EngineBuilder, EngineError, InferenceRequest, MemoizedRunner,
+    PredictorKind, RequestOptions,
 };
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
@@ -236,14 +236,13 @@ fn bidirectional_engine_falls_back_to_waves_and_matches() {
     assert!(merged.reuses() > 0, "memoization was exercised");
 }
 
-fn tiny_engine(policy: DeadlinePolicy, capacity: usize, paused: bool) -> (DeepRnn, Engine) {
+fn tiny_engine(capacity: usize, paused: bool) -> (DeepRnn, Engine) {
     let mut rng = DeterministicRng::seed_from_u64(7);
     let net = DeepRnn::random(&DeepRnnConfig::new(CellKind::Lstm, 3, 4), &mut rng).unwrap();
     let mut builder = EngineBuilder::new(net.clone(), PredictorKind::Exact)
         .lanes(2)
         .workers(1)
-        .queue_capacity(capacity)
-        .deadline_policy(policy);
+        .queue_capacity(capacity);
     if paused {
         builder = builder.start_paused();
     }
@@ -252,7 +251,7 @@ fn tiny_engine(policy: DeadlinePolicy, capacity: usize, paused: bool) -> (DeepRn
 
 #[test]
 fn expired_requests_are_reported_not_dropped() {
-    let (net, engine) = tiny_engine(DeadlinePolicy::DropExpired, 16, true);
+    let (net, engine) = tiny_engine(16, true);
     // Zero budget: expired by the time a lane looks at them.
     for i in 0..5u64 {
         engine
@@ -287,26 +286,10 @@ fn expired_requests_are_reported_not_dropped() {
 }
 
 #[test]
-fn run_to_completion_computes_late_requests() {
-    let (net, engine) = tiny_engine(DeadlinePolicy::RunToCompletion, 16, true);
-    engine
-        .submit(
-            InferenceRequest::new(1, smooth_sequence(5, net.input_size(), 1))
-                .with_deadline(Duration::ZERO),
-        )
-        .unwrap();
-    let responses = engine.drain();
-    assert_eq!(responses.len(), 1);
-    assert_eq!(responses[0].status, CompletionStatus::DeadlineExpired);
-    assert_eq!(responses[0].outputs.len(), 5, "late but computed");
-    assert!(responses[0].stats.evaluations() > 0);
-}
-
-#[test]
 fn full_queue_rejects_with_backpressure_error() {
     // start_paused makes this deterministic: no worker drains the
     // queue while we fill it.
-    let (net, engine) = tiny_engine(DeadlinePolicy::DropExpired, 3, true);
+    let (net, engine) = tiny_engine(3, true);
     for i in 0..3u64 {
         engine
             .submit(InferenceRequest::new(
@@ -338,7 +321,7 @@ fn full_queue_rejects_with_backpressure_error() {
 
 #[test]
 fn submissions_are_validated_up_front() {
-    let (net, engine) = tiny_engine(DeadlinePolicy::DropExpired, 8, false);
+    let (net, engine) = tiny_engine(8, false);
     assert_eq!(
         engine.submit(InferenceRequest::new(1, Vec::new())),
         Err(EngineError::EmptySequence { id: 1 })
@@ -391,7 +374,7 @@ fn degenerate_builder_configs_error_instead_of_clamping() {
 
 #[test]
 fn shutdown_refuses_further_submissions() {
-    let (net, engine) = tiny_engine(DeadlinePolicy::DropExpired, 8, false);
+    let (net, engine) = tiny_engine(8, false);
     engine
         .submit(InferenceRequest::new(
             1,
@@ -402,7 +385,7 @@ fn shutdown_refuses_further_submissions() {
     assert_eq!(responses.len(), 1);
     // The engine is consumed by shutdown; build another and kill it via
     // drop semantics instead: drop drains the queue too.
-    let (net, engine) = tiny_engine(DeadlinePolicy::DropExpired, 8, true);
+    let (net, engine) = tiny_engine(8, true);
     engine
         .submit(InferenceRequest::new(
             2,
@@ -513,7 +496,7 @@ fn work_stealing_migrates_lanes_bit_identically_across_workers() {
 
 #[test]
 fn engine_reports_latencies_and_pending_counts() {
-    let (net, engine) = tiny_engine(DeadlinePolicy::DropExpired, 8, true);
+    let (net, engine) = tiny_engine(8, true);
     for i in 0..4u64 {
         engine
             .submit(InferenceRequest::new(
