@@ -3,10 +3,12 @@
 //!
 //! [`NetClient`] is deliberately simple — a blocking `TcpStream`
 //! wrapper with the same [`FrameAssembler`] the server uses, so the
-//! load generator, the e2e tests and the example all speak through one
+//! benchmark, the e2e tests and the examples all speak through one
 //! code path.  `recv` blocks until a full frame arrives;
 //! [`try_recv`](NetClient::try_recv) flips the socket nonblocking for
-//! open-loop senders that must not stall on slow responses.
+//! open-loop senders that must not stall on slow responses, and
+//! [`recv_timeout`](NetClient::recv_timeout) waits a bounded time.  All
+//! three are one receive routine, and every send is one write routine.
 
 use crate::protocol::{FrameAssembler, ProtocolError, ServerFrame, WireAdmin, WireRequest};
 use std::io::{ErrorKind, Read, Write};
@@ -56,6 +58,17 @@ impl From<ProtocolError> for NetError {
     }
 }
 
+/// How long one receive may wait for bytes.
+#[derive(Clone, Copy)]
+enum Wait {
+    /// Until a frame arrives.
+    Block,
+    /// Not at all: only what the socket already holds.
+    Poll,
+    /// Up to this long.
+    Upto(Duration),
+}
+
 /// A blocking protocol client over one TCP connection.
 #[derive(Debug)]
 pub struct NetClient {
@@ -97,11 +110,7 @@ impl NetClient {
     ///
     /// Propagates socket failures.
     pub fn send(&mut self, request: &WireRequest) -> Result<(), NetError> {
-        self.scratch.clear();
-        request.encode(&mut self.scratch);
-        self.stream.set_nonblocking(false)?;
-        self.stream.write_all(&self.scratch)?;
-        Ok(())
+        self.write(|out| request.encode(out))
     }
 
     /// Encodes and writes one admin frame (blocking until the socket
@@ -113,11 +122,18 @@ impl NetClient {
     ///
     /// Propagates socket failures.
     pub fn send_admin(&mut self, admin: &WireAdmin) -> Result<(), NetError> {
-        self.scratch.clear();
-        admin.encode(&mut self.scratch);
-        self.stream.set_nonblocking(false)?;
-        self.stream.write_all(&self.scratch)?;
-        Ok(())
+        self.write(|out| admin.encode(out))
+    }
+
+    /// Sends raw bytes on the wire, bypassing the encoder — the
+    /// property tests use this to throw malformed frames at a live
+    /// server.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket failures.
+    pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), NetError> {
+        self.write(|out| out.extend_from_slice(bytes))
     }
 
     /// Sends one admin operation and blocks for the server's verdict:
@@ -146,19 +162,8 @@ impl NetClient {
     /// [`NetError::Disconnected`] on clean EOF, otherwise socket or
     /// decode failures.
     pub fn recv(&mut self) -> Result<ServerFrame, NetError> {
-        self.stream.set_nonblocking(false)?;
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            if let Some(payload) = self.assembler.next_frame()? {
-                return Ok(ServerFrame::decode(&payload)?);
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(NetError::Disconnected),
-                Ok(n) => self.assembler.push(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(NetError::Io(e)),
-            }
-        }
+        self.receive(Wait::Block)?
+            .ok_or_else(|| NetError::Io(ErrorKind::WouldBlock.into()))
     }
 
     /// Nonblocking receive: returns `Ok(None)` when no complete frame
@@ -170,25 +175,7 @@ impl NetClient {
     /// [`NetError::Disconnected`] on clean EOF, otherwise socket or
     /// decode failures.
     pub fn try_recv(&mut self) -> Result<Option<ServerFrame>, NetError> {
-        if let Some(payload) = self.assembler.next_frame()? {
-            return Ok(Some(ServerFrame::decode(&payload)?));
-        }
-        self.stream.set_nonblocking(true)?;
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(NetError::Disconnected),
-                Ok(n) => {
-                    self.assembler.push(&chunk[..n]);
-                    if let Some(payload) = self.assembler.next_frame()? {
-                        return Ok(Some(ServerFrame::decode(&payload)?));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(NetError::Io(e)),
-            }
-        }
+        self.receive(Wait::Poll)
     }
 
     /// Blocks up to `timeout` for the next frame; `Ok(None)` on
@@ -199,45 +186,7 @@ impl NetClient {
     /// [`NetError::Disconnected`] on clean EOF, otherwise socket or
     /// decode failures.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<ServerFrame>, NetError> {
-        if let Some(payload) = self.assembler.next_frame()? {
-            return Ok(Some(ServerFrame::decode(&payload)?));
-        }
-        self.stream.set_nonblocking(false)?;
-        // read_timeout(Some(0)) is rejected by std; clamp up.
-        let timeout = timeout.max(Duration::from_millis(1));
-        self.stream.set_read_timeout(Some(timeout))?;
-        let mut chunk = [0u8; 64 * 1024];
-        let result = loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => break Err(NetError::Disconnected),
-                Ok(n) => {
-                    self.assembler.push(&chunk[..n]);
-                    if let Some(payload) = self.assembler.next_frame()? {
-                        break Ok(Some(ServerFrame::decode(&payload)?));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    break Ok(None)
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => break Err(NetError::Io(e)),
-            }
-        };
-        self.stream.set_read_timeout(None)?;
-        result
-    }
-
-    /// Sends raw bytes on the wire, bypassing the encoder — the
-    /// property tests use this to throw malformed frames at a live
-    /// server.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket failures.
-    pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), NetError> {
-        self.stream.set_nonblocking(false)?;
-        self.stream.write_all(bytes)?;
-        Ok(())
+        self.receive(Wait::Upto(timeout))
     }
 
     /// Half-closes the write side so the server sees EOF after the
@@ -249,5 +198,59 @@ impl NetClient {
     pub fn finish_sending(&mut self) -> Result<(), NetError> {
         self.stream.shutdown(std::net::Shutdown::Write)?;
         Ok(())
+    }
+
+    /// The one write path: encodes into the scratch buffer and writes it
+    /// whole, blocking.
+    fn write(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), NetError> {
+        self.scratch.clear();
+        encode(&mut self.scratch);
+        self.stream.set_nonblocking(false)?;
+        self.stream.write_all(&self.scratch)?;
+        Ok(())
+    }
+
+    /// The one receive path: a frame already buffered is returned
+    /// without touching the socket; otherwise the socket is put in
+    /// `wait`'s mode and read until a frame completes.  A timed wait
+    /// restores blocking, no-timeout reads on every exit, errors
+    /// included.
+    fn receive(&mut self, wait: Wait) -> Result<Option<ServerFrame>, NetError> {
+        if let Some(payload) = self.assembler.next_frame()? {
+            return Ok(Some(ServerFrame::decode(&payload)?));
+        }
+        self.stream.set_nonblocking(matches!(wait, Wait::Poll))?;
+        if let Wait::Upto(timeout) = wait {
+            // read_timeout(Some(0)) is rejected by std; clamp up.
+            let timeout = timeout.max(Duration::from_millis(1));
+            self.stream.set_read_timeout(Some(timeout))?;
+        }
+        let received = self.read_frame();
+        if let Wait::Upto(_) = wait {
+            self.stream.set_read_timeout(None)?;
+        }
+        received
+    }
+
+    /// Reads until the assembler yields a frame; `Ok(None)` once the
+    /// socket has nothing more within the current mode's wait.
+    fn read_frame(&mut self) -> Result<Option<ServerFrame>, NetError> {
+        let mut chunk = [0u8; 64 * 1024];
+        loop {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return Err(NetError::Disconnected),
+                Ok(n) => {
+                    self.assembler.push(&chunk[..n]);
+                    if let Some(payload) = self.assembler.next_frame()? {
+                        return Ok(Some(ServerFrame::decode(&payload)?));
+                    }
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Ok(None)
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
     }
 }

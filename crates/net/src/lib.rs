@@ -4,18 +4,20 @@
 //! behind a socket, with **no dependencies outside `std`**:
 //!
 //! * [`protocol`] — the length-prefixed little-endian wire format:
-//!   [`WireRequest`] in, [`WireResponse`] / [`WireReject`] out, with
-//!   [`FrameAssembler`] turning an arbitrary byte stream back into
-//!   frames.  `f32` payloads travel as IEEE-754 bit patterns, so a
-//!   loopback round-trip is bit-exact — the e2e tests assert network
-//!   outputs identical to `Engine::submit`.
+//!   [`WireRequest`] / [`WireAdmin`] in, [`WireResponse`] /
+//!   [`WireReject`] / [`WireAdminOk`] out, each declared once as its
+//!   fields in wire order (both directions are derived from that
+//!   list), with [`FrameAssembler`] turning an arbitrary byte stream
+//!   back into frames.  `f32` payloads travel as IEEE-754 bit patterns,
+//!   so a loopback round-trip is bit-exact — the e2e tests assert
+//!   network outputs identical to `Engine::submit`.
 //! * [`server`] — [`NetServer`], a single-threaded nonblocking poll
 //!   loop (`set_nonblocking` + readiness sweep) that decodes frames,
 //!   admits them into the engine's bounded priority queue, sheds
 //!   [`Priority::Low`](nfm_serve::Priority::Low) work past a queue
 //!   watermark, and answers every refusal with a typed reject frame.
 //! * [`client`] — [`NetClient`], the blocking/nonblocking client used
-//!   by the load generator, the tests and the example.
+//!   by the benchmark, the tests and the examples.
 //!
 //! ## Minimal round trip
 //!

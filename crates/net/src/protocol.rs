@@ -10,8 +10,15 @@
 //! |-------|-------|
 //! | `u32` | payload length (bounds-checked against the frame cap) |
 //! | `u8`  | protocol version ([`PROTOCOL_VERSION`]) |
-//! | `u8`  | frame kind (`0x01` request, `0x02` response, `0x03` reject) |
-//! | ...   | kind-specific body (see [`WireRequest`], [`WireResponse`], [`WireReject`]) |
+//! | `u8`  | frame kind (`0x01` request, `0x02` response, `0x03` reject, `0x04` admin, `0x05` admin ack) |
+//! | ...   | kind-specific body (see [`WireRequest`], [`WireResponse`], [`WireReject`], [`WireAdmin`], [`WireAdminOk`]) |
+//!
+//! Each frame is *declared* once, as its kind byte and its fields in
+//! wire order (`WireAdminOk = FRAME_ADMIN_OK { id, version }`); its
+//! `encode` and `decode` are generated from that list, each field
+//! written and read through the one codec of its form (a little-endian
+//! integer, a one-byte code table, a `u16`-prefixed name, a sequence,
+//! ...), so the two directions cannot disagree about an order.
 //!
 //! Integers are little-endian, floats are IEEE-754 `f32` bit patterns —
 //! the engine's native representation — so a loopback round trip is
@@ -82,18 +89,11 @@ pub enum ProtocolError {
         /// The kind byte received.
         found: u8,
     },
-    /// The priority byte names no priority class.
-    UnknownPriority {
-        /// The byte received.
-        found: u8,
-    },
-    /// The status byte names no completion status.
-    UnknownStatus {
-        /// The byte received.
-        found: u8,
-    },
-    /// The reject-reason byte names no reject reason.
-    UnknownReason {
+    /// A one-byte code (priority, status, reject reason, admin op,
+    /// predictor kind) names no entry of its table.
+    UnknownCode {
+        /// The field whose table lacks the byte.
+        field: &'static str,
         /// The byte received.
         found: u8,
     },
@@ -124,17 +124,6 @@ pub enum ProtocolError {
         /// The declared timestep count.
         timesteps: u32,
     },
-    /// The admin-op byte names no admin operation.
-    UnknownAdminOp {
-        /// The byte received.
-        found: u8,
-    },
-    /// The predictor-kind byte of an admin swap names no predictor
-    /// kind.
-    UnknownPredictorKind {
-        /// The byte received.
-        found: u8,
-    },
     /// The length prefix declares a payload larger than the receiver's
     /// frame cap.  The receiver refuses to buffer it; since the
     /// declared length can no longer be trusted as a frame boundary,
@@ -160,10 +149,8 @@ impl fmt::Display for ProtocolError {
             ProtocolError::UnexpectedKind { found } => {
                 write!(f, "frame kind {found:#04x} is not valid in this direction")
             }
-            ProtocolError::UnknownPriority { found } => write!(f, "unknown priority byte {found}"),
-            ProtocolError::UnknownStatus { found } => write!(f, "unknown status byte {found}"),
-            ProtocolError::UnknownReason { found } => {
-                write!(f, "unknown reject-reason byte {found}")
+            ProtocolError::UnknownCode { field, found } => {
+                write!(f, "unknown {field} byte {found}")
             }
             ProtocolError::Truncated { field } => {
                 write!(f, "payload truncated while decoding {field}")
@@ -178,12 +165,6 @@ impl fmt::Display for ProtocolError {
                     "impossible geometry: {timesteps} timesteps of width {width}"
                 )
             }
-            ProtocolError::UnknownAdminOp { found } => {
-                write!(f, "unknown admin-op byte {found}")
-            }
-            ProtocolError::UnknownPredictorKind { found } => {
-                write!(f, "unknown predictor-kind byte {found}")
-            }
             ProtocolError::Oversized { declared, max } => {
                 write!(f, "frame declares {declared} payload bytes, cap is {max}")
             }
@@ -193,40 +174,313 @@ impl fmt::Display for ProtocolError {
 
 impl Error for ProtocolError {}
 
-/// Why the server refused a request, carried inside a [`WireReject`]
-/// frame.  Codes are part of the wire format and never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectReason {
-    /// The frame failed to decode (truncated, trailing bytes, bad
-    /// enum byte, invalid UTF-8).
-    Malformed = 0,
-    /// The version byte is not one this server speaks.
-    UnsupportedVersion = 1,
-    /// The frame declared a payload larger than the server's cap.  The
-    /// server closes the connection after sending this — the length
-    /// prefix can no longer be trusted as a frame boundary.
-    Oversized = 2,
-    /// The request names a model the registry does not hold.
-    UnknownModel = 3,
-    /// The request names a predictor its model does not register.
-    UnknownPredictor = 4,
-    /// The request overrides the threshold of a predictor without one.
-    ThresholdUnsupported = 5,
-    /// The sequence is empty or its width does not match the model.
-    InvalidSequence = 6,
-    /// The engine's bounded queue is full — hard backpressure.  Retry
-    /// after draining responses.
-    Overloaded = 7,
-    /// Load shedding: the queue crossed the shed watermark and this
-    /// request is [`Priority::Low`], so it was turned away before
-    /// higher classes lose their headroom.
-    ShedLowPriority = 8,
-    /// The server is draining for shutdown and admits no new work.
-    ShuttingDown = 9,
-    /// An internal server error (should not happen; the message says
-    /// what broke).
-    Internal = 10,
+/// One field form on the wire: how a value is appended to a frame
+/// (`put`) and read back from a payload (`get`).  Every frame is a list
+/// of such fields, so this is the whole codec.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    /// `field` names the value in the errors a malformed payload gives.
+    fn get(r: &mut FrameReader<'_>, field: &'static str) -> Result<Self, ProtocolError>;
 }
+
+/// Fixed-width little-endian scalars.
+macro_rules! le_wire {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut FrameReader<'_>, field: &'static str) -> Result<Self, ProtocolError> {
+                const N: usize = std::mem::size_of::<$t>();
+                let mut bytes = [0; N];
+                bytes.copy_from_slice(r.take(N, field)?);
+                Ok(<$t>::from_le_bytes(bytes))
+            }
+        }
+    )*};
+}
+le_wire!(u8, u16, u32, u64, f32);
+
+/// A one-byte code table: each entry's code is written once, here, for
+/// both directions, and a byte outside the table decodes to
+/// [`ProtocolError::UnknownCode`].  For an enum of this crate the table
+/// also declares the enum, its discriminants being the codes.
+macro_rules! code_table {
+    ($(#[$meta:meta])* pub enum $ty:ident {
+        $($(#[$vmeta:meta])* $variant:ident = $code:literal,)*
+    }) => {
+        $(#[$meta])*
+        pub enum $ty {
+            $($(#[$vmeta])* $variant = $code,)*
+        }
+        code_table!($ty { $($variant = $code),* });
+    };
+    ($ty:ident { $($variant:ident = $code:literal),* }) => {
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(match self {
+                    $($ty::$variant => $code,)*
+                });
+            }
+            fn get(r: &mut FrameReader<'_>, field: &'static str) -> Result<Self, ProtocolError> {
+                match u8::get(r, field)? {
+                    $($code => Ok($ty::$variant),)*
+                    found => Err(ProtocolError::UnknownCode { field, found }),
+                }
+            }
+        }
+    };
+}
+
+/// A struct on the wire is its fields in wire order.
+macro_rules! wire_fields {
+    ($ty:ident { $($field:ident),* }) => {
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+            fn get(r: &mut FrameReader<'_>, _: &'static str) -> Result<Self, ProtocolError> {
+                Ok($ty {
+                    $($field: Wire::get(r, stringify!($field))?,)*
+                })
+            }
+        }
+    };
+}
+
+/// A frame is a struct on the wire behind its kind byte; `encode` and
+/// `decode` are the two directions of that one declaration.
+macro_rules! frames {
+    ($($ty:ident = $kind:ident { $($field:ident),* })*) => {$(
+        wire_fields!($ty { $($field),* });
+
+        impl $ty {
+            /// Appends this frame: the length prefix, the version and
+            /// kind bytes, then the fields in their declared order.
+            pub fn encode(&self, out: &mut Vec<u8>) {
+                encode_frame($kind, self, out);
+            }
+
+            /// Decodes one payload of this kind (length prefix already
+            /// stripped).
+            ///
+            /// # Errors
+            ///
+            /// Any [`ProtocolError`] describing the malformation.  A
+            /// length-prefixed field (the sequence, the artifact) is
+            /// checked against the bytes that remain before anything
+            /// is allocated for it, so a lying header cannot over- or
+            /// under-read.
+            pub fn decode(payload: &[u8]) -> Result<$ty, ProtocolError> {
+                decode_frame($kind, payload)
+            }
+        }
+    )*};
+}
+
+/// A deadline in µs from admission; `u64::MAX` is none.
+impl Wire for Option<Duration> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(d) => u64::try_from(d.as_micros()).unwrap_or(NO_DEADLINE_US - 1),
+            None => NO_DEADLINE_US,
+        }
+        .put(out);
+    }
+
+    fn get(r: &mut FrameReader<'_>, field: &'static str) -> Result<Self, ProtocolError> {
+        let us = u64::get(r, field)?;
+        Ok((us != NO_DEADLINE_US).then(|| Duration::from_micros(us)))
+    }
+}
+
+/// A θ override: a flag byte, followed by the `f32` only when set.
+impl Wire for Option<f32> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(theta) => {
+                1u8.put(out);
+                theta.put(out);
+            }
+            None => 0u8.put(out),
+        }
+    }
+
+    fn get(r: &mut FrameReader<'_>, field: &'static str) -> Result<Self, ProtocolError> {
+        Ok(match u8::get(r, field)? {
+            0 => None,
+            _ => Some(f32::get(r, field)?),
+        })
+    }
+}
+
+/// A `u16` length-prefixed UTF-8 name.  Names longer than `u16::MAX`
+/// bytes are truncated at the cap (the registry never holds such names;
+/// requests carrying them would be rejected as unknown).
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        let len = self.len().min(u16::MAX as usize);
+        (len as u16).put(out);
+        out.extend_from_slice(&self.as_bytes()[..len]);
+    }
+
+    fn get(r: &mut FrameReader<'_>, field: &'static str) -> Result<Self, ProtocolError> {
+        let len = u16::get(r, field)? as usize;
+        std::str::from_utf8(r.take(len, field)?)
+            .map(str::to_owned)
+            .map_err(|_| ProtocolError::InvalidUtf8 { field })
+    }
+}
+
+/// An optional name: the empty name is `None`.
+impl Wire for Option<String> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(name) => name.put(out),
+            None => 0u16.put(out),
+        }
+    }
+
+    fn get(r: &mut FrameReader<'_>, field: &'static str) -> Result<Self, ProtocolError> {
+        String::get(r, field).map(|name| (!name.is_empty()).then_some(name))
+    }
+}
+
+/// A sequence: `u32` width, `u32` timesteps, then `width × timesteps`
+/// `f32`s, timestep-major.
+impl Wire for Vec<Vector> {
+    fn put(&self, out: &mut Vec<u8>) {
+        let width = self.first().map_or(0, Vector::len);
+        (width as u32).put(out);
+        (self.len() as u32).put(out);
+        out.reserve(width * self.len() * 4);
+        for step in self {
+            for v in step.as_slice() {
+                v.put(out);
+            }
+        }
+    }
+
+    fn get(r: &mut FrameReader<'_>, field: &'static str) -> Result<Self, ProtocolError> {
+        let width = u32::get(r, field)?;
+        let timesteps = u32::get(r, field)?;
+        check_dimensions(width, timesteps)?;
+        // Saturating, so a hostile header cannot wrap into a length the
+        // payload happens to have.
+        let bytes = (width as usize)
+            .saturating_mul(timesteps as usize)
+            .saturating_mul(4);
+        let span = r.take(bytes, field)?;
+        if width == 0 {
+            return Ok(Vec::new());
+        }
+        Ok(span
+            .chunks_exact(4 * width as usize)
+            .map(|step| {
+                let values: Vec<f32> = step
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect();
+                Vector::from(values)
+            })
+            .collect())
+    }
+}
+
+/// A serialized artifact: `u32` length, then the bytes verbatim.
+impl Wire for Vec<u8> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self);
+    }
+
+    fn get(r: &mut FrameReader<'_>, field: &'static str) -> Result<Self, ProtocolError> {
+        let len = u32::get(r, field)? as usize;
+        Ok(r.take(len, field)?.to_vec())
+    }
+}
+
+/// The undecoded rest of a payload.
+struct FrameReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> FrameReader<'a> {
+    fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], ProtocolError> {
+        if self.rest.len() < n {
+            return Err(ProtocolError::Truncated { field });
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+}
+
+/// Appends `body` as one frame of `kind`, back-patching the length
+/// prefix.
+fn encode_frame(kind: u8, body: &impl Wire, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0, 0, 0, 0, PROTOCOL_VERSION, kind]);
+    body.put(out);
+    let payload_len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
+}
+
+/// Decodes a payload of `kind`, which its fields must consume exactly.
+fn decode_frame<T: Wire>(kind: u8, payload: &[u8]) -> Result<T, ProtocolError> {
+    let found = peek_kind(payload)?;
+    if found != kind {
+        return Err(ProtocolError::UnexpectedKind { found });
+    }
+    let mut r = FrameReader {
+        rest: &payload[2..],
+    };
+    let body = T::get(&mut r, "frame")?;
+    match r.rest.len() {
+        0 => Ok(body),
+        extra => Err(ProtocolError::TrailingBytes { extra }),
+    }
+}
+
+code_table! {
+    /// Why the server refused a request, carried inside a [`WireReject`]
+    /// frame.  Codes are part of the wire format and never reused.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RejectReason {
+        /// The frame failed to decode (truncated, trailing bytes, bad
+        /// enum byte, invalid UTF-8).
+        Malformed = 0,
+        /// The version byte is not one this server speaks.
+        UnsupportedVersion = 1,
+        /// The frame declared a payload larger than the server's cap.  The
+        /// server closes the connection after sending this — the length
+        /// prefix can no longer be trusted as a frame boundary.
+        Oversized = 2,
+        /// The request names a model the registry does not hold.
+        UnknownModel = 3,
+        /// The request names a predictor its model does not register.
+        UnknownPredictor = 4,
+        /// The request overrides the threshold of a predictor without one.
+        ThresholdUnsupported = 5,
+        /// The sequence is empty or its width does not match the model.
+        InvalidSequence = 6,
+        /// The engine's bounded queue is full — hard backpressure.  Retry
+        /// after draining responses.
+        Overloaded = 7,
+        /// Load shedding: the queue crossed the shed watermark and this
+        /// request is [`Priority::Low`], so it was turned away before
+        /// higher classes lose their headroom.
+        ShedLowPriority = 8,
+        /// The server is draining for shutdown and admits no new work.
+        ShuttingDown = 9,
+        /// An internal server error (should not happen; the message says
+        /// what broke).
+        Internal = 10,
+    }
+}
+
+code_table! { Priority { High = 0, Normal = 1, Low = 2 } }
+code_table! { CompletionStatus { Done = 0, DeadlineExpired = 1, Rejected = 2 } }
 
 impl RejectReason {
     /// All reasons, for tests sweeping the code space.
@@ -248,13 +502,6 @@ impl RejectReason {
     pub fn code(self) -> u8 {
         self as u8
     }
-
-    fn from_code(code: u8) -> Result<RejectReason, ProtocolError> {
-        RejectReason::ALL
-            .into_iter()
-            .find(|r| r.code() == code)
-            .ok_or(ProtocolError::UnknownReason { found: code })
-    }
 }
 
 impl fmt::Display for RejectReason {
@@ -273,40 +520,6 @@ impl fmt::Display for RejectReason {
             RejectReason::Internal => "internal",
         };
         f.write_str(name)
-    }
-}
-
-fn priority_code(p: Priority) -> u8 {
-    match p {
-        Priority::High => 0,
-        Priority::Normal => 1,
-        Priority::Low => 2,
-    }
-}
-
-fn priority_from_code(code: u8) -> Result<Priority, ProtocolError> {
-    match code {
-        0 => Ok(Priority::High),
-        1 => Ok(Priority::Normal),
-        2 => Ok(Priority::Low),
-        found => Err(ProtocolError::UnknownPriority { found }),
-    }
-}
-
-fn status_code(s: CompletionStatus) -> u8 {
-    match s {
-        CompletionStatus::Done => 0,
-        CompletionStatus::DeadlineExpired => 1,
-        CompletionStatus::Rejected => 2,
-    }
-}
-
-fn status_from_code(code: u8) -> Result<CompletionStatus, ProtocolError> {
-    match code {
-        0 => Ok(CompletionStatus::Done),
-        1 => Ok(CompletionStatus::DeadlineExpired),
-        2 => Ok(CompletionStatus::Rejected),
-        found => Err(ProtocolError::UnknownStatus { found }),
     }
 }
 
@@ -386,91 +599,6 @@ impl WireRequest {
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Appends this request as one length-prefixed frame.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut w = FrameWriter::begin(out, FRAME_REQUEST);
-        w.u64(self.id);
-        w.u8(priority_code(self.priority));
-        w.u64(match self.deadline {
-            Some(d) => u64::try_from(d.as_micros()).unwrap_or(NO_DEADLINE_US - 1),
-            None => NO_DEADLINE_US,
-        });
-        match self.threshold {
-            Some(t) => {
-                w.u8(1);
-                w.f32(t);
-            }
-            None => w.u8(0),
-        }
-        w.name(self.model.as_deref());
-        w.name(self.predictor.as_deref());
-        let width = self.sequence.first().map(Vector::len).unwrap_or(0);
-        w.u32(width as u32);
-        w.u32(self.sequence.len() as u32);
-        for step in &self.sequence {
-            for v in step.as_slice() {
-                w.f32(*v);
-            }
-        }
-        w.finish();
-    }
-
-    /// Decodes one request payload (length prefix already stripped).
-    ///
-    /// # Errors
-    ///
-    /// Any [`ProtocolError`] describing the malformation; the sequence
-    /// length is validated against the payload length exactly, so a
-    /// lying header cannot over- or under-read.
-    pub fn decode(payload: &[u8]) -> Result<WireRequest, ProtocolError> {
-        let mut r = FrameReader::begin(payload, FRAME_REQUEST)?;
-        let id = r.u64("request id")?;
-        let priority = priority_from_code(r.u8("priority")?)?;
-        let deadline_us = r.u64("deadline")?;
-        let deadline = if deadline_us == NO_DEADLINE_US {
-            None
-        } else {
-            Some(Duration::from_micros(deadline_us))
-        };
-        let threshold = match r.u8("threshold flag")? {
-            0 => None,
-            _ => Some(r.f32("threshold")?),
-        };
-        let model = r.name("model name")?;
-        let predictor = r.name("predictor name")?;
-        let width = r.u32("input width")? as usize;
-        let timesteps = r.u32("timesteps")? as usize;
-        check_dimensions(width, timesteps)?;
-        let want = (width as u64) * (timesteps as u64) * 4;
-        if r.remaining() as u64 != want {
-            return if (r.remaining() as u64) < want {
-                Err(ProtocolError::Truncated { field: "sequence" })
-            } else {
-                Err(ProtocolError::TrailingBytes {
-                    extra: r.remaining() - want as usize,
-                })
-            };
-        }
-        let mut sequence = Vec::with_capacity(timesteps);
-        for _ in 0..timesteps {
-            let mut step = Vec::with_capacity(width);
-            for _ in 0..width {
-                step.push(r.f32("sequence")?);
-            }
-            sequence.push(Vector::from(step));
-        }
-        r.end()?;
-        Ok(WireRequest {
-            id,
-            priority,
-            deadline,
-            threshold,
-            model,
-            predictor,
-            sequence,
-        })
     }
 }
 
@@ -564,73 +692,6 @@ impl WireResponse {
                 .saturating_add(self.compute_latency_ns),
         )
     }
-
-    /// Appends this response as one length-prefixed frame.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut w = FrameWriter::begin(out, FRAME_RESPONSE);
-        w.u64(self.id);
-        w.u8(status_code(self.status));
-        w.u64(self.stats.computed);
-        w.u64(self.stats.reuses);
-        w.u64(self.stats.bnn_evaluations);
-        w.u64(self.queue_latency_ns);
-        w.u64(self.compute_latency_ns);
-        let width = self.outputs.first().map(Vector::len).unwrap_or(0);
-        w.u32(width as u32);
-        w.u32(self.outputs.len() as u32);
-        for step in &self.outputs {
-            for v in step.as_slice() {
-                w.f32(*v);
-            }
-        }
-        w.finish();
-    }
-
-    fn decode_body(r: &mut FrameReader<'_>) -> Result<WireResponse, ProtocolError> {
-        let id = r.u64("request id")?;
-        let status = status_from_code(r.u8("status")?)?;
-        let stats = WireStats {
-            computed: r.u64("computed count")?,
-            reuses: r.u64("reuse count")?,
-            bnn_evaluations: r.u64("bnn count")?,
-        };
-        let queue_latency_ns = r.u64("queue latency")?;
-        let compute_latency_ns = r.u64("compute latency")?;
-        let width = r.u32("output width")? as usize;
-        let timesteps = r.u32("timesteps")? as usize;
-        check_dimensions(width, timesteps)?;
-        let want = (width as u64) * (timesteps as u64) * 4;
-        if (r.remaining() as u64) < want {
-            return Err(ProtocolError::Truncated { field: "outputs" });
-        }
-        let mut outputs = Vec::with_capacity(timesteps);
-        for _ in 0..timesteps {
-            let mut step = Vec::with_capacity(width);
-            for _ in 0..width {
-                step.push(r.f32("outputs")?);
-            }
-            outputs.push(Vector::from(step));
-        }
-        r.end()?;
-        Ok(WireResponse {
-            id,
-            status,
-            stats,
-            queue_latency_ns,
-            compute_latency_ns,
-            outputs,
-        })
-    }
-
-    /// Decodes one response payload (length prefix already stripped).
-    ///
-    /// # Errors
-    ///
-    /// Any [`ProtocolError`] describing the malformation.
-    pub fn decode(payload: &[u8]) -> Result<WireResponse, ProtocolError> {
-        let mut r = FrameReader::begin(payload, FRAME_RESPONSE)?;
-        WireResponse::decode_body(&mut r)
-    }
 }
 
 /// A typed refusal: the request identified by `id` was not admitted,
@@ -661,37 +722,6 @@ impl WireReject {
             message: message.into(),
         }
     }
-
-    /// Appends this reject as one length-prefixed frame.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut w = FrameWriter::begin(out, FRAME_REJECT);
-        w.u64(self.id);
-        w.u8(self.reason.code());
-        w.name(Some(&self.message));
-        w.finish();
-    }
-
-    fn decode_body(r: &mut FrameReader<'_>) -> Result<WireReject, ProtocolError> {
-        let id = r.u64("request id")?;
-        let reason = RejectReason::from_code(r.u8("reject reason")?)?;
-        let message = r.name("reject message")?.unwrap_or_default();
-        r.end()?;
-        Ok(WireReject {
-            id,
-            reason,
-            message,
-        })
-    }
-
-    /// Decodes one reject payload (length prefix already stripped).
-    ///
-    /// # Errors
-    ///
-    /// Any [`ProtocolError`] describing the malformation.
-    pub fn decode(payload: &[u8]) -> Result<WireReject, ProtocolError> {
-        let mut r = FrameReader::begin(payload, FRAME_REJECT)?;
-        WireReject::decode_body(&mut r)
-    }
 }
 
 /// Predictor selection inside an admin swap, flattened for the wire:
@@ -720,12 +750,29 @@ impl WirePredictorKind {
             }
         }
     }
+}
 
-    fn code(self) -> u8 {
+impl Wire for WirePredictorKind {
+    fn put(&self, out: &mut Vec<u8>) {
         match self {
-            WirePredictorKind::Exact => 0,
-            WirePredictorKind::Bnn(_) => 1,
-            WirePredictorKind::Oracle(_) => 2,
+            WirePredictorKind::Exact => 0u8.put(out),
+            WirePredictorKind::Bnn(theta) => {
+                1u8.put(out);
+                theta.put(out);
+            }
+            WirePredictorKind::Oracle(theta) => {
+                2u8.put(out);
+                theta.put(out);
+            }
+        }
+    }
+
+    fn get(r: &mut FrameReader<'_>, field: &'static str) -> Result<Self, ProtocolError> {
+        match u8::get(r, field)? {
+            0 => Ok(WirePredictorKind::Exact),
+            1 => Ok(WirePredictorKind::Bnn(f32::get(r, "bnn threshold")?)),
+            2 => Ok(WirePredictorKind::Oracle(f32::get(r, "oracle threshold")?)),
+            found => Err(ProtocolError::UnknownCode { field, found }),
         }
     }
 }
@@ -755,6 +802,60 @@ pub enum AdminOp {
         /// The model to evict.
         model: String,
     },
+}
+
+impl Wire for AdminOp {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            AdminOp::Swap {
+                model,
+                predictors,
+                fraction,
+                min_requests,
+                tolerance,
+                artifact,
+            } => {
+                0u8.put(out);
+                model.put(out);
+                (predictors.len() as u8).put(out);
+                for p in predictors {
+                    p.put(out);
+                }
+                fraction.put(out);
+                min_requests.put(out);
+                tolerance.put(out);
+                artifact.put(out);
+            }
+            AdminOp::Evict { model } => {
+                1u8.put(out);
+                model.put(out);
+            }
+        }
+    }
+
+    fn get(r: &mut FrameReader<'_>, field: &'static str) -> Result<Self, ProtocolError> {
+        match u8::get(r, field)? {
+            0 => {
+                let model = String::get(r, "model")?;
+                let count = u8::get(r, "predictor count")?;
+                let predictors = (0..count)
+                    .map(|_| WirePredictorKind::get(r, "predictor kind"))
+                    .collect::<Result<_, _>>()?;
+                Ok(AdminOp::Swap {
+                    model,
+                    predictors,
+                    fraction: f32::get(r, "fraction")?,
+                    min_requests: u64::get(r, "min_requests")?,
+                    tolerance: f32::get(r, "tolerance")?,
+                    artifact: Vec::get(r, "artifact")?,
+                })
+            }
+            1 => Ok(AdminOp::Evict {
+                model: String::get(r, "model")?,
+            }),
+            found => Err(ProtocolError::UnknownCode { field, found }),
+        }
+    }
 }
 
 /// One admin operation as it travels over the wire (client → server).
@@ -845,100 +946,6 @@ impl WireAdmin {
         }
         self
     }
-
-    /// Appends this operation as one length-prefixed frame.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut w = FrameWriter::begin(out, FRAME_ADMIN);
-        w.u64(self.id);
-        match &self.op {
-            AdminOp::Swap {
-                model,
-                predictors,
-                fraction,
-                min_requests,
-                tolerance,
-                artifact,
-            } => {
-                w.u8(0);
-                w.name(Some(model));
-                w.u8(predictors.len() as u8);
-                for p in predictors {
-                    w.u8(p.code());
-                    match p {
-                        WirePredictorKind::Exact => {}
-                        WirePredictorKind::Bnn(theta) | WirePredictorKind::Oracle(theta) => {
-                            w.f32(*theta)
-                        }
-                    }
-                }
-                w.f32(*fraction);
-                w.u64(*min_requests);
-                w.f32(*tolerance);
-                w.u32(artifact.len() as u32);
-                w.bytes(artifact);
-            }
-            AdminOp::Evict { model } => {
-                w.u8(1);
-                w.name(Some(model));
-            }
-        }
-        w.finish();
-    }
-
-    /// Decodes one admin payload (length prefix already stripped).
-    ///
-    /// # Errors
-    ///
-    /// Any [`ProtocolError`] describing the malformation; the declared
-    /// artifact length is validated against the payload length
-    /// exactly.
-    pub fn decode(payload: &[u8]) -> Result<WireAdmin, ProtocolError> {
-        let mut r = FrameReader::begin(payload, FRAME_ADMIN)?;
-        let id = r.u64("admin id")?;
-        let op = match r.u8("admin op")? {
-            0 => {
-                let model = r.name("model name")?.unwrap_or_default();
-                let count = r.u8("predictor count")? as usize;
-                let mut predictors = Vec::with_capacity(count);
-                for _ in 0..count {
-                    predictors.push(match r.u8("predictor kind")? {
-                        0 => WirePredictorKind::Exact,
-                        1 => WirePredictorKind::Bnn(r.f32("bnn threshold")?),
-                        2 => WirePredictorKind::Oracle(r.f32("oracle threshold")?),
-                        found => return Err(ProtocolError::UnknownPredictorKind { found }),
-                    });
-                }
-                let fraction = r.f32("canary fraction")?;
-                let min_requests = r.u64("canary min_requests")?;
-                let tolerance = r.f32("canary tolerance")?;
-                let declared = r.u32("artifact length")? as usize;
-                if r.remaining() != declared {
-                    return if r.remaining() < declared {
-                        Err(ProtocolError::Truncated { field: "artifact" })
-                    } else {
-                        Err(ProtocolError::TrailingBytes {
-                            extra: r.remaining() - declared,
-                        })
-                    };
-                }
-                let artifact = r.take_remaining();
-                AdminOp::Swap {
-                    model,
-                    predictors,
-                    fraction,
-                    min_requests,
-                    tolerance,
-                    artifact,
-                }
-            }
-            1 => AdminOp::Evict {
-                model: r.name("model name")?.unwrap_or_default(),
-            },
-            found => return Err(ProtocolError::UnknownAdminOp { found }),
-        };
-        r.end()?;
-        Ok(WireAdmin { id, op })
-    }
 }
 
 /// Acknowledgement of a completed admin operation (server → client):
@@ -952,28 +959,16 @@ pub struct WireAdminOk {
     pub version: u32,
 }
 
-impl WireAdminOk {
-    /// Appends this ack as one length-prefixed frame.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut w = FrameWriter::begin(out, FRAME_ADMIN_OK);
-        w.u64(self.id);
-        w.u32(self.version);
-        w.finish();
-    }
-
-    /// Decodes one ack payload (length prefix already stripped).
-    ///
-    /// # Errors
-    ///
-    /// Any [`ProtocolError`] describing the malformation.
-    pub fn decode(payload: &[u8]) -> Result<WireAdminOk, ProtocolError> {
-        let mut r = FrameReader::begin(payload, FRAME_ADMIN_OK)?;
-        let id = r.u64("admin id")?;
-        let version = r.u32("version")?;
-        r.end()?;
-        Ok(WireAdminOk { id, version })
-    }
+// The protocol: every frame, its kind byte and its fields in wire order.
+frames! {
+    WireRequest = FRAME_REQUEST { id, priority, deadline, threshold, model, predictor, sequence }
+    WireResponse = FRAME_RESPONSE { id, status, stats, queue_latency_ns, compute_latency_ns, outputs }
+    WireReject = FRAME_REJECT { id, reason, message }
+    WireAdmin = FRAME_ADMIN { id, op }
+    WireAdminOk = FRAME_ADMIN_OK { id, version }
 }
+
+wire_fields! { WireStats { computed, reuses, bnn_evaluations } }
 
 /// A server → client frame: a response, a typed reject, or an admin
 /// acknowledgement.
@@ -1022,12 +1017,9 @@ impl ServerFrame {
 /// decode loop would still allocate and push `timesteps` empty vectors,
 /// so a tiny hostile header could demand a multi-gigabyte allocation.
 /// No encoder produces zero-width steps; reject the geometry outright.
-fn check_dimensions(width: usize, timesteps: usize) -> Result<(), ProtocolError> {
+fn check_dimensions(width: u32, timesteps: u32) -> Result<(), ProtocolError> {
     if width == 0 && timesteps != 0 {
-        return Err(ProtocolError::InvalidDimensions {
-            width: width as u32,
-            timesteps: timesteps as u32,
-        });
+        return Err(ProtocolError::InvalidDimensions { width, timesteps });
     }
     Ok(())
 }
@@ -1057,156 +1049,18 @@ pub fn peek_kind(payload: &[u8]) -> Result<u8, ProtocolError> {
     }
 }
 
-/// Best-effort extraction of the request id from a request payload that
-/// failed full decoding, so the reject frame can still name the request
-/// it refuses.  Returns `0` when even the id bytes are missing.
+/// Best-effort extraction of the client-chosen id from a request or
+/// admin payload that failed full decoding, so the reject frame can
+/// still name what it refuses.  Returns `0` when even the id bytes are
+/// missing.
 pub fn salvage_request_id(payload: &[u8]) -> u64 {
-    if payload.len() >= 10 && payload[1] == FRAME_REQUEST {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&payload[2..10]);
-        u64::from_le_bytes(b)
-    } else {
-        0
-    }
-}
-
-/// Appends one frame: length prefix, version, kind, then the body
-/// written through the helper methods; `finish` back-patches the
-/// prefix.
-struct FrameWriter<'a> {
-    out: &'a mut Vec<u8>,
-    start: usize,
-}
-
-impl<'a> FrameWriter<'a> {
-    fn begin(out: &'a mut Vec<u8>, kind: u8) -> FrameWriter<'a> {
-        let start = out.len();
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.push(PROTOCOL_VERSION);
-        out.push(kind);
-        FrameWriter { out, start }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f32(&mut self, v: f32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn bytes(&mut self, v: &[u8]) {
-        self.out.extend_from_slice(v);
-    }
-
-    /// `u16` length-prefixed UTF-8 name; `None` encodes as length 0.
-    /// Names longer than `u16::MAX` bytes are truncated at the cap (the
-    /// registry never holds such names; requests carrying them would be
-    /// rejected as unknown).
-    fn name(&mut self, name: Option<&str>) {
-        let bytes = name.unwrap_or("").as_bytes();
-        let len = bytes.len().min(u16::MAX as usize);
-        self.out.extend_from_slice(&(len as u16).to_le_bytes());
-        self.out.extend_from_slice(&bytes[..len]);
-    }
-
-    fn finish(self) {
-        let payload_len = (self.out.len() - self.start - 4) as u32;
-        self.out[self.start..self.start + 4].copy_from_slice(&payload_len.to_le_bytes());
-    }
-}
-
-/// Sequential payload reader; every accessor names the field it is
-/// decoding so truncation errors say what was missing.
-struct FrameReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> FrameReader<'a> {
-    fn begin(payload: &'a [u8], expected_kind: u8) -> Result<FrameReader<'a>, ProtocolError> {
-        let kind = peek_kind(payload)?;
-        if kind != expected_kind {
-            return Err(ProtocolError::UnexpectedKind { found: kind });
+    match payload {
+        [_, FRAME_REQUEST | FRAME_ADMIN, id @ ..] if id.len() >= 8 => {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(&id[..8]);
+            u64::from_le_bytes(b)
         }
-        Ok(FrameReader {
-            buf: payload,
-            pos: 2,
-        })
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Consumes and returns every byte left in the payload.
-    fn take_remaining(&mut self) -> Vec<u8> {
-        let rest = self.buf[self.pos..].to_vec();
-        self.pos = self.buf.len();
-        rest
-    }
-
-    fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], ProtocolError> {
-        if self.remaining() < n {
-            return Err(ProtocolError::Truncated { field });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, ProtocolError> {
-        Ok(self.take(1, field)?[0])
-    }
-
-    fn u16(&mut self, field: &'static str) -> Result<u16, ProtocolError> {
-        let b = self.take(2, field)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, ProtocolError> {
-        let b = self.take(4, field)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, ProtocolError> {
-        let b = self.take(8, field)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f32(&mut self, field: &'static str) -> Result<f32, ProtocolError> {
-        Ok(f32::from_bits(self.u32(field)?))
-    }
-
-    fn name(&mut self, field: &'static str) -> Result<Option<String>, ProtocolError> {
-        let len = self.u16(field)? as usize;
-        if len == 0 {
-            return Ok(None);
-        }
-        let bytes = self.take(len, field)?;
-        match std::str::from_utf8(bytes) {
-            Ok(s) => Ok(Some(s.to_string())),
-            Err(_) => Err(ProtocolError::InvalidUtf8 { field }),
-        }
-    }
-
-    fn end(&self) -> Result<(), ProtocolError> {
-        if self.remaining() != 0 {
-            return Err(ProtocolError::TrailingBytes {
-                extra: self.remaining(),
-            });
-        }
-        Ok(())
+        _ => 0,
     }
 }
 
@@ -1299,219 +1153,5 @@ impl FrameAssembler {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn seq(width: usize, steps: usize) -> Vec<Vector> {
-        (0..steps)
-            .map(|t| Vector::from_fn(width, |i| (t * width + i) as f32 * 0.25 - 1.0))
-            .collect()
-    }
-
-    #[test]
-    fn request_roundtrip_all_fields() {
-        let req = WireRequest::new(77, seq(3, 4))
-            .with_model("imdb")
-            .with_predictor("bnn")
-            .with_threshold(0.25)
-            .with_priority(Priority::High)
-            .with_deadline(Duration::from_micros(1500));
-        let mut out = Vec::new();
-        req.encode(&mut out);
-        let declared = u32::from_le_bytes([out[0], out[1], out[2], out[3]]) as usize;
-        assert_eq!(declared + 4, out.len());
-        let back = WireRequest::decode(&out[4..]).expect("decodes");
-        assert_eq!(back, req);
-    }
-
-    #[test]
-    fn request_roundtrip_defaults_and_zero_deadline() {
-        let req = WireRequest::new(0, seq(2, 1)).with_deadline(Duration::ZERO);
-        let mut out = Vec::new();
-        req.encode(&mut out);
-        let back = WireRequest::decode(&out[4..]).expect("decodes");
-        assert_eq!(back.deadline, Some(Duration::ZERO));
-        assert_eq!(back.model, None);
-        assert_eq!(back.predictor, None);
-        assert_eq!(back.threshold, None);
-        assert_eq!(back.priority, Priority::Normal);
-    }
-
-    #[test]
-    fn response_roundtrip() {
-        let resp = WireResponse {
-            id: 9,
-            status: CompletionStatus::Done,
-            stats: WireStats {
-                computed: 10,
-                reuses: 5,
-                bnn_evaluations: 15,
-            },
-            queue_latency_ns: 1234,
-            compute_latency_ns: 56789,
-            outputs: seq(2, 3),
-        };
-        let mut out = Vec::new();
-        resp.encode(&mut out);
-        let back = WireResponse::decode(&out[4..]).expect("decodes");
-        assert_eq!(back, resp);
-        let stats = back.stats();
-        assert_eq!(stats.evaluations(), 15);
-        assert_eq!(stats.reuses(), 5);
-        assert_eq!(stats.bnn_evaluations(), 15);
-    }
-
-    #[test]
-    fn reject_roundtrip_every_reason() {
-        for reason in RejectReason::ALL {
-            let rej = WireReject::new(3, reason, format!("because {reason}"));
-            let mut out = Vec::new();
-            rej.encode(&mut out);
-            match ServerFrame::decode(&out[4..]).expect("decodes") {
-                ServerFrame::Reject(back) => assert_eq!(back, rej),
-                other => panic!("expected reject, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn bad_version_is_typed() {
-        let mut out = Vec::new();
-        WireRequest::new(1, seq(1, 1)).encode(&mut out);
-        out[4] = 99;
-        assert_eq!(
-            WireRequest::decode(&out[4..]),
-            Err(ProtocolError::UnsupportedVersion { found: 99 })
-        );
-    }
-
-    #[test]
-    fn truncation_is_typed_at_every_length() {
-        let mut out = Vec::new();
-        WireRequest::new(42, seq(2, 2))
-            .with_model("m")
-            .with_threshold(0.5)
-            .encode(&mut out);
-        let payload = &out[4..];
-        for len in 0..payload.len() {
-            let err = WireRequest::decode(&payload[..len]).expect_err("truncated must fail");
-            assert!(
-                matches!(err, ProtocolError::Truncated { .. }),
-                "truncation at {len} gave {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_typed() {
-        let mut out = Vec::new();
-        WireRequest::new(1, seq(1, 1)).encode(&mut out);
-        out.push(0xAB);
-        assert_eq!(
-            WireRequest::decode(&out[4..]),
-            Err(ProtocolError::TrailingBytes { extra: 1 })
-        );
-    }
-
-    /// A hand-built request payload declaring `timesteps` steps of
-    /// width 0 — passes the payload-length check (0 bytes wanted), so
-    /// only the geometry guard stands between it and the allocator.
-    fn zero_width_request_payload(timesteps: u32) -> Vec<u8> {
-        let mut p = vec![PROTOCOL_VERSION, FRAME_REQUEST];
-        p.extend_from_slice(&7u64.to_le_bytes()); // id
-        p.push(1); // Normal priority
-        p.extend_from_slice(&NO_DEADLINE_US.to_le_bytes());
-        p.push(0); // no θ override
-        p.extend_from_slice(&0u16.to_le_bytes()); // model: default
-        p.extend_from_slice(&0u16.to_le_bytes()); // predictor: default
-        p.extend_from_slice(&0u32.to_le_bytes()); // width 0
-        p.extend_from_slice(&timesteps.to_le_bytes());
-        p
-    }
-
-    #[test]
-    fn zero_width_request_header_is_rejected_before_allocating() {
-        // The hostile shape: ~30 bytes on the wire, u32::MAX timesteps
-        // declared.  Must fail typed and fast, not allocate billions of
-        // empty vectors.
-        assert_eq!(
-            WireRequest::decode(&zero_width_request_payload(u32::MAX)),
-            Err(ProtocolError::InvalidDimensions {
-                width: 0,
-                timesteps: u32::MAX
-            })
-        );
-        // The legitimate empty-sequence encoding (0 × 0) still decodes.
-        let empty = WireRequest::decode(&zero_width_request_payload(0)).expect("decodes");
-        assert!(empty.sequence.is_empty());
-    }
-
-    #[test]
-    fn zero_width_response_header_is_rejected_before_allocating() {
-        let mut p = vec![PROTOCOL_VERSION, FRAME_RESPONSE];
-        p.extend_from_slice(&7u64.to_le_bytes()); // id
-        p.push(0); // Done
-        for _ in 0..5 {
-            p.extend_from_slice(&0u64.to_le_bytes()); // counters + latencies
-        }
-        p.extend_from_slice(&0u32.to_le_bytes()); // width 0
-        p.extend_from_slice(&u32::MAX.to_le_bytes()); // timesteps
-        assert_eq!(
-            WireResponse::decode(&p),
-            Err(ProtocolError::InvalidDimensions {
-                width: 0,
-                timesteps: u32::MAX
-            })
-        );
-    }
-
-    #[test]
-    fn salvage_reads_id_from_broken_request() {
-        let mut out = Vec::new();
-        WireRequest::new(0xDEAD_BEEF, seq(1, 2)).encode(&mut out);
-        // Truncate mid-sequence: the id still salvages.
-        assert_eq!(salvage_request_id(&out[4..14]), 0xDEAD_BEEF);
-        assert_eq!(salvage_request_id(&[]), 0);
-    }
-
-    #[test]
-    fn assembler_reassembles_split_frames() {
-        let mut bytes = Vec::new();
-        let reqs: Vec<WireRequest> = (0..3).map(|i| WireRequest::new(i, seq(2, 3))).collect();
-        for r in &reqs {
-            r.encode(&mut bytes);
-        }
-        // Deliver one byte at a time: worst-case fragmentation.
-        let mut asm = FrameAssembler::new(DEFAULT_MAX_FRAME_BYTES);
-        let mut decoded = Vec::new();
-        for b in bytes {
-            asm.push(&[b]);
-            while let Some(frame) = asm.next_frame().expect("no oversize") {
-                decoded.push(WireRequest::decode(&frame).expect("decodes"));
-            }
-        }
-        assert_eq!(decoded, reqs);
-        assert_eq!(asm.pending_bytes(), 0);
-    }
-
-    #[test]
-    fn assembler_oversize_poisons() {
-        let mut asm = FrameAssembler::new(16);
-        asm.push(&1000u32.to_le_bytes());
-        asm.push(&[0u8; 8]);
-        let e = asm.next_frame().expect_err("oversized");
-        assert_eq!(
-            e,
-            ProtocolError::Oversized {
-                declared: 1000,
-                max: 16
-            }
-        );
-        // Poisoned: same typed error forever, no desynced frames.
-        assert_eq!(asm.next_frame(), Err(e));
     }
 }

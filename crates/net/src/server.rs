@@ -107,8 +107,8 @@ impl Default for ServerConfig {
 }
 
 /// Counters the server accumulates over its lifetime; returned by
-/// [`ServerHandle::shutdown`] / [`NetServer::run`] so tests and the
-/// load generator can assert nothing was silently dropped.
+/// [`ServerHandle::shutdown`] / [`NetServer::run`] so callers can
+/// assert nothing was silently dropped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Connections accepted.
@@ -462,9 +462,10 @@ impl NetServer {
         let admin = match WireAdmin::decode(payload) {
             Ok(admin) => admin,
             Err(e) => {
+                let id = salvage_request_id(payload);
                 self.send_reject(
                     conn_id,
-                    WireReject::new(0, RejectReason::Malformed, e.to_string()),
+                    WireReject::new(id, RejectReason::Malformed, e.to_string()),
                 );
                 return;
             }
@@ -639,64 +640,22 @@ impl NetServer {
                 std::thread::sleep(IDLE_PARK);
             }
         }
-        // Route any tail the last sweep's take_completed() missed.
-        // The engine is `Arc`-shared with a possible `ServerHandle`;
-        // its workers are joined when the final handle drops (they are
-        // already draining — `initiate_shutdown` ran above).
-        let NetServer {
-            listener: _listener,
-            engine,
-            mut conns,
-            routes,
-            mut stats,
-            ..
-        } = self;
-        let tail = engine.take_completed();
-        for r in tail {
-            match routes.get(&r.id) {
-                Some(&(conn_id, client_id)) => match conns.get_mut(&conn_id) {
-                    Some(conn) => {
-                        WireResponse::from_response(client_id, &r).encode(&mut conn.outbox);
-                        stats.responses_sent += 1;
-                    }
-                    None => stats.responses_orphaned += 1,
-                },
-                None => stats.responses_orphaned += 1,
-            }
-        }
-        // Best-effort final flush with a bounded budget: a stuck peer
-        // must not wedge shutdown.
+        // Route any tail the last sweep's take_completed() missed, then
+        // flush with a bounded budget: a stuck peer must not wedge
+        // shutdown.  The engine is `Arc`-shared with a possible
+        // `ServerHandle`; its workers are joined when the final handle
+        // drops (they are already draining — `initiate_shutdown` ran
+        // above).
         let deadline = Instant::now() + Duration::from_secs(2);
-        while Instant::now() < deadline {
-            let mut pending = false;
-            for conn in conns.values_mut() {
-                while !conn.outbox.is_empty() {
-                    match conn.stream.write(&conn.outbox) {
-                        Ok(0) => {
-                            conn.outbox.clear();
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.outbox.drain(..n);
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            pending = true;
-                            break;
-                        }
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            conn.outbox.clear();
-                            break;
-                        }
-                    }
-                }
-            }
-            if !pending {
+        loop {
+            self.route_responses();
+            self.flush_all();
+            if Instant::now() >= deadline || self.conns.values().all(|c| c.outbox.is_empty()) {
                 break;
             }
             std::thread::sleep(IDLE_PARK);
         }
-        stats
+        self.stats
     }
 }
 

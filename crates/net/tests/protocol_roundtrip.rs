@@ -1,13 +1,16 @@
-//! Fuzz-ish property tests for the wire protocol: seeded-random frames
-//! round-trip bit-exactly, and every way of damaging a frame —
-//! truncation, byte mutation, random garbage, hostile length prefixes,
-//! adversarial chunking — produces a *typed* error, never a panic and
-//! never a desynced stream.
+//! Tests for the wire protocol through its public surface: golden wire
+//! bytes pinned independently of the codec, hand-picked round trips,
+//! and fuzz-ish properties — seeded-random frames round-trip
+//! bit-exactly, and every way of damaging a frame — truncation, byte
+//! mutation, random garbage, hostile length prefixes, adversarial
+//! chunking — produces a *typed* error, never a panic and never a
+//! desynced stream.
 
 use nfm_net::protocol::{
-    peek_kind, AdminOp, FrameAssembler, ProtocolError, RejectReason, ServerFrame, WireAdmin,
-    WireAdminOk, WirePredictorKind, WireReject, WireRequest, WireResponse, WireStats, FRAME_REJECT,
-    FRAME_RESPONSE,
+    peek_kind, salvage_request_id, AdminOp, FrameAssembler, ProtocolError, RejectReason,
+    ServerFrame, WireAdmin, WireAdminOk, WirePredictorKind, WireReject, WireRequest, WireResponse,
+    WireStats, DEFAULT_MAX_FRAME_BYTES, FRAME_REJECT, FRAME_REQUEST, FRAME_RESPONSE,
+    PROTOCOL_VERSION,
 };
 use nfm_serve::{CompletionStatus, Priority};
 use nfm_tensor::rng::DeterministicRng;
@@ -303,24 +306,71 @@ fn hostile_length_prefix_poisons_before_buffering() {
     ));
 }
 
-/// The reason/priority/status/kind code spaces reject every byte they
-/// do not define (no silent wrap-around into a neighbouring meaning).
+/// Every one-byte code table — reject reason, priority, status, admin
+/// op, predictor kind — rejects every byte it does not define (no
+/// silent wrap-around into a neighbouring meaning), and so does the
+/// frame kind.
 #[test]
 fn unknown_enum_bytes_are_typed() {
     let mut rng = DeterministicRng::seed_from_u64(0xF0A7);
-    // A valid reject frame with the reason byte swapped for garbage.
-    let bytes = encoded(|out| WireReject::new(7, RejectReason::Malformed, "m").encode(out));
-    let reason_at = 4 + 2 + 8; // version, kind, id — then the reason byte
-    for _ in 0..64 {
-        let bad = 11 + rng.index(245) as u8; // anything past the defined codes
-        let mut mutated = bytes.clone();
-        mutated[reason_at] = bad;
-        match ServerFrame::decode(&mutated[4..]) {
-            Err(ProtocolError::UnknownReason { found }) => assert_eq!(found, bad),
-            other => panic!("reason byte {bad} gave {other:?}"),
+    // Each case: a valid frame, the offset of its code byte in the
+    // payload (after version, kind and the `u64` id), the first
+    // undefined code, the field the error names and the decoder.
+    type Decode = fn(&[u8]) -> Result<(), ProtocolError>;
+    let swap = WireAdmin::swap(9, "kws", vec![1]).predictors(vec![WirePredictorKind::Exact]);
+    let cases: [(Vec<u8>, usize, u8, &str, Decode); 5] = [
+        (
+            encoded(|out| WireReject::new(7, RejectReason::Malformed, "m").encode(out)),
+            10,
+            11,
+            "reason",
+            |p| ServerFrame::decode(p).map(drop),
+        ),
+        (
+            encoded(|out| WireRequest::new(7, seq(1, 1)).encode(out)),
+            10,
+            3,
+            "priority",
+            |p| WireRequest::decode(p).map(drop),
+        ),
+        (
+            encoded(|out| any_response(&mut rng).encode(out)),
+            10,
+            3,
+            "status",
+            |p| WireResponse::decode(p).map(drop),
+        ),
+        (
+            encoded(|out| WireAdmin::evict(7, "kws").encode(out)),
+            10,
+            2,
+            "op",
+            |p| WireAdmin::decode(p).map(drop),
+        ),
+        // op, the `u16`-prefixed model name, the predictor count.
+        (
+            encoded(|out| swap.encode(out)),
+            10 + 1 + 2 + 3 + 1,
+            3,
+            "predictor kind",
+            |p| WireAdmin::decode(p).map(drop),
+        ),
+    ];
+    for (bytes, at, first_undefined, field, decode) in cases {
+        let payload = &bytes[4..];
+        assert_eq!(decode(payload), Ok(()), "{field}: the valid frame decodes");
+        for bad in first_undefined..=u8::MAX {
+            let mut mutated = payload.to_vec();
+            mutated[at] = bad;
+            assert_eq!(
+                decode(&mutated),
+                Err(ProtocolError::UnknownCode { field, found: bad }),
+                "{field} byte {bad}"
+            );
         }
     }
-    // Kind bytes outside the three frame types are typed too.
+    // Kind bytes outside the five frame types are typed too.
+    let bytes = encoded(|out| WireReject::new(7, RejectReason::Malformed, "m").encode(out));
     let mut mutated = bytes.clone();
     mutated[5] = 0x7F;
     assert!(matches!(
@@ -330,4 +380,330 @@ fn unknown_enum_bytes_are_typed() {
     assert_eq!(peek_kind(&bytes[4..]), Ok(FRAME_REJECT));
     let response = encoded(|out| any_response(&mut rng).encode(out));
     assert_eq!(peek_kind(&response[4..]), Ok(FRAME_RESPONSE));
+}
+
+fn seq(width: usize, steps: usize) -> Vec<Vector> {
+    (0..steps)
+        .map(|t| Vector::from_fn(width, |i| (t * width + i) as f32 * 0.25 - 1.0))
+        .collect()
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// A decode outcome with `Truncated`'s field label dropped: the label
+/// is for humans and may change, the variant may not.
+fn outcome<T>(decoded: Result<T, ProtocolError>) -> String {
+    match decoded {
+        Ok(_) => "ok".to_string(),
+        Err(ProtocolError::Truncated { .. }) => "Truncated".to_string(),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+/// The wire's counterpart of `tests/reference_f64.rs`: the bytes of one
+/// frame of each kind, computed at PR 23 and written out by hand, so an
+/// encoder and a decoder that change together cannot pass as a round
+/// trip.  Every truncation of each payload decodes to `Truncated` and
+/// one trailing byte to `TrailingBytes { extra: 1 }`, as at PR 23.
+#[test]
+fn golden_wire_bytes_and_damage_outcomes() {
+    type Decode = fn(&[u8]) -> String;
+    let request: Decode = |p| outcome(WireRequest::decode(p));
+    let admin: Decode = |p| outcome(WireAdmin::decode(p));
+    let mut cases: Vec<(Vec<u8>, String, Decode)> = vec![
+        (
+            encoded(|out| {
+                WireRequest::new(77, seq(3, 2))
+                    .with_model("imdb")
+                    .with_predictor("bnn")
+                    .with_threshold(0.25)
+                    .with_priority(Priority::High)
+                    .with_deadline(Duration::from_micros(1500))
+                    .encode(out)
+            }),
+            "4300000001014d0000000000000000dc05000000000000010000803e0400696d64620300626e6e03000000\
+             02000000000080bf000040bf000000bf000080be000000000000803e"
+                .to_string(),
+            request,
+        ),
+        (
+            encoded(|out| {
+                WireRequest::new(5, Vec::new())
+                    .with_deadline(Duration::ZERO)
+                    .encode(out)
+            }),
+            "200000000101050000000000000001000000000000000000000000000000000000000000".to_string(),
+            request,
+        ),
+        (
+            encoded(|out| {
+                WireResponse {
+                    id: 9,
+                    status: CompletionStatus::DeadlineExpired,
+                    stats: WireStats {
+                        computed: 10,
+                        reuses: 5,
+                        bnn_evaluations: 15,
+                    },
+                    queue_latency_ns: 1234,
+                    compute_latency_ns: 56789,
+                    outputs: seq(2, 2),
+                }
+                .encode(out)
+            }),
+            "4b00000001020900000000000000010a0000000000000005000000000000000f00000000000000d2040000\
+             00000000d5dd0000000000000200000002000000000080bf000040bf000000bf000080be"
+                .to_string(),
+            |p| outcome(WireResponse::decode(p)),
+        ),
+        (
+            encoded(|out| {
+                WireAdmin::swap(900, "kws", vec![1, 2, 3])
+                    .predictors(vec![
+                        WirePredictorKind::Exact,
+                        WirePredictorKind::Bnn(0.5),
+                        WirePredictorKind::Oracle(0.25),
+                    ])
+                    .fraction(0.75)
+                    .min_requests(4)
+                    .tolerance(0.125)
+                    .encode(out)
+            }),
+            "33000000010484030000000000000003006b77730300010000003f020000803e0000403f04000000000000\
+             000000003e03000000010203"
+                .to_string(),
+            admin,
+        ),
+        (
+            encoded(|out| WireAdmin::evict(902, "asr").encode(out)),
+            "1000000001048603000000000000010300617372".to_string(),
+            admin,
+        ),
+        (
+            encoded(|out| WireAdminOk { id: 900, version: 2 }.encode(out)),
+            "0e0000000105840300000000000002000000".to_string(),
+            |p| outcome(WireAdminOk::decode(p)),
+        ),
+    ];
+    for (reason, code) in RejectReason::ALL.into_iter().zip(0u8..) {
+        cases.push((
+            encoded(|out| WireReject::new(3, reason, "no").encode(out)),
+            format!("0f00000001030300000000000000{code:02x}02006e6f"),
+            |p| outcome(WireReject::decode(p)),
+        ));
+    }
+    for (bytes, golden, decode) in cases {
+        assert_eq!(hex(&bytes), golden);
+        let payload = &bytes[4..];
+        assert_eq!(decode(payload), "ok", "{golden}");
+        for len in 0..payload.len() {
+            assert_eq!(
+                decode(&payload[..len]),
+                "Truncated",
+                "{golden} cut at {len}"
+            );
+        }
+        let mut trailing = payload.to_vec();
+        trailing.push(0xAB);
+        assert_eq!(decode(&trailing), "TrailingBytes { extra: 1 }", "{golden}");
+    }
+}
+
+#[test]
+fn request_roundtrip_all_fields() {
+    let req = WireRequest::new(77, seq(3, 4))
+        .with_model("imdb")
+        .with_predictor("bnn")
+        .with_threshold(0.25)
+        .with_priority(Priority::High)
+        .with_deadline(Duration::from_micros(1500));
+    let out = encoded(|out| req.encode(out));
+    let declared = u32::from_le_bytes([out[0], out[1], out[2], out[3]]) as usize;
+    assert_eq!(declared + 4, out.len());
+    let back = WireRequest::decode(&out[4..]).expect("decodes");
+    assert_eq!(back, req);
+}
+
+#[test]
+fn request_roundtrip_defaults_and_zero_deadline() {
+    let req = WireRequest::new(0, seq(2, 1)).with_deadline(Duration::ZERO);
+    let out = encoded(|out| req.encode(out));
+    let back = WireRequest::decode(&out[4..]).expect("decodes");
+    assert_eq!(back.deadline, Some(Duration::ZERO));
+    assert_eq!(back.model, None);
+    assert_eq!(back.predictor, None);
+    assert_eq!(back.threshold, None);
+    assert_eq!(back.priority, Priority::Normal);
+}
+
+#[test]
+fn response_roundtrip() {
+    let resp = WireResponse {
+        id: 9,
+        status: CompletionStatus::Done,
+        stats: WireStats {
+            computed: 10,
+            reuses: 5,
+            bnn_evaluations: 15,
+        },
+        queue_latency_ns: 1234,
+        compute_latency_ns: 56789,
+        outputs: seq(2, 3),
+    };
+    let out = encoded(|out| resp.encode(out));
+    let back = WireResponse::decode(&out[4..]).expect("decodes");
+    assert_eq!(back, resp);
+    let stats = back.stats();
+    assert_eq!(stats.evaluations(), 15);
+    assert_eq!(stats.reuses(), 5);
+    assert_eq!(stats.bnn_evaluations(), 15);
+}
+
+#[test]
+fn reject_roundtrip_every_reason() {
+    for reason in RejectReason::ALL {
+        let rej = WireReject::new(3, reason, format!("because {reason}"));
+        let out = encoded(|out| rej.encode(out));
+        match ServerFrame::decode(&out[4..]).expect("decodes") {
+            ServerFrame::Reject(back) => assert_eq!(back, rej),
+            other => panic!("expected reject, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn bad_version_is_typed() {
+    let mut out = encoded(|out| WireRequest::new(1, seq(1, 1)).encode(out));
+    out[4] = 99;
+    assert_eq!(
+        WireRequest::decode(&out[4..]),
+        Err(ProtocolError::UnsupportedVersion { found: 99 })
+    );
+}
+
+#[test]
+fn truncation_is_typed_at_every_length() {
+    let out = encoded(|out| {
+        WireRequest::new(42, seq(2, 2))
+            .with_model("m")
+            .with_threshold(0.5)
+            .encode(out)
+    });
+    let payload = &out[4..];
+    for len in 0..payload.len() {
+        let err = WireRequest::decode(&payload[..len]).expect_err("truncated must fail");
+        assert!(
+            matches!(err, ProtocolError::Truncated { .. }),
+            "truncation at {len} gave {err:?}"
+        );
+    }
+}
+
+#[test]
+fn trailing_bytes_are_typed() {
+    let mut out = encoded(|out| WireRequest::new(1, seq(1, 1)).encode(out));
+    out.push(0xAB);
+    assert_eq!(
+        WireRequest::decode(&out[4..]),
+        Err(ProtocolError::TrailingBytes { extra: 1 })
+    );
+}
+
+/// A hand-built request payload declaring `timesteps` steps of
+/// width 0 — passes the payload-length check (0 bytes wanted), so
+/// only the geometry guard stands between it and the allocator.
+fn zero_width_request_payload(timesteps: u32) -> Vec<u8> {
+    let mut p = vec![PROTOCOL_VERSION, FRAME_REQUEST];
+    p.extend_from_slice(&7u64.to_le_bytes()); // id
+    p.push(1); // Normal priority
+    p.extend_from_slice(&u64::MAX.to_le_bytes()); // no deadline
+    p.push(0); // no θ override
+    p.extend_from_slice(&0u16.to_le_bytes()); // model: default
+    p.extend_from_slice(&0u16.to_le_bytes()); // predictor: default
+    p.extend_from_slice(&0u32.to_le_bytes()); // width 0
+    p.extend_from_slice(&timesteps.to_le_bytes());
+    p
+}
+
+#[test]
+fn zero_width_request_header_is_rejected_before_allocating() {
+    // The hostile shape: ~30 bytes on the wire, u32::MAX timesteps
+    // declared.  Must fail typed and fast, not allocate billions of
+    // empty vectors.
+    assert_eq!(
+        WireRequest::decode(&zero_width_request_payload(u32::MAX)),
+        Err(ProtocolError::InvalidDimensions {
+            width: 0,
+            timesteps: u32::MAX
+        })
+    );
+    // The legitimate empty-sequence encoding (0 × 0) still decodes.
+    let empty = WireRequest::decode(&zero_width_request_payload(0)).expect("decodes");
+    assert!(empty.sequence.is_empty());
+}
+
+#[test]
+fn zero_width_response_header_is_rejected_before_allocating() {
+    let mut p = vec![PROTOCOL_VERSION, FRAME_RESPONSE];
+    p.extend_from_slice(&7u64.to_le_bytes()); // id
+    p.push(0); // Done
+    for _ in 0..5 {
+        p.extend_from_slice(&0u64.to_le_bytes()); // counters + latencies
+    }
+    p.extend_from_slice(&0u32.to_le_bytes()); // width 0
+    p.extend_from_slice(&u32::MAX.to_le_bytes()); // timesteps
+    assert_eq!(
+        WireResponse::decode(&p),
+        Err(ProtocolError::InvalidDimensions {
+            width: 0,
+            timesteps: u32::MAX
+        })
+    );
+}
+
+#[test]
+fn salvage_reads_id_from_broken_request() {
+    let out = encoded(|out| WireRequest::new(0xDEAD_BEEF, seq(1, 2)).encode(out));
+    // Truncate mid-sequence: the id still salvages.
+    assert_eq!(salvage_request_id(&out[4..14]), 0xDEAD_BEEF);
+    assert_eq!(salvage_request_id(&[]), 0);
+}
+
+#[test]
+fn assembler_reassembles_split_frames() {
+    let mut bytes = Vec::new();
+    let reqs: Vec<WireRequest> = (0..3).map(|i| WireRequest::new(i, seq(2, 3))).collect();
+    for r in &reqs {
+        r.encode(&mut bytes);
+    }
+    // Deliver one byte at a time: worst-case fragmentation.
+    let mut asm = FrameAssembler::new(DEFAULT_MAX_FRAME_BYTES);
+    let mut decoded = Vec::new();
+    for b in bytes {
+        asm.push(&[b]);
+        while let Some(frame) = asm.next_frame().expect("no oversize") {
+            decoded.push(WireRequest::decode(&frame).expect("decodes"));
+        }
+    }
+    assert_eq!(decoded, reqs);
+    assert_eq!(asm.pending_bytes(), 0);
+}
+
+#[test]
+fn assembler_oversize_poisons() {
+    let mut asm = FrameAssembler::new(16);
+    asm.push(&1000u32.to_le_bytes());
+    asm.push(&[0u8; 8]);
+    let e = asm.next_frame().expect_err("oversized");
+    assert_eq!(
+        e,
+        ProtocolError::Oversized {
+            declared: 1000,
+            max: 16
+        }
+    );
+    // Poisoned: same typed error forever, no desynced frames.
+    assert_eq!(asm.next_frame(), Err(e));
 }

@@ -1,13 +1,14 @@
 //! Adaptive thresholds end to end: one model served with a static-θ
 //! BNN predictor *and* an adaptive controller-driven predictor, behind
-//! `NetServer`, under drifting-regime traffic from `nfm-loadgen`.
+//! `NetServer`, under drifting-regime traffic kept six requests deep
+//! over one `NetClient`.
 //!
 //! The drifting pool makes the input distribution wander over the run,
 //! so a θ tuned for the opening regime is wrong by the end.  The
 //! adaptive predictor audits one in eight memoization hits, feeds the
 //! exact-vs-cached error into the per-layer controller, and walks θ to
 //! hold the accuracy SLO while keeping as much reuse as the error
-//! budget allows.  The scenario report closes with the engine-side
+//! budget allows.  The run closes with the engine-side
 //! [`context_stats`](nfm::serve::Engine::context_stats): per-context
 //! memo hit rates plus the live controller state.
 //!
@@ -16,12 +17,12 @@
 //! ```
 
 use nfm::control::{AdaptivePredictor, ControllerConfig};
-use nfm::loadgen::{drifting_pool, run_scenario, BlendEntry, Scenario};
 use nfm::memo::{BnnMemoConfig, PredictorKind};
-use nfm::net::NetServer;
+use nfm::net::{NetClient, NetServer, ServerFrame, WireRequest};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig};
-use nfm::serve::{EngineBuilder, ModelRegistry};
+use nfm::serve::{CompletionStatus, EngineBuilder, ModelRegistry};
 use nfm::tensor::rng::DeterministicRng;
+use nfm::workloads::{InputDomain, SequenceGenerator};
 use std::sync::Arc;
 
 const FEATURES: usize = 8;
@@ -63,23 +64,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("serving on {}\n", handle.addr());
 
     // Drifting-regime pool: a random walk through input space, so the
-    // distribution the memo caches were warmed on keeps moving.
-    let pool = drifting_pool(FEATURES, 12, 40, 7);
-    let scenario = Scenario::closed_loop(pool, 6)
-        .seed(42)
-        .warmup(16)
-        .measure(160)
-        .blend(vec![
-            BlendEntry::new(1.0).predictor("bnn"),
-            BlendEntry::new(1.0).predictor("adaptive"),
-        ]);
-    let mut report = run_scenario(handle.addr(), &scenario)?;
+    // distribution the memo caches were warmed on keeps moving.  The
+    // requests alternate between the two predictors, six in flight.
+    let pool = SequenceGenerator::new(InputDomain::drifting(), FEATURES, 7).sequences(12, 40);
+    let mut client = NetClient::connect(handle.addr())?;
+    let (total, window) = (176, 6);
+    let (mut sent, mut done) = (0, 0);
+    while done < total {
+        if sent < total && sent - done < window {
+            let predictor = ["bnn", "adaptive"][sent as usize % 2];
+            let sequence = pool[sent as usize % pool.len()].clone();
+            client.send(&WireRequest::new(sent, sequence).with_predictor(predictor))?;
+            sent += 1;
+        } else {
+            match client.recv()? {
+                ServerFrame::Response(r) if r.status == CompletionStatus::Done => done += 1,
+                other => return Err(format!("unexpected frame: {other:?}").into()),
+            }
+        }
+    }
 
     // Quiesce the workers so the final per-context counters are
-    // published, then attach them to the traffic report.
+    // published.
     handle.engine().drain();
-    report.attach_context_stats(handle.engine().context_stats());
-    println!("drifting regime: {}", report.summary());
+    println!("drifting regime: {done} requests done");
+    for ctx in handle.engine().context_stats() {
+        let hit_rate = ctx.hit_rate() * 100.0;
+        println!(
+            "  {}/{} · hit rate {hit_rate:.1}%",
+            ctx.model, ctx.predictor
+        );
+    }
 
     let snapshot = adaptive.controller().snapshot();
     println!(

@@ -1,21 +1,16 @@
-//! Network serving end to end: server half, client half, load test.
+//! Network serving end to end: server half and client half.
 //!
-//! Part 1 puts a two-model engine behind `NetServer` on an ephemeral
-//! loopback port and talks to it with `NetClient` — the exact baseline,
-//! the BNN predictor, a θ override, a deadline that expires in the
-//! queue, and a request for a model that does not exist (a typed reject
-//! frame, not a dropped connection).
-//!
-//! Part 2 turns `nfm-loadgen` loose on the same server: a closed-loop
-//! capacity probe and an open-loop Poisson run with a ragged
-//! sequence-length mix and a two-model blend, printing the p50/p99/p999
-//! latency split each scenario measured.
+//! A two-model engine goes behind `NetServer` on an ephemeral loopback
+//! port and `NetClient` talks to it — the exact baseline, the BNN
+//! predictor, a θ override, a deadline that expires in the queue, and a
+//! request for a model that does not exist (a typed reject frame, not a
+//! dropped connection).  Load tests live in the repo benchmark
+//! (`benchmark/run.sh`).
 //!
 //! ```text
 //! cargo run --release --example net_serve
 //! ```
 
-use nfm::loadgen::{run_scenario, ArrivalProcess, BlendEntry, Scenario};
 use nfm::memo::{BnnMemoConfig, PredictorKind};
 use nfm::net::{NetClient, NetServer, ServerFrame, WireRequest};
 use nfm::serve::{CompletionStatus, EngineBuilder, ModelRegistry, Priority};
@@ -56,9 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .queue_capacity(64)
         .build()?;
 
-    // ------------------------------------------------------------------
-    // Part 1 — the server half and a hand-driven client half.
-    // ------------------------------------------------------------------
     let server = NetServer::bind("127.0.0.1:0", engine)?;
     let handle = server.spawn()?;
     println!("serving on {}\n", handle.addr());
@@ -127,39 +119,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         show(label, &frame);
     }
-
-    // ------------------------------------------------------------------
-    // Part 2 — the traffic harness against the same live server.
-    // ------------------------------------------------------------------
-    let pool: Vec<_> = primary.sequences().to_vec();
-    let blend = vec![
-        BlendEntry::new(3.0).predictor("bnn"),
-        BlendEntry::new(1.0).predictor("bnn").threshold(0.2),
-        BlendEntry::new(1.0).model("imdb-b"),
-        BlendEntry::new(1.0), // exact baseline keeps the mix honest
-    ];
-
-    let closed = Scenario::closed_loop(pool.clone(), 8)
-        .seed(42)
-        .warmup(16)
-        .measure(96)
-        .ragged_lengths(vec![6, 12, 24])
-        .blend(blend.clone());
-    let report = run_scenario(handle.addr(), &closed)?;
-    println!("\nclosed loop (8 in flight) : {}", report.summary());
-
-    let mut open = Scenario::open_loop(pool, 300.0)
-        .seed(43)
-        .warmup(16)
-        .measure(96)
-        .ragged_lengths(vec![6, 12, 24])
-        .blend(blend);
-    open.arrival = ArrivalProcess::OpenLoopPoisson {
-        rate_per_sec: 300.0,
-        max_in_flight: 64,
-    };
-    let report = run_scenario(handle.addr(), &open)?;
-    println!("open loop (Poisson 300/s) : {}", report.summary());
 
     let stats = handle.shutdown();
     println!(

@@ -21,8 +21,7 @@
 //! | [`model`] | versioned binary model artifacts: zero-copy aligned save/load, prebuilt BNN mirrors |
 //! | [`control`] | online adaptive threshold controller holding an accuracy SLO |
 //! | [`serve`] | the request-oriented serving engine: multi-model registry, per-request options, deadlines, hot swaps with canary routing, and the `MemoizedRunner` workload façade |
-//! | [`net`] | the TCP serving surface: length-prefixed wire protocol, poll-loop server, client |
-//! | [`loadgen`] | closed/open-loop traffic generator with latency histograms |
+//! | [`net`] | the TCP serving surface: length-prefixed wire protocol (each frame declared once), poll-loop server, client |
 //! | [`accel`] | the E-PUR accelerator simulator (timing/energy/area) |
 //! | [`workloads`] | the four Table 1 RNNs with synthetic data |
 //! | [`eval`] | per-figure/per-table experiment harness |
@@ -62,7 +61,6 @@ pub use nfm_accel as accel;
 pub use nfm_bnn as bnn;
 pub use nfm_control as control;
 pub use nfm_eval as eval;
-pub use nfm_loadgen as loadgen;
 pub use nfm_model as model;
 pub use nfm_net as net;
 pub use nfm_rnn as rnn;

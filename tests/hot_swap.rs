@@ -8,9 +8,9 @@
 //!    diverges beyond the tolerance is discarded after the first
 //!    comparison, and post-swap responses are bit-identical to an
 //!    engine that never staged anything.
-//! 3. **Zero drops under live loadgen traffic** — a swap staged while
-//!    a closed-loop loadgen scenario hammers the TCP front door loses
-//!    no request: sent = done, zero rejects, zero expiries.
+//! 3. **Zero drops under live traffic** — a swap staged while a closed
+//!    loop four requests deep hammers the TCP front door loses no
+//!    request: sent = done, zero rejects, zero expiries.
 //! 4. **Priority-class canarying** — `CanaryRule::Priority` routes
 //!    exactly the chosen class; other traffic never pairs.
 //! 5. **Artifact swaps** — a version arriving as serialized bytes
@@ -36,6 +36,8 @@ use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod common;
 
 const FEATURES: usize = 4;
 
@@ -183,28 +185,27 @@ fn rollback_discards_the_staged_version_and_keeps_the_incumbent() {
 
 #[test]
 fn loadgen_traffic_during_swap_drops_nothing() {
-    use nfm::loadgen::{run_scenario, BlendEntry, Scenario};
+    use nfm::net::WireRequest;
 
     let pool = sequences(16, 55);
     let server = NetServer::bind("127.0.0.1:0", engine_on(network(1))).expect("bind");
     let handle = server.spawn().expect("spawn");
     let addr = handle.addr();
 
-    let loadgen = std::thread::spawn(move || {
-        let scenario = Scenario::closed_loop(pool, 4)
-            .seed(7)
-            .warmup(8)
-            .measure(120)
-            .blend(vec![
-                BlendEntry::new(3.0).model("kws"),
-                BlendEntry::new(1.0).model("kws").predictor("bnn"),
-            ]);
-        run_scenario(addr, &scenario).expect("scenario runs")
-    });
+    // A 3:1 blend of the exact default and the BNN predictor.
+    let requests: Vec<WireRequest> = (0..128u64)
+        .map(|i| {
+            let request = WireRequest::new(i, pool[i as usize % pool.len()].clone());
+            match i % 4 {
+                3 => request.with_model("kws").with_predictor("bnn"),
+                _ => request.with_model("kws"),
+            }
+        })
+        .collect();
+    let traffic = std::thread::spawn(move || common::drive(addr, &requests, 4, || Duration::ZERO));
 
-    // Stage the swap while the loadgen loop is in full flight.  The
-    // artifact round-trips the incumbent's weights, so zero tolerance
-    // promotes.
+    // Stage the swap while the loop is in full flight.  The artifact
+    // round-trips the incumbent's weights, so zero tolerance promotes.
     std::thread::sleep(Duration::from_millis(10));
     let artifact = save_to_vec(&network(1), None).expect("serialize");
     handle
@@ -217,11 +218,12 @@ fn loadgen_traffic_during_swap_drops_nothing() {
         )
         .expect("stage swap mid-traffic");
 
-    let report = loadgen.join().expect("loadgen thread");
-    assert_eq!(report.sent, 128, "warmup + measure all sent");
-    assert_eq!(report.done, 120, "every measured request completed");
-    assert_eq!(report.deadline_expired, 0);
-    assert_eq!(report.rejects_total(), 0, "no request shed or dropped");
+    let replies = traffic.join().expect("traffic thread");
+    assert_eq!(
+        common::done_ids(&replies),
+        (0..128).collect::<Vec<_>>(),
+        "every request completed: none shed, dropped or expired"
+    );
 
     // The swap decided during (or right after) the run; whichever, the
     // weights are identical so it must have promoted.
@@ -244,7 +246,9 @@ fn loadgen_traffic_during_swap_drops_nothing() {
     assert_eq!(reports[0].outcome, SwapOutcome::Promoted);
     assert_eq!(reports[0].max_abs_diff, 0.0, "round-tripped weights");
     assert_eq!(engine.registry().version("kws"), Some(2));
-    handle.shutdown();
+    let stats = handle.shutdown();
+    assert_eq!((stats.requests_admitted, stats.responses_sent), (128, 128));
+    assert_eq!(stats.rejects_total(), 0);
 }
 
 #[test]

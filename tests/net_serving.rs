@@ -12,19 +12,22 @@
 //!    watermark and a full queue yields `Overloaded`; every admitted
 //!    request is still answered after the graceful drain. No silent
 //!    drops: sent = answered.
-//! 4. **Malformed traffic** — garbage frames get typed rejects and the
-//!    connection keeps working; an oversized frame gets a typed reject
-//!    and a close.
+//! 4. **Malformed traffic** — garbage frames and undefined code bytes
+//!    get typed rejects naming the frame's id, and the connection keeps
+//!    working; an oversized frame gets a typed reject and a close.
 //! 5. **Degenerate lengths** — a zero-length sequence is a typed error
 //!    and a single-step one a correct result, in process and over the
 //!    wire, on uni- and bidirectional stacks (ROADMAP 7(d)).
-//! 6. **Loadgen loops** — closed- and open-loop scenarios drive a live
-//!    server and account for every request they send.
+//! 6. **Closed and open loops** — a window of requests in flight, sent
+//!    back to back or at Poisson arrivals, is answered in full and the
+//!    server accounts for every one.
+//! 7. **The client's timed receive** — an error inside `recv_timeout`
+//!    leaves the connection blocking, so the next `recv` waits.
 
-use nfm::loadgen::{run_scenario, ArrivalProcess, BlendEntry, Scenario};
 use nfm::memo::{BnnMemoConfig, PredictorKind};
 use nfm::net::{
-    NetClient, NetError, NetServer, RejectReason, ServerConfig, ServerFrame, WireRequest,
+    NetClient, NetError, NetServer, ProtocolError, RejectReason, ServerConfig, ServerFrame,
+    WireAdmin, WireReject, WireRequest,
 };
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator};
 use nfm::serve::{
@@ -34,7 +37,10 @@ use nfm::serve::{
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 use nfm::workloads::{NetworkId, Workload, WorkloadBuilder};
+use std::io::Write;
 use std::time::Duration;
+
+mod common;
 
 fn workload(seed: u64) -> Workload {
     WorkloadBuilder::new(NetworkId::ImdbSentiment)
@@ -457,31 +463,59 @@ fn half_close_still_delivers_pending_responses() {
     assert_eq!(stats.responses_orphaned, 0);
 }
 
+/// A request and an admin frame, each with one code byte (priority,
+/// admin op — both right after the `u64` id) outside its table, come
+/// back as `Malformed` rejects carrying the frame's own id.
+#[test]
+fn undefined_code_bytes_reject_as_malformed_with_the_frames_id() {
+    let w = workload(43);
+    let handle = NetServer::bind("127.0.0.1:0", make_engine(&w))
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let mut client = NetClient::connect(handle.addr()).expect("connect");
+    let code_at = 4 + 2 + 8; // length prefix, version, kind, id
+    let mut request = Vec::new();
+    WireRequest::new(21, w.sequences()[0].clone()).encode(&mut request);
+    let mut admin = Vec::new();
+    WireAdmin::evict(22, "imdb").encode(&mut admin);
+    for (id, mut frame) in [(21, request), (22, admin)] {
+        frame[code_at] = 0x7F;
+        client.send_raw(&frame).expect("send");
+        match client.recv().expect("recv") {
+            ServerFrame::Reject(r) => {
+                assert_eq!((r.id, r.reason), (id, RejectReason::Malformed));
+                assert!(r.message.contains("127"), "{}", r.message);
+            }
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
+    let stats = handle.shutdown();
+    assert_eq!(stats.rejects(RejectReason::Malformed), 2);
+}
+
 #[test]
 fn loadgen_closed_loop_accounts_for_every_request() {
     let w = workload(51);
     let server = NetServer::bind("127.0.0.1:0", make_engine(&w)).expect("bind");
     let handle = server.spawn().expect("spawn");
 
-    let scenario = Scenario::closed_loop(w.sequences().to_vec(), 4)
-        .seed(77)
-        .warmup(4)
-        .measure(24)
-        .ragged_lengths(vec![2, 4, 6])
-        .blend(vec![
-            BlendEntry::new(2.0),
-            BlendEntry::new(1.0).predictor("bnn"),
-            BlendEntry::new(1.0).predictor("bnn").threshold(0.3),
-        ]);
-    let report = run_scenario(handle.addr(), &scenario).expect("scenario runs");
-    assert_eq!(report.sent, 28);
-    assert_eq!(report.done, 24);
-    assert_eq!(report.deadline_expired, 0);
-    assert_eq!(report.rejects_total(), 0);
-    assert_eq!(report.latency.count(), 24);
-    assert!(report.latency.p50() <= report.latency.p99());
-    assert!(report.latency.p99() <= report.latency.p999());
-    assert!(report.achieved_rate() > 0.0);
+    // Ragged lengths over the pool, a 2:1:1 blend of the exact
+    // default, the BNN predictor and the BNN predictor at θ 0.3.
+    let pool = w.sequences();
+    let requests: Vec<WireRequest> = (0..28u64)
+        .map(|i| {
+            let len = [2, 4, 6][i as usize % 3];
+            let request = WireRequest::new(i, pool[i as usize % pool.len()][..len].to_vec());
+            match i % 4 {
+                2 => request.with_predictor("bnn"),
+                3 => request.with_predictor("bnn").with_threshold(0.3),
+                _ => request,
+            }
+        })
+        .collect();
+    let replies = common::drive(handle.addr(), &requests, 4, || Duration::ZERO);
+    assert_eq!(common::done_ids(&replies), (0..28).collect::<Vec<_>>());
 
     let stats = handle.shutdown();
     assert_eq!(stats.requests_admitted, 28);
@@ -494,21 +528,51 @@ fn loadgen_open_loop_poisson_accounts_for_every_request() {
     let server = NetServer::bind("127.0.0.1:0", make_engine(&w)).expect("bind");
     let handle = server.spawn().expect("spawn");
 
-    let mut scenario = Scenario::open_loop(w.sequences().to_vec(), 400.0)
-        .seed(88)
-        .warmup(4)
-        .measure(16);
-    scenario.arrival = ArrivalProcess::OpenLoopPoisson {
-        rate_per_sec: 400.0,
-        max_in_flight: 8,
-    };
-    let report = run_scenario(handle.addr(), &scenario).expect("scenario runs");
-    assert_eq!(report.sent, 20);
-    assert_eq!(report.done, 16);
-    assert_eq!(report.offered_rate, Some(400.0));
-    assert_eq!(report.latency.count(), 16);
+    // Exponential gaps at 400 requests/s; at most 8 unanswered.
+    let mut rng = DeterministicRng::seed_from_u64(88);
+    let gap = move || Duration::from_secs_f64(-(1.0 - rng.uniform(0.0, 1.0) as f64).ln() / 400.0);
+    let pool = w.sequences();
+    let requests: Vec<WireRequest> = (0..20u64)
+        .map(|i| WireRequest::new(i, pool[i as usize % pool.len()].clone()))
+        .collect();
+    let replies = common::drive(handle.addr(), &requests, 8, gap);
+    assert_eq!(common::done_ids(&replies), (0..20).collect::<Vec<_>>());
 
     let stats = handle.shutdown();
     assert_eq!(stats.requests_admitted, 20);
     assert_eq!(stats.responses_sent, 20);
+}
+
+/// A frame that fails to decode inside `recv_timeout` must not leave
+/// the socket's read timeout behind: the next blocking `recv` waits for
+/// the peer's late, valid frame instead of failing with `WouldBlock`
+/// once the old timeout passes.
+#[test]
+fn recv_timeout_restores_blocking_reads_after_a_decode_error() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (errored, peer_waits) = std::sync::mpsc::channel();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        // Version 1, kind 0x7F: a payload no decoder accepts.
+        stream.write_all(&[2, 0, 0, 0, 1, 0x7F]).expect("write");
+        // The valid frame comes well after the 100 ms timeout would
+        // have expired, so a leaked timeout fails the blocking `recv`.
+        peer_waits.recv().expect("client reports the error");
+        std::thread::sleep(Duration::from_millis(300));
+        let mut reject = Vec::new();
+        WireReject::new(5, RejectReason::Internal, "late").encode(&mut reject);
+        stream.write_all(&reject).expect("write");
+    });
+    let mut client = NetClient::connect(addr).expect("connect");
+    match client.recv_timeout(Duration::from_millis(100)) {
+        Err(NetError::Protocol(ProtocolError::UnknownKind { found: 0x7F })) => {}
+        other => panic!("expected the undecodable frame's error, got {other:?}"),
+    }
+    errored.send(()).expect("peer is waiting");
+    match client.recv() {
+        Ok(ServerFrame::Reject(r)) => assert_eq!((r.id, r.message.as_str()), (5, "late")),
+        other => panic!("expected the late reject, got {other:?}"),
+    }
+    peer.join().expect("peer");
 }
