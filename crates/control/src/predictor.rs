@@ -3,8 +3,7 @@
 use crate::controller::{ControllerConfig, ThresholdController};
 use nfm_bnn::BinaryNetwork;
 use nfm_core::{
-    BnnMemoConfig, BnnMemoEvaluator, ControlSnapshot, LaneState, Model, Predictor, ReuseStats,
-    ServedEvaluator,
+    BnnMemoConfig, BnnMemoEvaluator, ControlSnapshot, Model, Predictor, ReuseStats, ServedEvaluator,
 };
 use nfm_rnn::{Gate, GateBatch, NeuronEvaluator, NeuronRef, Result as RnnResult, HOIST_BLOCK};
 use std::sync::Arc;
@@ -199,8 +198,8 @@ impl NeuronEvaluator for AdaptiveEvaluator {
     }
 }
 
-// Everything per-lane (statistics, audit phase, migrating state) is the
-// inner evaluator's; `set_lane_threshold` keeps its ignoring default.
+// Everything per-lane (statistics, audit phase) is the inner
+// evaluator's; `set_lane_threshold` keeps its ignoring default.
 impl ServedEvaluator for AdaptiveEvaluator {
     fn take_lane_stats(&mut self, lane: usize) -> Option<ReuseStats> {
         self.inner.take_lane_stats(lane)
@@ -208,14 +207,6 @@ impl ServedEvaluator for AdaptiveEvaluator {
 
     fn stats_snapshot(&self) -> Option<ReuseStats> {
         self.inner.stats_snapshot()
-    }
-
-    fn export_lane_state(&mut self, lane: usize) -> Option<LaneState> {
-        self.inner.export_lane_state(lane)
-    }
-
-    fn import_lane_state(&mut self, lane: usize, state: LaneState) -> bool {
-        self.inner.import_lane_state(lane, state)
     }
 }
 
@@ -391,21 +382,6 @@ mod tests {
         let snap = predictor.control_snapshot().expect("adaptive has control");
         assert_eq!(snap.slo, 0.1);
         assert_eq!(snap.layers.len(), 1);
-    }
-
-    #[test]
-    fn lane_state_roundtrips_between_evaluators() {
-        let model = network(9);
-        let net = model.network();
-        let seq = smooth_sequence(30, 8, 40);
-        let predictor = AdaptivePredictor::new(ControllerConfig::frozen_at(0.05, 1.0));
-        // Drive one evaluator so lane 0 holds real state.
-        let mut donor = predictor.evaluator(&model);
-        net.run(&seq, &mut donor).unwrap();
-        let mut receiver = predictor.evaluator(&model);
-        receiver.begin_batch(1);
-        let state = ServedEvaluator::export_lane_state(&mut donor, 0).unwrap();
-        assert!(ServedEvaluator::import_lane_state(&mut receiver, 0, state));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! keeps about it — its memo table, its reuse counters, its audit phase
 //! and the reuse threshold `θ` its request asked for — is one
 //! `MemoLaneState`, and the operations a driver needs on that state
-//! (size, begin, swap, export, import) are written once on
+//! (size, begin, swap, take stats, set θ) are written once on
 //! [`MemoLanes`] for [`BnnMemoEvaluator`](crate::BnnMemoEvaluator) and
 //! [`OracleEvaluator`](crate::OracleEvaluator) alike.
 //!
@@ -44,8 +44,7 @@ impl AuditPhase {
     }
 }
 
-/// Everything a memoizing evaluator keeps about one lane; also the
-/// state that travels when the lane migrates between workers.
+/// Everything a memoizing evaluator keeps about one lane.
 #[derive(Debug, Clone)]
 pub(crate) struct MemoLaneState {
     pub(crate) table: MemoTable,
@@ -120,24 +119,5 @@ impl MemoLanes {
     /// Installs the `θ` lane `lane` runs at until its next `begin`.
     pub(crate) fn set_threshold(&mut self, lane: usize, threshold: f32) {
         self.0[lane].threshold = Some(threshold);
-    }
-
-    /// Copies lane `lane` out for migration, taking its statistics with
-    /// it.  The table is left behind and cleared by the lane's next
-    /// `begin`.
-    pub(crate) fn export(&mut self, lane: usize) -> MemoLaneState {
-        let state = &mut self.0[lane];
-        MemoLaneState {
-            table: state.table.clone(),
-            stats: std::mem::take(&mut state.stats),
-            audit: state.audit.clone(),
-            threshold: state.threshold,
-        }
-    }
-
-    /// Overwrites lane `lane` with an exported state, without resetting
-    /// anything: the sequence is mid-flight.
-    pub(crate) fn import(&mut self, lane: usize, state: MemoLaneState) {
-        self.0[lane] = state;
     }
 }

@@ -73,7 +73,7 @@ pub use lanes::MemoLanes;
 pub use nfm_bnn::Model;
 pub use oracle::OracleEvaluator;
 pub use predictor::BnnMemoEvaluator;
-pub use serving::{LaneState, Predictor, PredictorKind, ServedEvaluator};
+pub use serving::{Predictor, PredictorKind, ServedEvaluator};
 pub use similarity::SimilarityProbe;
 pub use stats::ReuseStats;
 pub use table::{GateColumns, GateHandle, MemoEntry, MemoTable};

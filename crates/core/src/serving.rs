@@ -16,44 +16,33 @@
 //!   built-ins and through the same call.
 //! * [`PredictorKind`] — the built-in family (exact / oracle / BNN),
 //!   itself a [`Predictor`].
-//! * [`ServedEvaluator`] — [`NeuronEvaluator`] plus the optional
-//!   per-lane hooks the engine drives a request through: harvest the
-//!   lane's [`ReuseStats`], install the request's `θ` override on its
-//!   lane, move the lane's state to another worker.  Evaluators that
-//!   keep no counters (the exact baseline, most custom evaluators)
-//!   implement nothing: the engine synthesizes all-computed statistics
-//!   from the request's length.
+//! * [`ServedEvaluator`] — [`NeuronEvaluator`] plus the three optional
+//!   hooks the engine drives a request through: harvest the lane's
+//!   [`ReuseStats`], snapshot the aggregate counters, install the
+//!   request's `θ` override on its lane.  Evaluators that keep no
+//!   counters (the exact baseline, most custom evaluators) implement
+//!   nothing: the engine synthesizes all-computed statistics from the
+//!   request's length.
 
 use crate::audit::ControlSnapshot;
 use crate::config::{BnnMemoConfig, OracleMemoConfig};
-use crate::lanes::MemoLaneState;
 use crate::oracle::OracleEvaluator;
 use crate::predictor::BnnMemoEvaluator;
 use crate::stats::ReuseStats;
 use nfm_bnn::Model;
 use nfm_rnn::{ExactEvaluator, NeuronEvaluator};
-use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
-/// The type-erased per-lane state a [`ServedEvaluator`] hands over when
-/// a lane migrates between workers (see
-/// [`ServedEvaluator::export_lane_state`]).
-pub type LaneState = Box<dyn Any + Send>;
-
-/// Migratable lane state of the exact evaluator: nothing — the lane's
-/// entire state is the recurrent `(h, c)` the scheduler itself moves.
-struct ExactLaneState;
-
 /// A [`NeuronEvaluator`] as the serving engine drives it: the inference
-/// hook plus optional per-lane hooks.
+/// hook plus three optional hooks — take a lane's statistics, snapshot
+/// the aggregate counters, set a lane's `θ`.
 ///
-/// A request occupies one lane from admission to its response, and
-/// everything request-specific is lane state: the engine harvests the
-/// lane's reuse statistics when the request finishes, installs the
-/// request's `θ` override on the lane right after admission, and moves
-/// the lane's state along when it migrates the request to another
-/// worker.  Evaluators that track counters (the oracle and BNN
+/// A request occupies one lane of one worker from admission to its
+/// response, and everything request-specific is lane state: the engine
+/// installs the request's `θ` override on the lane right after
+/// admission and harvests the lane's reuse statistics when the request
+/// finishes.  Evaluators that track counters (the oracle and BNN
 /// evaluators) override the hooks; evaluators that do not (the exact
 /// baseline, simple custom evaluators) inherit the defaults — the
 /// engine then synthesizes the exact-path statistics (every neuron of
@@ -86,48 +75,13 @@ pub trait ServedEvaluator: NeuronEvaluator + Send {
     fn set_lane_threshold(&mut self, lane: usize, threshold: f32) {
         let _ = (lane, threshold);
     }
-
-    /// Moves lane `lane`'s migratable evaluator state (memo tables,
-    /// per-lane statistics) out so the serving engine can transfer an
-    /// in-flight request to another worker's evaluator of the same
-    /// predictor — work stealing.  `None` (the default) means the
-    /// evaluator does not support lane migration and the engine must
-    /// finish the lane where it is; custom evaluators therefore never
-    /// migrate unless they opt in.
-    fn export_lane_state(&mut self, lane: usize) -> Option<LaneState> {
-        let _ = lane;
-        None
-    }
-
-    /// Installs state produced by
-    /// [`export_lane_state`](ServedEvaluator::export_lane_state) on a
-    /// peer evaluator of the same predictor into lane `lane`,
-    /// overwriting the lane's current state **without** resetting it
-    /// (the sequence is mid-flight).  Returns `false` when the state
-    /// is not recognized — the engine treats that as a failed
-    /// migration.
-    fn import_lane_state(&mut self, lane: usize, state: LaneState) -> bool {
-        let _ = (lane, state);
-        false
-    }
 }
 
-impl ServedEvaluator for ExactEvaluator {
-    fn export_lane_state(&mut self, lane: usize) -> Option<LaneState> {
-        let _ = lane;
-        Some(Box::new(ExactLaneState))
-    }
-
-    fn import_lane_state(&mut self, lane: usize, state: LaneState) -> bool {
-        let _ = lane;
-        state.downcast::<ExactLaneState>().is_ok()
-    }
-}
+impl ServedEvaluator for ExactEvaluator {}
 
 /// The hooks of an evaluator that keeps its per-lane state in
 /// [`MemoLanes`](crate::lanes::MemoLanes): everything request-specific
-/// — statistics, `θ`, and the state that migrates — is the lane's
-/// [`MemoLaneState`].
+/// — statistics and `θ` — is the lane's state there.
 macro_rules! serve_from_memo_lanes {
     ($evaluator:ty) => {
         impl ServedEvaluator for $evaluator {
@@ -141,19 +95,6 @@ macro_rules! serve_from_memo_lanes {
 
             fn set_lane_threshold(&mut self, lane: usize, threshold: f32) {
                 self.lanes.set_threshold(lane, threshold);
-            }
-
-            fn export_lane_state(&mut self, lane: usize) -> Option<LaneState> {
-                Some(Box::new(self.lanes.export(lane)))
-            }
-
-            fn import_lane_state(&mut self, lane: usize, state: LaneState) -> bool {
-                let Ok(state) = state.downcast::<MemoLaneState>() else {
-                    return false;
-                };
-                self.begin_batch(lane + 1);
-                self.lanes.import(lane, *state);
-                true
             }
         }
     };

@@ -81,9 +81,7 @@ impl BatchState {
     }
 
     /// Overwrites lane `lane`'s state with `h` and `c` (both `hidden`
-    /// wide) — the lane-migration hook: a scheduler implanting a lane
-    /// extracted elsewhere resumes it from this state instead of
-    /// resetting it.
+    /// wide) — how a single LSTM step starts from a caller-held state.
     ///
     /// # Panics
     ///

@@ -63,7 +63,7 @@ pub use gru::{GruCell, GruState};
 pub use layer::{Cell, Layer, HOIST_BLOCK};
 pub use lstm::{LstmCell, LstmState};
 pub use network::DeepRnn;
-pub use scheduler::{FinishedLane, LaneScheduler, LaneSnapshot};
+pub use scheduler::{FinishedLane, LaneScheduler};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, RnnError>;

@@ -57,21 +57,6 @@
 //! every lane's results bit-identical.  Retiring a finished or
 //! cancelled lane compacts the prefix the same way.
 //!
-//! # Lane migration
-//!
-//! On a mid-wave-refill scheduler,
-//! [`extract`](LaneScheduler::extract) removes a lane mid-sequence as
-//! a self-contained [`LaneSnapshot`] — remaining inputs, outputs so
-//! far, and the per-layer recurrent state — and
-//! [`implant`](LaneScheduler::implant) resumes it on another scheduler
-//! of the same network *without* resetting lane state.  A serving
-//! engine uses the pair to move an in-flight request from a saturated
-//! worker to an idle one (work stealing); the evaluator's per-lane
-//! state travels separately through the serving layer's export/import
-//! hooks.  Because the migrated lane's dot products still consume the
-//! exact same `(x_t, h_{t-1})` values in the same scalar order,
-//! migration is bit-transparent.
-//!
 //! # Timestep semantics
 //!
 //! Under mid-wave refill lanes sit at *different* positions of their
@@ -123,31 +108,6 @@ impl LaneSlot {
     }
 }
 
-/// A lane extracted mid-sequence by [`LaneScheduler::extract`]:
-/// everything another scheduler of the same network needs to resume
-/// the sequence bit-identically via [`LaneScheduler::implant`].
-#[derive(Debug, Clone)]
-pub struct LaneSnapshot {
-    inputs: Vec<Vector>,
-    t: usize,
-    outputs: Vec<Vector>,
-    /// Per-layer `(h, c)` recurrent state of the lane.
-    layers: Vec<(Vec<f32>, Vec<f32>)>,
-    input_size: usize,
-}
-
-impl LaneSnapshot {
-    /// Timesteps not yet computed.
-    pub fn remaining(&self) -> usize {
-        self.inputs.len() - self.t
-    }
-
-    /// Total timesteps of the underlying sequence.
-    pub fn timesteps(&self) -> usize {
-        self.inputs.len()
-    }
-}
-
 /// The row layout of one step over lanes sorted by descending remaining
 /// length: lane `l` advances `lens[l]` timesteps, packed step-major in
 /// blocks of up to [`HOIST_BLOCK`] steps (block `i` is `blocks[i].1`, its
@@ -193,8 +153,8 @@ impl Span {
     }
 }
 
-/// The lane scheduler (see the [module docs](self) for the step, its
-/// equivalence contract, and lane migration).
+/// The lane scheduler (see the [module docs](self) for the step and its
+/// equivalence contract).
 ///
 /// The scheduler owns all recurrent state and scratch (two lane-striped
 /// [`BatchState`]s a layer, a third where it has a backward cell, plus
@@ -237,7 +197,7 @@ pub struct LaneScheduler {
 
 impl LaneScheduler {
     /// Whether a scheduler for `network` refills freed lanes mid-wave
-    /// (and can therefore lend lanes and migrate them): true exactly
+    /// (and can therefore lend lanes): true exactly
     /// for stacks without a bidirectional layer, whose backward half
     /// would need every sequence whole before its first step.
     pub fn refills_mid_wave(network: &DeepRnn) -> bool {
@@ -502,103 +462,6 @@ impl LaneScheduler {
             outputs: slot.outputs,
             stats_lane: tail,
         })
-    }
-
-    /// Removes the lane holding `token` as a self-contained
-    /// [`LaneSnapshot`] for migration to another scheduler of the same
-    /// network (see the [module docs](self)).  The caller must export
-    /// the evaluator's per-lane state at
-    /// [`lane_of(token)`](LaneScheduler::lane_of) **before** calling
-    /// this: extraction compacts the active prefix, which moves lane
-    /// state around.  Returns `None` when no lane holds `token` or the
-    /// scheduler steps whole sequences (a lane is never mid-sequence
-    /// between its steps).
-    pub fn extract(
-        &mut self,
-        token: u64,
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Option<LaneSnapshot> {
-        if !self.mid_wave {
-            return None;
-        }
-        let lane = self.lane_of(token)?;
-        let layers: Vec<(Vec<f32>, Vec<f32>)> = self
-            .states
-            .iter()
-            .map(|st| (st.h_lane(lane).to_vec(), st.c_lane(lane).to_vec()))
-            .collect();
-        let tail = self.slots.len() - 1;
-        self.swap_lanes(lane, tail, evaluator);
-        let slot = self.slots.pop().expect("slot exists");
-        Some(LaneSnapshot {
-            inputs: slot.inputs,
-            t: slot.t,
-            outputs: slot.outputs,
-            layers,
-            input_size: self.input_size,
-        })
-    }
-
-    /// Resumes an extracted lane on this scheduler **without**
-    /// resetting its recurrent or evaluator lane state: the snapshot's
-    /// per-layer `(h, c)` is written into the admitted lane, and the
-    /// caller imports the evaluator's per-lane state at the returned
-    /// lane index.  [`begin_lane_sequence`](NeuronEvaluator::begin_lane_sequence)
-    /// is deliberately *not* called — the sequence is mid-flight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RnnError::InvalidConfig`] if this scheduler steps
-    /// whole sequences, has no free lane, or the snapshot's shape does
-    /// not match this scheduler's network.
-    pub fn implant(&mut self, token: u64, snapshot: LaneSnapshot) -> Result<usize> {
-        if !self.mid_wave {
-            return Err(RnnError::InvalidConfig {
-                what: "a scheduler that steps whole sequences cannot resume a migrated lane".into(),
-            });
-        }
-        if self.free_lanes() == 0 {
-            return Err(RnnError::InvalidConfig {
-                what: format!("all {} scheduler lanes are occupied", self.lanes),
-            });
-        }
-        let widths_match = snapshot.layers.len() == self.hidden.len()
-            && snapshot
-                .layers
-                .iter()
-                .zip(&self.hidden)
-                .all(|((h, c), &w)| h.len() == w && c.len() == w);
-        if snapshot.input_size != self.input_size || !widths_match || snapshot.remaining() == 0 {
-            return Err(RnnError::InvalidConfig {
-                what: "migrated lane does not match this scheduler's network shape".into(),
-            });
-        }
-        let lane = self.slots.len();
-        for (state, (h, c)) in self.states.iter_mut().zip(&snapshot.layers) {
-            state.set_lane(lane, h, c);
-        }
-        self.slots.push(LaneSlot {
-            token,
-            inputs: snapshot.inputs,
-            t: snapshot.t,
-            outputs: snapshot.outputs,
-        });
-        Ok(lane)
-    }
-
-    /// The token of the active lane with the most remaining timesteps,
-    /// provided at least `min_remaining` remain — the lane a saturated
-    /// worker offers an idle one.  `None` when no lane qualifies or the
-    /// scheduler steps whole sequences.
-    pub fn steal_candidate(&self, min_remaining: usize) -> Option<u64> {
-        if !self.mid_wave {
-            return None;
-        }
-        self.slots
-            .iter()
-            .filter(|s| s.remaining() >= min_remaining)
-            .max_by_key(|s| s.remaining())
-            .map(|s| s.token)
     }
 
     /// Restores the descending-remaining lane order admissions at the
@@ -934,8 +797,6 @@ mod tests {
         assert!(cancelled.outputs.is_empty(), "it never stepped");
         assert_eq!(cancelled.stats_lane, 2, "compacted to the tail");
         assert_eq!(sched.active_lanes(), 2);
-        assert!(sched.extract(0, &mut eval).is_none(), "lockstep lanes stay");
-        assert_eq!(sched.steal_candidate(1), None);
         let mut finished = Vec::new();
         assert_eq!(sched.step(&net, &mut eval, &mut finished).unwrap(), 4 + 6);
         assert!(sched.is_idle());
@@ -955,74 +816,6 @@ mod tests {
                 .stats_lane
         };
         assert_eq!((lane_of(2), lane_of(0)), (0, 1));
-    }
-
-    #[test]
-    fn extract_implant_resumes_bit_identically_across_schedulers() {
-        // Run two ragged sequences one block in, extract the longer
-        // one mid-sequence, implant it into a fresh scheduler, and
-        // drain both: every output must equal a dedicated run, and the
-        // donor's survivor must be unaffected.
-        let net = networks().remove(0);
-        let long = seq(20, net.input_size(), 31);
-        let short = seq(11, net.input_size(), 32);
-        let ref_long = net.run(&long, &mut ExactEvaluator::new()).unwrap();
-        let ref_short = net.run(&short, &mut ExactEvaluator::new()).unwrap();
-
-        let mut donor = LaneScheduler::new(&net, 2).unwrap();
-        let mut donor_eval = ExactEvaluator::new();
-        donor_eval.begin_batch(2);
-        donor.admit(0, long, &mut donor_eval).unwrap();
-        donor.admit(1, short, &mut donor_eval).unwrap();
-        let mut finished = Vec::new();
-        donor.step(&net, &mut donor_eval, &mut finished).unwrap();
-        assert!(finished.is_empty());
-
-        assert_eq!(donor.steal_candidate(64), None, "nothing that long");
-        assert_eq!(donor.steal_candidate(10), Some(0), "token 0 has 12 left");
-        assert!(donor.lane_of(0).is_some());
-        let snap = donor.extract(0, &mut donor_eval).expect("token 0 active");
-        assert_eq!(snap.remaining(), 12);
-        assert_eq!(snap.timesteps(), 20);
-        assert_eq!(donor.active_lanes(), 1);
-
-        let mut receiver = LaneScheduler::new(&net, 1).unwrap();
-        let mut receiver_eval = ExactEvaluator::new();
-        receiver_eval.begin_batch(1);
-        let lane = receiver.implant(9, snap).unwrap();
-        assert_eq!(lane, 0);
-        while receiver
-            .step(&net, &mut receiver_eval, &mut finished)
-            .unwrap()
-            > 0
-        {}
-        assert_eq!(finished.len(), 1);
-        assert_eq!(finished[0].token, 9);
-        assert_eq!(&finished[0].outputs, &ref_long, "migrated lane");
-        finished.clear();
-        while donor.step(&net, &mut donor_eval, &mut finished).unwrap() > 0 {}
-        assert_eq!(finished.len(), 1);
-        assert_eq!(&finished[0].outputs, &ref_short, "donor survivor");
-    }
-
-    #[test]
-    fn implant_rejects_mismatched_shapes_and_lockstep_schedulers() {
-        let mut nets = networks();
-        let gru = nets.pop().unwrap();
-        let lstm = nets.pop().unwrap();
-        let mut donor = LaneScheduler::new(&lstm, 1).unwrap();
-        let mut eval = ExactEvaluator::new();
-        eval.begin_batch(1);
-        donor
-            .admit(0, seq(20, lstm.input_size(), 8), &mut eval)
-            .unwrap();
-        let mut finished = Vec::new();
-        donor.step(&lstm, &mut eval, &mut finished).unwrap();
-        let snap = donor.extract(0, &mut eval).unwrap();
-        let mut wrong_shape = LaneScheduler::new(&gru, 1).unwrap();
-        assert!(wrong_shape.implant(1, snap.clone()).is_err());
-        let mut lockstep = LaneScheduler::new(&bidirectional(), 1).unwrap();
-        assert!(lockstep.implant(1, snap).is_err());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::registry::{ContextKey, ModelId, ModelRegistry, ModelVersion};
 use crate::request::{CompletionStatus, InferenceRequest, InferenceResponse, Priority, RequestId};
-use crate::worker::{LaneWorker, MigratedLane, QueuedRequest, ResponseTag, StealBridge};
+use crate::worker::{LaneWorker, QueuedRequest, ResponseTag};
 use nfm_core::{ControlSnapshot, Model, Predictor, ReuseStats};
 use nfm_model::ModelArtifactError;
 use nfm_rnn::RnnError;
@@ -577,9 +577,7 @@ impl EngineBuilder {
                 queue: PriorityQueue::new(),
                 responses: Vec::new(),
                 outstanding: 0,
-                migrated: VecDeque::new(),
                 idle_workers: 0,
-                migrations: 0,
                 lane_borrows: 0,
                 context_stats: (0..self.workers).map(|_| Vec::new()).collect(),
                 swaps: Vec::new(),
@@ -665,18 +663,13 @@ struct State {
     responses: Vec<InferenceResponse>,
     /// Submitted but not yet responded (queued or on a lane).
     outstanding: usize,
-    /// In-flight lanes a saturated worker extracted for an idle one
-    /// (worker work stealing), each with its donor's index; drained
-    /// before any worker exits.
-    migrated: VecDeque<(usize, MigratedLane)>,
-    /// Workers currently parked on `work_cv` — the donor-side signal
-    /// that migrating a lane would buy real parallelism.
+    /// Workers currently parked on `work_cv` (`drain`'s quiescence
+    /// condition).
     idle_workers: usize,
-    /// Lanes migrated between workers since the engine started.
-    migrations: u64,
     /// Cross-context lane borrows since the engine started (a hot
     /// model admitted beyond its fair share into lanes its sibling
-    /// contexts left idle).
+    /// contexts left idle), added by each worker when it publishes its
+    /// context stats.
     lane_borrows: u64,
     /// Per-worker context-stats snapshots, republished (replaced, not
     /// accumulated — evaluator counters are cumulative) every time a
@@ -696,17 +689,6 @@ struct State {
     error: Option<String>,
 }
 
-impl State {
-    /// Whether worker `index` may take a pooled lane `donor` donated.
-    /// A donation is meant for a parked worker: while one is parked the
-    /// donor leaves its own lane in the pool rather than taking it back
-    /// before the parked worker has woken.  (During shutdown nobody
-    /// parks, so anyone may drain the pool.)
-    fn may_receive(&self, index: usize, donor: usize) -> bool {
-        donor != index || self.idle_workers == 0 || self.shutdown
-    }
-}
-
 #[derive(Debug)]
 struct Shared {
     state: Mutex<State>,
@@ -717,68 +699,16 @@ struct Shared {
     capacity: usize,
 }
 
-/// The engine side of worker work stealing: a thin, locked window onto
-/// [`State`]'s migration pool and idle-worker count.
-struct EngineBridge {
-    shared: Arc<Shared>,
-    /// The worker this bridge serves.
-    index: usize,
-}
-
-impl StealBridge for EngineBridge {
-    fn try_receive(&self, admittable: &dyn Fn(&MigratedLane) -> bool) -> Option<MigratedLane> {
-        let mut state = self.shared.state.lock().expect("engine state lock");
-        if state.paused && !state.shutdown {
-            return None;
-        }
-        let i = state
-            .migrated
-            .iter()
-            .position(|(donor, lane)| state.may_receive(self.index, *donor) && admittable(lane))?;
-        state.migrated.remove(i).map(|(_, lane)| lane)
-    }
-
-    fn donation_wanted(&self) -> bool {
-        let state = self.shared.state.lock().expect("engine state lock");
-        // Donate only into real idleness: an empty queue (otherwise the
-        // idle worker has queued work to pull), an empty pool (one
-        // outstanding donation at a time), and a worker parked on the
-        // condvar.  Never during shutdown — workers are draining.
-        !state.shutdown
-            && !state.paused
-            && state.queue.is_empty()
-            && state.migrated.is_empty()
-            && state.idle_workers > 0
-    }
-
-    fn donate(&self, lane: MigratedLane) {
-        let mut state = self.shared.state.lock().expect("engine state lock");
-        state.migrated.push_back((self.index, lane));
-        state.migrations += 1;
-        self.shared.work_cv.notify_one();
-    }
-
-    fn note_lane_borrow(&self) {
-        let mut state = self.shared.state.lock().expect("engine state lock");
-        state.lane_borrows += 1;
-    }
-}
-
 fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
     loop {
         {
             let mut state = shared.state.lock().expect("engine state lock");
             loop {
-                if state.shutdown && state.queue.is_empty() && state.migrated.is_empty() {
+                if state.shutdown && state.queue.is_empty() {
                     return;
                 }
-                let receivable = state
-                    .migrated
-                    .iter()
-                    .any(|(donor, _)| state.may_receive(index, *donor));
                 // Shutdown overrides pause so the queue always drains.
-                let runnable =
-                    (!state.queue.is_empty() || receivable) && (!state.paused || state.shutdown);
+                let runnable = !state.queue.is_empty() && (!state.paused || state.shutdown);
                 if runnable {
                     break;
                 }
@@ -793,13 +723,10 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
                     state.context_stats[index] = worker.stats_snapshots();
                     continue;
                 }
-                // Parked workers are the donation signal: a saturated
-                // worker migrates an in-flight lane here only while
-                // someone is actually waiting to run it.  Parking also
-                // wakes `drain` waiters: they wait for *quiescence*
-                // (zero outstanding + every worker parked), which makes
-                // the context-stats snapshots published below complete
-                // by the time `drain` returns.
+                // Parking wakes `drain` waiters: they wait for
+                // *quiescence* (zero outstanding + every worker parked),
+                // which makes the context stats and lane borrows
+                // published below complete by the time `drain` returns.
                 state.idle_workers += 1;
                 shared.done_cv.notify_all();
                 state = shared.work_cv.wait(state).expect("engine state lock");
@@ -813,10 +740,6 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
                 return None;
             }
             state.queue.pop_where(admittable)
-        };
-        let bridge = EngineBridge {
-            shared: Arc::clone(&shared),
-            index,
         };
         let emit_shared = Arc::clone(&shared);
         let mut emit = move |response: InferenceResponse, tag: ResponseTag| {
@@ -838,14 +761,15 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
             let mut state = report_shared.state.lock().expect("engine state lock");
             state.error.get_or_insert(error);
         };
-        worker.pump(&mut pull, &bridge, &mut emit, &mut report);
-        // Publish this worker's per-context counters before parking (or
-        // exiting): `Engine::context_stats` merges these snapshots, and
-        // both quiescence points — `drain` returning, `shutdown`
-        // joining — happen after the publication.
+        let borrows = worker.pump(&mut pull, &mut emit, &mut report);
+        // Publish this worker's per-context counters and lane borrows
+        // before parking (or exiting): `Engine::context_stats` merges
+        // these snapshots, and both quiescence points — `drain`
+        // returning, `shutdown` joining — happen after the publication.
         let snapshots = worker.stats_snapshots();
         let mut state = shared.state.lock().expect("engine state lock");
         state.context_stats[index] = snapshots;
+        state.lane_borrows += borrows;
     }
 }
 
@@ -910,9 +834,8 @@ impl ContextStats {
 /// with a bidirectional layer a step is the seated sequences whole, and
 /// lanes refill when it returns.  A hot context may
 /// also *borrow* idle lanes from cold contexts on the same worker
-/// ([`lane_borrows`](Engine::lane_borrows)), and a saturated worker may
-/// *donate* an in-flight lane to an idle worker
-/// ([`migrations`](Engine::migrations)).  Scheduling never changes
+/// ([`lane_borrows`](Engine::lane_borrows)); a lane never leaves the
+/// worker that admitted it.  Scheduling never changes
 /// results: per-request outputs, reuse statistics and memo-hit counts
 /// are bit-identical to a dedicated
 /// [`MemoizedRunner::run`](crate::MemoizedRunner::run) over the same
@@ -957,20 +880,19 @@ impl Engine {
         self.shared.capacity
     }
 
-    /// In-flight lanes migrated from a saturated worker to an idle one
-    /// since the engine started (worker work stealing).  Purely
-    /// observability: migration never changes results, only latency.
+    /// Always `0`: lanes never move between workers — a request stays
+    /// on the worker that admitted it until it finishes, is cancelled
+    /// or aborts at its deadline.  Kept because the frozen repository
+    /// benchmark still reads it.
     pub fn migrations(&self) -> u64 {
-        self.shared
-            .state
-            .lock()
-            .expect("engine state lock")
-            .migrations
+        0
     }
 
     /// Requests admitted beyond their context's fair share into lanes
     /// that sibling contexts on the same worker were leaving idle
-    /// (cross-context lane stealing).  Purely observability.
+    /// (cross-context lane borrowing).  Purely observability; each
+    /// worker adds its count when it goes idle, so after
+    /// [`drain`](Engine::drain) it covers every answered request.
     pub fn lane_borrows(&self) -> u64 {
         self.shared
             .state

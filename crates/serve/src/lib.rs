@@ -30,9 +30,9 @@
 //!   drained lane refilled from the queue *immediately* (mid-wave lane
 //!   refill), expired in-flight requests aborted between blocks — and
 //!   the seated sequences whole on a stack with a bidirectional layer.
-//!   Hot contexts borrow idle lanes from cold ones, and saturated
-//!   workers donate in-flight lanes to idle workers — all without
-//!   changing results.
+//!   Hot contexts borrow idle lanes from cold ones on the same worker,
+//!   and a lane never leaves the worker that admitted it — neither
+//!   changes results.
 //! * [`InferenceResponse`] — per-request outputs, per-request
 //!   [`ReuseStats`](nfm_core::ReuseStats), queue/compute latency, and a
 //!   [`CompletionStatus`] (`Done` / `DeadlineExpired` / `Rejected`);

@@ -19,10 +19,10 @@ pub type RequestId = u64;
 ///
 /// Workers take requests strictly in queue order (class, then FIFO)
 /// among the requests they can place *right now*: a request whose
-/// (model, predictor, threshold) combination has no free lane on any
-/// worker waits on the queue — without blocking it — so an admittable
-/// lower-priority request for a different combination may start
-/// first.  Within one combination, priority order is strict.
+/// (model, predictor) combination has no free lane on any worker waits
+/// on the queue — without blocking it — so an admittable lower-priority
+/// request for a different combination may start first.  Within one
+/// combination, priority order is strict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
     /// Admitted before everything else.
@@ -71,9 +71,9 @@ pub struct RequestOptions {
     /// model's default predictor.
     pub predictor: Option<String>,
     /// Overrides the predictor's reuse threshold `θ` for this request
-    /// only.  Requests sharing a threshold share memoization state
-    /// machinery (per worker); the override never leaks into other
-    /// requests.
+    /// only.  The override is state of the request's lane, so requests
+    /// that differ only in `θ` share one execution context; it never
+    /// leaks into other requests.
     pub threshold: Option<f32>,
     /// Scheduling priority.
     pub priority: Priority,
@@ -224,11 +224,11 @@ pub struct InferenceResponse {
     /// Wall time from lane admission to the last timestep's output
     /// (or to the mid-sequence abort, for requests dropped by a
     /// per-step deadline check).  Lanes advance together, so this
-    /// includes the steps shared with the other requests in flight (in
-    /// wave mode it is the whole wave's duration), and on a worker
-    /// serving several (model, predictor, threshold) combinations it
-    /// also includes the interleaved timesteps of the *other*
-    /// contexts: it measures lane occupancy, not this request's
+    /// includes the steps shared with the other requests in flight
+    /// (on a bidirectional stack, the whole step over every seated
+    /// sequence), and on a worker serving several (model, predictor)
+    /// combinations it also includes the interleaved steps of the
+    /// *other* contexts: it measures lane occupancy, not this request's
     /// exclusive compute.
     pub compute_latency: Duration,
 }
@@ -242,77 +242,5 @@ impl InferenceResponse {
     /// Queue plus compute latency.
     pub fn total_latency(&self) -> Duration {
         self.queue_latency + self.compute_latency
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn request_builder_sets_deadline() {
-        let r = InferenceRequest::new(7, vec![Vector::zeros(2)]);
-        assert_eq!(r.id, 7);
-        assert!(r.deadline.is_none());
-        assert_eq!(r.options, RequestOptions::default());
-        let r = r.with_deadline(Duration::from_millis(5));
-        assert_eq!(r.deadline, Some(Duration::from_millis(5)));
-    }
-
-    #[test]
-    fn with_options_replaces_all_options_at_once() {
-        let r = InferenceRequest::new(1, vec![Vector::zeros(2)]).with_options(
-            RequestOptions::for_model("asr")
-                .predictor("bnn")
-                .threshold(0.25)
-                .priority(Priority::High),
-        );
-        assert_eq!(r.options.model, Some("asr".into()));
-        assert_eq!(r.options.predictor.as_deref(), Some("bnn"));
-        assert_eq!(r.options.threshold, Some(0.25));
-        assert_eq!(r.options.priority, Priority::High);
-        let r = r.with_options(RequestOptions::default().model("kws"));
-        assert_eq!(r.options.model, Some("kws".into()));
-        assert!(r.options.predictor.is_none());
-        assert_eq!(r.options.priority, Priority::Normal);
-    }
-
-    #[test]
-    fn options_fluent_builder_composes() {
-        let o = RequestOptions::for_model("kws")
-            .predictor("bnn")
-            .threshold(0.4)
-            .priority(Priority::High);
-        assert_eq!(o.model, Some("kws".into()));
-        assert_eq!(o.predictor.as_deref(), Some("bnn"));
-        assert_eq!(o.threshold, Some(0.4));
-        assert_eq!(o.priority, Priority::High);
-        assert_eq!(RequestOptions::new(), RequestOptions::default());
-    }
-
-    #[test]
-    fn priority_orders_high_first() {
-        assert_eq!(Priority::default(), Priority::Normal);
-        assert!(Priority::High < Priority::Normal);
-        assert!(Priority::Normal < Priority::Low);
-        assert_eq!(
-            Priority::ALL.map(|p| p.index()),
-            [0, 1, 2],
-            "dense indices follow drain order"
-        );
-    }
-
-    #[test]
-    fn response_latency_sums() {
-        let r = InferenceResponse {
-            id: 1,
-            status: CompletionStatus::Done,
-            outputs: Vec::new(),
-            stats: ReuseStats::new(),
-            queue_latency: Duration::from_millis(2),
-            compute_latency: Duration::from_millis(3),
-        };
-        assert!(r.is_done());
-        assert_eq!(r.total_latency(), Duration::from_millis(5));
     }
 }

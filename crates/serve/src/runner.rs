@@ -219,155 +219,3 @@ impl MemoizedRunner {
         Ok(RunOutcome { outputs, stats })
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nfm_rnn::{CellKind, DeepRnnConfig};
-    use nfm_tensor::rng::DeterministicRng;
-
-    struct Tiny {
-        net: DeepRnn,
-        seqs: Vec<Vec<Vector>>,
-    }
-
-    impl InferenceWorkload for Tiny {
-        fn network(&self) -> &DeepRnn {
-            &self.net
-        }
-        fn input_sequences(&self) -> &[Vec<Vector>] {
-            &self.seqs
-        }
-    }
-
-    fn workload(sequences: usize, len: usize) -> Tiny {
-        let mut rng = DeterministicRng::seed_from_u64(17);
-        let net = DeepRnn::random(&DeepRnnConfig::new(CellKind::Lstm, 5, 8), &mut rng).unwrap();
-        let seqs = (0..sequences)
-            .map(|_| {
-                let mut x = Vector::from_fn(5, |_| rng.uniform(-0.5, 0.5));
-                (0..len)
-                    .map(|_| {
-                        x = x
-                            .add(&Vector::from_fn(5, |_| rng.uniform(-0.05, 0.05)))
-                            .unwrap();
-                        x.clone()
-                    })
-                    .collect()
-            })
-            .map(|v: Vec<Vector>| v)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut v)| {
-                // Slightly perturb each sequence so they are distinct.
-                if i > 0 {
-                    for x in &mut v {
-                        *x = x.scale(1.0 + 0.01 * i as f32);
-                    }
-                }
-                v
-            })
-            .collect();
-        Tiny { net, seqs }
-    }
-
-    #[test]
-    fn exact_runner_has_zero_reuse() {
-        let w = workload(2, 10);
-        let outcome = MemoizedRunner::exact().run(&w).unwrap();
-        assert_eq!(outcome.outputs.len(), 2);
-        assert_eq!(outcome.reuse_fraction(), 0.0);
-        assert_eq!(
-            outcome.stats.evaluations(),
-            (2 * 10 * w.net.neuron_evaluations_per_step()) as u64
-        );
-    }
-
-    #[test]
-    fn oracle_and_bnn_runners_report_reuse() {
-        let w = workload(2, 20);
-        let oracle = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.5))
-            .run(&w)
-            .unwrap();
-        let bnn = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(2.0))
-            .run(&w)
-            .unwrap();
-        assert!(oracle.reuse_fraction() > 0.0);
-        assert!(bnn.reuse_fraction() > 0.0);
-        assert!(oracle.reuse_percent() <= 100.0);
-        assert!(bnn.reuse_percent() <= 100.0);
-    }
-
-    #[test]
-    fn predictor_kind_is_observable() {
-        let r = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.1));
-        assert!(matches!(r.predictor(), PredictorKind::Bnn(_)));
-        assert!(matches!(
-            MemoizedRunner::exact().predictor(),
-            PredictorKind::Exact
-        ));
-        assert!(matches!(
-            MemoizedRunner::oracle(OracleMemoConfig::default()).predictor(),
-            PredictorKind::Oracle(_)
-        ));
-    }
-
-    #[test]
-    fn exact_and_zero_threshold_oracle_agree() {
-        let w = workload(1, 12);
-        let exact = MemoizedRunner::exact().run(&w).unwrap();
-        let oracle = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.0))
-            .run(&w)
-            .unwrap();
-        assert_eq!(exact.outputs, oracle.outputs);
-    }
-
-    #[test]
-    fn empty_sequence_errors_propagate_from_the_worker() {
-        let mut w = workload(3, 6);
-        w.seqs[1].clear();
-        assert!(MemoizedRunner::exact().run(&w).is_err());
-        assert!(MemoizedRunner::exact().run_batched(&w, 2).is_err());
-    }
-
-    #[test]
-    fn run_batched_matches_run_for_every_predictor() {
-        let w = workload(5, 12);
-        for runner in [
-            MemoizedRunner::exact(),
-            MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4)),
-            MemoizedRunner::bnn(BnnMemoConfig::with_threshold(1.0)),
-        ] {
-            let reference = runner.run(&w).unwrap();
-            // 2 leaves lanes draining at different steps over 5
-            // sequences; 8 exceeds the sequence count.
-            for batch in [1usize, 2, 5, 8] {
-                let batched = runner.run_batched(&w, batch).unwrap();
-                assert_eq!(batched.outputs, reference.outputs, "batch={batch}");
-                assert_eq!(batched.stats, reference.stats, "batch={batch}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_batched_rejects_zero_lanes() {
-        let w = workload(2, 6);
-        let err = MemoizedRunner::exact().run_batched(&w, 0).unwrap_err();
-        assert!(matches!(err, RnnError::InvalidConfig { .. }));
-        assert!(err.to_string().contains("batch_size >= 1"), "{err}");
-    }
-
-    #[test]
-    fn empty_workload_yields_empty_outcome() {
-        let w = Tiny {
-            net: workload(1, 4).net,
-            seqs: Vec::new(),
-        };
-        let outcome = MemoizedRunner::exact().run(&w).unwrap();
-        assert!(outcome.outputs.is_empty());
-        assert_eq!(outcome.stats, ReuseStats::new());
-        let outcome = MemoizedRunner::exact().run_batched(&w, 3).unwrap();
-        assert!(outcome.outputs.is_empty());
-    }
-}

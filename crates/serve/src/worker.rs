@@ -25,21 +25,21 @@
 //! after admission and ends with the lane's sequence, so requests that
 //! differ only in `θ` share one context, one gate call and one weight
 //! stream.  Every context advances by [`LaneScheduler::step`], the one
-//! stack driver: a step covers [`HOIST_BLOCK`] timesteps of every lane
-//! of a unidirectional stack — every layer's input projections hoisted
-//! across all active lanes, drained lanes refilled from the queue at
-//! the next block boundary (mid-wave refill) — and the whole seated
-//! sequences of a stack with a bidirectional layer, which refills when
-//! the step returns.  A request whose deadline expired in the queue is
-//! answered without compute, and an in-flight one is aborted **between
-//! steps**, freeing its lane without computing the remaining
-//! timesteps — always.
+//! stack driver: a step covers [`HOIST_BLOCK`](nfm_rnn::HOIST_BLOCK)
+//! timesteps of every lane of a unidirectional stack — every layer's
+//! input projections hoisted across all active lanes, drained lanes
+//! refilled from the queue at the next block boundary (mid-wave
+//! refill) — and the whole seated sequences of a stack with a
+//! bidirectional layer, which refills when the step returns.  A
+//! request whose deadline expired in the queue is answered without
+//! compute, and an in-flight one is aborted **between steps**, freeing
+//! its lane without computing the remaining timesteps — always.
 //!
 //! Per-request outputs and reuse statistics are bit-identical whatever
 //! shares the scheduler: scheduling never changes results, only
 //! latency.
 //!
-//! # Cross-context lane stealing
+//! # Cross-context lane borrowing
 //!
 //! A scheduler that refills mid-wave is built with **twice** the
 //! engine's configured lane count; the extra lanes are *borrowed*
@@ -53,29 +53,15 @@
 //! (more rows per weight stream) without starving anyone: the moment a
 //! cold context gets traffic, its fair share is free by construction.
 //!
-//! # Worker work stealing
-//!
-//! When another engine worker goes idle while this one still holds two
-//! or more active lanes, the worker **migrates** one in-flight lane to
-//! it through the engine's [`StealBridge`]: the lane with the most
-//! remaining timesteps (at least [`MIN_STEAL_REMAINING`]) is extracted
-//! as a [`LaneSnapshot`] together with the evaluator's per-lane state
-//! ([`ServedEvaluator::export_lane_state`]), and the receiving worker
-//! implants it into its own context and resumes mid-sequence.
-//! Migration is bit-transparent — the resumed lane consumes the same
-//! inputs and recurrent state in the same scalar order — and
-//! exactly-once: the donor forgets the request without emitting, the
-//! receiver emits its single response.  Evaluators that do not
-//! implement the export/import hooks never migrate, and neither do
-//! the lanes of a bidirectional stack (they are never mid-sequence
-//! between steps).
+//! A lane stays on the worker that admitted it until it finishes, is
+//! cancelled or aborts at its deadline: workers share the queue, never
+//! in-flight lanes.
 
 use crate::registry::{ContextKey, Resolved};
 use crate::request::{CompletionStatus, InferenceRequest, InferenceResponse, RequestId};
-use nfm_core::{LaneState, ReuseStats, ServedEvaluator};
-use nfm_rnn::{FinishedLane, LaneScheduler, LaneSnapshot, HOIST_BLOCK};
+use nfm_core::{ReuseStats, ServedEvaluator};
+use nfm_rnn::{FinishedLane, LaneScheduler};
 use std::collections::HashMap;
-use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Routes a response back to the engine's swap observer: the
@@ -102,13 +88,6 @@ pub(crate) struct QueuedRequest {
 }
 
 impl QueuedRequest {
-    fn expired(&self) -> bool {
-        match self.req.deadline {
-            Some(deadline) => self.submitted_at.elapsed() > deadline,
-            None => false,
-        }
-    }
-
     fn tag(&self) -> ResponseTag {
         ResponseTag {
             serial: self.serial,
@@ -118,71 +97,19 @@ impl QueuedRequest {
 }
 
 /// A request occupying a scheduler lane.
-pub(crate) struct Inflight {
+struct Inflight {
     id: RequestId,
     deadline: Option<Duration>,
     submitted_at: Instant,
     admitted_at: Instant,
     timesteps: usize,
-    serial: u64,
-    shadow: bool,
+    tag: ResponseTag,
 }
 
-impl Inflight {
-    fn expired(&self) -> bool {
-        match self.deadline {
-            Some(d) => self.submitted_at.elapsed() > d,
-            None => false,
-        }
-    }
-
-    fn tag(&self) -> ResponseTag {
-        ResponseTag {
-            serial: self.serial,
-            shadow: self.shadow,
-        }
-    }
-}
-
-/// Fewest remaining timesteps an in-flight lane must have to be worth
-/// migrating to an idle worker: below two full hoist blocks the donor
-/// finishes the lane faster than the handoff amortizes.
-pub(crate) const MIN_STEAL_REMAINING: usize = 2 * HOIST_BLOCK;
-
-/// An in-flight lane migrating from a saturated worker to an idle one:
-/// the scheduler-side snapshot, the evaluator's per-lane state, and the
-/// request bookkeeping (original timestamps, so latency accounting
-/// spans the migration).
-pub(crate) struct MigratedLane {
-    pub(crate) resolved: Resolved,
-    pub(crate) inflight: Inflight,
-    pub(crate) snapshot: LaneSnapshot,
-    pub(crate) eval_state: LaneState,
-}
-
-impl fmt::Debug for MigratedLane {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MigratedLane")
-            .field("key", &self.resolved.key)
-            .field("request", &self.inflight.id)
-            .field("remaining", &self.snapshot.remaining())
-            .finish_non_exhaustive()
-    }
-}
-
-/// The worker's window onto the engine's migration pool.  All methods
-/// are called from the worker thread between scheduling blocks.
-pub(crate) trait StealBridge {
-    /// Pops a migrated lane this worker can host right now, leaving the
-    /// rest pooled.
-    fn try_receive(&self, admittable: &dyn Fn(&MigratedLane) -> bool) -> Option<MigratedLane>;
-    /// Whether some other worker is idle and the pool is empty — the
-    /// donor-side precondition for extracting a lane.
-    fn donation_wanted(&self) -> bool;
-    /// Hands an extracted lane to the pool and wakes an idle worker.
-    fn donate(&self, lane: MigratedLane);
-    /// Records a cross-context lane borrow (observability only).
-    fn note_lane_borrow(&self);
+/// Whether a request submitted at `submitted_at` has outlived its
+/// deadline by now.
+fn past_deadline(deadline: Option<Duration>, submitted_at: Instant) -> bool {
+    deadline.is_some_and(|d| submitted_at.elapsed() > d)
 }
 
 /// Scheduler bookkeeping of one execution context.
@@ -200,8 +127,7 @@ struct LaneSched {
 /// lane scheduler.
 struct ExecContext {
     /// The registry resolution that created this context (less its
-    /// request's `θ`, which is lane state): its identity, and
-    /// everything the receiver of a migrating lane needs.
+    /// request's `θ`, which is lane state): its identity and model.
     resolved: Resolved,
     evaluator: Box<dyn ServedEvaluator>,
     evals_per_step: u64,
@@ -214,7 +140,7 @@ impl ExecContext {
         let mut evaluator = resolved.predictor.build_evaluator(&resolved.model);
         // Twice the fair share where lanes refill mid-wave: the extra
         // lanes are borrowable capacity for cross-context lane
-        // stealing.  The queue-pull predicate keeps a context at its
+        // borrowing.  The queue-pull predicate keeps a context at its
         // fair share unless sibling contexts leave lanes idle.  A
         // context that steps whole sequences could not use a borrowed
         // lane before its seated lanes have all finished, so it gets
@@ -258,7 +184,7 @@ impl ExecContext {
     /// Whether this context can take one more request right now (the
     /// worker's queue-pull admissibility predicate): room within its
     /// fair share, or a borrowable lane some sibling context is leaving
-    /// idle (cross-context lane stealing — only schedulers built with
+    /// idle (cross-context lane borrowing — only schedulers built with
     /// spare lanes have one, and never past the worker-wide fair-share
     /// total, so a single-context worker never exceeds the configured
     /// lane count).
@@ -339,42 +265,26 @@ impl LaneWorker {
         self.contexts.retain(|c| !c.is_spent());
     }
 
-    /// Drains work from `pull` (and migrated lanes from `bridge`) until
-    /// both run dry and every context is idle, emitting one response
-    /// per request.  Internal execution errors (which submit-time
-    /// validation makes unreachable for well-formed engines) turn the
-    /// affected requests into [`CompletionStatus::Rejected`] responses
-    /// — never silently dropped — and are passed to `report` *before*
-    /// those responses are emitted, so a caller observing a rejected
-    /// response always finds the root cause already recorded.
+    /// Drains work from `pull` until it runs dry and every context is
+    /// idle, emitting one response per request, and returns how many
+    /// requests it admitted on a borrowed lane.  Internal execution
+    /// errors (which submit-time validation makes unreachable for
+    /// well-formed engines) turn the affected requests into
+    /// [`CompletionStatus::Rejected`] responses — never silently
+    /// dropped — and are passed to `report` *before* those responses
+    /// are emitted, so a caller observing a rejected response always
+    /// finds the root cause already recorded.
     pub(crate) fn pump(
         &mut self,
         pull: &mut PullFn<'_>,
-        bridge: &dyn StealBridge,
         emit: &mut dyn FnMut(InferenceResponse, ResponseTag),
         report: &mut dyn FnMut(String),
-    ) {
+    ) -> u64 {
+        let mut borrows = 0;
         loop {
             // A late request for a dropped context (resolved before
             // the retirement) simply gets a fresh one.
             self.drop_spent_contexts();
-            // Migrated lanes first: they carry in-flight work another
-            // worker already started, so they outrank fresh queue
-            // pulls.
-            loop {
-                let contexts = &self.contexts;
-                let receivable = |m: &MigratedLane| -> bool {
-                    // A fresh context always has room.
-                    contexts
-                        .iter()
-                        .find(|c| c.resolved.key == m.resolved.key)
-                        .is_none_or(|ctx| ctx.sched.scheduler.free_lanes() > 0)
-                };
-                let Some(lane) = bridge.try_receive(&receivable) else {
-                    break;
-                };
-                self.receive(lane, emit, report);
-            }
             // Fill phase: pull until the queue has nothing this worker
             // can place right now.  The admissibility predicate keeps
             // requests for saturated contexts *on the shared queue*
@@ -399,7 +309,9 @@ impl LaneWorker {
                     }
                 };
                 let Some(q) = pull(&admittable) else { break };
-                self.route(q, bridge, emit, report);
+                if self.route(q, emit, report) {
+                    borrows += 1;
+                }
             }
             // Step phase: one scheduling step for every active
             // context.  Lanes seated for a whole-sequence step are due
@@ -409,11 +321,8 @@ impl LaneWorker {
             for ctx in &mut self.contexts {
                 progressed |= step_context(ctx, emit, report);
             }
-            // Donate phase: if another worker went idle while this one
-            // still holds several active lanes, hand one over.
-            let donated = self.try_donate(bridge);
-            if !progressed && !donated && self.contexts.iter().all(ExecContext::is_idle) {
-                return;
+            if !progressed && self.contexts.iter().all(ExecContext::is_idle) {
+                return borrows;
             }
         }
     }
@@ -435,25 +344,30 @@ impl LaneWorker {
 
     /// Routes one pulled request: admits it into a lane of its
     /// context's scheduler (it starts at the next step phase) and
-    /// installs its `θ` override, if any, on that lane.  The pull
-    /// predicate guarantees the context has room; the full-context
-    /// branch below is defensive (it fails the request loudly instead
-    /// of hanging the engine if that invariant is ever broken).
+    /// installs its `θ` override, if any, on that lane.  Returns
+    /// whether the lane was borrowed from a sibling context's share.
+    /// The pull predicate guarantees the context has room; the
+    /// full-context branch below is defensive (it fails the request
+    /// loudly instead of hanging the engine if that invariant is ever
+    /// broken).
     fn route(
         &mut self,
         q: QueuedRequest,
-        bridge: &dyn StealBridge,
         emit: &mut dyn FnMut(InferenceResponse, ResponseTag),
         report: &mut dyn FnMut(String),
-    ) {
+    ) -> bool {
         let queue_latency = q.submitted_at.elapsed();
-        let tag = q.tag();
-        if q.expired() {
+        let (id, tag) = (q.req.id, q.tag());
+        // Answers the request without admitting it.
+        let mut turn_away = |status| {
             emit(
-                expired_response(q.req.id, queue_latency, Duration::ZERO),
+                empty_response(id, status, queue_latency, Duration::ZERO),
                 tag,
-            );
-            return;
+            )
+        };
+        if past_deadline(q.req.deadline, q.submitted_at) {
+            turn_away(CompletionStatus::DeadlineExpired);
+            return false;
         }
         let fair_share = self.lanes;
         let idx = self.context_index(&q.resolved);
@@ -461,11 +375,8 @@ impl LaneWorker {
         if ctx.sched.scheduler.free_lanes() == 0 {
             debug_assert!(false, "pull predicate admitted into a full scheduler");
             report("request routed to a full execution context".into());
-            emit(
-                rejected_response(q.req.id, queue_latency, Duration::ZERO),
-                tag,
-            );
-            return;
+            turn_away(CompletionStatus::Rejected);
+            return false;
         }
         // An admission past the fair share is a borrowed sibling lane.
         let borrows = ctx.sched.scheduler.active_lanes() >= fair_share;
@@ -487,123 +398,20 @@ impl LaneWorker {
                 ctx.sched.inflight.insert(
                     token,
                     Inflight {
-                        id: q.req.id,
+                        id,
                         deadline: q.req.deadline,
                         submitted_at: q.submitted_at,
                         admitted_at,
                         timesteps,
-                        serial: q.serial,
-                        shadow: q.shadow,
+                        tag,
                     },
                 );
-                if borrows {
-                    bridge.note_lane_borrow();
-                }
+                borrows
             }
             Err(e) => {
                 report(e.to_string());
-                emit(
-                    rejected_response(q.req.id, queue_latency, Duration::ZERO),
-                    tag,
-                );
-            }
-        }
-    }
-
-    /// Donor half of worker work stealing: when another worker is idle
-    /// and this one still holds two or more active lanes, extract the
-    /// lane with the most remaining work (evaluator state included) and
-    /// hand it over.  At most one lane per pump round — the pool is
-    /// drained before anyone donates again, so workers cannot flood it.
-    fn try_donate(&mut self, bridge: &dyn StealBridge) -> bool {
-        if !bridge.donation_wanted() {
-            return false;
-        }
-        let total_active: usize = self
-            .contexts
-            .iter()
-            .map(|c| c.sched.scheduler.active_lanes())
-            .sum();
-        // Never donate the last active lane: that just moves the work.
-        if total_active < 2 {
-            return false;
-        }
-        for ctx in &mut self.contexts {
-            let Some(token) = ctx.sched.scheduler.steal_candidate(MIN_STEAL_REMAINING) else {
-                continue;
-            };
-            let Some(lane) = ctx.sched.scheduler.lane_of(token) else {
-                continue;
-            };
-            // Export the evaluator's lane state *before* extraction
-            // compacts the lane prefix; evaluators without the hook
-            // keep their lanes.
-            let Some(eval_state) = ctx.evaluator.export_lane_state(lane) else {
-                continue;
-            };
-            let snapshot = ctx
-                .sched
-                .scheduler
-                .extract(token, ctx.evaluator.as_mut())
-                .expect("steal candidate is an active lane");
-            let inflight = ctx
-                .sched
-                .inflight
-                .remove(&token)
-                .expect("active lanes are tracked");
-            bridge.donate(MigratedLane {
-                resolved: ctx.resolved.clone(),
-                inflight,
-                snapshot,
-                eval_state,
-            });
-            return true;
-        }
-        false
-    }
-
-    /// Receiver half of worker work stealing: implant a migrated lane
-    /// into this worker's context for the same key and resume it
-    /// mid-sequence.  The failure paths are defensive — the donor only
-    /// exports through the same evaluator hooks — and fail the request
-    /// loudly rather than losing it.
-    fn receive(
-        &mut self,
-        lane: MigratedLane,
-        emit: &mut dyn FnMut(InferenceResponse, ResponseTag),
-        report: &mut dyn FnMut(String),
-    ) {
-        let MigratedLane {
-            resolved,
-            inflight,
-            snapshot,
-            eval_state,
-        } = lane;
-        let queue_latency = inflight.admitted_at.duration_since(inflight.submitted_at);
-        let compute_latency = inflight.admitted_at.elapsed();
-        let idx = self.context_index(&resolved);
-        let ctx = &mut self.contexts[idx];
-        let token = ctx.sched.next_token;
-        ctx.sched.next_token += 1;
-        match ctx.sched.scheduler.implant(token, snapshot) {
-            Ok(lane_idx) => {
-                if ctx.evaluator.import_lane_state(lane_idx, eval_state) {
-                    ctx.sched.inflight.insert(token, inflight);
-                } else {
-                    let _ = ctx.sched.scheduler.cancel(token, ctx.evaluator.as_mut());
-                    report("migrated lane rejected: evaluator refused the lane state".into());
-                    emit(
-                        rejected_response(inflight.id, queue_latency, compute_latency),
-                        inflight.tag(),
-                    );
-                }
-            }
-            Err(e) => {
-                report(e.to_string());
-                emit(
-                    rejected_response(inflight.id, queue_latency, compute_latency),
-                    inflight.tag(),
-                );
+                turn_away(CompletionStatus::Rejected);
+                false
             }
         }
     }
@@ -635,7 +443,7 @@ fn step_context(
     let expired: Vec<u64> = sched
         .inflight
         .iter()
-        .filter(|(_, info)| info.expired())
+        .filter(|(_, info)| past_deadline(info.deadline, info.submitted_at))
         .map(|(&token, _)| token)
         .collect();
     for token in expired {
@@ -655,12 +463,13 @@ fn step_context(
             cancelled.outputs.len(),
         );
         emit(
-            expired_response(
+            empty_response(
                 info.id,
+                CompletionStatus::DeadlineExpired,
                 info.admitted_at.duration_since(info.submitted_at),
                 info.admitted_at.elapsed(),
             ),
-            info.tag(),
+            info.tag,
         );
     }
     if sched.scheduler.is_idle() {
@@ -685,13 +494,17 @@ fn step_context(
                 emit(
                     InferenceResponse {
                         id: info.id,
-                        status: completion_status(&info.deadline, info.submitted_at),
+                        status: if past_deadline(info.deadline, info.submitted_at) {
+                            CompletionStatus::DeadlineExpired
+                        } else {
+                            CompletionStatus::Done
+                        },
                         outputs: f.outputs,
                         stats,
                         queue_latency: info.admitted_at.duration_since(info.submitted_at),
                         compute_latency: info.admitted_at.elapsed(),
                     },
-                    info.tag(),
+                    info.tag,
                 );
             }
             advanced > 0
@@ -703,12 +516,13 @@ fn step_context(
             report(e.to_string());
             for (_, info) in sched.inflight.drain() {
                 emit(
-                    rejected_response(
+                    empty_response(
                         info.id,
+                        CompletionStatus::Rejected,
                         info.admitted_at.duration_since(info.submitted_at),
                         info.admitted_at.elapsed(),
                     ),
-                    info.tag(),
+                    info.tag,
                 );
             }
             let capacity = sched.scheduler.lanes();
@@ -721,38 +535,17 @@ fn step_context(
     }
 }
 
-/// Status of a computed request: late if its deadline elapsed anywhere
-/// between submission and now.
-fn completion_status(deadline: &Option<Duration>, submitted_at: Instant) -> CompletionStatus {
-    match deadline {
-        Some(d) if submitted_at.elapsed() > *d => CompletionStatus::DeadlineExpired,
-        _ => CompletionStatus::Done,
-    }
-}
-
-fn expired_response(
+/// The response of a request that leaves without outputs: expired in
+/// the queue or on its lane, or rejected.
+fn empty_response(
     id: RequestId,
+    status: CompletionStatus,
     queue_latency: Duration,
     compute_latency: Duration,
 ) -> InferenceResponse {
     InferenceResponse {
         id,
-        status: CompletionStatus::DeadlineExpired,
-        outputs: Vec::new(),
-        stats: ReuseStats::new(),
-        queue_latency,
-        compute_latency,
-    }
-}
-
-fn rejected_response(
-    id: RequestId,
-    queue_latency: Duration,
-    compute_latency: Duration,
-) -> InferenceResponse {
-    InferenceResponse {
-        id,
-        status: CompletionStatus::Rejected,
+        status,
         outputs: Vec::new(),
         stats: ReuseStats::new(),
         queue_latency,

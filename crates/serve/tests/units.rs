@@ -1,0 +1,214 @@
+//! `nfm-serve`'s unit tests through its public surface: the request
+//! and option builders, response latency, and the `MemoizedRunner`
+//! façade over the engine.
+
+use nfm_core::{BnnMemoConfig, OracleMemoConfig, ReuseStats};
+use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, RnnError};
+use nfm_serve::{
+    CompletionStatus, InferenceRequest, InferenceResponse, InferenceWorkload, MemoizedRunner,
+    PredictorKind, Priority, RequestOptions,
+};
+use nfm_tensor::rng::DeterministicRng;
+use nfm_tensor::Vector;
+use std::time::Duration;
+
+#[test]
+fn request_builder_sets_deadline() {
+    let r = InferenceRequest::new(7, vec![Vector::zeros(2)]);
+    assert_eq!(r.id, 7);
+    assert!(r.deadline.is_none());
+    assert_eq!(r.options, RequestOptions::default());
+    let r = r.with_deadline(Duration::from_millis(5));
+    assert_eq!(r.deadline, Some(Duration::from_millis(5)));
+}
+
+#[test]
+fn with_options_replaces_all_options_at_once() {
+    let r = InferenceRequest::new(1, vec![Vector::zeros(2)]).with_options(
+        RequestOptions::for_model("asr")
+            .predictor("bnn")
+            .threshold(0.25)
+            .priority(Priority::High),
+    );
+    assert_eq!(r.options.model, Some("asr".into()));
+    assert_eq!(r.options.predictor.as_deref(), Some("bnn"));
+    assert_eq!(r.options.threshold, Some(0.25));
+    assert_eq!(r.options.priority, Priority::High);
+    let r = r.with_options(RequestOptions::default().model("kws"));
+    assert_eq!(r.options.model, Some("kws".into()));
+    assert!(r.options.predictor.is_none());
+    assert_eq!(r.options.priority, Priority::Normal);
+}
+
+#[test]
+fn options_fluent_builder_composes() {
+    let o = RequestOptions::for_model("kws")
+        .predictor("bnn")
+        .threshold(0.4)
+        .priority(Priority::High);
+    assert_eq!(o.model, Some("kws".into()));
+    assert_eq!(o.predictor.as_deref(), Some("bnn"));
+    assert_eq!(o.threshold, Some(0.4));
+    assert_eq!(o.priority, Priority::High);
+    assert_eq!(RequestOptions::new(), RequestOptions::default());
+}
+
+#[test]
+fn priority_orders_high_first() {
+    assert_eq!(Priority::default(), Priority::Normal);
+    assert!(Priority::High < Priority::Normal);
+    assert!(Priority::Normal < Priority::Low);
+    assert_eq!(
+        Priority::ALL,
+        [Priority::High, Priority::Normal, Priority::Low],
+        "every class once, in drain order"
+    );
+}
+
+#[test]
+fn response_latency_sums() {
+    let r = InferenceResponse {
+        id: 1,
+        status: CompletionStatus::Done,
+        outputs: Vec::new(),
+        stats: ReuseStats::new(),
+        queue_latency: Duration::from_millis(2),
+        compute_latency: Duration::from_millis(3),
+    };
+    assert!(r.is_done());
+    assert_eq!(r.total_latency(), Duration::from_millis(5));
+}
+
+struct Tiny {
+    net: DeepRnn,
+    seqs: Vec<Vec<Vector>>,
+}
+
+impl InferenceWorkload for Tiny {
+    fn network(&self) -> &DeepRnn {
+        &self.net
+    }
+    fn input_sequences(&self) -> &[Vec<Vector>] {
+        &self.seqs
+    }
+}
+
+/// `sequences` smooth random walks of `len` steps over a one-layer
+/// LSTM, each scaled slightly differently so they are distinct.
+fn workload(sequences: usize, len: usize) -> Tiny {
+    let mut rng = DeterministicRng::seed_from_u64(17);
+    let net = DeepRnn::random(&DeepRnnConfig::new(CellKind::Lstm, 5, 8), &mut rng).unwrap();
+    let seqs = (0..sequences)
+        .map(|i| {
+            let mut x = Vector::from_fn(5, |_| rng.uniform(-0.5, 0.5));
+            (0..len)
+                .map(|_| {
+                    x = x
+                        .add(&Vector::from_fn(5, |_| rng.uniform(-0.05, 0.05)))
+                        .unwrap();
+                    x.scale(1.0 + 0.01 * i as f32)
+                })
+                .collect()
+        })
+        .collect();
+    Tiny { net, seqs }
+}
+
+#[test]
+fn exact_runner_has_zero_reuse() {
+    let w = workload(2, 10);
+    let outcome = MemoizedRunner::exact().run(&w).unwrap();
+    assert_eq!(outcome.outputs.len(), 2);
+    assert_eq!(outcome.reuse_fraction(), 0.0);
+    assert_eq!(
+        outcome.stats.evaluations(),
+        (2 * 10 * w.net.neuron_evaluations_per_step()) as u64
+    );
+}
+
+#[test]
+fn oracle_and_bnn_runners_report_reuse() {
+    let w = workload(2, 20);
+    let oracle = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.5))
+        .run(&w)
+        .unwrap();
+    let bnn = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(2.0))
+        .run(&w)
+        .unwrap();
+    assert!(oracle.reuse_fraction() > 0.0);
+    assert!(bnn.reuse_fraction() > 0.0);
+    assert!(oracle.reuse_percent() <= 100.0);
+    assert!(bnn.reuse_percent() <= 100.0);
+}
+
+#[test]
+fn predictor_kind_is_observable() {
+    let r = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.1));
+    assert!(matches!(r.predictor(), PredictorKind::Bnn(_)));
+    assert!(matches!(
+        MemoizedRunner::exact().predictor(),
+        PredictorKind::Exact
+    ));
+    assert!(matches!(
+        MemoizedRunner::oracle(OracleMemoConfig::default()).predictor(),
+        PredictorKind::Oracle(_)
+    ));
+}
+
+#[test]
+fn exact_and_zero_threshold_oracle_agree() {
+    let w = workload(1, 12);
+    let exact = MemoizedRunner::exact().run(&w).unwrap();
+    let oracle = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.0))
+        .run(&w)
+        .unwrap();
+    assert_eq!(exact.outputs, oracle.outputs);
+}
+
+#[test]
+fn empty_sequence_errors_propagate_from_the_worker() {
+    let mut w = workload(3, 6);
+    w.seqs[1].clear();
+    assert!(MemoizedRunner::exact().run(&w).is_err());
+    assert!(MemoizedRunner::exact().run_batched(&w, 2).is_err());
+}
+
+#[test]
+fn run_batched_matches_run_for_every_predictor() {
+    let w = workload(5, 12);
+    for runner in [
+        MemoizedRunner::exact(),
+        MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4)),
+        MemoizedRunner::bnn(BnnMemoConfig::with_threshold(1.0)),
+    ] {
+        let reference = runner.run(&w).unwrap();
+        // 2 leaves lanes draining at different steps over 5
+        // sequences; 8 exceeds the sequence count.
+        for batch in [1usize, 2, 5, 8] {
+            let batched = runner.run_batched(&w, batch).unwrap();
+            assert_eq!(batched.outputs, reference.outputs, "batch={batch}");
+            assert_eq!(batched.stats, reference.stats, "batch={batch}");
+        }
+    }
+}
+
+#[test]
+fn run_batched_rejects_zero_lanes() {
+    let w = workload(2, 6);
+    let err = MemoizedRunner::exact().run_batched(&w, 0).unwrap_err();
+    assert!(matches!(err, RnnError::InvalidConfig { .. }));
+    assert!(err.to_string().contains("batch_size >= 1"), "{err}");
+}
+
+#[test]
+fn empty_workload_yields_empty_outcome() {
+    let w = Tiny {
+        net: workload(1, 4).net,
+        seqs: Vec::new(),
+    };
+    let outcome = MemoizedRunner::exact().run(&w).unwrap();
+    assert!(outcome.outputs.is_empty());
+    assert_eq!(outcome.stats, ReuseStats::new());
+    let outcome = MemoizedRunner::exact().run_batched(&w, 3).unwrap();
+    assert!(outcome.outputs.is_empty());
+}

@@ -15,19 +15,19 @@
 //!    overrides are typed submit-time errors; duplicate registrations
 //!    are rejected.
 //! 4. **Scheduling knobs** — priorities reorder admission (never
-//!    results); per-step deadline aborts free a lane mid-sequence
-//!    under `DropExpired` and are policy-gated.
-//! 5. **Lane and work stealing** — a hot model borrows the lanes a
-//!    cold sibling context leaves idle (never past the worker-wide
-//!    fair-share total), a custom evaluator can opt into cross-worker
-//!    lane migration, and a migrated request still aborts at its
-//!    deadline on the receiving worker — none of which ever changes
-//!    results.
+//!    results); an in-flight request whose deadline expires is aborted
+//!    between steps, freeing its lane mid-sequence.
+//! 5. **Lane borrowing and ownership** — a hot model borrows the lanes
+//!    a cold sibling context leaves idle (never past the worker-wide
+//!    fair-share total) without changing results, and a lane never
+//!    leaves the worker that seated it: with a sibling worker idle, a
+//!    busy worker's deadline-bound lanes still abort where they were
+//!    seated.
 
 use nfm::bnn::BinaryNetwork;
 use nfm::memo::{
-    BnnMemoConfig, BnnMemoEvaluator, LaneState, Model, OracleEvaluator, OracleMemoConfig,
-    Predictor, ReuseStats, ServedEvaluator,
+    BnnMemoConfig, BnnMemoEvaluator, Model, OracleEvaluator, OracleMemoConfig, Predictor,
+    ReuseStats, ServedEvaluator,
 };
 use nfm::rnn::{
     CellKind, DeepRnn, DeepRnnConfig, Direction, Gate, GateBatch, GateId, LaneScheduler,
@@ -42,6 +42,7 @@ use nfm::tensor::Vector;
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 fn smooth_sequence(len: usize, width: usize, seed: u64) -> Vec<Vector> {
@@ -559,74 +560,67 @@ fn one_context_serves_mixed_thresholds_on_its_lanes() {
     }
 }
 
-/// A lane's θ override is part of the state that migrates: a request
-/// admitted with an override, extracted mid-sequence and implanted on
-/// another scheduler with its evaluator state exported and imported
-/// (what a work-stealing engine does) finishes bit-identical to a
-/// dedicated run at its θ, its un-overridden neighbour at the
-/// configured one — and the next request on the receiving lane is back
-/// at the configured θ.
+/// Steps `sched` until idle and returns every finished lane's outputs
+/// and statistics by token, each lane's statistics taken before the
+/// next admission can reuse its slot.
+fn drain_lanes(
+    net: &DeepRnn,
+    sched: &mut LaneScheduler,
+    eval: &mut dyn ServedEvaluator,
+) -> HashMap<u64, (Vec<Vector>, ReuseStats)> {
+    let mut done = HashMap::new();
+    let mut finished = Vec::new();
+    while sched.step(net, eval, &mut finished).unwrap() > 0 {
+        for f in finished.drain(..) {
+            let stats = eval.take_lane_stats(f.stats_lane).unwrap();
+            done.insert(f.token, (f.outputs, stats));
+        }
+    }
+    done
+}
+
+/// A lane's θ override moves with its lane: a request admitted with
+/// an override behind a shorter neighbour is moved to the front when
+/// the scheduler sorts its lanes longest-first, and finishes
+/// bit-identical to a dedicated run at its θ, its un-overridden
+/// neighbour at the configured one — and the next request seated in
+/// the slot it vacates is back at the configured θ.
 #[test]
-fn a_lane_override_migrates_with_its_lane() {
+fn a_lane_override_moves_with_its_lane() {
     let model = Model::from(unidirectional_network(99));
     let (net, mirror) = (model.network().as_ref(), model.mirror());
     let kind = PredictorKind::Bnn(BnnMemoConfig::with_threshold(1.0));
-    let stolen = smooth_sequence(30, net.input_size(), 3300);
+    let overridden = smooth_sequence(30, net.input_size(), 3300);
     let neighbour = smooth_sequence(13, net.input_size(), 3301);
     let successor = smooth_sequence(10, net.input_size(), 3302);
 
-    let mut donor_eval = kind.build_evaluator(&model);
-    donor_eval.begin_batch(2);
-    let mut donor = LaneScheduler::new(net, 2).unwrap();
-    donor
-        .admit(1, neighbour.clone(), donor_eval.as_mut())
-        .unwrap();
-    let lane = donor.admit(0, stolen.clone(), donor_eval.as_mut()).unwrap();
-    donor_eval.set_lane_threshold(lane, 0.25);
+    let mut eval = kind.build_evaluator(&model);
+    eval.begin_batch(2);
+    let mut sched = LaneScheduler::new(net, 2).unwrap();
+    sched.admit(1, neighbour.clone(), eval.as_mut()).unwrap();
+    let lane = sched.admit(0, overridden.clone(), eval.as_mut()).unwrap();
+    assert_eq!(lane, 1, "seated behind its neighbour");
+    eval.set_lane_threshold(lane, 0.25);
     let mut finished = Vec::new();
     // One block in: sorting moved the longer, overridden lane to the
     // front, its θ with it.
-    donor.step(net, donor_eval.as_mut(), &mut finished).unwrap();
-    assert_eq!(donor.lane_of(0), Some(0));
-    let state = donor_eval.export_lane_state(0).expect("memo lanes migrate");
-    let snapshot = donor.extract(0, donor_eval.as_mut()).unwrap();
+    sched.step(net, eval.as_mut(), &mut finished).unwrap();
+    assert!(finished.is_empty());
+    assert_eq!(sched.lane_of(0), Some(0));
+    let mut done = drain_lanes(net, &mut sched, eval.as_mut());
+    let slot = sched.admit(5, successor.clone(), eval.as_mut()).unwrap();
+    assert_eq!(slot, 0, "the successor reuses the overridden lane's slot");
+    done.extend(drain_lanes(net, &mut sched, eval.as_mut()));
 
-    let mut receiver_eval = kind.build_evaluator(&model);
-    receiver_eval.begin_batch(1);
-    let mut receiver = LaneScheduler::new(net, 1).unwrap();
-    let lane = receiver.implant(0, snapshot).unwrap();
-    assert!(receiver_eval.import_lane_state(lane, state));
-
-    let mut drain = |sched: &mut LaneScheduler, eval: &mut Box<dyn ServedEvaluator>| {
-        finished.clear();
-        while sched.step(net, eval.as_mut(), &mut finished).unwrap() > 0 {}
-        assert_eq!(finished.len(), 1);
-        let stats = eval.take_lane_stats(finished[0].stats_lane).unwrap();
-        (std::mem::take(&mut finished[0].outputs), stats)
-    };
-    for (what, theta, seq, (outputs, stats)) in [
-        (
-            "stolen lane",
-            0.25,
-            &stolen,
-            drain(&mut receiver, &mut receiver_eval),
-        ),
-        (
-            "neighbour",
-            1.0,
-            &neighbour,
-            drain(&mut donor, &mut donor_eval),
-        ),
-        ("successor", 1.0, &successor, {
-            receiver
-                .admit(5, successor.clone(), receiver_eval.as_mut())
-                .unwrap();
-            drain(&mut receiver, &mut receiver_eval)
-        }),
+    for (what, token, theta, seq) in [
+        ("overridden lane", 0, 0.25, &overridden),
+        ("neighbour", 1, 1.0, &neighbour),
+        ("successor", 5, 1.0, &successor),
     ] {
+        let (outputs, stats) = &done[&token];
         let (reference, reference_stats) = dedicated_run(net, mirror, kind, theta, seq);
-        assert_bit_identical(what, &outputs, &reference);
-        assert_eq!(stats, reference_stats, "{what}: per-request stats");
+        assert_bit_identical(what, outputs, &reference);
+        assert_eq!(*stats, reference_stats, "{what}: per-request stats");
     }
 }
 
@@ -761,11 +755,15 @@ struct SleepyPredictor {
 /// Hold points shared by every evaluator of one [`SleepyPredictor`]:
 /// the first gate call made anywhere reports in and blocks until the
 /// test releases it, and the first gate call carrying two lanes is
-/// reported.
-#[derive(Debug)]
+/// reported.  Every gate call is counted by the thread that made it,
+/// and the threads that hit the two hold points are recorded.
+#[derive(Debug, Default)]
 struct Stage {
     first_call: Mutex<Option<(Sender<()>, Receiver<()>)>>,
     two_lanes: Mutex<Option<Sender<()>>>,
+    calls: Mutex<HashMap<ThreadId, usize>>,
+    held: Mutex<Option<ThreadId>>,
+    seated: Mutex<Option<ThreadId>>,
 }
 
 struct SleepyEvaluator {
@@ -787,13 +785,17 @@ impl NeuronEvaluator for SleepyEvaluator {
 
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
         if let Some(stage) = &self.stage {
+            let me = thread::current().id();
+            *stage.calls.lock().unwrap().entry(me).or_default() += 1;
             if call.lanes == 2 {
                 if let Some(seated) = stage.two_lanes.lock().unwrap().take() {
+                    *stage.seated.lock().unwrap() = Some(me);
                     seated.send(()).unwrap();
                 }
             }
             let hold = stage.first_call.lock().unwrap().take();
             if let Some((started, release)) = hold {
+                *stage.held.lock().unwrap() = Some(me);
                 started.send(()).unwrap();
                 release.recv().unwrap();
             }
@@ -803,19 +805,7 @@ impl NeuronEvaluator for SleepyEvaluator {
     }
 }
 
-// Stateless per lane (the inner exact evaluator recomputes everything
-// from the scheduler-carried recurrent state), so it can opt into
-// cross-worker lane migration with a unit lane-state token — the
-// custom-evaluator side of the work-stealing contract.
-impl ServedEvaluator for SleepyEvaluator {
-    fn export_lane_state(&mut self, _lane: usize) -> Option<LaneState> {
-        Some(Box::new(()))
-    }
-
-    fn import_lane_state(&mut self, _lane: usize, state: LaneState) -> bool {
-        state.downcast::<()>().is_ok()
-    }
-}
+impl ServedEvaluator for SleepyEvaluator {}
 
 impl Predictor for SleepyPredictor {
     fn name(&self) -> &str {
@@ -895,7 +885,7 @@ fn per_step_deadline_abort_frees_the_lane_mid_sequence() {
     assert_eq!(done.outputs.len(), short.len());
 }
 
-/// Contract 5a: cross-context lane stealing.  A hot model may borrow
+/// Contract 5a: cross-context lane borrowing.  A hot model may borrow
 /// the lanes a cold sibling context leaves idle — but never past the
 /// worker-wide fair-share total — and borrowing changes admission only,
 /// never results.  With one worker and a paused engine the fill order
@@ -1016,17 +1006,17 @@ fn hot_context_borrows_idle_lanes_from_cold_sibling() {
     );
 }
 
-/// Contract 5b: steal-then-deadline-abort.  A request migrated to
-/// another worker mid-sequence still aborts at its deadline on the
-/// receiving worker under `DropExpired`, and every request — migrated
-/// or not — is reported exactly once.
+/// Contract 5b: lanes stay on the worker that seated them.  With one
+/// worker parked and the other holding two deadline-bound longs, both
+/// longs abort at their deadline on the worker that seated them, and
+/// every request is reported exactly once.
 ///
 /// The layout is staged, not raced: a short request is held inside its
 /// first gate call while two deadline-bound longs are submitted, so the
 /// *other* worker necessarily seats both; only then is the short
 /// released.  Its worker retires it and parks while the longs' worker
-/// still holds two lanes with most of their steps left — the donation
-/// precondition — long before the deadline.
+/// still holds two lanes with most of their steps left, long before the
+/// deadline.
 #[test]
 fn stolen_lanes_still_abort_on_deadline() {
     let mut rng = DeterministicRng::seed_from_u64(73);
@@ -1034,7 +1024,7 @@ fn stolen_lanes_still_abort_on_deadline() {
     let net = DeepRnn::random(&DeepRnnConfig::new(CellKind::Gru, 4, 6), &mut rng).unwrap();
     let short = smooth_sequence(6, net.input_size(), 1);
     // Two longs that cannot possibly meet their 300ms deadline (≥ 480ms
-    // each); the steal happens some 50ms in.
+    // each); the short's worker parks some 50ms in.
     let longs = [
         smooth_sequence(160, net.input_size(), 3),
         smooth_sequence(160, net.input_size(), 4),
@@ -1044,6 +1034,11 @@ fn stolen_lanes_still_abort_on_deadline() {
     let (started_tx, started) = channel();
     let (release, release_rx) = channel();
     let (seated_tx, seated) = channel();
+    let stage = Arc::new(Stage {
+        first_call: Mutex::new(Some((started_tx, release_rx))),
+        two_lanes: Mutex::new(Some(seated_tx)),
+        ..Stage::default()
+    });
     let mut registry = ModelRegistry::new();
     registry
         .register(
@@ -1051,10 +1046,7 @@ fn stolen_lanes_still_abort_on_deadline() {
             net.clone(),
             SleepyPredictor {
                 delay: Duration::from_millis(1),
-                stage: Some(Arc::new(Stage {
-                    first_call: Mutex::new(Some((started_tx, release_rx))),
-                    two_lanes: Mutex::new(Some(seated_tx)),
-                })),
+                stage: Some(Arc::clone(&stage)),
             },
         )
         .unwrap();
@@ -1085,7 +1077,7 @@ fn stolen_lanes_still_abort_on_deadline() {
     release.send(()).unwrap();
 
     let responses = engine.drain();
-    assert_eq!(responses.len(), 3, "exactly-once across migration");
+    assert_eq!(responses.len(), 3, "exactly once");
     let done = responses.iter().find(|r| r.id == 0).unwrap();
     assert_eq!(done.status, CompletionStatus::Done);
     assert_eq!(done.outputs.len(), short.len());
@@ -1098,8 +1090,20 @@ fn stolen_lanes_still_abort_on_deadline() {
             "long {i}: the abort happened on a lane"
         );
     }
-    // Exactly one steal: a worker parked while the other held two
-    // longs, so one lane migrated — and its donor left it in the pool
-    // for the parked worker instead of taking it back.
-    assert_eq!(engine.migrations(), 1);
+    assert_eq!(engine.migrations(), 0);
+
+    // The short's worker made exactly the gate calls of the short run
+    // alone: it never computed a timestep of either long.
+    let held = stage.held.lock().unwrap().expect("the short was held");
+    let seated_on = stage.seated.lock().unwrap().expect("the longs were seated");
+    assert_ne!(held, seated_on, "the longs were seated on the other worker");
+    let solo = Arc::new(Stage::default());
+    let mut alone = SleepyEvaluator {
+        inner: nfm::rnn::ExactEvaluator::new(),
+        delay: Duration::ZERO,
+        stage: Some(Arc::clone(&solo)),
+    };
+    net.run(&short, &mut alone).unwrap();
+    let solo_calls = solo.calls.lock().unwrap()[&thread::current().id()];
+    assert_eq!(stage.calls.lock().unwrap()[&held], solo_calls);
 }

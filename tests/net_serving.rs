@@ -171,7 +171,7 @@ fn deadline_expiry_travels_the_wire() {
     match client.recv().expect("recv") {
         ServerFrame::Response(r) => {
             assert_eq!(r.status, CompletionStatus::DeadlineExpired);
-            assert!(r.outputs.is_empty(), "DropExpired ships no outputs");
+            assert!(r.outputs.is_empty(), "an expired request ships no outputs");
         }
         other => panic!("unexpected frame: {other:?}"),
     }

@@ -1,6 +1,6 @@
 //! Serving semantics of the request engine.
 //!
-//! Four contracts:
+//! Three contracts:
 //!
 //! 1. **Equivalence** — mid-wave lane refill (the unified lane
 //!    scheduler's block schedule) produces outputs, per-request reuse
@@ -8,20 +8,17 @@
 //!    sequences per-sequence and to the layer-lockstep wave schedule,
 //!    for every predictor and for ragged lengths.
 //! 2. **Deadlines** — expired requests are always *reported* (never
-//!    silently dropped), under both deadline policies.
+//!    silently dropped).
 //! 3. **Backpressure** — a full bounded queue rejects submissions with
 //!    a `QueueFull` error; degenerate engine configurations are
 //!    rejected at build time.
-//! 4. **Work stealing** — migrating an in-flight lane from a saturated
-//!    worker to an idle one never changes any request's outputs or
-//!    statistics, and every request is still reported exactly once.
 
 use nfm::bnn::BinaryNetwork;
 use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig, ReuseStats};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, NeuronEvaluator};
 use nfm::serve::{
     CompletionStatus, Engine, EngineBuilder, EngineError, InferenceRequest, MemoizedRunner,
-    PredictorKind, RequestOptions,
+    PredictorKind,
 };
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
@@ -393,105 +390,6 @@ fn shutdown_refuses_further_submissions() {
         ))
         .unwrap();
     drop(engine); // must not hang: workers drain and join
-}
-
-/// Contract 4: with two workers and a saturated/idle split, an
-/// in-flight lane migrates between workers (`Engine::migrations`) and
-/// every response — the migrated request's included — stays
-/// bit-identical to its dedicated reference, outputs and per-request
-/// memo statistics alike, with every request reported exactly once.
-///
-/// The receiving worker has already retired its own short requests when
-/// the donation arrives, so the implant lands in a context mid-stream
-/// (the steal-during-mid-wave-refill configuration), not a fresh one.
-/// The long requests each override θ, so the lane that migrates
-/// carries an override with it.  Which worker grabs the two long
-/// requests is a scheduling race, so the engine is re-run until a
-/// migration happens; bit-identity is asserted on every attempt
-/// regardless.
-#[test]
-fn work_stealing_migrates_lanes_bit_identically_across_workers() {
-    let (_, net) = unidirectional_networks().into_iter().next().unwrap();
-    let theta = 1.0f32;
-    // Two long sequences (worth stealing) + two ragged shorts (retire
-    // early, leaving their worker idle and its context mid-stream).
-    let lens: [usize; 4] = [300, 280, 10, 6];
-    let overrides: [Option<f32>; 4] = [Some(0.5), Some(2.0), None, None];
-    let seqs: Vec<Vec<Vector>> = lens
-        .iter()
-        .enumerate()
-        .map(|(i, &len)| smooth_sequence(len, net.input_size(), 4000 + i as u64))
-        .collect();
-    let mirror = BinaryNetwork::mirror(&net);
-    let reference: Vec<(Vec<Vector>, ReuseStats)> = seqs
-        .iter()
-        .zip(overrides)
-        .map(|(seq, theta_override)| {
-            let theta = theta_override.unwrap_or(theta);
-            let mut eval =
-                BnnMemoEvaluator::new(mirror.clone(), BnnMemoConfig::with_threshold(theta));
-            let outputs = net.run(seq, &mut eval).unwrap();
-            (outputs, *eval.stats())
-        })
-        .collect();
-
-    let mut migrated = false;
-    for attempt in 0..20 {
-        let engine = EngineBuilder::new(
-            net.clone(),
-            PredictorKind::Bnn(BnnMemoConfig::with_threshold(theta)),
-        )
-        .lanes(2)
-        .workers(2)
-        .queue_capacity(seqs.len())
-        .start_paused()
-        .build()
-        .unwrap();
-        for (i, seq) in seqs.iter().enumerate() {
-            let mut options = RequestOptions::new();
-            if let Some(theta) = overrides[i] {
-                options = options.threshold(theta);
-            }
-            engine
-                .submit(InferenceRequest::new(i as u64, seq.clone()).with_options(options))
-                .unwrap();
-        }
-        let mut responses = engine.drain();
-        assert_eq!(
-            responses.len(),
-            seqs.len(),
-            "attempt {attempt}: exactly-once"
-        );
-        responses.sort_by_key(|r| r.id);
-        for (i, r) in responses.iter().enumerate() {
-            assert_eq!(
-                r.id, i as u64,
-                "attempt {attempt}: no duplicate or lost ids"
-            );
-            assert_eq!(
-                r.status,
-                CompletionStatus::Done,
-                "attempt {attempt} seq {i}"
-            );
-            assert_bit_identical(
-                &format!("steal attempt {attempt} seq {i}"),
-                &r.outputs,
-                &reference[i].0,
-            );
-            assert_eq!(
-                r.stats, reference[i].1,
-                "attempt {attempt} seq {i}: memo stats survive migration"
-            );
-        }
-        if engine.migrations() > 0 {
-            migrated = true;
-            break;
-        }
-    }
-    assert!(
-        migrated,
-        "no lane migrated in 20 attempts (2 long + 2 short requests over 2 workers)"
-    );
 }
 
 #[test]

@@ -1,11 +1,15 @@
-//! The serving crates' own round-trip suites, mounted here so they run
-//! under the umbrella package's tier-1 `cargo test -q` too: the
-//! `crates/net` wire-protocol properties (seeded frames round-trip,
-//! damaged ones give typed errors) and the `crates/model` artifact
-//! properties (bitwise fidelity, zero-copy views, never a panic).
+//! The serving crates' own suites, mounted here so they run under the
+//! umbrella package's tier-1 `cargo test -q` too: the `crates/net`
+//! wire-protocol properties (seeded frames round-trip, damaged ones
+//! give typed errors), the `crates/model` artifact properties (bitwise
+//! fidelity, zero-copy views, never a panic) and `crates/serve`'s unit
+//! tests (request builders, the `MemoizedRunner` façade).
 
 #[path = "../crates/net/tests/protocol_roundtrip.rs"]
 mod protocol;
 
 #[path = "../crates/model/tests/artifact_roundtrip.rs"]
 mod artifact;
+
+#[path = "../crates/serve/tests/units.rs"]
+mod serve;
