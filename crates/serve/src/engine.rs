@@ -1,468 +1,22 @@
 //! The serving engine: a bounded, priority-aware submission queue in
 //! front of worker threads that each drive per-model lane schedulers.
 
+pub use crate::error::EngineError;
+use crate::lifecycle::Lifecycle;
+pub use crate::lifecycle::{CanaryConfig, CanaryRule, SwapOutcome, SwapReport, SwapStatus};
 use crate::registry::{ContextKey, ModelId, ModelRegistry, ModelVersion};
-use crate::request::{CompletionStatus, InferenceRequest, InferenceResponse, Priority, RequestId};
+use crate::request::{InferenceRequest, InferenceResponse};
 use crate::worker::{LaneWorker, QueuedRequest, ResponseTag};
 use nfm_core::{ControlSnapshot, Model, Predictor, ReuseStats};
-use nfm_model::ModelArtifactError;
-use nfm_rnn::RnnError;
-use nfm_tensor::Vector;
-use std::collections::{HashMap, VecDeque};
-use std::error::Error;
-use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard};
+use std::collections::VecDeque;
+use std::ops::Deref;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// The model id [`EngineBuilder::new`] registers its single network
 /// under — the single-model API is sugar for a one-entry registry.
 pub const DEFAULT_MODEL: &str = "default";
-
-/// Errors surfaced by [`EngineBuilder::build`],
-/// [`Engine::submit`] and [`ModelRegistry`] registration.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EngineError {
-    /// The builder was configured outside the accepted ranges (all
-    /// three knobs accept `1..`): the engine refuses degenerate
-    /// configurations instead of silently clamping them.
-    InvalidConfig {
-        /// Which constraint was violated.
-        what: String,
-    },
-    /// The submission queue is at capacity — backpressure.  Retry after
-    /// draining some responses, or build the engine with a larger
-    /// [`queue_capacity`](EngineBuilder::queue_capacity).
-    QueueFull {
-        /// The configured capacity that is currently exhausted.
-        capacity: usize,
-    },
-    /// The request's sequence is empty.
-    EmptySequence {
-        /// The offending request.
-        id: RequestId,
-    },
-    /// A sequence element does not match the targeted model's input
-    /// width.
-    InputSizeMismatch {
-        /// The offending request.
-        id: RequestId,
-        /// Width the targeted model's network expects.
-        expected: usize,
-        /// Width found.
-        found: usize,
-        /// Index of the offending element.
-        timestep: usize,
-    },
-    /// The request names a model that is not registered.
-    UnknownModel {
-        /// The id that failed to resolve.
-        model: ModelId,
-    },
-    /// The request names a predictor that is not registered for its
-    /// model.
-    UnknownPredictor {
-        /// The model the lookup ran against.
-        model: ModelId,
-        /// The predictor name that failed to resolve.
-        predictor: String,
-    },
-    /// The request overrides the threshold of a predictor that accepts
-    /// no override (the exact baseline, the adaptive predictor, custom
-    /// predictors that leave
-    /// [`Predictor::accepts_threshold_override`]
-    /// at its default).
-    ThresholdUnsupported {
-        /// The model the request targeted.
-        model: ModelId,
-        /// The predictor without a threshold.
-        predictor: String,
-    },
-    /// A model id was registered twice.
-    DuplicateModel {
-        /// The contested id.
-        model: ModelId,
-    },
-    /// A predictor name was registered twice for the same model.
-    DuplicatePredictor {
-        /// The model the registration ran against.
-        model: ModelId,
-        /// The contested predictor name.
-        predictor: String,
-    },
-    /// The registry holds no models, so there is nothing to serve (and
-    /// no default model to resolve requests against).
-    EmptyRegistry,
-    /// A hot swap is already staged for this model; resolve it
-    /// (promotion, rollback or eviction) before staging another.
-    SwapInProgress {
-        /// The model with a pending swap.
-        model: ModelId,
-    },
-    /// Evicting this model would leave the registry empty; an engine
-    /// cannot serve without a default model.
-    CannotEvictLast {
-        /// The model that was not evicted.
-        model: ModelId,
-    },
-    /// A model artifact could not be loaded (converted from
-    /// [`ModelArtifactError`], which has the failure taxonomy).
-    BadArtifact {
-        /// The underlying artifact error, rendered.
-        what: String,
-    },
-    /// The engine has been shut down and accepts no further work.
-    ShutDown,
-}
-
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::InvalidConfig { what } => write!(f, "invalid engine config: {what}"),
-            EngineError::QueueFull { capacity } => {
-                write!(
-                    f,
-                    "submission queue full (capacity {capacity}); backpressure"
-                )
-            }
-            EngineError::EmptySequence { id } => {
-                write!(f, "request {id} has an empty sequence")
-            }
-            EngineError::InputSizeMismatch {
-                id,
-                expected,
-                found,
-                timestep,
-            } => write!(
-                f,
-                "request {id}: element {timestep} has width {found}, network expects {expected}"
-            ),
-            EngineError::UnknownModel { model } => {
-                write!(f, "no model registered under id {model:?}")
-            }
-            EngineError::UnknownPredictor { model, predictor } => {
-                write!(f, "model {model:?} has no predictor named {predictor:?}")
-            }
-            EngineError::ThresholdUnsupported { model, predictor } => write!(
-                f,
-                "predictor {predictor:?} of model {model:?} has no threshold to override"
-            ),
-            EngineError::DuplicateModel { model } => {
-                write!(f, "model id {model:?} is already registered")
-            }
-            EngineError::DuplicatePredictor { model, predictor } => write!(
-                f,
-                "model {model:?} already has a predictor named {predictor:?}"
-            ),
-            EngineError::EmptyRegistry => {
-                write!(f, "the model registry is empty; register a model first")
-            }
-            EngineError::SwapInProgress { model } => {
-                write!(f, "model {model:?} already has a hot swap staged")
-            }
-            EngineError::CannotEvictLast { model } => {
-                write!(f, "cannot evict {model:?}: it is the last registered model")
-            }
-            EngineError::BadArtifact { what } => write!(f, "bad model artifact: {what}"),
-            EngineError::ShutDown => write!(f, "engine is shut down"),
-        }
-    }
-}
-
-impl Error for EngineError {}
-
-impl From<ModelArtifactError> for EngineError {
-    fn from(e: ModelArtifactError) -> EngineError {
-        EngineError::BadArtifact {
-            what: e.to_string(),
-        }
-    }
-}
-
-impl From<EngineError> for RnnError {
-    fn from(e: EngineError) -> RnnError {
-        match e {
-            EngineError::EmptySequence { .. } => RnnError::EmptySequence,
-            EngineError::InputSizeMismatch {
-                expected,
-                found,
-                timestep,
-                ..
-            } => RnnError::InputSizeMismatch {
-                expected,
-                found,
-                timestep,
-            },
-            other => RnnError::InvalidConfig {
-                what: other.to_string(),
-            },
-        }
-    }
-}
-
-/// Which live requests a staged hot swap canaries on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CanaryRule {
-    /// Route this fraction (`(0, 1]`) of the model's traffic to the
-    /// staged version.  Routing is a deterministic proportional
-    /// counter, not sampling: over any window the canary share tracks
-    /// the fraction exactly.
-    Fraction(f32),
-    /// Route exactly this priority class to the staged version.
-    Priority(Priority),
-}
-
-/// How a hot swap canaries and when it decides.
-///
-/// Every canaried request runs **twice**: once on the staged version
-/// (the response the caller sees) and once on the incumbent (a shadow,
-/// suppressed from the response stream but compared output-by-output).
-/// The swap promotes after [`min_requests`](CanaryConfig::min_requests)
-/// comparisons stay within [`tolerance`](CanaryConfig::tolerance), and
-/// rolls back on the first comparison that exceeds it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CanaryConfig {
-    /// Which requests canary.
-    pub rule: CanaryRule,
-    /// Completed canary/incumbent comparisons required to promote
-    /// (`>= 1`).
-    pub min_requests: u64,
-    /// Largest tolerated absolute output difference between the staged
-    /// and incumbent versions.  `0.0` demands bit-identical outputs —
-    /// right for weight-preserving swaps (artifact reloads); widen it
-    /// for genuinely retrained weights.
-    pub tolerance: f32,
-}
-
-impl CanaryConfig {
-    /// Canary `fraction` of the model's traffic, promote after 8 clean
-    /// comparisons at zero tolerance.
-    pub fn fraction(fraction: f32) -> Self {
-        CanaryConfig {
-            rule: CanaryRule::Fraction(fraction),
-            min_requests: 8,
-            tolerance: 0.0,
-        }
-    }
-
-    /// Canary exactly one priority class, promote after 8 clean
-    /// comparisons at zero tolerance.
-    pub fn priority(priority: Priority) -> Self {
-        CanaryConfig {
-            rule: CanaryRule::Priority(priority),
-            min_requests: 8,
-            tolerance: 0.0,
-        }
-    }
-
-    /// Sets the comparisons required to promote (`>= 1`).
-    pub fn min_requests(mut self, min_requests: u64) -> Self {
-        self.min_requests = min_requests;
-        self
-    }
-
-    /// Sets the tolerated absolute output difference.
-    pub fn tolerance(mut self, tolerance: f32) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
-    fn validate(&self) -> Result<(), EngineError> {
-        if let CanaryRule::Fraction(f) = self.rule {
-            if !(f > 0.0 && f <= 1.0) {
-                return Err(EngineError::InvalidConfig {
-                    what: format!("canary fraction must be in (0, 1], got {f}"),
-                });
-            }
-        }
-        if self.min_requests == 0 {
-            return Err(EngineError::InvalidConfig {
-                what: "canary min_requests must be >= 1".into(),
-            });
-        }
-        if self.tolerance.is_nan() || self.tolerance < 0.0 {
-            return Err(EngineError::InvalidConfig {
-                what: format!("canary tolerance must be >= 0, got {}", self.tolerance),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// How a hot swap ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwapOutcome {
-    /// Enough canary comparisons matched; the staged version is live.
-    Promoted,
-    /// A comparison exceeded the tolerance; the staged version was
-    /// discarded and the incumbent kept serving.
-    RolledBack,
-}
-
-/// Live progress of a staged hot swap ([`Engine::swap_status`]).
-#[derive(Debug, Clone)]
-pub struct SwapStatus {
-    /// The model being swapped.
-    pub model: ModelId,
-    /// The incumbent version.
-    pub from: ModelVersion,
-    /// The staged version.
-    pub to: ModelVersion,
-    /// Requests for this model observed while the swap was undecided.
-    pub seen: u64,
-    /// Canary pairs routed so far.
-    pub canaries: u64,
-    /// Comparisons completed within tolerance.
-    pub matched: u64,
-    /// Canary pairs still in flight.
-    pub in_flight: usize,
-    /// The decision, once reached (applied after the in-flight pairs
-    /// finish).
-    pub decision: Option<SwapOutcome>,
-}
-
-/// The record of a finished hot swap ([`Engine::swap_reports`]).
-#[derive(Debug, Clone)]
-pub struct SwapReport {
-    /// The model that was swapped.
-    pub model: ModelId,
-    /// The version that was serving when the swap was staged.
-    pub from: ModelVersion,
-    /// The version that was staged.
-    pub to: ModelVersion,
-    /// How the swap ended.
-    pub outcome: SwapOutcome,
-    /// Canary pairs routed.
-    pub canaries: u64,
-    /// Comparisons completed within tolerance.
-    pub matched: u64,
-    /// Largest absolute output difference observed across all
-    /// comparisons.
-    pub max_abs_diff: f32,
-    /// Reuse counters accumulated by the staged version's canary runs.
-    pub canary_stats: ReuseStats,
-    /// Reuse counters accumulated by the incumbent's shadow runs.
-    pub incumbent_stats: ReuseStats,
-}
-
-/// One half of a canary pair, captured at emission.
-#[derive(Debug)]
-struct ObservedHalf {
-    done: bool,
-    outputs: Vec<Vector>,
-    stats: ReuseStats,
-}
-
-/// A canary pair waiting for both halves.
-#[derive(Debug, Default)]
-struct PendingPair {
-    canary: Option<ObservedHalf>,
-    incumbent: Option<ObservedHalf>,
-}
-
-/// Engine-side bookkeeping of one staged hot swap.  Lives in [`State`]
-/// (mutated under the state lock by `submit` and the workers' emit
-/// path); the decision is applied to the registry later by
-/// [`Engine::apply_ready_swaps`] under the registry write lock.
-#[derive(Debug)]
-struct SwapState {
-    model: ModelId,
-    from: ModelVersion,
-    to: ModelVersion,
-    config: CanaryConfig,
-    seen: u64,
-    routed: u64,
-    matched: u64,
-    max_abs_diff: f32,
-    pending: HashMap<u64, PendingPair>,
-    decision: Option<SwapOutcome>,
-    canary_stats: ReuseStats,
-    incumbent_stats: ReuseStats,
-}
-
-/// Largest absolute element difference between two output sequences;
-/// infinite when the shapes disagree or any element is non-finite (a
-/// shape change across versions can never promote).
-fn max_abs_diff(a: &[Vector], b: &[Vector]) -> f32 {
-    if a.len() != b.len() {
-        return f32::INFINITY;
-    }
-    let mut max = 0.0f32;
-    for (x, y) in a.iter().zip(b) {
-        if x.len() != y.len() {
-            return f32::INFINITY;
-        }
-        for n in 0..x.len() {
-            let d = (x[n] - y[n]).abs();
-            if !d.is_finite() {
-                return f32::INFINITY;
-            }
-            if d > max {
-                max = d;
-            }
-        }
-    }
-    max
-}
-
-/// Feeds one emitted response into the swap bookkeeping: records the
-/// pair half the tag names, and when both halves are in, compares them
-/// and advances the swap toward promotion or rollback.  Runs under the
-/// state lock on the worker's emit path; non-canary responses (serial
-/// not in any pending map) fall straight through.
-fn swap_observe(state: &mut State, response: &InferenceResponse, tag: ResponseTag) {
-    let Some(swap) = state
-        .swaps
-        .iter_mut()
-        .find(|s| s.pending.contains_key(&tag.serial))
-    else {
-        return;
-    };
-    let pair = swap
-        .pending
-        .get_mut(&tag.serial)
-        .expect("serial found above");
-    let half = ObservedHalf {
-        done: response.status == CompletionStatus::Done,
-        outputs: response.outputs.clone(),
-        stats: response.stats,
-    };
-    if tag.shadow {
-        pair.incumbent = Some(half);
-    } else {
-        pair.canary = Some(half);
-    }
-    if pair.canary.is_none() || pair.incumbent.is_none() {
-        return;
-    }
-    let pair = swap.pending.remove(&tag.serial).expect("pair completed");
-    let (canary, incumbent) = (
-        pair.canary.expect("checked above"),
-        pair.incumbent.expect("checked above"),
-    );
-    swap.canary_stats.merge(&canary.stats);
-    swap.incumbent_stats.merge(&incumbent.stats);
-    // Pairs where either half expired or was rejected are inconclusive:
-    // they neither promote nor roll back.
-    if !(canary.done && incumbent.done) {
-        return;
-    }
-    let diff = max_abs_diff(&canary.outputs, &incumbent.outputs);
-    if diff > swap.max_abs_diff {
-        swap.max_abs_diff = diff;
-    }
-    if swap.decision.is_some() {
-        return;
-    }
-    if diff > swap.config.tolerance || !diff.is_finite() {
-        swap.decision = Some(SwapOutcome::RolledBack);
-    } else {
-        swap.matched += 1;
-        if swap.matched >= swap.config.min_requests {
-            swap.decision = Some(SwapOutcome::Promoted);
-        }
-    }
-}
 
 /// Builds an [`Engine`].
 ///
@@ -571,18 +125,16 @@ impl EngineBuilder {
         if self.registry.is_empty() {
             return Err(EngineError::EmptyRegistry);
         }
-        let registry = Arc::new(RwLock::new(self.registry));
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
+                registry: self.registry,
+                lifecycle: Lifecycle::default(),
                 queue: PriorityQueue::new(),
                 responses: Vec::new(),
                 outstanding: 0,
                 idle_workers: 0,
                 lane_borrows: 0,
                 context_stats: (0..self.workers).map(|_| Vec::new()).collect(),
-                swaps: Vec::new(),
-                swap_reports: Vec::new(),
-                next_serial: 1,
                 shutdown: false,
                 paused: self.paused,
                 error: None,
@@ -601,11 +153,145 @@ impl EngineBuilder {
         }
         Ok(Engine {
             shared,
-            registry,
             handles,
             lanes: self.lanes,
             workers: self.workers,
         })
+    }
+}
+
+/// A request-oriented serving engine.
+///
+/// Built by [`EngineBuilder`] — over a single model or a whole
+/// [`ModelRegistry`]; accepts [`InferenceRequest`]s through
+/// [`submit`](Engine::submit) / [`submit_all`](Engine::submit_all)
+/// (each request choosing its model, predictor, threshold override
+/// and priority via [`RequestOptions`](crate::RequestOptions)) and
+/// reports every admitted request exactly once as an
+/// [`InferenceResponse`] (collect them with
+/// [`take_completed`](Engine::take_completed),
+/// [`drain`](Engine::drain) or [`shutdown`](Engine::shutdown)).
+///
+/// Each worker thread owns one execution context — a private evaluator
+/// built by the registered [`Predictor`] plus a
+/// [`LaneScheduler`](nfm_rnn::LaneScheduler) — per served (model
+/// version, predictor) and interleaves them step by step; a request is
+/// admitted into a lane, where its threshold override lives.  A hot
+/// context may *borrow* idle lanes from cold contexts on the same worker
+/// ([`lane_borrows`](Engine::lane_borrows)); a lane never leaves the
+/// worker that admitted it.  Scheduling never changes results:
+/// per-request outputs, reuse statistics and memo-hit counts are
+/// bit-identical to a dedicated
+/// [`MemoizedRunner::run`](crate::MemoizedRunner::run) over the same
+/// sequence.
+///
+/// Dropping the engine shuts it down and joins the workers (draining
+/// any queued work first); pending responses are discarded — call
+/// [`shutdown`](Engine::shutdown) to receive them instead.
+#[derive(Debug)]
+pub struct Engine {
+    shared: Arc<Shared>,
+    handles: Vec<JoinHandle<()>>,
+    lanes: usize,
+    workers: usize,
+}
+
+impl Engine {
+    /// Submits one request.  On success the request is guaranteed to
+    /// produce exactly one [`InferenceResponse`].
+    ///
+    /// The request's [`RequestOptions`](crate::RequestOptions) are
+    /// resolved against the registry *here*, synchronously: unknown
+    /// ids, unknown predictor names and unsupported threshold
+    /// overrides are typed errors from this call, and the sequence is
+    /// validated against the **targeted model's** input width — lanes
+    /// never fault mid-flight.
+    ///
+    /// # Errors
+    ///
+    /// * [`EngineError::UnknownModel`] / [`EngineError::UnknownPredictor`]
+    ///   / [`EngineError::ThresholdUnsupported`] — the options do not
+    ///   resolve against the registry;
+    /// * [`EngineError::EmptySequence`] / [`EngineError::InputSizeMismatch`]
+    ///   — the sequence cannot run on the targeted model;
+    /// * [`EngineError::QueueFull`] — backpressure: the bounded queue
+    ///   is at capacity;
+    /// * [`EngineError::ShutDown`] — the engine no longer accepts work.
+    pub fn submit(&self, request: InferenceRequest) -> Result<(), EngineError> {
+        let mut state = self.shared.lock();
+        let resolved = state.registry.resolve(&request.options)?;
+        if request.sequence.is_empty() {
+            return Err(EngineError::EmptySequence { id: request.id });
+        }
+        let expected = resolved.model.network().input_size();
+        for (t, x) in request.sequence.iter().enumerate() {
+            if x.len() != expected {
+                return Err(EngineError::InputSizeMismatch {
+                    id: request.id,
+                    expected,
+                    found: x.len(),
+                    timestep: t,
+                });
+            }
+        }
+        if state.shutdown {
+            return Err(EngineError::ShutDown);
+        }
+        let capacity = self.shared.capacity;
+        if state.queue.len() >= capacity {
+            return Err(EngineError::QueueFull { capacity });
+        }
+        let pair_fits = state.queue.len() + 2 <= capacity;
+        let routed = state.lifecycle.route(&request.options, resolved, pair_fits);
+        let submitted_at = Instant::now();
+        let shadow = routed.shadow.map(|resolved| QueuedRequest {
+            req: request.clone(),
+            submitted_at,
+            resolved,
+            serial: routed.serial,
+            shadow: true,
+        });
+        self.enqueue(
+            &mut state,
+            QueuedRequest {
+                req: request,
+                submitted_at,
+                resolved: routed.primary,
+                serial: routed.serial,
+                shadow: false,
+            },
+        );
+        if let Some(shadow) = shadow {
+            self.enqueue(&mut state, shadow);
+        }
+        Ok(())
+    }
+
+    fn enqueue(&self, state: &mut State, request: QueuedRequest) {
+        state.queue.push(request);
+        state.outstanding += 1;
+        if !state.paused {
+            self.shared.work_cv.notify_one();
+        }
+    }
+
+    /// Submits every request in order, stopping at the first error
+    /// (earlier submissions stay admitted).  Returns how many were
+    /// accepted.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Engine::submit`].
+    pub fn submit_all(
+        &self,
+        requests: impl IntoIterator<Item = InferenceRequest>,
+    ) -> Result<usize, EngineError> {
+        let mut accepted = 0;
+        for request in requests {
+            self.submit(request)?;
+            accepted += 1;
+        }
+        Ok(accepted)
     }
 }
 
@@ -657,8 +343,14 @@ impl PriorityQueue {
     }
 }
 
+/// Everything the engine shares with its workers, behind its one lock.
 #[derive(Debug)]
 struct State {
+    /// The live model versions `submit` resolves against.
+    registry: ModelRegistry,
+    /// Staged hot swaps: `submit` routes through it, the emit path
+    /// observes canary halves and applies decisions to `registry`.
+    lifecycle: Lifecycle,
     queue: PriorityQueue,
     responses: Vec<InferenceResponse>,
     /// Submitted but not yet responded (queued or on a lane).
@@ -675,15 +367,6 @@ struct State {
     /// accumulated — evaluator counters are cumulative) every time a
     /// worker drains the queue and goes idle.  Indexed by worker.
     context_stats: Vec<Vec<(ContextKey, ReuseStats)>>,
-    /// Staged hot swaps: canary bookkeeping mutated by `submit` and the
-    /// emit path; decisions applied to the registry by
-    /// `apply_ready_swaps`.
-    swaps: Vec<SwapState>,
-    /// Finished swaps awaiting collection via `Engine::swap_reports`.
-    swap_reports: Vec<SwapReport>,
-    /// Next submission serial (unique per admitted request; canary
-    /// pairs share one serial across their two halves).
-    next_serial: u64,
     shutdown: bool,
     paused: bool,
     error: Option<String>,
@@ -699,10 +382,16 @@ struct Shared {
     capacity: usize,
 }
 
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("engine state lock")
+    }
+}
+
 fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
     loop {
         {
-            let mut state = shared.state.lock().expect("engine state lock");
+            let mut state = shared.lock();
             loop {
                 if state.shutdown && state.queue.is_empty() {
                     return;
@@ -719,7 +408,7 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
                 if worker.has_spent_contexts() {
                     drop(state);
                     worker.drop_spent_contexts();
-                    state = shared.state.lock().expect("engine state lock");
+                    state = shared.lock();
                     state.context_stats[index] = worker.stats_snapshots();
                     continue;
                 }
@@ -735,7 +424,7 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
         }
         let pull_shared = Arc::clone(&shared);
         let mut pull = move |admittable: &dyn Fn(&QueuedRequest) -> bool| {
-            let mut state = pull_shared.state.lock().expect("engine state lock");
+            let mut state = pull_shared.lock();
             if state.paused && !state.shutdown {
                 return None;
             }
@@ -743,8 +432,15 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
         };
         let emit_shared = Arc::clone(&shared);
         let mut emit = move |response: InferenceResponse, tag: ResponseTag| {
-            let mut state = emit_shared.state.lock().expect("engine state lock");
-            swap_observe(&mut state, &response, tag);
+            let mut guard = emit_shared.lock();
+            let state = &mut *guard;
+            // The emission that lands a decided swap's last canary pair
+            // applies the decision; the retired version wakes parked
+            // workers, which drop their contexts for it.
+            if let Some(decision) = state.lifecycle.observe(tag, &response) {
+                state.lifecycle.apply(decision, &mut state.registry);
+                emit_shared.work_cv.notify_all();
+            }
             // Shadow halves of canary pairs are compared above but
             // never surfaced: callers see exactly one response per
             // submitted request.  They still balance `outstanding`, so
@@ -758,7 +454,7 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
         };
         let report_shared = Arc::clone(&shared);
         let mut report = move |error: String| {
-            let mut state = report_shared.state.lock().expect("engine state lock");
+            let mut state = report_shared.lock();
             state.error.get_or_insert(error);
         };
         let borrows = worker.pump(&mut pull, &mut emit, &mut report);
@@ -767,7 +463,7 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
         // these snapshots, and both quiescence points — `drain`
         // returning, `shutdown` joining — happen after the publication.
         let snapshots = worker.stats_snapshots();
-        let mut state = shared.state.lock().expect("engine state lock");
+        let mut state = shared.lock();
         state.context_stats[index] = snapshots;
         state.lane_borrows += borrows;
     }
@@ -803,66 +499,113 @@ impl ContextStats {
     }
 }
 
-/// A request-oriented serving engine.
-///
-/// Built by [`EngineBuilder`] — over a single model or a whole
-/// [`ModelRegistry`]; accepts [`InferenceRequest`]s through
-/// [`submit`](Engine::submit) / [`submit_all`](Engine::submit_all)
-/// (each request choosing its model, predictor, threshold override
-/// and priority via [`RequestOptions`](crate::RequestOptions)) and
-/// reports every admitted request exactly once as an
-/// [`InferenceResponse`] (collect them with
-/// [`take_completed`](Engine::take_completed),
-/// [`drain`](Engine::drain) or [`shutdown`](Engine::shutdown)).
-///
-/// Internally each worker thread owns one **execution context** per
-/// served (model, predictor) combination — a private evaluator built
-/// by the registered [`Predictor`] plus a
-/// lane scheduler — and interleaves the contexts step by step, so
-/// several models make progress concurrently on one thread; a worker's
-/// context count is bounded by the registry.  A request is admitted
-/// into a lane of its context's
-/// [`LaneScheduler`](nfm_rnn::LaneScheduler) and its threshold
-/// override, if any, is state of that lane, so requests that differ
-/// only in `θ` share one gate call.  Every context advances by
-/// [`LaneScheduler::step`](nfm_rnn::LaneScheduler::step): on a
-/// unidirectional stack a step is one
-/// [`HOIST_BLOCK`](nfm_rnn::HOIST_BLOCK)-timestep block of every lane
-/// (inputs hoisted across it), so a drained lane refills from the queue
-/// *immediately* (mid-wave lane refill) and an in-flight request whose
-/// deadline expires is aborted at the next block boundary; on a stack
-/// with a bidirectional layer a step is the seated sequences whole, and
-/// lanes refill when it returns.  A hot context may
-/// also *borrow* idle lanes from cold contexts on the same worker
-/// ([`lane_borrows`](Engine::lane_borrows)); a lane never leaves the
-/// worker that admitted it.  Scheduling never changes
-/// results: per-request outputs, reuse statistics and memo-hit counts
-/// are bit-identical to a dedicated
-/// [`MemoizedRunner::run`](crate::MemoizedRunner::run) over the same
-/// sequence.
-///
-/// Dropping the engine shuts it down and joins the workers (draining
-/// any queued work first); pending responses are discarded — call
-/// [`shutdown`](Engine::shutdown) to receive them instead.
+/// Read access to the registry an [`Engine`] serves
+/// ([`Engine::registry`]).  It holds the engine's lock, which workers
+/// take to emit every response: keep it short-lived, and drop it before
+/// calling into the engine again.
 #[derive(Debug)]
-pub struct Engine {
-    shared: Arc<Shared>,
-    /// Lock order: registry (read or write) strictly **before** the
-    /// state mutex, everywhere.  Workers never touch the registry —
-    /// they run on `Arc` handles resolved at submission.
-    registry: Arc<RwLock<ModelRegistry>>,
-    handles: Vec<JoinHandle<()>>,
-    lanes: usize,
-    workers: usize,
+pub struct RegistryGuard<'a>(MutexGuard<'a, State>);
+
+impl Deref for RegistryGuard<'_> {
+    type Target = ModelRegistry;
+
+    fn deref(&self) -> &ModelRegistry {
+        &self.0.registry
+    }
 }
 
 impl Engine {
-    /// The model registry this engine serves (a read guard: the
-    /// registry is shared with the hot-swap path, which takes the write
-    /// side briefly to stage, promote or evict versions).  Don't hold
-    /// the guard across calls into the engine.
-    pub fn registry(&self) -> RwLockReadGuard<'_, ModelRegistry> {
-        self.registry.read().expect("registry lock")
+    /// Stages `next` as the next version of `model` and starts
+    /// canarying live traffic onto it, without pausing the engine or
+    /// dropping any in-flight request.
+    ///
+    /// `next` and `predictors` are what
+    /// [`ModelRegistry::register`] takes: anything that converts into a
+    /// [`Model`] (a loaded artifact keeps the mirror it carried) and
+    /// any [`Predictor`]s — built-in, adaptive or custom — each filed
+    /// under its own name on the staged version's own mirror, so a
+    /// request naming one of them follows the swap; the incumbent's
+    /// predictors under other names are filed there too, so no name
+    /// stops resolving at promotion.  The staged version gets version
+    /// `live + 1`.  While the swap is undecided, requests
+    /// selected by `canary` run as pairs: the staged version answers
+    /// the caller, the incumbent shadows for comparison.
+    /// After [`CanaryConfig::min_requests`] comparisons within
+    /// [`CanaryConfig::tolerance`] the staged version is promoted;
+    /// the first comparison outside it rolls the swap back.  Either
+    /// way the decision is applied by the worker that emits the last
+    /// canary pair in flight — no further call is needed, so traffic
+    /// over the wire completes a swap too — and is then reported by
+    /// [`Engine::swap_reports`].  Requests already resolved keep their
+    /// weight handles and always complete.
+    ///
+    /// # Errors
+    ///
+    /// * [`EngineError::UnknownModel`] — `model` is not registered;
+    /// * [`EngineError::SwapInProgress`] — a swap is already staged;
+    /// * [`EngineError::DuplicatePredictor`] — two of `predictors`
+    ///   share a name;
+    /// * [`EngineError::InvalidConfig`] — `canary` is degenerate or
+    ///   `predictors` is empty;
+    /// * [`EngineError::ShutDown`] — the engine no longer accepts work.
+    pub fn swap_model<P: Predictor + 'static>(
+        &self,
+        model: impl Into<ModelId>,
+        next: impl Into<Model>,
+        predictors: impl IntoIterator<Item = P>,
+        canary: CanaryConfig,
+    ) -> Result<ModelVersion, EngineError> {
+        let mut state = self.shared.lock();
+        if state.shutdown {
+            return Err(EngineError::ShutDown);
+        }
+        let State {
+            registry,
+            lifecycle,
+            ..
+        } = &mut *state;
+        lifecycle.stage(registry, model.into(), next.into(), predictors, canary)
+    }
+
+    /// Removes `model` from the registry: new submissions naming it get
+    /// [`EngineError::UnknownModel`], while everything already admitted
+    /// runs to its response on the retired weights.  A staged swap for
+    /// the model is discarded with it.
+    ///
+    /// # Errors
+    ///
+    /// * [`EngineError::UnknownModel`] — `model` is not registered;
+    /// * [`EngineError::CannotEvictLast`] — it is the only model.
+    pub fn evict_model(&self, model: impl Into<ModelId>) -> Result<(), EngineError> {
+        let model = model.into();
+        let mut state = self.shared.lock();
+        let evicted = state.registry.evict(&model)?;
+        let staged = state.lifecycle.evict(&model);
+        // Parked workers drop their contexts for the retired versions.
+        self.shared.work_cv.notify_all();
+        // A version no request ran on is freed here, outside the lock.
+        drop(state);
+        drop((evicted, staged));
+        Ok(())
+    }
+
+    /// Progress of the staged swap for `model`, `None` when no swap is
+    /// staged (applied swaps move to [`Engine::swap_reports`]).
+    pub fn swap_status(&self, model: impl Into<ModelId>) -> Option<SwapStatus> {
+        let state = self.shared.lock();
+        state.lifecycle.status(&model.into())
+    }
+
+    /// Takes the reports of every swap applied since the last call.
+    pub fn swap_reports(&self) -> Vec<SwapReport> {
+        let mut state = self.shared.lock();
+        state.lifecycle.take_reports()
+    }
+
+    /// The model registry this engine serves, behind the engine's one
+    /// lock (see [`RegistryGuard`]).
+    pub fn registry(&self) -> RegistryGuard<'_> {
+        RegistryGuard(self.shared.lock())
     }
 
     /// Lanes per worker.
@@ -894,11 +637,7 @@ impl Engine {
     /// worker adds its count when it goes idle, so after
     /// [`drain`](Engine::drain) it covers every answered request.
     pub fn lane_borrows(&self) -> u64 {
-        self.shared
-            .state
-            .lock()
-            .expect("engine state lock")
-            .lane_borrows
+        self.shared.lock().lane_borrows
     }
 
     /// Aggregate per-context memoization statistics: one entry per
@@ -917,40 +656,40 @@ impl Engine {
     /// [`shutdown`](Engine::shutdown) they cover every answered
     /// request.
     pub fn context_stats(&self) -> Vec<ContextStats> {
-        let per_worker = {
-            let state = self.shared.state.lock().expect("engine state lock");
-            state.context_stats.clone()
-        };
+        let state = self.shared.lock();
         let mut merged: Vec<(ContextKey, ReuseStats)> = Vec::new();
-        for (key, stats) in per_worker.into_iter().flatten() {
-            match merged.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, acc)) => acc.merge(&stats),
-                None => merged.push((key, stats)),
+        for (key, stats) in state.context_stats.iter().flatten() {
+            match merged.iter_mut().find(|(k, _)| k == key) {
+                Some((_, acc)) => acc.merge(stats),
+                None => merged.push((key.clone(), *stats)),
             }
         }
-        merged.sort_by(|(a, _), (b, _)| {
-            (a.model.as_str(), a.version, a.predictor.as_ref()).cmp(&(
+        let predictors: Vec<_> = (merged.iter())
+            .map(|(key, _)| {
+                (state.registry.find_predictor(key))
+                    .or_else(|| state.lifecycle.find_predictor(key))
+                    .cloned()
+            })
+            .collect();
+        // Controllers are read after the lock is released.
+        drop(state);
+        let mut contexts: Vec<ContextStats> = (merged.into_iter().zip(predictors))
+            .map(|((key, stats), predictor)| ContextStats {
+                model: key.model,
+                version: key.version,
+                predictor: key.predictor.as_ref().to_string(),
+                stats,
+                control: predictor.and_then(|p| p.control_snapshot()),
+            })
+            .collect();
+        contexts.sort_by(|a, b| {
+            (a.model.as_str(), a.version, &a.predictor).cmp(&(
                 b.model.as_str(),
                 b.version,
-                b.predictor.as_ref(),
+                &b.predictor,
             ))
         });
-        let registry = self.registry.read().expect("registry lock");
-        merged
-            .into_iter()
-            .map(|(key, stats)| {
-                let control = registry
-                    .find_predictor(&key.model, key.version, &key.predictor)
-                    .and_then(|p| p.control_snapshot());
-                ContextStats {
-                    model: key.model.clone(),
-                    version: key.version,
-                    predictor: key.predictor.as_ref().to_string(),
-                    stats,
-                    control,
-                }
-            })
-            .collect()
+        contexts
     }
 
     /// The kernel dispatch tier this process serves with (resolved once
@@ -960,330 +699,16 @@ impl Engine {
     pub fn kernel_backend(&self) -> nfm_tensor::backend::KernelBackend {
         nfm_tensor::backend::active()
     }
-
-    /// Submits one request.  On success the request is guaranteed to
-    /// produce exactly one [`InferenceResponse`].
-    ///
-    /// The request's [`RequestOptions`](crate::RequestOptions) are
-    /// resolved against the registry *here*, synchronously: unknown
-    /// ids, unknown predictor names and unsupported threshold
-    /// overrides are typed errors from this call, and the sequence is
-    /// validated against the **targeted model's** input width — lanes
-    /// never fault mid-flight.
-    ///
-    /// # Errors
-    ///
-    /// * [`EngineError::UnknownModel`] / [`EngineError::UnknownPredictor`]
-    ///   / [`EngineError::ThresholdUnsupported`] — the options do not
-    ///   resolve against the registry;
-    /// * [`EngineError::EmptySequence`] / [`EngineError::InputSizeMismatch`]
-    ///   — the sequence cannot run on the targeted model;
-    /// * [`EngineError::QueueFull`] — backpressure: the bounded queue
-    ///   is at capacity;
-    /// * [`EngineError::ShutDown`] — the engine no longer accepts work.
-    pub fn submit(&self, request: InferenceRequest) -> Result<(), EngineError> {
-        // Lock order: registry before state, always.  The read guard is
-        // held across the state lock so a staged version cannot be
-        // promoted or discarded between resolution and enqueue.
-        let registry = self.registry.read().expect("registry lock");
-        let resolved = registry.resolve(&request.options)?;
-        if request.sequence.is_empty() {
-            return Err(EngineError::EmptySequence { id: request.id });
-        }
-        let expected = resolved.model.network().input_size();
-        for (t, x) in request.sequence.iter().enumerate() {
-            if x.len() != expected {
-                return Err(EngineError::InputSizeMismatch {
-                    id: request.id,
-                    expected,
-                    found: x.len(),
-                    timestep: t,
-                });
-            }
-        }
-        let mut state = self.shared.state.lock().expect("engine state lock");
-        if state.shutdown {
-            return Err(EngineError::ShutDown);
-        }
-        if state.queue.len() >= self.shared.capacity {
-            return Err(EngineError::QueueFull {
-                capacity: self.shared.capacity,
-            });
-        }
-        // Canary routing: while an undecided swap covers this model,
-        // requests the rule selects run as a pair — the staged version
-        // answers the caller, the incumbent shadows for comparison.
-        let model = &resolved.key.model;
-        if let Some(idx) = state
-            .swaps
-            .iter()
-            .position(|s| &s.model == model && s.decision.is_none())
-        {
-            state.swaps[idx].seen += 1;
-            let swap = &state.swaps[idx];
-            let route = match swap.config.rule {
-                // Deterministic proportional routing: canary exactly
-                // when doing so keeps routed/seen at or under the
-                // fraction.
-                CanaryRule::Fraction(f) => (swap.routed + 1) as f64 <= swap.seen as f64 * f as f64,
-                CanaryRule::Priority(p) => request.options.priority == p,
-            };
-            // A pair needs room for both halves; with one slot left the
-            // request falls back to the incumbent rather than failing.
-            if route && state.queue.len() + 2 <= self.shared.capacity {
-                if let Ok(staged) = registry.resolve_staged(model, &request.options) {
-                    let serial = state.next_serial;
-                    state.next_serial += 1;
-                    state.swaps[idx].routed += 1;
-                    state.swaps[idx]
-                        .pending
-                        .insert(serial, PendingPair::default());
-                    let shadow_req = request.clone();
-                    let submitted_at = Instant::now();
-                    state.queue.push(QueuedRequest {
-                        req: request,
-                        submitted_at,
-                        resolved: staged,
-                        serial,
-                        shadow: false,
-                    });
-                    state.queue.push(QueuedRequest {
-                        req: shadow_req,
-                        submitted_at,
-                        resolved,
-                        serial,
-                        shadow: true,
-                    });
-                    state.outstanding += 2;
-                    if !state.paused {
-                        self.shared.work_cv.notify_one();
-                        self.shared.work_cv.notify_one();
-                    }
-                    return Ok(());
-                }
-                // The staged version cannot serve these options (e.g. a
-                // predictor it was not staged with): serve the
-                // incumbent alone.
-            }
-        }
-        let serial = state.next_serial;
-        state.next_serial += 1;
-        state.queue.push(QueuedRequest {
-            req: request,
-            submitted_at: Instant::now(),
-            resolved,
-            serial,
-            shadow: false,
-        });
-        state.outstanding += 1;
-        if !state.paused {
-            self.shared.work_cv.notify_one();
-        }
-        Ok(())
-    }
-
-    /// Submits every request in order, stopping at the first error
-    /// (earlier submissions stay admitted).  Returns how many were
-    /// accepted.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::submit`].
-    pub fn submit_all(
-        &self,
-        requests: impl IntoIterator<Item = InferenceRequest>,
-    ) -> Result<usize, EngineError> {
-        let mut accepted = 0;
-        for request in requests {
-            self.submit(request)?;
-            accepted += 1;
-        }
-        Ok(accepted)
-    }
-
-    /// Stages `next` as the next version of `model` and starts
-    /// canarying live traffic onto it, without pausing the engine or
-    /// dropping any in-flight request.
-    ///
-    /// `next` and `predictors` are what
-    /// [`ModelRegistry::register`] takes: anything that converts into a
-    /// [`Model`] (a loaded artifact keeps the mirror it carried) and
-    /// any [`Predictor`]s — built-in, adaptive or custom — each filed
-    /// under its own name on the staged version's own mirror, so a
-    /// request naming one of them follows the swap.  The staged version
-    /// gets version `live + 1`.  While the swap is undecided, requests
-    /// selected by `canary` run as pairs: the staged version answers
-    /// the caller, the incumbent shadows for comparison.
-    /// After [`CanaryConfig::min_requests`] comparisons within
-    /// [`CanaryConfig::tolerance`] the staged version is promoted;
-    /// the first comparison outside it rolls the swap back.  Either
-    /// way the registry change is applied only once the last canary
-    /// pair lands (see [`Engine::swap_status`] /
-    /// [`Engine::swap_reports`]); requests already resolved keep their
-    /// weight handles and always complete.
-    ///
-    /// # Errors
-    ///
-    /// * [`EngineError::UnknownModel`] — `model` is not registered;
-    /// * [`EngineError::SwapInProgress`] — a swap is already staged;
-    /// * [`EngineError::DuplicatePredictor`] — two of `predictors`
-    ///   share a name;
-    /// * [`EngineError::InvalidConfig`] — `canary` is degenerate or
-    ///   `predictors` is empty;
-    /// * [`EngineError::ShutDown`] — the engine no longer accepts work.
-    pub fn swap_model<P: Predictor + 'static>(
-        &self,
-        model: impl Into<ModelId>,
-        next: impl Into<Model>,
-        predictors: impl IntoIterator<Item = P>,
-        canary: CanaryConfig,
-    ) -> Result<ModelVersion, EngineError> {
-        let model = model.into();
-        canary.validate()?;
-        self.apply_ready_swaps();
-        let mut registry = self.registry.write().expect("registry lock");
-        let mut state = self.shared.state.lock().expect("engine state lock");
-        if state.shutdown {
-            return Err(EngineError::ShutDown);
-        }
-        let from = registry
-            .version(&model)
-            .ok_or_else(|| EngineError::UnknownModel {
-                model: model.clone(),
-            })?;
-        // A decided-but-not-yet-applied swap still owns the staged
-        // slot; `stage` rejects it below via the staged entry.
-        let to = registry.stage(&model, next.into(), predictors)?;
-        state.swaps.push(SwapState {
-            model,
-            from,
-            to,
-            config: canary,
-            seen: 0,
-            routed: 0,
-            matched: 0,
-            max_abs_diff: 0.0,
-            pending: HashMap::new(),
-            decision: None,
-            canary_stats: ReuseStats::new(),
-            incumbent_stats: ReuseStats::new(),
-        });
-        Ok(to)
-    }
-
-    /// Removes `model` from the registry: new submissions naming it get
-    /// [`EngineError::UnknownModel`], while everything already admitted
-    /// runs to its response on the retired weights.  A staged swap for
-    /// the model is discarded with it.
-    ///
-    /// # Errors
-    ///
-    /// * [`EngineError::UnknownModel`] — `model` is not registered;
-    /// * [`EngineError::CannotEvictLast`] — it is the only model.
-    pub fn evict_model(&self, model: impl Into<ModelId>) -> Result<(), EngineError> {
-        let model = model.into();
-        self.apply_ready_swaps();
-        let mut registry = self.registry.write().expect("registry lock");
-        let mut state = self.shared.state.lock().expect("engine state lock");
-        registry.evict(&model)?;
-        // Orphan the model's canary bookkeeping: in-flight pair halves
-        // still emit (and balance `outstanding`), they just no longer
-        // find a pending slot to compare into.
-        state.swaps.retain(|s| s.model != model);
-        // Parked workers drop their contexts for the retired version.
-        self.shared.work_cv.notify_all();
-        Ok(())
-    }
-
-    /// Progress of the staged swap for `model`, `None` when no swap is
-    /// staged (finished swaps move to [`Engine::swap_reports`]).
-    /// Applies any decision whose last canary pair has landed.
-    pub fn swap_status(&self, model: impl Into<ModelId>) -> Option<SwapStatus> {
-        let model = model.into();
-        self.apply_ready_swaps();
-        let state = self.shared.state.lock().expect("engine state lock");
-        state
-            .swaps
-            .iter()
-            .find(|s| s.model == model)
-            .map(|s| SwapStatus {
-                model: s.model.clone(),
-                from: s.from,
-                to: s.to,
-                seen: s.seen,
-                canaries: s.routed,
-                matched: s.matched,
-                in_flight: s.pending.len(),
-                decision: s.decision,
-            })
-    }
-
-    /// Takes the reports of every swap that finished (decision applied
-    /// to the registry) since the last call.
-    pub fn swap_reports(&self) -> Vec<SwapReport> {
-        self.apply_ready_swaps();
-        std::mem::take(
-            &mut self
-                .shared
-                .state
-                .lock()
-                .expect("engine state lock")
-                .swap_reports,
-        )
-    }
-
-    /// Applies every decided swap whose canary pairs have all landed:
-    /// promotion installs the staged version as live, rollback discards
-    /// it.  Takes the registry write lock *then* the state lock (the
-    /// engine-wide order), which is why the emit path only records
-    /// decisions — it already holds the state lock.
-    fn apply_ready_swaps(&self) {
-        let mut registry = self.registry.write().expect("registry lock");
-        let mut state = self.shared.state.lock().expect("engine state lock");
-        let mut i = 0;
-        while i < state.swaps.len() {
-            let ready = state.swaps[i].decision.is_some() && state.swaps[i].pending.is_empty();
-            if !ready {
-                i += 1;
-                continue;
-            }
-            let swap = state.swaps.remove(i);
-            let outcome = swap.decision.expect("checked ready above");
-            match outcome {
-                SwapOutcome::Promoted => registry.promote(&swap.model),
-                SwapOutcome::RolledBack => registry.discard_staged(&swap.model),
-            }
-            // Either way a version was retired: parked workers drop
-            // their contexts for it.
-            self.shared.work_cv.notify_all();
-            state.swap_reports.push(SwapReport {
-                model: swap.model,
-                from: swap.from,
-                to: swap.to,
-                outcome,
-                canaries: swap.routed,
-                matched: swap.matched,
-                max_abs_diff: swap.max_abs_diff,
-                canary_stats: swap.canary_stats,
-                incumbent_stats: swap.incumbent_stats,
-            });
-        }
-    }
-
     /// Lets paused workers start pulling work.
     pub fn resume(&self) {
-        let mut state = self.shared.state.lock().expect("engine state lock");
+        let mut state = self.shared.lock();
         state.paused = false;
         self.shared.work_cv.notify_all();
     }
 
     /// Requests submitted but not yet answered (queued or in flight).
     pub fn pending(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("engine state lock")
-            .outstanding
+        self.shared.lock().outstanding
     }
 
     /// Requests waiting in the submission queue right now (excluding
@@ -1294,22 +719,13 @@ impl Engine {
     /// low-priority traffic *before* the queue hard-fails everyone
     /// with [`EngineError::QueueFull`].
     pub fn queue_depth(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("engine state lock")
-            .queue
-            .len()
+        self.shared.lock().queue.len()
     }
 
     /// Whether [`initiate_shutdown`](Engine::initiate_shutdown) (or a
     /// consuming [`shutdown`](Engine::shutdown)) has been called.
     pub fn is_shutting_down(&self) -> bool {
-        self.shared
-            .state
-            .lock()
-            .expect("engine state lock")
-            .shutdown
+        self.shared.lock().shutdown
     }
 
     /// Starts a graceful drain without consuming the engine: every
@@ -1321,19 +737,17 @@ impl Engine {
     /// [`drain`](Engine::drain), then call
     /// [`shutdown`](Engine::shutdown) to join the workers.  Idempotent.
     pub fn initiate_shutdown(&self) {
-        self.begin_shutdown();
+        let mut state = self.shared.lock();
+        state.shutdown = true;
+        self.shared.work_cv.notify_all();
+        // Wake `drain` waiters too: their quiescence condition changes
+        // shape under shutdown (workers exit instead of parking).
+        self.shared.done_cv.notify_all();
     }
 
     /// Takes every response completed so far, without blocking.
     pub fn take_completed(&self) -> Vec<InferenceResponse> {
-        std::mem::take(
-            &mut self
-                .shared
-                .state
-                .lock()
-                .expect("engine state lock")
-                .responses,
-        )
+        std::mem::take(&mut self.shared.lock().responses)
     }
 
     /// Blocks until every submitted request has a response, then takes
@@ -1344,70 +758,42 @@ impl Engine {
     /// [`context_stats`](Engine::context_stats) are complete for all
     /// returned responses by the time it returns.
     pub fn drain(&self) -> Vec<InferenceResponse> {
-        let responses = {
-            let mut state = self.shared.state.lock().expect("engine state lock");
-            if state.paused {
-                state.paused = false;
-                self.shared.work_cv.notify_all();
-            }
-            // During shutdown workers exit instead of parking, so the
-            // idle-worker quiescence condition only applies to a live
-            // engine (`shutdown` reaches quiescence by joining instead).
-            while state.outstanding > 0 || (!state.shutdown && state.idle_workers < self.workers) {
-                state = self.shared.done_cv.wait(state).expect("engine state lock");
-            }
-            std::mem::take(&mut state.responses)
-        };
-        // Quiescence means every canary pair has landed: apply any swap
-        // decision now, so traffic after this drain resolves against
-        // the promoted (or rolled-back) registry.
-        self.apply_ready_swaps();
-        responses
+        let mut state = self.shared.lock();
+        if state.paused {
+            state.paused = false;
+            self.shared.work_cv.notify_all();
+        }
+        // During shutdown workers exit instead of parking, so the
+        // idle-worker quiescence condition only applies to a live
+        // engine (`shutdown` reaches quiescence by joining instead).
+        while state.outstanding > 0 || (!state.shutdown && state.idle_workers < self.workers) {
+            state = self.shared.done_cv.wait(state).expect("engine state lock");
+        }
+        std::mem::take(&mut state.responses)
     }
 
     /// The first internal execution error any worker hit, if any (the
     /// affected requests were answered with
-    /// [`CompletionStatus::Rejected`]).
+    /// [`CompletionStatus::Rejected`](crate::CompletionStatus::Rejected)).
     pub fn last_error(&self) -> Option<String> {
-        self.shared
-            .state
-            .lock()
-            .expect("engine state lock")
-            .error
-            .clone()
+        self.shared.lock().error.clone()
     }
 
     /// Stops accepting work, finishes everything already submitted
     /// (paused engines are resumed), joins the workers and returns the
     /// remaining responses.
     pub fn shutdown(mut self) -> Vec<InferenceResponse> {
-        self.begin_shutdown();
+        self.initiate_shutdown();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        std::mem::take(
-            &mut self
-                .shared
-                .state
-                .lock()
-                .expect("engine state lock")
-                .responses,
-        )
-    }
-
-    fn begin_shutdown(&self) {
-        let mut state = self.shared.state.lock().expect("engine state lock");
-        state.shutdown = true;
-        self.shared.work_cv.notify_all();
-        // Wake `drain` waiters too: their quiescence condition changes
-        // shape under shutdown (workers exit instead of parking).
-        self.shared.done_cv.notify_all();
+        std::mem::take(&mut self.shared.lock().responses)
     }
 }
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        self.begin_shutdown();
+        self.initiate_shutdown();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }

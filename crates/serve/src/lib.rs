@@ -69,14 +69,16 @@
 //! ```
 
 pub mod engine;
+mod error;
+mod lifecycle;
 pub mod registry;
 pub mod request;
 pub mod runner;
 mod worker;
 
 pub use engine::{
-    CanaryConfig, CanaryRule, ContextStats, Engine, EngineBuilder, EngineError, SwapOutcome,
-    SwapReport, SwapStatus, DEFAULT_MODEL,
+    CanaryConfig, CanaryRule, ContextStats, Engine, EngineBuilder, EngineError, RegistryGuard,
+    SwapOutcome, SwapReport, SwapStatus, DEFAULT_MODEL,
 };
 pub use nfm_tensor::backend::KernelBackend;
 pub use registry::{ModelId, ModelRegistry, ModelVersion};

@@ -64,9 +64,9 @@ use nfm_rnn::{FinishedLane, LaneScheduler};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// Routes a response back to the engine's swap observer: the
-/// submission serial (unique per admitted request) plus whether this is
-/// the suppressed shadow half of a canary pair.  Workers thread the tag
+/// Routes a response back to the hot-swap lifecycle: the submission
+/// serial (unique per admitted request) plus whether this is the
+/// suppressed shadow half of a canary pair.  Workers thread the tag
 /// through unchanged; only the engine's emit closure interprets it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResponseTag {

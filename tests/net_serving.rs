@@ -23,8 +23,12 @@
 //!    server accounts for every one.
 //! 7. **The client's timed receive** — an error inside `recv_timeout`
 //!    leaves the connection blocking, so the next `recv` waits.
+//! 8. **Hot swaps driven by the wire alone** — a swap staged by an
+//!    admin frame and canaried by wire requests is applied when its last
+//!    pair lands, with no in-process call to apply it.
 
 use nfm::memo::{BnnMemoConfig, PredictorKind};
+use nfm::model::save_to_vec;
 use nfm::net::{
     NetClient, NetError, NetServer, ProtocolError, RejectReason, ServerConfig, ServerFrame,
     WireAdmin, WireReject, WireRequest,
@@ -38,7 +42,7 @@ use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 use nfm::workloads::{NetworkId, Workload, WorkloadBuilder};
 use std::io::Write;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 mod common;
 
@@ -541,6 +545,55 @@ fn loadgen_open_loop_poisson_accounts_for_every_request() {
     let stats = handle.shutdown();
     assert_eq!(stats.requests_admitted, 20);
     assert_eq!(stats.responses_sent, 20);
+}
+
+/// The server only submits and takes responses; it never asks the
+/// engine about swaps.  A swap it staged must still promote once wire
+/// traffic has landed the canary pairs that decide it.
+#[test]
+fn a_wire_staged_swap_promotes_without_in_process_calls() {
+    let w = workload(81);
+    let handle = NetServer::bind("127.0.0.1:0", make_engine(&w))
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let mut client = NetClient::connect(handle.addr()).expect("connect");
+    // The incumbent's weights, round-tripped: zero tolerance promotes.
+    let artifact = save_to_vec(w.network(), None).expect("serialize");
+    let admin = WireAdmin::swap(900, "imdb", artifact)
+        .fraction(1.0)
+        .min_requests(2);
+    match client.admin(&admin).expect("admin round trip") {
+        ServerFrame::AdminOk(ok) => assert_eq!((ok.id, ok.version), (900, 2)),
+        other => panic!("expected ack, got {other:?}"),
+    }
+    for (id, seq) in w.sequences().iter().enumerate() {
+        client
+            .send(&WireRequest::new(id as u64, seq.clone()))
+            .expect("send");
+        match client.recv().expect("recv") {
+            ServerFrame::Response(r) => assert_eq!(r.status, CompletionStatus::Done),
+            other => panic!("request {id} got unexpected frame: {other:?}"),
+        }
+    }
+    let engine = handle.engine();
+    let patience = Instant::now() + Duration::from_secs(3);
+    while engine.pending() > 0 {
+        assert!(Instant::now() < patience, "shadow halves never landed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    loop {
+        let version = engine.registry().version("imdb");
+        if version == Some(2) {
+            break;
+        }
+        assert!(
+            Instant::now() < patience,
+            "the decided swap was never applied: live version {version:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.shutdown();
 }
 
 /// A frame that fails to decode inside `recv_timeout` must not leave

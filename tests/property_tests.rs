@@ -5,6 +5,19 @@
 //! properties are exercised with seeded deterministic sampling loops
 //! instead: every case is reproducible and each property is checked over
 //! dozens of randomly drawn inputs.
+//!
+//! The per-crate property suites of `crates/{tensor,rnn,core}` are
+//! mounted here too, so they run under the umbrella package's tier-1
+//! `cargo test -q`.
+
+#[path = "../crates/tensor/tests/properties.rs"]
+mod tensor;
+
+#[path = "../crates/rnn/tests/properties.rs"]
+mod rnn;
+
+#[path = "../crates/core/tests/properties.rs"]
+mod core;
 
 use nfm::bnn::{binarize::reference_binary_dot, BitVector};
 use nfm::memo::{BnnMemoConfig, OracleMemoConfig, ReuseStats};
