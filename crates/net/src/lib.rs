@@ -1,7 +1,8 @@
 //! # nfm-net — the engine's TCP serving surface
 //!
 //! Everything needed to put the in-process [`Engine`](nfm_serve::Engine)
-//! behind a socket, with **no dependencies outside `std`**:
+//! behind a socket, with **no dependencies outside `std`**.  The crate
+//! is unix-only: the server waits in `poll(2)`.
 //!
 //! * [`protocol`] — the length-prefixed little-endian wire format:
 //!   [`WireRequest`] / [`WireAdmin`] in, [`WireResponse`] /
@@ -12,8 +13,9 @@
 //!   so a loopback round-trip is bit-exact — the e2e tests assert
 //!   network outputs identical to `Engine::submit`.
 //! * [`server`] — [`NetServer`], a single-threaded nonblocking poll
-//!   loop (`set_nonblocking` + readiness sweep) that decodes frames,
-//!   admits them into the engine's bounded priority queue, sheds
+//!   loop that sleeps in `poll(2)` until a socket is ready or the
+//!   engine's completion notifier writes to its wake socket, decodes
+//!   frames, admits them into the engine's bounded priority queue, sheds
 //!   [`Priority::Low`](nfm_serve::Priority::Low) work past a queue
 //!   watermark, and answers every refusal with a typed reject frame.
 //! * [`client`] — [`NetClient`], the blocking/nonblocking client used

@@ -1,7 +1,8 @@
 //! The TCP front door: a nonblocking poll loop feeding the engine.
 //!
 //! [`NetServer`] owns a `TcpListener`, a set of client connections and
-//! the [`Engine`] it fronts.  One thread sweeps everything:
+//! the [`Engine`] it fronts.  One thread sweeps everything, and repeats
+//! the sweep while it moves anything:
 //!
 //! 1. **Accept** — drain `accept()` until `WouldBlock`; new sockets go
 //!    nonblocking with `TCP_NODELAY`.
@@ -12,6 +13,22 @@
 //!    into the outbox of the connection that submitted it.
 //! 4. **Flush** — write outboxes until `WouldBlock` (partial writes
 //!    keep their tail for the next sweep).
+//!
+//! A sweep that moved nothing blocks in `poll(2)` until the next one
+//! has work: the listener or a connection the read phase would read is
+//! readable, a connection with an undelivered outbox is writable, or the
+//! wake socket is readable.  The engine's completion notifier
+//! ([`Engine::set_completion_notifier`]) writes a byte to the wake
+//! socket when a response lands for the route phase or the engine falls
+//! idle, and [`ServerHandle::shutdown`] writes one to end the wait.  The
+//! server empties it before sweeping again, so a byte written after that
+//! is still pending at the next wait: no completion is slept through.  A
+//! wait lasts at most [`STOP_POLL`], which bounds how late a stop flag
+//! set without a wake is noticed.  After an accept error other than
+//! `WouldBlock` (out of file descriptors: the connection stays in the
+//! backlog, so the listener stays readable) the next wait leaves the
+//! listener out rather than spin; the accept is retried after it.
+//! `poll(2)` and the `UnixStream` pair make this module unix-only.
 //!
 //! # Admission and load shedding
 //!
@@ -72,6 +89,9 @@ use nfm_serve::{CanaryConfig, Engine, EngineError, InferenceRequest, Priority, R
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::raw::{c_int, c_short};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -86,8 +106,9 @@ pub const SHED_LOW_WATERMARK: f64 = 0.75;
 /// reading from it (slow-reader backpressure, see the [module docs](self)).
 pub const MAX_OUTBOX_BYTES: usize = 2 * DEFAULT_MAX_FRAME_BYTES;
 
-/// How long a sweep that moved no bytes and no frames parks.
-const IDLE_PARK: Duration = Duration::from_micros(200);
+/// The longest a wait between sweeps lasts: how late a stop flag set
+/// without a wake (by the owner of [`NetServer::run`]) is noticed.
+pub const STOP_POLL: Duration = Duration::from_secs(1);
 
 /// The limit a [`NetServer`] puts on outside input.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,6 +202,41 @@ fn wants_read(conn: &Conn, max_outbox: usize) -> bool {
     !conn.closing && conn.outbox.len() < max_outbox
 }
 
+/// The sending end of a server's wake socket.
+#[derive(Debug, Clone)]
+struct Waker(Arc<UnixStream>);
+
+impl Waker {
+    /// Makes the server's next (or current) wait return.  A full socket
+    /// already holds a byte the server has not read, so a failed write
+    /// loses nothing.
+    fn wake(&self) {
+        let _ = (&*self.0).write(&[1]);
+    }
+}
+
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+
+/// `nfds_t`: `unsigned long` in glibc and musl, `unsigned int` in the
+/// BSDs, macOS and Android.
+#[cfg(target_os = "linux")]
+type NfdsT = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::os::raw::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+}
+
 /// The engine's TCP serving surface.  Bind, then either call
 /// [`run`](NetServer::run) on the current thread or
 /// [`spawn`](NetServer::spawn) a serving thread and keep the
@@ -198,6 +254,12 @@ pub struct NetServer {
     next_engine_id: u64,
     shed_threshold: usize,
     stats: ServerStats,
+    /// The last accept failed with an error other than `WouldBlock`, so
+    /// the next wait leaves the listener out (see the [module docs](self)).
+    accept_stalled: bool,
+    /// Receiving end of the wake socket.
+    wake_rx: UnixStream,
+    waker: Waker,
 }
 
 impl NetServer {
@@ -224,6 +286,12 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let shed_threshold = shed_threshold_for(engine.queue_capacity(), SHED_LOW_WATERMARK);
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        let waker = Waker(Arc::new(wake_tx));
+        let notifier = waker.clone();
+        engine.set_completion_notifier(move || notifier.wake());
         Ok(NetServer {
             listener,
             engine: Arc::new(engine),
@@ -234,6 +302,9 @@ impl NetServer {
             next_engine_id: 0,
             shed_threshold,
             stats: ServerStats::default(),
+            accept_stalled: false,
+            wake_rx,
+            waker,
         })
     }
 
@@ -259,11 +330,13 @@ impl NetServer {
     /// Serves until `stop` becomes `true`, then drains gracefully
     /// (admitted work completes and flushes, new work gets
     /// [`RejectReason::ShuttingDown`]) and returns the final counters.
+    ///
+    /// An idle server notices `stop` within [`STOP_POLL`] (one second);
+    /// [`ServerHandle::shutdown`] also wakes it.
     pub fn run(mut self, stop: &AtomicBool) -> ServerStats {
         while !stop.load(Ordering::Acquire) {
-            let moved = self.sweep(false);
-            if !moved {
-                std::thread::sleep(IDLE_PARK);
+            if !self.sweep(false) {
+                self.wait_ready(!self.accept_stalled, STOP_POLL);
             }
         }
         self.drain()
@@ -280,19 +353,61 @@ impl NetServer {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let engine = Arc::clone(&self.engine);
+        let waker = self.waker.clone();
         let thread = std::thread::spawn(move || self.run(&flag));
         Ok(ServerHandle {
             addr,
             stop,
             thread,
             engine,
+            waker,
         })
+    }
+
+    /// Blocks until a source the next sweep would act on is ready (see
+    /// the [module docs](self)) or `timeout` passes, then empties the
+    /// wake socket.  `accepting` adds the listener.
+    fn wait_ready(&self, accepting: bool, timeout: Duration) {
+        let entry = |fd: &dyn AsRawFd, events| PollFd {
+            fd: fd.as_raw_fd(),
+            events,
+            revents: 0,
+        };
+        let mut fds = vec![entry(&self.wake_rx, POLLIN)];
+        if accepting {
+            fds.push(entry(&self.listener, POLLIN));
+        }
+        for conn in self.conns.values() {
+            let mut events = 0;
+            if wants_read(conn, MAX_OUTBOX_BYTES) {
+                events |= POLLIN;
+            }
+            if !conn.outbox.is_empty() {
+                events |= POLLOUT;
+            }
+            // A connection waiting on nothing is left out: poll(2)
+            // reports a hang-up even unasked, and that would spin.
+            if events != 0 {
+                fds.push(entry(&conn.stream, events));
+            }
+        }
+        let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+        // SAFETY: `fds` is a live, initialised array of exactly the
+        // length passed, laid out as poll(2)'s `struct pollfd`; every fd
+        // in it is owned by `self` and stays open for the call, which
+        // writes nothing but the `revents` fields.
+        let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
+        // An error (EINTR) or a timeout just sends the loop round again.
+        if ready > 0 && fds[0].revents != 0 {
+            let mut bytes = [0u8; 64];
+            while matches!((&self.wake_rx).read(&mut bytes), Ok(n) if n > 0) {}
+        }
     }
 
     /// One poll-loop sweep: accept, read/decode/admit, route completed
     /// responses, flush outboxes, reap closed connections.  Returns
     /// whether anything moved (bytes, frames or responses) — the idle
-    /// signal for the caller's park.
+    /// signal for the caller's wait.
     ///
     /// `draining` suppresses accepts and turns fresh requests into
     /// [`RejectReason::ShuttingDown`] rejects.
@@ -311,12 +426,13 @@ impl NetServer {
     /// Accept loop: drain the listener backlog.
     fn accept_new(&mut self) -> bool {
         let mut moved = false;
+        self.accept_stalled = false;
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    // Nonblocking + NODELAY: the poll loop must never
-                    // park inside a socket call, and response frames
-                    // are latency-sensitive (no Nagle batching).
+                    // Nonblocking + NODELAY: the loop may block only in
+                    // poll(2), never in a socket call, and response
+                    // frames are latency-sensitive (no Nagle batching).
                     if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
@@ -328,8 +444,19 @@ impl NetServer {
                     moved = true;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                // Transient accept errors (ECONNABORTED etc.): skip.
-                Err(_) => break,
+                // The failed connection left the backlog: go on.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::ConnectionAborted | ErrorKind::Interrupted
+                    ) => {}
+                // Out of descriptors or buffers: the connection stays
+                // queued and the listener readable, so stop asking until
+                // after the next wait.
+                Err(_) => {
+                    self.accept_stalled = true;
+                    break;
+                }
             }
         }
         moved
@@ -637,7 +764,7 @@ impl NetServer {
         // rejects instead of going unanswered) and keeps flushing.
         while self.engine.pending() > 0 {
             if !self.sweep(true) {
-                std::thread::sleep(IDLE_PARK);
+                self.wait_ready(false, STOP_POLL);
             }
         }
         // Route any tail the last sweep's take_completed() missed, then
@@ -648,12 +775,14 @@ impl NetServer {
         // above).
         let deadline = Instant::now() + Duration::from_secs(2);
         loop {
-            self.route_responses();
-            self.flush_all();
-            if Instant::now() >= deadline || self.conns.values().all(|c| c.outbox.is_empty()) {
+            let moved = self.sweep(true);
+            let now = Instant::now();
+            if now >= deadline || self.conns.values().all(|c| c.outbox.is_empty()) {
                 break;
             }
-            std::thread::sleep(IDLE_PARK);
+            if !moved {
+                self.wait_ready(false, deadline - now);
+            }
         }
         self.stats
     }
@@ -676,6 +805,7 @@ pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     thread: JoinHandle<ServerStats>,
     engine: Arc<Engine>,
+    waker: Waker,
 }
 
 impl ServerHandle {
@@ -694,6 +824,7 @@ impl ServerHandle {
     /// returning the lifetime counters.
     pub fn shutdown(self) -> ServerStats {
         self.stop.store(true, Ordering::Release);
+        self.waker.wake();
         self.thread.join().expect("server thread never panics")
     }
 }

@@ -135,6 +135,7 @@ impl EngineBuilder {
                 idle_workers: 0,
                 lane_borrows: 0,
                 context_stats: (0..self.workers).map(|_| Vec::new()).collect(),
+                notifier: None,
                 shutdown: false,
                 paused: self.paused,
                 error: None,
@@ -367,9 +368,22 @@ struct State {
     /// accumulated — evaluator counters are cumulative) every time a
     /// worker drains the queue and goes idle.  Indexed by worker.
     context_stats: Vec<Vec<(ContextKey, ReuseStats)>>,
+    /// Called when a response lands in an empty `responses`
+    /// ([`Engine::set_completion_notifier`]).
+    notifier: Option<Notifier>,
     shutdown: bool,
     paused: bool,
     error: Option<String>,
+}
+
+/// A registered completion callback.
+#[derive(Clone)]
+struct Notifier(Arc<dyn Fn() + Send + Sync>);
+
+impl std::fmt::Debug for Notifier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Notifier")
+    }
 }
 
 #[derive(Debug)]
@@ -446,11 +460,24 @@ fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
             // submitted request.  They still balance `outstanding`, so
             // drain/quiescence accounting holds even for shadows that
             // land after their swap decided.
+            let was_empty = state.responses.is_empty();
             if !tag.shadow {
                 state.responses.push(response);
             }
             state.outstanding -= 1;
+            // Only news for a taker that emptied the list notifies: the
+            // first response since the take (it sees every later one at
+            // the next), or a shadow half that leaves nothing outstanding.
+            let notify = if was_empty && (!tag.shadow || state.outstanding == 0) {
+                state.notifier.clone()
+            } else {
+                None
+            };
             emit_shared.done_cv.notify_all();
+            drop(guard);
+            if let Some(Notifier(notify)) = notify {
+                notify();
+            }
         };
         let report_shared = Arc::clone(&shared);
         let mut report = move |error: String| {
@@ -743,6 +770,19 @@ impl Engine {
         // Wake `drain` waiters too: their quiescence condition changes
         // shape under shutdown (workers exit instead of parking).
         self.shared.done_cv.notify_all();
+    }
+
+    /// Registers `notify` to be called whenever a response lands while
+    /// no completed response is waiting, so a caller of
+    /// [`take_completed`](Engine::take_completed) can sleep until there
+    /// is something to take instead of polling.  It runs on a worker
+    /// thread, outside the engine's lock, at most once between two
+    /// calls that take the responses.  A shadow half of a canary pair
+    /// calls it only when it leaves nothing [`pending`](Engine::pending)
+    /// and nothing to take, so a caller waiting for the engine to empty
+    /// hears of it.  Replaces any earlier notifier.
+    pub fn set_completion_notifier(&self, notify: impl Fn() + Send + Sync + 'static) {
+        self.shared.lock().notifier = Some(Notifier(Arc::new(notify)));
     }
 
     /// Takes every response completed so far, without blocking.

@@ -1,15 +1,17 @@
 //! `nfm-serve`'s unit tests through its public surface: the request
-//! and option builders, response latency, and the `MemoizedRunner`
-//! façade over the engine.
+//! and option builders, response latency, the `MemoizedRunner` façade
+//! over the engine, and the engine's completion notifier.
 
 use nfm_core::{BnnMemoConfig, OracleMemoConfig, ReuseStats};
 use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, RnnError};
 use nfm_serve::{
-    CompletionStatus, InferenceRequest, InferenceResponse, InferenceWorkload, MemoizedRunner,
-    PredictorKind, Priority, RequestOptions,
+    CanaryConfig, CompletionStatus, Engine, EngineBuilder, InferenceRequest, InferenceResponse,
+    InferenceWorkload, MemoizedRunner, PredictorKind, Priority, RequestOptions,
 };
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
@@ -211,4 +213,122 @@ fn empty_workload_yields_empty_outcome() {
     assert_eq!(outcome.stats, ReuseStats::new());
     let outcome = MemoizedRunner::exact().run_batched(&w, 3).unwrap();
     assert!(outcome.outputs.is_empty());
+}
+
+/// A paused one-worker engine over `w`'s network.
+fn paused_engine(w: &Tiny) -> Engine {
+    EngineBuilder::new(w.net.clone(), PredictorKind::Exact)
+        .workers(1)
+        .start_paused()
+        .build()
+        .unwrap()
+}
+
+/// Registers a notifier on `engine` that counts its calls.
+fn count_notifications(engine: &Engine) -> Arc<AtomicUsize> {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&calls);
+    engine.set_completion_notifier(move || {
+        counter.fetch_add(1, Ordering::SeqCst);
+    });
+    calls
+}
+
+fn requests(w: &Tiny) -> impl Iterator<Item = InferenceRequest> + '_ {
+    (w.seqs.iter().enumerate()).map(|(id, seq)| InferenceRequest::new(id as u64, seq.clone()))
+}
+
+fn sorted(mut responses: Vec<InferenceResponse>) -> Vec<InferenceResponse> {
+    responses.sort_by_key(|r| r.id);
+    responses
+}
+
+/// `drain` returns only once the worker has parked, which is after the
+/// emission that notified returned, so the counts below are exact.
+#[test]
+fn the_completion_notifier_fires_once_per_emptied_response_list() {
+    let w = workload(3, 6);
+    let engine = paused_engine(&w);
+    let calls = count_notifications(&engine);
+    engine.submit_all(requests(&w)).unwrap();
+    let notified = sorted(engine.drain());
+    assert_eq!(notified.len(), 3);
+    // The first response lands in an empty list; the other two find
+    // it still waiting.
+    assert_eq!(calls.load(Ordering::SeqCst), 1);
+    engine.submit_all(requests(&w)).unwrap();
+    assert_eq!(engine.drain().len(), 3);
+    assert_eq!(calls.load(Ordering::SeqCst), 2);
+
+    // An engine with no notifier answers exactly the same.
+    let plain = paused_engine(&w);
+    plain.submit_all(requests(&w)).unwrap();
+    let plain = sorted(plain.drain());
+    for (a, b) in notified.iter().zip(&plain) {
+        assert_eq!((a.id, &a.outputs, &a.stats), (b.id, &b.outputs, &b.stats));
+    }
+}
+
+#[test]
+fn a_shadow_half_landing_before_its_primary_does_not_notify() {
+    let w = workload(3, 6);
+    let engine = paused_engine(&w);
+    // Serving one request first creates the incumbent's context before
+    // the staged one; the worker steps contexts in creation order, so
+    // each shadow half lands first, into an empty list.
+    engine.submit(requests(&w).next().unwrap()).unwrap();
+    assert_eq!(engine.drain().len(), 1);
+    // Every request runs as a pair; the swap never decides.
+    engine
+        .swap_model(
+            nfm_serve::DEFAULT_MODEL,
+            w.net.clone(),
+            [PredictorKind::Exact],
+            CanaryConfig::fraction(1.0).min_requests(1000),
+        )
+        .unwrap();
+    let calls = count_notifications(&engine);
+    for round in 1..=3 {
+        engine.submit(requests(&w).next().unwrap()).unwrap();
+        assert_eq!(engine.drain().len(), 1);
+        assert_eq!(calls.load(Ordering::SeqCst), round);
+    }
+    let status = engine.swap_status(nfm_serve::DEFAULT_MODEL).unwrap();
+    assert_eq!((status.canaries, status.matched), (3, 3));
+}
+
+/// A taker that empties the list at every notification, as the net
+/// server does, also hears from a shadow half that lands last: it leaves
+/// nothing pending, which a taker waiting for the engine to empty needs
+/// to know.  The notifier runs on the worker before it emits again, so
+/// the counts are exact.
+#[test]
+fn a_shadow_half_that_leaves_the_engine_empty_notifies() {
+    let w = workload(3, 6);
+    let engine = Arc::new(paused_engine(&w));
+    // Staged before anything ran, the canary's context is created and
+    // stepped first, so each shadow half lands after its primary.
+    engine
+        .swap_model(
+            nfm_serve::DEFAULT_MODEL,
+            w.net.clone(),
+            [PredictorKind::Exact],
+            CanaryConfig::fraction(1.0).min_requests(1000),
+        )
+        .unwrap();
+    let (calls, taken) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let (c, t) = (Arc::clone(&calls), Arc::clone(&taken));
+    let taker = Arc::downgrade(&engine);
+    engine.set_completion_notifier(move || {
+        c.fetch_add(1, Ordering::SeqCst);
+        if let Some(engine) = taker.upgrade() {
+            t.fetch_add(engine.take_completed().len(), Ordering::SeqCst);
+        }
+    });
+    for round in 1..=3 {
+        engine.submit(requests(&w).next().unwrap()).unwrap();
+        assert!(engine.drain().is_empty());
+        let counts = (calls.load(Ordering::SeqCst), taken.load(Ordering::SeqCst));
+        assert_eq!(counts, (2 * round, round));
+    }
 }

@@ -5,26 +5,30 @@
 #
 # Usage: scripts/bench_history.sh [label] [out-dir]
 #
-# Run `benchmark/run.sh` (every workload) first; this reads the
-# untraced `<out-dir>/<workload>.json` files it leaves (default
-# `benchmark/out`) and records the commit, host shape and dispatch
-# tiers their `meta` carries, plus every workload's five end-to-end
-# metrics as `[median, q1, q3]` (`[value]` where the benchmark reports
-# no quartiles).  `commit` is the HEAD the benchmark ran on; say in
-# `label` when the numbers are of an uncommitted tree on top of it.
+# Run `benchmark/run.sh` first; this reads the untraced
+# `<out-dir>/<workload>.json` files it leaves (default `benchmark/out`)
+# and records the commit, host shape and dispatch tiers their `meta`
+# carries, plus each workload's five end-to-end metrics as
+# `[median, q1, q3]` (`[value]` where the benchmark reports no
+# quartiles).  A workload with no file is left out of the line;
+# `scripts/bench_pair.sh` writes its per-side medians in the same form.
+# `commit` is the HEAD the benchmark ran on; say in `label` when the
+# numbers are of an uncommitted tree on top of it.
 # Nothing under `benchmark/` is written.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 python3 - "${1:-}" "${2:-benchmark/out}" >> BENCH_history.jsonl <<'EOF'
-import json, sys
+import json, os, sys
 
 label, out_dir = sys.argv[1], sys.argv[2]
 spec = json.load(open("BENCHMARK.json"))
 line = {"label": label}
 workloads = {}
 for w in (w["name"] for w in spec["workloads"]):
+    if not os.path.exists(f"{out_dir}/{w}.json"):
+        continue
     run = json.load(open(f"{out_dir}/{w}.json"))
     meta = run["meta"]
     # `serve_open` pins its threads and reports the CPUs it was left
@@ -46,6 +50,8 @@ for w in (w["name"] for w in spec["workloads"]):
         m["name"]: [run["metrics"][m["name"]][k] for k in ("value", "q1", "q3") if k in run["metrics"][m["name"]]]
         for m in spec["end_to_end"]
     }
+if not workloads:
+    sys.exit(f"{out_dir}: no workload results")
 line["workloads"] = workloads
 print(json.dumps(line, separators=(",", ":")))
 EOF

@@ -26,9 +26,14 @@
 //! 8. **Hot swaps driven by the wire alone** — a swap staged by an
 //!    admin frame and canaried by wire requests is applied when its last
 //!    pair lands, with no in-process call to apply it.
+//! 9. **The server's waits end when they should** — a slow reader whose
+//!    outbox passed the cap still receives everything once it reads (the
+//!    server waits for writability, not for a timeout), and shutting down
+//!    an idle server ends its wait at once.
 
 use nfm::memo::{BnnMemoConfig, PredictorKind};
 use nfm::model::save_to_vec;
+use nfm::net::server::{MAX_OUTBOX_BYTES, STOP_POLL};
 use nfm::net::{
     NetClient, NetError, NetServer, ProtocolError, RejectReason, ServerConfig, ServerFrame,
     WireAdmin, WireReject, WireRequest,
@@ -628,4 +633,111 @@ fn recv_timeout_restores_blocking_reads_after_a_decode_error() {
         other => panic!("expected the late reject, got {other:?}"),
     }
     peer.join().expect("peer");
+}
+
+/// Runs `f` on its own thread and fails the test if it has not
+/// returned within `limit`, so a server stuck in its wait shows up as a
+/// failure instead of a hung suite.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(f()));
+    result
+        .recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("did not finish within {limit:?}"))
+}
+
+/// A client pipelines requests whose responses overflow the server's
+/// outbox cap, so the server stops reading from it, and only then reads.
+/// The server must flush when the socket turns writable and read again
+/// once the outbox drained.  A wait missing either arm ends only at its
+/// `STOP_POLL` timeout, once per refill of the socket buffer: the reads
+/// then take several seconds instead of about one.
+#[test]
+fn a_slow_reader_receives_every_response_once_it_reads() {
+    // Two hidden units under a 2048-wide head: 8 KiB of response per
+    // step for almost no compute.
+    let mut rng = DeterministicRng::seed_from_u64(3);
+    let config = DeepRnnConfig::new(CellKind::Gru, 1, 2).output_size(2048);
+    let net = DeepRnn::random(&config, &mut rng).unwrap();
+    let sequence: Vec<Vector> = (0..512)
+        .map(|t| Vector::from_fn(1, |_| t as f32 / 512.0))
+        .collect();
+    let response_bytes = 512 * 2048 * 4;
+    let engine = EngineBuilder::new(net, PredictorKind::Exact)
+        .workers(1)
+        .build()
+        .expect("engine builds");
+    let handle = NetServer::bind("127.0.0.1:0", engine)
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let mut client = NetClient::connect(handle.addr()).expect("connect");
+    // Enough to fill the socket buffers (a few MiB on loopback) and
+    // leave more than the cap in the outbox.
+    let first = (MAX_OUTBOX_BYTES / response_bytes + 3) as u64;
+    for id in 0..first {
+        client
+            .send(&WireRequest::new(id, sequence.clone()))
+            .expect("send");
+    }
+    let patience = Instant::now() + Duration::from_secs(60);
+    while handle.engine().pending() > 0 {
+        assert!(Instant::now() < patience, "the engine never answered");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // These wait in the socket until the outbox drains below the cap.
+    let total = first + 4;
+    for id in first..total {
+        client
+            .send(&WireRequest::new(id, sequence.clone()))
+            .expect("send");
+    }
+    let received = within(Duration::from_secs(60), move || {
+        let mut ids = Vec::new();
+        while (ids.len() as u64) < total {
+            match client.recv().expect("recv") {
+                ServerFrame::Response(r) => {
+                    assert_eq!((r.status, r.outputs.len()), (CompletionStatus::Done, 512));
+                    ids.push(r.id);
+                }
+                other => panic!("unexpected frame: {other:?}"),
+            }
+        }
+        ids.sort_unstable();
+        ids
+    });
+    assert_eq!(received, (0..total).collect::<Vec<_>>());
+    let stats = handle.shutdown();
+    assert_eq!(
+        (stats.requests_admitted, stats.responses_sent),
+        (total, total)
+    );
+    assert_eq!(stats.responses_orphaned, 0);
+}
+
+/// An idle server waits up to `STOP_POLL` for a socket; the handle's
+/// wake byte ends that wait, so shutting down takes far less than the
+/// stop-flag timeout.
+#[test]
+fn shutting_down_an_idle_server_ends_its_wait_at_once() {
+    let w = workload(91);
+    let handle = NetServer::bind("127.0.0.1:0", make_engine(&w))
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    // One round trip, so the serving thread is past start-up and idle.
+    let mut client = NetClient::connect(handle.addr()).expect("connect");
+    client
+        .send(&WireRequest::new(1, w.sequences()[0].clone()))
+        .expect("send");
+    assert!(matches!(client.recv(), Ok(ServerFrame::Response(_))));
+    let bound = STOP_POLL / 10;
+    let started = Instant::now();
+    let stats = within(STOP_POLL * 10, move || handle.shutdown());
+    assert!(
+        started.elapsed() < bound,
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(stats.responses_sent, 1);
 }
