@@ -21,25 +21,27 @@
 //! Multi-sequence batched inference is measured separately on
 //! 8-sequence workloads: `inference/exact_single/*` and
 //! `inference/bnn_memoized_single/*` process the sequences one at a
-//! time, `inference/exact_batched/*` and
-//! `inference/bnn_memoized_batched/*` run the same sequences through
-//! `MemoizedRunner::run_batched` with 8 lanes per gate invocation (plus
-//! block-hoisted `W_x·x_t` projections on the exact path).  Each exact
-//! entry is measured interleaved with its memoized twin, so
+//! time (`Predictor::run`), `inference/exact_batched/*` and
+//! `inference/bnn_memoized_batched/*` run the same sequences as the 8
+//! lanes of one `DeepRnn::run_batch` call (plus block-hoisted `W_x·x_t`
+//! projections on the exact path).  Every iteration of these rungs
+//! builds its evaluator from the policy over the workload's `Model`,
+//! whose mirror exists before timing starts; no engine is built.  Each
+//! exact entry is measured interleaved with its memoized twin, so
 //! `exact_batched → bnn_memoized_batched` is the committed
 //! exact-vs-memoized comparison.
 
 use nfm_bench::Bencher;
 use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector, PopcountBackend};
 use nfm_control::{AdaptivePredictor, ControllerConfig};
-use nfm_core::{BnnMemoConfig, BnnMemoEvaluator, Model, OracleEvaluator};
+use nfm_core::{BnnMemoConfig, BnnMemoEvaluator};
 use nfm_rnn::{
     DeepRnn, ExactEvaluator, Gate, NeuronEvaluator, NeuronRef, PerNeuronEvaluator,
     Result as RnnResult, RnnError,
 };
 use nfm_serve::{
-    CanaryConfig, EngineBuilder, InferenceRequest, InferenceResponse, MemoizedRunner,
-    ModelRegistry, PredictorKind, RequestOptions, SwapOutcome,
+    CanaryConfig, EngineBuilder, InferenceRequest, InferenceResponse, ModelRegistry, Predictor,
+    PredictorKind, RequestOptions, SwapOutcome,
 };
 use nfm_tensor::activation::Activation;
 use nfm_tensor::backend::KernelBackend;
@@ -264,50 +266,45 @@ fn main() {
     // Multi-sequence batched inference: 8 sequences through
     // serving-scale networks (half- and full-scale IMDB), evaluated
     // per-sequence (`*_single`) vs lane-striped with BATCH lanes per
-    // gate invocation (`*_batched`).  Both sides go
-    // through the MemoizedRunner so the comparison isolates the batching
-    // itself; `run_batched` additionally gets the block-hoisted `W_x·x_t`
-    // projections on the exact path.  This section runs first: the
+    // gate invocation (`*_batched`).  Both sides build one evaluator
+    // from the policy per iteration, so the comparison isolates the
+    // batching itself; the exact path's lanes additionally share the
+    // block-hoisted `W_x·x_t` projections.  This section runs first: the
     // seed-faithful benches below churn the allocator with millions of
     // short-lived HashMap/BitVector allocations, which measurably
     // inflates the buffer-heavy batched iterations when they run on the
     // fragmented heap afterwards (a serving process owns a clean heap).
     const BATCH: usize = 8;
     let batch_sizes = [
-        ("small", workload(NetworkId::ImdbSentiment, 0.5, 8, 32)),
-        ("medium", workload(NetworkId::ImdbSentiment, 1.0, 8, 48)),
+        ("small", workload(NetworkId::ImdbSentiment, 0.5, BATCH, 32)),
+        ("medium", workload(NetworkId::ImdbSentiment, 1.0, BATCH, 48)),
     ];
     for (size, w) in &batch_sizes {
         // Exact vs memoized on the same workload, interleaved: the pair
         // ROADMAP item 2 is judged on.
-        let memo_runner = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.5));
+        let memo = PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5));
+        memo.prepare(w.model());
+        let single = |predictor: PredictorKind| {
+            let outcome = predictor.run(w.model(), w.sequences()).expect("runs");
+            black_box(outcome.outputs.len())
+        };
         bench.bench_pair(
             &format!("inference/exact_single/{size}"),
-            || black_box(MemoizedRunner::exact().run(w).expect("runs").outputs.len()),
+            || single(PredictorKind::Exact),
             &format!("inference/bnn_memoized_single/{size}"),
-            || black_box(memo_runner.run(w).expect("runs").outputs.len()),
+            || single(memo),
         );
+        let lanes: Vec<&[Vector]> = w.sequences().iter().map(Vec::as_slice).collect();
+        let batched = |predictor: PredictorKind| {
+            let mut evaluator = predictor.build_evaluator(w.model());
+            let outputs = w.network().run_batch(&lanes, evaluator.as_mut());
+            black_box(outputs.expect("runs").len())
+        };
         bench.bench_pair(
             &format!("inference/exact_batched/{size}"),
-            || {
-                black_box(
-                    MemoizedRunner::exact()
-                        .run_batched(w, BATCH)
-                        .expect("runs")
-                        .outputs
-                        .len(),
-                )
-            },
+            || batched(PredictorKind::Exact),
             &format!("inference/bnn_memoized_batched/{size}"),
-            || {
-                black_box(
-                    memo_runner
-                        .run_batched(w, BATCH)
-                        .expect("runs")
-                        .outputs
-                        .len(),
-                )
-            },
+            || batched(memo),
         );
     }
 
@@ -351,7 +348,7 @@ fn main() {
     // converge θ, the median measures the steady-state regime.
     {
         let base = workload(NetworkId::ImdbSentiment, 0.5, 1, 8);
-        let model = Model::from(base.network().clone());
+        let model = base.model();
         let net = model.network();
         let drift =
             SequenceGenerator::new(InputDomain::drifting(), net.input_size(), 11).sequences(8, 48);
@@ -365,7 +362,7 @@ fn main() {
             .initial_theta(theta)
             .seed(11);
         let predictor = AdaptivePredictor::new(control);
-        let mut adaptive_eval = predictor.evaluator(&model);
+        let mut adaptive_eval = predictor.evaluator(model);
         fn run_drift(
             net: &DeepRnn,
             seqs: &[Vec<Vector>],
@@ -412,13 +409,7 @@ fn main() {
             PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5)),
         ),
     ] {
-        let mut wave_eval: Box<dyn NeuronEvaluator> = match predictor {
-            PredictorKind::Exact => Box::new(ExactEvaluator::new()),
-            PredictorKind::Oracle(c) => Box::new(OracleEvaluator::for_network(ragged_net, c)),
-            PredictorKind::Bnn(c) => {
-                Box::new(BnnMemoEvaluator::new(BinaryNetwork::mirror(ragged_net), c))
-            }
-        };
+        let mut wave_eval = predictor.build_evaluator(ragged_base.model());
         let engine = EngineBuilder::new(ragged_net.clone(), predictor)
             .lanes(ENGINE_LANES)
             .workers(1)

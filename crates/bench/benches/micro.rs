@@ -9,9 +9,8 @@
 use nfm_accel::{EpurConfig, EpurSimulator, LayerShape, NetworkShape};
 use nfm_bench::Bencher;
 use nfm_bnn::{BinaryNetwork, BitVector};
-use nfm_core::{BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig};
+use nfm_core::{BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig, Predictor, PredictorKind};
 use nfm_rnn::ExactEvaluator;
-use nfm_serve::MemoizedRunner;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::vector::dot;
 use nfm_workloads::{NetworkId, WorkloadBuilder};
@@ -66,26 +65,23 @@ fn inference_modes(bench: &mut Bencher) {
             black_box(workload.network().run(seq, &mut evaluator).unwrap());
         }
     });
-    bench.bench("inference/oracle_memoized", || {
+    let run = |predictor: PredictorKind| {
         black_box(
-            MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4))
-                .run(&workload)
+            predictor
+                .run(workload.model(), workload.sequences())
                 .unwrap(),
         )
+    };
+    bench.bench("inference/oracle_memoized", || {
+        run(PredictorKind::Oracle(OracleMemoConfig::with_threshold(0.4)))
     });
     bench.bench("inference/bnn_memoized", || {
-        black_box(
-            MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.4))
-                .run(&workload)
-                .unwrap(),
-        )
+        run(PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.4)))
     });
     bench.bench("inference/bnn_memoized_no_throttling", || {
-        black_box(
-            MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.4).without_throttling())
-                .run(&workload)
-                .unwrap(),
-        )
+        run(PredictorKind::Bnn(
+            BnnMemoConfig::with_threshold(0.4).without_throttling(),
+        ))
     });
     // The evaluator in isolation, reusing a pre-built binary mirror (the
     // mirror corresponds to static sign-buffer contents in hardware).

@@ -12,7 +12,7 @@
 //!
 //! * `benches/inference_throughput.rs` — the perf baseline: batched
 //!   exact inference vs the per-neuron fallback vs the seed-faithful
-//!   naive path, plus BNN-memoized inference and the parallel runner.
+//!   naive path, plus BNN-memoized inference and the serving engine.
 //! * `benches/micro.rs` — microbenchmarks (FP vs XNOR-popcount dot
 //!   products, exact vs memoized inference, throttling ablation,
 //!   accelerator projections).

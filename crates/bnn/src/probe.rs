@@ -70,11 +70,22 @@ impl CorrelationProbe {
         self.series.len()
     }
 
+    /// The recorded series in a fixed order — by gate
+    /// ([`GateId::dense_index`](nfm_rnn::GateId::dense_index)), then
+    /// neuron — so what is pooled from them does not depend on the
+    /// map's per-process hash order.
+    fn ordered_series(&self) -> Vec<&NeuronSeries> {
+        let mut keyed: Vec<_> = self.series.iter().collect();
+        keyed.sort_unstable_by_key(|((gate, neuron), _)| (gate.dense_index(), *neuron));
+        keyed.into_iter().map(|(_, series)| series).collect()
+    }
+
     /// All paired samples flattened into `(full precision, binarized)`
-    /// tuples — the point cloud of Figure 7.
+    /// tuples — the point cloud of Figure 7 — in gate, neuron, timestep
+    /// order.
     pub fn paired_samples(&self) -> Vec<(f32, f32)> {
         let mut out = Vec::new();
-        for s in self.series.values() {
+        for s in self.ordered_series() {
             out.extend(
                 s.full_precision
                     .iter()
@@ -86,10 +97,11 @@ impl CorrelationProbe {
     }
 
     /// Per-neuron correlation coefficients (neurons with fewer than two
-    /// samples are skipped) — the sample behind Figure 8.
+    /// samples are skipped) in gate, neuron order — the sample behind
+    /// Figure 8.
     pub fn per_neuron_correlations(&self) -> Vec<f32> {
-        self.series
-            .values()
+        self.ordered_series()
+            .into_iter()
             .filter_map(NeuronSeries::correlation)
             .collect()
     }
@@ -205,6 +217,31 @@ mod tests {
             positive * 2 > per_neuron.len(),
             "most neurons correlate positively"
         );
+    }
+
+    #[test]
+    fn pooled_samples_come_in_gate_neuron_timestep_order() {
+        // Two probes hash their keys differently; what they pool must
+        // not differ.
+        let (net, seq) = setup();
+        let probes: Vec<CorrelationProbe> = (0..2)
+            .map(|_| {
+                let mut probe = CorrelationProbe::new(BinaryNetwork::mirror(&net));
+                let _ = net.run(&seq, &mut probe).unwrap();
+                probe
+            })
+            .collect();
+        let pooled = probes[0].paired_samples();
+        assert_eq!(pooled, probes[1].paired_samples());
+        let series = probes[0].series();
+        let first = series
+            .keys()
+            .min_by_key(|(gate, neuron)| (gate.dense_index(), *neuron))
+            .unwrap();
+        let first = &series[first];
+        for (t, &(fp, bnn)) in pooled[..seq.len()].iter().enumerate() {
+            assert_eq!((fp, bnn), (first.full_precision[t], first.binarized[t]));
+        }
     }
 
     #[test]

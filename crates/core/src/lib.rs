@@ -30,11 +30,14 @@
 //!   plus the mirror derived from it once), a `Predictor` is a policy
 //!   that stamps out per-worker evaluators over a `Model`, and
 //!   [`PredictorKind`] is the built-in family (exact/oracle/BNN).
+//! * [`Predictor::run`] — offline inference: a policy's one evaluator
+//!   runs a set of sequences one at a time through
+//!   [`DeepRnn::run`](nfm_rnn::DeepRnn::run), returning a
+//!   [`RunOutcome`] (outputs plus merged [`ReuseStats`]).
 //!
-//! The request-oriented serving surface — `MemoizedRunner`,
-//! `InferenceWorkload` and the `Engine` they wrap — lives in the
-//! `nfm-serve` crate, which plugs these evaluators into the unified
-//! lane scheduler of `nfm-rnn`.
+//! The request-oriented serving surface — the `Engine` and its
+//! multi-model registry — lives in the `nfm-serve` crate, which plugs
+//! the same policies into the unified lane scheduler of `nfm-rnn`.
 //!
 //! # Example
 //!
@@ -73,7 +76,7 @@ pub use lanes::MemoLanes;
 pub use nfm_bnn::Model;
 pub use oracle::OracleEvaluator;
 pub use predictor::BnnMemoEvaluator;
-pub use serving::{Predictor, PredictorKind, ServedEvaluator};
+pub use serving::{Predictor, PredictorKind, RunOutcome, ServedEvaluator};
 pub use similarity::SimilarityProbe;
 pub use stats::ReuseStats;
 pub use table::{GateColumns, GateHandle, MemoEntry, MemoTable};

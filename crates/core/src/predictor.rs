@@ -544,292 +544,3 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         self.lanes.swap(a, b);
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::{BnnMemoConfig, DEFAULT_BNN_EPSILON};
-    use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator};
-    use nfm_tensor::rng::DeterministicRng;
-    use nfm_tensor::Vector;
-
-    fn network(seed: u64) -> DeepRnn {
-        let cfg = DeepRnnConfig::new(CellKind::Lstm, 8, 12);
-        let mut rng = DeterministicRng::seed_from_u64(seed);
-        DeepRnn::random(&cfg, &mut rng).unwrap()
-    }
-
-    fn smooth_sequence(len: usize, width: usize, seed: u64) -> Vec<Vector> {
-        let mut rng = DeterministicRng::seed_from_u64(seed);
-        let mut x = Vector::from_fn(width, |_| rng.uniform(-0.5, 0.5));
-        (0..len)
-            .map(|_| {
-                x = x
-                    .add(&Vector::from_fn(width, |_| rng.uniform(-0.05, 0.05)))
-                    .unwrap();
-                x.clone()
-            })
-            .collect()
-    }
-
-    fn evaluator(net: &DeepRnn, config: BnnMemoConfig) -> BnnMemoEvaluator {
-        BnnMemoEvaluator::new(BinaryNetwork::mirror(net), config)
-    }
-
-    #[test]
-    fn negative_threshold_matches_exact_inference() {
-        // With θ < 0 no accumulated difference can qualify, so the scheme
-        // degenerates to exact inference with zero reuse.
-        let net = network(1);
-        let seq = smooth_sequence(15, 8, 2);
-        let exact = net.run(&seq, &mut ExactEvaluator::new()).unwrap();
-        let mut memo = evaluator(&net, BnnMemoConfig::with_threshold(-1.0));
-        let out = net.run(&seq, &mut memo).unwrap();
-        assert_eq!(exact, out);
-        assert_eq!(memo.stats().reuses(), 0);
-    }
-
-    #[test]
-    fn zero_threshold_only_reuses_identical_bnn_outputs() {
-        // θ=0 reuses only while the BNN output is bit-identical to the
-        // cached one; the resulting divergence from exact inference stays
-        // small because identical BNN outputs imply near-identical
-        // full-precision outputs (the correlation property of Figure 7).
-        let net = network(1);
-        let seq = smooth_sequence(15, 8, 2);
-        let exact = net.run(&seq, &mut ExactEvaluator::new()).unwrap();
-        let mut memo = evaluator(&net, BnnMemoConfig::with_threshold(0.0));
-        let out = net.run(&seq, &mut memo).unwrap();
-        for (a, b) in exact.iter().zip(out.iter()) {
-            for i in 0..a.len() {
-                assert!((a[i] - b[i]).abs() < 0.3, "{} vs {}", a[i], b[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn bnn_is_evaluated_for_every_neuron_every_timestep() {
-        let net = network(3);
-        let seq = smooth_sequence(10, 8, 4);
-        let mut memo = evaluator(&net, BnnMemoConfig::with_threshold(0.3));
-        let _ = net.run(&seq, &mut memo).unwrap();
-        let expected = (10 * net.neuron_evaluations_per_step()) as u64;
-        assert_eq!(memo.stats().evaluations(), expected);
-        assert_eq!(memo.stats().bnn_evaluations(), expected);
-    }
-
-    #[test]
-    fn generous_threshold_yields_substantial_reuse() {
-        let net = network(5);
-        let seq = smooth_sequence(30, 8, 6);
-        let mut memo = evaluator(&net, BnnMemoConfig::with_threshold(2.0));
-        let _ = net.run(&seq, &mut memo).unwrap();
-        assert!(
-            memo.stats().reuse_fraction() > 0.2,
-            "expected >20% reuse, got {}",
-            memo.stats().reuse_percent()
-        );
-    }
-
-    #[test]
-    fn reuse_is_monotone_in_threshold() {
-        let net = network(7);
-        let seq = smooth_sequence(25, 8, 8);
-        let mut previous = -1.0;
-        for &theta in &[0.0, 0.25, 0.5, 1.0, 2.0, 4.0] {
-            let mut memo = evaluator(&net, BnnMemoConfig::with_threshold(theta));
-            let _ = net.run(&seq, &mut memo).unwrap();
-            let reuse = memo.stats().reuse_fraction();
-            assert!(
-                reuse + 1e-9 >= previous,
-                "reuse decreased from {previous} to {reuse} at θ={theta}"
-            );
-            previous = reuse;
-        }
-    }
-
-    #[test]
-    fn throttling_reduces_consecutive_reuse_runs() {
-        let net = network(9);
-        let seq = smooth_sequence(40, 8, 10);
-        let theta = 1.5;
-        let mut with = evaluator(&net, BnnMemoConfig::with_threshold(theta));
-        let _ = net.run(&seq, &mut with).unwrap();
-        let mut without = evaluator(
-            &net,
-            BnnMemoConfig::with_threshold(theta).without_throttling(),
-        );
-        let _ = net.run(&seq, &mut without).unwrap();
-        // Without throttling, per-step differences are never accumulated,
-        // so reuse and maximum run length can only be larger or equal.
-        assert!(without.stats().reuse_fraction() + 1e-9 >= with.stats().reuse_fraction());
-        assert!(
-            without.lanes().table(0).max_consecutive_reuses()
-                >= with.lanes().table(0).max_consecutive_reuses()
-        );
-    }
-
-    #[test]
-    fn outputs_stay_bounded_under_aggressive_reuse() {
-        let net = network(11);
-        let seq = smooth_sequence(30, 8, 12);
-        let mut memo = evaluator(&net, BnnMemoConfig::with_threshold(8.0));
-        let out = net.run(&seq, &mut memo).unwrap();
-        assert!(memo.stats().reuse_fraction() > 0.4);
-        for v in &out {
-            assert!(v.iter().all(|x| x.is_finite()));
-            assert!(v.norm_inf() <= 1.0 + 1e-4, "LSTM outputs remain in [-1, 1]");
-        }
-    }
-
-    #[test]
-    fn begin_lane_sequence_clears_lane_and_reference_state() {
-        let net = network(13);
-        let seq = smooth_sequence(10, 8, 14);
-        let mut memo = evaluator(&net, BnnMemoConfig::with_threshold(1.0));
-        let _ = net.run(&seq, &mut memo).unwrap();
-        assert!(!memo.lanes().table(0).is_empty());
-        // Populate the per-neuron reference table too.
-        let (id, gate) = net.gates()[0];
-        let neuron = NeuronRef {
-            gate_id: id,
-            neuron: 0,
-            timestep: 0,
-        };
-        memo.evaluate(neuron, gate, seq[0].as_slice(), &[0.0; 12])
-            .unwrap();
-        assert!(!memo.table().is_empty());
-        memo.begin_lane_sequence(0);
-        assert!(memo.lanes().table(0).is_empty());
-        assert!(memo.table().is_empty());
-    }
-
-    #[test]
-    fn accuracy_degrades_gracefully_with_threshold() {
-        // The divergence from exact inference should grow with θ but stay
-        // bounded — the property that makes fuzzy memoization usable.
-        let net = network(15);
-        let seq = smooth_sequence(25, 8, 16);
-        let exact = net.run(&seq, &mut ExactEvaluator::new()).unwrap();
-        let mut divergences = Vec::new();
-        for &theta in &[0.5, 2.0, 8.0] {
-            let mut memo = evaluator(&net, BnnMemoConfig::with_threshold(theta));
-            let out = net.run(&seq, &mut memo).unwrap();
-            let mut err = 0.0f32;
-            let mut count = 0usize;
-            for (a, b) in exact.iter().zip(out.iter()) {
-                for i in 0..a.len() {
-                    err += (a[i] - b[i]).abs();
-                    count += 1;
-                }
-            }
-            divergences.push(err / count as f32);
-        }
-        assert!(divergences[0] <= divergences[2] + 1e-6);
-        assert!(divergences[2] < 0.5, "mean divergence stays small");
-    }
-
-    #[test]
-    fn degenerate_thresholds_and_clamps_match_the_per_neuron_reference() {
-        // The whole-gate compare against the per-neuron decision where
-        // the arithmetic degenerates: a zero clamp turns every neuron
-        // whose BNN output sits at 0 into `0 / 0 = NaN` (which must miss
-        // and must never reach the stored `δb`), θ at NaN / negative /
-        // zero / infinite / `f32::MAX`, with and without throttling —
-        // over a 2,000-step constant input, the saturated regime in
-        // which a throttled `δb` accumulates longest.
-        use nfm_rnn::PerNeuronEvaluator;
-        let net = network(23);
-        let seq = vec![smooth_sequence(1, 8, 22).remove(0); 2000];
-        let mirror = Arc::new(BinaryNetwork::mirror(&net));
-        let mut nan_compares = 0;
-        for theta in [f32::NAN, -1.0, 0.0, f32::INFINITY, f32::MAX] {
-            for epsilon in [0.0, DEFAULT_BNN_EPSILON] {
-                for throttle in [true, false] {
-                    let config = BnnMemoConfig {
-                        threshold: theta,
-                        throttle,
-                        epsilon,
-                    };
-                    let what = format!("θ={theta} ε₀={epsilon} throttle={throttle}");
-                    let mut fused = BnnMemoEvaluator::new(mirror.clone(), config);
-                    let out = net.run(&seq, &mut fused).unwrap();
-                    let mut naive =
-                        PerNeuronEvaluator::new(BnnMemoEvaluator::new(mirror.clone(), config));
-                    let reference = net.run(&seq, &mut naive).unwrap();
-                    for (a, b) in out.iter().zip(&reference) {
-                        let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(a), bits(b), "{what}: outputs");
-                    }
-                    let (table, naive) = (fused.lanes().table(0), naive.inner());
-                    assert_eq!(fused.stats(), naive.stats(), "{what}");
-                    assert_eq!(table.len(), naive.table().len(), "{what}");
-                    assert_eq!(
-                        table.max_consecutive_reuses(),
-                        naive.table().max_consecutive_reuses(),
-                        "{what}"
-                    );
-                    for (id, gate) in net.gates() {
-                        for n in 0..gate.neurons() {
-                            let entry = table.get(id, n).expect("every neuron was evaluated");
-                            assert!(!entry.accumulated_delta.is_nan(), "{what}: NaN stored");
-                            assert_eq!(Some(entry), naive.table().get(id, n), "{what}");
-                        }
-                    }
-                    if theta == f32::INFINITY {
-                        // Every finite or infinite δb' qualifies, so
-                        // whatever missed after the cold first step
-                        // compared a NaN — possible under a zero clamp
-                        // only.
-                        let cold = net.neuron_evaluations_per_step() as u64;
-                        let nan_misses = fused.stats().computed() - cold;
-                        assert!(epsilon == 0.0 || nan_misses == 0, "{what}");
-                        nan_compares += nan_misses;
-                    }
-                }
-            }
-        }
-        assert!(nan_compares > 0, "no neuron exercised the 0 / 0 compare");
-    }
-
-    #[test]
-    fn audit_sampling_never_changes_outputs() {
-        let net = network(5);
-        let seq = smooth_sequence(30, 8, 6);
-        let theta = 1.0;
-        let mut plain = evaluator(&net, BnnMemoConfig::with_threshold(theta));
-        let baseline = net.run(&seq, &mut plain).unwrap();
-        let mut audited = evaluator(&net, BnnMemoConfig::with_threshold(theta))
-            .with_audit(AuditConfig::new(4, 2019));
-        let out = net.run(&seq, &mut audited).unwrap();
-        assert_eq!(baseline, out, "auditing must not change emitted outputs");
-        assert_eq!(plain.stats().reuses(), audited.stats().reuses());
-        assert_eq!(plain.stats().evaluations(), audited.stats().evaluations());
-        assert_eq!(
-            plain.stats().bnn_evaluations(),
-            audited.stats().bnn_evaluations()
-        );
-        assert!(audited.stats().audited() > 0, "some hits were audited");
-        let audit = audited.audit_stats();
-        assert_eq!(audit.audited(), audited.stats().audited());
-        let hits: u64 = audit.layers().iter().map(|l| l.hits).sum();
-        assert_eq!(hits, audited.stats().reuses(), "every hit is counted");
-        assert!(audit.mean_error().is_some());
-    }
-
-    #[test]
-    fn per_layer_thresholds_override_uniform() {
-        let net = network(1);
-        let seq = smooth_sequence(15, 8, 2);
-        let exact = net.run(&seq, &mut ExactEvaluator::new()).unwrap();
-        let mut memo = evaluator(&net, BnnMemoConfig::with_threshold(4.0));
-        memo.set_layer_thresholds(&[-1.0; 4]);
-        let out = net.run(&seq, &mut memo).unwrap();
-        assert_eq!(exact, out, "θ<0 on every layer degenerates to exact");
-        assert_eq!(memo.stats().reuses(), 0);
-        // Clearing the overrides restores the uniform threshold.
-        memo.set_layer_thresholds(&[]);
-        let _ = net.run(&seq, &mut memo).unwrap();
-        assert!(memo.stats().reuses() > 0);
-    }
-}

@@ -16,6 +16,9 @@
 //!   built-ins and through the same call.
 //! * [`PredictorKind`] — the built-in family (exact / oracle / BNN),
 //!   itself a [`Predictor`].
+//! * [`Predictor::run`] / [`RunOutcome`] — offline inference under a
+//!   policy: sequences one at a time through one evaluator, outputs plus
+//!   the merged [`ReuseStats`].
 //! * [`ServedEvaluator`] — [`NeuronEvaluator`] plus the three optional
 //!   hooks the engine drives a request through: harvest the lane's
 //!   [`ReuseStats`], snapshot the aggregate counters, install the
@@ -30,7 +33,8 @@ use crate::oracle::OracleEvaluator;
 use crate::predictor::BnnMemoEvaluator;
 use crate::stats::ReuseStats;
 use nfm_bnn::Model;
-use nfm_rnn::{ExactEvaluator, NeuronEvaluator};
+use nfm_rnn::{ExactEvaluator, NeuronEvaluator, Result as RnnResult};
+use nfm_tensor::Vector;
 use std::fmt;
 use std::sync::Arc;
 
@@ -158,6 +162,57 @@ pub trait Predictor: Send + Sync + fmt::Debug {
     fn control_snapshot(&self) -> Option<ControlSnapshot> {
         None
     }
+
+    /// Runs `sequences` through `model` under this policy, one at a
+    /// time (the paper's batch-of-one regime): one evaluator is
+    /// [prepared](Predictor::prepare) and built, and every sequence is
+    /// one [`DeepRnn::run`](nfm_rnn::DeepRnn::run) through it, starting
+    /// cold.  The outcome's statistics are the evaluator's merged
+    /// counters; an evaluator that keeps none reports every neuron of
+    /// every timestep computed, as the serving engine does.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first inference error (an empty sequence, an
+    /// input of the wrong width).
+    fn run(&self, model: &Model, sequences: &[Vec<Vector>]) -> RnnResult<RunOutcome> {
+        self.prepare(model);
+        let network = model.network();
+        let mut evaluator = self.build_evaluator(model);
+        let outputs = sequences
+            .iter()
+            .map(|sequence| network.run(sequence, evaluator.as_mut()))
+            .collect::<RnnResult<Vec<_>>>()?;
+        let stats = evaluator.stats_snapshot().unwrap_or_else(|| {
+            let steps: usize = sequences.iter().map(Vec::len).sum();
+            let mut stats = ReuseStats::new();
+            stats.record_computed_many((steps * network.neuron_evaluations_per_step()) as u64);
+            stats
+        });
+        Ok(RunOutcome { outputs, stats })
+    }
+}
+
+/// What [`Predictor::run`] returns: per-sequence outputs plus the
+/// aggregated reuse statistics.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOutcome {
+    /// Network outputs, one `Vec<Vector>` per input sequence.
+    pub outputs: Vec<Vec<Vector>>,
+    /// Aggregated reuse statistics across all sequences.
+    pub stats: ReuseStats,
+}
+
+impl RunOutcome {
+    /// Fraction of neuron evaluations avoided, in `[0, 1]`.
+    pub fn reuse_fraction(&self) -> f64 {
+        self.stats.reuse_fraction()
+    }
+
+    /// Computation reuse as a percentage (the paper's unit).
+    pub fn reuse_percent(&self) -> f64 {
+        self.stats.reuse_percent()
+    }
 }
 
 /// A shared policy is the policy: callers that keep a handle on what
@@ -225,79 +280,5 @@ impl Predictor for PredictorKind {
 
     fn accepts_threshold_override(&self) -> bool {
         !matches!(self, PredictorKind::Exact)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig};
-    use nfm_tensor::rng::DeterministicRng;
-    use nfm_tensor::Vector;
-
-    fn network() -> DeepRnn {
-        let mut rng = DeterministicRng::seed_from_u64(21);
-        DeepRnn::random(&DeepRnnConfig::new(CellKind::Lstm, 4, 6), &mut rng).unwrap()
-    }
-
-    fn sequence(net: &DeepRnn, len: usize) -> Vec<Vector> {
-        let mut rng = DeterministicRng::seed_from_u64(22);
-        let mut x = Vector::from_fn(net.input_size(), |_| rng.uniform(-0.5, 0.5));
-        (0..len)
-            .map(|_| {
-                x = x
-                    .add(&Vector::from_fn(net.input_size(), |_| {
-                        rng.uniform(-0.05, 0.05)
-                    }))
-                    .unwrap();
-                x.clone()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn built_evaluators_match_direct_construction_bitwise() {
-        let model = Model::from(network());
-        let net = model.network();
-        let seq = sequence(net, 12);
-        let config = BnnMemoConfig::with_threshold(1.0);
-        // A shared handle on a policy builds what the policy builds.
-        let mut built = Arc::new(PredictorKind::Bnn(config)).build_evaluator(&model);
-        let from_policy = net.run(&seq, built.as_mut()).unwrap();
-        let mut direct = BnnMemoEvaluator::new(Arc::clone(model.mirror()), config);
-        let reference = net.run(&seq, &mut direct).unwrap();
-        assert_eq!(from_policy, reference);
-        assert_eq!(
-            built.stats_snapshot().map(|s| s.reuses()),
-            Some(direct.stats().reuses())
-        );
-    }
-
-    #[test]
-    fn only_thresholded_policies_accept_overrides() {
-        for (kind, name, accepts) in [
-            (PredictorKind::Exact, "exact", false),
-            (
-                PredictorKind::Oracle(OracleMemoConfig::with_threshold(0.4)),
-                "oracle",
-                true,
-            ),
-            (
-                PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5)),
-                "bnn",
-                true,
-            ),
-        ] {
-            assert_eq!(kind.name(), name);
-            assert_eq!(kind.accepts_threshold_override(), accepts);
-        }
-    }
-
-    #[test]
-    fn untracked_evaluators_report_no_stats() {
-        let mut exact = ExactEvaluator::new();
-        assert!(ServedEvaluator::take_lane_stats(&mut exact, 0).is_none());
-        assert!(ServedEvaluator::stats_snapshot(&exact).is_none());
-        ServedEvaluator::set_lane_threshold(&mut exact, 0, 0.5); // ignored, must not panic
     }
 }

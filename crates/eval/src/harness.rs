@@ -2,8 +2,9 @@
 //! functional results onto the full-size accelerator model.
 
 use nfm_accel::{LayerShape, NetworkShape};
-use nfm_core::{BnnMemoConfig, OracleMemoConfig, ThresholdExplorer, ThresholdPoint};
-use nfm_serve::MemoizedRunner;
+use nfm_core::{
+    BnnMemoConfig, OracleMemoConfig, Predictor, PredictorKind, ThresholdExplorer, ThresholdPoint,
+};
 use nfm_tensor::Vector;
 use nfm_workloads::{NetworkId, NetworkSpec, Workload, WorkloadBuilder};
 
@@ -125,8 +126,8 @@ impl NetworkRun {
             builder = builder.layers(spec.layers.min(cap));
         }
         let workload = builder.build().map_err(|e| format!("{id}: {e}"))?;
-        let baseline = MemoizedRunner::exact()
-            .run(&workload)
+        let baseline = PredictorKind::Exact
+            .run(workload.model(), workload.sequences())
             .map_err(|e| format!("{id}: baseline run failed: {e}"))?;
         Ok(NetworkRun {
             spec,
@@ -164,24 +165,19 @@ impl NetworkRun {
 
     /// Scores one run of the BNN predictor at a threshold.
     pub fn score_bnn(&self, config: BnnMemoConfig) -> ScoredPoint {
-        let outcome = MemoizedRunner::bnn(config)
-            .run(&self.workload)
-            .expect("workload already ran exactly; memoized run cannot fail");
-        ScoredPoint {
-            threshold: config.threshold,
-            reuse: outcome.reuse_fraction(),
-            loss: self
-                .workload
-                .metric()
-                .batch_loss(&self.baseline_outputs, &outcome.outputs),
-        }
+        self.score(config.threshold, PredictorKind::Bnn(config))
     }
 
     /// Scores one run of the oracle predictor at a threshold.
     pub fn score_oracle(&self, threshold: f32) -> ScoredPoint {
-        let outcome = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(threshold))
-            .run(&self.workload)
-            .expect("workload already ran exactly; oracle run cannot fail");
+        let config = OracleMemoConfig::with_threshold(threshold);
+        self.score(threshold, PredictorKind::Oracle(config))
+    }
+
+    fn score(&self, threshold: f32, predictor: PredictorKind) -> ScoredPoint {
+        let outcome = predictor
+            .run(self.workload.model(), self.workload.sequences())
+            .expect("workload already ran exactly; rerunning it cannot fail");
         ScoredPoint {
             threshold,
             reuse: outcome.reuse_fraction(),

@@ -182,9 +182,8 @@ impl EngineBuilder {
 /// ([`lane_borrows`](Engine::lane_borrows)); a lane never leaves the
 /// worker that admitted it.  Scheduling never changes results:
 /// per-request outputs, reuse statistics and memo-hit counts are
-/// bit-identical to a dedicated
-/// [`MemoizedRunner::run`](crate::MemoizedRunner::run) over the same
-/// sequence.
+/// bit-identical to a dedicated [`Predictor::run`] of the request's
+/// predictor over the same sequence.
 ///
 /// Dropping the engine shuts it down and joins the workers (draining
 /// any queued work first); pending responses are discarded — call

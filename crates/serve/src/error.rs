@@ -4,7 +4,6 @@
 use crate::registry::ModelId;
 use crate::request::RequestId;
 use nfm_model::ModelArtifactError;
-use nfm_rnn::RnnError;
 use std::error::Error;
 use std::fmt;
 
@@ -166,27 +165,6 @@ impl From<ModelArtifactError> for EngineError {
     fn from(e: ModelArtifactError) -> EngineError {
         EngineError::BadArtifact {
             what: e.to_string(),
-        }
-    }
-}
-
-impl From<EngineError> for RnnError {
-    fn from(e: EngineError) -> RnnError {
-        match e {
-            EngineError::EmptySequence { .. } => RnnError::EmptySequence,
-            EngineError::InputSizeMismatch {
-                expected,
-                found,
-                timestep,
-                ..
-            } => RnnError::InputSizeMismatch {
-                expected,
-                found,
-                timestep,
-            },
-            other => RnnError::InvalidConfig {
-                what: other.to_string(),
-            },
         }
     }
 }

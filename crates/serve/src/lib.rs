@@ -37,9 +37,11 @@
 //!   [`ReuseStats`](nfm_core::ReuseStats), queue/compute latency, and a
 //!   [`CompletionStatus`] (`Done` / `DeadlineExpired` / `Rejected`);
 //!   every admitted request is reported exactly once.
-//! * [`MemoizedRunner`] / [`InferenceWorkload`] — the workload-level
-//!   API, kept as thin wrappers over the engine (bit-identical results
-//!   by test).
+//!
+//! A pre-collected workload needs no engine: [`Predictor::run`] runs its
+//! sequences one at a time through one evaluator, and every response's
+//! outputs and statistics are bit-identical to it over the same
+//! sequence (by test).
 //!
 //! # Example
 //!
@@ -73,7 +75,6 @@ mod error;
 mod lifecycle;
 pub mod registry;
 pub mod request;
-pub mod runner;
 mod worker;
 
 pub use engine::{
@@ -85,10 +86,9 @@ pub use registry::{ModelId, ModelRegistry, ModelVersion};
 pub use request::{
     CompletionStatus, InferenceRequest, InferenceResponse, Priority, RequestId, RequestOptions,
 };
-pub use runner::{InferenceWorkload, MemoizedRunner, PredictorKind, RunOutcome};
 
 // What a registry is given lives below this crate — a `Model` and the
 // `Predictor`s it is served under in `nfm-core`, artifact loading in
 // `nfm-model` — and is re-exported here, where it plugs in.
-pub use nfm_core::{Model, Predictor, ServedEvaluator};
+pub use nfm_core::{Model, Predictor, PredictorKind, ServedEvaluator};
 pub use nfm_model as model;

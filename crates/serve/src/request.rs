@@ -215,8 +215,8 @@ pub struct InferenceResponse {
     pub outputs: Vec<Vector>,
     /// Reuse statistics attributable to *this request alone* —
     /// bit-identical to what a dedicated
-    /// [`MemoizedRunner::run`](crate::MemoizedRunner::run) over the
-    /// same sequence would report.
+    /// [`Predictor::run`](crate::Predictor::run) over the same sequence
+    /// would report.
     pub stats: ReuseStats,
     /// Time spent waiting in the queue before a lane picked the
     /// request up.

@@ -1,12 +1,12 @@
 //! `nfm-serve`'s unit tests through its public surface: the request
-//! and option builders, response latency, the `MemoizedRunner` façade
-//! over the engine, and the engine's completion notifier.
+//! and option builders, response latency, and the engine's completion
+//! notifier.
 
-use nfm_core::{BnnMemoConfig, OracleMemoConfig, ReuseStats};
-use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, RnnError};
+use nfm_core::ReuseStats;
+use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig};
 use nfm_serve::{
     CanaryConfig, CompletionStatus, Engine, EngineBuilder, InferenceRequest, InferenceResponse,
-    InferenceWorkload, MemoizedRunner, PredictorKind, Priority, RequestOptions,
+    PredictorKind, Priority, RequestOptions,
 };
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
@@ -86,15 +86,6 @@ struct Tiny {
     seqs: Vec<Vec<Vector>>,
 }
 
-impl InferenceWorkload for Tiny {
-    fn network(&self) -> &DeepRnn {
-        &self.net
-    }
-    fn input_sequences(&self) -> &[Vec<Vector>] {
-        &self.seqs
-    }
-}
-
 /// `sequences` smooth random walks of `len` steps over a one-layer
 /// LSTM, each scaled slightly differently so they are distinct.
 fn workload(sequences: usize, len: usize) -> Tiny {
@@ -114,105 +105,6 @@ fn workload(sequences: usize, len: usize) -> Tiny {
         })
         .collect();
     Tiny { net, seqs }
-}
-
-#[test]
-fn exact_runner_has_zero_reuse() {
-    let w = workload(2, 10);
-    let outcome = MemoizedRunner::exact().run(&w).unwrap();
-    assert_eq!(outcome.outputs.len(), 2);
-    assert_eq!(outcome.reuse_fraction(), 0.0);
-    assert_eq!(
-        outcome.stats.evaluations(),
-        (2 * 10 * w.net.neuron_evaluations_per_step()) as u64
-    );
-}
-
-#[test]
-fn oracle_and_bnn_runners_report_reuse() {
-    let w = workload(2, 20);
-    let oracle = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.5))
-        .run(&w)
-        .unwrap();
-    let bnn = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(2.0))
-        .run(&w)
-        .unwrap();
-    assert!(oracle.reuse_fraction() > 0.0);
-    assert!(bnn.reuse_fraction() > 0.0);
-    assert!(oracle.reuse_percent() <= 100.0);
-    assert!(bnn.reuse_percent() <= 100.0);
-}
-
-#[test]
-fn predictor_kind_is_observable() {
-    let r = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.1));
-    assert!(matches!(r.predictor(), PredictorKind::Bnn(_)));
-    assert!(matches!(
-        MemoizedRunner::exact().predictor(),
-        PredictorKind::Exact
-    ));
-    assert!(matches!(
-        MemoizedRunner::oracle(OracleMemoConfig::default()).predictor(),
-        PredictorKind::Oracle(_)
-    ));
-}
-
-#[test]
-fn exact_and_zero_threshold_oracle_agree() {
-    let w = workload(1, 12);
-    let exact = MemoizedRunner::exact().run(&w).unwrap();
-    let oracle = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.0))
-        .run(&w)
-        .unwrap();
-    assert_eq!(exact.outputs, oracle.outputs);
-}
-
-#[test]
-fn empty_sequence_errors_propagate_from_the_worker() {
-    let mut w = workload(3, 6);
-    w.seqs[1].clear();
-    assert!(MemoizedRunner::exact().run(&w).is_err());
-    assert!(MemoizedRunner::exact().run_batched(&w, 2).is_err());
-}
-
-#[test]
-fn run_batched_matches_run_for_every_predictor() {
-    let w = workload(5, 12);
-    for runner in [
-        MemoizedRunner::exact(),
-        MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4)),
-        MemoizedRunner::bnn(BnnMemoConfig::with_threshold(1.0)),
-    ] {
-        let reference = runner.run(&w).unwrap();
-        // 2 leaves lanes draining at different steps over 5
-        // sequences; 8 exceeds the sequence count.
-        for batch in [1usize, 2, 5, 8] {
-            let batched = runner.run_batched(&w, batch).unwrap();
-            assert_eq!(batched.outputs, reference.outputs, "batch={batch}");
-            assert_eq!(batched.stats, reference.stats, "batch={batch}");
-        }
-    }
-}
-
-#[test]
-fn run_batched_rejects_zero_lanes() {
-    let w = workload(2, 6);
-    let err = MemoizedRunner::exact().run_batched(&w, 0).unwrap_err();
-    assert!(matches!(err, RnnError::InvalidConfig { .. }));
-    assert!(err.to_string().contains("batch_size >= 1"), "{err}");
-}
-
-#[test]
-fn empty_workload_yields_empty_outcome() {
-    let w = Tiny {
-        net: workload(1, 4).net,
-        seqs: Vec::new(),
-    };
-    let outcome = MemoizedRunner::exact().run(&w).unwrap();
-    assert!(outcome.outputs.is_empty());
-    assert_eq!(outcome.stats, ReuseStats::new());
-    let outcome = MemoizedRunner::exact().run_batched(&w, 3).unwrap();
-    assert!(outcome.outputs.is_empty());
 }
 
 /// A paused one-worker engine over `w`'s network.

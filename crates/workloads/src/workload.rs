@@ -4,8 +4,8 @@ use crate::accuracy::AccuracyMetric;
 use crate::generator::SequenceGenerator;
 use crate::spec::{NetworkId, NetworkSpec};
 use crate::Result;
+use nfm_core::Model;
 use nfm_rnn::{DeepRnn, DeepRnnConfig, RnnError};
-use nfm_serve::InferenceWorkload;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
 use std::error::Error;
@@ -50,10 +50,14 @@ impl From<RnnError> for WorkloadError {
 /// A ready-to-run workload: one of the Table 1 networks (possibly scaled
 /// down), its synthetic input sequences, and the accuracy proxy that
 /// scores memoized outputs against the exact baseline.
+///
+/// The network is held as a [`Model`], so its binary mirror is built at
+/// most once — by the first policy that reads it — and every run of the
+/// workload, and every clone of it, shares that one mirror.
 #[derive(Debug, Clone)]
 pub struct Workload {
     spec: NetworkSpec,
-    network: DeepRnn,
+    model: Model,
     sequences: Vec<Vec<Vector>>,
     metric: AccuracyMetric,
     scale: f32,
@@ -68,7 +72,13 @@ impl Workload {
 
     /// The network being evaluated.
     pub fn network(&self) -> &DeepRnn {
-        &self.network
+        self.model.network()
+    }
+
+    /// The network with its (lazily built, shared) binary mirror: what
+    /// [`Predictor::run`](nfm_core::Predictor::run) takes.
+    pub fn model(&self) -> &Model {
+        &self.model
     }
 
     /// The input sequences.
@@ -93,7 +103,7 @@ impl Workload {
 
     /// Total neuron evaluations an exact run of this workload performs.
     pub fn total_neuron_evaluations(&self) -> u64 {
-        let per_step = self.network.neuron_evaluations_per_step() as u64;
+        let per_step = self.network().neuron_evaluations_per_step() as u64;
         self.sequences
             .iter()
             .map(|s| s.len() as u64 * per_step)
@@ -103,16 +113,6 @@ impl Workload {
     /// Total timesteps across all sequences.
     pub fn total_timesteps(&self) -> usize {
         self.sequences.iter().map(Vec::len).sum()
-    }
-}
-
-impl InferenceWorkload for Workload {
-    fn network(&self) -> &DeepRnn {
-        &self.network
-    }
-
-    fn input_sequences(&self) -> &[Vec<Vector>] {
-        &self.sequences
     }
 }
 
@@ -235,7 +235,7 @@ impl WorkloadBuilder {
         Ok(Workload {
             metric: AccuracyMetric::new(spec.accuracy),
             spec,
-            network,
+            model: Model::from(network),
             sequences,
             scale: self.scale,
             seed: self.seed,
@@ -259,9 +259,8 @@ fn network_salt(id: NetworkId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfm_core::BnnMemoConfig;
+    use nfm_core::{BnnMemoConfig, Predictor, PredictorKind};
     use nfm_rnn::{CellKind, Direction};
-    use nfm_serve::MemoizedRunner;
 
     #[test]
     fn full_scale_topology_matches_table1() {
@@ -338,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn workload_runs_under_the_memoized_runner() {
+    fn workload_runs_under_predictor_run() {
         let w = WorkloadBuilder::new(NetworkId::DeepSpeech2)
             .scale(0.02)
             .layers(2)
@@ -347,9 +346,9 @@ mod tests {
             .seed(9)
             .build()
             .unwrap();
-        let exact = MemoizedRunner::exact().run(&w).unwrap();
-        let memo = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(1.0))
-            .run(&w)
+        let exact = PredictorKind::Exact.run(w.model(), w.sequences()).unwrap();
+        let memo = PredictorKind::Bnn(BnnMemoConfig::with_threshold(1.0))
+            .run(w.model(), w.sequences())
             .unwrap();
         assert_eq!(exact.outputs.len(), 2);
         assert!(memo.reuse_fraction() > 0.0);

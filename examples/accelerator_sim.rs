@@ -7,8 +7,7 @@
 //! ```
 
 use nfm::accel::{EpurConfig, EpurSimulator, LayerShape, NetworkShape};
-use nfm::memo::BnnMemoConfig;
-use nfm::serve::MemoizedRunner;
+use nfm::memo::{BnnMemoConfig, Predictor, PredictorKind};
 use nfm::workloads::{NetworkId, NetworkSpec, WorkloadBuilder};
 
 fn full_scale_shape(spec: &NetworkSpec) -> NetworkShape {
@@ -58,7 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .sequence_length(30)
             .seed(11)
             .build()?;
-        let memo = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.5)).run(&workload)?;
+        let memo = PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5))
+            .run(workload.model(), workload.sequences())?;
         let reuse = memo.reuse_fraction();
 
         // Hardware projection on the full Table 1 topology.

@@ -5,8 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use nfm::memo::{BnnMemoConfig, OracleMemoConfig};
-use nfm::serve::MemoizedRunner;
+use nfm::memo::{BnnMemoConfig, OracleMemoConfig, Predictor, PredictorKind};
+use nfm::tensor::Vector;
 use nfm::workloads::{NetworkId, WorkloadBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,12 +33,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.total_neuron_evaluations()
     );
 
+    // Every run below goes through the workload's one `Model`, so the
+    // BNN predictor's binary mirror is built once and shared.
+    let (model, sequences) = (workload.model(), workload.sequences());
+
     // 1. Exact baseline.
-    let baseline = MemoizedRunner::exact().run(&workload)?;
+    let baseline = PredictorKind::Exact.run(model, sequences)?;
     println!("\nexact baseline: reuse = {:.1}%", baseline.reuse_percent());
 
     // 2. Oracle predictor (upper bound, Figure 1).
-    let oracle = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4)).run(&workload)?;
+    let oracle =
+        PredictorKind::Oracle(OracleMemoConfig::with_threshold(0.4)).run(model, sequences)?;
     let oracle_loss = workload
         .metric()
         .batch_loss(&baseline.outputs, &oracle.outputs);
@@ -51,7 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. BNN predictor (the deployable scheme, Figure 10/12).
     for theta in [0.1_f32, 0.4, 0.8] {
-        let memo = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(theta)).run(&workload)?;
+        let memo =
+            PredictorKind::Bnn(BnnMemoConfig::with_threshold(theta)).run(model, sequences)?;
         let loss = workload
             .metric()
             .batch_loss(&baseline.outputs, &memo.outputs);
@@ -63,27 +69,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 4. Multi-sequence batched inference: the serving path.  Up to
-    //    `batch_size` sequences (lanes) run through every gate
-    //    invocation at once, so one weight stream serves all of them;
-    //    memoizing predictors keep one memo table per lane.  Outputs and
-    //    reuse statistics are bit-identical to the per-sequence runs
-    //    above — batching changes the throughput, never the results.
-    let batch_size = 4;
-    let batched_exact = MemoizedRunner::exact().run_batched(&workload, batch_size)?;
-    assert_eq!(batched_exact.outputs, baseline.outputs);
-    let memo_runner = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.4));
-    let batched_memo = memo_runner.run_batched(&workload, batch_size)?;
-    let per_sequence_memo = memo_runner.run(&workload)?;
-    assert_eq!(batched_memo.outputs, per_sequence_memo.outputs);
-    assert_eq!(batched_memo.stats, per_sequence_memo.stats);
+    // 4. Multi-sequence batched inference: every sequence is a lane of
+    //    one `run_batch` call, so each gate invocation evaluates all of
+    //    them and one weight stream serves all of them; memoizing
+    //    predictors keep one memo table per lane.  Outputs and reuse
+    //    statistics are bit-identical to the per-sequence runs above —
+    //    batching changes the throughput, never the results.
+    let lanes: Vec<&[Vector]> = sequences.iter().map(Vec::as_slice).collect();
+    let mut exact = PredictorKind::Exact.build_evaluator(model);
+    assert_eq!(
+        workload.network().run_batch(&lanes, exact.as_mut())?,
+        baseline.outputs
+    );
+    let bnn = PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.4));
+    let per_sequence = bnn.run(model, sequences)?;
+    let mut batched = bnn.build_evaluator(model);
+    assert_eq!(
+        workload.network().run_batch(&lanes, batched.as_mut())?,
+        per_sequence.outputs
+    );
+    let batched_stats = batched.stats_snapshot().expect("the BNN evaluator counts");
+    assert_eq!(batched_stats, per_sequence.stats);
     println!(
-        "\nbatched (lanes={batch_size}): exact and bnn outputs bit-identical to the \
-         per-sequence path"
+        "\nbatched ({} lanes): exact and bnn outputs bit-identical to the per-sequence path",
+        lanes.len()
     );
     println!(
         "batched bnn (θ=0.40): reuse = {:>5.1}% (same memo hits, one weight stream per gate)",
-        batched_memo.reuse_percent()
+        batched_stats.reuse_percent()
     );
 
     println!("\nHigher thresholds trade accuracy for reuse; the paper deploys the largest");

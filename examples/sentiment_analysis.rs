@@ -6,8 +6,7 @@
 //! cargo run --release --example sentiment_analysis
 //! ```
 
-use nfm::memo::{BnnMemoConfig, ThresholdExplorer};
-use nfm::serve::MemoizedRunner;
+use nfm::memo::{BnnMemoConfig, Predictor, PredictorKind, ThresholdExplorer};
 use nfm::workloads::{NetworkId, WorkloadBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,7 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .seed(200)
         .build()?;
 
-    let calibration_baseline = MemoizedRunner::exact().run(&calibration)?;
+    let calibration_baseline =
+        PredictorKind::Exact.run(calibration.model(), calibration.sequences())?;
 
     // Explore thresholds on the calibration set (Section 3.2.1): highest
     // reuse with less than 1% accuracy loss.
@@ -34,8 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let chosen = explorer
         .explore(
             |theta| {
-                let outcome = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(theta))
-                    .run(&calibration)
+                let outcome = PredictorKind::Bnn(BnnMemoConfig::with_threshold(theta))
+                    .run(calibration.model(), calibration.sequences())
                     .expect("calibration run");
                 let loss = calibration
                     .metric()
@@ -54,9 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Apply the chosen threshold to the test set.
-    let test_baseline = MemoizedRunner::exact().run(&test)?;
-    let deployed =
-        MemoizedRunner::bnn(BnnMemoConfig::with_threshold(chosen.threshold)).run(&test)?;
+    let test_baseline = PredictorKind::Exact.run(test.model(), test.sequences())?;
+    let deployed = PredictorKind::Bnn(BnnMemoConfig::with_threshold(chosen.threshold))
+        .run(test.model(), test.sequences())?;
     let test_loss = test
         .metric()
         .batch_loss(&test_baseline.outputs, &deployed.outputs);

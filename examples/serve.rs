@@ -5,8 +5,9 @@
 //! submits a burst of ragged-length requests (some with tight
 //! deadlines), polls for completions while the lanes drain, and prints
 //! each request's own reuse statistics and latency split — finally
-//! cross-checking that the engine's outputs are bit-identical to the
-//! workload-level `MemoizedRunner` API (itself a thin engine wrapper).
+//! cross-checking that the engine's outputs are bit-identical to
+//! `Predictor::run`, the same policy run offline, one sequence at a
+//! time, with no engine.
 //!
 //! Part 2 registers **two models** with different predictor sets in one
 //! `ModelRegistry` and serves both from a single engine, with requests
@@ -27,8 +28,8 @@
 
 use nfm::memo::BnnMemoConfig;
 use nfm::serve::{
-    CompletionStatus, EngineBuilder, InferenceRequest, MemoizedRunner, ModelRegistry,
-    PredictorKind, RequestOptions,
+    CompletionStatus, EngineBuilder, InferenceRequest, ModelRegistry, Predictor, PredictorKind,
+    RequestOptions,
 };
 use nfm::workloads::{NetworkId, WorkloadBuilder};
 use std::time::Duration;
@@ -107,32 +108,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Cross-check: the engine's per-request outputs are bit-identical
-    // to the workload façade (itself an engine wrapper) over the same
-    // admitted sequences.
-    struct Ragged {
-        net: nfm::rnn::DeepRnn,
-        seqs: Vec<Vec<nfm::tensor::Vector>>,
-    }
-    impl nfm::serve::InferenceWorkload for Ragged {
-        fn network(&self) -> &nfm::rnn::DeepRnn {
-            &self.net
-        }
-        fn input_sequences(&self) -> &[Vec<nfm::tensor::Vector>] {
-            &self.seqs
-        }
-    }
+    // to the same policy run offline over the same admitted sequences.
     let admitted: Vec<usize> = responses
         .iter()
         .filter(|r| r.status == CompletionStatus::Done)
         .map(|r| r.id as usize)
         .collect();
-    let reference = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.5)).run_batched(
-        &Ragged {
-            net: workload.network().clone(),
-            seqs: admitted.iter().map(|&i| sequences[i].clone()).collect(),
-        },
-        4,
-    )?;
+    let admitted_sequences: Vec<_> = admitted.iter().map(|&i| sequences[i].clone()).collect();
+    let reference = predictor.run(workload.model(), &admitted_sequences)?;
     for (slot, &id) in admitted.iter().enumerate() {
         let response = responses.iter().find(|r| r.id == id as u64).unwrap();
         assert_eq!(response.outputs, reference.outputs[slot]);
@@ -145,7 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     assert_eq!(merged, reference.stats);
     println!(
-        "\n{} admitted requests: outputs and reuse stats bit-identical to MemoizedRunner \
+        "\n{} admitted requests: outputs and reuse stats bit-identical to Predictor::run \
          (merged reuse = {:.1}%)",
         admitted.len(),
         merged.reuse_percent()

@@ -6,8 +6,7 @@
 //! cargo run --release --example speech_recognition
 //! ```
 
-use nfm::memo::{BnnMemoConfig, OracleMemoConfig};
-use nfm::serve::MemoizedRunner;
+use nfm::memo::{BnnMemoConfig, OracleMemoConfig, Predictor, PredictorKind};
 use nfm::workloads::{NetworkId, WorkloadBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,7 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.sequences()[0].len()
     );
 
-    let baseline = MemoizedRunner::exact().run(&workload)?;
+    let (model, sequences) = (workload.model(), workload.sequences());
+    let baseline = PredictorKind::Exact.run(model, sequences)?;
 
     println!(
         "\n{:>10} {:>18} {:>18} {:>14} {:>14}",
@@ -33,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for theta in [0.0_f32, 0.1, 0.2, 0.3, 0.4, 0.6] {
         let oracle =
-            MemoizedRunner::oracle(OracleMemoConfig::with_threshold(theta)).run(&workload)?;
-        let bnn = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(theta)).run(&workload)?;
+            PredictorKind::Oracle(OracleMemoConfig::with_threshold(theta)).run(model, sequences)?;
+        let bnn = PredictorKind::Bnn(BnnMemoConfig::with_threshold(theta)).run(model, sequences)?;
         let oracle_loss = workload
             .metric()
             .batch_loss(&baseline.outputs, &oracle.outputs);

@@ -7,8 +7,7 @@
 //! cargo run --release --example threshold_exploration
 //! ```
 
-use nfm::memo::BnnMemoConfig;
-use nfm::serve::MemoizedRunner;
+use nfm::memo::{BnnMemoConfig, Predictor, PredictorKind};
 use nfm::workloads::{NetworkId, WorkloadBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,17 +24,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.network().layers()[0].forward_cell().hidden_size()
     );
 
-    let baseline = MemoizedRunner::exact().run(&workload)?;
+    let (model, sequences) = (workload.model(), workload.sequences());
+    let baseline = PredictorKind::Exact.run(model, sequences)?;
 
     println!(
         "{:>10} {:>22} {:>22}",
         "threshold", "throttling (reuse/loss)", "no throttling (reuse/loss)"
     );
     for theta in [0.2_f32, 0.4, 0.8, 1.2, 1.6] {
-        let with = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(theta)).run(&workload)?;
-        let without =
-            MemoizedRunner::bnn(BnnMemoConfig::with_threshold(theta).without_throttling())
-                .run(&workload)?;
+        let with =
+            PredictorKind::Bnn(BnnMemoConfig::with_threshold(theta)).run(model, sequences)?;
+        let without = PredictorKind::Bnn(BnnMemoConfig::with_threshold(theta).without_throttling())
+            .run(model, sequences)?;
         let with_loss = workload
             .metric()
             .batch_loss(&baseline.outputs, &with.outputs);

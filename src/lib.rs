@@ -17,34 +17,31 @@
 //! | [`tensor`] | dense linear algebra, activations, statistics, kernel backends |
 //! | [`rnn`] | LSTM/GRU cells, layers, deep networks; the one lane-striped inference path (`DeepRnn::run` is a batch of one), the lane scheduler, and the 6-method [`NeuronEvaluator`](rnn::NeuronEvaluator) boundary |
 //! | [`bnn`] | binarized (bitwise) network substrate |
-//! | [`memo`] | the paper's contribution: neuron-level fuzzy memoization (evaluators, configs, the open [`Predictor`](nfm_core::Predictor) abstraction) |
+//! | [`memo`] | the paper's contribution: neuron-level fuzzy memoization (evaluators, configs, the open [`Predictor`](nfm_core::Predictor) abstraction and its offline [`Predictor::run`](nfm_core::Predictor::run)) |
 //! | [`model`] | versioned binary model artifacts: zero-copy aligned save/load, prebuilt BNN mirrors |
 //! | [`control`] | online adaptive threshold controller holding an accuracy SLO |
-//! | [`serve`] | the request-oriented serving engine: multi-model registry, per-request options, deadlines, hot swaps with canary routing, and the `MemoizedRunner` workload façade |
+//! | [`serve`] | the request-oriented serving engine: multi-model registry, per-request options, deadlines, hot swaps with canary routing |
 //! | [`net`] | the TCP serving surface: length-prefixed wire protocol (each frame declared once), poll-loop server, client |
 //! | [`accel`] | the E-PUR accelerator simulator (timing/energy/area) |
-//! | [`workloads`] | the four Table 1 RNNs with synthetic data |
+//! | [`workloads`] | the four Table 1 RNNs (each a [`Model`](nfm_core::Model): network plus its one mirror) with synthetic data |
 //! | [`eval`] | per-figure/per-table experiment harness |
 //!
 //! Types re-exported by more than one crate resolve as follows:
 //!
-//! * Workload-level running ([`MemoizedRunner`](serve::MemoizedRunner),
-//!   [`InferenceWorkload`](serve::InferenceWorkload),
-//!   [`RunOutcome`](serve::RunOutcome)) is canonical in [`serve`] — the
-//!   runner is a thin wrapper over a one-worker request engine.
-//! * The predictor abstraction ([`Predictor`](nfm_core::Predictor) and
-//!   the built-in implementations) is canonical in [`memo`]; [`serve`]
-//!   re-exports it because the engine is where implementations plug in.
+//! * The predictor abstraction ([`Predictor`](nfm_core::Predictor), the
+//!   built-in implementations and [`RunOutcome`](nfm_core::RunOutcome))
+//!   is canonical in [`memo`]; [`serve`] re-exports the policy types
+//!   because the engine is where implementations plug in.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use nfm::workloads::{NetworkId, WorkloadBuilder};
-//! use nfm::memo::BnnMemoConfig;
-//! use nfm::serve::MemoizedRunner;
+//! use nfm::memo::{BnnMemoConfig, Predictor, PredictorKind};
 //!
-//! // Build a scaled-down IMDB sentiment workload and run it with the
-//! // BNN-predictor memoization scheme at threshold 0.05.
+//! // Build a scaled-down IMDB sentiment workload and run it, one
+//! // sequence at a time, with the BNN-predictor memoization scheme at
+//! // threshold 0.05.
 //! let workload = WorkloadBuilder::new(NetworkId::ImdbSentiment)
 //!     .scale(0.125)
 //!     .sequences(2)
@@ -52,8 +49,9 @@
 //!     .seed(7)
 //!     .build()
 //!     .expect("workload");
-//! let mut runner = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.05));
-//! let outcome = runner.run(&workload).expect("run");
+//! let bnn = PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.05));
+//! let outcome = bnn.run(workload.model(), workload.sequences()).expect("run");
+//! assert_eq!(outcome.outputs.len(), 2);
 //! assert!(outcome.reuse_fraction() >= 0.0);
 //! ```
 

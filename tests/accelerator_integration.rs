@@ -3,8 +3,7 @@
 
 use nfm::accel::{EpurConfig, EpurSimulator, NetworkShape};
 use nfm::eval::harness::shape_from_spec;
-use nfm::memo::BnnMemoConfig;
-use nfm::serve::MemoizedRunner;
+use nfm::memo::{BnnMemoConfig, Predictor, PredictorKind};
 use nfm::workloads::{NetworkId, NetworkSpec, WorkloadBuilder};
 
 /// Measures reuse on a scaled-down functional model, but — like the paper
@@ -20,8 +19,8 @@ fn measured_reuse(id: NetworkId, theta: f32) -> (f64, NetworkShape, u64) {
         .seed(13)
         .build()
         .unwrap();
-    let memo = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(theta))
-        .run(&w)
+    let memo = PredictorKind::Bnn(BnnMemoConfig::with_threshold(theta))
+        .run(w.model(), w.sequences())
         .unwrap();
     let spec = NetworkSpec::of(id);
     let shape = shape_from_spec(&spec);

@@ -8,18 +8,19 @@
 //! {LSTM, GRU} × {uni, bidirectional}, and for BNN's whole-gate passes
 //! also across gate widths and lane counts on both sides of every
 //! vector width and kernel tile, with lanes refilled mid-flight — and
-//! the runner must produce the same outputs and statistics for any
-//! worker count.
+//! an engine with any worker count must answer with the outputs and
+//! statistics of `Predictor::run`.
 
 use nfm::bnn::BinaryNetwork;
 use nfm::memo::{
-    AuditConfig, BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig, ReuseStats,
+    AuditConfig, BnnMemoConfig, BnnMemoEvaluator, Model, OracleEvaluator, OracleMemoConfig,
+    Predictor, PredictorKind, ReuseStats,
 };
 use nfm::rnn::{
     CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, LaneScheduler, NeuronEvaluator,
     PerNeuronEvaluator,
 };
-use nfm::serve::{EngineBuilder, InferenceRequest, InferenceWorkload, MemoizedRunner};
+use nfm::serve::{EngineBuilder, InferenceRequest};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 
@@ -273,20 +274,6 @@ fn bnn_passes_match_per_neuron_at_every_gate_width_and_lane_count() {
     }
 }
 
-struct Tiny {
-    net: DeepRnn,
-    seqs: Vec<Vec<Vector>>,
-}
-
-impl InferenceWorkload for Tiny {
-    fn network(&self) -> &DeepRnn {
-        &self.net
-    }
-    fn input_sequences(&self) -> &[Vec<Vector>] {
-        &self.seqs
-    }
-}
-
 #[test]
 fn runner_worker_count_never_changes_results() {
     let mut rng = DeterministicRng::seed_from_u64(99);
@@ -298,33 +285,33 @@ fn runner_worker_count_never_changes_results() {
     let seqs: Vec<Vec<Vector>> = (0..9)
         .map(|i| smooth_sequence(8 + (i % 3), 5, 100 + i as u64))
         .collect();
-    let w = Tiny { net, seqs };
-    for runner in [
-        MemoizedRunner::exact(),
-        MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.3)),
-        MemoizedRunner::bnn(BnnMemoConfig::with_threshold(1.0)),
+    let model = Model::from(net);
+    for predictor in [
+        PredictorKind::Exact,
+        PredictorKind::Oracle(OracleMemoConfig::with_threshold(0.3)),
+        PredictorKind::Bnn(BnnMemoConfig::with_threshold(1.0)),
     ] {
-        // Uneven split: 9 sequences over 4 engine workers against
-        // the runner's one.
-        let engine = EngineBuilder::new(w.net.clone(), runner.predictor())
+        // Uneven split: 9 sequences over 4 engine workers against one
+        // sequence at a time through one evaluator, with no engine.
+        let engine = EngineBuilder::new(model.clone(), predictor)
             .lanes(1)
             .workers(4)
             .build()
             .unwrap();
-        for (i, s) in w.seqs.iter().enumerate() {
+        for (i, s) in seqs.iter().enumerate() {
             engine
                 .submit(InferenceRequest::new(i as u64, s.clone()))
                 .unwrap();
         }
         let mut responses = engine.shutdown();
         responses.sort_by_key(|r| r.id);
-        let seq = runner.run(&w).unwrap();
-        assert_eq!(responses.len(), seq.outputs.len());
+        let reference = predictor.run(&model, &seqs).unwrap();
+        assert_eq!(responses.len(), reference.outputs.len());
         let mut par_stats = ReuseStats::new();
-        for (a, b) in responses.iter().zip(seq.outputs.iter()) {
-            assert_bit_identical("runner", &a.outputs, b);
+        for (a, b) in responses.iter().zip(reference.outputs.iter()) {
+            assert_bit_identical(predictor.name(), &a.outputs, b);
             par_stats.merge(&a.stats);
         }
-        assert_eq!(par_stats, seq.stats);
+        assert_eq!(par_stats, reference.stats);
     }
 }

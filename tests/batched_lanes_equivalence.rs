@@ -10,12 +10,15 @@
 //! whatever values a neighbouring lane carries (NaN, ±inf, denormals).
 
 use nfm::bnn::BinaryNetwork;
-use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig, ReuseStats};
+use nfm::memo::{
+    BnnMemoConfig, BnnMemoEvaluator, Model, OracleEvaluator, OracleMemoConfig, Predictor,
+    PredictorKind, ReuseStats, RunOutcome,
+};
 use nfm::rnn::{
     CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, LaneScheduler, NeuronEvaluator,
     PerNeuronEvaluator,
 };
-use nfm::serve::{InferenceWorkload, MemoizedRunner};
+use nfm::serve::{CompletionStatus, EngineBuilder, InferenceRequest};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 
@@ -78,28 +81,48 @@ fn smooth_sequence(len: usize, width: usize, seed: u64) -> Vec<Vector> {
 /// drain at different steps inside every wave.
 const RAGGED_LENS: [usize; 7] = [12, 5, 9, 9, 3, 11, 7];
 
-struct Tiny {
-    net: DeepRnn,
-    seqs: Vec<Vec<Vector>>,
-}
-
-impl InferenceWorkload for Tiny {
-    fn network(&self) -> &DeepRnn {
-        &self.net
-    }
-    fn input_sequences(&self) -> &[Vec<Vector>] {
-        &self.seqs
-    }
-}
-
-fn workload(net: DeepRnn, seed: u64) -> Tiny {
+fn workload(net: DeepRnn, seed: u64) -> (Model, Vec<Vec<Vector>>) {
     let width = net.input_size();
     let seqs = RAGGED_LENS
         .iter()
         .enumerate()
         .map(|(i, &len)| smooth_sequence(len, width, seed + i as u64))
         .collect();
-    Tiny { net, seqs }
+    (Model::from(net), seqs)
+}
+
+/// `seqs` through a one-worker engine with `lanes` lanes, all queued
+/// before compute starts: the responses in submission order, their
+/// statistics merged.
+fn through_engine(
+    model: &Model,
+    seqs: &[Vec<Vector>],
+    predictor: PredictorKind,
+    lanes: usize,
+) -> RunOutcome {
+    let engine = EngineBuilder::new(model.clone(), predictor)
+        .lanes(lanes)
+        .queue_capacity(seqs.len())
+        .start_paused()
+        .build()
+        .unwrap();
+    for (i, seq) in seqs.iter().enumerate() {
+        engine
+            .submit(InferenceRequest::new(i as u64, seq.clone()))
+            .unwrap();
+    }
+    let mut responses = engine.shutdown();
+    responses.sort_by_key(|r| r.id);
+    let mut stats = ReuseStats::new();
+    let outputs = responses
+        .into_iter()
+        .map(|r| {
+            assert_eq!(r.status, CompletionStatus::Done, "request {}", r.id);
+            stats.merge(&r.stats);
+            r.outputs
+        })
+        .collect();
+    RunOutcome { outputs, stats }
 }
 
 fn assert_bit_identical(name: &str, batched: &[Vec<Vector>], reference: &[Vec<Vector>]) {
@@ -121,16 +144,17 @@ fn assert_bit_identical(name: &str, batched: &[Vec<Vector>], reference: &[Vec<Ve
     }
 }
 
-// The references below are `runner.run`: a one-lane engine.  Batch
-// size 1 would be that same call, so the loops start at 2.
+// The references below are `Predictor::run`: one lane, sequence by
+// sequence, with no engine.  The engine runs the same sequences at 1, 2
+// and 3 lanes, refilling freed lanes mid-wave on unidirectional stacks.
 
 #[test]
 fn exact_run_batched_is_bit_identical_to_one_lane() {
     for (name, net) in networks() {
-        let w = workload(net, 100);
-        let reference = MemoizedRunner::exact().run(&w).unwrap();
-        for batch in [2usize, 3] {
-            let batched = MemoizedRunner::exact().run_batched(&w, batch).unwrap();
+        let (model, seqs) = workload(net, 100);
+        let reference = PredictorKind::Exact.run(&model, &seqs).unwrap();
+        for batch in [1usize, 2, 3] {
+            let batched = through_engine(&model, &seqs, PredictorKind::Exact, batch);
             assert_bit_identical(
                 &format!("{name} B={batch}"),
                 &batched.outputs,
@@ -148,11 +172,11 @@ fn exact_run_batched_is_bit_identical_to_one_lane() {
 fn bnn_run_batched_is_bit_identical_and_memo_hits_match() {
     for theta in [0.0f32, 0.5, 2.0] {
         for (name, net) in networks() {
-            let w = workload(net, 200);
-            let runner = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(theta));
-            let reference = runner.run(&w).unwrap();
-            for batch in [2usize, 3] {
-                let batched = runner.run_batched(&w, batch).unwrap();
+            let (model, seqs) = workload(net, 200);
+            let predictor = PredictorKind::Bnn(BnnMemoConfig::with_threshold(theta));
+            let reference = predictor.run(&model, &seqs).unwrap();
+            for batch in [1usize, 2, 3] {
+                let batched = through_engine(&model, &seqs, predictor, batch);
                 assert_bit_identical(
                     &format!("{name} θ={theta} B={batch}"),
                     &batched.outputs,
@@ -177,11 +201,11 @@ fn bnn_run_batched_is_bit_identical_and_memo_hits_match() {
 #[test]
 fn oracle_run_batched_matches_one_lane_too() {
     for (name, net) in networks() {
-        let w = workload(net, 300);
-        let runner = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4));
-        let reference = runner.run(&w).unwrap();
-        for batch in [2usize, 3] {
-            let batched = runner.run_batched(&w, batch).unwrap();
+        let (model, seqs) = workload(net, 300);
+        let predictor = PredictorKind::Oracle(OracleMemoConfig::with_threshold(0.4));
+        let reference = predictor.run(&model, &seqs).unwrap();
+        for batch in [1usize, 2, 3] {
+            let batched = through_engine(&model, &seqs, predictor, batch);
             assert_bit_identical(
                 &format!("{name} B={batch}"),
                 &batched.outputs,

@@ -3,6 +3,8 @@
 
 use nfm::eval::{run_experiment, EvalConfig, EXPERIMENTS};
 
+/// Every experiment renders, and — `energy` aside, whose software column
+/// is a wall-clock measurement — renders the same text every time.
 #[test]
 fn every_experiment_runs_on_the_smoke_configuration() {
     let config = EvalConfig::smoke();
@@ -13,6 +15,10 @@ fn every_experiment_runs_on_the_smoke_configuration() {
             "{name}: report should carry a heading"
         );
         assert!(report.len() > 80, "{name}: report looks too short");
+        if name != "energy" {
+            let again = run_experiment(name, &config).unwrap();
+            assert!(report == again, "{name}: a second rendering differs");
+        }
     }
 }
 

@@ -26,8 +26,7 @@
 #[path = "../crates/tensor/tests/backend_kernels.rs"]
 mod backend_kernels;
 
-use nfm::memo::{BnnMemoConfig, OracleMemoConfig};
-use nfm::serve::MemoizedRunner;
+use nfm::memo::{BnnMemoConfig, OracleMemoConfig, Predictor, PredictorKind};
 use nfm::tensor::activation::Activation;
 use nfm::tensor::backend::KernelBackend;
 use nfm::tensor::kernels::{
@@ -267,19 +266,14 @@ fn whole_workload_runs_are_deterministic_under_dispatch() {
     // cross-tier end-to-end identity; the CI kernel-matrix job verifies
     // it cross-process as well.
     let w = workload();
-    for (name, runner) in [
-        ("exact", MemoizedRunner::exact()),
-        (
-            "oracle",
-            MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4)),
-        ),
-        (
-            "bnn",
-            MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.5)),
-        ),
+    for predictor in [
+        PredictorKind::Exact,
+        PredictorKind::Oracle(OracleMemoConfig::with_threshold(0.4)),
+        PredictorKind::Bnn(BnnMemoConfig::with_threshold(0.5)),
     ] {
-        let a = runner.run(&w).expect("first run");
-        let b = runner.run(&w).expect("second run");
+        let name = predictor.name();
+        let a = predictor.run(w.model(), w.sequences()).expect("first run");
+        let b = predictor.run(w.model(), w.sequences()).expect("second run");
         assert_eq!(a.stats, b.stats, "{name}: stats drifted between runs");
         assert_eq!(
             a.outputs.len(),

@@ -2,11 +2,10 @@
 //! end-to-end behaviour of the fuzzy memoization scheme on the Table 1
 //! workloads (scaled down).
 
-use nfm::memo::{BnnMemoConfig, OracleMemoConfig};
-use nfm::serve::MemoizedRunner;
-use nfm::workloads::{NetworkId, WorkloadBuilder};
+use nfm::memo::{BnnMemoConfig, OracleMemoConfig, Predictor, PredictorKind, RunOutcome};
+use nfm::workloads::{NetworkId, Workload, WorkloadBuilder};
 
-fn workload(id: NetworkId, seed: u64) -> nfm::workloads::Workload {
+fn workload(id: NetworkId, seed: u64) -> Workload {
     WorkloadBuilder::new(id)
         .scale(0.06)
         .layers(2)
@@ -17,12 +16,24 @@ fn workload(id: NetworkId, seed: u64) -> nfm::workloads::Workload {
         .expect("workload builds")
 }
 
+fn run(w: &Workload, predictor: PredictorKind) -> RunOutcome {
+    predictor.run(w.model(), w.sequences()).unwrap()
+}
+
+fn bnn(theta: f32) -> PredictorKind {
+    PredictorKind::Bnn(BnnMemoConfig::with_threshold(theta))
+}
+
+fn oracle(theta: f32) -> PredictorKind {
+    PredictorKind::Oracle(OracleMemoConfig::with_threshold(theta))
+}
+
 #[test]
 fn exact_runner_is_reference_behaviour_for_every_network() {
     for id in NetworkId::ALL {
         let w = workload(id, 1);
-        let a = MemoizedRunner::exact().run(&w).unwrap();
-        let b = MemoizedRunner::exact().run(&w).unwrap();
+        let a = run(&w, PredictorKind::Exact);
+        let b = run(&w, PredictorKind::Exact);
         assert_eq!(
             a.outputs, b.outputs,
             "{id}: exact inference is deterministic"
@@ -42,10 +53,8 @@ fn exact_runner_is_reference_behaviour_for_every_network() {
 fn oracle_at_zero_threshold_matches_exact_for_every_network() {
     for id in NetworkId::ALL {
         let w = workload(id, 2);
-        let exact = MemoizedRunner::exact().run(&w).unwrap();
-        let oracle = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.0))
-            .run(&w)
-            .unwrap();
+        let exact = run(&w, PredictorKind::Exact);
+        let oracle = run(&w, oracle(0.0));
         assert_eq!(exact.outputs, oracle.outputs, "{id}");
         assert_eq!(w.metric().batch_loss(&exact.outputs, &oracle.outputs), 0.0);
     }
@@ -55,12 +64,10 @@ fn oracle_at_zero_threshold_matches_exact_for_every_network() {
 fn bnn_reuse_grows_with_threshold_and_loss_stays_finite() {
     for id in [NetworkId::Eesen, NetworkId::ImdbSentiment] {
         let w = workload(id, 3);
-        let baseline = MemoizedRunner::exact().run(&w).unwrap();
+        let baseline = run(&w, PredictorKind::Exact);
         let mut last_reuse = -1.0;
         for theta in [0.0_f32, 0.3, 0.8, 1.6] {
-            let memo = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(theta))
-                .run(&w)
-                .unwrap();
+            let memo = run(&w, bnn(theta));
             // Reuse generally grows with θ, but because reused values feed
             // back through the recurrent state the trajectory changes, so
             // small local dips are possible; only forbid large regressions.
@@ -90,9 +97,7 @@ fn bnn_reuse_grows_with_threshold_and_loss_stays_finite() {
 #[test]
 fn bnn_predictor_evaluates_the_binary_network_every_step() {
     let w = workload(NetworkId::DeepSpeech2, 4);
-    let memo = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.5))
-        .run(&w)
-        .unwrap();
+    let memo = run(&w, bnn(0.5));
     assert_eq!(
         memo.stats.bnn_evaluations(),
         w.total_neuron_evaluations(),
@@ -115,21 +120,12 @@ fn oracle_upper_bounds_bnn_at_matched_accuracy() {
     // accuracy loss it should achieve at least as much reuse as the BNN
     // predictor.  Compare the best reuse found below a loss budget.
     let w = workload(NetworkId::Eesen, 5);
-    let baseline = MemoizedRunner::exact().run(&w).unwrap();
+    let baseline = run(&w, PredictorKind::Exact);
     let budget = 10.0; // percentage points
-    let best = |oracle: bool| -> f64 {
+    let best = |predictor: fn(f32) -> PredictorKind| -> f64 {
         let mut best_reuse = 0.0_f64;
         for i in 0..8 {
-            let theta = 0.1 * i as f32;
-            let outcome = if oracle {
-                MemoizedRunner::oracle(OracleMemoConfig::with_threshold(theta))
-                    .run(&w)
-                    .unwrap()
-            } else {
-                MemoizedRunner::bnn(BnnMemoConfig::with_threshold(theta))
-                    .run(&w)
-                    .unwrap()
-            };
+            let outcome = run(&w, predictor(0.1 * i as f32));
             let loss = w.metric().batch_loss(&baseline.outputs, &outcome.outputs);
             if loss <= budget {
                 best_reuse = best_reuse.max(outcome.reuse_fraction());
@@ -137,8 +133,8 @@ fn oracle_upper_bounds_bnn_at_matched_accuracy() {
         }
         best_reuse
     };
-    let oracle_best = best(true);
-    let bnn_best = best(false);
+    let oracle_best = best(oracle);
+    let bnn_best = best(bnn);
     assert!(
         oracle_best + 0.05 >= bnn_best,
         "oracle ({oracle_best}) should not be clearly worse than BNN ({bnn_best})"

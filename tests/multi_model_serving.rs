@@ -209,8 +209,8 @@ fn custom_predictor_through_engine_matches_direct_evaluator_runs() {
         reference.push(net.run(seq, &mut eval).unwrap());
     }
 
-    // The same sequences through `run_batch` waves (the wave-refill
-    // schedule `MemoizedRunner::run_batched` uses).
+    // The same sequences through `run_batch` waves (wave refill: a
+    // freed lane idles until its wave ends).
     let mut wave_eval = StickyEvaluator::default();
     let mut wave_outputs = Vec::new();
     for wave in seqs.chunks(3) {

@@ -20,9 +20,8 @@ mod rnn;
 mod core;
 
 use nfm::bnn::{binarize::reference_binary_dot, BitVector};
-use nfm::memo::{BnnMemoConfig, OracleMemoConfig, ReuseStats};
+use nfm::memo::{BnnMemoConfig, OracleMemoConfig, Predictor, PredictorKind, ReuseStats};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator};
-use nfm::serve::MemoizedRunner;
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::stats::{empirical_cdf, pearson_correlation, percentile};
 use nfm::tensor::vector::relative_difference;
@@ -239,14 +238,15 @@ fn memoized_inference_never_reuses_with_negative_threshold() {
             .seed(seed)
             .build()
             .unwrap();
-        let exact = MemoizedRunner::exact().run(&w).unwrap();
-        let memo = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(-1.0))
-            .run(&w)
+        let (model, seqs) = (w.model(), w.sequences());
+        let exact = PredictorKind::Exact.run(model, seqs).unwrap();
+        let memo = PredictorKind::Bnn(BnnMemoConfig::with_threshold(-1.0))
+            .run(model, seqs)
             .unwrap();
         assert_eq!(memo.stats.reuses(), 0);
         assert_eq!(&exact.outputs, &memo.outputs);
-        let oracle = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(-1.0))
-            .run(&w)
+        let oracle = PredictorKind::Oracle(OracleMemoConfig::with_threshold(-1.0))
+            .run(model, seqs)
             .unwrap();
         assert_eq!(oracle.stats.reuses(), 0);
         assert_eq!(&exact.outputs, &oracle.outputs);
@@ -266,8 +266,8 @@ fn infinite_threshold_reuses_everything_after_the_first_step() {
             .seed(seed)
             .build()
             .unwrap();
-        let oracle = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(f32::INFINITY))
-            .run(&w)
+        let oracle = PredictorKind::Oracle(OracleMemoConfig::with_threshold(f32::INFINITY))
+            .run(w.model(), w.sequences())
             .unwrap();
         let per_step = w.network().neuron_evaluations_per_step() as u64;
         assert_eq!(oracle.stats.computed(), per_step);

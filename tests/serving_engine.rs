@@ -4,9 +4,10 @@
 //!
 //! 1. **Equivalence** — mid-wave lane refill (the unified lane
 //!    scheduler's block schedule) produces outputs, per-request reuse
-//!    statistics and memo-hit counts bit-identical to draining the same
-//!    sequences per-sequence and to the layer-lockstep wave schedule,
-//!    for every predictor and for ragged lengths.
+//!    statistics and memo-hit counts bit-identical to running each
+//!    sequence alone through `Predictor::run` and to the wave schedule
+//!    of `DeepRnn::run_batch`, for every predictor and for ragged
+//!    lengths.
 //! 2. **Deadlines** — expired requests are always *reported* (never
 //!    silently dropped).
 //! 3. **Backpressure** — a full bounded queue rejects submissions with
@@ -14,10 +15,10 @@
 //!    rejected at build time.
 
 use nfm::bnn::BinaryNetwork;
-use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig, ReuseStats};
-use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, NeuronEvaluator};
+use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, Model, OracleMemoConfig, ReuseStats};
+use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction};
 use nfm::serve::{
-    CompletionStatus, Engine, EngineBuilder, EngineError, InferenceRequest, MemoizedRunner,
+    CompletionStatus, Engine, EngineBuilder, EngineError, InferenceRequest, Predictor,
     PredictorKind,
 };
 use nfm::tensor::rng::DeterministicRng;
@@ -83,14 +84,6 @@ fn predictors() -> Vec<(&'static str, PredictorKind)> {
     ]
 }
 
-fn runner_for(predictor: PredictorKind) -> MemoizedRunner {
-    match predictor {
-        PredictorKind::Exact => MemoizedRunner::exact(),
-        PredictorKind::Oracle(c) => MemoizedRunner::oracle(c),
-        PredictorKind::Bnn(c) => MemoizedRunner::bnn(c),
-    }
-}
-
 fn assert_bit_identical(name: &str, a: &[Vector], b: &[Vector]) {
     assert_eq!(a.len(), b.len(), "{name}: output length");
     for (t, (x, y)) in a.iter().zip(b.iter()).enumerate() {
@@ -115,35 +108,22 @@ fn assert_bit_identical(name: &str, a: &[Vector], b: &[Vector]) {
 fn midwave_refill_is_bit_identical_to_per_sequence_and_wave_refill() {
     for (net_name, net) in unidirectional_networks() {
         let seqs = ragged_sequences(&net, 100);
+        let model = Model::from(net);
+        let net = model.network();
         for (pred_name, predictor) in predictors() {
-            // Per-sequence reference: each sequence alone on a one-lane
-            // engine.
-            let runner = runner_for(predictor);
-            let mut reference: Vec<(Vec<Vector>, ReuseStats)> = Vec::new();
-            for seq in &seqs {
-                struct One<'a> {
-                    net: &'a DeepRnn,
-                    seq: Vec<Vec<Vector>>,
-                }
-                impl nfm::serve::InferenceWorkload for One<'_> {
-                    fn network(&self) -> &DeepRnn {
-                        self.net
-                    }
-                    fn input_sequences(&self) -> &[Vec<Vector>] {
-                        &self.seq
-                    }
-                }
-                let one = One {
-                    net: &net,
-                    seq: vec![seq.clone()],
-                };
-                let outcome = runner.run(&one).unwrap();
-                reference.push((outcome.outputs.into_iter().next().unwrap(), outcome.stats));
-            }
+            // Per-sequence reference: each sequence alone through
+            // `Predictor::run`, with no engine.
+            let reference: Vec<(Vec<Vector>, ReuseStats)> = seqs
+                .iter()
+                .map(|seq| {
+                    let outcome = predictor.run(&model, std::slice::from_ref(seq)).unwrap();
+                    (outcome.outputs.into_iter().next().unwrap(), outcome.stats)
+                })
+                .collect();
 
             for lanes in [2usize, 3] {
                 let name = format!("{net_name}/{pred_name}/lanes={lanes}");
-                let engine = EngineBuilder::new(net.clone(), predictor)
+                let engine = EngineBuilder::new(model.clone(), predictor)
                     .lanes(lanes)
                     .workers(1)
                     .queue_capacity(seqs.len())
@@ -158,7 +138,6 @@ fn midwave_refill_is_bit_identical_to_per_sequence_and_wave_refill() {
                 let mut responses = engine.shutdown();
                 assert_eq!(responses.len(), seqs.len(), "{name}: all reported");
                 responses.sort_by_key(|r| r.id);
-                let mut merged = ReuseStats::new();
                 for (i, r) in responses.iter().enumerate() {
                     assert_eq!(r.status, CompletionStatus::Done, "{name} seq {i}");
                     assert_bit_identical(&format!("{name} seq {i}"), &r.outputs, &reference[i].0);
@@ -166,20 +145,11 @@ fn midwave_refill_is_bit_identical_to_per_sequence_and_wave_refill() {
                     // reuses() is exactly the lookups served from the
                     // lane's memo table.
                     assert_eq!(r.stats, reference[i].1, "{name} seq {i}: per-request stats");
-                    merged.merge(&r.stats);
                 }
 
                 // Wave-boundary refill baseline over the same admitted
                 // sequences: chunks of `lanes` through run_batch.
-                let mut wave_eval: Box<dyn NeuronEvaluator> = match predictor {
-                    PredictorKind::Exact => Box::new(ExactEvaluator::new()),
-                    PredictorKind::Oracle(c) => {
-                        Box::new(nfm::memo::OracleEvaluator::for_network(&net, c))
-                    }
-                    PredictorKind::Bnn(c) => {
-                        Box::new(BnnMemoEvaluator::new(BinaryNetwork::mirror(&net), c))
-                    }
-                };
+                let mut wave_eval = predictor.build_evaluator(&model);
                 let mut wave_outputs = Vec::new();
                 for wave in seqs.chunks(lanes) {
                     let refs: Vec<&[Vector]> = wave.iter().map(|s| s.as_slice()).collect();

@@ -3,7 +3,7 @@
 //! wire-protocol properties (seeded frames round-trip, damaged ones
 //! give typed errors), the `crates/model` artifact properties (bitwise
 //! fidelity, zero-copy views, never a panic) and `crates/serve`'s unit
-//! tests (request builders, the `MemoizedRunner` façade).
+//! tests (request builders, the engine's completion notifier).
 
 #[path = "../crates/net/tests/protocol_roundtrip.rs"]
 mod protocol;
