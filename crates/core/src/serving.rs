@@ -23,9 +23,9 @@
 //!   hooks the engine drives a request through: harvest the lane's
 //!   [`ReuseStats`], snapshot the aggregate counters, install the
 //!   request's `θ` override on its lane.  Evaluators that keep no
-//!   counters (the exact baseline, most custom evaluators) implement
-//!   nothing: the engine synthesizes all-computed statistics from the
-//!   request's length.
+//!   per-lane counters (the exact baseline, most custom evaluators)
+//!   leave the lane hook alone: the engine synthesizes a request's
+//!   all-computed statistics from its length.
 
 use crate::audit::ControlSnapshot;
 use crate::config::{BnnMemoConfig, OracleMemoConfig};
@@ -47,11 +47,11 @@ use std::sync::Arc;
 /// installs the request's `θ` override on the lane right after
 /// admission and harvests the lane's reuse statistics when the request
 /// finishes.  Evaluators that track counters (the oracle and BNN
-/// evaluators) override the hooks; evaluators that do not (the exact
-/// baseline, simple custom evaluators) inherit the defaults — the
-/// engine then synthesizes the exact-path statistics (every neuron of
-/// every timestep computed, nothing reused), which is correct for any
-/// evaluator that never skips work.
+/// evaluators) override the hooks; evaluators that do not (simple
+/// custom evaluators; the exact baseline reports only its aggregate)
+/// inherit the defaults — the engine then synthesizes the exact-path
+/// statistics (every neuron of every timestep computed, nothing
+/// reused), which is correct for any evaluator that never skips work.
 pub trait ServedEvaluator: NeuronEvaluator + Send {
     /// Takes the statistics attributable to the request that just
     /// finished (or was aborted) on `lane` of a batched schedule,
@@ -81,7 +81,15 @@ pub trait ServedEvaluator: NeuronEvaluator + Send {
     }
 }
 
-impl ServedEvaluator for ExactEvaluator {}
+/// The exact baseline keeps no per-lane counters, but its aggregate is
+/// every evaluation it made, all computed.
+impl ServedEvaluator for ExactEvaluator {
+    fn stats_snapshot(&self) -> Option<ReuseStats> {
+        let mut stats = ReuseStats::new();
+        stats.record_computed_many(self.evaluations());
+        Some(stats)
+    }
+}
 
 /// The hooks of an evaluator that keeps its per-lane state in
 /// [`MemoLanes`](crate::lanes::MemoLanes): everything request-specific

@@ -14,15 +14,28 @@
 //! [last 8]                 FNV-1a 64 checksum over meta ++ payload
 //! ```
 //!
-//! The descriptor fixes the network's structure (cell kind, direction,
+//! The prelude, the descriptor and each table record are fixed-size
+//! sections, each declared once (`section!`) for both directions.  The
+//! descriptor fixes the network's structure (cell kind, direction,
 //! layer count, head/mirror presence); the tensor table holds one
 //! 24-byte record per tensor — identity (owner, layer, direction, gate
 //! kind), activation, element kind, shape, and the 64-byte-aligned byte
-//! offset of its data in the payload.  Records are written (and
-//! required on load) in one canonical order: per layer → per direction
-//! → per gate kind: `wx`, `wh`, `bias`, optional `peephole`; then the
-//! head's weights and bias; then the mirror's sign blocks, one tensor
-//! per gate in the same gate order.
+//! offset of its data in the payload.
+//!
+//! # One canonical tensor list
+//!
+//! `canonical` is the single definition of which tensors an artifact
+//! holds, in what order, and where in the payload each one sits: per
+//! gate in [`DeepRnn::gates`] order its `wx`, `wh`, `bias` and optional
+//! `peephole`; then the head's weights and bias; then the mirror's sign
+//! blocks, one tensor per gate in the same gate order, each tensor at
+//! the next 64-byte boundary.  [`save`] writes exactly that table and
+//! payload.  [`load`] rebuilds the network (and mirror) by looking each
+//! tensor's record up by its identity, then requires the table it read
+//! to equal the canonical table of what it rebuilt — record for record,
+//! offsets and payload length included — so a reordered, duplicated,
+//! missing or extra record is refused as malformed.  A new tensor is one
+//! owner code plus one `canonical` entry.
 //!
 //! # The mirror tensor (format version 2)
 //!
@@ -59,10 +72,11 @@
 
 use crate::error::{ModelArtifactError, Result};
 use nfm_bnn::{BinaryGate, BinaryNetwork, Model};
-use nfm_rnn::{Cell, DeepRnn, Dense, Gate, GateKind, GruCell, Layer, LstmCell};
+use nfm_rnn::{Cell, CellKind, DeepRnn, Dense, Gate, GateId, GateKind, GruCell, Layer, LstmCell};
 use nfm_tensor::activation::Activation;
 use nfm_tensor::arena::ArenaU64;
 use nfm_tensor::{Matrix, TensorArena, Vector};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -79,10 +93,6 @@ const FLAG_HEAD: u32 = 1;
 const FLAG_MIRROR: u32 = 1 << 1;
 const KNOWN_FLAGS: u32 = FLAG_HEAD | FLAG_MIRROR;
 
-const PRELUDE_LEN: usize = 32;
-const DESCRIPTOR_LEN: usize = 12;
-const RECORD_LEN: usize = 24;
-
 /// Caps on declared sizes so hostile headers cannot drive huge
 /// allocations before the checksum is even checked.
 const MAX_META_BYTES: usize = 1 << 24;
@@ -90,60 +100,65 @@ const MAX_PAYLOAD_BYTES: u64 = 1 << 33;
 const MAX_LAYERS: usize = 1 << 12;
 const MAX_DIM: usize = 1 << 24;
 
-// Tensor owners, in canonical record order within their group.
-const OWNER_WX: u8 = 0;
-const OWNER_WH: u8 = 1;
-const OWNER_BIAS: u8 = 2;
-const OWNER_PEEPHOLE: u8 = 3;
-const OWNER_HEAD_W: u8 = 4;
-const OWNER_HEAD_B: u8 = 5;
-const OWNER_MIRROR: u8 = 6;
+/// Who a tensor belongs to; the discriminant is the record's owner code.
+#[derive(Debug, Clone, Copy)]
+enum Owner {
+    Wx,
+    Wh,
+    Bias,
+    Peephole,
+    HeadWeights,
+    HeadBias,
+    Mirror,
+}
 
 const KIND_F32: u8 = 0;
 const KIND_BITS: u8 = 1;
 
-const CELL_LSTM: u8 = 0;
-const CELL_GRU: u8 = 1;
+// Code tables: a value's code is its position in its table, in both
+// directions.
+const BOOLS: [bool; 2] = [false, true];
+const CELLS: [CellKind; 2] = [CellKind::Lstm, CellKind::Gru];
+const ACTIVATIONS: [Activation; 5] = [
+    Activation::Sigmoid,
+    Activation::Tanh,
+    Activation::Relu,
+    Activation::HardSigmoid,
+    Activation::Identity,
+];
+const GATE_KINDS: [GateKind; GateKind::COUNT] = [
+    GateKind::Input,
+    GateKind::Forget,
+    GateKind::Candidate,
+    GateKind::Output,
+    GateKind::Update,
+    GateKind::Reset,
+];
 
-fn encode_activation(a: Activation) -> u8 {
-    match a {
-        Activation::Sigmoid => 0,
-        Activation::Tanh => 1,
-        Activation::Relu => 2,
-        Activation::HardSigmoid => 3,
-        Activation::Identity => 4,
+fn encode<T: PartialEq>(table: &[T], value: T) -> u8 {
+    let code = table.iter().position(|v| *v == value);
+    code.expect("every value has a code") as u8
+}
+
+fn decode<T: Copy>(table: &[T], code: u8, what: &str) -> Result<T> {
+    (table.get(usize::from(code)).copied())
+        .ok_or_else(|| malformed(format!("unknown {what} code {code}")))
+}
+
+fn malformed(what: impl Into<String>) -> ModelArtifactError {
+    ModelArtifactError::Malformed { what: what.into() }
+}
+
+/// Maps a short read to [`ModelArtifactError::Truncated`] naming `what`.
+fn truncated(what: &'static str) -> impl FnOnce(std::io::Error) -> ModelArtifactError {
+    move |e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => ModelArtifactError::Truncated { what },
+        _ => ModelArtifactError::Io(e),
     }
 }
 
-fn decode_activation(code: u8) -> Result<Activation> {
-    Ok(match code {
-        0 => Activation::Sigmoid,
-        1 => Activation::Tanh,
-        2 => Activation::Relu,
-        3 => Activation::HardSigmoid,
-        4 => Activation::Identity,
-        other => {
-            return Err(ModelArtifactError::Malformed {
-                what: format!("unknown activation code {other}"),
-            })
-        }
-    })
-}
-
-fn decode_gate_kind(code: u8) -> Result<GateKind> {
-    const ALL: [GateKind; GateKind::COUNT] = [
-        GateKind::Input,
-        GateKind::Forget,
-        GateKind::Candidate,
-        GateKind::Output,
-        GateKind::Update,
-        GateKind::Reset,
-    ];
-    ALL.get(code as usize)
-        .copied()
-        .ok_or_else(|| ModelArtifactError::Malformed {
-            what: format!("unknown gate kind code {code}"),
-        })
+fn read_exact(reader: &mut impl Read, buf: &mut [u8], what: &'static str) -> Result<()> {
+    reader.read_exact(buf).map_err(truncated(what))
 }
 
 /// FNV-1a 64 over a byte stream, foldable across sections.
@@ -160,90 +175,227 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 /// FNV-1a 64 offset basis.
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// One tensor-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Record {
-    owner: u8,
-    dir: u8,
-    gate_kind: u8,
-    activation: u8,
-    kind: u8,
-    layer: u16,
-    rows: u32,
-    cols: u32,
-    offset: u64,
+/// One fixed-width little-endian field: appended by `put`, and read by
+/// `get` off the front of a slice at least `LEN` bytes long.
+trait Field: Sized {
+    const LEN: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(bytes: &mut &[u8]) -> Self;
+}
+
+fn take<'a>(bytes: &mut &'a [u8], n: usize) -> &'a [u8] {
+    let (head, rest) = bytes.split_at(n);
+    *bytes = rest;
+    head
+}
+
+macro_rules! le_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            const LEN: usize = std::mem::size_of::<$t>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(bytes: &mut &[u8]) -> Self {
+                <$t>::from_le_bytes(take(bytes, Self::LEN).try_into().expect("LEN bytes"))
+            }
+        }
+    )*};
+}
+le_field!(u8, u16, u32, u64, f32);
+
+impl<const N: usize> Field for [u8; N] {
+    const LEN: usize = N;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+    fn get(bytes: &mut &[u8]) -> Self {
+        take(bytes, N).try_into().expect("N bytes")
+    }
+}
+
+/// A fixed-size section: its fields in byte order, declared once for
+/// `write_to`, `parse` and its length.  `parse` takes exactly the
+/// section's bytes; a zero field is checked where the section is read.
+macro_rules! section {
+    ($ty:ident[$len:ident] { $($field:ident: $t:ty),* $(,)? }) => {
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        struct $ty {
+            $($field: $t,)*
+        }
+
+        const $len: usize = 0 $(+ <$t as Field>::LEN)*;
+
+        impl $ty {
+            fn write_to(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+
+            fn parse(mut bytes: &[u8]) -> Self {
+                debug_assert_eq!(bytes.len(), $len);
+                $ty { $($field: Field::get(&mut bytes),)* }
+            }
+        }
+    };
+}
+
+section!(Prelude[PRELUDE_LEN] {
+    magic: [u8; 8], version: u32, flags: u32, meta_len: u32, reserved: u32, payload_len: u64,
+});
+
+section!(Descriptor[DESCRIPTOR_LEN] {
+    cell: u8, bidirectional: u8, head: u8, mirror: u8, layers: u32, records: u32,
+});
+
+section!(Record[RECORD_LEN] {
+    owner: u8, dir: u8, gate_kind: u8, activation: u8, kind: u8, pad: u8,
+    layer: u16, rows: u32, cols: u32, offset: u64,
+});
+
+/// A tensor's identity in the table: owner, layer, direction and gate
+/// kind codes.
+type Key = (u8, u16, u8, u8);
+
+/// `at` is `None` for the head, whose tensors belong to no gate.  Layer
+/// counts are capped at `MAX_LAYERS`, so a layer index fits the `u16`.
+fn key(owner: Owner, at: Option<GateId>) -> Key {
+    let Some(id) = at else {
+        return (owner as u8, 0, 0, 0);
+    };
+    (
+        owner as u8,
+        id.layer as u16,
+        id.direction as u8,
+        encode(&GATE_KINDS, id.kind),
+    )
 }
 
 impl Record {
-    fn write_to(&self, out: &mut Vec<u8>) {
-        out.push(self.owner);
-        out.push(self.dir);
-        out.push(self.gate_kind);
-        out.push(self.activation);
-        out.push(self.kind);
-        out.push(0);
-        out.extend_from_slice(&self.layer.to_le_bytes());
-        out.extend_from_slice(&self.rows.to_le_bytes());
-        out.extend_from_slice(&self.cols.to_le_bytes());
-        out.extend_from_slice(&self.offset.to_le_bytes());
+    fn key(&self) -> Key {
+        (self.owner, self.layer, self.dir, self.gate_kind)
     }
 
-    fn parse(bytes: &[u8]) -> Result<Record> {
-        if bytes.len() < RECORD_LEN {
-            return Err(ModelArtifactError::Truncated {
-                what: "tensor table record",
-            });
+    /// The arena view this record describes, as `(offset, rows, cols)`,
+    /// once its element kind is `kind` and its shape within the caps.
+    fn view(&self, kind: u8) -> Result<(usize, usize, usize)> {
+        let (rows, cols) = (self.rows as usize, self.cols as usize);
+        let capped = (1..=MAX_DIM).contains(&rows) && (1..=MAX_DIM).contains(&cols);
+        match usize::try_from(self.offset) {
+            Ok(offset) if self.kind == kind && capped => Ok((offset, rows, cols)),
+            _ => Err(malformed(format!(
+                "{self:?} is not a kind-{kind} tensor within the caps"
+            ))),
         }
-        if bytes[5] != 0 {
-            return Err(ModelArtifactError::Malformed {
-                what: "non-zero record padding".into(),
-            });
-        }
-        Ok(Record {
-            owner: bytes[0],
-            dir: bytes[1],
-            gate_kind: bytes[2],
-            activation: bytes[3],
-            kind: bytes[4],
-            layer: u16::from_le_bytes([bytes[6], bytes[7]]),
-            rows: u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]),
-            cols: u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]),
-            offset: u64::from_le_bytes([
-                bytes[16], bytes[17], bytes[18], bytes[19], bytes[20], bytes[21], bytes[22],
-                bytes[23],
-            ]),
-        })
     }
 }
 
-/// Payload builder: appends tensor bytes at 64-byte-aligned offsets.
+/// A tensor's values, as `save` writes them into the payload.
+enum Data<'a> {
+    F32(&'a [f32]),
+    Bits(&'a [u64]),
+}
+
+/// A tensor's `(rows, cols)` and values.
+type Tensor<'a> = ((usize, usize), Data<'a>);
+
+fn matrix(m: &Matrix) -> Tensor<'_> {
+    ((m.rows(), m.cols()), Data::F32(m.as_slice()))
+}
+
+fn column(v: &Vector) -> Tensor<'_> {
+    ((v.len(), 1), Data::F32(v.as_slice()))
+}
+
+/// A sign block's record shape is neurons × sign bits a row.
+fn signs(bg: &BinaryGate) -> Tensor<'_> {
+    let cols = bg.input_size() + bg.hidden_size();
+    ((bg.neurons(), cols), Data::Bits(bg.sign_block()))
+}
+
+impl Data<'_> {
+    fn kind_and_bytes(&self) -> (u8, u64) {
+        match self {
+            Data::F32(v) => (KIND_F32, 4 * v.len() as u64),
+            Data::Bits(w) => (KIND_BITS, 8 * w.len() as u64),
+        }
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Data::F32(v) => v.iter().for_each(|x| x.put(out)),
+            Data::Bits(w) => w.iter().for_each(|x| x.put(out)),
+        }
+    }
+}
+
+/// An artifact's tensor table and payload layout.
 #[derive(Default)]
-struct Payload {
-    bytes: Vec<u8>,
+struct Layout<'a> {
+    records: Vec<Record>,
+    data: Vec<Data<'a>>,
+    payload_len: u64,
 }
 
-impl Payload {
-    fn align(&mut self) -> u64 {
-        let pad = (TENSOR_ALIGN - self.bytes.len() % TENSOR_ALIGN) % TENSOR_ALIGN;
-        self.bytes.extend(std::iter::repeat_n(0u8, pad));
-        self.bytes.len() as u64
-    }
-
-    fn push_f32s(&mut self, values: &[f32]) -> u64 {
-        let offset = self.align();
-        for v in values {
-            self.bytes.extend_from_slice(&v.to_le_bytes());
+/// The canonical tensor list of `network` and its `mirror` (module
+/// docs): every tensor's record, offset included, and its values.
+///
+/// # Errors
+///
+/// [`ModelArtifactError::Malformed`] for a dimension outside the caps,
+/// or a mirror missing a gate of the network or holding one of another
+/// shape.
+fn canonical<'a>(network: &'a DeepRnn, mirror: Option<&'a BinaryNetwork>) -> Result<Layout<'a>> {
+    let mut layout = Layout::default();
+    let mut push = |owner: Owner, at, activation, ((rows, cols), data): Tensor<'a>| {
+        if !(1..=MAX_DIM).contains(&rows) || !(1..=MAX_DIM).contains(&cols) {
+            return Err(malformed(format!(
+                "{owner:?} shape {rows}x{cols} outside 1..={MAX_DIM}"
+            )));
         }
-        offset
-    }
-
-    fn push_u64s(&mut self, words: &[u64]) -> u64 {
-        let offset = self.align();
-        for w in words {
-            self.bytes.extend_from_slice(&w.to_le_bytes());
+        let (owner, layer, dir, gate_kind) = key(owner, at);
+        let (kind, bytes) = data.kind_and_bytes();
+        let offset = layout.payload_len.next_multiple_of(TENSOR_ALIGN as u64);
+        layout.payload_len = offset + bytes;
+        layout.records.push(Record {
+            owner,
+            dir,
+            gate_kind,
+            activation,
+            kind,
+            pad: 0,
+            layer,
+            rows: rows as u32,
+            cols: cols as u32,
+            offset,
+        });
+        layout.data.push(data);
+        Ok(())
+    };
+    for (id, gate) in network.gates() {
+        let (at, act) = (Some(id), encode(&ACTIVATIONS, gate.activation()));
+        push(Owner::Wx, at, act, matrix(gate.wx()))?;
+        push(Owner::Wh, at, act, matrix(gate.wh()))?;
+        push(Owner::Bias, at, act, column(gate.bias()))?;
+        if let Some(p) = gate.peephole() {
+            push(Owner::Peephole, at, act, column(p))?;
         }
-        offset
     }
+    if let Some(head) = network.head() {
+        let act = encode(&ACTIVATIONS, head.activation());
+        push(Owner::HeadWeights, None, act, matrix(head.weights()))?;
+        push(Owner::HeadBias, None, act, column(head.bias()))?;
+    }
+    for (id, gate) in mirror.map_or_else(Vec::new, |_| network.gates()) {
+        let bg = (mirror.and_then(|m| m.gate(id)))
+            .filter(|bg| bg.has_shape_of(gate))
+            .ok_or_else(|| malformed(format!("mirror has no gate of its shape for {id:?}")))?;
+        // A sign block has no activation; its activation code is 0.
+        push(Owner::Mirror, Some(id), 0, signs(bg))?;
+    }
+    // The payload ends on a TENSOR_ALIGN boundary (a whole number of
+    // arena words).
+    layout.payload_len = layout.payload_len.next_multiple_of(TENSOR_ALIGN as u64);
+    Ok(layout)
 }
 
 fn ensure_little_endian() -> Result<()> {
@@ -270,171 +422,62 @@ pub fn save(
     writer: &mut impl Write,
 ) -> Result<u64> {
     ensure_little_endian()?;
-    let layers = network.layers();
-    if layers.is_empty() || layers.len() > MAX_LAYERS {
-        return Err(ModelArtifactError::Malformed {
-            what: format!("layer count {} outside 1..={MAX_LAYERS}", layers.len()),
-        });
+    let (layers, first) = (network.layers(), &network.layers()[0]);
+    let (cell, bidirectional) = (first.forward_cell().kind(), first.is_bidirectional());
+    let mixed =
+        |l: &Layer| l.forward_cell().kind() != cell || l.is_bidirectional() != bidirectional;
+    if layers.len() > MAX_LAYERS || layers.iter().any(mixed) {
+        return Err(malformed(format!(
+            "artifact requires at most {MAX_LAYERS} layers of one cell kind and direction"
+        )));
     }
-    let cell_kind = match layers[0].forward_cell() {
-        Cell::Lstm(_) => CELL_LSTM,
-        Cell::Gru(_) => CELL_GRU,
-    };
-    let bidirectional = layers[0].is_bidirectional();
-    for layer in layers {
-        let same_kind = matches!(
-            (layer.forward_cell(), cell_kind),
-            (Cell::Lstm(_), CELL_LSTM) | (Cell::Gru(_), CELL_GRU)
-        );
-        if !same_kind || layer.is_bidirectional() != bidirectional {
-            return Err(ModelArtifactError::Malformed {
-                what: "artifact requires homogeneous cell kind and direction across layers".into(),
-            });
-        }
+    let layout = canonical(network, mirror)?;
+    let (has_head, has_mirror) = (network.head().is_some(), mirror.is_some());
+
+    let mut meta = Vec::with_capacity(DESCRIPTOR_LEN + layout.records.len() * RECORD_LEN);
+    Descriptor {
+        cell: encode(&CELLS, cell),
+        bidirectional: encode(&BOOLS, bidirectional),
+        head: encode(&BOOLS, has_head),
+        mirror: encode(&BOOLS, has_mirror),
+        layers: layers.len() as u32,
+        records: layout.records.len() as u32,
     }
-
-    let mut records: Vec<Record> = Vec::new();
-    let mut payload = Payload::default();
-    let dim = |n: usize, what: &str| -> Result<u32> {
-        if n == 0 || n > MAX_DIM {
-            return Err(ModelArtifactError::Malformed {
-                what: format!("{what} dimension {n} outside 1..={MAX_DIM}"),
-            });
-        }
-        Ok(n as u32)
-    };
-
-    let dirs = if bidirectional { 2usize } else { 1 };
-    for (k, layer) in layers.iter().enumerate() {
-        for d in 0..dirs {
-            let cell = if d == 0 {
-                layer.forward_cell()
-            } else {
-                layer
-                    .backward_cell()
-                    .ok_or_else(|| ModelArtifactError::Malformed {
-                        what: format!("layer {k} missing backward cell"),
-                    })?
-            };
-            for kind in cell.gate_kinds() {
-                let gate = cell
-                    .gate(*kind)
-                    .ok_or_else(|| ModelArtifactError::Malformed {
-                        what: format!("layer {k} missing {} gate", kind.name()),
-                    })?;
-                let ids = |owner: u8, rows: u32, cols: u32, offset: u64| Record {
-                    owner,
-                    dir: d as u8,
-                    gate_kind: kind.index() as u8,
-                    activation: encode_activation(gate.activation()),
-                    kind: KIND_F32,
-                    layer: k as u16,
-                    rows,
-                    cols,
-                    offset,
-                };
-                let rows = dim(gate.neurons(), "gate neurons")?;
-                let xc = dim(gate.input_size(), "gate input")?;
-                let hc = dim(gate.hidden_size(), "gate hidden")?;
-                let off = payload.push_f32s(gate.wx().as_slice());
-                records.push(ids(OWNER_WX, rows, xc, off));
-                let off = payload.push_f32s(gate.wh().as_slice());
-                records.push(ids(OWNER_WH, rows, hc, off));
-                let off = payload.push_f32s(gate.bias().as_slice());
-                records.push(ids(OWNER_BIAS, rows, 1, off));
-                if let Some(p) = gate.peephole() {
-                    let off = payload.push_f32s(p.as_slice());
-                    records.push(ids(OWNER_PEEPHOLE, rows, 1, off));
-                }
-            }
-        }
-    }
-
-    let mut flags = 0u32;
-    if let Some(head) = network.head() {
-        flags |= FLAG_HEAD;
-        let rows = dim(head.output_size(), "head output")?;
-        let cols = dim(head.input_size(), "head input")?;
-        let act = encode_activation(head.activation());
-        let head_rec = |owner: u8, rows: u32, cols: u32, offset: u64| Record {
-            owner,
-            dir: 0,
-            gate_kind: 0,
-            activation: act,
-            kind: KIND_F32,
-            layer: 0,
-            rows,
-            cols,
-            offset,
-        };
-        let off = payload.push_f32s(head.weights().as_slice());
-        records.push(head_rec(OWNER_HEAD_W, rows, cols, off));
-        let off = payload.push_f32s(head.bias().as_slice());
-        records.push(head_rec(OWNER_HEAD_B, rows, 1, off));
-    }
-
-    if let Some(mirror) = mirror {
-        flags |= FLAG_MIRROR;
-        for (id, gate) in network.gates() {
-            let bg = mirror
-                .gate(id)
-                .filter(|bg| bg.has_shape_of(gate))
-                .ok_or_else(|| ModelArtifactError::Malformed {
-                    what: format!(
-                        "mirror has no gate of its shape for layer={} dir={} kind={}",
-                        id.layer,
-                        id.direction,
-                        id.kind.name()
-                    ),
-                })?;
-            records.push(Record {
-                owner: OWNER_MIRROR,
-                dir: id.direction as u8,
-                gate_kind: id.kind.index() as u8,
-                activation: 0,
-                kind: KIND_BITS,
-                layer: id.layer as u16,
-                rows: dim(bg.neurons(), "mirror neurons")?,
-                cols: dim(bg.input_size() + bg.hidden_size(), "mirror signs")?,
-                offset: payload.push_u64s(bg.sign_block()),
-            });
-        }
-    }
-
-    // Pad the payload tail so the total is a TENSOR_ALIGN multiple (and
-    // thus a whole number of arena words).
-    payload.align();
-
-    let mut meta = Vec::with_capacity(DESCRIPTOR_LEN + records.len() * RECORD_LEN);
-    meta.push(cell_kind);
-    meta.push(if bidirectional { 1 } else { 0 });
-    meta.push(if flags & FLAG_HEAD != 0 { 1 } else { 0 });
-    meta.push(if flags & FLAG_MIRROR != 0 { 1 } else { 0 });
-    meta.extend_from_slice(&(layers.len() as u32).to_le_bytes());
-    meta.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    for r in &records {
+    .write_to(&mut meta);
+    for r in &layout.records {
         r.write_to(&mut meta);
     }
     if meta.len() > MAX_META_BYTES {
-        return Err(ModelArtifactError::Malformed {
-            what: format!("meta section {} exceeds cap {MAX_META_BYTES}", meta.len()),
-        });
+        return Err(malformed(format!(
+            "meta section {} exceeds cap {MAX_META_BYTES}",
+            meta.len()
+        )));
     }
 
-    let mut prelude = Vec::with_capacity(PRELUDE_LEN);
-    prelude.extend_from_slice(&MAGIC);
-    prelude.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    prelude.extend_from_slice(&flags.to_le_bytes());
-    prelude.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-    prelude.extend_from_slice(&0u32.to_le_bytes());
-    prelude.extend_from_slice(&(payload.bytes.len() as u64).to_le_bytes());
+    let mut payload = Vec::with_capacity(layout.payload_len as usize);
+    for (r, data) in layout.records.iter().zip(&layout.data) {
+        payload.resize(r.offset as usize, 0);
+        data.put(&mut payload);
+    }
+    payload.resize(layout.payload_len as usize, 0);
 
-    let checksum = fnv1a(fnv1a(FNV_BASIS, &meta), &payload.bytes);
+    let mut prelude = Vec::with_capacity(PRELUDE_LEN);
+    Prelude {
+        magic: MAGIC,
+        version: FORMAT_VERSION,
+        flags: if has_head { FLAG_HEAD } else { 0 } | if has_mirror { FLAG_MIRROR } else { 0 },
+        meta_len: meta.len() as u32,
+        reserved: 0,
+        payload_len: layout.payload_len,
+    }
+    .write_to(&mut prelude);
+
+    let checksum = fnv1a(fnv1a(FNV_BASIS, &meta), &payload);
     writer.write_all(&prelude)?;
     writer.write_all(&meta)?;
-    writer.write_all(&payload.bytes)?;
+    writer.write_all(&payload)?;
     writer.write_all(&checksum.to_le_bytes())?;
-    Ok((PRELUDE_LEN + meta.len() + payload.bytes.len() + 8) as u64)
+    Ok((PRELUDE_LEN + meta.len() + payload.len() + 8) as u64)
 }
 
 /// A model loaded from an artifact: the reconstructed network, its
@@ -466,137 +509,21 @@ impl From<LoadedModel> for Model {
     }
 }
 
-/// Byte cursor over the meta section; every read is bounds-checked.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8]> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(ModelArtifactError::Truncated { what })?;
-        let s = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u32_le(&mut self, what: &'static str) -> Result<u32> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-}
-
-/// Sequential record reader enforcing the canonical table order.
-struct Table {
-    records: Vec<Record>,
-    at: usize,
-}
-
-impl Table {
-    fn next(&mut self, what: &'static str) -> Result<Record> {
-        let r = self
-            .records
-            .get(self.at)
-            .copied()
-            .ok_or(ModelArtifactError::Truncated { what })?;
-        self.at += 1;
-        Ok(r)
-    }
-
-    fn peek(&self) -> Option<Record> {
-        self.records.get(self.at).copied()
-    }
-
-    fn expect(
-        &mut self,
-        owner: u8,
-        layer: usize,
-        dir: usize,
-        kind: Option<GateKind>,
-        what: &'static str,
-    ) -> Result<Record> {
-        let r = self.next(what)?;
-        let kind_ok = match kind {
-            Some(k) => r.gate_kind as usize == k.index(),
-            None => true,
-        };
-        if r.owner != owner || r.layer as usize != layer || r.dir as usize != dir || !kind_ok {
-            return Err(ModelArtifactError::Malformed {
-                what: format!(
-                    "tensor table out of canonical order: expected {what} \
-                     (owner {owner}, layer {layer}, dir {dir}), found owner {} layer {} dir {}",
-                    r.owner, r.layer, r.dir
-                ),
-            });
-        }
-        Ok(r)
-    }
-}
-
-fn checked_dims(r: &Record, what: &'static str) -> Result<(usize, usize)> {
-    let rows = r.rows as usize;
-    let cols = r.cols as usize;
-    if rows == 0 || rows > MAX_DIM || cols == 0 || cols > MAX_DIM {
-        return Err(ModelArtifactError::Malformed {
-            what: format!("{what}: shape {rows}x{cols} outside 1..={MAX_DIM}"),
-        });
-    }
-    Ok((rows, cols))
-}
-
-fn arena_matrix(arena: &Arc<TensorArena>, r: &Record, what: &'static str) -> Result<Matrix> {
-    if r.kind != KIND_F32 {
-        return Err(ModelArtifactError::Malformed {
-            what: format!("{what}: expected f32 tensor, found kind {}", r.kind),
-        });
-    }
-    let (rows, cols) = checked_dims(r, what)?;
-    let offset = usize::try_from(r.offset).map_err(|_| ModelArtifactError::Malformed {
-        what: format!("{what}: offset {} exceeds addressable range", r.offset),
-    })?;
-    Ok(Matrix::from_arena(arena.clone(), offset, rows, cols)?)
-}
-
-fn arena_vector(arena: &Arc<TensorArena>, r: &Record, what: &'static str) -> Result<Vector> {
-    if r.kind != KIND_F32 || r.cols != 1 {
-        return Err(ModelArtifactError::Malformed {
-            what: format!("{what}: expected f32 vector (cols=1)"),
-        });
-    }
-    let (rows, _) = checked_dims(r, what)?;
-    let offset = usize::try_from(r.offset).map_err(|_| ModelArtifactError::Malformed {
-        what: format!("{what}: offset {} exceeds addressable range", r.offset),
-    })?;
-    Ok(Vector::from_arena(arena.clone(), offset, rows)?)
-}
-
-/// Maps one mirror gate's sign block (module docs) as a zero-copy view.
+/// Maps the sign block of gate `id` (module docs) as a zero-copy view.
 /// `end` is where the block must end: the next tensor's offset, or the
 /// payload's length.
 fn arena_sign_block(
     arena: &Arc<TensorArena>,
     r: &Record,
-    gate: &Gate,
+    (id, gate): (GateId, &Gate),
     end: u64,
 ) -> Result<BinaryGate> {
-    let malformed = |what: String| ModelArtifactError::Malformed {
-        what: format!("mirror gate layer={} dir={}: {what}", r.layer, r.dir),
-    };
-    if r.kind != KIND_BITS {
-        return Err(malformed(format!(
-            "expected sign-bit tensor, found kind {}",
-            r.kind
-        )));
-    }
+    let malformed = |what: String| malformed(format!("mirror of {id:?}: {what}"));
+    let (offset, rows, cols) = r.view(KIND_BITS)?;
     let (neurons, isz, hsz) = (gate.neurons(), gate.input_size(), gate.hidden_size());
-    if (r.rows as usize, r.cols as usize) != (neurons, isz + hsz) {
+    if (rows, cols) != (neurons, isz + hsz) {
         return Err(malformed(format!(
-            "shape {}x{} differs from its gate's {neurons}x({isz}+{hsz})",
-            r.rows, r.cols
+            "shape {rows}x{cols} differs from its gate's {neurons}x({isz}+{hsz})"
         )));
     }
     let extent = end
@@ -604,8 +531,6 @@ fn arena_sign_block(
         .filter(|bytes| bytes % 8 == 0)
         .and_then(|bytes| usize::try_from(bytes / 8).ok())
         .ok_or_else(|| malformed(format!("block at {} does not end at {end}", r.offset)))?;
-    let offset = usize::try_from(r.offset)
-        .map_err(|_| malformed(format!("offset {} exceeds addressable range", r.offset)))?;
     let view = ArenaU64::new(arena.clone(), offset, extent)?;
     BinaryGate::from_arena(view, neurons, isz, hsz)
         .map_err(|e| malformed(format!("sign block: {e}")))
@@ -623,67 +548,45 @@ fn arena_sign_block(
 /// format's declared-size caps.
 pub fn load(reader: &mut impl Read) -> Result<LoadedModel> {
     ensure_little_endian()?;
-    let mut prelude = [0u8; PRELUDE_LEN];
-    read_exact(reader, &mut prelude, "prelude")?;
-    if prelude[0..8] != MAGIC {
+    let mut bytes = [0u8; PRELUDE_LEN];
+    read_exact(reader, &mut bytes, "prelude")?;
+    let prelude = Prelude::parse(&bytes);
+    if prelude.magic != MAGIC {
         return Err(ModelArtifactError::BadMagic);
     }
-    let version = u32::from_le_bytes([prelude[8], prelude[9], prelude[10], prelude[11]]);
-    if version != FORMAT_VERSION {
+    if prelude.version != FORMAT_VERSION {
         return Err(ModelArtifactError::UnsupportedVersion {
-            found: version,
+            found: prelude.version,
             supported: FORMAT_VERSION,
         });
     }
-    let flags = u32::from_le_bytes([prelude[12], prelude[13], prelude[14], prelude[15]]);
-    if flags & !KNOWN_FLAGS != 0 {
-        return Err(ModelArtifactError::Malformed {
-            what: format!("unknown flag bits {:#010x}", flags & !KNOWN_FLAGS),
-        });
+    if prelude.flags & !KNOWN_FLAGS != 0 {
+        return Err(malformed(format!(
+            "unknown flag bits {:#010x}",
+            prelude.flags & !KNOWN_FLAGS
+        )));
     }
-    let meta_len =
-        u32::from_le_bytes([prelude[16], prelude[17], prelude[18], prelude[19]]) as usize;
-    let reserved = u32::from_le_bytes([prelude[20], prelude[21], prelude[22], prelude[23]]);
-    if reserved != 0 {
-        return Err(ModelArtifactError::Malformed {
-            what: "non-zero reserved prelude field".into(),
-        });
+    if prelude.reserved != 0 {
+        return Err(malformed("non-zero reserved prelude field"));
     }
-    let payload_len = u64::from_le_bytes([
-        prelude[24],
-        prelude[25],
-        prelude[26],
-        prelude[27],
-        prelude[28],
-        prelude[29],
-        prelude[30],
-        prelude[31],
-    ]);
+    let (meta_len, payload_len) = (prelude.meta_len as usize, prelude.payload_len);
     if !(DESCRIPTOR_LEN..=MAX_META_BYTES).contains(&meta_len) {
-        return Err(ModelArtifactError::Malformed {
-            what: format!("meta length {meta_len} outside {DESCRIPTOR_LEN}..={MAX_META_BYTES}"),
-        });
+        return Err(malformed(format!(
+            "meta length {meta_len} outside {DESCRIPTOR_LEN}..={MAX_META_BYTES}"
+        )));
     }
     if payload_len > MAX_PAYLOAD_BYTES || payload_len % TENSOR_ALIGN as u64 != 0 {
-        return Err(ModelArtifactError::Malformed {
-            what: format!(
-                "payload length {payload_len} not a {TENSOR_ALIGN}-byte multiple within cap \
-                 {MAX_PAYLOAD_BYTES}"
-            ),
-        });
+        return Err(malformed(format!(
+            "payload length {payload_len} not a {TENSOR_ALIGN}-byte multiple within cap \
+             {MAX_PAYLOAD_BYTES}"
+        )));
     }
 
     let mut meta = vec![0u8; meta_len];
     read_exact(reader, &mut meta, "meta section")?;
     // The single bulk read: all tensor bytes land in one arena.
     let arena = Arc::new(
-        TensorArena::read_exact_from(reader, payload_len as usize).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                ModelArtifactError::Truncated { what: "payload" }
-            } else {
-                ModelArtifactError::Io(e)
-            }
-        })?,
+        TensorArena::read_exact_from(reader, payload_len as usize).map_err(truncated("payload"))?,
     );
     let mut stored = [0u8; 8];
     read_exact(reader, &mut stored, "checksum")?;
@@ -693,159 +596,107 @@ pub fn load(reader: &mut impl Read) -> Result<LoadedModel> {
         return Err(ModelArtifactError::ChecksumMismatch { stored, computed });
     }
 
-    // Descriptor.
-    let mut cur = Cursor {
-        bytes: &meta,
-        at: 0,
-    };
-    let head_bytes = cur.take(4, "descriptor")?;
-    let (cell_code, dir_code, has_head, has_mirror) =
-        (head_bytes[0], head_bytes[1], head_bytes[2], head_bytes[3]);
-    let layer_count = cur.u32_le("descriptor layer count")? as usize;
-    let record_count = cur.u32_le("descriptor record count")? as usize;
-    if cell_code > CELL_GRU || dir_code > 1 || has_head > 1 || has_mirror > 1 {
-        return Err(ModelArtifactError::Malformed {
-            what: format!(
-                "descriptor codes out of range (cell {cell_code}, dir {dir_code}, head \
-                 {has_head}, mirror {has_mirror})"
-            ),
-        });
-    }
-    if (has_head == 1) != (flags & FLAG_HEAD != 0)
-        || (has_mirror == 1) != (flags & FLAG_MIRROR != 0)
+    let (descriptor, table) = meta.split_at(DESCRIPTOR_LEN);
+    let descriptor = Descriptor::parse(descriptor);
+    let cell = decode(&CELLS, descriptor.cell, "cell kind")?;
+    let bidirectional = decode(&BOOLS, descriptor.bidirectional, "direction")?;
+    let has_head = decode(&BOOLS, descriptor.head, "head flag")?;
+    let has_mirror = decode(&BOOLS, descriptor.mirror, "mirror flag")?;
+    if has_head != (prelude.flags & FLAG_HEAD != 0)
+        || has_mirror != (prelude.flags & FLAG_MIRROR != 0)
     {
-        return Err(ModelArtifactError::Malformed {
-            what: "descriptor flags disagree with prelude flags".into(),
-        });
+        return Err(malformed("descriptor flags disagree with prelude flags"));
     }
+    let layer_count = descriptor.layers as usize;
     if layer_count == 0 || layer_count > MAX_LAYERS {
-        return Err(ModelArtifactError::Malformed {
-            what: format!("layer count {layer_count} outside 1..={MAX_LAYERS}"),
-        });
+        return Err(malformed(format!(
+            "layer count {layer_count} outside 1..={MAX_LAYERS}"
+        )));
     }
-    if record_count != (meta_len - DESCRIPTOR_LEN) / RECORD_LEN
-        || record_count * RECORD_LEN != meta_len - DESCRIPTOR_LEN
-    {
-        return Err(ModelArtifactError::Malformed {
-            what: format!("record count {record_count} disagrees with meta length {meta_len}"),
-        });
+    if table.len() % RECORD_LEN != 0 || table.len() / RECORD_LEN != descriptor.records as usize {
+        return Err(malformed(format!(
+            "record count {} disagrees with meta length {meta_len}",
+            descriptor.records
+        )));
     }
-    let mut records = Vec::with_capacity(record_count);
-    for _ in 0..record_count {
-        records.push(Record::parse(cur.take(RECORD_LEN, "tensor table")?)?);
+    let records: Vec<Record> = table.chunks_exact(RECORD_LEN).map(Record::parse).collect();
+    if records.iter().any(|r| r.pad != 0) {
+        return Err(malformed("non-zero record padding"));
     }
-    let mut table = Table { records, at: 0 };
 
-    // Reconstruct the recurrent stack in canonical order.
-    let gate_kinds: &[GateKind] = if cell_code == CELL_LSTM {
-        &GateKind::LSTM
-    } else {
-        &GateKind::GRU
+    // Rebuild by identity; `canonical` judges the table's order below.
+    let index: HashMap<Key, usize> = (records.iter().enumerate())
+        .map(|(i, r)| (r.key(), i))
+        .collect();
+    let find = |owner, at| index.get(&key(owner, at)).copied();
+    let need = |owner, at| {
+        find(owner, at).ok_or_else(|| malformed(format!("no {owner:?} record for {at:?}")))
     };
-    let dirs = if dir_code == 1 { 2usize } else { 1 };
-    let mut layers = Vec::with_capacity(layer_count);
-    for k in 0..layer_count {
-        let mut cells = Vec::with_capacity(dirs);
-        for d in 0..dirs {
-            let mut gates = Vec::with_capacity(gate_kinds.len());
-            for kind in gate_kinds {
-                let wx = table.expect(OWNER_WX, k, d, Some(*kind), "gate wx")?;
-                let wh = table.expect(OWNER_WH, k, d, Some(*kind), "gate wh")?;
-                let bias = table.expect(OWNER_BIAS, k, d, Some(*kind), "gate bias")?;
-                let peephole = match table.peek() {
-                    Some(p)
-                        if p.owner == OWNER_PEEPHOLE
-                            && p.layer as usize == k
-                            && p.dir as usize == d
-                            && p.gate_kind == wx.gate_kind =>
-                    {
-                        let p = table.next("gate peephole")?;
-                        Some(arena_vector(&arena, &p, "gate peephole")?)
-                    }
-                    _ => None,
-                };
-                if decode_gate_kind(wx.gate_kind)? != *kind {
-                    return Err(ModelArtifactError::Malformed {
-                        what: format!("gate kind {} does not match canonical order", wx.gate_kind),
-                    });
-                }
-                let activation = decode_activation(wx.activation)?;
-                gates.push(Gate::new(
-                    arena_matrix(&arena, &wx, "gate wx")?,
-                    arena_matrix(&arena, &wh, "gate wh")?,
-                    arena_vector(&arena, &bias, "gate bias")?,
-                    peephole,
-                    activation,
-                )?);
-            }
-            let cell = if cell_code == CELL_LSTM {
-                let mut it = gates.into_iter();
-                let (i, f, g, o) = (
-                    it.next().expect("4 LSTM gates"),
-                    it.next().expect("4 LSTM gates"),
-                    it.next().expect("4 LSTM gates"),
-                    it.next().expect("4 LSTM gates"),
-                );
-                Cell::Lstm(LstmCell::new(i, f, g, o)?)
-            } else {
-                let mut it = gates.into_iter();
-                let (z, r, g) = (
-                    it.next().expect("3 GRU gates"),
-                    it.next().expect("3 GRU gates"),
-                    it.next().expect("3 GRU gates"),
-                );
-                Cell::Gru(GruCell::new(z, r, g)?)
-            };
-            cells.push(cell);
-        }
-        let forward = cells.remove(0);
-        let backward = if dirs == 2 {
-            Some(cells.remove(0))
-        } else {
-            None
-        };
-        layers.push(Layer::new(k, forward, backward)?);
-    }
-
-    let head = if has_head == 1 {
-        let w = table.expect(OWNER_HEAD_W, 0, 0, None, "head weights")?;
-        let b = table.expect(OWNER_HEAD_B, 0, 0, None, "head bias")?;
-        let activation = decode_activation(w.activation)?;
-        Some(Dense::new(
-            arena_matrix(&arena, &w, "head weights")?,
-            arena_vector(&arena, &b, "head bias")?,
-            activation,
-        )?)
-    } else {
-        None
+    let matrix_at = |i: usize| -> Result<Matrix> {
+        let (offset, rows, cols) = records[i].view(KIND_F32)?;
+        Ok(Matrix::from_arena(arena.clone(), offset, rows, cols)?)
     };
-
-    let network = DeepRnn::new(layers, head)?;
-
-    let mirror = if has_mirror == 1 {
-        let mut gates = std::collections::HashMap::new();
-        for (id, gate) in network.gates() {
-            let r = table.expect(
-                OWNER_MIRROR,
-                id.layer,
-                id.direction,
-                Some(id.kind),
-                "mirror sign block",
-            )?;
-            let end = table.peek().map_or(payload_len, |next| next.offset);
-            gates.insert(id, arena_sign_block(&arena, &r, gate, end)?);
-        }
-        Some(BinaryNetwork::from_gates(gates))
-    } else {
-        None
+    let vector_at = |i: usize| -> Result<Vector> {
+        let (offset, rows, _) = records[i].view(KIND_F32)?;
+        Ok(Vector::from_arena(arena.clone(), offset, rows)?)
     };
-
-    if table.peek().is_some() {
-        return Err(ModelArtifactError::Malformed {
-            what: "trailing tensor table records after reconstruction".into(),
+    let kinds: &[GateKind] = match cell {
+        CellKind::Lstm => &GateKind::LSTM,
+        CellKind::Gru => &GateKind::GRU,
+    };
+    let cell_at = |k: usize, d: usize| -> Result<Cell> {
+        let gates = kinds.iter().map(|&kind| -> Result<Gate> {
+            let at = Some(GateId::new(k, d, kind));
+            let wx = need(Owner::Wx, at)?;
+            Ok(Gate::new(
+                matrix_at(wx)?,
+                matrix_at(need(Owner::Wh, at)?)?,
+                vector_at(need(Owner::Bias, at)?)?,
+                find(Owner::Peephole, at).map(vector_at).transpose()?,
+                decode(&ACTIVATIONS, records[wx].activation, "activation")?,
+            )?)
         });
-    }
+        let mut gates = gates.collect::<Result<Vec<_>>>()?.into_iter();
+        let mut next = || gates.next().expect("one gate per kind");
+        Ok(match cell {
+            CellKind::Lstm => Cell::Lstm(LstmCell::new(next(), next(), next(), next())?),
+            CellKind::Gru => Cell::Gru(GruCell::new(next(), next(), next())?),
+        })
+    };
+    let layers = (0..layer_count).map(|k| -> Result<Layer> {
+        let backward = bidirectional.then(|| cell_at(k, 1)).transpose()?;
+        Ok(Layer::new(k, cell_at(k, 0)?, backward)?)
+    });
+    let head = has_head.then(|| -> Result<Dense> {
+        let w = need(Owner::HeadWeights, None)?;
+        let activation = decode(&ACTIVATIONS, records[w].activation, "activation")?;
+        let bias = vector_at(need(Owner::HeadBias, None)?)?;
+        Ok(Dense::new(matrix_at(w)?, bias, activation)?)
+    });
+    let network = DeepRnn::new(layers.collect::<Result<_>>()?, head.transpose()?)?;
+    let mirror = has_mirror.then(|| {
+        let gates = network.gates().into_iter().map(|(id, gate)| -> Result<_> {
+            let i = need(Owner::Mirror, Some(id))?;
+            let end = records.get(i + 1).map_or(payload_len, |next| next.offset);
+            Ok((id, arena_sign_block(&arena, &records[i], (id, gate), end)?))
+        });
+        gates.collect::<Result<_>>().map(BinaryNetwork::from_gates)
+    });
+    let mirror = mirror.transpose()?;
 
+    let layout = canonical(&network, mirror.as_ref())?;
+    if let Some(i) = (0..=records.len()).find(|&i| records.get(i) != layout.records.get(i)) {
+        let (found, canonical) = (records.get(i), layout.records.get(i));
+        return Err(malformed(format!(
+            "table record {i} is {found:?}, canonically {canonical:?}"
+        )));
+    }
+    if layout.payload_len != payload_len {
+        let canonical = layout.payload_len;
+        return Err(malformed(format!(
+            "payload of {payload_len} bytes, canonically {canonical}"
+        )));
+    }
     Ok(LoadedModel {
         network,
         mirror,
@@ -871,14 +722,4 @@ pub fn save_to_vec(network: &DeepRnn, mirror: Option<&BinaryNetwork>) -> Result<
 /// Same as [`load`].
 pub fn load_from_slice(mut bytes: &[u8]) -> Result<LoadedModel> {
     load(&mut bytes)
-}
-
-fn read_exact(reader: &mut impl Read, buf: &mut [u8], what: &'static str) -> Result<()> {
-    reader.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            ModelArtifactError::Truncated { what }
-        } else {
-            ModelArtifactError::Io(e)
-        }
-    })
 }

@@ -51,6 +51,13 @@ fn networks() -> Vec<(&'static str, DeepRnn)> {
     ]
 }
 
+/// FNV-1a 64, the artifact's checksum function.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 fn sample_sequence(net: &DeepRnn, len: usize, seed: u64) -> Vec<Vector> {
     let mut rng = DeterministicRng::seed_from_u64(seed);
     (0..len)
@@ -180,13 +187,17 @@ impl Tampered {
         self.payload + u64::from_le_bytes(self.bytes[at..at + 8].try_into().unwrap()) as usize
     }
 
+    /// The bytes of table record `i` (after the 32-byte prelude and the
+    /// 12-byte descriptor).
+    fn record(i: usize) -> std::ops::Range<usize> {
+        let at = 32 + 12 + 24 * i;
+        at..at + 24
+    }
+
     /// Re-seals the artifact (FNV-1a 64 over meta ++ payload) and loads.
     fn load(mut self) -> String {
         let end = self.bytes.len() - 8;
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &b in &self.bytes[32..end] {
-            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let hash = fnv1a(&self.bytes[32..end]);
         self.bytes[end..].copy_from_slice(&hash.to_le_bytes());
         match load_from_slice(&self.bytes) {
             Err(ModelArtifactError::Malformed { what }) => what,
@@ -230,6 +241,59 @@ fn mirror_block_with_non_zero_padding_is_malformed() {
     let at = t.block_offset() + 2 * 8 * 8 + 8;
     t.bytes[at] |= 1;
     assert!(t.load().contains("padding in row 9"));
+}
+
+#[test]
+fn tampered_tables_are_malformed() {
+    // Two records swapped: the first gate's wx and wh.
+    let mut t = Tampered::new();
+    let (wx, wh) = (Tampered::record(0), Tampered::record(1));
+    let first = t.bytes[wx.clone()].to_vec();
+    t.bytes.copy_within(wh.clone(), wx.start);
+    t.bytes[wh].copy_from_slice(&first);
+    t.load();
+    // A record duplicated over its neighbour: wx over wh.
+    let mut t = Tampered::new();
+    t.bytes
+        .copy_within(Tampered::record(0), Tampered::record(1).start);
+    t.load();
+    // The first gate's peephole record dropped, the meta length and
+    // record count fixed up: every record left is well formed.
+    let mut t = Tampered::new();
+    let peephole = Tampered::record(3);
+    assert_eq!(t.bytes[peephole.start], 3, "record 3 is a peephole");
+    t.bytes.drain(peephole);
+    for count in [16..20, 32 + 8..32 + 12] {
+        let n = u32::from_le_bytes(t.bytes[count.clone()].try_into().unwrap());
+        let fixed = if count.start == 16 { n - 24 } else { n - 1 };
+        t.bytes[count].copy_from_slice(&fixed.to_le_bytes());
+    }
+    t.load();
+}
+
+/// The bytes `save` writes, pinned: length and FNV-1a 64 digest of every
+/// `networks()` artifact, with and without its mirror.
+#[test]
+fn golden_artifact_bytes() {
+    let golden: [(&str, bool, usize, u64); 8] = [
+        ("lstm-head-peepholes", false, 7348, 0x4bbb_0e5f_b496_b09c),
+        ("lstm-head-peepholes", true, 9588, 0x62f7_e9c6_165d_08ab),
+        ("lstm-no-peepholes", false, 1108, 0xad6c_beed_194f_a1f0),
+        ("lstm-no-peepholes", true, 1716, 0x3335_b4cf_e6db_b013),
+        ("gru-3layer", false, 5692, 0x8958_209b_9a81_6013),
+        ("gru-3layer", true, 7060, 0xef60_833c_c254_3fea),
+        ("lstm-bidirectional", false, 3956, 0x8200_0d71_ceea_914c),
+        ("lstm-bidirectional", true, 5172, 0x6041_70fc_7242_c595),
+    ];
+    let mut actual = Vec::new();
+    for (name, net) in networks() {
+        for with_mirror in [false, true] {
+            let mirror = with_mirror.then(|| BinaryNetwork::mirror(&net));
+            let bytes = save_to_vec(&net, mirror.as_ref()).unwrap();
+            actual.push((name, with_mirror, bytes.len(), fnv1a(&bytes)));
+        }
+    }
+    assert_eq!(actual, golden);
 }
 
 #[test]

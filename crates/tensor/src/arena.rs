@@ -32,26 +32,10 @@ pub struct TensorArena {
 }
 
 impl TensorArena {
-    /// Wraps an already-materialized word buffer.
-    ///
-    /// `len_bytes` is the number of meaningful bytes; it must fit in
-    /// `words.len() * 8`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidParameter`] if `len_bytes` exceeds
-    /// the buffer.
-    pub fn from_words(words: Vec<u64>, len_bytes: usize) -> Result<Self> {
-        if len_bytes > words.len() * 8 {
-            return Err(TensorError::InvalidParameter {
-                what: "arena byte length exceeds word buffer",
-            });
-        }
-        Ok(TensorArena { words, len_bytes })
-    }
-
     /// Reads exactly `len_bytes` from `reader` into a fresh arena — the
-    /// single bulk copy a model load performs.
+    /// single bulk copy a model load performs.  A byte slice is a
+    /// reader: `read_exact_from(&mut &bytes[..], bytes.len())` copies
+    /// bytes already in memory.
     ///
     /// # Errors
     ///
@@ -65,20 +49,6 @@ impl TensorArena {
             unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, len_bytes) };
         reader.read_exact(bytes)?;
         Ok(TensorArena { words, len_bytes })
-    }
-
-    /// Copies a byte slice into a fresh arena (one whole-payload copy,
-    /// used when the caller already holds the artifact in memory).
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        let mut words = vec![0u64; bytes.len().div_ceil(8)];
-        // SAFETY: as above — the byte view covers the allocation.
-        let dst =
-            unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, bytes.len()) };
-        dst.copy_from_slice(bytes);
-        TensorArena {
-            words,
-            len_bytes: bytes.len(),
-        }
     }
 
     /// Payload length in bytes.
@@ -285,12 +255,16 @@ impl std::fmt::Debug for ArenaU64 {
 mod tests {
     use super::*;
 
+    fn arena_of(bytes: &[u8]) -> TensorArena {
+        TensorArena::read_exact_from(&mut &bytes[..], bytes.len()).unwrap()
+    }
+
     fn arena_of_f32s(values: &[f32]) -> Arc<TensorArena> {
         let mut bytes = Vec::new();
         for v in values {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
-        Arc::new(TensorArena::from_bytes(&bytes))
+        Arc::new(arena_of(&bytes))
     }
 
     #[test]
@@ -319,7 +293,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&0xDEAD_BEEF_0123_4567u64.to_le_bytes());
         bytes.extend_from_slice(&7u64.to_le_bytes());
-        let arena = TensorArena::from_bytes(&bytes);
+        let arena = arena_of(&bytes);
         if cfg!(target_endian = "little") {
             assert_eq!(arena.u64s(0, 2).unwrap(), &[0xDEAD_BEEF_0123_4567, 7]);
             assert_eq!(arena.u64s(8, 1).unwrap(), &[7]);
@@ -345,11 +319,5 @@ mod tests {
         assert!(ArenaF32::new(arena.clone(), 60, 8).is_err());
         let w = ArenaU64::new(arena, 0, 8).unwrap();
         assert_eq!(w.as_slice(), &[0u64; 8]);
-    }
-
-    #[test]
-    fn from_words_checks_length() {
-        assert!(TensorArena::from_words(vec![0; 2], 16).is_ok());
-        assert!(TensorArena::from_words(vec![0; 2], 17).is_err());
     }
 }

@@ -203,6 +203,41 @@ fn bidirectional_engine_falls_back_to_waves_and_matches() {
     assert!(merged.reuses() > 0, "memoization was exercised");
 }
 
+/// A context's aggregate counters are the sum of what its responses
+/// carried, for every predictor, the exact baseline included.
+#[test]
+fn context_stats_sum_the_responses_of_every_predictor() {
+    let mut rng = DeterministicRng::seed_from_u64(5);
+    let bidi = DeepRnnConfig::new(CellKind::Gru, 4, 6).direction(Direction::Bidirectional);
+    let mut networks = unidirectional_networks();
+    networks.push(("gru-bidi", DeepRnn::random(&bidi, &mut rng).unwrap()));
+    for (net_name, net) in networks {
+        let seqs = ragged_sequences(&net, 300);
+        for (pred_name, predictor) in predictors() {
+            let engine = EngineBuilder::new(net.clone(), predictor)
+                .lanes(3)
+                .workers(1)
+                .queue_capacity(seqs.len())
+                .start_paused()
+                .build()
+                .unwrap();
+            for (i, seq) in seqs.iter().enumerate() {
+                engine
+                    .submit(InferenceRequest::new(i as u64, seq.clone()))
+                    .unwrap();
+            }
+            let mut served = ReuseStats::new();
+            for r in engine.drain() {
+                served.merge(&r.stats);
+            }
+            let contexts = engine.context_stats();
+            assert_eq!(contexts.len(), 1, "{net_name}/{pred_name}");
+            assert!(served.evaluations() > 0, "{net_name}/{pred_name}");
+            assert_eq!(contexts[0].stats, served, "{net_name}/{pred_name}");
+        }
+    }
+}
+
 fn tiny_engine(capacity: usize, paused: bool) -> (DeepRnn, Engine) {
     let mut rng = DeterministicRng::seed_from_u64(7);
     let net = DeepRnn::random(&DeepRnnConfig::new(CellKind::Lstm, 3, 4), &mut rng).unwrap();
