@@ -524,8 +524,9 @@ mod tests {
         let b = BinaryGate::mirror(&fp_gate(13, 21, 13, 9));
         let load = |words: &[u64], neurons| {
             let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-            let arena =
-                Arc::new(TensorArena::read_exact_from(&mut &bytes[..], bytes.len()).unwrap());
+            let arena = Arc::new(
+                TensorArena::read_exact_from(&mut &bytes[..], bytes.len(), |_| {}).unwrap(),
+            );
             let view = ArenaU64::new(arena, 0, words.len()).unwrap();
             BinaryGate::from_arena(view, neurons, 21, 13)
         };

@@ -4,14 +4,14 @@
 //!
 //! ```text
 //! [ 0..8)   magic          b"NFMMODL\0"
-//! [ 8..12)  format version u32 (currently 2; any other is refused)
+//! [ 8..12)  format version u32 (currently 3; any other is refused)
 //! [12..16)  flags          u32 (bit 0: head present, bit 1: mirror present)
 //! [16..20)  meta length    u32 (descriptor + tensor table, bytes)
 //! [20..24)  reserved       u32 (zero)
 //! [24..32)  payload length u64 (tensor arena, bytes, 64-byte multiple)
 //! [32..32+meta)            descriptor + tensor table
 //! [..]                     payload: tensor bytes, each tensor 64-byte aligned
-//! [last 8]                 FNV-1a 64 checksum over meta ++ payload
+//! [last 8]                 four-lane word hash over meta ++ payload (`Checksum`)
 //! ```
 //!
 //! The prelude, the descriptor and each table record are fixed-size
@@ -57,8 +57,8 @@
 //! # Zero-copy load
 //!
 //! [`load`] reads the payload with **one** bulk read into a single
-//! [`TensorArena`] and carves every tensor as an arena *view*
-//! ([`Matrix::from_arena`] etc.) — no per-tensor allocation or copy.
+//! [`TensorArena`], summing it as it lands, and carves every tensor as
+//! an arena *view* ([`Matrix::from_arena`] etc.) — no per-tensor allocation or copy.
 //! Views are copy-on-write, so the arena is never written after load
 //! and any number of models can share it.
 //!
@@ -84,7 +84,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"NFMMODL\0";
 
 /// The format version this build writes, and the only one it reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Every tensor's payload offset is a multiple of this.
 pub const TENSOR_ALIGN: usize = 64;
@@ -161,19 +161,51 @@ fn read_exact(reader: &mut impl Read, buf: &mut [u8], what: &'static str) -> Res
     reader.read_exact(buf).map_err(truncated(what))
 }
 
-/// FNV-1a 64 over a byte stream, foldable across sections.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = hash;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+const STRIPE: usize = 32; // one checksum word for each of four lanes
+const P1: u64 = 0x9e37_79b1_85eb_ca87; // XXH64's primes
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+
+/// XXH64's round: a bijection of `lane`, injective in `word`.
+fn round(lane: u64, word: u64) -> u64 {
+    let lane = lane.wrapping_add(word.wrapping_mul(P2));
+    lane.rotate_left(31).wrapping_mul(P1)
 }
 
-/// FNV-1a 64 offset basis.
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// The trailing checksum of `save` and `load` since format version 3
+/// (version 2: byte-wise FNV-1a 64): four lanes seeded by the meta length,
+/// each 32-byte stripe of the zero-padded meta, then the payload, feeding
+/// one word to each, folded in order and avalanched.  Each step is a
+/// bijection of its lane and injective in its word, so any one changed word
+/// is detected (not so word-wise FNV-1a: two bit-63 flips in a lane cancel).
+struct Checksum([u64; 4]);
+
+impl Checksum {
+    fn new(meta: &[u8]) -> Self {
+        let seeds = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        let mut sum = Checksum(seeds.map(|s| s.wrapping_add(meta.len() as u64)));
+        let mut padded = meta.to_vec();
+        padded.resize(meta.len().next_multiple_of(STRIPE), 0);
+        sum.update(&padded);
+        sum
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        assert!(bytes.len().is_multiple_of(STRIPE), "whole stripes only");
+        for stripe in bytes.chunks_exact(STRIPE) {
+            for (lane, word) in self.0.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = round(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+            }
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0.iter().fold(0, |h, &lane| round(h, lane));
+        let h = (h ^ (h >> 33)).wrapping_mul(P2);
+        let h = (h ^ (h >> 29)).wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+}
 
 /// One fixed-width little-endian field: appended by `put`, and read by
 /// `get` off the front of a slice at least `LEN` bytes long.
@@ -472,11 +504,12 @@ pub fn save(
     }
     .write_to(&mut prelude);
 
-    let checksum = fnv1a(fnv1a(FNV_BASIS, &meta), &payload);
+    let mut sum = Checksum::new(&meta);
+    sum.update(&payload);
     writer.write_all(&prelude)?;
     writer.write_all(&meta)?;
     writer.write_all(&payload)?;
-    writer.write_all(&checksum.to_le_bytes())?;
+    writer.write_all(&sum.finish().to_le_bytes())?;
     Ok((PRELUDE_LEN + meta.len() + payload.len() + 8) as u64)
 }
 
@@ -584,14 +617,14 @@ pub fn load(reader: &mut impl Read) -> Result<LoadedModel> {
 
     let mut meta = vec![0u8; meta_len];
     read_exact(reader, &mut meta, "meta section")?;
-    // The single bulk read: all tensor bytes land in one arena.
-    let arena = Arc::new(
-        TensorArena::read_exact_from(reader, payload_len as usize).map_err(truncated("payload"))?,
-    );
+    // The single bulk read: all tensor bytes land in one arena, summed as they land.
+    let mut sum = Checksum::new(&meta);
+    let arena = TensorArena::read_exact_from(reader, payload_len as usize, |c| sum.update(c));
+    let arena = Arc::new(arena.map_err(truncated("payload"))?);
     let mut stored = [0u8; 8];
     read_exact(reader, &mut stored, "checksum")?;
     let stored = u64::from_le_bytes(stored);
-    let computed = fnv1a(fnv1a(FNV_BASIS, &meta), arena.as_bytes());
+    let computed = sum.finish();
     if stored != computed {
         return Err(ModelArtifactError::ChecksumMismatch { stored, computed });
     }

@@ -7,8 +7,8 @@
 //! optionally its prebuilt [`nfm_bnn::BinaryNetwork`] sign mirror — as
 //! one self-describing binary blob: magic + format version, a
 //! structural descriptor, a per-tensor shape/offset table with 64-byte
-//! aligned offsets, the raw tensor bytes, and a trailing FNV-1a
-//! checksum.  See [`artifact`] for the exact layout.
+//! aligned offsets, the raw tensor bytes, and a trailing four-lane word
+//! hash (format version 3).  See [`artifact`] for the exact layout.
 //!
 //! Loading performs **one** bulk read into a single
 //! [`nfm_tensor::TensorArena`] and reconstructs every weight matrix,

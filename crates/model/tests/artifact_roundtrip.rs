@@ -4,14 +4,17 @@
 //! sequence must either reconstruct the exact saved model or fail with
 //! a typed error.  These tests pin (1) bitwise round-trip fidelity for
 //! every structural variant, (2) the zero-copy contract (every loaded
-//! tensor is an arena view), and (3) never-panic behavior under
-//! truncation, single-byte corruption and pure garbage.
+//! tensor is an arena view, filled by one chunked bulk read), and (3)
+//! never-panic behavior under truncation, single-byte corruption and
+//! pure garbage.
 
 use nfm_bnn::BinaryNetwork;
 use nfm_model::{load_from_slice, save_to_vec, ModelArtifactError, FORMAT_VERSION, TENSOR_ALIGN};
 use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator};
+use nfm_tensor::arena::{ArenaF32, ArenaU64};
 use nfm_tensor::rng::DeterministicRng;
-use nfm_tensor::Vector;
+use nfm_tensor::{TensorArena, Vector};
+use std::sync::Arc;
 
 fn networks() -> Vec<(&'static str, DeepRnn)> {
     let mut rng = DeterministicRng::seed_from_u64(42);
@@ -51,11 +54,99 @@ fn networks() -> Vec<(&'static str, DeepRnn)> {
     ]
 }
 
-/// FNV-1a 64, the artifact's checksum function.
+/// FNV-1a 64: the golden test's digest (and version 2's checksum).
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
         (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// The artifact's checksum (format version 3), written out here rather
+/// than taken from `nfm-model`: four XXH64 lanes seeded by the meta
+/// length, fed the meta zero-padded to a 32-byte stripe and then the
+/// payload, one little-endian word to each lane in turn; the lanes are
+/// folded in order through the same round, then XXH64's avalanche.
+fn checksum(meta: &[u8], payload: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    let round = |lane: u64, word: u64| {
+        (lane.wrapping_add(word.wrapping_mul(P2)))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    let seed = meta.len() as u64;
+    let mut lanes = [
+        seed.wrapping_add(P1).wrapping_add(P2),
+        seed.wrapping_add(P2),
+        seed,
+        seed.wrapping_sub(P1),
+    ];
+    let mut stream = meta.to_vec();
+    stream.resize(meta.len().div_ceil(32) * 32, 0);
+    stream.extend_from_slice(payload);
+    assert_eq!(stream.len() % 32, 0, "the payload is whole stripes");
+    for (i, word) in stream.chunks_exact(8).enumerate() {
+        lanes[i % 4] = round(lanes[i % 4], u64::from_le_bytes(word.try_into().unwrap()));
+    }
+    let h = lanes.into_iter().fold(0, round);
+    let h = (h ^ (h >> 33)).wrapping_mul(P2);
+    let h = (h ^ (h >> 29)).wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// Where an artifact's payload starts: after the prelude and the meta.
+fn payload_start(bytes: &[u8]) -> usize {
+    32 + u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize
+}
+
+/// The checksum `checksum` gives an artifact's meta and payload.
+fn checksum_of(bytes: &[u8]) -> u64 {
+    let (payload, end) = (payload_start(bytes), bytes.len() - 8);
+    checksum(&bytes[32..payload], &bytes[payload..end])
+}
+
+#[test]
+fn checksum_known_answers() {
+    let stripe: Vec<u8> = (0..32).collect();
+    let stripe_and_tail: Vec<u8> = (0..45).collect();
+    let payload: Vec<u8> = (0..64).map(|i| 255 - i).collect();
+    let cases: [(&[u8], &[u8], u64); 3] = [
+        (&[], &[], 0x5374_8300_ccd7_2d2b),
+        (&stripe[..], &[], 0x2516_101e_2455_e6c7),
+        (&stripe_and_tail[..], &payload[..], 0xb2a9_a1f4_a123_84ce),
+    ];
+    for (meta, payload, expected) in cases {
+        assert_eq!(
+            checksum(meta, payload),
+            expected,
+            "{} + {}",
+            meta.len(),
+            payload.len()
+        );
+        if meta.len() < 12 {
+            continue; // shorter than a descriptor: refused before it is summed
+        }
+        // `load` verifies the checksum before it parses the meta, so a
+        // zero trailer after these bytes reports what `nfm-model` sums.
+        let mut bytes = b"NFMMODL\0".to_vec();
+        for field in [FORMAT_VERSION, 0, meta.len() as u32, 0] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(meta);
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&[0; 8]);
+        match load_from_slice(&bytes) {
+            Err(ModelArtifactError::ChecksumMismatch {
+                stored: 0,
+                computed,
+            }) => {
+                assert_eq!(computed, expected, "{} + {}", meta.len(), payload.len())
+            }
+            other => panic!("expected a checksum mismatch, got {other:?}"),
+        }
+    }
 }
 
 fn sample_sequence(net: &DeepRnn, len: usize, seed: u64) -> Vec<Vector> {
@@ -194,10 +285,9 @@ impl Tampered {
         at..at + 24
     }
 
-    /// Re-seals the artifact (FNV-1a 64 over meta ++ payload) and loads.
+    /// Re-seals the artifact (`checksum` over meta ++ payload) and loads.
     fn load(mut self) -> String {
-        let end = self.bytes.len() - 8;
-        let hash = fnv1a(&self.bytes[32..end]);
+        let (end, hash) = (self.bytes.len() - 8, checksum_of(&self.bytes));
         self.bytes[end..].copy_from_slice(&hash.to_le_bytes());
         match load_from_slice(&self.bytes) {
             Err(ModelArtifactError::Malformed { what }) => what,
@@ -271,26 +361,82 @@ fn tampered_tables_are_malformed() {
     t.load();
 }
 
-/// The bytes `save` writes, pinned: length and FNV-1a 64 digest of every
-/// `networks()` artifact, with and without its mirror.
+/// The bytes `save` writes, pinned: for every `networks()` artifact,
+/// with and without its mirror, its length, the FNV-1a 64 digest of
+/// every byte but the version word `[8..12)` and the trailing checksum
+/// (recorded at format version 2: version 3 changed only those), and
+/// the version 3 checksum, which `checksum` must also give.
 #[test]
 fn golden_artifact_bytes() {
-    let golden: [(&str, bool, usize, u64); 8] = [
-        ("lstm-head-peepholes", false, 7348, 0x4bbb_0e5f_b496_b09c),
-        ("lstm-head-peepholes", true, 9588, 0x62f7_e9c6_165d_08ab),
-        ("lstm-no-peepholes", false, 1108, 0xad6c_beed_194f_a1f0),
-        ("lstm-no-peepholes", true, 1716, 0x3335_b4cf_e6db_b013),
-        ("gru-3layer", false, 5692, 0x8958_209b_9a81_6013),
-        ("gru-3layer", true, 7060, 0xef60_833c_c254_3fea),
-        ("lstm-bidirectional", false, 3956, 0x8200_0d71_ceea_914c),
-        ("lstm-bidirectional", true, 5172, 0x6041_70fc_7242_c595),
+    let golden: [(&str, bool, usize, u64, u64); 8] = [
+        (
+            "lstm-head-peepholes",
+            false,
+            7348,
+            0x172b_84bd_c8fe_a0be,
+            0x7a1d_dd01_df2b_a264,
+        ),
+        (
+            "lstm-head-peepholes",
+            true,
+            9588,
+            0x5f40_6c12_553e_86a7,
+            0x3581_3dd8_ad75_eeb5,
+        ),
+        (
+            "lstm-no-peepholes",
+            false,
+            1108,
+            0xd6f1_aeaa_76bf_6863,
+            0xa7de_4de1_a871_c8dc,
+        ),
+        (
+            "lstm-no-peepholes",
+            true,
+            1716,
+            0x5731_0491_f873_5bfc,
+            0x345d_9388_fd44_4b5e,
+        ),
+        (
+            "gru-3layer",
+            false,
+            5692,
+            0x866b_48eb_1cd7_b72b,
+            0x4091_edb7_4aaf_1cca,
+        ),
+        (
+            "gru-3layer",
+            true,
+            7060,
+            0x2997_4ada_f7bd_29b6,
+            0xefaa_bb40_7dfc_c168,
+        ),
+        (
+            "lstm-bidirectional",
+            false,
+            3956,
+            0xfeaa_f901_2abf_9768,
+            0x4660_8699_afdb_1918,
+        ),
+        (
+            "lstm-bidirectional",
+            true,
+            5172,
+            0xba0f_6518_3f90_a5c9,
+            0x4e3b_7287_66f1_b327,
+        ),
     ];
     let mut actual = Vec::new();
     for (name, net) in networks() {
         for with_mirror in [false, true] {
             let mirror = with_mirror.then(|| BinaryNetwork::mirror(&net));
             let bytes = save_to_vec(&net, mirror.as_ref()).unwrap();
-            actual.push((name, with_mirror, bytes.len(), fnv1a(&bytes)));
+            let end = bytes.len() - 8;
+            assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes(), "{name}");
+            let digest = fnv1a(&[&bytes[..8], &bytes[12..end]].concat());
+            let sum = u64::from_le_bytes(bytes[end..].try_into().unwrap());
+            assert_eq!(sum, checksum_of(&bytes), "{name} {with_mirror}");
+            actual.push((name, with_mirror, bytes.len(), digest, sum));
         }
     }
     assert_eq!(actual, golden);
@@ -355,14 +501,38 @@ fn every_single_byte_corruption_errors_and_never_panics() {
 fn payload_corruption_is_caught_by_checksum() {
     let (_, net) = networks().remove(2);
     let bytes = save_to_vec(&net, None).unwrap();
-    // Corrupt a byte in the middle of the payload (well past prelude
-    // and meta): only the checksum can catch it.
+    let payload = payload_start(&bytes);
+    let word = |i: usize| payload + 8 * i..payload + 8 * i + 8;
+    let mut damaged = Vec::new();
+    // A byte in the middle of the payload (well past prelude and meta):
+    // only the checksum can catch it.
     let mut corrupt = bytes.clone();
-    let at = bytes.len() - 64;
-    corrupt[at] ^= 0x01;
-    match load_from_slice(&corrupt) {
-        Err(ModelArtifactError::ChecksumMismatch { .. }) => {}
-        other => panic!("expected checksum mismatch, got {other:?}"),
+    corrupt[bytes.len() - 64] ^= 0x01;
+    damaged.push(("one payload bit", corrupt));
+    // Bit 63 of payload words 0 and 4, which feed the same lane: a
+    // word-wise FNV-1a maps bit 63 to itself, so these flips would cancel.
+    let mut corrupt = bytes.clone();
+    corrupt[word(0).end - 1] ^= 0x80;
+    corrupt[word(4).end - 1] ^= 0x80;
+    damaged.push(("bit 63 of two words of one lane", corrupt));
+    // Two payload words swapped: across lanes of one stripe, and across
+    // stripes of one lane.
+    for other in [1, 4] {
+        assert_ne!(bytes[word(0)], bytes[word(other)], "words 0 and {other}");
+        let mut corrupt = bytes.clone();
+        corrupt[word(0)].copy_from_slice(&bytes[word(other)]);
+        corrupt[word(other)].copy_from_slice(&bytes[word(0)]);
+        damaged.push(("two words swapped", corrupt));
+    }
+    // One bit of the meta: the sum is checked before the meta is parsed.
+    let mut corrupt = bytes.clone();
+    corrupt[32 + 12] ^= 0x01;
+    damaged.push(("one meta bit", corrupt));
+    for (what, corrupt) in damaged {
+        match load_from_slice(&corrupt) {
+            Err(ModelArtifactError::ChecksumMismatch { .. }) => {}
+            other => panic!("{what}: expected checksum mismatch, got {other:?}"),
+        }
     }
 }
 
@@ -402,9 +572,10 @@ fn wrong_magic_and_version_are_typed() {
         load_from_slice(&wrong_magic),
         Err(ModelArtifactError::BadMagic)
     ));
-    // A newer version, and the per-row-mirror version 1 this build no
-    // longer reads: one typed refusal, no second reader.
-    for other in [99u32, 1] {
+    // A newer version, the per-row-mirror version 1 and the FNV-1a
+    // version 2 this build no longer reads: one typed refusal, no second
+    // reader.
+    for other in [99u32, 1, 2] {
         let mut versioned = bytes.clone();
         versioned[8..12].copy_from_slice(&other.to_le_bytes());
         assert!(matches!(
@@ -426,4 +597,83 @@ fn copy_on_write_leaves_shared_arena_untouched() {
     let mut cloned = a.network.clone();
     let _ = &mut cloned; // mutation path exercised via clone + drop
     assert_eq!(a.network, b.network);
+}
+
+/// `TensorArena::read_exact_from`'s chunk, and payload lengths at and
+/// around its boundaries.
+const CHUNK: usize = 256 << 10;
+const BOUNDARIES: [usize; 6] = [0, 64, CHUNK - 64, CHUNK, CHUNK + 64, 3 * CHUNK + 64];
+
+#[test]
+fn chunked_reads_hand_on_every_byte_once_in_order() {
+    for len in BOUNDARIES {
+        let bytes: Vec<u8> = (0..len).map(|i| (i ^ (i >> 8)) as u8).collect();
+        let (mut seen, mut chunks) = (Vec::new(), Vec::new());
+        let arena = TensorArena::read_exact_from(&mut &bytes[..], len, |chunk| {
+            seen.extend_from_slice(chunk);
+            chunks.push(chunk.len());
+        })
+        .unwrap();
+        assert_eq!(arena.as_bytes(), &bytes[..], "{len}: arena");
+        assert_eq!(seen, bytes, "{len}: bytes handed on");
+        assert_eq!(chunks.len(), len.div_ceil(CHUNK), "{len}: {chunks:?}");
+        assert!(
+            chunks.iter().rev().skip(1).all(|&n| n == CHUNK),
+            "{len}: {chunks:?}"
+        );
+    }
+}
+
+#[test]
+fn a_payload_cut_at_a_chunk_boundary_is_truncated() {
+    // One 256-wide LSTM layer: 2 MiB of weights, past every boundary.
+    let mut rng = DeterministicRng::seed_from_u64(5);
+    let net = DeepRnn::random(&DeepRnnConfig::new(CellKind::Lstm, 256, 256), &mut rng).unwrap();
+    let bytes = save_to_vec(&net, None).unwrap();
+    let payload = payload_start(&bytes);
+    assert!(bytes.len() - 8 - payload > BOUNDARIES[5]);
+    assert_eq!(load_from_slice(&bytes).unwrap().network, net);
+    for cut in BOUNDARIES {
+        match load_from_slice(&bytes[..payload + cut]) {
+            Err(ModelArtifactError::Truncated { what: "payload" }) => {}
+            other => panic!("payload cut at {cut}: {other:?}"),
+        }
+    }
+}
+
+fn arena_of_f32s(values: &[f32]) -> Arc<TensorArena> {
+    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    Arc::new(TensorArena::read_exact_from(&mut &bytes[..], bytes.len(), |_| {}).unwrap())
+}
+
+#[test]
+fn read_exact_from_consumes_reader() {
+    let bytes: Vec<u8> = (0..24).collect();
+    let mut cursor = std::io::Cursor::new(bytes.clone());
+    let arena = TensorArena::read_exact_from(&mut cursor, 24, |_| {}).unwrap();
+    assert_eq!(arena.as_bytes(), &bytes[..]);
+    let mut short = std::io::Cursor::new(vec![0u8; 3]);
+    assert!(TensorArena::read_exact_from(&mut short, 24, |_| {}).is_err());
+}
+
+#[test]
+fn views_share_the_arena() {
+    let arena = arena_of_f32s(&[0.0; 16]);
+    let a = ArenaF32::new(arena.clone(), 0, 8).unwrap();
+    let b = a.clone();
+    assert_eq!(a.as_slice().len(), b.as_slice().len());
+    assert!(ArenaF32::new(arena.clone(), 60, 8).is_err());
+    let w = ArenaU64::new(arena, 0, 8).unwrap();
+    assert_eq!(w.as_slice(), &[0u64; 8]);
+}
+
+#[test]
+fn out_of_range_and_misaligned_views_error() {
+    let arena = arena_of_f32s(&[1.0, 2.0]);
+    assert!(arena.f32s(0, 3).is_err());
+    assert!(arena.f32s(1, 1).is_err());
+    assert!(arena.u64s(4, 1).is_err());
+    assert!(arena.u64s(0, 2).is_err());
+    assert!(arena.f32s(usize::MAX, 1).is_err());
+    assert!(arena.f32s(0, usize::MAX).is_err());
 }
