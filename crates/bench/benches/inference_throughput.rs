@@ -639,19 +639,6 @@ fn main() {
         let act_in: Vec<f32> = (0..1024).map(|_| rng.uniform(-6.0, 6.0)).collect();
         let mut single_out = vec![0.0f32; rows];
         let mut batch_out = vec![0.0f32; lanes * rows];
-        let miss_masks: Vec<(u32, Vec<Vec<u8>>)> = [15u32, 40, 85]
-            .into_iter()
-            .map(|percent| {
-                let masks = (0..16)
-                    .map(|_| {
-                        (0..lanes * rows)
-                            .map(|_| u8::from(rng.uniform(0.0, 100.0) < percent as f32))
-                            .collect()
-                    })
-                    .collect();
-                (percent, masks)
-            })
-            .collect();
         let mut pairs: Vec<(String, String)> = Vec::new();
         for backend in KernelBackend::supported() {
             bench.bench(&format!("kernel/dot_1024/{backend}"), || {
@@ -691,30 +678,6 @@ fn main() {
                 .unwrap();
                 black_box(batch_out[0])
             });
-            // The memoized miss path: the same gate with a mask at the
-            // miss densities of ~85%, ~60% and ~15% reuse, against the
-            // unmasked kernel above.  The masks rotate so the per-row
-            // lane counts never repeat from one call to the next.
-            for (percent, masks) in &miss_masks {
-                let id = format!("kernel/dual_matmul_masked_8l_{percent}/{backend}");
-                let mut turn = 0;
-                bench.bench(&id, || {
-                    turn = (turn + 1) % masks.len();
-                    kernels::dual_matmul_masked_into_on(
-                        backend,
-                        black_box(&wx),
-                        black_box(&wh),
-                        black_box(&xs),
-                        black_box(&hs),
-                        lanes,
-                        &masks[turn],
-                        &mut batch_out,
-                    )
-                    .unwrap();
-                    black_box(batch_out[0])
-                });
-                pairs.push((format!("kernel/dual_matmul_8l/{backend}"), id));
-            }
             // The gate's last step: the rational activation over 1024
             // pre-activations in gate range, interleaved with the libm
             // forms it replaced (which now live only here).

@@ -4,7 +4,9 @@ use crate::config::OracleMemoConfig;
 use crate::lanes::MemoLanes;
 use crate::stats::ReuseStats;
 use crate::table::MemoTable;
-use nfm_rnn::{DeepRnn, Gate, GateBatch, NeuronEvaluator, NeuronRef, Result as RnnResult};
+use nfm_rnn::{
+    DeepRnn, ExactEvaluator, Gate, GateBatch, NeuronEvaluator, NeuronRef, Result as RnnResult,
+};
 use nfm_tensor::vector::relative_difference;
 
 /// A [`NeuronEvaluator`] implementing the oracle memoization scheme of
@@ -18,7 +20,7 @@ use nfm_tensor::vector::relative_difference;
 /// memoization is faithfully propagated through the network.
 /// Every lane owns a separate [`MemoTable`] and may carry its own `θ`
 /// (see [`MemoLanes`]): the oracle's gate entry computes all lanes'
-/// true outputs with one lane-striped dual matrix product, then walks
+/// true outputs with the exact evaluator's kernel, then walks
 /// each lane's own table at the lane's `θ`; the per-neuron `evaluate`
 /// is the bit-identical reference and uses one shared
 /// [`table`](Self::table) at the configured `θ`.
@@ -110,17 +112,11 @@ impl NeuronEvaluator for OracleEvaluator {
 
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
         let (gate, lanes) = (call.gate, call.lanes);
-        // The oracle always knows the true outputs: one lane-striped
-        // dual matrix product computes every lane's (bit-identical per
-        // lane to per-neuron dots).
-        nfm_tensor::kernels::dual_matmul_into(
-            gate.wx(),
-            gate.wh(),
-            call.xs,
-            call.h_prevs,
-            lanes,
-            out,
-        )?;
+        // The oracle always knows the true outputs: the exact path's
+        // kernel computes every lane's — the recurrent half added onto
+        // the hoisted input projections (bit-identical per lane to
+        // per-neuron dots).
+        ExactEvaluator::new().evaluate_gate_batch(call, out)?;
         assert!(
             self.lanes.len() >= lanes,
             "evaluate_gate_batch with {lanes} lanes but begin_batch sized {}",
@@ -153,6 +149,10 @@ impl NeuronEvaluator for OracleEvaluator {
             lane.stats.record_computed_many(computed);
         }
         Ok(())
+    }
+
+    fn supports_input_hoisting(&self) -> bool {
+        true
     }
 
     fn begin_batch(&mut self, lanes: usize) {

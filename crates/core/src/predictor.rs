@@ -6,7 +6,9 @@ use crate::lanes::{AuditPhase, MemoLanes};
 use crate::stats::ReuseStats;
 use crate::table::MemoTable;
 use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector};
-use nfm_rnn::{Gate, GateBatch, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult};
+use nfm_rnn::{
+    ExactEvaluator, Gate, GateBatch, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult,
+};
 use nfm_tensor::vector::relative_difference;
 use std::sync::Arc;
 
@@ -29,19 +31,26 @@ use std::sync::Arc;
 /// the reference the equivalence suites pin the fused path against,
 /// with one shared [`table`](Self::table)), and the gate entry
 /// [`NeuronEvaluator::evaluate_gate_batch`] every driver runs.  The
-/// gate entry is four data-parallel passes over one gate call, all on
-/// evaluator-owned buffers (steady state allocates nothing):
+/// gate entry takes the hoisted input projections
+/// ([`supports_input_hoisting`](NeuronEvaluator::supports_input_hoisting)
+/// is `true`) and is three data-parallel passes over one gate call, all
+/// on evaluator-owned buffers (steady state allocates nothing):
 /// **predict** — every lane's inputs are sign-packed exactly once into
 /// one buffer and the mirror gate's sign block is evaluated against all
-/// of them in one dispatched XNOR-popcount call; **decide** — per lane,
-/// one branch-free loop over the gate's contiguous [`MemoTable`] columns
-/// compares, throttles, flags the misses and updates the table;
-/// **compute** — one dispatched
-/// [`dual_matmul_masked_into`](nfm_tensor::kernels::dual_matmul_masked_into)
-/// call evaluates every flagged miss, lanes sharing a missed neuron's
-/// weight rows; **refresh** — the new outputs are copied into the `y_m`
-/// column.  Audit sampling, when installed, is a separate walk over the
-/// hit flags.  Every lane owns a **separate** [`MemoTable`] (the
+/// of them in one dispatched XNOR-popcount call; **compute** — the
+/// exact path's own kernel (one tiled
+/// [`matmul_add_into`](nfm_tensor::kernels::matmul_add_into) over
+/// `W_h`, added onto the hoisted `W_x·x_t`) gives every lane's exact
+/// outputs; **decide** — per lane, one branch-free loop over the gate's
+/// contiguous [`MemoTable`] columns compares, throttles, flags the
+/// misses, updates the table and selects each output: `y_m` on a hit,
+/// the exact value (which also refreshes `y_m`) on a miss.  So the
+/// software gate computes every dot product (at several lanes a weight
+/// row could be skipped only when every lane hits, and streaming it
+/// whole through the tile is cheaper than compacting the misses); a hit
+/// changes which value is emitted and what the statistics count as
+/// skipped.  Audit sampling, when installed, is a separate walk over
+/// the hit flags.  Every lane owns a **separate** [`MemoTable`] (the
 /// paper's buffer holds no state across independent inputs, so lanes
 /// must not share entries) and may carry its own `θ` (see
 /// [`MemoLanes`]): `begin_batch` sizes the per-lane state from the
@@ -72,9 +81,12 @@ pub struct BnnMemoEvaluator {
     // engine can attribute reuse to the request occupying each lane;
     // `stats` still aggregates everything), audit phase and θ override.
     pub(crate) lanes: MemoLanes,
+    // Every lane's exact outputs of the current gate call, lane-striped
+    // like the gate's outputs: written by the compute pass, selected
+    // from by the decide pass and read by the audit walk.
+    y: Vec<f32>,
     // Miss flags of the current gate invocation, lane-striped like the
-    // gate's outputs: written by the decide pass, read by the audit walk
-    // and the miss kernel.
+    // gate's outputs: written by the decide pass, read by the audit walk.
     miss: Vec<u8>,
     // Per-layer threshold overrides installed by an adaptive
     // controller; empty means the uniform `config.threshold` applies
@@ -133,6 +145,7 @@ impl BnnMemoEvaluator {
             yb: Vec::new(),
             packed: Vec::new(),
             lanes: MemoLanes::default(),
+            y: Vec::new(),
             miss: Vec::new(),
             layer_thresholds: Vec::new(),
             audit: None,
@@ -216,30 +229,22 @@ impl BnnMemoEvaluator {
 
     /// Audit sampling of one gate call's hits (`miss == 0`, `out` holding
     /// their cached values): every lane counts its hits on this gate in
-    /// neuron order and the due ones are also computed exactly.  Neuron-outer,
-    /// lane-inner, so the per-layer error sums accumulate in a fixed
-    /// order whatever the lane count.
+    /// neuron order and the due ones read the exact value the compute
+    /// pass already left in `y`.  Neuron-outer, lane-inner, so the
+    /// per-layer error sums accumulate in a fixed order whatever the
+    /// lane count.
     fn audit_hits(&mut self, sampler: AuditSampler, call: &GateBatch<'_>, out: &[f32]) {
-        let gate = call.gate;
-        let (isz, hsz, nsz) = (gate.input_size(), gate.hidden_size(), gate.neurons());
+        let nsz = call.gate.neurons();
         for n in 0..nsz {
             for l in 0..call.lanes {
-                if self.miss[l * nsz + n] != 0 {
+                let at = l * nsz + n;
+                if self.miss[at] != 0 {
                     continue;
                 }
                 let lane = &mut self.lanes.0[l];
                 if sampler.due(lane.audit.count_hit(call.gate_id)) {
-                    let y_exact = nfm_tensor::kernels::dot_unchecked(
-                        gate.wx().row(n),
-                        &call.xs[l * isz..(l + 1) * isz],
-                    ) + nfm_tensor::kernels::dot_unchecked(
-                        gate.wh().row(n),
-                        &call.h_prevs[l * hsz..(l + 1) * hsz],
-                    );
-                    self.audit_stats.record_audit(
-                        call.gate_id.layer,
-                        f64::from((y_exact - out[l * nsz + n]).abs()),
-                    );
+                    self.audit_stats
+                        .record_audit(call.gate_id.layer, f64::from((self.y[at] - out[at]).abs()));
                     self.stats.record_audited();
                     lane.stats.record_audited();
                 }
@@ -307,11 +312,11 @@ fn keep_if(keep: bool, old: f32, new: f32) -> f32 {
 /// relative_difference(yb_t, yb_m)`, `δb' = δb + εb` (or `εb` without
 /// throttling), hit iff the slot is live and `δb' <= θ`, so a NaN
 /// anywhere compares false and misses — which makes every decision
-/// bit-identical to it.  A hit keeps `δb'` and extends its run; a miss
-/// is refreshed on the spot (`yb_m = yb_t`, `δb = 0`, run 0, slot live)
-/// except for `y_m`, which the caller copies in once the miss kernel has
-/// produced it.  `miss` receives the complement of the decision;
-/// returns the number of hits and the longest run now stored.
+/// bit-identical to it.  A hit keeps `δb'` and extends its run and emits
+/// `y_m`; a miss emits the exact `y_t` and is refreshed on the spot
+/// (`y_m = y_t`, `yb_m = yb_t`, `δb = 0`, run 0, slot live).  `miss`
+/// receives the complement of the decision; returns the number of hits
+/// and the longest run now stored.
 ///
 /// Every column is a parameter of its own, and the function is never
 /// inlined, so that the compiler knows the slices are disjoint (inlined
@@ -321,6 +326,8 @@ fn keep_if(keep: bool, old: f32, new: f32) -> f32 {
 #[allow(clippy::too_many_arguments)]
 fn decide_lane(
     yb: &[i32],
+    y: &[f32],
+    y_m: &mut [f32],
     yb_m: &mut [f32],
     delta: &mut [f32],
     runs: &mut [u32],
@@ -329,10 +336,14 @@ fn decide_lane(
     config: &BnnMemoConfig,
     theta: f32,
     miss: &mut [u8],
+    out: &mut [f32],
 ) -> (u32, u32) {
     let (mut hits, mut longest) = (0u32, 0u32);
     let slots = yb_m.iter_mut().zip(delta).zip(runs).zip(epochs);
-    for ((((yb_m, delta), run), slot_epoch), (&yb_t, miss)) in slots.zip(yb.iter().zip(miss)) {
+    let values = y.iter().zip(y_m).zip(out);
+    for (((((yb_m, delta), run), slot_epoch), (&yb_t, miss)), ((&y_t, y_m), out)) in
+        slots.zip(yb.iter().zip(miss)).zip(values)
+    {
         let yb_t = yb_t as f32;
         let eps_t = relative_difference(yb_t, *yb_m, config.epsilon);
         let delta_t = if config.throttle {
@@ -342,6 +353,8 @@ fn decide_lane(
         };
         let hit = (*slot_epoch == epoch) & (delta_t <= theta);
         *miss = u8::from(!hit);
+        *y_m = keep_if(hit, *y_m, y_t);
+        *out = *y_m;
         *yb_m = keep_if(hit, *yb_m, yb_t);
         *delta = if hit { delta_t } else { 0.0 };
         *run = if hit { *run + 1 } else { 0 };
@@ -426,9 +439,9 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         let nsz = gate.neurons();
         let Some(binary_gate) = usable_mirror(&self.mirror, gate_id, gate) else {
             // Exact evaluation for every lane (matches the per-neuron
-            // fallback bit for bit: the lane-striped kernel shares the
+            // fallback bit for bit: the lane-striped kernels share the
             // reduction order).
-            nfm_tensor::kernels::dual_matmul_into(gate.wx(), gate.wh(), xs, h_prevs, lanes, out)?;
+            ExactEvaluator::new().evaluate_gate_batch(call, out)?;
             self.stats.record_computed_many(out.len() as u64);
             for lane in self.lanes.0.iter_mut().take(lanes) {
                 lane.stats.record_computed_many(nsz as u64);
@@ -450,26 +463,33 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         binary_gate.pack_inputs(xs, h_prevs, lanes, &mut self.packed);
         self.yb.resize(lanes * nsz, 0);
         self.miss.resize(lanes * nsz, 0);
+        self.y.resize(lanes * nsz, 0.0);
         binary_gate.predict_packed_into(&self.packed, &mut self.yb);
+
+        // Pass 2 — compute.  Every lane's exact outputs through the exact
+        // path's own kernel (the hoisted `W_x·x_t` plus one tiled product
+        // over `W_h`); each value equals `neuron_dot_unchecked` bit for
+        // bit by the kernel contract.
+        ExactEvaluator::new().evaluate_gate_batch(call, &mut self.y)?;
         // The layer's θ is hoisted once per gate call (adaptive
         // controllers only swap it between whole-gate invocations); a
         // lane whose request overrode θ compares against its own.
         let layer_theta = self.threshold_for(gate_id.layer);
 
-        // Pass 2 — decide.  Per (lane, neuron) decisions are independent
+        // Pass 3 — decide.  Per (lane, neuron) decisions are independent
         // (each lane owns its table, each neuron its slot), so each lane
-        // runs one branch-free loop over the gate's contiguous columns.
-        // `out` starts as `y_m` everywhere — right for the hits, and the
-        // misses are overwritten by pass 3.  Reuse statistics are added
-        // once per lane.
+        // runs one branch-free loop over the gate's contiguous columns
+        // that also selects `out = hit ? y_m : y` and refreshes `y_m`
+        // with it.  Reuse statistics are added once per lane.
         for l in 0..lanes {
             let at = l * nsz..(l + 1) * nsz;
             let lane = &mut self.lanes.0[l];
             let theta = lane.threshold.unwrap_or(layer_theta);
             let cols = lane.table.gate_columns(gate_id, nsz);
-            out[at.clone()].copy_from_slice(cols.cached_output);
             let (reused, longest) = decide_lane(
                 &self.yb[at.clone()],
+                &self.y[at.clone()],
+                cols.cached_output,
                 cols.cached_bnn_output,
                 cols.accumulated_delta,
                 cols.consecutive_reuses,
@@ -477,7 +497,8 @@ impl NeuronEvaluator for BnnMemoEvaluator {
                 cols.epoch,
                 &self.config,
                 theta,
-                &mut self.miss[at],
+                &mut self.miss[at.clone()],
+                &mut out[at],
             );
             *cols.max_consecutive_reuses = (*cols.max_consecutive_reuses).max(longest);
             let reused = u64::from(reused);
@@ -493,29 +514,11 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         if let Some(sampler) = self.audit {
             self.audit_hits(sampler, call, out);
         }
-
-        // Pass 3 — compute.  One dispatched call evaluates every miss of
-        // the gate; lanes that missed on the same neuron share its
-        // streamed weight rows, and each value equals
-        // `neuron_dot_unchecked` bit for bit by the kernel contract.
-        nfm_tensor::kernels::dual_matmul_masked_into(
-            gate.wx(),
-            gate.wh(),
-            xs,
-            h_prevs,
-            lanes,
-            &self.miss,
-            out,
-        )?;
-
-        // Pass 4 — complete the refreshed entries: `y_m = y_t` on the
-        // misses (Equation 15); the hits already hold `out == y_m`.
-        for l in 0..lanes {
-            let cols = self.lanes.0[l].table.gate_columns(gate_id, nsz);
-            cols.cached_output
-                .copy_from_slice(&out[l * nsz..(l + 1) * nsz]);
-        }
         Ok(())
+    }
+
+    fn supports_input_hoisting(&self) -> bool {
+        true
     }
 
     fn begin_batch(&mut self, lanes: usize) {

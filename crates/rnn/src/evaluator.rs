@@ -148,10 +148,13 @@ pub trait NeuronEvaluator {
     /// `W_x·x_t` for a block of timesteps and hand it over as
     /// [`GateBatch::fwd`].
     ///
-    /// Only evaluators that compute *every* neuron in full precision can
-    /// benefit (the exact baseline); memoizing evaluators skip most dot
-    /// products, so pre-computing their forward halves would be wasted
-    /// work.  Defaults to `false`.
+    /// An evaluator that says yes adds only the recurrent half per step
+    /// (`out = fwd + W_h·h`, the fused kernel's scalar order).  Every
+    /// built-in gate entry does — the exact baseline, and the memoizing
+    /// evaluators, whose miss values come from the same kernel.
+    /// Defaults to `false`, which suits a custom per-neuron evaluator:
+    /// its [`evaluate`](NeuronEvaluator::evaluate) sees `x_t` and
+    /// ignores [`GateBatch::fwd`].
     fn supports_input_hoisting(&self) -> bool {
         false
     }

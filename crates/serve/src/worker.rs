@@ -27,7 +27,8 @@
 //! stream.  Every context advances by [`LaneScheduler::step`], the one
 //! stack driver: a step covers [`HOIST_BLOCK`](nfm_rnn::HOIST_BLOCK)
 //! timesteps of every lane of a unidirectional stack — every layer's
-//! input projections hoisted across all active lanes, drained lanes
+//! input projections hoisted across all active lanes (exact and
+//! memoized predictors alike), drained lanes
 //! refilled from the queue at the next block boundary (mid-wave
 //! refill) — and the whole seated sequences of a stack with a
 //! bidirectional layer, which refills when the step returns.  A
@@ -49,9 +50,10 @@
 //! hot model may borrow exactly the lanes its sibling contexts are
 //! leaving idle, and a worker serving a single context never exceeds
 //! the configured count.
-//! Borrowing widens the hoisted matrix products of the hot context
-//! (more rows per weight stream) without starving anyone: the moment a
-//! cold context gets traffic, its fair share is free by construction.
+//! Borrowing widens the hot context's matrix products (more rows per
+//! weight stream: the hoisted `W_x` block and the per-step `W_h` tile,
+//! under every built-in predictor) without starving anyone: the moment
+//! a cold context gets traffic, its fair share is free by construction.
 //!
 //! A lane stays on the worker that admitted it until it finishes, is
 //! cancelled or aborts at its deadline: workers share the queue, never

@@ -402,81 +402,6 @@ pub(crate) unsafe fn dual_matmul_body<O: DotOps>(
     }
 }
 
-/// [`dual_matmul_body`] restricted to the positions flagged in `mask`
-/// (`mask[l*rows + r] != 0`, indexed like `out`); every other output is
-/// left untouched.  Row loop outer: the flagged lanes of a row share
-/// its streamed weight rows, four at a time through
-/// [`DotOps::dot_quad`], a remaining pair through [`DotOps::dot2`], a
-/// last one through [`DotOps::dot`] — each of which equals the single
-/// dot bit for bit, so a flagged output equals the unmasked kernel's.
-///
-/// # Safety
-///
-/// Same contract as [`dual_matmul_body`], plus `mask.len() == out.len()`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn dual_matmul_masked_body<O: DotOps>(
-    o: O,
-    wx: &[f32],
-    wh: &[f32],
-    rows: usize,
-    xc: usize,
-    hc: usize,
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    mask: &[u8],
-    out: &mut [f32],
-) {
-    // Lanes are compacted this many at a time, which bounds the stack
-    // list for any lane count (a quad never spans two chunks).
-    const CHUNK: usize = 4 * TILE;
-    let x = |l: usize| &xs[l * xc..(l + 1) * xc];
-    let h = |l: usize| &hs[l * hc..(l + 1) * hc];
-    // SAFETY (all calls below): forwarded caller contract.
-    unsafe {
-        for r in 0..rows {
-            let rx = &wx[r * xc..(r + 1) * xc];
-            let rh = &wh[r * hc..(r + 1) * hc];
-            for l0 in (0..lanes).step_by(CHUNK) {
-                // Compact the row's flagged lanes without branching on
-                // the flag: at memo densities that branch is a coin
-                // flip, and its mispredictions cost more than the dots
-                // the mask skips.
-                let mut ls = [0usize; CHUNK];
-                let mut n = 0;
-                for l in l0..(l0 + CHUNK).min(lanes) {
-                    ls[n] = l;
-                    n += usize::from(mask[l * rows + r] != 0);
-                }
-                let mut i = 0;
-                while i + TILE <= n {
-                    let q = &ls[i..i + TILE];
-                    let fwd = o.dot_quad(rx, x(q[0]), x(q[1]), x(q[2]), x(q[3]));
-                    let rec = o.dot_quad(rh, h(q[0]), h(q[1]), h(q[2]), h(q[3]));
-                    for j in 0..TILE {
-                        // Keep the `fwd + rec` order of Gate::neuron_dot.
-                        out[q[j] * rows + r] = fwd[j] + rec[j];
-                    }
-                    i += TILE;
-                }
-                if i + 2 <= n {
-                    let (a, b) = (ls[i], ls[i + 1]);
-                    let fwd = o.dot2(x(a), x(b), rx);
-                    let rec = o.dot2(h(a), h(b), rh);
-                    out[a * rows + r] = fwd[0] + rec[0];
-                    out[b * rows + r] = fwd[1] + rec[1];
-                    i += 2;
-                }
-                if i < n {
-                    let l = ls[i];
-                    out[l * rows + r] = o.dot(rx, x(l)) + o.dot(rh, h(l));
-                }
-            }
-        }
-    }
-}
-
 /// `out[i] = activation(out[i])` in place — [`crate::activation`]'s
 /// per-element functions themselves, inlined so each tier's wrapper
 /// vectorises them with its own instruction set.  Correctly rounded
@@ -504,8 +429,8 @@ pub(crate) fn activate_body(activation: Activation, out: &mut [f32]) {
 /// [`ScalarOps`] (no intrinsics, so no feature requirements).
 pub(crate) mod scalar {
     use super::{
-        activate_body, dual_matmul_body, dual_matmul_masked_body, matmul_add_body, matmul_body,
-        Activation, DotOps, ScalarOps,
+        activate_body, dual_matmul_body, matmul_add_body, matmul_body, Activation, DotOps,
+        ScalarOps,
     };
 
     #[inline]
@@ -557,26 +482,6 @@ pub(crate) mod scalar {
     ) {
         // SAFETY: ScalarOps uses no intrinsics.
         unsafe { dual_matmul_body(ScalarOps, wx, wh, rows, xc, hc, xs, hs, lanes, out) }
-    }
-
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn dual_matmul_masked(
-        wx: &[f32],
-        wh: &[f32],
-        rows: usize,
-        xc: usize,
-        hc: usize,
-        xs: &[f32],
-        hs: &[f32],
-        lanes: usize,
-        mask: &[u8],
-        out: &mut [f32],
-    ) {
-        // SAFETY: ScalarOps uses no intrinsics.
-        unsafe {
-            dual_matmul_masked_body(ScalarOps, wx, wh, rows, xc, hc, xs, hs, lanes, mask, out)
-        }
     }
 
     #[inline]

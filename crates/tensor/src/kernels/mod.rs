@@ -3,7 +3,7 @@
 //! These are the hot loops of the whole reproduction: every recurrent
 //! gate evaluation reduces to two dense lane-striped products over the
 //! gate's weight rows, followed by one elementwise activation over the
-//! gate's outputs.  There are six operations, each with exactly
+//! gate's outputs.  There are five operations, each with exactly
 //! one dispatched entry point (runs on [`crate::backend::active`] — CPU
 //! feature detection with an `NFM_KERNEL_BACKEND` override, see
 //! [`crate::backend`]) and one `_on` test hook that runs an explicit
@@ -15,7 +15,6 @@
 //! | `a·b` | [`dot_unchecked`] | [`dot_unchecked_on`] |
 //! | `out[l] = M xs[l]` | [`matmul_into`] | [`matmul_into_on`] |
 //! | `out[l] = Wx xs[l] + Wh hs[l]` | [`dual_matmul_into`] | [`dual_matmul_into_on`] |
-//! | the same where `mask` is set | [`dual_matmul_masked_into`] | [`dual_matmul_masked_into_on`] |
 //! | `out[l] = base[l] + M xs[l]` | [`matmul_add_into`] | [`matmul_add_into_on`] |
 //! | `out[i] = act(out[i])` | [`activate_into`] | [`activate_into_on`] |
 //!
@@ -24,9 +23,9 @@
 //! [`dual_matvec_into_on`]) are the two products at one lane, not
 //! kernels of their own.
 //!
-//! Both columns of a row share one private body that takes the tier (the
-//! two `dual_matmul` rows share theirs), so they validate and dispatch
-//! identically; the `_on` form only adds the host-support assertion.
+//! Both columns of a row share one private body that takes the tier, so
+//! they validate and dispatch identically; the `_on` form only adds the
+//! host-support assertion.
 //! Every operation
 //!
 //! * writes into a caller-owned buffer (the steady-state inference path
@@ -41,8 +40,7 @@
 //!   batched gate path, the per-neuron fallback and every dispatch tier
 //!   produce bit-identical results
 //!   (`crates/tensor/tests/backend_kernels.rs` pins each tier to the
-//!   scalar reference byte for byte; the masked operation is pinned in
-//!   `tests/kernel_backend_equivalence.rs`).
+//!   scalar reference byte for byte).
 
 pub(crate) mod body;
 #[cfg(target_arch = "aarch64")]
@@ -136,9 +134,6 @@ fn matmul_tier(
     Ok(())
 }
 
-/// `mask: None` is the full kernel, `Some` its restriction to the
-/// flagged positions.
-#[allow(clippy::too_many_arguments)]
 fn dual_matmul_tier(
     backend: KernelBackend,
     wx: &Matrix,
@@ -146,7 +141,6 @@ fn dual_matmul_tier(
     xs: &[f32],
     hs: &[f32],
     lanes: usize,
-    mask: Option<&[u8]>,
     out: &mut [f32],
 ) -> Result<()> {
     if xs.len() != lanes * wx.cols() {
@@ -172,30 +166,19 @@ fn dual_matmul_tier(
             op: "dual_matmul_into(out)",
         });
     }
-    let (wx_s, wh_s, rows, xc, hc) = (
-        wx.as_slice(),
-        wh.as_slice(),
-        wx.rows(),
-        wx.cols(),
-        wh.cols(),
-    );
-    let Some(mask) = mask else {
-        dispatch!(
-            backend,
-            dual_matmul(wx_s, wh_s, rows, xc, hc, xs, hs, lanes, out)
-        );
-        return Ok(());
-    };
-    if mask.len() != out.len() {
-        return Err(TensorError::LengthMismatch {
-            left: mask.len(),
-            right: out.len(),
-            op: "dual_matmul_masked_into(mask)",
-        });
-    }
     dispatch!(
         backend,
-        dual_matmul_masked(wx_s, wh_s, rows, xc, hc, xs, hs, lanes, mask, out)
+        dual_matmul(
+            wx.as_slice(),
+            wh.as_slice(),
+            wx.rows(),
+            wx.cols(),
+            wh.cols(),
+            xs,
+            hs,
+            lanes,
+            out
+        )
     );
     Ok(())
 }
@@ -312,7 +295,7 @@ pub fn dual_matvec_into(
     h: &[f32],
     out: &mut [f32],
 ) -> Result<()> {
-    dual_matmul_tier(backend::active(), wx, wh, x, h, 1, None, out)
+    dual_matmul_tier(backend::active(), wx, wh, x, h, 1, out)
 }
 
 /// [`dual_matvec_into`] on an explicit dispatch tier.
@@ -333,7 +316,7 @@ pub fn dual_matvec_into_on(
     out: &mut [f32],
 ) -> Result<()> {
     assert_supported(backend);
-    dual_matmul_tier(backend, wx, wh, x, h, 1, None, out)
+    dual_matmul_tier(backend, wx, wh, x, h, 1, out)
 }
 
 /// Lane-striped matrix-matrix product into a caller-owned buffer:
@@ -401,7 +384,7 @@ pub fn dual_matmul_into(
     lanes: usize,
     out: &mut [f32],
 ) -> Result<()> {
-    dual_matmul_tier(backend::active(), wx, wh, xs, hs, lanes, None, out)
+    dual_matmul_tier(backend::active(), wx, wh, xs, hs, lanes, out)
 }
 
 /// [`dual_matmul_into`] on an explicit dispatch tier.
@@ -423,59 +406,7 @@ pub fn dual_matmul_into_on(
     out: &mut [f32],
 ) -> Result<()> {
     assert_supported(backend);
-    dual_matmul_tier(backend, wx, wh, xs, hs, lanes, None, out)
-}
-
-/// [`dual_matmul_into`] restricted to the flagged positions:
-/// `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l]` wherever
-/// `mask[l*rows + r] != 0`, every other element of `out` left untouched.
-///
-/// This is the miss path of a memoized gate: the memo decision flags the
-/// (neuron, lane) positions it could not reuse and one call computes
-/// them all.  The row loop is outer, so lanes that miss on the same
-/// neuron still share its streamed weight rows (four accumulator sets in
-/// flight when four or more miss), and every flagged output is
-/// bit-identical to the one [`dual_matmul_into`] writes there, on every
-/// dispatch tier and for any lane count.
-///
-/// # Errors
-///
-/// Same as [`dual_matmul_into`], plus a length error if
-/// `mask.len() != out.len()`.
-pub fn dual_matmul_masked_into(
-    wx: &Matrix,
-    wh: &Matrix,
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    mask: &[u8],
-    out: &mut [f32],
-) -> Result<()> {
-    dual_matmul_tier(backend::active(), wx, wh, xs, hs, lanes, Some(mask), out)
-}
-
-/// [`dual_matmul_masked_into`] on an explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`dual_matmul_masked_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-#[allow(clippy::too_many_arguments)]
-pub fn dual_matmul_masked_into_on(
-    backend: KernelBackend,
-    wx: &Matrix,
-    wh: &Matrix,
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    mask: &[u8],
-    out: &mut [f32],
-) -> Result<()> {
-    assert_supported(backend);
-    dual_matmul_tier(backend, wx, wh, xs, hs, lanes, Some(mask), out)
+    dual_matmul_tier(backend, wx, wh, xs, hs, lanes, out)
 }
 
 /// Lane-striped matrix-matrix product *added onto* a precomputed base:
@@ -739,41 +670,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn masked_dual_matmul_computes_flagged_positions_only() {
-        // The exhaustive density × tier sweep lives in
-        // tests/kernel_backend_equivalence.rs; this is the in-crate
-        // smoke check, with lane counts on both sides of the quad.
-        let mut rng = DeterministicRng::seed_from_u64(11);
-        for (neurons, lanes) in [(1usize, 1usize), (7, 3), (9, 4), (5, 9), (12, 70)] {
-            let (input, hidden) = (21, neurons);
-            let wx = random_matrix(&mut rng, neurons, input);
-            let wh = random_matrix(&mut rng, neurons, hidden);
-            let xs: Vec<f32> = (0..lanes * input).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let hs: Vec<f32> = (0..lanes * hidden)
-                .map(|_| rng.uniform(-1.0, 1.0))
-                .collect();
-            let mut full = vec![0.0f32; lanes * neurons];
-            dual_matmul_into(&wx, &wh, &xs, &hs, lanes, &mut full).unwrap();
-            let mask: Vec<u8> = (0..lanes * neurons)
-                .map(|_| u8::from(rng.uniform(0.0, 1.0) < 0.4))
-                .collect();
-            let mut out = vec![f32::NAN; lanes * neurons];
-            dual_matmul_masked_into(&wx, &wh, &xs, &hs, lanes, &mask, &mut out).unwrap();
-            for i in 0..out.len() {
-                let expected = if mask[i] != 0 { full[i] } else { f32::NAN };
-                assert_eq!(
-                    out[i].to_bits(),
-                    expected.to_bits(),
-                    "rows {neurons} lanes {lanes} index {i}"
-                );
-            }
-            let mut short = vec![0u8; out.len() - 1];
-            short.fill(1);
-            assert!(dual_matmul_masked_into(&wx, &wh, &xs, &hs, lanes, &short, &mut out).is_err());
         }
     }
 

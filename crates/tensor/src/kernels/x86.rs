@@ -416,25 +416,6 @@ macro_rules! kernel_set {
         }
 
         #[target_feature(enable = $feat)]
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) unsafe fn dual_matmul_masked(
-            wx: &[f32],
-            wh: &[f32],
-            rows: usize,
-            xc: usize,
-            hc: usize,
-            xs: &[f32],
-            hs: &[f32],
-            lanes: usize,
-            mask: &[u8],
-            out: &mut [f32],
-        ) {
-            $crate::kernels::body::dual_matmul_masked_body(
-                $ops, wx, wh, rows, xc, hc, xs, hs, lanes, mask, out,
-            )
-        }
-
-        #[target_feature(enable = $feat)]
         pub(crate) unsafe fn activate(activation: $crate::activation::Activation, out: &mut [f32]) {
             $crate::kernels::body::activate_body(activation, out)
         }

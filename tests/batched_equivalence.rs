@@ -7,11 +7,15 @@
 //! projections) — for {exact (hoisted), oracle, BNN, BNN + audit} ×
 //! {LSTM, GRU} × {uni, bidirectional}, and for BNN's whole-gate passes
 //! also across gate widths and lane counts on both sides of every
-//! vector width and kernel tile, with lanes refilled mid-flight — and
-//! an engine with any worker count must answer with the outputs and
-//! statistics of `Predictor::run`.
+//! vector width and kernel tile, with lanes refilled mid-flight.  Every
+//! built-in memoizing evaluator takes the hoisted input projections, so
+//! BNN and the oracle are also pinned under the lane scheduler at
+//! sequence lengths on both sides of the hoist block.  An engine with
+//! any worker count must answer with the outputs and statistics of
+//! `Predictor::run`.
 
 use nfm::bnn::BinaryNetwork;
+use nfm::control::{AdaptivePredictor, ControllerConfig};
 use nfm::memo::{
     AuditConfig, BnnMemoConfig, BnnMemoEvaluator, Model, OracleEvaluator, OracleMemoConfig,
     Predictor, PredictorKind, ReuseStats,
@@ -272,6 +276,122 @@ fn bnn_passes_match_per_neuron_at_every_gate_width_and_lane_count() {
             }
         }
     }
+}
+
+/// Runs `seqs` through a `lanes`-wide lane scheduler, refilling lanes
+/// as they drain, and returns every sequence's outputs with the
+/// statistics its lane accumulated, in input order.
+fn through_scheduler<E: NeuronEvaluator>(
+    net: &DeepRnn,
+    lanes: usize,
+    seqs: &[Vec<Vector>],
+    evaluator: &mut E,
+    lane_stats: impl Fn(&E, usize) -> ReuseStats,
+) -> Vec<(Vec<Vector>, ReuseStats)> {
+    let mut sched = LaneScheduler::new(net, lanes).unwrap();
+    evaluator.begin_batch(lanes);
+    let mut queue = seqs.iter().cloned().enumerate();
+    let mut results = vec![None; seqs.len()];
+    let mut finished = Vec::new();
+    loop {
+        while sched.free_lanes() > 0 {
+            let Some((i, s)) = queue.next() else { break };
+            sched.admit(i as u64, s, evaluator).unwrap();
+        }
+        if sched.step(net, evaluator, &mut finished).unwrap() == 0 {
+            break;
+        }
+        for f in finished.drain(..) {
+            results[f.token as usize] = Some((f.outputs, lane_stats(evaluator, f.stats_lane)));
+        }
+    }
+    results.into_iter().map(Option::unwrap).collect()
+}
+
+/// The memoizing evaluators take the hoisted `W_x·x_t` and add one
+/// tiled `W_h` product onto it, so their hits, misses and audits must
+/// not depend on where a hoist block starts or ends: under the lane
+/// scheduler, at sequence lengths 1 / 4 / 9 / 17 and 1, 3 and 8 lanes,
+/// every sequence equals its per-neuron run alone — outputs, its lane's
+/// statistics (audits included) — for BNN (throttled or not, with and
+/// without audit) and the oracle, over an LSTM with peepholes, a GRU
+/// (whose candidate gate's recurrent input is `r ⊙ h`) and a
+/// bidirectional GRU.  A mirror of another network reproduces exact.
+#[test]
+fn hoisting_memo_evaluators_match_per_neuron_across_hoist_blocks() {
+    let mut rng = DeterministicRng::seed_from_u64(34);
+    let nets = [
+        DeepRnnConfig::new(CellKind::Lstm, 5, 9)
+            .layers(2)
+            .peepholes(true),
+        DeepRnnConfig::new(CellKind::Gru, 5, 7).layers(2),
+        DeepRnnConfig::new(CellKind::Gru, 5, 6).direction(Direction::Bidirectional),
+    ]
+    .map(|config| DeepRnn::random(&config, &mut rng).unwrap());
+    let seqs: Vec<Vec<Vector>> = (0..12)
+        .map(|i| smooth_sequence([1, 4, 9, 17][i % 4], 5, 500 + i as u64))
+        .collect();
+    let bnn = BnnMemoConfig::with_threshold(1.0);
+    let bnn_configs = [
+        (bnn, None),
+        (bnn.without_throttling(), None),
+        (bnn, Some(AuditConfig::new(3, 2019))),
+    ];
+    let oracle = OracleMemoConfig::with_threshold(0.3);
+    let bnn_stats = |e: &BnnMemoEvaluator, lane| *e.lanes().stats(lane);
+    let oracle_stats = |e: &OracleEvaluator, lane| *e.lanes().stats(lane);
+    for (n, net) in nets.iter().enumerate() {
+        let mirror = std::sync::Arc::new(BinaryNetwork::mirror(net));
+        let bnn_make = |(config, audit): (BnnMemoConfig, Option<AuditConfig>)| {
+            let evaluator = BnnMemoEvaluator::new(mirror.clone(), config);
+            match audit {
+                Some(audit) => evaluator.with_audit(audit),
+                None => evaluator,
+            }
+        };
+        for lanes in [1usize, 3, 8] {
+            for case in bnn_configs {
+                let what = format!("net {n} lanes {lanes} bnn {case:?}");
+                let mut evaluator = bnn_make(case);
+                assert!(evaluator.supports_input_hoisting());
+                let batched = through_scheduler(net, lanes, &seqs, &mut evaluator, bnn_stats);
+                for (i, (out, stats)) in batched.iter().enumerate() {
+                    let mut naive = PerNeuronEvaluator::new(bnn_make(case));
+                    let solo = net.run(&seqs[i], &mut naive).unwrap();
+                    assert_bit_identical(&format!("{what} seq {i}"), out, &solo);
+                    assert_eq!(stats, naive.inner().stats(), "{what} seq {i}");
+                }
+                let audited: u64 = batched.iter().map(|(_, stats)| stats.audited()).sum();
+                assert_eq!(case.1.is_some(), audited > 0, "{what}: audits iff sampling");
+            }
+            let what = format!("net {n} lanes {lanes} oracle");
+            let mut evaluator = OracleEvaluator::new(oracle);
+            assert!(evaluator.supports_input_hoisting());
+            let batched = through_scheduler(net, lanes, &seqs, &mut evaluator, oracle_stats);
+            for (i, (out, stats)) in batched.iter().enumerate() {
+                let mut naive = PerNeuronEvaluator::new(OracleEvaluator::new(oracle));
+                let solo = net.run(&seqs[i], &mut naive).unwrap();
+                assert_bit_identical(&format!("{what} seq {i}"), out, &solo);
+                assert_eq!(stats, naive.inner().stats(), "{what} seq {i}");
+            }
+            // A mirror of another network fits none of these gates, so
+            // every gate falls back to the exact path, hoisted half
+            // included.
+            let other = DeepRnn::random(&DeepRnnConfig::new(CellKind::Lstm, 3, 4), &mut rng);
+            let foreign = BinaryNetwork::mirror(&other.unwrap());
+            let mut evaluator = BnnMemoEvaluator::new(foreign, bnn);
+            let batched = through_scheduler(net, lanes, &seqs, &mut evaluator, bnn_stats);
+            for (i, (out, stats)) in batched.iter().enumerate() {
+                let exact = net.run(&seqs[i], &mut ExactEvaluator::new()).unwrap();
+                let what = format!("net {n} lanes {lanes} foreign mirror seq {i}");
+                assert_bit_identical(&what, out, &exact);
+                assert_eq!(stats.reuses(), 0, "{what}");
+            }
+        }
+    }
+    let model = Model::from(nets[0].clone());
+    let adaptive = AdaptivePredictor::new(ControllerConfig::new(0.04)).evaluator(&model);
+    assert!(adaptive.supports_input_hoisting());
 }
 
 #[test]

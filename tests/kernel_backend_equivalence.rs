@@ -30,8 +30,8 @@ use nfm::memo::{BnnMemoConfig, OracleMemoConfig, Predictor, PredictorKind};
 use nfm::tensor::activation::Activation;
 use nfm::tensor::backend::KernelBackend;
 use nfm::tensor::kernels::{
-    activate_into_on, dot_unchecked_on, dual_matmul_into_on, dual_matmul_masked_into_on,
-    dual_matvec_into_on, matmul_add_into_on, matmul_into_on,
+    activate_into_on, dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on,
+    matmul_add_into_on, matmul_into_on,
 };
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Matrix;
@@ -98,16 +98,22 @@ fn gate_shaped_kernels_are_bit_identical_across_supported_tiers() {
 
 #[test]
 fn hoisted_pair_equals_fused_gate_on_every_supported_tier() {
-    // What the exact path actually runs: one `matmul_into` hoists the
-    // forward block `W_x·x`, then `matmul_add_into` adds the recurrent
-    // half per step.  On every tier the pair must equal the fused
-    // `dual_matmul_into` and the scalar tier bit for bit — at the
-    // benchmark's gate widths (400: DeepSpeech2-shape GRU, 128:
-    // IMDB-shape LSTM) plus a width that is not a multiple of the
-    // 16-lane chunk, from one lane up to a full 8-lane × 8-step hoist
-    // block (64 rows).
+    // What the exact and the memoized paths actually run: one
+    // `matmul_into` hoists the forward block `W_x·x`, then
+    // `matmul_add_into` adds the recurrent half per step.  On every
+    // tier the pair must equal the fused `dual_matmul_into` and the
+    // scalar tier bit for bit — at the benchmark's gate widths (400:
+    // DeepSpeech2-shape GRU, 128: IMDB-shape LSTM) plus a width that is
+    // not a multiple of the 16-lane chunk, from one lane up to a full
+    // 8-lane × 8-step hoist block (64 rows); and (three-row gates) at
+    // every remainder length of the 16-wide dot chunk, which pins the
+    // tiers' four-lane dot to the scalar one length by length.
     let mut rng = DeterministicRng::seed_from_u64(43);
-    for (rows, xc, hc) in [(400usize, 400usize, 400usize), (128, 64, 128), (37, 23, 37)] {
+    let gates = [(400usize, 400usize, 400usize), (128, 64, 128), (37, 23, 37)];
+    let remainders = (1..=33)
+        .chain([47, 48, 49, 63, 64, 65, 129, 257])
+        .map(|len| (3, len, 2));
+    for (rows, xc, hc) in gates.into_iter().chain(remainders) {
         let wx = Matrix::from_fn(rows, xc, |_, _| rng.uniform(-1.0, 1.0));
         let wh = Matrix::from_fn(rows, hc, |_, _| rng.uniform(-1.0, 1.0));
         for lanes in [1usize, 2, 3, 5, 8, 64] {
@@ -135,72 +141,6 @@ fn hoisted_pair_equals_fused_gate_on_every_supported_tier() {
                 for (i, e) in reference.iter().enumerate() {
                     assert_eq!(fused[i].to_bits(), e.to_bits(), "{tag} fused[{i}]");
                     assert_eq!(hoisted[i].to_bits(), e.to_bits(), "{tag} hoisted[{i}]");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn masked_gate_kernel_computes_exactly_the_flagged_positions_on_every_tier() {
-    // The memoized path's miss kernel: on every tier a flagged output
-    // must equal the unmasked scalar-tier kernel bit for bit and an
-    // unflagged one must keep whatever it held — from no flag at all,
-    // through the benchmark's miss densities, to every flag set; at the
-    // benchmark's gate widths, at lane counts around the kernel's lane
-    // quads and 16-lane chunks, and (three-row gates) at every
-    // remainder length of the 16-wide dot chunk, which is what pins the
-    // tiers' four-lane dot to the scalar one length by length.
-    let mut rng = DeterministicRng::seed_from_u64(44);
-    let gates = [(400usize, 400usize, 400usize), (128, 64, 128), (37, 23, 37)];
-    let remainders = (1..=33)
-        .chain([47, 48, 49, 63, 64, 65, 129, 257])
-        .map(|len| (3, len, 2));
-    for (rows, xc, hc) in gates.into_iter().chain(remainders) {
-        let wx = Matrix::from_fn(rows, xc, |_, _| rng.uniform(-1.0, 1.0));
-        let wh = Matrix::from_fn(rows, hc, |_, _| rng.uniform(-1.0, 1.0));
-        for lanes in [1usize, 2, 3, 5, 8, 9, 70] {
-            let xs: Vec<f32> = (0..lanes * xc).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let hs: Vec<f32> = (0..lanes * hc).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let mut reference = vec![0.0f32; lanes * rows];
-            dual_matmul_into_on(
-                KernelBackend::Scalar,
-                &wx,
-                &wh,
-                &xs,
-                &hs,
-                lanes,
-                &mut reference,
-            )
-            .unwrap();
-            let mut masks: Vec<Vec<u8>> = [0.0f32, 0.15, 0.4, 0.85, 1.0]
-                .iter()
-                .map(|&density| {
-                    (0..lanes * rows)
-                        .map(|_| u8::from(rng.uniform(0.0, 1.0) < density))
-                        .collect()
-                })
-                .collect();
-            let mut one_flag = vec![0u8; lanes * rows];
-            one_flag[lanes * rows / 2] = 0xFF;
-            masks.push(one_flag);
-            for mask in &masks {
-                let flagged = mask.iter().filter(|&&m| m != 0).count();
-                for backend in KernelBackend::supported() {
-                    let tag = format!("{rows}x{xc}x{hc} lanes {lanes} flags {flagged} {backend}");
-                    // A NaN payload no kernel produces marks "untouched".
-                    let untouched = f32::from_bits(0x7FC0_1234);
-                    let mut out = vec![untouched; lanes * rows];
-                    dual_matmul_masked_into_on(backend, &wx, &wh, &xs, &hs, lanes, mask, &mut out)
-                        .unwrap();
-                    for i in 0..out.len() {
-                        let expected = if mask[i] != 0 {
-                            reference[i]
-                        } else {
-                            untouched
-                        };
-                        assert_eq!(out[i].to_bits(), expected.to_bits(), "{tag} out[{i}]");
-                    }
                 }
             }
         }
