@@ -21,11 +21,27 @@
 //! Backend selection never changes results.  Every intrinsic variant
 //! reproduces the scalar kernels' fixed reduction order (sixteen
 //! lane-major accumulators, the pairwise [`crate::kernels`] reduce tree,
-//! a sequential scalar tail, multiply-then-add rounding — never FMA), so
+//! a sequential scalar tail) and their rounding — one fused
+//! multiply-add per product, never a separate multiply and add — so
 //! outputs, downstream memoization hit/miss sequences and reuse
 //! statistics are byte-for-byte identical across tiers.  This is
 //! enforced per kernel by `crates/tensor/tests/backend_kernels.rs` and
 //! end-to-end by the CI `kernel-matrix` job.
+//!
+//! # The scalar tier's cost
+//!
+//! The scalar tier computes every product with `f32::mul_add`.  Built
+//! without an FMA target feature (the default x86-64 target), that is a
+//! call to libm's `fmaf` per element, not an instruction.  On a 2-vCPU
+//! AVX-512 Xeon, under `NFM_KERNEL_BACKEND=scalar`, the scalar
+//! `kernel/*` rungs of `crates/bench` run 24–34x slower than the
+//! multiply-then-add body they replaced, the `quickstart` example takes
+//! 0.14 s instead of 0.018 s, and the release tier-1 suite 12–13 s
+//! instead of 6.8–6.9 s.  So a `kernel/*/scalar` vs tier ratio recorded
+//! before fused multiply-add cannot be compared with one recorded
+//! after.  The scalar tier is the portable reference and the CI
+//! cross-check, not a fast path; every SIMD tier requires `fma` and
+//! fuses in hardware.
 
 use std::sync::OnceLock;
 
@@ -41,10 +57,11 @@ pub enum KernelBackend {
     /// The portable reference implementation (also the autovectorizer's
     /// input).  Always supported.
     Scalar,
-    /// 256-bit x86 path (`avx` + `avx2`).
+    /// 256-bit x86 path (`avx` + `avx2` + `fma`).
     Avx2,
-    /// 512-bit x86 path (`avx512f` + `avx512dq` + `avx512vl`); the BNN
-    /// popcount additionally uses `avx512vpopcntdq` where present.
+    /// 512-bit x86 path (`avx512f` + `avx512dq` + `avx512vl` + `fma`);
+    /// the BNN popcount additionally uses `avx512vpopcntdq` where
+    /// present.
     Avx512,
     /// 128-bit aarch64 path (`neon`).
     Neon,
@@ -83,17 +100,23 @@ impl KernelBackend {
     }
 
     /// Whether this tier can execute on the current host (compile-time
-    /// architecture and runtime CPU features).
+    /// architecture and runtime CPU features: exactly the tier's
+    /// `#[target_feature]` list).
     pub fn is_supported(self) -> bool {
         match self {
             KernelBackend::Scalar => true,
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             KernelBackend::Avx2 => {
-                is_x86_feature_detected!("avx") && is_x86_feature_detected!("avx2")
+                is_x86_feature_detected!("avx")
+                    && is_x86_feature_detected!("avx2")
+                    && is_x86_feature_detected!("fma")
             }
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             KernelBackend::Avx512 => {
-                is_x86_feature_detected!("avx512f")
+                is_x86_feature_detected!("avx")
+                    && is_x86_feature_detected!("avx2")
+                    && is_x86_feature_detected!("fma")
+                    && is_x86_feature_detected!("avx512f")
                     && is_x86_feature_detected!("avx512dq")
                     && is_x86_feature_detected!("avx512vl")
             }

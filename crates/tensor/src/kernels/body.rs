@@ -14,13 +14,15 @@
 //!
 //! [`ScalarOps`] **is** the specification.  A dot product is
 //!
-//! 1. sixteen lane-major accumulators over `chunks_exact(16)`
-//!    (`acc[l] += a[16c + l] * b[16c + l]`, multiply-then-add rounding —
-//!    never FMA),
+//! 1. sixteen lane-major accumulators over `chunks_exact(16)`, each
+//!    step one fused multiply-add (`acc[l] = a[16c + l].mul_add(b[16c +
+//!    l], acc[l])`: the product is never rounded on its own, so every
+//!    `acc += a·b` rounds once),
 //! 2. the fixed pairwise tree [`reduce`]: first a half fold
 //!    (`s[i] = acc[i] + acc[i + 8]`), then the 8-wide pairwise tree over
 //!    `s`,
-//! 3. plus a sequential scalar tail over the `len % 16` remainder.
+//! 3. plus [`tail_dot`], the sequential fused tail over the `len % 16`
+//!    remainder — one copy, which every tier calls.
 //!
 //! Sixteen lanes let the AVX-512 tier hold one full accumulator chain in
 //! a single `zmm` register (the half fold is exactly its 256-bit
@@ -30,10 +32,17 @@
 //!
 //! Every [`DotOps`] implementation must reproduce this bit-for-bit; the
 //! multi-output ops (`dot2`, `dot_quad`, `dot_tile`) must make each
-//! output equal to the corresponding single [`DotOps::dot`].  `f32`
-//! multiplication and addition are commutative in their operands, so
-//! implementations may swap operand roles within a lane, but never the
-//! order in which a lane's partial sums combine.
+//! output equal to the corresponding single [`DotOps::dot`].  A fused
+//! multiply-add is commutative in its two factors, so implementations
+//! may swap operand roles within a lane, but never the rounding (one per
+//! multiply-add, never a separate multiply and add) or the order in
+//! which a lane's partial sums combine.
+//!
+//! Without an FMA target feature, `f32::mul_add` is a call to libm's
+//! `fmaf`, so the scalar tier's kernels run about 30x slower than a
+//! multiply and an add would (its cost is stated in
+//! [`crate::backend`]); it is the reference, and every SIMD tier
+//! requires `fma`.
 //!
 //! # Why there is a tile
 //!
@@ -51,14 +60,17 @@
 //! The reference host (Xeon @ 2.1 GHz, 2 vCPUs) sustains 5.0–5.7 such
 //! loads/ns from L1 when they sit on a cache line but 1.9–2.7 when they
 //! start 16 or 32 bytes past one (what `malloc` and the artifact arena
-//! give every weight row), against 5.2–5.5 register-only `vmulps` /
-//! `vaddps` per ns with sixteen chains in flight — and a chain's add has
-//! a 4-cycle latency, so two chains finish a chunk-dot every other
-//! cycle at best.  `dot2` (what `matmul` and `matmul_add` paired lanes
-//! through) therefore ran at 0.65 ns a chunk-dot in its best rounds,
-//! bound by latency and by loads; the tile runs at 0.37 ns, the
-//! multiply-then-add ceiling itself (2 FP ops / 5.4 per ns), which is
-//! why FMA is judged on top of the tile and not instead of it.
+//! give every weight row), and a chain's multiply-add has a 4-cycle
+//! latency, so two chains finish a chunk-dot every other cycle at best.
+//! `dot2` (what `matmul` and `matmul_add` paired lanes through)
+//! therefore ran at 0.65 ns a chunk-dot in its best rounds, bound by
+//! latency and by loads.  With a separate `vmulps` and `vaddps` per
+//! chunk-dot the tile ran at 0.37 ns, the multiply-then-add ceiling
+//! itself (2 FP ops / 5.4 per ns).  One `vfmadd` halves that ceiling to
+//! 0.19 ns, which is why every tier fuses: the `W_x` hoist over the
+//! DeepSpeech2 gate (`kernel/hoist_matmul_64l_ds2`) now runs at
+//! 0.28–0.33 ns a chunk-dot, 1.5x the multiply-then-add tile in
+//! interleaved rounds and no longer at its arithmetic ceiling.
 
 use crate::activation::{hard_sigmoid, relu, sigmoid, tanh, Activation};
 
@@ -84,6 +96,21 @@ pub(crate) fn reduce(acc: [f32; LANES]) -> f32 {
         s[i] = acc[i] + acc[i + 8];
     }
     ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]))
+}
+
+/// The canonical sequential tail over the `len % 16` remainder: one
+/// fused multiply-add per element, in index order.  Every tier's dot
+/// adds this one copy after its reduce tree, so the tail's rounding
+/// rule lives here alone.  A loop, not an iterator fold: it inlines
+/// into each tier's `#[target_feature]` wrapper, where `mul_add` is the
+/// tier's own scalar FMA instruction.
+#[inline(always)]
+pub(crate) fn tail_dot(a: &[f32], b: &[f32]) -> f32 {
+    let mut tail = 0.0f32;
+    for (x, y) in a.iter().zip(b) {
+        tail = x.mul_add(*y, tail);
+    }
+    tail
 }
 
 /// The per-backend arithmetic surface.
@@ -117,11 +144,13 @@ pub(crate) trait DotOps: Copy {
 
     /// Four dot products of one shared `row` against four lane vectors:
     /// `dot_quad(r, a, b, c, d)[i]` is bit-identical to
-    /// `dot(r, [a, b, c, d][i])`.
+    /// `dot(r, [a, b, c, d][i])`.  The default is those four dots; a
+    /// SIMD tier overrides it to load each `row` chunk once.
     ///
     /// # Safety
     ///
     /// Same contract as [`DotOps::dot`] for every operand.
+    #[inline(always)]
     unsafe fn dot_quad(
         self,
         row: &[f32],
@@ -129,7 +158,17 @@ pub(crate) trait DotOps: Copy {
         x1: &[f32],
         x2: &[f32],
         x3: &[f32],
-    ) -> [f32; 4];
+    ) -> [f32; 4] {
+        // SAFETY: forwarded caller contract.
+        unsafe {
+            [
+                self.dot(row, x0),
+                self.dot(row, x1),
+                self.dot(row, x2),
+                self.dot(row, x3),
+            ]
+        }
+    }
 
     /// Sixteen dot products of four weight `rows` against four lane
     /// vectors `xs`, lane-major like the kernels' `out`:
@@ -160,8 +199,9 @@ pub(crate) trait DotOps: Copy {
     }
 }
 
-/// The portable reference implementation (and the autovectorizer's
-/// input when no SIMD tier is selected).
+/// The portable reference implementation.  It overrides only
+/// [`DotOps::dot`]: without an FMA target feature every product is a
+/// libm `fmaf` call, and that call, not operand loads, is its cost.
 #[derive(Clone, Copy)]
 pub(crate) struct ScalarOps;
 
@@ -174,76 +214,10 @@ impl DotOps for ScalarOps {
         let mut cb = b.chunks_exact(LANES);
         for (pa, pb) in (&mut ca).zip(&mut cb) {
             for l in 0..LANES {
-                acc[l] += pa[l] * pb[l];
+                acc[l] = pa[l].mul_add(pb[l], acc[l]);
             }
         }
-        let mut tail = 0.0f32;
-        for (x, y) in ca.remainder().iter().zip(cb.remainder().iter()) {
-            tail += x * y;
-        }
-        reduce(acc) + tail
-    }
-
-    #[inline(always)]
-    unsafe fn dot_quad(
-        self,
-        row: &[f32],
-        x0: &[f32],
-        x1: &[f32],
-        x2: &[f32],
-        x3: &[f32],
-    ) -> [f32; 4] {
-        debug_assert!(
-            row.len() == x0.len()
-                && row.len() == x1.len()
-                && row.len() == x2.len()
-                && row.len() == x3.len()
-        );
-        let mut a0 = [0.0f32; LANES];
-        let mut a1 = [0.0f32; LANES];
-        let mut a2 = [0.0f32; LANES];
-        let mut a3 = [0.0f32; LANES];
-        let mut cr = row.chunks_exact(LANES);
-        let mut c0 = x0.chunks_exact(LANES);
-        let mut c1 = x1.chunks_exact(LANES);
-        let mut c2 = x2.chunks_exact(LANES);
-        let mut c3 = x3.chunks_exact(LANES);
-        for ((((pr, p0), p1), p2), p3) in (&mut cr)
-            .zip(&mut c0)
-            .zip(&mut c1)
-            .zip(&mut c2)
-            .zip(&mut c3)
-        {
-            for l in 0..LANES {
-                a0[l] += pr[l] * p0[l];
-                a1[l] += pr[l] * p1[l];
-                a2[l] += pr[l] * p2[l];
-                a3[l] += pr[l] * p3[l];
-            }
-        }
-        let mut t0 = 0.0f32;
-        let mut t1 = 0.0f32;
-        let mut t2 = 0.0f32;
-        let mut t3 = 0.0f32;
-        for ((((x, y0), y1), y2), y3) in cr
-            .remainder()
-            .iter()
-            .zip(c0.remainder())
-            .zip(c1.remainder())
-            .zip(c2.remainder())
-            .zip(c3.remainder())
-        {
-            t0 += x * y0;
-            t1 += x * y1;
-            t2 += x * y2;
-            t3 += x * y3;
-        }
-        [
-            reduce(a0) + t0,
-            reduce(a1) + t1,
-            reduce(a2) + t2,
-            reduce(a3) + t3,
-        ]
+        reduce(acc) + tail_dot(ca.remainder(), cb.remainder())
     }
 }
 

@@ -34,13 +34,15 @@
 //! * exists in one scalar reference implementation plus hand-written
 //!   intrinsic tiers (AVX2 / AVX-512 / NEON) — [`activate_into`] is one
 //!   plain-arithmetic body the compiler vectorises once per tier,
-//! * runs the *same fixed reduction order* on every tier
-//!   ([`dot_unchecked`]'s sixteen lane-major accumulators, the pairwise
-//!   reduce tree, a sequential tail, multiply-then-add rounding), so the
-//!   batched gate path, the per-neuron fallback and every dispatch tier
-//!   produce bit-identical results
-//!   (`crates/tensor/tests/backend_kernels.rs` pins each tier to the
-//!   scalar reference byte for byte).
+//! * runs the *same fixed reduction order* and the *same rounding* on
+//!   every tier ([`dot_unchecked`]'s sixteen lane-major accumulators, the
+//!   pairwise reduce tree, one sequential tail, and one fused
+//!   multiply-add — a single rounding — per product), so the batched
+//!   gate path, the per-neuron fallback and every dispatch tier produce
+//!   bit-identical results (`crates/tensor/tests/backend_kernels.rs`
+//!   pins each tier to the scalar reference byte for byte, and
+//!   `tests/kernel_backend_equivalence.rs` holds a known answer that only
+//!   a single rounding produces).
 
 pub(crate) mod body;
 #[cfg(target_arch = "aarch64")]
@@ -472,242 +474,4 @@ pub fn activate_into(activation: Activation, out: &mut [f32]) {
 pub fn activate_into_on(backend: KernelBackend, activation: Activation, out: &mut [f32]) {
     assert_supported(backend);
     activate_tier(backend, activation, out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::rng::DeterministicRng;
-    use crate::vector::dot;
-    use crate::Vector;
-
-    fn random_matrix(rng: &mut DeterministicRng, rows: usize, cols: usize) -> Matrix {
-        Matrix::from_fn(rows, cols, |_, _| rng.uniform(-1.0, 1.0))
-    }
-
-    #[test]
-    fn dot_unchecked_matches_checked_dot_bitwise() {
-        let mut rng = DeterministicRng::seed_from_u64(1);
-        for len in [0usize, 1, 3, 7, 8, 9, 16, 31, 64, 100, 257] {
-            let a: Vec<f32> = (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect();
-            let b: Vec<f32> = (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect();
-            assert_eq!(
-                dot_unchecked(&a, &b).to_bits(),
-                dot(&a, &b).unwrap().to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn dot_unchecked_is_accurate() {
-        // Compare against a f64 reference on a long vector.
-        let mut rng = DeterministicRng::seed_from_u64(2);
-        let a: Vec<f32> = (0..1000).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let b: Vec<f32> = (0..1000).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let reference: f64 = a
-            .iter()
-            .zip(b.iter())
-            .map(|(&x, &y)| x as f64 * y as f64)
-            .sum();
-        assert!((dot_unchecked(&a, &b) as f64 - reference).abs() < 1e-3);
-    }
-
-    #[test]
-    fn every_supported_backend_matches_scalar_dot_bitwise() {
-        // The exhaustive per-kernel suite lives in
-        // tests/backend_kernels.rs; this is the in-crate smoke check.
-        let mut rng = DeterministicRng::seed_from_u64(21);
-        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 250] {
-            let a: Vec<f32> = (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect();
-            let b: Vec<f32> = (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect();
-            let reference = dot_unchecked_on(KernelBackend::Scalar, &a, &b);
-            for backend in KernelBackend::supported() {
-                assert_eq!(
-                    dot_unchecked_on(backend, &a, &b).to_bits(),
-                    reference.to_bits(),
-                    "len {len} backend {backend}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not supported on this host")]
-    fn explicit_unsupported_backend_panics() {
-        // At most one of these two can exist on any one target.
-        let foreign = if cfg!(target_arch = "aarch64") {
-            KernelBackend::Avx2
-        } else {
-            KernelBackend::Neon
-        };
-        let _ = dot_unchecked_on(foreign, &[1.0], &[1.0]);
-    }
-
-    #[test]
-    fn matvec_into_matches_matvec() {
-        let mut rng = DeterministicRng::seed_from_u64(3);
-        for (rows, cols) in [(1, 1), (3, 5), (8, 8), (13, 21)] {
-            let m = random_matrix(&mut rng, rows, cols);
-            let x: Vec<f32> = (0..cols).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let mut out = vec![0.0f32; rows];
-            matvec_into(&m, &x, &mut out).unwrap();
-            let reference = m.matvec(&Vector::from(x)).unwrap();
-            assert_eq!(out.as_slice(), reference.as_slice());
-        }
-    }
-
-    #[test]
-    fn matvec_into_validates_shapes() {
-        let m = Matrix::zeros(2, 3);
-        let mut out = vec![0.0; 2];
-        assert!(matvec_into(&m, &[1.0, 2.0], &mut out).is_err());
-        let mut short = vec![0.0; 1];
-        assert!(matvec_into(&m, &[1.0, 2.0, 3.0], &mut short).is_err());
-    }
-
-    #[test]
-    fn dual_matvec_matches_row_dots_bitwise() {
-        let mut rng = DeterministicRng::seed_from_u64(4);
-        let (neurons, input, hidden) = (9, 13, 9);
-        let wx = random_matrix(&mut rng, neurons, input);
-        let wh = random_matrix(&mut rng, neurons, hidden);
-        let x: Vec<f32> = (0..input).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let h: Vec<f32> = (0..hidden).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let mut out = vec![0.0f32; neurons];
-        dual_matvec_into(&wx, &wh, &x, &h, &mut out).unwrap();
-        for (n, &o) in out.iter().enumerate() {
-            let reference = wx.row_dot(n, &x).unwrap() + wh.row_dot(n, &h).unwrap();
-            assert_eq!(o.to_bits(), reference.to_bits(), "neuron {n}");
-        }
-    }
-
-    #[test]
-    fn dual_matvec_validates_shapes() {
-        let wx = Matrix::zeros(2, 3);
-        let wh = Matrix::zeros(2, 2);
-        let mut out = vec![0.0; 2];
-        assert!(dual_matvec_into(&wx, &wh, &[0.0; 2], &[0.0; 2], &mut out).is_err());
-        assert!(dual_matvec_into(&wx, &wh, &[0.0; 3], &[0.0; 3], &mut out).is_err());
-        let mut short = vec![0.0; 1];
-        assert!(dual_matvec_into(&wx, &wh, &[0.0; 3], &[0.0; 2], &mut short).is_err());
-        let wh_bad = Matrix::zeros(3, 2);
-        assert!(dual_matvec_into(&wx, &wh_bad, &[0.0; 3], &[0.0; 2], &mut out).is_err());
-    }
-
-    #[test]
-    fn matmul_lane_zero_matches_matvec_bitwise() {
-        let mut rng = DeterministicRng::seed_from_u64(6);
-        for lanes in [1usize, 2, 4, 5] {
-            let (rows, cols) = (7, 13);
-            let m = random_matrix(&mut rng, rows, cols);
-            let xs: Vec<f32> = (0..lanes * cols).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let mut out = vec![0.0f32; lanes * rows];
-            matmul_into(&m, &xs, lanes, &mut out).unwrap();
-            for l in 0..lanes {
-                let mut single = vec![0.0f32; rows];
-                matvec_into(&m, &xs[l * cols..(l + 1) * cols], &mut single).unwrap();
-                for r in 0..rows {
-                    assert_eq!(
-                        out[l * rows + r].to_bits(),
-                        single[r].to_bits(),
-                        "lane {l} row {r}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_into_validates_shapes() {
-        let m = Matrix::zeros(2, 3);
-        let mut out = vec![0.0; 4];
-        assert!(matmul_into(&m, &[0.0; 5], 2, &mut out).is_err());
-        let mut short = vec![0.0; 3];
-        assert!(matmul_into(&m, &[0.0; 6], 2, &mut short).is_err());
-        assert!(matmul_into(&m, &[0.0; 6], 2, &mut out).is_ok());
-    }
-
-    #[test]
-    fn dual_matmul_lanes_match_dual_matvec_bitwise() {
-        // Row and lane counts straddling the 4x4 tile edges: full
-        // tiles, row remainders, lane remainders and sub-tile shapes
-        // must all stay bit-identical to the single-lane kernel.
-        let mut rng = DeterministicRng::seed_from_u64(7);
-        for (neurons, lanes) in [
-            (9usize, 3usize),
-            (8, 4),
-            (4, 8),
-            (5, 5),
-            (1, 1),
-            (3, 7),
-            (12, 9),
-            (7, 13),
-        ] {
-            let (input, hidden) = (12, neurons);
-            let wx = random_matrix(&mut rng, neurons, input);
-            let wh = random_matrix(&mut rng, neurons, hidden);
-            let xs: Vec<f32> = (0..lanes * input).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let hs: Vec<f32> = (0..lanes * hidden)
-                .map(|_| rng.uniform(-1.0, 1.0))
-                .collect();
-            let mut out = vec![0.0f32; lanes * neurons];
-            dual_matmul_into(&wx, &wh, &xs, &hs, lanes, &mut out).unwrap();
-            for l in 0..lanes {
-                let mut single = vec![0.0f32; neurons];
-                dual_matvec_into(
-                    &wx,
-                    &wh,
-                    &xs[l * input..(l + 1) * input],
-                    &hs[l * hidden..(l + 1) * hidden],
-                    &mut single,
-                )
-                .unwrap();
-                for n in 0..neurons {
-                    assert_eq!(
-                        out[l * neurons + n].to_bits(),
-                        single[n].to_bits(),
-                        "rows {neurons} lanes {lanes}: lane {l} neuron {n}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dual_matmul_validates_shapes() {
-        let wx = Matrix::zeros(2, 3);
-        let wh = Matrix::zeros(2, 2);
-        let mut out = vec![0.0; 4];
-        assert!(dual_matmul_into(&wx, &wh, &[0.0; 5], &[0.0; 4], 2, &mut out).is_err());
-        assert!(dual_matmul_into(&wx, &wh, &[0.0; 6], &[0.0; 3], 2, &mut out).is_err());
-        let mut short = vec![0.0; 3];
-        assert!(dual_matmul_into(&wx, &wh, &[0.0; 6], &[0.0; 4], 2, &mut short).is_err());
-        assert!(dual_matmul_into(&wx, &wh, &[0.0; 6], &[0.0; 4], 2, &mut out).is_ok());
-    }
-
-    #[test]
-    fn matmul_add_is_bit_identical_to_fused_dual() {
-        // Hoisting splits fwd and rec halves; base + rec must reproduce
-        // the fused fwd + rec result exactly.
-        let mut rng = DeterministicRng::seed_from_u64(8);
-        let (neurons, input, hidden, lanes) = (6, 10, 6, 4);
-        let wx = random_matrix(&mut rng, neurons, input);
-        let wh = random_matrix(&mut rng, neurons, hidden);
-        let xs: Vec<f32> = (0..lanes * input).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let hs: Vec<f32> = (0..lanes * hidden)
-            .map(|_| rng.uniform(-1.0, 1.0))
-            .collect();
-        let mut fused = vec![0.0f32; lanes * neurons];
-        dual_matmul_into(&wx, &wh, &xs, &hs, lanes, &mut fused).unwrap();
-        let mut fwd = vec![0.0f32; lanes * neurons];
-        matmul_into(&wx, &xs, lanes, &mut fwd).unwrap();
-        let mut hoisted = vec![0.0f32; lanes * neurons];
-        matmul_add_into(&wh, &hs, lanes, &fwd, &mut hoisted).unwrap();
-        for (i, (a, b)) in fused.iter().zip(hoisted.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "index {i}");
-        }
-        let mut short = vec![0.0f32; 3];
-        assert!(matmul_add_into(&wh, &hs, lanes, &fwd, &mut short).is_err());
-        assert!(matmul_add_into(&wh, &[0.0; 3], lanes, &fwd, &mut hoisted).is_err());
-    }
 }

@@ -2,13 +2,13 @@
 //!
 //! The canonical sixteen lane-major accumulators are represented as four
 //! 128-bit registers — `q0` holds lanes 0–3, `q1` lanes 4–7, `q2` lanes
-//! 8–11, `q3` lanes 12–15 — advanced with `vmulq`/`vaddq`
-//! (multiply-then-add, never `vfmaq`: the scalar reference rounds twice
-//! per element).  The final reduction implements the same tree as the
-//! scalar [`super::body::reduce`]: the half fold `s[i] = acc[i] +
-//! acc[i + 8]` is `vaddq(q0, q2)` / `vaddq(q1, q3)`, then the 8-wide
-//! pairwise tree over the folded pair.  The `len % 16` tail runs the
-//! same sequential scalar loop, so results are bit-identical to the
+//! 8–11, `q3` lanes 12–15 — advanced with `vfmaq_f32`, one fused
+//! multiply-add per element (the single rounding of the scalar
+//! reference's `f32::mul_add`).  The final reduction implements the same
+//! tree as the scalar [`super::body::reduce`]: the half fold `s[i] =
+//! acc[i] + acc[i + 8]` is `vaddq(q0, q2)` / `vaddq(q1, q3)`, then the
+//! 8-wide pairwise tree over the folded pair.  The `len % 16` tail is
+//! the shared fused [`tail_dot`], so results are bit-identical to the
 //! scalar tier.
 //!
 //! This module compiles only on aarch64; it is exercised by the same
@@ -20,7 +20,7 @@
 
 use std::arch::aarch64::*;
 
-use super::body::DotOps;
+use super::body::{tail_dot, DotOps};
 
 /// Four q-registers holding one sixteen-lane accumulator chain.
 type Acc16 = (float32x4_t, float32x4_t, float32x4_t, float32x4_t);
@@ -46,33 +46,17 @@ unsafe fn reduce16(acc: Acc16) -> f32 {
     vget_lane_f32::<0>(vpadd_f32(d, d))
 }
 
-/// Sequential scalar tail over `[from..len)`, shared with every tier.
-#[inline(always)]
-unsafe fn tail_dot(a: *const f32, b: *const f32, from: usize, len: usize) -> f32 {
-    let mut tail = 0.0f32;
-    for i in from..len {
-        tail += *a.add(i) * *b.add(i);
-    }
-    tail
-}
-
 /// One accumulator chain advanced by one 16-element chunk.
 #[inline(always)]
 unsafe fn step(acc: Acc16, a: *const f32, b: *const f32, at: usize) -> Acc16 {
-    (
-        vaddq_f32(acc.0, vmulq_f32(vld1q_f32(a.add(at)), vld1q_f32(b.add(at)))),
-        vaddq_f32(
-            acc.1,
-            vmulq_f32(vld1q_f32(a.add(at + 4)), vld1q_f32(b.add(at + 4))),
-        ),
-        vaddq_f32(
-            acc.2,
-            vmulq_f32(vld1q_f32(a.add(at + 8)), vld1q_f32(b.add(at + 8))),
-        ),
-        vaddq_f32(
-            acc.3,
-            vmulq_f32(vld1q_f32(a.add(at + 12)), vld1q_f32(b.add(at + 12))),
-        ),
+    step_shared(
+        acc,
+        a,
+        at,
+        vld1q_f32(b.add(at)),
+        vld1q_f32(b.add(at + 4)),
+        vld1q_f32(b.add(at + 8)),
+        vld1q_f32(b.add(at + 12)),
     )
 }
 
@@ -88,10 +72,10 @@ unsafe fn step_shared(
     s3: float32x4_t,
 ) -> Acc16 {
     (
-        vaddq_f32(acc.0, vmulq_f32(vld1q_f32(p.add(at)), s0)),
-        vaddq_f32(acc.1, vmulq_f32(vld1q_f32(p.add(at + 4)), s1)),
-        vaddq_f32(acc.2, vmulq_f32(vld1q_f32(p.add(at + 8)), s2)),
-        vaddq_f32(acc.3, vmulq_f32(vld1q_f32(p.add(at + 12)), s3)),
+        vfmaq_f32(acc.0, vld1q_f32(p.add(at)), s0),
+        vfmaq_f32(acc.1, vld1q_f32(p.add(at + 4)), s1),
+        vfmaq_f32(acc.2, vld1q_f32(p.add(at + 8)), s2),
+        vfmaq_f32(acc.3, vld1q_f32(p.add(at + 12)), s3),
     )
 }
 
@@ -111,7 +95,7 @@ impl DotOps for NeonOps {
         for c in 0..chunks {
             acc = step(acc, pa, pb, c * 16);
         }
-        reduce16(acc) + tail_dot(pa, pb, chunks * 16, n)
+        reduce16(acc) + tail_dot(&a[chunks * 16..], &b[chunks * 16..])
     }
 
     #[inline(always)]
@@ -135,8 +119,8 @@ impl DotOps for NeonOps {
             acc1 = step_shared(acc1, p1, at, s0, s1, s2, s3);
         }
         [
-            reduce16(acc0) + tail_dot(p0, ps, chunks * 16, n),
-            reduce16(acc1) + tail_dot(p1, ps, chunks * 16, n),
+            reduce16(acc0) + tail_dot(&a0[chunks * 16..], &shared[chunks * 16..]),
+            reduce16(acc1) + tail_dot(&a1[chunks * 16..], &shared[chunks * 16..]),
         ]
     }
 
@@ -172,10 +156,10 @@ impl DotOps for NeonOps {
             }
         }
         [
-            reduce16(acc[0]) + tail_dot(pr, px[0], chunks * 16, n),
-            reduce16(acc[1]) + tail_dot(pr, px[1], chunks * 16, n),
-            reduce16(acc[2]) + tail_dot(pr, px[2], chunks * 16, n),
-            reduce16(acc[3]) + tail_dot(pr, px[3], chunks * 16, n),
+            reduce16(acc[0]) + tail_dot(&row[chunks * 16..], &x0[chunks * 16..]),
+            reduce16(acc[1]) + tail_dot(&row[chunks * 16..], &x1[chunks * 16..]),
+            reduce16(acc[2]) + tail_dot(&row[chunks * 16..], &x2[chunks * 16..]),
+            reduce16(acc[3]) + tail_dot(&row[chunks * 16..], &x3[chunks * 16..]),
         ]
     }
 }

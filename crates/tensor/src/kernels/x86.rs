@@ -2,13 +2,14 @@
 //!
 //! Both tiers reproduce the scalar reduction order exactly (see
 //! [`super::body`]): sixteen canonical lane-major accumulators advanced
-//! once per 16-element chunk with multiply-then-add (never FMA — the
-//! scalar reference rounds twice), the fixed pairwise reduce tree, and
-//! the `len % 16` tail as the same sequential scalar loop.
+//! once per 16-element chunk with one fused multiply-add (`vfmadd`, the
+//! single rounding of the scalar reference's `f32::mul_add`), the fixed
+//! pairwise reduce tree, and the shared fused `len % 16` tail
+//! [`tail_dot`].
 //!
 //! The 16-lane canonical order is what lets the AVX-512 tier hold one
 //! *full* accumulator chain in a single `zmm` register: one
-//! `loadu → mul → add` per chunk per output ([`reduce16`]'s 256-bit
+//! `loadu → fmadd` per chunk per output ([`reduce16`]'s 256-bit
 //! extract-and-add is exactly the canonical half fold `s[i] = acc[i] +
 //! acc[i + 8]`).  The AVX2 tier represents the same sixteen lanes as a
 //! `ymm` *pair* — `acc_lo` holds lanes 0–7, `acc_hi` lanes 8–15 — and
@@ -22,7 +23,7 @@ use std::arch::x86::*;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-use super::body::{DotOps, TILE};
+use super::body::{tail_dot, DotOps, TILE};
 
 /// The canonical 8-wide pairwise reduce tree over a 256-bit register of
 /// half-folded sums: bit-identical to the tree `body::reduce` runs
@@ -128,18 +129,8 @@ unsafe fn reduce16_tile(acc: [[__m512; TILE]; TILE]) -> __m512 {
     _mm512_add_ps(_mm512_add_ps(u0, u2), _mm512_add_ps(u1, u3))
 }
 
-/// Sequential scalar tail over `[from..len)`, shared by every tier.
-#[inline(always)]
-unsafe fn tail_dot(a: *const f32, b: *const f32, from: usize, len: usize) -> f32 {
-    let mut tail = 0.0f32;
-    for i in from..len {
-        tail += *a.add(i) * *b.add(i);
-    }
-    tail
-}
-
 /// 256-bit tier: each sixteen-lane accumulator chain lives in a `ymm`
-/// pair, advanced with two `loadu → mul → add` steps per chunk.
+/// pair, advanced with two `loadu → fmadd` steps per chunk.
 #[derive(Clone, Copy)]
 struct Avx2Ops;
 
@@ -155,19 +146,18 @@ impl DotOps for Avx2Ops {
         let mut acc_hi = _mm256_setzero_ps();
         for c in 0..chunks {
             let at = c * 16;
-            acc_lo = _mm256_add_ps(
+            acc_lo = _mm256_fmadd_ps(
+                _mm256_loadu_ps(pa.add(at)),
+                _mm256_loadu_ps(pb.add(at)),
                 acc_lo,
-                _mm256_mul_ps(_mm256_loadu_ps(pa.add(at)), _mm256_loadu_ps(pb.add(at))),
             );
-            acc_hi = _mm256_add_ps(
+            acc_hi = _mm256_fmadd_ps(
+                _mm256_loadu_ps(pa.add(at + 8)),
+                _mm256_loadu_ps(pb.add(at + 8)),
                 acc_hi,
-                _mm256_mul_ps(
-                    _mm256_loadu_ps(pa.add(at + 8)),
-                    _mm256_loadu_ps(pb.add(at + 8)),
-                ),
             );
         }
-        reduce16_pair(acc_lo, acc_hi) + tail_dot(pa, pb, chunks * 16, n)
+        reduce16_pair(acc_lo, acc_hi) + tail_dot(&a[chunks * 16..], &b[chunks * 16..])
     }
 
     #[inline(always)]
@@ -186,14 +176,14 @@ impl DotOps for Avx2Ops {
             let at = c * 16;
             let s_lo = _mm256_loadu_ps(ps.add(at));
             let s_hi = _mm256_loadu_ps(ps.add(at + 8));
-            a0_lo = _mm256_add_ps(a0_lo, _mm256_mul_ps(_mm256_loadu_ps(p0.add(at)), s_lo));
-            a0_hi = _mm256_add_ps(a0_hi, _mm256_mul_ps(_mm256_loadu_ps(p0.add(at + 8)), s_hi));
-            a1_lo = _mm256_add_ps(a1_lo, _mm256_mul_ps(_mm256_loadu_ps(p1.add(at)), s_lo));
-            a1_hi = _mm256_add_ps(a1_hi, _mm256_mul_ps(_mm256_loadu_ps(p1.add(at + 8)), s_hi));
+            a0_lo = _mm256_fmadd_ps(_mm256_loadu_ps(p0.add(at)), s_lo, a0_lo);
+            a0_hi = _mm256_fmadd_ps(_mm256_loadu_ps(p0.add(at + 8)), s_hi, a0_hi);
+            a1_lo = _mm256_fmadd_ps(_mm256_loadu_ps(p1.add(at)), s_lo, a1_lo);
+            a1_hi = _mm256_fmadd_ps(_mm256_loadu_ps(p1.add(at + 8)), s_hi, a1_hi);
         }
         [
-            reduce16_pair(a0_lo, a0_hi) + tail_dot(p0, ps, chunks * 16, n),
-            reduce16_pair(a1_lo, a1_hi) + tail_dot(p1, ps, chunks * 16, n),
+            reduce16_pair(a0_lo, a0_hi) + tail_dot(&a0[chunks * 16..], &shared[chunks * 16..]),
+            reduce16_pair(a1_lo, a1_hi) + tail_dot(&a1[chunks * 16..], &shared[chunks * 16..]),
         ]
     }
 
@@ -223,21 +213,21 @@ impl DotOps for Avx2Ops {
             let r_lo = _mm256_loadu_ps(pr.add(at));
             let r_hi = _mm256_loadu_ps(pr.add(at + 8));
             for (a, p) in acc.iter_mut().zip(px.iter()) {
-                a.0 = _mm256_add_ps(a.0, _mm256_mul_ps(r_lo, _mm256_loadu_ps(p.add(at))));
-                a.1 = _mm256_add_ps(a.1, _mm256_mul_ps(r_hi, _mm256_loadu_ps(p.add(at + 8))));
+                a.0 = _mm256_fmadd_ps(r_lo, _mm256_loadu_ps(p.add(at)), a.0);
+                a.1 = _mm256_fmadd_ps(r_hi, _mm256_loadu_ps(p.add(at + 8)), a.1);
             }
         }
         [
-            reduce16_pair(acc[0].0, acc[0].1) + tail_dot(pr, px[0], chunks * 16, n),
-            reduce16_pair(acc[1].0, acc[1].1) + tail_dot(pr, px[1], chunks * 16, n),
-            reduce16_pair(acc[2].0, acc[2].1) + tail_dot(pr, px[2], chunks * 16, n),
-            reduce16_pair(acc[3].0, acc[3].1) + tail_dot(pr, px[3], chunks * 16, n),
+            reduce16_pair(acc[0].0, acc[0].1) + tail_dot(&row[chunks * 16..], &x0[chunks * 16..]),
+            reduce16_pair(acc[1].0, acc[1].1) + tail_dot(&row[chunks * 16..], &x1[chunks * 16..]),
+            reduce16_pair(acc[2].0, acc[2].1) + tail_dot(&row[chunks * 16..], &x2[chunks * 16..]),
+            reduce16_pair(acc[3].0, acc[3].1) + tail_dot(&row[chunks * 16..], &x3[chunks * 16..]),
         ]
     }
 }
 
 /// 512-bit tier: one `zmm` register *is* one full sixteen-lane
-/// accumulator chain — a single `loadu → mul → add` per chunk per
+/// accumulator chain — a single `loadu → fmadd` per chunk per
 /// output, half the instruction count of the `ymm`-pair tier on the
 /// same canonical order.  `dot2` keeps two chains (two `zmm`) over one
 /// shared-operand load, `dot_quad` four, `dot_tile` sixteen over four
@@ -256,12 +246,13 @@ impl DotOps for Avx512Ops {
         let mut acc = _mm512_setzero_ps();
         for c in 0..chunks {
             let at = c * 16;
-            acc = _mm512_add_ps(
+            acc = _mm512_fmadd_ps(
+                _mm512_loadu_ps(pa.add(at)),
+                _mm512_loadu_ps(pb.add(at)),
                 acc,
-                _mm512_mul_ps(_mm512_loadu_ps(pa.add(at)), _mm512_loadu_ps(pb.add(at))),
             );
         }
-        reduce16(acc) + tail_dot(pa, pb, chunks * 16, n)
+        reduce16(acc) + tail_dot(&a[chunks * 16..], &b[chunks * 16..])
     }
 
     #[inline(always)]
@@ -277,12 +268,12 @@ impl DotOps for Avx512Ops {
         for c in 0..chunks {
             let at = c * 16;
             let vs = _mm512_loadu_ps(ps.add(at));
-            acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_loadu_ps(p0.add(at)), vs));
-            acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(_mm512_loadu_ps(p1.add(at)), vs));
+            acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(p0.add(at)), vs, acc0);
+            acc1 = _mm512_fmadd_ps(_mm512_loadu_ps(p1.add(at)), vs, acc1);
         }
         [
-            reduce16(acc0) + tail_dot(p0, ps, chunks * 16, n),
-            reduce16(acc1) + tail_dot(p1, ps, chunks * 16, n),
+            reduce16(acc0) + tail_dot(&a0[chunks * 16..], &shared[chunks * 16..]),
+            reduce16(acc1) + tail_dot(&a1[chunks * 16..], &shared[chunks * 16..]),
         ]
     }
 
@@ -310,14 +301,14 @@ impl DotOps for Avx512Ops {
             let at = c * 16;
             let vr = _mm512_loadu_ps(pr.add(at));
             for (a, p) in acc.iter_mut().zip(px.iter()) {
-                *a = _mm512_add_ps(*a, _mm512_mul_ps(vr, _mm512_loadu_ps(p.add(at))));
+                *a = _mm512_fmadd_ps(vr, _mm512_loadu_ps(p.add(at)), *a);
             }
         }
         [
-            reduce16(acc[0]) + tail_dot(pr, px[0], chunks * 16, n),
-            reduce16(acc[1]) + tail_dot(pr, px[1], chunks * 16, n),
-            reduce16(acc[2]) + tail_dot(pr, px[2], chunks * 16, n),
-            reduce16(acc[3]) + tail_dot(pr, px[3], chunks * 16, n),
+            reduce16(acc[0]) + tail_dot(&row[chunks * 16..], &x0[chunks * 16..]),
+            reduce16(acc[1]) + tail_dot(&row[chunks * 16..], &x1[chunks * 16..]),
+            reduce16(acc[2]) + tail_dot(&row[chunks * 16..], &x2[chunks * 16..]),
+            reduce16(acc[3]) + tail_dot(&row[chunks * 16..], &x3[chunks * 16..]),
         ]
     }
 
@@ -344,7 +335,7 @@ impl DotOps for Avx512Ops {
             for (a, p) in acc.iter_mut().zip(pr.iter()) {
                 let vr = _mm512_loadu_ps(p.add(at));
                 for (a, x) in a.iter_mut().zip(vx.iter()) {
-                    *a = _mm512_add_ps(*a, _mm512_mul_ps(vr, *x));
+                    *a = _mm512_fmadd_ps(vr, *x, *a);
                 }
             }
         }
@@ -355,7 +346,7 @@ impl DotOps for Avx512Ops {
         if chunks * 16 < n {
             for (j, lane) in tile.iter_mut().enumerate() {
                 for (i, t) in lane.iter_mut().enumerate() {
-                    *t += tail_dot(pr[i], px[j], chunks * 16, n);
+                    *t += tail_dot(&rows[i][chunks * 16..], &xs[j][chunks * 16..]);
                 }
             }
         }
@@ -424,10 +415,10 @@ macro_rules! kernel_set {
 
 pub(crate) mod avx2 {
     use super::Avx2Ops;
-    kernel_set!("avx,avx2", Avx2Ops);
+    kernel_set!("avx,avx2,fma", Avx2Ops);
 }
 
 pub(crate) mod avx512 {
     use super::Avx512Ops;
-    kernel_set!("avx,avx2,avx512f,avx512dq,avx512vl", Avx512Ops);
+    kernel_set!("avx,avx2,fma,avx512f,avx512dq,avx512vl", Avx512Ops);
 }
