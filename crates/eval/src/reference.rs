@@ -13,11 +13,21 @@
 //! dispatch tier is bit-identical; against this reference the exact
 //! `f32` path stays inside [`BUDGET_MAX_ABS`] at every layer
 //! (`tests/reference_f64.rs` pins it on each tier).
+//!
+//! [`MemoReference`] does the same for memoization: a naive replay of
+//! the memo decision (Equations 7–8 and 12–17, the oracle of Figure 6,
+//! 1-in-N audit sampling) one neuron at a time over its own per-lane
+//! maps, sharing no code with `nfm-core`'s table, lanes or decide loop
+//! and no code with `nfm-bnn`'s sign packing or popcounts.
+//! `tests/memo_reference.rs` feeds it every gate call's own inputs and
+//! requires every decision, memo entry and counter to match.
 
 use crate::harness::{EvalConfig, NetworkRun};
 use crate::report::{ExperimentReport, TableReport};
-use nfm_rnn::{Cell, DeepRnn, ExactEvaluator, Gate, GateKind, GruCell, LstmCell, RnnError};
+use nfm_core::{AuditConfig, BnnMemoConfig, OracleMemoConfig};
+use nfm_rnn::{Cell, DeepRnn, ExactEvaluator, Gate, GateId, GateKind, GruCell, LstmCell, RnnError};
 use nfm_tensor::Vector;
+use std::collections::HashMap;
 
 /// Largest absolute difference allowed between any hidden output of the
 /// exact `f32` path and the reference, at any layer.  Measured worst
@@ -128,6 +138,232 @@ pub fn run_layers(net: &DeepRnn, sequence: &[Vector]) -> Vec<Vec<Vec<f64>>> {
         layers.push(out);
     }
     layers
+}
+
+/// The memoization policy [`MemoReference`] replays.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MemoPolicy {
+    /// The BNN predictor (Figure 10), optionally auditing 1 in N hits.
+    Bnn(BnnMemoConfig, Option<AuditConfig>),
+    /// The oracle (Figure 6).
+    Oracle(OracleMemoConfig),
+}
+
+/// One neuron's memo entry: `y_m`, `yb_m` (the oracle keeps its true
+/// output there), `δb` and the length of the current run of reuses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MemoSlot {
+    /// Cached full-precision output `y_m`.
+    pub y_m: f32,
+    /// Cached predictor output `yb_m`.
+    pub yb_m: f32,
+    /// Accumulated relative difference `δb`.
+    pub delta: f32,
+    /// Consecutive reuses since the entry was last computed.
+    pub run: u32,
+}
+
+/// Neuron evaluations requested, served from the memo entry, predicted
+/// by the BNN, and audited.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoCounts {
+    /// Neuron evaluations requested.
+    pub evaluations: u64,
+    /// Evaluations that reused `y_m`.
+    pub reuses: u64,
+    /// BNN neuron evaluations.
+    pub bnn_evaluations: u64,
+    /// Reuses also computed exactly to observe their error.
+    pub audited: u64,
+}
+
+/// One layer's audit counters: hits, audited hits, and the summed
+/// `|y_t − y_m|` of the audited ones.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct AuditCounts {
+    /// Memo hits on the layer (counted only while auditing).
+    pub hits: u64,
+    /// Hits audited.
+    pub audited: u64,
+    /// Sum of the audited absolute errors.
+    pub error_sum: f64,
+}
+
+/// One lane: its memo entries and audit hit counters per gate, and its
+/// counts since the lane's sequence began.
+#[derive(Debug, Clone, Default)]
+struct MemoLane {
+    slots: HashMap<GateId, Vec<Option<MemoSlot>>>,
+    hits: HashMap<GateId, u64>,
+    counts: MemoCounts,
+}
+
+/// A naive memoized step, one lane and one neuron at a time.
+#[derive(Debug, Clone)]
+pub struct MemoReference {
+    policy: MemoPolicy,
+    lanes: Vec<MemoLane>,
+    total: MemoCounts,
+    audits: Vec<AuditCounts>,
+}
+
+/// `Σ sign(w)·sign(v)` over one weight row and its inputs, with the sign
+/// of Equation 7: `+1` iff `v >= 0` (so NaN is `−1`).
+fn binary_dot(weights: &[f32], inputs: &[f32]) -> i32 {
+    let sign = |v: f32| if v >= 0.0 { 1 } else { -1 };
+    weights
+        .iter()
+        .zip(inputs)
+        .map(|(&w, &v)| sign(w) * sign(v))
+        .sum()
+}
+
+/// Equation 12: `|a − b| / |a|`, the denominator clamped to `epsilon`.
+fn relative(a: f32, b: f32, epsilon: f32) -> f32 {
+    (a - b).abs() / a.abs().max(epsilon)
+}
+
+impl MemoReference {
+    /// A reference with no lanes yet.
+    pub fn new(policy: MemoPolicy) -> Self {
+        MemoReference {
+            policy,
+            lanes: Vec::new(),
+            total: MemoCounts::default(),
+            audits: Vec::new(),
+        }
+    }
+
+    /// Lane `lane` starts a sequence: no entries, counts at zero.
+    pub fn begin_lane(&mut self, lane: usize) {
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, MemoLane::default);
+        }
+        self.lanes[lane] = MemoLane::default();
+    }
+
+    /// The driver moved lanes `a` and `b`.
+    pub fn swap_lanes(&mut self, a: usize, b: usize) {
+        self.lanes.swap(a, b);
+    }
+
+    /// One gate call on lane `lane` with inputs `x` and `h`: decides
+    /// every neuron in order and returns the emitted outputs.  The BNN
+    /// rule computes `yb_t` from the weight signs and `y_t` in `f64`;
+    /// the oracle decides on `truth`, the gate's exact outputs (its
+    /// decision is only as exact as the value it is handed, so it takes
+    /// the exact path's own).
+    ///
+    /// # Panics
+    ///
+    /// Panics if lane `lane` never began.
+    pub fn step(
+        &mut self,
+        lane: usize,
+        id: GateId,
+        gate: &Gate,
+        x: &[f32],
+        h: &[f32],
+        truth: &[f32],
+    ) -> Vec<f32> {
+        let state = &mut self.lanes[lane];
+        let slots = state
+            .slots
+            .entry(id)
+            .or_insert_with(|| vec![None; gate.neurons()]);
+        let mut out = Vec::with_capacity(gate.neurons());
+        for (n, slot) in slots.iter_mut().enumerate() {
+            let (y_t, yb_t, delta, theta, bnn) = match self.policy {
+                MemoPolicy::Bnn(config, _) => {
+                    let yb_t = binary_dot(gate.wx().row(n), x) + binary_dot(gate.wh().row(n), h);
+                    let yb_t = yb_t as f32;
+                    let delta = slot.map(|s| {
+                        let eps = relative(yb_t, s.yb_m, config.epsilon);
+                        if config.throttle {
+                            s.delta + eps
+                        } else {
+                            eps
+                        }
+                    });
+                    let y_t = preactivation_f32(gate, n, x, h);
+                    (y_t, yb_t, delta, config.threshold, true)
+                }
+                MemoPolicy::Oracle(config) => {
+                    let y_t = truth[n];
+                    let delta = slot.map(|s| relative(y_t, s.y_m, config.epsilon));
+                    (y_t, y_t, delta, config.threshold, false)
+                }
+            };
+            let hit = delta.is_some_and(|delta| delta <= theta);
+            for counts in [&mut state.counts, &mut self.total] {
+                counts.evaluations += 1;
+                counts.reuses += u64::from(hit);
+                counts.bnn_evaluations += u64::from(bnn);
+            }
+            let Some(s) = slot.as_mut().filter(|_| hit) else {
+                // Equations 15–17: compute, and cache what was computed.
+                *slot = Some(MemoSlot {
+                    y_m: y_t,
+                    yb_m: yb_t,
+                    delta: 0.0,
+                    run: 0,
+                });
+                out.push(y_t);
+                continue;
+            };
+            // Equation 14: reuse `y_m`, keep the accumulated difference.
+            s.delta = delta.expect("a hit has a difference");
+            s.run += 1;
+            out.push(s.y_m);
+            if let MemoPolicy::Bnn(_, Some(audit)) = self.policy {
+                if self.audits.len() <= id.layer {
+                    self.audits.resize(id.layer + 1, AuditCounts::default());
+                }
+                let layer = &mut self.audits[id.layer];
+                layer.hits += 1;
+                let hits = state.hits.entry(id).or_insert(0);
+                if *hits % audit.period == audit.seed % audit.period {
+                    layer.audited += 1;
+                    layer.error_sum += f64::from((y_t - s.y_m).abs());
+                    state.counts.audited += 1;
+                    self.total.audited += 1;
+                }
+                *hits += 1;
+            }
+        }
+        out
+    }
+
+    /// Lane `lane`'s entry for neuron `n` of gate `id`.
+    pub fn slot(&self, lane: usize, id: GateId, n: usize) -> Option<MemoSlot> {
+        self.lanes[lane].slots.get(&id).and_then(|s| s[n])
+    }
+
+    /// Lane `lane`'s counts since its sequence began.
+    pub fn lane_counts(&self, lane: usize) -> MemoCounts {
+        self.lanes[lane].counts
+    }
+
+    /// The counts over every lane and sequence so far.
+    pub fn total(&self) -> MemoCounts {
+        self.total
+    }
+
+    /// Audit counters per layer.
+    pub fn audits(&self) -> &[AuditCounts] {
+        &self.audits
+    }
+}
+
+/// `W_x[n]·x + W_h[n]·h` in `f64`, rounded once to `f32`.
+fn preactivation_f32(gate: &Gate, n: usize, x: &[f32], h: &[f32]) -> f32 {
+    let dot = |w: &[f32], v: &[f32]| -> f64 {
+        w.iter()
+            .zip(v)
+            .map(|(w, v)| f64::from(*w) * f64::from(*v))
+            .sum()
+    };
+    (dot(gate.wx().row(n), x) + dot(gate.wh().row(n), h)) as f32
 }
 
 /// Error of one layer's `f32` outputs against the reference.
