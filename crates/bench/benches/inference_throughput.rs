@@ -1,22 +1,21 @@
 //! The perf baseline of the repository: inference throughput of the
-//! fused gate-evaluation hot path against the per-neuron paths, for
-//! the exact baseline and the BNN-memoized predictor.
+//! fused gate-evaluation hot path against the seed's per-neuron paths,
+//! for the exact baseline and the BNN-memoized predictor.
 //!
 //! `scripts/bench_snapshot.sh` runs this target and records the medians
 //! into `BENCH_inference.json`; every future optimisation PR is judged
 //! against that file.
 //!
-//! Three exact-inference variants are measured:
+//! Two exact-inference variants are measured:
 //!
 //! * `inference/exact/*` — the hot path at one lane: one
 //!   `evaluate_gate_batch` call per gate over block-hoisted `W_x·x_t`
 //!   projections, reused scratch buffers.
-//! * `inference/exact_per_neuron/*` — the trait's per-neuron default
-//!   (one virtual call per neuron) over the same vectorized dot kernel.
 //! * `inference/exact_naive/*` — a faithful reproduction of the seed hot
-//!   path: per-neuron virtual dispatch, per-row dimension checks and the
-//!   strictly-ordered scalar dot product the original implementation
-//!   compiled to.
+//!   path, written per neuron through `evaluate_neurons`: per-row
+//!   dimension checks and the strictly-ordered scalar dot product the
+//!   original implementation compiled to, both halves per step (it
+//!   ignores the hoisted one).
 //!
 //! Multi-sequence batched inference is measured separately on
 //! 8-sequence workloads: `inference/exact_single/*` and
@@ -36,8 +35,8 @@ use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector, PopcountBackend};
 use nfm_control::{AdaptivePredictor, ControllerConfig};
 use nfm_core::{BnnMemoConfig, BnnMemoEvaluator};
 use nfm_rnn::{
-    DeepRnn, ExactEvaluator, Gate, NeuronEvaluator, NeuronRef, PerNeuronEvaluator,
-    Result as RnnResult, RnnError,
+    evaluate_neurons, DeepRnn, ExactEvaluator, GateBatch, NeuronEvaluator, Result as RnnResult,
+    RnnError,
 };
 use nfm_serve::{
     CanaryConfig, EngineBuilder, InferenceRequest, InferenceResponse, ModelRegistry, Predictor,
@@ -51,7 +50,7 @@ use nfm_workloads::{InputDomain, NetworkId, SequenceGenerator, Workload, Workloa
 use std::hint::black_box;
 use std::sync::Arc;
 
-/// Seed-faithful naive evaluator: one virtual call per neuron, dimension
+/// Seed-faithful naive evaluator: one call per neuron, dimension
 /// checks re-run per row, and a strictly-ordered scalar reduction (the
 /// loop shape the seed's `iter().zip().map().sum()` dot compiled to —
 /// sequential adds cannot be vectorized).
@@ -78,36 +77,31 @@ fn scalar_dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 impl NeuronEvaluator for NaiveExactEvaluator {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> RnnResult<f32> {
-        if x.len() != gate.input_size() {
-            return Err(RnnError::InputSizeMismatch {
-                expected: gate.input_size(),
-                found: x.len(),
-                timestep: neuron.timestep,
-            });
-        }
-        if h_prev.len() != gate.hidden_size() {
-            return Err(RnnError::InputSizeMismatch {
-                expected: gate.hidden_size(),
-                found: h_prev.len(),
-                timestep: neuron.timestep,
-            });
-        }
-        Ok(scalar_dot(gate.wx().row(neuron.neuron), x)
-            + scalar_dot(gate.wh().row(neuron.neuron), h_prev))
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
+        let gate = call.gate;
+        evaluate_neurons(call, out, |id, x, h_prev, _| {
+            if x.len() != gate.input_size() {
+                return Err(RnnError::InputSizeMismatch {
+                    expected: gate.input_size(),
+                    found: x.len(),
+                    timestep: id.timestep,
+                });
+            }
+            if h_prev.len() != gate.hidden_size() {
+                return Err(RnnError::InputSizeMismatch {
+                    expected: gate.hidden_size(),
+                    found: h_prev.len(),
+                    timestep: id.timestep,
+                });
+            }
+            Ok(scalar_dot(gate.wx().row(id.neuron), x)
+                + scalar_dot(gate.wh().row(id.neuron), h_prev))
+        })
     }
-    // No gate-entry override: the default per-neuron loop is exactly
-    // the seed's gate evaluation strategy.
 }
 
 /// Seed-faithful BNN-memoized evaluator: the hot path exactly as the
-/// seed shipped it — one virtual call per neuron, `(GateId, neuron)`
+/// seed shipped it — one call per neuron, `(GateId, neuron)`
 /// hashed into a `HashMap` for every lookup/refresh, the cached input
 /// `BitVector`s *cloned* for every neuron, and strictly-ordered scalar
 /// dots for every full-precision evaluation.
@@ -137,48 +131,45 @@ impl SeedBnnEvaluator {
 }
 
 impl NeuronEvaluator for SeedBnnEvaluator {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> RnnResult<f32> {
-        let binary_gate = self.mirror.gate(neuron.gate_id).expect("mirrored");
-        let hit = self
-            .input_cache
-            .as_ref()
-            .map(|c| c.0 == neuron.gate_id && c.1 == neuron.timestep)
-            .unwrap_or(false);
-        if !hit {
-            self.input_cache = Some((
-                neuron.gate_id,
-                neuron.timestep,
-                nfm_bnn::BitVector::from_signs(x),
-                nfm_bnn::BitVector::from_signs(h_prev),
-            ));
-        }
-        // The seed's per-neuron clone bug, reproduced faithfully.
-        let (xb, hb) = {
-            let c = self.input_cache.as_ref().expect("populated");
-            (c.2.clone(), c.3.clone())
-        };
-        let yb_t = binary_gate
-            .neuron_output(neuron.neuron, &xb, &hb)
-            .expect("widths match") as f32;
-        let key = (neuron.gate_id, neuron.neuron);
-        if let Some(&(cached_out, cached_bnn, acc_delta)) = self.table.get(&key) {
-            let denom = cached_bnn.abs().max(self.epsilon);
-            let delta = acc_delta + (yb_t - cached_bnn).abs() / denom;
-            if delta <= self.threshold {
-                self.table.insert(key, (cached_out, cached_bnn, delta));
-                return Ok(cached_out);
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
+        let gate = call.gate;
+        evaluate_neurons(call, out, |neuron, x, h_prev, _| {
+            let binary_gate = self.mirror.gate(neuron.gate_id).expect("mirrored");
+            let hit = self
+                .input_cache
+                .as_ref()
+                .map(|c| c.0 == neuron.gate_id && c.1 == neuron.timestep)
+                .unwrap_or(false);
+            if !hit {
+                self.input_cache = Some((
+                    neuron.gate_id,
+                    neuron.timestep,
+                    nfm_bnn::BitVector::from_signs(x),
+                    nfm_bnn::BitVector::from_signs(h_prev),
+                ));
             }
-        }
-        let y_t = scalar_dot(gate.wx().row(neuron.neuron), x)
-            + scalar_dot(gate.wh().row(neuron.neuron), h_prev);
-        self.table.insert(key, (y_t, yb_t, 0.0));
-        Ok(y_t)
+            // The seed's per-neuron clone bug, reproduced faithfully.
+            let (xb, hb) = {
+                let c = self.input_cache.as_ref().expect("populated");
+                (c.2.clone(), c.3.clone())
+            };
+            let yb_t = binary_gate
+                .neuron_output(neuron.neuron, &xb, &hb)
+                .expect("widths match") as f32;
+            let key = (neuron.gate_id, neuron.neuron);
+            if let Some(&(cached_out, cached_bnn, acc_delta)) = self.table.get(&key) {
+                let denom = cached_bnn.abs().max(self.epsilon);
+                let delta = acc_delta + (yb_t - cached_bnn).abs() / denom;
+                if delta <= self.threshold {
+                    self.table.insert(key, (cached_out, cached_bnn, delta));
+                    return Ok(cached_out);
+                }
+            }
+            let y_t = scalar_dot(gate.wx().row(neuron.neuron), x)
+                + scalar_dot(gate.wh().row(neuron.neuron), h_prev);
+            self.table.insert(key, (y_t, yb_t, 0.0));
+            Ok(y_t)
+        })
     }
 
     fn begin_lane_sequence(&mut self, _lane: usize) {
@@ -590,10 +581,6 @@ fn main() {
             let mut evaluator = ExactEvaluator::new();
             run_all(w, &mut evaluator)
         });
-        bench.bench(&format!("inference/exact_per_neuron/{size}"), || {
-            let mut evaluator = PerNeuronEvaluator::new(ExactEvaluator::new());
-            run_all(w, &mut evaluator)
-        });
         bench.bench(&format!("inference/exact_naive/{size}"), || {
             let mut evaluator = NaiveExactEvaluator;
             run_all(w, &mut evaluator)
@@ -603,13 +590,6 @@ fn main() {
         let mut memo = BnnMemoEvaluator::new(mirror.clone(), BnnMemoConfig::with_threshold(0.5));
         bench.bench(&format!("inference/bnn_memoized/{size}"), || {
             run_all(w, &mut memo)
-        });
-        let mut per_neuron_memo = PerNeuronEvaluator::new(BnnMemoEvaluator::new(
-            mirror.clone(),
-            BnnMemoConfig::with_threshold(0.5),
-        ));
-        bench.bench(&format!("inference/bnn_memoized_per_neuron/{size}"), || {
-            run_all(w, &mut per_neuron_memo)
         });
         let mut seed_memo = SeedBnnEvaluator::new(mirror, 0.5);
         bench.bench(&format!("inference/bnn_memoized_seed/{size}"), || {
@@ -945,15 +925,6 @@ fn main() {
     let static_speedups: Vec<(&str, &str)> = vec![
         ("inference/exact_naive/small", "inference/exact/small"),
         ("inference/exact_naive/medium", "inference/exact/medium"),
-        ("inference/exact_per_neuron/small", "inference/exact/small"),
-        (
-            "inference/exact_per_neuron/medium",
-            "inference/exact/medium",
-        ),
-        (
-            "inference/bnn_memoized_per_neuron/medium",
-            "inference/bnn_memoized/medium",
-        ),
         (
             "inference/bnn_memoized_seed/small",
             "inference/bnn_memoized/small",

@@ -20,7 +20,8 @@
 //!   its mirror, derived at most once and read by every policy and every
 //!   serving worker through clones of one handle,
 //! * [`BitVector`] — packed sign vectors with XNOR-popcount dot
-//!   products, the operand type of the per-neuron reference path,
+//!   products, the operand type of the readable per-neuron entries of
+//!   [`BinaryGate`] (the correlation probe, benches and tests),
 //! * [`CorrelationProbe`] — an instrumented evaluator that records paired
 //!   (full-precision, binarized) outputs to reproduce the correlation
 //!   analyses of Figures 7 and 8.

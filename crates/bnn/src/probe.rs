@@ -1,8 +1,7 @@
 //! Instrumentation for the BNN/FP correlation analysis (Figures 7 and 8).
 
-use crate::gate::BinaryGate;
 use crate::mirror::BinaryNetwork;
-use nfm_rnn::{Gate, NeuronEvaluator, NeuronRef, Result as RnnResult};
+use nfm_rnn::{evaluate_neurons, GateBatch, NeuronEvaluator, Result as RnnResult};
 use nfm_tensor::stats::pearson_correlation;
 use std::collections::HashMap;
 
@@ -117,35 +116,22 @@ impl CorrelationProbe {
         let bn: Vec<f32> = pairs.iter().map(|p| p.1).collect();
         pearson_correlation(&fp, &bn).ok()
     }
-
-    fn binary_gate(&self, id: nfm_rnn::GateId) -> Option<&BinaryGate> {
-        self.mirror.gate(id)
-    }
 }
 
 impl NeuronEvaluator for CorrelationProbe {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> RnnResult<f32> {
-        let fp = gate.neuron_dot(neuron.neuron, x, h_prev)?;
-        let bnn = match self.binary_gate(neuron.gate_id) {
-            Some(bg) => bg
-                .neuron_output_from_raw(neuron.neuron, x, h_prev)
-                .map(|v| v as f32)
-                .unwrap_or(0.0),
-            None => 0.0,
-        };
-        let entry = self
-            .series
-            .entry((neuron.gate_id, neuron.neuron))
-            .or_default();
-        entry.full_precision.push(fp);
-        entry.binarized.push(bnn);
-        Ok(fp)
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
+        let binary_gate = self.mirror.gate(call.gate_id);
+        let wh = call.gate.wh();
+        evaluate_neurons(call, out, |id, x, h_prev, fwd| {
+            let fp = fwd + wh.row_dot(id.neuron, h_prev)?;
+            let bnn = binary_gate
+                .and_then(|bg| bg.neuron_output_from_raw(id.neuron, x, h_prev).ok())
+                .map_or(0.0, |v| v as f32);
+            let entry = self.series.entry((id.gate_id, id.neuron)).or_default();
+            entry.full_precision.push(fp);
+            entry.binarized.push(bnn);
+            Ok(fp)
+        })
     }
 }
 

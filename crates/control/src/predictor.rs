@@ -5,7 +5,7 @@ use nfm_bnn::BinaryNetwork;
 use nfm_core::{
     BnnMemoConfig, BnnMemoEvaluator, ControlSnapshot, Model, Predictor, ReuseStats, ServedEvaluator,
 };
-use nfm_rnn::{Gate, GateBatch, NeuronEvaluator, NeuronRef, Result as RnnResult, HOIST_BLOCK};
+use nfm_rnn::{GateBatch, NeuronEvaluator, Result as RnnResult, HOIST_BLOCK};
 use std::sync::Arc;
 
 /// An online-adaptive memoization policy as a [`Predictor`].
@@ -155,18 +155,6 @@ impl AdaptiveEvaluator {
 }
 
 impl NeuronEvaluator for AdaptiveEvaluator {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> RnnResult<f32> {
-        // Per-neuron drivers have no gate-call cadence; they sync at
-        // sequence boundaries only.
-        self.inner.evaluate(neuron, gate, x, h_prev)
-    }
-
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
         let id = call.gate_id;
         let block = (id.layer, id.direction, call.timestep / HOIST_BLOCK);
@@ -175,10 +163,6 @@ impl NeuronEvaluator for AdaptiveEvaluator {
             self.flush();
         }
         self.inner.evaluate_gate_batch(call, out)
-    }
-
-    fn supports_input_hoisting(&self) -> bool {
-        self.inner.supports_input_hoisting()
     }
 
     fn begin_batch(&mut self, lanes: usize) {
@@ -214,6 +198,7 @@ impl ServedEvaluator for AdaptiveEvaluator {
 mod tests {
     use super::*;
     use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator};
+    use nfm_tensor::kernels::matvec_into;
     use nfm_tensor::rng::DeterministicRng;
     use nfm_tensor::Vector;
 
@@ -317,6 +302,8 @@ mod tests {
                     }
                     let xs = input(gate.input_size(), layer, t);
                     let h_prevs = input(gate.hidden_size(), layer + 1, t);
+                    let mut fwd = vec![0.0; gate.neurons()];
+                    matvec_into(gate.wx(), &xs, &mut fwd).unwrap();
                     let call = GateBatch {
                         gate_id: id,
                         timestep: t,
@@ -324,7 +311,7 @@ mod tests {
                         gate,
                         xs: &xs,
                         h_prevs: &h_prevs,
-                        fwd: None,
+                        fwd: &fwd,
                     };
                     let mut out = vec![0.0; gate.neurons()];
                     evaluator.evaluate_gate_batch(&call, &mut out).unwrap();

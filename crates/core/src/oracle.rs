@@ -4,9 +4,7 @@ use crate::config::OracleMemoConfig;
 use crate::lanes::MemoLanes;
 use crate::stats::ReuseStats;
 use crate::table::MemoTable;
-use nfm_rnn::{
-    DeepRnn, ExactEvaluator, Gate, GateBatch, NeuronEvaluator, NeuronRef, Result as RnnResult,
-};
+use nfm_rnn::{ExactEvaluator, GateBatch, NeuronEvaluator, Result as RnnResult};
 use nfm_tensor::vector::relative_difference;
 
 /// A [`NeuronEvaluator`] implementing the oracle memoization scheme of
@@ -19,15 +17,14 @@ use nfm_tensor::vector::relative_difference;
 /// returns the *cached* value, so the accuracy impact of oracle-guided
 /// memoization is faithfully propagated through the network.
 /// Every lane owns a separate [`MemoTable`] and may carry its own `θ`
-/// (see [`MemoLanes`]): the oracle's gate entry computes all lanes'
-/// true outputs with the exact evaluator's kernel, then walks
-/// each lane's own table at the lane's `θ`; the per-neuron `evaluate`
-/// is the bit-identical reference and uses one shared
-/// [`table`](Self::table) at the configured `θ`.
+/// (see [`MemoLanes`]): the gate entry computes all lanes' true outputs
+/// with the exact evaluator's kernel, then walks each lane's own table
+/// at the lane's `θ`.  The rule is checked against the independent
+/// memoized reference (`nfm_eval::reference::MemoReference`,
+/// `tests/memo_reference.rs`) after every gate call.
 #[derive(Debug, Clone)]
 pub struct OracleEvaluator {
     config: OracleMemoConfig,
-    table: MemoTable,
     stats: ReuseStats,
     // Per-lane state of the gate entry: table, statistics (so a serving
     // engine can attribute reuse to the request occupying each lane;
@@ -36,23 +33,11 @@ pub struct OracleEvaluator {
 }
 
 impl OracleEvaluator {
-    /// Creates an oracle evaluator with the given configuration; the
-    /// memo table lays out gate regions on first touch.
+    /// Creates an oracle evaluator with the given configuration; each
+    /// lane's memo table lays out gate regions on first touch.
     pub fn new(config: OracleMemoConfig) -> Self {
         OracleEvaluator {
             config,
-            table: MemoTable::new(),
-            stats: ReuseStats::new(),
-            lanes: MemoLanes::default(),
-        }
-    }
-
-    /// Creates an oracle evaluator with the memo table pre-laid-out for
-    /// `network`, so the hot path never appends to the buffer.
-    pub fn for_network(network: &DeepRnn, config: OracleMemoConfig) -> Self {
-        OracleEvaluator {
-            config,
-            table: MemoTable::for_network(network),
             stats: ReuseStats::new(),
             lanes: MemoLanes::default(),
         }
@@ -68,13 +53,7 @@ impl OracleEvaluator {
         self.config
     }
 
-    /// Borrow the per-neuron reference path's memoization table
-    /// (diagnostics only; the gate entry uses [`lanes`](Self::lanes)).
-    pub fn table(&self) -> &MemoTable {
-        &self.table
-    }
-
-    /// The gate entry's per-lane state: tables and the statistics each
+    /// The per-lane state: tables and the statistics each
     /// lane accumulated since its last `begin_lane_sequence` (empty
     /// until a run sized it).  The aggregate [`stats`](Self::stats)
     /// includes everything recorded there.
@@ -84,38 +63,11 @@ impl OracleEvaluator {
 }
 
 impl NeuronEvaluator for OracleEvaluator {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> RnnResult<f32> {
-        // The oracle always knows the true output.
-        let y_t = gate.neuron_dot(neuron.neuron, x, h_prev)?;
-        if let Some(entry) = self.table.get(neuron.gate_id, neuron.neuron) {
-            let delta = relative_difference(y_t, entry.cached_output, self.config.epsilon);
-            if delta <= self.config.threshold {
-                self.stats.record_reused();
-                let cached = self
-                    .table
-                    .record_reuse(neuron.gate_id, neuron.neuron, delta);
-                return Ok(cached);
-            }
-        }
-        self.stats.record_computed();
-        // The oracle does not use a BNN; store the output itself in the
-        // BNN slot so the entry layout stays uniform.
-        self.table.refresh(neuron.gate_id, neuron.neuron, y_t, y_t);
-        Ok(y_t)
-    }
-
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
         let (gate, lanes) = (call.gate, call.lanes);
         // The oracle always knows the true outputs: the exact path's
         // kernel computes every lane's — the recurrent half added onto
-        // the hoisted input projections (bit-identical per lane to
-        // per-neuron dots).
+        // the hoisted input projections.
         ExactEvaluator::new().evaluate_gate_batch(call, out)?;
         assert!(
             self.lanes.len() >= lanes,
@@ -151,19 +103,11 @@ impl NeuronEvaluator for OracleEvaluator {
         Ok(())
     }
 
-    fn supports_input_hoisting(&self) -> bool {
-        true
-    }
-
     fn begin_batch(&mut self, lanes: usize) {
         self.lanes.grow(lanes, MemoTable::new);
     }
 
     fn begin_lane_sequence(&mut self, lane: usize) {
-        // Keep the reference table cold too: a wrapper may route
-        // evaluation through the per-neuron path, which reads and
-        // writes `self.table` (see the BnnMemoEvaluator note).
-        self.table.clear();
         self.lanes.begin(lane);
     }
 

@@ -2,13 +2,11 @@
 
 use crate::audit::{AuditConfig, AuditStats};
 use crate::config::BnnMemoConfig;
-use crate::lanes::{AuditPhase, MemoLanes};
+use crate::lanes::MemoLanes;
 use crate::stats::ReuseStats;
 use crate::table::MemoTable;
-use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector};
-use nfm_rnn::{
-    ExactEvaluator, Gate, GateBatch, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult,
-};
+use nfm_bnn::{BinaryGate, BinaryNetwork};
+use nfm_rnn::{ExactEvaluator, Gate, GateBatch, GateId, NeuronEvaluator, Result as RnnResult};
 use nfm_tensor::vector::relative_difference;
 use std::sync::Arc;
 
@@ -26,15 +24,14 @@ use std::sync::Arc;
 ///    evaluated exactly and the memoization entry is refreshed
 ///    (Equations 14–17).
 ///
-/// The decision exists twice, contractually bit-identical: the
-/// per-neuron [`NeuronEvaluator::evaluate`] (the paper's boundary and
-/// the reference the equivalence suites pin the fused path against,
-/// with one shared [`table`](Self::table)), and the gate entry
-/// [`NeuronEvaluator::evaluate_gate_batch`] every driver runs.  The
-/// gate entry takes the hoisted input projections
-/// ([`supports_input_hoisting`](NeuronEvaluator::supports_input_hoisting)
-/// is `true`) and is three data-parallel passes over one gate call, all
-/// on evaluator-owned buffers (steady state allocates nothing):
+/// The decision is written once, in the gate entry
+/// [`NeuronEvaluator::evaluate_gate_batch`] every driver runs, and is
+/// checked against the independent memoized reference
+/// (`nfm_eval::reference::MemoReference`, `tests/memo_reference.rs`):
+/// every decision, memo entry and counter after every gate call.  The
+/// entry takes the hoisted input projections and is three data-parallel
+/// passes over one gate call, all on evaluator-owned buffers (steady
+/// state allocates nothing):
 /// **predict** — every lane's inputs are sign-packed exactly once into
 /// one buffer and the mirror gate's sign block is evaluated against all
 /// of them in one dispatched XNOR-popcount call; **compute** — the
@@ -65,12 +62,7 @@ pub struct BnnMemoEvaluator {
     // threshold variant) consults one prebuilt copy.
     mirror: Arc<BinaryNetwork>,
     config: BnnMemoConfig,
-    table: MemoTable,
     stats: ReuseStats,
-    // Binarized inputs are shared by every neuron of the same gate at the
-    // same timestep; cache them to binarize once per gate invocation,
-    // mirroring the FMU's single concatenated input vector.
-    input_cache: Option<InputCache>,
     // Whole-gate mirror outputs for every lane, filled by one
     // dispatched XNOR-popcount call per gate invocation.
     yb: Vec<i32>,
@@ -95,10 +87,6 @@ pub struct BnnMemoEvaluator {
     // Deterministic 1-in-N audit sampling of memo hits (None = off).
     audit: Option<AuditSampler>,
     audit_stats: AuditStats,
-    // Audit sampling phase of the per-neuron reference path; the gate
-    // entry keeps one per lane (so a lane's audit sequence does not
-    // depend on its neighbours).
-    audit_phase: AuditPhase,
 }
 
 /// Precomputed audit selection: a gate's hit number `c` of the sequence
@@ -116,32 +104,21 @@ impl AuditSampler {
     }
 }
 
-#[derive(Debug, Clone)]
-struct InputCache {
-    gate_id: GateId,
-    timestep: usize,
-    xb: BitVector,
-    hb: BitVector,
-}
-
 impl BnnMemoEvaluator {
     /// Creates an evaluator from the binary mirror of the network it will
-    /// run and a configuration.  The memo table is laid out up front from
-    /// the mirror's gate shapes (the paper's dense FMU buffer).
+    /// run and a configuration.  Each lane's memo table is laid out from
+    /// the mirror's gate shapes (the paper's dense FMU buffer) when a
+    /// run sizes the lanes.
     ///
     /// The mirror is taken as (anything convertible into) an
     /// `Arc<BinaryNetwork>`: build it once per model and share the
     /// `Arc` across evaluators — cloning a prebuilt mirror per worker
     /// would scale memory with `workers × mirror size` for no benefit.
     pub fn new(mirror: impl Into<Arc<BinaryNetwork>>, config: BnnMemoConfig) -> Self {
-        let mirror = mirror.into();
-        let table = MemoTable::with_gates(mirror.iter().map(|(id, g)| (*id, g.neurons())));
         BnnMemoEvaluator {
-            mirror,
+            mirror: mirror.into(),
             config,
-            table,
             stats: ReuseStats::new(),
-            input_cache: None,
             yb: Vec::new(),
             packed: Vec::new(),
             lanes: MemoLanes::default(),
@@ -150,7 +127,6 @@ impl BnnMemoEvaluator {
             layer_thresholds: Vec::new(),
             audit: None,
             audit_stats: AuditStats::new(),
-            audit_phase: AuditPhase::default(),
         }
     }
 
@@ -213,13 +189,7 @@ impl BnnMemoEvaluator {
         self.config
     }
 
-    /// Borrow the per-neuron reference path's memoization table
-    /// (diagnostics only; the gate entry uses [`lanes`](Self::lanes)).
-    pub fn table(&self) -> &MemoTable {
-        &self.table
-    }
-
-    /// The gate entry's per-lane state: tables and the statistics each
+    /// The per-lane state: tables and the statistics each
     /// lane accumulated since its last `begin_lane_sequence` (empty
     /// until a run sized it via `begin_batch`).  The aggregate
     /// [`stats`](Self::stats) includes everything recorded there.
@@ -251,38 +221,6 @@ impl BnnMemoEvaluator {
             }
         }
     }
-
-    /// Ensures the input cache holds this `(gate, timestep)`'s binarized
-    /// inputs.  Callers then borrow them from `self.input_cache` — no
-    /// clones (the cached bitvectors used to be cloned per neuron, which
-    /// dominated the per-neuron path's cost).
-    fn ensure_binarized_inputs(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        x: &[f32],
-        h_prev: &[f32],
-    ) {
-        let hit = self
-            .input_cache
-            .as_ref()
-            .map(|c| c.gate_id == gate_id && c.timestep == timestep)
-            .unwrap_or(false);
-        if !hit {
-            // Reuse the cache's storage when present.
-            let mut cache = self.input_cache.take().unwrap_or(InputCache {
-                gate_id,
-                timestep,
-                xb: BitVector::zeros(0),
-                hb: BitVector::zeros(0),
-            });
-            cache.gate_id = gate_id;
-            cache.timestep = timestep;
-            cache.xb.fill_from_signs(x);
-            cache.hb.fill_from_signs(h_prev);
-            self.input_cache = Some(cache);
-        }
-    }
 }
 
 /// The mirror of `gate`, if `mirror` holds one of exactly its shape.  A
@@ -306,13 +244,11 @@ fn keep_if(keep: bool, old: f32, new: f32) -> f32 {
     f32::from_bits(new.to_bits() ^ ((new.to_bits() ^ old.to_bits()) & mask))
 }
 
-/// The memo decision of one lane over one gate, as one branch-free loop
-/// over the gate's table columns.  It runs the same IEEE operations in
-/// the same order as the per-neuron path — `εb =
+/// The memo decision of one lane over one gate (Equations 12–17), as one
+/// branch-free loop over the gate's table columns: `εb =
 /// relative_difference(yb_t, yb_m)`, `δb' = δb + εb` (or `εb` without
 /// throttling), hit iff the slot is live and `δb' <= θ`, so a NaN
-/// anywhere compares false and misses — which makes every decision
-/// bit-identical to it.  A hit keeps `δb'` and extends its run and emits
+/// anywhere compares false and misses.  A hit keeps `δb'` and extends its run and emits
 /// `y_m`; a miss emits the exact `y_t` and is refreshed on the spot
 /// (`y_m = y_t`, `yb_m = yb_t`, `δb = 0`, run 0, slot live).  `miss`
 /// receives the complement of the decision; returns the number of hits
@@ -366,67 +302,6 @@ fn decide_lane(
 }
 
 impl NeuronEvaluator for BnnMemoEvaluator {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> RnnResult<f32> {
-        if usable_mirror(&self.mirror, neuron.gate_id, gate).is_none() {
-            self.stats.record_computed();
-            return gate.neuron_dot(neuron.neuron, x, h_prev);
-        }
-
-        // Step 1: evaluate the binarized neuron (always done).  The
-        // cached input bitvectors are borrowed, never cloned.
-        self.ensure_binarized_inputs(neuron.gate_id, neuron.timestep, x, h_prev);
-        let cache = self.input_cache.as_ref().expect("just populated");
-        let binary_gate = self.mirror.gate(neuron.gate_id).expect("checked above");
-        let yb_t = binary_gate
-            .neuron_output(neuron.neuron, &cache.xb, &cache.hb)
-            .expect("the mirror has the gate's shape, the cache its inputs")
-            as f32;
-        self.stats.record_bnn_evaluation();
-
-        // Step 2/3: compare with the cached BNN output, accumulating over
-        // consecutive reuses when throttling is enabled.
-        if let Some(entry) = self.table.get(neuron.gate_id, neuron.neuron) {
-            let eps_t = relative_difference(yb_t, entry.cached_bnn_output, self.config.epsilon);
-            let delta_t = if self.config.throttle {
-                entry.accumulated_delta + eps_t
-            } else {
-                eps_t
-            };
-            if delta_t <= self.threshold_for(neuron.gate_id.layer) {
-                self.stats.record_reused();
-                let cached = self
-                    .table
-                    .record_reuse(neuron.gate_id, neuron.neuron, delta_t);
-                if let Some(sampler) = self.audit {
-                    let layer = neuron.gate_id.layer;
-                    self.audit_stats.record_hit(layer);
-                    if sampler.due(self.audit_phase.count_hit(neuron.gate_id)) {
-                        // Audit step: compute the skipped dot product
-                        // anyway to observe the error — but still emit
-                        // the cached value, so outputs are unchanged.
-                        let y_exact = gate.neuron_dot(neuron.neuron, x, h_prev)?;
-                        self.audit_stats
-                            .record_audit(layer, f64::from((y_exact - cached).abs()));
-                        self.stats.record_audited();
-                    }
-                }
-                return Ok(cached);
-            }
-        }
-
-        // Step 4: evaluate in full precision and refresh the entry.
-        let y_t = gate.neuron_dot(neuron.neuron, x, h_prev)?;
-        self.stats.record_computed();
-        self.table.refresh(neuron.gate_id, neuron.neuron, y_t, yb_t);
-        Ok(y_t)
-    }
-
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
         let GateBatch {
             gate_id,
@@ -438,9 +313,7 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         } = *call;
         let nsz = gate.neurons();
         let Some(binary_gate) = usable_mirror(&self.mirror, gate_id, gate) else {
-            // Exact evaluation for every lane (matches the per-neuron
-            // fallback bit for bit: the lane-striped kernels share the
-            // reduction order).
+            // Exact evaluation for every lane.
             ExactEvaluator::new().evaluate_gate_batch(call, out)?;
             self.stats.record_computed_many(out.len() as u64);
             for lane in self.lanes.0.iter_mut().take(lanes) {
@@ -458,8 +331,8 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         // into reused storage, then evaluate the mirror gate's whole sign
         // block for *every* lane in one dispatched XNOR-popcount call:
         // eight rows' words are loaded once and reused across lanes
-        // (block-outer, lane-inner).  Popcounts are integer-exact, so the
-        // lane-striped outputs equal the per-neuron calls bit for bit.
+        // (block-outer, lane-inner).  Popcounts are integer-exact, so
+        // every lane's outputs equal its one-lane call's.
         binary_gate.pack_inputs(xs, h_prevs, lanes, &mut self.packed);
         self.yb.resize(lanes * nsz, 0);
         self.miss.resize(lanes * nsz, 0);
@@ -468,8 +341,7 @@ impl NeuronEvaluator for BnnMemoEvaluator {
 
         // Pass 2 — compute.  Every lane's exact outputs through the exact
         // path's own kernel (the hoisted `W_x·x_t` plus one tiled product
-        // over `W_h`); each value equals `neuron_dot_unchecked` bit for
-        // bit by the kernel contract.
+        // over `W_h`).
         ExactEvaluator::new().evaluate_gate_batch(call, &mut self.y)?;
         // The layer's θ is hoisted once per gate call (adaptive
         // controllers only swap it between whole-gate invocations); a
@@ -517,13 +389,8 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         Ok(())
     }
 
-    fn supports_input_hoisting(&self) -> bool {
-        true
-    }
-
     fn begin_batch(&mut self, lanes: usize) {
-        // Same dense layout as the reference table: the FMU buffer
-        // shape replicated once per lane.
+        // The FMU buffer shape, replicated once per lane.
         let mirror = &self.mirror;
         self.lanes.grow(lanes, || {
             MemoTable::with_gates(mirror.iter().map(|(id, g)| (*id, g.neurons())))
@@ -531,15 +398,6 @@ impl NeuronEvaluator for BnnMemoEvaluator {
     }
 
     fn begin_lane_sequence(&mut self, lane: usize) {
-        // A wrapper may route evaluation through the per-neuron path
-        // (the trait's default lane loop), which uses the shared
-        // reference state — so a lane's fresh sequence must start that
-        // state cold too.  (Under the default loop, lanes > 1 still
-        // share it; per-lane isolation needs the gate-entry override,
-        // as the trait docs spell out.)
-        self.table.clear();
-        self.input_cache = None;
-        self.audit_phase.reset();
         self.lanes.begin(lane);
     }
 

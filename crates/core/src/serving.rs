@@ -271,9 +271,7 @@ impl Predictor for PredictorKind {
     fn build_evaluator(&self, model: &Model) -> Box<dyn ServedEvaluator> {
         match self {
             PredictorKind::Exact => Box::new(ExactEvaluator::new()),
-            PredictorKind::Oracle(config) => {
-                Box::new(OracleEvaluator::for_network(model.network(), *config))
-            }
+            PredictorKind::Oracle(config) => Box::new(OracleEvaluator::new(*config)),
             PredictorKind::Bnn(config) => {
                 Box::new(BnnMemoEvaluator::new(Arc::clone(model.mirror()), *config))
             }

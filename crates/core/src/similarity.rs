@@ -1,6 +1,6 @@
 //! Output-similarity instrumentation (the motivation study of Figure 5).
 
-use nfm_rnn::{Gate, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult};
+use nfm_rnn::{evaluate_neurons, GateBatch, GateId, NeuronEvaluator, Result as RnnResult};
 use nfm_tensor::vector::relative_difference;
 use std::collections::HashMap;
 
@@ -60,21 +60,18 @@ impl SimilarityProbe {
 }
 
 impl NeuronEvaluator for SimilarityProbe {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> RnnResult<f32> {
-        let y_t = gate.neuron_dot(neuron.neuron, x, h_prev)?;
-        let key = (neuron.gate_id, neuron.neuron);
-        if let Some(&prev) = self.previous.get(&key) {
-            self.relative_changes
-                .push(relative_difference(prev, y_t, self.epsilon).min(10.0));
-        }
-        self.previous.insert(key, y_t);
-        Ok(y_t)
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
+        let wh = call.gate.wh();
+        evaluate_neurons(call, out, |id, _, h_prev, fwd| {
+            let y_t = fwd + wh.row_dot(id.neuron, h_prev)?;
+            let key = (id.gate_id, id.neuron);
+            if let Some(&prev) = self.previous.get(&key) {
+                self.relative_changes
+                    .push(relative_difference(prev, y_t, self.epsilon).min(10.0));
+            }
+            self.previous.insert(key, y_t);
+            Ok(y_t)
+        })
     }
 
     fn begin_lane_sequence(&mut self, _lane: usize) {

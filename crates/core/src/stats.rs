@@ -45,13 +45,8 @@ impl ReuseStats {
         self.reuses += n;
     }
 
-    /// Records one binary-network neuron evaluation (the predictor's own
-    /// cost; the BNN is evaluated for every element and neuron).
-    pub fn record_bnn_evaluation(&mut self) {
-        self.bnn_evaluations += 1;
-    }
-
-    /// Records `n` binary-network evaluations at once (batched paths).
+    /// Records `n` binary-network neuron evaluations (the predictor's
+    /// own cost; the BNN is evaluated for every element and neuron).
     pub fn record_bnn_evaluations_many(&mut self, n: u64) {
         self.bnn_evaluations += n;
     }
@@ -130,7 +125,7 @@ mod tests {
         s.record_computed();
         s.record_reused();
         s.record_reused();
-        s.record_bnn_evaluation();
+        s.record_bnn_evaluations_many(1);
         assert_eq!(s.evaluations(), 3);
         assert_eq!(s.reuses(), 2);
         assert_eq!(s.computed(), 1);
@@ -153,7 +148,7 @@ mod tests {
             b.record_reused();
         }
         for _ in 0..5 {
-            b.record_bnn_evaluation();
+            b.record_bnn_evaluations_many(1);
         }
         assert_eq!(a, b);
     }
@@ -166,7 +161,7 @@ mod tests {
         a.record_audited();
         let mut b = ReuseStats::new();
         b.record_reused();
-        b.record_bnn_evaluation();
+        b.record_bnn_evaluations_many(1);
         b.record_audited();
         b.record_audited();
         a.merge(&b);
@@ -191,7 +186,7 @@ mod tests {
     fn reset_clears_everything() {
         let mut s = ReuseStats::new();
         s.record_reused();
-        s.record_bnn_evaluation();
+        s.record_bnn_evaluations_many(1);
         s.reset();
         assert_eq!(s, ReuseStats::default());
     }

@@ -8,16 +8,15 @@
 //! contiguous in every column, so the whole-gate passes of
 //! [`BnnMemoEvaluator`](crate::BnnMemoEvaluator) take the gate's column
 //! slices once ([`MemoTable::gate_columns`]) and run plain slice loops
-//! over them, while the scalar API performs no hashing: a lookup is two
-//! array indexes (`gate_map[GateId::dense_index()]` → block offset →
-//! slot).
+//! over them, while the per-neuron handle API performs no hashing: a
+//! lookup is two array indexes (`gate_map[GateId::dense_index()]` →
+//! block offset → slot).
 //!
 //! Sequence boundaries are handled with an epoch counter instead of
 //! clearing storage: [`MemoTable::clear`] bumps the epoch, instantly
 //! invalidating every entry.
 
 use nfm_rnn::{DeepRnn, GateId};
-use std::ops::Range;
 
 /// Per-neuron memoization state.
 ///
@@ -41,30 +40,11 @@ pub struct MemoEntry {
     pub consecutive_reuses: u32,
 }
 
-impl MemoEntry {
-    /// Creates a fresh entry right after a full-precision evaluation
-    /// (Equations 15–17: `y_m = y_t`, `yb_m = yb_t`, `δb = 0`).
-    pub fn fresh(output: f32, bnn_output: f32) -> Self {
-        MemoEntry {
-            cached_output: output,
-            cached_bnn_output: bnn_output,
-            accumulated_delta: 0.0,
-            consecutive_reuses: 0,
-        }
-    }
-}
-
 /// Contiguous region of every column owned by one gate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Block {
     offset: u32,
     len: u32,
-}
-
-impl Block {
-    fn range(self) -> Range<usize> {
-        self.offset as usize..(self.offset + self.len) as usize
-    }
 }
 
 /// Opaque handle to a gate's block, resolved once per gate invocation so
@@ -141,14 +121,6 @@ impl Default for MemoTable {
     }
 }
 
-/// Appends a block of `len` slots to one column: a copy of the `carry`
-/// region first (empty for a new gate), zeros after it.
-fn append_block<T: Copy + Default>(column: &mut Vec<T>, carry: Range<usize>, len: usize) {
-    let end = column.len() + len;
-    column.extend_from_within(carry);
-    column.resize(end, T::default());
-}
-
 impl MemoTable {
     /// Creates an empty table; gate regions are laid out on first touch
     /// (each gate's neuron count becomes known when it is first
@@ -188,46 +160,41 @@ impl MemoTable {
         !self.epochs.contains(&self.epoch)
     }
 
-    /// Resolves (allocating if needed) the block of `gate`, sized for at
-    /// least `neurons` entries.  Call once per gate invocation; the
-    /// returned handle makes every per-neuron access O(1) indexing.
+    /// Resolves (laying out if needed) the block of `gate`, sized for
+    /// `neurons` entries.  Call once per gate invocation; the returned
+    /// handle makes every per-neuron access O(1) indexing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` was laid out for fewer than `neurons` entries: a
+    /// gate's shape never changes.
     pub fn gate_handle(&mut self, gate: GateId, neurons: usize) -> GateHandle {
         let dense = gate.dense_index();
         if dense >= self.gate_map.len() {
             self.gate_map.resize(dense + 1, NO_BLOCK);
         }
-        let mut block_idx = self.gate_map[dense];
-        // A new gate gets a fresh block.  A gate that grew past its
-        // region (only possible through the keyed convenience API) is
-        // relocated to the end, keeping its live entries.
-        let (carry, len) = if block_idx == NO_BLOCK {
-            (0..0, neurons)
-        } else {
-            let old = self.blocks[block_idx as usize];
-            if old.len as usize >= neurons {
-                return GateHandle(block_idx);
-            }
-            (old.range(), neurons.max(old.len as usize * 2))
-        };
-        let block = Block {
-            offset: self.epochs.len() as u32,
-            len: len as u32,
-        };
-        append_block(&mut self.cached_output, carry.clone(), len);
-        append_block(&mut self.cached_bnn_output, carry.clone(), len);
-        append_block(&mut self.accumulated_delta, carry.clone(), len);
-        append_block(&mut self.consecutive_reuses, carry.clone(), len);
-        append_block(&mut self.epochs, carry.clone(), len);
-        // Kill the abandoned region so stale entries cannot resurface.
-        self.epochs[carry].fill(0);
-        if block_idx == NO_BLOCK {
-            block_idx = self.blocks.len() as u32;
-            self.blocks.push(block);
-            self.gate_map[dense] = block_idx;
-        } else {
-            self.blocks[block_idx as usize] = block;
+        let block_idx = self.gate_map[dense];
+        if block_idx != NO_BLOCK {
+            let len = self.blocks[block_idx as usize].len as usize;
+            assert!(
+                len >= neurons,
+                "{gate:?} was laid out for {len} neurons, not {neurons}"
+            );
+            return GateHandle(block_idx);
         }
-        GateHandle(block_idx)
+        let offset = self.epochs.len();
+        let end = offset + neurons;
+        self.cached_output.resize(end, 0.0);
+        self.cached_bnn_output.resize(end, 0.0);
+        self.accumulated_delta.resize(end, 0.0);
+        self.consecutive_reuses.resize(end, 0);
+        self.epochs.resize(end, 0);
+        self.blocks.push(Block {
+            offset: offset as u32,
+            len: neurons as u32,
+        });
+        self.gate_map[dense] = self.blocks.len() as u32 - 1;
+        GateHandle(self.gate_map[dense])
     }
 
     /// Hands out the first `neurons` slots of `gate`'s block as column
@@ -301,46 +268,14 @@ impl MemoTable {
         self.cached_output[idx]
     }
 
-    fn lookup_handle(&self, gate: GateId) -> Option<GateHandle> {
-        let dense = gate.dense_index();
-        let block_idx = *self.gate_map.get(dense)?;
-        (block_idx != NO_BLOCK).then_some(GateHandle(block_idx))
-    }
-
-    /// Looks up the entry for a neuron (keyed convenience API; the hot
-    /// path resolves a [`GateHandle`] once per gate instead).
+    /// Looks up the live entry for a neuron by gate (diagnostics; the
+    /// hot path resolves a [`GateHandle`] once per gate instead).
     pub fn get(&self, gate: GateId, neuron: usize) -> Option<MemoEntry> {
-        let handle = self.lookup_handle(gate)?;
-        if neuron >= self.blocks[handle.0 as usize].len as usize {
+        let block_idx = *self.gate_map.get(gate.dense_index())?;
+        if block_idx == NO_BLOCK || neuron >= self.blocks[block_idx as usize].len as usize {
             return None;
         }
-        self.entry(handle, neuron)
-    }
-
-    /// Replaces a neuron's entry after a full-precision evaluation
-    /// (keyed convenience API).
-    pub fn refresh(&mut self, gate: GateId, neuron: usize, output: f32, bnn_output: f32) {
-        let handle = self.gate_handle(gate, neuron + 1);
-        self.refresh_at(handle, neuron, output, bnn_output);
-    }
-
-    /// Marks a reuse of a neuron's entry (keyed convenience API).
-    ///
-    /// Returns the cached full-precision output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the neuron has no entry; callers must only record a
-    /// reuse after [`MemoTable::get`] returned `Some`.
-    pub fn record_reuse(&mut self, gate: GateId, neuron: usize, new_delta: f32) -> f32 {
-        let handle = self
-            .lookup_handle(gate)
-            .expect("reuse recorded for a neuron with no memo entry");
-        assert!(
-            neuron < self.blocks[handle.0 as usize].len as usize,
-            "reuse recorded for a neuron with no memo entry"
-        );
-        self.reuse_at(handle, neuron, new_delta)
+        self.entry(GateHandle(block_idx), neuron)
     }
 
     /// Longest run of consecutive reuses observed for any neuron since
@@ -360,13 +295,6 @@ impl MemoTable {
         }
         self.max_consecutive_reuses = 0;
     }
-
-    /// Approximate size of the buffer in bytes, assuming the hardware
-    /// layout of Table 2: a 16-bit cached output, a 16-bit cached BNN
-    /// output and a 16-bit fixed-point accumulated delta per neuron.
-    pub fn hardware_bytes(&self) -> usize {
-        self.len() * 6
-    }
 }
 
 #[cfg(test)]
@@ -379,171 +307,25 @@ mod tests {
     }
 
     #[test]
-    fn fresh_entry_has_zero_delta() {
-        let e = MemoEntry::fresh(1.5, 12.0);
-        assert_eq!(e.cached_output, 1.5);
-        assert_eq!(e.cached_bnn_output, 12.0);
-        assert_eq!(e.accumulated_delta, 0.0);
-        assert_eq!(e.consecutive_reuses, 0);
-    }
-
-    #[test]
-    fn refresh_and_get_roundtrip() {
-        let mut t = MemoTable::new();
-        assert!(t.is_empty());
-        assert!(t.get(gid(), 3).is_none());
-        t.refresh(gid(), 3, 2.0, 5.0);
-        assert_eq!(t.len(), 1);
-        let e = t.get(gid(), 3).unwrap();
-        assert_eq!(e.cached_output, 2.0);
-        assert_eq!(e.cached_bnn_output, 5.0);
-        // Unwritten neurons of the same gate remain absent.
-        assert!(t.get(gid(), 0).is_none());
-        assert!(t.get(gid(), 9).is_none());
-    }
-
-    #[test]
-    fn record_reuse_updates_delta_and_counts() {
-        let mut t = MemoTable::new();
-        t.refresh(gid(), 0, 1.0, 4.0);
-        let y = t.record_reuse(gid(), 0, 0.2);
-        assert_eq!(y, 1.0);
-        let y = t.record_reuse(gid(), 0, 0.35);
-        assert_eq!(y, 1.0);
-        let e = t.get(gid(), 0).unwrap();
-        assert_eq!(e.consecutive_reuses, 2);
-        assert!((e.accumulated_delta - 0.35).abs() < 1e-6);
-        assert_eq!(t.max_consecutive_reuses(), 2);
-        // A refresh resets the run length.
-        t.refresh(gid(), 0, 9.0, 9.0);
-        assert_eq!(t.get(gid(), 0).unwrap().consecutive_reuses, 0);
-        assert_eq!(t.max_consecutive_reuses(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "no memo entry")]
-    fn reuse_without_entry_panics() {
-        let mut t = MemoTable::new();
-        let _ = t.record_reuse(gid(), 7, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no memo entry")]
-    fn reuse_after_clear_panics() {
-        let mut t = MemoTable::new();
-        t.refresh(gid(), 0, 1.0, 1.0);
-        t.clear();
-        let _ = t.record_reuse(gid(), 0, 0.0);
-    }
-
-    #[test]
-    fn clear_empties_the_table() {
-        let mut t = MemoTable::new();
-        t.refresh(gid(), 0, 1.0, 1.0);
-        t.record_reuse(gid(), 0, 0.1);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.max_consecutive_reuses(), 0);
-        assert!(t.get(gid(), 0).is_none());
-        // The storage survives the clear and is reused.
-        t.refresh(gid(), 0, 2.0, 2.0);
-        assert_eq!(t.get(gid(), 0).unwrap().cached_output, 2.0);
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn hardware_bytes_scale_with_entries() {
-        let mut t = MemoTable::new();
-        assert_eq!(t.hardware_bytes(), 0);
-        for n in 0..10 {
-            t.refresh(gid(), n, 0.0, 0.0);
-        }
-        assert_eq!(t.hardware_bytes(), 60);
-    }
-
-    #[test]
-    fn entries_are_independent_per_neuron_and_gate() {
-        let mut t = MemoTable::new();
-        let other_gate = GateId::new(1, 0, GateKind::Forget);
-        t.refresh(gid(), 0, 1.0, 1.0);
-        t.refresh(other_gate, 0, 2.0, 2.0);
-        t.record_reuse(gid(), 0, 0.5);
-        assert_eq!(t.get(other_gate, 0).unwrap().accumulated_delta, 0.0);
-        assert_eq!(t.get(gid(), 0).unwrap().accumulated_delta, 0.5);
-    }
-
-    #[test]
-    fn handles_make_lookups_o1_and_match_keyed_api() {
-        let mut t = MemoTable::with_gates([(gid(), 8)]);
-        let h = t.gate_handle(gid(), 8);
-        assert!(t.entry(h, 3).is_none());
-        t.refresh_at(h, 3, 1.5, -2.0);
-        assert_eq!(t.get(gid(), 3).unwrap().cached_output, 1.5);
-        assert_eq!(t.entry(h, 3).unwrap().cached_bnn_output, -2.0);
-        assert_eq!(t.reuse_at(h, 3, 0.25), 1.5);
-        assert_eq!(t.get(gid(), 3).unwrap().consecutive_reuses, 1);
-    }
-
-    #[test]
-    fn gate_columns_are_the_slots_the_scalar_api_reads() {
-        let other = GateId::new(1, 0, GateKind::Forget);
-        let mut t = MemoTable::with_gates([(other, 3), (gid(), 5)]);
-        let h = t.gate_handle(gid(), 5);
-        t.refresh_at(h, 1, 1.5, -2.0);
-        t.reuse_at(h, 1, 0.25);
-        let cols = t.gate_columns(gid(), 5);
-        assert_eq!(cols.cached_output.len(), 5);
-        assert_eq!(cols.cached_output[1], 1.5);
-        assert_eq!(cols.cached_bnn_output[1], -2.0);
-        assert_eq!(cols.accumulated_delta[1], 0.25);
-        assert_eq!(cols.consecutive_reuses[1], 1);
-        assert_eq!(cols.epochs[1], cols.epoch);
-        assert_ne!(cols.epochs[3], cols.epoch, "never written: dead");
-        // A whole-gate pass revives slot 3 and extends a run.
-        cols.cached_output[3] = 7.0;
-        cols.consecutive_reuses[3] = 4;
-        cols.epochs[3] = cols.epoch;
-        *cols.max_consecutive_reuses = 4;
-        assert_eq!(t.entry(h, 3).unwrap().cached_output, 7.0);
-        assert_eq!(t.entry(h, 3).unwrap().consecutive_reuses, 4);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.max_consecutive_reuses(), 4);
-        assert!(
-            t.get(other, 0).is_none(),
-            "the neighbouring gate is untouched"
-        );
-    }
-
-    #[test]
-    fn block_relocation_preserves_live_entries() {
-        let mut t = MemoTable::new();
-        t.refresh(gid(), 0, 1.0, 1.0);
-        // Force the gate block to grow well past its initial size.
-        t.refresh(gid(), 30, 3.0, 3.0);
-        assert_eq!(t.get(gid(), 0).unwrap().cached_output, 1.0);
-        assert_eq!(t.get(gid(), 30).unwrap().cached_output, 3.0);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
     fn epoch_wraparound_resets_slots() {
-        let mut t = MemoTable::new();
-        t.refresh(gid(), 0, 1.0, 1.0);
+        let mut t = MemoTable::with_gates([(gid(), 1)]);
+        let h = t.gate_handle(gid(), 1);
+        t.refresh_at(h, 0, 1.0, 1.0);
         // Force the wrap path.
         t.epoch = u32::MAX - 1;
         t.clear(); // -> u32::MAX
-        t.refresh(gid(), 0, 2.0, 2.0);
+        t.refresh_at(h, 0, 2.0, 2.0);
         t.clear(); // wraps: full slot reset
-        assert!(t.get(gid(), 0).is_none());
-        t.refresh(gid(), 0, 3.0, 3.0);
-        assert_eq!(t.get(gid(), 0).unwrap().cached_output, 3.0);
+        assert!(t.entry(h, 0).is_none());
+        t.refresh_at(h, 0, 3.0, 3.0);
+        assert_eq!(t.entry(h, 0).unwrap().cached_output, 3.0);
     }
 
     #[test]
     fn epoch_wraparound_keeps_counters_and_liveness_consistent() {
-        // Around the wrap, live counts, hardware bytes and the
-        // max-consecutive-reuse watermark must behave exactly like an
-        // ordinary clear: no entry may survive and no counter may leak.
+        // Around the wrap, live counts and the max-consecutive-reuse
+        // watermark must behave exactly like an ordinary clear: no entry
+        // may survive and no counter may leak.
         let mut t = MemoTable::with_gates([(gid(), 4)]);
         t.epoch = u32::MAX;
         let h = t.gate_handle(gid(), 4);
@@ -556,7 +338,6 @@ mod tests {
         t.clear(); // wraps u32::MAX -> 1 with a full slot sweep
         assert_eq!(t.epoch, 1, "wrap restarts the epoch at 1");
         assert!(t.is_empty());
-        assert_eq!(t.hardware_bytes(), 0);
         assert_eq!(t.max_consecutive_reuses(), 0);
         for n in 0..4 {
             assert!(t.entry(h, n).is_none(), "slot {n} must be dead after wrap");
@@ -568,73 +349,5 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.entry(h, 1).unwrap().cached_output, 9.0);
         assert!(t.entry(h, 0).is_none());
-    }
-
-    #[test]
-    fn gate_handle_stays_valid_across_clear_cycles() {
-        // The hot path resolves a GateHandle once per gate invocation;
-        // the batched runner additionally reuses per-lane tables across
-        // waves, so a handle resolved before clear() must keep
-        // addressing the same block afterwards.
-        let mut t = MemoTable::with_gates([(gid(), 8)]);
-        let h = t.gate_handle(gid(), 8);
-        for cycle in 0..5 {
-            assert!(t.is_empty(), "cycle {cycle} starts cold");
-            for n in 0..8 {
-                assert!(t.entry(h, n).is_none(), "cycle {cycle} slot {n}");
-            }
-            t.refresh_at(h, cycle, cycle as f32, -(cycle as f32));
-            assert_eq!(t.entry(h, cycle).unwrap().cached_output, cycle as f32);
-            assert_eq!(t.reuse_at(h, cycle, 0.2), cycle as f32);
-            // Re-resolving yields the same block: no relocation, no new
-            // storage.
-            let resolved = t.gate_handle(gid(), 8);
-            assert_eq!(resolved, h);
-            assert_eq!(t.len(), 1);
-            t.clear();
-        }
-    }
-
-    #[test]
-    fn interleaved_insert_and_lookup_on_freshly_cleared_table() {
-        let other = GateId::new(2, 1, GateKind::Reset);
-        let mut t = MemoTable::with_gates([(gid(), 4), (other, 4)]);
-        let h0 = t.gate_handle(gid(), 4);
-        let h1 = t.gate_handle(other, 4);
-        // Warm both gates, then clear.
-        for n in 0..4 {
-            t.refresh_at(h0, n, 1.0, 1.0);
-            t.refresh_at(h1, n, 2.0, 2.0);
-        }
-        t.clear();
-        // Interleave inserts and lookups: a lookup of a not-yet-refreshed
-        // neuron must miss even though the same slot was live last epoch,
-        // while freshly inserted neighbors hit.
-        assert!(t.entry(h0, 0).is_none());
-        t.refresh_at(h0, 0, 10.0, 10.0);
-        assert!(t.entry(h0, 1).is_none(), "stale neighbor must stay dead");
-        assert_eq!(t.entry(h0, 0).unwrap().cached_output, 10.0);
-        assert!(t.entry(h1, 0).is_none(), "other gate untouched this epoch");
-        t.refresh_at(h1, 3, 30.0, 30.0);
-        assert_eq!(t.entry(h1, 3).unwrap().cached_output, 30.0);
-        assert!(t.entry(h1, 2).is_none());
-        assert_eq!(t.len(), 2);
-        // Reuse immediately after an interleaved insert sees the fresh
-        // entry, not the pre-clear one.
-        assert_eq!(t.reuse_at(h0, 0, 0.5), 10.0);
-        assert_eq!(t.entry(h0, 0).unwrap().consecutive_reuses, 1);
-        assert_eq!(t.entry(h0, 0).unwrap().accumulated_delta, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "no memo entry")]
-    fn reuse_of_stale_epoch_entry_panics_after_clear() {
-        let mut t = MemoTable::with_gates([(gid(), 2)]);
-        let h = t.gate_handle(gid(), 2);
-        t.refresh_at(h, 1, 1.0, 1.0);
-        t.clear();
-        // The slot still physically holds last epoch's entry; reusing it
-        // without a refresh must be rejected loudly.
-        let _ = t.reuse_at(h, 1, 0.0);
     }
 }

@@ -12,7 +12,7 @@ use crate::harness::{EvalConfig, NetworkRun};
 use crate::report::{ExperimentReport, Series, TableReport};
 use nfm_core::config::DEFAULT_EPSILON;
 use nfm_core::ReuseStats;
-use nfm_rnn::{Gate, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult};
+use nfm_rnn::{evaluate_neurons, GateBatch, GateId, NeuronEvaluator, Result as RnnResult};
 use nfm_tensor::Vector;
 use std::collections::HashMap;
 
@@ -40,39 +40,36 @@ impl InputSimilarityEvaluator {
 }
 
 impl NeuronEvaluator for InputSimilarityEvaluator {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> RnnResult<f32> {
-        let current = [x, h_prev].concat();
-        let (inputs, outputs) = self
-            .cache
-            .entry(neuron.gate_id)
-            .or_insert_with(|| (current.clone(), vec![None; gate.neurons()]));
-        let (mut diff, mut norm) = (0.0f32, 0.0f32);
-        for (c, n) in inputs.iter().zip(&current) {
-            diff += (c - n).abs();
-            norm += c.abs();
-        }
-        if diff / norm.max(DEFAULT_EPSILON) <= self.threshold {
-            if let Some(cached) = outputs[neuron.neuron] {
-                self.stats.record_reused();
-                return Ok(cached);
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
+        let (neurons, wh) = (call.gate.neurons(), call.gate.wh());
+        evaluate_neurons(call, out, |id, x, h_prev, fwd| {
+            let current = [x, h_prev].concat();
+            let (inputs, outputs) = self
+                .cache
+                .entry(id.gate_id)
+                .or_insert_with(|| (current.clone(), vec![None; neurons]));
+            let (mut diff, mut norm) = (0.0f32, 0.0f32);
+            for (c, n) in inputs.iter().zip(&current) {
+                diff += (c - n).abs();
+                norm += c.abs();
             }
-        }
-        let y_t = gate.neuron_dot(neuron.neuron, x, h_prev)?;
-        self.stats.record_computed();
-        // Refreshing the reference input makes every output cached
-        // under the old one stale.
-        if *inputs != current {
-            *inputs = current;
-            outputs.fill(None);
-        }
-        outputs[neuron.neuron] = Some(y_t);
-        Ok(y_t)
+            if diff / norm.max(DEFAULT_EPSILON) <= self.threshold {
+                if let Some(cached) = outputs[id.neuron] {
+                    self.stats.record_reused();
+                    return Ok(cached);
+                }
+            }
+            let y_t = fwd + wh.row_dot(id.neuron, h_prev)?;
+            self.stats.record_computed();
+            // Refreshing the reference input makes every output cached
+            // under the old one stale.
+            if *inputs != current {
+                *inputs = current;
+                outputs.fill(None);
+            }
+            outputs[id.neuron] = Some(y_t);
+            Ok(y_t)
+        })
     }
 
     fn begin_lane_sequence(&mut self, _lane: usize) {

@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use crate::experiments::hw::{evaluate, mean};
+use crate::experiments::hw::{mean, simulate};
 use crate::harness::EvalConfig;
 use crate::report::{ExperimentReport, TableReport};
 use nfm_core::{BnnMemoConfig, Predictor, PredictorKind};
@@ -69,7 +69,7 @@ fn sw_speedup(workload: &Workload, memoized: PredictorKind) -> f64 {
 pub fn run(config: &EvalConfig) -> ExperimentReport {
     let mut report =
         ExperimentReport::new("Energy: E-PUR+BM accelerator model vs measured software wall-clock");
-    let results = match evaluate(config, &[LOSS_BUDGET]) {
+    let results = match simulate(config, &[LOSS_BUDGET]) {
         Ok(r) => r,
         Err(e) => {
             report.heading = format!("Energy experiment failed: {e}");

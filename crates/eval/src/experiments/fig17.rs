@@ -1,6 +1,6 @@
 //! Figure 17: energy savings and computation reuse of E-PUR+BM.
 
-use crate::experiments::hw::{evaluate, mean};
+use crate::experiments::hw::{mean, simulate};
 use crate::harness::EvalConfig;
 use crate::report::{ExperimentReport, TableReport};
 
@@ -11,7 +11,7 @@ pub fn run(config: &EvalConfig) -> ExperimentReport {
     let mut report =
         ExperimentReport::new("Figure 17: energy savings and computation reuse of E-PUR+BM");
     let budgets = [1.0, 2.0, 3.0];
-    let results = match evaluate(config, &budgets) {
+    let results = match simulate(config, &budgets) {
         Ok(r) => r,
         Err(e) => {
             report.heading = format!("Figure 17 failed: {e}");

@@ -1,6 +1,6 @@
 //! Figure 18: energy breakdown of E-PUR and E-PUR+BM.
 
-use crate::experiments::hw::evaluate;
+use crate::experiments::hw::simulate;
 use crate::harness::EvalConfig;
 use crate::report::{ExperimentReport, TableReport};
 
@@ -9,7 +9,7 @@ use crate::report::{ExperimentReport, TableReport};
 /// and of E-PUR+BM at a 1% accuracy-loss budget, for every network.
 pub fn run(config: &EvalConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new("Figure 18: energy breakdown for E-PUR and E-PUR+BM");
-    let results = match evaluate(config, &[1.0]) {
+    let results = match simulate(config, &[1.0]) {
         Ok(r) => r,
         Err(e) => {
             report.heading = format!("Figure 18 failed: {e}");

@@ -1,6 +1,6 @@
 //! Figure 19: speedup of E-PUR+BM over the baseline.
 
-use crate::experiments::hw::{evaluate, mean};
+use crate::experiments::hw::{mean, simulate};
 use crate::harness::EvalConfig;
 use crate::report::{ExperimentReport, TableReport};
 
@@ -9,7 +9,7 @@ use crate::report::{ExperimentReport, TableReport};
 pub fn run(config: &EvalConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new("Figure 19: speedup of E-PUR+BM over E-PUR");
     let budgets = [1.0, 2.0, 3.0];
-    let results = match evaluate(config, &budgets) {
+    let results = match simulate(config, &budgets) {
         Ok(r) => r,
         Err(e) => {
             report.heading = format!("Figure 19 failed: {e}");

@@ -1,6 +1,6 @@
 //! The paper's headline averages (abstract / Section 5).
 
-use crate::experiments::hw::{evaluate, mean};
+use crate::experiments::hw::{mean, simulate};
 use crate::harness::EvalConfig;
 use crate::report::{ExperimentReport, TableReport};
 
@@ -9,7 +9,7 @@ use crate::report::{ExperimentReport, TableReport};
 /// 18.5% energy and speeds execution up by 1.35x on average.
 pub fn run(config: &EvalConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new("Headline: averages at 1% accuracy loss");
-    let results = match evaluate(config, &[1.0]) {
+    let results = match simulate(config, &[1.0]) {
         Ok(r) => r,
         Err(e) => {
             report.heading = format!("Headline failed: {e}");

@@ -36,7 +36,7 @@ pub struct NetworkHardware {
 /// # Errors
 ///
 /// Propagates workload construction failures.
-pub fn evaluate(config: &EvalConfig, loss_budgets: &[f64]) -> Result<Vec<NetworkHardware>, String> {
+pub fn simulate(config: &EvalConfig, loss_budgets: &[f64]) -> Result<Vec<NetworkHardware>, String> {
     let simulator = EpurSimulator::new(EpurConfig::default());
     let runs = NetworkRun::all(config)?;
     let mut out = Vec::with_capacity(runs.len());
@@ -76,7 +76,7 @@ mod tests {
 
     #[test]
     fn pipeline_produces_one_point_per_budget_per_network() {
-        let results = evaluate(&EvalConfig::smoke(), &[1.0, 2.0]).unwrap();
+        let results = simulate(&EvalConfig::smoke(), &[1.0, 2.0]).unwrap();
         assert_eq!(results.len(), 4);
         for nh in &results {
             assert_eq!(nh.points.len(), 2);

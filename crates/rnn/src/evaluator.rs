@@ -1,37 +1,38 @@
 //! The neuron evaluation hook where fuzzy memoization plugs in.
 //!
 //! Inference has one path — lane-striped batches, a single sequence
-//! being a batch of one — and evaluators see it at two altitudes:
+//! being a batch of one — and evaluators see it at one altitude:
+//! [`NeuronEvaluator::evaluate_gate_batch`], one whole gate across every
+//! active lane per call, with the input half `W_x·x_t` already hoisted
+//! into [`GateBatch::fwd`].  Each built-in evaluator writes its policy
+//! once, there: the exact baseline adds the recurrent half in one tiled
+//! product, and the memoizing evaluators (`nfm-core`) decide every lane
+//! against its own memo table.  A custom policy that thinks one neuron
+//! at a time implements the same method through [`evaluate_neurons`],
+//! which loops lanes × neurons and hands each neuron its `x_t`,
+//! `h_{t-1}` and hoisted `W_x[n]·x_t`.
 //!
-//! * [`NeuronEvaluator::evaluate`] — one neuron at a time, the boundary
-//!   the paper describes (the FMU intercepting one DPU operation).  It
-//!   is the only method an evaluator must implement, and through the
-//!   trait default and [`PerNeuronEvaluator`] it is the independent
-//!   reference every equivalence suite compares against;
-//! * [`NeuronEvaluator::evaluate_gate_batch`] — one whole gate across
-//!   every active lane per call, the granularity the drivers run at.
-//!   The default loops lanes × neurons over `evaluate`; the built-in
-//!   evaluators override it with fused, allocation-free kernels and
-//!   per-lane memoization state.
-//!
-//! The two are contractually **bit-identical**: every built-in override
-//! performs the same floating-point operations in the same order as the
-//! per-neuron default (see the `batched_equivalence` integration
-//! tests).
+//! Correctness is pinned from outside: the memoizing evaluators against
+//! the independent memoized reference (`nfm_eval::reference`), every
+//! evaluator against its own one-lane run for lane and scheduler
+//! invariance, and the exact path against the independent `f64`
+//! reference.
 
 use crate::gate::{Gate, GateId};
 use crate::Result;
-use nfm_tensor::kernels::{dual_matmul_into, matmul_add_into};
+use nfm_tensor::kernels::matmul_add_into;
 
-/// Identifies one neuron evaluation: which gate, which neuron of that
-/// gate, and at which timestep of the current sequence.
+/// Identifies one neuron evaluation of a gate call: which gate, which
+/// lane, which neuron of that gate, and at which timestep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NeuronRef {
     /// The gate being evaluated.
     pub gate_id: GateId,
+    /// The lane whose sequence the neuron belongs to.
+    pub lane: usize,
     /// Row index of the neuron inside the gate.
     pub neuron: usize,
-    /// Index of the current element in the input sequence.
+    /// The driver's step counter (see [`GateBatch::timestep`]).
     pub timestep: usize,
 }
 
@@ -61,15 +62,12 @@ pub struct GateBatch<'a> {
     /// Recurrent inputs `h_{t-1}`, lane-striped.
     pub h_prevs: &'a [f32],
     /// The hoisted input projections `W_x[n]·xs[l]`, lane-striped and
-    /// produced with the shared reduction order — `Some` exactly when
-    /// the evaluator's
-    /// [`supports_input_hoisting`](NeuronEvaluator::supports_input_hoisting)
-    /// returned `true`, so an override only adds the recurrent half
-    /// (`out = fwd + W_h·h`, the scalar order of the fused kernel).
-    pub fwd: Option<&'a [f32]>,
+    /// produced with the shared reduction order, so an evaluator only
+    /// adds the recurrent half (`out = fwd + W_h·h`).
+    pub fwd: &'a [f32],
 }
 
-/// Strategy for producing a neuron's pre-activation dot product
+/// Strategy for producing a gate's pre-activation dot products
 /// `W_x[n]·x_t + W_h[n]·h_{t-1}`.
 ///
 /// This is the exact boundary at which the paper's scheme operates: the
@@ -90,74 +88,22 @@ pub struct GateBatch<'a> {
 /// [`swap_lane_state`](NeuronEvaluator::swap_lane_state) whenever it
 /// reorders lanes.
 pub trait NeuronEvaluator {
-    /// Produces the pre-activation dot product for `neuron`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input widths are inconsistent with the
-    /// gate (exact evaluation performs dimension-checked dot products).
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> Result<f32>;
-
     /// Produces the pre-activation dot products for every neuron of
     /// `call.gate` across `call.lanes` independent sequences at once,
     /// writing them lane-striped into the caller-owned `out`
     /// (`out.len() == call.lanes * call.gate.neurons()`, guaranteed by
     /// [`Gate::evaluate_batch_into`]).
     ///
-    /// The default routes every `(lane, neuron)` through
-    /// [`evaluate`](NeuronEvaluator::evaluate), ignoring `call.fwd`, so
-    /// a custom evaluator only has to implement that one method; note
-    /// that a *stateful* custom evaluator (one that memoizes across
-    /// timesteps) sees every lane through the same shared state under
-    /// this default and should override this method for per-lane
-    /// isolation when driven with more than one lane.  Built-in
-    /// evaluators override it with lane-striped kernels (one weight
-    /// stream serving all lanes) and per-lane memoization tables;
-    /// overrides must keep every lane bit-identical to the default.
+    /// Lanes are independent sequences: an evaluator that keeps state
+    /// across timesteps keeps it per lane, so that every lane's result
+    /// equals the same sequence run alone.  A per-neuron policy
+    /// implements this through [`evaluate_neurons`].
     ///
     /// # Errors
     ///
     /// Returns an error if the input widths are inconsistent with the
     /// gate.
-    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> Result<()> {
-        let gate = call.gate;
-        let (isz, hsz, nsz) = (gate.input_size(), gate.hidden_size(), gate.neurons());
-        debug_assert_eq!(out.len(), call.lanes * nsz);
-        for l in 0..call.lanes {
-            let x = &call.xs[l * isz..(l + 1) * isz];
-            let h_prev = &call.h_prevs[l * hsz..(l + 1) * hsz];
-            for (n, slot) in out[l * nsz..(l + 1) * nsz].iter_mut().enumerate() {
-                let neuron = NeuronRef {
-                    gate_id: call.gate_id,
-                    neuron: n,
-                    timestep: call.timestep,
-                };
-                *slot = self.evaluate(neuron, gate, x, h_prev)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether the driver should pre-compute the input-projection half
-    /// `W_x·x_t` for a block of timesteps and hand it over as
-    /// [`GateBatch::fwd`].
-    ///
-    /// An evaluator that says yes adds only the recurrent half per step
-    /// (`out = fwd + W_h·h`, the fused kernel's scalar order).  Every
-    /// built-in gate entry does — the exact baseline, and the memoizing
-    /// evaluators, whose miss values come from the same kernel.
-    /// Defaults to `false`, which suits a custom per-neuron evaluator:
-    /// its [`evaluate`](NeuronEvaluator::evaluate) sees `x_t` and
-    /// ignores [`GateBatch::fwd`].
-    fn supports_input_hoisting(&self) -> bool {
-        false
-    }
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> Result<()>;
 
     /// Called once before a run so implementations can size per-lane
     /// state for `lanes` lanes (e.g. one memoization table per lane).
@@ -181,12 +127,46 @@ pub trait NeuronEvaluator {
     /// kept a contiguous prefix ordered by descending remaining length,
     /// and a moved lane's memoization state must move with it.
     /// Evaluators that keep per-lane state must override this; the
-    /// default is a no-op, which is correct for stateless evaluators
-    /// and for stateful custom evaluators running through the default
-    /// (shared-state) lane loop.
+    /// default is a no-op, which is correct for stateless evaluators.
     fn swap_lane_state(&mut self, a: usize, b: usize) {
         let _ = (a, b);
     }
+}
+
+/// A gate entry written one neuron at a time: calls `neuron` for every
+/// `(lane, neuron)` of `call`, lane-outer, with the neuron's
+/// [`NeuronRef`], its lane's `x_t` and `h_{t-1}`, and its hoisted
+/// `W_x[n]·x_t`, and stores the returned value in `out`.
+///
+/// `fwd + W_h[n]·h_{t-1}` (through [`Matrix::row_dot`](nfm_tensor::Matrix::row_dot))
+/// is bit for bit the exact evaluator's value.
+///
+/// # Errors
+///
+/// Propagates the first error `neuron` returns.
+pub fn evaluate_neurons(
+    call: &GateBatch<'_>,
+    out: &mut [f32],
+    mut neuron: impl FnMut(NeuronRef, &[f32], &[f32], f32) -> Result<f32>,
+) -> Result<()> {
+    let gate = call.gate;
+    let (isz, hsz, nsz) = (gate.input_size(), gate.hidden_size(), gate.neurons());
+    debug_assert_eq!(out.len(), call.lanes * nsz);
+    for l in 0..call.lanes {
+        let x = &call.xs[l * isz..(l + 1) * isz];
+        let h_prev = &call.h_prevs[l * hsz..(l + 1) * hsz];
+        let at = l * nsz..(l + 1) * nsz;
+        for (n, (slot, &fwd)) in out[at.clone()].iter_mut().zip(&call.fwd[at]).enumerate() {
+            let id = NeuronRef {
+                gate_id: call.gate_id,
+                lane: l,
+                neuron: n,
+                timestep: call.timestep,
+            };
+            *slot = neuron(id, x, h_prev, fwd)?;
+        }
+    }
+    Ok(())
 }
 
 /// The baseline evaluator: always computes the exact dot products.
@@ -212,29 +192,10 @@ impl ExactEvaluator {
 }
 
 impl NeuronEvaluator for ExactEvaluator {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> Result<f32> {
-        self.evaluations += 1;
-        gate.neuron_dot(neuron.neuron, x, h_prev)
-    }
-
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> Result<()> {
-        let gate = call.gate;
-        match call.fwd {
-            Some(fwd) => matmul_add_into(gate.wh(), call.h_prevs, call.lanes, fwd, out)?,
-            None => dual_matmul_into(gate.wx(), gate.wh(), call.xs, call.h_prevs, call.lanes, out)?,
-        }
+        matmul_add_into(call.gate.wh(), call.h_prevs, call.lanes, call.fwd, out)?;
         self.evaluations += out.len() as u64;
         Ok(())
-    }
-
-    fn supports_input_hoisting(&self) -> bool {
-        true
     }
 }
 
@@ -281,24 +242,9 @@ impl<E: NeuronEvaluator> CountingEvaluator<E> {
 }
 
 impl<E: NeuronEvaluator> NeuronEvaluator for CountingEvaluator<E> {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> Result<f32> {
-        self.calls += 1;
-        self.inner.evaluate(neuron, gate, x, h_prev)
-    }
-
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> Result<()> {
         self.calls += out.len() as u64;
         self.inner.evaluate_gate_batch(call, out)
-    }
-
-    fn supports_input_hoisting(&self) -> bool {
-        self.inner.supports_input_hoisting()
     }
 
     fn begin_batch(&mut self, lanes: usize) {
@@ -307,63 +253,6 @@ impl<E: NeuronEvaluator> NeuronEvaluator for CountingEvaluator<E> {
 
     fn begin_lane_sequence(&mut self, lane: usize) {
         self.sequences += 1;
-        self.inner.begin_lane_sequence(lane);
-    }
-
-    fn swap_lane_state(&mut self, a: usize, b: usize) {
-        self.inner.swap_lane_state(a, b);
-    }
-}
-
-/// Forces the wrapped evaluator onto the per-neuron reference path: its
-/// gate entry is the trait's default lanes × neurons loop over
-/// [`NeuronEvaluator::evaluate`], ignoring any fused override the inner
-/// evaluator provides.
-///
-/// Used by the equivalence tests (the overrides must be bit-identical
-/// to this path) and by the benchmarks to measure the naive path's cost.
-#[derive(Debug, Clone, Default)]
-pub struct PerNeuronEvaluator<E> {
-    inner: E,
-}
-
-impl<E: NeuronEvaluator> PerNeuronEvaluator<E> {
-    /// Wraps `inner`.
-    pub fn new(inner: E) -> Self {
-        PerNeuronEvaluator { inner }
-    }
-
-    /// Returns the wrapped evaluator.
-    pub fn into_inner(self) -> E {
-        self.inner
-    }
-
-    /// Borrows the wrapped evaluator.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-}
-
-impl<E: NeuronEvaluator> NeuronEvaluator for PerNeuronEvaluator<E> {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> Result<f32> {
-        self.inner.evaluate(neuron, gate, x, h_prev)
-    }
-
-    // No evaluate_gate_batch override: the trait default IS the loop
-    // this wrapper exists to pin down (and `supports_input_hoisting`
-    // stays `false`, so the driver never hoists for it).
-
-    fn begin_batch(&mut self, lanes: usize) {
-        self.inner.begin_batch(lanes);
-    }
-
-    fn begin_lane_sequence(&mut self, lane: usize) {
         self.inner.begin_lane_sequence(lane);
     }
 
@@ -381,75 +270,82 @@ mod tests {
 
     fn gate() -> Gate {
         Gate::new(
-            Matrix::from_rows(vec![vec![1.0, 2.0]]).unwrap(),
-            Matrix::from_rows(vec![vec![3.0]]).unwrap(),
-            Vector::zeros(1),
+            Matrix::from_rows(vec![vec![1.0, 2.0], vec![-1.0, 0.5]]).unwrap(),
+            Matrix::from_rows(vec![vec![3.0], vec![0.25]]).unwrap(),
+            Vector::zeros(2),
             None,
             Activation::Identity,
         )
         .unwrap()
     }
 
-    fn nref() -> NeuronRef {
-        NeuronRef {
-            gate_id: GateId::new(0, 0, GateKind::Input),
-            neuron: 0,
-            timestep: 0,
-        }
-    }
-
-    /// A one-lane call over `x = [1, 1]`, `h = [2]` (or a misshaped
-    /// `x`), optionally with the hoisted `W_x·x = 3`.
-    fn call<'a>(gate: &'a Gate, xs: &'a [f32], fwd: Option<&'a [f32]>) -> GateBatch<'a> {
+    /// Two lanes over `x = [1, 1] / [2, -1]`, `h = [2] / [-4]`, with the
+    /// hoisted `W_x·x` of each (`[3, -0.5]` and `[0, -2.5]`).
+    fn call(gate: &Gate) -> GateBatch<'_> {
         GateBatch {
-            gate_id: nref().gate_id,
-            timestep: 0,
-            lanes: 1,
+            gate_id: GateId::new(0, 0, GateKind::Input),
+            timestep: 5,
+            lanes: 2,
             gate,
-            xs,
-            h_prevs: &[2.0],
-            fwd,
+            xs: &[1.0, 1.0, 2.0, -1.0],
+            h_prevs: &[2.0, -4.0],
+            fwd: &[3.0, -0.5, 0.0, -2.5],
         }
     }
 
     #[test]
-    fn exact_evaluator_computes_dot() {
+    fn exact_evaluator_adds_the_recurrent_half_to_the_hoisted_one() {
         let g = gate();
         let mut e = ExactEvaluator::new();
-        let v = e.evaluate(nref(), &g, &[1.0, 1.0], &[2.0]).unwrap();
-        assert_eq!(v, 1.0 + 2.0 + 6.0);
-        assert_eq!(e.evaluations(), 1);
+        let mut out = [0.0f32; 4];
+        e.evaluate_gate_batch(&call(&g), &mut out).unwrap();
+        assert_eq!(out, [3.0 + 6.0, -0.5 + 0.5, -12.0, -2.5 - 1.0]);
+        assert_eq!(e.evaluations(), 4);
     }
 
     #[test]
     fn exact_evaluator_propagates_shape_errors() {
         let g = gate();
         let mut e = ExactEvaluator::new();
-        assert!(e.evaluate(nref(), &g, &[1.0], &[2.0]).is_err());
-        let mut out = [0.0f32; 1];
-        assert!(e
-            .evaluate_gate_batch(&call(&g, &[1.0], None), &mut out)
-            .is_err());
+        let mut out = [0.0f32; 4];
+        let short = GateBatch {
+            h_prevs: &[2.0],
+            ..call(&g)
+        };
+        assert!(e.evaluate_gate_batch(&short, &mut out).is_err());
     }
 
     #[test]
-    fn exact_gate_entry_matches_per_neuron_bitwise_fused_and_hoisted() {
+    fn evaluate_neurons_visits_every_lane_and_neuron_with_its_inputs() {
         let g = gate();
-        let mut naive = PerNeuronEvaluator::new(ExactEvaluator::new());
-        let mut reference = [0.0f32; 1];
-        naive
-            .evaluate_gate_batch(&call(&g, &[1.0, 1.0], None), &mut reference)
+        let c = call(&g);
+        let mut seen = Vec::new();
+        let mut out = [0.0f32; 4];
+        evaluate_neurons(&c, &mut out, |id, x, h, fwd| {
+            seen.push((id, x.to_vec(), h.to_vec(), fwd));
+            Ok(fwd + g.wh().row_dot(id.neuron, h)?)
+        })
+        .unwrap();
+        let mut exact = [0.0f32; 4];
+        ExactEvaluator::new()
+            .evaluate_gate_batch(&c, &mut exact)
             .unwrap();
-        assert_eq!(naive.inner().evaluations(), 1);
-        for fwd in [None, Some(&[3.0f32][..])] {
-            let mut exact = ExactEvaluator::new();
-            let mut out = [0.0f32; 1];
-            exact
-                .evaluate_gate_batch(&call(&g, &[1.0, 1.0], fwd), &mut out)
-                .unwrap();
-            assert_eq!(out[0].to_bits(), reference[0].to_bits(), "fwd={fwd:?}");
-            assert_eq!(exact.evaluations(), 1);
-        }
+        assert_eq!(out.map(f32::to_bits), exact.map(f32::to_bits));
+        let at = |lane, neuron| NeuronRef {
+            gate_id: c.gate_id,
+            lane,
+            neuron,
+            timestep: 5,
+        };
+        assert_eq!(
+            seen,
+            vec![
+                (at(0, 0), vec![1.0, 1.0], vec![2.0], 3.0),
+                (at(0, 1), vec![1.0, 1.0], vec![2.0], -0.5),
+                (at(1, 0), vec![2.0, -1.0], vec![-4.0], 0.0),
+                (at(1, 1), vec![2.0, -1.0], vec![-4.0], -2.5),
+            ]
+        );
     }
 
     #[test]
@@ -457,26 +353,12 @@ mod tests {
         let g = gate();
         let mut e = CountingEvaluator::new(ExactEvaluator::new());
         e.begin_lane_sequence(0);
-        let _ = e.evaluate(nref(), &g, &[1.0, 1.0], &[2.0]).unwrap();
-        let _ = e.evaluate(nref(), &g, &[1.0, 1.0], &[2.0]).unwrap();
-        assert_eq!(e.calls(), 2);
+        let mut out = [0.0f32; 4];
+        e.evaluate_gate_batch(&call(&g), &mut out).unwrap();
+        e.evaluate_gate_batch(&call(&g), &mut out).unwrap();
+        assert_eq!(e.calls(), 8);
         assert_eq!(e.sequences(), 1);
-        assert_eq!(e.inner().evaluations(), 2);
-        assert_eq!(e.into_inner().evaluations(), 2);
-    }
-
-    #[test]
-    fn counting_evaluator_counts_gate_call_neurons() {
-        let g = gate();
-        let mut e = CountingEvaluator::new(ExactEvaluator::new());
-        assert!(
-            e.supports_input_hoisting(),
-            "delegates to the inner evaluator"
-        );
-        let mut out = [0.0f32; 1];
-        e.evaluate_gate_batch(&call(&g, &[1.0, 1.0], None), &mut out)
-            .unwrap();
-        assert_eq!(e.calls(), 1);
-        assert_eq!(e.inner().evaluations(), 1);
+        assert_eq!(e.inner().evaluations(), 8);
+        assert_eq!(e.into_inner().evaluations(), 8);
     }
 }

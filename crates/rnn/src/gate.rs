@@ -251,35 +251,6 @@ impl Gate {
         self.wx.element_count() + self.wh.element_count()
     }
 
-    /// Exact pre-activation dot product of neuron `n`:
-    /// `W_x[n]·x + W_h[n]·h_prev`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor error if `x`/`h_prev` widths do not match the
-    /// gate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n >= self.neurons()`.
-    pub fn neuron_dot(&self, n: usize, x: &[f32], h_prev: &[f32]) -> Result<f32> {
-        let fwd = self.wx.row_dot(n, x)?;
-        let rec = self.wh.row_dot(n, h_prev)?;
-        Ok(fwd + rec)
-    }
-
-    /// Check-free variant of [`Gate::neuron_dot`] for batched evaluators
-    /// that have already validated the input widths once per gate call.
-    /// Bit-identical to the checked version (same kernel, same order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n >= self.neurons()`; may panic on mismatched widths.
-    #[inline]
-    pub fn neuron_dot_unchecked(&self, n: usize, x: &[f32], h_prev: &[f32]) -> f32 {
-        kernels::dot_unchecked(self.wx.row(n), x) + kernels::dot_unchecked(self.wh.row(n), h_prev)
-    }
-
     /// A gate with peephole weights finished without a cell state would
     /// silently drop its peephole term; that is a caller bug.
     #[track_caller]
@@ -362,15 +333,11 @@ impl Gate {
     ///
     /// `xs`/`h_prevs`/`c_prevs`/`out` are lane-striped (`lanes *` the
     /// respective width) and lanes never interact: lane `l`'s result is
-    /// bit-identical to a one-lane call over lane `l`'s vectors.  The
-    /// dot products go through one
-    /// [`NeuronEvaluator::evaluate_gate_batch`] call, then
-    /// bias/peephole/activation are applied in place.  When `fwd` is
-    /// `Some`, it holds the pre-computed input projections
-    /// `W_x[n]·xs[l]` (lane-striped, `lanes * neurons`; callers only
-    /// pass this for evaluators whose
-    /// [`supports_input_hoisting`](crate::NeuronEvaluator::supports_input_hoisting)
-    /// returns `true`).
+    /// bit-identical to a one-lane call over lane `l`'s vectors.  `fwd`
+    /// holds the hoisted input projections `W_x[n]·xs[l]`
+    /// (lane-striped, `lanes * neurons`).  The dot products go through
+    /// one [`NeuronEvaluator::evaluate_gate_batch`] call, then
+    /// bias/peephole/activation are applied in place.
     ///
     /// # Errors
     ///
@@ -378,7 +345,8 @@ impl Gate {
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != lanes * self.neurons()`.
+    /// Panics if `fwd.len()` or `out.len()` is not
+    /// `lanes * self.neurons()`.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_batch_into(
         &self,
@@ -388,7 +356,7 @@ impl Gate {
         xs: &[f32],
         h_prevs: &[f32],
         c_prevs: Option<&[f32]>,
-        fwd: Option<&[f32]>,
+        fwd: &[f32],
         evaluator: &mut dyn NeuronEvaluator,
         out: &mut [f32],
     ) -> Result<()> {
@@ -408,6 +376,11 @@ impl Gate {
         }
         let neurons = self.neurons();
         assert_eq!(out.len(), lanes * neurons, "gate output width mismatch");
+        assert_eq!(
+            fwd.len(),
+            lanes * neurons,
+            "hoisted projection width mismatch"
+        );
         let call = GateBatch {
             gate_id,
             timestep,
@@ -421,6 +394,23 @@ impl Gate {
         self.finish_into(gate_id.kind, out, c_prevs);
         Ok(())
     }
+}
+
+/// The hoisted input projections `W_x·x` of one timestep of one
+/// sequence, one vector per gate of `gates` — the one-row block the
+/// one-step cell entries hand to their batched step.
+pub(crate) fn hoist_one<'g>(
+    gates: impl IntoIterator<Item = &'g Gate>,
+    x: &[f32],
+) -> Result<Vec<Vec<f32>>> {
+    gates
+        .into_iter()
+        .map(|gate| {
+            let mut fwd = vec![0.0; gate.neurons()];
+            kernels::matvec_into(gate.wx(), x, &mut fwd)?;
+            Ok(fwd)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -473,16 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn neuron_dot_matches_manual() {
-        let g = small_gate(false);
-        let x = [2.0, 3.0];
-        let h = [4.0, 6.0];
-        assert_eq!(g.neuron_dot(0, &x, &h).unwrap(), 2.0 + 2.0);
-        assert_eq!(g.neuron_dot(1, &x, &h).unwrap(), 3.0 + 3.0);
-        assert!(g.neuron_dot(0, &[1.0], &h).is_err());
-    }
-
-    #[test]
     fn finish_neuron_applies_bias_peephole_activation() {
         let g = small_gate(true);
         let c_prev = Vector::from(vec![1.0, 2.0]);
@@ -528,9 +508,11 @@ mod tests {
         let xs = [1.0, 2.0, 0.0, 1.0];
         let hs = [2.0, 2.0, 4.0, 0.0];
         let cs = [0.0, 0.0, 1.0, 2.0];
+        // W_x·x per lane: [1, 2] and [0, 1].
+        let fwd = [1.0, 2.0, 0.0, 1.0];
         let mut eval = ExactEvaluator::new();
         let mut out = [0.0f32; 4];
-        g.evaluate_batch_into(id, 0, 2, &xs, &hs, Some(&cs), None, &mut eval, &mut out)
+        g.evaluate_batch_into(id, 0, 2, &xs, &hs, Some(&cs), &fwd, &mut eval, &mut out)
             .unwrap();
         // lane 0: 1.0*1 + 0.5*2 = 2.0 (bias 0); 2.0 + 1.0 + bias 0.1
         assert!((out[0] - 2.0).abs() < 1e-6);
@@ -555,7 +537,7 @@ mod tests {
                 &[1.0],
                 &[1.0, 1.0],
                 None,
-                None,
+                &[0.0, 0.0],
                 &mut eval,
                 &mut out
             ),
@@ -569,7 +551,7 @@ mod tests {
                 &[1.0, 1.0],
                 &[1.0],
                 None,
-                None,
+                &[0.0, 0.0],
                 &mut eval,
                 &mut out
             )

@@ -3,7 +3,7 @@
 use crate::batch::{BatchScratch, BatchState};
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
-use crate::gate::{Gate, GateId, GateKind};
+use crate::gate::{hoist_one, Gate, GateId, GateKind};
 use crate::Result;
 use nfm_tensor::activation::Activation;
 use nfm_tensor::rng::DeterministicRng;
@@ -159,7 +159,7 @@ impl GruCell {
     /// Advances the first `lanes` lanes of a batch by one timestep,
     /// writing the next lane-striped state into `next` and reusing the
     /// caller-owned `scratch`.  `xs` is lane-striped
-    /// (`lanes * input_size`); `hoisted`, when present, supplies the
+    /// (`lanes * input_size`); `hoisted` supplies the
     /// pre-computed `W_x·x_t` projections, one lane-striped slice per
     /// gate in [`GateKind::GRU`] order (the candidate's *recurrent* half
     /// still uses the reset-modulated hidden state per timestep).
@@ -181,7 +181,7 @@ impl GruCell {
         state: &BatchState,
         next: &mut BatchState,
         scratch: &mut BatchScratch,
-        hoisted: Option<&[&[f32]]>,
+        hoisted: &[&[f32]],
         evaluator: &mut dyn NeuronEvaluator,
     ) -> Result<()> {
         let hidden = self.hidden_size();
@@ -200,21 +200,18 @@ impl GruCell {
                 ),
             });
         }
-        if let Some(fwd) = hoisted {
-            if fwd.len() != GateKind::GRU.len() {
-                return Err(RnnError::InvalidConfig {
-                    what: format!(
-                        "hoisted projections cover {} gates, GRU needs {}",
-                        fwd.len(),
-                        GateKind::GRU.len()
-                    ),
-                });
-            }
+        if hoisted.len() != GateKind::GRU.len() {
+            return Err(RnnError::InvalidConfig {
+                what: format!(
+                    "hoisted projections cover {} gates, GRU needs {}",
+                    hoisted.len(),
+                    GateKind::GRU.len()
+                ),
+            });
         }
         let id = |kind| GateId::new(layer, direction, kind);
         let h_prev = state.h_prefix(lanes);
         let (zb, rb, gb) = scratch.bufs(lanes * hidden);
-        let gate_fwd = |g: usize| hoisted.map(|f| f[g]);
         self.update.evaluate_batch_into(
             id(GateKind::Update),
             timestep,
@@ -222,7 +219,7 @@ impl GruCell {
             xs,
             h_prev,
             None,
-            gate_fwd(0),
+            hoisted[0],
             evaluator,
             zb,
         )?;
@@ -233,7 +230,7 @@ impl GruCell {
             xs,
             h_prev,
             None,
-            gate_fwd(1),
+            hoisted[1],
             evaluator,
             rb,
         )?;
@@ -248,7 +245,7 @@ impl GruCell {
             xs,
             rb,
             None,
-            gate_fwd(2),
+            hoisted[2],
             evaluator,
             gb,
         )?;
@@ -287,6 +284,7 @@ impl GruCell {
         let mut current = BatchState::zeros(1, hidden);
         current.h_prefix_mut(1).copy_from_slice(state.h.as_slice());
         let mut next = BatchState::zeros(1, hidden);
+        let hoisted = hoist_one([&self.update, &self.reset, &self.candidate], x.as_slice())?;
         self.step_batch_into(
             layer,
             direction,
@@ -296,7 +294,7 @@ impl GruCell {
             &current,
             &mut next,
             &mut BatchScratch::new(),
-            None,
+            &hoisted.iter().map(Vec::as_slice).collect::<Vec<_>>(),
             evaluator,
         )?;
         Ok(GruState {

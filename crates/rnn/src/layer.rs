@@ -175,17 +175,13 @@ impl Cell {
     /// `xs_pack` holds the block's inputs lane-striped and step-major
     /// (row `plan.row_offset[b] + l` is lane `l`'s input at block step
     /// `b`).  After each block step `b`, `emit(b, h)` receives that
-    /// step's hidden outputs, lane-striped over its active lanes.  When
-    /// the evaluator's
-    /// [`supports_input_hoisting`](NeuronEvaluator::supports_input_hoisting)
-    /// returns `true`, one matrix product per gate pre-computes every
-    /// row's input projection `W_x·x_t` — the forward weight matrix is
-    /// streamed once per block instead of once per timestep — and each
-    /// step hands its rows to the evaluator as
-    /// [`GateBatch::fwd`](crate::GateBatch::fwd); bit-transparent,
-    /// because the hoisted kernels keep the `fwd + rec` scalar order of
-    /// the fused path.  The recurrent half `W_h·h_{t-1}` can never be
-    /// hoisted (it depends on the previous step's output).
+    /// step's hidden outputs, lane-striped over its active lanes.  One
+    /// matrix product per gate pre-computes every row's input
+    /// projection `W_x·x_t` — the forward weight matrix is streamed once
+    /// per block instead of once per timestep — and each step hands its
+    /// rows to the evaluator as [`GateBatch::fwd`](crate::GateBatch::fwd).
+    /// The recurrent half `W_h·h_{t-1}` can never be hoisted (it depends
+    /// on the previous step's output).
     ///
     /// `state` is advanced in place (`next` is its double buffer) and
     /// the evaluator sees timesteps `first_step..first_step + block`.
@@ -208,32 +204,25 @@ impl Cell {
         let kinds = self.gate_kinds();
         let gate_count = kinds.len();
         debug_assert!(gate_count <= MAX_GATES);
-        let hoist = evaluator.supports_input_hoisting();
-        if hoist {
-            grow(&mut scratch.fwd, gate_count * rows * out_w);
-            for (g, kind) in kinds.iter().enumerate() {
-                let gate = self.gate(*kind).expect("cell exposes its own gate kinds");
-                matmul_into(
-                    gate.wx(),
-                    &xs_pack[..rows * in_w],
-                    rows,
-                    &mut scratch.fwd[g * rows * out_w..(g + 1) * rows * out_w],
-                )?;
-            }
+        grow(&mut scratch.fwd, gate_count * rows * out_w);
+        for (g, kind) in kinds.iter().enumerate() {
+            let gate = self.gate(*kind).expect("cell exposes its own gate kinds");
+            matmul_into(
+                gate.wx(),
+                &xs_pack[..rows * in_w],
+                rows,
+                &mut scratch.fwd[g * rows * out_w..(g + 1) * rows * out_w],
+            )?;
         }
         for b in 0..plan.block {
             let (active, offset) = (plan.step_active[b], plan.row_offset[b]);
             let xs = &xs_pack[offset * in_w..(offset + active) * in_w];
-            let mut fwd_slices: [&[f32]; MAX_GATES] = [&[]; MAX_GATES];
-            let hoisted: Option<&[&[f32]]> = if hoist {
-                for (g, slot) in fwd_slices.iter_mut().enumerate().take(gate_count) {
-                    let start = (g * rows + offset) * out_w;
-                    *slot = &scratch.fwd[start..start + active * out_w];
-                }
-                Some(&fwd_slices[..gate_count])
-            } else {
-                None
-            };
+            let mut hoisted: [&[f32]; MAX_GATES] = [&[]; MAX_GATES];
+            for (g, slot) in hoisted.iter_mut().enumerate().take(gate_count) {
+                let start = (g * rows + offset) * out_w;
+                *slot = &scratch.fwd[start..start + active * out_w];
+            }
+            let hoisted = &hoisted[..gate_count];
             let step = first_step + b;
             match self {
                 Cell::Lstm(cell) => cell.step_batch_into(

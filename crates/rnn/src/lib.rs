@@ -56,7 +56,7 @@ pub use config::{CellKind, DeepRnnConfig, Direction};
 pub use dense::Dense;
 pub use error::RnnError;
 pub use evaluator::{
-    CountingEvaluator, ExactEvaluator, GateBatch, NeuronEvaluator, NeuronRef, PerNeuronEvaluator,
+    evaluate_neurons, CountingEvaluator, ExactEvaluator, GateBatch, NeuronEvaluator, NeuronRef,
 };
 pub use gate::{Gate, GateId, GateKind};
 pub use gru::{GruCell, GruState};

@@ -3,7 +3,7 @@
 use crate::batch::{BatchScratch, BatchState};
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
-use crate::gate::{Gate, GateId, GateKind};
+use crate::gate::{hoist_one, Gate, GateId, GateKind};
 use crate::Result;
 use nfm_tensor::activation::Activation;
 use nfm_tensor::kernels::activate_into;
@@ -189,7 +189,7 @@ impl LstmCell {
     /// the evaluator can key its memoization tables; `timestep` is the
     /// driver's step counter.  `state` and `next` must be distinct.
     /// `xs` holds the `lanes` input vectors lane-striped
-    /// (`lanes * input_size`).  `hoisted`, when present, supplies the
+    /// (`lanes * input_size`).  `hoisted` supplies the
     /// pre-computed input projections `W_x·x_t` for this timestep, one
     /// lane-striped slice (`lanes * hidden`) per gate in
     /// [`GateKind::LSTM`] order.  Lanes never interact: lane `l`'s next
@@ -211,7 +211,7 @@ impl LstmCell {
         state: &BatchState,
         next: &mut BatchState,
         scratch: &mut BatchScratch,
-        hoisted: Option<&[&[f32]]>,
+        hoisted: &[&[f32]],
         evaluator: &mut dyn NeuronEvaluator,
     ) -> Result<()> {
         let hidden = self.hidden_size();
@@ -235,22 +235,19 @@ impl LstmCell {
                 ),
             });
         }
-        if let Some(fwd) = hoisted {
-            if fwd.len() != GateKind::LSTM.len() {
-                return Err(RnnError::InvalidConfig {
-                    what: format!(
-                        "hoisted projections cover {} gates, LSTM needs {}",
-                        fwd.len(),
-                        GateKind::LSTM.len()
-                    ),
-                });
-            }
+        if hoisted.len() != GateKind::LSTM.len() {
+            return Err(RnnError::InvalidConfig {
+                what: format!(
+                    "hoisted projections cover {} gates, LSTM needs {}",
+                    hoisted.len(),
+                    GateKind::LSTM.len()
+                ),
+            });
         }
         let id = |kind| GateId::new(layer, direction, kind);
         let h_prev = state.h_prefix(lanes);
         let c_prev = state.c_prefix(lanes);
         let (ib, fb, gb) = scratch.bufs(lanes * hidden);
-        let gate_fwd = |g: usize| hoisted.map(|f| f[g]);
         self.input.evaluate_batch_into(
             id(GateKind::Input),
             timestep,
@@ -258,7 +255,7 @@ impl LstmCell {
             xs,
             h_prev,
             Some(c_prev),
-            gate_fwd(0),
+            hoisted[0],
             evaluator,
             ib,
         )?;
@@ -269,7 +266,7 @@ impl LstmCell {
             xs,
             h_prev,
             Some(c_prev),
-            gate_fwd(1),
+            hoisted[1],
             evaluator,
             fb,
         )?;
@@ -280,7 +277,7 @@ impl LstmCell {
             xs,
             h_prev,
             None,
-            gate_fwd(2),
+            hoisted[2],
             evaluator,
             gb,
         )?;
@@ -297,7 +294,7 @@ impl LstmCell {
             xs,
             h_prev,
             Some(c_prev),
-            gate_fwd(3),
+            hoisted[3],
             evaluator,
             ib,
         )?;
@@ -340,6 +337,10 @@ impl LstmCell {
         let mut current = BatchState::zeros(1, hidden);
         current.set_lane(0, state.h.as_slice(), state.c.as_slice());
         let mut next = BatchState::zeros(1, hidden);
+        let hoisted = hoist_one(
+            [&self.input, &self.forget, &self.candidate, &self.output],
+            x.as_slice(),
+        )?;
         self.step_batch_into(
             layer,
             direction,
@@ -349,7 +350,7 @@ impl LstmCell {
             &current,
             &mut next,
             &mut BatchScratch::new(),
-            None,
+            &hoisted.iter().map(Vec::as_slice).collect::<Vec<_>>(),
             evaluator,
         )?;
         Ok(LstmState {

@@ -517,7 +517,7 @@ impl LaneScheduler {
 mod tests {
     use super::*;
     use crate::config::{CellKind, DeepRnnConfig, Direction};
-    use crate::evaluator::{CountingEvaluator, ExactEvaluator, PerNeuronEvaluator};
+    use crate::evaluator::{evaluate_neurons, CountingEvaluator, ExactEvaluator, GateBatch};
     use crate::layer::{Cell, Layer};
     use nfm_tensor::rng::DeterministicRng;
 
@@ -900,9 +900,21 @@ mod tests {
         assert_every_entry_point_agrees(|exact| exact);
     }
 
+    /// The exact policy written one neuron at a time.
+    struct PerNeuronExact;
+
+    impl NeuronEvaluator for PerNeuronExact {
+        fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> Result<()> {
+            let wh = call.gate.wh();
+            evaluate_neurons(call, out, |id, _, h, fwd| {
+                Ok(fwd + wh.row_dot(id.neuron, h)?)
+            })
+        }
+    }
+
     #[test]
     fn run_run_batch_and_the_scheduler_agree_under_the_per_neuron_evaluator() {
-        assert_every_entry_point_agrees(PerNeuronEvaluator::new);
+        assert_every_entry_point_agrees(|_| PerNeuronExact);
     }
 
     #[test]

@@ -342,9 +342,9 @@ pub(crate) unsafe fn matmul_add_body<O: DotOps>(
 
 /// Lane-striped `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l]`: the
 /// forward product written by one [`product_body`] walk, the recurrent
-/// one added onto it by a second, which keeps the `fwd + rec` order of
-/// `Gate::neuron_dot` and makes the fused gate the hoisted pair
-/// ([`matmul_body`] then [`matmul_add_body`]) by construction.
+/// one added onto it by a second, which makes the fused gate the
+/// hoisted pair ([`matmul_body`] then [`matmul_add_body`]) by
+/// construction.
 ///
 /// # Safety
 ///

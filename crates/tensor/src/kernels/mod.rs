@@ -281,11 +281,9 @@ pub fn matvec_into_on(
 /// `out[n] = wx[n]·x + wh[n]·h` — the pre-activation dot product of every
 /// neuron of a recurrent gate, without bias.
 ///
-/// This is the batched form of the quantity the paper's fuzzy
-/// memoization scheme decides to compute or reuse, so it is exactly what
-/// the exact (baseline) evaluator runs per gate per timestep.  It is
-/// [`dual_matmul_into`] at one lane: the scalar order is `fwd + rec`
-/// (the order of `Gate::neuron_dot`) on every dispatch tier.
+/// This is the quantity the paper's fuzzy memoization scheme decides to
+/// compute or reuse.  It is [`dual_matmul_into`] at one lane: the scalar
+/// order is `fwd + rec`, the hoisted pair's, on every dispatch tier.
 ///
 /// # Errors
 ///

@@ -1,28 +1,32 @@
-//! Equivalence guarantees for the fused gate-evaluation hot path.
+//! Equivalence guarantees for the gate entry, the one implementation
+//! every evaluator has.
 //!
-//! The contract: every `NeuronEvaluator::evaluate_gate_batch` override
-//! must be **bit-identical** to the per-neuron reference (the trait's
-//! default lanes × neurons loop over `evaluate`, pinned down by
-//! `PerNeuronEvaluator`, which also never receives hoisted
-//! projections) — for {exact (hoisted), oracle, BNN, BNN + audit} ×
-//! {LSTM, GRU} × {uni, bidirectional}, and for BNN's whole-gate passes
-//! also across gate widths and lane counts on both sides of every
-//! vector width and kernel tile, with lanes refilled mid-flight.  Every
-//! built-in memoizing evaluator takes the hoisted input projections, so
-//! BNN and the oracle are also pinned under the lane scheduler at
-//! sequence lengths on both sides of the hoist block.  An engine with
-//! any worker count must answer with the outputs and statistics of
-//! `Predictor::run`.
+//! The exact evaluator's tiled entry must be bit-identical to the exact
+//! policy written one neuron at a time through `evaluate_neurons`.  The
+//! memoizing evaluators are checked against the independent per-neuron
+//! memoized reference (`memo_check`): every one-lane run below goes
+//! through that check, and every run through the lane scheduler must
+//! reproduce those one-lane runs bit for bit — outputs, each sequence's
+//! statistics and longest reuse run, audits — for {oracle, BNN, BNN
+//! unthrottled, BNN + audit} × {LSTM, GRU} × {uni, bidirectional}, with
+//! lanes refilled mid-flight and at sequence lengths on both sides of
+//! the hoist block.  BNN's whole-gate passes are also pinned to their
+//! one-lane runs across gate widths and lane counts on both sides of
+//! every vector width and kernel tile.  An engine with any worker count
+//! must answer with the outputs and statistics of `Predictor::run`.
 
+mod memo_check;
+
+use memo_check::{checked_run, Inspect};
 use nfm::bnn::BinaryNetwork;
-use nfm::control::{AdaptivePredictor, ControllerConfig};
+use nfm::eval::reference::MemoPolicy;
 use nfm::memo::{
     AuditConfig, BnnMemoConfig, BnnMemoEvaluator, Model, OracleEvaluator, OracleMemoConfig,
     Predictor, PredictorKind, ReuseStats,
 };
 use nfm::rnn::{
-    CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, LaneScheduler, NeuronEvaluator,
-    PerNeuronEvaluator,
+    evaluate_neurons, CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, GateBatch,
+    LaneScheduler, NeuronEvaluator, Result as RnnResult,
 };
 use nfm::serve::{EngineBuilder, InferenceRequest};
 use nfm::tensor::rng::DeterministicRng;
@@ -100,16 +104,127 @@ fn assert_bit_identical(name: &str, batched: &[Vector], per_neuron: &[Vector]) {
     }
 }
 
+/// The exact policy written one neuron at a time.
+#[derive(Default)]
+struct PerNeuronExact {
+    evaluations: u64,
+}
+
+impl NeuronEvaluator for PerNeuronExact {
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
+        let wh = call.gate.wh();
+        evaluate_neurons(call, out, |id, _, h, fwd| {
+            self.evaluations += 1;
+            Ok(fwd + wh.row_dot(id.neuron, h)?)
+        })
+    }
+}
+
+/// One sequence's run: outputs, its lane's statistics and the longest
+/// reuse run its lane's table saw.
+type Run = (Vec<Vector>, ReuseStats, u32);
+
+/// Runs `seqs` through a `lanes`-wide lane scheduler, refilling lanes
+/// as they drain, and returns every sequence's run in input order.
+fn through_scheduler<E: Inspect>(
+    net: &DeepRnn,
+    lanes: usize,
+    seqs: &[Vec<Vector>],
+    evaluator: &mut E,
+) -> Vec<Run> {
+    let mut sched = LaneScheduler::new(net, lanes).unwrap();
+    evaluator.begin_batch(lanes);
+    let mut queue = seqs.iter().cloned().enumerate();
+    let mut results = vec![None; seqs.len()];
+    let mut finished = Vec::new();
+    loop {
+        while sched.free_lanes() > 0 {
+            let Some((i, s)) = queue.next() else { break };
+            sched.admit(i as u64, s, evaluator).unwrap();
+        }
+        if sched.step(net, evaluator, &mut finished).unwrap() == 0 {
+            break;
+        }
+        for f in finished.drain(..) {
+            let (stats, table) = (
+                evaluator.lanes().stats(f.stats_lane),
+                evaluator.lanes().table(f.stats_lane),
+            );
+            results[f.token as usize] = Some((f.outputs, *stats, table.max_consecutive_reuses()));
+        }
+    }
+    results.into_iter().map(Option::unwrap).collect()
+}
+
+/// Every sequence of `seqs` alone, under the reference check.
+fn checked_solo_runs<E: Inspect>(
+    net: &DeepRnn,
+    seqs: &[Vec<Vector>],
+    make: impl Fn() -> E,
+    policy: MemoPolicy,
+) -> Vec<Run> {
+    seqs.iter()
+        .map(|s| {
+            let (out, e) = checked_run(net, s, make(), policy);
+            (
+                out,
+                *e.lanes().stats(0),
+                e.lanes().table(0).max_consecutive_reuses(),
+            )
+        })
+        .collect()
+}
+
+/// Requires every sequence's scheduled run to equal its solo run.
+fn assert_runs_match(what: &str, batched: &[Run], solo: &[Run]) {
+    assert_eq!(batched.len(), solo.len(), "{what}");
+    for (i, (b, s)) in batched.iter().zip(solo).enumerate() {
+        assert_bit_identical(&format!("{what} seq {i}"), &b.0, &s.0);
+        assert_eq!((b.1, b.2), (s.1, s.2), "{what} seq {i}: stats, longest run");
+    }
+}
+
+/// Four ragged sequences of `net`'s input width.
+fn ragged(net: &DeepRnn, seed: u64) -> Vec<Vec<Vector>> {
+    [14, 9, 17, 5]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| smooth_sequence(len, net.input_size(), seed + i as u64))
+        .collect()
+}
+
+/// Each of a network's ragged sequences, checked alone against the
+/// reference, then all of them through a 3-lane scheduler on one
+/// evaluator: every sequence reproduces its solo run, and the
+/// evaluator's aggregate counts are the solo runs' sum.  Returns the
+/// scheduled evaluator.
+fn assert_scheduled_runs_reproduce_checked_solo_runs<E: Inspect>(
+    what: &str,
+    net: &DeepRnn,
+    seqs: &[Vec<Vector>],
+    make: impl Fn() -> E,
+    policy: MemoPolicy,
+) -> E {
+    let solo = checked_solo_runs(net, seqs, &make, policy);
+    let mut evaluator = make();
+    let batched = through_scheduler(net, 3, seqs, &mut evaluator);
+    assert_runs_match(what, &batched, &solo);
+    let mut total = ReuseStats::new();
+    solo.iter().for_each(|run| total.merge(&run.1));
+    assert_eq!(evaluator.total(), total, "{what}: aggregate statistics");
+    evaluator
+}
+
 #[test]
 fn exact_batched_is_bit_identical_to_per_neuron() {
     for (name, net) in networks() {
         let seq = smooth_sequence(12, net.input_size(), 7);
         let mut batched = ExactEvaluator::new();
         let out_batched = net.run(&seq, &mut batched).unwrap();
-        let mut naive = PerNeuronEvaluator::new(ExactEvaluator::new());
+        let mut naive = PerNeuronExact::default();
         let out_naive = net.run(&seq, &mut naive).unwrap();
         assert_bit_identical(name, &out_batched, &out_naive);
-        assert_eq!(batched.evaluations(), naive.inner().evaluations(), "{name}");
+        assert_eq!(batched.evaluations(), naive.evaluations, "{name}");
     }
 }
 
@@ -117,20 +232,56 @@ fn exact_batched_is_bit_identical_to_per_neuron() {
 fn oracle_batched_is_bit_identical_and_stats_match() {
     for theta in [0.0f32, 0.2, 0.6, f32::INFINITY] {
         for (name, net) in networks() {
-            let seq = smooth_sequence(14, net.input_size(), 11);
-            let mut batched =
-                OracleEvaluator::for_network(&net, OracleMemoConfig::with_threshold(theta));
-            let out_batched = net.run(&seq, &mut batched).unwrap();
-            let mut naive = PerNeuronEvaluator::new(OracleEvaluator::new(
-                OracleMemoConfig::with_threshold(theta),
-            ));
-            let out_naive = net.run(&seq, &mut naive).unwrap();
-            assert_bit_identical(name, &out_batched, &out_naive);
-            assert_eq!(
-                batched.stats(),
-                naive.inner().stats(),
-                "{name} θ={theta}: reuse statistics must match"
+            let config = OracleMemoConfig::with_threshold(theta);
+            assert_scheduled_runs_reproduce_checked_solo_runs(
+                &format!("{name} oracle θ={theta}"),
+                &net,
+                &ragged(&net, 11),
+                || OracleEvaluator::new(config),
+                MemoPolicy::Oracle(config),
             );
+        }
+    }
+}
+
+/// BNN at `config` over every network, checked, scheduled and compared;
+/// with `audit`, the scheduled run also samples the solo runs' hits.
+fn assert_bnn_case(case: &str, config: BnnMemoConfig, audit: Option<AuditConfig>, seed: u64) {
+    for (name, net) in networks() {
+        let what = format!("{name} bnn {case}");
+        let mirror = std::sync::Arc::new(BinaryNetwork::mirror(&net));
+        let make = || {
+            let evaluator = BnnMemoEvaluator::new(mirror.clone(), config);
+            match audit {
+                Some(audit) => evaluator.with_audit(audit),
+                None => evaluator,
+            }
+        };
+        let seqs = ragged(&net, seed);
+        let policy = MemoPolicy::Bnn(config, audit);
+        let scheduled =
+            assert_scheduled_runs_reproduce_checked_solo_runs(&what, &net, &seqs, make, policy);
+        assert!(
+            scheduled.stats().reuses() > 0 || config.threshold == 0.0,
+            "{what}"
+        );
+        if audit.is_some() {
+            // Same hits sampled: the per-layer counters of the solo runs
+            // add up to the scheduled run's.
+            let mut solo = nfm::memo::AuditStats::new();
+            for s in &seqs {
+                let (_, e) = checked_run(&net, s, make(), policy);
+                solo.merge(e.audit_stats());
+            }
+            let got = scheduled.audit_stats();
+            assert!(got.audited() > 0, "{what}: some hits audited");
+            for (g, w) in got.layers().iter().zip(solo.layers()) {
+                assert_eq!((g.hits, g.audited), (w.hits, w.audited), "{what}");
+                assert!(
+                    (g.error_sum - w.error_sum).abs() <= 1e-9 * w.error_sum,
+                    "{what}"
+                );
+            }
         }
     }
 }
@@ -138,80 +289,41 @@ fn oracle_batched_is_bit_identical_and_stats_match() {
 #[test]
 fn bnn_batched_is_bit_identical_and_stats_match() {
     for theta in [0.0f32, 0.5, 2.0] {
-        for (name, net) in networks() {
-            let seq = smooth_sequence(14, net.input_size(), 13);
-            let mirror = BinaryNetwork::mirror(&net);
-            let mut batched =
-                BnnMemoEvaluator::new(mirror.clone(), BnnMemoConfig::with_threshold(theta));
-            let out_batched = net.run(&seq, &mut batched).unwrap();
-            let mut naive = PerNeuronEvaluator::new(BnnMemoEvaluator::new(
-                mirror,
-                BnnMemoConfig::with_threshold(theta),
-            ));
-            let out_naive = net.run(&seq, &mut naive).unwrap();
-            assert_bit_identical(name, &out_batched, &out_naive);
-            assert_eq!(
-                batched.stats(),
-                naive.inner().stats(),
-                "{name} θ={theta}: reuse statistics must match"
-            );
-            assert_eq!(
-                batched.lanes().table(0).max_consecutive_reuses(),
-                naive.inner().table().max_consecutive_reuses(),
-                "{name} θ={theta}: reuse run lengths must match"
-            );
-        }
+        assert_bnn_case(
+            &format!("θ={theta}"),
+            BnnMemoConfig::with_threshold(theta),
+            None,
+            13,
+        );
     }
 }
 
 #[test]
 fn bnn_without_throttling_is_bit_identical_too() {
-    for (name, net) in networks() {
-        let seq = smooth_sequence(10, net.input_size(), 17);
-        let mirror = BinaryNetwork::mirror(&net);
-        let config = BnnMemoConfig::with_threshold(0.8).without_throttling();
-        let mut batched = BnnMemoEvaluator::new(mirror.clone(), config);
-        let out_batched = net.run(&seq, &mut batched).unwrap();
-        let mut naive = PerNeuronEvaluator::new(BnnMemoEvaluator::new(mirror, config));
-        let out_naive = net.run(&seq, &mut naive).unwrap();
-        assert_bit_identical(name, &out_batched, &out_naive);
-        assert_eq!(batched.stats(), naive.inner().stats(), "{name}");
-    }
+    let config = BnnMemoConfig::with_threshold(0.8).without_throttling();
+    assert_bnn_case("unthrottled", config, None, 17);
 }
 
 #[test]
 fn bnn_with_audit_is_bit_identical_and_audits_the_same_hits() {
-    for (name, net) in networks() {
-        let seq = smooth_sequence(14, net.input_size(), 19);
-        let mirror = BinaryNetwork::mirror(&net);
-        let config = BnnMemoConfig::with_threshold(1.0);
-        let audit = AuditConfig::new(4, 2019);
-        let mut batched = BnnMemoEvaluator::new(mirror.clone(), config).with_audit(audit);
-        let out_batched = net.run(&seq, &mut batched).unwrap();
-        let mut naive =
-            PerNeuronEvaluator::new(BnnMemoEvaluator::new(mirror, config).with_audit(audit));
-        let out_naive = net.run(&seq, &mut naive).unwrap();
-        assert_bit_identical(name, &out_batched, &out_naive);
-        assert_eq!(batched.stats(), naive.inner().stats(), "{name}");
-        assert!(batched.stats().audited() > 0, "{name}: some hits audited");
-        // Same hits sampled, same exact recomputations, same errors.
-        assert_eq!(
-            batched.audit_stats(),
-            naive.inner().audit_stats(),
-            "{name}: per-layer audit counters must match"
-        );
-    }
+    let audit = AuditConfig::new(4, 2019);
+    assert_bnn_case(
+        "audited",
+        BnnMemoConfig::with_threshold(1.0),
+        Some(audit),
+        19,
+    );
 }
 
 /// BNN's gate entry decides, computes and refreshes a whole gate in
-/// vector-shaped passes over lane-striped buffers, so it is pinned to
-/// the per-neuron reference across gate widths that are no multiple of
-/// any vector width and lane counts around the kernel's lane quads and
-/// chunks — under the lane scheduler's block refill, with ragged
-/// lengths, so lanes drain and are refilled while their neighbours are
-/// mid-sequence.  With and without audit sampling.
+/// vector-shaped passes over lane-striped buffers, so every lane is
+/// pinned to the same sequence run alone across gate widths that are no
+/// multiple of any vector width and lane counts around the kernel's
+/// lane quads and chunks — under the lane scheduler's block refill,
+/// with ragged lengths, so lanes drain and are refilled while their
+/// neighbours are mid-sequence.  With and without audit sampling.
 #[test]
-fn bnn_passes_match_per_neuron_at_every_gate_width_and_lane_count() {
+fn bnn_passes_match_one_lane_at_every_gate_width_and_lane_count() {
     const WIDTHS: [usize; 6] = [1, 7, 17, 37, 128, 400];
     const LANES: [usize; 7] = [1, 2, 3, 5, 8, 9, 70];
     let config = BnnMemoConfig::with_threshold(1.0);
@@ -233,40 +345,13 @@ fn bnn_passes_match_per_neuron_at_every_gate_width_and_lane_count() {
                     None => evaluator,
                 }
             };
-            let solo: Vec<(Vec<Vector>, ReuseStats)> = seqs
-                .iter()
-                .map(|s| {
-                    let mut naive = PerNeuronEvaluator::new(make());
-                    let out = net.run(s, &mut naive).unwrap();
-                    (out, *naive.inner().stats())
-                })
-                .collect();
+            let solo = through_scheduler(&net, 1, &seqs, &mut make());
             for lanes in LANES {
                 let what = format!("hidden {hidden} lanes {lanes} audit {}", audit.is_some());
-                let mut sched = LaneScheduler::new(&net, lanes).unwrap();
                 let mut evaluator = make();
-                evaluator.begin_batch(lanes);
-                let mut queue = seqs[..lanes + 3].iter().cloned().enumerate();
-                let mut finished = Vec::new();
-                let (mut done, mut audited) = (0, 0);
-                loop {
-                    while sched.free_lanes() > 0 {
-                        let Some((i, s)) = queue.next() else { break };
-                        sched.admit(i as u64, s, &mut evaluator).unwrap();
-                    }
-                    if sched.step(&net, &mut evaluator, &mut finished).unwrap() == 0 {
-                        break;
-                    }
-                    for f in finished.drain(..) {
-                        let i = f.token as usize;
-                        assert_bit_identical(&format!("{what} seq {i}"), &f.outputs, &solo[i].0);
-                        let lane = f.stats_lane;
-                        assert_eq!(*evaluator.lanes().stats(lane), solo[i].1, "{what} seq {i}");
-                        audited += solo[i].1.audited();
-                        done += 1;
-                    }
-                }
-                assert_eq!(done, lanes + 3, "{what}: every sequence finished");
+                let batched = through_scheduler(&net, lanes, &seqs[..lanes + 3], &mut evaluator);
+                assert_runs_match(&what, &batched, &solo[..lanes + 3]);
+                let audited: u64 = batched.iter().map(|run| run.1.audited()).sum();
                 assert_eq!(evaluator.audit_stats().audited(), audited, "{what}");
                 assert_eq!(
                     audit.is_some(),
@@ -278,45 +363,16 @@ fn bnn_passes_match_per_neuron_at_every_gate_width_and_lane_count() {
     }
 }
 
-/// Runs `seqs` through a `lanes`-wide lane scheduler, refilling lanes
-/// as they drain, and returns every sequence's outputs with the
-/// statistics its lane accumulated, in input order.
-fn through_scheduler<E: NeuronEvaluator>(
-    net: &DeepRnn,
-    lanes: usize,
-    seqs: &[Vec<Vector>],
-    evaluator: &mut E,
-    lane_stats: impl Fn(&E, usize) -> ReuseStats,
-) -> Vec<(Vec<Vector>, ReuseStats)> {
-    let mut sched = LaneScheduler::new(net, lanes).unwrap();
-    evaluator.begin_batch(lanes);
-    let mut queue = seqs.iter().cloned().enumerate();
-    let mut results = vec![None; seqs.len()];
-    let mut finished = Vec::new();
-    loop {
-        while sched.free_lanes() > 0 {
-            let Some((i, s)) = queue.next() else { break };
-            sched.admit(i as u64, s, evaluator).unwrap();
-        }
-        if sched.step(net, evaluator, &mut finished).unwrap() == 0 {
-            break;
-        }
-        for f in finished.drain(..) {
-            results[f.token as usize] = Some((f.outputs, lane_stats(evaluator, f.stats_lane)));
-        }
-    }
-    results.into_iter().map(Option::unwrap).collect()
-}
-
 /// The memoizing evaluators take the hoisted `W_x·x_t` and add one
 /// tiled `W_h` product onto it, so their hits, misses and audits must
 /// not depend on where a hoist block starts or ends: under the lane
 /// scheduler, at sequence lengths 1 / 4 / 9 / 17 and 1, 3 and 8 lanes,
-/// every sequence equals its per-neuron run alone — outputs, its lane's
-/// statistics (audits included) — for BNN (throttled or not, with and
-/// without audit) and the oracle, over an LSTM with peepholes, a GRU
-/// (whose candidate gate's recurrent input is `r ⊙ h`) and a
-/// bidirectional GRU.  A mirror of another network reproduces exact.
+/// every sequence equals its run alone checked against the per-neuron
+/// reference — outputs, its lane's statistics (audits included) — for
+/// BNN (throttled or not, with and without audit) and the oracle, over
+/// an LSTM with peepholes, a GRU (whose candidate gate's recurrent
+/// input is `r ⊙ h`) and a bidirectional GRU.  A mirror of another
+/// network reproduces exact.
 #[test]
 fn hoisting_memo_evaluators_match_per_neuron_across_hoist_blocks() {
     let mut rng = DeterministicRng::seed_from_u64(34);
@@ -338,8 +394,6 @@ fn hoisting_memo_evaluators_match_per_neuron_across_hoist_blocks() {
         (bnn, Some(AuditConfig::new(3, 2019))),
     ];
     let oracle = OracleMemoConfig::with_threshold(0.3);
-    let bnn_stats = |e: &BnnMemoEvaluator, lane| *e.lanes().stats(lane);
-    let oracle_stats = |e: &OracleEvaluator, lane| *e.lanes().stats(lane);
     for (n, net) in nets.iter().enumerate() {
         let mirror = std::sync::Arc::new(BinaryNetwork::mirror(net));
         let bnn_make = |(config, audit): (BnnMemoConfig, Option<AuditConfig>)| {
@@ -349,39 +403,31 @@ fn hoisting_memo_evaluators_match_per_neuron_across_hoist_blocks() {
                 None => evaluator,
             }
         };
+        let bnn_solo = bnn_configs.map(|case| {
+            let policy = MemoPolicy::Bnn(case.0, case.1);
+            checked_solo_runs(net, &seqs, || bnn_make(case), policy)
+        });
+        let oracle_make = || OracleEvaluator::new(oracle);
+        let oracle_solo = checked_solo_runs(net, &seqs, oracle_make, MemoPolicy::Oracle(oracle));
         for lanes in [1usize, 3, 8] {
-            for case in bnn_configs {
+            for (case, solo) in bnn_configs.iter().zip(&bnn_solo) {
                 let what = format!("net {n} lanes {lanes} bnn {case:?}");
-                let mut evaluator = bnn_make(case);
-                assert!(evaluator.supports_input_hoisting());
-                let batched = through_scheduler(net, lanes, &seqs, &mut evaluator, bnn_stats);
-                for (i, (out, stats)) in batched.iter().enumerate() {
-                    let mut naive = PerNeuronEvaluator::new(bnn_make(case));
-                    let solo = net.run(&seqs[i], &mut naive).unwrap();
-                    assert_bit_identical(&format!("{what} seq {i}"), out, &solo);
-                    assert_eq!(stats, naive.inner().stats(), "{what} seq {i}");
-                }
-                let audited: u64 = batched.iter().map(|(_, stats)| stats.audited()).sum();
+                let batched = through_scheduler(net, lanes, &seqs, &mut bnn_make(*case));
+                assert_runs_match(&what, &batched, solo);
+                let audited: u64 = batched.iter().map(|run| run.1.audited()).sum();
                 assert_eq!(case.1.is_some(), audited > 0, "{what}: audits iff sampling");
             }
             let what = format!("net {n} lanes {lanes} oracle");
-            let mut evaluator = OracleEvaluator::new(oracle);
-            assert!(evaluator.supports_input_hoisting());
-            let batched = through_scheduler(net, lanes, &seqs, &mut evaluator, oracle_stats);
-            for (i, (out, stats)) in batched.iter().enumerate() {
-                let mut naive = PerNeuronEvaluator::new(OracleEvaluator::new(oracle));
-                let solo = net.run(&seqs[i], &mut naive).unwrap();
-                assert_bit_identical(&format!("{what} seq {i}"), out, &solo);
-                assert_eq!(stats, naive.inner().stats(), "{what} seq {i}");
-            }
+            let batched = through_scheduler(net, lanes, &seqs, &mut oracle_make());
+            assert_runs_match(&what, &batched, &oracle_solo);
             // A mirror of another network fits none of these gates, so
             // every gate falls back to the exact path, hoisted half
             // included.
             let other = DeepRnn::random(&DeepRnnConfig::new(CellKind::Lstm, 3, 4), &mut rng);
             let foreign = BinaryNetwork::mirror(&other.unwrap());
             let mut evaluator = BnnMemoEvaluator::new(foreign, bnn);
-            let batched = through_scheduler(net, lanes, &seqs, &mut evaluator, bnn_stats);
-            for (i, (out, stats)) in batched.iter().enumerate() {
+            let batched = through_scheduler(net, lanes, &seqs, &mut evaluator);
+            for (i, (out, stats, _)) in batched.iter().enumerate() {
                 let exact = net.run(&seqs[i], &mut ExactEvaluator::new()).unwrap();
                 let what = format!("net {n} lanes {lanes} foreign mirror seq {i}");
                 assert_bit_identical(&what, out, &exact);
@@ -389,9 +435,6 @@ fn hoisting_memo_evaluators_match_per_neuron_across_hoist_blocks() {
             }
         }
     }
-    let model = Model::from(nets[0].clone());
-    let adaptive = AdaptivePredictor::new(ControllerConfig::new(0.04)).evaluator(&model);
-    assert!(adaptive.supports_input_hoisting());
 }
 
 #[test]

@@ -16,7 +16,6 @@ use nfm::memo::{
 };
 use nfm::rnn::{
     CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, LaneScheduler, NeuronEvaluator,
-    PerNeuronEvaluator,
 };
 use nfm::serve::{CompletionStatus, EngineBuilder, InferenceRequest};
 use nfm::tensor::rng::DeterministicRng;
@@ -259,15 +258,14 @@ fn per_lane_memo_tables_reproduce_solo_hit_runs() {
 fn repeated_run_batch_calls_start_every_sequence_cold() {
     // Reusing one evaluator across run_batch calls (the scheduler's
     // wave policy does exactly this) must behave like fresh evaluators:
-    // begin_lane_sequence has to reset BOTH the per-lane tables and the
-    // shared reference state that wrapped/default-loop evaluation uses.
+    // begin_lane_sequence has to reset the lane's table.
     let (_, net) = networks().remove(0);
     let s0 = smooth_sequence(9, net.input_size(), 600);
     let s1 = smooth_sequence(7, net.input_size(), 601);
     let mirror = BinaryNetwork::mirror(&net);
     let config = BnnMemoConfig::with_threshold(1.0);
 
-    // Gate-entry override active (bare evaluator), two waves.
+    // Two waves on one evaluator.
     let mut evaluator = BnnMemoEvaluator::new(mirror.clone(), config);
     let w0 = net.run_batch(&[s0.as_slice()], &mut evaluator).unwrap();
     let w1 = net.run_batch(&[s1.as_slice()], &mut evaluator).unwrap();
@@ -277,14 +275,6 @@ fn repeated_run_batch_calls_start_every_sequence_cold() {
     let r1 = net.run(&s1, &mut fresh).unwrap();
     assert_bit_identical("wave 0", &w0, std::slice::from_ref(&r0));
     assert_bit_identical("wave 1 must start cold", &w1, std::slice::from_ref(&r1));
-
-    // Default per-neuron loop (wrapped evaluator suppresses the
-    // override): the shared reference state must also go cold per wave.
-    let mut wrapped = PerNeuronEvaluator::new(BnnMemoEvaluator::new(mirror, config));
-    let w0 = net.run_batch(&[s0.as_slice()], &mut wrapped).unwrap();
-    let w1 = net.run_batch(&[s1.as_slice()], &mut wrapped).unwrap();
-    assert_bit_identical("wrapped wave 0", &w0, &[r0]);
-    assert_bit_identical("wrapped wave 1 must start cold", &w1, &[r1]);
 }
 
 /// Writes a denormal, `+inf`, `-inf` and NaN into `seq`'s inputs, at
@@ -408,7 +398,7 @@ fn degenerate_values_in_one_lane_never_leak_into_its_neighbours() {
         assert_poisoned_lane_is_isolated(
             &format!("{name} oracle"),
             &net,
-            || OracleEvaluator::for_network(&net, OracleMemoConfig::with_threshold(0.4)),
+            || OracleEvaluator::new(OracleMemoConfig::with_threshold(0.4)),
             |e, lane| Some(*e.lanes().stats(lane)),
         );
         let mirror = std::sync::Arc::new(BinaryNetwork::mirror(&net));

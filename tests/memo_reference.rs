@@ -1,219 +1,21 @@
-//! The memoizing evaluators against the independent memoized reference
-//! (`nfm::eval::reference::MemoReference`), gate call by gate call.
-//!
-//! A recording evaluator wraps the real `BnnMemoEvaluator` /
-//! `OracleEvaluator`, mirrors every `begin_lane_sequence` and
-//! `swap_lane_state` into the reference, and feeds the reference each
-//! gate call's own `x_t` and `h_{t-1}`.  After every call it requires,
-//! for every lane of the call: each neuron's memo entry (`yb_m`, `δb`
-//! and run length — a run above 0 is a hit, so every decision is
-//! checked) to match exactly, `y_m` and the emitted outputs to sit
-//! within `BUDGET_MAX_ABS`, and every `ReuseStats` and audit count to
-//! match exactly.  Values are compared where both are finite; otherwise
-//! they must agree on NaN-ness (and on the infinity).
-//!
-//! Drivers: `DeepRnn::run` (one lane) and the lane scheduler at 3 and 8
-//! lanes with mid-flight refills, so lane swaps and recycled lanes are
-//! mirrored too.
+//! The memoizing evaluators against the independent memoized reference,
+//! gate call by gate call (see `memo_check`): over `DeepRnn::run` (one
+//! lane) and the lane scheduler at 3 and 8 lanes with mid-flight
+//! refills, so lane swaps and recycled lanes are mirrored too; at θ = 0
+//! (a hit only under `<=`) and θ = ∞, and over a sequence holding NaN
+//! and ±inf inputs.
 
+mod memo_check;
+
+use memo_check::{Inspect, Recorder};
 use nfm::bnn::BinaryNetwork;
-use nfm::eval::reference::{MemoCounts, MemoPolicy, MemoReference, BUDGET_MAX_ABS};
-use nfm::memo::{
-    AuditConfig, AuditStats, BnnMemoConfig, BnnMemoEvaluator, MemoLanes, OracleEvaluator,
-    OracleMemoConfig, ReuseStats,
-};
-use nfm::rnn::{
-    CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, GateBatch, LaneScheduler,
-    NeuronEvaluator, Result as RnnResult,
-};
+use nfm::eval::reference::MemoPolicy;
+use nfm::memo::config::DEFAULT_BNN_EPSILON;
+use nfm::memo::{AuditConfig, BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig};
+use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, LaneScheduler, NeuronEvaluator};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 use std::sync::Arc;
-
-/// What the check reads from the evaluator under test.
-trait Inspect: NeuronEvaluator {
-    fn lanes(&self) -> &MemoLanes;
-    fn total(&self) -> ReuseStats;
-    fn audits(&self) -> Option<&AuditStats>;
-}
-
-impl Inspect for BnnMemoEvaluator {
-    fn lanes(&self) -> &MemoLanes {
-        BnnMemoEvaluator::lanes(self)
-    }
-    fn total(&self) -> ReuseStats {
-        *self.stats()
-    }
-    fn audits(&self) -> Option<&AuditStats> {
-        Some(self.audit_stats())
-    }
-}
-
-impl Inspect for OracleEvaluator {
-    fn lanes(&self) -> &MemoLanes {
-        OracleEvaluator::lanes(self)
-    }
-    fn total(&self) -> ReuseStats {
-        *self.stats()
-    }
-    fn audits(&self) -> Option<&AuditStats> {
-        None
-    }
-}
-
-/// Within the budget where both are finite; otherwise the same NaN-ness
-/// and, when neither is NaN, the same infinity.
-fn close(a: f32, b: f32) -> bool {
-    if a.is_finite() && b.is_finite() {
-        f64::from((a - b).abs()) <= BUDGET_MAX_ABS
-    } else {
-        a.is_nan() == b.is_nan() && (a.is_nan() || a == b)
-    }
-}
-
-/// Bit-equal, or both NaN.
-fn same(a: f32, b: f32) -> bool {
-    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
-}
-
-fn counts(stats: &ReuseStats) -> MemoCounts {
-    MemoCounts {
-        evaluations: stats.evaluations(),
-        reuses: stats.reuses(),
-        bnn_evaluations: stats.bnn_evaluations(),
-        audited: stats.audited(),
-    }
-}
-
-/// The real evaluator, checked against the reference after every call.
-struct Recorder<E> {
-    inner: E,
-    reference: MemoReference,
-    what: String,
-    calls: u64,
-    hits: u64,
-    nonfinite: u64,
-}
-
-impl<E: Inspect> Recorder<E> {
-    fn new(inner: E, policy: MemoPolicy, what: String) -> Self {
-        Recorder {
-            inner,
-            reference: MemoReference::new(policy),
-            what,
-            calls: 0,
-            hits: 0,
-            nonfinite: 0,
-        }
-    }
-
-    fn check(&mut self, call: &GateBatch<'_>, out: &[f32]) -> RnnResult<()> {
-        let (gate, id) = (call.gate, call.gate_id);
-        let (isz, hsz, nsz) = (gate.input_size(), gate.hidden_size(), gate.neurons());
-        let mut truth = vec![0.0; out.len()];
-        ExactEvaluator::new().evaluate_gate_batch(call, &mut truth)?;
-        let what = format!(
-            "{} call {} {id:?} t={}",
-            self.what, self.calls, call.timestep
-        );
-        for l in 0..call.lanes {
-            let want = self.reference.step(
-                l,
-                id,
-                gate,
-                &call.xs[l * isz..(l + 1) * isz],
-                &call.h_prevs[l * hsz..(l + 1) * hsz],
-                &truth[l * nsz..(l + 1) * nsz],
-            );
-            let table = self.inner.lanes().table(l);
-            for n in 0..nsz {
-                let got = out[l * nsz + n];
-                assert!(
-                    close(got, want[n]),
-                    "{what} lane {l} neuron {n}: output {got} vs {}",
-                    want[n]
-                );
-                let entry = table
-                    .get(id, n)
-                    .expect("every neuron has an entry after a call");
-                let slot = self.reference.slot(l, id, n).expect("and in the reference");
-                let where_ = format!("{what} lane {l} neuron {n}: {entry:?} vs {slot:?}");
-                assert!(same(entry.cached_bnn_output, slot.yb_m), "yb_m at {where_}");
-                assert!(same(entry.accumulated_delta, slot.delta), "δb at {where_}");
-                assert_eq!(entry.consecutive_reuses, slot.run, "run at {where_}");
-                assert!(close(entry.cached_output, slot.y_m), "y_m at {where_}");
-                self.hits += u64::from(slot.run > 0);
-                self.nonfinite += u64::from(!got.is_finite());
-            }
-            let lane = counts(self.inner.lanes().stats(l));
-            assert_eq!(
-                lane,
-                self.reference.lane_counts(l),
-                "{what} lane {l} counts"
-            );
-        }
-        assert_eq!(
-            counts(&self.inner.total()),
-            self.reference.total(),
-            "{what} totals"
-        );
-        if let Some(audits) = self.inner.audits() {
-            let (got, want) = (audits.layers(), self.reference.audits());
-            for layer in 0..got.len().max(want.len()) {
-                let g = got.get(layer).copied().unwrap_or_default();
-                let w = want.get(layer).copied().unwrap_or_default();
-                assert_eq!(
-                    (g.hits, g.audited),
-                    (w.hits, w.audited),
-                    "{what} audits {layer}"
-                );
-                let tolerance = 2.0 * BUDGET_MAX_ABS * g.audited as f64;
-                let (a, b) = (g.error_sum, w.error_sum);
-                assert!(
-                    a == b || (a - b).abs() <= tolerance || (a.is_nan() && b.is_nan()),
-                    "{what} audit error sum {layer}: {a} vs {b}"
-                );
-            }
-        }
-        self.calls += 1;
-        Ok(())
-    }
-}
-
-impl<E: Inspect> NeuronEvaluator for Recorder<E> {
-    fn evaluate(
-        &mut self,
-        _: nfm::rnn::NeuronRef,
-        _: &nfm::rnn::Gate,
-        _: &[f32],
-        _: &[f32],
-    ) -> RnnResult<f32> {
-        unreachable!("the check drives the gate entry")
-    }
-
-    fn supports_input_hoisting(&self) -> bool {
-        self.inner.supports_input_hoisting()
-    }
-
-    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
-        self.inner.evaluate_gate_batch(call, out)?;
-        self.check(call, out)
-    }
-
-    fn begin_batch(&mut self, lanes: usize) {
-        self.inner.begin_batch(lanes);
-    }
-
-    fn begin_lane_sequence(&mut self, lane: usize) {
-        self.inner.begin_lane_sequence(lane);
-        self.reference.begin_lane(lane);
-    }
-
-    fn swap_lane_state(&mut self, a: usize, b: usize) {
-        self.inner.swap_lane_state(a, b);
-        self.reference.swap_lanes(a, b);
-    }
-}
 
 fn networks() -> Vec<(&'static str, DeepRnn)> {
     let mut rng = DeterministicRng::seed_from_u64(36);
@@ -351,4 +153,52 @@ fn oracle_decisions_entries_and_counts_match_the_reference() {
             assert!(nonfinite > 0, "{what}: non-finite values");
         }
     }
+}
+
+/// The decision where the arithmetic degenerates: a zero clamp turns
+/// every neuron whose BNN output sits at 0 into `0 / 0 = NaN` (which
+/// must miss and must never reach the stored `δb`), θ at NaN / negative
+/// / zero / infinite / `f32::MAX`, with and without throttling — over a
+/// 2,000-step constant input, the saturated regime in which a throttled
+/// `δb` accumulates longest.
+#[test]
+fn degenerate_thresholds_and_clamps_match_the_reference() {
+    let mut rng = DeterministicRng::seed_from_u64(23);
+    let net = DeepRnn::random(&DeepRnnConfig::new(CellKind::Lstm, 8, 12), &mut rng).unwrap();
+    let seq = vec![smooth_sequence(1, 8, 22).remove(0); 2000];
+    let mirror = Arc::new(BinaryNetwork::mirror(&net));
+    let mut nan_compares = 0;
+    for theta in [f32::NAN, -1.0, 0.0, f32::INFINITY, f32::MAX] {
+        for epsilon in [0.0, DEFAULT_BNN_EPSILON] {
+            for throttle in [true, false] {
+                let config = BnnMemoConfig {
+                    threshold: theta,
+                    throttle,
+                    epsilon,
+                };
+                let what = format!("θ={theta} ε₀={epsilon} throttle={throttle}");
+                let evaluator = BnnMemoEvaluator::new(mirror.clone(), config);
+                let mut recorder = Recorder::new(evaluator, MemoPolicy::Bnn(config, None), what);
+                net.run(&seq, &mut recorder).unwrap();
+                let (fused, what) = (&recorder.inner, &recorder.what);
+                for (id, gate) in net.gates() {
+                    for n in 0..gate.neurons() {
+                        let entry = fused.lanes().table(0).get(id, n).unwrap();
+                        assert!(!entry.accumulated_delta.is_nan(), "{what}: NaN stored");
+                    }
+                }
+                if theta == f32::INFINITY {
+                    // Every finite or infinite δb' qualifies, so
+                    // whatever missed after the cold first step
+                    // compared a NaN — possible under a zero clamp
+                    // only.
+                    let cold = net.neuron_evaluations_per_step() as u64;
+                    let nan_misses = fused.stats().computed() - cold;
+                    assert!(epsilon == 0.0 || nan_misses == 0, "{what}");
+                    nan_compares += nan_misses;
+                }
+            }
+        }
+    }
+    assert!(nan_compares > 0, "no neuron exercised the 0 / 0 compare");
 }

@@ -30,8 +30,8 @@ use nfm::memo::{
     ReuseStats, ServedEvaluator,
 };
 use nfm::rnn::{
-    CellKind, DeepRnn, DeepRnnConfig, Direction, Gate, GateBatch, GateId, LaneScheduler,
-    NeuronEvaluator, NeuronRef, PerNeuronEvaluator, Result as RnnResult,
+    evaluate_neurons, CellKind, DeepRnn, DeepRnnConfig, Direction, GateBatch, GateId,
+    LaneScheduler, NeuronEvaluator, Result as RnnResult,
 };
 use nfm::serve::{
     CompletionStatus, EngineBuilder, EngineError, InferenceRequest, ModelRegistry, PredictorKind,
@@ -102,41 +102,20 @@ impl StickyState {
     }
 }
 
-/// The custom evaluator: one [`StickyState`] per lane for the gate
-/// entry, plus one for the per-neuron reference path.
+/// The custom evaluator: one [`StickyState`] per lane, written one
+/// neuron at a time.
 #[derive(Default)]
 struct StickyEvaluator {
-    single: StickyState,
     lanes: Vec<StickyState>,
 }
 
 impl NeuronEvaluator for StickyEvaluator {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> RnnResult<f32> {
-        let exact = gate.neuron_dot(neuron.neuron, x, h_prev)?;
-        Ok(self
-            .single
-            .produce(neuron.gate_id, neuron.neuron, move || exact))
-    }
-
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
-        let gate = call.gate;
-        let (isz, hsz, nsz) = (gate.input_size(), gate.hidden_size(), gate.neurons());
-        for l in 0..call.lanes {
-            let x = &call.xs[l * isz..(l + 1) * isz];
-            let h = &call.h_prevs[l * hsz..(l + 1) * hsz];
-            let state = &mut self.lanes[l];
-            for (n, slot) in out[l * nsz..(l + 1) * nsz].iter_mut().enumerate() {
-                let exact = gate.neuron_dot(n, x, h)?;
-                *slot = state.produce(call.gate_id, n, move || exact);
-            }
-        }
-        Ok(())
+        let wh = call.gate.wh();
+        evaluate_neurons(call, out, |id, _, h, fwd| {
+            let exact = fwd + wh.row_dot(id.neuron, h)?;
+            Ok(self.lanes[id.lane].produce(id.gate_id, id.neuron, move || exact))
+        })
     }
 
     fn begin_batch(&mut self, lanes: usize) {
@@ -146,7 +125,6 @@ impl NeuronEvaluator for StickyEvaluator {
     }
 
     fn begin_lane_sequence(&mut self, lane: usize) {
-        self.single.cache.clear();
         self.lanes[lane].cache.clear();
     }
 
@@ -194,18 +172,17 @@ fn ragged_sequences(net: &DeepRnn, seed: u64) -> Vec<Vec<Vector>> {
 }
 
 /// Contract 1: a custom `Predictor` served through the engine ==
-/// driving its evaluator directly — through the per-neuron reference
-/// path and through `run_batch` waves — for every lane count.
+/// driving its evaluator directly — one sequence at a time and through
+/// `run_batch` waves — for every lane count.
 #[test]
 fn custom_predictor_through_engine_matches_direct_evaluator_runs() {
     let net = unidirectional_network(31);
     let seqs = ragged_sequences(&net, 400);
 
-    // Solo reference runs through the per-neuron default loop, which
-    // bypasses the evaluator's own gate-entry override.
+    // Solo reference runs, one lane each.
     let mut reference = Vec::new();
     for seq in &seqs {
-        let mut eval = PerNeuronEvaluator::new(StickyEvaluator::default());
+        let mut eval = StickyEvaluator::default();
         reference.push(net.run(seq, &mut eval).unwrap());
     }
 
@@ -382,7 +359,7 @@ fn one_engine_serves_two_models_with_per_request_options() {
                     assert_eq!(r.stats, *eval.stats(), "{name}: per-request stats");
                 }
                 Expect::Oracle => {
-                    let mut eval = OracleEvaluator::for_network(net, oracle_cfg);
+                    let mut eval = OracleEvaluator::new(oracle_cfg);
                     let reference = net.run(&seq, &mut eval).unwrap();
                     assert_bit_identical(&name, &r.outputs, &reference);
                     assert_eq!(r.stats, *eval.stats(), "{name}: per-request stats");
@@ -467,7 +444,7 @@ fn dedicated_run(
         }
         PredictorKind::Oracle(mut config) => {
             config.threshold = theta;
-            let mut eval = OracleEvaluator::for_network(net, config);
+            let mut eval = OracleEvaluator::new(config);
             (net.run(seq, &mut eval).unwrap(), *eval.stats())
         }
         PredictorKind::Exact => unreachable!("the exact baseline has no threshold"),
@@ -773,16 +750,6 @@ struct SleepyEvaluator {
 }
 
 impl NeuronEvaluator for SleepyEvaluator {
-    fn evaluate(
-        &mut self,
-        neuron: NeuronRef,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-    ) -> RnnResult<f32> {
-        self.inner.evaluate(neuron, gate, x, h_prev)
-    }
-
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
         if let Some(stage) = &self.stage {
             let me = thread::current().id();

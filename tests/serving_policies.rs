@@ -325,7 +325,7 @@ fn run_at(
         PredictorKind::Bnn(_) => bnn_run(model, theta, seq),
         PredictorKind::Oracle(_) => {
             let config = OracleMemoConfig::with_threshold(theta);
-            let mut eval = OracleEvaluator::for_network(model.network(), config);
+            let mut eval = OracleEvaluator::new(config);
             (model.network().run(seq, &mut eval).unwrap(), *eval.stats())
         }
         PredictorKind::Exact => unreachable!("the exact baseline has no threshold"),
