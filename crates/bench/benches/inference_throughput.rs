@@ -723,7 +723,7 @@ fn main() {
         let (gate_xbs, gate_hbs): (Vec<BitVector>, Vec<BitVector>) = (0..lanes)
             .map(|l| bnn_gate.binarize_inputs(&xs[l * xc..][..xc], &hs[l * hc..][..hc]))
             .unzip();
-        let mut packed = Vec::new();
+        let mut packed = nfm_tensor::LineBuf::new();
         bnn_gate.pack_inputs(&xs, &hs, lanes, &mut packed);
         let (words, xw) = (bnn_gate.row_words(), xc.div_ceil(64));
         let mut yb = vec![0i32; lanes * rows];

@@ -5,12 +5,13 @@ use crate::popcount::{self, PopcountBackend, SignBlock, BLOCK_ROWS};
 use crate::{BnnError, Result};
 use nfm_rnn::Gate;
 use nfm_tensor::arena::ArenaU64;
+use nfm_tensor::LineBuf;
 
 /// Storage of a gate's sign block: built in memory by
 /// [`BinaryGate::mirror`], or a window of a loaded model arena.
 #[derive(Debug, Clone)]
 enum Block {
-    Owned(Vec<u64>),
+    Owned(LineBuf<u64>),
     Arena(ArenaU64),
 }
 
@@ -82,7 +83,7 @@ impl BinaryGate {
         let (neurons, input_size, hidden_size) =
             (gate.neurons(), gate.input_size(), gate.hidden_size());
         let (xw, words) = row_shape(input_size, hidden_size);
-        let mut block = vec![0; block_len(neurons, words)];
+        let mut block = LineBuf::zeros(block_len(neurons, words));
         let mut row = vec![0u64; words];
         for n in 0..neurons {
             popcount::pack_signs_on(backend, gate.wx().row(n), &mut row[..xw]);
@@ -206,7 +207,8 @@ impl BinaryGate {
     }
 
     /// Packs the signs of `lanes` lane-striped input pairs into `dst`
-    /// (resized to `lanes * row_words()`, storage reused): lane `l`'s
+    /// (resized to `lanes * row_words()`, storage reused, lane 0 on a
+    /// cache line): lane `l`'s
     /// forward input is `xs[l * input_size ..]`, its recurrent input
     /// `h_prevs[l * hidden_size ..]`.  Call once per gate call and hand
     /// the result to [`predict_packed_into`](Self::predict_packed_into)
@@ -216,12 +218,12 @@ impl BinaryGate {
     /// # Panics
     ///
     /// Panics if `xs` or `h_prevs` is not `lanes` inputs long.
-    pub fn pack_inputs(&self, xs: &[f32], h_prevs: &[f32], lanes: usize, dst: &mut Vec<u64>) {
+    pub fn pack_inputs(&self, xs: &[f32], h_prevs: &[f32], lanes: usize, dst: &mut LineBuf<u64>) {
         assert_eq!(xs.len(), lanes * self.input_size, "forward inputs");
         assert_eq!(h_prevs.len(), lanes * self.hidden_size, "recurrent inputs");
         let (isz, hsz) = (self.input_size, self.hidden_size);
         let (xw, words) = row_shape(isz, hsz);
-        dst.resize(lanes * words, 0);
+        dst.resize(lanes * words);
         for l in 0..lanes {
             let packed = &mut dst[l * words..(l + 1) * words];
             popcount::pack_signs(&xs[l * isz..(l + 1) * isz], &mut packed[..xw]);
@@ -468,7 +470,7 @@ mod tests {
             let (xbs, hbs): (Vec<_>, Vec<_>) = (0..lanes)
                 .map(|l| b.binarize_inputs(&xs[l * 21..][..21], &hs[l * 13..][..13]))
                 .unzip();
-            let mut packed = Vec::new();
+            let mut packed = LineBuf::new();
             b.pack_inputs(&xs, &hs, lanes, &mut packed);
             let mut predicted = vec![0i32; lanes * 13];
             b.predict_packed_into(&packed, &mut predicted);

@@ -8,6 +8,7 @@ use crate::table::MemoTable;
 use nfm_bnn::{BinaryGate, BinaryNetwork};
 use nfm_rnn::{ExactEvaluator, Gate, GateBatch, GateId, NeuronEvaluator, Result as RnnResult};
 use nfm_tensor::vector::relative_difference;
+use nfm_tensor::LineBuf;
 use std::sync::Arc;
 
 /// A [`NeuronEvaluator`] implementing the paper's realisable memoization
@@ -65,10 +66,10 @@ pub struct BnnMemoEvaluator {
     stats: ReuseStats,
     // Whole-gate mirror outputs for every lane, filled by one
     // dispatched XNOR-popcount call per gate invocation.
-    yb: Vec<i32>,
+    yb: LineBuf<i32>,
     // Every lane's sign-packed `[x_t; h_{t-1}]` of the current gate
     // call, `row_words()` words a lane.
-    packed: Vec<u64>,
+    packed: LineBuf<u64>,
     // Per-lane state of the gate entry: table, statistics (so a serving
     // engine can attribute reuse to the request occupying each lane;
     // `stats` still aggregates everything), audit phase and θ override.
@@ -76,7 +77,7 @@ pub struct BnnMemoEvaluator {
     // Every lane's exact outputs of the current gate call, lane-striped
     // like the gate's outputs: written by the compute pass, selected
     // from by the decide pass and read by the audit walk.
-    y: Vec<f32>,
+    y: LineBuf<f32>,
     // Miss flags of the current gate invocation, lane-striped like the
     // gate's outputs: written by the decide pass, read by the audit walk.
     miss: Vec<u8>,
@@ -119,10 +120,10 @@ impl BnnMemoEvaluator {
             mirror: mirror.into(),
             config,
             stats: ReuseStats::new(),
-            yb: Vec::new(),
-            packed: Vec::new(),
+            yb: LineBuf::new(),
+            packed: LineBuf::new(),
             lanes: MemoLanes::default(),
-            y: Vec::new(),
+            y: LineBuf::new(),
             miss: Vec::new(),
             layer_thresholds: Vec::new(),
             audit: None,
@@ -334,9 +335,9 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         // (block-outer, lane-inner).  Popcounts are integer-exact, so
         // every lane's outputs equal its one-lane call's.
         binary_gate.pack_inputs(xs, h_prevs, lanes, &mut self.packed);
-        self.yb.resize(lanes * nsz, 0);
+        self.yb.resize(lanes * nsz);
         self.miss.resize(lanes * nsz, 0);
-        self.y.resize(lanes * nsz, 0.0);
+        self.y.resize(lanes * nsz);
         binary_gate.predict_packed_into(&self.packed, &mut self.yb);
 
         // Pass 2 — compute.  Every lane's exact outputs through the exact

@@ -17,6 +17,7 @@
 //! invalidating every entry.
 
 use nfm_rnn::{DeepRnn, GateId};
+use nfm_tensor::LineBuf;
 
 /// Per-neuron memoization state.
 ///
@@ -92,13 +93,13 @@ pub struct MemoTable {
     /// gate has no region yet.  Grown on demand.
     gate_map: Vec<u32>,
     blocks: Vec<Block>,
-    // The columns, all of one length: a `MemoEntry` field each, plus the
-    // epoch the slot was written in.
-    cached_output: Vec<f32>,
-    cached_bnn_output: Vec<f32>,
-    accumulated_delta: Vec<f32>,
-    consecutive_reuses: Vec<u32>,
-    epochs: Vec<u32>,
+    // The columns, all of one length, each starting on a cache line: a
+    // `MemoEntry` field each, plus the epoch the slot was written in.
+    cached_output: LineBuf<f32>,
+    cached_bnn_output: LineBuf<f32>,
+    accumulated_delta: LineBuf<f32>,
+    consecutive_reuses: LineBuf<u32>,
+    epochs: LineBuf<u32>,
     /// Entries are live iff their slot epoch equals this (starts at 1 so
     /// zero-initialized slots are dead).
     epoch: u32,
@@ -110,11 +111,11 @@ impl Default for MemoTable {
         MemoTable {
             gate_map: Vec::new(),
             blocks: Vec::new(),
-            cached_output: Vec::new(),
-            cached_bnn_output: Vec::new(),
-            accumulated_delta: Vec::new(),
-            consecutive_reuses: Vec::new(),
-            epochs: Vec::new(),
+            cached_output: LineBuf::new(),
+            cached_bnn_output: LineBuf::new(),
+            accumulated_delta: LineBuf::new(),
+            consecutive_reuses: LineBuf::new(),
+            epochs: LineBuf::new(),
             epoch: 1,
             max_consecutive_reuses: 0,
         }
@@ -184,11 +185,11 @@ impl MemoTable {
         }
         let offset = self.epochs.len();
         let end = offset + neurons;
-        self.cached_output.resize(end, 0.0);
-        self.cached_bnn_output.resize(end, 0.0);
-        self.accumulated_delta.resize(end, 0.0);
-        self.consecutive_reuses.resize(end, 0);
-        self.epochs.resize(end, 0);
+        self.cached_output.resize(end);
+        self.cached_bnn_output.resize(end);
+        self.accumulated_delta.resize(end);
+        self.consecutive_reuses.resize(end);
+        self.epochs.resize(end);
         self.blocks.push(Block {
             offset: offset as u32,
             len: neurons as u32,

@@ -15,14 +15,19 @@
 //! the active lanes are always the prefix `0..active` — a shorter lane
 //! simply drops out of the prefix when its sequence ends (the ragged
 //! tail) and its stale state is never read again.
+//!
+//! Every buffer here is a [`LineBuf`], so lane 0 starts on a cache line
+//! (and so does every lane when the width is a multiple of 16).
+
+use nfm_tensor::LineBuf;
 
 /// The recurrent state of `lanes` independent cell instances, stored
 /// lane-striped: `h` (and `c` for LSTM cells) hold `lanes * hidden`
 /// values each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchState {
-    h: Vec<f32>,
-    c: Vec<f32>,
+    h: LineBuf<f32>,
+    c: LineBuf<f32>,
     lanes: usize,
     hidden: usize,
 }
@@ -33,8 +38,8 @@ impl BatchState {
     /// GRU cells simply never touch it.
     pub fn zeros(lanes: usize, hidden: usize) -> Self {
         BatchState {
-            h: vec![0.0; lanes * hidden],
-            c: vec![0.0; lanes * hidden],
+            h: LineBuf::zeros(lanes * hidden),
+            c: LineBuf::zeros(lanes * hidden),
             lanes,
             hidden,
         }
@@ -133,9 +138,9 @@ impl BatchState {
 /// buffers; a cell step only ever needs these three.)
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    a: Vec<f32>,
-    b: Vec<f32>,
-    c: Vec<f32>,
+    a: LineBuf<f32>,
+    b: LineBuf<f32>,
+    c: LineBuf<f32>,
 }
 
 impl BatchScratch {
@@ -149,9 +154,9 @@ impl BatchScratch {
     /// grows beyond any previously seen width.
     pub fn bufs(&mut self, len: usize) -> (&mut [f32], &mut [f32], &mut [f32]) {
         if self.a.len() < len {
-            self.a.resize(len, 0.0);
-            self.b.resize(len, 0.0);
-            self.c.resize(len, 0.0);
+            self.a.resize(len);
+            self.b.resize(len);
+            self.c.resize(len);
         }
         (&mut self.a[..len], &mut self.b[..len], &mut self.c[..len])
     }

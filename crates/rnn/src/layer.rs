@@ -14,6 +14,7 @@ use crate::lstm::LstmCell;
 use crate::Result;
 use nfm_tensor::kernels::matmul_into;
 use nfm_tensor::rng::DeterministicRng;
+use nfm_tensor::LineBuf;
 
 /// Timesteps per block: the number of input projections `W_x·x_t`
 /// hoisted into one matrix product per gate per layer, and the
@@ -26,9 +27,9 @@ const MAX_GATES: usize = GateKind::LSTM.len();
 
 /// Grows `buf` to at least `len` values (never shrinks, so block-local
 /// buffers allocate only when a block is larger than any seen before).
-pub(crate) fn grow(buf: &mut Vec<f32>, len: usize) {
+pub(crate) fn grow(buf: &mut LineBuf<f32>, len: usize) {
     if buf.len() < len {
-        buf.resize(len, 0.0);
+        buf.resize(len);
     }
 }
 
@@ -82,7 +83,7 @@ impl BlockPlan {
 #[derive(Debug, Default)]
 pub(crate) struct BlockScratch {
     cell: BatchScratch,
-    fwd: Vec<f32>,
+    fwd: LineBuf<f32>,
 }
 
 /// Either kind of recurrent cell, so layers and networks can mix LSTM and

@@ -1,13 +1,13 @@
-//! Contiguous, 8-byte-aligned tensor arena for zero-copy model loading.
+//! Contiguous, line-aligned tensor arena for zero-copy model loading.
 //!
 //! A model artifact's whole payload is read into **one** [`TensorArena`]
 //! (a single allocation, a single bulk read); every tensor in the model
 //! then *borrows* its slice of the arena instead of owning a copy.  The
-//! arena is backed by `u64` words so any offset that is a multiple of 8
-//! is correctly aligned for both `f32` views (weight matrices, biases)
-//! and `u64` views (the BNN mirror's packed sign words) — the artifact
-//! writer pads every tensor to a 64-byte boundary, which is a multiple
-//! of both.
+//! arena is a [`LineBuf`] of `u64` words, so its base sits on a 64-byte
+//! cache line; the artifact writer pads every tensor to a 64-byte
+//! offset, so every `f32` view (weight matrices, biases) and `u64` view
+//! (the BNN mirror's packed sign words) starts on a line too, and a
+//! 64-byte load of a weight row never straddles two lines.
 //!
 //! Views hand out plain `&[f32]` / `&[u64]` slices, so the hot kernel
 //! paths are completely unaware of whether a tensor is owned or
@@ -16,6 +16,7 @@
 //! types, never writes through the shared arena.
 
 use crate::error::TensorError;
+use crate::line::LineBuf;
 use crate::Result;
 use std::io::Read;
 use std::sync::Arc;
@@ -23,11 +24,11 @@ use std::sync::Arc;
 /// One contiguous, shared, read-only buffer holding every tensor of a
 /// loaded model.
 ///
-/// The backing store is a `Vec<u64>` so the base address is always
-/// 8-byte aligned; `len_bytes` tracks the real payload length (the last
-/// word may be partially used).
+/// The backing store is a [`LineBuf`] of words, so the base address is
+/// always 64-byte aligned; `len_bytes` tracks the real payload length
+/// (the last word may be partially used).
 pub struct TensorArena {
-    words: Vec<u64>,
+    words: LineBuf<u64>,
     len_bytes: usize,
 }
 
@@ -45,10 +46,10 @@ impl TensorArena {
         len_bytes: usize,
         mut each_chunk: impl FnMut(&[u8]),
     ) -> std::io::Result<Self> {
-        let mut words = vec![0u64; len_bytes.div_ceil(8)];
-        // SAFETY: the byte view covers exactly the Vec's initialized
-        // allocation; u64 has no invalid bit patterns, so writing raw
-        // bytes through it is sound.
+        let mut words = LineBuf::<u64>::zeros(len_bytes.div_ceil(8));
+        // SAFETY: the byte view lies inside the buffer's initialized
+        // words; u64 has no invalid bit patterns, so writing raw bytes
+        // through it is sound.
         let bytes =
             unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, len_bytes) };
         for chunk in bytes.chunks_mut(256 << 10) {
@@ -70,7 +71,7 @@ impl TensorArena {
 
     /// Whole payload as bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        // SAFETY: the view covers initialized memory inside the Vec.
+        // SAFETY: the view covers initialized words of the buffer.
         unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len_bytes) }
     }
 
@@ -99,8 +100,8 @@ impl TensorArena {
                 what: "f32 view escapes the arena",
             });
         }
-        // SAFETY: range checked above; base is 8-byte aligned and the
-        // offset is a multiple of 4, so the pointer is f32-aligned; f32
+        // SAFETY: range checked above; the base is 64-byte aligned and
+        // the offset a multiple of 4, so the pointer is f32-aligned; f32
         // has no invalid bit patterns.
         Ok(unsafe {
             std::slice::from_raw_parts(
@@ -135,7 +136,8 @@ impl TensorArena {
                 what: "u64 view escapes the arena",
             });
         }
-        // SAFETY: range and alignment checked above.
+        // SAFETY: range checked above; the base is 64-byte aligned and
+        // the offset a multiple of 8, so the pointer is u64-aligned.
         Ok(unsafe {
             std::slice::from_raw_parts(
                 (self.words.as_ptr() as *const u8).add(byte_offset) as *const u64,

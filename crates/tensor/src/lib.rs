@@ -31,6 +31,7 @@ pub mod backend;
 pub mod error;
 pub mod init;
 pub mod kernels;
+pub mod line;
 pub mod matrix;
 pub mod rng;
 pub mod stats;
@@ -39,6 +40,7 @@ pub mod vector;
 pub use arena::{ArenaF32, ArenaU64, TensorArena};
 pub use backend::KernelBackend;
 pub use error::TensorError;
+pub use line::LineBuf;
 pub use matrix::Matrix;
 pub use vector::Vector;
 

@@ -2,23 +2,26 @@
 
 use crate::arena::{ArenaF32, TensorArena};
 use crate::error::TensorError;
+use crate::line::LineBuf;
 use crate::vector::{dot, Vector};
 use crate::Result;
+use std::ops::DerefMut;
 use std::sync::Arc;
 
-/// Backing storage of a matrix: owned heap data or a borrowed window of
-/// a shared model arena.  Arena-backed matrices convert to owned storage
-/// on first mutation (copy-on-write), so the shared arena is never
-/// written through.
+/// Backing storage of a tensor: an owned buffer `B` or a borrowed window
+/// of a shared model arena.  Arena-backed tensors convert to owned
+/// storage on first mutation (copy-on-write), so the shared arena is
+/// never written through.  A matrix owns a [`LineBuf`], so its rows
+/// start on a line as arena rows do; a vector owns a plain `Vec`.
 #[derive(Debug, Clone)]
-pub(crate) enum Store {
-    /// Plain owned storage (the default for constructed matrices).
-    Owned(Vec<f32>),
+pub(crate) enum Store<B = Vec<f32>> {
+    /// Plain owned storage (the default for constructed tensors).
+    Owned(B),
     /// Borrowed view of a loaded model artifact's arena.
     Arena(ArenaF32),
 }
 
-impl Store {
+impl<B: DerefMut<Target = [f32]> + for<'a> From<&'a [f32]>> Store<B> {
     pub(crate) fn as_slice(&self) -> &[f32] {
         match self {
             Store::Owned(v) => v,
@@ -27,9 +30,9 @@ impl Store {
     }
 
     /// Copy-on-write access: arena-backed storage is copied out once.
-    pub(crate) fn make_mut(&mut self) -> &mut Vec<f32> {
+    pub(crate) fn make_mut(&mut self) -> &mut B {
         if let Store::Arena(a) = self {
-            *self = Store::Owned(a.as_slice().to_vec());
+            *self = Store::Owned(B::from(a.as_slice()));
         }
         match self {
             Store::Owned(v) => v,
@@ -59,7 +62,7 @@ impl Store {
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Store,
+    data: Store<LineBuf<f32>>,
 }
 
 impl PartialEq for Matrix {
@@ -74,7 +77,7 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: Store::Owned(vec![0.0; rows * cols]),
+            data: Store::Owned(LineBuf::zeros(rows * cols)),
         }
     }
 
@@ -112,10 +115,10 @@ impl Matrix {
 
     /// Builds a matrix by evaluating `f(row, col)` for every element.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut data = LineBuf::zeros(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
-                data.push(f(r, c));
+                data[r * cols + c] = f(r, c);
             }
         }
         Matrix {
@@ -137,7 +140,7 @@ impl Matrix {
             return Err(TensorError::Empty { op: "from_rows" });
         }
         let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
+        let mut data = LineBuf::zeros(rows.len() * cols);
         for (i, row) in rows.iter().enumerate() {
             if row.len() != cols {
                 return Err(TensorError::RaggedRows {
@@ -146,7 +149,7 @@ impl Matrix {
                     row: i,
                 });
             }
-            data.extend_from_slice(row);
+            data[i * cols..(i + 1) * cols].copy_from_slice(row);
         }
         Ok(Matrix {
             rows: rows.len(),
@@ -169,7 +172,7 @@ impl Matrix {
         Ok(Matrix {
             rows,
             cols,
-            data: Store::Owned(data),
+            data: Store::Owned(LineBuf::from(&data[..])),
         })
     }
 

@@ -1,0 +1,102 @@
+//! Every operand a kernel streams starts on a 64-byte cache line: the
+//! model arena's base (so every tensor view of a loaded artifact, the
+//! writer padding offsets to 64 bytes), owned weight matrices, the BNN
+//! mirror's sign blocks and the lane-striped recurrent state.  A 64-byte
+//! load from a misaligned base straddles two lines.
+
+use nfm::bnn::BinaryNetwork;
+use nfm::rnn::{BatchState, DeepRnn};
+use nfm::tensor::TensorArena;
+use nfm::workloads::{NetworkId, WorkloadBuilder};
+
+/// Bytes in a cache line.
+const LINE_BYTES: usize = 64;
+
+fn on_a_line<T>(slice: &[T]) -> bool {
+    (slice.as_ptr() as usize).is_multiple_of(LINE_BYTES)
+}
+
+#[test]
+fn the_arena_base_starts_on_a_line_on_both_sides_of_the_mmap_threshold() {
+    for len in [4 << 10, 4 << 20] {
+        let bytes = vec![0xA5u8; len];
+        let arena = TensorArena::read_exact_from(&mut &bytes[..], len, |_| {}).unwrap();
+        assert!(on_a_line(arena.as_bytes()), "arena base of {len} bytes");
+        assert_eq!(arena.as_bytes(), &bytes[..], "the payload is unchanged");
+    }
+}
+
+/// The gates' weight matrices and every row whose width is a multiple of
+/// a line; returns how many rows were checked.
+fn assert_weights_on_lines(net: &DeepRnn, what: &str) -> usize {
+    let mut rows = 0;
+    for (id, gate) in net.gates() {
+        for (name, m) in [("wx", gate.wx()), ("wh", gate.wh())] {
+            assert!(on_a_line(m.as_slice()), "{what} {id:?} {name}");
+            if (m.cols() * 4).is_multiple_of(LINE_BYTES) {
+                for r in 0..m.rows() {
+                    assert!(on_a_line(m.row(r)), "{what} {id:?} {name} row {r}");
+                }
+                rows += m.rows();
+            }
+        }
+    }
+    rows
+}
+
+fn assert_sign_blocks_on_lines(mirror: &BinaryNetwork, arena_backed: bool, what: &str) {
+    for (id, gate) in mirror.iter() {
+        assert_eq!(gate.is_arena_backed(), arena_backed, "{what} {id:?}");
+        assert!(on_a_line(gate.sign_block()), "{what} {id:?} sign block");
+    }
+}
+
+#[test]
+fn table1_weights_and_sign_blocks_start_on_a_line() {
+    let mut rows = 0;
+    for id in NetworkId::ALL {
+        let workload = WorkloadBuilder::new(id)
+            .scale(0.125)
+            .sequences(1)
+            .sequence_length(1)
+            .seed(37)
+            .build()
+            .expect("workload builds");
+        let model = workload.model();
+        let name = id.name();
+        let bytes = nfm::model::save_to_vec(model.network(), Some(model.mirror())).unwrap();
+        let loaded = nfm::model::load_from_slice(&bytes).unwrap();
+        assert!(on_a_line(loaded.arena.as_bytes()), "{name} arena base");
+        rows += assert_weights_on_lines(&loaded.network, &format!("{name} loaded"));
+        rows += assert_weights_on_lines(model.network(), &format!("{name} built"));
+        let mapped = loaded.mirror.expect("the artifact carries its mirror");
+        assert_sign_blocks_on_lines(&mapped, true, &format!("{name} mapped"));
+        assert_sign_blocks_on_lines(model.mirror(), false, &format!("{name} mirrored"));
+        let rebuilt = BinaryNetwork::mirror(&loaded.network);
+        assert_sign_blocks_on_lines(&rebuilt, false, &format!("{name} rebuilt"));
+    }
+    assert!(
+        rows > 0,
+        "no Table 1 width at this scale is a multiple of 16"
+    );
+}
+
+#[test]
+fn lane_state_prefixes_start_on_a_line() {
+    for (lanes, hidden) in [(1, 3), (8, 16), (8, 25), (3, 400)] {
+        let mut state = BatchState::zeros(lanes, hidden);
+        for active in 1..=lanes {
+            assert!(on_a_line(state.h_prefix(active)), "{lanes}x{hidden} h");
+            assert!(on_a_line(state.c_prefix(active)), "{lanes}x{hidden} c");
+            assert!(
+                on_a_line(state.h_prefix_mut(active)),
+                "{lanes}x{hidden} h mut"
+            );
+        }
+        if hidden % 16 == 0 {
+            for l in 0..lanes {
+                assert!(on_a_line(state.h_lane(l)), "{lanes}x{hidden} lane {l}");
+            }
+        }
+    }
+}
