@@ -1,10 +1,7 @@
-//! The perf baseline of the repository: inference throughput of the
-//! fused gate-evaluation hot path against the seed's per-neuron paths,
-//! for the exact baseline and the BNN-memoized predictor.
-//!
-//! `scripts/bench_snapshot.sh` runs this target and records the medians
-//! into `BENCH_inference.json`; every future optimisation PR is judged
-//! against that file.
+//! Inference throughput of the fused gate-evaluation hot path against
+//! the seed's per-neuron paths, for the exact baseline and the
+//! BNN-memoized predictor, plus the `kernel/*` rungs that locate a
+//! change the repo benchmark (`benchmark/run.sh`) measures end to end.
 //!
 //! Two exact-inference variants are measured:
 //!
@@ -723,7 +720,7 @@ fn main() {
         let (gate_xbs, gate_hbs): (Vec<BitVector>, Vec<BitVector>) = (0..lanes)
             .map(|l| bnn_gate.binarize_inputs(&xs[l * xc..][..xc], &hs[l * hc..][..hc]))
             .unzip();
-        let mut packed = nfm_tensor::LineBuf::new();
+        let mut packed = nfm_tensor::LineBuf::default();
         bnn_gate.pack_inputs(&xs, &hs, lanes, &mut packed);
         let (words, xw) = (bnn_gate.row_words(), xc.div_ceil(64));
         let mut yb = vec![0i32; lanes * rows];

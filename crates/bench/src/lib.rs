@@ -5,8 +5,8 @@
 //! of `criterion` this crate ships a small measurement core with the
 //! same ergonomics: named benchmarks in groups, warm-up, automatic
 //! iteration scaling, median-of-samples reporting and machine-readable
-//! JSON snapshots (consumed by `scripts/bench_snapshot.sh` to refresh
-//! `BENCH_inference.json`).
+//! JSON snapshots (`--save <path>`; CI's bench-smoke job checks the
+//! ids it requires in one).
 //!
 //! Benchmark targets (all `harness = false`):
 //!

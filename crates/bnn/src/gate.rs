@@ -207,8 +207,7 @@ impl BinaryGate {
     }
 
     /// Packs the signs of `lanes` lane-striped input pairs into `dst`
-    /// (resized to `lanes * row_words()`, storage reused, lane 0 on a
-    /// cache line): lane `l`'s
+    /// (resized to `lanes * row_words()`, storage reused): lane `l`'s
     /// forward input is `xs[l * input_size ..]`, its recurrent input
     /// `h_prevs[l * hidden_size ..]`.  Call once per gate call and hand
     /// the result to [`predict_packed_into`](Self::predict_packed_into)
@@ -470,7 +469,7 @@ mod tests {
             let (xbs, hbs): (Vec<_>, Vec<_>) = (0..lanes)
                 .map(|l| b.binarize_inputs(&xs[l * 21..][..21], &hs[l * 13..][..13]))
                 .unzip();
-            let mut packed = LineBuf::new();
+            let mut packed = LineBuf::default();
             b.pack_inputs(&xs, &hs, lanes, &mut packed);
             let mut predicted = vec![0i32; lanes * 13];
             b.predict_packed_into(&packed, &mut predicted);

@@ -30,9 +30,9 @@
 //! # Tiers
 //!
 //! One gate call of the medium IMDB shape (128 rows of 64 + 128 signs,
-//! three words a row) on the reference host — the committed
+//! three words a row) on the reference host — the
 //! `kernel/bnn_gate_{8l,1l}_streamed/*` and `kernel/sign_pack_8l/*`
-//! rungs of `BENCH_inference.json`:
+//! rungs of `inference_throughput`:
 //!
 //! | kernel tier | predict and sign-pack bodies | predict, 8 lanes / 1 lane | pack, 8 lanes |
 //! |---|---|---|---|

@@ -260,7 +260,7 @@ fn check_packed_predict(rows: usize, isz: usize, hsz: usize, lanes: usize, seed:
             expected[l * rows + n] = reference;
         }
     }
-    let mut packed = nfm_tensor::LineBuf::new();
+    let mut packed = nfm_tensor::LineBuf::default();
     bg.pack_inputs(&xs, &hs, lanes, &mut packed);
     for backend in PopcountBackend::supported() {
         let mut out = vec![i32::MIN; lanes * rows];

@@ -120,10 +120,10 @@ impl BnnMemoEvaluator {
             mirror: mirror.into(),
             config,
             stats: ReuseStats::new(),
-            yb: LineBuf::new(),
-            packed: LineBuf::new(),
+            yb: LineBuf::default(),
+            packed: LineBuf::default(),
             lanes: MemoLanes::default(),
-            y: LineBuf::new(),
+            y: LineBuf::default(),
             miss: Vec::new(),
             layer_thresholds: Vec::new(),
             audit: None,

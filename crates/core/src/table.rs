@@ -111,11 +111,11 @@ impl Default for MemoTable {
         MemoTable {
             gate_map: Vec::new(),
             blocks: Vec::new(),
-            cached_output: LineBuf::new(),
-            cached_bnn_output: LineBuf::new(),
-            accumulated_delta: LineBuf::new(),
-            consecutive_reuses: LineBuf::new(),
-            epochs: LineBuf::new(),
+            cached_output: LineBuf::default(),
+            cached_bnn_output: LineBuf::default(),
+            accumulated_delta: LineBuf::default(),
+            consecutive_reuses: LineBuf::default(),
+            epochs: LineBuf::default(),
             epoch: 1,
             max_consecutive_reuses: 0,
         }

@@ -240,7 +240,7 @@ fn save_load_save_is_byte_identical_and_the_loaded_mirror_is_a_rebuilt_one() {
             let hs: Vec<f32> = (0..8 * lg.hidden_size())
                 .map(|_| rng.uniform(-1.0, 1.0))
                 .collect();
-            let mut packed = nfm_tensor::LineBuf::new();
+            let mut packed = nfm_tensor::LineBuf::default();
             lg.pack_inputs(&xs, &hs, 8, &mut packed);
             let (mut a, mut b) = (vec![0; 8 * lg.neurons()], vec![0; 8 * lg.neurons()]);
             lg.predict_packed_into(&packed, &mut a);

@@ -15,9 +15,6 @@
 //! the active lanes are always the prefix `0..active` — a shorter lane
 //! simply drops out of the prefix when its sequence ends (the ragged
 //! tail) and its stale state is never read again.
-//!
-//! Every buffer here is a [`LineBuf`], so lane 0 starts on a cache line
-//! (and so does every lane when the width is a multiple of 16).
 
 use nfm_tensor::LineBuf;
 

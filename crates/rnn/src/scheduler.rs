@@ -241,9 +241,9 @@ impl LaneScheduler {
             hidden,
             scratch: BlockScratch::default(),
             span: Span::default(),
-            pack_a: LineBuf::new(),
-            pack_b: LineBuf::new(),
-            pack_rev: LineBuf::new(),
+            pack_a: LineBuf::default(),
+            pack_b: LineBuf::default(),
+            pack_rev: LineBuf::default(),
             slots: Vec::with_capacity(lanes),
             steps: 0,
         })

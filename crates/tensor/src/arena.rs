@@ -3,7 +3,7 @@
 //! A model artifact's whole payload is read into **one** [`TensorArena`]
 //! (a single allocation, a single bulk read); every tensor in the model
 //! then *borrows* its slice of the arena instead of owning a copy.  The
-//! arena is a [`LineBuf`] of `u64` words, so its base sits on a 64-byte
+//! arena is a [`LineBuf`] of bytes, so its base sits on a 64-byte
 //! cache line; the artifact writer pads every tensor to a 64-byte
 //! offset, so every `f32` view (weight matrices, biases) and `u64` view
 //! (the BNN mirror's packed sign words) starts on a line too, and a
@@ -24,12 +24,10 @@ use std::sync::Arc;
 /// One contiguous, shared, read-only buffer holding every tensor of a
 /// loaded model.
 ///
-/// The backing store is a [`LineBuf`] of words, so the base address is
-/// always 64-byte aligned; `len_bytes` tracks the real payload length
-/// (the last word may be partially used).
+/// The backing store is a [`LineBuf`], so the base address is always
+/// 64-byte aligned.
 pub struct TensorArena {
-    words: LineBuf<u64>,
-    len_bytes: usize,
+    bytes: LineBuf<u8>,
 }
 
 impl TensorArena {
@@ -46,33 +44,27 @@ impl TensorArena {
         len_bytes: usize,
         mut each_chunk: impl FnMut(&[u8]),
     ) -> std::io::Result<Self> {
-        let mut words = LineBuf::<u64>::zeros(len_bytes.div_ceil(8));
-        // SAFETY: the byte view lies inside the buffer's initialized
-        // words; u64 has no invalid bit patterns, so writing raw bytes
-        // through it is sound.
-        let bytes =
-            unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, len_bytes) };
+        let mut bytes = LineBuf::zeros(len_bytes);
         for chunk in bytes.chunks_mut(256 << 10) {
             reader.read_exact(chunk)?;
             each_chunk(chunk);
         }
-        Ok(TensorArena { words, len_bytes })
+        Ok(TensorArena { bytes })
     }
 
     /// Payload length in bytes.
     pub fn len_bytes(&self) -> usize {
-        self.len_bytes
+        self.bytes.len()
     }
 
     /// Returns `true` if the arena holds no bytes.
     pub fn is_empty(&self) -> bool {
-        self.len_bytes == 0
+        self.bytes.is_empty()
     }
 
     /// Whole payload as bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        // SAFETY: the view covers initialized words of the buffer.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len_bytes) }
+        &self.bytes
     }
 
     /// Borrows `count` `f32` values starting at `byte_offset`.
@@ -95,7 +87,7 @@ impl TensorArena {
                 what: "f32 view offset must be 4-byte aligned",
             });
         }
-        if end > self.len_bytes {
+        if end > self.bytes.len() {
             return Err(TensorError::InvalidParameter {
                 what: "f32 view escapes the arena",
             });
@@ -104,10 +96,7 @@ impl TensorArena {
         // the offset a multiple of 4, so the pointer is f32-aligned; f32
         // has no invalid bit patterns.
         Ok(unsafe {
-            std::slice::from_raw_parts(
-                (self.words.as_ptr() as *const u8).add(byte_offset) as *const f32,
-                count,
-            )
+            std::slice::from_raw_parts(self.bytes.as_ptr().add(byte_offset) as *const f32, count)
         })
     }
 
@@ -131,7 +120,7 @@ impl TensorArena {
                 what: "u64 view offset must be 8-byte aligned",
             });
         }
-        if end > self.len_bytes {
+        if end > self.bytes.len() {
             return Err(TensorError::InvalidParameter {
                 what: "u64 view escapes the arena",
             });
@@ -139,10 +128,7 @@ impl TensorArena {
         // SAFETY: range checked above; the base is 64-byte aligned and
         // the offset a multiple of 8, so the pointer is u64-aligned.
         Ok(unsafe {
-            std::slice::from_raw_parts(
-                (self.words.as_ptr() as *const u8).add(byte_offset) as *const u64,
-                count,
-            )
+            std::slice::from_raw_parts(self.bytes.as_ptr().add(byte_offset) as *const u64, count)
         })
     }
 }
@@ -150,7 +136,7 @@ impl TensorArena {
 impl std::fmt::Debug for TensorArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TensorArena")
-            .field("len_bytes", &self.len_bytes)
+            .field("len_bytes", &self.bytes.len())
             .finish()
     }
 }

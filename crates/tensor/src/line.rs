@@ -1,47 +1,33 @@
-//! A growable buffer whose storage starts on a 64-byte cache line.
-//!
+//! A growable buffer whose storage starts on a 64-byte cache line:
 //! `malloc` aligns a `Vec<f32>` to 16 bytes, so three 64-byte loads in
-//! four straddle two cache lines.  A [`LineBuf`] stores whole
-//! `#[repr(align(64))]` lines and derefs to the `len` elements at their
-//! front: element 0 starts on a line, and so does every lane-striped
-//! row whose width is a multiple of a line.  Everything a kernel
-//! streams lives in one: the model arena, owned weight matrices and
-//! sign blocks, lane state, the driver's packed rows and the memo
-//! table's columns.
+//! four from one straddle two lines.
 
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
-/// Bytes in a cache line, the alignment of every [`LineBuf`].
-pub const LINE_BYTES: usize = 64;
-
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
-struct Line([u8; LINE_BYTES]);
+struct Line([u8; 64]);
 
-const ZERO_LINE: Line = Line([0; LINE_BYTES]);
-
-mod sealed {
-    pub trait Sealed {}
-}
-
-/// An element a [`LineBuf`] may hold: plain data for which every bit
-/// pattern, all-zero included, is a valid value.
-pub trait Element: Copy + PartialEq + std::fmt::Debug + sealed::Sealed + 'static {}
+/// An element a [`LineBuf`] may hold.
+///
+/// # Safety
+///
+/// Every bit pattern, all-zero included, must be a valid value, and the
+/// alignment must divide 64.
+pub unsafe trait Element: Copy + Default + PartialEq + std::fmt::Debug + 'static {}
 
 macro_rules! elements {
-    ($($t:ty),*) => {$(
-        impl sealed::Sealed for $t {}
-        impl Element for $t {}
-    )*};
+    // SAFETY: plain bytes, integers and floats of at most 8 bytes: any
+    // bits are a value.
+    ($($t:ty)*) => { $(unsafe impl Element for $t {})* };
 }
-
-elements!(f32, u32, i32, u64);
+elements!(u8 f32 u32 i32 u64);
 
 /// A growable buffer of `T` whose element 0 sits on a 64-byte line.
-///
 /// New elements are zero; `Clone`, `PartialEq` and `Debug` see only the
 /// `len` elements, never the slack of the last line.
+#[derive(Clone, Default)]
 pub struct LineBuf<T: Element> {
     lines: Vec<Line>,
     len: usize,
@@ -49,20 +35,11 @@ pub struct LineBuf<T: Element> {
 }
 
 impl<T: Element> LineBuf<T> {
-    const PER_LINE: usize = LINE_BYTES / std::mem::size_of::<T>();
-
-    /// An empty buffer (no allocation).
-    pub const fn new() -> Self {
-        LineBuf {
-            lines: Vec::new(),
-            len: 0,
-            elem: PhantomData,
-        }
-    }
+    const PER_LINE: usize = 64 / std::mem::size_of::<T>();
 
     /// `len` zeros.
     pub fn zeros(len: usize) -> Self {
-        let mut buf = Self::new();
+        let mut buf = Self::default();
         buf.resize(len);
         buf
     }
@@ -71,13 +48,12 @@ impl<T: Element> LineBuf<T> {
     /// (including any a shrink left behind in the last line).
     pub fn resize(&mut self, len: usize) {
         let (old, kept) = (self.len, self.lines.len() * Self::PER_LINE);
-        self.lines.resize(len.div_ceil(Self::PER_LINE), ZERO_LINE);
+        // Lines past `len` are dropped, so a clone copies only `len`'s.
+        self.lines
+            .resize(len.div_ceil(Self::PER_LINE), Line([0; 64]));
         self.len = len;
-        let stale = old..len.min(kept);
-        if !stale.is_empty() {
-            // SAFETY: `stale` lies inside the first `len` elements, which
-            // the lines cover; all-zero bytes are a valid `T` (Element).
-            unsafe { std::ptr::write_bytes(self.as_mut_ptr().add(old), 0, stale.len()) };
+        if old < len.min(kept) {
+            self[old..len.min(kept)].fill(T::default());
         }
     }
 }
@@ -86,10 +62,9 @@ impl<T: Element> Deref for LineBuf<T> {
     type Target = [T];
 
     fn deref(&self) -> &[T] {
-        // SAFETY: the lines hold at least `len * size_of::<T>()`
-        // initialized bytes (`resize` keeps `lines` covering `len`), a
-        // line's 64-byte alignment satisfies every `Element`'s, and every
-        // bit pattern is a valid `T`.  An empty `Vec`'s dangling pointer
+        // SAFETY: `resize` keeps the lines covering `len` elements of
+        // initialized bytes, which are valid `T`s (Element) at an
+        // alignment a line's satisfies; an empty `Vec`'s dangling pointer
         // is line-aligned too.
         unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast::<T>(), self.len) }
     }
@@ -102,23 +77,11 @@ impl<T: Element> DerefMut for LineBuf<T> {
     }
 }
 
-impl<T: Element> Default for LineBuf<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T: Element> From<&[T]> for LineBuf<T> {
     fn from(values: &[T]) -> Self {
         let mut buf = Self::zeros(values.len());
         buf.copy_from_slice(values);
         buf
-    }
-}
-
-impl<T: Element> Clone for LineBuf<T> {
-    fn clone(&self) -> Self {
-        Self::from(&**self)
     }
 }
 
@@ -139,7 +102,7 @@ mod tests {
     use super::*;
 
     fn on_a_line<T: Element>(buf: &LineBuf<T>) -> bool {
-        (buf.as_ptr() as usize).is_multiple_of(LINE_BYTES)
+        (buf.as_ptr() as usize).is_multiple_of(64)
     }
 
     #[test]

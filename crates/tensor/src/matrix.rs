@@ -5,14 +5,12 @@ use crate::error::TensorError;
 use crate::line::LineBuf;
 use crate::vector::{dot, Vector};
 use crate::Result;
-use std::ops::DerefMut;
 use std::sync::Arc;
 
-/// Backing storage of a tensor: an owned buffer `B` or a borrowed window
-/// of a shared model arena.  Arena-backed tensors convert to owned
-/// storage on first mutation (copy-on-write), so the shared arena is
-/// never written through.  A matrix owns a [`LineBuf`], so its rows
-/// start on a line as arena rows do; a vector owns a plain `Vec`.
+/// Backing storage of a tensor: an owned buffer `B` (a matrix's is a
+/// [`LineBuf`], so its rows start on a line as arena rows do) or a
+/// borrowed window of a shared model arena, converted to owned storage
+/// on first mutation (copy-on-write), never written through.
 #[derive(Debug, Clone)]
 pub(crate) enum Store<B = Vec<f32>> {
     /// Plain owned storage (the default for constructed tensors).
@@ -21,7 +19,7 @@ pub(crate) enum Store<B = Vec<f32>> {
     Arena(ArenaF32),
 }
 
-impl<B: DerefMut<Target = [f32]> + for<'a> From<&'a [f32]>> Store<B> {
+impl<B: std::ops::DerefMut<Target = [f32]> + for<'a> From<&'a [f32]>> Store<B> {
     pub(crate) fn as_slice(&self) -> &[f32] {
         match self {
             Store::Owned(v) => v,

@@ -335,7 +335,7 @@ fn packed_bnn_predict_matches_its_references_on_every_popcount_tier() {
                 );
             }
         }
-        let mut packed = nfm::tensor::LineBuf::new();
+        let mut packed = nfm::tensor::LineBuf::default();
         bg.pack_inputs(&xs, &hs, lanes, &mut packed);
         for pop in PopcountBackend::supported() {
             let mut out = vec![i32::MIN; lanes * rows];
