@@ -4,8 +4,7 @@ use crate::bitvec::BitVector;
 use crate::popcount::{self, PopcountBackend, SignBlock, BLOCK_ROWS};
 use crate::{BnnError, Result};
 use nfm_rnn::Gate;
-use nfm_tensor::arena::ArenaU64;
-use nfm_tensor::LineBuf;
+use nfm_tensor::{arena::ArenaU64, LineBuf};
 
 /// Storage of a gate's sign block: built in memory by
 /// [`BinaryGate::mirror`], or a window of a loaded model arena.

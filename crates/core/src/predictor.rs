@@ -7,8 +7,7 @@ use crate::stats::ReuseStats;
 use crate::table::MemoTable;
 use nfm_bnn::{BinaryGate, BinaryNetwork};
 use nfm_rnn::{ExactEvaluator, Gate, GateBatch, GateId, NeuronEvaluator, Result as RnnResult};
-use nfm_tensor::vector::relative_difference;
-use nfm_tensor::LineBuf;
+use nfm_tensor::{vector::relative_difference, LineBuf};
 use std::sync::Arc;
 
 /// A [`NeuronEvaluator`] implementing the paper's realisable memoization

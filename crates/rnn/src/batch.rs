@@ -16,15 +16,13 @@
 //! simply drops out of the prefix when its sequence ends (the ragged
 //! tail) and its stale state is never read again.
 
-use nfm_tensor::LineBuf;
-
 /// The recurrent state of `lanes` independent cell instances, stored
 /// lane-striped: `h` (and `c` for LSTM cells) hold `lanes * hidden`
 /// values each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchState {
-    h: LineBuf<f32>,
-    c: LineBuf<f32>,
+    h: nfm_tensor::LineBuf<f32>,
+    c: nfm_tensor::LineBuf<f32>,
     lanes: usize,
     hidden: usize,
 }
@@ -35,8 +33,8 @@ impl BatchState {
     /// GRU cells simply never touch it.
     pub fn zeros(lanes: usize, hidden: usize) -> Self {
         BatchState {
-            h: LineBuf::zeros(lanes * hidden),
-            c: LineBuf::zeros(lanes * hidden),
+            h: nfm_tensor::LineBuf::zeros(lanes * hidden),
+            c: nfm_tensor::LineBuf::zeros(lanes * hidden),
             lanes,
             hidden,
         }
@@ -135,9 +133,9 @@ impl BatchState {
 /// buffers; a cell step only ever needs these three.)
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    a: LineBuf<f32>,
-    b: LineBuf<f32>,
-    c: LineBuf<f32>,
+    a: nfm_tensor::LineBuf<f32>,
+    b: nfm_tensor::LineBuf<f32>,
+    c: nfm_tensor::LineBuf<f32>,
 }
 
 impl BatchScratch {

@@ -12,9 +12,7 @@ use crate::gate::{Gate, GateId, GateKind};
 use crate::gru::GruCell;
 use crate::lstm::LstmCell;
 use crate::Result;
-use nfm_tensor::kernels::matmul_into;
-use nfm_tensor::rng::DeterministicRng;
-use nfm_tensor::LineBuf;
+use nfm_tensor::{kernels::matmul_into, rng::DeterministicRng, LineBuf};
 
 /// Timesteps per block: the number of input projections `W_x·x_t`
 /// hoisted into one matrix product per gate per layer, and the

@@ -59,12 +59,12 @@
 //!
 //! The reference host (Xeon @ 2.1 GHz, 2 vCPUs) sustains 5.0–5.7 such
 //! loads/ns from L1 when they sit on a cache line but 1.9–2.7 when they
-//! start 16 or 32 bytes past one (what `malloc` and the artifact arena
-//! give every weight row), and a chain's multiply-add has a 4-cycle
-//! latency, so two chains finish a chunk-dot every other cycle at best.
-//! `dot2` (what `matmul` and `matmul_add` paired lanes through)
-//! therefore ran at 0.65 ns a chunk-dot in its best rounds, bound by
-//! latency and by loads.  With a separate `vmulps` and `vaddps` per
+//! start 16 or 32 bytes past one, as every weight row did until operands
+//! went line-aligned (`serve_mixed` 1.24x / 1.20x steps/s at seeds 5 /
+//! 29, 9/10 and 10/10 pairs).  A multiply-add has a 4-cycle latency, so
+//! two chains finish a chunk-dot every other cycle at best: `dot2` (what
+//! `matmul` and `matmul_add` paired lanes through) therefore ran at 0.65
+//! ns a chunk-dot in its best rounds, bound by latency and by loads.  With a separate `vmulps` and `vaddps` per
 //! chunk-dot the tile ran at 0.37 ns, the multiply-then-add ceiling
 //! itself (2 FP ops / 5.4 per ns).  One `vfmadd` halves that ceiling to
 //! 0.19 ns, which is why every tier fuses: the `W_x` hoist over the

@@ -1,59 +1,63 @@
-//! A growable buffer whose storage starts on a 64-byte cache line:
+//! A growable buffer whose element 0 starts on a 64-byte cache line:
 //! `malloc` aligns a `Vec<f32>` to 16 bytes, so three 64-byte loads in
 //! four from one straddle two lines.
 
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
-#[derive(Clone, Copy)]
-#[repr(C, align(64))]
-struct Line([u8; 64]);
-
-/// An element a [`LineBuf`] may hold.
-///
 /// # Safety
 ///
-/// Every bit pattern, all-zero included, must be a valid value, and the
-/// alignment must divide 64.
+/// A [`LineBuf`] element: every bit pattern, all-zero included, must be
+/// a valid value, and the alignment must divide 8.
 pub unsafe trait Element: Copy + Default + PartialEq + std::fmt::Debug + 'static {}
 
-macro_rules! elements {
-    // SAFETY: plain bytes, integers and floats of at most 8 bytes: any
-    // bits are a value.
-    ($($t:ty)*) => { $(unsafe impl Element for $t {})* };
-}
-elements!(u8 f32 u32 i32 u64);
+// SAFETY: for all five, any bits are a value and the alignment is ≤ 8.
+unsafe impl Element for u8 {}
+unsafe impl Element for f32 {}
+unsafe impl Element for u32 {}
+unsafe impl Element for i32 {}
+unsafe impl Element for u64 {}
 
-/// A growable buffer of `T` whose element 0 sits on a 64-byte line.
-/// New elements are zero; `Clone`, `PartialEq` and `Debug` see only the
-/// `len` elements, never the slack of the last line.
-#[derive(Clone, Default)]
+/// A growable buffer of `T` whose element 0 is word `start`, a line, of
+/// a zeroed `Vec<u64>` (`calloc` reuses the heap where an over-aligned
+/// allocation maps a large one afresh).  New elements are zero; `Clone`,
+/// `PartialEq` and `Debug` see only the `len` elements.
+#[derive(Default)]
 pub struct LineBuf<T: Element> {
-    lines: Vec<Line>,
+    words: Vec<u64>,
+    start: usize,
     len: usize,
     elem: PhantomData<T>,
 }
 
 impl<T: Element> LineBuf<T> {
-    const PER_LINE: usize = 64 / std::mem::size_of::<T>();
-
     /// `len` zeros.
     pub fn zeros(len: usize) -> Self {
-        let mut buf = Self::default();
-        buf.resize(len);
-        buf
+        let bytes = len.checked_mul(std::mem::size_of::<T>());
+        let words = vec![0u64; bytes.expect("LineBuf length overflows").div_ceil(8) + 7];
+        // A line starts within the (8-byte aligned) Vec's first 8 words.
+        let start = (words.as_ptr() as usize).wrapping_neg() % 64 / 8;
+        LineBuf {
+            words,
+            start,
+            len,
+            elem: PhantomData,
+        }
     }
 
-    /// Sets the length to `len`; elements past the old length are zero
-    /// (including any a shrink left behind in the last line).
+    /// Sets the length to `len`; elements past the old length are zero.
+    /// Storage is kept on a shrink and doubles when it must grow.
     pub fn resize(&mut self, len: usize) {
-        let (old, kept) = (self.len, self.lines.len() * Self::PER_LINE);
-        // Lines past `len` are dropped, so a clone copies only `len`'s.
-        self.lines
-            .resize(len.div_ceil(Self::PER_LINE), Line([0; 64]));
-        self.len = len;
-        if old < len.min(kept) {
-            self[old..len.min(kept)].fill(T::default());
+        if len > (self.words.len() - self.start) * 8 / std::mem::size_of::<T>() {
+            let mut grown = Self::zeros(len.max(2 * self.len));
+            grown[..self.len].copy_from_slice(self);
+            grown.len = len;
+            *self = grown;
+        } else if len > self.len {
+            let old = std::mem::replace(&mut self.len, len);
+            self[old..].fill(T::default());
+        } else {
+            self.len = len;
         }
     }
 }
@@ -62,18 +66,17 @@ impl<T: Element> Deref for LineBuf<T> {
     type Target = [T];
 
     fn deref(&self) -> &[T] {
-        // SAFETY: `resize` keeps the lines covering `len` elements of
-        // initialized bytes, which are valid `T`s (Element) at an
-        // alignment a line's satisfies; an empty `Vec`'s dangling pointer
-        // is line-aligned too.
-        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast::<T>(), self.len) }
+        // SAFETY: `resize` keeps `len` elements' worth of initialized words
+        // from `start` on, and any such bytes are a `T` (Element).
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().add(self.start).cast(), self.len) }
     }
 }
 
 impl<T: Element> DerefMut for LineBuf<T> {
     fn deref_mut(&mut self) -> &mut [T] {
+        let (start, len) = (self.start, self.len);
         // SAFETY: as in `deref`; `&mut self` makes the view unique.
-        unsafe { std::slice::from_raw_parts_mut(self.lines.as_mut_ptr().cast::<T>(), self.len) }
+        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().add(start).cast(), len) }
     }
 }
 
@@ -82,6 +85,12 @@ impl<T: Element> From<&[T]> for LineBuf<T> {
         let mut buf = Self::zeros(values.len());
         buf.copy_from_slice(values);
         buf
+    }
+}
+
+impl<T: Element> Clone for LineBuf<T> {
+    fn clone(&self) -> Self {
+        Self::from(&**self)
     }
 }
 
