@@ -60,7 +60,7 @@
 //! The reference host (Xeon @ 2.1 GHz, 2 vCPUs) sustains 5.0–5.7 such
 //! loads/ns from L1 when they sit on a cache line but 1.9–2.7 when they
 //! start 16 or 32 bytes past one, as every weight row did until operands
-//! went line-aligned (`serve_mixed` 1.24x / 1.20x steps/s at seeds 5 /
+//! went line-aligned (`serve_mixed` 1.27x / 1.18x steps/s at seeds 5 /
 //! 29, 9/10 and 10/10 pairs).  A multiply-add has a 4-cycle latency, so
 //! two chains finish a chunk-dot every other cycle at best: `dot2` (what
 //! `matmul` and `matmul_add` paired lanes through) therefore ran at 0.65

@@ -67,7 +67,8 @@ impl<T: Element> Deref for LineBuf<T> {
 
     fn deref(&self) -> &[T] {
         // SAFETY: `resize` keeps `len` elements' worth of initialized words
-        // from `start` on, and any such bytes are a `T` (Element).
+        // from `start` on; a word's alignment suffices for every Element,
+        // and any bytes are a `T`.
         unsafe { std::slice::from_raw_parts(self.words.as_ptr().add(self.start).cast(), self.len) }
     }
 }
@@ -117,6 +118,7 @@ mod tests {
     #[test]
     fn every_element_type_starts_on_a_line() {
         for len in [0, 1, 15, 16, 17, 1000] {
+            assert!(on_a_line(&LineBuf::<u8>::zeros(len)), "u8 len={len}");
             assert!(on_a_line(&LineBuf::<f32>::zeros(len)), "f32 len={len}");
             assert!(on_a_line(&LineBuf::<u32>::zeros(len)), "u32 len={len}");
             assert!(on_a_line(&LineBuf::<i32>::zeros(len)), "i32 len={len}");
