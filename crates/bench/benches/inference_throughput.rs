@@ -41,6 +41,7 @@ use nfm_serve::{
 };
 use nfm_tensor::activation::Activation;
 use nfm_tensor::backend::KernelBackend;
+use nfm_tensor::kernels::team::KernelTeam;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::{kernels, Matrix, Vector};
 use nfm_workloads::{InputDomain, NetworkId, SequenceGenerator, Workload, WorkloadBuilder};
@@ -824,9 +825,17 @@ fn main() {
                     if backend != KernelBackend::Scalar {
                         pairs.push((format!("kernel/{kernel}{gate}/scalar"), id.clone()));
                     }
-                    pairs.push((id, format!("kernel/{kernel}{gate}_off16/{backend}")));
+                    pairs.push((id.clone(), format!("kernel/{kernel}{gate}_off16/{backend}")));
+                    pairs.push((id, format!("kernel/{kernel}{gate}_team/{backend}")));
                 }
-                for (placement, past_line) in [("", 0), ("_off16", 16)] {
+                // `_team` runs the aligned products on a kernel team of
+                // two, what one engine worker gets on a 2-CPU host: each
+                // thread streams half of every gate's rows.  The medium
+                // gate's `matmul_add_8l_team` is the 128 × 128 × 8
+                // (IMDB-gate) pair; `team::SPLIT_MIN_WORK` cites them all.
+                for (placement, past_line, team) in [("", 0, 1), ("_off16", 16, 1), ("_team", 0, 2)]
+                {
+                    let _team = (team > 1).then(|| KernelTeam::install(team));
                     let hoist_id = format!("kernel/hoist_matmul_64l{gate}{placement}/{backend}");
                     let step_id = format!("kernel/matmul_add_8l{gate}{placement}/{backend}");
                     let (buf, at) = place(&block, past_line);

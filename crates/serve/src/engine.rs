@@ -8,7 +8,9 @@ use crate::registry::{ContextKey, ModelId, ModelRegistry, ModelVersion};
 use crate::request::{InferenceRequest, InferenceResponse};
 use crate::worker::{LaneWorker, QueuedRequest, ResponseTag};
 use nfm_core::{ControlSnapshot, Model, Predictor, ReuseStats};
+use nfm_tensor::kernels::team::KernelTeam;
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::ops::Deref;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -79,6 +81,17 @@ impl EngineBuilder {
 
     /// Worker thread count (`>= 1`).  Each worker owns its own
     /// evaluator and lane scheduler and pulls from the shared queue.
+    ///
+    /// Each worker also gets a kernel team
+    /// ([`KernelTeam`](nfm_tensor::kernels::team::KernelTeam)) of
+    /// `max(1, CPUs in the building thread's affinity mask / workers)`
+    /// threads, itself included: the team's helpers take a share of the
+    /// weight rows of every block hoist and recurrent product above
+    /// [`SPLIT_MIN_WORK`](nfm_tensor::kernels::team::SPLIT_MIN_WORK), so
+    /// one worker on a 2-CPU host streams each gate from both cores.
+    /// Everything else a worker does (predict, decide, the elementwise
+    /// passes) stays on the worker thread.  Results never depend on the
+    /// team; [`Engine::kernel_team`] reports its size.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -144,12 +157,16 @@ impl EngineBuilder {
             done_cv: Condvar::new(),
             capacity: self.queue_capacity,
         });
+        // A spawned thread starts with its creator's affinity mask, so
+        // this thread's CPUs are each worker's.
+        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let kernel_team = (cpus / self.workers).max(1);
         let mut handles = Vec::with_capacity(self.workers);
         for index in 0..self.workers {
             let worker = LaneWorker::new(self.lanes);
             let shared = Arc::clone(&shared);
             handles.push(std::thread::spawn(move || {
-                worker_loop(shared, worker, index)
+                worker_loop(shared, worker, index, kernel_team)
             }));
         }
         Ok(Engine {
@@ -157,6 +174,7 @@ impl EngineBuilder {
             handles,
             lanes: self.lanes,
             workers: self.workers,
+            kernel_team,
         })
     }
 }
@@ -194,6 +212,7 @@ pub struct Engine {
     handles: Vec<JoinHandle<()>>,
     lanes: usize,
     workers: usize,
+    kernel_team: usize,
 }
 
 impl Engine {
@@ -401,7 +420,10 @@ impl Shared {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize) {
+fn worker_loop(shared: Arc<Shared>, mut worker: LaneWorker, index: usize, kernel_team: usize) {
+    // Lives as long as the worker: its helpers are joined on every
+    // exit, so none outlives `shutdown` or a dropped engine.
+    let _team = KernelTeam::install(kernel_team);
     loop {
         {
             let mut state = shared.lock();
@@ -642,6 +664,14 @@ impl Engine {
     /// Worker thread count.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Threads in each worker's kernel team, the worker included:
+    /// `max(1, CPUs in the workers' affinity mask / workers)` (see
+    /// [`EngineBuilder::workers`]).  Purely observability: the team
+    /// never changes results, only throughput.
+    pub fn kernel_team(&self) -> usize {
+        self.kernel_team
     }
 
     /// Bound on waiting submissions.

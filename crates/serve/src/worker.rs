@@ -63,7 +63,9 @@ use crate::registry::{ContextKey, Resolved};
 use crate::request::{CompletionStatus, InferenceRequest, InferenceResponse, RequestId};
 use nfm_core::{ReuseStats, ServedEvaluator};
 use nfm_rnn::{FinishedLane, LaneScheduler};
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Routes a response back to the hot-swap lifecycle: the submission
@@ -477,10 +479,18 @@ fn step_context(
     if sched.scheduler.is_idle() {
         return false;
     }
-    match sched
-        .scheduler
-        .step(network, evaluator.as_mut(), &mut sched.finished)
-    {
+    // A panic inside the step (the evaluator's, or a kernel team
+    // helper's, which the team resumes here) fails the context's
+    // in-flight requests like an execution error instead of taking the
+    // worker down with their responses unsent.
+    let stepped = panic::catch_unwind(AssertUnwindSafe(|| {
+        let step = sched
+            .scheduler
+            .step(network, evaluator.as_mut(), &mut sched.finished);
+        step.map_err(|e| e.to_string())
+    }))
+    .unwrap_or_else(|payload| Err(format!("step panicked: {}", panic_message(&*payload))));
+    match stepped {
         Ok(advanced) => {
             // Read each finished lane's stats before the next admission
             // reuses its slot.
@@ -515,7 +525,7 @@ fn step_context(
             // Unreachable for validated submissions; fail the in-flight
             // requests loudly and restart the scheduler with fresh
             // lanes.
-            report(e.to_string());
+            report(e);
             for (_, info) in sched.inflight.drain() {
                 emit(
                     empty_response(
@@ -535,6 +545,13 @@ fn step_context(
             true
         }
     }
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-text payload")
 }
 
 /// The response of a request that leaves without outputs: expired in

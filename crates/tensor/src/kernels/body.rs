@@ -73,6 +73,8 @@
 //! interleaved rounds and no longer at its arithmetic ceiling.
 
 use crate::activation::{hard_sigmoid, relu, sigmoid, tanh, Activation};
+use std::marker::PhantomData;
+use std::ops::Range;
 
 /// Number of independent accumulators in the unrolled dot product.
 pub(crate) const LANES: usize = 16;
@@ -221,38 +223,82 @@ impl DotOps for ScalarOps {
     }
 }
 
-/// Every dot of the lane-striped product `m[r]·xs[l]`, handed to `put`
-/// as `(l * rows + r, dots)`: the dots of up to [`TILE`] consecutive
-/// rows of lane `l`, which are consecutive in a lane-striped output.
-/// Row blocks of four × lane quads run through [`DotOps::dot_tile`], so
-/// a block's weight rows stream once and stay in L1 across the lanes.
-/// Lanes left over share their vector across the block's four rows and
-/// rows left over share theirs across a lane quad (both
-/// [`DotOps::dot_quad`]); the corner pairs lanes through
+/// A lane-striped output, `out[l * rows + r]`, whose row ranges the
+/// threads of a kernel team write in place, each its own rows of every
+/// lane.
+#[derive(Clone, Copy)]
+pub(crate) struct Stripes<'a> {
+    ptr: *mut f32,
+    len: usize,
+    _out: PhantomData<&'a mut [f32]>,
+}
+
+// SAFETY: a `Stripes` only writes through `slice`, whose callers keep
+// the threads' element ranges disjoint.
+unsafe impl Send for Stripes<'_> {}
+// SAFETY: as above.
+unsafe impl Sync for Stripes<'_> {}
+
+impl<'a> Stripes<'a> {
+    pub(crate) fn new(out: &'a mut [f32]) -> Self {
+        Stripes {
+            ptr: out.as_mut_ptr(),
+            len: out.len(),
+            _out: PhantomData,
+        }
+    }
+
+    /// `out[at..at + n]`.
+    ///
+    /// # Safety
+    ///
+    /// No other thread touches those elements while the slice lives.
+    #[inline(always)]
+    unsafe fn slice(self, at: usize, n: usize) -> &'a mut [f32] {
+        assert!(at + n <= self.len, "stripe write past the output");
+        // SAFETY: in bounds (checked above) of the `&'a mut` buffer
+        // `new` took; exclusive by the caller's contract.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(at), n) }
+    }
+}
+
+/// Every dot of the lane-striped product `m[r]·xs[l]` for the rows `r`
+/// of `span`, handed to `put` as `(l * rows + r, dots)`: the dots of up
+/// to [`TILE`] consecutive rows of lane `l`, which are consecutive in a
+/// lane-striped output of `rows` rows.  The whole product is the span
+/// `0..rows`; a kernel team walks one span per thread, each starting on
+/// a block boundary, so every row keeps the form it has in the whole
+/// walk.  Row blocks of four × lane quads run through
+/// [`DotOps::dot_tile`], so a block's weight rows stream once and stay
+/// in L1 across the lanes.  Lanes left over share their vector across
+/// the block's four rows and rows left over share theirs across a lane
+/// quad (both [`DotOps::dot_quad`]); the corner pairs lanes through
 /// [`DotOps::dot2`] down to a single [`DotOps::dot`].  Every form
 /// equals the single dot bit for bit, so the walk is bit-transparent.
 ///
 /// # Safety
 ///
-/// CPU must support `O`'s features; `m.len() == rows * cols` and
-/// `xs.len() == lanes * cols`.
+/// CPU must support `O`'s features; `m.len() == rows * cols`,
+/// `xs.len() == lanes * cols` and `span.end <= rows`.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 unsafe fn product_body<O: DotOps>(
     o: O,
     m: &[f32],
     rows: usize,
     cols: usize,
+    span: Range<usize>,
     xs: &[f32],
     lanes: usize,
     mut put: impl FnMut(usize, &[f32]),
 ) {
     let row = |r: usize| &m[r * cols..(r + 1) * cols];
     let x = |l: usize| &xs[l * cols..(l + 1) * cols];
-    let row_blocks = rows - rows % TILE;
+    let row_blocks = span.end - span.len() % TILE;
     let lane_quads = lanes - lanes % TILE;
     // SAFETY (all calls below): forwarded caller contract.
     unsafe {
-        for r0 in (0..row_blocks).step_by(TILE) {
+        for r0 in (span.start..row_blocks).step_by(TILE) {
             let rs = [row(r0), row(r0 + 1), row(r0 + 2), row(r0 + 3)];
             for l0 in (0..lane_quads).step_by(TILE) {
                 let tile = o.dot_tile(rs, [x(l0), x(l0 + 1), x(l0 + 2), x(l0 + 3)]);
@@ -264,7 +310,7 @@ unsafe fn product_body<O: DotOps>(
                 put(l * rows + r0, &o.dot_quad(x(l), rs[0], rs[1], rs[2], rs[3]));
             }
         }
-        for r in row_blocks..rows {
+        for r in row_blocks..span.end {
             let row = row(r);
             for l0 in (0..lane_quads).step_by(TILE) {
                 let quad = o.dot_quad(row, x(l0), x(l0 + 1), x(l0 + 2), x(l0 + 3));
@@ -286,33 +332,38 @@ unsafe fn product_body<O: DotOps>(
     }
 }
 
-/// Lane-striped `out[l*rows + r] = m[r]·xs[l]`, walked by
-/// [`product_body`].
+/// Lane-striped `out[l*rows + r] = m[r]·xs[l]` for the rows of `span`,
+/// walked by [`product_body`].
 ///
 /// # Safety
 ///
 /// CPU must support `O`'s features; `m.len() == rows * cols`,
-/// `xs.len() == lanes * cols`, `out.len() == lanes * rows`.
+/// `xs.len() == lanes * cols`, `out.len() == lanes * rows`,
+/// `span.end <= rows`, and no other thread touches `span`'s rows of
+/// `out` meanwhile.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn matmul_body<O: DotOps>(
     o: O,
     m: &[f32],
     rows: usize,
     cols: usize,
+    span: Range<usize>,
     xs: &[f32],
     lanes: usize,
-    out: &mut [f32],
+    out: Stripes<'_>,
 ) {
     // SAFETY: forwarded caller contract.
     unsafe {
-        product_body(o, m, rows, cols, xs, lanes, |at, dots| {
-            out[at..at + dots.len()].copy_from_slice(dots)
+        product_body(o, m, rows, cols, span, xs, lanes, |at, dots| {
+            out.slice(at, dots.len()).copy_from_slice(dots)
         })
     }
 }
 
 /// Lane-striped `out[l*rows + r] = base[l*rows + r] + m[r]·xs[l]` (the
-/// hoisted recurrent half); scalar order `base + rec`.
+/// hoisted recurrent half) for the rows of `span`; scalar order
+/// `base + rec`.
 ///
 /// # Safety
 ///
@@ -324,16 +375,17 @@ pub(crate) unsafe fn matmul_add_body<O: DotOps>(
     m: &[f32],
     rows: usize,
     cols: usize,
+    span: Range<usize>,
     xs: &[f32],
     lanes: usize,
     base: &[f32],
-    out: &mut [f32],
+    out: Stripes<'_>,
 ) {
     // SAFETY: forwarded caller contract.
     unsafe {
-        product_body(o, m, rows, cols, xs, lanes, |at, dots| {
-            let end = at + dots.len();
-            for ((o, b), d) in out[at..end].iter_mut().zip(&base[at..end]).zip(dots) {
+        product_body(o, m, rows, cols, span, xs, lanes, |at, dots| {
+            let base = &base[at..at + dots.len()];
+            for ((o, b), d) in out.slice(at, dots.len()).iter_mut().zip(base).zip(dots) {
                 *o = b + d;
             }
         })
@@ -367,8 +419,8 @@ pub(crate) unsafe fn dual_matmul_body<O: DotOps>(
 ) {
     // SAFETY: forwarded caller contract.
     unsafe {
-        matmul_body(o, wx, rows, xc, xs, lanes, out);
-        product_body(o, wh, rows, hc, hs, lanes, |at, dots| {
+        matmul_body(o, wx, rows, xc, 0..rows, xs, lanes, Stripes::new(out));
+        product_body(o, wh, rows, hc, 0..rows, hs, lanes, |at, dots| {
             for (o, d) in out[at..at + dots.len()].iter_mut().zip(dots) {
                 *o += d;
             }
@@ -399,12 +451,14 @@ pub(crate) fn activate_body(activation: Activation, out: &mut [f32]) {
     }
 }
 
-/// The scalar tier: safe wrappers instantiating the shared bodies with
-/// [`ScalarOps`] (no intrinsics, so no feature requirements).
+/// The scalar tier: wrappers instantiating the shared bodies with
+/// [`ScalarOps`] (no intrinsics, so no feature requirements; the
+/// row-range products are `unsafe` for their [`Stripes`] contract
+/// alone).
 pub(crate) mod scalar {
     use super::{
-        activate_body, dual_matmul_body, matmul_add_body, matmul_body, Activation, DotOps,
-        ScalarOps,
+        activate_body, dual_matmul_body, matmul_add_body, matmul_body, Activation, DotOps, Range,
+        ScalarOps, Stripes,
     };
 
     #[inline]
@@ -413,32 +467,41 @@ pub(crate) mod scalar {
         unsafe { ScalarOps.dot(a, b) }
     }
 
-    #[inline]
-    pub(crate) fn matmul(
-        m: &[f32],
-        rows: usize,
-        cols: usize,
-        xs: &[f32],
-        lanes: usize,
-        out: &mut [f32],
-    ) {
-        // SAFETY: ScalarOps uses no intrinsics.
-        unsafe { matmul_body(ScalarOps, m, rows, cols, xs, lanes, out) }
-    }
-
+    /// # Safety
+    ///
+    /// [`matmul_body`]'s contract less the CPU features.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn matmul_add(
+    pub(crate) unsafe fn matmul(
         m: &[f32],
         rows: usize,
         cols: usize,
+        span: Range<usize>,
+        xs: &[f32],
+        lanes: usize,
+        out: Stripes<'_>,
+    ) {
+        // SAFETY: ScalarOps uses no intrinsics; the rest is forwarded.
+        unsafe { matmul_body(ScalarOps, m, rows, cols, span, xs, lanes, out) }
+    }
+
+    /// # Safety
+    ///
+    /// [`matmul_add_body`]'s contract less the CPU features.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn matmul_add(
+        m: &[f32],
+        rows: usize,
+        cols: usize,
+        span: Range<usize>,
         xs: &[f32],
         lanes: usize,
         base: &[f32],
-        out: &mut [f32],
+        out: Stripes<'_>,
     ) {
-        // SAFETY: ScalarOps uses no intrinsics.
-        unsafe { matmul_add_body(ScalarOps, m, rows, cols, xs, lanes, base, out) }
+        // SAFETY: ScalarOps uses no intrinsics; the rest is forwarded.
+        unsafe { matmul_add_body(ScalarOps, m, rows, cols, span, xs, lanes, base, out) }
     }
 
     #[inline]

@@ -47,6 +47,7 @@
 pub(crate) mod body;
 #[cfg(target_arch = "aarch64")]
 mod neon;
+pub mod team;
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86;
 
@@ -56,26 +57,28 @@ use crate::error::TensorError;
 use crate::matrix::Matrix;
 use crate::Result;
 
-use body::scalar;
+use body::{scalar, Stripes};
 
 /// Routes one kernel call to the given tier's implementation.  The
 /// caller guarantees the tier is supported on this host (`active()`
-/// validates at init; the `*_on` entry points assert explicitly).
+/// validates at init; the `*_on` entry points assert explicitly) and,
+/// for the row-range products, that no two threads write the same rows
+/// ([`team::split_rows`] hands each range to one thread).
 macro_rules! dispatch {
     ($backend:expr, $name:ident($($arg:expr),* $(,)?)) => {
-        match $backend {
-            KernelBackend::Scalar => scalar::$name($($arg),*),
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            // SAFETY: the caller guarantees the tier is supported.
-            KernelBackend::Avx2 => unsafe { x86::avx2::$name($($arg),*) },
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            // SAFETY: the caller guarantees the tier is supported.
-            KernelBackend::Avx512 => unsafe { x86::avx512::$name($($arg),*) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: the caller guarantees the tier is supported.
-            KernelBackend::Neon => unsafe { neon::$name($($arg),*) },
-            #[allow(unreachable_patterns)]
-            other => unreachable!("kernel backend {other} is not compiled for this target"),
+        // SAFETY: the caller's guarantees above.
+        unsafe {
+            match $backend {
+                KernelBackend::Scalar => scalar::$name($($arg),*),
+                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                KernelBackend::Avx2 => x86::avx2::$name($($arg),*),
+                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                KernelBackend::Avx512 => x86::avx512::$name($($arg),*),
+                #[cfg(target_arch = "aarch64")]
+                KernelBackend::Neon => neon::$name($($arg),*),
+                #[allow(unreachable_patterns)]
+                other => unreachable!("kernel backend {other} is not compiled for this target"),
+            }
         }
     };
 }
@@ -129,10 +132,13 @@ fn matmul_tier(
             op: "matmul_into",
         });
     }
-    dispatch!(
-        backend,
-        matmul(m.as_slice(), m.rows(), m.cols(), xs, lanes, out)
-    );
+    let (rows, cols, out) = (m.rows(), m.cols(), Stripes::new(out));
+    team::split_rows(rows, rows * cols * lanes, &|span| {
+        dispatch!(
+            backend,
+            matmul(m.as_slice(), rows, cols, span, xs, lanes, out)
+        )
+    });
     Ok(())
 }
 
@@ -208,10 +214,13 @@ fn matmul_add_tier(
             op: "matmul_add_into(out)",
         });
     }
-    dispatch!(
-        backend,
-        matmul_add(m.as_slice(), m.rows(), m.cols(), xs, lanes, base, out)
-    );
+    let (rows, cols, out) = (m.rows(), m.cols(), Stripes::new(out));
+    team::split_rows(rows, rows * cols * lanes, &|span| {
+        dispatch!(
+            backend,
+            matmul_add(m.as_slice(), rows, cols, span, xs, lanes, base, out)
+        )
+    });
     Ok(())
 }
 

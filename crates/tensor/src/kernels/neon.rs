@@ -170,15 +170,17 @@ pub(crate) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 #[target_feature(enable = "neon")]
+#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn matmul(
     m: &[f32],
     rows: usize,
     cols: usize,
+    span: std::ops::Range<usize>,
     xs: &[f32],
     lanes: usize,
-    out: &mut [f32],
+    out: crate::kernels::body::Stripes<'_>,
 ) {
-    crate::kernels::body::matmul_body(NeonOps, m, rows, cols, xs, lanes, out)
+    crate::kernels::body::matmul_body(NeonOps, m, rows, cols, span, xs, lanes, out)
 }
 
 #[target_feature(enable = "neon")]
@@ -187,12 +189,13 @@ pub(crate) unsafe fn matmul_add(
     m: &[f32],
     rows: usize,
     cols: usize,
+    span: std::ops::Range<usize>,
     xs: &[f32],
     lanes: usize,
     base: &[f32],
-    out: &mut [f32],
+    out: crate::kernels::body::Stripes<'_>,
 ) {
-    crate::kernels::body::matmul_add_body(NeonOps, m, rows, cols, xs, lanes, base, out)
+    crate::kernels::body::matmul_add_body(NeonOps, m, rows, cols, span, xs, lanes, base, out)
 }
 
 #[target_feature(enable = "neon")]

@@ -365,15 +365,17 @@ macro_rules! kernel_set {
         }
 
         #[target_feature(enable = $feat)]
+        #[allow(clippy::too_many_arguments)]
         pub(crate) unsafe fn matmul(
             m: &[f32],
             rows: usize,
             cols: usize,
+            span: std::ops::Range<usize>,
             xs: &[f32],
             lanes: usize,
-            out: &mut [f32],
+            out: $crate::kernels::body::Stripes<'_>,
         ) {
-            $crate::kernels::body::matmul_body($ops, m, rows, cols, xs, lanes, out)
+            $crate::kernels::body::matmul_body($ops, m, rows, cols, span, xs, lanes, out)
         }
 
         #[target_feature(enable = $feat)]
@@ -382,12 +384,13 @@ macro_rules! kernel_set {
             m: &[f32],
             rows: usize,
             cols: usize,
+            span: std::ops::Range<usize>,
             xs: &[f32],
             lanes: usize,
             base: &[f32],
-            out: &mut [f32],
+            out: $crate::kernels::body::Stripes<'_>,
         ) {
-            $crate::kernels::body::matmul_add_body($ops, m, rows, cols, xs, lanes, base, out)
+            $crate::kernels::body::matmul_add_body($ops, m, rows, cols, span, xs, lanes, base, out)
         }
 
         #[target_feature(enable = $feat)]

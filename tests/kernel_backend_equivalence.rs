@@ -32,6 +32,7 @@ mod backend_kernels;
 use nfm::memo::{BnnMemoConfig, OracleMemoConfig, Predictor, PredictorKind};
 use nfm::tensor::activation::Activation;
 use nfm::tensor::backend::KernelBackend;
+use nfm::tensor::kernels::team::{KernelTeam, SPLIT_MIN_WORK};
 use nfm::tensor::kernels::{
     activate_into_on, dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on,
     matmul_add_into_on, matmul_into_on,
@@ -144,6 +145,59 @@ fn hoisted_pair_equals_fused_gate_on_every_supported_tier() {
                 for (i, e) in reference.iter().enumerate() {
                     assert_eq!(fused[i].to_bits(), e.to_bits(), "{tag} fused[{i}]");
                     assert_eq!(hoisted[i].to_bits(), e.to_bits(), "{tag} hoisted[{i}]");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_teams_split_products_bit_identically_on_every_supported_tier() {
+    // A team hands each thread whole 4-row blocks and the last thread the
+    // rows left over; every (row, lane) dot keeps its form, so a split
+    // product must equal the team-of-one call bit for bit.  Rows 1–17
+    // cover every remainder against the block edge (and too few blocks
+    // to split at all), 400 is the DeepSpeech2-0.5 gate; each product is
+    // sized just past `SPLIT_MIN_WORK` so that it really splits, which
+    // also varies the width across the 16-wide chunk and its tails.
+    let mut rng = DeterministicRng::seed_from_u64(44);
+    let cases: Vec<_> = (1..=17)
+        .chain([400])
+        .flat_map(|rows| (1..=9).map(move |lanes| (rows, lanes)))
+        .map(|(rows, lanes)| {
+            let cols = SPLIT_MIN_WORK.div_ceil(rows * lanes);
+            let m = Matrix::from_fn(rows, cols, |_, _| rng.uniform(-1.0, 1.0));
+            let xs: Vec<f32> = (0..lanes * cols).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let base: Vec<f32> = (0..lanes * rows).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            (m, xs, base, lanes)
+        })
+        .collect();
+    let run = |backend, (m, xs, base, lanes): &(Matrix, Vec<f32>, Vec<f32>, usize)| {
+        let mut product = vec![f32::NAN; lanes * m.rows()];
+        matmul_into_on(backend, m, xs, *lanes, &mut product).unwrap();
+        let mut added = vec![f32::NAN; lanes * m.rows()];
+        matmul_add_into_on(backend, m, xs, *lanes, base, &mut added).unwrap();
+        (product, added)
+    };
+    for backend in KernelBackend::supported() {
+        let alone: Vec<_> = cases.iter().map(|case| run(backend, case)).collect();
+        for threads in [2, 3] {
+            let _team = KernelTeam::install(threads);
+            for (case, (product, added)) in cases.iter().zip(&alone) {
+                let tag = format!(
+                    "{}x{} lanes {} {backend} team {threads}",
+                    case.0.rows(),
+                    case.0.cols(),
+                    case.3
+                );
+                let (team_product, team_added) = run(backend, case);
+                for (what, ours, theirs) in [
+                    ("matmul", &team_product, product),
+                    ("matmul_add", &team_added, added),
+                ] {
+                    for (i, (a, b)) in ours.iter().zip(theirs).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{tag} {what}[{i}]");
+                    }
                 }
             }
         }
