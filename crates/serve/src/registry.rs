@@ -387,6 +387,9 @@ impl ModelRegistry {
     }
 }
 
+/// What needs the crate-private `resolve`, `evict` and `Resolved`.  The
+/// public registry surface (duplicate registrations, unknown ids, typed
+/// submit errors) is tested in tier-1 `tests/multi_model_serving.rs`.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,25 +400,6 @@ mod tests {
     fn network(seed: u64) -> DeepRnn {
         let mut rng = DeterministicRng::seed_from_u64(seed);
         DeepRnn::random(&DeepRnnConfig::new(CellKind::Lstm, 4, 6), &mut rng).unwrap()
-    }
-
-    #[test]
-    fn duplicate_model_and_predictor_are_rejected() {
-        let mut registry = ModelRegistry::new();
-        registry
-            .register("m", network(1), PredictorKind::Exact)
-            .unwrap();
-        assert_eq!(
-            registry.register("m", network(2), PredictorKind::Exact),
-            Err(EngineError::DuplicateModel { model: "m".into() })
-        );
-        assert_eq!(
-            registry.add_predictor("m", PredictorKind::Exact),
-            Err(EngineError::DuplicatePredictor {
-                model: "m".into(),
-                predictor: "exact".into(),
-            })
-        );
     }
 
     #[test]

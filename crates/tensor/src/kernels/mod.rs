@@ -43,6 +43,21 @@
 //!   pins each tier to the scalar reference byte for byte, and
 //!   `tests/kernel_backend_equivalence.rs` holds a known answer that only
 //!   a single rounding produces).
+//!
+//! # Threads
+//!
+//! A kernel runs on the thread that calls it, with one exception: on a
+//! thread that holds a [`team::KernelTeam`], [`matmul_into`] and
+//! [`matmul_add_into`] (and their `_on` forms) above
+//! [`team::SPLIT_MIN_WORK`] multiply-adds hand each team thread one
+//! contiguous range of whole 4-row blocks, written in place into the
+//! lane-striped output.  Each range is the same walk over fewer rows, so
+//! every `(row, lane)` dot keeps its operands, form and reduction order
+//! and the output is bit-identical to the serial call.  The serving
+//! engine gives every worker a team of `max(1, CPUs in its affinity
+//! mask / workers)` threads: `workers` worker threads times that many
+//! kernel threads in all.  Every other thread (offline runs, benches,
+//! tests) has no team, so every kernel runs serially there.
 
 pub(crate) mod body;
 #[cfg(target_arch = "aarch64")]

@@ -14,7 +14,7 @@
 //! The installing thread takes the first range itself.  The other
 //! `threads - 1` helpers are spawned on the first product that splits,
 //! so installing a team costs nothing until it is used.  After each
-//! range a helper spins for [`SPIN`] waiting for the next product (the
+//! range a helper spins for 200 µs waiting for the next product (the
 //! elementwise work between a step's gate products is shorter than
 //! that), then parks until one arrives, so an idle team costs no CPU.
 //! Dropping the [`KernelTeam`] stops and joins its helpers.
@@ -25,7 +25,7 @@
 //! the helper lives on for the next product.
 
 use std::any::Any;
-use std::cell::{Cell, OnceCell, RefCell, UnsafeCell};
+use std::cell::{RefCell, UnsafeCell};
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -83,8 +83,7 @@ impl KernelTeam {
             assert!(team.is_none(), "a thread holds at most one kernel team");
             *team = Some(Team {
                 threads,
-                crew: OnceCell::new(),
-                busy: Cell::new(false),
+                crew: None,
             });
         });
         KernelTeam {
@@ -103,8 +102,8 @@ impl Drop for KernelTeam {
 }
 
 /// Runs `part` over `0..rows` split into contiguous ranges of whole
-/// [`TILE`]-row blocks, one per thread of the calling thread's team, the
-/// last range taking the `rows % TILE` rows left over, and returns when
+/// 4-row blocks, one per thread of the calling thread's team, the
+/// last range taking the `rows % 4` rows left over, and returns when
 /// every range has run.  `work` is the product's size in multiply-adds:
 /// below [`SPLIT_MIN_WORK`], with fewer than two blocks, without a team
 /// or from inside a range, `part(0..rows)` runs on the calling thread.
@@ -113,29 +112,28 @@ impl Drop for KernelTeam {
 ///
 /// Resumes the first panic of any range once all ranges have finished.
 pub fn split_rows(rows: usize, work: usize, part: &(dyn Fn(Range<usize>) + Sync)) {
-    TEAM.with(|team| match &*team.borrow() {
-        Some(team) if team.threads > 1 && work >= SPLIT_MIN_WORK && rows >= 2 * TILE => {
-            team.split(rows, part)
+    TEAM.with(|team| {
+        // Borrowed until every range has run, so a range that splits
+        // again finds it taken and runs serially.
+        let mut team = team.try_borrow_mut();
+        match team.as_deref_mut() {
+            Ok(Some(team)) if team.threads > 1 && work >= SPLIT_MIN_WORK && rows >= 2 * TILE => {
+                team.split(rows, part)
+            }
+            _ => part(0..rows),
         }
-        _ => part(0..rows),
     })
 }
 
 /// A thread's team: its size, and its helpers once a product split.
 struct Team {
     threads: usize,
-    crew: OnceCell<Crew>,
-    /// Set while a product runs, so a range that splits again runs
-    /// serially instead of publishing over the running product.
-    busy: Cell<bool>,
+    crew: Option<Crew>,
 }
 
 impl Team {
-    fn split(&self, rows: usize, part: &(dyn Fn(Range<usize>) + Sync)) {
-        if self.busy.get() {
-            return part(0..rows);
-        }
-        let crew = self.crew.get_or_init(|| Crew::spawn(self.threads - 1));
+    fn split(&mut self, rows: usize, part: &(dyn Fn(Range<usize>) + Sync)) {
+        let crew = (self.crew).get_or_insert_with(|| Crew::spawn(self.threads - 1));
         let blocks = rows / TILE;
         let parts = (crew.helpers.len() + 1).min(blocks);
         if parts < 2 {
@@ -149,10 +147,7 @@ impl Team {
             };
             p * blocks / parts * TILE..end
         };
-        self.busy.set(true);
-        let outcome = crew.run(parts, &|p| part(range(p)));
-        self.busy.set(false);
-        if let Err(payload) = outcome {
+        if let Err(payload) = crew.run(parts, &|p| part(range(p))) {
             panic::resume_unwind(payload);
         }
     }
@@ -168,7 +163,7 @@ struct Job {
 
 /// What the installing thread shares with its helpers.  What it writes
 /// shares the first cache line and each helper writes a line of its
-/// own, so a product costs one line transfer each way and a helper.
+/// own, so a product costs one line transfer each way per helper.
 #[repr(C, align(64))]
 struct Shared {
     /// Bumped once per product; a helper runs each value once.
