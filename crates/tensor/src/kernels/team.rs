@@ -39,16 +39,23 @@ use super::body::TILE;
 /// The smallest product, `rows × cols × lanes` multiply-adds, that is
 /// split across a team; anything smaller runs on the calling thread.
 ///
-/// It is the smallest `kernel/*_team` rung of `crates/bench`, the
-/// 128 × 128 × 8 IMDB gate (`matmul_add_8l_team`), where a split still
-/// pays: on a 2-vCPU Xeon (AVX-512, team of two) that rung reads 1.18x
-/// and 1.20x its serial twin (4.9–5.2 µs → 4.1–4.4 µs), the 400 × 400 × 8
-/// DeepSpeech2 gate 1.66x / 1.75x (57–58 µs → 33–35 µs) and the hoists
-/// 1.55x / 1.56x.  Products half its size (128 × 128 × 4, 64 × 128 × 8)
-/// read 0.99–1.15x, and 96 × 96 × 8 0.90–1.33x: a fork and join costs
-/// 0.9–1.2 µs there (an empty split), a cross-core round trip itself
-/// 0.45–1.0 µs.
-pub const SPLIT_MIN_WORK: usize = 128 * 128 * 8;
+/// A split moves operands between cores: the helper reads lane inputs
+/// the worker just wrote, the worker then reads the rows the helper
+/// wrote, and a helper idle for more than its spin must be woken.  The
+/// `kernel/*_team` rungs of `crates/bench` time the kernel alone (2-vCPU
+/// Xeon, AVX-512, team of two): the 400 × 400 × 8 DeepSpeech2-0.5 gate
+/// `matmul_add_8l_ds2` reads 1.66–1.75x its serial rung (57–58 µs →
+/// 33–35 µs), its 64-lane hoist 1.55x, the 128 × 64 × 64 IMDB hoist
+/// 1.56x and the 128 × 128 × 8 IMDB gate 1.18–1.20x (an empty split costs
+/// 0.9–1.2 µs; products of 65,536 read 0.99–1.15x).  In the engine the
+/// IMDB-gate products lose: `batch_memo_hi` `steps_per_s` read 0.74–0.93x
+/// of the serial parent with this cutoff at 131,072 (6 runs) and
+/// 0.79–0.91x at 262,144, where only its 524,288 hoists split (3 runs),
+/// against 0.85–1.01x with nothing of it split (7 runs).  So the cutoff
+/// sits above those products and below the DeepSpeech2-0.5 gate at
+/// eight lanes (1,280,000), which every full-lane `batch_exact` and
+/// `batch_memo_lo` product reaches.
+pub const SPLIT_MIN_WORK: usize = 1 << 20;
 
 /// How long a helper spins for the next product before it parks.
 const SPIN: Duration = Duration::from_micros(200);

@@ -34,8 +34,8 @@ use nfm::tensor::activation::Activation;
 use nfm::tensor::backend::KernelBackend;
 use nfm::tensor::kernels::team::{KernelTeam, SPLIT_MIN_WORK};
 use nfm::tensor::kernels::{
-    activate_into_on, dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on,
-    matmul_add_into_on, matmul_into_on,
+    activate_into_on, dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on, matmul_add_into,
+    matmul_add_into_on, matmul_into, matmul_into_on,
 };
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Matrix;
@@ -152,14 +152,16 @@ fn hoisted_pair_equals_fused_gate_on_every_supported_tier() {
 }
 
 #[test]
-fn kernel_teams_split_products_bit_identically_on_every_supported_tier() {
+fn kernel_teams_split_products_bit_identically() {
     // A team hands each thread whole 4-row blocks and the last thread the
     // rows left over; every (row, lane) dot keeps its form, so a split
     // product must equal the team-of-one call bit for bit.  Rows 1–17
     // cover every remainder against the block edge (and too few blocks
     // to split at all), 400 is the DeepSpeech2-0.5 gate; each product is
     // sized just past `SPLIT_MIN_WORK` so that it really splits, which
-    // also varies the width across the 16-wide chunk and its tails.
+    // also varies the width across the 16-wide chunk and its tails.  The
+    // dispatched entry points run the active tier, which the CI
+    // kernel-matrix job sets to each tier in turn.
     let mut rng = DeterministicRng::seed_from_u64(44);
     let cases: Vec<_> = (1..=17)
         .chain([400])
@@ -172,32 +174,26 @@ fn kernel_teams_split_products_bit_identically_on_every_supported_tier() {
             (m, xs, base, lanes)
         })
         .collect();
-    let run = |backend, (m, xs, base, lanes): &(Matrix, Vec<f32>, Vec<f32>, usize)| {
+    let run = |(m, xs, base, lanes): &(Matrix, Vec<f32>, Vec<f32>, usize)| {
         let mut product = vec![f32::NAN; lanes * m.rows()];
-        matmul_into_on(backend, m, xs, *lanes, &mut product).unwrap();
+        matmul_into(m, xs, *lanes, &mut product).unwrap();
         let mut added = vec![f32::NAN; lanes * m.rows()];
-        matmul_add_into_on(backend, m, xs, *lanes, base, &mut added).unwrap();
+        matmul_add_into(m, xs, *lanes, base, &mut added).unwrap();
         (product, added)
     };
-    for backend in KernelBackend::supported() {
-        let alone: Vec<_> = cases.iter().map(|case| run(backend, case)).collect();
-        for threads in [2, 3] {
-            let _team = KernelTeam::install(threads);
-            for (case, (product, added)) in cases.iter().zip(&alone) {
-                let tag = format!(
-                    "{}x{} lanes {} {backend} team {threads}",
-                    case.0.rows(),
-                    case.0.cols(),
-                    case.3
-                );
-                let (team_product, team_added) = run(backend, case);
-                for (what, ours, theirs) in [
-                    ("matmul", &team_product, product),
-                    ("matmul_add", &team_added, added),
-                ] {
-                    for (i, (a, b)) in ours.iter().zip(theirs).enumerate() {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{tag} {what}[{i}]");
-                    }
+    let alone: Vec<_> = cases.iter().map(run).collect();
+    for threads in [2, 3] {
+        let _team = KernelTeam::install(threads);
+        for (case, (product, added)) in cases.iter().zip(&alone) {
+            let (m, lanes) = (&case.0, case.3);
+            let tag = format!("{}x{} lanes {lanes} team {threads}", m.rows(), m.cols());
+            let (team_product, team_added) = run(case);
+            for (what, ours, theirs) in [
+                ("matmul", &team_product, product),
+                ("matmul_add", &team_added, added),
+            ] {
+                for (i, (a, b)) in ours.iter().zip(theirs).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{tag} {what}[{i}]");
                 }
             }
         }
