@@ -90,7 +90,7 @@ impl EngineBuilder {
     /// one worker on a 2-CPU host streams each gate from both cores.
     /// Everything else a worker does (predict, decide, the elementwise
     /// passes) stays on the worker thread.  Results never depend on the
-    /// team; [`Engine::kernel_team`] reports its size.
+    /// team.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -172,7 +172,6 @@ impl EngineBuilder {
             handles,
             lanes: self.lanes,
             workers: self.workers,
-            kernel_team,
         })
     }
 }
@@ -230,7 +229,6 @@ pub struct Engine {
     handles: Vec<JoinHandle<()>>,
     lanes: usize,
     workers: usize,
-    kernel_team: usize,
 }
 
 impl Engine {
@@ -682,14 +680,6 @@ impl Engine {
     /// Worker thread count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Threads in each worker's kernel team, the worker included:
-    /// `max(1, CPUs in the workers' affinity mask / workers)` (see
-    /// [`EngineBuilder::workers`]).  Purely observability: the team
-    /// never changes results, only throughput.
-    pub fn kernel_team(&self) -> usize {
-        self.kernel_team
     }
 
     /// Bound on waiting submissions.
