@@ -85,8 +85,9 @@ impl EngineBuilder {
     /// Each worker also gets a kernel team ([`KernelTeam`]) of
     /// `max(1, CPUs in the building thread's affinity mask / workers)`
     /// threads, itself included: the team's helpers take a share of the
-    /// weight rows of every block hoist and recurrent product above
-    /// [`SPLIT_MIN_WORK`](nfm_tensor::kernels::team::SPLIT_MIN_WORK), so
+    /// weight rows of every block hoist and recurrent product of at least
+    /// [`SPLIT_MIN_WORK`](nfm_tensor::kernels::team::SPLIT_MIN_WORK)
+    /// multiply-adds, so
     /// one worker on a 2-CPU host streams each gate from both cores.
     /// Everything else a worker does (predict, decide, the elementwise
     /// passes) stays on the worker thread.  Results never depend on the

@@ -48,7 +48,7 @@
 //!
 //! A kernel runs on the thread that calls it, with one exception: on a
 //! thread that holds a [`team::KernelTeam`], [`matmul_into`] and
-//! [`matmul_add_into`] (and their `_on` forms) above
+//! [`matmul_add_into`] (and their `_on` forms) of at least
 //! [`team::SPLIT_MIN_WORK`] multiply-adds hand each team thread one
 //! contiguous range of whole 4-row blocks, written in place into the
 //! lane-striped output.  Each range is the same walk over fewer rows, so

@@ -2,7 +2,7 @@
 //!
 //! Each engine worker installs a kernel team of `max(1, CPUs in its
 //! affinity mask / workers)` threads, whose helpers take a share of the
-//! rows of every product above `SPLIT_MIN_WORK`.  Three contracts:
+//! rows of every product of at least `SPLIT_MIN_WORK`.  Three contracts:
 //!
 //! 1. **Equivalence** — a worker with a two-thread team answers a
 //!    DeepSpeech2-shaped model (gates above the cutoff) with outputs and
