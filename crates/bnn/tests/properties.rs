@@ -3,11 +3,15 @@
 //! `proptest`).
 
 use nfm_bnn::binarize::{binarize_sign, reference_binary_dot};
-use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector};
-use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, Gate};
+use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector, CorrelationProbe, NeuronSeries};
+use nfm_rnn::{
+    CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator, Gate, GateBatch, GateId, NeuronEvaluator,
+    Result as RnnResult,
+};
 use nfm_tensor::activation::Activation;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::{Matrix, Vector};
+use std::collections::HashMap;
 
 fn vec_f32(rng: &mut DeterministicRng, len: usize, low: f32, high: f32) -> Vec<f32> {
     (0..len).map(|_| rng.uniform(low, high)).collect()
@@ -286,6 +290,86 @@ fn packed_predict_equals_per_neuron_and_f32_reference_on_every_tier() {
                     seed += 1;
                 }
             }
+        }
+    }
+}
+
+/// Wraps a [`CorrelationProbe`] and records, per gate call, the series
+/// the probe must record, from references it shares no code with: the
+/// exact evaluator's values and the unpacked sign product of the f32
+/// rows (zero where the mirror has no gate of the call's shape).
+struct ProbeWitness {
+    probe: CorrelationProbe,
+    mirror: BinaryNetwork,
+    expected: HashMap<(GateId, usize), NeuronSeries>,
+}
+
+impl NeuronEvaluator for ProbeWitness {
+    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
+        let gate = call.gate;
+        let (isz, hsz, nsz) = (gate.input_size(), gate.hidden_size(), gate.neurons());
+        let mut exact = vec![0.0; call.lanes * nsz];
+        ExactEvaluator::new().evaluate_gate_batch(call, &mut exact)?;
+        let mirrored = self
+            .mirror
+            .gate(call.gate_id)
+            .is_some_and(|bg| (bg.neurons(), bg.input_size(), bg.hidden_size()) == (nsz, isz, hsz));
+        for l in 0..call.lanes {
+            let x = &call.xs[l * isz..(l + 1) * isz];
+            let h = &call.h_prevs[l * hsz..(l + 1) * hsz];
+            for n in 0..nsz {
+                let binarized = if mirrored {
+                    reference_binary_dot(gate.wx().row(n), x)
+                        + reference_binary_dot(gate.wh().row(n), h)
+                } else {
+                    0
+                };
+                let series = self.expected.entry((call.gate_id, n)).or_default();
+                series.full_precision.push(exact[l * nsz + n]);
+                series.binarized.push(binarized as f32);
+            }
+        }
+        self.probe.evaluate_gate_batch(call, out)
+    }
+}
+
+#[test]
+fn the_probe_records_the_exact_value_and_the_unpacked_sign_product() {
+    let cfg = DeepRnnConfig::new(CellKind::Lstm, 70, 65).layers(2);
+    let mut rng = DeterministicRng::seed_from_u64(8);
+    let net = DeepRnn::random(&cfg, &mut rng).unwrap();
+    // A mirror of another shape: its gates stand in for none of `net`'s.
+    let other = DeepRnn::random(&DeepRnnConfig::new(CellKind::Lstm, 9, 7), &mut rng).unwrap();
+    let seqs: Vec<Vec<Vector>> = [12, 9, 5]
+        .iter()
+        .map(|&len| {
+            (0..len)
+                .map(|_| Vector::from_fn(70, |_| rng.uniform(-1.0, 1.0)))
+                .collect()
+        })
+        .collect();
+    for mirror in [BinaryNetwork::mirror(&net), BinaryNetwork::mirror(&other)] {
+        for lanes in [1, 3] {
+            let mut witness = ProbeWitness {
+                probe: CorrelationProbe::new(mirror.clone()),
+                mirror: mirror.clone(),
+                expected: HashMap::new(),
+            };
+            let outputs = if lanes == 1 {
+                vec![net.run(&seqs[0], &mut witness).unwrap()]
+            } else {
+                let refs: Vec<&[Vector]> = seqs.iter().map(Vec::as_slice).collect();
+                net.run_batch(&refs, &mut witness).unwrap()
+            };
+            for (l, lane) in outputs.iter().enumerate() {
+                assert_eq!(
+                    lane,
+                    &net.run(&seqs[l], &mut ExactEvaluator::new()).unwrap()
+                );
+            }
+            assert_eq!(witness.expected.len(), net.neuron_evaluations_per_step());
+            assert!(witness.expected.values().all(|s| !s.is_empty()));
+            assert!(witness.probe.series() == &witness.expected, "{lanes} lanes");
         }
     }
 }
