@@ -1,5 +1,5 @@
-//! Inference throughput of the fused gate-evaluation hot path against
-//! the seed's per-neuron paths, for the exact baseline and the
+//! Inference throughput of the fused gate-evaluation hot path for the
+//! exact baseline (against the seed's per-neuron path) and the
 //! BNN-memoized predictor, plus the `kernel/*` rungs that locate a
 //! change the repo benchmark (`benchmark/run.sh`) measures end to end.
 //!
@@ -28,7 +28,7 @@
 //! exact-vs-memoized comparison.
 
 use nfm_bench::Bencher;
-use nfm_bnn::{BinaryGate, BinaryNetwork, BitVector, PopcountBackend};
+use nfm_bnn::{BinaryGate, BinaryNetwork, PopcountBackend};
 use nfm_control::{AdaptivePredictor, ControllerConfig};
 use nfm_core::{BnnMemoConfig, BnnMemoEvaluator};
 use nfm_rnn::{
@@ -98,84 +98,6 @@ impl NeuronEvaluator for NaiveExactEvaluator {
     }
 }
 
-/// Seed-faithful BNN-memoized evaluator: the hot path exactly as the
-/// seed shipped it — one call per neuron, `(GateId, neuron)`
-/// hashed into a `HashMap` for every lookup/refresh, the cached input
-/// `BitVector`s *cloned* for every neuron, and strictly-ordered scalar
-/// dots for every full-precision evaluation.
-struct SeedBnnEvaluator {
-    mirror: BinaryNetwork,
-    threshold: f32,
-    epsilon: f32,
-    table: std::collections::HashMap<(nfm_rnn::GateId, usize), (f32, f32, f32)>,
-    input_cache: Option<(
-        nfm_rnn::GateId,
-        usize,
-        nfm_bnn::BitVector,
-        nfm_bnn::BitVector,
-    )>,
-}
-
-impl SeedBnnEvaluator {
-    fn new(mirror: BinaryNetwork, threshold: f32) -> Self {
-        SeedBnnEvaluator {
-            mirror,
-            threshold,
-            epsilon: 1.0,
-            table: std::collections::HashMap::new(),
-            input_cache: None,
-        }
-    }
-}
-
-impl NeuronEvaluator for SeedBnnEvaluator {
-    fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
-        let gate = call.gate;
-        evaluate_neurons(call, out, |neuron, x, h_prev, _| {
-            let binary_gate = self.mirror.gate(neuron.gate_id).expect("mirrored");
-            let hit = self
-                .input_cache
-                .as_ref()
-                .map(|c| c.0 == neuron.gate_id && c.1 == neuron.timestep)
-                .unwrap_or(false);
-            if !hit {
-                self.input_cache = Some((
-                    neuron.gate_id,
-                    neuron.timestep,
-                    nfm_bnn::BitVector::from_signs(x),
-                    nfm_bnn::BitVector::from_signs(h_prev),
-                ));
-            }
-            // The seed's per-neuron clone bug, reproduced faithfully.
-            let (xb, hb) = {
-                let c = self.input_cache.as_ref().expect("populated");
-                (c.2.clone(), c.3.clone())
-            };
-            let yb_t = binary_gate
-                .neuron_output(neuron.neuron, &xb, &hb)
-                .expect("widths match") as f32;
-            let key = (neuron.gate_id, neuron.neuron);
-            if let Some(&(cached_out, cached_bnn, acc_delta)) = self.table.get(&key) {
-                let denom = cached_bnn.abs().max(self.epsilon);
-                let delta = acc_delta + (yb_t - cached_bnn).abs() / denom;
-                if delta <= self.threshold {
-                    self.table.insert(key, (cached_out, cached_bnn, delta));
-                    return Ok(cached_out);
-                }
-            }
-            let y_t = scalar_dot(gate.wx().row(neuron.neuron), x)
-                + scalar_dot(gate.wh().row(neuron.neuron), h_prev);
-            self.table.insert(key, (y_t, yb_t, 0.0));
-            Ok(y_t)
-        })
-    }
-
-    fn begin_lane_sequence(&mut self, _lane: usize) {
-        self.table.clear();
-        self.input_cache = None;
-    }
-}
-
 /// `values` copied into a fresh buffer so that they start `past_line`
 /// bytes (a multiple of 4) after a 64-byte boundary: the buffer and the
 /// index of the first value in it.
@@ -185,6 +107,13 @@ fn place(values: &[f32], past_line: usize) -> (Vec<f32>, usize) {
     let at = (16 - skew) % 16 + past_line / 4;
     buf[at..at + values.len()].copy_from_slice(values);
     (buf, at)
+}
+
+/// Reads every value of a product's output on the calling thread, as
+/// the cell that activates it does: an XOR of the bit patterns, which
+/// vectorises, so the read costs little beside the product.
+fn read_back(out: &[f32]) -> u32 {
+    out.iter().fold(0, |acc, v| acc ^ v.to_bits())
 }
 
 fn workload(id: NetworkId, scale: f32, sequences: usize, len: usize) -> Workload {
@@ -258,11 +187,8 @@ fn main() {
     // gate invocation (`*_batched`).  Both sides build one evaluator
     // from the policy per iteration, so the comparison isolates the
     // batching itself; the exact path's lanes additionally share the
-    // block-hoisted `W_x·x_t` projections.  This section runs first: the
-    // seed-faithful benches below churn the allocator with millions of
-    // short-lived HashMap/BitVector allocations, which measurably
-    // inflates the buffer-heavy batched iterations when they run on the
-    // fragmented heap afterwards (a serving process owns a clean heap).
+    // block-hoisted `W_x·x_t` projections.  This section runs first, on
+    // the heap a serving process starts with.
     const BATCH: usize = 8;
     let batch_sizes = [
         ("small", workload(NetworkId::ImdbSentiment, 0.5, BATCH, 32)),
@@ -585,13 +511,9 @@ fn main() {
         });
 
         let mirror = BinaryNetwork::mirror(w.network());
-        let mut memo = BnnMemoEvaluator::new(mirror.clone(), BnnMemoConfig::with_threshold(0.5));
+        let mut memo = BnnMemoEvaluator::new(mirror, BnnMemoConfig::with_threshold(0.5));
         bench.bench(&format!("inference/bnn_memoized/{size}"), || {
             run_all(w, &mut memo)
-        });
-        let mut seed_memo = SeedBnnEvaluator::new(mirror, 0.5);
-        bench.bench(&format!("inference/bnn_memoized_seed/{size}"), || {
-            run_all(w, &mut seed_memo)
         });
     }
 
@@ -699,11 +621,9 @@ fn main() {
             }
         }
         // The packed BNN predictor at the `bnn_memoized_batched` shape
-        // (medium IMDB gate), per popcount tier.  `per_neuron` is the
-        // reference loop — one `neuron_output_on` per neuron per lane,
-        // each gathering its row out of the sign block; `streamed` is
-        // the kernel the evaluators run, one dispatched call per gate
-        // over inputs already packed, at 8 lanes and at the one lane
+        // (medium IMDB gate), per popcount tier.  `streamed` is the
+        // kernel the evaluators run, one dispatched call per gate over
+        // inputs already packed, at 8 lanes and at the one lane
         // `serve_open` and `nfm-eval energy` run.  `sign_pack_8l` is
         // that packing (`BinaryGate::pack_inputs` on an explicit tier),
         // `mirror_build_medium` the same sign-pack building the gate's
@@ -718,24 +638,11 @@ fn main() {
         )
         .expect("gate builds");
         let bnn_gate = BinaryGate::mirror(&fp_gate);
-        let (gate_xbs, gate_hbs): (Vec<BitVector>, Vec<BitVector>) = (0..lanes)
-            .map(|l| bnn_gate.binarize_inputs(&xs[l * xc..][..xc], &hs[l * hc..][..hc]))
-            .unzip();
         let mut packed = nfm_tensor::LineBuf::default();
         bnn_gate.pack_inputs(&xs, &hs, lanes, &mut packed);
         let (words, xw) = (bnn_gate.row_words(), xc.div_ceil(64));
         let mut yb = vec![0i32; lanes * rows];
         for pop in PopcountBackend::supported() {
-            bench.bench(&format!("kernel/bnn_gate_8l_per_neuron/{pop}"), || {
-                for l in 0..lanes {
-                    for n in 0..rows {
-                        yb[l * rows + n] = bnn_gate
-                            .neuron_output_on(pop, n, &gate_xbs[l], &gate_hbs[l])
-                            .expect("widths match");
-                    }
-                }
-                black_box(yb[0])
-            });
             bench.bench(&format!("kernel/bnn_gate_8l_streamed/{pop}"), || {
                 bnn_gate.predict_packed_on(pop, black_box(&packed), &mut yb);
                 black_box(yb[0])
@@ -755,10 +662,6 @@ fn main() {
             bench.bench(&format!("kernel/mirror_build_medium/{pop}"), || {
                 black_box(BinaryGate::mirror_on(pop, black_box(&fp_gate)))
             });
-            pairs.push((
-                format!("kernel/bnn_gate_8l_per_neuron/{pop}"),
-                format!("kernel/bnn_gate_8l_streamed/{pop}"),
-            ));
             if pop != PopcountBackend::Scalar {
                 for kernel in [
                     "bnn_gate_8l_streamed",
@@ -774,26 +677,6 @@ fn main() {
             }
         }
 
-        // XNOR-popcount tiers: a BNN-mirror row pair at BDPU scale
-        // (1024 bits) and a wide probe (4096 bits, engages the 8-word
-        // vpopcntdq loop).  Integer-exact on every tier.
-        for bits in [1024usize, 4096] {
-            let a: Vec<f32> = (0..bits).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let b: Vec<f32> = (0..bits).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let pa = BitVector::from_signs(&a);
-            let pb = BitVector::from_signs(&b);
-            for pop in PopcountBackend::supported() {
-                bench.bench(&format!("kernel/xnor_popcount_{bits}/{pop}"), || {
-                    black_box(pa.xnor_dot_on(black_box(&pb), pop).unwrap())
-                });
-                if pop != PopcountBackend::Scalar {
-                    pairs.push((
-                        format!("kernel/xnor_popcount_{bits}/scalar"),
-                        format!("kernel/xnor_popcount_{bits}/{pop}"),
-                    ));
-                }
-            }
-        }
         // The two kernels the exact path runs (`batch_exact` spends ~90%
         // of its time in them): the block hoist `W_x` × 8 steps × 8
         // lanes and the per-step recurrent half, at the medium gate
@@ -830,42 +713,51 @@ fn main() {
                 }
                 // `_team` runs the aligned products on a kernel team of
                 // two, what one engine worker gets on a 2-CPU host: each
-                // thread streams half of every gate's rows.  The medium
-                // gate's `matmul_add_8l_team` is the 128 × 128 × 8
-                // (IMDB-gate) pair; `team::SPLIT_MIN_WORK` cites them all.
+                // thread streams half of the rows of every product of at
+                // least `team::SPLIT_MIN_WORK` multiply-adds, so only the
+                // `_ds2` products split; the medium gate's run serially.
+                // Every placement writes its lane input on this thread
+                // before the product, as the scheduler packs a block and
+                // `Cell::run_block` writes `h`, and reads the whole output
+                // back after it, as the cell does: a split pays for
+                // moving both between cores, as it does in the engine.
                 for (placement, past_line, team) in [("", 0, 1), ("_off16", 16, 1), ("_team", 0, 2)]
                 {
                     let _team = (team > 1).then(|| KernelTeam::install(team));
                     let hoist_id = format!("kernel/hoist_matmul_64l{gate}{placement}/{backend}");
                     let step_id = format!("kernel/matmul_add_8l{gate}{placement}/{backend}");
-                    let (buf, at) = place(&block, past_line);
+                    let (mut buf, at) = place(&block, past_line);
                     let mut turn = 0;
                     bench.bench(&hoist_id, || {
                         turn = (turn + 1) % hoisted.len();
+                        let input = &mut buf[at..at + block.len()];
+                        input.copy_from_slice(black_box(&block));
                         kernels::matmul_into_on(
                             backend,
                             black_box(&hoisted[turn]),
-                            black_box(&buf[at..at + block.len()]),
+                            black_box(input),
                             HOIST,
                             &mut hoist_out,
                         )
                         .unwrap();
-                        black_box(hoist_out[0])
+                        black_box(read_back(&hoist_out))
                     });
-                    let (buf, at) = place(&state, past_line);
+                    let (mut buf, at) = place(&state, past_line);
                     let mut turn = 0;
                     bench.bench(&step_id, || {
                         turn = (turn + 1) % recurrent.len();
+                        let input = &mut buf[at..at + state.len()];
+                        input.copy_from_slice(black_box(&state));
                         kernels::matmul_add_into_on(
                             backend,
                             black_box(&recurrent[turn]),
-                            black_box(&buf[at..at + state.len()]),
+                            black_box(input),
                             lanes,
                             black_box(&base),
                             &mut step_out,
                         )
                         .unwrap();
-                        black_box(step_out[0])
+                        black_box(read_back(&step_out))
                     });
                 }
             }
@@ -931,14 +823,6 @@ fn main() {
     let static_speedups: Vec<(&str, &str)> = vec![
         ("inference/exact_naive/small", "inference/exact/small"),
         ("inference/exact_naive/medium", "inference/exact/medium"),
-        (
-            "inference/bnn_memoized_seed/small",
-            "inference/bnn_memoized/small",
-        ),
-        (
-            "inference/bnn_memoized_seed/medium",
-            "inference/bnn_memoized/medium",
-        ),
         (
             "inference/exact_batched/small",
             "inference/bnn_memoized_batched/small",

@@ -1,14 +1,14 @@
 //! Microbenchmarks and ablations underneath the paper's headline results:
 //!
-//! * full-precision dot product vs the packed XNOR-popcount dot product
-//!   (the reason the BNN predictor is cheap enough to run every timestep),
+//! * the full-precision dot product, per dispatch tier (the BNN
+//!   predictor's packed kernel has its rungs in `inference_throughput`),
 //! * exact inference vs oracle vs BNN-memoized inference on one workload,
 //! * the throttling ablation (Figure 11's mechanism) at a fixed threshold,
 //! * the accelerator model itself (baseline vs memoized projection).
 
 use nfm_accel::{EpurConfig, EpurSimulator, LayerShape, NetworkShape};
 use nfm_bench::Bencher;
-use nfm_bnn::{BinaryNetwork, BitVector};
+use nfm_bnn::BinaryNetwork;
 use nfm_core::{BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig, Predictor, PredictorKind};
 use nfm_rnn::ExactEvaluator;
 use nfm_tensor::rng::DeterministicRng;
@@ -24,14 +24,9 @@ fn dot_products(bench: &mut Bencher) {
         bench.bench(&format!("dot_product/fp32/{len}"), || {
             dot(black_box(&a), black_box(&b)).unwrap()
         });
-        let pa = BitVector::from_signs(&a);
-        let pb = BitVector::from_signs(&b);
-        bench.bench(&format!("dot_product/xnor_popcount/{len}"), || {
-            pa.xnor_dot(black_box(&pb)).unwrap()
-        });
         // The same products once per dispatch tier the host supports
-        // (all tiers are bit/integer identical; this isolates ISA
-        // throughput — the committed per-backend entries live in
+        // (all tiers are bit-identical; this isolates ISA throughput —
+        // the committed per-backend entries live in
         // inference_throughput's kernel/* group).
         for backend in nfm_tensor::backend::KernelBackend::supported() {
             bench.bench(&format!("dot_product/fp32_{backend}/{len}"), || {
@@ -40,11 +35,6 @@ fn dot_products(bench: &mut Bencher) {
                     black_box(&a),
                     black_box(&b),
                 ))
-            });
-        }
-        for pop in nfm_bnn::PopcountBackend::supported() {
-            bench.bench(&format!("dot_product/xnor_{pop}/{len}"), || {
-                black_box(pa.xnor_dot_on(black_box(&pb), pop).unwrap())
             });
         }
     }

@@ -19,18 +19,9 @@ pub fn binarize_sign(x: f32) -> f32 {
     }
 }
 
-/// Binarizes a slice, returning the `±1` representation as `f32`s.
-///
-/// This is the *reference* (unpacked) representation used by tests and by
-/// the correlation analysis; the packed representation used for actual
-/// prediction is [`BitVector`](crate::BitVector).
-pub fn binarize_slice(xs: &[f32]) -> Vec<f32> {
-    xs.iter().map(|&x| binarize_sign(x)).collect()
-}
-
-/// Reference binary dot product on unpacked `±1` values (Equation 8),
-/// used by property tests to validate the packed XNOR-popcount
-/// implementation.
+/// Reference binary dot product on unpacked `±1` values (Equation 8):
+/// one sign product per position, summed — no packing, no popcount.
+/// The tests hold the packed XNOR-popcount kernel to it.
 pub fn reference_binary_dot(a: &[f32], b: &[f32]) -> i32 {
     assert_eq!(a.len(), b.len(), "reference dot needs equal lengths");
     a.iter()
@@ -47,15 +38,6 @@ mod tests {
     fn sign_of_zero_is_positive() {
         assert_eq!(binarize_sign(0.0), 1.0);
         assert_eq!(binarize_sign(-0.0), 1.0);
-    }
-
-    #[test]
-    fn binarize_slice_maps_elementwise() {
-        assert_eq!(
-            binarize_slice(&[1.5, -0.1, 0.0, -7.0]),
-            vec![1.0, -1.0, 1.0, -1.0]
-        );
-        assert!(binarize_slice(&[]).is_empty());
     }
 
     #[test]

@@ -29,8 +29,9 @@ enum Block {
 /// Prediction is [`predict_packed_into`](Self::predict_packed_into):
 /// one dispatched XNOR-popcount "matmul" per gate call over inputs
 /// packed by [`pack_inputs`](Self::pack_inputs).  The [`BitVector`]
-/// entries ([`neuron_output`](Self::neuron_output) and the batch forms)
-/// are the per-neuron reference and thin adapters onto the same block.
+/// entries ([`binarize_inputs`](Self::binarize_inputs) and
+/// [`neuron_outputs_batch_into`](Self::neuron_outputs_batch_into)) are a
+/// per-lane adapter onto the same kernel.
 #[derive(Debug, Clone)]
 pub struct BinaryGate {
     block: Block,
@@ -231,9 +232,9 @@ impl BinaryGate {
 
     /// Every neuron's binary output (Equation 8) for every packed lane
     /// in one dispatched call on the active tier, lane-striped:
-    /// `out[l * neurons + n]` is neuron `n` on lane `l` — equal to
-    /// [`neuron_output`](Self::neuron_output) by construction, the
-    /// popcounts being integer-exact.
+    /// `out[l * neurons + n]` is neuron `n` on lane `l`: the signed
+    /// XNOR-popcount dot product of row `n` with the lane's forward plus
+    /// recurrent signs.
     ///
     /// # Panics
     ///
@@ -256,86 +257,18 @@ impl BinaryGate {
     }
 
     /// Packs the signs of one input pair into the [`BitVector`] operands
-    /// the per-neuron and batch entries below consume.
+    /// [`neuron_outputs_batch_into`](Self::neuron_outputs_batch_into)
+    /// consumes.
     pub fn binarize_inputs(&self, x: &[f32], h_prev: &[f32]) -> (BitVector, BitVector) {
         (BitVector::from_signs(x), BitVector::from_signs(h_prev))
     }
 
-    fn check_inputs(&self, xb: &BitVector, hb: &BitVector) -> Result<()> {
-        for (got, want) in [(xb.len(), self.input_size), (hb.len(), self.hidden_size)] {
-            if got != want {
-                return Err(BnnError::LengthMismatch {
-                    left: got,
-                    right: want,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Binary output of neuron `n` (Equation 8): the XNOR-popcount dot
-    /// product over forward plus recurrent connections.  This is the
-    /// readable per-neuron reference — one row of the block read word by
-    /// word — that the equivalence suites compare the packed kernel
-    /// against, and what the per-neuron evaluators run.
-    ///
-    /// # Errors
-    ///
-    /// Returns a length-mismatch error if the packed inputs do not match
-    /// the gate's dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n >= self.neurons()`.
-    pub fn neuron_output(&self, n: usize, xb: &BitVector, hb: &BitVector) -> Result<i32> {
-        self.neuron_output_on(popcount::active(), n, xb, hb)
-    }
-
-    /// [`BinaryGate::neuron_output`] on an explicit popcount tier — the
-    /// hook cross-tier tests and benches use for the per-neuron
-    /// evaluation shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns a length-mismatch error if the packed inputs do not match
-    /// the gate's dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n >= self.neurons()` or `backend` is not supported on
-    /// this host.
-    pub fn neuron_output_on(
-        &self,
-        backend: PopcountBackend,
-        n: usize,
-        xb: &BitVector,
-        hb: &BitVector,
-    ) -> Result<i32> {
-        self.check_inputs(xb, hb)?;
-        assert!(n < self.neurons, "neuron {n} of {}", self.neurons);
-        // The row's words sit eight apart in the block; gather them a
-        // few at a time for the tier's word kernel.
-        let block = self.sign_block();
-        let mut at = row_start(n, self.row_words());
-        let mut row = [0u64; BLOCK_ROWS];
-        let mut agree = 0;
-        for input in [xb.words(), hb.words()] {
-            for chunk in input.chunks(BLOCK_ROWS) {
-                for w in &mut row[..chunk.len()] {
-                    *w = block[at];
-                    at += BLOCK_ROWS;
-                }
-                agree += popcount::xnor_agreements_on(backend, &row[..chunk.len()], chunk);
-            }
-        }
-        Ok(2 * agree as i32 - self.bias())
-    }
-
     /// Every neuron's binary output for **all** lanes of a batch in one
-    /// call, lane-striped:
-    /// `out[l * neurons + n] = neuron_output(n, &xbs[l], &hbs[l])`.
-    /// A thin adapter: the operands' words are copied into one packed
-    /// buffer and go through [`predict_packed_into`](Self::predict_packed_into).
+    /// call, lane-striped like
+    /// [`predict_packed_into`](Self::predict_packed_into), with lane `l`'s
+    /// inputs `xbs[l]` and `hbs[l]`.  A thin adapter: the operands' words
+    /// are copied into one packed buffer and go through
+    /// [`predict_packed_into`](Self::predict_packed_into).
     ///
     /// # Errors
     ///
@@ -344,26 +277,6 @@ impl BinaryGate {
     /// dimensions, or `out.len() != xbs.len() * self.neurons()`.
     pub fn neuron_outputs_batch_into(
         &self,
-        xbs: &[BitVector],
-        hbs: &[BitVector],
-        out: &mut [i32],
-    ) -> Result<()> {
-        self.neuron_outputs_batch_on(popcount::active(), xbs, hbs, out)
-    }
-
-    /// [`BinaryGate::neuron_outputs_batch_into`] on an explicit popcount
-    /// tier.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BinaryGate::neuron_outputs_batch_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is not supported on this host.
-    pub fn neuron_outputs_batch_on(
-        &self,
-        backend: PopcountBackend,
         xbs: &[BitVector],
         hbs: &[BitVector],
         out: &mut [i32],
@@ -378,25 +291,16 @@ impl BinaryGate {
         }
         let mut packed = Vec::with_capacity(xbs.len() * self.row_words());
         for (xb, hb) in xbs.iter().zip(hbs) {
-            self.check_inputs(xb, hb)?;
+            for (left, right) in [(xb.len(), self.input_size), (hb.len(), self.hidden_size)] {
+                if left != right {
+                    return Err(BnnError::LengthMismatch { left, right });
+                }
+            }
             packed.extend_from_slice(xb.words());
             packed.extend_from_slice(hb.words());
         }
-        self.predict_packed_on(backend, &packed, out);
+        self.predict_packed_into(&packed, out);
         Ok(())
-    }
-
-    /// Convenience wrapper that binarizes the raw inputs and evaluates
-    /// neuron `n` in one call (used by tests and the correlation probe;
-    /// the runner-level code packs once per gate call).
-    ///
-    /// # Errors
-    ///
-    /// Returns a length-mismatch error if the inputs do not match the
-    /// gate's dimensions.
-    pub fn neuron_output_from_raw(&self, n: usize, x: &[f32], h_prev: &[f32]) -> Result<i32> {
-        let (xb, hb) = self.binarize_inputs(x, h_prev);
-        self.neuron_output(n, &xb, &hb)
     }
 
     /// Total number of sign bits stored for this gate (the contents of
@@ -429,17 +333,27 @@ mod tests {
         assert_eq!(b.sign_bit_count(), 6 * 16);
     }
 
+    /// Every neuron on every lane through the packed kernel.
+    fn predict(b: &BinaryGate, xs: &[f32], hs: &[f32], lanes: usize) -> Vec<i32> {
+        let mut packed = LineBuf::default();
+        b.pack_inputs(xs, hs, lanes, &mut packed);
+        let mut out = vec![i32::MIN; lanes * b.neurons()];
+        b.predict_packed_into(&packed, &mut out);
+        out
+    }
+
     #[test]
-    fn neuron_output_matches_reference_binary_dot() {
+    fn predict_matches_reference_binary_dot() {
         let g = fp_gate(4, 8, 4, 2);
         let b = BinaryGate::mirror(&g);
         let mut rng = DeterministicRng::seed_from_u64(3);
         let x: Vec<f32> = (0..8).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let h: Vec<f32> = (0..4).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        for n in 0..4 {
+        let predicted = predict(&b, &x, &h, 1);
+        for (n, &y) in predicted.iter().enumerate() {
             let expected =
                 reference_binary_dot(g.wx().row(n), &x) + reference_binary_dot(g.wh().row(n), &h);
-            assert_eq!(b.neuron_output_from_raw(n, &x, &h).unwrap(), expected);
+            assert_eq!(y, expected, "neuron {n}");
         }
     }
 
@@ -447,16 +361,13 @@ mod tests {
     fn output_bounded_by_connection_count() {
         let g = fp_gate(3, 5, 3, 4);
         let b = BinaryGate::mirror(&g);
-        let x = vec![1.0; 5];
-        let h = vec![-1.0; 3];
-        for n in 0..3 {
-            let out = b.neuron_output_from_raw(n, &x, &h).unwrap();
-            assert!(out.abs() <= 5 + 3);
+        for y in predict(&b, &[1.0; 5], &[-1.0; 3], 1) {
+            assert!(y.abs() <= 5 + 3);
         }
     }
 
     #[test]
-    fn packed_predict_matches_per_neuron_outputs_on_every_tier() {
+    fn packed_predict_matches_the_f32_reference_on_every_tier() {
         let g = fp_gate(13, 21, 13, 9); // odd sizes: a short block, tails
         let b = BinaryGate::mirror(&g);
         assert_eq!(b.row_words(), 2);
@@ -465,33 +376,29 @@ mod tests {
         for lanes in [1usize, 2, 3, 5, 8] {
             let xs: Vec<f32> = (0..lanes * 21).map(|_| rng.uniform(-1.0, 1.0)).collect();
             let hs: Vec<f32> = (0..lanes * 13).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let (xbs, hbs): (Vec<_>, Vec<_>) = (0..lanes)
-                .map(|l| b.binarize_inputs(&xs[l * 21..][..21], &hs[l * 13..][..13]))
-                .unzip();
+            let mut expected = vec![0i32; lanes * 13];
+            for l in 0..lanes {
+                let (x, h) = (&xs[l * 21..][..21], &hs[l * 13..][..13]);
+                for n in 0..13 {
+                    expected[l * 13 + n] = reference_binary_dot(g.wx().row(n), x)
+                        + reference_binary_dot(g.wh().row(n), h);
+                }
+            }
+            assert_eq!(predict(&b, &xs, &hs, lanes), expected, "lanes {lanes}");
             let mut packed = LineBuf::default();
             b.pack_inputs(&xs, &hs, lanes, &mut packed);
-            let mut predicted = vec![0i32; lanes * 13];
-            b.predict_packed_into(&packed, &mut predicted);
-            let mut batched = vec![0i32; lanes * 13];
-            b.neuron_outputs_batch_into(&xbs, &hbs, &mut batched)
-                .unwrap();
-            assert_eq!(batched, predicted, "lanes {lanes}");
             for pop in crate::PopcountBackend::supported() {
                 let mut on = vec![0i32; lanes * 13];
                 b.predict_packed_on(pop, &packed, &mut on);
-                assert_eq!(on, predicted, "{pop} lanes {lanes}");
-                b.neuron_outputs_batch_on(pop, &xbs, &hbs, &mut on).unwrap();
-                assert_eq!(on, predicted, "{pop} lanes {lanes}");
-                for l in 0..lanes {
-                    for n in 0..13 {
-                        assert_eq!(
-                            b.neuron_output_on(pop, n, &xbs[l], &hbs[l]).unwrap(),
-                            predicted[l * 13 + n],
-                            "{pop} lane {l} neuron {n}"
-                        );
-                    }
-                }
+                assert_eq!(on, expected, "{pop} lanes {lanes}");
             }
+            let (xbs, hbs): (Vec<_>, Vec<_>) = (0..lanes)
+                .map(|l| b.binarize_inputs(&xs[l * 21..][..21], &hs[l * 13..][..13]))
+                .unzip();
+            let mut batched = vec![0i32; lanes * 13];
+            b.neuron_outputs_batch_into(&xbs, &hbs, &mut batched)
+                .unwrap();
+            assert_eq!(batched, expected, "adapter, lanes {lanes}");
         }
         // Dimension checks.
         let (xb, hb) = b.binarize_inputs(&[0.5; 21], &[0.5; 13]);
@@ -556,15 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn neuron_output_rejects_wrong_widths() {
-        let g = fp_gate(2, 4, 2, 5);
-        let b = BinaryGate::mirror(&g);
-        let xb = BitVector::zeros(3);
-        let hb = BitVector::zeros(2);
-        assert!(b.neuron_output(0, &xb, &hb).is_err());
-    }
-
-    #[test]
     fn mirror_of_explicit_weights_has_expected_signs() {
         let wx = Matrix::from_rows(vec![vec![0.5, -0.5, 0.0]]).unwrap();
         let wh = Matrix::from_rows(vec![vec![-1.0]]).unwrap();
@@ -572,10 +470,6 @@ mod tests {
         let b = BinaryGate::mirror(&g);
         // x all positive -> forward dot = (+1)(+1) + (-1)(+1) + (+1)(+1) = 1
         // h positive -> recurrent dot = (-1)(+1) = -1
-        assert_eq!(
-            b.neuron_output_from_raw(0, &[1.0, 1.0, 1.0], &[1.0])
-                .unwrap(),
-            0
-        );
+        assert_eq!(predict(&b, &[1.0, 1.0, 1.0], &[1.0], 1), [0]);
     }
 }

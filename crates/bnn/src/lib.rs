@@ -19,9 +19,8 @@
 //! * [`Model`] — one model version's shared artifacts: the network plus
 //!   its mirror, derived at most once and read by every policy and every
 //!   serving worker through clones of one handle,
-//! * [`BitVector`] — packed sign vectors with XNOR-popcount dot
-//!   products, the operand type of the readable per-neuron entries of
-//!   [`BinaryGate`] (the correlation probe, benches and tests),
+//! * [`BitVector`] — one lane's packed signs, the operand type of
+//!   [`BinaryGate`]'s per-lane adapter,
 //! * [`CorrelationProbe`] — an instrumented evaluator that records paired
 //!   (full-precision, binarized) outputs to reproduce the correlation
 //!   analyses of Figures 7 and 8.
@@ -29,12 +28,24 @@
 //! # Example
 //!
 //! ```
-//! use nfm_bnn::BitVector;
+//! use nfm_bnn::BinaryGate;
+//! use nfm_rnn::Gate;
+//! use nfm_tensor::{activation::Activation, LineBuf, Matrix, Vector};
 //!
-//! let a = BitVector::from_signs(&[1.0, -2.0, 3.0, -4.0]);
-//! let b = BitVector::from_signs(&[1.0, 2.0, -3.0, -4.0]);
-//! // agreements: positions 0 and 3 -> dot = 2*2 - 4 = 0
-//! assert_eq!(a.xnor_dot(&b).unwrap(), 0);
+//! // One neuron: forward weights [+, -, +], recurrent weight [-].
+//! let wx = Matrix::from_rows(vec![vec![0.5, -0.5, 0.0]]).unwrap();
+//! let wh = Matrix::from_rows(vec![vec![-1.0]]).unwrap();
+//! let gate = Gate::new(wx, wh, Vector::zeros(1), None, Activation::Sigmoid).unwrap();
+//! let mirror = BinaryGate::mirror(&gate);
+//!
+//! // Pack a lane's signs once, then predict every neuron of the gate.
+//! let mut packed = LineBuf::default();
+//! mirror.pack_inputs(&[1.0, -2.0, -3.0], &[4.0], 1, &mut packed);
+//! let mut out = [0i32; 1];
+//! mirror.predict_packed_into(&packed, &mut out);
+//! // Signs agree at forward positions 0 and 1 and disagree at 2 and at
+//! // the recurrent one: 2 - 2 = 0.
+//! assert_eq!(out, [0]);
 //! ```
 
 pub mod binarize;
@@ -45,7 +56,7 @@ pub mod model;
 pub mod popcount;
 pub mod probe;
 
-pub use binarize::{binarize_sign, binarize_slice};
+pub use binarize::binarize_sign;
 pub use bitvec::BitVector;
 pub use gate::BinaryGate;
 pub use mirror::BinaryNetwork;
@@ -64,8 +75,6 @@ pub enum BnnError {
         /// Length of the right operand.
         right: usize,
     },
-    /// A gate lookup failed (no binary mirror for the requested gate).
-    UnknownGate,
     /// A sign block handed to [`BinaryGate::from_arena`] has a padding
     /// bit or a padding row set.
     NonZeroPadding {
@@ -80,7 +89,6 @@ impl std::fmt::Display for BnnError {
             BnnError::LengthMismatch { left, right } => {
                 write!(f, "length mismatch: {left} vs {right}")
             }
-            BnnError::UnknownGate => write!(f, "no binary mirror exists for the requested gate"),
             BnnError::NonZeroPadding { row } => {
                 write!(f, "sign block has non-zero padding in row {row}")
             }
@@ -101,7 +109,6 @@ mod tests {
     fn error_display() {
         let e = BnnError::LengthMismatch { left: 3, right: 5 };
         assert!(e.to_string().contains("3 vs 5"));
-        assert!(BnnError::UnknownGate.to_string().contains("mirror"));
     }
 
     #[test]

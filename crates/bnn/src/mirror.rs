@@ -1,7 +1,6 @@
 //! Binary mirror of a whole deep RNN.
 
 use crate::gate::BinaryGate;
-use crate::{BnnError, Result};
 use nfm_rnn::{DeepRnn, GateId};
 use std::collections::HashMap;
 
@@ -42,15 +41,6 @@ impl BinaryNetwork {
     /// Looks up the mirror of a gate.
     pub fn gate(&self, id: GateId) -> Option<&BinaryGate> {
         self.gates.get(&id)
-    }
-
-    /// Looks up the mirror of a gate, returning an error when absent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BnnError::UnknownGate`] if the gate was not mirrored.
-    pub fn gate_or_err(&self, id: GateId) -> Result<&BinaryGate> {
-        self.gates.get(&id).ok_or(BnnError::UnknownGate)
     }
 
     /// Iterates over `(GateId, &BinaryGate)` pairs.
@@ -108,10 +98,6 @@ mod tests {
         let mirror = BinaryNetwork::mirror(&network(false));
         let bogus = GateId::new(99, 0, nfm_rnn::GateKind::Input);
         assert!(mirror.gate(bogus).is_none());
-        assert_eq!(
-            mirror.gate_or_err(bogus).unwrap_err(),
-            BnnError::UnknownGate
-        );
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! Runtime-dispatched XNOR-popcount kernels: the packed gate predictor,
-//! the sign-pack that feeds it, and the word kernel behind
-//! [`BitVector::xnor_dot`](crate::BitVector::xnor_dot).
+//! Runtime-dispatched XNOR-popcount kernels: the sign-pack
+//! ([`pack_signs`]) and the packed gate predictor behind
+//! [`BinaryGate::predict_packed_into`](crate::BinaryGate::predict_packed_into).
+//! These are the crate's only two kernels: a mirror is built, and every
+//! gate call's inputs are packed, by the first; every binary output of
+//! Equation 8 comes from the second.
 //!
 //! The BNN mirror's whole job is to be cheap: every proxied neuron
 //! output is `2 * popcount(XNOR(w, x)) - len` over packed 64-bit sign
@@ -39,7 +42,7 @@
 //! | `scalar` | the plain bodies, portable SWAR `count_ones` | 3.04 us / 0.39 us | 0.81 us |
 //! | `avx2` | the plain bodies compiled with `popcnt,avx2`: hardware popcounts at about one word a cycle, and the compare loop vectorises | 1.08 us / 0.17 us | 0.40 us |
 //! | `avx512` | where `avx512vpopcntdq` exists, intrinsics — `broadcast(x) -> vpternlogq 0xC3 -> vpopcntq -> vpaddq`, four lanes to a weight load, eight outputs a store; `vcmpps` into a mask register — else the `avx2` row | 0.25-0.41 us / 0.07-0.13 us | 0.19 us |
-//! | `neon` | the plain bodies (`count_ones` is NEON `cnt` on aarch64) | not measured | |
+//! | `neon` | the plain bodies (`count_ones` lowers to NEON `cnt` on aarch64) | not measured | |
 //!
 //! The row-wise kernels this layout replaced spent 5.7 us on the same
 //! 8-lane call on both x86 tiers (1.9 ns a word against a port bound of
@@ -60,11 +63,10 @@ pub enum PopcountBackend {
     Scalar,
     /// Hardware `popcnt` (x86), the plain bodies compiled with `avx2`.
     Popcnt,
-    /// AVX-512 `vpopcntq`, 8 words per operation (requires
-    /// `avx512vpopcntdq` and `avx512vl`): eight rows of a sign block at a time in the
-    /// gate predictor, eight words of a long vector in `xnor_dot`.
+    /// AVX-512 `vpopcntq` (requires `avx512vpopcntdq` and `avx512vl`):
+    /// eight rows of a sign block per operation in the gate predictor.
     Vpopcntdq,
-    /// NEON `cnt` per-byte popcount with widening accumulation.
+    /// The plain bodies on aarch64, where `count_ones` is NEON `cnt`.
     Neon,
 }
 
@@ -163,54 +165,6 @@ fn assert_supported(backend: PopcountBackend) {
             .collect::<Vec<_>>()
             .join(", "),
     );
-}
-
-/// Number of sign agreements (`popcount(XNOR)`) over full 64-bit words,
-/// on the active tier.  Slices must have equal lengths.
-#[inline]
-pub(crate) fn xnor_agreements(a: &[u64], b: &[u64]) -> u32 {
-    xnor_agreements_dispatch(active(), a, b)
-}
-
-/// [`BitVector::xnor_dot`](crate::BitVector::xnor_dot)'s word kernel on
-/// an explicit tier — the hook the cross-tier tests and benches use.
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host or the slices'
-/// lengths differ.
-pub fn xnor_agreements_on(backend: PopcountBackend, a: &[u64], b: &[u64]) -> u32 {
-    assert_supported(backend);
-    assert_eq!(a.len(), b.len(), "word-slice length mismatch");
-    xnor_agreements_dispatch(backend, a, b)
-}
-
-#[inline]
-fn xnor_agreements_dispatch(backend: PopcountBackend, a: &[u64], b: &[u64]) -> u32 {
-    debug_assert_eq!(a.len(), b.len());
-    match backend {
-        PopcountBackend::Scalar => scalar_agreements(a, b),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: dispatch reaches this arm only for supported tiers.
-        PopcountBackend::Popcnt => unsafe { x86::popcnt_agreements(a, b) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: dispatch reaches this arm only for supported tiers.
-        PopcountBackend::Vpopcntdq => unsafe { x86::vpopcntdq_agreements(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch reaches this arm only for supported tiers.
-        PopcountBackend::Neon => unsafe { neon::neon_agreements(a, b) },
-        #[allow(unreachable_patterns)]
-        other => unreachable!("popcount backend {other} is not compiled for this target"),
-    }
-}
-
-#[inline]
-fn scalar_agreements(a: &[u64], b: &[u64]) -> u32 {
-    let mut agreements = 0u32;
-    for (x, y) in a.iter().zip(b.iter()) {
-        agreements += (!(x ^ y)).count_ones();
-    }
-    agreements
 }
 
 /// A gate's sign block as the predict kernel reads it: the words, the
@@ -355,22 +309,6 @@ mod x86 {
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// The scalar loop with the `popcnt` instruction enabled, so
-    /// `count_ones` compiles to one instruction per word instead of the
-    /// portable SWAR sequence.
-    ///
-    /// # Safety
-    ///
-    /// Requires `popcnt`.
-    #[target_feature(enable = "popcnt")]
-    pub(super) unsafe fn popcnt_agreements(a: &[u64], b: &[u64]) -> u32 {
-        let mut agreements = 0u32;
-        for (x, y) in a.iter().zip(b.iter()) {
-            agreements += (!(x ^ y)).count_ones();
-        }
-        agreements
-    }
-
     /// The plain predict body with hardware `popcnt`.
     ///
     /// # Safety
@@ -390,37 +328,6 @@ mod x86 {
     #[target_feature(enable = "popcnt,avx2")]
     pub(super) unsafe fn avx2_pack_signs(values: &[f32], dst: &mut [u64]) {
         super::pack_signs_body(values, dst);
-    }
-
-    /// 8 words per operation: one `vpternlogq` computes the XNOR, one
-    /// `vpopcntq` the per-word popcounts.  The `< 8`-word remainder
-    /// runs hardware `popcnt`.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` + `avx512vpopcntdq` + `popcnt`.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
-    pub(super) unsafe fn vpopcntdq_agreements(a: &[u64], b: &[u64]) -> u32 {
-        let n = a.len();
-        let chunks = n / 8;
-        let pa = a.as_ptr();
-        let pb = b.as_ptr();
-        let mut acc = _mm512_setzero_si512();
-        for c in 0..chunks {
-            // SAFETY: c * 8 + 7 < n, loads are unaligned-tolerant.
-            let va = unsafe { _mm512_loadu_si512(pa.add(c * 8) as *const _) };
-            let vb = unsafe { _mm512_loadu_si512(pb.add(c * 8) as *const _) };
-            // Truth table 0xC3 over (a, b, _) is ~(a ^ b): one-op XNOR.
-            let xnor = _mm512_ternarylogic_epi64::<0xC3>(va, vb, va);
-            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(xnor));
-        }
-        let mut agreements = _mm512_reduce_add_epi64(acc) as u32;
-        for i in chunks * 8..n {
-            // SAFETY: i < n.
-            let (x, y) = unsafe { (*pa.add(i), *pb.add(i)) };
-            agreements += (!(x ^ y)).count_ones();
-        }
-        agreements
     }
 
     /// The packed predict on `vpopcntq`: a block's word `k` is one
@@ -548,41 +455,6 @@ mod x86 {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use std::arch::aarch64::*;
-
-    /// NEON per-byte popcount (`cnt`) over 16-byte chunks (two words),
-    /// widened to a running sum; the odd trailing word runs
-    /// `count_ones`.
-    ///
-    /// # Safety
-    ///
-    /// Requires `neon`.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn neon_agreements(a: &[u64], b: &[u64]) -> u32 {
-        let n = a.len();
-        let chunks = n / 2;
-        let pa = a.as_ptr() as *const u8;
-        let pb = b.as_ptr() as *const u8;
-        let mut total = 0u32;
-        for c in 0..chunks {
-            // SAFETY: 16 * c + 15 < 8 * n.
-            let va = unsafe { vld1q_u8(pa.add(16 * c)) };
-            let vb = unsafe { vld1q_u8(pb.add(16 * c)) };
-            let xnor = vmvnq_u8(veorq_u8(va, vb));
-            let counts = vcntq_u8(xnor);
-            total += vaddlvq_u8(counts) as u32;
-        }
-        for i in chunks * 2..n {
-            // SAFETY: i < n.
-            let (x, y) = unsafe { (*a.as_ptr().add(i), *b.as_ptr().add(i)) };
-            total += (!(x ^ y)).count_ones();
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,31 +472,5 @@ mod tests {
             PopcountBackend::for_kernel_backend(KernelBackend::Scalar),
             PopcountBackend::Scalar
         );
-    }
-
-    #[test]
-    fn every_supported_tier_agrees_with_scalar() {
-        let a: Vec<u64> = (0..37u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        let b: Vec<u64> = (0..37u64)
-            .map(|i| i.wrapping_mul(0xD1B5_4A32_D192_ED03))
-            .collect();
-        for words in [0usize, 1, 2, 3, 7, 8, 9, 16, 17, 37] {
-            let reference = xnor_agreements_on(PopcountBackend::Scalar, &a[..words], &b[..words]);
-            for backend in PopcountBackend::supported() {
-                assert_eq!(
-                    xnor_agreements_on(backend, &a[..words], &b[..words]),
-                    reference,
-                    "words {words} backend {backend}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn explicit_entry_rejects_ragged_slices() {
-        let _ = xnor_agreements_on(PopcountBackend::Scalar, &[0], &[0, 1]);
     }
 }

@@ -3,6 +3,7 @@
 use crate::mirror::BinaryNetwork;
 use nfm_rnn::{evaluate_neurons, GateBatch, NeuronEvaluator, Result as RnnResult};
 use nfm_tensor::stats::pearson_correlation;
+use nfm_tensor::LineBuf;
 use std::collections::HashMap;
 
 /// The paired output series of one neuron: full-precision pre-activation
@@ -43,11 +44,18 @@ impl NeuronSeries {
 ///
 /// This reproduces the measurement behind Figure 7 (scatter of binarized
 /// vs full-precision outputs for one network) and Figure 8 (histogram of
-/// per-neuron correlation factors).
+/// per-neuron correlation factors).  The binarized outputs come from the
+/// memoizing evaluator's kernel: each gate call's lanes are sign-packed
+/// once and the whole gate predicted in one dispatched call.  A gate the
+/// mirror has no gate of its shape for records 0.
 #[derive(Debug, Clone)]
 pub struct CorrelationProbe {
     mirror: BinaryNetwork,
     series: HashMap<(nfm_rnn::GateId, usize), NeuronSeries>,
+    // The current gate call's sign-packed lanes and binary outputs
+    // (lane-striped), storage reused across calls.
+    packed: LineBuf<u64>,
+    yb: LineBuf<i32>,
 }
 
 impl CorrelationProbe {
@@ -56,6 +64,8 @@ impl CorrelationProbe {
         CorrelationProbe {
             mirror,
             series: HashMap::new(),
+            packed: LineBuf::default(),
+            yb: LineBuf::default(),
         }
     }
 
@@ -120,16 +130,21 @@ impl CorrelationProbe {
 
 impl NeuronEvaluator for CorrelationProbe {
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
-        let binary_gate = self.mirror.gate(call.gate_id);
-        let wh = call.gate.wh();
-        evaluate_neurons(call, out, |id, x, h_prev, fwd| {
+        let (gate, nsz) = (call.gate, call.gate.neurons());
+        self.yb.resize(call.lanes * nsz);
+        match self.mirror.gate(call.gate_id) {
+            Some(bg) if bg.has_shape_of(gate) => {
+                bg.pack_inputs(call.xs, call.h_prevs, call.lanes, &mut self.packed);
+                bg.predict_packed_into(&self.packed, &mut self.yb);
+            }
+            _ => self.yb.fill(0),
+        }
+        let (wh, yb, series) = (gate.wh(), &self.yb, &mut self.series);
+        evaluate_neurons(call, out, |id, _, h_prev, fwd| {
             let fp = fwd + wh.row_dot(id.neuron, h_prev)?;
-            let bnn = binary_gate
-                .and_then(|bg| bg.neuron_output_from_raw(id.neuron, x, h_prev).ok())
-                .map_or(0.0, |v| v as f32);
-            let entry = self.series.entry((id.gate_id, id.neuron)).or_default();
+            let entry = series.entry((id.gate_id, id.neuron)).or_default();
             entry.full_precision.push(fp);
-            entry.binarized.push(bnn);
+            entry.binarized.push(yb[id.lane * nsz + id.neuron] as f32);
             Ok(fp)
         })
     }

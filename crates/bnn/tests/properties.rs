@@ -17,35 +17,40 @@ fn vec_f32(rng: &mut DeterministicRng, len: usize, low: f32, high: f32) -> Vec<f
     (0..len).map(|_| rng.uniform(low, high)).collect()
 }
 
+/// The XNOR-popcount dot product of `a` and `b` through the packed
+/// predictor: a one-neuron mirror whose forward row is `a[..k]` and
+/// recurrent row `a[k..]`, fed `b` split the same way.
+fn packed_dot(a: &[f32], b: &[f32], k: usize) -> i32 {
+    let row = |v: &[f32]| Matrix::from_fn(1, v.len(), |_, c| v[c]);
+    let gate = Gate::new(
+        row(&a[..k]),
+        row(&a[k..]),
+        Vector::zeros(1),
+        None,
+        Activation::Sigmoid,
+    )
+    .unwrap();
+    let bg = BinaryGate::mirror(&gate);
+    let mut packed = nfm_tensor::LineBuf::default();
+    bg.pack_inputs(&b[..k], &b[k..], 1, &mut packed);
+    let mut out = [i32::MIN];
+    bg.predict_packed_into(&packed, &mut out);
+    out[0]
+}
+
 #[test]
 fn packed_dot_matches_reference_for_any_length() {
     let mut rng = DeterministicRng::seed_from_u64(1);
     for _ in 0..48 {
-        let len = rng.index(512);
+        let len = 1 + rng.index(511);
+        let k = rng.index(len + 1);
         let a = vec_f32(&mut rng, len, -3.0, 3.0);
         let b = vec_f32(&mut rng, len, -3.0, 3.0);
-        let pa = BitVector::from_signs(&a);
-        let pb = BitVector::from_signs(&b);
-        if a.is_empty() {
-            assert_eq!(pa.xnor_dot(&pb).unwrap(), 0);
-        } else {
-            assert_eq!(pa.xnor_dot(&pb).unwrap(), reference_binary_dot(&a, &b));
-        }
-    }
-}
-
-#[test]
-fn hamming_distance_and_dot_are_consistent() {
-    let mut rng = DeterministicRng::seed_from_u64(2);
-    for _ in 0..48 {
-        let len = 1 + rng.index(199);
-        let a = vec_f32(&mut rng, len, -1.0, 1.0);
-        let b = vec_f32(&mut rng, len, -1.0, 1.0);
-        let pa = BitVector::from_signs(&a);
-        let pb = BitVector::from_signs(&b);
-        let dot = pa.xnor_dot(&pb).unwrap();
-        let ham = pa.hamming_distance(&pb).unwrap();
-        assert_eq!(dot, a.len() as i32 - 2 * ham as i32);
+        assert_eq!(
+            packed_dot(&a, &b, k),
+            reference_binary_dot(&a, &b),
+            "len {len} split {k}"
+        );
     }
 }
 
@@ -76,12 +81,15 @@ fn binary_gate_output_is_bounded_and_matches_unpacked_reference() {
         let bg = BinaryGate::mirror(&gate);
         let x = vec_f32(&mut rng, input, -1.0, 1.0);
         let h = vec_f32(&mut rng, hidden, -1.0, 1.0);
-        for n in 0..neurons {
-            let packed = bg.neuron_output_from_raw(n, &x, &h).unwrap();
+        let mut packed = nfm_tensor::LineBuf::default();
+        bg.pack_inputs(&x, &h, 1, &mut packed);
+        let mut out = vec![i32::MIN; neurons];
+        bg.predict_packed_into(&packed, &mut out);
+        for (n, &y) in out.iter().enumerate() {
             let reference = reference_binary_dot(gate.wx().row(n), &x)
                 + reference_binary_dot(gate.wh().row(n), &h);
-            assert_eq!(packed, reference);
-            assert!(packed.abs() <= (input + hidden) as i32);
+            assert_eq!(y, reference);
+            assert!(y.abs() <= (input + hidden) as i32);
         }
     }
 }
@@ -100,59 +108,6 @@ fn mirror_sign_bits_equal_weight_count() {
         assert_eq!(mirror.total_sign_bits(), net.weight_count());
         assert_eq!(mirror.gate_count(), net.gates().len());
     }
-}
-
-#[test]
-fn xnor_dot_is_identical_on_every_popcount_tier_around_word_boundaries() {
-    // The dispatch satellite of the SIMD-kernel PR: every popcount tier
-    // the host supports must produce the exact scalar result for widths
-    // straddling the 64-bit word boundary (full-word counts, one-bit
-    // tails, multi-chunk widths that engage the 8-word vpopcntdq loop).
-    use nfm_bnn::PopcountBackend;
-    let widths = [
-        1usize, 7, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257, 511, 512, 513, 1023,
-        1024, 1025,
-    ];
-    let mut rng = DeterministicRng::seed_from_u64(6);
-    let supported = PopcountBackend::supported();
-    assert!(supported.contains(&PopcountBackend::Scalar));
-    for &len in &widths {
-        let a = vec_f32(&mut rng, len, -3.0, 3.0);
-        let b = vec_f32(&mut rng, len, -3.0, 3.0);
-        let pa = BitVector::from_signs(&a);
-        let pb = BitVector::from_signs(&b);
-        let reference = pa.xnor_dot_on(&pb, PopcountBackend::Scalar).unwrap();
-        assert_eq!(
-            reference,
-            reference_binary_dot(&a, &b),
-            "scalar vs unpacked, len {len}"
-        );
-        assert_eq!(
-            pa.xnor_dot(&pb).unwrap(),
-            reference,
-            "active tier, len {len}"
-        );
-        for &backend in &supported {
-            assert_eq!(
-                pa.xnor_dot_on(&pb, backend).unwrap(),
-                reference,
-                "len {len} backend {backend}"
-            );
-        }
-    }
-}
-
-#[test]
-fn xnor_dot_on_validates_lengths_and_empty_operands() {
-    use nfm_bnn::PopcountBackend;
-    let a = BitVector::from_signs(&[1.0, -1.0, 1.0]);
-    let b = BitVector::from_signs(&[1.0, -1.0]);
-    assert!(a.xnor_dot_on(&b, PopcountBackend::Scalar).is_err());
-    let empty = BitVector::from_signs(&[]);
-    assert_eq!(
-        empty.xnor_dot_on(&empty, PopcountBackend::Scalar).unwrap(),
-        0
-    );
 }
 
 /// Values whose sign bit, ordering against zero or exponent could
@@ -224,9 +179,9 @@ fn sign_pack_is_the_scalar_bit_rule_on_every_tier_with_zero_tails() {
     }
 }
 
-/// The packed predict on every supported tier against (a) the
-/// per-neuron `neuron_output` and (b) `reference_binary_dot` on the raw
-/// f32 rows, for one gate shape and lane count.
+/// The packed predict on every supported tier against
+/// `reference_binary_dot` on the raw f32 rows, neuron by neuron, for
+/// one gate shape and lane count.
 fn check_packed_predict(rows: usize, isz: usize, hsz: usize, lanes: usize, seed: u64) {
     use nfm_bnn::PopcountBackend;
     let what = format!("rows {rows} widths {isz}+{hsz} lanes {lanes}");
@@ -252,16 +207,9 @@ fn check_packed_predict(rows: usize, isz: usize, hsz: usize, lanes: usize, seed:
     let mut expected = vec![0i32; lanes * rows];
     for l in 0..lanes {
         let (x, h) = (&xs[l * isz..(l + 1) * isz], &hs[l * hsz..(l + 1) * hsz]);
-        let (xb, hb) = bg.binarize_inputs(x, h);
         for n in 0..rows {
-            let reference = reference_binary_dot(gate.wx().row(n), x)
+            expected[l * rows + n] = reference_binary_dot(gate.wx().row(n), x)
                 + reference_binary_dot(gate.wh().row(n), h);
-            assert_eq!(
-                bg.neuron_output(n, &xb, &hb).unwrap(),
-                reference,
-                "{what}: per-neuron vs f32 reference, lane {l} neuron {n}"
-            );
-            expected[l * rows + n] = reference;
         }
     }
     let mut packed = nfm_tensor::LineBuf::default();

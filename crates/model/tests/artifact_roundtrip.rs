@@ -445,8 +445,8 @@ fn golden_artifact_bytes() {
 #[test]
 fn mirror_round_trip_preserves_predictions() {
     // The mirror's whole job: XNOR dot signs.  Compare every gate's
-    // binary output for random inputs between the original and loaded
-    // mirrors.
+    // binary outputs for random inputs between the original and loaded
+    // mirrors, through the packed kernel.
     let (_, net) = networks().remove(0);
     let mirror = BinaryNetwork::mirror(&net);
     let bytes = save_to_vec(&net, Some(&mirror)).unwrap();
@@ -460,14 +460,12 @@ fn mirror_round_trip_preserves_predictions() {
         let h: Vec<f32> = (0..bg.hidden_size())
             .map(|_| rng.uniform(-1.0, 1.0))
             .collect();
-        let (xb, hb) = bg.binarize_inputs(&x, &h);
-        for n in 0..bg.neurons() {
-            assert_eq!(
-                bg.neuron_output(n, &xb, &hb).unwrap(),
-                lg.neuron_output(n, &xb, &hb).unwrap(),
-                "{id:?} neuron {n}"
-            );
-        }
+        let mut packed = nfm_tensor::LineBuf::default();
+        bg.pack_inputs(&x, &h, 1, &mut packed);
+        let (mut built, mut read) = (vec![0; bg.neurons()], vec![1; bg.neurons()]);
+        bg.predict_packed_into(&packed, &mut built);
+        lg.predict_packed_into(&packed, &mut read);
+        assert_eq!(built, read, "{id:?}");
     }
 }
 

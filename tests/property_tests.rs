@@ -19,13 +19,14 @@ mod rnn;
 #[path = "../crates/core/tests/properties.rs"]
 mod core;
 
-use nfm::bnn::{binarize::reference_binary_dot, BitVector};
+use nfm::bnn::{binarize::reference_binary_dot, BinaryGate, BitVector};
 use nfm::memo::{BnnMemoConfig, OracleMemoConfig, Predictor, PredictorKind, ReuseStats};
-use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator};
+use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator, Gate};
+use nfm::tensor::activation::Activation;
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::stats::{empirical_cdf, pearson_correlation, percentile};
 use nfm::tensor::vector::relative_difference;
-use nfm::tensor::Vector;
+use nfm::tensor::{LineBuf, Matrix, Vector};
 use nfm::workloads::accuracy::{bleu, edit_distance, word_error_rate};
 
 fn vec_f32(rng: &mut DeterministicRng, len: usize, low: f32, high: f32) -> Vec<f32> {
@@ -47,9 +48,30 @@ fn bitvector_packing_roundtrips() {
         let packed = BitVector::from_signs(&values);
         assert_eq!(packed.len(), values.len(), "case {case}");
         for (i, &v) in values.iter().enumerate() {
-            assert_eq!(packed.get(i), v >= 0.0, "case {case} bit {i}");
+            let bit = packed.words()[i / 64] >> (i % 64) & 1 == 1;
+            assert_eq!(bit, v >= 0.0, "case {case} bit {i}");
         }
     }
+}
+
+/// Equation 8's XNOR-popcount dot product of `a` and `b` as the packed
+/// predictor computes it: a one-neuron mirror whose forward row is `a`
+/// and whose recurrent row is empty.
+fn xnor_dot(a: &[f32], b: &[f32]) -> i32 {
+    let gate = Gate::new(
+        Matrix::from_fn(1, a.len(), |_, c| a[c]),
+        Matrix::from_fn(1, 0, |_, _| 0.0),
+        Vector::zeros(1),
+        None,
+        Activation::Sigmoid,
+    )
+    .unwrap();
+    let mirror = BinaryGate::mirror(&gate);
+    let mut packed = LineBuf::default();
+    mirror.pack_inputs(b, &[], 1, &mut packed);
+    let mut out = [i32::MIN];
+    mirror.predict_packed_into(&packed, &mut out);
+    out[0]
 }
 
 #[test]
@@ -59,10 +81,8 @@ fn xnor_dot_equals_reference_sign_product() {
         let len = 1 + rng.index(300);
         let a = vec_f32(&mut rng, len, -5.0, 5.0);
         let b = vec_f32(&mut rng, len, -5.0, 5.0);
-        let pa = BitVector::from_signs(&a);
-        let pb = BitVector::from_signs(&b);
         assert_eq!(
-            pa.xnor_dot(&pb).unwrap(),
+            xnor_dot(&a, &b),
             reference_binary_dot(&a, &b),
             "case {case}"
         );
@@ -76,13 +96,11 @@ fn xnor_dot_is_symmetric_and_bounded() {
         let len = 1 + rng.index(128);
         let a = vec_f32(&mut rng, len, -1.0, 1.0);
         let b = vec_f32(&mut rng, len, -1.0, 1.0);
-        let pa = BitVector::from_signs(&a);
-        let pb = BitVector::from_signs(&b);
-        let ab = pa.xnor_dot(&pb).unwrap();
-        let ba = pb.xnor_dot(&pa).unwrap();
+        let ab = xnor_dot(&a, &b);
+        let ba = xnor_dot(&b, &a);
         assert_eq!(ab, ba);
         assert!(ab.unsigned_abs() as usize <= a.len());
-        assert_eq!(pa.xnor_dot(&pa).unwrap() as usize, a.len());
+        assert_eq!(xnor_dot(&a, &a) as usize, a.len());
     }
 }
 
