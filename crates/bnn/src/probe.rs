@@ -46,8 +46,8 @@ impl NeuronSeries {
 /// vs full-precision outputs for one network) and Figure 8 (histogram of
 /// per-neuron correlation factors).  The binarized outputs come from the
 /// memoizing evaluator's kernel: each gate call's lanes are sign-packed
-/// once and the whole gate predicted in one dispatched call.  A gate the
-/// mirror has no gate of its shape for records 0.
+/// once and the whole gate predicted in one dispatched call.  A gate
+/// whose mirror is missing or of another shape records 0.
 #[derive(Debug, Clone)]
 pub struct CorrelationProbe {
     mirror: BinaryNetwork,

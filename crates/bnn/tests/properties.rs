@@ -245,7 +245,7 @@ fn packed_predict_equals_per_neuron_and_f32_reference_on_every_tier() {
 /// Wraps a [`CorrelationProbe`] and records, per gate call, the series
 /// the probe must record, from references it shares no code with: the
 /// exact evaluator's values and the unpacked sign product of the f32
-/// rows (zero where the mirror has no gate of the call's shape).
+/// rows (zero where the call's gate has no mirror of its shape).
 struct ProbeWitness {
     probe: CorrelationProbe,
     mirror: BinaryNetwork,
