@@ -28,7 +28,7 @@
 //! exact-vs-memoized comparison.
 
 use nfm_bench::Bencher;
-use nfm_bnn::{BinaryGate, BinaryNetwork, PopcountBackend};
+use nfm_bnn::{BinaryGate, BinaryNetwork};
 use nfm_control::{AdaptivePredictor, ControllerConfig};
 use nfm_core::{BnnMemoConfig, BnnMemoEvaluator};
 use nfm_rnn::{
@@ -549,17 +549,18 @@ fn main() {
                 ))
             });
             bench.bench(&format!("kernel/matvec/{backend}"), || {
-                kernels::matvec_into_on(backend, black_box(&wx), black_box(&x), &mut single_out)
+                kernels::matmul_into_on(backend, black_box(&wx), black_box(&x), 1, &mut single_out)
                     .unwrap();
                 black_box(single_out[0])
             });
             bench.bench(&format!("kernel/dual_matvec/{backend}"), || {
-                kernels::dual_matvec_into_on(
+                kernels::dual_matmul_into_on(
                     backend,
                     black_box(&wx),
                     black_box(&wh),
                     black_box(&x),
                     black_box(&h),
+                    1,
                     &mut single_out,
                 )
                 .unwrap();
@@ -621,7 +622,7 @@ fn main() {
             }
         }
         // The packed BNN predictor at the `bnn_memoized_batched` shape
-        // (medium IMDB gate), per popcount tier.  `streamed` is the
+        // (medium IMDB gate), per kernel tier.  `streamed` is the
         // kernel the evaluators run, one dispatched call per gate over
         // inputs already packed, at 8 lanes and at the one lane
         // `serve_open` and `nfm-eval energy` run.  `sign_pack_8l` is
@@ -642,27 +643,27 @@ fn main() {
         bnn_gate.pack_inputs(&xs, &hs, lanes, &mut packed);
         let (words, xw) = (bnn_gate.row_words(), xc.div_ceil(64));
         let mut yb = vec![0i32; lanes * rows];
-        for pop in PopcountBackend::supported() {
-            bench.bench(&format!("kernel/bnn_gate_8l_streamed/{pop}"), || {
-                bnn_gate.predict_packed_on(pop, black_box(&packed), &mut yb);
+        for backend in KernelBackend::supported() {
+            bench.bench(&format!("kernel/bnn_gate_8l_streamed/{backend}"), || {
+                bnn_gate.predict_packed_on(backend, black_box(&packed), &mut yb);
                 black_box(yb[0])
             });
-            bench.bench(&format!("kernel/bnn_gate_1l_streamed/{pop}"), || {
-                bnn_gate.predict_packed_on(pop, black_box(&packed[..words]), &mut yb[..rows]);
+            bench.bench(&format!("kernel/bnn_gate_1l_streamed/{backend}"), || {
+                bnn_gate.predict_packed_on(backend, black_box(&packed[..words]), &mut yb[..rows]);
                 black_box(yb[0])
             });
-            bench.bench(&format!("kernel/sign_pack_8l/{pop}"), || {
+            bench.bench(&format!("kernel/sign_pack_8l/{backend}"), || {
                 for (l, lane) in packed.chunks_exact_mut(words).enumerate() {
                     let (x, h) = (&xs[l * xc..][..xc], &hs[l * hc..][..hc]);
-                    nfm_bnn::popcount::pack_signs_on(pop, black_box(x), &mut lane[..xw]);
-                    nfm_bnn::popcount::pack_signs_on(pop, black_box(h), &mut lane[xw..]);
+                    nfm_bnn::popcount::pack_signs_on(backend, black_box(x), &mut lane[..xw]);
+                    nfm_bnn::popcount::pack_signs_on(backend, black_box(h), &mut lane[xw..]);
                 }
                 black_box(packed[0])
             });
-            bench.bench(&format!("kernel/mirror_build_medium/{pop}"), || {
-                black_box(BinaryGate::mirror_on(pop, black_box(&fp_gate)))
+            bench.bench(&format!("kernel/mirror_build_medium/{backend}"), || {
+                black_box(BinaryGate::mirror_on(backend, black_box(&fp_gate)))
             });
-            if pop != PopcountBackend::Scalar {
+            if backend != KernelBackend::Scalar {
                 for kernel in [
                     "bnn_gate_8l_streamed",
                     "bnn_gate_1l_streamed",
@@ -671,7 +672,7 @@ fn main() {
                 ] {
                     pairs.push((
                         format!("kernel/{kernel}/scalar"),
-                        format!("kernel/{kernel}/{pop}"),
+                        format!("kernel/{kernel}/{backend}"),
                     ));
                 }
             }
@@ -709,13 +710,16 @@ fn main() {
                         pairs.push((format!("kernel/{kernel}{gate}/scalar"), id.clone()));
                     }
                     pairs.push((id.clone(), format!("kernel/{kernel}{gate}_off16/{backend}")));
-                    pairs.push((id, format!("kernel/{kernel}{gate}_team/{backend}")));
+                    if !gate.is_empty() {
+                        pairs.push((id, format!("kernel/{kernel}{gate}_team/{backend}")));
+                    }
                 }
-                // `_team` runs the aligned products on a kernel team of
-                // two, what one engine worker gets on a 2-CPU host: each
-                // thread streams half of the rows of every product of at
-                // least `team::SPLIT_MIN_WORK` multiply-adds, so only the
-                // `_ds2` products split; the medium gate's run serially.
+                // `_team` runs the aligned `_ds2` products on a kernel
+                // team of two, what one engine worker gets on a 2-CPU
+                // host: each thread streams half of the rows of every
+                // product of at least `team::SPLIT_MIN_WORK`
+                // multiply-adds.  The medium gate's products are below
+                // that and would run serially, so they have no team rung.
                 // Every placement writes its lane input on this thread
                 // before the product, as the scheduler packs a block and
                 // `Cell::run_block` writes `h`, and reads the whole output
@@ -723,6 +727,9 @@ fn main() {
                 // moving both between cores, as it does in the engine.
                 for (placement, past_line, team) in [("", 0, 1), ("_off16", 16, 1), ("_team", 0, 2)]
                 {
+                    if team > 1 && gate.is_empty() {
+                        continue;
+                    }
                     let _team = (team > 1).then(|| KernelTeam::install(team));
                     let hoist_id = format!("kernel/hoist_matmul_64l{gate}{placement}/{backend}");
                     let step_id = format!("kernel/matmul_add_8l{gate}{placement}/{backend}");
@@ -816,9 +823,8 @@ fn main() {
     }
 
     // Pin how this snapshot was measured: the dispatch tier the
-    // inference/* entries ran on.
+    // inference/* entries (f32 and BNN kernels alike) ran on.
     bench.set_meta("kernel_backend", nfm_tensor::backend::active().name());
-    bench.set_meta("popcount_backend", nfm_bnn::popcount::active().name());
 
     let static_speedups: Vec<(&str, &str)> = vec![
         ("inference/exact_naive/small", "inference/exact/small"),

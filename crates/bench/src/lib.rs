@@ -42,8 +42,11 @@ pub struct BenchResult {
     pub id: String,
     /// Median per-iteration time over all samples, in nanoseconds.
     pub median_ns: f64,
-    /// Mean per-iteration time over all samples, in nanoseconds.
-    pub mean_ns: f64,
+    /// Lower quartile of the per-iteration sample times, in nanoseconds.
+    pub q1_ns: f64,
+    /// Upper quartile of the per-iteration sample times, in nanoseconds:
+    /// `q1_ns ..= q3_ns` is the spread one run of the rung shows.
+    pub q3_ns: f64,
     /// Minimum per-iteration time over all samples, in nanoseconds.
     pub min_ns: f64,
     /// Number of timed samples.
@@ -53,6 +56,35 @@ pub struct BenchResult {
 }
 
 impl BenchResult {
+    /// The result of `samples` per-iteration times (nanoseconds, any
+    /// order) of `iters` iterations each.
+    fn of_samples(id: &str, mut samples: Vec<f64>, iters: u64) -> Self {
+        samples.sort_by(|a, b| a.total_cmp(b));
+        let n = samples.len();
+        BenchResult {
+            id: id.to_string(),
+            median_ns: samples[n / 2],
+            q1_ns: samples[n / 4],
+            q3_ns: samples[3 * n / 4],
+            min_ns: samples[0],
+            samples: n,
+            iters_per_sample: iters,
+        }
+    }
+
+    /// Prints the result's line: median, quartiles, sample shape.
+    fn print(&self, how: &str) {
+        println!(
+            "{:<44} median {:>12} [{} .. {}]  ({} samples x {} iters{how})",
+            self.id,
+            format_ns(self.median_ns),
+            format_ns(self.q1_ns),
+            format_ns(self.q3_ns),
+            self.samples,
+            self.iters_per_sample
+        );
+    }
+
     /// Iterations per second implied by the median sample.
     pub fn throughput_per_sec(&self) -> f64 {
         if self.median_ns > 0.0 {
@@ -201,24 +233,8 @@ impl Bencher {
             }
             samples_ns.push(start.elapsed().as_nanos() as f64 / iters as f64);
         }
-        samples_ns.sort_by(|a, b| a.total_cmp(b));
-        let median_ns = samples_ns[samples_ns.len() / 2];
-        let mean_ns = samples_ns.iter().sum::<f64>() / samples_ns.len() as f64;
-        let result = BenchResult {
-            id: id.to_string(),
-            median_ns,
-            mean_ns,
-            min_ns: samples_ns[0],
-            samples: samples_ns.len(),
-            iters_per_sample: iters,
-        };
-        println!(
-            "{:<44} median {:>12}  ({} samples x {} iters)",
-            result.id,
-            format_ns(result.median_ns),
-            result.samples,
-            result.iters_per_sample
-        );
+        let result = BenchResult::of_samples(id, samples_ns, iters);
+        result.print("");
         self.results.push(result);
     }
 
@@ -279,25 +295,9 @@ impl Bencher {
             }
             samples_b.push(start.elapsed().as_nanos() as f64 / iters as f64);
         }
-        for (id, mut samples) in [(id_a, samples_a), (id_b, samples_b)] {
-            samples.sort_by(|a, b| a.total_cmp(b));
-            let median_ns = samples[samples.len() / 2];
-            let mean_ns = samples.iter().sum::<f64>() / samples.len() as f64;
-            let result = BenchResult {
-                id: id.to_string(),
-                median_ns,
-                mean_ns,
-                min_ns: samples[0],
-                samples: samples.len(),
-                iters_per_sample: iters,
-            };
-            println!(
-                "{:<44} median {:>12}  ({} samples x {} iters, interleaved)",
-                result.id,
-                format_ns(result.median_ns),
-                result.samples,
-                result.iters_per_sample
-            );
+        for (id, samples) in [(id_a, samples_a), (id_b, samples_b)] {
+            let result = BenchResult::of_samples(id, samples, iters);
+            result.print(", interleaved");
             self.results.push(result);
         }
     }
@@ -312,14 +312,7 @@ impl Bencher {
                 return;
             }
         }
-        let result = BenchResult {
-            id: id.to_string(),
-            median_ns: ns,
-            mean_ns: ns,
-            min_ns: ns,
-            samples: 1,
-            iters_per_sample: 1,
-        };
+        let result = BenchResult::of_samples(id, vec![ns], 1);
         println!(
             "{:<44} value  {:>12}  (recorded)",
             result.id,
@@ -367,10 +360,11 @@ impl Bencher {
         out.push_str("},\n  \"benchmarks\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {}}}{}\n",
+                "    {{\"id\": \"{}\", \"median_ns\": {:.1}, \"q1_ns\": {:.1}, \"q3_ns\": {:.1}, \"min_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {}}}{}\n",
                 escape(&r.id),
                 r.median_ns,
-                r.mean_ns,
+                r.q1_ns,
+                r.q3_ns,
                 r.min_ns,
                 r.samples,
                 r.iters_per_sample,
@@ -532,15 +526,21 @@ mod tests {
 
     #[test]
     fn throughput_is_inverse_of_median() {
-        let r = BenchResult {
-            id: "x".into(),
-            median_ns: 100.0,
-            mean_ns: 100.0,
-            min_ns: 90.0,
-            samples: 3,
-            iters_per_sample: 10,
-        };
+        let r = BenchResult::of_samples("x", vec![100.0, 90.0, 110.0], 10);
         assert!((r.throughput_per_sec() - 1e7).abs() < 1.0);
+    }
+
+    #[test]
+    fn quartiles_bracket_the_median_and_land_in_json() {
+        let samples: Vec<f64> = (0..11).rev().map(|i| 100.0 + f64::from(i)).collect();
+        let r = BenchResult::of_samples("x", samples, 1);
+        assert_eq!(
+            (r.min_ns, r.q1_ns, r.median_ns, r.q3_ns),
+            (100.0, 102.0, 105.0, 108.0)
+        );
+        let mut b = Bencher::with_options(fast_options());
+        b.record_value("x", 7.0);
+        assert!(b.to_json(&[]).contains("\"q1_ns\": 7.0, \"q3_ns\": 7.0"));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Binary mirror of a full-precision recurrent gate (Figure 9).
 
 use crate::bitvec::BitVector;
-use crate::popcount::{self, PopcountBackend, SignBlock, BLOCK_ROWS};
+use crate::popcount::{self, SignBlock, BLOCK_ROWS};
 use crate::{BnnError, Result};
 use nfm_rnn::Gate;
+use nfm_tensor::backend::{self, KernelBackend};
 use nfm_tensor::{arena::ArenaU64, LineBuf};
 
 /// Storage of a gate's sign block: built in memory by
@@ -69,25 +70,26 @@ fn row_start(n: usize, words: usize) -> usize {
 impl BinaryGate {
     /// Builds the binary mirror of a full-precision gate.
     pub fn mirror(gate: &Gate) -> Self {
-        Self::mirror_on(popcount::active(), gate)
+        Self::mirror_on(backend::active(), gate)
     }
 
-    /// [`BinaryGate::mirror`] with the sign-pack on an explicit popcount
+    /// [`BinaryGate::mirror`] with the sign-pack on an explicit kernel
     /// tier — the hook cross-tier tests and benches use; every tier
     /// builds the same block.
     ///
     /// # Panics
     ///
     /// Panics if `backend` is not supported on this host.
-    pub fn mirror_on(backend: PopcountBackend, gate: &Gate) -> Self {
+    pub fn mirror_on(backend: KernelBackend, gate: &Gate) -> Self {
+        backend.assert_supported();
         let (neurons, input_size, hidden_size) =
             (gate.neurons(), gate.input_size(), gate.hidden_size());
         let (xw, words) = row_shape(input_size, hidden_size);
         let mut block = LineBuf::zeros(block_len(neurons, words));
         let mut row = vec![0u64; words];
         for n in 0..neurons {
-            popcount::pack_signs_on(backend, gate.wx().row(n), &mut row[..xw]);
-            popcount::pack_signs_on(backend, gate.wh().row(n), &mut row[xw..]);
+            popcount::pack_signs_tier(backend, gate.wx().row(n), &mut row[..xw]);
+            popcount::pack_signs_tier(backend, gate.wh().row(n), &mut row[xw..]);
             let at = row_start(n, words);
             for (k, &w) in row.iter().enumerate() {
                 block[at + k * BLOCK_ROWS] = w;
@@ -243,17 +245,18 @@ impl BinaryGate {
     /// `lanes * neurons` long.
     #[inline]
     pub fn predict_packed_into(&self, packed: &[u64], out: &mut [i32]) {
-        popcount::predict_on(popcount::active(), self.kernel_view(), packed, out);
+        popcount::predict_tier(backend::active(), self.kernel_view(), packed, out);
     }
 
     /// [`predict_packed_into`](Self::predict_packed_into) on an explicit
-    /// popcount tier — the hook cross-tier tests and benches use.
+    /// kernel tier — the hook cross-tier tests and benches use.
     ///
     /// # Panics
     ///
     /// As above, and if `backend` is not supported on this host.
-    pub fn predict_packed_on(&self, backend: PopcountBackend, packed: &[u64], out: &mut [i32]) {
-        popcount::predict_on(backend, self.kernel_view(), packed, out);
+    pub fn predict_packed_on(&self, backend: KernelBackend, packed: &[u64], out: &mut [i32]) {
+        backend.assert_supported();
+        popcount::predict_tier(backend, self.kernel_view(), packed, out);
     }
 
     /// Packs the signs of one input pair into the [`BitVector`] operands
@@ -387,10 +390,10 @@ mod tests {
             assert_eq!(predict(&b, &xs, &hs, lanes), expected, "lanes {lanes}");
             let mut packed = LineBuf::default();
             b.pack_inputs(&xs, &hs, lanes, &mut packed);
-            for pop in crate::PopcountBackend::supported() {
+            for backend in KernelBackend::supported() {
                 let mut on = vec![0i32; lanes * 13];
-                b.predict_packed_on(pop, &packed, &mut on);
-                assert_eq!(on, expected, "{pop} lanes {lanes}");
+                b.predict_packed_on(backend, &packed, &mut on);
+                assert_eq!(on, expected, "{backend} lanes {lanes}");
             }
             let (xbs, hbs): (Vec<_>, Vec<_>) = (0..lanes)
                 .map(|l| b.binarize_inputs(&xs[l * 21..][..21], &hs[l * 13..][..13]))

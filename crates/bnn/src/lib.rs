@@ -61,7 +61,6 @@ pub use bitvec::BitVector;
 pub use gate::BinaryGate;
 pub use mirror::BinaryNetwork;
 pub use model::Model;
-pub use popcount::PopcountBackend;
 pub use probe::{CorrelationProbe, NeuronSeries};
 
 /// Errors produced by binarized-network operations.

@@ -8,10 +8,11 @@
 //! The BNN mirror's whole job is to be cheap: every proxied neuron
 //! output is `2 * popcount(XNOR(w, x)) - len` over packed 64-bit sign
 //! words, for every neuron at every step.  How fast that runs depends
-//! on the host ISA, so — like the f32 kernels in `nfm_tensor::kernels` —
-//! the tier is selected once per process, derived from the same
-//! [`KernelBackend`] resolution (including the `NFM_KERNEL_BACKEND`
-//! override).
+//! on the host ISA, so both kernels dispatch on the same
+//! [`KernelBackend`] as the f32 kernels in `nfm_tensor::kernels`: the
+//! tier resolved once per process by [`nfm_tensor::backend::active`]
+//! (including the `NFM_KERNEL_BACKEND` override), or an explicit tier
+//! in the `_on` test hooks.
 //!
 //! # The sign block
 //!
@@ -41,7 +42,7 @@
 //! |---|---|---|---|
 //! | `scalar` | the plain bodies, portable SWAR `count_ones` | 3.04 us / 0.39 us | 0.81 us |
 //! | `avx2` | the plain bodies compiled with `popcnt,avx2`: hardware popcounts at about one word a cycle, and the compare loop vectorises | 1.08 us / 0.17 us | 0.40 us |
-//! | `avx512` | where `avx512vpopcntdq` exists, intrinsics — `broadcast(x) -> vpternlogq 0xC3 -> vpopcntq -> vpaddq`, four lanes to a weight load, eight outputs a store; `vcmpps` into a mask register — else the `avx2` row | 0.25-0.41 us / 0.07-0.13 us | 0.19 us |
+//! | `avx512` | intrinsics: the predict, where `avx512vpopcntdq` exists, `broadcast(x) -> vpternlogq 0xC3 -> vpopcntq -> vpaddq`, four lanes to a weight load, eight outputs a store (else the `avx2` predict); the sign-pack `vcmpps` into a mask register | 0.25-0.41 us / 0.07-0.13 us | 0.19 us |
 //! | `neon` | the plain bodies (`count_ones` lowers to NEON `cnt` on aarch64) | not measured | |
 //!
 //! The row-wise kernels this layout replaced spent 5.7 us on the same
@@ -53,119 +54,16 @@
 //! widths and lane counts around the block and word boundaries anyway.
 
 use nfm_tensor::backend::{self, KernelBackend};
-use std::sync::OnceLock;
 
-/// A popcount implementation tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PopcountBackend {
-    /// Portable `u64::count_ones` (SWAR on targets without a popcount
-    /// instruction in the baseline feature set).
-    Scalar,
-    /// Hardware `popcnt` (x86), the plain bodies compiled with `avx2`.
-    Popcnt,
-    /// AVX-512 `vpopcntq` (requires `avx512vpopcntdq` and `avx512vl`):
-    /// eight rows of a sign block per operation in the gate predictor.
-    Vpopcntdq,
-    /// The plain bodies on aarch64, where `count_ones` is NEON `cnt`.
-    Neon,
-}
-
-impl PopcountBackend {
-    /// The tier's lowercase name (bench/snapshot labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            PopcountBackend::Scalar => "scalar",
-            PopcountBackend::Popcnt => "popcnt",
-            PopcountBackend::Vpopcntdq => "vpopcntdq",
-            PopcountBackend::Neon => "neon",
-        }
-    }
-
-    /// Whether the current host can execute this tier.
-    pub fn is_supported(self) -> bool {
-        match self {
-            PopcountBackend::Scalar => true,
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            PopcountBackend::Popcnt => {
-                is_x86_feature_detected!("popcnt") && is_x86_feature_detected!("avx2")
-            }
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            PopcountBackend::Vpopcntdq => {
-                is_x86_feature_detected!("avx512f")
-                    && is_x86_feature_detected!("avx512vl")
-                    && is_x86_feature_detected!("avx512vpopcntdq")
-                    && is_x86_feature_detected!("popcnt")
-            }
-            #[cfg(target_arch = "aarch64")]
-            PopcountBackend::Neon => std::arch::is_aarch64_feature_detected!("neon"),
-            #[allow(unreachable_patterns)]
-            _ => false,
-        }
-    }
-
-    /// Every tier the current host supports (always includes
-    /// [`PopcountBackend::Scalar`]).
-    pub fn supported() -> Vec<PopcountBackend> {
-        [
-            PopcountBackend::Vpopcntdq,
-            PopcountBackend::Popcnt,
-            PopcountBackend::Neon,
-            PopcountBackend::Scalar,
-        ]
-        .into_iter()
-        .filter(|b| b.is_supported())
-        .collect()
-    }
-
-    /// The popcount tier implied by a kernel backend on this host:
-    /// `scalar` stays scalar (so forcing `NFM_KERNEL_BACKEND=scalar`
-    /// pins the whole process to reference code), the SIMD tiers use
-    /// the fastest popcount their feature set guarantees or the host
-    /// additionally provides.
-    pub fn for_kernel_backend(backend: KernelBackend) -> PopcountBackend {
-        let candidates: &[PopcountBackend] = match backend {
-            KernelBackend::Scalar => &[],
-            KernelBackend::Avx2 => &[PopcountBackend::Popcnt],
-            KernelBackend::Avx512 => &[PopcountBackend::Vpopcntdq, PopcountBackend::Popcnt],
-            KernelBackend::Neon => &[PopcountBackend::Neon],
-        };
-        candidates
-            .iter()
-            .copied()
-            .find(|b| b.is_supported())
-            .unwrap_or(PopcountBackend::Scalar)
-    }
-}
-
-impl std::fmt::Display for PopcountBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-static ACTIVE: OnceLock<PopcountBackend> = OnceLock::new();
-
-/// The process-wide popcount tier, derived once from
+/// The tier both kernels run on in this process:
 /// [`nfm_tensor::backend::active`].
-pub fn active() -> PopcountBackend {
-    *ACTIVE.get_or_init(|| PopcountBackend::for_kernel_backend(backend::active()))
+pub fn active() -> KernelBackend {
+    backend::active()
 }
 
 /// Rows per block of a gate's sign block: the eight `u64` lanes of one
 /// 512-bit register (see the module docs for the layout).
 pub const BLOCK_ROWS: usize = 8;
-
-fn assert_supported(backend: PopcountBackend) {
-    assert!(
-        backend.is_supported(),
-        "popcount backend {backend} is not supported on this host (supported: {})",
-        PopcountBackend::supported()
-            .iter()
-            .map(|b| b.name())
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-}
 
 /// A gate's sign block as the predict kernel reads it: the words, the
 /// row shape and the constant the unmasked XNOR owes (module docs).
@@ -185,19 +83,24 @@ pub(crate) struct SignBlock<'a> {
 /// lane inner: eight rows' words are loaded once and reused for every
 /// lane.
 ///
+/// `backend` must be supported on this host, as in `nfm_tensor`'s
+/// kernel bodies: `backend::active()` is checked once, at its first
+/// call, and the explicit-tier hook
+/// [`BinaryGate::predict_packed_on`](crate::BinaryGate::predict_packed_on)
+/// asserts it.
+///
 /// # Panics
 ///
-/// Panics if `backend` is not supported on this host, the block is not
-/// `rows.div_ceil(8) * 8 * words` words, `ins` is not a whole number of
-/// lanes, or `out` is not `lanes * rows` long.  These are real asserts:
-/// the vector tier stores eight outputs at a time behind them.
-pub(crate) fn predict_on(
-    backend: PopcountBackend,
+/// Panics if the block is not `rows.div_ceil(8) * 8 * words` words,
+/// `ins` is not a whole number of lanes, or `out` is not `lanes * rows`
+/// long.  These are real asserts: the vector tier stores eight outputs
+/// at a time behind them.
+pub(crate) fn predict_tier(
+    backend: KernelBackend,
     block: SignBlock<'_>,
     ins: &[u64],
     out: &mut [i32],
 ) {
-    assert_supported(backend);
     let SignBlock {
         data, words, rows, ..
     } = block;
@@ -205,24 +108,27 @@ pub(crate) fn predict_on(
     assert!(words > 0 && ins.len().is_multiple_of(words), "ragged lanes");
     assert_eq!(out.len(), ins.len() / words * rows);
     match backend {
-        PopcountBackend::Scalar => predict_body(block, ins, out),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: the tier is supported (asserted above), which covers
-        // every feature the body enables.
-        PopcountBackend::Popcnt => unsafe { x86::popcnt_predict(block, ins, out) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: as above.
-        PopcountBackend::Vpopcntdq => unsafe { x86::vpopcntdq_predict(block, ins, out) },
-        #[cfg(target_arch = "aarch64")]
         // `u64::count_ones` lowers to NEON `cnt` on aarch64 baseline.
-        PopcountBackend::Neon => predict_body(block, ins, out),
+        KernelBackend::Scalar | KernelBackend::Neon => predict_body(block, ins, out),
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: the tier is supported (the caller's contract), so
+        // `avx512f` and `avx512vl` are there; the guard checks
+        // `avx512vpopcntdq`.
+        KernelBackend::Avx512 if is_x86_feature_detected!("avx512vpopcntdq") => unsafe {
+            x86::vpopcntdq_predict(block, ins, out)
+        },
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: both x86 tiers include `popcnt` and `avx2`.
+        KernelBackend::Avx2 | KernelBackend::Avx512 => unsafe {
+            x86::popcnt_predict(block, ins, out)
+        },
         #[allow(unreachable_patterns)]
-        other => unreachable!("popcount backend {other} is not compiled for this target"),
+        other => unreachable!("kernel backend {other} is not compiled for this target"),
     }
 }
 
-/// The plain form of [`predict_on`], compiled once per non-intrinsic
-/// tier.  The caller has checked the shapes.
+/// The plain form of [`predict_tier`], compiled once plain and once with
+/// `popcnt,avx2`.  The caller has checked the shapes.
 #[inline(always)]
 fn predict_body(block: SignBlock<'_>, ins: &[u64], out: &mut [i32]) {
     let SignBlock {
@@ -250,7 +156,7 @@ fn predict_body(block: SignBlock<'_>, ins: &[u64], out: &mut [i32]) {
 }
 
 /// Packs the signs of `values` into `dst`, 64 a word, on the active
-/// tier: bit `i` of word `w` is `values[64 * w + i] >= 0.0` — an
+/// kernel tier: bit `i` of word `w` is `values[64 * w + i] >= 0.0` — an
 /// ordered compare, so NaN packs as 0 and `-0.0` as 1 — and the bits
 /// past the end are zero.  Inputs and weights both go through here, so
 /// the mirror and its operands cannot disagree on the rule.
@@ -260,36 +166,44 @@ fn predict_body(block: SignBlock<'_>, ins: &[u64], out: &mut [i32]) {
 /// Panics if `dst.len() != values.len().div_ceil(64)`.
 #[inline]
 pub fn pack_signs(values: &[f32], dst: &mut [u64]) {
-    pack_signs_on(active(), values, dst);
+    pack_signs_tier(active(), values, dst);
 }
 
-/// [`pack_signs`] on an explicit tier — the hook the cross-tier tests
-/// and benches use.
+/// [`pack_signs`] on an explicit kernel tier — the hook the cross-tier
+/// tests and benches use.
 ///
 /// # Panics
 ///
 /// Panics if `backend` is not supported on this host or
 /// `dst.len() != values.len().div_ceil(64)`.
-pub fn pack_signs_on(backend: PopcountBackend, values: &[f32], dst: &mut [u64]) {
-    assert_supported(backend);
+pub fn pack_signs_on(backend: KernelBackend, values: &[f32], dst: &mut [u64]) {
+    backend.assert_supported();
+    pack_signs_tier(backend, values, dst);
+}
+
+/// [`pack_signs`] on a tier the caller knows the host supports, like
+/// [`predict_tier`].
+///
+/// # Panics
+///
+/// Panics if `dst.len() != values.len().div_ceil(64)`.
+pub(crate) fn pack_signs_tier(backend: KernelBackend, values: &[f32], dst: &mut [u64]) {
     assert_eq!(dst.len(), values.len().div_ceil(64), "sign-pack length");
     match backend {
-        PopcountBackend::Scalar => pack_signs_body(values, dst),
+        KernelBackend::Scalar | KernelBackend::Neon => pack_signs_body(values, dst),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: the tier is supported (asserted above), which covers
-        // every feature the body enables.
-        PopcountBackend::Popcnt => unsafe { x86::avx2_pack_signs(values, dst) },
+        // SAFETY: the tier is supported (the caller's contract), which
+        // covers every feature the body enables.
+        KernelBackend::Avx2 => unsafe { x86::avx2_pack_signs(values, dst) },
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // SAFETY: as above.
-        PopcountBackend::Vpopcntdq => unsafe { x86::avx512_pack_signs(values, dst) },
-        #[cfg(target_arch = "aarch64")]
-        PopcountBackend::Neon => pack_signs_body(values, dst),
+        KernelBackend::Avx512 => unsafe { x86::avx512_pack_signs(values, dst) },
         #[allow(unreachable_patterns)]
-        other => unreachable!("popcount backend {other} is not compiled for this target"),
+        other => unreachable!("kernel backend {other} is not compiled for this target"),
     }
 }
 
-/// The bit rule itself, compiled once per non-intrinsic tier.
+/// The bit rule itself, compiled once plain and once with `avx2`.
 #[inline(always)]
 fn pack_signs_body(values: &[f32], dst: &mut [u64]) {
     for (word, chunk) in dst.iter_mut().zip(values.chunks(64)) {
@@ -337,7 +251,7 @@ mod x86 {
     /// # Safety
     ///
     /// Requires `avx512f` + `avx512vl` + `avx512vpopcntdq`, and the
-    /// shapes [`predict_on`](super::predict_on) asserts: `data` is
+    /// shapes [`predict_tier`](super::predict_tier) asserts: `data` is
     /// `rows.div_ceil(8)` blocks of `8 * words` words, `ins` a whole
     /// number of `words`-word lanes, `out` `rows` outputs a lane.
     #[target_feature(enable = "avx512f,avx512vl,avx512vpopcntdq")]
@@ -452,25 +366,5 @@ mod x86 {
             }
             dst[values.len() / 64] = bits;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scalar_is_always_supported() {
-        assert!(PopcountBackend::Scalar.is_supported());
-        assert!(PopcountBackend::supported().contains(&PopcountBackend::Scalar));
-        assert!(active().is_supported());
-    }
-
-    #[test]
-    fn scalar_kernel_backend_forces_scalar_popcount() {
-        assert_eq!(
-            PopcountBackend::for_kernel_backend(KernelBackend::Scalar),
-            PopcountBackend::Scalar
-        );
     }
 }

@@ -9,6 +9,7 @@ use nfm_rnn::{
     Result as RnnResult,
 };
 use nfm_tensor::activation::Activation;
+use nfm_tensor::backend::KernelBackend;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::{Matrix, Vector};
 use std::collections::HashMap;
@@ -148,7 +149,6 @@ fn planted(rng: &mut DeterministicRng, len: usize) -> Vec<f32> {
 #[test]
 fn sign_pack_is_the_scalar_bit_rule_on_every_tier_with_zero_tails() {
     use nfm_bnn::popcount::{pack_signs, pack_signs_on};
-    use nfm_bnn::PopcountBackend;
     let mut rng = DeterministicRng::seed_from_u64(7);
     for len in (0..=130).chain([1024]) {
         for round in 0..3 {
@@ -165,7 +165,7 @@ fn sign_pack_is_the_scalar_bit_rule_on_every_tier_with_zero_tails() {
             for (i, &x) in values.iter().enumerate() {
                 expected[i / 64] |= u64::from(binarize_sign(x) == 1.0) << (i % 64);
             }
-            for backend in PopcountBackend::supported() {
+            for backend in KernelBackend::supported() {
                 // Stale ones everywhere: the pack must write whole words.
                 let mut packed = vec![u64::MAX; len.div_ceil(64)];
                 pack_signs_on(backend, &values, &mut packed);
@@ -183,7 +183,6 @@ fn sign_pack_is_the_scalar_bit_rule_on_every_tier_with_zero_tails() {
 /// `reference_binary_dot` on the raw f32 rows, neuron by neuron, for
 /// one gate shape and lane count.
 fn check_packed_predict(rows: usize, isz: usize, hsz: usize, lanes: usize, seed: u64) {
-    use nfm_bnn::PopcountBackend;
     let what = format!("rows {rows} widths {isz}+{hsz} lanes {lanes}");
     let mut rng = DeterministicRng::seed_from_u64(seed);
     // Degenerate weights too: the mirror is packed by the same rule.
@@ -194,7 +193,7 @@ fn check_packed_predict(rows: usize, isz: usize, hsz: usize, lanes: usize, seed:
     wh.row_mut(0).copy_from_slice(&planted(&mut rng, hsz));
     let gate = Gate::new(wx, wh, Vector::zeros(rows), None, Activation::Sigmoid).unwrap();
     let bg = BinaryGate::mirror(&gate);
-    for backend in PopcountBackend::supported() {
+    for backend in KernelBackend::supported() {
         assert_eq!(
             BinaryGate::mirror_on(backend, &gate),
             bg,
@@ -214,7 +213,7 @@ fn check_packed_predict(rows: usize, isz: usize, hsz: usize, lanes: usize, seed:
     }
     let mut packed = nfm_tensor::LineBuf::default();
     bg.pack_inputs(&xs, &hs, lanes, &mut packed);
-    for backend in PopcountBackend::supported() {
+    for backend in KernelBackend::supported() {
         let mut out = vec![i32::MIN; lanes * rows];
         bg.predict_packed_on(backend, &packed, &mut out);
         assert_eq!(out, expected, "{what}: packed predict on {backend}");

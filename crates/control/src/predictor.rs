@@ -198,7 +198,7 @@ impl ServedEvaluator for AdaptiveEvaluator {
 mod tests {
     use super::*;
     use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator};
-    use nfm_tensor::kernels::matvec_into;
+    use nfm_tensor::kernels::matmul_into;
     use nfm_tensor::rng::DeterministicRng;
     use nfm_tensor::Vector;
 
@@ -303,7 +303,7 @@ mod tests {
                     let xs = input(gate.input_size(), layer, t);
                     let h_prevs = input(gate.hidden_size(), layer + 1, t);
                     let mut fwd = vec![0.0; gate.neurons()];
-                    matvec_into(gate.wx(), &xs, &mut fwd).unwrap();
+                    matmul_into(gate.wx(), &xs, 1, &mut fwd).unwrap();
                     let call = GateBatch {
                         gate_id: id,
                         timestep: t,

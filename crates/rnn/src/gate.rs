@@ -262,38 +262,13 @@ impl Gate {
         );
     }
 
-    /// Completes a neuron evaluation from its pre-activation dot product:
-    /// adds bias, an optional peephole contribution (`p[n] * c_prev[n]`),
-    /// and applies the activation function.  `kind` names the gate in
-    /// diagnostics only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n >= self.neurons()` or `c_prev` is shorter than `n`;
-    /// in debug builds also if the gate has peephole weights and `c_prev`
-    /// is `None` (release builds then omit the peephole term).
-    pub fn finish_neuron(
-        &self,
-        kind: GateKind,
-        n: usize,
-        dot: f32,
-        c_prev: Option<&Vector>,
-    ) -> f32 {
-        self.debug_assert_cell_state(kind, c_prev.is_some());
-        let mut pre = dot + self.bias[n];
-        if let (Some(p), Some(c)) = (&self.peephole, c_prev) {
-            pre += p[n] * c[n];
-        }
-        self.activation.apply(pre)
-    }
-
     /// Completes a gate evaluation in place for any number of lanes:
     /// `pre` holds the lane-striped dot products (as they arrive from
     /// [`NeuronEvaluator::evaluate_gate_batch`]) and leaves as the gate
     /// output.  Bias and the optional peephole contribution are added
-    /// lane by lane, then one [`kernels::activate_into`] call activates
-    /// the whole slice — element for element the operations of
-    /// [`Gate::finish_neuron`].  `kind` names the gate in diagnostics.
+    /// lane by lane — `(dot + bias) + p * c` — then one
+    /// [`kernels::activate_into`] call activates the whole slice.  `kind`
+    /// names the gate in diagnostics.
     ///
     /// # Panics
     ///
@@ -312,7 +287,6 @@ impl Gate {
                 let p = p.as_slice();
                 for (pre, c) in pre.chunks_exact_mut(neurons).zip(c.chunks_exact(neurons)) {
                     for ((v, b), (p, c)) in pre.iter_mut().zip(bias).zip(p.iter().zip(c)) {
-                        // Keep the scalar order of finish_neuron: (dot + bias) + p*c.
                         *v = *v + b + p * c;
                     }
                 }
@@ -396,23 +370,6 @@ impl Gate {
     }
 }
 
-/// The hoisted input projections `W_x·x` of one timestep of one
-/// sequence, one vector per gate of `gates` — the one-row block the
-/// one-step cell entries hand to their batched step.
-pub(crate) fn hoist_one<'g>(
-    gates: impl IntoIterator<Item = &'g Gate>,
-    x: &[f32],
-) -> Result<Vec<Vec<f32>>> {
-    gates
-        .into_iter()
-        .map(|gate| {
-            let mut fwd = vec![0.0; gate.neurons()];
-            kernels::matvec_into(gate.wx(), x, &mut fwd)?;
-            Ok(fwd)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,15 +420,15 @@ mod tests {
     }
 
     #[test]
-    fn finish_neuron_applies_bias_peephole_activation() {
-        let g = small_gate(true);
-        let c_prev = Vector::from(vec![1.0, 2.0]);
+    fn finish_into_applies_bias_peephole_activation() {
         // neuron 1: dot 3.0 + bias 0.1 + peephole 0.2*2.0 = 3.5, identity activation
-        let y = g.finish_neuron(GateKind::Input, 1, 3.0, Some(&c_prev));
-        assert!((y - 3.5).abs() < 1e-6);
+        let mut out = [0.0, 3.0];
+        small_gate(true).finish_into(GateKind::Input, &mut out, Some(&[1.0, 2.0]));
+        assert!((out[1] - 3.5).abs() < 1e-6);
         // A gate without peephole weights needs no cell state.
-        let y = small_gate(false).finish_neuron(GateKind::Candidate, 1, 3.0, None);
-        assert!((y - 3.1).abs() < 1e-6);
+        let mut out = [0.0, 3.0];
+        small_gate(false).finish_into(GateKind::Candidate, &mut out, None);
+        assert!((out[1] - 3.1).abs() < 1e-6);
     }
 
     #[test]
@@ -482,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_into_matches_finish_neuron_bitwise_on_every_lane() {
+    fn finish_into_is_the_scalar_neuron_formula_bitwise_on_every_lane() {
         let mut rng = DeterministicRng::seed_from_u64(9);
         for activation in [Activation::Sigmoid, Activation::Tanh] {
             let g = Gate::random(5, 3, 5, activation, true, &mut rng).unwrap();
@@ -490,10 +447,11 @@ mod tests {
             let cs: Vec<f32> = (0..15).map(|_| rng.uniform(-2.0, 2.0)).collect();
             let mut out = dots.clone();
             g.finish_into(GateKind::Input, &mut out, Some(&cs));
+            let (b, p) = (g.bias(), g.peephole().unwrap());
             for l in 0..3 {
-                let c = Vector::from(cs[l * 5..(l + 1) * 5].to_vec());
                 for n in 0..5 {
-                    let y = g.finish_neuron(GateKind::Input, n, dots[l * 5 + n], Some(&c));
+                    let (dot, c) = (dots[l * 5 + n], cs[l * 5 + n]);
+                    let y = activation.apply((dot + b[n]) + p[n] * c);
                     assert_eq!(out[l * 5 + n].to_bits(), y.to_bits(), "lane {l} neuron {n}");
                 }
             }

@@ -3,28 +3,10 @@
 use crate::batch::{BatchScratch, BatchState};
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
-use crate::gate::{hoist_one, Gate, GateId, GateKind};
+use crate::gate::{Gate, GateId, GateKind};
 use crate::Result;
 use nfm_tensor::activation::Activation;
 use nfm_tensor::rng::DeterministicRng;
-use nfm_tensor::Vector;
-
-/// The recurrent state of a GRU cell — just the hidden output `h_t`
-/// (GRUs have no independent cell memory).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GruState {
-    /// Hidden output `h_t`.
-    pub h: Vector,
-}
-
-impl GruState {
-    /// Zero-initialized state for a cell with `hidden` neurons.
-    pub fn zeros(hidden: usize) -> Self {
-        GruState {
-            h: Vector::zeros(hidden),
-        }
-    }
-}
 
 /// A GRU cell:
 ///
@@ -255,58 +237,16 @@ impl GruCell {
         }
         Ok(())
     }
-
-    /// Advances one sequence by one timestep, returning a freshly
-    /// allocated state: a one-lane [`GruCell::step_batch_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x` or the state widths do not match the cell.
-    pub fn step(
-        &self,
-        layer: usize,
-        direction: usize,
-        timestep: usize,
-        x: &Vector,
-        state: &GruState,
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<GruState> {
-        let hidden = self.hidden_size();
-        if state.h.len() != hidden {
-            return Err(RnnError::InvalidConfig {
-                what: format!(
-                    "GRU state width {} does not match hidden size {}",
-                    state.h.len(),
-                    hidden
-                ),
-            });
-        }
-        let mut current = BatchState::zeros(1, hidden);
-        current.h_prefix_mut(1).copy_from_slice(state.h.as_slice());
-        let mut next = BatchState::zeros(1, hidden);
-        let hoisted = hoist_one([&self.update, &self.reset, &self.candidate], x.as_slice())?;
-        self.step_batch_into(
-            layer,
-            direction,
-            timestep,
-            1,
-            x.as_slice(),
-            &current,
-            &mut next,
-            &mut BatchScratch::new(),
-            &hoisted.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-            evaluator,
-        )?;
-        Ok(GruState {
-            h: Vector::from(next.h_lane(0).to_vec()),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::evaluator::ExactEvaluator;
+    use crate::layer::{Cell, Layer};
+    use crate::network::DeepRnn;
+    use nfm_tensor::kernels::matmul_into;
+    use nfm_tensor::Vector;
 
     fn cell(input: usize, hidden: usize, seed: u64) -> GruCell {
         let mut rng = DeterministicRng::seed_from_u64(seed);
@@ -328,15 +268,16 @@ mod tests {
     #[test]
     fn hidden_state_stays_bounded() {
         let c = cell(4, 6, 2);
-        let mut state = GruState::zeros(6);
+        let net = DeepRnn::new(vec![Layer::new(0, Cell::Gru(c), None).unwrap()], None).unwrap();
         let mut eval = ExactEvaluator::new();
         let mut rng = DeterministicRng::seed_from_u64(5);
-        for t in 0..30 {
-            let x = Vector::from_fn(4, |_| rng.uniform(-2.0, 2.0));
-            state = c.step(0, 0, t, &x, &state, &mut eval).unwrap();
+        let xs: Vec<Vector> = (0..30)
+            .map(|_| Vector::from_fn(4, |_| rng.uniform(-2.0, 2.0)))
+            .collect();
+        for h in net.run(&xs, &mut eval).unwrap() {
             // h is a convex combination of the previous h and tanh output,
             // so it remains within [-1, 1].
-            assert!(state.h.norm_inf() <= 1.0 + 1e-5);
+            assert!(h.norm_inf() <= 1.0 + 1e-5);
         }
         assert_eq!(eval.evaluations(), 30 * 18);
     }
@@ -354,35 +295,58 @@ mod tests {
         let reset = mk(Activation::Sigmoid, 0.0, &mut rng);
         let candidate = mk(Activation::Tanh, 0.0, &mut rng);
         let cell = GruCell::new(update, reset, candidate).unwrap();
-        let prev = GruState {
-            h: Vector::from(vec![0.3, -0.2, 0.5]),
-        };
+        let prev = [0.3, -0.2, 0.5];
+        let x = [1.0, 2.0, -1.0];
+        let mut state = BatchState::zeros(1, 3);
+        state.set_lane(0, &prev, &[0.0; 3]);
+        let hoisted: Vec<Vec<f32>> = GateKind::GRU
+            .iter()
+            .map(|&k| {
+                let mut fwd = vec![0.0; 3];
+                matmul_into(cell.gate(k).unwrap().wx(), &x, 1, &mut fwd).unwrap();
+                fwd
+            })
+            .collect();
+        let hoisted: Vec<&[f32]> = hoisted.iter().map(Vec::as_slice).collect();
+        let mut next = BatchState::zeros(1, 3);
         let mut eval = ExactEvaluator::new();
-        let next = cell
-            .step(
-                0,
-                0,
-                0,
-                &Vector::from(vec![1.0, 2.0, -1.0]),
-                &prev,
-                &mut eval,
-            )
-            .unwrap();
-        for i in 0..3 {
-            assert!((next.h[i] - prev.h[i]).abs() < 1e-4);
+        cell.step_batch_into(
+            0,
+            0,
+            0,
+            1,
+            &x,
+            &state,
+            &mut next,
+            &mut BatchScratch::new(),
+            &hoisted,
+            &mut eval,
+        )
+        .unwrap();
+        for (next, prev) in next.h_lane(0).iter().zip(prev) {
+            assert!((next - prev).abs() < 1e-4);
         }
     }
 
     #[test]
-    fn step_rejects_bad_widths() {
+    fn step_batch_into_rejects_bad_widths() {
         let c = cell(4, 4, 9);
         let mut eval = ExactEvaluator::new();
-        assert!(c
-            .step(0, 0, 0, &Vector::zeros(2), &GruState::zeros(4), &mut eval)
-            .is_err());
-        assert!(c
-            .step(0, 0, 0, &Vector::zeros(4), &GruState::zeros(3), &mut eval)
-            .is_err());
+        let mut scratch = BatchScratch::new();
+        let fwd = [0.0f32; 4];
+        let hoisted = [&fwd[..]; 3];
+        let state = BatchState::zeros(1, 4);
+        let mut step = |lanes, xs: &[f32], state: &BatchState, hidden, hoisted: &[&[f32]]| {
+            let next = &mut BatchState::zeros(1, hidden);
+            let (s, e) = (&mut scratch, &mut eval);
+            c.step_batch_into(0, 0, 0, lanes, xs, state, next, s, hoisted, e)
+        };
+        assert!(step(1, &[0.0; 4], &state, 4, &hoisted).is_ok());
+        assert!(step(1, &[0.0; 2], &state, 4, &hoisted).is_err());
+        assert!(step(1, &[0.0; 4], &BatchState::zeros(1, 3), 4, &hoisted).is_err());
+        assert!(step(1, &[0.0; 4], &state, 3, &hoisted).is_err());
+        assert!(step(2, &[0.0; 8], &state, 4, &hoisted).is_err());
+        assert!(step(1, &[0.0; 4], &state, 4, &hoisted[..2]).is_err());
     }
 
     #[test]

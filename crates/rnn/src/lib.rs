@@ -59,9 +59,9 @@ pub use evaluator::{
     evaluate_neurons, CountingEvaluator, ExactEvaluator, GateBatch, NeuronEvaluator, NeuronRef,
 };
 pub use gate::{Gate, GateId, GateKind};
-pub use gru::{GruCell, GruState};
+pub use gru::GruCell;
 pub use layer::{Cell, Layer, HOIST_BLOCK};
-pub use lstm::{LstmCell, LstmState};
+pub use lstm::LstmCell;
 pub use network::DeepRnn;
 pub use scheduler::{FinishedLane, LaneScheduler};
 

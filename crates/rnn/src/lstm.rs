@@ -3,32 +3,11 @@
 use crate::batch::{BatchScratch, BatchState};
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
-use crate::gate::{hoist_one, Gate, GateId, GateKind};
+use crate::gate::{Gate, GateId, GateKind};
 use crate::Result;
 use nfm_tensor::activation::Activation;
 use nfm_tensor::kernels::activate_into;
 use nfm_tensor::rng::DeterministicRng;
-use nfm_tensor::Vector;
-
-/// The recurrent state carried by an LSTM cell between timesteps: the
-/// hidden output `h_t` and the cell state `c_t`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LstmState {
-    /// Hidden output `h_t`.
-    pub h: Vector,
-    /// Cell state `c_t`.
-    pub c: Vector,
-}
-
-impl LstmState {
-    /// Zero-initialized state for a cell with `hidden` neurons.
-    pub fn zeros(hidden: usize) -> Self {
-        LstmState {
-            h: Vector::zeros(hidden),
-            c: Vector::zeros(hidden),
-        }
-    }
-}
 
 /// An LSTM cell (Equations 1–6 of the paper):
 ///
@@ -308,66 +287,27 @@ impl LstmCell {
         }
         Ok(())
     }
-
-    /// Advances one sequence by one timestep, returning a freshly
-    /// allocated state: a one-lane [`LstmCell::step_batch_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x` or the state widths do not match the cell.
-    pub fn step(
-        &self,
-        layer: usize,
-        direction: usize,
-        timestep: usize,
-        x: &Vector,
-        state: &LstmState,
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<LstmState> {
-        let hidden = self.hidden_size();
-        if state.h.len() != hidden || state.c.len() != hidden {
-            return Err(RnnError::InvalidConfig {
-                what: format!(
-                    "LSTM state width {} does not match hidden size {}",
-                    state.h.len(),
-                    hidden
-                ),
-            });
-        }
-        let mut current = BatchState::zeros(1, hidden);
-        current.set_lane(0, state.h.as_slice(), state.c.as_slice());
-        let mut next = BatchState::zeros(1, hidden);
-        let hoisted = hoist_one(
-            [&self.input, &self.forget, &self.candidate, &self.output],
-            x.as_slice(),
-        )?;
-        self.step_batch_into(
-            layer,
-            direction,
-            timestep,
-            1,
-            x.as_slice(),
-            &current,
-            &mut next,
-            &mut BatchScratch::new(),
-            &hoisted.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-            evaluator,
-        )?;
-        Ok(LstmState {
-            h: Vector::from(next.h_lane(0).to_vec()),
-            c: Vector::from(next.c_lane(0).to_vec()),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::evaluator::ExactEvaluator;
+    use crate::layer::{Cell, Layer};
+    use crate::network::DeepRnn;
+    use nfm_tensor::Vector;
 
     fn cell(input_size: usize, hidden: usize, seed: u64) -> LstmCell {
         let mut rng = DeterministicRng::seed_from_u64(seed);
         LstmCell::random(input_size, hidden, true, &mut rng).unwrap()
+    }
+
+    /// `h_t` of every step of `xs` through a one-layer network of `cell`,
+    /// from the zero state.
+    fn run(cell: &LstmCell, xs: &[Vector], eval: &mut ExactEvaluator) -> Vec<Vector> {
+        let layer = Layer::new(0, Cell::Lstm(cell.clone()), None).unwrap();
+        let net = DeepRnn::new(vec![layer], None).unwrap();
+        net.run(xs, eval).unwrap()
     }
 
     #[test]
@@ -385,17 +325,16 @@ mod tests {
     #[test]
     fn step_produces_bounded_outputs() {
         let c = cell(6, 4, 2);
-        let mut state = LstmState::zeros(4);
         let mut eval = ExactEvaluator::new();
         let mut rng = DeterministicRng::seed_from_u64(9);
-        for t in 0..20 {
-            let x = Vector::from_fn(6, |_| rng.uniform(-1.0, 1.0));
-            state = c.step(0, 0, t, &x, &state, &mut eval).unwrap();
+        let xs: Vec<Vector> = (0..20)
+            .map(|_| Vector::from_fn(6, |_| rng.uniform(-1.0, 1.0)))
+            .collect();
+        for h in run(&c, &xs, &mut eval) {
             // |h| <= 1 because h = σ(...) ⊙ tanh(c); c is bounded by the
             // forget/input gate dynamics for bounded inputs.
-            assert!(state.h.norm_inf() <= 1.0 + 1e-5);
-            assert!(state.h.iter().all(|v| v.is_finite()));
-            assert!(state.c.iter().all(|v| v.is_finite()));
+            assert!(h.norm_inf() <= 1.0 + 1e-5);
+            assert!(h.iter().all(|v| v.is_finite()));
         }
         assert_eq!(eval.evaluations(), 20 * 16);
     }
@@ -403,38 +342,39 @@ mod tests {
     #[test]
     fn step_is_deterministic() {
         let c = cell(3, 5, 7);
-        let x = Vector::from(vec![0.1, -0.3, 0.7]);
-        let s0 = LstmState::zeros(5);
-        let mut e1 = ExactEvaluator::new();
-        let mut e2 = ExactEvaluator::new();
-        let a = c.step(0, 0, 0, &x, &s0, &mut e1).unwrap();
-        let b = c.step(0, 0, 0, &x, &s0, &mut e2).unwrap();
+        let xs = [Vector::from(vec![0.1, -0.3, 0.7])];
+        let a = run(&c, &xs, &mut ExactEvaluator::new());
+        let b = run(&c, &xs, &mut ExactEvaluator::new());
         assert_eq!(a, b);
     }
 
     #[test]
     fn zero_input_zero_state_gives_small_output() {
         let c = cell(4, 4, 3);
-        let mut eval = ExactEvaluator::new();
-        let out = c
-            .step(0, 0, 0, &Vector::zeros(4), &LstmState::zeros(4), &mut eval)
-            .unwrap();
+        let out = run(&c, &[Vector::zeros(4)], &mut ExactEvaluator::new());
         // With zero inputs only the biases contribute, so outputs stay small.
-        assert!(out.h.norm_inf() < 0.5);
+        assert!(out[0].norm_inf() < 0.5);
     }
 
     #[test]
-    fn step_rejects_bad_widths() {
+    fn step_batch_into_rejects_bad_widths() {
         let c = cell(4, 4, 4);
         let mut eval = ExactEvaluator::new();
-        let bad_x = Vector::zeros(3);
-        assert!(c
-            .step(0, 0, 0, &bad_x, &LstmState::zeros(4), &mut eval)
-            .is_err());
-        let bad_state = LstmState::zeros(2);
-        assert!(c
-            .step(0, 0, 0, &Vector::zeros(4), &bad_state, &mut eval)
-            .is_err());
+        let mut scratch = BatchScratch::new();
+        let fwd = [0.0f32; 4];
+        let hoisted = [&fwd[..]; 4];
+        let state = BatchState::zeros(1, 4);
+        let mut step = |lanes, xs: &[f32], state: &BatchState, hidden, hoisted: &[&[f32]]| {
+            let next = &mut BatchState::zeros(1, hidden);
+            let (s, e) = (&mut scratch, &mut eval);
+            c.step_batch_into(0, 0, 0, lanes, xs, state, next, s, hoisted, e)
+        };
+        assert!(step(1, &[0.0; 4], &state, 4, &hoisted).is_ok());
+        assert!(step(1, &[0.0; 3], &state, 4, &hoisted).is_err());
+        assert!(step(1, &[0.0; 4], &BatchState::zeros(1, 2), 4, &hoisted).is_err());
+        assert!(step(1, &[0.0; 4], &state, 2, &hoisted).is_err());
+        assert!(step(2, &[0.0; 8], &state, 4, &hoisted).is_err());
+        assert!(step(1, &[0.0; 4], &state, 4, &hoisted[..3]).is_err());
     }
 
     #[test]
@@ -458,7 +398,8 @@ mod tests {
     #[test]
     fn forget_gate_dominates_when_input_gate_closed() {
         // A hand-built cell where the input gate is forced closed (large
-        // negative bias): the cell state must stay at zero.
+        // negative bias): the cell state must stay at zero, and with it
+        // h = o ⊙ tanh(c) (o ≈ σ(0), not small).
         let mut rng = DeterministicRng::seed_from_u64(11);
         let mut mk = |act, bias: f32| {
             let wx = nfm_tensor::init::Initializer::XavierUniform.matrix(&mut rng, 2, 2);
@@ -470,18 +411,11 @@ mod tests {
         let candidate = mk(Activation::Tanh, 0.0);
         let output = mk(Activation::Sigmoid, 0.0);
         let cell = LstmCell::new(input, forget, candidate, output).unwrap();
-        let mut eval = ExactEvaluator::new();
-        let state = cell
-            .step(
-                0,
-                0,
-                0,
-                &Vector::from(vec![1.0, -1.0]),
-                &LstmState::zeros(2),
-                &mut eval,
-            )
-            .unwrap();
-        assert!(state.c.norm_inf() < 1e-5);
-        assert!(state.h.norm_inf() < 1e-5);
+        let out = run(
+            &cell,
+            &[Vector::from(vec![1.0, -1.0])],
+            &mut ExactEvaluator::new(),
+        );
+        assert!(out[0].norm_inf() < 1e-5);
     }
 }

@@ -2,8 +2,7 @@
 //! seeded deterministic sampling loops (the container has no `proptest`).
 
 use nfm_rnn::{
-    CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, GruCell, GruState, LstmCell,
-    LstmState,
+    Cell, CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, GruCell, Layer, LstmCell,
 };
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
@@ -15,6 +14,11 @@ fn sequence(len: usize, width: usize, seed: u64) -> Vec<Vector> {
         .collect()
 }
 
+/// A one-layer network of `cell`, no head: its outputs are `h_t`.
+fn one_layer(cell: Cell) -> DeepRnn {
+    DeepRnn::new(vec![Layer::new(0, cell, None).unwrap()], None).unwrap()
+}
+
 #[test]
 fn gru_hidden_state_is_a_convex_combination() {
     let mut outer = DeterministicRng::seed_from_u64(10);
@@ -24,12 +28,16 @@ fn gru_hidden_state_is_a_convex_combination() {
         // h_t is elementwise between h_{t-1} and tanh(...) in [-1, 1], so
         // it can never leave [-1, 1].
         let mut rng = DeterministicRng::seed_from_u64(seed);
-        let cell = GruCell::random(5, 7, &mut rng).unwrap();
-        let mut state = GruState::zeros(7);
-        let mut eval = ExactEvaluator::new();
-        for (t, x) in sequence(steps, 5, seed ^ 0xABC).iter().enumerate() {
-            state = cell.step(0, 0, t, x, &state, &mut eval).unwrap();
-            assert!(state.h.norm_inf() <= 1.0 + 1e-5);
+        let net = one_layer(Cell::Gru(GruCell::random(5, 7, &mut rng).unwrap()));
+        let outputs = net
+            .run(
+                &sequence(steps, 5, seed ^ 0xABC),
+                &mut ExactEvaluator::new(),
+            )
+            .unwrap();
+        assert_eq!(outputs.len(), steps);
+        for h in outputs {
+            assert!(h.norm_inf() <= 1.0 + 1e-5);
         }
     }
 }
@@ -41,13 +49,17 @@ fn lstm_hidden_output_is_bounded_by_one() {
         let seed = outer.index(500) as u64;
         let steps = 1 + outer.index(9);
         let mut rng = DeterministicRng::seed_from_u64(seed);
-        let cell = LstmCell::random(4, 6, true, &mut rng).unwrap();
-        let mut state = LstmState::zeros(6);
-        let mut eval = ExactEvaluator::new();
-        for (t, x) in sequence(steps, 4, seed ^ 0xDEF).iter().enumerate() {
-            state = cell.step(0, 0, t, x, &state, &mut eval).unwrap();
-            assert!(state.h.norm_inf() <= 1.0 + 1e-5);
-            assert!(state.c.iter().all(|v| v.is_finite()));
+        let net = one_layer(Cell::Lstm(LstmCell::random(4, 6, true, &mut rng).unwrap()));
+        let outputs = net
+            .run(
+                &sequence(steps, 4, seed ^ 0xDEF),
+                &mut ExactEvaluator::new(),
+            )
+            .unwrap();
+        assert_eq!(outputs.len(), steps);
+        for h in outputs {
+            assert!(h.norm_inf() <= 1.0 + 1e-5);
+            assert!(h.iter().all(|v| v.is_finite()));
         }
     }
 }

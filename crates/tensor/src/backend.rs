@@ -57,11 +57,12 @@ pub enum KernelBackend {
     /// The portable reference implementation (also the autovectorizer's
     /// input).  Always supported.
     Scalar,
-    /// 256-bit x86 path (`avx` + `avx2` + `fma`).
+    /// 256-bit x86 path (`avx` + `avx2` + `fma`, and `popcnt` for the
+    /// BNN kernels).
     Avx2,
-    /// 512-bit x86 path (`avx512f` + `avx512dq` + `avx512vl` + `fma`);
-    /// the BNN popcount additionally uses `avx512vpopcntdq` where
-    /// present.
+    /// 512-bit x86 path (the `avx2` features plus `avx512f` +
+    /// `avx512dq` + `avx512vl`); the BNN predict additionally uses
+    /// `avx512vpopcntdq` where present.
     Avx512,
     /// 128-bit aarch64 path (`neon`).
     Neon,
@@ -110,12 +111,14 @@ impl KernelBackend {
                 is_x86_feature_detected!("avx")
                     && is_x86_feature_detected!("avx2")
                     && is_x86_feature_detected!("fma")
+                    && is_x86_feature_detected!("popcnt")
             }
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             KernelBackend::Avx512 => {
                 is_x86_feature_detected!("avx")
                     && is_x86_feature_detected!("avx2")
                     && is_x86_feature_detected!("fma")
+                    && is_x86_feature_detected!("popcnt")
                     && is_x86_feature_detected!("avx512f")
                     && is_x86_feature_detected!("avx512dq")
                     && is_x86_feature_detected!("avx512vl")
@@ -125,6 +128,23 @@ impl KernelBackend {
             #[allow(unreachable_patterns)]
             _ => false,
         }
+    }
+
+    /// Panics unless this tier can execute on the current host: the
+    /// check every explicit-tier (`_on`) kernel hook makes before it
+    /// dispatches, in `nfm_tensor::kernels` and `nfm_bnn::popcount`
+    /// alike.
+    #[track_caller]
+    pub fn assert_supported(self) {
+        assert!(
+            self.is_supported(),
+            "kernel backend {self} is not supported on this host (supported: {})",
+            KernelBackend::supported()
+                .iter()
+                .map(|b| b.name())
+                .collect::<Vec<_>>()
+                .join(", "),
+        );
     }
 
     /// Every tier the current host supports, widest first (always ends

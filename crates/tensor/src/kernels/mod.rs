@@ -18,10 +18,11 @@
 //! | `out[l] = base[l] + M xs[l]` | [`matmul_add_into`] | [`matmul_add_into_on`] |
 //! | `out[i] = act(out[i])` | [`activate_into`] | [`activate_into_on`] |
 //!
-//! The single-vector forms `out = M x` ([`matvec_into`] /
-//! [`matvec_into_on`]) and `out = Wx x + Wh h` ([`dual_matvec_into`] /
-//! [`dual_matvec_into_on`]) are the two products at one lane, not
-//! kernels of their own.
+//! A single vector is a product at `lanes = 1`: `out = M x` is
+//! [`matmul_into`] over one lane and `out = Wx x + Wh h` is
+//! [`dual_matmul_into`] over one lane.  [`dual_matvec_into`] is kept as
+//! that one-lane call for callers that spell the single-vector form; it
+//! has no tier of its own.
 //!
 //! Both columns of a row share one private body that takes the tier, so
 //! they validate and dispatch identically; the `_on` form only adds the
@@ -96,19 +97,6 @@ macro_rules! dispatch {
             }
         }
     };
-}
-
-#[track_caller]
-fn assert_supported(backend: KernelBackend) {
-    assert!(
-        backend.is_supported(),
-        "kernel backend {backend} is not supported on this host (supported: {})",
-        KernelBackend::supported()
-            .iter()
-            .map(|b| b.name())
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
 }
 
 // One private body per operation.  Each takes the tier, which the
@@ -267,38 +255,8 @@ pub fn dot_unchecked(a: &[f32], b: &[f32]) -> f32 {
 /// differ.
 #[inline]
 pub fn dot_unchecked_on(backend: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
-    assert_supported(backend);
+    backend.assert_supported();
     dot_tier(backend, a, b)
-}
-
-/// Matrix-vector product into a caller-owned buffer: `out = m * x` —
-/// [`matmul_into`] at one lane.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `x.len() != m.cols()` or
-/// [`TensorError::LengthMismatch`] if `out.len() != m.rows()`.
-pub fn matvec_into(m: &Matrix, x: &[f32], out: &mut [f32]) -> Result<()> {
-    matmul_tier(backend::active(), m, x, 1, out)
-}
-
-/// [`matvec_into`] on an explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`matvec_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-pub fn matvec_into_on(
-    backend: KernelBackend,
-    m: &Matrix,
-    x: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    assert_supported(backend);
-    matmul_tier(backend, m, x, 1, out)
 }
 
 /// Fused dual matrix-vector product into a caller-owned buffer:
@@ -322,27 +280,6 @@ pub fn dual_matvec_into(
     dual_matmul_tier(backend::active(), wx, wh, x, h, 1, out)
 }
 
-/// [`dual_matvec_into`] on an explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`dual_matvec_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-pub fn dual_matvec_into_on(
-    backend: KernelBackend,
-    wx: &Matrix,
-    wh: &Matrix,
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    assert_supported(backend);
-    dual_matmul_tier(backend, wx, wh, x, h, 1, out)
-}
-
 /// Lane-striped matrix-matrix product into a caller-owned buffer:
 /// `out[l*rows + r] = m[r]·xs[l]` for `l in 0..lanes`.
 ///
@@ -356,7 +293,7 @@ pub fn dual_matvec_into_on(
 /// memory-bound per-sequence matvec into a compute-dense kernel under
 /// batch>1 serving.  Each `(row, lane)` product runs [`dot_unchecked`]'s
 /// reduction order, so lane `l` of a batch is bit-identical to the same
-/// vector run alone ([`matvec_into`]), whatever the lane count.
+/// vector run alone (`lanes = 1`), whatever the lane count.
 ///
 /// # Errors
 ///
@@ -382,7 +319,7 @@ pub fn matmul_into_on(
     lanes: usize,
     out: &mut [f32],
 ) -> Result<()> {
-    assert_supported(backend);
+    backend.assert_supported();
     matmul_tier(backend, m, xs, lanes, out)
 }
 
@@ -395,7 +332,7 @@ pub fn matmul_into_on(
 /// pair ([`matmul_into`] then [`matmul_add_into`]) in one call.  The per-lane
 /// scalar order is `fwd + rec` with [`dot_unchecked`]'s reduction for
 /// each half, so every lane is bit-identical to that lane's vectors run
-/// alone ([`dual_matvec_into`]) on every dispatch tier.
+/// alone (`lanes = 1`) on every dispatch tier.
 ///
 /// # Errors
 ///
@@ -429,7 +366,7 @@ pub fn dual_matmul_into_on(
     lanes: usize,
     out: &mut [f32],
 ) -> Result<()> {
-    assert_supported(backend);
+    backend.assert_supported();
     dual_matmul_tier(backend, wx, wh, xs, hs, lanes, out)
 }
 
@@ -474,7 +411,7 @@ pub fn matmul_add_into_on(
     base: &[f32],
     out: &mut [f32],
 ) -> Result<()> {
-    assert_supported(backend);
+    backend.assert_supported();
     matmul_add_tier(backend, m, xs, lanes, base, out)
 }
 
@@ -494,6 +431,6 @@ pub fn activate_into(activation: Activation, out: &mut [f32]) {
 /// Panics if `backend` is not supported on this host.
 #[inline]
 pub fn activate_into_on(backend: KernelBackend, activation: Activation, out: &mut [f32]) {
-    assert_supported(backend);
+    backend.assert_supported();
     activate_tier(backend, activation, out)
 }

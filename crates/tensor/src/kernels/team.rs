@@ -42,21 +42,19 @@ use super::body::TILE;
 /// A split moves operands between cores: the helper reads lane inputs
 /// the worker just wrote, the worker then reads the rows the helper
 /// wrote, and a helper idle for more than its spin must be woken.  The
-/// `kernel/*_team` rungs of `crates/bench` pay that round trip as the
-/// engine does (every placement writes its lane input on the calling
-/// thread, then reads the whole output back; 2-vCPU Xeon, AVX-512,
-/// team of two, 4 runs): the 400 × 400 × 8 DeepSpeech2-0.5 gate
-/// `matmul_add_8l_ds2` reads 1.45–2.05x its serial rung and its 64-lane
-/// hoist 1.63–1.80x (one outlier 0.70x).  Built with this cutoff at
-/// 2¹⁶, so that the IMDB products split too, the 128 × 128 × 8 IMDB
-/// gate reads 0.73–0.94x and the 128 × 64 × 64 IMDB hoist 0.93–0.96x
-/// (3 runs): split, they lose.  So did the engine's: `batch_memo_hi`
-/// `steps_per_s` read 0.74–0.93x of the serial parent with this cutoff
-/// at 131,072 (6 runs) and 0.79–0.91x at 262,144, where only its
-/// 524,288 hoists split (3 runs), against 0.85–1.01x with nothing of it
-/// split (7 runs).  So the cutoff sits above those products and below
-/// the DeepSpeech2-0.5 gate at eight lanes (1,280,000), which every
-/// full-lane `batch_exact` and `batch_memo_lo` product reaches.
+/// `kernel/*_ds2_team` rungs of `crates/bench` pay that round trip as
+/// the engine does (every placement writes its lane input on the
+/// calling thread, then reads the whole output back; 2-vCPU Xeon,
+/// AVX-512, team of two, 4 runs): the 400 × 400 × 8 DeepSpeech2-0.5
+/// gate `matmul_add_8l_ds2` reads 1.45–2.05x its serial rung and its
+/// 64-lane hoist 1.63–1.80x (one outlier 0.70x).  The IMDB products
+/// lose when split: `batch_memo_hi` `steps_per_s` read 0.74–0.93x of
+/// the serial parent with this cutoff at 131,072 (6 runs) and
+/// 0.79–0.91x at 262,144, where only its 524,288 hoists split (3 runs),
+/// against 0.85–1.01x with nothing of it split (7 runs).  So the cutoff
+/// sits above those products and below the DeepSpeech2-0.5 gate at
+/// eight lanes (1,280,000), which every full-lane `batch_exact` and
+/// `batch_memo_lo` product reaches.
 pub const SPLIT_MIN_WORK: usize = 1 << 20;
 
 /// How long a helper spins for the next product before it parks.

@@ -251,7 +251,7 @@ impl Matrix {
             });
         }
         let mut out = vec![0.0f32; self.rows];
-        crate::kernels::matvec_into(self, x.as_slice(), &mut out).expect("shapes checked above");
+        crate::kernels::matmul_into(self, x.as_slice(), 1, &mut out).expect("shapes checked above");
         Ok(Vector::from(out))
     }
 

@@ -306,27 +306,6 @@ impl Summary {
     }
 }
 
-/// Geometric mean of strictly positive values (used for average speedup).
-///
-/// # Errors
-///
-/// Returns [`TensorError::Empty`] if `xs` is empty or
-/// [`TensorError::InvalidParameter`] if any value is not positive.
-pub fn geometric_mean(xs: &[f32]) -> Result<f32> {
-    if xs.is_empty() {
-        return Err(TensorError::Empty {
-            op: "geometric_mean",
-        });
-    }
-    if xs.iter().any(|&v| v <= 0.0) {
-        return Err(TensorError::InvalidParameter {
-            what: "geometric mean requires positive values",
-        });
-    }
-    let log_sum: f64 = xs.iter().map(|&v| (v as f64).ln()).sum();
-    Ok((log_sum / xs.len() as f64).exp() as f32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,13 +399,5 @@ mod tests {
         assert_eq!(s.max, 5.0);
         assert_eq!(s.median, 3.0);
         assert!(Summary::of(&[]).is_err());
-    }
-
-    #[test]
-    fn geometric_mean_of_speedups() {
-        let g = geometric_mean(&[1.0, 4.0]).unwrap();
-        assert!((g - 2.0).abs() < 1e-5);
-        assert!(geometric_mean(&[1.0, 0.0]).is_err());
-        assert!(geometric_mean(&[]).is_err());
     }
 }

@@ -162,42 +162,11 @@ impl Vector {
         self.zip_with(other, "sub", |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product, returning a new vector.
-    ///
-    /// This is the `⊙` operation used by the LSTM cell-state update
-    /// (`c_t = f_t ⊙ c_{t-1} + i_t ⊙ g_t`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the lengths differ.
-    pub fn hadamard(&self, other: &Vector) -> Result<Vector> {
-        self.zip_with(other, "hadamard", |a, b| a * b)
-    }
-
     /// Returns a new vector scaled by `k`.
     pub fn scale(&self, k: f32) -> Vector {
         Vector {
             data: Store::Owned(self.as_slice().iter().map(|v| v * k).collect()),
         }
-    }
-
-    /// In-place `self += alpha * other` (AXPY).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the lengths differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Vector) -> Result<()> {
-        if self.len() != other.len() {
-            return Err(TensorError::LengthMismatch {
-                left: self.len(),
-                right: other.len(),
-                op: "axpy",
-            });
-        }
-        for (a, b) in self.data.make_mut().iter_mut().zip(other.as_slice()) {
-            *a += alpha * b;
-        }
-        Ok(())
     }
 
     /// Applies `f` to every element, returning a new vector.
@@ -394,22 +363,11 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_hadamard() {
+    fn add_sub() {
         let a = Vector::from(vec![1.0, 2.0]);
         let b = Vector::from(vec![3.0, 5.0]);
         assert_eq!(a.add(&b).unwrap().as_slice(), &[4.0, 7.0]);
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[2.0, 3.0]);
-        assert_eq!(a.hadamard(&b).unwrap().as_slice(), &[3.0, 10.0]);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = Vector::from(vec![1.0, 1.0]);
-        let b = Vector::from(vec![2.0, -1.0]);
-        a.axpy(0.5, &b).unwrap();
-        assert_eq!(a.as_slice(), &[2.0, 0.5]);
-        let c = Vector::from(vec![1.0]);
-        assert!(a.axpy(1.0, &c).is_err());
     }
 
     #[test]

@@ -12,8 +12,7 @@
 
 use nfm_tensor::backend::KernelBackend;
 use nfm_tensor::kernels::{
-    dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on, matmul_add_into_on, matmul_into_on,
-    matvec_into_on,
+    dot_unchecked_on, dual_matmul_into_on, matmul_add_into_on, matmul_into_on,
 };
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Matrix;
@@ -95,10 +94,10 @@ fn matvec_matches_scalar_on_odd_rows_and_cols() {
             let m = random_matrix(&mut rng, rows, cols);
             let x = vecf(&mut rng, cols);
             let mut reference = vec![0.0f32; rows];
-            matvec_into_on(KernelBackend::Scalar, &m, &x, &mut reference).unwrap();
+            matmul_into_on(KernelBackend::Scalar, &m, &x, 1, &mut reference).unwrap();
             for backend in simd_backends() {
                 let mut out = vec![f32::NAN; rows];
-                matvec_into_on(backend, &m, &x, &mut out).unwrap();
+                matmul_into_on(backend, &m, &x, 1, &mut out).unwrap();
                 assert_bits_eq(&out, &reference, &format!("matvec {rows}x{cols} {backend}"));
             }
         }
@@ -126,10 +125,11 @@ fn dual_matvec_matches_scalar_on_odd_shapes() {
             let x = vecf(&mut rng, xc);
             let h = vecf(&mut rng, hc);
             let mut reference = vec![0.0f32; rows];
-            dual_matvec_into_on(KernelBackend::Scalar, &wx, &wh, &x, &h, &mut reference).unwrap();
+            dual_matmul_into_on(KernelBackend::Scalar, &wx, &wh, &x, &h, 1, &mut reference)
+                .unwrap();
             for backend in simd_backends() {
                 let mut out = vec![f32::NAN; rows];
-                dual_matvec_into_on(backend, &wx, &wh, &x, &h, &mut out).unwrap();
+                dual_matmul_into_on(backend, &wx, &wh, &x, &h, 1, &mut out).unwrap();
                 assert_bits_eq(
                     &out,
                     &reference,

@@ -34,8 +34,8 @@ use nfm::tensor::activation::Activation;
 use nfm::tensor::backend::KernelBackend;
 use nfm::tensor::kernels::team::{KernelTeam, SPLIT_MIN_WORK};
 use nfm::tensor::kernels::{
-    activate_into_on, dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on, matmul_add_into,
-    matmul_add_into_on, matmul_into, matmul_into_on,
+    activate_into_on, dot_unchecked_on, dual_matmul_into_on, matmul_add_into, matmul_add_into_on,
+    matmul_into, matmul_into_on,
 };
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Matrix;
@@ -66,7 +66,7 @@ fn gate_shaped_kernels_are_bit_identical_across_supported_tiers() {
         let hs: Vec<f32> = (0..lanes * hc).map(|_| rng.uniform(-1.0, 1.0)).collect();
 
         let mut single_ref = vec![0.0f32; rows];
-        dual_matvec_into_on(KernelBackend::Scalar, &wx, &wh, &x, &h, &mut single_ref).unwrap();
+        dual_matmul_into_on(KernelBackend::Scalar, &wx, &wh, &x, &h, 1, &mut single_ref).unwrap();
         let mut batch_ref = vec![0.0f32; lanes * rows];
         dual_matmul_into_on(
             KernelBackend::Scalar,
@@ -82,7 +82,7 @@ fn gate_shaped_kernels_are_bit_identical_across_supported_tiers() {
 
         for backend in KernelBackend::supported() {
             let mut single = vec![f32::NAN; rows];
-            dual_matvec_into_on(backend, &wx, &wh, &x, &h, &mut single).unwrap();
+            dual_matmul_into_on(backend, &wx, &wh, &x, &h, 1, &mut single).unwrap();
             let mut batch = vec![f32::NAN; lanes * rows];
             dual_matmul_into_on(backend, &wx, &wh, &xs, &hs, lanes, &mut batch).unwrap();
             for (i, (a, e)) in single.iter().zip(single_ref.iter()).enumerate() {
@@ -356,11 +356,11 @@ fn whole_workload_runs_are_deterministic_under_dispatch() {
 #[test]
 fn packed_bnn_predict_matches_its_references_on_every_popcount_tier() {
     // The memoized workload's own mirror gates at a serving lane count:
-    // on every popcount tier the packed predict equals the unpacked sign
+    // on every kernel tier the packed predict equals the unpacked sign
     // product of the f32 rows (`crates/bnn/tests/properties.rs`, mounted
     // as `tests/bnn_packed_predict.rs`, sweeps the boundary shapes).
     use nfm::bnn::binarize::reference_binary_dot;
-    use nfm::bnn::{BinaryNetwork, PopcountBackend};
+    use nfm::bnn::BinaryNetwork;
     let w = workload();
     let mirror = BinaryNetwork::mirror(w.network());
     let mut rng = DeterministicRng::seed_from_u64(43);
@@ -380,10 +380,10 @@ fn packed_bnn_predict_matches_its_references_on_every_popcount_tier() {
         }
         let mut packed = nfm::tensor::LineBuf::default();
         bg.pack_inputs(&xs, &hs, lanes, &mut packed);
-        for pop in PopcountBackend::supported() {
+        for backend in KernelBackend::supported() {
             let mut out = vec![i32::MIN; lanes * rows];
-            bg.predict_packed_on(pop, &packed, &mut out);
-            assert_eq!(out, expected, "{id:?} on {pop}");
+            bg.predict_packed_on(backend, &packed, &mut out);
+            assert_eq!(out, expected, "{id:?} on {backend}");
         }
     }
 }
@@ -394,19 +394,18 @@ fn active_backend_is_reported_and_supported() {
     assert!(active.is_supported());
     // Breadcrumb for CI logs: which tier did this test process run on?
     println!("active kernel backend: {active}");
-    println!("active popcount backend: {}", nfm::bnn::popcount::active());
 }
 
-/// The dispatched entry points (`dot_unchecked`, `matvec_into`,
-/// `dual_matvec_into`, `matmul_into`, `dual_matmul_into`,
-/// `matmul_add_into`) against the checked `Vector` / `Matrix` forms and
-/// each other: shape validation, lane-by-lane identity with the
-/// one-lane forms, and the hoisted pair against the fused gate.
+/// The dispatched entry points (`dot_unchecked`, `matmul_into`,
+/// `dual_matmul_into`, `dual_matvec_into`, `matmul_add_into`) against
+/// the checked `Vector` / `Matrix` forms and each other: shape
+/// validation, lane-by-lane identity with the one-lane calls, and the
+/// hoisted pair against the fused gate.
 mod entry_points {
     use nfm::tensor::backend::KernelBackend;
     use nfm::tensor::kernels::{
         dot_unchecked, dot_unchecked_on, dual_matmul_into, dual_matvec_into, matmul_add_into,
-        matmul_into, matvec_into,
+        matmul_into,
     };
     use nfm::tensor::rng::DeterministicRng;
     use nfm::tensor::vector::dot;
@@ -481,9 +480,12 @@ mod entry_points {
             let m = random_matrix(&mut rng, rows, cols);
             let x: Vec<f32> = (0..cols).map(|_| rng.uniform(-1.0, 1.0)).collect();
             let mut out = vec![0.0f32; rows];
-            matvec_into(&m, &x, &mut out).unwrap();
-            let reference = m.matvec(&Vector::from(x)).unwrap();
-            assert_eq!(out.as_slice(), reference.as_slice());
+            matmul_into(&m, &x, 1, &mut out).unwrap();
+            for (r, &o) in out.iter().enumerate() {
+                assert_eq!(o.to_bits(), m.row_dot(r, &x).unwrap().to_bits(), "row {r}");
+            }
+            let checked = m.matvec(&Vector::from(x)).unwrap();
+            assert_eq!(out.as_slice(), checked.as_slice());
         }
     }
 
@@ -491,9 +493,9 @@ mod entry_points {
     fn matvec_into_validates_shapes() {
         let m = Matrix::zeros(2, 3);
         let mut out = vec![0.0; 2];
-        assert!(matvec_into(&m, &[1.0, 2.0], &mut out).is_err());
+        assert!(matmul_into(&m, &[1.0, 2.0], 1, &mut out).is_err());
         let mut short = vec![0.0; 1];
-        assert!(matvec_into(&m, &[1.0, 2.0, 3.0], &mut short).is_err());
+        assert!(matmul_into(&m, &[1.0, 2.0, 3.0], 1, &mut short).is_err());
     }
 
     #[test]
@@ -536,7 +538,7 @@ mod entry_points {
             matmul_into(&m, &xs, lanes, &mut out).unwrap();
             for l in 0..lanes {
                 let mut single = vec![0.0f32; rows];
-                matvec_into(&m, &xs[l * cols..(l + 1) * cols], &mut single).unwrap();
+                matmul_into(&m, &xs[l * cols..(l + 1) * cols], 1, &mut single).unwrap();
                 for r in 0..rows {
                     assert_eq!(
                         out[l * rows + r].to_bits(),

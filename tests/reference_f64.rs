@@ -9,10 +9,11 @@
 
 use nfm::eval::reference::{gru_step, layer_errors, lstm_step, run_layers, BUDGET_MAX_ABS};
 use nfm::rnn::{
-    CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, Gate, GruCell, GruState, LstmCell,
-    LstmState,
+    BatchScratch, BatchState, Cell, CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator,
+    Gate, GruCell, LstmCell,
 };
 use nfm::tensor::activation::Activation;
+use nfm::tensor::kernels::matmul_into;
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::{Matrix, Vector};
 
@@ -40,29 +41,51 @@ fn assert_close(got: &[f64], want: &[f64], tolerance: f64, what: &str) {
     }
 }
 
+fn to64(v: &[f32]) -> Vec<f64> {
+    v.iter().map(|&v| f64::from(v)).collect()
+}
+
+/// One `f32` step of `cell` on one lane from the state `(h, c)` (`c`
+/// unused by a GRU): the start state goes in through
+/// [`BatchState::set_lane`], the hoisted half `W_x·x` through
+/// `matmul_into` at one lane, as the layer driver hands them over.
+fn f32_step(cell: &Cell, x: &[f32], h: &[f32], c: &[f32]) -> BatchState {
+    let hidden = cell.hidden_size();
+    let mut state = BatchState::zeros(1, hidden);
+    state.set_lane(0, h, c);
+    let hoisted: Vec<Vec<f32>> = cell
+        .gate_kinds()
+        .iter()
+        .map(|&kind| {
+            let mut fwd = vec![0.0; hidden];
+            matmul_into(cell.gate(kind).unwrap().wx(), x, 1, &mut fwd).unwrap();
+            fwd
+        })
+        .collect();
+    let hoisted: Vec<&[f32]> = hoisted.iter().map(Vec::as_slice).collect();
+    let mut next = BatchState::zeros(1, hidden);
+    let (out, s, e) = (
+        &mut next,
+        &mut BatchScratch::new(),
+        &mut ExactEvaluator::new(),
+    );
+    match cell {
+        Cell::Lstm(c) => c.step_batch_into(0, 0, 0, 1, x, &state, out, s, &hoisted, e),
+        Cell::Gru(c) => c.step_batch_into(0, 0, 0, 1, x, &state, out, s, &hoisted, e),
+    }
+    .unwrap();
+    next
+}
+
 /// Checks a golden LSTM step against both the reference (to `1e-12`)
 /// and the `f32` cell (to the budget).
-fn check_lstm(cell: &LstmCell, x: &[f32], h: &[f32], c: &[f32], want_h: &[f64], want_c: &[f64]) {
-    let to64 = |v: &[f32]| v.iter().map(|&v| f64::from(v)).collect::<Vec<_>>();
-    let (h_ref, c_ref) = lstm_step(cell, &to64(x), &to64(h), &to64(c));
+fn check_lstm(cell: LstmCell, x: &[f32], h: &[f32], c: &[f32], want_h: &[f64], want_c: &[f64]) {
+    let (h_ref, c_ref) = lstm_step(&cell, &to64(x), &to64(h), &to64(c));
     assert_close(&h_ref, want_h, 1e-12, "reference h_t");
     assert_close(&c_ref, want_c, 1e-12, "reference c_t");
-    let state = LstmState {
-        h: Vector::from(h.to_vec()),
-        c: Vector::from(c.to_vec()),
-    };
-    let next = cell
-        .step(
-            0,
-            0,
-            0,
-            &Vector::from(x.to_vec()),
-            &state,
-            &mut ExactEvaluator::new(),
-        )
-        .unwrap();
-    assert_close(&to64(next.h.as_slice()), want_h, BUDGET_MAX_ABS, "f32 h_t");
-    assert_close(&to64(next.c.as_slice()), want_c, BUDGET_MAX_ABS, "f32 c_t");
+    let next = f32_step(&Cell::Lstm(cell), x, h, c);
+    assert_close(&to64(next.h_lane(0)), want_h, BUDGET_MAX_ABS, "f32 h_t");
+    assert_close(&to64(next.c_lane(0)), want_c, BUDGET_MAX_ABS, "f32 c_t");
 }
 
 #[test]
@@ -84,7 +107,7 @@ fn golden_one_neuron_lstm_step() {
     )
     .unwrap();
     check_lstm(
-        &cell,
+        cell,
         &[1.0],
         &[0.5],
         &[0.25],
@@ -140,7 +163,7 @@ fn golden_two_neuron_lstm_step() {
     )
     .unwrap();
     check_lstm(
-        &cell,
+        cell,
         &[2.0],
         &[1.0, -1.0],
         &[0.5, -0.5],
@@ -189,15 +212,8 @@ fn golden_two_neuron_gru_step() {
     let want = [0.218_555_626_908_624_5, -0.122_097_431_429_183_22];
     let h_ref = gru_step(&cell, &[1.0, -1.0], &[0.5, -0.5]);
     assert_close(&h_ref, &want, 1e-12, "reference h_t");
-    let state = GruState {
-        h: Vector::from(vec![0.5, -0.5]),
-    };
-    let x = Vector::from(vec![1.0, -1.0]);
-    let next = cell
-        .step(0, 0, 0, &x, &state, &mut ExactEvaluator::new())
-        .unwrap();
-    let got: Vec<f64> = next.h.iter().map(f64::from).collect();
-    assert_close(&got, &want, BUDGET_MAX_ABS, "f32 h_t");
+    let next = f32_step(&Cell::Gru(cell), &[1.0, -1.0], &[0.5, -0.5], &[0.0; 2]);
+    assert_close(&to64(next.h_lane(0)), &want, BUDGET_MAX_ABS, "f32 h_t");
 }
 
 #[test]
