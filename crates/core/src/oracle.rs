@@ -2,10 +2,11 @@
 
 use crate::config::OracleMemoConfig;
 use crate::lanes::MemoLanes;
+use crate::predictor::decide_lane;
 use crate::stats::ReuseStats;
 use crate::table::MemoTable;
 use nfm_rnn::{ExactEvaluator, GateBatch, NeuronEvaluator, Result as RnnResult};
-use nfm_tensor::vector::relative_difference;
+use nfm_tensor::LineBuf;
 
 /// A [`NeuronEvaluator`] implementing the oracle memoization scheme of
 /// Figure 6: the true output `y_t` is always known, the cached value
@@ -16,12 +17,18 @@ use nfm_tensor::vector::relative_difference;
 /// limit study of Figures 1 and 16.  When a reuse is possible the oracle
 /// returns the *cached* value, so the accuracy impact of oracle-guided
 /// memoization is faithfully propagated through the network.
-/// Every lane owns a separate [`MemoTable`] and may carry its own `θ`
-/// (see [`MemoLanes`]): the gate entry computes all lanes' true outputs
-/// with the exact evaluator's kernel, then walks each lane's own table
-/// at the lane's `θ`.  The rule is checked against the independent
-/// memoized reference (`nfm_eval::reference::MemoReference`,
-/// `tests/memo_reference.rs`) after every gate call.
+///
+/// It is the BNN predictor's decision with the exact output standing in
+/// for the BNN output and no throttling: the gate entry computes all
+/// lanes' true outputs with the exact evaluator's kernel into an owned
+/// buffer, then runs the same per-lane decide loop as
+/// [`BnnMemoEvaluator`](crate::BnnMemoEvaluator) with `yb_t = y_t`.
+/// Every slot then holds `yb_m == y_m`, so comparing against `yb_m` is
+/// Figure 6's compare against `y_m`.  Every lane owns a separate
+/// [`MemoTable`] and may carry its own `θ` (see [`MemoLanes`]).  The rule
+/// is checked against the independent memoized reference
+/// (`nfm_eval::reference::MemoReference`, `tests/memo_reference.rs`)
+/// after every gate call.
 #[derive(Debug, Clone)]
 pub struct OracleEvaluator {
     config: OracleMemoConfig,
@@ -30,6 +37,11 @@ pub struct OracleEvaluator {
     // engine can attribute reuse to the request occupying each lane;
     // `stats` still aggregates everything) and θ override.
     pub(crate) lanes: MemoLanes,
+    // Every lane's exact outputs of the current gate call, lane-striped
+    // like the gate's outputs.
+    y: LineBuf<f32>,
+    // Miss flags the decide loop writes (the oracle reads none).
+    miss: Vec<u8>,
 }
 
 impl OracleEvaluator {
@@ -40,6 +52,8 @@ impl OracleEvaluator {
             config,
             stats: ReuseStats::new(),
             lanes: MemoLanes::default(),
+            y: LineBuf::default(),
+            miss: Vec::new(),
         }
     }
 
@@ -64,41 +78,40 @@ impl OracleEvaluator {
 
 impl NeuronEvaluator for OracleEvaluator {
     fn evaluate_gate_batch(&mut self, call: &GateBatch<'_>, out: &mut [f32]) -> RnnResult<()> {
-        let (gate, lanes) = (call.gate, call.lanes);
-        // The oracle always knows the true outputs: the exact path's
-        // kernel computes every lane's — the recurrent half added onto
-        // the hoisted input projections.
-        ExactEvaluator::new().evaluate_gate_batch(call, out)?;
+        let (nsz, lanes) = (call.gate.neurons(), call.lanes);
         assert!(
             self.lanes.len() >= lanes,
             "evaluate_gate_batch with {lanes} lanes but begin_batch sized {}",
             self.lanes.len()
         );
-        let neurons = gate.neurons();
+        // The oracle always knows the true outputs: the exact path's
+        // kernel computes every lane's — the recurrent half added onto
+        // the hoisted input projections.
+        self.y.resize(lanes * nsz);
+        self.miss.resize(lanes * nsz, 0);
+        ExactEvaluator::new().evaluate_gate_batch(call, &mut self.y)?;
         for l in 0..lanes {
+            let at = l * nsz..(l + 1) * nsz;
             let lane = &mut self.lanes.0[l];
             let theta = lane.threshold.unwrap_or(self.config.threshold);
-            let table = &mut lane.table;
-            let handle = table.gate_handle(call.gate_id, neurons);
-            let mut reused = 0u64;
-            let mut computed = 0u64;
-            for (n, y) in out[l * neurons..(l + 1) * neurons].iter_mut().enumerate() {
-                let y_t = *y;
-                if let Some(entry) = table.entry(handle, n) {
-                    let delta = relative_difference(y_t, entry.cached_output, self.config.epsilon);
-                    if delta <= theta {
-                        reused += 1;
-                        *y = table.reuse_at(handle, n, delta);
-                        continue;
-                    }
-                }
-                computed += 1;
-                table.refresh_at(handle, n, y_t, y_t);
+            let cols = lane.table.gate_columns(call.gate_id, nsz);
+            let y = &self.y[at.clone()];
+            let reused = u64::from(decide_lane(
+                y,
+                y,
+                cols.cached_output,
+                cols.cached_bnn_output,
+                cols.accumulated_delta,
+                false,
+                self.config.epsilon,
+                theta,
+                &mut self.miss[at.clone()],
+                &mut out[at],
+            ));
+            for stats in [&mut self.stats, &mut lane.stats] {
+                stats.record_reused_many(reused);
+                stats.record_computed_many(nsz as u64 - reused);
             }
-            self.stats.record_reused_many(reused);
-            self.stats.record_computed_many(computed);
-            lane.stats.record_reused_many(reused);
-            lane.stats.record_computed_many(computed);
         }
         Ok(())
     }

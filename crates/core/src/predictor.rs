@@ -1,4 +1,10 @@
-//! The BNN-based memoization predictor (Figures 10 and 12).
+//! The BNN-based memoization predictor (Figures 10 and 12), and the one
+//! memo decision both memoizing evaluators run (`decide_lane`).
+//!
+//! The decision walks a gate's [`MemoTable`] columns, the paper's three
+//! quantities per neuron (`y_m`, `yb_m`, `δb`; 12 bytes).  A slot is
+//! live iff its `δb` is not NaN: a cleared or new slot holds NaN, a miss
+//! writes 0, and a hit stores `δb' <= θ`, which is never NaN.
 
 use crate::audit::{AuditConfig, AuditStats};
 use crate::config::BnnMemoConfig;
@@ -244,15 +250,37 @@ fn keep_if(keep: bool, old: f32, new: f32) -> f32 {
     f32::from_bits(new.to_bits() ^ ((new.to_bits() ^ old.to_bits()) & mask))
 }
 
+/// A predictor output the memo decision compares: the mirror's integer
+/// popcount `yb_t`, or the oracle's exact output standing in for it.
+pub(crate) trait Prediction: Copy {
+    /// The output as the `f32` the relative difference is taken in.
+    fn value(self) -> f32;
+}
+
+impl Prediction for i32 {
+    #[inline(always)]
+    fn value(self) -> f32 {
+        self as f32
+    }
+}
+
+impl Prediction for f32 {
+    #[inline(always)]
+    fn value(self) -> f32 {
+        self
+    }
+}
+
 /// The memo decision of one lane over one gate (Equations 12–17), as one
 /// branch-free loop over the gate's table columns: `εb =
 /// relative_difference(yb_t, yb_m)`, `δb' = δb + εb` (or `εb` without
-/// throttling), hit iff the slot is live and `δb' <= θ`, so a NaN
-/// anywhere compares false and misses.  A hit keeps `δb'` and extends its run and emits
-/// `y_m`; a miss emits the exact `y_t` and is refreshed on the spot
-/// (`y_m = y_t`, `yb_m = yb_t`, `δb = 0`, run 0, slot live).  `miss`
-/// receives the complement of the decision; returns the number of hits
-/// and the longest run now stored.
+/// throttling), hit iff the slot is live (`δb` is not NaN) and `δb' <=
+/// θ`, so a NaN anywhere compares false and misses.  A hit keeps `δb'`
+/// and emits `y_m`; a miss emits the exact `y_t` and is refreshed on the
+/// spot (`y_m = y_t`, `yb_m = yb_t`, `δb = 0`).  `miss` receives the
+/// complement of the decision; returns the number of hits.  Both
+/// memoizing evaluators decide here: the BNN one with the mirror's
+/// popcounts as `yb`, the oracle with `yb = y` and no throttling.
 ///
 /// Every column is a parameter of its own, and the function is never
 /// inlined, so that the compiler knows the slices are disjoint (inlined
@@ -260,45 +288,36 @@ fn keep_if(keep: bool, old: f32, new: f32) -> f32 {
 /// and vectorises the loop without overlap checks.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-fn decide_lane(
-    yb: &[i32],
+pub(crate) fn decide_lane<P: Prediction>(
+    yb: &[P],
     y: &[f32],
     y_m: &mut [f32],
     yb_m: &mut [f32],
     delta: &mut [f32],
-    runs: &mut [u32],
-    epochs: &mut [u32],
-    epoch: u32,
-    config: &BnnMemoConfig,
+    throttle: bool,
+    epsilon: f32,
     theta: f32,
     miss: &mut [u8],
     out: &mut [f32],
-) -> (u32, u32) {
-    let (mut hits, mut longest) = (0u32, 0u32);
-    let slots = yb_m.iter_mut().zip(delta).zip(runs).zip(epochs);
+) -> u32 {
+    let mut hits = 0u32;
+    let slots = yb_m.iter_mut().zip(delta);
     let values = y.iter().zip(y_m).zip(out);
-    for (((((yb_m, delta), run), slot_epoch), (&yb_t, miss)), ((&y_t, y_m), out)) in
+    for (((yb_m, delta), (&yb_t, miss)), ((&y_t, y_m), out)) in
         slots.zip(yb.iter().zip(miss)).zip(values)
     {
-        let yb_t = yb_t as f32;
-        let eps_t = relative_difference(yb_t, *yb_m, config.epsilon);
-        let delta_t = if config.throttle {
-            *delta + eps_t
-        } else {
-            eps_t
-        };
-        let hit = (*slot_epoch == epoch) & (delta_t <= theta);
+        let yb_t = yb_t.value();
+        let eps_t = relative_difference(yb_t, *yb_m, epsilon);
+        let delta_t = if throttle { *delta + eps_t } else { eps_t };
+        let hit = !delta.is_nan() & (delta_t <= theta);
         *miss = u8::from(!hit);
         *y_m = keep_if(hit, *y_m, y_t);
         *out = *y_m;
         *yb_m = keep_if(hit, *yb_m, yb_t);
         *delta = if hit { delta_t } else { 0.0 };
-        *run = if hit { *run + 1 } else { 0 };
-        *slot_epoch = epoch;
         hits += u32::from(hit);
-        longest = longest.max(*run);
     }
-    (hits, longest)
+    hits
 }
 
 impl NeuronEvaluator for BnnMemoEvaluator {
@@ -358,22 +377,18 @@ impl NeuronEvaluator for BnnMemoEvaluator {
             let lane = &mut self.lanes.0[l];
             let theta = lane.threshold.unwrap_or(layer_theta);
             let cols = lane.table.gate_columns(gate_id, nsz);
-            let (reused, longest) = decide_lane(
+            let reused = u64::from(decide_lane(
                 &self.yb[at.clone()],
                 &self.y[at.clone()],
                 cols.cached_output,
                 cols.cached_bnn_output,
                 cols.accumulated_delta,
-                cols.consecutive_reuses,
-                cols.epochs,
-                cols.epoch,
-                &self.config,
+                self.config.throttle,
+                self.config.epsilon,
                 theta,
                 &mut self.miss[at.clone()],
                 &mut out[at],
-            );
-            *cols.max_consecutive_reuses = (*cols.max_consecutive_reuses).max(longest);
-            let reused = u64::from(reused);
+            ));
             for stats in [&mut self.stats, &mut lane.stats] {
                 stats.record_bnn_evaluations_many(nsz as u64);
                 stats.record_reused_many(reused);

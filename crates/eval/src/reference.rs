@@ -150,7 +150,7 @@ pub enum MemoPolicy {
 }
 
 /// One neuron's memo entry: `y_m`, `yb_m` (the oracle keeps its true
-/// output there), `δb` and the length of the current run of reuses.
+/// output there) and `δb`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoSlot {
     /// Cached full-precision output `y_m`.
@@ -159,8 +159,6 @@ pub struct MemoSlot {
     pub yb_m: f32,
     /// Accumulated relative difference `δb`.
     pub delta: f32,
-    /// Consecutive reuses since the entry was last computed.
-    pub run: u32,
 }
 
 /// Neuron evaluations requested, served from the memo entry, predicted
@@ -306,14 +304,12 @@ impl MemoReference {
                     y_m: y_t,
                     yb_m: yb_t,
                     delta: 0.0,
-                    run: 0,
                 });
                 out.push(y_t);
                 continue;
             };
             // Equation 14: reuse `y_m`, keep the accumulated difference.
             s.delta = delta.expect("a hit has a difference");
-            s.run += 1;
             out.push(s.y_m);
             if let MemoPolicy::Bnn(_, Some(audit)) = self.policy {
                 if self.audits.len() <= id.layer {

@@ -70,27 +70,6 @@ impl BatchState {
         &mut self.c[..active * self.hidden]
     }
 
-    /// Lane `l`'s hidden output.
-    pub fn h_lane(&self, lane: usize) -> &[f32] {
-        &self.h[lane * self.hidden..(lane + 1) * self.hidden]
-    }
-
-    /// Lane `l`'s cell state.
-    pub fn c_lane(&self, lane: usize) -> &[f32] {
-        &self.c[lane * self.hidden..(lane + 1) * self.hidden]
-    }
-
-    /// Overwrites lane `lane`'s state with `h` and `c` (both `hidden`
-    /// wide) — how a single LSTM step starts from a caller-held state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice is not exactly `hidden` long.
-    pub fn set_lane(&mut self, lane: usize, h: &[f32], c: &[f32]) {
-        self.h[lane * self.hidden..(lane + 1) * self.hidden].copy_from_slice(h);
-        self.c[lane * self.hidden..(lane + 1) * self.hidden].copy_from_slice(c);
-    }
-
     /// Splits the state into mutable hidden outputs and immutable cell
     /// states over the first `active` lanes (the LSTM `h_t = o_t ⊙ ϕ(c_t)`
     /// update reads `c` while writing `h`).
@@ -169,7 +148,7 @@ mod tests {
         assert_eq!(s.h_prefix(2).len(), 8);
         assert_eq!(s.c_prefix(3).len(), 12);
         s.h_prefix_mut(3)[5] = 2.5;
-        assert_eq!(s.h_lane(1)[1], 2.5);
+        assert_eq!(s.h_prefix(2)[4..], [0.0, 2.5, 0.0, 0.0]);
         s.c_prefix_mut(2)[0] = 1.0;
         assert_eq!(s.c_prefix(1)[0], 1.0);
     }
@@ -180,8 +159,7 @@ mod tests {
         s.h_prefix_mut(2).fill(1.0);
         s.c_prefix_mut(2).fill(2.0);
         s.reset_lane(0);
-        assert!(s.h_lane(0).iter().all(|&v| v == 0.0));
-        assert!(s.h_lane(1).iter().all(|&v| v == 1.0));
+        assert_eq!(s.h_prefix(2), [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         assert_eq!(s.c_prefix(2)[3..], [2.0, 2.0, 2.0]);
     }
 
@@ -193,12 +171,11 @@ mod tests {
         s.c_prefix_mut(3)
             .copy_from_slice(&[10.0, 20.0, 30.0, 40.0, 50.0, 60.0]);
         s.swap_lanes(0, 2);
-        assert_eq!(s.h_lane(0), &[5.0, 6.0]);
-        assert_eq!(s.h_lane(2), &[1.0, 2.0]);
+        assert_eq!(s.h_prefix(3), &[5.0, 6.0, 3.0, 4.0, 1.0, 2.0]);
         assert_eq!(s.c_prefix(3), &[50.0, 60.0, 30.0, 40.0, 10.0, 20.0]);
         // Swapping a lane with itself is a no-op.
         s.swap_lanes(1, 1);
-        assert_eq!(s.h_lane(1), &[3.0, 4.0]);
+        assert_eq!(s.h_prefix(3), &[5.0, 6.0, 3.0, 4.0, 1.0, 2.0]);
     }
 
     #[test]

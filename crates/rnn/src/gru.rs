@@ -298,7 +298,7 @@ mod tests {
         let prev = [0.3, -0.2, 0.5];
         let x = [1.0, 2.0, -1.0];
         let mut state = BatchState::zeros(1, 3);
-        state.set_lane(0, &prev, &[0.0; 3]);
+        state.h_prefix_mut(1).copy_from_slice(&prev);
         let hoisted: Vec<Vec<f32>> = GateKind::GRU
             .iter()
             .map(|&k| {
@@ -323,7 +323,7 @@ mod tests {
             &mut eval,
         )
         .unwrap();
-        for (next, prev) in next.h_lane(0).iter().zip(prev) {
+        for (next, prev) in next.h_prefix(1).iter().zip(prev) {
             assert!((next - prev).abs() < 1e-4);
         }
     }

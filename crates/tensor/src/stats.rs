@@ -10,35 +10,9 @@
 use crate::error::TensorError;
 use crate::Result;
 
-/// Arithmetic mean.
-///
-/// # Errors
-///
-/// Returns [`TensorError::Empty`] if `xs` is empty.
-pub fn mean(xs: &[f32]) -> Result<f32> {
-    if xs.is_empty() {
-        return Err(TensorError::Empty { op: "mean" });
-    }
-    Ok(xs.iter().sum::<f32>() / xs.len() as f32)
-}
-
-/// Population variance.
-///
-/// # Errors
-///
-/// Returns [`TensorError::Empty`] if `xs` is empty.
-pub fn variance(xs: &[f32]) -> Result<f32> {
-    let m = mean(xs)?;
-    Ok(xs.iter().map(|&v| (v - m) * (v - m)).sum::<f32>() / xs.len() as f32)
-}
-
-/// Population standard deviation.
-///
-/// # Errors
-///
-/// Returns [`TensorError::Empty`] if `xs` is empty.
-pub fn std_dev(xs: &[f32]) -> Result<f32> {
-    Ok(variance(xs)?.sqrt())
+/// Arithmetic mean of a non-empty sample.
+fn mean(xs: &[f32]) -> f32 {
+    xs.iter().sum::<f32>() / xs.len() as f32
 }
 
 /// Pearson linear correlation coefficient between two equal-length series.
@@ -67,8 +41,8 @@ pub fn pearson_correlation(xs: &[f32], ys: &[f32]) -> Result<f32> {
             op: "pearson_correlation",
         });
     }
-    let mx = mean(xs)?;
-    let my = mean(ys)?;
+    let mx = mean(xs);
+    let my = mean(ys);
     let mut cov = 0.0f64;
     let mut vx = 0.0f64;
     let mut vy = 0.0f64;
@@ -83,34 +57,6 @@ pub fn pearson_correlation(xs: &[f32], ys: &[f32]) -> Result<f32> {
         return Ok(0.0);
     }
     Ok((cov / (vx.sqrt() * vy.sqrt())) as f32)
-}
-
-/// Linear-interpolated percentile (`p` in `[0, 100]`) of a sample.
-///
-/// # Errors
-///
-/// Returns [`TensorError::Empty`] for an empty sample or
-/// [`TensorError::InvalidParameter`] for `p` outside `[0, 100]`.
-pub fn percentile(xs: &[f32], p: f32) -> Result<f32> {
-    if xs.is_empty() {
-        return Err(TensorError::Empty { op: "percentile" });
-    }
-    if !(0.0..=100.0).contains(&p) {
-        return Err(TensorError::InvalidParameter {
-            what: "percentile must be in [0, 100]",
-        });
-    }
-    let mut sorted: Vec<f32> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = p / 100.0 * (sorted.len() - 1) as f32;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        Ok(sorted[lo])
-    } else {
-        let frac = rank - lo as f32;
-        Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
 }
 
 /// A fixed-width histogram over `[min, max)` with an explicit bin count.
@@ -266,58 +212,9 @@ pub fn empirical_cdf(xs: &[f32], points: usize) -> Result<Vec<CdfPoint>> {
     Ok(out)
 }
 
-/// Summary statistics for a sample, produced once and reused by reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Sample size.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f32,
-    /// Population standard deviation.
-    pub std_dev: f32,
-    /// Minimum value.
-    pub min: f32,
-    /// Median (50th percentile).
-    pub median: f32,
-    /// Maximum value.
-    pub max: f32,
-}
-
-impl Summary {
-    /// Computes a summary of `xs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Empty`] if `xs` is empty.
-    pub fn of(xs: &[f32]) -> Result<Summary> {
-        if xs.is_empty() {
-            return Err(TensorError::Empty { op: "summary" });
-        }
-        let mn = xs.iter().fold(f32::INFINITY, |m, &v| m.min(v));
-        let mx = xs.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-        Ok(Summary {
-            count: xs.len(),
-            mean: mean(xs)?,
-            std_dev: std_dev(xs)?,
-            min: mn,
-            median: percentile(xs, 50.0)?,
-            max: mx,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_variance_std() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert_eq!(mean(&xs).unwrap(), 5.0);
-        assert_eq!(variance(&xs).unwrap(), 4.0);
-        assert_eq!(std_dev(&xs).unwrap(), 2.0);
-        assert!(mean(&[]).is_err());
-    }
 
     #[test]
     fn correlation_perfect_and_inverse() {
@@ -339,16 +236,6 @@ mod tests {
     fn correlation_errors() {
         assert!(pearson_correlation(&[1.0], &[1.0, 2.0]).is_err());
         assert!(pearson_correlation(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0).unwrap(), 1.0);
-        assert_eq!(percentile(&xs, 100.0).unwrap(), 4.0);
-        assert_eq!(percentile(&xs, 50.0).unwrap(), 2.5);
-        assert!(percentile(&xs, 101.0).is_err());
-        assert!(percentile(&[], 50.0).is_err());
     }
 
     #[test]
@@ -388,16 +275,5 @@ mod tests {
         assert!(cdf.windows(2).all(|w| w[0].fraction <= w[1].fraction));
         assert!(empirical_cdf(&[], 5).is_err());
         assert!(empirical_cdf(&xs, 1).is_err());
-    }
-
-    #[test]
-    fn summary_fields() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.mean, 3.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.median, 3.0);
-        assert!(Summary::of(&[]).is_err());
     }
 }

@@ -7,7 +7,7 @@
 //! memoized reference (`memo_check`): every one-lane run below goes
 //! through that check, and every run through the lane scheduler must
 //! reproduce those one-lane runs bit for bit — outputs, each sequence's
-//! statistics and longest reuse run, audits — for {oracle, BNN, BNN
+//! statistics and final memo entries, audits — for {oracle, BNN, BNN
 //! unthrottled, BNN + audit} × {LSTM, GRU} × {uni, bidirectional}, with
 //! lanes refilled mid-flight and at sequence lengths on both sides of
 //! the hoist block.  BNN's whole-gate passes are also pinned to their
@@ -17,7 +17,7 @@
 
 mod memo_check;
 
-use memo_check::{checked_run, Inspect};
+use memo_check::{checked_run, entry_bits, Inspect};
 use nfm::bnn::BinaryNetwork;
 use nfm::eval::reference::MemoPolicy;
 use nfm::memo::{
@@ -120,9 +120,9 @@ impl NeuronEvaluator for PerNeuronExact {
     }
 }
 
-/// One sequence's run: outputs, its lane's statistics and the longest
-/// reuse run its lane's table saw.
-type Run = (Vec<Vector>, ReuseStats, u32);
+/// One sequence's run: outputs, its lane's statistics and the memo
+/// entries its lane's table ended with.
+type Run = (Vec<Vector>, ReuseStats, Vec<Option<[u32; 3]>>);
 
 /// Runs `seqs` through a `lanes`-wide lane scheduler, refilling lanes
 /// as they drain, and returns every sequence's run in input order.
@@ -150,7 +150,7 @@ fn through_scheduler<E: Inspect>(
                 evaluator.lanes().stats(f.stats_lane),
                 evaluator.lanes().table(f.stats_lane),
             );
-            results[f.token as usize] = Some((f.outputs, *stats, table.max_consecutive_reuses()));
+            results[f.token as usize] = Some((f.outputs, *stats, entry_bits(net, table)));
         }
     }
     results.into_iter().map(Option::unwrap).collect()
@@ -166,11 +166,8 @@ fn checked_solo_runs<E: Inspect>(
     seqs.iter()
         .map(|s| {
             let (out, e) = checked_run(net, s, make(), policy);
-            (
-                out,
-                *e.lanes().stats(0),
-                e.lanes().table(0).max_consecutive_reuses(),
-            )
+            let entries = entry_bits(net, e.lanes().table(0));
+            (out, *e.lanes().stats(0), entries)
         })
         .collect()
 }
@@ -180,7 +177,11 @@ fn assert_runs_match(what: &str, batched: &[Run], solo: &[Run]) {
     assert_eq!(batched.len(), solo.len(), "{what}");
     for (i, (b, s)) in batched.iter().zip(solo).enumerate() {
         assert_bit_identical(&format!("{what} seq {i}"), &b.0, &s.0);
-        assert_eq!((b.1, b.2), (s.1, s.2), "{what} seq {i}: stats, longest run");
+        assert_eq!(
+            (b.1, &b.2),
+            (s.1, &s.2),
+            "{what} seq {i}: stats, memo entries"
+        );
     }
 }
 

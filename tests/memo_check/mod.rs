@@ -6,17 +6,17 @@
 //! mirrors every `begin_lane_sequence` and `swap_lane_state` into the
 //! reference, and feeds the reference each gate call's own `x_t` and
 //! `h_{t-1}`.  After every call it requires, for every lane of the
-//! call: each neuron's memo entry (`yb_m`, `δb` and run length — a run
-//! above 0 is a hit, so every decision is checked) to match exactly,
+//! call: each neuron's memo entry (`yb_m` and `δb`) to match exactly,
 //! `y_m` and the emitted outputs to sit within `BUDGET_MAX_ABS`, and
-//! every `ReuseStats` and audit count to match exactly.  Values are
+//! every `ReuseStats` and audit count to match exactly (so the lane's
+//! hit count of every call is checked too).  Values are
 //! compared where both are finite; otherwise they must agree on
 //! NaN-ness (and on the infinity).
 // Each suite that includes this module uses part of it.
 #![allow(dead_code)]
 
 use nfm::eval::reference::{MemoCounts, MemoPolicy, MemoReference, BUDGET_MAX_ABS};
-use nfm::memo::{AuditStats, BnnMemoEvaluator, MemoLanes, OracleEvaluator, ReuseStats};
+use nfm::memo::{AuditStats, BnnMemoEvaluator, MemoLanes, MemoTable, OracleEvaluator, ReuseStats};
 use nfm::rnn::{DeepRnn, ExactEvaluator, GateBatch, NeuronEvaluator, Result as RnnResult};
 use nfm::tensor::Vector;
 
@@ -66,6 +66,20 @@ pub fn same(a: f32, b: f32) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
+/// Every memo entry of `table` over `net`'s gates, as bits (`y_m`,
+/// `yb_m`, `δb`), `None` for a dead slot: what a run left in its table.
+pub fn entry_bits(net: &DeepRnn, table: &MemoTable) -> Vec<Option<[u32; 3]>> {
+    net.gates()
+        .into_iter()
+        .flat_map(|(id, gate)| (0..gate.neurons()).map(move |n| (id, n)))
+        .map(|(id, n)| {
+            table.get(id, n).map(|e| {
+                [e.cached_output, e.cached_bnn_output, e.accumulated_delta].map(f32::to_bits)
+            })
+        })
+        .collect()
+}
+
 pub fn counts(stats: &ReuseStats) -> MemoCounts {
     MemoCounts {
         evaluations: stats.evaluations(),
@@ -87,7 +101,7 @@ pub struct Recorder<E> {
     pub what: String,
     /// Gate calls checked.
     pub calls: u64,
-    /// Memo entries seen in a run of reuses after a call.
+    /// Hits the reference counted over the checked calls.
     pub hits: u64,
     /// Non-finite outputs compared.
     pub nonfinite: u64,
@@ -118,6 +132,7 @@ impl<E: Inspect> Recorder<E> {
             "{} call {} {id:?} t={}",
             self.what, self.calls, call.timestep
         );
+        let reuses_before = self.reference.total().reuses;
         for l in 0..call.lanes {
             let want = self.reference.step(
                 l,
@@ -141,13 +156,11 @@ impl<E: Inspect> Recorder<E> {
                 let slot = self.reference.slot(l, id, n).expect("and in the reference");
                 let matches = same(entry.cached_bnn_output, slot.yb_m)
                     && same(entry.accumulated_delta, slot.delta)
-                    && entry.consecutive_reuses == slot.run
                     && close(entry.cached_output, slot.y_m);
                 assert!(
                     matches,
                     "{what} lane {l} neuron {n}: entry {entry:?} vs {slot:?}"
                 );
-                self.hits += u64::from(slot.run > 0);
                 self.nonfinite += u64::from(!got.is_finite());
             }
             let lane = counts(self.inner.lanes().stats(l));
@@ -162,6 +175,7 @@ impl<E: Inspect> Recorder<E> {
             self.reference.total(),
             "{what} totals"
         );
+        self.hits += self.reference.total().reuses - reuses_before;
         if let Some(audits) = self.inner.audits() {
             let (got, want) = (audits.layers(), self.reference.audits());
             for layer in 0..got.len().max(want.len()) {

@@ -10,7 +10,7 @@ mod memo_check;
 use memo_check::{Inspect, Recorder};
 use nfm::bnn::BinaryNetwork;
 use nfm::eval::reference::MemoPolicy;
-use nfm::memo::config::DEFAULT_BNN_EPSILON;
+use nfm::memo::config::{DEFAULT_BNN_EPSILON, DEFAULT_EPSILON};
 use nfm::memo::{AuditConfig, BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, LaneScheduler, NeuronEvaluator};
 use nfm::tensor::rng::DeterministicRng;
@@ -155,12 +155,24 @@ fn oracle_decisions_entries_and_counts_match_the_reference() {
     }
 }
 
+/// Requires every neuron of `net` to hold a live entry with a non-NaN
+/// `δb` in lane 0 of `evaluator`.
+fn assert_no_nan_stored<E: Inspect>(net: &DeepRnn, evaluator: &E, what: &str) {
+    for (id, gate) in net.gates() {
+        for n in 0..gate.neurons() {
+            let entry = evaluator.lanes().table(0).get(id, n).unwrap();
+            assert!(!entry.accumulated_delta.is_nan(), "{what}: NaN stored");
+        }
+    }
+}
+
 /// The decision where the arithmetic degenerates: a zero clamp turns
 /// every neuron whose BNN output sits at 0 into `0 / 0 = NaN` (which
 /// must miss and must never reach the stored `δb`), θ at NaN / negative
-/// / zero / infinite / `f32::MAX`, with and without throttling — over a
-/// 2,000-step constant input, the saturated regime in which a throttled
-/// `δb` accumulates longest.
+/// / zero / infinite / `f32::MAX`, with and without throttling, and the
+/// oracle at the same θ and a zero or default clamp — over a 2,000-step
+/// constant input, the saturated regime in which a throttled `δb`
+/// accumulates longest.
 #[test]
 fn degenerate_thresholds_and_clamps_match_the_reference() {
     let mut rng = DeterministicRng::seed_from_u64(23);
@@ -181,12 +193,7 @@ fn degenerate_thresholds_and_clamps_match_the_reference() {
                 let mut recorder = Recorder::new(evaluator, MemoPolicy::Bnn(config, None), what);
                 net.run(&seq, &mut recorder).unwrap();
                 let (fused, what) = (&recorder.inner, &recorder.what);
-                for (id, gate) in net.gates() {
-                    for n in 0..gate.neurons() {
-                        let entry = fused.lanes().table(0).get(id, n).unwrap();
-                        assert!(!entry.accumulated_delta.is_nan(), "{what}: NaN stored");
-                    }
-                }
+                assert_no_nan_stored(&net, fused, what);
                 if theta == f32::INFINITY {
                     // Every finite or infinite δb' qualifies, so
                     // whatever missed after the cold first step
@@ -198,6 +205,17 @@ fn degenerate_thresholds_and_clamps_match_the_reference() {
                     nan_compares += nan_misses;
                 }
             }
+        }
+        for epsilon in [0.0, DEFAULT_EPSILON] {
+            let config = OracleMemoConfig {
+                threshold: theta,
+                epsilon,
+            };
+            let what = format!("oracle θ={theta} ε₀={epsilon}");
+            let evaluator = OracleEvaluator::new(config);
+            let mut recorder = Recorder::new(evaluator, MemoPolicy::Oracle(config), what);
+            net.run(&seq, &mut recorder).unwrap();
+            assert_no_nan_stored(&net, &recorder.inner, &recorder.what);
         }
     }
     assert!(nan_compares > 0, "no neuron exercised the 0 / 0 compare");

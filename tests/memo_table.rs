@@ -1,7 +1,7 @@
 //! `MemoTable` through its public surface: the per-gate handle API
 //! (`gate_handle`, `entry`, `refresh_at`, `reuse_at`), the whole-gate
-//! column view and the epoch-based clear.  (The epoch wraparound needs
-//! the table's private epoch and is tested inside `nfm-core`.)
+//! column view and the clear.  A slot is live iff its `δb` is not NaN:
+//! new regions and `clear` fill `δb` with NaN, a refresh writes 0.
 
 use nfm::memo::MemoTable;
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, GateId, GateKind};
@@ -21,7 +21,7 @@ fn refresh_and_entry_roundtrip() {
     assert_eq!(t.len(), 1);
     let e = t.entry(h, 3).unwrap();
     assert_eq!((e.cached_output, e.cached_bnn_output), (2.0, 5.0));
-    assert_eq!((e.accumulated_delta, e.consecutive_reuses), (0.0, 0));
+    assert_eq!(e.accumulated_delta, 0.0);
     assert_eq!(t.get(gid(), 3), Some(e), "the keyed lookup reads the slot");
     // Unwritten neurons of the same gate, and neurons past it, are absent.
     assert!(t.entry(h, 0).is_none());
@@ -37,12 +37,13 @@ fn reuse_updates_delta_and_run_and_a_refresh_ends_the_run() {
     assert_eq!(t.reuse_at(h, 0, 0.2), 1.0);
     assert_eq!(t.reuse_at(h, 0, 0.35), 1.0);
     let e = t.entry(h, 0).unwrap();
-    assert_eq!(e.consecutive_reuses, 2);
-    assert_eq!(e.accumulated_delta, 0.35);
-    assert_eq!(t.max_consecutive_reuses(), 2);
+    assert_eq!(
+        (e.cached_output, e.cached_bnn_output, e.accumulated_delta),
+        (1.0, 4.0, 0.35)
+    );
     t.refresh_at(h, 0, 9.0, 9.0);
-    assert_eq!(t.entry(h, 0).unwrap().consecutive_reuses, 0);
-    assert_eq!(t.max_consecutive_reuses(), 2, "the watermark survives");
+    let e = t.entry(h, 0).unwrap();
+    assert_eq!((e.cached_output, e.accumulated_delta), (9.0, 0.0));
 }
 
 #[test]
@@ -54,14 +55,25 @@ fn reuse_without_entry_panics() {
 }
 
 #[test]
+#[should_panic(expected = "NaN δb")]
+fn reuse_with_a_nan_delta_panics() {
+    // A NaN `δb` marks a dead slot, so storing one would silently
+    // drop the entry: no hit stores one (`δb' <= θ` is false for NaN).
+    let mut t = MemoTable::new();
+    let h = t.gate_handle(gid(), 1);
+    t.refresh_at(h, 0, 1.0, 1.0);
+    let _ = t.reuse_at(h, 0, f32::NAN);
+}
+
+#[test]
 #[should_panic(expected = "no memo entry")]
 fn reuse_of_a_stale_entry_after_clear_panics() {
     let mut t = MemoTable::with_gates([(gid(), 2)]);
     let h = t.gate_handle(gid(), 2);
     t.refresh_at(h, 1, 1.0, 1.0);
     t.clear();
-    // The slot still physically holds last epoch's entry; reusing it
-    // without a refresh must be rejected loudly.
+    // The slot still holds the last sequence's `y_m` and `yb_m`;
+    // reusing it without a refresh must be rejected loudly.
     let _ = t.reuse_at(h, 1, 0.0);
 }
 
@@ -73,7 +85,6 @@ fn clear_empties_the_table_and_keeps_its_storage() {
     t.reuse_at(h, 0, 0.1);
     t.clear();
     assert!(t.is_empty());
-    assert_eq!(t.max_consecutive_reuses(), 0);
     assert!(t.entry(h, 0).is_none());
     t.refresh_at(h, 0, 2.0, 2.0);
     assert_eq!(t.entry(h, 0).unwrap().cached_output, 2.0);
@@ -136,18 +147,15 @@ fn gate_columns_are_the_slots_the_handle_api_reads() {
     assert_eq!(cols.cached_output[1], 1.5);
     assert_eq!(cols.cached_bnn_output[1], -2.0);
     assert_eq!(cols.accumulated_delta[1], 0.25);
-    assert_eq!(cols.consecutive_reuses[1], 1);
-    assert_eq!(cols.epochs[1], cols.epoch);
-    assert_ne!(cols.epochs[3], cols.epoch, "never written: dead");
-    // A whole-gate pass revives slot 3 and extends a run.
+    assert!(cols.accumulated_delta[3].is_nan(), "never written: dead");
+    // A whole-gate pass revives slot 3 and refreshes slot 1.
     cols.cached_output[3] = 7.0;
-    cols.consecutive_reuses[3] = 4;
-    cols.epochs[3] = cols.epoch;
-    *cols.max_consecutive_reuses = 4;
-    assert_eq!(t.entry(h, 3).unwrap().cached_output, 7.0);
-    assert_eq!(t.entry(h, 3).unwrap().consecutive_reuses, 4);
+    cols.accumulated_delta[3] = 0.5;
+    cols.accumulated_delta[1] = 0.0;
+    let e = t.entry(h, 3).unwrap();
+    assert_eq!((e.cached_output, e.accumulated_delta), (7.0, 0.5));
+    assert_eq!(t.entry(h, 1).unwrap().accumulated_delta, 0.0);
     assert_eq!(t.len(), 2);
-    assert_eq!(t.max_consecutive_reuses(), 4);
     assert!(
         t.get(other, 0).is_none(),
         "the neighbouring gate is untouched"
@@ -186,13 +194,16 @@ fn interleaved_insert_and_lookup_on_a_freshly_cleared_table() {
     }
     t.clear();
     // A lookup of a not-yet-refreshed neuron must miss even though the
-    // same slot was live last epoch, while freshly inserted neighbours
+    // same slot was live before the clear, while freshly inserted neighbours
     // hit.
     assert!(t.entry(h0, 0).is_none());
     t.refresh_at(h0, 0, 10.0, 10.0);
     assert!(t.entry(h0, 1).is_none(), "stale neighbour must stay dead");
     assert_eq!(t.entry(h0, 0).unwrap().cached_output, 10.0);
-    assert!(t.entry(h1, 0).is_none(), "other gate untouched this epoch");
+    assert!(
+        t.entry(h1, 0).is_none(),
+        "other gate untouched since the clear"
+    );
     t.refresh_at(h1, 3, 30.0, 30.0);
     assert_eq!(t.entry(h1, 3).unwrap().cached_output, 30.0);
     assert!(t.entry(h1, 2).is_none());
@@ -201,5 +212,5 @@ fn interleaved_insert_and_lookup_on_a_freshly_cleared_table() {
     // the pre-clear one.
     assert_eq!(t.reuse_at(h0, 0, 0.5), 10.0);
     let e = t.entry(h0, 0).unwrap();
-    assert_eq!((e.consecutive_reuses, e.accumulated_delta), (1, 0.5));
+    assert_eq!((e.cached_output, e.accumulated_delta), (10.0, 0.5));
 }

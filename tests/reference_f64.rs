@@ -46,13 +46,14 @@ fn to64(v: &[f32]) -> Vec<f64> {
 }
 
 /// One `f32` step of `cell` on one lane from the state `(h, c)` (`c`
-/// unused by a GRU): the start state goes in through
-/// [`BatchState::set_lane`], the hoisted half `W_x·x` through
+/// unused by a GRU): the start state goes in through the one-lane
+/// prefixes of [`BatchState`], the hoisted half `W_x·x` through
 /// `matmul_into` at one lane, as the layer driver hands them over.
 fn f32_step(cell: &Cell, x: &[f32], h: &[f32], c: &[f32]) -> BatchState {
     let hidden = cell.hidden_size();
     let mut state = BatchState::zeros(1, hidden);
-    state.set_lane(0, h, c);
+    state.h_prefix_mut(1).copy_from_slice(h);
+    state.c_prefix_mut(1).copy_from_slice(c);
     let hoisted: Vec<Vec<f32>> = cell
         .gate_kinds()
         .iter()
@@ -84,8 +85,8 @@ fn check_lstm(cell: LstmCell, x: &[f32], h: &[f32], c: &[f32], want_h: &[f64], w
     assert_close(&h_ref, want_h, 1e-12, "reference h_t");
     assert_close(&c_ref, want_c, 1e-12, "reference c_t");
     let next = f32_step(&Cell::Lstm(cell), x, h, c);
-    assert_close(&to64(next.h_lane(0)), want_h, BUDGET_MAX_ABS, "f32 h_t");
-    assert_close(&to64(next.c_lane(0)), want_c, BUDGET_MAX_ABS, "f32 c_t");
+    assert_close(&to64(next.h_prefix(1)), want_h, BUDGET_MAX_ABS, "f32 h_t");
+    assert_close(&to64(next.c_prefix(1)), want_c, BUDGET_MAX_ABS, "f32 c_t");
 }
 
 #[test]
@@ -213,7 +214,7 @@ fn golden_two_neuron_gru_step() {
     let h_ref = gru_step(&cell, &[1.0, -1.0], &[0.5, -0.5]);
     assert_close(&h_ref, &want, 1e-12, "reference h_t");
     let next = f32_step(&Cell::Gru(cell), &[1.0, -1.0], &[0.5, -0.5], &[0.0; 2]);
-    assert_close(&to64(next.h_lane(0)), &want, BUDGET_MAX_ABS, "f32 h_t");
+    assert_close(&to64(next.h_prefix(1)), &want, BUDGET_MAX_ABS, "f32 h_t");
 }
 
 #[test]
