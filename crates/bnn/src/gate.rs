@@ -5,15 +5,7 @@ use crate::popcount::{self, SignBlock, BLOCK_ROWS};
 use crate::{BnnError, Result};
 use nfm_rnn::Gate;
 use nfm_tensor::backend::{self, KernelBackend};
-use nfm_tensor::{arena::ArenaU64, LineBuf};
-
-/// Storage of a gate's sign block: built in memory by
-/// [`BinaryGate::mirror`], or a window of a loaded model arena.
-#[derive(Debug, Clone)]
-enum Block {
-    Owned(LineBuf<u64>),
-    Arena(ArenaU64),
-}
+use nfm_tensor::LineBuf;
 
 /// The binarized mirror of one [`Gate`]: the signs of the forward
 /// (`W_x`) and recurrent (`W_h`) weight rows, packed into **one**
@@ -33,20 +25,12 @@ enum Block {
 /// entries ([`binarize_inputs`](Self::binarize_inputs) and
 /// [`neuron_outputs_batch_into`](Self::neuron_outputs_batch_into)) are a
 /// per-lane adapter onto the same kernel.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinaryGate {
-    block: Block,
+    block: LineBuf<u64>,
     neurons: usize,
     input_size: usize,
     hidden_size: usize,
-}
-
-impl PartialEq for BinaryGate {
-    fn eq(&self, other: &Self) -> bool {
-        (self.neurons, self.input_size, self.hidden_size)
-            == (other.neurons, other.input_size, other.hidden_size)
-            && self.sign_block() == other.sign_block()
-    }
 }
 
 /// `(xw, words)` of a row: the forward signs padded to `xw` whole words,
@@ -96,37 +80,37 @@ impl BinaryGate {
             }
         }
         BinaryGate {
-            block: Block::Owned(block),
+            block,
             neurons,
             input_size,
             hidden_size,
         }
     }
 
-    /// Wraps a sign block a loaded model artifact maps from its arena,
-    /// so the prebuilt mirror is neither re-binarized nor copied.
+    /// Takes a packed sign block (layout in [`popcount`]) as the gate's
+    /// own, as a model load reads it: the prebuilt mirror is neither
+    /// re-binarized nor copied.
     ///
     /// # Errors
     ///
-    /// Returns [`BnnError::LengthMismatch`] if the window is not exactly
+    /// Returns [`BnnError::LengthMismatch`] if `block` is not exactly
     /// the block of this shape, and [`BnnError::NonZeroPadding`] if a
     /// padding bit or padding row is set — the predict kernel does not
     /// mask, so such a block would not predict what a rebuilt mirror
     /// does.
-    pub fn from_arena(
-        view: ArenaU64,
+    pub fn from_sign_block(
+        block: LineBuf<u64>,
         neurons: usize,
         input_size: usize,
         hidden_size: usize,
     ) -> Result<Self> {
         let (xw, words) = row_shape(input_size, hidden_size);
-        if view.len() != block_len(neurons, words) {
+        if block.len() != block_len(neurons, words) {
             return Err(BnnError::LengthMismatch {
-                left: view.len(),
+                left: block.len(),
                 right: block_len(neurons, words),
             });
         }
-        let block = view.as_slice();
         // (one past a segment's last word, bits that word uses; 0 = all)
         let tails = [(xw, input_size % 64), (words, hidden_size % 64)];
         for row in 0..neurons.div_ceil(BLOCK_ROWS) * BLOCK_ROWS {
@@ -143,7 +127,7 @@ impl BinaryGate {
             }
         }
         Ok(BinaryGate {
-            block: Block::Arena(view),
+            block,
             neurons,
             input_size,
             hidden_size,
@@ -153,15 +137,7 @@ impl BinaryGate {
     /// The whole sign block (layout in [`popcount`]), as the
     /// model-artifact writer serializes it.
     pub fn sign_block(&self) -> &[u64] {
-        match &self.block {
-            Block::Owned(v) => v,
-            Block::Arena(a) => a.as_slice(),
-        }
-    }
-
-    /// Returns `true` if the sign block borrows a model arena.
-    pub fn is_arena_backed(&self) -> bool {
-        matches!(self.block, Block::Arena(_))
+        &self.block
     }
 
     /// Number of neurons in the mirrored gate.
@@ -428,21 +404,12 @@ mod tests {
     }
 
     #[test]
-    fn arena_blocks_must_have_the_gate_shape_and_zero_padding() {
-        use nfm_tensor::arena::{ArenaU64, TensorArena};
-        use std::sync::Arc;
+    fn sign_blocks_must_have_the_gate_shape_and_zero_padding() {
         let b = BinaryGate::mirror(&fp_gate(13, 21, 13, 9));
         let load = |words: &[u64], neurons| {
-            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-            let arena = Arc::new(
-                TensorArena::read_exact_from(&mut &bytes[..], bytes.len(), |_| {}).unwrap(),
-            );
-            let view = ArenaU64::new(arena, 0, words.len()).unwrap();
-            BinaryGate::from_arena(view, neurons, 21, 13)
+            BinaryGate::from_sign_block(LineBuf::from(words), neurons, 21, 13)
         };
-        let loaded = load(b.sign_block(), 13).unwrap();
-        assert!(loaded.is_arena_backed() && !b.is_arena_backed());
-        assert_eq!(loaded, b);
+        assert_eq!(load(b.sign_block(), 13).unwrap(), b);
         assert!(matches!(
             load(&b.sign_block()[8..], 13),
             Err(BnnError::LengthMismatch { .. })

@@ -74,7 +74,7 @@ pub enum BnnError {
         /// Length of the right operand.
         right: usize,
     },
-    /// A sign block handed to [`BinaryGate::from_arena`] has a padding
+    /// A sign block handed to [`BinaryGate::from_sign_block`] has a padding
     /// bit or a padding row set.
     NonZeroPadding {
         /// The first offending row of the block.

@@ -8,7 +8,7 @@
 //! [12..16)  flags          u32 (bit 0: head present, bit 1: mirror present)
 //! [16..20)  meta length    u32 (descriptor + tensor table, bytes)
 //! [20..24)  reserved       u32 (zero)
-//! [24..32)  payload length u64 (tensor arena, bytes, 64-byte multiple)
+//! [24..32)  payload length u64 (tensor bytes, 64-byte multiple)
 //! [32..32+meta)            descriptor + tensor table
 //! [..]                     payload: tensor bytes, each tensor 64-byte aligned
 //! [last 8]                 four-lane word hash over meta ++ payload (`Checksum`)
@@ -54,31 +54,36 @@
 //! stored per-row sign words in two tensors per gate; there is no
 //! second reader, a v1 artifact is refused as an unsupported version.
 //!
-//! # Zero-copy load
+//! # One buffer per tensor
 //!
-//! [`load`] reads the payload with **one** bulk read into a single
-//! [`TensorArena`], summing it as it lands, and carves every tensor as
-//! an arena *view* ([`Matrix::from_arena`] etc.) — no per-tensor allocation or copy.
-//! Views are copy-on-write, so the arena is never written after load
-//! and any number of models can share it.
+//! The tensor table is in the meta, which [`load`] reads before the
+//! payload.  From it, `load` plans each record's payload region, from
+//! its offset to the next record's (the last one's to the payload's
+//! end), and reads each region straight into that tensor's own
+//! [`LineBuf`] in chunks of at most 256 KiB, summing each chunk as it
+//! lands.  That read is the one copy a load makes: a weight matrix
+//! takes its buffer as its storage ([`Matrix::from_line_buf`]), a
+//! mirror gate its sign block ([`BinaryGate::from_sign_block`]), so the
+//! payload is never held twice.
 //!
 //! # Robustness
 //!
 //! Loading hostile bytes must never panic: every read is bounds-checked
 //! against declared (and capped) section lengths, every code and count
-//! is range-checked, shape arithmetic is overflow-checked in the arena
-//! view constructors, and the trailing checksum is verified before any
-//! reconstruction happens.
+//! is range-checked, the regions must tile the payload in table order
+//! and each must hold its tensor before anything is allocated for it,
+//! and the trailing checksum is verified before any reconstruction and
+//! before any error the table gives: a table whose regions do not tile
+//! the payload has the payload summed through one scratch chunk, and is
+//! reported once the checksum holds.
 
 use crate::error::{ModelArtifactError, Result};
 use nfm_bnn::{BinaryGate, BinaryNetwork, Model};
 use nfm_rnn::{Cell, CellKind, DeepRnn, Dense, Gate, GateId, GateKind, GruCell, Layer, LstmCell};
 use nfm_tensor::activation::Activation;
-use nfm_tensor::arena::ArenaU64;
-use nfm_tensor::{Matrix, TensorArena, Vector};
+use nfm_tensor::{LineBuf, Matrix, Vector};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::sync::Arc;
 
 /// First eight bytes of every artifact.
 pub const MAGIC: [u8; 8] = *b"NFMMODL\0";
@@ -99,6 +104,10 @@ const MAX_META_BYTES: usize = 1 << 24;
 const MAX_PAYLOAD_BYTES: u64 = 1 << 33;
 const MAX_LAYERS: usize = 1 << 12;
 const MAX_DIM: usize = 1 << 24;
+
+/// The payload is read, and summed, at most this many bytes at a time,
+/// so each chunk is summed while it is still in L2.
+const CHUNK: usize = 256 << 10;
 
 /// Who a tensor belongs to; the discriminant is the record's owner code.
 #[derive(Debug, Clone, Copy)]
@@ -306,18 +315,73 @@ impl Record {
     fn key(&self) -> Key {
         (self.owner, self.layer, self.dir, self.gate_kind)
     }
+}
 
-    /// The arena view this record describes, as `(offset, rows, cols)`,
-    /// once its element kind is `kind` and its shape within the caps.
-    fn view(&self, kind: u8) -> Result<(usize, usize, usize)> {
-        let (rows, cols) = (self.rows as usize, self.cols as usize);
-        let capped = (1..=MAX_DIM).contains(&rows) && (1..=MAX_DIM).contains(&cols);
-        match usize::try_from(self.offset) {
-            Ok(offset) if self.kind == kind && capped => Ok((offset, rows, cols)),
-            _ => Err(malformed(format!(
-                "{self:?} is not a kind-{kind} tensor within the caps"
-            ))),
+/// Each record's payload region in bytes: from its offset to the next
+/// record's, the last one's to `payload_len`.
+///
+/// # Errors
+///
+/// [`ModelArtifactError::Malformed`] unless the regions tile
+/// `[0, payload_len)` in table order on `TENSOR_ALIGN` boundaries and
+/// each holds its tensor: `rows × cols` floats, or as many sign bits.
+fn regions(records: &[Record], payload_len: u64) -> Result<Vec<usize>> {
+    let ends = (records.iter().skip(1))
+        .map(|r| r.offset)
+        .chain([payload_len]);
+    let (mut start, mut regions) = (0, Vec::with_capacity(records.len()));
+    for (r, end) in records.iter().zip(ends) {
+        let caps = 1..=MAX_DIM as u32;
+        let capped = caps.contains(&r.rows) && caps.contains(&r.cols);
+        let width = match r.kind {
+            KIND_F32 => 32,
+            KIND_BITS => 1,
+            _ => 0,
+        };
+        let bits = width * u64::from(r.rows) * u64::from(r.cols);
+        let tiles = r.offset == start && end % TENSOR_ALIGN as u64 == 0;
+        let len = (end.checked_sub(start))
+            .filter(|&len| tiles && capped && bits > 0 && bits.div_ceil(8) <= len)
+            .and_then(|len| usize::try_from(len).ok());
+        let what = || format!("{r:?} does not hold its tensor in {start}..{end}");
+        regions.push(len.ok_or_else(|| malformed(what()))?);
+        start = end;
+    }
+    match start == payload_len {
+        true => Ok(regions),
+        false => Err(malformed(format!("no record holds {start}..{payload_len}"))),
+    }
+}
+
+/// Reads `dst` in chunks of at most `CHUNK` bytes, summing each as it lands.
+fn read_summed(reader: &mut impl Read, dst: &mut [u8], sum: &mut Checksum) -> Result<()> {
+    for chunk in dst.chunks_mut(CHUNK) {
+        read_exact(reader, chunk, "payload")?;
+        sum.update(chunk);
+    }
+    Ok(())
+}
+
+/// A tensor's own buffer, as [`load`] reads its region into it.
+enum Buf {
+    /// `rows × cols` floats; the region's padding is cut off.
+    F32(LineBuf<f32>),
+    /// The whole region: a sign block ends where its region does.
+    Bits(LineBuf<u64>),
+}
+
+impl Buf {
+    /// Reads record `r`'s `bytes`-long region (planned by `regions`).
+    fn read(reader: &mut impl Read, r: &Record, bytes: usize, sum: &mut Checksum) -> Result<Self> {
+        if r.kind == KIND_BITS {
+            let mut words = LineBuf::zeros(bytes / 8);
+            read_summed(reader, words.as_bytes_mut(), sum)?;
+            return Ok(Buf::Bits(words));
         }
+        let mut values = LineBuf::zeros(bytes / 4);
+        read_summed(reader, values.as_bytes_mut(), sum)?;
+        values.resize(r.rows as usize * r.cols as usize);
+        Ok(Buf::F32(values))
     }
 }
 
@@ -424,8 +488,7 @@ fn canonical<'a>(network: &'a DeepRnn, mirror: Option<&'a BinaryNetwork>) -> Res
         // A sign block has no activation; its activation code is 0.
         push(Owner::Mirror, Some(id), 0, signs(bg))?;
     }
-    // The payload ends on a TENSOR_ALIGN boundary (a whole number of
-    // arena words).
+    // The payload ends on a TENSOR_ALIGN boundary, as every region does.
     layout.payload_len = layout.payload_len.next_multiple_of(TENSOR_ALIGN as u64);
     Ok(layout)
 }
@@ -513,25 +576,14 @@ pub fn save(
     Ok((PRELUDE_LEN + meta.len() + payload.len() + 8) as u64)
 }
 
-/// A model loaded from an artifact: the reconstructed network, its
-/// optional binary mirror, and the single arena every tensor of both
-/// views into.
+/// A model loaded from an artifact: the reconstructed network and its
+/// optional binary mirror, each tensor in the buffer `load` read it into.
 #[derive(Debug, Clone)]
 pub struct LoadedModel {
-    /// The reconstructed network; every weight matrix/vector is an
-    /// arena view (copy-on-write — reading never copies).
+    /// The reconstructed network.
     pub network: DeepRnn,
     /// The binary mirror, when the artifact carried one.
     pub mirror: Option<BinaryNetwork>,
-    /// The shared arena holding all tensor bytes.
-    pub arena: Arc<TensorArena>,
-}
-
-impl LoadedModel {
-    /// Total tensor bytes held by the shared arena.
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.len_bytes()
-    }
 }
 
 /// A loaded artifact as a servable model version: the mirror the
@@ -542,36 +594,26 @@ impl From<LoadedModel> for Model {
     }
 }
 
-/// Maps the sign block of gate `id` (module docs) as a zero-copy view.
-/// `end` is where the block must end: the next tensor's offset, or the
-/// payload's length.
-fn arena_sign_block(
-    arena: &Arc<TensorArena>,
-    r: &Record,
-    (id, gate): (GateId, &Gate),
-    end: u64,
-) -> Result<BinaryGate> {
+/// The sign block of gate `id` (module docs): record `r`'s whole region.
+fn sign_block(r: &Record, block: Buf, (id, gate): (GateId, &Gate)) -> Result<BinaryGate> {
     let malformed = |what: String| malformed(format!("mirror of {id:?}: {what}"));
-    let (offset, rows, cols) = r.view(KIND_BITS)?;
+    let Buf::Bits(block) = block else {
+        return Err(malformed(format!("{r:?} is not a sign tensor")));
+    };
+    let (rows, cols) = (r.rows as usize, r.cols as usize);
     let (neurons, isz, hsz) = (gate.neurons(), gate.input_size(), gate.hidden_size());
     if (rows, cols) != (neurons, isz + hsz) {
         return Err(malformed(format!(
             "shape {rows}x{cols} differs from its gate's {neurons}x({isz}+{hsz})"
         )));
     }
-    let extent = end
-        .checked_sub(r.offset)
-        .filter(|bytes| bytes % 8 == 0)
-        .and_then(|bytes| usize::try_from(bytes / 8).ok())
-        .ok_or_else(|| malformed(format!("block at {} does not end at {end}", r.offset)))?;
-    let view = ArenaU64::new(arena.clone(), offset, extent)?;
-    BinaryGate::from_arena(view, neurons, isz, hsz)
+    BinaryGate::from_sign_block(block, neurons, isz, hsz)
         .map_err(|e| malformed(format!("sign block: {e}")))
 }
 
 /// Reads one artifact, verifying magic, version, declared lengths and
 /// the trailing checksum, then reconstructs the network (and mirror, if
-/// present) as zero-copy views into one shared [`TensorArena`].
+/// present), each tensor in the buffer its payload region was read into.
 ///
 /// # Errors
 ///
@@ -617,10 +659,26 @@ pub fn load(reader: &mut impl Read) -> Result<LoadedModel> {
 
     let mut meta = vec![0u8; meta_len];
     read_exact(reader, &mut meta, "meta section")?;
-    // The single bulk read: all tensor bytes land in one arena, summed as they land.
+    let (descriptor, table) = meta.split_at(DESCRIPTOR_LEN);
+    let records: Vec<Record> = table.chunks_exact(RECORD_LEN).map(Record::parse).collect();
+    // Each region lands in its tensor's own buffer, summed as it lands.  A
+    // table that does not tile the payload has it summed through one
+    // scratch chunk, and is reported only once the checksum holds.
     let mut sum = Checksum::new(&meta);
-    let arena = TensorArena::read_exact_from(reader, payload_len as usize, |c| sum.update(c));
-    let arena = Arc::new(arena.map_err(truncated("payload"))?);
+    let planned = regions(&records, payload_len);
+    let tensors = match &planned {
+        Ok(regions) => (records.iter().zip(regions))
+            .map(|(r, &bytes)| Ok(Some(Buf::read(reader, r, bytes, &mut sum)?).into()))
+            .collect::<Result<Vec<std::cell::Cell<_>>>>()?,
+        Err(_) => {
+            let len = payload_len as usize;
+            let mut scratch = vec![0u8; CHUNK.min(len)];
+            for at in (0..len).step_by(CHUNK) {
+                read_summed(reader, &mut scratch[..CHUNK.min(len - at)], &mut sum)?;
+            }
+            Vec::new()
+        }
+    };
     let mut stored = [0u8; 8];
     read_exact(reader, &mut stored, "checksum")?;
     let stored = u64::from_le_bytes(stored);
@@ -628,8 +686,8 @@ pub fn load(reader: &mut impl Read) -> Result<LoadedModel> {
     if stored != computed {
         return Err(ModelArtifactError::ChecksumMismatch { stored, computed });
     }
+    planned?;
 
-    let (descriptor, table) = meta.split_at(DESCRIPTOR_LEN);
     let descriptor = Descriptor::parse(descriptor);
     let cell = decode(&CELLS, descriptor.cell, "cell kind")?;
     let bidirectional = decode(&BOOLS, descriptor.bidirectional, "direction")?;
@@ -652,7 +710,6 @@ pub fn load(reader: &mut impl Read) -> Result<LoadedModel> {
             descriptor.records
         )));
     }
-    let records: Vec<Record> = table.chunks_exact(RECORD_LEN).map(Record::parse).collect();
     if records.iter().any(|r| r.pad != 0) {
         return Err(malformed("non-zero record padding"));
     }
@@ -665,14 +722,21 @@ pub fn load(reader: &mut impl Read) -> Result<LoadedModel> {
     let need = |owner, at| {
         find(owner, at).ok_or_else(|| malformed(format!("no {owner:?} record for {at:?}")))
     };
+    // Each record is looked up by its own key, so taken at most once.
+    let take = |i: usize| {
+        (tensors[i].take()).ok_or_else(|| malformed(format!("record {i} is taken twice")))
+    };
+    let f32s_at = |i: usize| match take(i)? {
+        Buf::F32(values) => Ok(values),
+        Buf::Bits(_) => Err(malformed(format!("{:?} is not an f32 tensor", records[i]))),
+    };
     let matrix_at = |i: usize| -> Result<Matrix> {
-        let (offset, rows, cols) = records[i].view(KIND_F32)?;
-        Ok(Matrix::from_arena(arena.clone(), offset, rows, cols)?)
+        let r = &records[i];
+        Matrix::from_line_buf(r.rows as usize, r.cols as usize, f32s_at(i)?)
+            .map_err(|e| malformed(format!("{r:?}: {e}")))
     };
-    let vector_at = |i: usize| -> Result<Vector> {
-        let (offset, rows, _) = records[i].view(KIND_F32)?;
-        Ok(Vector::from_arena(arena.clone(), offset, rows)?)
-    };
+    let vector_at =
+        |i: usize| -> Result<Vector> { Ok(Vector::from(&f32s_at(i)?[..records[i].rows as usize])) };
     let kinds: &[GateKind] = match cell {
         CellKind::Lstm => &GateKind::LSTM,
         CellKind::Gru => &GateKind::GRU,
@@ -710,8 +774,7 @@ pub fn load(reader: &mut impl Read) -> Result<LoadedModel> {
     let mirror = has_mirror.then(|| {
         let gates = network.gates().into_iter().map(|(id, gate)| -> Result<_> {
             let i = need(Owner::Mirror, Some(id))?;
-            let end = records.get(i + 1).map_or(payload_len, |next| next.offset);
-            Ok((id, arena_sign_block(&arena, &records[i], (id, gate), end)?))
+            Ok((id, sign_block(&records[i], take(i)?, (id, gate))?))
         });
         gates.collect::<Result<_>>().map(BinaryNetwork::from_gates)
     });
@@ -730,11 +793,7 @@ pub fn load(reader: &mut impl Read) -> Result<LoadedModel> {
             "payload of {payload_len} bytes, canonically {canonical}"
         )));
     }
-    Ok(LoadedModel {
-        network,
-        mirror,
-        arena,
-    })
+    Ok(LoadedModel { network, mirror })
 }
 
 /// Serializes to an in-memory byte buffer (tests, network transport).

@@ -41,9 +41,6 @@ pub enum ModelArtifactError {
         /// What was wrong.
         what: String,
     },
-    /// A tensor view could not be carved from the arena (bad offset,
-    /// misalignment, out-of-range length).
-    Tensor(nfm_tensor::TensorError),
     /// Network reconstruction rejected the decoded tensors.
     Rnn(nfm_rnn::RnnError),
 }
@@ -68,7 +65,6 @@ impl fmt::Display for ModelArtifactError {
                 "artifact checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
             ModelArtifactError::Malformed { what } => write!(f, "malformed artifact: {what}"),
-            ModelArtifactError::Tensor(e) => write!(f, "artifact tensor view: {e}"),
             ModelArtifactError::Rnn(e) => write!(f, "artifact network rebuild: {e}"),
         }
     }
@@ -78,7 +74,6 @@ impl std::error::Error for ModelArtifactError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ModelArtifactError::Io(e) => Some(e),
-            ModelArtifactError::Tensor(e) => Some(e),
             ModelArtifactError::Rnn(e) => Some(e),
             _ => None,
         }
@@ -88,12 +83,6 @@ impl std::error::Error for ModelArtifactError {
 impl From<std::io::Error> for ModelArtifactError {
     fn from(e: std::io::Error) -> Self {
         ModelArtifactError::Io(e)
-    }
-}
-
-impl From<nfm_tensor::TensorError> for ModelArtifactError {
-    fn from(e: nfm_tensor::TensorError) -> Self {
-        ModelArtifactError::Tensor(e)
     }
 }
 

@@ -1,7 +1,6 @@
 //! # nfm-model
 //!
-//! Versioned, zero-copy model artifacts for the fuzzy-memoization
-//! serving stack.
+//! Versioned model artifacts for the fuzzy-memoization serving stack.
 //!
 //! A model artifact packages a trained [`nfm_rnn::DeepRnn`] — and
 //! optionally its prebuilt [`nfm_bnn::BinaryNetwork`] sign mirror — as
@@ -10,13 +9,13 @@
 //! aligned offsets, the raw tensor bytes, and a trailing four-lane word
 //! hash (format version 3).  See [`artifact`] for the exact layout.
 //!
-//! Loading performs **one** bulk read into a single
-//! [`nfm_tensor::TensorArena`] and reconstructs every weight matrix,
-//! bias vector and mirror sign block as a *view* into that arena — no
-//! per-tensor allocation or copy, so registering a model version in
-//! a serving process costs one read plus view bookkeeping regardless of
-//! tensor count.  Corrupt or hostile bytes surface as typed
-//! [`ModelArtifactError`]s; loading never panics.
+//! Loading reads each tensor's payload region straight into a
+//! line-aligned buffer of its own ([`nfm_tensor::LineBuf`]), which the
+//! weight matrix or mirror sign block then keeps as its storage: one
+//! copy from the reader, and the payload is never held twice.  Corrupt
+//! or hostile bytes surface as typed [`ModelArtifactError`]s, the
+//! checksum before anything the tensor table says; loading never
+//! panics.
 //!
 //! ```
 //! use nfm_model::{load_from_slice, save_to_vec};

@@ -3,18 +3,16 @@
 //! The serving stack loads artifacts from the network; any byte
 //! sequence must either reconstruct the exact saved model or fail with
 //! a typed error.  These tests pin (1) bitwise round-trip fidelity for
-//! every structural variant, (2) the zero-copy contract (every loaded
-//! tensor is an arena view, filled by one chunked bulk read), and (3)
-//! never-panic behavior under truncation, single-byte corruption and
-//! pure garbage.
+//! every structural variant, (2) the chunked load (each tensor's
+//! region read into its own buffer, bit-identical on both sides of a
+//! chunk boundary), and (3) never-panic behavior under truncation,
+//! single-byte corruption, tampered tables and pure garbage.
 
 use nfm_bnn::BinaryNetwork;
-use nfm_model::{load_from_slice, save_to_vec, ModelArtifactError, FORMAT_VERSION, TENSOR_ALIGN};
+use nfm_model::{load_from_slice, save_to_vec, ModelArtifactError, FORMAT_VERSION};
 use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator};
-use nfm_tensor::arena::{ArenaF32, ArenaU64};
 use nfm_tensor::rng::DeterministicRng;
-use nfm_tensor::{TensorArena, Vector};
-use std::sync::Arc;
+use nfm_tensor::Vector;
 
 fn networks() -> Vec<(&'static str, DeepRnn)> {
     let mut rng = DeterministicRng::seed_from_u64(42);
@@ -193,31 +191,6 @@ fn round_trip_without_mirror() {
 }
 
 #[test]
-fn loaded_tensors_are_zero_copy_arena_views() {
-    let (_, net) = networks().remove(0);
-    let mirror = BinaryNetwork::mirror(&net);
-    let bytes = save_to_vec(&net, Some(&mirror)).unwrap();
-    let loaded = load_from_slice(&bytes).unwrap();
-    assert!(loaded.arena_bytes() > 0);
-    assert_eq!(loaded.arena_bytes() % TENSOR_ALIGN, 0);
-    for (id, gate) in loaded.network.gates() {
-        assert!(gate.wx().is_arena_backed(), "{id:?} wx owned, not a view");
-        assert!(gate.wh().is_arena_backed(), "{id:?} wh owned, not a view");
-        assert!(gate.bias().is_arena_backed(), "{id:?} bias owned");
-        if let Some(p) = gate.peephole() {
-            assert!(p.is_arena_backed(), "{id:?} peephole owned");
-        }
-    }
-    let head = loaded.network.head().expect("config has a head");
-    assert!(head.weights().is_arena_backed());
-    assert!(head.bias().is_arena_backed());
-    let mirror = loaded.mirror.expect("saved with mirror");
-    for (id, bg) in mirror.iter() {
-        assert!(bg.is_arena_backed(), "{id:?} sign block owned, not a view");
-    }
-}
-
-#[test]
 fn save_load_save_is_byte_identical_and_the_loaded_mirror_is_a_rebuilt_one() {
     for (name, net) in networks() {
         let bytes = save_to_vec(&net, Some(&BinaryNetwork::mirror(&net))).unwrap();
@@ -359,6 +332,13 @@ fn tampered_tables_are_malformed() {
         t.bytes[count].copy_from_slice(&fixed.to_le_bytes());
     }
     t.load();
+    // The first gate's wx grown from 9 to 10 rows: 200 bytes of floats
+    // overflow its 192-byte region.
+    let mut t = Tampered::new();
+    let rows = Tampered::record(0).start + 8;
+    assert_eq!(t.bytes[rows..rows + 4], 9u32.to_le_bytes());
+    t.bytes[rows..rows + 4].copy_from_slice(&10u32.to_le_bytes());
+    assert!(t.load().contains("does not hold its tensor"));
 }
 
 /// The bytes `save` writes, pinned: for every `networks()` artifact,
@@ -526,6 +506,13 @@ fn payload_corruption_is_caught_by_checksum() {
     let mut corrupt = bytes.clone();
     corrupt[32 + 12] ^= 0x01;
     damaged.push(("one meta bit", corrupt));
+    // One bit of record 1's offset: the table no longer tiles the
+    // payload, and the sum is still checked before the table is judged.
+    for bit in [0, 3, 6] {
+        let mut corrupt = bytes.clone();
+        corrupt[Tampered::record(1).start + 16] ^= 1 << bit;
+        damaged.push(("one bit of a record offset", corrupt));
+    }
     for (what, corrupt) in damaged {
         match load_from_slice(&corrupt) {
             Err(ModelArtifactError::ChecksumMismatch { .. }) => {}
@@ -584,41 +571,27 @@ fn wrong_magic_and_version_are_typed() {
     }
 }
 
-#[test]
-fn copy_on_write_leaves_shared_arena_untouched() {
-    let (_, net) = networks().remove(0);
-    let bytes = save_to_vec(&net, None).unwrap();
-    let a = load_from_slice(&bytes).unwrap();
-    let b = load_from_slice(&bytes).unwrap();
-    // Two independent loads agree; mutating a clone of one model's
-    // tensor must not affect the other (copy-on-write detaches).
-    let mut cloned = a.network.clone();
-    let _ = &mut cloned; // mutation path exercised via clone + drop
-    assert_eq!(a.network, b.network);
-}
-
-/// `TensorArena::read_exact_from`'s chunk, and payload lengths at and
-/// around its boundaries.
+/// The most `load` reads (and sums) at once, and lengths at and around
+/// its boundaries.
 const CHUNK: usize = 256 << 10;
 const BOUNDARIES: [usize; 6] = [0, 64, CHUNK - 64, CHUNK, CHUNK + 64, 3 * CHUNK + 64];
 
 #[test]
 fn chunked_reads_hand_on_every_byte_once_in_order() {
-    for len in BOUNDARIES {
-        let bytes: Vec<u8> = (0..len).map(|i| (i ^ (i >> 8)) as u8).collect();
-        let (mut seen, mut chunks) = (Vec::new(), Vec::new());
-        let arena = TensorArena::read_exact_from(&mut &bytes[..], len, |chunk| {
-            seen.extend_from_slice(chunk);
-            chunks.push(chunk.len());
-        })
-        .unwrap();
-        assert_eq!(arena.as_bytes(), &bytes[..], "{len}: arena");
-        assert_eq!(seen, bytes, "{len}: bytes handed on");
-        assert_eq!(chunks.len(), len.div_ceil(CHUNK), "{len}: {chunks:?}");
-        assert!(
-            chunks.iter().rev().skip(1).all(|&n| n == CHUNK),
-            "{len}: {chunks:?}"
-        );
+    // A 16-neuron gate's `W_x` is 64 bytes an input, so the first tensor's
+    // region, from 0, ends one line short of a chunk, on one, one line
+    // past it, and one line past three.
+    let mut rng = DeterministicRng::seed_from_u64(6);
+    for len in BOUNDARIES[2..].iter().copied() {
+        let config = DeepRnnConfig::new(CellKind::Gru, len / 64, 16);
+        let net = DeepRnn::random(&config, &mut rng).unwrap();
+        let bytes = save_to_vec(&net, Some(&BinaryNetwork::mirror(&net))).unwrap();
+        let wh_offset = &bytes[Tampered::record(1)][16..];
+        assert_eq!(wh_offset, (len as u64).to_le_bytes(), "{len}: W_x region");
+        let loaded = load_from_slice(&bytes).unwrap();
+        assert_eq!(loaded.network, net, "{len}");
+        let again = save_to_vec(&loaded.network, loaded.mirror.as_ref()).unwrap();
+        assert!(again == bytes, "{len}: the load is not bit-identical");
     }
 }
 
@@ -637,41 +610,4 @@ fn a_payload_cut_at_a_chunk_boundary_is_truncated() {
             other => panic!("payload cut at {cut}: {other:?}"),
         }
     }
-}
-
-fn arena_of_f32s(values: &[f32]) -> Arc<TensorArena> {
-    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-    Arc::new(TensorArena::read_exact_from(&mut &bytes[..], bytes.len(), |_| {}).unwrap())
-}
-
-#[test]
-fn read_exact_from_consumes_reader() {
-    let bytes: Vec<u8> = (0..24).collect();
-    let mut cursor = std::io::Cursor::new(bytes.clone());
-    let arena = TensorArena::read_exact_from(&mut cursor, 24, |_| {}).unwrap();
-    assert_eq!(arena.as_bytes(), &bytes[..]);
-    let mut short = std::io::Cursor::new(vec![0u8; 3]);
-    assert!(TensorArena::read_exact_from(&mut short, 24, |_| {}).is_err());
-}
-
-#[test]
-fn views_share_the_arena() {
-    let arena = arena_of_f32s(&[0.0; 16]);
-    let a = ArenaF32::new(arena.clone(), 0, 8).unwrap();
-    let b = a.clone();
-    assert_eq!(a.as_slice().len(), b.as_slice().len());
-    assert!(ArenaF32::new(arena.clone(), 60, 8).is_err());
-    let w = ArenaU64::new(arena, 0, 8).unwrap();
-    assert_eq!(w.as_slice(), &[0u64; 8]);
-}
-
-#[test]
-fn out_of_range_and_misaligned_views_error() {
-    let arena = arena_of_f32s(&[1.0, 2.0]);
-    assert!(arena.f32s(0, 3).is_err());
-    assert!(arena.f32s(1, 1).is_err());
-    assert!(arena.u64s(4, 1).is_err());
-    assert!(arena.u64s(0, 2).is_err());
-    assert!(arena.f32s(usize::MAX, 1).is_err());
-    assert!(arena.f32s(0, usize::MAX).is_err());
 }

@@ -26,7 +26,6 @@
 //! ```
 
 pub mod activation;
-pub mod arena;
 pub mod backend;
 pub mod error;
 pub mod init;
@@ -37,7 +36,6 @@ pub mod rng;
 pub mod stats;
 pub mod vector;
 
-pub use arena::{ArenaF32, ArenaU64, TensorArena};
 pub use backend::KernelBackend;
 pub use error::TensorError;
 pub use line::LineBuf;

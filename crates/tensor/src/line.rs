@@ -60,6 +60,14 @@ impl<T: Element> LineBuf<T> {
             self.len = len;
         }
     }
+
+    /// The elements' bytes, in memory order, to read into.
+    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
+        let bytes = std::mem::size_of_val::<[T]>(self);
+        // SAFETY: the elements' own bytes, which `&mut self` makes unique;
+        // a `u8` needs no alignment, and any bytes written are a `T`.
+        unsafe { std::slice::from_raw_parts_mut(self.as_mut_ptr().cast(), bytes) }
+    }
 }
 
 impl<T: Element> Deref for LineBuf<T> {
@@ -150,6 +158,18 @@ mod tests {
         assert!(buf.is_empty());
         buf.resize(2);
         assert_eq!(*buf, [0.0, 0.0]);
+    }
+
+    #[test]
+    fn the_byte_view_covers_every_element_in_memory_order() {
+        let mut words = LineBuf::<u64>::zeros(2);
+        assert_eq!(words.as_bytes_mut().len(), 16);
+        words.as_bytes_mut()[8..].copy_from_slice(&7u64.to_ne_bytes());
+        assert_eq!(*words, [0, 7]);
+        let mut floats = LineBuf::<f32>::zeros(3);
+        floats.as_bytes_mut()[4..8].copy_from_slice(&1.5f32.to_ne_bytes());
+        assert_eq!(*floats, [0.0, 1.5, 0.0]);
+        assert!(LineBuf::<u8>::zeros(0).as_bytes_mut().is_empty());
     }
 
     #[test]

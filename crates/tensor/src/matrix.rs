@@ -1,43 +1,9 @@
 //! Row-major dense `f32` matrix used for gate weight storage.
 
-use crate::arena::{ArenaF32, TensorArena};
 use crate::error::TensorError;
 use crate::line::LineBuf;
 use crate::vector::{dot, Vector};
 use crate::Result;
-use std::sync::Arc;
-
-/// Backing storage of a tensor: an owned buffer `B` (a matrix's is a
-/// [`LineBuf`], so its rows start on a line as arena rows do) or a
-/// borrowed window of a shared model arena, converted to owned storage
-/// on first mutation (copy-on-write), never written through.
-#[derive(Debug, Clone)]
-pub(crate) enum Store<B = Vec<f32>> {
-    /// Plain owned storage (the default for constructed tensors).
-    Owned(B),
-    /// Borrowed view of a loaded model artifact's arena.
-    Arena(ArenaF32),
-}
-
-impl<B: std::ops::DerefMut<Target = [f32]> + for<'a> From<&'a [f32]>> Store<B> {
-    pub(crate) fn as_slice(&self) -> &[f32] {
-        match self {
-            Store::Owned(v) => v,
-            Store::Arena(a) => a.as_slice(),
-        }
-    }
-
-    /// Copy-on-write access: arena-backed storage is copied out once.
-    pub(crate) fn make_mut(&mut self) -> &mut B {
-        if let Store::Arena(a) = self {
-            *self = Store::Owned(B::from(a.as_slice()));
-        }
-        match self {
-            Store::Owned(v) => v,
-            Store::Arena(_) => unreachable!("converted above"),
-        }
-    }
-}
 
 /// A dense, row-major matrix of `f32` values.
 ///
@@ -56,17 +22,11 @@ impl<B: std::ops::DerefMut<Target = [f32]> + for<'a> From<&'a [f32]>> Store<B> {
 /// let x = Vector::from(vec![3.0, 4.0]);
 /// assert_eq!(m.matvec(&x).unwrap().as_slice(), &[3.0, 4.0]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Store<LineBuf<f32>>,
-}
-
-impl PartialEq for Matrix {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows && self.cols == other.cols && self.as_slice() == other.as_slice()
-    }
+    data: LineBuf<f32>,
 }
 
 impl Matrix {
@@ -75,40 +35,8 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: Store::Owned(LineBuf::zeros(rows * cols)),
+            data: LineBuf::zeros(rows * cols),
         }
-    }
-
-    /// Creates a matrix whose storage is a borrowed window of a shared
-    /// model arena — no per-tensor allocation or copy.  Mutating methods
-    /// fall back to copy-on-write.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidParameter`] if the window is
-    /// misaligned or escapes the arena.
-    pub fn from_arena(
-        arena: Arc<TensorArena>,
-        byte_offset: usize,
-        rows: usize,
-        cols: usize,
-    ) -> Result<Self> {
-        let len = rows
-            .checked_mul(cols)
-            .ok_or(TensorError::InvalidParameter {
-                what: "matrix element count overflows",
-            })?;
-        Ok(Matrix {
-            rows,
-            cols,
-            data: Store::Arena(ArenaF32::new(arena, byte_offset, len)?),
-        })
-    }
-
-    /// Returns `true` if the matrix borrows a model arena (used by the
-    /// zero-copy load tests; hot paths never need to ask).
-    pub fn is_arena_backed(&self) -> bool {
-        matches!(self.data, Store::Arena(_))
     }
 
     /// Builds a matrix by evaluating `f(row, col)` for every element.
@@ -119,11 +47,7 @@ impl Matrix {
                 data[r * cols + c] = f(r, c);
             }
         }
-        Matrix {
-            rows,
-            cols,
-            data: Store::Owned(data),
-        }
+        Matrix { rows, cols, data }
     }
 
     /// Builds a matrix from a list of equal-length rows.
@@ -152,7 +76,7 @@ impl Matrix {
         Ok(Matrix {
             rows: rows.len(),
             cols,
-            data: Store::Owned(data),
+            data,
         })
     }
 
@@ -162,16 +86,22 @@ impl Matrix {
     ///
     /// Returns [`TensorError::InvalidParameter`] if `data.len() != rows * cols`.
     pub fn from_flat(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self> {
-        if data.len() != rows * cols {
+        Self::from_line_buf(rows, cols, LineBuf::from(&data[..]))
+    }
+
+    /// Takes a flat row-major buffer as the matrix's storage, with no
+    /// copy: how a model load hands over each weight tensor it read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidParameter`] if `data.len() != rows * cols`.
+    pub fn from_line_buf(rows: usize, cols: usize, data: LineBuf<f32>) -> Result<Self> {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(TensorError::InvalidParameter {
                 what: "flat buffer length must equal rows * cols",
             });
         }
-        Ok(Matrix {
-            rows,
-            cols,
-            data: Store::Owned(LineBuf::from(&data[..])),
-        })
+        Ok(Matrix { rows, cols, data })
     }
 
     /// Number of rows.
@@ -196,7 +126,7 @@ impl Matrix {
     /// Panics if `r >= self.rows()`.
     pub fn row(&self, r: usize) -> &[f32] {
         assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
-        &self.data.as_slice()[r * self.cols..(r + 1) * self.cols]
+        &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutably borrows row `r` as a slice.
@@ -207,7 +137,7 @@ impl Matrix {
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
         let cols = self.cols;
-        &mut self.data.make_mut()[r * cols..(r + 1) * cols]
+        &mut self.data[r * cols..(r + 1) * cols]
     }
 
     /// Returns element `(r, c)`.
@@ -217,7 +147,7 @@ impl Matrix {
     /// Panics if the indices are out of bounds.
     pub fn get(&self, r: usize, c: usize) -> f32 {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
-        self.data.as_slice()[r * self.cols + c]
+        self.data[r * self.cols + c]
     }
 
     /// Sets element `(r, c)` to `value`.
@@ -228,12 +158,12 @@ impl Matrix {
     pub fn set(&mut self, r: usize, c: usize, value: f32) {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         let idx = r * self.cols + c;
-        self.data.make_mut()[idx] = value;
+        self.data[idx] = value;
     }
 
     /// Borrows the flat row-major storage.
     pub fn as_slice(&self) -> &[f32] {
-        self.data.as_slice()
+        &self.data
     }
 
     /// Matrix-vector product `self * x`.
@@ -315,6 +245,10 @@ mod tests {
     fn from_flat_checks_length() {
         assert!(Matrix::from_flat(2, 2, vec![1.0; 4]).is_ok());
         assert!(Matrix::from_flat(2, 2, vec![1.0; 3]).is_err());
+        let m = Matrix::from_line_buf(2, 3, LineBuf::from(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0][..]));
+        assert_eq!(m.unwrap().row(1), &[4.0, 5.0, 6.0]);
+        assert!(Matrix::from_line_buf(3, 3, LineBuf::zeros(6)).is_err());
+        assert!(Matrix::from_line_buf(usize::MAX, 2, LineBuf::zeros(6)).is_err());
     }
 
     #[test]

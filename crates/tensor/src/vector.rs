@@ -1,10 +1,7 @@
 //! Owned, dimension-checked `f32` vector.
 
-use crate::arena::TensorArena;
 use crate::error::TensorError;
-use crate::matrix::Store;
 use crate::Result;
-use std::sync::Arc;
 
 /// A dense, owned vector of `f32` values.
 ///
@@ -21,99 +18,63 @@ use std::sync::Arc;
 /// let b = Vector::from(vec![4.0, 5.0, 6.0]);
 /// assert_eq!(a.dot(&b).unwrap(), 32.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Vector {
-    data: Store,
-}
-
-impl Default for Vector {
-    fn default() -> Self {
-        Vector {
-            data: Store::Owned(Vec::new()),
-        }
-    }
-}
-
-impl PartialEq for Vector {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
+    data: Vec<f32>,
 }
 
 impl Vector {
     /// Creates a zero vector of the given length.
     pub fn zeros(len: usize) -> Self {
         Vector {
-            data: Store::Owned(vec![0.0; len]),
+            data: vec![0.0; len],
         }
-    }
-
-    /// Creates a vector whose storage is a borrowed window of a shared
-    /// model arena — no per-tensor allocation or copy.  Mutating methods
-    /// fall back to copy-on-write.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidParameter`] if the window is
-    /// misaligned or escapes the arena.
-    pub fn from_arena(arena: Arc<TensorArena>, byte_offset: usize, len: usize) -> Result<Self> {
-        Ok(Vector {
-            data: Store::Arena(crate::arena::ArenaF32::new(arena, byte_offset, len)?),
-        })
-    }
-
-    /// Returns `true` if the vector borrows a model arena.
-    pub fn is_arena_backed(&self) -> bool {
-        matches!(self.data, Store::Arena(_))
     }
 
     /// Creates a vector filled with `value`.
     pub fn filled(len: usize, value: f32) -> Self {
         Vector {
-            data: Store::Owned(vec![value; len]),
+            data: vec![value; len],
         }
     }
 
     /// Builds a vector by evaluating `f` at each index.
     pub fn from_fn(len: usize, f: impl FnMut(usize) -> f32) -> Self {
         Vector {
-            data: Store::Owned((0..len).map(f).collect()),
+            data: (0..len).map(f).collect(),
         }
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        self.data.len()
     }
 
     /// Returns `true` if the vector has no elements.
     pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
+        self.data.is_empty()
     }
 
     /// Borrow the underlying slice.
     pub fn as_slice(&self) -> &[f32] {
-        self.data.as_slice()
+        &self.data
     }
 
     /// Mutably borrow the underlying slice.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        self.data.make_mut()
+        &mut self.data
     }
 
     /// Consumes the vector, returning the underlying storage.
     pub fn into_inner(self) -> Vec<f32> {
-        match self.data {
-            Store::Owned(v) => v,
-            Store::Arena(a) => a.as_slice().to_vec(),
-        }
+        self.data
     }
 
     /// Resizes the vector in place, filling any new elements with
     /// `value`.  Used by the allocation-free stepping paths to make a
     /// reused state buffer match a cell's width.
     pub fn resize(&mut self, len: usize, value: f32) {
-        self.data.make_mut().resize(len, value);
+        self.data.resize(len, value);
     }
 
     /// Iterate over elements by value.
@@ -132,7 +93,7 @@ impl Vector {
     ///
     /// Panics if `i` is out of bounds.
     pub fn set(&mut self, i: usize, value: f32) {
-        self.data.make_mut()[i] = value;
+        self.data[i] = value;
     }
 
     /// Dot product with another vector.
@@ -165,14 +126,14 @@ impl Vector {
     /// Returns a new vector scaled by `k`.
     pub fn scale(&self, k: f32) -> Vector {
         Vector {
-            data: Store::Owned(self.as_slice().iter().map(|v| v * k).collect()),
+            data: self.as_slice().iter().map(|v| v * k).collect(),
         }
     }
 
     /// Applies `f` to every element, returning a new vector.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Vector {
         Vector {
-            data: Store::Owned(self.as_slice().iter().map(|&v| f(v)).collect()),
+            data: self.as_slice().iter().map(|&v| f(v)).collect(),
         }
     }
 
@@ -226,9 +187,7 @@ impl Vector {
         let mut data = Vec::with_capacity(self.len() + other.len());
         data.extend_from_slice(self.as_slice());
         data.extend_from_slice(other.as_slice());
-        Vector {
-            data: Store::Owned(data),
-        }
+        Vector { data }
     }
 
     fn zip_with(
@@ -245,29 +204,24 @@ impl Vector {
             });
         }
         Ok(Vector {
-            data: Store::Owned(
-                self.as_slice()
-                    .iter()
-                    .zip(other.as_slice())
-                    .map(|(&a, &b)| f(a, b))
-                    .collect(),
-            ),
+            data: (self.as_slice().iter())
+                .zip(other.as_slice())
+                .map(|(&a, &b)| f(a, b))
+                .collect(),
         })
     }
 }
 
 impl From<Vec<f32>> for Vector {
     fn from(data: Vec<f32>) -> Self {
-        Vector {
-            data: Store::Owned(data),
-        }
+        Vector { data }
     }
 }
 
 impl From<&[f32]> for Vector {
     fn from(data: &[f32]) -> Self {
         Vector {
-            data: Store::Owned(data.to_vec()),
+            data: data.to_vec(),
         }
     }
 }
@@ -275,7 +229,7 @@ impl From<&[f32]> for Vector {
 impl FromIterator<f32> for Vector {
     fn from_iter<T: IntoIterator<Item = f32>>(iter: T) -> Self {
         Vector {
-            data: Store::Owned(iter.into_iter().collect()),
+            data: iter.into_iter().collect(),
         }
     }
 }
@@ -284,13 +238,13 @@ impl std::ops::Index<usize> for Vector {
     type Output = f32;
 
     fn index(&self, index: usize) -> &f32 {
-        &self.data.as_slice()[index]
+        &self.data[index]
     }
 }
 
 impl std::ops::IndexMut<usize> for Vector {
     fn index_mut(&mut self, index: usize) -> &mut f32 {
-        &mut self.data.make_mut()[index]
+        &mut self.data[index]
     }
 }
 

@@ -6,7 +6,8 @@
 //!   (plus its prebuilt BNN mirror) as a versioned artifact, then run
 //!   memoized inference from the in-memory weights and print every
 //!   output as IEEE-754 bit patterns.
-//! * `load <path>` — load the artifact back (zero-copy arena views),
+//! * `load <path>` — load the artifact back (each tensor read into its
+//!   own buffer),
 //!   run the identical inference from the *loaded* weights, and print
 //!   the same lines.
 //!
@@ -114,11 +115,7 @@ fn main() -> ExitCode {
             let loaded = load_from_slice(&bytes).expect("artifact decodes");
             assert!(loaded.mirror.is_some(), "artifact carries the BNN mirror");
             assert_eq!(loaded.network, demo_network(), "weights round-trip exactly");
-            eprintln!(
-                "loaded {} artifact bytes ({} arena bytes) from {path}",
-                bytes.len(),
-                loaded.arena_bytes()
-            );
+            eprintln!("loaded {} artifact bytes from {path}", bytes.len());
             run_and_print(loaded.network);
         }
         _ => unreachable!(),

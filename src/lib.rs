@@ -18,7 +18,7 @@
 //! | [`rnn`] | LSTM/GRU cells, layers, deep networks; the one lane-striped inference path (`DeepRnn::run` is a batch of one), the lane scheduler, and the 6-method [`NeuronEvaluator`](rnn::NeuronEvaluator) boundary |
 //! | [`bnn`] | binarized (bitwise) network substrate |
 //! | [`memo`] | the paper's contribution: neuron-level fuzzy memoization (evaluators, configs, the open [`Predictor`](nfm_core::Predictor) abstraction and its offline [`Predictor::run`](nfm_core::Predictor::run)) |
-//! | [`model`] | versioned binary model artifacts: zero-copy aligned save/load, prebuilt BNN mirrors |
+//! | [`model`] | versioned binary model artifacts: aligned save, a load that reads each tensor into its own line buffer, prebuilt BNN mirrors |
 //! | [`control`] | online adaptive threshold controller holding an accuracy SLO |
 //! | [`serve`] | the request-oriented serving engine: multi-model registry, per-request options, deadlines, hot swaps with canary routing |
 //! | [`net`] | the TCP serving surface: length-prefixed wire protocol (each frame declared once), poll-loop server, client |

@@ -1,12 +1,12 @@
-//! Every operand a kernel streams starts on a 64-byte cache line: the
-//! model arena's base (so every tensor view of a loaded artifact, the
-//! writer padding offsets to 64 bytes), owned weight matrices, the BNN
-//! mirror's sign blocks and the lane-striped recurrent state.  A 64-byte
-//! load from a misaligned base straddles two lines.
+//! Every operand a kernel streams starts on a 64-byte cache line: weight
+//! matrices and the BNN mirror's sign blocks, built or loaded from an
+//! artifact (each in a buffer of its own), and the lane-striped
+//! recurrent state.  A 64-byte load from a misaligned base straddles two
+//! lines.
 
 use nfm::bnn::BinaryNetwork;
-use nfm::rnn::{BatchState, DeepRnn};
-use nfm::tensor::TensorArena;
+use nfm::rnn::{BatchState, CellKind, DeepRnn, DeepRnnConfig};
+use nfm::tensor::rng::DeterministicRng;
 use nfm::workloads::{NetworkId, WorkloadBuilder};
 
 /// Bytes in a cache line.
@@ -14,16 +14,6 @@ const LINE_BYTES: usize = 64;
 
 fn on_a_line<T>(slice: &[T]) -> bool {
     (slice.as_ptr() as usize).is_multiple_of(LINE_BYTES)
-}
-
-#[test]
-fn the_arena_base_starts_on_a_line_on_both_sides_of_the_mmap_threshold() {
-    for len in [4 << 10, 4 << 20] {
-        let bytes = vec![0xA5u8; len];
-        let arena = TensorArena::read_exact_from(&mut &bytes[..], len, |_| {}).unwrap();
-        assert!(on_a_line(arena.as_bytes()), "arena base of {len} bytes");
-        assert_eq!(arena.as_bytes(), &bytes[..], "the payload is unchanged");
-    }
 }
 
 /// The gates' weight matrices and every row whose width is a multiple of
@@ -44,10 +34,27 @@ fn assert_weights_on_lines(net: &DeepRnn, what: &str) -> usize {
     rows
 }
 
-fn assert_sign_blocks_on_lines(mirror: &BinaryNetwork, arena_backed: bool, what: &str) {
+fn assert_sign_blocks_on_lines(mirror: &BinaryNetwork, what: &str) {
     for (id, gate) in mirror.iter() {
-        assert_eq!(gate.is_arena_backed(), arena_backed, "{what} {id:?}");
         assert!(on_a_line(gate.sign_block()), "{what} {id:?} sign block");
+    }
+}
+
+#[test]
+fn loaded_weights_start_on_a_line_on_both_sides_of_the_mmap_threshold() {
+    // A `W_h` of 4 KiB and one of 4 MiB: below and above glibc's mmap
+    // threshold, so the load reads them into heap and mapped buffers.
+    let mut rng = DeterministicRng::seed_from_u64(41);
+    for hidden in [32, 1024] {
+        let config = DeepRnnConfig::new(CellKind::Gru, 3, hidden).output_size(5);
+        let net = DeepRnn::random(&config, &mut rng).unwrap();
+        let bytes = nfm::model::save_to_vec(&net, Some(&BinaryNetwork::mirror(&net))).unwrap();
+        let loaded = nfm::model::load_from_slice(&bytes).unwrap();
+        let what = format!("hidden {hidden}");
+        assert_weights_on_lines(&loaded.network, &what);
+        let head = loaded.network.head().expect("the config has a head");
+        assert!(on_a_line(head.weights().as_slice()), "{what} head");
+        assert_sign_blocks_on_lines(loaded.mirror.as_ref().unwrap(), &what);
     }
 }
 
@@ -66,14 +73,13 @@ fn table1_weights_and_sign_blocks_start_on_a_line() {
         let name = id.name();
         let bytes = nfm::model::save_to_vec(model.network(), Some(model.mirror())).unwrap();
         let loaded = nfm::model::load_from_slice(&bytes).unwrap();
-        assert!(on_a_line(loaded.arena.as_bytes()), "{name} arena base");
         rows += assert_weights_on_lines(&loaded.network, &format!("{name} loaded"));
         rows += assert_weights_on_lines(model.network(), &format!("{name} built"));
-        let mapped = loaded.mirror.expect("the artifact carries its mirror");
-        assert_sign_blocks_on_lines(&mapped, true, &format!("{name} mapped"));
-        assert_sign_blocks_on_lines(model.mirror(), false, &format!("{name} mirrored"));
+        let read = loaded.mirror.expect("the artifact carries its mirror");
+        assert_sign_blocks_on_lines(&read, &format!("{name} loaded"));
+        assert_sign_blocks_on_lines(model.mirror(), &format!("{name} mirrored"));
         let rebuilt = BinaryNetwork::mirror(&loaded.network);
-        assert_sign_blocks_on_lines(&rebuilt, false, &format!("{name} rebuilt"));
+        assert_sign_blocks_on_lines(&rebuilt, &format!("{name} rebuilt"));
     }
     assert!(
         rows > 0,

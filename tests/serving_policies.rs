@@ -279,20 +279,26 @@ fn a_loaded_model_registers_with_the_mirror_its_artifact_carried() {
     let foreign = BinaryNetwork::mirror(&network(4));
     let bytes = save_to_vec(&net, Some(&foreign)).expect("serialize");
     let loaded = load_from_slice(&bytes).expect("load");
-    let arena = loaded.arena.as_bytes().as_ptr_range();
+    let blocks = |mirror: &BinaryNetwork| -> Vec<*const u64> {
+        let gates = mirror.iter();
+        gates.map(|(_, gate)| gate.sign_block().as_ptr()).collect()
+    };
+    let read = blocks(
+        loaded
+            .mirror
+            .as_ref()
+            .expect("the artifact carries a mirror"),
+    );
 
-    // The converted model's sign blocks are still views into the
-    // artifact's arena.
-    let model = Model::from(loaded.clone());
+    // Converting moves the sign blocks the load read into the model:
+    // none is rebuilt or copied.
+    let model = Model::from(loaded);
     assert_eq!(**model.mirror(), foreign);
-    for (_, gate) in model.mirror().iter() {
-        let block = gate.sign_block().as_ptr().cast::<u8>();
-        assert!(arena.contains(&block), "a sign block was rebuilt");
-    }
+    assert_eq!(blocks(model.mirror()), read, "a sign block was rebuilt");
 
     let theta = 1.0;
     let engine = EngineBuilder::new(
-        loaded,
+        model.clone(),
         PredictorKind::Bnn(BnnMemoConfig::with_threshold(theta)),
     )
     .workers(1)

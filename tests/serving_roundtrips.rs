@@ -2,8 +2,9 @@
 //! umbrella package's tier-1 `cargo test -q` too: the `crates/net`
 //! wire-protocol properties (seeded frames round-trip, damaged ones
 //! give typed errors), the `crates/model` artifact properties (bitwise
-//! fidelity, zero-copy views, never a panic) and `crates/serve`'s unit
-//! tests (request builders, the engine's completion notifier).
+//! fidelity, chunked per-tensor loads, never a panic) and
+//! `crates/serve`'s unit tests (request builders, the engine's
+//! completion notifier).
 
 #[path = "../crates/net/tests/protocol_roundtrip.rs"]
 mod protocol;
