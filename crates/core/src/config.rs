@@ -1,6 +1,7 @@
 //! Configuration of the memoization predictors.
 
-/// Configuration of the Oracle predictor (Figure 6).
+/// Configuration of the Oracle predictor (Figure 6), which
+/// [`BnnMemoEvaluator::oracle`](crate::BnnMemoEvaluator::oracle) builds.
 ///
 /// The oracle knows the true output of every neuron and reuses the cached
 /// value whenever the true relative change is at most `threshold`.  It is

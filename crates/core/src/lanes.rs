@@ -1,12 +1,11 @@
-//! Per-lane state of the memoizing evaluators' gate entry.
+//! Per-lane state of the memoizing evaluator's gate entry.
 //!
-//! A lane is one in-flight sequence.  Everything a memoizing evaluator
-//! keeps about it — its memo table, its reuse counters, its audit phase
-//! and the reuse threshold `θ` its request asked for — is one
-//! `MemoLaneState`, and the operations a driver needs on that state
-//! (size, begin, swap, take stats, set θ) are written once on
-//! [`MemoLanes`] for [`BnnMemoEvaluator`](crate::BnnMemoEvaluator) and
-//! [`OracleEvaluator`](crate::OracleEvaluator) alike.
+//! A lane is one in-flight sequence.  Everything the
+//! [`BnnMemoEvaluator`](crate::BnnMemoEvaluator) keeps about it — its
+//! memo table, its reuse counters, its audit phase and the reuse
+//! threshold `θ` its request asked for — is one `MemoLaneState`; the
+//! evaluator's driver hooks (size, begin, swap, take stats, set θ) act
+//! on it, and [`MemoLanes`] is the read view.
 //!
 //! `θ` lives here because it is an operand of the per-neuron compare,
 //! not a property of the memo buffer: the decide loop of lane `l` reads
@@ -44,13 +43,12 @@ impl AuditPhase {
     }
 }
 
-/// Everything a memoizing evaluator keeps about one lane.
-#[derive(Debug, Clone)]
+/// Everything the memoizing evaluator keeps about one lane.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct MemoLaneState {
     pub(crate) table: MemoTable,
     pub(crate) stats: ReuseStats,
-    /// The lane's audit sampling phase (BNN evaluators with auditing on;
-    /// otherwise unused).
+    /// The lane's audit sampling phase (unused unless auditing is on).
     pub(crate) audit: AuditPhase,
     /// The request's `θ` override; `None` runs at the layer's `θ`.
     pub(crate) threshold: Option<f32>,
@@ -80,44 +78,5 @@ impl MemoLanes {
     /// `begin_lane_sequence`.
     pub fn stats(&self, lane: usize) -> &ReuseStats {
         &self.0[lane].stats
-    }
-
-    /// `begin_batch`: sizes the state for `lanes` lanes, laying new
-    /// tables out with `table`.
-    pub(crate) fn grow(&mut self, lanes: usize, table: impl Fn() -> MemoTable) {
-        while self.0.len() < lanes {
-            self.0.push(MemoLaneState {
-                table: table(),
-                stats: ReuseStats::new(),
-                audit: AuditPhase::default(),
-                threshold: None,
-            });
-        }
-    }
-
-    /// `begin_lane_sequence`: the lane starts cold and at the layer's
-    /// `θ` — a recycled lane never inherits its predecessor's override.
-    pub(crate) fn begin(&mut self, lane: usize) {
-        let state = &mut self.0[lane];
-        state.table.clear();
-        state.stats.reset();
-        state.audit.reset();
-        state.threshold = None;
-    }
-
-    /// `swap_lane_state`: the scheduler moved a lane; all of its state
-    /// moves along.
-    pub(crate) fn swap(&mut self, a: usize, b: usize) {
-        self.0.swap(a, b);
-    }
-
-    /// Takes lane `lane`'s statistics, leaving its counters at zero.
-    pub(crate) fn take_stats(&mut self, lane: usize) -> ReuseStats {
-        std::mem::take(&mut self.0[lane].stats)
-    }
-
-    /// Installs the `θ` lane `lane` runs at until its next `begin`.
-    pub(crate) fn set_threshold(&mut self, lane: usize, threshold: f32) {
-        self.0[lane].threshold = Some(threshold);
     }
 }

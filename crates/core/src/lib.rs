@@ -12,14 +12,16 @@
 //!   neuron, the cached full-precision output `y_m`, the cached BNN
 //!   output `yb_m` and the accumulated relative difference `δb`
 //!   (Figure 10 / the FMU's memoization buffer).
-//! * [`OracleEvaluator`] — the idealised predictor of Figure 6 used for
-//!   the limit study of Figure 1: it always knows the true output and
-//!   reuses whenever the true relative change is below the threshold.
-//! * [`BnnMemoEvaluator`] — the realisable predictor (Figure 10/12): the
-//!   binarized mirror is evaluated every timestep, relative changes of
-//!   its outputs are accumulated (the throttling mechanism), and the
-//!   full-precision neuron is evaluated only when the accumulated change
-//!   exceeds the threshold `θ`.
+//! * [`BnnMemoEvaluator`] — the memoizing evaluator.  Built with
+//!   [`BnnMemoEvaluator::new`] it is the realisable predictor (Figure
+//!   10/12): the binarized mirror is evaluated every timestep, relative
+//!   changes of its outputs are accumulated (the throttling mechanism),
+//!   and the full-precision neuron is evaluated only when the
+//!   accumulated change exceeds the threshold `θ`.  Built with
+//!   [`BnnMemoEvaluator::oracle`] it is the idealised predictor of
+//!   Figure 6 used for the limit study of Figure 1: the true output
+//!   stands in for the mirror's, so it reuses whenever the true
+//!   relative change is below the threshold.
 //! * [`ReuseStats`] — computation-reuse accounting (the numerator /
 //!   denominator of every "computation reuse (%)" number in the paper).
 //! * [`ThresholdExplorer`] — the per-model threshold search of
@@ -62,10 +64,8 @@
 pub mod audit;
 pub mod config;
 pub mod lanes;
-pub mod oracle;
 pub mod predictor;
 pub mod serving;
-pub mod similarity;
 pub mod stats;
 pub mod table;
 pub mod threshold;
@@ -74,10 +74,8 @@ pub use audit::{AuditConfig, AuditStats, ControlSnapshot, LayerAudit, LayerContr
 pub use config::{BnnMemoConfig, OracleMemoConfig};
 pub use lanes::MemoLanes;
 pub use nfm_bnn::Model;
-pub use oracle::OracleEvaluator;
 pub use predictor::BnnMemoEvaluator;
 pub use serving::{Predictor, PredictorKind, RunOutcome, ServedEvaluator};
-pub use similarity::SimilarityProbe;
 pub use stats::ReuseStats;
 pub use table::{GateColumns, GateHandle, MemoEntry, MemoTable};
 pub use threshold::{ThresholdExplorer, ThresholdPoint};

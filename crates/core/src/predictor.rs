@@ -1,5 +1,5 @@
-//! The BNN-based memoization predictor (Figures 10 and 12), and the one
-//! memo decision both memoizing evaluators run (`decide_lane`).
+//! The memoizing evaluator (Figures 6, 10 and 12) and its one memo
+//! decision (`decide_lane`).
 //!
 //! The decision walks a gate's [`MemoTable`] columns, the paper's three
 //! quantities per neuron (`y_m`, `yb_m`, `δb`; 12 bytes).  A slot is
@@ -7,10 +7,10 @@
 //! writes 0, and a hit stores `δb' <= θ`, which is never NaN.
 
 use crate::audit::{AuditConfig, AuditStats};
-use crate::config::BnnMemoConfig;
-use crate::lanes::MemoLanes;
+use crate::config::{BnnMemoConfig, OracleMemoConfig};
+use crate::lanes::{MemoLaneState, MemoLanes};
 use crate::stats::ReuseStats;
-use crate::table::MemoTable;
+use crate::table::{GateColumns, MemoTable};
 use nfm_bnn::{BinaryGate, BinaryNetwork};
 use nfm_rnn::{ExactEvaluator, Gate, GateBatch, GateId, NeuronEvaluator, Result as RnnResult};
 use nfm_tensor::{vector::relative_difference, LineBuf};
@@ -30,6 +30,9 @@ use std::sync::Arc;
 ///    evaluated exactly and the memoization entry is refreshed
 ///    (Equations 14–17).
 ///
+/// The oracle of Figure 6 is the same evaluator without a mirror
+/// ([`oracle`](Self::oracle)): the exact output stands in for `yb_t`.
+///
 /// The decision is written once, in the gate entry
 /// [`NeuronEvaluator::evaluate_gate_batch`] every driver runs, and is
 /// checked against the independent memoized reference
@@ -40,8 +43,8 @@ use std::sync::Arc;
 /// state allocates nothing):
 /// **predict** — every lane's inputs are sign-packed exactly once into
 /// one buffer and the mirror gate's sign block is evaluated against all
-/// of them in one dispatched XNOR-popcount call; **compute** — the
-/// exact path's own kernel (one tiled
+/// of them in one dispatched XNOR-popcount call (the oracle skips it);
+/// **compute** — the exact path's own kernel (one tiled
 /// [`matmul_add_into`](nfm_tensor::kernels::matmul_add_into) over
 /// `W_h`, added onto the hoisted `W_x·x_t`) gives every lane's exact
 /// outputs; **decide** — per lane, one branch-free loop over the gate's
@@ -56,17 +59,17 @@ use std::sync::Arc;
 /// the hit flags.  Every lane owns a **separate** [`MemoTable`] (the
 /// paper's buffer holds no state across independent inputs, so lanes
 /// must not share entries) and may carry its own `θ` (see
-/// [`MemoLanes`]): `begin_batch` sizes the per-lane state from the
-/// mirror's gate shapes and `begin_lane_sequence` resets exactly one
-/// lane, so lane `l` of any batch is bit-identical — outputs, reuse
-/// statistics and memo-hit sequence — to running its sequence alone at
-/// its `θ`.
+/// [`MemoLanes`]): `begin_batch` sizes the per-lane state and
+/// `begin_lane_sequence` resets exactly one lane, so lane `l` of any
+/// batch is bit-identical — outputs, reuse statistics and memo-hit
+/// sequence — to running its sequence alone at its `θ`.
 #[derive(Debug, Clone)]
 pub struct BnnMemoEvaluator {
     // Arc-shared: the mirror depends only on the trained weights, so
     // every evaluator of the same model (all engine workers, every
-    // threshold variant) consults one prebuilt copy.
-    mirror: Arc<BinaryNetwork>,
+    // threshold variant) consults one prebuilt copy.  `None` is the
+    // oracle, which predicts with the exact outputs.
+    mirror: Option<Arc<BinaryNetwork>>,
     config: BnnMemoConfig,
     stats: ReuseStats,
     // Whole-gate mirror outputs for every lane, filled by one
@@ -121,8 +124,37 @@ impl BnnMemoEvaluator {
     /// `Arc` across evaluators — cloning a prebuilt mirror per worker
     /// would scale memory with `workers × mirror size` for no benefit.
     pub fn new(mirror: impl Into<Arc<BinaryNetwork>>, config: BnnMemoConfig) -> Self {
+        Self::build(Some(mirror.into()), config)
+    }
+
+    /// The oracle predictor of Figure 6: the true output `y_t` is always
+    /// known, and the cached `y_m` is reused whenever `|y_t - y_m| /
+    /// |y_t| <= θ`.  It is this evaluator without a mirror and without
+    /// throttling: `y_t` stands in for `yb_t`, so every slot holds `yb_m
+    /// == y_m` and the compare against `yb_m` is Figure 6's compare
+    /// against `y_m`.  Each lane's memo table lays gate regions out on
+    /// first touch.
+    ///
+    /// The oracle computes every output (it must, to decide), so it
+    /// saves no work in a real system; it bounds the reuse a perfect
+    /// predictor could extract (Figures 1 and 16).  A hit returns the
+    /// *cached* value, so the accuracy impact of oracle-guided
+    /// memoization propagates through the network.
+    pub fn oracle(config: OracleMemoConfig) -> Self {
+        let OracleMemoConfig { threshold, epsilon } = config;
+        Self::build(
+            None,
+            BnnMemoConfig {
+                threshold,
+                throttle: false,
+                epsilon,
+            },
+        )
+    }
+
+    fn build(mirror: Option<Arc<BinaryNetwork>>, config: BnnMemoConfig) -> Self {
         BnnMemoEvaluator {
-            mirror: mirror.into(),
+            mirror,
             config,
             stats: ReuseStats::new(),
             yb: LineBuf::default(),
@@ -190,14 +222,15 @@ impl BnnMemoEvaluator {
         &self.stats
     }
 
-    /// The configuration in use.
+    /// The configuration in use (the oracle's threshold and clamp,
+    /// unthrottled, for [`oracle`](Self::oracle)).
     pub fn config(&self) -> BnnMemoConfig {
         self.config
     }
 
-    /// The per-lane state: tables and the statistics each
-    /// lane accumulated since its last `begin_lane_sequence` (empty
-    /// until a run sized it via `begin_batch`).  The aggregate
+    /// The per-lane state: tables and the statistics each lane
+    /// accumulated since its last `begin_lane_sequence` (empty until a
+    /// run sized it via `begin_batch`).  The aggregate
     /// [`stats`](Self::stats) includes everything recorded there.
     pub fn lanes(&self) -> &MemoLanes {
         &self.lanes
@@ -250,8 +283,8 @@ fn keep_if(keep: bool, old: f32, new: f32) -> f32 {
     f32::from_bits(new.to_bits() ^ ((new.to_bits() ^ old.to_bits()) & mask))
 }
 
-/// A predictor output the memo decision compares: the mirror's integer
-/// popcount `yb_t`, or the oracle's exact output standing in for it.
+/// A prediction the memo decision compares: the mirror's integer
+/// popcount `yb_t`, or (the oracle) the exact output standing in for it.
 pub(crate) trait Prediction: Copy {
     /// The output as the `f32` the relative difference is taken in.
     fn value(self) -> f32;
@@ -278,9 +311,9 @@ impl Prediction for f32 {
 /// θ`, so a NaN anywhere compares false and misses.  A hit keeps `δb'`
 /// and emits `y_m`; a miss emits the exact `y_t` and is refreshed on the
 /// spot (`y_m = y_t`, `yb_m = yb_t`, `δb = 0`).  `miss` receives the
-/// complement of the decision; returns the number of hits.  Both
-/// memoizing evaluators decide here: the BNN one with the mirror's
-/// popcounts as `yb`, the oracle with `yb = y` and no throttling.
+/// complement of the decision; returns the number of hits.  Every memo
+/// decision is made here: the BNN predictor's with the mirror's
+/// popcounts as `yb`, the oracle's with `yb = y` and no throttling.
 ///
 /// Every column is a parameter of its own, and the function is never
 /// inlined, so that the compiler knows the slices are disjoint (inlined
@@ -331,32 +364,40 @@ impl NeuronEvaluator for BnnMemoEvaluator {
             ..
         } = *call;
         let nsz = gate.neurons();
-        let Some(binary_gate) = usable_mirror(&self.mirror, gate_id, gate) else {
-            // Exact evaluation for every lane.
+        // `None` is the oracle; a mirror without this gate evaluates
+        // every lane exactly.
+        let mirror_gate = self
+            .mirror
+            .as_deref()
+            .map(|mirror| usable_mirror(mirror, gate_id, gate));
+        if let Some(None) = mirror_gate {
             ExactEvaluator::new().evaluate_gate_batch(call, out)?;
             self.stats.record_computed_many(out.len() as u64);
             for lane in self.lanes.0.iter_mut().take(lanes) {
                 lane.stats.record_computed_many(nsz as u64);
             }
             return Ok(());
-        };
+        }
+        let binary_gate = mirror_gate.flatten();
         assert!(
             self.lanes.len() >= lanes,
             "evaluate_gate_batch with {lanes} lanes but begin_batch sized {} \
              (the batch driver always calls begin_batch first)",
             self.lanes.len()
         );
+        self.miss.resize(lanes * nsz, 0);
+        self.y.resize(lanes * nsz);
         // Pass 1 — predict.  Sign-pack every lane's inputs exactly once,
         // into reused storage, then evaluate the mirror gate's whole sign
         // block for *every* lane in one dispatched XNOR-popcount call:
         // eight rows' words are loaded once and reused across lanes
         // (block-outer, lane-inner).  Popcounts are integer-exact, so
         // every lane's outputs equal its one-lane call's.
-        binary_gate.pack_inputs(xs, h_prevs, lanes, &mut self.packed);
-        self.yb.resize(lanes * nsz);
-        self.miss.resize(lanes * nsz, 0);
-        self.y.resize(lanes * nsz);
-        binary_gate.predict_packed_into(&self.packed, &mut self.yb);
+        if let Some(binary_gate) = binary_gate {
+            binary_gate.pack_inputs(xs, h_prevs, lanes, &mut self.packed);
+            self.yb.resize(lanes * nsz);
+            binary_gate.predict_packed_into(&self.packed, &mut self.yb);
+        }
 
         // Pass 2 — compute.  Every lane's exact outputs through the exact
         // path's own kernel (the hoisted `W_x·x_t` plus one tiled product
@@ -366,6 +407,10 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         // controllers only swap it between whole-gate invocations); a
         // lane whose request overrode θ compares against its own.
         let layer_theta = self.threshold_for(gate_id.layer);
+        let BnnMemoConfig {
+            throttle, epsilon, ..
+        } = self.config;
+        let bnn_evaluations = if binary_gate.is_some() { nsz as u64 } else { 0 };
 
         // Pass 3 — decide.  Per (lane, neuron) decisions are independent
         // (each lane owns its table, each neuron its slot), so each lane
@@ -376,21 +421,22 @@ impl NeuronEvaluator for BnnMemoEvaluator {
             let at = l * nsz..(l + 1) * nsz;
             let lane = &mut self.lanes.0[l];
             let theta = lane.threshold.unwrap_or(layer_theta);
-            let cols = lane.table.gate_columns(gate_id, nsz);
-            let reused = u64::from(decide_lane(
-                &self.yb[at.clone()],
-                &self.y[at.clone()],
-                cols.cached_output,
-                cols.cached_bnn_output,
-                cols.accumulated_delta,
-                self.config.throttle,
-                self.config.epsilon,
-                theta,
-                &mut self.miss[at.clone()],
-                &mut out[at],
-            ));
+            let GateColumns {
+                cached_output: y_m,
+                cached_bnn_output: yb_m,
+                accumulated_delta: delta,
+            } = lane.table.gate_columns(gate_id, nsz);
+            let y = &self.y[at.clone()];
+            let (miss, out) = (&mut self.miss[at.clone()], &mut out[at.clone()]);
+            let reused = u64::from(match binary_gate {
+                Some(_) => {
+                    let yb = &self.yb[at];
+                    decide_lane(yb, y, y_m, yb_m, delta, throttle, epsilon, theta, miss, out)
+                }
+                None => decide_lane(y, y, y_m, yb_m, delta, throttle, epsilon, theta, miss, out),
+            });
             for stats in [&mut self.stats, &mut lane.stats] {
-                stats.record_bnn_evaluations_many(nsz as u64);
+                stats.record_bnn_evaluations_many(bnn_evaluations);
                 stats.record_reused_many(reused);
                 stats.record_computed_many(nsz as u64 - reused);
             }
@@ -405,18 +451,139 @@ impl NeuronEvaluator for BnnMemoEvaluator {
     }
 
     fn begin_batch(&mut self, lanes: usize) {
-        // The FMU buffer shape, replicated once per lane.
-        let mirror = &self.mirror;
-        self.lanes.grow(lanes, || {
-            MemoTable::with_gates(mirror.iter().map(|(id, g)| (*id, g.neurons())))
-        });
+        while self.lanes.len() < lanes {
+            // The FMU buffer shape, replicated once per lane; the
+            // oracle's tables lay regions out on first touch.
+            let table = match &self.mirror {
+                Some(mirror) => {
+                    MemoTable::with_gates(mirror.iter().map(|(id, g)| (*id, g.neurons())))
+                }
+                None => MemoTable::new(),
+            };
+            self.lanes.0.push(MemoLaneState {
+                table,
+                ..MemoLaneState::default()
+            });
+        }
     }
 
     fn begin_lane_sequence(&mut self, lane: usize) {
-        self.lanes.begin(lane);
+        // The lane starts cold and at the layer's θ: a recycled lane
+        // never inherits its predecessor's override.
+        let state = &mut self.lanes.0[lane];
+        state.table.clear();
+        state.stats.reset();
+        state.audit.reset();
+        state.threshold = None;
     }
 
     fn swap_lane_state(&mut self, a: usize, b: usize) {
-        self.lanes.swap(a, b);
+        // The scheduler moved a lane; all of its state moves along.
+        self.lanes.0.swap(a, b);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig};
+    use nfm_tensor::rng::DeterministicRng;
+    use nfm_tensor::Vector;
+
+    fn network(seed: u64) -> DeepRnn {
+        let cfg = DeepRnnConfig::new(CellKind::Lstm, 6, 10);
+        let mut rng = DeterministicRng::seed_from_u64(seed);
+        DeepRnn::random(&cfg, &mut rng).unwrap()
+    }
+
+    fn smooth_sequence(len: usize, width: usize, seed: u64) -> Vec<Vector> {
+        let mut rng = DeterministicRng::seed_from_u64(seed);
+        let mut x = Vector::from_fn(width, |_| rng.uniform(-0.5, 0.5));
+        (0..len)
+            .map(|_| {
+                x = x
+                    .add(&Vector::from_fn(width, |_| rng.uniform(-0.05, 0.05)))
+                    .unwrap();
+                x.clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn zero_threshold_reuses_nothing_and_matches_exact() {
+        let net = network(1);
+        let seq = smooth_sequence(20, 6, 2);
+        let exact = net.run(&seq, &mut ExactEvaluator::new()).unwrap();
+        let mut oracle = BnnMemoEvaluator::oracle(OracleMemoConfig::with_threshold(0.0));
+        let memo = net.run(&seq, &mut oracle).unwrap();
+        assert_eq!(exact, memo);
+        assert_eq!(oracle.stats().reuses(), 0);
+        assert_eq!(
+            oracle.stats().evaluations(),
+            (20 * net.neuron_evaluations_per_step()) as u64
+        );
+    }
+
+    #[test]
+    fn huge_threshold_reuses_everything_after_warmup() {
+        let net = network(3);
+        let seq = smooth_sequence(15, 6, 4);
+        let mut oracle = BnnMemoEvaluator::oracle(OracleMemoConfig::with_threshold(f32::INFINITY));
+        let _ = net.run(&seq, &mut oracle).unwrap();
+        let per_step = net.neuron_evaluations_per_step() as u64;
+        // First timestep must compute everything; the rest can all reuse.
+        assert_eq!(oracle.stats().computed(), per_step);
+        assert_eq!(oracle.stats().reuses(), per_step * 14);
+    }
+
+    #[test]
+    fn reuse_grows_monotonically_with_threshold() {
+        let net = network(5);
+        let seq = smooth_sequence(25, 6, 6);
+        let mut previous = -1.0f64;
+        for &theta in &[0.0, 0.1, 0.3, 0.5, 1.0] {
+            let mut oracle = BnnMemoEvaluator::oracle(OracleMemoConfig::with_threshold(theta));
+            let _ = net.run(&seq, &mut oracle).unwrap();
+            let reuse = oracle.stats().reuse_fraction();
+            assert!(
+                reuse + 1e-9 >= previous,
+                "reuse should not decrease: {previous} -> {reuse} at θ={theta}"
+            );
+            previous = reuse;
+        }
+        assert!(previous > 0.0, "a generous threshold must yield some reuse");
+    }
+
+    #[test]
+    fn table_is_cleared_between_sequences() {
+        let net = network(7);
+        let seq = smooth_sequence(5, 6, 8);
+        let mut oracle = BnnMemoEvaluator::oracle(OracleMemoConfig::with_threshold(0.5));
+        let _ = net.run(&seq, &mut oracle).unwrap();
+        let after_first = oracle.stats().evaluations();
+        let _ = net.run(&seq, &mut oracle).unwrap();
+        // Every sequence starts cold: the first timestep of the second run
+        // must compute (not reuse) for every neuron, so computed count grows.
+        assert_eq!(oracle.stats().evaluations(), after_first * 2);
+        assert!(oracle.stats().computed() >= 2 * net.neuron_evaluations_per_step() as u64);
+    }
+
+    #[test]
+    fn moderate_threshold_introduces_small_output_error() {
+        let net = network(9);
+        let seq = smooth_sequence(30, 6, 10);
+        let exact = net.run(&seq, &mut ExactEvaluator::new()).unwrap();
+        let mut oracle = BnnMemoEvaluator::oracle(OracleMemoConfig::with_threshold(0.3));
+        let memo = net.run(&seq, &mut oracle).unwrap();
+        assert!(oracle.stats().reuse_fraction() > 0.05);
+        // Outputs diverge, but not wildly: the relative error per reuse is
+        // bounded by the threshold.
+        let mut max_abs_err = 0.0f32;
+        for (e, m) in exact.iter().zip(memo.iter()) {
+            for i in 0..e.len() {
+                max_abs_err = max_abs_err.max((e[i] - m[i]).abs());
+            }
+        }
+        assert!(max_abs_err < 1.0, "bounded divergence, got {max_abs_err}");
     }
 }

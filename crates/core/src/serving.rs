@@ -29,7 +29,6 @@
 
 use crate::audit::ControlSnapshot;
 use crate::config::{BnnMemoConfig, OracleMemoConfig};
-use crate::oracle::OracleEvaluator;
 use crate::predictor::BnnMemoEvaluator;
 use crate::stats::ReuseStats;
 use nfm_bnn::Model;
@@ -46,8 +45,8 @@ use std::sync::Arc;
 /// response, and everything request-specific is lane state: the engine
 /// installs the request's `θ` override on the lane right after
 /// admission and harvests the lane's reuse statistics when the request
-/// finishes.  Evaluators that track counters (the oracle and BNN
-/// evaluators) override the hooks; evaluators that do not (simple
+/// finishes.  Evaluators that track counters (the memoizing
+/// [`BnnMemoEvaluator`], oracle or BNN) override the hooks; evaluators that do not (simple
 /// custom evaluators; the exact baseline reports only its aggregate)
 /// inherit the defaults — the engine then synthesizes the exact-path
 /// statistics (every neuron of every timestep computed, nothing
@@ -91,29 +90,21 @@ impl ServedEvaluator for ExactEvaluator {
     }
 }
 
-/// The hooks of an evaluator that keeps its per-lane state in
-/// [`MemoLanes`](crate::lanes::MemoLanes): everything request-specific
-/// — statistics and `θ` — is the lane's state there.
-macro_rules! serve_from_memo_lanes {
-    ($evaluator:ty) => {
-        impl ServedEvaluator for $evaluator {
-            fn take_lane_stats(&mut self, lane: usize) -> Option<ReuseStats> {
-                Some(self.lanes.take_stats(lane))
-            }
+/// Everything request-specific — statistics and `θ` — is the lane's
+/// state in [`MemoLanes`](crate::lanes::MemoLanes).
+impl ServedEvaluator for BnnMemoEvaluator {
+    fn take_lane_stats(&mut self, lane: usize) -> Option<ReuseStats> {
+        Some(std::mem::take(&mut self.lanes.0[lane].stats))
+    }
 
-            fn stats_snapshot(&self) -> Option<ReuseStats> {
-                Some(*self.stats())
-            }
+    fn stats_snapshot(&self) -> Option<ReuseStats> {
+        Some(*self.stats())
+    }
 
-            fn set_lane_threshold(&mut self, lane: usize, threshold: f32) {
-                self.lanes.set_threshold(lane, threshold);
-            }
-        }
-    };
+    fn set_lane_threshold(&mut self, lane: usize, threshold: f32) {
+        self.lanes.0[lane].threshold = Some(threshold);
+    }
 }
-
-serve_from_memo_lanes!(OracleEvaluator);
-serve_from_memo_lanes!(BnnMemoEvaluator);
 
 /// A memoization policy: how to evaluate the neurons of whatever
 /// [`Model`] it is applied to.
@@ -271,7 +262,7 @@ impl Predictor for PredictorKind {
     fn build_evaluator(&self, model: &Model) -> Box<dyn ServedEvaluator> {
         match self {
             PredictorKind::Exact => Box::new(ExactEvaluator::new()),
-            PredictorKind::Oracle(config) => Box::new(OracleEvaluator::new(*config)),
+            PredictorKind::Oracle(config) => Box::new(BnnMemoEvaluator::oracle(*config)),
             PredictorKind::Bnn(config) => {
                 Box::new(BnnMemoEvaluator::new(Arc::clone(model.mirror()), *config))
             }

@@ -5,8 +5,8 @@
 
 use nfm_bnn::BinaryNetwork;
 use nfm_core::{
-    AuditConfig, BnnMemoConfig, BnnMemoEvaluator, Model, OracleEvaluator, OracleMemoConfig,
-    Predictor, PredictorKind, ReuseStats, ServedEvaluator,
+    AuditConfig, BnnMemoConfig, BnnMemoEvaluator, Model, OracleMemoConfig, Predictor,
+    PredictorKind, ReuseStats, ServedEvaluator,
 };
 use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator, NeuronEvaluator};
 use nfm_tensor::rng::DeterministicRng;
@@ -90,7 +90,7 @@ fn oracle_reuse_is_monotone_in_threshold_on_a_fixed_trajectory() {
         let seq = smooth_sequence(steps, 5, seed ^ 3, 0.05);
         let mut previous = -1.0f64;
         for theta in [0.0f32, 0.2, 0.5, 1.0, 2.0] {
-            let mut oracle = OracleEvaluator::new(OracleMemoConfig::with_threshold(theta));
+            let mut oracle = BnnMemoEvaluator::oracle(OracleMemoConfig::with_threshold(theta));
             let _ = net.run(&seq, &mut oracle).unwrap();
             let reuse = oracle.stats().reuse_fraction();
             assert!(reuse + 0.02 >= previous, "θ={theta}: {reuse} < {previous}");

@@ -21,8 +21,8 @@ use memo_check::{checked_run, entry_bits, Inspect};
 use nfm::bnn::BinaryNetwork;
 use nfm::eval::reference::MemoPolicy;
 use nfm::memo::{
-    AuditConfig, BnnMemoConfig, BnnMemoEvaluator, Model, OracleEvaluator, OracleMemoConfig,
-    Predictor, PredictorKind, ReuseStats,
+    AuditConfig, BnnMemoConfig, BnnMemoEvaluator, Model, OracleMemoConfig, Predictor,
+    PredictorKind, ReuseStats,
 };
 use nfm::rnn::{
     evaluate_neurons, CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, GateBatch,
@@ -238,7 +238,7 @@ fn oracle_batched_is_bit_identical_and_stats_match() {
                 &format!("{name} oracle θ={theta}"),
                 &net,
                 &ragged(&net, 11),
-                || OracleEvaluator::new(config),
+                || BnnMemoEvaluator::oracle(config),
                 MemoPolicy::Oracle(config),
             );
         }
@@ -408,7 +408,7 @@ fn hoisting_memo_evaluators_match_per_neuron_across_hoist_blocks() {
             let policy = MemoPolicy::Bnn(case.0, case.1);
             checked_solo_runs(net, &seqs, || bnn_make(case), policy)
         });
-        let oracle_make = || OracleEvaluator::new(oracle);
+        let oracle_make = || BnnMemoEvaluator::oracle(oracle);
         let oracle_solo = checked_solo_runs(net, &seqs, oracle_make, MemoPolicy::Oracle(oracle));
         for lanes in [1usize, 3, 8] {
             for (case, solo) in bnn_configs.iter().zip(&bnn_solo) {

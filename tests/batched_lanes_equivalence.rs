@@ -14,8 +14,8 @@ mod memo_check;
 use memo_check::entry_bits;
 use nfm::bnn::BinaryNetwork;
 use nfm::memo::{
-    BnnMemoConfig, BnnMemoEvaluator, Model, OracleEvaluator, OracleMemoConfig, Predictor,
-    PredictorKind, ReuseStats, RunOutcome,
+    BnnMemoConfig, BnnMemoEvaluator, Model, OracleMemoConfig, Predictor, PredictorKind, ReuseStats,
+    RunOutcome,
 };
 use nfm::rnn::{
     CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, LaneScheduler, NeuronEvaluator,
@@ -401,7 +401,7 @@ fn degenerate_values_in_one_lane_never_leak_into_its_neighbours() {
         assert_poisoned_lane_is_isolated(
             &format!("{name} oracle"),
             &net,
-            || OracleEvaluator::new(OracleMemoConfig::with_threshold(0.4)),
+            || BnnMemoEvaluator::oracle(OracleMemoConfig::with_threshold(0.4)),
             |e, lane| Some(*e.lanes().stats(lane)),
         );
         let mirror = std::sync::Arc::new(BinaryNetwork::mirror(&net));

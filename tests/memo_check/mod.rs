@@ -2,7 +2,7 @@
 //! reference (`nfm::eval::reference::MemoReference`), gate call by gate
 //! call.
 //!
-//! [`Recorder`] wraps the real `BnnMemoEvaluator` / `OracleEvaluator`,
+//! [`Recorder`] wraps the real `BnnMemoEvaluator` (BNN or oracle),
 //! mirrors every `begin_lane_sequence` and `swap_lane_state` into the
 //! reference, and feeds the reference each gate call's own `x_t` and
 //! `h_{t-1}`.  After every call it requires, for every lane of the
@@ -16,7 +16,7 @@
 #![allow(dead_code)]
 
 use nfm::eval::reference::{MemoCounts, MemoPolicy, MemoReference, BUDGET_MAX_ABS};
-use nfm::memo::{AuditStats, BnnMemoEvaluator, MemoLanes, MemoTable, OracleEvaluator, ReuseStats};
+use nfm::memo::{AuditStats, BnnMemoEvaluator, MemoLanes, MemoTable, ReuseStats};
 use nfm::rnn::{DeepRnn, ExactEvaluator, GateBatch, NeuronEvaluator, Result as RnnResult};
 use nfm::tensor::Vector;
 
@@ -36,18 +36,6 @@ impl Inspect for BnnMemoEvaluator {
     }
     fn audits(&self) -> Option<&AuditStats> {
         Some(self.audit_stats())
-    }
-}
-
-impl Inspect for OracleEvaluator {
-    fn lanes(&self) -> &MemoLanes {
-        OracleEvaluator::lanes(self)
-    }
-    fn total(&self) -> ReuseStats {
-        *self.stats()
-    }
-    fn audits(&self) -> Option<&AuditStats> {
-        None
     }
 }
 

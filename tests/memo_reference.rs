@@ -11,7 +11,7 @@ use memo_check::{Inspect, Recorder};
 use nfm::bnn::BinaryNetwork;
 use nfm::eval::reference::MemoPolicy;
 use nfm::memo::config::{DEFAULT_BNN_EPSILON, DEFAULT_EPSILON};
-use nfm::memo::{AuditConfig, BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig};
+use nfm::memo::{AuditConfig, BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, LaneScheduler, NeuronEvaluator};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
@@ -145,7 +145,7 @@ fn oracle_decisions_entries_and_counts_match_the_reference() {
         for theta in [0.0f32, 0.3, f32::INFINITY] {
             let config = OracleMemoConfig::with_threshold(theta);
             let what = format!("{name} oracle θ={theta}");
-            let make = || OracleEvaluator::new(config);
+            let make = || BnnMemoEvaluator::oracle(config);
             let policy = MemoPolicy::Oracle(config);
             let (hits, nonfinite) = drive(&what, &net, &seqs, make, policy);
             assert_eq!(theta > 0.0, hits > 0, "{what}: hits iff θ > 0");
@@ -212,7 +212,7 @@ fn degenerate_thresholds_and_clamps_match_the_reference() {
                 epsilon,
             };
             let what = format!("oracle θ={theta} ε₀={epsilon}");
-            let evaluator = OracleEvaluator::new(config);
+            let evaluator = BnnMemoEvaluator::oracle(config);
             let mut recorder = Recorder::new(evaluator, MemoPolicy::Oracle(config), what);
             net.run(&seq, &mut recorder).unwrap();
             assert_no_nan_stored(&net, &recorder.inner, &recorder.what);

@@ -26,8 +26,8 @@
 
 use nfm::bnn::BinaryNetwork;
 use nfm::memo::{
-    BnnMemoConfig, BnnMemoEvaluator, Model, OracleEvaluator, OracleMemoConfig, Predictor,
-    ReuseStats, ServedEvaluator,
+    BnnMemoConfig, BnnMemoEvaluator, Model, OracleMemoConfig, Predictor, ReuseStats,
+    ServedEvaluator,
 };
 use nfm::rnn::{
     evaluate_neurons, CellKind, DeepRnn, DeepRnnConfig, Direction, GateBatch, GateId,
@@ -359,7 +359,7 @@ fn one_engine_serves_two_models_with_per_request_options() {
                     assert_eq!(r.stats, *eval.stats(), "{name}: per-request stats");
                 }
                 Expect::Oracle => {
-                    let mut eval = OracleEvaluator::new(oracle_cfg);
+                    let mut eval = BnnMemoEvaluator::oracle(oracle_cfg);
                     let reference = net.run(&seq, &mut eval).unwrap();
                     assert_bit_identical(&name, &r.outputs, &reference);
                     assert_eq!(r.stats, *eval.stats(), "{name}: per-request stats");
@@ -444,7 +444,7 @@ fn dedicated_run(
         }
         PredictorKind::Oracle(mut config) => {
             config.threshold = theta;
-            let mut eval = OracleEvaluator::new(config);
+            let mut eval = BnnMemoEvaluator::oracle(config);
             (net.run(seq, &mut eval).unwrap(), *eval.stats())
         }
         PredictorKind::Exact => unreachable!("the exact baseline has no threshold"),

@@ -19,8 +19,8 @@
 use nfm::bnn::BinaryNetwork;
 use nfm::control::{AdaptivePredictor, ControllerConfig};
 use nfm::memo::{
-    BnnMemoConfig, BnnMemoEvaluator, ControlSnapshot, Model, OracleEvaluator, OracleMemoConfig,
-    Predictor, ReuseStats, ServedEvaluator,
+    BnnMemoConfig, BnnMemoEvaluator, ControlSnapshot, Model, OracleMemoConfig, Predictor,
+    ReuseStats, ServedEvaluator,
 };
 use nfm::model::{load_from_slice, save_to_vec};
 use nfm::net::{NetClient, NetServer, ServerFrame, WireRequest};
@@ -331,7 +331,7 @@ fn run_at(
         PredictorKind::Bnn(_) => bnn_run(model, theta, seq),
         PredictorKind::Oracle(_) => {
             let config = OracleMemoConfig::with_threshold(theta);
-            let mut eval = OracleEvaluator::new(config);
+            let mut eval = BnnMemoEvaluator::oracle(config);
             (model.network().run(seq, &mut eval).unwrap(), *eval.stats())
         }
         PredictorKind::Exact => unreachable!("the exact baseline has no threshold"),
