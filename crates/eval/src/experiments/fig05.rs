@@ -69,12 +69,14 @@ impl NeuronEvaluator for SimilarityProbe {
         ExactEvaluator::new().evaluate_gate_batch(call, out)?;
         let lanes = out.chunks_exact(call.gate.neurons());
         for (previous, y) in self.previous.iter_mut().zip(lanes) {
-            if let Some(prev) = previous.insert(call.gate_id, y.to_vec()) {
-                let changes = prev.iter().zip(y);
-                self.relative_changes.extend(
-                    changes.map(|(&p, &y_t)| relative_difference(p, y_t, self.epsilon).min(10.0)),
-                );
-            }
+            // Empty on the lane's first timestep: nothing to compare.
+            let prev = previous.entry(call.gate_id).or_default();
+            let changes = prev.iter().zip(y);
+            self.relative_changes.extend(
+                changes.map(|(&p, &y_t)| relative_difference(p, y_t, self.epsilon).min(10.0)),
+            );
+            prev.clear();
+            prev.extend_from_slice(y);
         }
         Ok(())
     }
