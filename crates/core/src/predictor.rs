@@ -40,7 +40,7 @@ use std::sync::Arc;
 /// every decision, memo entry and counter after every gate call.  The
 /// entry takes the hoisted input projections and is three data-parallel
 /// passes over one gate call, all on evaluator-owned buffers (steady
-/// state allocates nothing):
+/// state allocates nothing, which `tests/zero_alloc.rs` pins):
 /// **predict** — every lane's inputs are sign-packed exactly once into
 /// one buffer and the mirror gate's sign block is evaluated against all
 /// of them in one dispatched XNOR-popcount call (the oracle skips it);

@@ -25,7 +25,7 @@
 use crate::harness::{EvalConfig, NetworkRun};
 use crate::report::{ExperimentReport, TableReport};
 use nfm_core::{AuditConfig, BnnMemoConfig, OracleMemoConfig};
-use nfm_rnn::{Cell, DeepRnn, ExactEvaluator, Gate, GateId, GateKind, GruCell, LstmCell, RnnError};
+use nfm_rnn::{Cell, CellKind, DeepRnn, ExactEvaluator, Gate, GateId, GateKind, RnnError};
 use nfm_tensor::Vector;
 use std::collections::HashMap;
 
@@ -69,7 +69,11 @@ fn preactivation(gate: &Gate, x: &[f64], h: &[f64], c: Option<&[f64]>) -> Vec<f6
 ///
 /// with this repo's peephole convention: the output gate reads
 /// `c_{t-1}` like the other two, not `c_t`.
-pub fn lstm_step(cell: &LstmCell, x: &[f64], h: &[f64], c: &[f64]) -> (Vec<f64>, Vec<f64>) {
+///
+/// # Panics
+///
+/// Panics if `cell` is not an LSTM.
+pub fn lstm_step(cell: &Cell, x: &[f64], h: &[f64], c: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let pre = |kind, c| preactivation(cell.gate(kind).expect("an LSTM gate kind"), x, h, c);
     let i = pre(GateKind::Input, Some(c));
     let f = pre(GateKind::Forget, Some(c));
@@ -90,7 +94,11 @@ pub fn lstm_step(cell: &LstmCell, x: &[f64], h: &[f64], c: &[f64]) -> (Vec<f64>,
 /// z = σ(W_z·[x, h] + b_z)              r = σ(W_r·[x, h] + b_r)
 /// g = tanh(W_g·[x, r⊙h] + b_g)         h_t = (1 - z)⊙h + z⊙g
 /// ```
-pub fn gru_step(cell: &GruCell, x: &[f64], h: &[f64]) -> Vec<f64> {
+///
+/// # Panics
+///
+/// Panics if `cell` is not a GRU.
+pub fn gru_step(cell: &Cell, x: &[f64], h: &[f64]) -> Vec<f64> {
     let gate = |kind| cell.gate(kind).expect("a GRU gate kind");
     let z = preactivation(gate(GateKind::Update), x, h, None);
     let r = preactivation(gate(GateKind::Reset), x, h, None);
@@ -108,9 +116,9 @@ fn run_cell(cell: &Cell, xs: &[Vec<f64>], reverse: bool) -> Vec<Vec<f64>> {
     let mut out = vec![Vec::new(); xs.len()];
     for s in 0..xs.len() {
         let t = if reverse { xs.len() - 1 - s } else { s };
-        match cell {
-            Cell::Lstm(lstm) => (h, c) = lstm_step(lstm, &xs[t], &h, &c),
-            Cell::Gru(gru) => h = gru_step(gru, &xs[t], &h),
+        match cell.kind() {
+            CellKind::Lstm => (h, c) = lstm_step(cell, &xs[t], &h, &c),
+            CellKind::Gru => h = gru_step(cell, &xs[t], &h),
         }
         out[t] = h.clone();
     }

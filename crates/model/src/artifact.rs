@@ -79,7 +79,7 @@
 
 use crate::error::{ModelArtifactError, Result};
 use nfm_bnn::{BinaryGate, BinaryNetwork, Model};
-use nfm_rnn::{Cell, CellKind, DeepRnn, Dense, Gate, GateId, GateKind, GruCell, Layer, LstmCell};
+use nfm_rnn::{Cell, CellKind, DeepRnn, Dense, Gate, GateId, GateKind, Layer};
 use nfm_tensor::activation::Activation;
 use nfm_tensor::{LineBuf, Matrix, Vector};
 use std::collections::HashMap;
@@ -737,12 +737,8 @@ pub fn load(reader: &mut impl Read) -> Result<LoadedModel> {
     };
     let vector_at =
         |i: usize| -> Result<Vector> { Ok(Vector::from(&f32s_at(i)?[..records[i].rows as usize])) };
-    let kinds: &[GateKind] = match cell {
-        CellKind::Lstm => &GateKind::LSTM,
-        CellKind::Gru => &GateKind::GRU,
-    };
     let cell_at = |k: usize, d: usize| -> Result<Cell> {
-        let gates = kinds.iter().map(|&kind| -> Result<Gate> {
+        let gates = cell.gate_kinds().iter().map(|&kind| -> Result<Gate> {
             let at = Some(GateId::new(k, d, kind));
             let wx = need(Owner::Wx, at)?;
             Ok(Gate::new(
@@ -753,12 +749,7 @@ pub fn load(reader: &mut impl Read) -> Result<LoadedModel> {
                 decode(&ACTIVATIONS, records[wx].activation, "activation")?,
             )?)
         });
-        let mut gates = gates.collect::<Result<Vec<_>>>()?.into_iter();
-        let mut next = || gates.next().expect("one gate per kind");
-        Ok(match cell {
-            CellKind::Lstm => Cell::Lstm(LstmCell::new(next(), next(), next(), next())?),
-            CellKind::Gru => Cell::Gru(GruCell::new(next(), next(), next())?),
-        })
+        Ok(Cell::new(cell, gates.collect::<Result<_>>()?)?)
     };
     let layers = (0..layer_count).map(|k| -> Result<Layer> {
         let backward = bidirectional.then(|| cell_at(k, 1)).transpose()?;

@@ -1,6 +1,7 @@
 //! Configuration types for building deep RNNs.
 
 use crate::error::RnnError;
+use crate::gate::GateKind;
 use crate::Result;
 
 /// The recurrent cell type of a layer.
@@ -13,12 +14,26 @@ pub enum CellKind {
 }
 
 impl CellKind {
+    /// The gate kinds of a cell of this kind, in evaluation order: the
+    /// order of a [`Cell`](crate::Cell)'s gates and of the hoisted
+    /// projections its step takes.
+    pub fn gate_kinds(self) -> &'static [GateKind] {
+        match self {
+            CellKind::Lstm => &GateKind::LSTM,
+            CellKind::Gru => &GateKind::GRU,
+        }
+    }
+
     /// Number of gates per cell (4 for LSTM, 3 for GRU).
     pub fn gates(self) -> usize {
-        match self {
-            CellKind::Lstm => 4,
-            CellKind::Gru => 3,
-        }
+        self.gate_kinds().len()
+    }
+
+    /// Whether gate `kind` of this cell reads the cell state `c_{t-1}`
+    /// (the LSTM's sigmoid gates, Equations 1, 2 and 5), so it may
+    /// carry peephole weights.
+    pub fn reads_cell_state(self, kind: GateKind) -> bool {
+        self == CellKind::Lstm && kind != GateKind::Candidate
     }
 
     /// Human-readable name as used in Table 1 of the paper.
@@ -202,6 +217,9 @@ mod tests {
         assert_eq!(CellKind::Gru.gates(), 3);
         assert_eq!(CellKind::Lstm.name(), "LSTM");
         assert_eq!(CellKind::Gru.name(), "GRU");
+        assert!(CellKind::Lstm.reads_cell_state(GateKind::Output));
+        assert!(!CellKind::Lstm.reads_cell_state(GateKind::Candidate));
+        assert!(!CellKind::Gru.reads_cell_state(GateKind::Update));
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! A recurrent layer: one cell (unidirectional) or a forward/backward
-//! pair of cells (bidirectional), and the one routine that runs a cell,
-//! `Cell::run_block` — a block of timesteps under
+//! A recurrent layer: one [`Cell`] (unidirectional) or a forward/backward
+//! pair of cells of one kind (bidirectional), and the one routine that
+//! runs a cell, `Cell::run_block` — a block of timesteps under
 //! [`LaneScheduler::step`](crate::LaneScheduler::step), which decides
-//! which rows a block holds and in what order cells are visited.
+//! which rows a block holds and in what order cells are visited.  The
+//! block hoists every gate's input projection in one product per gate,
+//! then calls the cell's one [`Cell::step_batch_into`] per block step,
+//! whatever the cell's kind.
 
 use crate::batch::{BatchScratch, BatchState};
+use crate::cell::Cell;
 use crate::config::{CellKind, Direction};
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
 use crate::gate::{Gate, GateId, GateKind};
-use crate::gru::GruCell;
-use crate::lstm::LstmCell;
 use crate::Result;
 use nfm_tensor::{kernels::matmul_into, rng::DeterministicRng, LineBuf};
 
@@ -84,89 +86,7 @@ pub(crate) struct BlockScratch {
     fwd: LineBuf<f32>,
 }
 
-/// Either kind of recurrent cell, so layers and networks can mix LSTM and
-/// GRU uniformly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Cell {
-    /// An LSTM cell.
-    Lstm(LstmCell),
-    /// A GRU cell.
-    Gru(GruCell),
-}
-
 impl Cell {
-    /// Creates a random cell of the given kind.
-    pub fn random(
-        kind: CellKind,
-        input_size: usize,
-        hidden_size: usize,
-        peepholes: bool,
-        rng: &mut DeterministicRng,
-    ) -> Result<Self> {
-        Ok(match kind {
-            CellKind::Lstm => {
-                Cell::Lstm(LstmCell::random(input_size, hidden_size, peepholes, rng)?)
-            }
-            CellKind::Gru => Cell::Gru(GruCell::random(input_size, hidden_size, rng)?),
-        })
-    }
-
-    /// The cell kind.
-    pub fn kind(&self) -> CellKind {
-        match self {
-            Cell::Lstm(_) => CellKind::Lstm,
-            Cell::Gru(_) => CellKind::Gru,
-        }
-    }
-
-    /// Neurons per gate.
-    pub fn hidden_size(&self) -> usize {
-        match self {
-            Cell::Lstm(c) => c.hidden_size(),
-            Cell::Gru(c) => c.hidden_size(),
-        }
-    }
-
-    /// Expected input width.
-    pub fn input_size(&self) -> usize {
-        match self {
-            Cell::Lstm(c) => c.input_size(),
-            Cell::Gru(c) => c.input_size(),
-        }
-    }
-
-    /// Gate kinds evaluated by this cell, in order.
-    pub fn gate_kinds(&self) -> &'static [GateKind] {
-        match self {
-            Cell::Lstm(c) => c.gate_kinds(),
-            Cell::Gru(c) => c.gate_kinds(),
-        }
-    }
-
-    /// Borrows a gate by kind, if the cell has it.
-    pub fn gate(&self, kind: GateKind) -> Option<&Gate> {
-        match self {
-            Cell::Lstm(c) => c.gate(kind),
-            Cell::Gru(c) => c.gate(kind),
-        }
-    }
-
-    /// Total weights in the cell.
-    pub fn weight_count(&self) -> usize {
-        match self {
-            Cell::Lstm(c) => c.weight_count(),
-            Cell::Gru(c) => c.weight_count(),
-        }
-    }
-
-    /// Neuron evaluations per timestep.
-    pub fn neuron_evaluations_per_step(&self) -> usize {
-        match self {
-            Cell::Lstm(c) => c.neuron_evaluations_per_step(),
-            Cell::Gru(c) => c.neuron_evaluations_per_step(),
-        }
-    }
-
     /// Runs one hoist block of this cell: `plan.block` timesteps over
     /// the plan's shrinking active-lane prefix — the per-layer routine
     /// under [`LaneScheduler::step`](crate::LaneScheduler::step).
@@ -200,12 +120,10 @@ impl Cell {
     ) -> Result<()> {
         let (in_w, out_w) = (self.input_size(), self.hidden_size());
         let rows = plan.total_rows;
-        let kinds = self.gate_kinds();
-        let gate_count = kinds.len();
+        let gate_count = self.gates().len();
         debug_assert!(gate_count <= MAX_GATES);
         grow(&mut scratch.fwd, gate_count * rows * out_w);
-        for (g, kind) in kinds.iter().enumerate() {
-            let gate = self.gate(*kind).expect("cell exposes its own gate kinds");
+        for (g, gate) in self.gates().iter().enumerate() {
             matmul_into(
                 gate.wx(),
                 &xs_pack[..rows * in_w],
@@ -221,34 +139,18 @@ impl Cell {
                 let start = (g * rows + offset) * out_w;
                 *slot = &scratch.fwd[start..start + active * out_w];
             }
-            let hoisted = &hoisted[..gate_count];
-            let step = first_step + b;
-            match self {
-                Cell::Lstm(cell) => cell.step_batch_into(
-                    layer,
-                    direction,
-                    step,
-                    active,
-                    xs,
-                    state,
-                    next,
-                    &mut scratch.cell,
-                    hoisted,
-                    evaluator,
-                )?,
-                Cell::Gru(cell) => cell.step_batch_into(
-                    layer,
-                    direction,
-                    step,
-                    active,
-                    xs,
-                    state,
-                    next,
-                    &mut scratch.cell,
-                    hoisted,
-                    evaluator,
-                )?,
-            }
+            self.step_batch_into(
+                layer,
+                direction,
+                first_step + b,
+                active,
+                xs,
+                state,
+                next,
+                &mut scratch.cell,
+                &hoisted[..gate_count],
+                evaluator,
+            )?;
             emit(b, next.h_prefix(active));
             std::mem::swap(state, next);
         }
@@ -356,43 +258,20 @@ impl Layer {
 
     /// Iterates over `(GateId, &Gate)` pairs for every gate in the layer.
     pub fn gates(&self) -> Vec<(GateId, &Gate)> {
-        let mut out = Vec::new();
-        for kind in self.forward.gate_kinds() {
-            if let Some(g) = self.forward.gate(*kind) {
-                out.push((GateId::new(self.index, 0, *kind), g));
-            }
-        }
-        if let Some(b) = &self.backward {
-            for kind in b.gate_kinds() {
-                if let Some(g) = b.gate(*kind) {
-                    out.push((GateId::new(self.index, 1, *kind), g));
-                }
-            }
-        }
-        out
+        let cells = std::iter::once(&self.forward).chain(&self.backward);
+        let gates = cells.enumerate().flat_map(|(direction, cell)| {
+            let kinds = cell.gate_kinds().iter();
+            kinds
+                .zip(cell.gates())
+                .map(move |(&kind, g)| (GateId::new(self.index, direction, kind), g))
+        });
+        gates.collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cell_enum_exposes_common_interface() {
-        let mut rng = DeterministicRng::seed_from_u64(1);
-        let lstm = Cell::random(CellKind::Lstm, 4, 3, true, &mut rng).unwrap();
-        let gru = Cell::random(CellKind::Gru, 4, 3, false, &mut rng).unwrap();
-        assert_eq!(lstm.kind(), CellKind::Lstm);
-        assert_eq!(gru.kind(), CellKind::Gru);
-        assert_eq!(lstm.hidden_size(), 3);
-        assert_eq!(gru.input_size(), 4);
-        assert_eq!(lstm.gate_kinds().len(), 4);
-        assert_eq!(gru.gate_kinds().len(), 3);
-        assert!(lstm.gate(GateKind::Forget).is_some());
-        assert!(gru.gate(GateKind::Forget).is_none());
-        assert_eq!(lstm.neuron_evaluations_per_step(), 12);
-        assert_eq!(gru.neuron_evaluations_per_step(), 9);
-    }
 
     #[test]
     fn unidirectional_layer_output_width() {

@@ -5,7 +5,10 @@
 //!
 //! The crate implements the cell types the paper evaluates — LSTM with
 //! peephole connections (Figure 2 / Equations 1–6) and GRU (Figure 3) —
-//! plus unidirectional and bidirectional layers and deep stacks of them,
+//! as one [`Cell`]: a [`CellKind`] and its gates in
+//! [`CellKind::gate_kinds`] order, stepped by one `step_batch_into` whose
+//! only per-kind code is how the gate outputs combine.  Layers are one
+//! cell or a bidirectional pair, stacked into deep networks,
 //! matching the topologies of Table 1 (e.g. EESEN is a 10-layer
 //! bidirectional LSTM with 320 neurons per direction).
 //!
@@ -40,18 +43,18 @@
 //! ```
 
 pub mod batch;
+pub mod cell;
 pub mod config;
 pub mod dense;
 pub mod error;
 pub mod evaluator;
 pub mod gate;
-pub mod gru;
 pub mod layer;
-pub mod lstm;
 pub mod network;
 pub mod scheduler;
 
 pub use batch::{BatchScratch, BatchState};
+pub use cell::Cell;
 pub use config::{CellKind, DeepRnnConfig, Direction};
 pub use dense::Dense;
 pub use error::RnnError;
@@ -59,9 +62,7 @@ pub use evaluator::{
     evaluate_neurons, CountingEvaluator, ExactEvaluator, GateBatch, NeuronEvaluator, NeuronRef,
 };
 pub use gate::{Gate, GateId, GateKind};
-pub use gru::GruCell;
-pub use layer::{Cell, Layer, HOIST_BLOCK};
-pub use lstm::LstmCell;
+pub use layer::{Layer, HOIST_BLOCK};
 pub use network::DeepRnn;
 pub use scheduler::{FinishedLane, LaneScheduler};
 

@@ -1,9 +1,7 @@
 //! Property-style tests on RNN inference invariants, exercised over
 //! seeded deterministic sampling loops (the container has no `proptest`).
 
-use nfm_rnn::{
-    Cell, CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, GruCell, Layer, LstmCell,
-};
+use nfm_rnn::{Cell, CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, Layer};
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
 
@@ -28,7 +26,7 @@ fn gru_hidden_state_is_a_convex_combination() {
         // h_t is elementwise between h_{t-1} and tanh(...) in [-1, 1], so
         // it can never leave [-1, 1].
         let mut rng = DeterministicRng::seed_from_u64(seed);
-        let net = one_layer(Cell::Gru(GruCell::random(5, 7, &mut rng).unwrap()));
+        let net = one_layer(Cell::random(CellKind::Gru, 5, 7, false, &mut rng).unwrap());
         let outputs = net
             .run(
                 &sequence(steps, 5, seed ^ 0xABC),
@@ -49,7 +47,7 @@ fn lstm_hidden_output_is_bounded_by_one() {
         let seed = outer.index(500) as u64;
         let steps = 1 + outer.index(9);
         let mut rng = DeterministicRng::seed_from_u64(seed);
-        let net = one_layer(Cell::Lstm(LstmCell::random(4, 6, true, &mut rng).unwrap()));
+        let net = one_layer(Cell::random(CellKind::Lstm, 4, 6, true, &mut rng).unwrap());
         let outputs = net
             .run(
                 &sequence(steps, 4, seed ^ 0xDEF),

@@ -392,42 +392,6 @@ pub(crate) unsafe fn matmul_add_body<O: DotOps>(
     }
 }
 
-/// Lane-striped `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l]`: the
-/// forward product written by one [`product_body`] walk, the recurrent
-/// one added onto it by a second, which makes the fused gate the
-/// hoisted pair ([`matmul_body`] then [`matmul_add_body`]) by
-/// construction.
-///
-/// # Safety
-///
-/// CPU must support `O`'s features; `wx.len() == rows * xc`,
-/// `wh.len() == rows * hc`, `xs.len() == lanes * xc`,
-/// `hs.len() == lanes * hc`, `out.len() == lanes * rows`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn dual_matmul_body<O: DotOps>(
-    o: O,
-    wx: &[f32],
-    wh: &[f32],
-    rows: usize,
-    xc: usize,
-    hc: usize,
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-) {
-    // SAFETY: forwarded caller contract.
-    unsafe {
-        matmul_body(o, wx, rows, xc, 0..rows, xs, lanes, Stripes::new(out));
-        product_body(o, wh, rows, hc, 0..rows, hs, lanes, |at, dots| {
-            for (o, d) in out[at..at + dots.len()].iter_mut().zip(dots) {
-                *o += d;
-            }
-        })
-    }
-}
-
 /// `out[i] = activation(out[i])` in place — [`crate::activation`]'s
 /// per-element functions themselves, inlined so each tier's wrapper
 /// vectorises them with its own instruction set.  Correctly rounded
@@ -457,8 +421,7 @@ pub(crate) fn activate_body(activation: Activation, out: &mut [f32]) {
 /// alone).
 pub(crate) mod scalar {
     use super::{
-        activate_body, dual_matmul_body, matmul_add_body, matmul_body, Activation, DotOps, Range,
-        ScalarOps, Stripes,
+        activate_body, matmul_add_body, matmul_body, Activation, DotOps, Range, ScalarOps, Stripes,
     };
 
     #[inline]
@@ -502,23 +465,6 @@ pub(crate) mod scalar {
     ) {
         // SAFETY: ScalarOps uses no intrinsics; the rest is forwarded.
         unsafe { matmul_add_body(ScalarOps, m, rows, cols, span, xs, lanes, base, out) }
-    }
-
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn dual_matmul(
-        wx: &[f32],
-        wh: &[f32],
-        rows: usize,
-        xc: usize,
-        hc: usize,
-        xs: &[f32],
-        hs: &[f32],
-        lanes: usize,
-        out: &mut [f32],
-    ) {
-        // SAFETY: ScalarOps uses no intrinsics.
-        unsafe { dual_matmul_body(ScalarOps, wx, wh, rows, xc, hc, xs, hs, lanes, out) }
     }
 
     #[inline]

@@ -3,7 +3,7 @@
 //! These are the hot loops of the whole reproduction: every recurrent
 //! gate evaluation reduces to two dense lane-striped products over the
 //! gate's weight rows, followed by one elementwise activation over the
-//! gate's outputs.  There are five operations, each with exactly
+//! gate's outputs.  There are four operations, each with exactly
 //! one dispatched entry point (runs on [`crate::backend::active`] — CPU
 //! feature detection with an `NFM_KERNEL_BACKEND` override, see
 //! [`crate::backend`]) and one `_on` test hook that runs an explicit
@@ -14,15 +14,18 @@
 //! |---|---|---|
 //! | `a·b` | [`dot_unchecked`] | [`dot_unchecked_on`] |
 //! | `out[l] = M xs[l]` | [`matmul_into`] | [`matmul_into_on`] |
-//! | `out[l] = Wx xs[l] + Wh hs[l]` | [`dual_matmul_into`] | [`dual_matmul_into_on`] |
 //! | `out[l] = base[l] + M xs[l]` | [`matmul_add_into`] | [`matmul_add_into_on`] |
 //! | `out[i] = act(out[i])` | [`activate_into`] | [`activate_into_on`] |
 //!
 //! A single vector is a product at `lanes = 1`: `out = M x` is
-//! [`matmul_into`] over one lane and `out = Wx x + Wh h` is
-//! [`dual_matmul_into`] over one lane.  [`dual_matvec_into`] is kept as
-//! that one-lane call for callers that spell the single-vector form; it
-//! has no tier of its own.
+//! [`matmul_into`] over one lane.
+//!
+//! The dual family, `out[l] = Wx xs[l] + Wh hs[l]` ([`dual_matmul_into`],
+//! [`dual_matmul_into_on`] and its one-lane form [`dual_matvec_into`]),
+//! has no tier of its own: it is the two kernels a cell runs, the hoist
+//! ([`matmul_into`]) into a temporary buffer it allocates and the
+//! recurrent tile ([`matmul_add_into`]) added onto it.  It is off the
+//! inference path, which hoists into reused buffers instead.
 //!
 //! Both columns of a row share one private body that takes the tier, so
 //! they validate and dispatch identically; the `_on` form only adds the
@@ -30,7 +33,8 @@
 //! Every operation
 //!
 //! * writes into a caller-owned buffer (the steady-state inference path
-//!   performs no allocation) and checks dimensions once per call, not
+//!   performs no allocation; `tests/zero_alloc.rs` steps cells under a
+//!   counting allocator) and checks dimensions once per call, not
 //!   once per row or element,
 //! * exists in one scalar reference implementation plus hand-written
 //!   intrinsic tiers (AVX2 / AVX-512 / NEON) — [`activate_into`] is one
@@ -177,21 +181,10 @@ fn dual_matmul_tier(
             op: "dual_matmul_into(out)",
         });
     }
-    dispatch!(
-        backend,
-        dual_matmul(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.rows(),
-            wx.cols(),
-            wh.cols(),
-            xs,
-            hs,
-            lanes,
-            out
-        )
-    );
-    Ok(())
+    // The hoist into a temporary, then the recurrent tile onto it.
+    let mut fwd = vec![0.0; out.len()];
+    matmul_tier(backend, wx, xs, lanes, &mut fwd)?;
+    matmul_add_tier(backend, wh, hs, lanes, &fwd, out)
 }
 
 fn matmul_add_tier(
@@ -259,7 +252,7 @@ pub fn dot_unchecked_on(backend: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
     dot_tier(backend, a, b)
 }
 
-/// Fused dual matrix-vector product into a caller-owned buffer:
+/// Dual matrix-vector product into a caller-owned buffer:
 /// `out[n] = wx[n]·x + wh[n]·h` — the pre-activation dot product of every
 /// neuron of a recurrent gate, without bias.
 ///
@@ -326,13 +319,12 @@ pub fn matmul_into_on(
 /// Lane-striped dual matrix-matrix product:
 /// `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l]`.
 ///
-/// Each weight matrix is streamed once and reused across all `lanes`
-/// sequences, in the register tiles of [`matmul_into`] — the forward
-/// product first, the recurrent one added onto it, which is the hoisted
-/// pair ([`matmul_into`] then [`matmul_add_into`]) in one call.  The per-lane
-/// scalar order is `fwd + rec` with [`dot_unchecked`]'s reduction for
-/// each half, so every lane is bit-identical to that lane's vectors run
-/// alone (`lanes = 1`) on every dispatch tier.
+/// It is the hoisted pair a cell runs: [`matmul_into`] of the forward
+/// half into a temporary it allocates, then [`matmul_add_into`] of the
+/// recurrent half onto it.  The per-lane scalar order is `fwd + rec`
+/// with [`dot_unchecked`]'s reduction for each half, so every lane is
+/// bit-identical to that lane's vectors run alone (`lanes = 1`) on every
+/// dispatch tier.
 ///
 /// # Errors
 ///

@@ -394,22 +394,6 @@ macro_rules! kernel_set {
         }
 
         #[target_feature(enable = $feat)]
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) unsafe fn dual_matmul(
-            wx: &[f32],
-            wh: &[f32],
-            rows: usize,
-            xc: usize,
-            hc: usize,
-            xs: &[f32],
-            hs: &[f32],
-            lanes: usize,
-            out: &mut [f32],
-        ) {
-            $crate::kernels::body::dual_matmul_body($ops, wx, wh, rows, xc, hc, xs, hs, lanes, out)
-        }
-
-        #[target_feature(enable = $feat)]
         pub(crate) unsafe fn activate(activation: $crate::activation::Activation, out: &mut [f32]) {
             $crate::kernels::body::activate_body(activation, out)
         }

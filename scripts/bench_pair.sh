@@ -15,8 +15,12 @@
 # in .git) and each side's `benchmark/` is built once into its own target
 # directory.  For every workload and metric the report prints each side's
 # median [q1, q3] over the pairs, the ratio B/A of the medians, the pairs
-# B won, and `unresolved` where the parent's IQR is wider than the
-# difference of the medians.  Both sides' medians are then appended to
+# B won, and a verdict: `same` where the medians are equal or differ by
+# less than the printed ratio can show (|B/A - 1| < 0.0005: a fixed-rate
+# metric such as serve_open's steps_per_s has a near-zero IQR, so any
+# difference would otherwise exceed it), `unresolved` where the parent's
+# IQR is wider than the difference of the medians, else `better` or
+# `worse`.  Both sides' medians are then appended to
 # BENCH_history.jsonl through scripts/bench_history.sh.  Nothing under
 # `benchmark/` is written.
 set -euo pipefail
@@ -107,11 +111,13 @@ for w in workloads:
         b = [r["metrics"][name]["value"] for r in runs["change"]]
         (am, aq1, aq3), (bm, bq1, bq3) = quartiles(a), quartiles(b)
         won = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
-        if aq3 - aq1 > abs(bm - am) or bm == am:
+        ratio = bm / am if am else float("nan")
+        if bm == am or abs(ratio - 1) < 0.0005:
+            verdict = "same"
+        elif aq3 - aq1 > abs(bm - am):
             verdict = "unresolved"
         else:
             verdict = "better" if (bm < am) == lower else "worse"
-        ratio = bm / am if am else float("nan")
         side_a = f"{fmt(am)} [{fmt(aq1)}, {fmt(aq3)}]"
         side_b = f"{fmt(bm)} [{fmt(bq1)}, {fmt(bq3)}]"
         print(f"  {name:<20} {side_a:<30} {side_b:<30} {ratio:>6.3f}  {won}/{pairs}  {verdict}")

@@ -10,7 +10,7 @@
 use nfm::eval::reference::{gru_step, layer_errors, lstm_step, run_layers, BUDGET_MAX_ABS};
 use nfm::rnn::{
     BatchScratch, BatchState, Cell, CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator,
-    Gate, GruCell, LstmCell,
+    Gate,
 };
 use nfm::tensor::activation::Activation;
 use nfm::tensor::kernels::matmul_into;
@@ -70,21 +70,18 @@ fn f32_step(cell: &Cell, x: &[f32], h: &[f32], c: &[f32]) -> BatchState {
         &mut BatchScratch::new(),
         &mut ExactEvaluator::new(),
     );
-    match cell {
-        Cell::Lstm(c) => c.step_batch_into(0, 0, 0, 1, x, &state, out, s, &hoisted, e),
-        Cell::Gru(c) => c.step_batch_into(0, 0, 0, 1, x, &state, out, s, &hoisted, e),
-    }
-    .unwrap();
+    cell.step_batch_into(0, 0, 0, 1, x, &state, out, s, &hoisted, e)
+        .unwrap();
     next
 }
 
 /// Checks a golden LSTM step against both the reference (to `1e-12`)
 /// and the `f32` cell (to the budget).
-fn check_lstm(cell: LstmCell, x: &[f32], h: &[f32], c: &[f32], want_h: &[f64], want_c: &[f64]) {
+fn check_lstm(cell: Cell, x: &[f32], h: &[f32], c: &[f32], want_h: &[f64], want_c: &[f64]) {
     let (h_ref, c_ref) = lstm_step(&cell, &to64(x), &to64(h), &to64(c));
     assert_close(&h_ref, want_h, 1e-12, "reference h_t");
     assert_close(&c_ref, want_c, 1e-12, "reference c_t");
-    let next = f32_step(&Cell::Lstm(cell), x, h, c);
+    let next = f32_step(&cell, x, h, c);
     assert_close(&to64(next.h_prefix(1)), want_h, BUDGET_MAX_ABS, "f32 h_t");
     assert_close(&to64(next.c_prefix(1)), want_c, BUDGET_MAX_ABS, "f32 c_t");
 }
@@ -100,11 +97,14 @@ fn golden_one_neuron_lstm_step() {
     //   h' = o·tanh(c') = 0.268941421369995 · 0.323199600463733 = 0.086921938067907
     // The output gate reads c (not c'): with c' it would be
     // σ(−4·0.3352…)·tanh(c') = 0.0670…, which this vector rejects.
-    let cell = LstmCell::new(
-        gate(&[&[0.5]], &[&[-1.0]], &[0.0], Some(&[2.0]), false),
-        gate(&[&[1.0]], &[&[1.0]], &[-0.5], Some(&[0.0]), false),
-        gate(&[&[-1.0]], &[&[2.0]], &[0.25], None, true),
-        gate(&[&[0.0]], &[&[0.0]], &[0.0], Some(&[-4.0]), false),
+    let cell = Cell::new(
+        CellKind::Lstm,
+        vec![
+            gate(&[&[0.5]], &[&[-1.0]], &[0.0], Some(&[2.0]), false),
+            gate(&[&[1.0]], &[&[1.0]], &[-0.5], Some(&[0.0]), false),
+            gate(&[&[-1.0]], &[&[2.0]], &[0.25], None, true),
+            gate(&[&[0.0]], &[&[0.0]], &[0.0], Some(&[-4.0]), false),
+        ],
     )
     .unwrap();
     check_lstm(
@@ -132,35 +132,38 @@ fn golden_two_neuron_lstm_step() {
     //                      −0.059601461011059 + 0.600067962754135)
     //      = (0.062583346201993, 0.540466501743077)
     //   h' = o⊙tanh(c') = (0.055051374439887, 0.023397128171312)
-    let cell = LstmCell::new(
-        gate(
-            &[&[0.5], &[-0.5]],
-            &[&[1.0, 1.0], &[1.0, -1.0]],
-            &[0.0, 0.0],
-            Some(&[1.0, 1.0]),
-            false,
-        ),
-        gate(
-            &[&[0.0], &[0.0]],
-            &[&[0.0, 0.0], &[0.0, 0.0]],
-            &[1.0, -1.0],
-            Some(&[2.0, 2.0]),
-            false,
-        ),
-        gate(
-            &[&[0.25], &[0.5]],
-            &[&[0.0, 1.0], &[1.0, 0.0]],
-            &[0.0, 0.0],
-            None,
-            true,
-        ),
-        gate(
-            &[&[1.0], &[-1.0]],
-            &[&[0.5, 0.0], &[0.0, 0.5]],
-            &[0.0, 0.0],
-            Some(&[-1.0, 1.0]),
-            false,
-        ),
+    let cell = Cell::new(
+        CellKind::Lstm,
+        vec![
+            gate(
+                &[&[0.5], &[-0.5]],
+                &[&[1.0, 1.0], &[1.0, -1.0]],
+                &[0.0, 0.0],
+                Some(&[1.0, 1.0]),
+                false,
+            ),
+            gate(
+                &[&[0.0], &[0.0]],
+                &[&[0.0, 0.0], &[0.0, 0.0]],
+                &[1.0, -1.0],
+                Some(&[2.0, 2.0]),
+                false,
+            ),
+            gate(
+                &[&[0.25], &[0.5]],
+                &[&[0.0, 1.0], &[1.0, 0.0]],
+                &[0.0, 0.0],
+                None,
+                true,
+            ),
+            gate(
+                &[&[1.0], &[-1.0]],
+                &[&[0.5, 0.0], &[0.0, 0.5]],
+                &[0.0, 0.0],
+                Some(&[-1.0, 1.0]),
+                false,
+            ),
+        ],
     )
     .unwrap();
     check_lstm(
@@ -186,34 +189,37 @@ fn golden_two_neuron_gru_step() {
     //      = (0.218555626908625, −0.122097431429183)
     // The reset gate scales h *before* W_h (Cho et al.); scaling W_h·h
     // instead would give h'₀ = 0.1344…, which this vector rejects.
-    let cell = GruCell::new(
-        gate(
-            &[&[1.0, 0.0], &[0.0, 1.0]],
-            &[&[0.0, 0.0], &[0.0, 0.0]],
-            &[0.0, 0.0],
-            None,
-            false,
-        ),
-        gate(
-            &[&[0.0, 0.0], &[0.0, 0.0]],
-            &[&[2.0, 0.0], &[0.0, 2.0]],
-            &[0.0, 1.0],
-            None,
-            false,
-        ),
-        gate(
-            &[&[0.5, 0.5], &[1.0, 0.0]],
-            &[&[1.0, 1.0], &[0.0, -2.0]],
-            &[0.0, 0.0],
-            None,
-            true,
-        ),
+    let cell = Cell::new(
+        CellKind::Gru,
+        vec![
+            gate(
+                &[&[1.0, 0.0], &[0.0, 1.0]],
+                &[&[0.0, 0.0], &[0.0, 0.0]],
+                &[0.0, 0.0],
+                None,
+                false,
+            ),
+            gate(
+                &[&[0.0, 0.0], &[0.0, 0.0]],
+                &[&[2.0, 0.0], &[0.0, 2.0]],
+                &[0.0, 1.0],
+                None,
+                false,
+            ),
+            gate(
+                &[&[0.5, 0.5], &[1.0, 0.0]],
+                &[&[1.0, 1.0], &[0.0, -2.0]],
+                &[0.0, 0.0],
+                None,
+                true,
+            ),
+        ],
     )
     .unwrap();
     let want = [0.218_555_626_908_624_5, -0.122_097_431_429_183_22];
     let h_ref = gru_step(&cell, &[1.0, -1.0], &[0.5, -0.5]);
     assert_close(&h_ref, &want, 1e-12, "reference h_t");
-    let next = f32_step(&Cell::Gru(cell), &[1.0, -1.0], &[0.5, -0.5], &[0.0; 2]);
+    let next = f32_step(&cell, &[1.0, -1.0], &[0.5, -0.5], &[0.0; 2]);
     assert_close(&to64(next.h_prefix(1)), &want, BUDGET_MAX_ABS, "f32 h_t");
 }
 
