@@ -150,11 +150,6 @@ fn a_steady_state_cell_step_allocates_nothing() {
             for (name, mut memo) in [("bnn", bnn), ("oracle", oracle)] {
                 check(name, allocations_per_step(&cell, lanes, &mut memo));
                 let stats = memo.stats();
-                eprintln!(
-                    "{kind:?} {lanes} {name} {} {}",
-                    stats.reuses(),
-                    stats.computed()
-                );
                 assert!(
                     stats.reuses() > 0 && stats.computed() > 0,
                     "{kind:?} at {lanes} lanes under {name}: the steps should hit and miss"
