@@ -29,8 +29,7 @@
 
 use nfm_bench::Bencher;
 use nfm_bnn::{BinaryGate, BinaryNetwork};
-use nfm_control::{AdaptivePredictor, ControllerConfig};
-use nfm_core::{BnnMemoConfig, BnnMemoEvaluator};
+use nfm_core::{AdaptivePredictor, BnnMemoConfig, BnnMemoEvaluator, ControllerConfig};
 use nfm_rnn::{
     evaluate_neurons, DeepRnn, ExactEvaluator, GateBatch, NeuronEvaluator, Result as RnnResult,
     RnnError,

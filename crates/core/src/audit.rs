@@ -6,8 +6,8 @@
 //! and the absolute output error recorded — the emitted output is still
 //! the cached value, so auditing never changes what a run produces,
 //! only what it observes. The per-layer hit/error counters collected
-//! here are the feedback signal for the online threshold controller in
-//! `nfm-control`.
+//! here are the feedback signal for the online threshold controller
+//! ([`crate::control`]).
 
 /// Configuration of deterministic audit sampling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,6 +113,11 @@ impl AuditStats {
         self.layers.iter().all(|l| l.hits == 0 && l.audited == 0)
     }
 
+    /// Total memoization hits across layers.
+    pub fn hits(&self) -> u64 {
+        self.layers.iter().map(|l| l.hits).sum()
+    }
+
     /// Total audited hits across layers.
     pub fn audited(&self) -> u64 {
         self.layers.iter().map(|l| l.audited).sum()
@@ -147,84 +152,6 @@ impl AuditStats {
         let taken = std::mem::take(&mut self.layers);
         self.layers = vec![LayerAudit::default(); layers];
         AuditStats { layers: taken }
-    }
-}
-
-/// Snapshot of one layer's controller state, for observability.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LayerControl {
-    /// Current memoization threshold θ for the layer.
-    pub threshold: f32,
-    /// EWMA of the mean audited error, `None` before the first update.
-    pub ewma_error: Option<f64>,
-    /// Cumulative memoization hits observed by the controller.
-    pub hits: u64,
-    /// Cumulative audited hits observed by the controller.
-    pub audited: u64,
-    /// Cumulative sum of `|exact − cached|` over the audited hits, so
-    /// whole-run mean audited error is recoverable from a snapshot
-    /// (the EWMA only tracks the recent past).
-    pub error_sum: f64,
-}
-
-impl LayerControl {
-    /// Cumulative mean absolute error of the audited hits, `None`
-    /// before the first audit.
-    pub fn mean_audited_error(&self) -> Option<f64> {
-        if self.audited == 0 {
-            None
-        } else {
-            Some(self.error_sum / self.audited as f64)
-        }
-    }
-}
-
-/// Snapshot of a threshold controller's state, exposed through
-/// [`Predictor::control_snapshot`](crate::Predictor::control_snapshot)
-/// so the serving engine can report it without depending on the
-/// controller crate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControlSnapshot {
-    /// The accuracy SLO: target mean absolute error per audited hit.
-    pub slo: f64,
-    /// Per-layer controller state, indexed by `GateId::layer`.
-    pub layers: Vec<LayerControl>,
-}
-
-impl ControlSnapshot {
-    /// Largest per-layer EWMA error, `None` before any update.
-    pub fn max_ewma_error(&self) -> Option<f64> {
-        self.layers
-            .iter()
-            .filter_map(|l| l.ewma_error)
-            .fold(None, |acc, e| Some(acc.map_or(e, |a: f64| a.max(e))))
-    }
-
-    /// Current per-layer thresholds.
-    pub fn thresholds(&self) -> Vec<f32> {
-        self.layers.iter().map(|l| l.threshold).collect()
-    }
-
-    /// Cumulative mean absolute error across all audited hits of all
-    /// layers, `None` before any audit.
-    pub fn mean_audited_error(&self) -> Option<f64> {
-        let audited: u64 = self.layers.iter().map(|l| l.audited).sum();
-        if audited == 0 {
-            None
-        } else {
-            let sum: f64 = self.layers.iter().map(|l| l.error_sum).sum();
-            Some(sum / audited as f64)
-        }
-    }
-
-    /// Total memoization hits observed across layers.
-    pub fn hits(&self) -> u64 {
-        self.layers.iter().map(|l| l.hits).sum()
-    }
-
-    /// Total audited hits across layers.
-    pub fn audited(&self) -> u64 {
-        self.layers.iter().map(|l| l.audited).sum()
     }
 }
 
@@ -276,35 +203,5 @@ mod tests {
         assert_eq!(taken.audited(), 2);
         assert!(a.is_empty());
         assert_eq!(a.layers().len(), 3, "layer indices stay stable");
-    }
-
-    #[test]
-    fn snapshot_max_ewma() {
-        let snap = ControlSnapshot {
-            slo: 0.1,
-            layers: vec![
-                LayerControl {
-                    threshold: 0.5,
-                    ewma_error: None,
-                    hits: 0,
-                    audited: 0,
-                    error_sum: 0.0,
-                },
-                LayerControl {
-                    threshold: 0.25,
-                    ewma_error: Some(0.2),
-                    hits: 10,
-                    audited: 2,
-                    error_sum: 0.5,
-                },
-            ],
-        };
-        assert_eq!(snap.max_ewma_error(), Some(0.2));
-        assert_eq!(snap.thresholds(), vec![0.5, 0.25]);
-        assert_eq!(snap.layers[0].mean_audited_error(), None);
-        assert_eq!(snap.layers[1].mean_audited_error(), Some(0.25));
-        assert_eq!(snap.mean_audited_error(), Some(0.25));
-        assert_eq!(snap.hits(), 10);
-        assert_eq!(snap.audited(), 2);
     }
 }

@@ -63,6 +63,7 @@
 
 pub mod audit;
 pub mod config;
+pub mod control;
 pub mod lanes;
 pub mod predictor;
 pub mod serving;
@@ -70,8 +71,9 @@ pub mod stats;
 pub mod table;
 pub mod threshold;
 
-pub use audit::{AuditConfig, AuditStats, ControlSnapshot, LayerAudit, LayerControl};
+pub use audit::{AuditConfig, AuditStats, LayerAudit};
 pub use config::{BnnMemoConfig, OracleMemoConfig};
+pub use control::{AdaptivePredictor, ControlSnapshot, ControllerConfig, ThresholdController};
 pub use lanes::MemoLanes;
 pub use nfm_bnn::Model;
 pub use predictor::BnnMemoEvaluator;

@@ -8,6 +8,7 @@
 
 use crate::audit::{AuditConfig, AuditStats};
 use crate::config::{BnnMemoConfig, OracleMemoConfig};
+use crate::control::{ControlLoop, ThresholdController};
 use crate::lanes::{MemoLaneState, MemoLanes};
 use crate::stats::ReuseStats;
 use crate::table::{GateColumns, MemoTable};
@@ -89,10 +90,9 @@ pub struct BnnMemoEvaluator {
     // Miss flags of the current gate invocation, lane-striped like the
     // gate's outputs: written by the decide pass, read by the audit walk.
     miss: Vec<u8>,
-    // Per-layer threshold overrides installed by an adaptive
-    // controller; empty means the uniform `config.threshold` applies
-    // to every layer.
-    layer_thresholds: Vec<f32>,
+    // The evaluator's side of an adaptive control loop: its per-layer
+    // θ overrides the uniform `config.threshold` (None = static θ).
+    control: Option<ControlLoop>,
     // Deterministic 1-in-N audit sampling of memo hits (None = off).
     audit: Option<AuditSampler>,
     audit_stats: AuditStats,
@@ -162,7 +162,7 @@ impl BnnMemoEvaluator {
             lanes: MemoLanes::default(),
             y: LineBuf::default(),
             miss: Vec::new(),
-            layer_thresholds: Vec::new(),
+            control: None,
             audit: None,
             audit_stats: AuditStats::new(),
         }
@@ -182,38 +182,50 @@ impl BnnMemoEvaluator {
         self
     }
 
-    /// Installs per-layer thresholds overriding the uniform
-    /// `config.threshold`: a gate on layer `i` (`GateId::layer`) uses
-    /// `thresholds[i]`, layers past the end fall back to the uniform
-    /// value.  The adaptive controller calls this between whole-gate
-    /// invocations only, so the layer θ never changes inside a gate
-    /// call; a lane's own override takes precedence over it.
-    pub fn set_layer_thresholds(&mut self, thresholds: &[f32]) {
-        self.layer_thresholds.clear();
-        self.layer_thresholds.extend_from_slice(thresholds);
+    /// The adaptive predictor: a BNN evaluator over `mirror` that audits
+    /// its hits at the `controller`'s sampling and runs its side of the
+    /// control loop.  Whenever the driver moves on to another cell or
+    /// into another [`HOIST_BLOCK`](nfm_rnn::HOIST_BLOCK)-aligned block
+    /// of timesteps, after `begin_batch` sizes the lanes and before
+    /// `begin_lane_sequence` resets a lane, it *syncs*: drains its audit
+    /// counters into the controller and, only if the controller's epoch
+    /// moved, re-reads the per-layer thresholds.  A gate on layer `i`
+    /// (`GateId::layer`) uses the controller's `θ_i`; layers it does not
+    /// track use `initial_theta`.  The layer θ never changes inside a
+    /// gate invocation and is shared by every lane of the call; a lane
+    /// override, which [`AdaptivePredictor`](crate::AdaptivePredictor)
+    /// refuses, would take precedence.
+    pub fn adaptive(
+        mirror: impl Into<Arc<BinaryNetwork>>,
+        controller: Arc<ThresholdController>,
+    ) -> Self {
+        let config = controller.config();
+        let mut evaluator = Self::new(mirror, BnnMemoConfig::with_threshold(config.initial_theta))
+            .with_audit(config.audit_config());
+        evaluator.control = Some(ControlLoop::new(controller));
+        evaluator
     }
 
-    /// The per-layer thresholds in effect (empty = uniform).
-    pub fn layer_thresholds(&self) -> &[f32] {
-        &self.layer_thresholds
+    /// One sync of the control loop, so that the tail of the last block
+    /// is observed too: drivers call it after a run.  Does nothing
+    /// without a controller.
+    pub fn flush(&mut self) {
+        if let Some(control) = &mut self.control {
+            control.sync(&mut self.audit_stats);
+        }
     }
 
-    /// Borrows the per-layer audit counters accumulated so far.
+    /// Borrows the per-layer audit counters accumulated so far (since
+    /// the last sync, for an adaptive evaluator).
     pub fn audit_stats(&self) -> &AuditStats {
         &self.audit_stats
-    }
-
-    /// Takes the per-layer audit counters, leaving zeros behind.
-    pub fn take_audit_stats(&mut self) -> AuditStats {
-        self.audit_stats.take()
     }
 
     /// The threshold in effect for `layer` on lanes without an override.
     #[inline]
     fn threshold_for(&self, layer: usize) -> f32 {
-        self.layer_thresholds
-            .get(layer)
-            .copied()
+        (self.control.as_ref())
+            .and_then(|control| control.thetas.get(layer).copied())
             .unwrap_or(self.config.threshold)
     }
 
@@ -363,6 +375,9 @@ impl NeuronEvaluator for BnnMemoEvaluator {
             h_prevs,
             ..
         } = *call;
+        if let Some(control) = &mut self.control {
+            control.enter(call, &mut self.audit_stats);
+        }
         let nsz = gate.neurons();
         // `None` is the oracle; a mirror without this gate evaluates
         // every lane exactly.
@@ -465,9 +480,13 @@ impl NeuronEvaluator for BnnMemoEvaluator {
                 ..MemoLaneState::default()
             });
         }
+        self.flush();
     }
 
     fn begin_lane_sequence(&mut self, lane: usize) {
+        // A lane admission is a block boundary for that lane: drain
+        // telemetry and pick up the freshest θ before the new request.
+        self.flush();
         // The lane starts cold and at the layer's θ: a recycled lane
         // never inherits its predecessor's override.
         let state = &mut self.lanes.0[lane];

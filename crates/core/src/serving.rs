@@ -27,8 +27,8 @@
 //!   leave the lane hook alone: the engine synthesizes a request's
 //!   all-computed statistics from its length.
 
-use crate::audit::ControlSnapshot;
 use crate::config::{BnnMemoConfig, OracleMemoConfig};
+use crate::control::ControlSnapshot;
 use crate::predictor::BnnMemoEvaluator;
 use crate::stats::ReuseStats;
 use nfm_bnn::Model;

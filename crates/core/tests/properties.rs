@@ -5,8 +5,8 @@
 
 use nfm_bnn::BinaryNetwork;
 use nfm_core::{
-    AuditConfig, BnnMemoConfig, BnnMemoEvaluator, Model, OracleMemoConfig, Predictor,
-    PredictorKind, ReuseStats, ServedEvaluator,
+    AuditConfig, BnnMemoConfig, BnnMemoEvaluator, ControllerConfig, Model, OracleMemoConfig,
+    Predictor, PredictorKind, ReuseStats, ServedEvaluator, ThresholdController,
 };
 use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig, ExactEvaluator, NeuronEvaluator};
 use nfm_tensor::rng::DeterministicRng;
@@ -376,15 +376,20 @@ fn per_layer_thresholds_override_uniform() {
     let net = lstm(1);
     let seq = smooth_sequence(15, 8, 2, 0.05);
     let exact = net.run(&seq, &mut ExactEvaluator::new()).unwrap();
-    let mut memo = bnn(&net, BnnMemoConfig::with_threshold(4.0));
-    memo.set_layer_thresholds(&[-1.0; 4]);
+    // The evaluator's uniform θ is the initial 4.0; the controller
+    // clamps every layer it tracks to -1.
+    let config = ControllerConfig::new(0.0)
+        .initial_theta(4.0)
+        .theta_range(-1.0, -1.0);
+    let controller = Arc::new(ThresholdController::new(1, config));
+    let mut memo = BnnMemoEvaluator::adaptive(BinaryNetwork::mirror(&net), controller);
     let out = net.run(&seq, &mut memo).unwrap();
     assert_eq!(exact, out, "θ<0 on every layer degenerates to exact");
     assert_eq!(memo.stats().reuses(), 0);
-    // Clearing the overrides restores the uniform threshold.
-    memo.set_layer_thresholds(&[]);
-    let _ = net.run(&seq, &mut memo).unwrap();
-    assert!(memo.stats().reuses() > 0);
+    // The uniform threshold alone reuses.
+    let mut uniform = bnn(&net, BnnMemoConfig::with_threshold(4.0));
+    let _ = net.run(&seq, &mut uniform).unwrap();
+    assert!(uniform.stats().reuses() > 0);
 }
 
 // ---- Predictor policies ------------------------------------------------

@@ -1,5 +1,5 @@
 //! The θ/accuracy/speedup frontier: a static threshold sweep against
-//! the online adaptive controller (`nfm-control`), across input
+//! the online adaptive controller (`nfm_core::control`), across input
 //! regimes whose statistics drift.
 //!
 //! The paper picks θ offline on a validation set (Section 3.2.1); this
@@ -13,8 +13,9 @@
 
 use crate::harness::EvalConfig;
 use crate::report::{ExperimentReport, Series, TableReport};
-use nfm_control::{AdaptivePredictor, ControllerConfig};
-use nfm_core::{AuditConfig, BnnMemoConfig, BnnMemoEvaluator, Model};
+use nfm_core::{
+    AdaptivePredictor, AuditConfig, BnnMemoConfig, BnnMemoEvaluator, ControllerConfig, Model,
+};
 use nfm_rnn::{CellKind, DeepRnn, DeepRnnConfig};
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
@@ -155,15 +156,15 @@ fn run_adaptive(
             .expect("frontier adaptive run");
     }
     evaluator.flush();
-    let reuse = evaluator.inner().stats().reuse_fraction();
+    let reuse = evaluator.stats().reuse_fraction();
     let snapshot = predictor.controller().snapshot();
-    let thetas = snapshot.thresholds();
+    let thetas = snapshot.thresholds;
     let mean_theta = thetas.iter().copied().sum::<f32>() / thetas.len().max(1) as f32;
     (
         FrontierPoint {
             theta: mean_theta,
             reuse,
-            audit_error: snapshot.mean_audited_error().unwrap_or(0.0),
+            audit_error: snapshot.audit.mean_error().unwrap_or(0.0),
         },
         thetas,
     )

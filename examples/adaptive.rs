@@ -16,8 +16,7 @@
 //! cargo run --release --example adaptive
 //! ```
 
-use nfm::control::{AdaptivePredictor, ControllerConfig};
-use nfm::memo::{BnnMemoConfig, PredictorKind};
+use nfm::memo::{AdaptivePredictor, BnnMemoConfig, ControllerConfig, PredictorKind};
 use nfm::net::{NetClient, NetServer, ServerFrame, WireRequest};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig};
 use nfm::serve::{CompletionStatus, EngineBuilder, ModelRegistry};
@@ -100,8 +99,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\ncontroller: {} θ updates · θ {:?} · mean audited err {:?} · slo {}",
         adaptive.controller().updates(),
-        snapshot.thresholds(),
-        snapshot.mean_audited_error(),
+        snapshot.thresholds,
+        snapshot.audit.mean_error(),
         snapshot.slo,
     );
     assert!(

@@ -17,9 +17,8 @@
 //! | [`tensor`] | dense linear algebra, activations, statistics, kernel backends |
 //! | [`rnn`] | LSTM/GRU cells, layers, deep networks; the one lane-striped inference path (`DeepRnn::run` is a batch of one), the lane scheduler, and the 6-method [`NeuronEvaluator`](rnn::NeuronEvaluator) boundary |
 //! | [`bnn`] | binarized (bitwise) network substrate |
-//! | [`memo`] | the paper's contribution: neuron-level fuzzy memoization (evaluators, configs, the open [`Predictor`](nfm_core::Predictor) abstraction and its offline [`Predictor::run`](nfm_core::Predictor::run)) |
+//! | [`memo`] | the paper's contribution: neuron-level fuzzy memoization (evaluators, configs, the open [`Predictor`](nfm_core::Predictor) abstraction and its offline [`Predictor::run`](nfm_core::Predictor::run)), and the online adaptive θ controller holding an accuracy SLO ([`AdaptivePredictor`](nfm_core::AdaptivePredictor)) |
 //! | [`model`] | versioned binary model artifacts: aligned save, a load that reads each tensor into its own line buffer, prebuilt BNN mirrors |
-//! | [`control`] | online adaptive threshold controller holding an accuracy SLO |
 //! | [`serve`] | the request-oriented serving engine: multi-model registry, per-request options, deadlines, hot swaps with canary routing |
 //! | [`net`] | the TCP serving surface: length-prefixed wire protocol (each frame declared once), poll-loop server, client |
 //! | [`accel`] | the E-PUR accelerator simulator (timing/energy/area) |
@@ -57,7 +56,6 @@
 
 pub use nfm_accel as accel;
 pub use nfm_bnn as bnn;
-pub use nfm_control as control;
 pub use nfm_eval as eval;
 pub use nfm_model as model;
 pub use nfm_net as net;

@@ -6,8 +6,9 @@
 //! [`Engine::context_stats`](nfm::serve::Engine::context_stats) reports
 //! every served context with live controller state.
 
-use nfm::control::{AdaptivePredictor, ControllerConfig};
-use nfm::memo::{AuditConfig, BnnMemoConfig, BnnMemoEvaluator, Model};
+use nfm::memo::{
+    AdaptivePredictor, AuditConfig, BnnMemoConfig, BnnMemoEvaluator, ControllerConfig, Model,
+};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig};
 use nfm::serve::{EngineBuilder, InferenceRequest, ModelRegistry, PredictorKind, RequestOptions};
 use nfm::tensor::rng::DeterministicRng;
@@ -121,7 +122,7 @@ fn frozen_controller_matches_static_bnn_bit_for_bit() {
         "a frozen controller must reproduce the static BNN predictor bit for bit"
     );
     assert_eq!(frozen.controller().updates(), 0);
-    assert!(frozen.controller().snapshot().hits() > 0);
+    assert!(frozen.controller().snapshot().audit.hits() > 0);
 }
 
 #[test]
@@ -149,7 +150,7 @@ fn single_worker_adaptive_serving_is_seed_deterministic() {
     assert_eq!(outputs_a, outputs_b, "same seed, same outputs");
     assert_eq!(snap_a, snap_b, "same seed, same controller trajectory");
     assert!(
-        snap_a.hits() > 0,
+        snap_a.audit.hits() > 0,
         "the run should exercise the memoization path"
     );
 }
@@ -180,9 +181,7 @@ fn controller_converges_onto_slo_under_drift() {
         "drift must trigger θ updates, got none"
     );
     let snapshot = controller.snapshot();
-    let mean = snapshot
-        .mean_audited_error()
-        .expect("audits were collected");
+    let mean = snapshot.audit.mean_error().expect("audits were collected");
     // Starting from a conservative θ the controller approaches the SLO
     // from the low-error side; the cumulative audited error (which
     // still contains the convergence transient) stays within a small
@@ -194,9 +193,9 @@ fn controller_converges_onto_slo_under_drift() {
     // And it actually used the budget: θ grew above its conservative
     // starting point on at least one layer.
     assert!(
-        snapshot.thresholds().iter().any(|&t| t > 0.05),
+        snapshot.thresholds.iter().any(|&t| t > 0.05),
         "θ never grew: {:?}",
-        snapshot.thresholds()
+        snapshot.thresholds
     );
 }
 
@@ -249,7 +248,10 @@ fn context_stats_reports_every_served_context() {
         if ctx.predictor == "adaptive" {
             let control = ctx.control.as_ref().expect("adaptive exposes control");
             assert_eq!(control.slo, slo);
-            assert_eq!(control.hits(), adaptive.controller().snapshot().hits());
+            assert_eq!(
+                control.audit.hits(),
+                adaptive.controller().snapshot().audit.hits()
+            );
         } else {
             assert!(ctx.control.is_none(), "static contexts have no controller");
         }

@@ -17,10 +17,9 @@
 //!    configured θ for the next request.
 
 use nfm::bnn::BinaryNetwork;
-use nfm::control::{AdaptivePredictor, ControllerConfig};
 use nfm::memo::{
-    BnnMemoConfig, BnnMemoEvaluator, ControlSnapshot, Model, OracleMemoConfig, Predictor,
-    ReuseStats, ServedEvaluator,
+    AdaptivePredictor, BnnMemoConfig, BnnMemoEvaluator, ControlSnapshot, ControllerConfig, Model,
+    OracleMemoConfig, Predictor, ReuseStats, ServedEvaluator,
 };
 use nfm::model::{load_from_slice, save_to_vec};
 use nfm::net::{NetClient, NetServer, ServerFrame, WireRequest};
