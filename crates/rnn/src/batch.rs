@@ -16,27 +16,32 @@
 //! simply drops out of the prefix when its sequence ends (the ragged
 //! tail) and its stale state is never read again.
 
+use crate::config::CellKind;
+
 /// The recurrent state of `lanes` independent cell instances, stored
-/// lane-striped: `h` (and `c` for LSTM cells) hold `lanes * hidden`
-/// values each.
+/// lane-striped: `h` holds `lanes * hidden` values, and so does `c` for
+/// an LSTM cell; a GRU cell has no cell state and `c` holds nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchState {
     h: nfm_tensor::LineBuf<f32>,
     c: nfm_tensor::LineBuf<f32>,
     lanes: usize,
     hidden: usize,
+    // Cell-state values per lane: `hidden` for an LSTM, 0 for a GRU.
+    c_width: usize,
 }
 
 impl BatchState {
-    /// Zero-initialized state for `lanes` lanes of a cell with `hidden`
-    /// neurons per gate.  The cell-state buffer `c` is always allocated;
-    /// GRU cells simply never touch it.
-    pub fn zeros(lanes: usize, hidden: usize) -> Self {
+    /// Zero-initialized state for `lanes` lanes of a `kind` cell with
+    /// `hidden` neurons per gate.
+    pub fn zeros(kind: CellKind, lanes: usize, hidden: usize) -> Self {
+        let c_width = if kind == CellKind::Lstm { hidden } else { 0 };
         BatchState {
             h: nfm_tensor::LineBuf::zeros(lanes * hidden),
-            c: nfm_tensor::LineBuf::zeros(lanes * hidden),
+            c: nfm_tensor::LineBuf::zeros(lanes * c_width),
             lanes,
             hidden,
+            c_width,
         }
     }
 
@@ -60,29 +65,32 @@ impl BatchState {
         &mut self.h[..active * self.hidden]
     }
 
-    /// The cell states of the first `active` lanes, lane-striped.
+    /// The cell states of the first `active` lanes, lane-striped (empty
+    /// for a GRU).
     pub fn c_prefix(&self, active: usize) -> &[f32] {
-        &self.c[..active * self.hidden]
+        &self.c[..active * self.c_width]
     }
 
     /// Mutable cell states of the first `active` lanes.
     pub fn c_prefix_mut(&mut self, active: usize) -> &mut [f32] {
-        &mut self.c[..active * self.hidden]
+        &mut self.c[..active * self.c_width]
     }
 
     /// Splits the state into mutable hidden outputs and immutable cell
     /// states over the first `active` lanes (the LSTM `h_t = o_t ⊙ ϕ(c_t)`
     /// update reads `c` while writing `h`).
     pub fn h_mut_c_prefix(&mut self, active: usize) -> (&mut [f32], &[f32]) {
-        let len = active * self.hidden;
-        (&mut self.h[..len], &self.c[..len])
+        (
+            &mut self.h[..active * self.hidden],
+            &self.c[..active * self.c_width],
+        )
     }
 
     /// Zeroes lane `lane`'s state so the slot can be refilled with a
     /// fresh sequence.
     pub fn reset_lane(&mut self, lane: usize) {
         self.h[lane * self.hidden..(lane + 1) * self.hidden].fill(0.0);
-        self.c[lane * self.hidden..(lane + 1) * self.hidden].fill(0.0);
+        self.c[lane * self.c_width..(lane + 1) * self.c_width].fill(0.0);
     }
 
     /// Swaps the state of two lanes.  The unified lane scheduler uses
@@ -95,12 +103,11 @@ impl BatchState {
         if a == b {
             return;
         }
-        let w = self.hidden;
         let (lo, hi) = (a.min(b), a.max(b));
-        let (head, tail) = self.h.split_at_mut(hi * w);
-        head[lo * w..(lo + 1) * w].swap_with_slice(&mut tail[..w]);
-        let (head, tail) = self.c.split_at_mut(hi * w);
-        head[lo * w..(lo + 1) * w].swap_with_slice(&mut tail[..w]);
+        for (buf, w) in [(&mut self.h, self.hidden), (&mut self.c, self.c_width)] {
+            let (head, tail) = buf.split_at_mut(hi * w);
+            head[lo * w..(lo + 1) * w].swap_with_slice(&mut tail[..w]);
+        }
     }
 }
 
@@ -142,7 +149,7 @@ mod tests {
 
     #[test]
     fn state_prefixes_are_lane_striped() {
-        let mut s = BatchState::zeros(3, 4);
+        let mut s = BatchState::zeros(CellKind::Lstm, 3, 4);
         assert_eq!(s.lanes(), 3);
         assert_eq!(s.hidden(), 4);
         assert_eq!(s.h_prefix(2).len(), 8);
@@ -151,11 +158,13 @@ mod tests {
         assert_eq!(s.h_prefix(2)[4..], [0.0, 2.5, 0.0, 0.0]);
         s.c_prefix_mut(2)[0] = 1.0;
         assert_eq!(s.c_prefix(1)[0], 1.0);
+        let gru = BatchState::zeros(CellKind::Gru, 3, 4);
+        assert_eq!((gru.h_prefix(3).len(), gru.c_prefix(3).len()), (12, 0));
     }
 
     #[test]
     fn reset_lane_only_touches_one_lane() {
-        let mut s = BatchState::zeros(2, 3);
+        let mut s = BatchState::zeros(CellKind::Lstm, 2, 3);
         s.h_prefix_mut(2).fill(1.0);
         s.c_prefix_mut(2).fill(2.0);
         s.reset_lane(0);
@@ -165,7 +174,7 @@ mod tests {
 
     #[test]
     fn swap_lanes_exchanges_h_and_c() {
-        let mut s = BatchState::zeros(3, 2);
+        let mut s = BatchState::zeros(CellKind::Lstm, 3, 2);
         s.h_prefix_mut(3)
             .copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         s.c_prefix_mut(3)

@@ -416,16 +416,16 @@ mod tests {
             let mut scratch = BatchScratch::new();
             let fwd = [0.0f32; 4];
             let hoisted = vec![&fwd[..]; kind.gates()];
-            let state = BatchState::zeros(1, 4);
+            let state = BatchState::zeros(kind, 1, 4);
             let mut step = |lanes, xs: &[f32], state: &BatchState, hidden, hoisted: &[&[f32]]| {
-                let next = &mut BatchState::zeros(1, hidden);
+                let next = &mut BatchState::zeros(kind, 1, hidden);
                 let (s, e) = (&mut scratch, &mut eval);
                 c.step_batch_into(0, 0, 0, lanes, xs, state, next, s, hoisted, e)
             };
             let gates = hoisted.len();
             assert!(step(1, &[0.0; 4], &state, 4, &hoisted).is_ok());
             assert!(step(1, &[0.0; 3], &state, 4, &hoisted).is_err());
-            assert!(step(1, &[0.0; 4], &BatchState::zeros(1, 2), 4, &hoisted).is_err());
+            assert!(step(1, &[0.0; 4], &BatchState::zeros(kind, 1, 2), 4, &hoisted).is_err());
             assert!(step(1, &[0.0; 4], &state, 2, &hoisted).is_err());
             assert!(step(2, &[0.0; 8], &state, 4, &hoisted).is_err());
             assert!(step(1, &[0.0; 4], &state, 4, &hoisted[..gates - 1]).is_err());
@@ -495,7 +495,7 @@ mod tests {
         let cell = hand_cell(CellKind::Gru, 3, &[-40.0, 0.0, 0.0], 3);
         let prev = [0.3, -0.2, 0.5];
         let x = [1.0, 2.0, -1.0];
-        let mut state = BatchState::zeros(1, 3);
+        let mut state = BatchState::zeros(CellKind::Gru, 1, 3);
         state.h_prefix_mut(1).copy_from_slice(&prev);
         let hoisted: Vec<Vec<f32>> = cell
             .gates()
@@ -507,7 +507,7 @@ mod tests {
             })
             .collect();
         let hoisted: Vec<&[f32]> = hoisted.iter().map(Vec::as_slice).collect();
-        let mut next = BatchState::zeros(1, 3);
+        let mut next = BatchState::zeros(CellKind::Gru, 1, 3);
         let mut eval = ExactEvaluator::new();
         cell.step_batch_into(
             0,

@@ -69,7 +69,7 @@
 use crate::batch::BatchState;
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
-use crate::layer::{grow, BlockPlan, BlockScratch, HOIST_BLOCK};
+use crate::layer::{grow, BlockPlan, BlockScratch, Layer, HOIST_BLOCK};
 use crate::network::DeepRnn;
 use crate::Result;
 use nfm_tensor::{LineBuf, Vector};
@@ -222,13 +222,12 @@ impl LaneScheduler {
             .iter()
             .map(|l| l.forward_cell().hidden_size())
             .collect();
-        let states = || -> Vec<BatchState> {
-            hidden
-                .iter()
-                .map(|&h| BatchState::zeros(lanes, h))
-                .collect()
+        let zeros = |l: &Layer| {
+            let cell = l.forward_cell();
+            BatchState::zeros(cell.kind(), lanes, cell.hidden_size())
         };
-        let backward = network.layers().iter().zip(&hidden);
+        let states = || -> Vec<BatchState> { network.layers().iter().map(zeros).collect() };
+        let backward = network.layers().iter();
         Ok(LaneScheduler {
             mid_wave,
             lanes,
@@ -236,7 +235,7 @@ impl LaneScheduler {
             states: states(),
             nexts: states(),
             backward: backward
-                .map(|(l, &h)| l.is_bidirectional().then(|| BatchState::zeros(lanes, h)))
+                .map(|l| l.is_bidirectional().then(|| zeros(l)))
                 .collect(),
             hidden,
             scratch: BlockScratch::default(),

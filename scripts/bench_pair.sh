@@ -15,12 +15,14 @@
 # in .git) and each side's `benchmark/` is built once into its own target
 # directory.  For every workload and metric the report prints each side's
 # median [q1, q3] over the pairs, the ratio B/A of the medians, the pairs
-# B won, and a verdict: `same` where the medians are equal or differ by
-# less than the printed ratio can show (|B/A - 1| < 0.0005: a fixed-rate
-# metric such as serve_open's steps_per_s has a near-zero IQR, so any
-# difference would otherwise exceed it), `unresolved` where the parent's
-# IQR is wider than the difference of the medians, else `better` or
-# `worse`.  Both sides' medians are then appended to
+# B won, and a verdict: `same` where the medians differ by less than the
+# printed ratio can show (|B/A - 1| < 0.0005) *and* the parent's quartiles
+# both lie within 0.0005 of its median (a fixed-rate metric such as
+# serve_open's steps_per_s, or a constant one such as output_fidelity_pct:
+# any difference would otherwise exceed its near-zero IQR; a noisy row
+# whose medians happen to coincide resolves nothing), `unresolved` where
+# the parent's IQR is wider than the difference of the medians, else
+# `better` or `worse`.  Both sides' medians are then appended to
 # BENCH_history.jsonl through scripts/bench_history.sh.  Nothing under
 # `benchmark/` is written.
 set -euo pipefail
@@ -112,7 +114,8 @@ for w in workloads:
         (am, aq1, aq3), (bm, bq1, bq3) = quartiles(a), quartiles(b)
         won = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
         ratio = bm / am if am else float("nan")
-        if bm == am or abs(ratio - 1) < 0.0005:
+        steady = all(abs(q - am) <= 0.0005 * abs(am) for q in (aq1, aq3))
+        if steady and (bm == am or abs(ratio - 1) < 0.0005):
             verdict = "same"
         elif aq3 - aq1 > abs(bm - am):
             verdict = "unresolved"

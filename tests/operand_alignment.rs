@@ -90,7 +90,7 @@ fn table1_weights_and_sign_blocks_start_on_a_line() {
 #[test]
 fn lane_state_prefixes_start_on_a_line() {
     for (lanes, hidden) in [(1, 3), (8, 16), (8, 25), (3, 400)] {
-        let mut state = BatchState::zeros(lanes, hidden);
+        let mut state = BatchState::zeros(CellKind::Lstm, lanes, hidden);
         for active in 1..=lanes {
             assert!(on_a_line(state.h_prefix(active)), "{lanes}x{hidden} h");
             assert!(on_a_line(state.c_prefix(active)), "{lanes}x{hidden} c");

@@ -51,7 +51,7 @@ fn to64(v: &[f32]) -> Vec<f64> {
 /// `matmul_into` at one lane, as the layer driver hands them over.
 fn f32_step(cell: &Cell, x: &[f32], h: &[f32], c: &[f32]) -> BatchState {
     let hidden = cell.hidden_size();
-    let mut state = BatchState::zeros(1, hidden);
+    let mut state = BatchState::zeros(cell.kind(), 1, hidden);
     state.h_prefix_mut(1).copy_from_slice(h);
     state.c_prefix_mut(1).copy_from_slice(c);
     let hoisted: Vec<Vec<f32>> = cell
@@ -64,7 +64,7 @@ fn f32_step(cell: &Cell, x: &[f32], h: &[f32], c: &[f32]) -> BatchState {
         })
         .collect();
     let hoisted: Vec<&[f32]> = hoisted.iter().map(Vec::as_slice).collect();
-    let mut next = BatchState::zeros(1, hidden);
+    let mut next = BatchState::zeros(cell.kind(), 1, hidden);
     let (out, s, e) = (
         &mut next,
         &mut BatchScratch::new(),
@@ -219,7 +219,7 @@ fn golden_two_neuron_gru_step() {
     let want = [0.218_555_626_908_624_5, -0.122_097_431_429_183_22];
     let h_ref = gru_step(&cell, &[1.0, -1.0], &[0.5, -0.5]);
     assert_close(&h_ref, &want, 1e-12, "reference h_t");
-    let next = f32_step(&cell, &[1.0, -1.0], &[0.5, -0.5], &[0.0; 2]);
+    let next = f32_step(&cell, &[1.0, -1.0], &[0.5, -0.5], &[]);
     assert_close(&to64(next.h_prefix(1)), &want, BUDGET_MAX_ABS, "f32 h_t");
 }
 

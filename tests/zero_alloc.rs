@@ -90,8 +90,8 @@ fn allocations_per_step(
         .iter()
         .map(|step| step.iter().map(Vec::as_slice).collect())
         .collect();
-    let mut state = BatchState::zeros(lanes, hidden);
-    let mut next = BatchState::zeros(lanes, hidden);
+    let mut state = BatchState::zeros(cell.kind(), lanes, hidden);
+    let mut next = BatchState::zeros(cell.kind(), lanes, hidden);
     let mut scratch = BatchScratch::new();
     evaluator.begin_batch(lanes);
     for lane in 0..lanes {
