@@ -226,15 +226,15 @@ impl LaneScheduler {
             let cell = l.forward_cell();
             BatchState::zeros(cell.kind(), lanes, cell.hidden_size())
         };
-        let states = || -> Vec<BatchState> { network.layers().iter().map(zeros).collect() };
-        let backward = network.layers().iter();
+        let layers = network.layers();
+        let states = || -> Vec<BatchState> { layers.iter().map(zeros).collect() };
         Ok(LaneScheduler {
             mid_wave,
             lanes,
             input_size: network.input_size(),
             states: states(),
             nexts: states(),
-            backward: backward
+            backward: (layers.iter())
                 .map(|l| l.is_bidirectional().then(|| zeros(l)))
                 .collect(),
             hidden,
