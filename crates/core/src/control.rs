@@ -484,20 +484,20 @@ mod tests {
         stats
     }
 
-    fn thetas(ctrl: &ThresholdController) -> Vec<f32> {
+    fn thresholds(ctrl: &ThresholdController) -> Vec<f32> {
         ctrl.snapshot().thresholds
     }
 
     #[test]
     fn shrinks_on_violation_grows_on_headroom() {
         let ctrl = ThresholdController::new(2, ControllerConfig::new(0.1).min_audits_per_update(2));
-        let theta0 = thetas(&ctrl)[0];
+        let theta0 = thresholds(&ctrl)[0];
         ctrl.observe(&audits(0, 4, 1.0)); // far above SLO
-        let after_violation = thetas(&ctrl)[0];
+        let after_violation = thresholds(&ctrl)[0];
         assert!(after_violation < theta0);
         assert_eq!(ctrl.epoch(), 1);
         ctrl.observe(&audits(1, 4, 0.0)); // within SLO
-        assert!(thetas(&ctrl)[1] > theta0);
+        assert!(thresholds(&ctrl)[1] > theta0);
         assert_eq!(ctrl.epoch(), 2);
     }
 
@@ -513,9 +513,9 @@ mod tests {
     #[test]
     fn frozen_never_moves() {
         let ctrl = ThresholdController::new(1, ControllerConfig::frozen_at(0.1, 0.75));
-        assert_eq!(thetas(&ctrl), vec![0.75]);
+        assert_eq!(thresholds(&ctrl), vec![0.75]);
         ctrl.observe(&audits(0, 100, 5.0));
-        assert_eq!(thetas(&ctrl), vec![0.75]);
+        assert_eq!(thresholds(&ctrl), vec![0.75]);
         assert_eq!(ctrl.epoch(), 0);
         let snap = ctrl.snapshot();
         assert_eq!(snap.audit.audited(), 100, "telemetry still flows");
@@ -531,11 +531,11 @@ mod tests {
         for _ in 0..64 {
             ctrl.observe(&audits(0, 1, 10.0));
         }
-        assert_eq!(thetas(&ctrl), vec![0.25]);
+        assert_eq!(thresholds(&ctrl), vec![0.25]);
         for _ in 0..256 {
             ctrl.observe(&audits(0, 1, 0.0));
         }
-        assert_eq!(thetas(&ctrl), vec![1.0]);
+        assert_eq!(thresholds(&ctrl), vec![1.0]);
     }
 
     #[test]
@@ -554,7 +554,7 @@ mod tests {
     fn observing_more_layers_grows_state() {
         let ctrl = ThresholdController::new(1, ControllerConfig::new(0.1));
         ctrl.observe(&audits(3, 1, 0.0));
-        assert_eq!(thetas(&ctrl).len(), 4);
+        assert_eq!(thresholds(&ctrl).len(), 4);
     }
 
     fn network(seed: u64) -> Model {
@@ -706,7 +706,7 @@ mod tests {
                 let _ = net.run(seq, &mut evaluator).unwrap();
             }
             evaluator.flush();
-            thetas(predictor.controller())[0]
+            thresholds(predictor.controller())[0]
         };
         let tight = drive(0.0);
         let loose = drive(1e3);
