@@ -145,13 +145,10 @@ impl AuditStats {
         }
     }
 
-    /// Takes the counters, leaving empty ones behind (layer count is
-    /// preserved so indices stay stable).
-    pub fn take(&mut self) -> AuditStats {
-        let layers = self.layers.len();
-        let taken = std::mem::take(&mut self.layers);
-        self.layers = vec![LayerAudit::default(); layers];
-        AuditStats { layers: taken }
+    /// Zeroes the counters in place (layer count is preserved so
+    /// indices stay stable, and nothing is allocated).
+    pub fn clear(&mut self) {
+        self.layers.fill(LayerAudit::default());
     }
 }
 
@@ -190,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_take() {
+    fn merge_and_clear() {
         let mut a = AuditStats::new();
         a.record_audit(0, 1.0);
         let mut b = AuditStats::new();
@@ -199,8 +196,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.layers().len(), 3);
         assert_eq!(a.audited(), 2);
-        let taken = a.take();
-        assert_eq!(taken.audited(), 2);
+        a.clear();
         assert!(a.is_empty());
         assert_eq!(a.layers().len(), 3, "layer indices stay stable");
     }

@@ -40,7 +40,7 @@
 use crate::audit::{AuditConfig, AuditStats};
 use crate::predictor::BnnMemoEvaluator;
 use crate::serving::{Predictor, ServedEvaluator};
-use nfm_bnn::{BinaryNetwork, Model};
+use nfm_bnn::Model;
 use nfm_rnn::{GateBatch, HOIST_BLOCK};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -98,7 +98,8 @@ impl ControllerConfig {
     /// A frozen controller pinned at `theta`: the clamp is the single
     /// point `[theta, theta]`, so θ never moves while audit telemetry
     /// still flows, and evaluators behave bit-identically to a static
-    /// predictor at `theta`.
+    /// predictor at `theta`.  A later [`theta_range`](Self::theta_range)
+    /// or [`initial_theta`](Self::initial_theta) call replaces the pin.
     pub fn frozen_at(slo: f64, theta: f32) -> Self {
         ControllerConfig::new(slo)
             .initial_theta(theta)
@@ -240,25 +241,29 @@ impl ThresholdController {
             "theta_min must not exceed theta_max"
         );
         assert!(config.min_audits_per_update >= 1, "quorum must be >= 1");
-        ThresholdController {
+        let controller = ThresholdController {
             config,
             epoch: AtomicU64::new(0),
             inner: Mutex::new(ControlState {
-                layers: vec![LayerState::initial(&config); layers.max(1)],
+                layers: Vec::new(),
                 audit: AuditStats::new(),
                 updates: 0,
             }),
-        }
+        };
+        controller.track_layers(layers.max(1));
+        controller
     }
 
-    /// Grows the per-layer state to cover `layers` layers (never
-    /// shrinks); new layers start at the configured initial θ.
+    /// Grows the per-layer state and counters to cover `layers` layers
+    /// (never shrinks), so observing them allocates nothing; new layers
+    /// start at the configured initial θ.
     pub fn track_layers(&self, layers: usize) {
         let mut inner = self.inner.lock().expect("controller poisoned");
         if layers > inner.layers.len() {
             inner
                 .layers
                 .resize(layers, LayerState::initial(&self.config));
+            inner.audit.ensure_layer(layers - 1);
         }
     }
 
@@ -381,11 +386,12 @@ impl ControlLoop {
         }
     }
 
-    /// A sync: drains the `pending` audit counters into the controller
-    /// and re-reads θ if the controller's epoch moved.
+    /// A sync: drains the `pending` audit counters into the controller,
+    /// zeroing them in place, and re-reads θ if its epoch moved.
     pub(crate) fn sync(&mut self, pending: &mut AuditStats) {
         if !pending.is_empty() {
-            self.controller.observe(&pending.take());
+            self.controller.observe(pending);
+            pending.clear();
         }
         let epoch = self.controller.epoch();
         if epoch != self.epoch {
@@ -412,15 +418,6 @@ impl ControlLoop {
 #[derive(Debug, Clone)]
 pub struct AdaptivePredictor {
     controller: Arc<ThresholdController>,
-}
-
-/// Number of recurrent layers addressed by the mirror's gates.
-fn mirror_layers(mirror: &BinaryNetwork) -> usize {
-    mirror
-        .iter()
-        .map(|(id, _)| id.layer)
-        .max()
-        .map_or(1, |m| m + 1)
 }
 
 impl AdaptivePredictor {
@@ -458,7 +455,8 @@ impl Predictor for AdaptivePredictor {
 
     /// Builds the mirror and sizes the controller to the model's layers.
     fn prepare(&self, model: &Model) {
-        self.controller.track_layers(mirror_layers(model.mirror()));
+        let layers = model.mirror().iter().map(|(id, _)| id.layer + 1).max();
+        self.controller.track_layers(layers.unwrap_or(1));
     }
 
     fn control_snapshot(&self) -> Option<ControlSnapshot> {
@@ -728,15 +726,13 @@ mod tests {
 
     #[test]
     fn exact_outputs_unaffected_by_wrapper_plumbing() {
-        // The adaptive θ floor can be pushed so low the evaluator
-        // degenerates to (nearly) exact inference; outputs must stay
-        // finite and bounded like the plain evaluator's.
+        // A controller pinned at θ < 0 never reuses, so the adaptive
+        // evaluator degenerates to exact inference.
         let model = network(11);
         let net = model.network();
         let seq = smooth_sequence(20, 8, 50);
         let exact = net.run(&seq, &mut ExactEvaluator::new()).unwrap();
-        let predictor =
-            AdaptivePredictor::new(ControllerConfig::frozen_at(0.0, -1.0).theta_range(-1.0, 1.0));
+        let predictor = AdaptivePredictor::new(ControllerConfig::frozen_at(0.0, -1.0));
         let mut evaluator = predictor.evaluator(&model);
         let out = net.run(&seq, &mut evaluator).unwrap();
         assert_eq!(exact, out, "θ<0 degenerates to exact inference");

@@ -1,20 +1,27 @@
 //! A steady-state cell step allocates nothing: an LSTM and a GRU stepped
 //! through `Cell::step_batch_into` at 1 and 8 lanes, under the exact
-//! evaluator, the BNN memoizing evaluator and the oracle, make no heap
-//! allocation once two warm-up steps have sized every reused buffer.
+//! evaluator, the BNN memoizing evaluator, the oracle and the adaptive
+//! evaluator, make no heap allocation once two warm-up steps have sized
+//! every reused buffer.  The measured steps cross a `HOIST_BLOCK`
+//! boundary, where the adaptive evaluator drains its audit counters into
+//! its controller.
 //!
 //! A counting `#[global_allocator]` keeps its count per thread, so the
 //! test harness's other threads (and the other tests running beside
 //! this one) do not count.
 
 use nfm::bnn::BinaryNetwork;
-use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig};
+use nfm::memo::{
+    BnnMemoConfig, BnnMemoEvaluator, ControllerConfig, OracleMemoConfig, ThresholdController,
+};
 use nfm::rnn::{
     BatchScratch, BatchState, Cell, CellKind, DeepRnn, ExactEvaluator, Layer, NeuronEvaluator,
+    HOIST_BLOCK,
 };
 use nfm::tensor::kernels::matmul_into;
 use nfm::tensor::rng::DeterministicRng;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::Arc;
 
 struct Counting;
 
@@ -57,7 +64,7 @@ fn allocations() -> u64 {
 }
 
 const WARM_UP: usize = 2;
-const STEPS: usize = WARM_UP + 3;
+const STEPS: usize = HOIST_BLOCK + WARM_UP;
 
 /// The allocations of each of `STEPS` steps of `cell` over `lanes`
 /// lanes of seeded inputs, from the zero state, with every input and
@@ -133,7 +140,7 @@ fn a_steady_state_cell_step_allocates_nothing() {
     for kind in [CellKind::Lstm, CellKind::Gru] {
         let cell = Cell::random(kind, 6, 16, true, &mut rng).unwrap();
         let net = DeepRnn::new(vec![Layer::new(0, cell.clone(), None).unwrap()], None).unwrap();
-        let mirror = std::sync::Arc::new(BinaryNetwork::mirror(&net));
+        let mirror = Arc::new(BinaryNetwork::mirror(&net));
         for lanes in [1, 8] {
             let check = |name: &str, counts: Vec<u64>| {
                 assert!(
@@ -147,7 +154,14 @@ fn a_steady_state_cell_step_allocates_nothing() {
             );
             let bnn = BnnMemoEvaluator::new(mirror.clone(), BnnMemoConfig::with_threshold(1.0));
             let oracle = BnnMemoEvaluator::oracle(OracleMemoConfig::with_threshold(0.5));
-            for (name, mut memo) in [("bnn", bnn), ("oracle", oracle)] {
+            // Audits every other hit, so each block's sync has audits to
+            // observe.
+            let config = ControllerConfig::new(0.1)
+                .initial_theta(1.0)
+                .audit_period(2);
+            let controller = Arc::new(ThresholdController::new(1, config));
+            let adaptive = BnnMemoEvaluator::adaptive(mirror.clone(), controller.clone());
+            for (name, mut memo) in [("bnn", bnn), ("oracle", oracle), ("adaptive", adaptive)] {
                 check(name, allocations_per_step(&cell, lanes, &mut memo));
                 let stats = memo.stats();
                 assert!(
@@ -155,6 +169,10 @@ fn a_steady_state_cell_step_allocates_nothing() {
                     "{kind:?} at {lanes} lanes under {name}: the steps should hit and miss"
                 );
             }
+            assert!(
+                controller.snapshot().audit.audited() > 0,
+                "{kind:?} at {lanes} lanes: the block boundary should sync audits"
+            );
         }
     }
 }
